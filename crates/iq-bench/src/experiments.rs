@@ -1120,11 +1120,6 @@ pub struct CacheMeasure {
     pub max_shard_ops: u64,
     /// Modeled scan-phase wall at 8 workers (see [`modeled_cache_wall`]).
     pub modeled_wall_secs: f64,
-    /// Measured wall of a real 8-thread hit hammer (diagnostic only —
-    /// machine-dependent, never asserted on).
-    pub measured_wall_secs: f64,
-    /// Shard-lock wait the hammer accumulated (diagnostic only).
-    pub lock_wait_nanos: u64,
 }
 
 /// Deterministic lock-contention model for the scan phase, mirroring the
@@ -1152,14 +1147,13 @@ pub fn modeled_cache_wall(ops: u64, max_shard_ops: u64, shards: usize) -> f64 {
 /// are exactly what `repro --metrics` reports for a real run; the scan
 /// wall is priced with [`modeled_cache_wall`] from the deterministic
 /// per-shard operation counts (`BufferManager::shard_of` is a pure
-/// function of the key). A short real 8-thread hammer supplies measured
-/// wall and lock-wait as diagnostics.
+/// function of the key), so two runs serialize identically. The measured
+/// hit-path wall lives in `bench/` (`buffer.hit_ns`).
 pub fn cache_measurements(sf: f64) -> IqResult<Vec<CacheMeasure>> {
     use bytes::Bytes;
     use iq_buffer::{BufferManager, BufferOptions, FlushCause, FlushSink, FrameKey};
     use iq_common::{PageId, TableId, TxnId, VersionId};
     use iq_storage::{Page, PageKind};
-    use std::time::Instant;
 
     struct NoFlush;
     impl FlushSink for NoFlush {
@@ -1246,24 +1240,6 @@ pub fn cache_measurements(sf: f64) -> IqResult<Vec<CacheMeasure>> {
         let post = mgr.stats.snapshot();
         let post_scan_hit_rate = post.hits as f64 / (post.hits + post.demand_misses).max(1) as f64;
 
-        // Measured diagnostic: 8 threads hammer hit-path lookups. Real
-        // time on a real machine — reported, never asserted on.
-        mgr.stats.begin_epoch();
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                let mgr = &mgr;
-                scope.spawn(move || {
-                    for i in 0..10_000u64 {
-                        let p = (t * 7 + i) % hot_pages;
-                        let _ = mgr.get(key(p));
-                    }
-                });
-            }
-        });
-        let measured_wall_secs = start.elapsed().as_secs_f64();
-        let lock_wait_nanos = mgr.stats.snapshot().lock_wait_nanos;
-
         out.push(CacheMeasure {
             label,
             shards,
@@ -1273,8 +1249,6 @@ pub fn cache_measurements(sf: f64) -> IqResult<Vec<CacheMeasure>> {
             scan_ops,
             max_shard_ops,
             modeled_wall_secs: modeled_cache_wall(scan_ops, max_shard_ops, shards),
-            measured_wall_secs,
-            lock_wait_nanos,
         });
     }
     Ok(out)
@@ -1301,7 +1275,6 @@ pub fn report_cache(measures: &[CacheMeasure]) -> Report {
             "Post-scan hot hits",
             "Scan wall modeled (ms)",
             "vs 1-shard LRU",
-            "Lock wait measured (ms)",
         ],
     );
     let base = measures.first().map(|m| m.modeled_wall_secs).unwrap_or(0.0);
@@ -1312,13 +1285,12 @@ pub fn report_cache(measures: &[CacheMeasure]) -> Report {
             format!("{:.0}%", m.post_scan_hit_rate * 100.0),
             format!("{:.3}", m.modeled_wall_secs * 1e3),
             format!("{:.1}x", base / m.modeled_wall_secs.max(1e-12)),
-            format!("{:.2}", m.lock_wait_nanos as f64 / 1e6),
         ]);
     }
     r.note(
         "sharding divides the lock bottleneck by min(workers, shards); the SLRU's protected \
          segment keeps the promoted hot set resident through a cold scan that flushes plain LRU \
-         to 0% — measured lock-wait is machine-dependent and reported for orientation only",
+         to 0%",
     );
     r
 }

@@ -3,6 +3,7 @@
 //! the exact same bytes on a repeated run — the property the CI smoke
 //! relies on when it diffs `BENCH_throughput.json` across runs.
 
+use iq_bench::experiments::cache_measurements;
 use iq_bench::throughput::throughput_measurements;
 
 #[test]
@@ -31,4 +32,18 @@ fn bench_throughput_is_byte_identical_across_runs() {
         a.fair[0].p99_s,
         a.fifo[0].p99_s
     );
+}
+
+/// The cache ablation is modeled end to end (hit rates from the manager's
+/// epoch counters, scan wall from per-shard operation counts), so
+/// `BENCH_cache.json` must replay byte for byte too.
+#[test]
+fn bench_cache_is_byte_identical_across_runs() {
+    let sf = 0.002;
+    let a = cache_measurements(sf).expect("first run");
+    let b = cache_measurements(sf).expect("second run");
+    let ja = serde_json::to_string(&a).expect("serialize");
+    let jb = serde_json::to_string(&b).expect("serialize");
+    assert_eq!(ja, jb, "BENCH_cache.json must be replayable");
+    assert_eq!(a.len(), 4);
 }

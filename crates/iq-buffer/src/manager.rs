@@ -73,7 +73,7 @@ pub enum FlushCause {
 /// Downstream writer for dirty pages.
 ///
 /// `Sync` because the commit path fans `flush` calls across a worker pool
-/// (see [`BufferManager::flush_txn_parallel`]); implementations must be
+/// (see [`BufferManager::flush_txn_packed`]); implementations must be
 /// safe to call from several threads at once. The core stack already is:
 /// key generation, blockmap updates and RF/RB bookkeeping are all
 /// internally synchronized.
@@ -657,7 +657,7 @@ impl BufferManager {
             if let Err(e) = &result {
                 // The error propagates to the evicting thread below, but a
                 // commit of `txn` must also learn the page was never
-                // persisted — stash a copy for `flush_txn_parallel`.
+                // persisted — stash a copy for `flush_txn_packed`.
                 dirty.evict_errors.entry(txn).or_insert_with(|| e.clone());
             }
             if let Some(count) = dirty.evict_in_flight.get_mut(&txn) {
@@ -691,18 +691,15 @@ impl BufferManager {
     /// now clean. "Before a transaction commits, all associated dirty
     /// pages are flushed to permanent storage" (§3.1).
     ///
-    /// Serial flush order; see [`flush_txn_parallel`] for the fan-out
-    /// variant the commit path uses.
-    ///
-    /// [`flush_txn_parallel`]: BufferManager::flush_txn_parallel
-    pub fn flush_txn(&self, txn: TxnId, sink: &dyn FlushSink) -> IqResult<()> {
-        self.flush_txn_parallel(txn, sink, &IoCore::new(1))
-    }
-
-    /// Flush every dirty page of `txn`, submitting the sink writes to
-    /// `io` — the database's submission/completion core — which fans
-    /// them across its execution lanes and accounts the batch's
-    /// in-flight depth.
+    /// The claimed dirty set is chunked into key-sorted groups of up to
+    /// `pack_pages` frames, and each group goes to the sink as one
+    /// [`FlushSink::flush_group`] call — the packing sink turns a group
+    /// into a single composite-object PUT. The groups are submitted to
+    /// `io` — the database's submission/completion core — which fans them
+    /// across its execution lanes and accounts the batch's in-flight
+    /// depth. `pack_pages <= 1` is the per-page flush (groups of one; the
+    /// default `flush_group` forwards to `flush`) and `IoCore::new(1)`
+    /// the serial flush order.
     ///
     /// Locks are held only to claim the dirty set — frames are marked
     /// clean and their pages snapshotted under short per-shard locks, then
@@ -719,29 +716,11 @@ impl BufferManager {
     /// whose flush did not complete is re-marked dirty and re-tracked under
     /// `txn`, so the caller's rollback can discard it; no flush is silently
     /// dropped.
-    pub fn flush_txn_parallel(
-        &self,
-        txn: TxnId,
-        sink: &dyn FlushSink,
-        io: &IoCore,
-    ) -> IqResult<()> {
-        self.flush_txn_packed(txn, sink, io, 1)
-    }
-
-    /// [`flush_txn_parallel`] with page packing: the claimed dirty set is
-    /// chunked into key-sorted groups of up to `pack_pages` frames, and
-    /// each group goes to the sink as one [`FlushSink::flush_group`] call
-    /// — the packing sink turns a group into a single composite-object
-    /// PUT. `pack_pages <= 1` degenerates to the per-page path (groups of
-    /// one; the default `flush_group` forwards to `flush`), byte-for-byte
-    /// identical to the pre-packing flush.
     ///
     /// Failure granularity is the group: a failed group re-dirties every
     /// member (the packing sink maps no member of a failed composite), so
     /// `flushed + re-dirtied == claimed` always holds and rollback can
     /// discard exactly the unpersisted frames.
-    ///
-    /// [`flush_txn_parallel`]: BufferManager::flush_txn_parallel
     pub fn flush_txn_packed(
         &self,
         txn: TxnId,
@@ -1041,7 +1020,7 @@ mod tests {
         for p in 0..5 {
             bm.put_dirty(key(1, p), page(p, 100), txn, &sink).unwrap();
         }
-        bm.flush_txn(txn, &sink).unwrap();
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(1), 1).unwrap();
         let flushed = sink.flushed.lock();
         assert_eq!(flushed.len(), 5);
         assert!(flushed
@@ -1052,7 +1031,7 @@ mod tests {
         // Pages remain cached.
         assert!(bm.get(key(1, 0)).is_some());
         // Re-flushing does nothing.
-        bm.flush_txn(txn, &sink).unwrap();
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(1), 1).unwrap();
         assert_eq!(sink.flushed.lock().len(), 5);
     }
 
@@ -1157,7 +1136,8 @@ mod tests {
             .unwrap();
         bm.put_dirty(key(1, 2), page(2, 100), TxnId(2), &sink)
             .unwrap();
-        bm.flush_txn(TxnId(1), &sink).unwrap();
+        bm.flush_txn_packed(TxnId(1), &sink, &IoCore::new(1), 1)
+            .unwrap();
         assert_eq!(sink.flushed.lock().len(), 1);
         assert_eq!(bm.dirty_count(TxnId(2)), 1);
         // Redirtying a page under a new txn moves ownership.
@@ -1201,7 +1181,9 @@ mod tests {
                 .put_dirty(key(1, p), page(p, 100), txn, &serial_sink)
                 .unwrap();
         }
-        serial_bm.flush_txn(txn, &serial_sink).unwrap();
+        serial_bm
+            .flush_txn_packed(txn, &serial_sink, &IoCore::new(1), 1)
+            .unwrap();
         let serial_flushed = serial_sink.flushed.into_inner();
 
         // Parallel flush with readers hammering the cache throughout.
@@ -1227,7 +1209,7 @@ mod tests {
                     }
                 });
             }
-            scope.spawn(|| bm.flush_txn_parallel(txn, &sink, &IoCore::new(4)).unwrap());
+            scope.spawn(|| bm.flush_txn_packed(txn, &sink, &IoCore::new(4), 1).unwrap());
         });
 
         // Same flushes as serial: same key set, all Commit, each exactly
@@ -1280,7 +1262,7 @@ mod tests {
                 bm.put_dirty(key(1, p), page(p, 64), txn, &sink).unwrap();
             }
             let err = bm
-                .flush_txn_parallel(txn, &sink, &IoCore::new(workers))
+                .flush_txn_packed(txn, &sink, &IoCore::new(workers), 1)
                 .unwrap_err();
             assert!(matches!(err, iq_common::IqError::Io(_)));
             // Accounting closes: every page either reached the sink or is
@@ -1429,7 +1411,7 @@ mod tests {
     #[test]
     fn commit_waits_for_in_flight_eviction_flush() {
         // An eviction flush of txn's page is parked inside the sink while
-        // the commit runs: flush_txn must not return before that page is
+        // the commit runs: flush_txn_packed must not return before that page is
         // persisted, and must not flush it a second time.
         struct GateSink {
             flushed: PMutex<Vec<(FrameKey, FlushCause)>>,
@@ -1473,7 +1455,7 @@ mod tests {
             sink.evict_entered.wait();
             // Commit in parallel with the parked eviction flush.
             let committer =
-                scope.spawn(move || bm.flush_txn_parallel(txn, sink_ref, &IoCore::new(2)));
+                scope.spawn(move || bm.flush_txn_packed(txn, sink_ref, &IoCore::new(2), 1));
             // Give the committer a moment to reach the wait, then release.
             std::thread::sleep(std::time::Duration::from_millis(20));
             assert!(
@@ -1568,7 +1550,7 @@ mod tests {
             let sink_ref = &sink;
             let stall = bm.shards[s_a].inner.lock();
             let committer =
-                scope.spawn(move || bm.flush_txn_parallel(txn, sink_ref, &IoCore::new(2)));
+                scope.spawn(move || bm.flush_txn_packed(txn, sink_ref, &IoCore::new(2), 1));
             // Phase 1a has claimed the dirty set once the index is empty;
             // phase 1b is now blocked on `stall`.
             while bm.dirty_count(txn) != 0 {
@@ -1639,7 +1621,9 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, iq_common::IqError::Io(_)));
         // ...and poisons the commit of the same transaction.
-        let err = bm.flush_txn(txn, &sink).unwrap_err();
+        let err = bm
+            .flush_txn_packed(txn, &sink, &IoCore::new(1), 1)
+            .unwrap_err();
         assert!(matches!(err, iq_common::IqError::Io(_)));
         // The dirty set was not claimed, so rollback still discards it —
         // and clears the poison for any later reuse of the id.
@@ -1647,7 +1631,7 @@ mod tests {
         bm.discard_txn(txn);
         assert_eq!(bm.dirty_count(txn), 0);
         bm.put_dirty(key(1, 9), page(9, 100), txn, &sink).unwrap();
-        bm.flush_txn(txn, &sink).unwrap();
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(1), 1).unwrap();
     }
 
     #[test]

@@ -32,14 +32,6 @@ pub struct DatabaseConfig {
     /// Buffer-manager RAM budget ("½ of the RAM is reserved for SAP IQ's
     /// buffer manager", §6).
     pub buffer_bytes: usize,
-    /// Buffer-manager shard count (rounded up to a power of two, capped at
-    /// 64). 0 picks automatically from `scan_workers` so lock contention
-    /// scales with the configured parallelism.
-    pub buffer_shards: usize,
-    /// Fraction of each cache (buffer-manager shards and the OCM) reserved
-    /// for the protected SLRU segment; clamped to `[0, 1]`. 0 degrades both
-    /// caches to plain LRU (the ablation baseline).
-    pub cache_protected_fraction: f64,
     /// OCM SSD budget; 0 disables the OCM.
     pub ocm_bytes: u64,
     /// Object-store consistency model.
@@ -97,8 +89,6 @@ impl Default for DatabaseConfig {
                 page_size: 64 * 1024,
             },
             buffer_bytes: 256 * MIB as usize,
-            buffer_shards: 0,
-            cache_protected_fraction: 0.8,
             ocm_bytes: GIB,
             consistency: ConsistencyConfig::default(),
             retry: RetryPolicy::default(),

@@ -18,14 +18,14 @@ use iq_ocm::{Ocm, OcmConfig};
 use iq_snapshot::{RetainingSink, SnapshotManager};
 use iq_storage::{Catalog, DbSpace};
 use iq_txn::{
-    DeletionSink, Multiplex, NodeKeyCache, NodeRole, RangeProvider, TransactionManager, TxnLog,
+    DeletionSink, ImmediateDeletion, Multiplex, NodeKeyCache, NodeRole, RangeProvider,
+    TransactionManager, TxnLog,
 };
 use parking_lot::{Mutex, RwLock};
 
 use crate::config::{DatabaseConfig, GroupCommitMode};
 use crate::group_commit::DurableLog;
 use crate::pager::Pager;
-use crate::sink::DatabaseSink;
 use crate::tablestore::TableStore;
 
 /// Shared state behind a [`Database`] (and its [`Pager`]s).
@@ -54,7 +54,7 @@ pub struct Shared {
     /// Chain-GC sink (retention-wrapped when snapshots are on).
     gc_sink: Arc<dyn DeletionSink>,
     /// Immediate sink (rollback garbage is never retained).
-    immediate_sink: Arc<DatabaseSink>,
+    immediate_sink: Arc<ImmediateDeletion>,
     catalog: Mutex<Catalog>,
     system: Arc<BlockDeviceSim>,
     log: Arc<TxnLog>,
@@ -219,18 +219,16 @@ impl Shared {
     }
 }
 
-/// Buffer-manager geometry from the database config: `buffer_shards` as
-/// requested, or — when 0 — twice the scan parallelism so neighbouring
-/// morsel workers rarely collide on a shard lock.
+/// Share of each cache (buffer-manager shards and the OCM) reserved for
+/// the protected SLRU segment.
+const CACHE_PROTECTED_FRACTION: f64 = 0.8;
+
+/// Buffer-manager geometry: twice the scan parallelism in shards, so
+/// neighbouring morsel workers rarely collide on a shard lock.
 fn buffer_options(config: &DatabaseConfig) -> BufferOptions {
-    let shards = if config.buffer_shards == 0 {
-        (config.scan_workers * 2).max(1)
-    } else {
-        config.buffer_shards
-    };
     BufferOptions {
-        shards,
-        protected_fraction: config.cache_protected_fraction,
+        shards: (config.scan_workers * 2).max(1),
+        protected_fraction: CACHE_PROTECTED_FRACTION,
     }
 }
 
@@ -684,13 +682,31 @@ impl Database {
             block,
             config.system_bytes / block as u64,
         ));
+        let log = Arc::new(TxnLog::new());
+        let mx = Multiplex::new(Arc::clone(&log), config.writers, config.readers);
+        Self::assemble(config, mx, log, system, Catalog::default(), None)
+    }
+
+    /// Build the volatile shell — OCM SSD, deletion sinks, transaction
+    /// manager, reactor, durable-log uploader, metrics — around the
+    /// durable parts: the log (with the multiplex whose coordinator
+    /// replays it), the system device and its catalog, and the durable-log
+    /// store when one survived a previous life. Dbspaces and tables are
+    /// attached afterwards.
+    fn assemble(
+        config: DatabaseConfig,
+        mx: Multiplex,
+        log: Arc<TxnLog>,
+        system: Arc<BlockDeviceSim>,
+        catalog: Catalog,
+        log_store: Option<Arc<ObjectStoreSim>>,
+    ) -> IqResult<Self> {
+        let block = config.storage.block_size();
         let ssd = Arc::new(BlockDeviceSim::new(
             block,
             (config.ocm_bytes / block as u64).max(1),
         ));
-        let log = Arc::new(TxnLog::new());
-        let mx = Multiplex::new(Arc::clone(&log), config.writers, config.readers);
-        let immediate_sink = Arc::new(DatabaseSink::new());
+        let immediate_sink = Arc::new(ImmediateDeletion::new());
         let snapshots = config.retention.map(|r| Arc::new(SnapshotManager::new(r)));
         let gc_sink: Arc<dyn DeletionSink> = match &snapshots {
             Some(sm) => Arc::new(RetainingSink::new(
@@ -708,13 +724,14 @@ impl Database {
         let durable_log = match config.group_commit {
             GroupCommitMode::Off => None,
             mode => {
-                let dl = Arc::new(DurableLog::new(
-                    mode,
-                    Arc::clone(&reactor),
-                    Some(Arc::clone(&io_stats)),
-                    config.retry,
-                    config.log_fault,
-                ));
+                let (reactor, stats) = (Arc::clone(&reactor), Some(Arc::clone(&io_stats)));
+                let (retry, fault) = (config.retry, config.log_fault);
+                let dl = Arc::new(match log_store {
+                    // A surviving log store resumes key allocation above
+                    // its live keys.
+                    Some(sim) => DurableLog::over_store(mode, reactor, stats, retry, fault, sim),
+                    None => DurableLog::new(mode, reactor, stats, retry, fault),
+                });
                 log.set_sink(Arc::clone(&dl) as Arc<dyn iq_txn::LogSink>);
                 Some(dl)
             }
@@ -735,7 +752,7 @@ impl Database {
             snapshots,
             gc_sink,
             immediate_sink,
-            catalog: Mutex::new(Catalog::default()),
+            catalog: Mutex::new(catalog),
             system,
             log,
             config,
@@ -753,6 +770,86 @@ impl Database {
             next_space: AtomicU32::new(1),
             next_table: AtomicU32::new(1),
         })
+    }
+
+    /// Wire a cloud store into this instance as dbspace `id` — at
+    /// `CREATE DBSPACE` and again at every reopen. The first cloud
+    /// dbspace gets the OCM bound to it (when `ocm_bytes > 0`).
+    fn attach_cloud_space(
+        &self,
+        id: DbSpaceId,
+        name: &str,
+        storage: iq_storage::StorageConfig,
+        store: Arc<ObjectStoreSim>,
+    ) {
+        let shared = &self.shared;
+        shared.cloud_stores.write().insert(id.0, store.clone());
+        register_store_metrics(&shared.metrics, id.0, &store);
+        // With a fault plan configured, every path to the store — dbspace
+        // reads/writes, OCM uploads, GC polls — goes through the injector.
+        // The concrete sim stays reachable for invariant checks, and the
+        // injector is client-side state: a reopened instance builds a
+        // fresh one (a restarted node is healed).
+        let backend: Arc<dyn ObjectBackend> = match shared.config.fault {
+            Some(plan) => {
+                let injector = Arc::new(FaultInjector::new(store, plan));
+                shared
+                    .fault_injectors
+                    .write()
+                    .insert(id.0, Arc::clone(&injector));
+                injector
+            }
+            None => store,
+        };
+        // Route all of it through the shared submission/completion
+        // reactor. Retry attempts submit individual descriptors, so
+        // per-descriptor fault injection falls out of the stacking
+        // order: retry → reactor → injector → sim.
+        let backend: Arc<dyn ObjectBackend> =
+            Arc::new(ReactorStore::new(Arc::clone(&shared.reactor), backend));
+        let space = Arc::new(DbSpace::cloud(
+            id,
+            name,
+            storage,
+            Arc::clone(&backend),
+            shared.config.retry,
+        ));
+        shared.spaces.write().insert(id.0, Arc::clone(&space));
+        shared.immediate_sink.register(space);
+        let mut ocm = shared.ocm.lock();
+        if ocm.is_none() && shared.config.ocm_bytes > 0 {
+            let bound = Arc::new(Ocm::new(
+                Arc::clone(&shared.ssd),
+                backend,
+                OcmConfig {
+                    // Slots fit this dbspace's sealed page images.
+                    slot_bytes: storage.page_size,
+                    capacity_bytes: shared.config.ocm_bytes,
+                    retry: shared.config.retry,
+                    protected_fraction: CACHE_PROTECTED_FRACTION,
+                },
+            ));
+            register_ocm_metrics(&shared.metrics, &bound, &shared.ssd);
+            *ocm = Some((id, bound));
+        }
+    }
+
+    /// Wire a block volume into this instance as conventional dbspace
+    /// `id` (DDL and reopen).
+    fn attach_conventional_space(
+        &self,
+        id: DbSpaceId,
+        name: &str,
+        storage: iq_storage::StorageConfig,
+        device: Arc<BlockDeviceSim>,
+    ) -> IqResult<()> {
+        let shared = &self.shared;
+        let space = Arc::new(DbSpace::conventional(id, name, storage, device.clone())?);
+        register_device_metrics(&shared.metrics, id.0, &device);
+        shared.block_devices.write().insert(id.0, device);
+        shared.spaces.write().insert(id.0, Arc::clone(&space));
+        shared.immediate_sink.register(space);
+        Ok(())
     }
 
     /// Shared state (for advanced integrations and tests).
@@ -789,58 +886,8 @@ impl Database {
     ) -> IqResult<DbSpaceId> {
         let id = DbSpaceId(self.next_space.fetch_add(1, Ordering::Relaxed));
         let store = Arc::new(ObjectStoreSim::new(self.shared.config.consistency.clone()));
-        // With a fault plan configured, every path to the store — dbspace
-        // reads/writes, OCM uploads, GC polls — goes through the injector.
-        // The concrete sim stays reachable for invariant checks.
-        let backend: Arc<dyn ObjectBackend> = match self.shared.config.fault {
-            Some(plan) => {
-                let injector = Arc::new(FaultInjector::new(
-                    store.clone() as Arc<dyn ObjectBackend>,
-                    plan,
-                ));
-                self.shared
-                    .fault_injectors
-                    .write()
-                    .insert(id.0, Arc::clone(&injector));
-                injector
-            }
-            None => store.clone(),
-        };
-        // Route every path to this store — dbspace reads/writes, OCM
-        // uploads, GC deletes — through the shared submission/completion
-        // reactor. Retry attempts submit individual descriptors, so
-        // per-descriptor fault injection falls out of the stacking
-        // order: retry → reactor → injector → sim.
-        let backend: Arc<dyn ObjectBackend> =
-            Arc::new(ReactorStore::new(Arc::clone(&self.shared.reactor), backend));
-        let space = Arc::new(DbSpace::cloud(
-            id,
-            name,
-            storage,
-            Arc::clone(&backend),
-            self.shared.config.retry,
-        ));
-        self.shared.spaces.write().insert(id.0, Arc::clone(&space));
-        self.shared.cloud_stores.write().insert(id.0, store.clone());
-        register_store_metrics(&self.shared.metrics, id.0, &store);
-        self.shared.immediate_sink.register(space);
+        self.attach_cloud_space(id, name, storage, store);
         self.persist_ddl()?;
-        let mut ocm = self.shared.ocm.lock();
-        if ocm.is_none() && self.shared.config.ocm_bytes > 0 {
-            let bound = Arc::new(Ocm::new(
-                Arc::clone(&self.shared.ssd),
-                backend,
-                OcmConfig {
-                    // Slots fit this dbspace's sealed page images.
-                    slot_bytes: storage.page_size,
-                    capacity_bytes: self.shared.config.ocm_bytes,
-                    retry: self.shared.config.retry,
-                    protected_fraction: self.shared.config.cache_protected_fraction,
-                },
-            ));
-            register_ocm_metrics(&self.shared.metrics, &bound, &self.shared.ssd);
-            *ocm = Some((id, bound));
-        }
         Ok(id)
     }
 
@@ -855,21 +902,10 @@ impl Database {
     /// Create a conventional dbspace over a simulated block volume.
     pub fn create_conventional_dbspace(&self, name: &str, bytes: u64) -> IqResult<DbSpaceId> {
         let id = DbSpaceId(self.next_space.fetch_add(1, Ordering::Relaxed));
-        let block = self.shared.config.storage.block_size();
+        let storage = self.shared.config.storage;
+        let block = storage.block_size();
         let device = Arc::new(BlockDeviceSim::new(block, bytes / block as u64));
-        let space = Arc::new(DbSpace::conventional(
-            id,
-            name,
-            self.shared.config.storage,
-            device.clone(),
-        )?);
-        self.shared
-            .block_devices
-            .write()
-            .insert(id.0, device.clone());
-        register_device_metrics(&self.shared.metrics, id.0, &device);
-        self.shared.spaces.write().insert(id.0, Arc::clone(&space));
-        self.shared.immediate_sink.register(space);
+        self.attach_conventional_space(id, name, storage, device)?;
         self.persist_ddl()?;
         Ok(id)
     }
@@ -1598,119 +1634,42 @@ impl Database {
             Some(store) => crate::log_recovery::reconcile(&durable.log, store)?,
             None => crate::log_recovery::RecoveryReport::default(),
         };
-        let db = {
-            // Build the volatile shell around the durable parts.
-            let block = config.storage.block_size();
-            let ssd = Arc::new(BlockDeviceSim::new(
-                block,
-                (config.ocm_bytes / block as u64).max(1),
-            ));
-            let mx = Multiplex::new(Arc::clone(&durable.log), config.writers, config.readers);
-            // Recover the key generator from the (reconciled) log
-            // before serving.
-            mx.coordinator.recover();
-            let immediate_sink = Arc::new(DatabaseSink::new());
-            let snapshots = config.retention.map(|r| Arc::new(SnapshotManager::new(r)));
-            let gc_sink: Arc<dyn DeletionSink> = match &snapshots {
-                Some(sm) => Arc::new(RetainingSink::new(
-                    Arc::clone(sm),
-                    Arc::clone(&immediate_sink) as Arc<dyn DeletionSink>,
-                )),
-                None => Arc::clone(&immediate_sink) as Arc<dyn DeletionSink>,
-            };
-            let keygen = mx.coordinator.keygen()?;
-            let txns = TransactionManager::new(Arc::clone(&durable.log), Some(keygen));
-            txns.set_gc_workers(config.scan_workers.max(1));
-            let io_stats = Arc::new(IoStats::new());
-            txns.set_io_stats(Arc::clone(&io_stats));
-            let reactor = Arc::new(IoReactor::with_stats(Arc::clone(&io_stats)));
-            // The log object survived the restart; rebind (or drop) its
-            // durability sink to match this instance's configuration.
-            let durable_log = match config.group_commit {
-                GroupCommitMode::Off => {
-                    durable.log.clear_sink();
-                    None
-                }
-                mode => {
-                    let dl = match &durable.log_store {
-                        Some(sim) => {
-                            // The log store survived: open a fresh stats
-                            // epoch (like the other surviving backends,
-                            // so post-recovery metrics exclude pre-crash
-                            // log traffic) and resume key allocation
-                            // above its live keys.
-                            sim.stats.begin_epoch();
-                            Arc::new(DurableLog::over_store(
-                                mode,
-                                Arc::clone(&reactor),
-                                Some(Arc::clone(&io_stats)),
-                                config.retry,
-                                config.log_fault,
-                                Arc::clone(sim),
-                            ))
-                        }
-                        None => {
-                            let dl = Arc::new(DurableLog::new(
-                                mode,
-                                Arc::clone(&reactor),
-                                Some(Arc::clone(&io_stats)),
-                                config.retry,
-                                config.log_fault,
-                            ));
-                            // Uploads newly enabled over a log with
-                            // history: mirror it so the durable stream
-                            // stays a superset of memory (otherwise the
-                            // next reconciliation would drop every
-                            // pre-existing commit).
-                            dl.bootstrap(&durable.log.all_records())?;
-                            dl
-                        }
-                    };
-                    durable
-                        .log
-                        .set_sink(Arc::clone(&dl) as Arc<dyn iq_txn::LogSink>);
-                    Some(dl)
-                }
-            };
-            let shared = Arc::new(Shared {
-                buffer: BufferManager::with_options(config.buffer_bytes, buffer_options(&config)),
-                txns,
-                mx,
-                meter: Arc::new(WorkMeter::new()),
-                ocm: Mutex::new(None),
-                ssd,
-                spaces: RwLock::new(HashMap::new()),
-                cloud_stores: RwLock::new(HashMap::new()),
-                fault_injectors: RwLock::new(HashMap::new()),
-                block_devices: RwLock::new(HashMap::new()),
-                tables: RwLock::new(HashMap::new()),
-                key_caches: Mutex::new(HashMap::new()),
-                snapshots,
-                gc_sink,
-                immediate_sink,
-                catalog: Mutex::new(catalog),
-                system: durable.system,
-                log: durable.log,
-                config,
-                metrics: Arc::new(MetricsRegistry::new()),
-                pack_stats: PackStats::default(),
-                io_stats,
-                scan_stats: Arc::new(ScanStats::new()),
-                reactor,
-                durable_log,
-                log_recovery: LogRecoveryStats::default(),
-            });
-            shared.log_recovery.record(&recovery);
-            register_core_metrics(&shared);
-            Self {
-                shared,
-                next_space: AtomicU32::new(1),
-                next_table: AtomicU32::new(1),
-            }
-        };
+        let mx = Multiplex::new(Arc::clone(&durable.log), config.writers, config.readers);
+        // Recover the key generator from the (reconciled) log before
+        // serving.
+        mx.coordinator.recover();
+        // The log object survived the restart; drop its old durability
+        // sink (the shell below installs this life's, if any). A surviving
+        // log store opens a fresh stats epoch, like the other surviving
+        // backends, so post-recovery metrics exclude pre-crash log
+        // traffic.
+        durable.log.clear_sink();
+        if let Some(sim) = &durable.log_store {
+            sim.stats.begin_epoch();
+        }
+        let fresh_log_store = durable.log_store.is_none();
+        let db = Self::assemble(
+            config,
+            mx,
+            Arc::clone(&durable.log),
+            durable.system,
+            catalog,
+            durable.log_store,
+        )?;
+        db.shared.log_recovery.record(&recovery);
+        if let Some(dl) = db.shared.durable_log.as_ref().filter(|_| fresh_log_store) {
+            // Uploads newly enabled over a log with history: mirror it so
+            // the durable stream stays a superset of memory (otherwise
+            // the next reconciliation would drop every pre-existing
+            // commit).
+            dl.bootstrap(&durable.log.all_records())?;
+        }
 
         // Rebuild dbspaces from their catalog definitions over the
-        // surviving backends.
+        // surviving backends. Each backend (and its request ledger)
+        // survives the restart; a fresh stats epoch accounts post-restart
+        // traffic separately while the archived epochs remain reachable
+        // via `lifetime_snapshot`.
         let defs: Vec<DbSpaceDef> = db
             .shared
             .catalog
@@ -1718,92 +1677,26 @@ impl Database {
             .get_section("dbspaces")?
             .unwrap_or_default();
         for def in &defs {
+            let id = DbSpaceId(def.id);
             let storage = iq_storage::StorageConfig {
                 page_size: def.page_size,
             };
-            let space: Arc<DbSpace> =
-                if def.cloud {
-                    let store = durable.cloud_stores.get(&def.id).cloned().ok_or_else(|| {
+            if def.cloud {
+                let store =
+                    durable.cloud_stores.get(&def.id).cloned().ok_or_else(|| {
                         IqError::Catalog(format!("missing store for {}", def.name))
                     })?;
-                    // The backend (and its request ledger) survives the
-                    // restart; open a fresh stats epoch so post-restart
-                    // traffic is accounted separately while the archived
-                    // epochs remain reachable via `lifetime_snapshot`.
-                    store.stats.begin_epoch();
-                    db.shared.cloud_stores.write().insert(def.id, store.clone());
-                    register_store_metrics(&db.shared.metrics, def.id, &store);
-                    // The durable store survives the restart; the client-side
-                    // injector is rebuilt fresh (a restarted node is healed).
-                    let backend: Arc<dyn ObjectBackend> = match db.shared.config.fault {
-                        Some(plan) => {
-                            let injector =
-                                Arc::new(FaultInjector::new(store as Arc<dyn ObjectBackend>, plan));
-                            db.shared
-                                .fault_injectors
-                                .write()
-                                .insert(def.id, Arc::clone(&injector));
-                            injector
-                        }
-                        None => store,
-                    };
-                    // Same stacking as at create: retry → reactor →
-                    // injector → sim.
-                    let backend: Arc<dyn ObjectBackend> =
-                        Arc::new(ReactorStore::new(Arc::clone(&db.shared.reactor), backend));
-                    Arc::new(DbSpace::cloud(
-                        DbSpaceId(def.id),
-                        &def.name,
-                        storage,
-                        backend,
-                        db.shared.config.retry,
-                    ))
-                } else {
-                    let device = durable.block_devices.get(&def.id).cloned().ok_or_else(|| {
+                store.stats.begin_epoch();
+                db.attach_cloud_space(id, &def.name, storage, store);
+            } else {
+                let device =
+                    durable.block_devices.get(&def.id).cloned().ok_or_else(|| {
                         IqError::Catalog(format!("missing device for {}", def.name))
                     })?;
-                    device.stats.begin_epoch();
-                    db.shared
-                        .block_devices
-                        .write()
-                        .insert(def.id, device.clone());
-                    register_device_metrics(&db.shared.metrics, def.id, &device);
-                    Arc::new(DbSpace::conventional(
-                        DbSpaceId(def.id),
-                        &def.name,
-                        storage,
-                        device,
-                    )?)
-                };
-            db.shared.spaces.write().insert(def.id, Arc::clone(&space));
-            db.shared.immediate_sink.register(Arc::clone(&space));
-            db.next_space.fetch_max(def.id + 1, Ordering::Relaxed);
-            // Rebind the OCM to the first cloud dbspace, cold. Its store
-            // traffic goes through the fault injector when one is set.
-            if def.cloud && db.shared.config.ocm_bytes > 0 {
-                let mut ocm = db.shared.ocm.lock();
-                if ocm.is_none() {
-                    let backend: Arc<dyn ObjectBackend> =
-                        match db.shared.fault_injectors.read().get(&def.id) {
-                            Some(inj) => Arc::clone(inj) as Arc<dyn ObjectBackend>,
-                            None => db.shared.cloud_stores.read()[&def.id].clone(),
-                        };
-                    let backend: Arc<dyn ObjectBackend> =
-                        Arc::new(ReactorStore::new(Arc::clone(&db.shared.reactor), backend));
-                    let bound = Arc::new(Ocm::new(
-                        Arc::clone(&db.shared.ssd),
-                        backend,
-                        iq_ocm::OcmConfig {
-                            slot_bytes: def.page_size,
-                            capacity_bytes: db.shared.config.ocm_bytes,
-                            retry: db.shared.config.retry,
-                            protected_fraction: db.shared.config.cache_protected_fraction,
-                        },
-                    ));
-                    register_ocm_metrics(&db.shared.metrics, &bound, &db.shared.ssd);
-                    *ocm = Some((DbSpaceId(def.id), bound));
-                }
+                device.stats.begin_epoch();
+                db.attach_conventional_space(id, &def.name, storage, device)?;
             }
+            db.next_space.fetch_max(def.id + 1, Ordering::Relaxed);
         }
 
         // Restore conventional freelists: last checkpoint image, then
@@ -1890,12 +1783,7 @@ impl Database {
         for node in nodes {
             let set = keygen.drain_active_set(NodeId(node));
             for off in set.iter() {
-                let key = ObjectKey::from_offset(off);
-                for space in db.shared.spaces.read().values() {
-                    if space.is_cloud() && space.poll_delete(key)? {
-                        break;
-                    }
-                }
+                db.poll_delete(ObjectKey::from_offset(off))?;
             }
         }
         Ok(db)

@@ -31,7 +31,6 @@ pub mod group_commit;
 pub mod log_recovery;
 pub mod pager;
 pub mod scheduler;
-pub mod sink;
 pub mod tablestore;
 pub mod view;
 

@@ -14,10 +14,59 @@ use iq_buffer::{FlushCause, FlushSink, FrameKey};
 use iq_common::{IqError, IqResult, PageId, PhysicalLocator, TableId, TxnId, VersionId};
 use iq_engine::PageStore;
 use iq_ocm::WriteMode;
-use iq_storage::{Page, PageIo, PageKind};
+use iq_storage::{DbSpace, Page, PageIo, PageKind};
 
 use crate::database::Shared;
 use crate::encrypt;
+use crate::tablestore::TableStore;
+
+impl Shared {
+    /// XOR-encrypt or -decrypt (the cipher is an involution) a cloud page
+    /// image when `encryption_key` is set.
+    fn crypt(&self, image: Bytes) -> Bytes {
+        match self.config.encryption_key {
+            Some(k) => encrypt::apply(k, &image),
+            None => image,
+        }
+    }
+
+    /// Seal `page` for `space` and encrypt the image — what goes to the
+    /// store, whole or as a composite member.
+    fn seal_image(&self, space: &DbSpace, page: &Page) -> IqResult<Bytes> {
+        let (image, _) = page.seal(&space.config)?;
+        Ok(self.crypt(image))
+    }
+
+    /// The one page-image read path: fetch what `loc` names on `space`,
+    /// decrypt, unseal. Shared by the live [`Pager`] and snapshot views.
+    pub(crate) fn fetch_page(
+        &self,
+        space: &DbSpace,
+        loc: PhysicalLocator,
+        scan: bool,
+    ) -> IqResult<Page> {
+        let image = match loc {
+            PhysicalLocator::Object(key) => match self.ocm_for(space.id) {
+                // Scan-driven loads are hinted so the OCM admits them
+                // probationary: a cold table scan must not wash the
+                // promoted point-read set out of the SSD cache.
+                Some(ocm) => ocm.read_hinted(key, scan)?,
+                None => space.get_raw(key)?,
+            },
+            // Composite members bypass the OCM (its cache is keyed by
+            // whole objects) and go straight to a ranged GET — or a whole
+            // GET sliced client-side under the `pack_ranged_gets = false`
+            // ablation, which is what makes over-read measurable.
+            PhysicalLocator::ObjectRange { key, offset, len } => {
+                let read = space.get_range(key, offset, len, self.config.pack_ranged_gets)?;
+                self.pack_stats.note_range_read(&read);
+                read.data
+            }
+            PhysicalLocator::Blocks { .. } => return space.read_page(loc),
+        };
+        Page::unseal(&self.crypt(image))
+    }
+}
 
 /// Transaction-bound page access.
 pub struct Pager {
@@ -42,37 +91,29 @@ impl Pager {
         let loc = ts
             .resolve(self.txn, page, &io)?
             .ok_or(IqError::PageNotFound(page))?;
-        match loc {
-            PhysicalLocator::Object(key) => {
-                let image = match self.shared.ocm_for(ts.space) {
-                    // Scan-driven loads are hinted so the OCM admits them
-                    // probationary: a cold table scan must not wash the
-                    // promoted point-read set out of the SSD cache.
-                    Some(ocm) => ocm.read_hinted(key, !demand)?,
-                    None => space.get_raw(key)?,
-                };
-                let image = match self.shared.config.encryption_key {
-                    Some(k) => encrypt::apply(k, &image),
-                    None => image,
-                };
-                Page::unseal(&image)
-            }
-            // Composite members bypass the OCM (its cache is keyed by
-            // whole objects) and go straight to a ranged GET — or a whole
-            // GET sliced client-side under the `pack_ranged_gets = false`
-            // ablation, which is what makes over-read measurable.
-            PhysicalLocator::ObjectRange { key, offset, len } => {
-                let read =
-                    space.get_range(key, offset, len, self.shared.config.pack_ranged_gets)?;
-                self.shared.pack_stats.note_range_read(&read);
-                let image = match self.shared.config.encryption_key {
-                    Some(k) => encrypt::apply(k, &read.data),
-                    None => read.data,
-                };
-                Page::unseal(&image)
-            }
-            PhysicalLocator::Blocks { .. } => space.read_page(loc),
+        self.shared.fetch_page(&space, loc, !demand)
+    }
+
+    /// Publish a flushed page at its new home `loc`: blockmap update
+    /// (dirties the path — the Figure 2 cascade) and RF/RB bookkeeping.
+    fn publish(
+        &self,
+        ts: &TableStore,
+        space: &DbSpace,
+        txn: TxnId,
+        page: PageId,
+        loc: PhysicalLocator,
+    ) -> IqResult<()> {
+        let io = PageIo {
+            space,
+            keys: self.keys.as_ref(),
+        };
+        let superseded = ts.map(txn, page, loc, &io)?;
+        self.shared.txns.record_alloc(txn, ts.space, loc)?;
+        if let Some(old) = superseded {
+            self.shared.txns.record_free(txn, ts.space, old)?;
         }
+        Ok(())
     }
 }
 
@@ -135,19 +176,10 @@ impl FlushSink for Pager {
     fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, cause: FlushCause) -> IqResult<()> {
         let ts = self.shared.table_store(key.table)?;
         let space = self.shared.space(ts.space)?;
-        let io = PageIo {
-            space: &space,
-            keys: self.keys.as_ref(),
-        };
-
         let loc = if space.is_cloud() {
             // Never write an object twice: a fresh key for every flush.
             let obj_key = iq_storage::KeySource::next_key(self.keys.as_ref())?;
-            let (image, _) = page.seal(&space.config)?;
-            let image = match self.shared.config.encryption_key {
-                Some(k) => encrypt::apply(k, &image),
-                None => image,
-            };
+            let image = self.shared.seal_image(&space, page)?;
             match self.shared.ocm_for(ts.space) {
                 Some(ocm) => {
                     // Churn-phase evictions use write-back; commit-phase
@@ -164,15 +196,7 @@ impl FlushSink for Pager {
         } else {
             space.write_page(page, self.keys.as_ref())?
         };
-
-        // Blockmap update (dirties the path — the Figure 2 cascade) and
-        // RF/RB bookkeeping.
-        let superseded = ts.map(txn, key.page, loc, &io)?;
-        self.shared.txns.record_alloc(txn, ts.space, loc)?;
-        if let Some(old) = superseded {
-            self.shared.txns.record_free(txn, ts.space, old)?;
-        }
-        Ok(())
+        self.publish(&ts, &space, txn, key.page, loc)
     }
 
     /// Commit-flush packing: the group becomes ONE composite object — one
@@ -215,11 +239,7 @@ impl FlushSink for Pager {
             let mut blob = Vec::new();
             let mut members = Vec::with_capacity(group.len());
             for (fkey, page) in &group {
-                let (image, _) = page.seal(&space.config)?;
-                let image = match self.shared.config.encryption_key {
-                    Some(k) => encrypt::apply(k, &image),
-                    None => image,
-                };
+                let image = self.shared.seal_image(&space, page)?;
                 members.push(iq_txn::PackMember {
                     table: fkey.table.0,
                     page: fkey.page.0,
@@ -236,25 +256,17 @@ impl FlushSink for Pager {
                 bytes,
             });
             self.shared.pack_stats.note_pack(members.len(), bytes);
-            // Map each member and do the RF/RB bookkeeping; the member
+            // Publish each member at its ranged locator; the member
             // layout goes to the composite registry at commit via the
             // transaction's pack record.
             for ((fkey, _), m) in group.iter().zip(&members) {
                 let ts = self.shared.table_store(fkey.table)?;
-                let io = PageIo {
-                    space: &space,
-                    keys: self.keys.as_ref(),
-                };
                 let loc = PhysicalLocator::ObjectRange {
                     key: obj_key,
                     offset: m.offset,
                     len: m.len,
                 };
-                let superseded = ts.map(txn, fkey.page, loc, &io)?;
-                self.shared.txns.record_alloc(txn, ts.space, loc)?;
-                if let Some(old) = superseded {
-                    self.shared.txns.record_free(txn, ts.space, old)?;
-                }
+                self.publish(&ts, &space, txn, fkey.page, loc)?;
             }
             self.shared.txns.record_pack(txn, obj_key, members)?;
         }

@@ -19,12 +19,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use iq_common::{IqError, IqResult, ObjectKey, PageId, PhysicalLocator, TableId, TxnId};
+use iq_common::{IqError, IqResult, ObjectKey, PageId, TableId, TxnId};
 use iq_engine::{PageStore, TableMeta};
 use iq_storage::{KeySource, Page, PageIo, PageKind};
 
 use crate::database::Shared;
-use crate::encrypt;
 use crate::tablestore::TableStore;
 
 /// A key source that must never be asked for a key: snapshot views are
@@ -117,33 +116,10 @@ impl PageStore for SnapshotView {
         let loc = ts
             .resolve(TxnId(0), page, &io)?
             .ok_or(IqError::PageNotFound(page))?;
-        match loc {
-            PhysicalLocator::Object(key) => {
-                let image = match self.shared.ocm_for(ts.space) {
-                    Some(ocm) => ocm.read(key)?,
-                    None => space.get_raw(key)?,
-                };
-                let image = match self.shared.config.encryption_key {
-                    Some(k) => encrypt::apply(k, &image),
-                    None => image,
-                };
-                Page::unseal(&image)
-            }
-            // Views read composite members the same way the live pager
-            // does: ranged GET past the OCM (never-write-twice keys are
-            // timeline-agnostic, but the OCM caches whole objects only).
-            PhysicalLocator::ObjectRange { key, offset, len } => {
-                let read =
-                    space.get_range(key, offset, len, self.shared.config.pack_ranged_gets)?;
-                self.shared.pack_stats.note_range_read(&read);
-                let image = match self.shared.config.encryption_key {
-                    Some(k) => encrypt::apply(k, &read.data),
-                    None => read.data,
-                };
-                Page::unseal(&image)
-            }
-            PhysicalLocator::Blocks { .. } => space.read_page(loc),
-        }
+        // Same fetch path as the live pager — through the OCM, whose
+        // never-write-twice keys are timeline-agnostic — admitted as a
+        // point read.
+        self.shared.fetch_page(&space, loc, false)
     }
 
     fn write_page(

@@ -34,7 +34,6 @@ pub mod chunk;
 pub mod encode;
 pub mod expr;
 pub mod hg;
-pub mod load;
 pub mod meter;
 pub mod niche;
 pub mod ops;
@@ -48,7 +47,6 @@ pub mod zonemap;
 pub use chunk::{Chunk, Col};
 pub use expr::Expr;
 pub use hg::HgIndex;
-pub use load::load_parallel;
 pub use meter::WorkMeter;
 pub use niche::{CmpIndex, DateIndex, TextIndex};
 pub use ops::OpExec;

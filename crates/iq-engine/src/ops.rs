@@ -191,35 +191,15 @@ fn partition_rows(
     Ok(by_part)
 }
 
-/// Hash join `left ⋈ right` on equal key columns (serial reference path;
-/// see [`hash_join_exec`] for the partitioned-parallel form).
+/// Hash join `left ⋈ right` on equal key columns under an [`OpExec`]
+/// policy: the build side is partitioned by key hash and built
+/// per-partition in parallel, the probe side runs over contiguous left
+/// morsels stitched in morsel order. Byte-identical to the serial path
+/// ([`OpExec::serial`]) for every worker count.
 ///
 /// Output layout: `Inner`/`Left` → all left columns then all right
 /// columns (`Left` additionally appends an `I64` matched-marker column);
 /// `Semi`/`Anti` → left columns only.
-pub fn hash_join(
-    left: &Chunk,
-    right: &Chunk,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    jt: JoinType,
-    meter: &WorkMeter,
-) -> IqResult<Chunk> {
-    hash_join_exec(
-        left,
-        right,
-        left_keys,
-        right_keys,
-        jt,
-        meter,
-        &OpExec::serial(),
-    )
-}
-
-/// [`hash_join`] under an [`OpExec`] policy: the build side is
-/// partitioned by key hash and built per-partition in parallel, the
-/// probe side runs over contiguous left morsels stitched in morsel
-/// order. Byte-identical to the serial path for every worker count.
 pub fn hash_join_exec(
     left: &Chunk,
     right: &Chunk,
@@ -656,25 +636,14 @@ fn aggregate_rows(
     Ok((reps, states))
 }
 
-/// Hash aggregation (serial reference path; see [`hash_aggregate_exec`]
-/// for the partitioned-parallel form). Output: group columns followed by
-/// one column per aggregate. With no group columns, produces exactly one
-/// row (scalar aggregates over an empty input yield 0/empty).
-pub fn hash_aggregate(
-    input: &Chunk,
-    group_cols: &[usize],
-    aggs: &[AggSpec],
-    meter: &WorkMeter,
-) -> IqResult<Chunk> {
-    hash_aggregate_exec(input, group_cols, aggs, meter, &OpExec::serial())
-}
-
-/// [`hash_aggregate`] under an [`OpExec`] policy: a partitioned
-/// two-phase plan (partition rows by group-key hash, fold partitions
-/// independently, stitch groups back in first-occurrence order).
-/// Byte-identical to the serial path for every worker count; charges the
-/// meter the same total units as the serial path so metered cost
-/// classification is worker-count-independent.
+/// Hash aggregation under an [`OpExec`] policy: a partitioned two-phase
+/// plan (partition rows by group-key hash, fold partitions independently,
+/// stitch groups back in first-occurrence order). Output: group columns
+/// followed by one column per aggregate. With no group columns, produces
+/// exactly one row (scalar aggregates over an empty input yield 0/empty).
+/// Byte-identical to the serial path ([`OpExec::serial`]) for every
+/// worker count; charges the meter the same total units as the serial
+/// path so metered cost classification is worker-count-independent.
 pub fn hash_aggregate_exec(
     input: &Chunk,
     group_cols: &[usize],
@@ -852,7 +821,8 @@ mod tests {
     #[test]
     fn inner_join_emits_pairs() {
         let m = WorkMeter::new();
-        let out = hash_join(&left(), &right(), &[0], &[0], JoinType::Inner, &m).unwrap();
+        let x = OpExec::serial();
+        let out = hash_join_exec(&left(), &right(), &[0], &[0], JoinType::Inner, &m, &x).unwrap();
         assert_eq!(out.len(), 3); // 2 matches twice, 4 once
         assert_eq!(out.col(0).i64s(), &[2, 2, 4]);
         assert_eq!(out.col(3).f64s(), &[20.0, 21.0, 40.0]);
@@ -862,7 +832,8 @@ mod tests {
     #[test]
     fn left_join_marks_matches() {
         let m = WorkMeter::new();
-        let out = hash_join(&left(), &right(), &[0], &[0], JoinType::Left, &m).unwrap();
+        let x = OpExec::serial();
+        let out = hash_join_exec(&left(), &right(), &[0], &[0], JoinType::Left, &m, &x).unwrap();
         assert_eq!(out.len(), 5); // 1,2,2,3,4
         let marker = out.col(out.cols.len() - 1).i64s();
         assert_eq!(marker, &[0, 1, 1, 0, 1]);
@@ -873,16 +844,18 @@ mod tests {
     #[test]
     fn semi_and_anti_join() {
         let m = WorkMeter::new();
-        let semi = hash_join(&left(), &right(), &[0], &[0], JoinType::Semi, &m).unwrap();
+        let x = OpExec::serial();
+        let semi = hash_join_exec(&left(), &right(), &[0], &[0], JoinType::Semi, &m, &x).unwrap();
         assert_eq!(semi.col(0).i64s(), &[2, 4]);
         assert_eq!(semi.cols.len(), 2); // left columns only
-        let anti = hash_join(&left(), &right(), &[0], &[0], JoinType::Anti, &m).unwrap();
+        let anti = hash_join_exec(&left(), &right(), &[0], &[0], JoinType::Anti, &m, &x).unwrap();
         assert_eq!(anti.col(0).i64s(), &[1, 3]);
     }
 
     #[test]
     fn multi_key_join() {
         let m = WorkMeter::new();
+        let x = OpExec::serial();
         let l = Chunk::new(vec![
             Col::I64(vec![1, 1, 2]),
             Col::Str(vec!["x".into(), "y".into(), "x".into()]),
@@ -892,7 +865,7 @@ mod tests {
             Col::Str(vec!["y".into(), "x".into()]),
             Col::F64(vec![7.0, 8.0]),
         ]);
-        let out = hash_join(&l, &r, &[0, 1], &[0, 1], JoinType::Inner, &m).unwrap();
+        let out = hash_join_exec(&l, &r, &[0, 1], &[0, 1], JoinType::Inner, &m, &x).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out.col(4).f64s(), &[7.0, 8.0]);
     }
@@ -900,19 +873,21 @@ mod tests {
     #[test]
     fn join_key_arity_checked() {
         let m = WorkMeter::new();
-        assert!(hash_join(&left(), &right(), &[0], &[0, 1], JoinType::Inner, &m).is_err());
-        assert!(hash_join(&left(), &right(), &[], &[], JoinType::Inner, &m).is_err());
+        let x = OpExec::serial();
+        assert!(hash_join_exec(&left(), &right(), &[0], &[0, 1], JoinType::Inner, &m, &x).is_err());
+        assert!(hash_join_exec(&left(), &right(), &[], &[], JoinType::Inner, &m, &x).is_err());
     }
 
     #[test]
     fn grouped_aggregation() {
         let m = WorkMeter::new();
+        let x = OpExec::serial();
         let input = Chunk::new(vec![
             Col::Str(vec!["A".into(), "B".into(), "A".into(), "A".into()]),
             Col::F64(vec![1.0, 2.0, 3.0, 4.0]),
             Col::I64(vec![10, 20, 10, 30]),
         ]);
-        let out = hash_aggregate(
+        let out = hash_aggregate_exec(
             &input,
             &[0],
             &[
@@ -924,6 +899,7 @@ mod tests {
                 AggSpec::count_distinct(2),
             ],
             &m,
+            &x,
         )
         .unwrap();
         assert_eq!(out.len(), 2);
@@ -945,12 +921,14 @@ mod tests {
     #[test]
     fn scalar_aggregate_including_empty() {
         let m = WorkMeter::new();
+        let x = OpExec::serial();
         let input = Chunk::new(vec![Col::F64(vec![1.0, 2.0])]);
-        let out = hash_aggregate(&input, &[], &[AggSpec::sum(0)], &m).unwrap();
+        let out = hash_aggregate_exec(&input, &[], &[AggSpec::sum(0)], &m, &x).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.col(0).f64s(), &[3.0]);
         let empty = Chunk::new(vec![Col::F64(vec![])]);
-        let out = hash_aggregate(&empty, &[], &[AggSpec::sum(0), AggSpec::count(0)], &m).unwrap();
+        let out = hash_aggregate_exec(&empty, &[], &[AggSpec::sum(0), AggSpec::count(0)], &m, &x)
+            .unwrap();
         assert_eq!(out.col(0).f64s(), &[0.0]);
         assert_eq!(out.col(1).i64s(), &[0]);
     }
@@ -958,11 +936,13 @@ mod tests {
     #[test]
     fn min_max_over_strings_and_dates() {
         let m = WorkMeter::new();
+        let x = OpExec::serial();
         let input = Chunk::new(vec![
             Col::Str(vec!["PERU".into(), "BRAZIL".into()]),
             Col::Date(vec![100, 50]),
         ]);
-        let out = hash_aggregate(&input, &[], &[AggSpec::min(0), AggSpec::max(1)], &m).unwrap();
+        let out =
+            hash_aggregate_exec(&input, &[], &[AggSpec::min(0), AggSpec::max(1)], &m, &x).unwrap();
         assert_eq!(out.col(0).strs()[0].as_ref(), "BRAZIL");
         assert_eq!(out.col(1).i64s()[0], 100);
     }
@@ -985,8 +965,9 @@ mod tests {
     #[test]
     fn aggregate_rejects_bad_types() {
         let m = WorkMeter::new();
+        let x = OpExec::serial();
         let input = Chunk::new(vec![Col::Str(vec!["x".into()])]);
-        assert!(hash_aggregate(&input, &[], &[AggSpec::count_distinct(0)], &m).is_err());
+        assert!(hash_aggregate_exec(&input, &[], &[AggSpec::count_distinct(0)], &m, &x).is_err());
     }
 
     /// A float workload whose sums are sensitive to accumulation order:
@@ -1019,7 +1000,8 @@ mod tests {
             AggSpec::count_distinct(2),
         ];
         let m = WorkMeter::new();
-        let oracle = hash_aggregate(&input, &[0], &aggs, &m).unwrap();
+        let x = OpExec::serial();
+        let oracle = hash_aggregate_exec(&input, &[0], &aggs, &m, &x).unwrap();
         let serial_units = m.total();
         for workers in [2, 3, 8] {
             let m = WorkMeter::new();
@@ -1048,7 +1030,8 @@ mod tests {
             JoinType::Anti,
         ] {
             let m = WorkMeter::new();
-            let oracle = hash_join(&l, &r, &[0], &[0], jt, &m).unwrap();
+            let x = OpExec::serial();
+            let oracle = hash_join_exec(&l, &r, &[0], &[0], jt, &m, &x).unwrap();
             let serial_units = m.total();
             for workers in [2, 8] {
                 let m = WorkMeter::new();
@@ -1074,6 +1057,7 @@ mod tests {
             ),
         ]);
         let m = WorkMeter::new();
+        let x = OpExec::serial();
         let out = hash_aggregate_exec(
             &input,
             &[0],
@@ -1088,7 +1072,8 @@ mod tests {
         // Grouped aggregate over an empty input: zero rows, but the
         // columns still carry statically-derived types.
         let empty = Chunk::new(vec![Col::I64(vec![]), Col::F64(vec![])]);
-        let out = hash_aggregate(&empty, &[0], &[AggSpec::sum(1), AggSpec::count(0)], &m).unwrap();
+        let out = hash_aggregate_exec(&empty, &[0], &[AggSpec::sum(1), AggSpec::count(0)], &m, &x)
+            .unwrap();
         assert_eq!(out.len(), 0);
         assert!(matches!(out.col(1), Col::F64(_)));
         assert!(matches!(out.col(2), Col::I64(_)));

@@ -7,9 +7,10 @@ use std::collections::BTreeMap;
 use iq_common::{TableId, TxnId};
 use iq_engine::chunk::{Chunk, Col};
 use iq_engine::expr::Expr;
-use iq_engine::ops::{hash_aggregate, hash_join, sort, AggSpec, JoinType, SortDir};
+use iq_engine::ops::{hash_aggregate_exec, hash_join_exec, sort, AggSpec, JoinType, SortDir};
 use iq_engine::table::{Schema, TableMeta, TableWriter};
 use iq_engine::value::{DataType, Value};
+use iq_engine::OpExec;
 use iq_engine::{MemPageStore, WorkMeter};
 use proptest::prelude::*;
 
@@ -25,7 +26,8 @@ proptest! {
         let meter = WorkMeter::new();
         let left = Chunk::new(vec![Col::I64(l.clone())]);
         let right = Chunk::new(vec![Col::I64(r.clone())]);
-        let out = hash_join(&left, &right, &[0], &[0], JoinType::Inner, &meter).unwrap();
+        let out = hash_join_exec(&left, &right, &[0], &[0], JoinType::Inner, &meter, &OpExec::serial())
+            .unwrap();
         // Reference: nested loop, multiset of (l, r) pairs.
         let mut expected: Vec<(i64, i64)> = Vec::new();
         for &a in &l {
@@ -52,8 +54,9 @@ proptest! {
         let meter = WorkMeter::new();
         let left = Chunk::new(vec![Col::I64(l.clone())]);
         let right = Chunk::new(vec![Col::I64(r.clone())]);
-        let semi = hash_join(&left, &right, &[0], &[0], JoinType::Semi, &meter).unwrap();
-        let anti = hash_join(&left, &right, &[0], &[0], JoinType::Anti, &meter).unwrap();
+        let serial = OpExec::serial();
+        let semi = hash_join_exec(&left, &right, &[0], &[0], JoinType::Semi, &meter, &serial).unwrap();
+        let anti = hash_join_exec(&left, &right, &[0], &[0], JoinType::Anti, &meter, &serial).unwrap();
         // Semi ∪ Anti = left (as multisets), Semi ∩ Anti = ∅ by key.
         prop_assert_eq!(semi.len() + anti.len(), left.len());
         for &v in semi.col(0).i64s() {
@@ -74,11 +77,12 @@ proptest! {
         let vals = &vals[..n];
         let meter = WorkMeter::new();
         let input = Chunk::new(vec![Col::I64(keys.to_vec()), Col::F64(vals.to_vec())]);
-        let out = hash_aggregate(
+        let out = hash_aggregate_exec(
             &input,
             &[0],
             &[AggSpec::sum(1), AggSpec::count(1), AggSpec::min(1), AggSpec::max(1)],
             &meter,
+            &OpExec::serial(),
         )
         .unwrap();
         let mut reference: BTreeMap<i64, (f64, u64, f64, f64)> = BTreeMap::new();

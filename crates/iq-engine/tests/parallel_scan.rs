@@ -4,7 +4,7 @@
 
 use iq_common::{TableId, TxnId};
 use iq_engine::expr::Expr;
-use iq_engine::table::{Schema, TableMeta, TableWriter};
+use iq_engine::table::{ScanOptions, Schema, TableMeta, TableWriter};
 use iq_engine::value::{DataType, Value};
 use iq_engine::{MemPageStore, WorkMeter};
 use proptest::prelude::*;
@@ -39,6 +39,14 @@ fn build_table(
     meta
 }
 
+/// Late-materializing scan at an explicit morsel-parallelism degree.
+fn at(workers: usize) -> ScanOptions {
+    ScanOptions {
+        workers,
+        late_mat: true,
+    }
+}
+
 fn predicate(kind: u8) -> Option<Expr> {
     match kind % 5 {
         0 => None,
@@ -68,12 +76,12 @@ proptest! {
         let pred = predicate(pred_kind);
         for proj in [vec![0usize, 1, 2], vec![1], vec![2, 0]] {
             let serial = meta
-                .scan_with_workers(&store, &proj, pred.as_ref(), &meter, 1)
+                .scan_with_options(&store, &proj, pred.as_ref(), &meter, at(1))
                 .unwrap();
             prop_assert_eq!(serial.cols.len(), proj.len());
             for workers in [2usize, 8] {
                 let parallel = meta
-                    .scan_with_workers(&store, &proj, pred.as_ref(), &meter, workers)
+                    .scan_with_options(&store, &proj, pred.as_ref(), &meter, at(workers))
                     .unwrap();
                 prop_assert_eq!(&parallel, &serial);
             }
@@ -92,7 +100,7 @@ proptest! {
         let pred = predicate(1);
         let a = meta.scan(&store, &[0, 2], pred.as_ref(), &meter).unwrap();
         let b = meta
-            .scan_with_workers(&store, &[0, 2], pred.as_ref(), &meter, 8)
+            .scan_with_options(&store, &[0, 2], pred.as_ref(), &meter, at(8))
             .unwrap();
         prop_assert_eq!(a, b);
     }

@@ -217,26 +217,16 @@ impl SnapshotManager {
                 .map_err(|e| iq_common::IqError::Catalog(format!("fifo: {e}")))?
         };
         let key = keys.next_key()?;
-        // Stored raw (not as a sealed page): pure metadata blob.
-        use iq_common::PageId;
-        use iq_storage::{Page, PageKind};
-        let page = Page::new(
-            PageId(u64::MAX),
-            iq_common::VersionId(0),
-            PageKind::Meta,
-            bytes::Bytes::from(image),
-        );
-        let loc = space.write_page_with_key(&page, key)?;
-        match loc {
-            PhysicalLocator::Object(k) => Ok(k),
-            _ => unreachable!("cloud dbspace returns object locators"),
-        }
+        // Stored raw, not as a sealed page: a pure metadata blob that
+        // outgrows one page once enough keys are retained.
+        space.put_raw(key, bytes::Bytes::from(image))?;
+        Ok(key)
     }
 
     /// Restore the FIFO from a persisted image.
     pub fn restore_fifo(&self, space: &DbSpace, key: ObjectKey) -> IqResult<()> {
-        let page = space.read_page(PhysicalLocator::Object(key))?;
-        let entries: Vec<Retained> = serde_json::from_slice(&page.body)
+        let image = space.get_raw(key)?;
+        let entries: Vec<Retained> = serde_json::from_slice(&image)
             .map_err(|e| iq_common::IqError::Catalog(format!("fifo image: {e}")))?;
         self.state.lock().fifo = entries.into();
         Ok(())
@@ -486,5 +476,41 @@ mod fifo_persistence_tests {
         assert_eq!(restored.sweep_expired(&Null).unwrap(), 0);
         restored.advance_clock(SimDuration::from_secs(2));
         assert_eq!(restored.sweep_expired(&Null).unwrap(), 50);
+    }
+
+    /// The FIFO image is a raw blob, not a sealed page, so it may outgrow
+    /// one: ~110 retained keys fill a page at this 4 KiB geometry
+    /// (~1 770 at 64 KiB).
+    #[test]
+    fn fifo_larger_than_one_page_round_trips() {
+        let storage = StorageConfig::test_small();
+        let space = DbSpace::cloud(
+            DbSpaceId(1),
+            "meta",
+            storage,
+            Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong())),
+            RetryPolicy::default(),
+        );
+        let keys = CountingKeySource::starting_at(1 << 20);
+
+        // Two expiry cohorts, far more keys than one page's worth.
+        let sm = SnapshotManager::new(SimDuration::from_secs(100));
+        let per_cohort = storage.page_size as u64;
+        for off in 0..per_cohort {
+            sm.retain(ObjectKey::from_offset(off));
+        }
+        sm.advance_clock(SimDuration::from_secs(10));
+        for off in per_cohort..2 * per_cohort {
+            sm.retain(ObjectKey::from_offset(off));
+        }
+        let anchor = sm.persist_fifo(&space, &keys).unwrap();
+
+        let restored = SnapshotManager::new(SimDuration::from_secs(100));
+        restored.restore_fifo(&space, anchor).unwrap();
+        assert_eq!(
+            restored.state.lock().fifo,
+            sm.state.lock().fifo,
+            "every entry and expiry survives"
+        );
     }
 }

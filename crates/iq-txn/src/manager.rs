@@ -23,7 +23,7 @@ use iq_common::{
     PhysicalLocator, TxnId,
 };
 use iq_storage::DbSpace;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::composites::CompositeRegistry;
 use crate::keygen::KeyGenerator;
@@ -77,10 +77,15 @@ pub trait DeletionSink: Send + Sync {
     }
 }
 
-/// The default sink: release storage right away.
+/// The immediate sink: deletes pages against the registered dbspaces
+/// right away. Object keys are unique across the whole database (one
+/// generator), so a cloud deletion resolves by polling the cloud
+/// dbspaces; block-run deletions resolve by dbspace id. When retention is
+/// enabled the transaction manager sees a retaining sink wrapping this
+/// one, so cloud pages divert into the snapshot manager instead (§5).
 #[derive(Default)]
 pub struct ImmediateDeletion {
-    spaces: Mutex<HashMap<u32, Arc<DbSpace>>>,
+    spaces: RwLock<HashMap<u32, Arc<DbSpace>>>,
 }
 
 impl ImmediateDeletion {
@@ -91,7 +96,7 @@ impl ImmediateDeletion {
 
     /// Register a dbspace so its pages can be released.
     pub fn register(&self, space: Arc<DbSpace>) {
-        self.spaces.lock().insert(space.id.0, space);
+        self.spaces.write().insert(space.id.0, space);
     }
 }
 
@@ -99,29 +104,28 @@ impl DeletionSink for ImmediateDeletion {
     fn delete_page(&self, space: DbSpaceId, loc: PhysicalLocator) -> IqResult<()> {
         match loc {
             // Object keys arrive with a sentinel dbspace id (see
-            // [`cloud_space_of`]): keys are globally unique and deletes
-            // idempotent, so every registered cloud dbspace is asked to
-            // release the key. Resolving by id here used to fail with
-            // `NotFound` on every cloud-page GC.
-            PhysicalLocator::Object(_) => {
-                let spaces: Vec<Arc<DbSpace>> = self.spaces.lock().values().cloned().collect();
-                for s in spaces.iter().filter(|s| s.is_cloud()) {
-                    s.release(loc)?;
+            // [`cloud_space_of`]): keys are globally unique, so poll every
+            // cloud dbspace; the one holding the object deletes it.
+            // Unflushed keys poll as absent everywhere, which is fine
+            // (§3.3).
+            PhysicalLocator::Object(key) => {
+                for s in self.spaces.read().values() {
+                    if s.is_cloud() && s.poll_delete(key)? {
+                        return Ok(());
+                    }
                 }
                 Ok(())
             }
-            // A composite member must never reach the delete pipeline:
-            // the object is shared, and only the composite registry may
-            // decide when the whole key dies.
+            // Only whole objects are deletable: member frees route
+            // through the composite registry, and the GC fans out the
+            // composite's *whole* key once every member is dead.
             PhysicalLocator::ObjectRange { .. } => Err(IqError::Invalid(
                 "cannot delete a composite member directly".into(),
             )),
             PhysicalLocator::Blocks { .. } => {
-                let s = self
-                    .spaces
-                    .lock()
+                let spaces = self.spaces.read();
+                let s = spaces
                     .get(&space.0)
-                    .cloned()
                     .ok_or_else(|| IqError::NotFound(format!("dbspace {space}")))?;
                 s.release(loc)
             }
@@ -129,21 +133,22 @@ impl DeletionSink for ImmediateDeletion {
     }
 
     fn delete_pages(&self, space: DbSpaceId, pages: &[PhysicalLocator]) -> BulkDeleteOutcome {
-        // Object keys go to each registered cloud store as one blind
-        // multi-object delete (keys are globally unique and deleting an
-        // absent key is a no-op); block runs fall back to per-run release.
+        // Bulk cloud deletions skip the per-key existence poll: the keys
+        // go to every cloud dbspace as blind ≤1000-key multi-object
+        // deletes (keys are globally unique and deleting an absent key is
+        // a no-op). Block runs still release per run against their space.
         let keys: Vec<ObjectKey> = pages
             .iter()
             .filter_map(|l| match l {
                 PhysicalLocator::Object(k) => Some(*k),
-                PhysicalLocator::ObjectRange { .. } | PhysicalLocator::Blocks { .. } => None,
+                PhysicalLocator::Blocks { .. } | PhysicalLocator::ObjectRange { .. } => None,
             })
             .collect();
         let mut key_err: HashMap<u64, IqError> = HashMap::new();
         let mut requests = 0u64;
         let mut retried_keys = 0u64;
         if !keys.is_empty() {
-            let spaces: Vec<Arc<DbSpace>> = self.spaces.lock().values().cloned().collect();
+            let spaces: Vec<Arc<DbSpace>> = self.spaces.read().values().cloned().collect();
             for s in spaces.iter().filter(|s| s.is_cloud()) {
                 if let Ok(o) = s.delete_batch(&keys) {
                     requests += o.requests;
@@ -163,10 +168,12 @@ impl DeletionSink for ImmediateDeletion {
                     Some(e) => Err(e),
                     None => Ok(()),
                 },
-                PhysicalLocator::ObjectRange { .. } | PhysicalLocator::Blocks { .. } => {
+                PhysicalLocator::Blocks { .. } => {
                     requests += 1;
                     self.delete_page(space, loc)
                 }
+                // Routes to the per-page arm above, which rejects it.
+                PhysicalLocator::ObjectRange { .. } => self.delete_page(space, loc),
             };
             results.push((loc, r));
         }
@@ -878,7 +885,10 @@ const GC_BATCH_KEYS: usize = 1000;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iq_common::{KeySet, ObjectKey};
+    use bytes::Bytes;
+    use iq_common::{KeySet, ObjectKey, PageId, VersionId};
+    use iq_objectstore::{BlockDeviceSim, ConsistencyConfig, IoOp, ObjectStoreSim, RetryPolicy};
+    use iq_storage::{CountingKeySource, Page, PageKind, StorageConfig};
 
     /// Sink recording deletions instead of touching storage.
     #[derive(Default)]
@@ -1434,5 +1444,129 @@ mod tests {
         assert!(tm.commit(TxnId(999), &sink).is_err());
         assert!(tm.rollback(TxnId(999), &sink).is_err());
         assert!(tm.snapshot_seq(TxnId(999)).is_err());
+    }
+
+    // ---- ImmediateDeletion: the one dbspace-registry sink ----
+
+    fn cloud_space(id: u32) -> (Arc<ObjectStoreSim>, Arc<DbSpace>) {
+        let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
+        let space = Arc::new(DbSpace::cloud(
+            DbSpaceId(id),
+            "c",
+            StorageConfig::test_small(),
+            store.clone(),
+            RetryPolicy::default(),
+        ));
+        (store, space)
+    }
+
+    fn data_page(id: u64) -> Page {
+        Page::new(
+            PageId(id),
+            VersionId(1),
+            PageKind::Data,
+            Bytes::from(vec![id as u8; 64]),
+        )
+    }
+
+    #[test]
+    fn routes_cloud_and_block_deletions() {
+        let sink = ImmediateDeletion::new();
+        let (store, cloud) = cloud_space(1);
+        let dev = Arc::new(BlockDeviceSim::new(
+            StorageConfig::test_small().block_size(),
+            256,
+        ));
+        let conv = Arc::new(
+            DbSpace::conventional(DbSpaceId(2), "m", StorageConfig::test_small(), dev).unwrap(),
+        );
+        sink.register(cloud.clone());
+        sink.register(conv.clone());
+
+        let keys = CountingKeySource::default();
+        let cloud_loc = cloud.write_page(&data_page(1), &keys).unwrap();
+        let conv_loc = conv.write_page(&data_page(1), &keys).unwrap();
+
+        sink.delete_page(DbSpaceId(u32::MAX), cloud_loc).unwrap();
+        assert_eq!(store.object_count(), 0);
+        sink.delete_page(DbSpaceId(2), conv_loc).unwrap();
+        // Deleting a never-written key is a no-op.
+        sink.delete_page(
+            DbSpaceId(u32::MAX),
+            PhysicalLocator::Object(ObjectKey::from_offset(12345)),
+        )
+        .unwrap();
+        // Unknown dbspace for block runs errors.
+        assert!(sink.delete_page(DbSpaceId(9), conv_loc).is_err());
+        // Composite members are never deletable on their own.
+        let member = PhysicalLocator::ObjectRange {
+            key: ObjectKey::from_offset(7),
+            offset: 0,
+            len: 8,
+        };
+        assert!(sink.delete_page(DbSpaceId(u32::MAX), member).is_err());
+    }
+
+    #[test]
+    fn bulk_path_batches_cloud_keys_into_one_request() {
+        let sink = ImmediateDeletion::new();
+        let (store, cloud) = cloud_space(1);
+        sink.register(cloud.clone());
+
+        let keys = CountingKeySource::default();
+        let mut locs = Vec::new();
+        for i in 0..20u64 {
+            locs.push(cloud.write_page(&data_page(i), &keys).unwrap());
+        }
+        // An absent key rides along: blind batch deletes are no-ops there.
+        locs.push(PhysicalLocator::Object(ObjectKey::from_offset(999_999)));
+        let out = sink.delete_pages(DbSpaceId(u32::MAX), &locs);
+        assert_eq!(out.results.len(), 21);
+        assert!(out.results.iter().all(|(_, r)| r.is_ok()));
+        assert_eq!(out.requests, 1, "21 keys fit one multi-object request");
+        assert_eq!(store.stats.snapshot().op(IoOp::Delete).count, 1);
+        assert_eq!(store.stats.snapshot().op(IoOp::Head).count, 0);
+        assert_eq!(store.object_count(), 0);
+    }
+
+    /// The per-key object arm is poll-then-delete (the golden Table-1
+    /// trace pins the pair): one HEAD, then one DELETE and a
+    /// `DeferredDelete` event when the object exists; an absent key
+    /// costs the HEAD only.
+    #[test]
+    fn per_key_object_delete_polls_then_deletes() {
+        let sink = ImmediateDeletion::new();
+        let (store, cloud) = cloud_space(1);
+        sink.register(cloud.clone());
+        let keys = CountingKeySource::default();
+        let loc = cloud.write_page(&data_page(1), &keys).unwrap();
+        let PhysicalLocator::Object(key) = loc else {
+            panic!("cloud pages get object locators");
+        };
+
+        // The journal is process-global: other tests may emit into it
+        // while it is on, so look only for this test's key.
+        trace::enable(1 << 16);
+        sink.delete_page(DbSpaceId(u32::MAX), loc).unwrap();
+        let absent = ObjectKey::from_offset(424_242);
+        sink.delete_page(DbSpaceId(u32::MAX), PhysicalLocator::Object(absent))
+            .unwrap();
+        trace::disable();
+        let events = trace::drain();
+        let deferred = |k: ObjectKey| {
+            events
+                .iter()
+                .filter(
+                    |e| matches!(e.kind, EventKind::DeferredDelete { key } if key == k.offset()),
+                )
+                .count()
+        };
+        assert_eq!(deferred(key), 1);
+        assert_eq!(deferred(absent), 0);
+
+        let snap = store.stats.snapshot();
+        assert_eq!(snap.op(IoOp::Head).count, 2);
+        assert_eq!(snap.op(IoOp::Delete).count, 1);
+        assert_eq!(store.object_count(), 0);
     }
 }
