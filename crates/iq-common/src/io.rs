@@ -70,10 +70,10 @@ impl IoStats {
         self.in_flight_peak.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Account one logical operation completing (retired from the
+    /// Account `n` logical operations completing (retired from the
     /// in-flight set).
-    pub fn note_op_complete(&self) {
-        self.ops_in_flight.fetch_sub(1, Ordering::Relaxed);
+    pub fn note_ops_complete(&self, n: usize) {
+        self.ops_in_flight.fetch_sub(n as u64, Ordering::Relaxed);
     }
 
     /// Account a descriptor entering the reactor's submission queue of
@@ -151,9 +151,10 @@ pub struct IoRunStats {
 ///
 /// An `IoCore` turns a batch of `n` ordered tasks into `n` submitted
 /// operations whose completions are gathered back in task order. The
-/// execution lanes are scoped threads (the simulation has no async
-/// runtime and needs none — backends account virtual time, they do not
-/// sleep), but the *accounting* is submission-first: the whole batch is
+/// execution lanes are the submitting thread and `lanes - 1` scoped
+/// threads (the simulation has no async runtime and needs none —
+/// backends account virtual time, they do not sleep), but the
+/// *accounting* is submission-first: the whole batch is
 /// in flight from the moment it is submitted, which is what decouples
 /// reported I/O depth from lane count.
 ///
@@ -241,9 +242,7 @@ impl IoCore {
             // Retire whatever submit charged, including skipped tasks —
             // a failed batch completes (with an error), it does not leak
             // in-flight depth.
-            for _ in 0..tasks {
-                stats.note_op_complete();
-            }
+            stats.note_ops_complete(tasks);
         }
         out
     }
@@ -279,34 +278,39 @@ impl IoCore {
         let in_flight = AtomicUsize::new(0);
         let in_flight_peak = AtomicUsize::new(0);
 
-        std::thread::scope(|scope| {
-            for _ in 0..self.lanes.min(tasks) {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= tasks {
-                        return;
-                    }
-                    // Tasks below any recorded failure index must still run:
-                    // the serial-equivalent error is the lowest one.
-                    if failure.lock().as_ref().is_some_and(|(fi, _)| i > *fi) {
-                        continue;
-                    }
-                    tasks_run.fetch_add(1, Ordering::Relaxed);
-                    let now = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-                    in_flight_peak.fetch_max(now, Ordering::Relaxed);
-                    let r = f(i);
-                    in_flight.fetch_sub(1, Ordering::Relaxed);
-                    match r {
-                        Ok(v) => results.lock()[i] = Some(v),
-                        Err(e) => {
-                            let mut slot = failure.lock();
-                            if slot.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                                *slot = Some((i, e));
-                            }
-                        }
-                    }
-                });
+        let lane = || loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= tasks {
+                return;
             }
+            // Tasks below any recorded failure index must still run:
+            // the serial-equivalent error is the lowest one.
+            if failure.lock().as_ref().is_some_and(|(fi, _)| i > *fi) {
+                continue;
+            }
+            tasks_run.fetch_add(1, Ordering::Relaxed);
+            let now = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+            in_flight_peak.fetch_max(now, Ordering::Relaxed);
+            let r = f(i);
+            in_flight.fetch_sub(1, Ordering::Relaxed);
+            match r {
+                Ok(v) => results.lock()[i] = Some(v),
+                Err(e) => {
+                    let mut slot = failure.lock();
+                    if slot.as_ref().is_none_or(|(fi, _)| i < *fi) {
+                        *slot = Some((i, e));
+                    }
+                }
+            }
+        };
+        // The caller is one of the lanes: a batch costs `lanes - 1` thread
+        // spawns, and the caller works through the tasks meanwhile rather
+        // than sleeping until lanes that have yet to start finish them.
+        std::thread::scope(|scope| {
+            for _ in 1..self.lanes.min(tasks) {
+                scope.spawn(lane);
+            }
+            lane();
         });
 
         let stats = IoRunStats {

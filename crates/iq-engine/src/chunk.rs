@@ -4,7 +4,8 @@ use std::sync::Arc;
 
 use iq_common::{IqError, IqResult};
 
-use crate::value::{DataType, KeyVal, Value};
+use crate::mask::Mask;
+use crate::value::{DataType, Value};
 
 /// One materialized column.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,25 +61,23 @@ impl Col {
         }
     }
 
-    /// Hashable key at `row`. Floats key by bit pattern (exact equality).
-    pub fn key(&self, row: usize) -> IqResult<KeyVal> {
-        Ok(match self {
-            Col::I64(v) => KeyVal::I(v[row]),
-            Col::Str(v) => KeyVal::S(Arc::clone(&v[row])),
-            Col::Date(v) => KeyVal::D(v[row]),
-            Col::Bool(v) => KeyVal::I(v[row] as i64),
-            Col::F64(v) => KeyVal::F(v[row].to_bits()),
-        })
-    }
-
-    /// Keep only rows where `mask` is true.
-    pub fn filter(&self, mask: &[bool]) -> Col {
-        fn pick<T: Clone>(v: &[T], mask: &[bool]) -> Vec<T> {
-            v.iter()
-                .zip(mask)
-                .filter(|(_, &m)| m)
-                .map(|(x, _)| x.clone())
-                .collect()
+    /// Keep only rows whose `mask` bit is set.
+    pub fn filter(&self, mask: &Mask) -> Col {
+        fn pick<T: Clone>(v: &[T], mask: &Mask) -> Vec<T> {
+            assert_eq!(v.len(), mask.len(), "mask length differs from column");
+            let mut out = Vec::with_capacity(mask.count());
+            for (rows, &word) in v.chunks(64).zip(mask.words()) {
+                if word == u64::MAX {
+                    out.extend_from_slice(rows);
+                } else {
+                    let mut rest = word;
+                    while rest != 0 {
+                        out.push(rows[rest.trailing_zeros() as usize].clone());
+                        rest &= rest - 1;
+                    }
+                }
+            }
+            out
         }
         match self {
             Col::I64(v) => Col::I64(pick(v, mask)),
@@ -103,17 +102,28 @@ impl Col {
         }
     }
 
-    /// Append another column of the same variant.
-    pub fn append(&mut self, other: &Col) -> IqResult<()> {
+    /// Append another column of the same variant, moving its values in.
+    pub fn append(&mut self, other: Col) -> IqResult<()> {
         match (self, other) {
-            (Col::I64(a), Col::I64(b)) => a.extend_from_slice(b),
-            (Col::F64(a), Col::F64(b)) => a.extend_from_slice(b),
-            (Col::Str(a), Col::Str(b)) => a.extend(b.iter().cloned()),
-            (Col::Date(a), Col::Date(b)) => a.extend_from_slice(b),
-            (Col::Bool(a), Col::Bool(b)) => a.extend_from_slice(b),
+            (Col::I64(a), Col::I64(b)) => a.extend(b),
+            (Col::F64(a), Col::F64(b)) => a.extend(b),
+            (Col::Str(a), Col::Str(b)) => a.extend(b),
+            (Col::Date(a), Col::Date(b)) => a.extend(b),
+            (Col::Bool(a), Col::Bool(b)) => a.extend(b),
             _ => return Err(IqError::Invalid("column type mismatch on append".into())),
         }
         Ok(())
+    }
+
+    /// Reserve room for `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
+        match self {
+            Col::I64(v) => v.reserve(additional),
+            Col::F64(v) => v.reserve(additional),
+            Col::Str(v) => v.reserve(additional),
+            Col::Date(v) => v.reserve(additional),
+            Col::Bool(v) => v.reserve(additional),
+        }
     }
 
     /// Typed accessors (panic on wrong variant — internal plan errors).
@@ -217,8 +227,8 @@ impl Chunk {
         &self.cols[i]
     }
 
-    /// Keep rows where `mask` is true.
-    pub fn filter(&self, mask: &[bool]) -> Chunk {
+    /// Keep rows whose `mask` bit is set.
+    pub fn filter(&self, mask: &Mask) -> Chunk {
         Chunk::new(self.cols.iter().map(|c| c.filter(mask)).collect())
     }
 
@@ -227,19 +237,33 @@ impl Chunk {
         Chunk::new(self.cols.iter().map(|c| c.take(idx)).collect())
     }
 
-    /// Append another chunk's rows.
-    pub fn append(&mut self, other: &Chunk) -> IqResult<()> {
+    /// Append another chunk's rows, moving them in.
+    pub fn append(&mut self, other: Chunk) -> IqResult<()> {
         if self.cols.is_empty() {
-            self.cols = other.cols.clone();
+            self.cols = other.cols;
             return Ok(());
         }
         if self.cols.len() != other.cols.len() {
             return Err(IqError::Invalid("chunk arity mismatch on append".into()));
         }
-        for (a, b) in self.cols.iter_mut().zip(&other.cols) {
+        for (a, b) in self.cols.iter_mut().zip(other.cols) {
             a.append(b)?;
         }
         Ok(())
+    }
+
+    /// Stitch chunks end to end in order: the output is sized once from
+    /// their row counts and every value is moved, never cloned.
+    pub fn concat(chunks: Vec<Chunk>) -> IqResult<Chunk> {
+        let total: usize = chunks.iter().map(Chunk::len).sum();
+        let mut chunks = chunks.into_iter();
+        let mut out = chunks.next().unwrap_or_default();
+        let more = total - out.len();
+        out.cols.iter_mut().for_each(|c| c.reserve(more));
+        for chunk in chunks {
+            out.append(chunk)?;
+        }
+        Ok(out)
     }
 
     /// Project a subset of columns by index.
@@ -268,7 +292,7 @@ mod tests {
     #[test]
     fn filter_take_project() {
         let c = sample();
-        let f = c.filter(&[true, false, true]);
+        let f = c.filter(&Mask::from_bools(&[true, false, true]));
         assert_eq!(f.len(), 2);
         assert_eq!(f.col(0).i64s(), &[1, 3]);
         let t = c.take(&[2, 0, 0]);
@@ -283,30 +307,42 @@ mod tests {
     fn append_checks_arity_and_types() {
         let mut a = sample();
         let b = sample();
-        a.append(&b).unwrap();
+        a.append(b).unwrap();
         assert_eq!(a.len(), 6);
         let bad = Chunk::new(vec![Col::I64(vec![1])]);
-        assert!(a.append(&bad).is_err());
+        assert!(a.append(bad).is_err());
         let mut x = Col::I64(vec![1]);
-        assert!(x.append(&Col::F64(vec![1.0])).is_err());
+        assert!(x.append(Col::F64(vec![1.0])).is_err());
     }
 
     #[test]
     fn empty_chunk_append_adopts() {
         let mut e = Chunk::default();
         assert!(e.is_empty());
-        e.append(&sample()).unwrap();
+        e.append(sample()).unwrap();
         assert_eq!(e.len(), 3);
     }
 
     #[test]
-    fn keys_for_all_types() {
-        let c = sample();
-        assert_eq!(c.col(0).key(0).unwrap(), KeyVal::I(1));
-        // Floats key by bit pattern: equal values collide, distinct don't.
-        assert_eq!(c.col(1).key(0).unwrap(), KeyVal::F(1.5f64.to_bits()));
-        assert_ne!(c.col(1).key(0).unwrap(), c.col(1).key(1).unwrap());
-        assert_eq!(c.col(2).key(1).unwrap(), KeyVal::S("b".into()));
+    fn concat_moves_chunks_in_order() {
+        let out = Chunk::concat(vec![sample(), sample().take(&[]), sample().take(&[2])]).unwrap();
+        assert_eq!(out.col(0).i64s(), &[1, 2, 3, 3]);
+        assert_eq!(out.col(2).strs()[3].as_ref(), "c");
+        assert!(Chunk::concat(Vec::new()).unwrap().cols.is_empty());
+        let bad = Chunk::new(vec![Col::I64(vec![1])]);
+        assert!(Chunk::concat(vec![sample(), bad]).is_err());
+    }
+
+    #[test]
+    fn filter_by_word_matches_per_row_selection() {
+        for len in [0usize, 63, 64, 65, 130] {
+            let col = Col::I64((0..len as i64).collect());
+            let all = Mask::from_fn(len, |_| true);
+            assert_eq!(col.filter(&all), col);
+            let odd = Mask::from_fn(len, |i| i % 2 == 1);
+            let want: Vec<i64> = (0..len as i64).filter(|i| i % 2 == 1).collect();
+            assert_eq!(col.filter(&odd).i64s(), &want[..]);
+        }
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! `CASE WHEN`, `SUBSTRING` and `EXTRACT(YEAR)`. [`Expr::prune_checks`]
 //! extracts zone-map-prunable conjuncts so scans can skip row groups.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use iq_common::{IqError, IqResult};
 
 use crate::chunk::{Chunk, Col};
-use crate::value::{date_to_days, year_of, Value};
+use crate::mask::Mask;
+use crate::value::{date_to_days, year_of, DataType, Value};
 use crate::zonemap::{PruneCheck, PruneOp};
 
 /// Comparison operators.
@@ -410,146 +412,189 @@ impl Expr {
     // Evaluation
     // ------------------------------------------------------------------
 
-    /// Evaluate to a boolean mask. `remap` maps schema column indexes to
-    /// chunk positions.
-    pub fn eval_mask(&self, chunk: &Chunk, remap: &BTreeMap<usize, usize>) -> IqResult<Vec<bool>> {
-        match self.eval(chunk, remap)? {
-            Col::Bool(v) => Ok(v),
-            other => Err(IqError::Invalid(format!(
-                "predicate evaluated to {:?}, expected booleans",
-                other.data_type()
-            ))),
+    /// Evaluate to a row selection. `remap[c]` is the chunk position of
+    /// schema column `c` (`usize::MAX`, or past the end, when absent).
+    pub fn eval_mask(&self, chunk: &Chunk, remap: &[usize]) -> IqResult<Mask> {
+        self.eval_val(chunk, remap)?.into_mask()
+    }
+
+    /// Evaluate to a column (a predicate yields a `Col::Bool`).
+    pub fn eval(&self, chunk: &Chunk, remap: &[usize]) -> IqResult<Col> {
+        let n = chunk.len();
+        Ok(match self.eval_val(chunk, remap)? {
+            Val::Col(c) => c.into_owned(),
+            Val::Mask(m) => Col::Bool(m.to_bools()),
+            Val::Scalar(Value::I64(x)) => Col::I64(vec![*x; n]),
+            Val::Scalar(Value::F64(x)) => Col::F64(vec![*x; n]),
+            Val::Scalar(Value::Str(s)) => Col::Str(vec![Arc::clone(s); n]),
+            Val::Scalar(Value::Date(d)) => Col::Date(vec![*d; n]),
+        })
+    }
+
+    fn eval_val<'a>(&'a self, chunk: &'a Chunk, remap: &[usize]) -> IqResult<Val<'a>> {
+        let n = chunk.len();
+        let sub = |e: &'a Expr| e.eval_val(chunk, remap);
+        Ok(match self {
+            Expr::Col(i) => {
+                let col = remap.get(*i).and_then(|&pos| chunk.cols.get(pos));
+                Val::Col(Cow::Borrowed(col.ok_or_else(|| {
+                    IqError::Invalid(format!("column {i} not in chunk"))
+                })?))
+            }
+            Expr::Lit(v) => Val::Scalar(v),
+            Expr::Cmp(op, a, b) => Val::Mask(eval_cmp(*op, n, sub(a)?.view()?, sub(b)?.view()?)?),
+            Expr::And(a, b) => Val::Mask(sub(a)?.into_mask()?.and(&sub(b)?.into_mask()?)),
+            Expr::Or(a, b) => Val::Mask(sub(a)?.into_mask()?.or(&sub(b)?.into_mask()?)),
+            Expr::Not(a) => Val::Mask(sub(a)?.into_mask()?.not()),
+            Expr::Arith(op, a, b) => Val::Col(Cow::Owned(eval_arith(
+                *op,
+                n,
+                sub(a)?.view()?,
+                sub(b)?.view()?,
+            )?)),
+            Expr::Like(a, pattern) => {
+                let a = sub(a)?;
+                let (s, m) = a.view()?.strs("LIKE")?;
+                Val::Mask(Mask::from_fn(n, |i| like_match(&s[i & m], pattern)))
+            }
+            Expr::InList(a, values) => Val::Mask(match sub(a)?.view()? {
+                View::Str(s, m) => {
+                    let set: Vec<&str> = values.iter().filter_map(Value::as_str).collect();
+                    Mask::from_fn(n, |i| set.contains(&&*s[i & m]))
+                }
+                View::I64(x, m) => {
+                    let set: Vec<i64> = values.iter().filter_map(Value::as_i64).collect();
+                    Mask::from_fn(n, |i| set.contains(&x[i & m]))
+                }
+                other => return Err(other.unsupported("IN list")),
+            }),
+            Expr::Case(c, t, e) => {
+                let mask = sub(c)?.into_mask()?;
+                Val::Col(Cow::Owned(match (sub(t)?.view()?, sub(e)?.view()?) {
+                    (View::F64(t, tm), View::F64(e, em)) => Col::F64(
+                        (0..n)
+                            .map(|i| if mask.get(i) { t[i & tm] } else { e[i & em] })
+                            .collect(),
+                    ),
+                    (View::I64(t, tm), View::I64(e, em)) => Col::I64(
+                        (0..n)
+                            .map(|i| if mask.get(i) { t[i & tm] } else { e[i & em] })
+                            .collect(),
+                    ),
+                    (View::Str(t, tm), View::Str(e, em)) => Col::Str(
+                        (0..n)
+                            .map(|i| Arc::clone(if mask.get(i) { &t[i & tm] } else { &e[i & em] }))
+                            .collect(),
+                    ),
+                    _ => return Err(IqError::Invalid("CASE branches must match types".into())),
+                }))
+            }
+            Expr::Substr(a, start, len) => {
+                let a = sub(a)?;
+                let (s, m) = a.view()?.strs("SUBSTRING")?;
+                let s0 = start.saturating_sub(1);
+                Val::Col(Cow::Owned(Col::Str(
+                    (0..n)
+                        .map(|i| Arc::from(substr_chars(&s[i & m], s0, *len)))
+                        .collect(),
+                )))
+            }
+            Expr::Year(a) => match sub(a)?.view()? {
+                View::Date(d, m) => Val::Col(Cow::Owned(Col::I64(
+                    (0..n).map(|i| year_of(d[i & m]) as i64).collect(),
+                ))),
+                other => return Err(other.unsupported("EXTRACT(YEAR)")),
+            },
+        })
+    }
+}
+
+/// What a subexpression evaluates to. A column reference is a borrow of
+/// the chunk's column and a literal stays one scalar — neither is copied
+/// or widened to `n` rows on the way to the operator that consumes it.
+enum Val<'a> {
+    Col(Cow<'a, Col>),
+    Scalar(&'a Value),
+    Mask(Mask),
+}
+
+impl Val<'_> {
+    /// As a predicate result; a `Col::Bool` value column converts.
+    fn into_mask(self) -> IqResult<Mask> {
+        let dtype = match self {
+            Val::Mask(m) => return Ok(m),
+            Val::Col(c) => match &*c {
+                Col::Bool(v) => return Ok(Mask::from_bools(v)),
+                other => other.data_type(),
+            },
+            Val::Scalar(v) => Some(v.data_type()),
+        };
+        Err(IqError::Invalid(format!(
+            "predicate evaluated to {dtype:?}, expected booleans"
+        )))
+    }
+
+    /// As a typed operand of a comparison, arithmetic or string operator.
+    fn view(&self) -> IqResult<View<'_>> {
+        use std::slice::from_ref;
+        Ok(match self {
+            Val::Col(c) => match &**c {
+                Col::I64(v) => View::I64(v, usize::MAX),
+                Col::F64(v) => View::F64(v, usize::MAX),
+                Col::Str(v) => View::Str(v, usize::MAX),
+                Col::Date(v) => View::Date(v, usize::MAX),
+                Col::Bool(_) => return Err(IqError::Invalid("booleans used as a value".into())),
+            },
+            Val::Scalar(Value::I64(x)) => View::I64(from_ref(x), 0),
+            Val::Scalar(Value::F64(x)) => View::F64(from_ref(x), 0),
+            Val::Scalar(Value::Str(s)) => View::Str(from_ref(s), 0),
+            Val::Scalar(Value::Date(d)) => View::Date(from_ref(d), 0),
+            Val::Mask(_) => return Err(IqError::Invalid("booleans used as a value".into())),
+        })
+    }
+}
+
+/// A typed operand: a slice and an index mask — all ones for a column,
+/// zero for a scalar — so `v[i & m]` reads row `i` of either and one
+/// loop serves column ∘ column, column ∘ scalar and scalar ∘ column.
+#[derive(Clone, Copy)]
+enum View<'a> {
+    I64(&'a [i64], usize),
+    F64(&'a [f64], usize),
+    Str(&'a [Arc<str>], usize),
+    Date(&'a [i32], usize),
+}
+
+impl<'a> View<'a> {
+    fn dtype(&self) -> DataType {
+        match self {
+            View::I64(..) => DataType::I64,
+            View::F64(..) => DataType::F64,
+            View::Str(..) => DataType::Str,
+            View::Date(..) => DataType::Date,
         }
     }
 
-    /// Evaluate to a column.
-    pub fn eval(&self, chunk: &Chunk, remap: &BTreeMap<usize, usize>) -> IqResult<Col> {
-        let n = chunk.len();
+    fn unsupported(&self, what: &str) -> IqError {
+        IqError::Invalid(format!("{what} over {:?}", self.dtype()))
+    }
+
+    fn strs(self, what: &str) -> IqResult<(&'a [Arc<str>], usize)> {
         match self {
-            Expr::Col(i) => {
-                let pos = remap
-                    .get(i)
-                    .copied()
-                    .ok_or_else(|| IqError::Invalid(format!("column {i} not in chunk")))?;
-                Ok(chunk.col(pos).clone())
-            }
-            Expr::Lit(v) => Ok(broadcast(v, n)),
-            Expr::Cmp(op, a, b) => {
-                let a = a.eval(chunk, remap)?;
-                let b = b.eval(chunk, remap)?;
-                eval_cmp(*op, &a, &b)
-            }
-            Expr::And(a, b) => {
-                let a = a.eval(chunk, remap)?;
-                let b = b.eval(chunk, remap)?;
-                Ok(Col::Bool(
-                    a.bools()
-                        .iter()
-                        .zip(b.bools())
-                        .map(|(&x, &y)| x && y)
-                        .collect(),
-                ))
-            }
-            Expr::Or(a, b) => {
-                let a = a.eval(chunk, remap)?;
-                let b = b.eval(chunk, remap)?;
-                Ok(Col::Bool(
-                    a.bools()
-                        .iter()
-                        .zip(b.bools())
-                        .map(|(&x, &y)| x || y)
-                        .collect(),
-                ))
-            }
-            Expr::Not(a) => {
-                let a = a.eval(chunk, remap)?;
-                Ok(Col::Bool(a.bools().iter().map(|&x| !x).collect()))
-            }
-            Expr::Arith(op, a, b) => {
-                let a = a.eval(chunk, remap)?;
-                let b = b.eval(chunk, remap)?;
-                eval_arith(*op, &a, &b)
-            }
-            Expr::Like(a, pattern) => {
-                let a = a.eval(chunk, remap)?;
-                Ok(Col::Bool(
-                    a.strs().iter().map(|s| like_match(s, pattern)).collect(),
-                ))
-            }
-            Expr::InList(a, values) => {
-                let a = a.eval(chunk, remap)?;
-                let mask = match &a {
-                    Col::Str(v) => {
-                        let set: Vec<&str> = values.iter().filter_map(Value::as_str).collect();
-                        v.iter().map(|s| set.contains(&s.as_ref())).collect()
-                    }
-                    Col::I64(v) => {
-                        let set: Vec<i64> = values.iter().filter_map(Value::as_i64).collect();
-                        v.iter().map(|x| set.contains(x)).collect()
-                    }
-                    other => {
-                        return Err(IqError::Invalid(format!(
-                            "IN list over {:?}",
-                            other.data_type()
-                        )))
-                    }
-                };
-                Ok(Col::Bool(mask))
-            }
-            Expr::Case(c, t, e) => {
-                let c = c.eval(chunk, remap)?;
-                let t = t.eval(chunk, remap)?;
-                let e = e.eval(chunk, remap)?;
-                let mask = c.bools();
-                match (&t, &e) {
-                    (Col::F64(tv), Col::F64(ev)) => Ok(Col::F64(
-                        (0..n)
-                            .map(|i| if mask[i] { tv[i] } else { ev[i] })
-                            .collect(),
-                    )),
-                    (Col::I64(tv), Col::I64(ev)) => Ok(Col::I64(
-                        (0..n)
-                            .map(|i| if mask[i] { tv[i] } else { ev[i] })
-                            .collect(),
-                    )),
-                    (Col::Str(tv), Col::Str(ev)) => Ok(Col::Str(
-                        (0..n)
-                            .map(|i| Arc::clone(if mask[i] { &tv[i] } else { &ev[i] }))
-                            .collect(),
-                    )),
-                    _ => Err(IqError::Invalid("CASE branches must match types".into())),
-                }
-            }
-            Expr::Substr(a, start, len) => {
-                let a = a.eval(chunk, remap)?;
-                let s0 = start.saturating_sub(1);
-                Ok(Col::Str(
-                    a.strs()
-                        .iter()
-                        .map(|s| {
-                            let end = (s0 + len).min(s.len());
-                            Arc::from(&s[s0.min(s.len())..end])
-                        })
-                        .collect(),
-                ))
-            }
-            Expr::Year(a) => {
-                let a = a.eval(chunk, remap)?;
-                Ok(Col::I64(
-                    a.dates().iter().map(|&d| year_of(d) as i64).collect(),
-                ))
-            }
+            View::Str(s, m) => Ok((s, m)),
+            other => Err(other.unsupported(what)),
         }
     }
 }
 
-fn broadcast(v: &Value, n: usize) -> Col {
-    match v {
-        Value::I64(x) => Col::I64(vec![*x; n]),
-        Value::F64(x) => Col::F64(vec![*x; n]),
-        Value::Str(s) => Col::Str(vec![Arc::clone(s); n]),
-        Value::Date(d) => Col::Date(vec![*d; n]),
-    }
+/// `SUBSTRING` by characters: `len` of them from the `s0`-th (0-based).
+/// On ASCII — all of TPC-H — that is the byte range `[s0, s0 + len)`.
+fn substr_chars(s: &str, s0: usize, len: usize) -> &str {
+    let rest = &s[s.char_indices().nth(s0).map_or(s.len(), |(at, _)| at)..];
+    &rest[..rest
+        .char_indices()
+        .nth(len)
+        .map_or(rest.len(), |(at, _)| at)]
 }
 
 fn cmp_to_prune(op: CmpOp) -> Option<PruneOp> {
@@ -648,121 +693,79 @@ fn lexical_successor(prefix: &str) -> Option<String> {
     None
 }
 
-fn cmp_bools<T: PartialOrd>(op: CmpOp, a: &[T], b: &[T]) -> Vec<bool> {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| match op {
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-        })
-        .collect()
+fn cmp_mask<T: PartialOrd>(
+    op: CmpOp,
+    n: usize,
+    a: impl Fn(usize) -> T,
+    b: impl Fn(usize) -> T,
+) -> Mask {
+    match op {
+        CmpOp::Eq => Mask::from_fn(n, |i| a(i) == b(i)),
+        CmpOp::Ne => Mask::from_fn(n, |i| a(i) != b(i)),
+        CmpOp::Lt => Mask::from_fn(n, |i| a(i) < b(i)),
+        CmpOp::Le => Mask::from_fn(n, |i| a(i) <= b(i)),
+        CmpOp::Gt => Mask::from_fn(n, |i| a(i) > b(i)),
+        CmpOp::Ge => Mask::from_fn(n, |i| a(i) >= b(i)),
+    }
 }
 
-fn eval_cmp(op: CmpOp, a: &Col, b: &Col) -> IqResult<Col> {
-    let mask = match (a, b) {
-        (Col::I64(x), Col::I64(y)) => cmp_bools(op, x, y),
-        (Col::Date(x), Col::Date(y)) => cmp_bools(op, x, y),
-        (Col::F64(x), Col::F64(y)) => cmp_bools(op, x, y),
-        (Col::Str(x), Col::Str(y)) => {
-            let xs: Vec<&str> = x.iter().map(AsRef::as_ref).collect();
-            let ys: Vec<&str> = y.iter().map(AsRef::as_ref).collect();
-            cmp_bools(op, &xs, &ys)
-        }
+fn eval_cmp(op: CmpOp, n: usize, a: View<'_>, b: View<'_>) -> IqResult<Mask> {
+    use View::{Date, Str, F64, I64};
+    Ok(match (a, b) {
+        (I64(x, xm), I64(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym]),
+        (Date(x, xm), Date(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym]),
+        (F64(x, xm), F64(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym]),
+        (Str(x, xm), Str(y, ym)) => cmp_mask(op, n, |i| &*x[i & xm], |i| &*y[i & ym]),
         // Numeric promotion.
-        (Col::I64(x), Col::F64(y)) => {
-            let xs: Vec<f64> = x.iter().map(|&v| v as f64).collect();
-            cmp_bools(op, &xs, y)
-        }
-        (Col::F64(x), Col::I64(y)) => {
-            let ys: Vec<f64> = y.iter().map(|&v| v as f64).collect();
-            cmp_bools(op, x, &ys)
-        }
-        // Year() yields I64; allow comparing against date columns' years is
-        // not needed, but I64 vs Date comparisons are (partition keys).
-        (Col::Date(x), Col::I64(y)) => {
-            let xs: Vec<i64> = x.iter().map(|&v| v as i64).collect();
-            cmp_bools(op, &xs, y)
-        }
-        (Col::I64(x), Col::Date(y)) => {
-            let ys: Vec<i64> = y.iter().map(|&v| v as i64).collect();
-            cmp_bools(op, x, &ys)
-        }
-        (a, b) => {
-            return Err(IqError::Invalid(format!(
-                "cannot compare {:?} with {:?}",
-                a.data_type(),
-                b.data_type()
-            )))
-        }
-    };
-    Ok(Col::Bool(mask))
+        (I64(x, xm), F64(y, ym)) => cmp_mask(op, n, |i| x[i & xm] as f64, |i| y[i & ym]),
+        (F64(x, xm), I64(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym] as f64),
+        // Dates against day numbers (partition keys).
+        (Date(x, xm), I64(y, ym)) => cmp_mask(op, n, |i| x[i & xm] as i64, |i| y[i & ym]),
+        (I64(x, xm), Date(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym] as i64),
+        (a, b) => return Err(a.unsupported(&format!("comparison with {:?}", b.dtype()))),
+    })
 }
 
-fn eval_arith(op: ArithOp, a: &Col, b: &Col) -> IqResult<Col> {
-    match (a, b) {
-        (Col::I64(x), Col::I64(y)) if op == ArithOp::Mod => Ok(Col::I64(
-            x.iter()
-                .zip(y)
-                .map(|(&p, &q)| if q == 0 { 0 } else { p % q })
-                .collect(),
-        )),
-        (Col::I64(x), Col::I64(y)) if matches!(op, ArithOp::Add | ArithOp::Sub | ArithOp::Mul) => {
-            Ok(Col::I64(
-                x.iter()
-                    .zip(y)
-                    .map(|(&p, &q)| match op {
-                        ArithOp::Add => p + q,
-                        ArithOp::Sub => p - q,
-                        _ => p * q,
-                    })
-                    .collect(),
-            ))
-        }
-        // Date arithmetic: date ± integer days.
-        (Col::Date(x), Col::I64(y)) if matches!(op, ArithOp::Add | ArithOp::Sub) => Ok(Col::Date(
-            x.iter()
-                .zip(y)
-                .map(|(&d, &k)| {
-                    if op == ArithOp::Add {
-                        d + k as i32
-                    } else {
-                        d - k as i32
-                    }
+fn float_arith(op: ArithOp, n: usize, a: impl Fn(usize) -> f64, b: impl Fn(usize) -> f64) -> Col {
+    Col::F64(match op {
+        ArithOp::Add => (0..n).map(|i| a(i) + b(i)).collect(),
+        ArithOp::Sub => (0..n).map(|i| a(i) - b(i)).collect(),
+        ArithOp::Mul => (0..n).map(|i| a(i) * b(i)).collect(),
+        ArithOp::Div => (0..n).map(|i| a(i) / b(i)).collect(),
+        ArithOp::Mod => (0..n).map(|i| a(i) % b(i)).collect(),
+    })
+}
+
+fn eval_arith(op: ArithOp, n: usize, a: View<'_>, b: View<'_>) -> IqResult<Col> {
+    use ArithOp::{Add, Div, Mod, Mul, Sub};
+    use View::{Date, F64, I64};
+    Ok(match (op, a, b) {
+        (Mod, I64(x, xm), I64(y, ym)) => Col::I64(
+            (0..n)
+                .map(|i| match y[i & ym] {
+                    0 => 0,
+                    q => x[i & xm] % q,
                 })
                 .collect(),
-        )),
-        _ => {
-            let xs = to_f64(a)?;
-            let ys = to_f64(b)?;
-            Ok(Col::F64(
-                xs.iter()
-                    .zip(&ys)
-                    .map(|(&p, &q)| match op {
-                        ArithOp::Add => p + q,
-                        ArithOp::Sub => p - q,
-                        ArithOp::Mul => p * q,
-                        ArithOp::Div => p / q,
-                        ArithOp::Mod => p % q,
-                    })
-                    .collect(),
-            ))
+        ),
+        (Add, I64(x, xm), I64(y, ym)) => Col::I64((0..n).map(|i| x[i & xm] + y[i & ym]).collect()),
+        (Sub, I64(x, xm), I64(y, ym)) => Col::I64((0..n).map(|i| x[i & xm] - y[i & ym]).collect()),
+        (Mul, I64(x, xm), I64(y, ym)) => Col::I64((0..n).map(|i| x[i & xm] * y[i & ym]).collect()),
+        // Date arithmetic: date ± integer days.
+        (Add, Date(x, xm), I64(y, ym)) => {
+            Col::Date((0..n).map(|i| x[i & xm] + y[i & ym] as i32).collect())
         }
-    }
-}
-
-fn to_f64(c: &Col) -> IqResult<Vec<f64>> {
-    match c {
-        Col::F64(v) => Ok(v.clone()),
-        Col::I64(v) => Ok(v.iter().map(|&x| x as f64).collect()),
-        other => Err(IqError::Invalid(format!(
-            "arithmetic on {:?} column",
-            other.data_type()
-        ))),
-    }
+        (Sub, Date(x, xm), I64(y, ym)) => {
+            Col::Date((0..n).map(|i| x[i & xm] - y[i & ym] as i32).collect())
+        }
+        (Div, I64(x, xm), I64(y, ym)) => {
+            float_arith(op, n, |i| x[i & xm] as f64, |i| y[i & ym] as f64)
+        }
+        (_, F64(x, xm), F64(y, ym)) => float_arith(op, n, |i| x[i & xm], |i| y[i & ym]),
+        (_, F64(x, xm), I64(y, ym)) => float_arith(op, n, |i| x[i & xm], |i| y[i & ym] as f64),
+        (_, I64(x, xm), F64(y, ym)) => float_arith(op, n, |i| x[i & xm] as f64, |i| y[i & ym]),
+        (_, a, b) => return Err(a.unsupported(&format!("{op:?} with {:?}", b.dtype()))),
+    })
 }
 
 /// SQL LIKE matcher: `%` matches any run, `_` one character. Iterative
@@ -799,7 +802,7 @@ mod tests {
     use super::*;
     use crate::value::parse_date;
 
-    fn chunk() -> (Chunk, BTreeMap<usize, usize>) {
+    fn chunk() -> (Chunk, Vec<usize>) {
         let c = Chunk::new(vec![
             Col::I64(vec![1, 2, 3, 4]),
             Col::F64(vec![10.0, 20.0, 30.0, 40.0]),
@@ -816,8 +819,7 @@ mod tests {
                 parse_date("1995-06-01").unwrap(),
             ]),
         ]);
-        let remap = (0..4).map(|i| (i, i)).collect();
-        (c, remap)
+        (c, (0..4).collect())
     }
 
     #[test]
@@ -827,14 +829,23 @@ mod tests {
             Expr::gt(Expr::col(0), Expr::lit_i64(1)),
             Expr::lt(Expr::col(1), Expr::lit_f64(40.0)),
         );
-        assert_eq!(e.eval_mask(&c, &m).unwrap(), vec![false, true, true, false]);
+        assert_eq!(
+            e.eval_mask(&c, &m).unwrap().to_bools(),
+            vec![false, true, true, false]
+        );
         let e = Expr::or(
             Expr::eq(Expr::col(2), Expr::lit_str("AIR")),
             Expr::eq(Expr::col(2), Expr::lit_str("SHIP")),
         );
-        assert_eq!(e.eval_mask(&c, &m).unwrap(), vec![true, false, false, true]);
+        assert_eq!(
+            e.eval_mask(&c, &m).unwrap().to_bools(),
+            vec![true, false, false, true]
+        );
         let e = Expr::not(Expr::le(Expr::col(0), Expr::lit_i64(2)));
-        assert_eq!(e.eval_mask(&c, &m).unwrap(), vec![false, false, true, true]);
+        assert_eq!(
+            e.eval_mask(&c, &m).unwrap().to_bools(),
+            vec![false, false, true, true]
+        );
     }
 
     #[test]
@@ -842,7 +853,10 @@ mod tests {
         let (c, m) = chunk();
         // i64 column vs float literal.
         let e = Expr::ge(Expr::col(0), Expr::lit_f64(2.5));
-        assert_eq!(e.eval_mask(&c, &m).unwrap(), vec![false, false, true, true]);
+        assert_eq!(
+            e.eval_mask(&c, &m).unwrap().to_bools(),
+            vec![false, false, true, true]
+        );
     }
 
     #[test]
@@ -858,7 +872,10 @@ mod tests {
                 Expr::lit_date(parse_date("1995-01-01").unwrap()),
             ),
         );
-        assert_eq!(e.eval_mask(&c, &m).unwrap(), vec![true, true, false, false]);
+        assert_eq!(
+            e.eval_mask(&c, &m).unwrap().to_bools(),
+            vec![true, true, false, false]
+        );
     }
 
     #[test]
@@ -905,11 +922,17 @@ mod tests {
             Expr::col(2),
             vec![Value::Str("AIR".into()), Value::Str("SHIP".into())],
         );
-        assert_eq!(e.eval_mask(&c, &m).unwrap(), vec![true, false, false, true]);
+        assert_eq!(
+            e.eval_mask(&c, &m).unwrap().to_bools(),
+            vec![true, false, false, true]
+        );
         let e = Expr::substr(Expr::col(2), 1, 3);
         assert_eq!(e.eval(&c, &m).unwrap().strs()[2].as_ref(), "AIR");
         let e = Expr::eq(Expr::year(Expr::col(3)), Expr::lit_i64(1995));
-        assert_eq!(e.eval_mask(&c, &m).unwrap(), vec![false, false, true, true]);
+        assert_eq!(
+            e.eval_mask(&c, &m).unwrap().to_bools(),
+            vec![false, false, true, true]
+        );
     }
 
     #[test]
@@ -1072,14 +1095,14 @@ mod tests {
 
         // Evaluate both domains over the same logical data.
         let codes = Chunk::new(vec![Col::I64(vec![0, 1, 0])]);
-        let remap: BTreeMap<usize, usize> = [(2usize, 0usize)].into_iter().collect();
+        let remap = [usize::MAX, usize::MAX, 0];
         let e = Expr::or(
             Expr::eq(Expr::col(2), Expr::lit_str("AIR")),
             Expr::eq(Expr::col(2), Expr::lit_str("SHIP")),
         )
         .rewrite_for_dict(&cols, &lookup);
         assert_eq!(
-            e.eval_mask(&codes, &remap).unwrap(),
+            e.eval_mask(&codes, &remap).unwrap().to_bools(),
             vec![true, false, true]
         );
     }
@@ -1101,5 +1124,152 @@ mod tests {
             .is_err());
         assert!(Expr::col(9).eval(&c, &m).is_err());
         assert!(Expr::lit_i64(1).eval_mask(&c, &m).is_err());
+    }
+
+    #[test]
+    fn substr_counts_characters_not_bytes() {
+        // "né" is 3 bytes: byte offsets 1..3 split the 'é'; a user table's
+        // dictionary need not be ASCII.
+        let c = Chunk::new(vec![Col::Str(vec![
+            "n\u{e9}e".into(),
+            "\u{e9}".into(),
+            "".into(),
+            "abc".into(),
+        ])]);
+        let sub = |start, len| Expr::substr(Expr::col(0), start, len).eval(&c, &[0]);
+        let strs = |col: Col| -> Vec<String> { col.strs().iter().map(|s| s.to_string()).collect() };
+        assert_eq!(strs(sub(1, 2).unwrap()), ["n\u{e9}", "\u{e9}", "", "ab"]);
+        assert_eq!(strs(sub(2, 1).unwrap()), ["\u{e9}", "", "", "b"]);
+        assert_eq!(strs(sub(3, usize::MAX).unwrap()), ["e", "", "", "c"]);
+        assert_eq!(strs(sub(9, 2).unwrap()), ["", "", "", ""]);
+    }
+
+    /// The definition a scalar operand must match: the literal widened to
+    /// an `n`-row column (what evaluation used to build for every literal).
+    fn broadcast(v: &Value, n: usize) -> Col {
+        match v {
+            Value::I64(x) => Col::I64(vec![*x; n]),
+            Value::F64(x) => Col::F64(vec![*x; n]),
+            Value::Str(s) => Col::Str(vec![Arc::clone(s); n]),
+            Value::Date(d) => Col::Date(vec![*d; n]),
+        }
+    }
+
+    /// Columns compared structurally, floats by bit pattern (NaN == NaN).
+    fn bits(col: IqResult<Col>) -> Option<Vec<String>> {
+        let col = col.ok()?;
+        Some(match &col {
+            Col::F64(v) => v.iter().map(|x| format!("f{:016x}", x.to_bits())).collect(),
+            other => (0..other.len())
+                .map(|i| format!("{:?}", other.value(i)))
+                .collect(),
+        })
+    }
+
+    #[test]
+    fn scalar_operands_match_the_broadcast_definition() {
+        let cols = [
+            Col::I64(vec![-3, 0, 2, 7, 1 << 40]),
+            Col::F64(vec![-0.5, 0.0, 2.0, f64::NAN, 7.5]),
+            Col::Date(vec![-1, 0, 2, 7, 9000]),
+            Col::Str(vec![
+                "".into(),
+                "a".into(),
+                "b".into(),
+                "ab".into(),
+                "b".into(),
+            ]),
+        ];
+        let lits = [
+            Value::I64(2),
+            Value::F64(2.0),
+            Value::Date(2),
+            Value::Str("b".into()),
+        ];
+        let cmps = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let ariths = [
+            ArithOp::Add,
+            ArithOp::Sub,
+            ArithOp::Mul,
+            ArithOp::Div,
+            ArithOp::Mod,
+        ];
+        let (mut compared, mut computed) = (0, 0);
+        for col in &cols {
+            for lit in &lits {
+                let chunk = Chunk::new(vec![col.clone(), broadcast(lit, col.len())]);
+                let (c0, c1, l) = (Expr::col(0), Expr::col(1), Expr::Lit(lit.clone()));
+                let remap = [0, 1];
+                for op in cmps {
+                    // Every type pair, the promotion pairs included, with
+                    // the scalar on either side; unsupported pairs fail in
+                    // both forms.
+                    for (scalar, wide) in [
+                        (
+                            Expr::Cmp(op, c0.clone().into(), l.clone().into()),
+                            Expr::Cmp(op, c0.clone().into(), c1.clone().into()),
+                        ),
+                        (
+                            Expr::Cmp(op, l.clone().into(), c0.clone().into()),
+                            Expr::Cmp(op, c1.clone().into(), c0.clone().into()),
+                        ),
+                    ] {
+                        let got = scalar.eval_mask(&chunk, &remap).ok();
+                        assert_eq!(got, wide.eval_mask(&chunk, &remap).ok(), "{scalar:?}");
+                        compared += usize::from(got.is_some());
+                    }
+                }
+                for op in ariths {
+                    for (scalar, wide) in [
+                        (
+                            Expr::Arith(op, c0.clone().into(), l.clone().into()),
+                            Expr::Arith(op, c0.clone().into(), c1.clone().into()),
+                        ),
+                        (
+                            Expr::Arith(op, l.clone().into(), c0.clone().into()),
+                            Expr::Arith(op, c1.clone().into(), c0.clone().into()),
+                        ),
+                    ] {
+                        let got = bits(scalar.eval(&chunk, &remap));
+                        assert_eq!(got, bits(wide.eval(&chunk, &remap)), "{scalar:?}");
+                        computed += usize::from(got.is_some());
+                    }
+                }
+            }
+        }
+        // 8 comparable type pairs x 6 ops x 2 sides; arithmetic over the
+        // four numeric pairs (5 ops x 2 sides) plus date +/- days with
+        // the literal as either operand.
+        assert_eq!((compared, computed), (96, 44));
+
+        // And against plain Rust, for the promotion the widening vectors
+        // used to perform: an i64 column against a float literal.
+        let chunk = Chunk::new(vec![cols[0].clone()]);
+        for op in cmps {
+            let e = Expr::Cmp(op, Expr::col(0).into(), Expr::lit_f64(2.0).into());
+            let want: Vec<bool> = cols[0]
+                .i64s()
+                .iter()
+                .map(|&x| match op {
+                    CmpOp::Eq => x as f64 == 2.0,
+                    CmpOp::Ne => x as f64 != 2.0,
+                    CmpOp::Lt => (x as f64) < 2.0,
+                    CmpOp::Le => x as f64 <= 2.0,
+                    CmpOp::Gt => x as f64 > 2.0,
+                    CmpOp::Ge => x as f64 >= 2.0,
+                })
+                .collect();
+            assert_eq!(e.eval_mask(&chunk, &[0]).unwrap().to_bools(), want);
+        }
+        let e = Expr::mul(Expr::col(0), Expr::lit_f64(0.5));
+        let want: Vec<f64> = cols[0].i64s().iter().map(|&x| x as f64 * 0.5).collect();
+        assert_eq!(e.eval(&chunk, &[0]).unwrap().f64s(), &want[..]);
     }
 }

@@ -8,7 +8,8 @@
 //! push the same workload through the *reproduced* storage path (buffer
 //! manager → OCM → object store):
 //!
-//! * [`value`] / [`chunk`] — typed values and columnar batches.
+//! * [`value`] / [`chunk`] / [`mask`] — typed values, columnar batches
+//!   and the word-bitset row selections predicates produce.
 //! * [`encode`] — column encodings: dictionary encoding for strings and
 //!   n-bit (frame-of-reference bit-packed) integers, the two encodings the
 //!   paper names (§1, citing the n-bit dictionary patent).
@@ -34,6 +35,7 @@ pub mod chunk;
 pub mod encode;
 pub mod expr;
 pub mod hg;
+pub mod mask;
 pub mod meter;
 pub mod niche;
 pub mod ops;
@@ -47,6 +49,7 @@ pub mod zonemap;
 pub use chunk::{Chunk, Col};
 pub use expr::Expr;
 pub use hg::HgIndex;
+pub use mask::Mask;
 pub use meter::WorkMeter;
 pub use niche::{CmpIndex, DateIndex, TextIndex};
 pub use ops::OpExec;
@@ -54,4 +57,4 @@ pub use prefetch::{PrefetchAdmission, PrefetchTicket, PREFETCH_DEPTH};
 pub use scanstats::ScanStats;
 pub use store::{MemPageStore, PageStore};
 pub use table::{ColumnDef, RangePartitioning, ScanOptions, Schema, TableMeta, TableWriter};
-pub use value::{DataType, KeyVal, Value};
+pub use value::{DataType, Value};

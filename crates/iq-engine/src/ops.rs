@@ -15,14 +15,19 @@
 //! submission/completion [`IoCore`] so operator parallelism shows up in
 //! the same depth accounting as scan and flush fan-out:
 //!
+//! * **Phase 0 (keys)** — the key columns of an operator input are
+//!   turned, once and column-wise, into one fixed-width word per row
+//!   ([`KeySpace`]): two rows carry the same word iff their keys are
+//!   equal. Everything below hashes and compares that word; no per-row
+//!   heap key exists.
 //! * **Phase 1 (partition)** — the input is split into contiguous
 //!   morsels; each worker walks its morsel and buckets *row indices* by
-//!   `stable_hash(key) % P`. Within a morsel rows stay ascending, and
+//!   `mix(key word) % P`. Within a morsel rows stay ascending, and
 //!   morsel outputs are concatenated in morsel order, so every
 //!   partition's row list is ascending in global row order.
 //! * **Phase 2 (fold/build)** — P partition tasks run independently,
 //!   each folding its partition's rows *in that global row order* with
-//!   the exact state-transition code the serial operator uses.
+//!   the exact kernels the serial operator uses.
 //! * **Stitch** — aggregation orders merged groups by first-occurrence
 //!   row (the serial path discovers groups in exactly that order); join
 //!   probes run over contiguous left morsels stitched in morsel order
@@ -34,19 +39,23 @@
 //! *exactly* the serial order — no partial-state merge ever re-associates
 //! a float sum. Output is byte-identical to the serial path for every
 //! worker count, which is what lets `workers == 1` remain the
-//! property-test oracle. The partition hash is a fixed FNV-1a over the
-//! key bytes, not `std`'s per-process-seeded hasher, so partition
-//! assignment (and with it scheduling shape) is stable run-over-run.
+//! property-test oracle. The key word is a pure function of the key
+//! (dense ids are handed out in first-occurrence row order) and the hash
+//! over it is one fixed-seed mix, not `std`'s per-process-seeded hasher,
+//! so partition assignment (and with it scheduling shape) is stable
+//! run-over-run. Each aggregate is folded column-at-a-time, but still one
+//! row after another in the partition's row order, so a group's float
+//! sum associates exactly as it did row-at-a-time.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use iq_common::{IoCore, IoStats, IqError, IqResult};
 
 use crate::chunk::{Chunk, Col};
+use crate::encode::le_word;
 use crate::meter::{cost, WorkMeter};
 use crate::store::PageStore;
-use crate::value::KeyVal;
+use crate::value::DataType;
 
 /// Join flavours.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,8 +123,14 @@ impl OpExec {
         self.workers * 2
     }
 
-    fn io_core(&self) -> IoCore {
-        let core = IoCore::new(self.workers);
+    /// The fan-out of a phase over `rows` rows. A lane is a thread to
+    /// start and to join, which costs what a few thousand rows of work
+    /// do, so a phase gets one per [`LANE_ROWS`] rows, up to the worker
+    /// count. Its tasks — morsels and partitions — and the submission
+    /// depth it accounts follow from the worker count alone, so how many
+    /// lanes carried them shows neither in the output nor in a counter.
+    fn io_core(&self, rows: usize) -> IoCore {
+        let core = IoCore::new(self.workers.min(rows / LANE_ROWS));
         match &self.stats {
             Some(s) => core.with_stats(Arc::clone(s)),
             None => core,
@@ -123,33 +138,153 @@ impl OpExec {
     }
 }
 
-/// Fixed-seed FNV-1a over the key's type-tagged bytes. Partition
-/// assignment must be identical run-over-run (std's `RandomState` is
-/// seeded per process), or scheduling shape and traces would wander.
-fn stable_hash_key(key: &[KeyVal]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn eat(mut h: u64, bytes: &[u8]) -> u64 {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        h
-    }
-    let mut h = OFFSET;
-    for k in key {
-        h = match k {
-            KeyVal::I(v) => eat(eat(h, &[1]), &v.to_le_bytes()),
-            KeyVal::S(s) => eat(eat(eat(h, &[2]), s.as_bytes()), &[0xff]),
-            KeyVal::D(v) => eat(eat(h, &[3]), &v.to_le_bytes()),
-            KeyVal::F(bits) => eat(eat(h, &[4]), &bits.to_le_bytes()),
-        };
-    }
-    h
+/// Rows of operator input that are worth a lane of their own.
+const LANE_ROWS: usize = 8192;
+
+/// The one hash of the operators: the SplitMix64 finalizer over a key
+/// word. Fixed-seed, because partition assignment must be identical
+/// run-over-run (std's `RandomState` is seeded per process) or scheduling
+/// shape and traces would wander. Partitions take its high half, table
+/// slots its low bits, so a partition's keys still spread over its table.
+fn mix(word: u64) -> u64 {
+    let x = (word ^ (word >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
-fn key_of(chunk: &Chunk, cols: &[usize], row: usize) -> IqResult<Vec<KeyVal>> {
-    cols.iter().map(|&c| chunk.col(c).key(row)).collect()
+fn partition_of(hash: u64, parts: usize) -> usize {
+    ((hash >> 32) % parts as u64) as usize
+}
+
+/// Distinct keys → dense ids `0..len()` in first-seen order: open
+/// addressing over a power-of-two slot array, no allocation per key. The
+/// caller supplies each key's hash.
+struct Interner<K> {
+    /// `id + 1` of the key held by each slot; 0 marks an empty slot.
+    slots: Vec<u32>,
+    keys: Vec<K>,
+    hashes: Vec<u64>,
+}
+
+impl<K: Copy + PartialEq> Interner<K> {
+    /// Sized to take `keys` distinct keys without rehashing.
+    fn with_capacity(keys: usize) -> Self {
+        Self {
+            slots: vec![0; (keys * 2).next_power_of_two().max(16)],
+            keys: Vec::new(),
+            hashes: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The id of `key`, or the empty slot its probe sequence ends in.
+    fn probe(&self, hash: u64, key: K) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            match self.slots[at] {
+                0 => return Err(at),
+                id if self.keys[id as usize - 1] == key => return Ok(id as usize - 1),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    fn get(&self, hash: u64, key: K) -> Option<usize> {
+        self.probe(hash, key).ok()
+    }
+
+    /// The id of `key`, assigning the next one on first sight.
+    fn intern(&mut self, hash: u64, key: K) -> usize {
+        let mut at = match self.probe(hash, key) {
+            Ok(id) => return id,
+            Err(at) => at,
+        };
+        if (self.keys.len() + 1) * 2 > self.slots.len() {
+            let mask = self.slots.len() * 2 - 1;
+            self.slots = vec![0; mask + 1];
+            for (id, &h) in self.hashes.iter().enumerate() {
+                let mut to = h as usize & mask;
+                while self.slots[to] != 0 {
+                    to = (to + 1) & mask;
+                }
+                self.slots[to] = id as u32 + 1;
+            }
+            at = self.probe(hash, key).expect_err("key is not interned yet");
+        }
+        self.keys.push(key);
+        self.hashes.push(hash);
+        self.slots[at] = u32::try_from(self.keys.len()).expect("fewer than 2^32 distinct keys");
+        self.keys.len() - 1
+    }
+}
+
+/// Fixed-width row keys. [`words`](KeySpace::words) maps the key columns
+/// of a chunk to one `u64` per row such that two rows — of that chunk or
+/// of any other keyed through the same space, as the two sides of a join
+/// are — carry equal words iff their keys are equal value for value:
+/// `I64` / `Date` / `Bool` key by value and `F64` by bit pattern (exact
+/// equality: NaN payloads and ±0.0 stay distinct), `Str` by a dense id
+/// from one intern lookup on the borrowed `&str` (equal strings in
+/// different `Arc`s meet there; no `Arc` is cloned), and each further key
+/// column folds `(word so far, its own word)` into a dense id.
+struct KeySpace<'a> {
+    strs: Interner<&'a str>,
+    tuples: Interner<(u64, u64)>,
+}
+
+impl<'a> KeySpace<'a> {
+    fn new() -> Self {
+        Self {
+            strs: Interner::with_capacity(0),
+            tuples: Interner::with_capacity(0),
+        }
+    }
+
+    fn col_words(&mut self, col: &'a Col) -> Vec<u64> {
+        match col {
+            Col::I64(v) => v.iter().map(|&x| x as u64).collect(),
+            Col::Date(v) => v.iter().map(|&x| x as i64 as u64).collect(),
+            Col::Bool(v) => v.iter().map(|&x| x as u64).collect(),
+            Col::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+            Col::Str(v) => {
+                // Equal strings mostly share one `Arc` (a dictionary hands
+                // out clones): hash the bytes once per distinct `Arc`, and
+                // per row only look its pointer up.
+                let mut seen: Interner<usize> = Interner::with_capacity(0);
+                let mut ids: Vec<u64> = Vec::new();
+                let words = v.iter().map(|s| {
+                    let ptr = Arc::as_ptr(s).cast::<u8>() as usize;
+                    let k = seen.intern(mix(ptr as u64), ptr);
+                    if k == ids.len() {
+                        let words = s.as_bytes().chunks(8).map(le_word);
+                        let hash = words.fold(s.len() as u64, |h, w| mix(h ^ w));
+                        ids.push(self.strs.intern(hash, s) as u64);
+                    }
+                    ids[k]
+                });
+                words.collect()
+            }
+        }
+    }
+
+    /// One key word per row of `chunk` over `cols` (no columns: every row
+    /// keys to 0, the single group of a scalar aggregate).
+    fn words(&mut self, chunk: &'a Chunk, cols: &[usize]) -> Vec<u64> {
+        let Some((&first, rest)) = cols.split_first() else {
+            return vec![0; chunk.len()];
+        };
+        let mut words = self.col_words(chunk.col(first));
+        for &c in rest {
+            for (w, v) in words.iter_mut().zip(self.col_words(chunk.col(c))) {
+                *w = self.tuples.intern(mix(*w ^ mix(v)), (*w, v)) as u64;
+            }
+        }
+        words
+    }
 }
 
 /// `[lo, hi)` row range of morsel `i` of `m` over `n` rows (first `n % m`
@@ -161,24 +296,22 @@ fn morsel_bounds(n: usize, m: usize, i: usize) -> (usize, usize) {
     (lo, lo + base + usize::from(i < extra))
 }
 
-/// Phase 1 of both partitioned operators: bucket row indices of `chunk`
-/// by `stable_hash(key(key_cols)) % parts`. Morsel-parallel; each
-/// partition's returned row list is ascending in global row order.
+/// Phase 1 of both partitioned operators: bucket row indices by
+/// `mix(key word) % parts`. Morsel-parallel; each partition's returned
+/// row list is ascending in global row order.
 fn partition_rows(
-    chunk: &Chunk,
-    key_cols: &[usize],
+    words: &[u64],
     parts: usize,
     io: &IoCore,
     workers: usize,
 ) -> IqResult<Vec<Vec<usize>>> {
-    let n = chunk.len();
+    let n = words.len();
     let morsels = (workers * 4).min(n).max(1);
     let locals = io.run_ordered(morsels, |i| {
         let (lo, hi) = morsel_bounds(n, morsels, i);
         let mut mine: Vec<Vec<usize>> = vec![Vec::new(); parts];
         for row in lo..hi {
-            let key = key_of(chunk, key_cols, row)?;
-            mine[(stable_hash_key(&key) % parts as u64) as usize].push(row);
+            mine[partition_of(mix(words[row]), parts)].push(row);
         }
         Ok::<_, IqError>(mine)
     })?;
@@ -189,6 +322,48 @@ fn partition_rows(
         }
     }
     Ok(by_part)
+}
+
+/// The build side of a join over one partition's rows: key word → the
+/// rows carrying it, as one shared row array cut by per-key offsets.
+struct JoinTable {
+    keys: Interner<u64>,
+    starts: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl JoinTable {
+    /// `rows` are ascending, so every key's match list comes out
+    /// ascending — exactly the serial table.
+    fn build(words: &[u64], rows: &[usize]) -> Self {
+        let mut keys = Interner::with_capacity(rows.len());
+        let ids: Vec<usize> = rows
+            .iter()
+            .map(|&r| keys.intern(mix(words[r]), words[r]))
+            .collect();
+        let mut starts = vec![0usize; keys.len() + 1];
+        ids.iter().for_each(|&k| starts[k + 1] += 1);
+        (0..keys.len()).for_each(|k| starts[k + 1] += starts[k]);
+        let mut next = starts.clone();
+        let mut by_key = vec![0usize; rows.len()];
+        for (&r, &k) in rows.iter().zip(&ids) {
+            by_key[next[k]] = r;
+            next[k] += 1;
+        }
+        Self {
+            keys,
+            starts,
+            rows: by_key,
+        }
+    }
+
+    /// Build rows matching `word`, ascending; empty when there are none.
+    fn matches(&self, hash: u64, word: u64) -> &[usize] {
+        match self.keys.get(hash, word) {
+            Some(k) => &self.rows[self.starts[k]..self.starts[k + 1]],
+            None => &[],
+        }
+    }
 }
 
 /// Hash join `left ⋈ right` on equal key columns under an [`OpExec`]
@@ -212,36 +387,40 @@ pub fn hash_join_exec(
     if left_keys.len() != right_keys.len() || left_keys.is_empty() {
         return Err(IqError::Invalid("join key arity mismatch".into()));
     }
+    // Key words carry no type tag; values of different types never
+    // compared equal, so such a join is a plan error, not an empty match.
+    // (`Bool` has always keyed as the integers 0 / 1, so it pairs with `I64`.)
+    let kind = |c: &Col| c.data_type().unwrap_or(DataType::I64);
+    for (&l, &r) in left_keys.iter().zip(right_keys) {
+        if kind(left.col(l)) != kind(right.col(r)) {
+            return Err(IqError::Invalid(format!(
+                "join key types differ: {:?} vs {:?}",
+                kind(left.col(l)),
+                kind(right.col(r))
+            )));
+        }
+    }
+    let mut space = KeySpace::new();
+    let right_words = space.words(right, right_keys);
+    let left_words = space.words(left, left_keys);
 
     let (left_idx, right_idx, matched_marker) = if exec.workers() <= 1 {
         // Serial oracle: one build table, one left-to-right probe.
-        let mut table: HashMap<Vec<KeyVal>, Vec<usize>> = HashMap::new();
-        for r in 0..right.len() {
-            table
-                .entry(key_of(right, right_keys, r)?)
-                .or_default()
-                .push(r);
-        }
+        let all: Vec<usize> = (0..right.len()).collect();
+        let table = JoinTable::build(&right_words, &all);
         meter.add(cost::JOIN * right.len() as u64);
-        let out = probe_rows(left, left_keys, jt, 0, left.len(), |key| table.get(key))?;
+        let out = probe_rows(&left_words, jt, 0, left.len(), |h, w| table.matches(h, w));
         meter.add(cost::JOIN * left.len() as u64);
         out
     } else {
-        let io = exec.io_core();
+        let io = exec.io_core(right.len());
         let parts = exec.partitions();
         // Build: partition right rows by key, then build each partition's
         // table independently. Row lists are ascending per partition, so
         // every key's match list is ascending — exactly the serial table.
-        let by_part = partition_rows(right, right_keys, parts, &io, exec.workers())?;
-        let tables: Vec<HashMap<Vec<KeyVal>, Vec<usize>>> = io.run_ordered(parts, |p| {
-            let mut table: HashMap<Vec<KeyVal>, Vec<usize>> = HashMap::new();
-            for &r in &by_part[p] {
-                table
-                    .entry(key_of(right, right_keys, r)?)
-                    .or_default()
-                    .push(r);
-            }
-            Ok::<_, IqError>(table)
+        let by_part = partition_rows(&right_words, parts, &io, exec.workers())?;
+        let tables: Vec<JoinTable> = io.run_ordered(parts, |p| {
+            Ok::<_, IqError>(JoinTable::build(&right_words, &by_part[p]))
         })?;
         meter.add(cost::JOIN * right.len() as u64);
 
@@ -249,16 +428,14 @@ pub fn hash_join_exec(
         // serial left-to-right emission order.
         let n = left.len();
         let morsels = (exec.workers() * 4).min(n).max(1);
-        let pieces = io.run_ordered(morsels, |i| {
+        let pieces = exec.io_core(n).run_ordered(morsels, |i| {
             let (lo, hi) = morsel_bounds(n, morsels, i);
-            probe_rows(left, left_keys, jt, lo, hi, |key| {
-                tables[(stable_hash_key(key) % parts as u64) as usize].get(key)
-            })
+            Ok::<_, IqError>(probe_rows(&left_words, jt, lo, hi, |h, w| {
+                tables[partition_of(h, parts)].matches(h, w)
+            }))
         })?;
         meter.add(cost::JOIN * left.len() as u64);
-        let mut left_idx = Vec::new();
-        let mut right_idx = Vec::new();
-        let mut marker = Vec::new();
+        let (mut left_idx, mut right_idx, mut marker) = (Vec::new(), Vec::new(), Vec::new());
         for (l, r, m) in pieces {
             left_idx.extend(l);
             right_idx.extend(r);
@@ -285,99 +462,74 @@ pub fn hash_join_exec(
     Ok(Chunk::new(cols))
 }
 
-/// Probe left rows `[lo, hi)` against the build side via `lookup`. The
-/// emission logic is shared verbatim between the serial path (one table)
-/// and the partitioned path (per-partition tables), so the two can only
-/// differ if `lookup` itself disagrees — and it can't: a key's partition
-/// is a pure function of the key.
-fn probe_rows<'t, F>(
-    left: &Chunk,
-    left_keys: &[usize],
+/// Probe left rows `[lo, hi)` against the build side via `lookup` (key
+/// hash, key word → matching build rows, ascending). The emission logic
+/// is shared verbatim between the serial path (one table) and the
+/// partitioned path (per-partition tables), so the two can only differ
+/// if `lookup` itself disagrees — and it can't: a key's partition is a
+/// pure function of the key.
+fn probe_rows<'t>(
+    left_words: &[u64],
     jt: JoinType,
     lo: usize,
     hi: usize,
-    lookup: F,
-) -> IqResult<(Vec<usize>, Vec<usize>, Vec<i64>)>
-where
-    F: Fn(&[KeyVal]) -> Option<&'t Vec<usize>>,
-{
+    lookup: impl Fn(u64, u64) -> &'t [usize],
+) -> (Vec<usize>, Vec<usize>, Vec<i64>) {
     let mut left_idx: Vec<usize> = Vec::new();
     let mut right_idx: Vec<usize> = Vec::new();
     let mut matched_marker: Vec<i64> = Vec::new();
-    for l in lo..hi {
-        let key = key_of(left, left_keys, l)?;
-        let matches = lookup(&key);
+    for (l, &word) in (lo..hi).zip(&left_words[lo..hi]) {
+        let matches = lookup(mix(word), word);
         match jt {
             JoinType::Inner => {
-                if let Some(rs) = matches {
-                    for &r in rs {
-                        left_idx.push(l);
-                        right_idx.push(r);
-                    }
-                }
+                left_idx.extend(std::iter::repeat_n(l, matches.len()));
+                right_idx.extend_from_slice(matches);
             }
-            JoinType::Left => match matches {
-                Some(rs) => {
-                    for &r in rs {
-                        left_idx.push(l);
-                        right_idx.push(r);
-                        matched_marker.push(1);
-                    }
-                }
-                None => {
-                    left_idx.push(l);
-                    right_idx.push(usize::MAX);
-                    matched_marker.push(0);
-                }
-            },
+            JoinType::Left if matches.is_empty() => {
+                left_idx.push(l);
+                right_idx.push(usize::MAX);
+                matched_marker.push(0);
+            }
+            JoinType::Left => {
+                left_idx.extend(std::iter::repeat_n(l, matches.len()));
+                right_idx.extend_from_slice(matches);
+                matched_marker.extend(std::iter::repeat_n(1, matches.len()));
+            }
             JoinType::Semi => {
-                if matches.is_some() {
+                if !matches.is_empty() {
                     left_idx.push(l);
                 }
             }
             JoinType::Anti => {
-                if matches.is_none() {
+                if matches.is_empty() {
                     left_idx.push(l);
                 }
             }
         }
     }
-    Ok((left_idx, right_idx, matched_marker))
+    (left_idx, right_idx, matched_marker)
 }
 
+/// Gather rows by index; `usize::MAX` (an unmatched left-join row) takes
+/// the type's default, strings one shared empty `Arc`.
 fn take_with_default(col: &Col, idx: &[usize]) -> Col {
+    fn pick<T: Clone>(v: &[T], idx: &[usize], default: T) -> Vec<T> {
+        idx.iter()
+            .map(|&i| {
+                if i == usize::MAX {
+                    default.clone()
+                } else {
+                    v[i].clone()
+                }
+            })
+            .collect()
+    }
     match col {
-        Col::I64(v) => Col::I64(
-            idx.iter()
-                .map(|&i| if i == usize::MAX { 0 } else { v[i] })
-                .collect(),
-        ),
-        Col::F64(v) => Col::F64(
-            idx.iter()
-                .map(|&i| if i == usize::MAX { 0.0 } else { v[i] })
-                .collect(),
-        ),
-        Col::Date(v) => Col::Date(
-            idx.iter()
-                .map(|&i| if i == usize::MAX { 0 } else { v[i] })
-                .collect(),
-        ),
-        Col::Str(v) => Col::Str(
-            idx.iter()
-                .map(|&i| {
-                    if i == usize::MAX {
-                        Arc::from("")
-                    } else {
-                        Arc::clone(&v[i])
-                    }
-                })
-                .collect(),
-        ),
-        Col::Bool(v) => Col::Bool(
-            idx.iter()
-                .map(|&i| if i == usize::MAX { false } else { v[i] })
-                .collect(),
-        ),
+        Col::I64(v) => Col::I64(pick(v, idx, 0)),
+        Col::F64(v) => Col::F64(pick(v, idx, 0.0)),
+        Col::Date(v) => Col::Date(pick(v, idx, 0)),
+        Col::Str(v) => Col::Str(pick(v, idx, Arc::from(""))),
+        Col::Bool(v) => Col::Bool(pick(v, idx, false)),
     }
 }
 
@@ -452,39 +604,101 @@ impl AggSpec {
     }
 }
 
-#[derive(Debug, Clone)]
-enum AggState {
-    Sum(f64),
-    Count(u64),
-    Avg(f64, u64),
-    MinF(Option<f64>),
-    MaxF(Option<f64>),
-    MinI(Option<i64>),
-    MaxI(Option<i64>),
-    MinS(Option<Arc<str>>),
-    MaxS(Option<Arc<str>>),
-    Distinct(HashSet<i64>),
+/// Per-group extreme of `value(row)` in row order (`empty` for a group
+/// that saw no row — the scalar aggregate over an empty input).
+fn extreme<T: Copy>(
+    each: impl Iterator<Item = (usize, usize)>,
+    groups: usize,
+    value: impl Fn(usize) -> T,
+    better: impl Fn(T, T) -> T,
+    empty: T,
+) -> Vec<T> {
+    let mut best: Vec<Option<T>> = vec![None; groups];
+    for (row, g) in each {
+        let x = value(row);
+        best[g] = Some(best[g].map_or(x, |cur| better(cur, x)));
+    }
+    best.into_iter().map(|b| b.unwrap_or(empty)).collect()
 }
 
-/// Output column shape of one aggregate, derived *statically* from the
-/// spec and the input column type — never from a runtime state value, so
-/// a partitioned plan whose first partition is empty cannot disagree
-/// with the serial path about column types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AggOut {
-    F,
-    I,
-    S,
-}
-
-fn agg_out_kind(kind: AggKind, col: &Col) -> IqResult<AggOut> {
+/// One aggregate over one partition, column-at-a-time: row `rows[i]`
+/// belongs to group `gids[i]` of `groups`. Rows are visited in the order
+/// given, so every group accumulates in exactly that order. The output
+/// column's type follows *statically* from the spec and the input column
+/// type — never from which groups happened to be populated, so a
+/// partition that folds no row cannot disagree with the serial path.
+fn fold_aggregate(
+    kind: AggKind,
+    col: &Col,
+    rows: &[usize],
+    gids: &[usize],
+    groups: usize,
+) -> IqResult<Col> {
+    let each = || rows.iter().copied().zip(gids.iter().copied());
+    let min = kind == AggKind::Min;
+    let int_better = |cur: i64, x: i64| if min { cur.min(x) } else { cur.max(x) };
+    let counts = || {
+        let mut n = vec![0i64; groups];
+        gids.iter().for_each(|&g| n[g] += 1);
+        n
+    };
     Ok(match (kind, col) {
-        (AggKind::Sum | AggKind::Avg, _) => AggOut::F,
-        (AggKind::Count, _) => AggOut::I,
-        (AggKind::Min | AggKind::Max, Col::F64(_)) => AggOut::F,
-        (AggKind::Min | AggKind::Max, Col::I64(_) | Col::Date(_)) => AggOut::I,
-        (AggKind::Min | AggKind::Max, Col::Str(_)) => AggOut::S,
-        (AggKind::CountDistinct, Col::I64(_)) => AggOut::I,
+        (AggKind::Count, _) => Col::I64(counts()),
+        (AggKind::Sum | AggKind::Avg, _) => {
+            let mut acc = vec![0.0f64; groups];
+            match col {
+                Col::F64(v) => each().for_each(|(r, g)| acc[g] += v[r]),
+                Col::I64(v) => each().for_each(|(r, g)| acc[g] += v[r] as f64),
+                _ => {}
+            }
+            if kind == AggKind::Avg {
+                for (a, n) in acc.iter_mut().zip(counts()) {
+                    *a = if n == 0 { 0.0 } else { *a / n as f64 };
+                }
+            }
+            Col::F64(acc)
+        }
+        (AggKind::Min | AggKind::Max, Col::F64(v)) => Col::F64(extreme(
+            each(),
+            groups,
+            |r| v[r],
+            |cur, x| if min { cur.min(x) } else { cur.max(x) },
+            0.0,
+        )),
+        (AggKind::Min | AggKind::Max, Col::I64(v)) => {
+            Col::I64(extreme(each(), groups, |r| v[r], int_better, 0))
+        }
+        (AggKind::Min | AggKind::Max, Col::Date(v)) => {
+            Col::I64(extreme(each(), groups, |r| v[r] as i64, int_better, 0))
+        }
+        (AggKind::Min | AggKind::Max, Col::Str(v)) => {
+            // The winning *row* per group: ties keep the earlier row.
+            let mut best: Vec<Option<usize>> = vec![None; groups];
+            for (r, g) in each() {
+                if best[g].is_none_or(|cur| if min { v[r] < v[cur] } else { v[r] > v[cur] }) {
+                    best[g] = Some(r);
+                }
+            }
+            let empty: Arc<str> = Arc::from("");
+            Col::Str(
+                best.iter()
+                    .map(|b| Arc::clone(b.map_or(&empty, |r| &v[r])))
+                    .collect(),
+            )
+        }
+        (AggKind::CountDistinct, Col::I64(v)) => {
+            // One flat set of (group, value) pairs instead of a set per
+            // group: a pair counts when it is new.
+            let mut pairs: Interner<(u64, u64)> = Interner::with_capacity(rows.len());
+            let mut n = vec![0i64; groups];
+            for (r, g) in each() {
+                let (seen, pair) = (pairs.len(), (g as u64, v[r] as u64));
+                if pairs.intern(mix(pair.0 ^ mix(pair.1)), pair) == seen {
+                    n[g] += 1;
+                }
+            }
+            Col::I64(n)
+        }
         (k, c) => {
             return Err(IqError::Invalid(format!(
                 "aggregate {k:?} unsupported over {:?}",
@@ -494,146 +708,39 @@ fn agg_out_kind(kind: AggKind, col: &Col) -> IqResult<AggOut> {
     })
 }
 
-fn new_state(kind: AggKind, col: &Col) -> IqResult<AggState> {
-    Ok(match (kind, col) {
-        (AggKind::Sum, _) => AggState::Sum(0.0),
-        (AggKind::Count, _) => AggState::Count(0),
-        (AggKind::Avg, _) => AggState::Avg(0.0, 0),
-        (AggKind::Min, Col::F64(_)) => AggState::MinF(None),
-        (AggKind::Max, Col::F64(_)) => AggState::MaxF(None),
-        (AggKind::Min, Col::I64(_) | Col::Date(_)) => AggState::MinI(None),
-        (AggKind::Max, Col::I64(_) | Col::Date(_)) => AggState::MaxI(None),
-        (AggKind::Min, Col::Str(_)) => AggState::MinS(None),
-        (AggKind::Max, Col::Str(_)) => AggState::MaxS(None),
-        (AggKind::CountDistinct, Col::I64(_)) => AggState::Distinct(HashSet::new()),
-        (k, c) => {
-            return Err(IqError::Invalid(format!(
-                "aggregate {k:?} unsupported over {:?}",
-                c.data_type()
-            )))
-        }
-    })
-}
-
-fn update(state: &mut AggState, col: &Col, row: usize) {
-    match state {
-        AggState::Sum(acc) => {
-            *acc += match col {
-                Col::F64(v) => v[row],
-                Col::I64(v) => v[row] as f64,
-                _ => 0.0,
-            }
-        }
-        AggState::Count(n) => *n += 1,
-        AggState::Avg(acc, n) => {
-            *acc += match col {
-                Col::F64(v) => v[row],
-                Col::I64(v) => v[row] as f64,
-                _ => 0.0,
-            };
-            *n += 1;
-        }
-        AggState::MinF(m) => {
-            let x = col.f64s()[row];
-            *m = Some(m.map_or(x, |cur| cur.min(x)));
-        }
-        AggState::MaxF(m) => {
-            let x = col.f64s()[row];
-            *m = Some(m.map_or(x, |cur| cur.max(x)));
-        }
-        AggState::MinI(m) => {
-            let x = match col {
-                Col::I64(v) => v[row],
-                Col::Date(v) => v[row] as i64,
-                _ => 0,
-            };
-            *m = Some(m.map_or(x, |cur| cur.min(x)));
-        }
-        AggState::MaxI(m) => {
-            let x = match col {
-                Col::I64(v) => v[row],
-                Col::Date(v) => v[row] as i64,
-                _ => 0,
-            };
-            *m = Some(m.map_or(x, |cur| cur.max(x)));
-        }
-        AggState::MinS(m) => {
-            let x = &col.strs()[row];
-            if m.as_ref().is_none_or(|cur| x < cur) {
-                *m = Some(Arc::clone(x));
-            }
-        }
-        AggState::MaxS(m) => {
-            let x = &col.strs()[row];
-            if m.as_ref().is_none_or(|cur| x > cur) {
-                *m = Some(Arc::clone(x));
-            }
-        }
-        AggState::Distinct(set) => {
-            set.insert(col.i64s()[row]);
-        }
-    }
-}
-
-fn finalize(state: &AggState) -> AggResult {
-    match state {
-        AggState::Sum(acc) => AggResult::F(*acc),
-        AggState::Count(n) => AggResult::I(*n as i64),
-        AggState::Avg(acc, n) => AggResult::F(if *n == 0 { 0.0 } else { acc / *n as f64 }),
-        AggState::MinF(m) | AggState::MaxF(m) => AggResult::F(m.unwrap_or(0.0)),
-        AggState::MinI(m) | AggState::MaxI(m) => AggResult::I(m.unwrap_or(0)),
-        AggState::MinS(m) | AggState::MaxS(m) => {
-            AggResult::S(m.clone().unwrap_or_else(|| Arc::from("")))
-        }
-        AggState::Distinct(set) => AggResult::I(set.len() as i64),
-    }
-}
-
-enum AggResult {
-    F(f64),
-    I(i64),
-    S(Arc<str>),
-}
-
-/// Fold `rows` (ascending global row indices) into per-group states.
-/// Returns `(reps, states)` in first-seen order; `reps[i]` is the
-/// first-occurrence row of group `i`, so `reps` is strictly ascending.
+/// Fold `rows` (ascending global row indices) into per-group aggregates.
+/// Returns `(reps, columns)` in first-seen group order; `reps[i]` is the
+/// first-occurrence row of group `i`, so `reps` is strictly ascending,
+/// and `columns` holds one finished column per aggregate.
 ///
-/// This is *the* state-transition loop — the serial operator runs it over
-/// `0..n` and every phase-2 partition task runs it over its partition's
-/// row list. Because a group's rows arrive in the same ascending order
-/// either way, accumulation (including float sums) is performed in the
-/// identical sequence and the results are bitwise equal.
+/// This is *the* fold — the serial operator runs it over `0..n` and every
+/// phase-2 partition task runs it over its partition's row list. Because
+/// a group's rows arrive in the same ascending order either way,
+/// accumulation (including float sums) is performed in the identical
+/// sequence and the results are bitwise equal.
 fn aggregate_rows(
     input: &Chunk,
-    group_cols: &[usize],
+    words: &[u64],
     aggs: &[AggSpec],
-    rows: impl Iterator<Item = usize>,
-) -> IqResult<(Vec<usize>, Vec<Vec<AggState>>)> {
-    let mut groups: HashMap<Vec<KeyVal>, usize> = HashMap::new();
-    let mut states: Vec<Vec<AggState>> = Vec::new();
+    rows: &[usize],
+) -> IqResult<(Vec<usize>, Chunk)> {
+    let mut groups = Interner::with_capacity(rows.len());
     let mut reps: Vec<usize> = Vec::new();
-    for row in rows {
-        let key = key_of(input, group_cols, row)?;
-        let gi = match groups.get(&key) {
-            Some(&gi) => gi,
-            None => {
-                let gi = states.len();
-                groups.insert(key, gi);
-                states.push(
-                    aggs.iter()
-                        .map(|a| new_state(a.kind, input.col(a.col)))
-                        .collect::<IqResult<_>>()?,
-                );
+    let gids: Vec<usize> = rows
+        .iter()
+        .map(|&row| {
+            let g = groups.intern(mix(words[row]), words[row]);
+            if g == reps.len() {
                 reps.push(row);
-                gi
             }
-        };
-        for (s, a) in states[gi].iter_mut().zip(aggs) {
-            update(s, input.col(a.col), row);
-        }
-    }
-    Ok((reps, states))
+            g
+        })
+        .collect();
+    let cols = aggs
+        .iter()
+        .map(|a| fold_aggregate(a.kind, input.col(a.col), rows, &gids, reps.len()))
+        .collect::<IqResult<_>>()?;
+    Ok((reps, Chunk::new(cols)))
 }
 
 /// Hash aggregation under an [`OpExec`] policy: a partitioned two-phase
@@ -651,85 +758,43 @@ pub fn hash_aggregate_exec(
     meter: &WorkMeter,
     exec: &OpExec,
 ) -> IqResult<Chunk> {
-    let (mut reps, mut states) = if exec.workers() <= 1 || input.len() < 2 {
-        aggregate_rows(input, group_cols, aggs, 0..input.len())?
+    let words = KeySpace::new().words(input, group_cols);
+    let (reps, folded) = if exec.workers() <= 1 || input.len() < 2 {
+        let all: Vec<usize> = (0..input.len()).collect();
+        aggregate_rows(input, &words, aggs, &all)?
     } else {
-        let io = exec.io_core();
+        let io = exec.io_core(input.len());
         let parts = exec.partitions();
-        let by_part = partition_rows(input, group_cols, parts, &io, exec.workers())?;
-        let folded = io.run_ordered(parts, |p| {
-            aggregate_rows(input, group_cols, aggs, by_part[p].iter().copied())
-        })?;
-        // Stitch: the serial path discovers groups in first-occurrence
-        // row order, so sorting merged groups by their (unique)
-        // first-occurrence row reproduces it exactly.
-        let mut all: Vec<(usize, Vec<AggState>)> = folded
+        let by_part = partition_rows(&words, parts, &io, exec.workers())?;
+        let (reps, chunks): (Vec<Vec<usize>>, Vec<Chunk>) = io
+            .run_ordered(parts, |p| aggregate_rows(input, &words, aggs, &by_part[p]))?
             .into_iter()
-            .flat_map(|(reps, states)| reps.into_iter().zip(states))
-            .collect();
-        all.sort_by_key(|&(rep, _)| rep);
-        all.into_iter().unzip()
+            .unzip();
+        // Stitch: the serial path discovers groups in first-occurrence
+        // row order, so ordering the partitions' groups by their (unique)
+        // first-occurrence row reproduces it exactly.
+        let reps = reps.concat();
+        let mut order: Vec<usize> = (0..reps.len()).collect();
+        order.sort_unstable_by_key(|&g| reps[g]);
+        (
+            order.iter().map(|&g| reps[g]).collect(),
+            Chunk::concat(chunks)?.take(&order),
+        )
     };
     meter.add(cost::AGG * input.len() as u64 * aggs.len().max(1) as u64);
 
-    // Scalar aggregate over empty input: one row of zero states (grouped
-    // aggregates over empty input emit zero rows; output types are
-    // derived statically either way).
-    if states.is_empty() && group_cols.is_empty() {
-        states.push(
-            aggs.iter()
-                .map(|a| new_state(a.kind, input.col(a.col)))
-                .collect::<IqResult<_>>()?,
-        );
-        reps.push(usize::MAX);
-    }
-
-    // Assemble output columns.
-    let mut out: Vec<Col> = Vec::with_capacity(group_cols.len() + aggs.len());
-    for &g in group_cols {
-        let src = input.col(g);
-        let mut col = Col::empty(src.data_type().expect("group col has a type"));
-        for &rep in &reps {
-            col.push(&src.value(rep))?;
+    let mut out: Vec<Col> = group_cols
+        .iter()
+        .map(|&g| input.col(g).take(&reps))
+        .collect();
+    if reps.is_empty() && group_cols.is_empty() {
+        // Scalar aggregate over empty input: one row of zero states
+        // (grouped aggregates over empty input emit zero rows).
+        for a in aggs {
+            out.push(fold_aggregate(a.kind, input.col(a.col), &[], &[], 1)?);
         }
-        out.push(col);
-    }
-    for (ai, a) in aggs.iter().enumerate() {
-        match agg_out_kind(a.kind, input.col(a.col))? {
-            AggOut::F => {
-                let mut v = Vec::with_capacity(states.len());
-                for s in &states {
-                    if let AggResult::F(x) = finalize(&s[ai]) {
-                        v.push(x);
-                    } else {
-                        unreachable!("state shape always matches the static output kind");
-                    }
-                }
-                out.push(Col::F64(v));
-            }
-            AggOut::I => {
-                let mut v = Vec::with_capacity(states.len());
-                for s in &states {
-                    if let AggResult::I(x) = finalize(&s[ai]) {
-                        v.push(x);
-                    } else {
-                        unreachable!("state shape always matches the static output kind");
-                    }
-                }
-                out.push(Col::I64(v));
-            }
-            AggOut::S => {
-                let mut v = Vec::with_capacity(states.len());
-                for s in &states {
-                    if let AggResult::S(x) = finalize(&s[ai]) {
-                        v.push(x);
-                    } else {
-                        unreachable!("state shape always matches the static output kind");
-                    }
-                }
-                out.push(Col::Str(v));
-            }
-        }
+    } else {
+        out.extend(folded.cols);
     }
     Ok(Chunk::new(out))
 }
@@ -1044,6 +1109,32 @@ mod tests {
     }
 
     #[test]
+    fn inputs_wide_enough_for_several_lanes_stay_bitwise_serial() {
+        // The inputs above fit one lane; these get two and four.
+        let rows = 4 * LANE_ROWS + 321;
+        let input = reassociation_canary(rows);
+        let build = Chunk::new(vec![
+            Col::I64((0..rows as i64).map(|i| i % 11).collect()),
+            Col::F64((0..rows).map(|i| i as f64 * 0.25).collect()),
+        ]);
+        let probe = Chunk::new(vec![Col::I64((0..rows as i64).map(|i| i % 4099).collect())]);
+        let aggs = [AggSpec::sum(1), AggSpec::avg(1), AggSpec::count_distinct(2)];
+        let m = WorkMeter::new();
+        let x = OpExec::serial();
+        let agg = hash_aggregate_exec(&input, &[0], &aggs, &m, &x).unwrap();
+        let join = hash_join_exec(&probe, &build, &[0], &[0], JoinType::Left, &m, &x).unwrap();
+        for workers in [2, 4] {
+            let x = OpExec::new(workers);
+            assert_eq!(x.io_core(rows).lanes(), workers);
+            let out = hash_aggregate_exec(&input, &[0], &aggs, &m, &x).unwrap();
+            assert_chunks_bitwise_eq(&agg, &out);
+            let out = hash_join_exec(&probe, &build, &[0], &[0], JoinType::Left, &m, &x).unwrap();
+            assert_chunks_bitwise_eq(&join, &out);
+        }
+        assert_eq!(OpExec::new(4).io_core(LANE_ROWS * 2 - 1).lanes(), 1);
+    }
+
+    #[test]
     fn empty_partitions_keep_static_output_types() {
         // One group, eight workers: most partitions fold zero rows. The
         // output types must come from the specs, not from whichever
@@ -1101,20 +1192,67 @@ mod tests {
     }
 
     #[test]
-    fn stable_hash_is_run_independent_constants() {
+    fn key_hash_is_run_independent_constants() {
         // Pinned values: the partition function is part of the
         // deterministic-execution contract (std's RandomState is not).
-        let h1 = stable_hash_key(&[KeyVal::I(42)]);
-        let h2 = stable_hash_key(&[KeyVal::I(42)]);
-        assert_eq!(h1, h2);
-        assert_ne!(
-            stable_hash_key(&[KeyVal::I(1)]),
-            stable_hash_key(&[KeyVal::I(2)])
+        assert_eq!(mix(0), 0);
+        assert_eq!(mix(42), 0xa759_ea27_d472_7622);
+        assert_eq!(partition_of(mix(42), 4), 0xa759_ea27 % 4);
+        assert_ne!(mix(1), mix(2));
+    }
+
+    #[test]
+    fn key_words_are_equal_iff_keys_are_equal() {
+        let chunk = Chunk::new(vec![
+            Col::Str(vec!["a".into(), "".into(), Arc::from("a"), "b".into()]),
+            Col::F64(vec![0.0, -0.0, 0.0, f64::NAN]),
+            Col::I64(vec![i64::MIN, i64::MAX, i64::MIN, 0]),
+        ]);
+        let mut space = KeySpace::new();
+        // Strings by content (rows 0 and 2 hold different `Arc`s), dense
+        // ids in first-occurrence order.
+        assert_eq!(space.words(&chunk, &[0]), vec![0, 1, 0, 2]);
+        // Floats by bit pattern, integers by value.
+        let f = space.words(&chunk, &[1]);
+        assert!(f[0] == f[2] && f[0] != f[1]);
+        assert_eq!(space.words(&chunk, &[2])[1], i64::MAX as u64);
+        // Multi-column keys fold to one id; no columns key every row to 0.
+        let all = space.words(&chunk, &[0, 1, 2]);
+        assert!(all[0] == all[2] && all[0] != all[1] && all[1] != all[3]);
+        assert_eq!(space.words(&chunk, &[]), vec![0; 4]);
+        // A second chunk keyed through the same space meets the first.
+        let other = Chunk::new(vec![Col::Str(vec!["b".into(), "zz".into()])]);
+        assert_eq!(space.words(&other, &[0]), vec![2, 3]);
+    }
+
+    #[test]
+    fn interner_survives_growth_and_collisions() {
+        let mut t: Interner<u64> = Interner::with_capacity(0);
+        // One hash for every key: pure linear probing, through resizes.
+        for k in 0..100u64 {
+            assert_eq!(t.intern(7, k), k as usize);
+        }
+        for k in 0..100u64 {
+            assert_eq!(t.get(7, k), Some(k as usize));
+            assert_eq!(t.intern(7, k), k as usize);
+        }
+        assert_eq!(t.get(7, 100), None);
+        assert_eq!(t.len(), 100);
+    }
+
+    #[test]
+    fn join_rejects_keys_of_different_types() {
+        let m = WorkMeter::new();
+        let dates = Chunk::new(vec![Col::Date(vec![2, 4])]);
+        let err = hash_join_exec(
+            &left(),
+            &dates,
+            &[0],
+            &[0],
+            JoinType::Inner,
+            &m,
+            &OpExec::serial(),
         );
-        // Tagging keeps same-bytes values of different kinds apart.
-        assert_ne!(
-            stable_hash_key(&[KeyVal::I(0)]),
-            stable_hash_key(&[KeyVal::F(0)])
-        );
+        assert!(matches!(err, Err(IqError::Invalid(_))));
     }
 }

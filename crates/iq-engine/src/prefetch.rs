@@ -256,16 +256,14 @@ mod tests {
         assert_eq!(ctrl.limit(), PREFETCH_DEPTH, "no headroom, no growth");
 
         // Two ops retire → headroom 2 → ceiling 4 × (1 + 2) = 12.
-        stats.note_op_complete();
-        stats.note_op_complete();
+        stats.note_ops_complete(2);
         for _ in 0..50 {
             ctrl.record_success();
         }
         assert_eq!(ctrl.limit(), 12, "growth resumes with observed headroom");
 
         // Fully drained → regrow to the hard ceiling, never past it.
-        stats.note_op_complete();
-        stats.note_op_complete();
+        stats.note_ops_complete(2);
         for _ in 0..50 {
             ctrl.record_success();
         }

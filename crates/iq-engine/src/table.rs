@@ -18,9 +18,10 @@ use iq_storage::PageKind;
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::{Chunk, Col};
-use crate::encode::{decode_codes, decode_column, encode_column, Dictionary};
+use crate::encode::{decode_codes_as, decode_rows, encode_column, Dictionary};
 use crate::expr::Expr;
 use crate::hg::HgIndex;
+use crate::mask::Mask;
 use crate::meter::{cost, WorkMeter};
 use crate::prefetch::{PrefetchAdmission, PREFETCH_DEPTH};
 use crate::scanstats::ScanStats;
@@ -342,15 +343,18 @@ impl TableMeta {
         });
 
         // Predicate evaluation sees the phase-1 chunk indexed by original
-        // column ids via a remap; each projected column knows which phase
-        // supplies it. All loop-invariant.
-        let remap: BTreeMap<usize, usize> =
-            phase1.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+        // column ids via a dense remap; each projected column knows which
+        // phase supplies it. All loop-invariant.
+        let mut remap = vec![usize::MAX; self.schema.len()];
+        for (i, &c) in phase1.iter().enumerate() {
+            remap[c] = i;
+        }
+        #[derive(PartialEq)]
         enum Src {
             /// Decoded in phase 1 at this position.
             Phase1(usize),
-            /// Read in the code domain in phase 1; strings re-decode from
-            /// the saved page image.
+            /// Read in the code domain in phase 1: the selected rows'
+            /// strings decode from those codes.
             Phase1Dict(usize),
             /// Demand-read in phase 2 at this position.
             Phase2(usize),
@@ -435,21 +439,17 @@ impl TableMeta {
             }
 
             // Phase 1: demand-read and decode the predicate inputs (all
-            // needed columns when eager). Dictionary-domain columns keep
-            // their page image for string re-decode at assembly.
-            let mut bodies: Vec<Bytes> = Vec::with_capacity(phase1.len());
+            // needed columns when eager). A page must hold exactly the
+            // rows its group's metadata says: the count stored in the
+            // page is device bytes and is not trusted.
+            let rows = self.groups[g].rows as usize;
             let mut cols1: Vec<Col> = Vec::with_capacity(phase1.len());
             for &c in &phase1 {
                 let page = store.read_page(self.id, self.page_id(g, c), true)?;
                 let col = if dict_cols.binary_search(&c).is_ok() {
-                    Col::I64(
-                        decode_codes(&page.body)?
-                            .iter()
-                            .map(|&x| x as i64)
-                            .collect(),
-                    )
+                    Col::I64(decode_codes_as(&page.body, Some(rows), |code| code as i64)?)
                 } else {
-                    decode_column(&page.body, self.dicts[c].as_ref())?
+                    decode_rows(&page.body, self.dicts[c].as_ref(), Some(rows), None)?
                 };
                 meter.add(cost::SCAN * col.len() as u64);
                 if let Some(s) = &stats {
@@ -462,12 +462,11 @@ impl TableMeta {
                         1,
                     );
                 }
-                bodies.push(page.body);
                 cols1.push(col);
             }
-            let chunk1 = Chunk::new(cols1);
+            let mut chunk1 = Chunk::new(cols1);
             meter.add(cost::FILTER * chunk1.len() as u64);
-            let mask: Option<Vec<bool>> = match &eval_pred {
+            let mask: Option<Mask> = match &eval_pred {
                 Some(p) => Some(p.eval_mask(&chunk1, &remap)?),
                 None => None,
             };
@@ -477,7 +476,7 @@ impl TableMeta {
                 // group's own mask — deterministic and worker-independent,
                 // so the metered demand/prefetch split is identical at any
                 // worker count.
-                if mask.as_ref().is_some_and(|m| !m.iter().any(|&b| b)) {
+                if mask.as_ref().is_some_and(|m| !m.any()) {
                     if let Some(s) = &stats {
                         ScanStats::add(&s.groups_empty_mask, 1);
                         ScanStats::add(&s.projection_pages_skipped, phase2.len() as u64);
@@ -513,53 +512,63 @@ impl TableMeta {
                 }
             }
 
-            // Phase 2: demand-read the projection-only columns.
+            // Phase 2: demand-read the projection-only columns, decoding
+            // only the rows the mask selected (an unselected row's string
+            // is never materialized).
             let mut cols2: Vec<Col> = Vec::with_capacity(phase2.len());
             for &c in &phase2 {
                 let page = store.read_page(self.id, self.page_id(g, c), true)?;
-                let col = decode_column(&page.body, self.dicts[c].as_ref())?;
-                meter.add(cost::SCAN * col.len() as u64);
+                let dict = self.dicts[c].as_ref();
+                cols2.push(decode_rows(&page.body, dict, Some(rows), mask.as_ref())?);
+                meter.add(cost::SCAN * rows as u64);
                 if let Some(s) = &stats {
                     ScanStats::add(&s.projection_pages_read, 1);
                 }
-                cols2.push(col);
             }
 
             // Assemble the projection. Filtering each projected column is
             // bitwise identical to filtering the whole chunk and
-            // projecting, without touching predicate-only columns.
+            // projecting, without touching predicate-only columns. An
+            // unfiltered column moves out at its last use; only a
+            // projection that names it again clones it.
             let out: Vec<Col> = sources
                 .iter()
-                .map(|src| -> IqResult<Col> {
-                    let full: Cow<'_, Col> = match src {
-                        Src::Phase1(p) => Cow::Borrowed(chunk1.col(*p)),
-                        Src::Phase1Dict(p) => {
-                            Cow::Owned(decode_column(&bodies[*p], self.dicts[phase1[*p]].as_ref())?)
+                .enumerate()
+                .map(|(k, src)| -> IqResult<Col> {
+                    let last_use = !sources[k + 1..].contains(src);
+                    let owned = |col: &mut Col| {
+                        if last_use {
+                            std::mem::replace(col, Col::Bool(Vec::new()))
+                        } else {
+                            col.clone()
                         }
-                        Src::Phase2(p) => Cow::Borrowed(&cols2[*p]),
                     };
-                    Ok(match &mask {
-                        Some(m) => full.filter(m),
-                        None => full.into_owned(),
+                    Ok(match (src, &mask) {
+                        (Src::Phase2(p), _) => owned(&mut cols2[*p]),
+                        (Src::Phase1(p), None) => owned(&mut chunk1.cols[*p]),
+                        (Src::Phase1(p), Some(m)) => chunk1.col(*p).filter(m),
+                        (Src::Phase1Dict(p), _) => {
+                            let dict = self.dicts[phase1[*p]].as_ref();
+                            let (Some(dict), Some(m)) = (dict, &mask) else {
+                                unreachable!("a dictionary-domain column comes from a predicate")
+                            };
+                            let codes = chunk1.col(*p).i64s();
+                            let strs = m.iter_set().map(|row| dict.decode(codes[row] as u32));
+                            Col::Str(strs.collect::<IqResult<_>>()?)
+                        }
                     })
                 })
                 .collect::<IqResult<_>>()?;
-            let rows = match &mask {
-                Some(m) => m.iter().filter(|&&b| b).count() as u64,
-                None => chunk1.len() as u64,
-            };
             trace::emit(EventKind::ScanMorsel {
                 table: self.id.0 as u64,
                 group: g as u64,
-                rows,
+                rows: mask.as_ref().map_or(rows, Mask::count) as u64,
             });
             Ok(Chunk::new(out))
         })?;
 
-        let mut out = Chunk::default();
-        for chunk in &chunks {
-            out.append(chunk)?;
-        }
+        // The lanes hand their chunks over by value: stitch by moving.
+        let mut out = Chunk::concat(chunks)?;
         // An empty result still carries the projected arity.
         if out.cols.is_empty() {
             out = Chunk::new(
@@ -633,11 +642,23 @@ impl TableMeta {
         let mut i = 0usize;
         while i < rows.len() {
             let group = (rows[i] / gsize) as usize;
+            let group_rows = self
+                .groups
+                .get(group)
+                .ok_or_else(|| IqError::Invalid(format!("row {} is past the table", rows[i])))?
+                .rows as usize;
             let page = store.read_page(self.id, self.page_id(group, col), true)?;
-            let column = decode_column(&page.body, self.dicts[col].as_ref())?;
+            let dict = self.dicts[col].as_ref();
+            let column = decode_rows(&page.body, dict, Some(group_rows), None)?;
             meter.add(cost::SCAN * 8);
             while i < rows.len() && (rows[i] / gsize) as usize == group {
                 let local = (rows[i] % gsize) as usize;
+                if local >= group_rows {
+                    return Err(IqError::Invalid(format!(
+                        "row {} is past its group",
+                        rows[i]
+                    )));
+                }
                 out.push(&column.value(local))?;
                 i += 1;
             }
@@ -1074,6 +1095,49 @@ mod tests {
         let before = store.prefetched_pages();
         meta.gather_rows(&store, 0, &[10, 11], &meter).unwrap();
         assert_eq!(store.prefetched_pages(), before);
+    }
+
+    #[test]
+    fn forged_page_row_count_fails_the_read() {
+        let store = MemPageStore::new();
+        let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
+        load_rows(&mut meta, &store, 128);
+        let meter = WorkMeter::new();
+        let overwrite = |group: usize, body: Vec<u8>| {
+            let page = meta.page_id(group, 0);
+            store
+                .write_page(meta.id, page, PageKind::Data, Bytes::from(body), TxnId(2))
+                .unwrap();
+        };
+        // A well-formed page of 63 rows where the group holds 64: trusted,
+        // it yields columns of unequal length and the scan returns wrong
+        // rows in release builds.
+        overwrite(
+            1,
+            encode_column(&Col::I64((0..63).collect()), None).unwrap(),
+        );
+        let scanned = meta.scan(&store, &[0, 1], None, &meter);
+        assert!(matches!(scanned, Err(IqError::Corruption(_))));
+        let pred = Expr::ge(Expr::col(0), Expr::lit_i64(0));
+        let scanned = meta.scan(&store, &[0, 1], Some(&pred), &meter);
+        assert!(matches!(scanned, Err(IqError::Corruption(_))));
+        let gathered = meta.gather_rows(&store, 0, &[70], &meter);
+        assert!(matches!(gathered, Err(IqError::Corruption(_))));
+        // Width 0 and a count of 2^32 - 1 in 14 bytes: trusted, a 32 GiB
+        // allocation. (Group 1 is still forged, so restore it first.)
+        overwrite(
+            1,
+            encode_column(&Col::I64((64..128).collect()), None).unwrap(),
+        );
+        let mut forged = encode_column(&Col::I64(vec![7; 64]), None).unwrap();
+        forged[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        overwrite(0, forged);
+        let scanned = meta.scan(&store, &[0], None, &meter);
+        assert!(matches!(scanned, Err(IqError::Corruption(_))));
+        let gathered = meta.gather_rows(&store, 0, &[3], &meter);
+        assert!(matches!(gathered, Err(IqError::Corruption(_))));
+        // Rows past the table or past a short last group are refused too.
+        assert!(meta.gather_rows(&store, 1, &[128], &meter).is_err());
     }
 
     #[test]

@@ -86,21 +86,6 @@ impl fmt::Display for Value {
     }
 }
 
-/// Hashable/orderable key for group-by and join columns. Floats key by
-/// their bit pattern (exact equality — correct for grouping, e.g. Q10's
-/// `GROUP BY c_acctbal`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum KeyVal {
-    /// Integer key.
-    I(i64),
-    /// String key.
-    S(Arc<str>),
-    /// Date key.
-    D(i32),
-    /// Float key (bit pattern).
-    F(u64),
-}
-
 /// Days since 1970-01-01 for a calendar date. Proleptic Gregorian; valid
 /// for the TPC-H range (1992–1998) and far beyond.
 pub fn date_to_days(year: i32, month: u32, day: u32) -> i32 {
@@ -207,11 +192,5 @@ mod tests {
     fn value_display() {
         assert_eq!(Value::F64(1.005).to_string(), "1.00");
         assert_eq!(Value::Date(0).to_string(), "1970-01-01");
-    }
-
-    #[test]
-    fn keyval_orders() {
-        assert!(KeyVal::I(1) < KeyVal::I(2));
-        assert!(KeyVal::S("a".into()) < KeyVal::S("b".into()));
     }
 }

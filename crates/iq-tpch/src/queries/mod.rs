@@ -10,8 +10,6 @@
 mod q01_11;
 mod q12_22;
 
-use std::collections::BTreeMap;
-
 use iq_common::{IqError, IqResult};
 use iq_engine::chunk::{Chunk, Col};
 use iq_engine::expr::Expr;
@@ -88,8 +86,8 @@ pub fn days(s: &str) -> i32 {
 
 /// Identity remap for evaluating expressions over materialized chunks
 /// (column index = chunk position).
-pub fn ident(n: usize) -> BTreeMap<usize, usize> {
-    (0..n).map(|i| (i, i)).collect()
+pub fn ident(n: usize) -> Vec<usize> {
+    (0..n).collect()
 }
 
 /// Evaluate `e` over `chunk` with positional column references.

@@ -402,3 +402,91 @@ fn all_queries_bitwise_identical_late_mat_on_vs_off() {
         }
     }
 }
+
+/// FNV-1a over a result's type-tagged values, floats by bit pattern — the
+/// definition in `bench/src/fixture.rs::digest`, restated so the pinned
+/// answers below do not depend on the harness.
+fn digest(chunk: &iq_engine::Chunk) -> u64 {
+    use iq_engine::chunk::Col;
+    fn eat(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let mut h = eat(
+        0xcbf2_9ce4_8422_2325,
+        &(chunk.cols.len() as u64).to_le_bytes(),
+    );
+    for col in &chunk.cols {
+        h = eat(h, &(col.len() as u64).to_le_bytes());
+        match col {
+            Col::I64(v) => v
+                .iter()
+                .for_each(|x| h = eat(eat(h, &[1]), &x.to_le_bytes())),
+            Col::F64(v) => v
+                .iter()
+                .for_each(|x| h = eat(eat(h, &[2]), &x.to_bits().to_le_bytes())),
+            Col::Str(v) => v
+                .iter()
+                .for_each(|x| h = eat(eat(eat(h, &[3]), x.as_bytes()), &[0xff])),
+            Col::Date(v) => v
+                .iter()
+                .for_each(|x| h = eat(eat(h, &[4]), &x.to_le_bytes())),
+            Col::Bool(v) => v.iter().for_each(|x| h = eat(h, &[5, u8::from(*x)])),
+        }
+    }
+    h
+}
+
+/// `(digest, WorkMeter delta)` of Q1–Q22 at SF 0.005, seed 20210620,
+/// recorded on the commit *before* the column-at-a-time kernels landed
+/// (the row-at-a-time `Vec<KeyVal>` operators). The engine-vs-engine
+/// sweeps above pass a kernel that is wrong in both runs; these do not.
+const PINNED: [(u64, u64); 22] = [
+    (0x8d53c0e71bca2a31, 945360), // Q1
+    (0x9a808be6974b3103, 37968),  // Q2
+    (0xc038a5a945c59e6b, 272517), // Q3
+    (0x7c72612078206bc3, 227102), // Q4
+    (0x3ca85a8d7a06e776, 333795), // Q5
+    (0x9d779dca55638f76, 151242), // Q6
+    (0xd9da9ae5f4d851f2, 417425), // Q7
+    (0x6662958cadc5303a, 349387), // Q8
+    (0x2449893768bd934b, 506929), // Q9
+    (0xd4498c95f8ee78f5, 227778), // Q10
+    (0x8ce18f52f28d33fd, 37883),  // Q11
+    (0x22052333f2d139bf, 233464), // Q12
+    (0x1e8ede55da190109, 89250),  // Q13
+    (0xac4a69134fae698c, 159340), // Q14
+    (0xc71edde63ae14cee, 153498), // Q15
+    (0x924bd2ba65bb1f6d, 54572),  // Q16
+    (0x31427c8621446145, 242208), // Q17
+    (0x55b0986fe7822fc3, 252156), // Q18
+    (0x31427c8621446145, 222539), // Q19
+    (0xa3a4f6eec63f7eff, 210234), // Q20
+    (0x96175fb7eff3f4e5, 558970), // Q21
+    (0x7fb370a61dccec7f, 49236),  // Q22
+];
+
+#[test]
+fn all_queries_match_pinned_digests_and_meter_deltas() {
+    let f = fixture();
+    for (n, &(want_digest, want_units)) in (1..=22u32).zip(&PINNED) {
+        for workers in [1usize, 2] {
+            let meter = WorkMeter::new();
+            let ctx = Ctx {
+                db: &f.db,
+                store: &f.store,
+                meter: &meter,
+                exec: iq_engine::OpExec::new(workers),
+                late_mat: true,
+            };
+            let out = run_query(n, &ctx).unwrap_or_else(|e| panic!("Q{n} failed: {e}"));
+            assert_eq!(
+                digest(&out),
+                want_digest,
+                "Q{n} result digest @ {workers} workers"
+            );
+            assert_eq!(meter.total(), want_units, "Q{n} metered work units");
+        }
+    }
+}
