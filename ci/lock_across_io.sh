@@ -33,7 +33,7 @@ for f in crates/iq-buffer/src/*.rs crates/iq-ocm/src/*.rs \
          crates/iq-objectstore/src/reactor.rs crates/iq-common/src/io.rs \
          crates/iq-core/src/group_commit.rs \
          crates/iq-core/src/log_recovery.rs \
-         crates/iq-core/src/scheduler.rs \
+         crates/iq-bench/src/scheduler.rs \
          crates/iq-engine/src/table.rs \
          crates/iq-engine/src/prefetch.rs \
          crates/iq-engine/src/scanstats.rs; do

@@ -4,228 +4,110 @@
 //! cargo run --release -p iq-bench --bin repro -- --all
 //! cargo run --release -p iq-bench --bin repro -- --table2 --sf 0.02
 //! ```
+//!
+//! What can be run is [`iq_bench::sections::SECTIONS`]; this file only
+//! parses arguments against that table and prints what its entries
+//! produce.
+
+use std::process::ExitCode;
 
 use iq_bench::experiments;
+use iq_bench::sections::{bench_doc, select, FAULTS, GROUPS, SECTIONS};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn help() -> String {
+    let mut out = String::from(
+        "repro — regenerate the paper's evaluation\n\n\
+         USAGE: repro [--sf <f64>] [SECTIONS...]\n\nSECTIONS:\n",
+    );
+    let groups = GROUPS.iter().map(|g| (g.flag, g.help));
+    for (flag, help) in groups.chain(SECTIONS.iter().map(|s| (s.flag, s.help))) {
+        out += &format!("  --{flag:<17} {help}\n");
+    }
+    out + "\nMACHINE-READABLE MODES (exit after running; stdout is the artifact):\n  \
+           --trace <path>      write the Table-1 lifecycle's deterministic JSONL event journal\n  \
+           --metrics           print the metrics-registry snapshot of a small lifecycle as JSON\n  \
+           (either takes --faults to run under the scripted fault injector)\n\n\
+           --sf sets the functional scale factor (default 0.01); results are projected to\n\
+           the paper's SF 1000. A measured ablation (--gc … --throughput) also writes its\n\
+           rows to BENCH_<section>.json in the working directory, so the perf trajectory is\n\
+           tracked PR-over-PR, and fails the run if its acceptance gates do not hold.\n"
+}
+
+/// Parse the command line and run it; `Err` is a usage error.
+fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut sf = 0.01f64;
-    let mut wanted: Vec<&str> = Vec::new();
-    let mut trace_path: Option<String> = None;
+    let mut flags: Vec<&str> = Vec::new();
+    let mut trace_path = None;
     let mut metrics = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--help" | "-h" => {
-                println!(
-                    "repro — regenerate the paper's evaluation\n\n\
-                     USAGE: repro [--sf <f64>] [--all] [SECTIONS...]\n\n\
-                     SECTIONS:\n\
-                       --table1     recovery & GC walkthrough\n\
-                       --table2     load + query times (S3/EBS/EFS)\n\
-                       --table3     compute cost of load and query sweep\n\
-                       --table4     monthly data-at-rest cost\n\
-                       --table5     OCM utilization\n\
-                       --fig6       OCM on/off per query, two instances\n\
-                       --fig7       scale-up (16/48/96 CPUs)\n\
-                       --fig8       network bandwidth during load\n\
-                       --fig9       scale-out (2/4/8 nodes)\n\
-                       --ablations  design-choice ablations\n\
-                       --gc         batched multi-object GC deletion ablation\n\
-                       --cache      sharded scan-resistant buffer-cache ablation\n\
-                       --pack       commit-flush page-packing ablation (pack size\n\
-                                    sweep 1/4/16/64 + whole-object-GET leg)\n\
-                       --group-commit  coalesced transaction-log appends vs one\n\
-                                    PUT per record, committer sweep 1/4/8\n\
-                       --recovery   durable-log replay recovery drill: commits\n\
-                                    under a cut log store error and reconcile\n\
-                                    away at reopen\n\
-                       --throughput fair-queued TPC-H throughput drill: 24 query\n\
-                                    + 4 refresh streams over 16 slots, weighted\n\
-                                    fair vs FIFO, per-class p50/p99/$-cost\n\
-                       --prune      late-materialization scan ablation: eager vs\n\
-                                    two-phase predicate-first page reads over an\n\
-                                    unclustered selective sweep (GETs saved)\n\
-                       --faults     fault sweep: retry/backoff under a flaky store\n\
-                       --explain    time-model phase totals + folded event journal\n\n\
-                     MACHINE-READABLE MODES (exit after running; stdout is the artifact):\n\
-                       --trace <path>  write the Table-1 lifecycle's deterministic\n\
-                                       JSONL event journal to <path>; two runs are\n\
-                                       byte-identical (add --faults for the scripted\n\
-                                       fault injector — still byte-identical)\n\
-                       --metrics       print the unified metrics-registry snapshot\n\
-                                       for a small end-to-end lifecycle as one JSON\n\
-                                       object (add --faults to exercise the retry\n\
-                                       and backoff counters)\n\n\
-                     --sf sets the functional scale factor (default 0.01);\n\
-                     results are projected to the paper's SF 1000.\n\n\
-                     The --gc, --cache, --pack, --group-commit, --recovery,\n\
-                     --throughput and --prune sections also write their\n\
-                     measurement rows to BENCH_gc.json / BENCH_cache.json /\n\
-                     BENCH_pack.json / BENCH_group_commit.json /\n\
-                     BENCH_recovery.json / BENCH_throughput.json /\n\
-                     BENCH_prune.json in the working directory, so the perf\n\
-                     trajectory is tracked PR-over-PR."
-                );
-                return;
+                print!("{}", help());
+                return Ok(ExitCode::SUCCESS);
             }
             "--sf" => {
-                i += 1;
-                sf = args[i].parse().expect("--sf takes a number");
+                let value = args.next().ok_or("--sf takes a number")?;
+                sf = value
+                    .parse()
+                    .map_err(|_| format!("--sf takes a number, got {value}"))?;
             }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(args.get(i).expect("--trace takes an output path").clone());
-            }
+            "--trace" => trace_path = Some(args.next().ok_or("--trace takes an output path")?),
             "--metrics" => metrics = true,
-            "--all" => wanted.push("all"),
-            flag if flag.starts_with("--") => wanted.push(Box::leak(
-                flag.trim_start_matches("--").to_string().into_boxed_str(),
-            )),
-            other => panic!("unknown argument {other}"),
+            other => flags.push(
+                other
+                    .strip_prefix("--")
+                    .ok_or_else(|| format!("unknown argument {other}"))?,
+            ),
         }
-        i += 1;
     }
+    let sections = select(&flags)?;
+
     // Machine-readable modes: run, emit the artifact, and exit before the
     // human-facing banner so stdout stays parseable (`--faults` acts as a
     // modifier here rather than selecting the fault-sweep report).
     if trace_path.is_some() || metrics {
-        let faults = wanted.contains(&"faults");
-        if let Some(path) = &trace_path {
+        let faults = flags.contains(&FAULTS);
+        if let Some(path) = trace_path {
             let journal = experiments::trace_table1(faults).expect("trace capture");
             std::fs::write(path, journal).expect("write trace journal");
             eprintln!("trace journal written to {path}");
         }
         if metrics {
-            println!(
-                "{}",
-                experiments::metrics_export(sf, faults).expect("metrics export")
-            );
+            let json = experiments::metrics_export(sf, faults).expect("metrics export");
+            println!("{json}");
         }
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
-
-    if wanted.is_empty() {
-        wanted.push("all");
-    }
-    let want = |name: &str| wanted.contains(&"all") || wanted.contains(&name);
 
     println!("cloudiq reproduction harness — functional SF {sf}, projected to SF 1000\n");
-
-    let mut reports = Vec::new();
-    if want("table1") {
-        reports.push(experiments::table1().expect("table1"));
-    }
-    if want("table2") || want("table3") || want("table4") || want("table5") || want("fig8") {
-        let suite = experiments::run_volume_suite(sf).expect("volume suite");
-        if want("table2") {
-            reports.push(experiments::table2(&suite));
-        }
-        if want("table3") {
-            reports.push(experiments::table3(&suite));
-        }
-        if want("table4") {
-            reports.push(experiments::table4(&suite));
-        }
-        if want("table5") {
-            reports.push(experiments::table5(sf).expect("table5"));
-        }
-        if want("fig8") {
-            reports.push(experiments::fig8(&suite));
+    let mut suite = None;
+    for section in sections {
+        let (text, rows) = match section.run(sf, &mut suite) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                eprintln!("repro: --{} failed: {e}", section.flag);
+                return Ok(ExitCode::FAILURE);
+            }
+        };
+        print!("{text}");
+        if let Some(rows) = rows {
+            let path = section.bench_file();
+            std::fs::write(&path, bench_doc(sf, rows.as_ref())).expect("write bench json");
+            eprintln!("bench trajectory written to {path}");
+            if let Err(why) = rows.gates() {
+                eprintln!("repro: --{} gate failed: {why}", section.flag);
+                return Ok(ExitCode::FAILURE);
+            }
         }
     }
-    if want("fig6") {
-        reports.push(experiments::fig6(sf).expect("fig6"));
-    }
-    if want("fig7") {
-        reports.push(experiments::fig7(sf).expect("fig7"));
-    }
-    if wanted.contains(&"explain") {
-        experiments::explain(sf).expect("explain");
-        return;
-    }
-    if want("fig9") {
-        reports.push(experiments::fig9(sf).expect("fig9"));
-    }
-    if want("faults") {
-        reports.push(experiments::fault_sweep());
-    }
-    if want("ablations") || want("all") {
-        reports
-            .push(experiments::ablation_scan_parallelism(sf).expect("ablation_scan_parallelism"));
-        reports.push(experiments::ablation_consistency());
-        if !want("faults") {
-            reports.push(experiments::fault_sweep());
-        }
-        reports.push(experiments::ablation_prefix());
-        reports.push(experiments::ablation_keyrange());
-        reports.push(experiments::ablation_ocm_mode());
-        reports.push(experiments::ablation_rollback_notify());
-        if !want("gc") {
-            reports.push(experiments::ablation_gc_batching(sf).expect("ablation_gc_batching"));
-        }
-        if !want("cache") {
-            reports.push(experiments::ablation_cache(sf).expect("ablation_cache"));
-        }
-        if !want("pack") {
-            reports.push(experiments::ablation_pack(sf).expect("ablation_pack"));
-        }
-        if !want("group-commit") {
-            reports.push(experiments::ablation_group_commit(sf).expect("ablation_group_commit"));
-        }
-        if !want("recovery") {
-            reports.push(experiments::ablation_recovery(sf).expect("ablation_recovery"));
-        }
-        if !want("prune") {
-            reports.push(experiments::ablation_prune(sf).expect("ablation_prune"));
-        }
-    }
-    if want("gc") {
-        let m = experiments::gc_batching_measurements(sf).expect("gc_batching_measurements");
-        write_bench("gc", sf, &m);
-        reports.push(experiments::report_gc_batching(&m));
-    }
-    if want("cache") {
-        let m = experiments::cache_measurements(sf).expect("cache_measurements");
-        write_bench("cache", sf, &m);
-        reports.push(experiments::report_cache(&m));
-    }
-    if want("pack") {
-        let m = experiments::pack_measurements(sf).expect("pack_measurements");
-        write_bench("pack", sf, &m);
-        reports.push(experiments::report_pack(&m));
-    }
-    if want("group-commit") {
-        let m = experiments::group_commit_measurements(sf).expect("group_commit_measurements");
-        write_bench("group_commit", sf, &m);
-        reports.push(experiments::report_group_commit(&m));
-    }
-    if want("recovery") {
-        let m = experiments::recovery_measurements(sf).expect("recovery_measurements");
-        write_bench("recovery", sf, &m);
-        reports.push(experiments::report_recovery(&m));
-    }
-    if want("prune") {
-        let m = experiments::prune_measurements(sf).expect("prune_measurements");
-        write_bench("prune", sf, &m);
-        reports.push(experiments::report_prune(&m));
-    }
-    if want("throughput") {
-        let m = iq_bench::throughput::throughput_measurements(sf).expect("throughput_measurements");
-        write_bench("throughput", sf, &m);
-        reports.push(iq_bench::throughput::report_throughput(&m));
-    }
-    for r in &reports {
-        println!("{}", r.to_text());
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Write one ablation's measurement rows to `BENCH_<name>.json` so the
-/// perf trajectory is tracked PR-over-PR (`{"sf": ..., "rows": [...]}`).
-fn write_bench<T: serde::Serialize>(name: &str, sf: f64, rows: &T) {
-    let path = format!("BENCH_{name}.json");
-    let rows = serde_json::to_string(rows).expect("bench rows serialize");
-    let doc = format!("{{\n  \"sf\": {sf},\n  \"rows\": {rows}\n}}\n");
-    std::fs::write(&path, doc).expect("write bench json");
-    eprintln!("bench trajectory written to {path}");
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    run(&args).unwrap_or_else(|usage| {
+        eprintln!("repro: {usage}\n(repro --help lists the sections)");
+        ExitCode::from(2)
+    })
 }

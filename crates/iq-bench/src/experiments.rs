@@ -1,16 +1,32 @@
 //! Drivers for every table and figure in the paper's evaluation (§6),
-//! plus the DESIGN.md ablations.
+//! plus the DESIGN.md ablations. [`crate::sections::SECTIONS`] is the one
+//! list of them: what `repro` can run, under which flag, and — for the
+//! measured ablations, whose rows implement [`Rows`] — which
+//! `BENCH_*.json` they write and which gates they must pass.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
-use iq_common::{DetRng, IqResult, SimDuration, GIB};
-use iq_objectstore::{
-    cost::monthly_storage_usd, ComputeProfile, CostSummary, DeviceProfile, TimeModel, VolumeKind,
+use bytes::Bytes;
+use iq_common::{
+    DbSpaceId, DetRng, IqError, IqResult, NodeId, ObjectKey, PageId, PhysicalLocator, SimDuration,
+    TableId, TxnId, VersionId, GIB,
 };
-use iq_tpch::queries::run_query;
+use iq_core::{Database, DatabaseConfig, GroupCommitMode};
+use iq_engine::{DataType, PageStore, Schema, TableMeta, TableWriter, Value};
+use iq_objectstore::timemodel::DeviceLoad;
+use iq_objectstore::{
+    cost::monthly_storage_usd, ComputeProfile, ConsistencyConfig, CostSummary, DeviceProfile,
+    DeviceStats, FaultInjector, FaultPlan, IoOp, ObjectBackend, ObjectStoreSim, RetryPolicy,
+    TimeModel, VolumeKind,
+};
+use iq_storage::{DbSpace, KeySource, Page, PageKind, StorageConfig};
+use iq_txn::{Multiplex, RfRb, TxnLog};
 
 use crate::report::{secs, usd, Report};
-use crate::runner::{scale_phase, PowerRun, RunConfig};
+use crate::runner::{scale_phase, PowerRun, RunConfig, SEED};
+use crate::sections::{gate, Rows};
 
 /// The three volume runs behind Tables 2–4 and Figure 8.
 pub struct VolumeSuite {
@@ -134,25 +150,16 @@ pub fn table5(sf: f64) -> IqResult<Report> {
         "Table 5 — OCM utilization during the query sweep",
         &["", "Objects (measured)", "Objects (scaled)", "Percentage"],
     );
-    let total = (s.hits + s.misses).max(1);
-    r.row(vec![
-        "Cache Misses".into(),
-        s.misses.to_string(),
-        format!("{:.0}", s.misses as f64 * scale),
-        format!("{:.1}%", 100.0 * s.misses as f64 / total as f64),
-    ]);
-    r.row(vec![
-        "Cache Hits".into(),
-        s.hits.to_string(),
-        format!("{:.0}", s.hits as f64 * scale),
-        format!("{:.1}%", 100.0 * s.hits as f64 / total as f64),
-    ]);
-    r.row(vec![
-        "Evictions".into(),
-        s.evictions.to_string(),
-        format!("{:.0}", s.evictions as f64 * scale),
-        String::new(),
-    ]);
+    let total = (s.hits + s.misses).max(1) as f64;
+    let share = |n: u64| format!("{:.1}%", 100.0 * n as f64 / total);
+    for (name, n, share) in [
+        ("Cache Misses", s.misses, share(s.misses)),
+        ("Cache Hits", s.hits, share(s.hits)),
+        ("Evictions", s.evictions, String::new()),
+    ] {
+        let scaled = format!("{:.0}", n as f64 * scale);
+        r.row(vec![name.into(), n.to_string(), scaled, share]);
+    }
     r.note("paper: 962,573 misses (25.5%), 2,807,368 hits (74.5%)");
     Ok(r)
 }
@@ -235,7 +242,8 @@ pub fn fig8(suite: &VolumeSuite) -> Report {
     let run = &suite.runs["AWS S3"];
     let load_secs = run.phase_seconds(&run.load);
     let scale = run.config.scale();
-    let buckets = &run.load_buckets;
+    // The user volume is the load phase's first device.
+    let buckets = &run.load.load.devices[0].snapshot.buckets;
     let mut r = Report::new(
         "Figure 8 — network bandwidth during load (S3 dbspace traffic)",
         &["t (s)", "Gbit/s"],
@@ -275,13 +283,13 @@ pub fn fig9(sf: f64) -> IqResult<Report> {
         .iter()
         .map(|q| {
             model
-                .phase_time(&crate::runner::scale_phase(&q.load, run.config.scale()))
+                .phase_time(&scale_phase(&q.load, run.config.scale()))
                 .as_secs_f64()
         })
         .collect();
 
     // Eight streams, each a seeded permutation of the 22 queries.
-    let mut rng = DetRng::new(run.config.seed);
+    let mut rng = DetRng::new(SEED);
     let streams: Vec<Vec<usize>> = (0..8)
         .map(|_| {
             let mut order: Vec<usize> = (0..22).collect();
@@ -316,6 +324,39 @@ pub fn fig9(sf: f64) -> IqResult<Report> {
     Ok(r)
 }
 
+/// Cloud dbspace 1 over `backend`, at the small test geometry — what the
+/// storage-level legs (no [`Database`]) write to.
+fn cloud_space(backend: Arc<dyn ObjectBackend>, retry: RetryPolicy) -> DbSpace {
+    let config = StorageConfig::test_small();
+    DbSpace::cloud(DbSpaceId(1), "cloud", config, backend, retry)
+}
+
+/// Data page `p` at its first version, holding `body`.
+fn data_page(p: u64, body: Vec<u8>) -> Page {
+    Page::new(PageId(p), VersionId(1), PageKind::Data, Bytes::from(body))
+}
+
+/// The synthetic-ledger idiom: `n` requests of `op` × `bytes` against
+/// `profile`, spread round-robin over `prefixes` key prefixes if given,
+/// ready to be priced by [`TimeModel::device_time`].
+fn synthetic_load(
+    profile: DeviceProfile,
+    op: IoOp,
+    n: u64,
+    bytes: u64,
+    prefixes: Option<u64>,
+) -> DeviceLoad {
+    let stats = DeviceStats::new();
+    for i in 0..n {
+        stats.record_prefixed(op, bytes, prefixes.map(|m| (i % m) as u16));
+    }
+    DeviceLoad {
+        profile,
+        snapshot: stats.snapshot(),
+        serial_read_fraction: 0.0,
+    }
+}
+
 /// **Table 1** — the recovery/GC walkthrough, executed and tabulated.
 pub fn table1() -> IqResult<Report> {
     table1_walkthrough(false)
@@ -327,15 +368,8 @@ pub fn table1() -> IqResult<Report> {
 /// streams, so every run replays the same operation sequence — which is
 /// what makes the traced journal ([`trace_table1`]) a usable golden file.
 fn table1_walkthrough(faults: bool) -> IqResult<Report> {
-    use bytes::Bytes;
-    use iq_common::{DbSpaceId, NodeId, PageId, TxnId, VersionId};
-    use iq_objectstore::{
-        ConsistencyConfig, FaultInjector, FaultPlan, IoReactor, ObjectBackend, ObjectStoreSim,
-        ReactorStore, RetryPolicy,
-    };
-    use iq_storage::{DbSpace, KeySource, Page, PageKind, StorageConfig};
-    use iq_txn::{LogRecord, Multiplex, RfRb, TxnLog};
-    use std::sync::Arc;
+    use iq_objectstore::{IoReactor, ReactorStore};
+    use iq_txn::LogRecord;
 
     let log = Arc::new(TxnLog::new());
     let mx = Multiplex::new(Arc::clone(&log), 1, 0);
@@ -358,26 +392,22 @@ fn table1_walkthrough(faults: bool) -> IqResult<Report> {
     // byte-identical to the direct-call era.
     let backend: Arc<dyn ObjectBackend> =
         Arc::new(ReactorStore::new(Arc::new(IoReactor::new()), backend));
-    let space = DbSpace::cloud(
-        DbSpaceId(1),
-        "cloud",
-        StorageConfig::test_small(),
-        backend,
-        retry,
-    );
-    let active = |mx: &Multiplex| -> String {
-        match mx.coordinator.keygen() {
-            Ok(kg) => format!("W1: {:?}", kg.active_set(NodeId(1)).runs()),
-            Err(_) => "∅ (down)".into(),
-        }
-    };
+    let space = cloud_space(backend, retry);
 
     let mut r = Report::new(
         "Table 1 — recovery and garbage collection walkthrough",
         &["Clock", "Event", "Active set(s)"],
     );
+    // One row per clock tick: what happened, and the active set after it.
+    let mut tick = |clock: &str, event: String| {
+        let active = match mx.coordinator.keygen() {
+            Ok(kg) => format!("W1: {:?}", kg.active_set(NodeId(1)).runs()),
+            Err(_) => "∅ (down)".into(),
+        };
+        r.row(vec![clock.into(), event, active]);
+    };
     mx.coordinator.checkpoint()?;
-    r.row(vec!["50".into(), "Checkpoint".into(), active(&mx)]);
+    tick("50", "Checkpoint".into());
 
     let cache = w1.key_cache()?;
     let flush = |n: u64| -> IqResult<(u64, u64)> {
@@ -387,34 +417,23 @@ fn table1_walkthrough(faults: bool) -> IqResult<Report> {
             let k = KeySource::next_key(cache.as_ref())?;
             first = first.min(k.offset());
             last = last.max(k.offset());
-            let page = Page::new(
-                PageId(i),
-                VersionId(1),
-                PageKind::Data,
-                Bytes::from(vec![0u8; 32]),
-            );
-            space.write_page_with_key(&page, k)?;
+            space.write_page_with_key(&data_page(i, vec![0u8; 32]), k)?;
         }
         Ok((first, last))
     };
     let (t1_lo, t1_hi) = flush(30)?;
-    r.row(vec![
-        "60/70".into(),
+    tick(
+        "60/70",
         format!("Range allocated; T1 flushes keys {t1_lo}–{t1_hi}"),
-        active(&mx),
-    ]);
+    );
     let (t2_lo, t2_hi) = flush(20)?;
-    r.row(vec![
-        "80".into(),
-        format!("T2 flushes keys {t2_lo}–{t2_hi}"),
-        active(&mx),
-    ]);
+    tick("80", format!("T2 flushes keys {t2_lo}–{t2_hi}"));
 
     let mut rfrb = RfRb::new();
     for k in t1_lo..=t1_hi {
         rfrb.record_alloc(
             DbSpaceId(1),
-            iq_common::PhysicalLocator::Object(iq_common::ObjectKey::from_offset(k)),
+            PhysicalLocator::Object(ObjectKey::from_offset(k)),
         );
     }
     log.append(LogRecord::Commit {
@@ -423,42 +442,28 @@ fn table1_walkthrough(faults: bool) -> IqResult<Report> {
         rfrb: rfrb.clone(),
     });
     mx.coordinator.keygen()?.note_commit(NodeId(1), &rfrb);
-    r.row(vec![
-        "90".into(),
-        "T1 commits; active set trimmed".into(),
-        active(&mx),
-    ]);
+    tick("90", "T1 commits; active set trimmed".into());
 
     mx.coordinator.crash();
-    r.row(vec![
-        "110".into(),
-        "Coordinator crashes".into(),
-        active(&mx),
-    ]);
+    tick("110", "Coordinator crashes".into());
     mx.coordinator.recover();
-    r.row(vec![
-        "120".into(),
-        "Coordinator recovers (log replay)".into(),
-        active(&mx),
-    ]);
+    tick("120", "Coordinator recovers (log replay)".into());
 
     for k in t2_lo..=t2_hi {
-        space.poll_delete(iq_common::ObjectKey::from_offset(k))?;
+        space.poll_delete(ObjectKey::from_offset(k))?;
     }
-    r.row(vec![
-        "130".into(),
+    tick(
+        "130",
         "T2 rolls back; objects deleted, coordinator NOT notified".into(),
-        active(&mx),
-    ]);
+    );
 
     w1.crash();
-    r.row(vec!["140".into(), "W1 crashes".into(), active(&mx)]);
+    tick("140", "W1 crashes".into());
     let (polled, deleted) = w1.restart(&space)?;
-    r.row(vec![
-        "150".into(),
+    tick(
+        "150",
         format!("W1 restarts; coordinator polls {polled} keys, deletes {deleted}"),
-        active(&mx),
-    ]);
+    );
     r.note(format!(
         "objects surviving (committed T1 pages): {}",
         store.object_count()
@@ -468,11 +473,7 @@ fn table1_walkthrough(faults: bool) -> IqResult<Report> {
 
 /// Ablation — never-write-twice vs update-in-place on an eventually
 /// consistent store: counts observable stale reads.
-pub fn ablation_consistency() -> Report {
-    use bytes::Bytes;
-    use iq_common::ObjectKey;
-    use iq_objectstore::{ConsistencyConfig, ObjectBackend, ObjectStoreSim};
-
+pub fn consistency() -> Report {
     let mut r = Report::new(
         "Ablation — never-write-twice vs update-in-place",
         &[
@@ -493,37 +494,18 @@ pub fn ablation_consistency() -> Report {
         });
         let mut stale = 0u64;
         let mut notfound = 0u64;
-        let mut next_key = 0u64;
         let versions = 50u64;
         let pages = 20u64;
-        let mut current: Vec<ObjectKey> = Vec::new();
         for v in 0..versions {
             for p in 0..pages {
-                let key = if fresh_keys {
-                    let k = ObjectKey::from_offset(next_key);
-                    next_key += 1;
-                    k
-                } else {
-                    ObjectKey::from_offset(p)
-                };
-                let payload = Bytes::from(format!("page-{p}-version-{v}"));
-                store.put(key, payload).unwrap();
-                if fresh_keys {
-                    if current.len() <= p as usize {
-                        current.push(key);
-                    } else {
-                        current[p as usize] = key;
-                    }
-                }
+                // A fresh key per version, or the page's one key again.
+                let key = ObjectKey::from_offset(if fresh_keys { v * pages + p } else { p });
+                let payload = format!("page-{p}-version-{v}");
+                store.put(key, Bytes::from(payload.clone())).unwrap();
                 // Read-after-write, as the buffer manager would.
-                let key = if fresh_keys { current[p as usize] } else { key };
-                let expect = format!("page-{p}-version-{v}");
                 match store.get(key) {
-                    Ok(bytes) => {
-                        if bytes != expect.as_bytes() {
-                            stale += 1;
-                        }
-                    }
+                    Ok(bytes) if bytes != payload.as_bytes() => stale += 1,
+                    Ok(_) => {}
                     Err(_) => notfound += 1,
                 }
             }
@@ -546,13 +528,6 @@ pub fn ablation_consistency() -> Report {
 /// §4 outcome: exhausted budgets surface as transaction rollbacks, and
 /// no key is ever written twice regardless of rate.
 pub fn fault_sweep() -> Report {
-    use bytes::Bytes;
-    use iq_common::{IqError, ObjectKey};
-    use iq_objectstore::{
-        ConsistencyConfig, FaultInjector, FaultPlan, ObjectBackend, ObjectStoreSim, RetryPolicy,
-    };
-    use std::sync::Arc;
-
     let mut r = Report::new(
         "Fault sweep — retry/backoff under a flaky store (400 pages, seed 7)",
         &[
@@ -608,25 +583,15 @@ pub fn fault_sweep() -> Report {
 
 /// Ablation — hashed key prefixes vs a single hot prefix under S3's
 /// per-prefix request-rate limits.
-pub fn ablation_prefix() -> Report {
-    use iq_objectstore::timemodel::DeviceLoad;
-    use iq_objectstore::{DeviceStats, IoOp};
-
+pub fn prefix() -> Report {
     let model = TimeModel::new(ComputeProfile::m5ad_24xlarge());
     let mut r = Report::new(
         "Ablation — hashed vs monotone key prefixes (1M PUTs of 64 KiB objects)",
         &["Prefix scheme", "Effective prefixes", "PUT phase (s)"],
     );
     for (name, prefixes) in [("monotone (1 hot prefix)", 1u64), ("hashed (spread)", 4096)] {
-        let stats = DeviceStats::new();
-        for i in 0..1_000_000u64 {
-            stats.record_prefixed(IoOp::Put, 64 * 1024, Some((i % prefixes) as u16));
-        }
-        let load = DeviceLoad {
-            profile: DeviceProfile::s3(),
-            snapshot: stats.snapshot(),
-            serial_read_fraction: 0.0,
-        };
+        let s3 = DeviceProfile::s3();
+        let load = synthetic_load(s3, IoOp::Put, 1_000_000, 64 * 1024, Some(prefixes));
         let t = model.device_time(&load);
         r.row(vec![
             name.into(),
@@ -639,10 +604,9 @@ pub fn ablation_prefix() -> Report {
 }
 
 /// Ablation — key-range size vs coordinator RPC count.
-pub fn ablation_keyrange() -> Report {
+pub fn keyrange() -> Report {
     use iq_txn::keygen::{CachePolicy, KeyGenerator, NodeKeyCache};
-    use iq_txn::{RangeProvider, TxnLog};
-    use std::sync::Arc;
+    use iq_txn::RangeProvider;
 
     let mut r = Report::new(
         "Ablation — key-range size vs coordinator RPCs (100k keys consumed)",
@@ -652,7 +616,7 @@ pub fn ablation_keyrange() -> Report {
         let log = Arc::new(TxnLog::new());
         let kg: Arc<dyn RangeProvider> = Arc::new(KeyGenerator::new(Arc::clone(&log)));
         let cache = NodeKeyCache::new(
-            iq_common::NodeId(1),
+            NodeId(1),
             kg,
             CachePolicy {
                 initial,
@@ -661,7 +625,7 @@ pub fn ablation_keyrange() -> Report {
             },
         );
         for _ in 0..100_000 {
-            iq_storage::KeySource::next_key(&cache).unwrap();
+            KeySource::next_key(&cache).unwrap();
         }
         // Every allocation appended one log record.
         r.row(vec![
@@ -683,7 +647,7 @@ pub fn ablation_keyrange() -> Report {
 /// `W` — the effective-parallelism term of the time model. The transfer,
 /// IOPS and NIC floors do not move, which is what bends the curve flat at
 /// high worker counts, mirroring Figure 7's NIC-bound tail.
-pub fn ablation_scan_parallelism(sf: f64) -> IqResult<Report> {
+pub fn scan_parallelism(sf: f64) -> IqResult<Report> {
     let run = PowerRun::execute(RunConfig::paper_default(sf))?;
     let model = TimeModel::new(run.config.compute.clone());
     let sweep = |workers: usize| -> f64 {
@@ -715,46 +679,13 @@ pub fn ablation_scan_parallelism(sf: f64) -> IqResult<Report> {
     Ok(r)
 }
 
-/// Run every experiment and return the rendered reports in paper order.
-pub fn run_all(sf: f64) -> IqResult<Vec<Report>> {
-    let mut out = Vec::new();
-    out.push(table1()?);
-    let suite = run_volume_suite(sf)?;
-    out.push(table2(&suite));
-    out.push(table3(&suite));
-    out.push(table4(&suite));
-    out.push(table5(sf)?);
-    out.push(fig6(sf)?);
-    out.push(fig7(sf)?);
-    out.push(fig8(&suite));
-    out.push(fig9(sf)?);
-    out.push(ablation_scan_parallelism(sf)?);
-    out.push(ablation_consistency());
-    out.push(fault_sweep());
-    out.push(ablation_prefix());
-    out.push(ablation_keyrange());
-    out.push(ablation_ocm_mode());
-    out.push(ablation_rollback_notify());
-    out.push(ablation_gc_batching(sf)?);
-    out.push(ablation_cache(sf)?);
-    out.push(ablation_pack(sf)?);
-    Ok(out)
-}
-
-/// Sanity helper used by tests: run one query through a fresh S3 setup.
-pub fn smoke_query(sf: f64, n: u32) -> IqResult<u64> {
-    let run = PowerRun::execute(RunConfig::paper_default(sf))?;
-    let _ = run_query; // re-exported for bench targets
-    Ok(run.queries[(n - 1) as usize].rows)
-}
-
 /// Calibration aid: execute the S3 power run under event tracing and fold
 /// the journal into per-kind aggregates. The per-phase virtual times stay
 /// as the header; the folded journal replaces the old ad-hoc per-device
 /// prints, so what the run *did* (counts, bytes moved, op-clock span per
 /// event kind) is read from the same instrumentation every other consumer
 /// of the trace sees.
-pub fn explain(sf: f64) -> IqResult<()> {
+pub fn explain(sf: f64) -> IqResult<String> {
     use iq_common::trace;
 
     trace::enable(1 << 20);
@@ -764,12 +695,12 @@ pub fn explain(sf: f64) -> IqResult<()> {
     let dropped = trace::dropped();
     let run = run?;
 
+    let mut out = String::new();
     let model = TimeModel::new(run.config.compute.clone());
-    let mut phases: Vec<&crate::runner::PhaseCapture> = vec![&run.load];
-    phases.extend(run.queries.iter());
-    for p in phases {
-        let scaled = crate::runner::scale_phase(&p.load, run.config.scale());
-        println!(
+    for p in std::iter::once(&run.load).chain(&run.queries) {
+        let scaled = scale_phase(&p.load, run.config.scale());
+        let _ = writeln!(
+            out,
             "{}: total={:.1}s cpu={:.1}s",
             p.name,
             model.phase_time(&scaled).as_secs_f64(),
@@ -777,21 +708,24 @@ pub fn explain(sf: f64) -> IqResult<()> {
         );
     }
 
-    println!(
+    let _ = writeln!(
+        out,
         "\nevent journal — {} events captured, {dropped} dropped:",
         events.len()
     );
-    println!(
+    let _ = writeln!(
+        out,
         "{:<18} {:>10} {:>16} {:>12} {:>12}",
         "kind", "count", "bytes", "first_t", "last_t"
     );
     for (kind, f) in trace::fold_journal(&events) {
-        println!(
+        let _ = writeln!(
+            out,
             "{kind:<18} {:>10} {:>16} {:>12} {:>12}",
             f.count, f.bytes, f.first_t, f.last_t
         );
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Capture the Table-1 lifecycle as a JSONL event journal (`repro
@@ -810,17 +744,95 @@ pub fn trace_table1(faults: bool) -> IqResult<String> {
     Ok(journal)
 }
 
+/// Ablation — OCM write-back vs write-through for churn-phase evictions.
+///
+/// The paper (§4): "the churn phase constitutes the longest period during
+/// a transaction, and it must be optimized. For this reason, pages that
+/// are evicted due to cache pressure during the churn phase, are written
+/// out using the write-back mode." This ablation prices the churn phase
+/// of a transaction that evicts N pages either way.
+pub fn ocm_mode() -> Report {
+    let model = TimeModel::new(ComputeProfile::m5ad_24xlarge());
+    let pages = 100_000u64;
+    let page_bytes = 512 * 1024u64;
+    let mut r = Report::new(
+        "Ablation — churn-phase eviction mode (100k page evictions)",
+        &["Mode", "Synchronous path", "Churn latency (s)"],
+    );
+    // Write-back: the synchronous leg is the local SSD write; the S3
+    // upload happens in the background (it still completes before commit,
+    // but the churn phase does not wait on it).
+    let nvme = DeviceProfile::local_nvme(4);
+    let wb = synthetic_load(nvme, IoOp::BlockWrite, pages, page_bytes, None);
+    // Write-through: the synchronous leg is the S3 PUT.
+    let s3 = DeviceProfile::s3();
+    let wt = synthetic_load(s3, IoOp::Put, pages, page_bytes, Some(4096));
+    let [wb, wt] = [wb, wt].map(|load| model.device_time(&load).as_secs_f64());
+    r.row(vec!["write-back".into(), "local SSD".into(), secs(wb)]);
+    r.row(vec!["write-through".into(), "S3 PUT".into(), secs(wt)]);
+    r.note(format!(
+        "write-back keeps churn {:.1}x cheaper; commit still drains uploads (FlushForCommit)",
+        wt / wb.max(1e-9)
+    ));
+    r
+}
+
+/// A fresh database under `cfg` with one cloud dbspace and tables
+/// `1..=tables` on it — where every database-level leg starts.
+pub fn cloud_db(cfg: DatabaseConfig, tables: u32) -> IqResult<(Database, DbSpaceId)> {
+    let db = Database::create(cfg)?;
+    let space = db.create_cloud_dbspace("cloud")?;
+    for t in 1..=tables {
+        db.create_table(TableId(t), space)?;
+    }
+    Ok((db, space))
+}
+
+/// Begin a transaction and dirty `pages` (page number, body) of `table`
+/// in it as data pages; the caller commits.
+pub fn write_pages(
+    db: &Database,
+    table: TableId,
+    pages: impl IntoIterator<Item = (u64, Bytes)>,
+) -> IqResult<TxnId> {
+    let txn = db.begin();
+    let pager = db.pager(txn)?;
+    for (p, body) in pages {
+        pager.write_page(table, PageId(p), PageKind::Data, body, txn)?;
+    }
+    Ok(txn)
+}
+
+/// Load rows `0..n` of `row` into `meta`'s table in one committed
+/// transaction and let the OCM's background uploads drain.
+fn load_rows(
+    db: &Database,
+    meta: &mut TableMeta,
+    n: i64,
+    row: impl Fn(i64) -> Vec<Value>,
+) -> IqResult<()> {
+    let txn = db.begin();
+    {
+        let pager = db.pager(txn)?;
+        let mut w = TableWriter::new(meta, &pager, txn, db.meter());
+        for i in 0..n {
+            w.append_row(&row(i))?;
+        }
+        w.finish()?;
+    }
+    db.commit(txn)?;
+    if let Some(ocm) = db.ocm() {
+        ocm.quiesce();
+    }
+    Ok(())
+}
+
 /// Machine-readable metrics export behind `repro --metrics`: run a small
 /// end-to-end lifecycle (load, commit, cold scan, GC) and return the
 /// unified [`iq_common::MetricsRegistry`] snapshot as one JSON object.
 /// `faults` layers the scripted injector under the cloud dbspace so the
 /// retry/backoff counters are exercised too.
 pub fn metrics_export(sf: f64, faults: bool) -> IqResult<String> {
-    use iq_common::TableId;
-    use iq_core::{Database, DatabaseConfig};
-    use iq_engine::{DataType, Schema, TableMeta, TableWriter, Value};
-    use iq_objectstore::{FaultPlan, RetryPolicy};
-
     let mut cfg = DatabaseConfig::test_small();
     // Pack the commit flush so the `pack.*` source reports a live
     // lifecycle (composites written, ranged member GETs) rather than
@@ -833,32 +845,18 @@ pub fn metrics_export(sf: f64, faults: bool) -> IqResult<String> {
             ..RetryPolicy::attempts(12)
         };
     }
-    let db = Database::create(cfg)?;
-    let space = db.create_cloud_dbspace("metrics")?;
-    let table = TableId(1);
-    db.create_table(table, space)?;
+    let (db, _) = cloud_db(cfg, 1)?;
 
     let rows = ((sf * 100_000.0) as i64).clamp(200, 20_000);
     let mut meta = TableMeta::new(
-        table,
+        TableId(1),
         "m",
         Schema::new(&[("k", DataType::I64), ("v", DataType::Str)]),
         64,
     );
-    let txn = db.begin();
-    {
-        let pager = db.pager(txn)?;
-        let meter = db.meter().clone();
-        let mut w = TableWriter::new(&mut meta, &pager, txn, &meter);
-        for i in 0..rows {
-            w.append_row(&[Value::I64(i), Value::Str(format!("r{i}").into())])?;
-        }
-        w.finish()?;
-    }
-    db.commit(txn)?;
-    if let Some(ocm) = db.ocm() {
-        ocm.quiesce();
-    }
+    load_rows(&db, &mut meta, rows, |i| {
+        vec![Value::I64(i), Value::Str(format!("r{i}").into())]
+    })?;
 
     // Cold scan so the buffer and OCM counters see demand loads, not just
     // the load-phase writes.
@@ -872,64 +870,7 @@ pub fn metrics_export(sf: f64, faults: bool) -> IqResult<String> {
     Ok(db.metrics_json())
 }
 
-/// Ablation — OCM write-back vs write-through for churn-phase evictions.
-///
-/// The paper (§4): "the churn phase constitutes the longest period during
-/// a transaction, and it must be optimized. For this reason, pages that
-/// are evicted due to cache pressure during the churn phase, are written
-/// out using the write-back mode." This ablation prices the churn phase
-/// of a transaction that evicts N pages either way.
-pub fn ablation_ocm_mode() -> Report {
-    use iq_objectstore::timemodel::DeviceLoad;
-    use iq_objectstore::{DeviceStats, IoOp};
-
-    let model = TimeModel::new(ComputeProfile::m5ad_24xlarge());
-    let pages = 100_000u64;
-    let page_bytes = 512 * 1024u64;
-    let mut r = Report::new(
-        "Ablation — churn-phase eviction mode (100k page evictions)",
-        &["Mode", "Synchronous path", "Churn latency (s)"],
-    );
-    // Write-back: the synchronous leg is the local SSD write; the S3
-    // upload happens in the background (it still completes before commit,
-    // but the churn phase does not wait on it).
-    let ssd = DeviceStats::new();
-    for _ in 0..pages {
-        ssd.record(IoOp::BlockWrite, page_bytes);
-    }
-    let wb = model.device_time(&DeviceLoad {
-        profile: DeviceProfile::local_nvme(4),
-        snapshot: ssd.snapshot(),
-        serial_read_fraction: 0.0,
-    });
-    r.row(vec![
-        "write-back".into(),
-        "local SSD".into(),
-        secs(wb.as_secs_f64()),
-    ]);
-    // Write-through: the synchronous leg is the S3 PUT.
-    let s3 = DeviceStats::new();
-    for i in 0..pages {
-        s3.record_prefixed(IoOp::Put, page_bytes, Some((i % 4096) as u16));
-    }
-    let wt = model.device_time(&DeviceLoad {
-        profile: DeviceProfile::s3(),
-        snapshot: s3.snapshot(),
-        serial_read_fraction: 0.0,
-    });
-    r.row(vec![
-        "write-through".into(),
-        "S3 PUT".into(),
-        secs(wt.as_secs_f64()),
-    ]);
-    r.note(format!(
-        "write-back keeps churn {:.1}x cheaper; commit still drains uploads (FlushForCommit)",
-        wt.as_secs_f64() / wb.as_secs_f64().max(1e-9)
-    ));
-    r
-}
-
-/// One measured mode of [`ablation_gc_batching`].
+/// One measured mode of the GC batching ablation (`repro --gc`).
 #[derive(serde::Serialize)]
 pub struct GcBatchingMeasure {
     /// Row label.
@@ -940,25 +881,26 @@ pub struct GcBatchingMeasure {
     pub keys: u64,
     /// Simulated store delete requests the GC issued.
     pub delete_requests: u64,
-    /// Peak delete batches in flight across the pass.
+    /// Peak delete batches in flight across the pass (submission depth).
     pub in_flight_peak: u64,
     /// Virtual wall of the deletion work under the S3 time model.
     pub wall_secs: f64,
 }
 
-/// Drive the committed-chain GC over a real simulated cloud dbspace in
-/// three modes — per-key (the old cost model: one `DELETE` per page),
-/// batched multi-object deletes on one worker, and batched deletes fanned
-/// over the worker pool — and price the deletion work under the S3 time
-/// model.
-pub fn gc_batching_measurements(sf: f64) -> IqResult<Vec<GcBatchingMeasure>> {
-    use bytes::Bytes;
-    use iq_common::{DbSpaceId, NodeId, PageId, PhysicalLocator, VersionId};
-    use iq_objectstore::timemodel::DeviceLoad;
-    use iq_objectstore::{ConsistencyConfig, DeviceStats, IoOp, ObjectStoreSim, RetryPolicy};
-    use iq_storage::{CountingKeySource, DbSpace, Page, PageKind, StorageConfig};
-    use iq_txn::{DeletionSink, ImmediateDeletion, TransactionManager, TxnLog};
-    use std::sync::Arc;
+/// Keys per multi-object delete batch (`iq-txn`'s `GC_BATCH_KEYS`, S3's
+/// `DeleteObjects` limit).
+const GC_BATCH_KEYS: u64 = 1000;
+
+/// Ablation — per-key vs batched vs batched+parallel GC deletion. Drive
+/// the committed-chain GC over a real simulated cloud dbspace in three
+/// modes — per-key (the old cost model: one `DELETE` per page), batched
+/// multi-object deletes on one worker, and batched deletes fanned over
+/// the worker pool. The request counts come from the simulated store's
+/// ledger; the wall prices those requests under the S3 device model, so
+/// the batching win shows up in both columns.
+pub(crate) fn gc_rows(sf: f64) -> IqResult<Vec<GcBatchingMeasure>> {
+    use iq_storage::CountingKeySource;
+    use iq_txn::{DeletionSink, ImmediateDeletion, TransactionManager};
 
     const SPACE: DbSpaceId = DbSpaceId(1);
     // Table-2-scale churn: the freed-page count tracks the scale factor.
@@ -970,7 +912,7 @@ pub fn gc_batching_measurements(sf: f64) -> IqResult<Vec<GcBatchingMeasure>> {
     /// cost model (one store request per key).
     struct PerPage(ImmediateDeletion);
     impl DeletionSink for PerPage {
-        fn delete_page(&self, space: DbSpaceId, loc: PhysicalLocator) -> iq_common::IqResult<()> {
+        fn delete_page(&self, space: DbSpaceId, loc: PhysicalLocator) -> IqResult<()> {
             self.0.delete_page(space, loc)
         }
     }
@@ -983,13 +925,7 @@ pub fn gc_batching_measurements(sf: f64) -> IqResult<Vec<GcBatchingMeasure>> {
         ("batched + parallel", 8, true),
     ] {
         let sim = Arc::new(ObjectStoreSim::new(ConsistencyConfig::default()));
-        let space = Arc::new(DbSpace::cloud(
-            SPACE,
-            "cloud",
-            StorageConfig::test_small(),
-            sim.clone(),
-            RetryPolicy::default(),
-        ));
+        let space = Arc::new(cloud_space(sim.clone(), RetryPolicy::default()));
         let tm = TransactionManager::new(Arc::new(TxnLog::new()), None);
         tm.set_gc_workers(workers);
         let immediate = ImmediateDeletion::new();
@@ -1007,13 +943,7 @@ pub fn gc_batching_measurements(sf: f64) -> IqResult<Vec<GcBatchingMeasure>> {
         let keysrc = CountingKeySource::default();
         let mut locs = Vec::with_capacity(keys_total as usize);
         for i in 0..keys_total {
-            let page = Page::new(
-                PageId(i),
-                VersionId(1),
-                PageKind::Data,
-                Bytes::from(vec![0x5a; 64]),
-            );
-            locs.push(space.write_page(&page, &keysrc)?);
+            locs.push(space.write_page(&data_page(i, vec![0x5a; 64]), &keysrc)?);
         }
         let blocker = tm.begin(NodeId(9));
         for c in locs.chunks(per_txn.max(1) as usize) {
@@ -1032,17 +962,10 @@ pub fn gc_batching_measurements(sf: f64) -> IqResult<Vec<GcBatchingMeasure>> {
         let gc = tm.gc_stats();
         assert_eq!(gc.keys_deleted, keys_total, "every freed page reclaimed");
 
-        // Price exactly the deletion requests under the S3 model (same
-        // synthetic-ledger idiom as `ablation_ocm_mode`).
-        let stats = DeviceStats::new();
-        for i in 0..delete_requests {
-            stats.record_prefixed(IoOp::Delete, 0, Some((i % 4096) as u16));
-        }
-        let wall = model.device_time(&DeviceLoad {
-            profile: DeviceProfile::s3(),
-            snapshot: stats.snapshot(),
-            serial_read_fraction: 0.0,
-        });
+        // Price exactly the deletion requests under the S3 model.
+        let s3 = DeviceProfile::s3();
+        let deletes = synthetic_load(s3, IoOp::Delete, delete_requests, 0, Some(4096));
+        let wall = model.device_time(&deletes);
         out.push(GcBatchingMeasure {
             label,
             workers,
@@ -1055,53 +978,56 @@ pub fn gc_batching_measurements(sf: f64) -> IqResult<Vec<GcBatchingMeasure>> {
     Ok(out)
 }
 
-/// Ablation — per-key vs batched vs batched+parallel GC deletion. The
-/// request counts come from the simulated store's ledger; the wall prices
-/// those requests under the S3 device model, so the batching win shows up
-/// in both columns.
-pub fn ablation_gc_batching(sf: f64) -> IqResult<Report> {
-    Ok(report_gc_batching(&gc_batching_measurements(sf)?))
-}
-
-/// Render [`gc_batching_measurements`] rows as the ablation report
-/// (split out so `repro` can emit the same rows to `BENCH_gc.json`).
-pub fn report_gc_batching(measures: &[GcBatchingMeasure]) -> Report {
-    let keys = measures.first().map(|m| m.keys).unwrap_or(0);
-    let mut r = Report::new(
-        format!("Ablation — batched multi-object GC deletion ({keys} freed pages)"),
-        &[
-            "Mode",
-            "Workers",
-            "Delete requests",
-            "In-flight peak",
-            "GC wall (s)",
-            "vs per-key",
-        ],
-    );
-    let base = measures.first().map(|m| m.wall_secs).unwrap_or(0.0);
-    for m in measures {
-        r.row(vec![
-            m.label.to_string(),
-            m.workers.to_string(),
-            m.delete_requests.to_string(),
-            m.in_flight_peak.to_string(),
-            secs(m.wall_secs),
-            format!("{:.1}x", base / m.wall_secs.max(1e-9)),
-        ]);
-    }
-    if let (Some(per_key), Some(batched)) = (measures.first(), measures.last()) {
+impl Rows for Vec<GcBatchingMeasure> {
+    fn report(&self) -> Report {
+        let (per_key, parallel) = (&self[0], &self[self.len() - 1]);
+        let mut r = Report::from_columns(
+            format!(
+                "Ablation — batched multi-object GC deletion ({} freed pages)",
+                per_key.keys
+            ),
+            self,
+            &[
+                ("Mode", &|m| m.label.to_string()),
+                ("Workers", &|m| m.workers.to_string()),
+                ("Delete requests", &|m| m.delete_requests.to_string()),
+                ("In-flight peak", &|m| m.in_flight_peak.to_string()),
+                ("GC wall (s)", &|m| secs(m.wall_secs)),
+                ("vs per-key", &|m| {
+                    format!("{:.1}x", per_key.wall_secs / m.wall_secs.max(1e-9))
+                }),
+            ],
+        );
         r.note(format!(
             "multi-object delete (≤1000 keys/request) cuts {} per-key requests to {} — {:.0}x fewer; \
              the wall is request-bound, so it falls with the request count",
             per_key.delete_requests,
-            batched.delete_requests,
-            per_key.delete_requests as f64 / batched.delete_requests.max(1) as f64,
+            parallel.delete_requests,
+            per_key.delete_requests as f64 / parallel.delete_requests.max(1) as f64,
         ));
+        r
     }
-    r
+
+    /// Batched + parallel GC must issue at least 10x fewer simulated delete
+    /// requests than the per-key baseline and finish in less virtual time.
+    fn gates(&self) -> Result<(), String> {
+        gate!(self.len() == 3);
+        let (per_key, parallel) = (&self[0], &self[2]);
+        gate!(per_key.keys == parallel.keys);
+        gate!(per_key.delete_requests == per_key.keys);
+        gate!(per_key.delete_requests >= 10 * parallel.delete_requests);
+        gate!(parallel.wall_secs < per_key.wall_secs);
+        // The drain is one pass, and a pass submits all its batches at
+        // once whatever the worker count.
+        for m in self {
+            gate!(m.in_flight_peak == m.keys.div_ceil(GC_BATCH_KEYS), m.label);
+        }
+        Ok(())
+    }
 }
 
-/// One measured configuration of [`ablation_cache`].
+/// One measured configuration of the buffer-cache ablation (`repro
+/// --cache`).
 #[derive(serde::Serialize)]
 pub struct CacheMeasure {
     /// Row label.
@@ -1123,12 +1049,12 @@ pub struct CacheMeasure {
 }
 
 /// Deterministic lock-contention model for the scan phase, mirroring the
-/// synthetic-ledger idiom of `ablation_ocm_mode`: every cache operation
+/// synthetic-ledger idiom of `ocm_mode`: every cache operation
 /// holds its shard lock for `T_LOCK` and costs `T_CPU` off-lock, spread
 /// over 8 workers. The wall is whichever bottleneck binds — aggregate
 /// CPU, aggregate critical section over `min(workers, shards)` locks, or
 /// the single busiest shard (Amdahl floor for a skewed key split).
-pub fn modeled_cache_wall(ops: u64, max_shard_ops: u64, shards: usize) -> f64 {
+fn modeled_cache_wall(ops: u64, max_shard_ops: u64, shards: usize) -> f64 {
     const T_LOCK_NANOS: f64 = 400.0;
     const T_CPU_NANOS: f64 = 250.0;
     const WORKERS: f64 = 8.0;
@@ -1139,9 +1065,12 @@ pub fn modeled_cache_wall(ops: u64, max_shard_ops: u64, shards: usize) -> f64 {
     cpu.max(lock).max(hot_shard) * 1e-9
 }
 
-/// Drive one synthetic trace — warm a hot set, run a steady point-read
-/// phase, cold-scan ~4× the cache capacity, then re-read the hot set —
-/// through four buffer-manager geometries: {1, 8} shards × {LRU, SLRU}.
+/// Ablation — sharded, scan-resistant buffer cache. Drive one synthetic
+/// trace — warm a hot set, run a steady point-read phase, cold-scan ~4×
+/// the cache capacity, then re-read the hot set — through four
+/// buffer-manager geometries: {1, 8} shards × {LRU, SLRU}, so the
+/// sharding win and the scan-resistance win each show up in their own
+/// column.
 ///
 /// Hit rates come from the manager's own epoch counters, so the numbers
 /// are exactly what `repro --metrics` reports for a real run; the scan
@@ -1149,15 +1078,12 @@ pub fn modeled_cache_wall(ops: u64, max_shard_ops: u64, shards: usize) -> f64 {
 /// per-shard operation counts (`BufferManager::shard_of` is a pure
 /// function of the key), so two runs serialize identically. The measured
 /// hit-path wall lives in `bench/` (`buffer.hit_ns`).
-pub fn cache_measurements(sf: f64) -> IqResult<Vec<CacheMeasure>> {
-    use bytes::Bytes;
+pub(crate) fn cache_rows(sf: f64) -> IqResult<Vec<CacheMeasure>> {
     use iq_buffer::{BufferManager, BufferOptions, FlushCause, FlushSink, FrameKey};
-    use iq_common::{PageId, TableId, TxnId, VersionId};
-    use iq_storage::{Page, PageKind};
 
     struct NoFlush;
     impl FlushSink for NoFlush {
-        fn flush(&self, _: FrameKey, _: &Page, _: TxnId, _: FlushCause) -> iq_common::IqResult<()> {
+        fn flush(&self, _: FrameKey, _: &Page, _: TxnId, _: FlushCause) -> IqResult<()> {
             Ok(())
         }
     }
@@ -1175,14 +1101,6 @@ pub fn cache_measurements(sf: f64) -> IqResult<Vec<CacheMeasure>> {
         page: PageId(page),
         epoch: 0,
     };
-    let make_page = |page: u64| {
-        Page::new(
-            PageId(page),
-            VersionId(1),
-            PageKind::Data,
-            Bytes::from(vec![0x6b; PAGE_BODY]),
-        )
-    };
 
     let mut out = Vec::new();
     for (label, shards, protected_fraction) in [
@@ -1198,44 +1116,45 @@ pub fn cache_measurements(sf: f64) -> IqResult<Vec<CacheMeasure>> {
                 protected_fraction,
             },
         );
-        let sink = NoFlush;
+        // One read of `page`, demand-loading it on a miss; scan reads are
+        // admitted with the scan hint (probationary) exactly as
+        // `Pager::prefetch` loads are.
+        let read = |page: u64, scan: bool| {
+            let load = || Ok(data_page(page, vec![0x6b; PAGE_BODY]));
+            mgr.get_or_load(key(page), !scan, &NoFlush, load)
+        };
 
         // Warm: demand-load the hot set, then re-read it once so SLRU
         // promotes it into the protected segment.
-        for p in 0..hot_pages {
-            mgr.get_or_load(key(p), true, &sink, || Ok(make_page(p)))?;
-        }
-        for p in 0..hot_pages {
-            mgr.get_or_load(key(p), true, &sink, || Ok(make_page(p)))?;
+        for p in (0..hot_pages).chain(0..hot_pages) {
+            read(p, false)?;
         }
 
         // Steady phase: repeated point reads of the hot set.
         mgr.stats.begin_epoch();
         for _ in 0..steady_rounds {
             for p in 0..hot_pages {
-                mgr.get_or_load(key(p), true, &sink, || Ok(make_page(p)))?;
+                read(p, false)?;
             }
         }
         let steady = mgr.stats.snapshot();
         let steady_hit_rate =
             steady.hits as f64 / (steady.hits + steady.demand_misses).max(1) as f64;
 
-        // Cold scan: ~4× capacity of never-again pages, admitted with the
-        // scan hint (probationary) exactly as `Pager::prefetch` loads are.
+        // Cold scan: ~4× capacity of never-again pages.
         let mut scan_ops = 0u64;
         let mut shard_ops = vec![0u64; mgr.shard_count()];
         for p in 0..scan_pages {
-            let k = key(1 << 32 | p);
             scan_ops += 1;
-            shard_ops[mgr.shard_of(&k)] += 1;
-            mgr.get_or_load(k, false, &sink, || Ok(make_page(1 << 32 | p)))?;
+            shard_ops[mgr.shard_of(&key(1 << 32 | p))] += 1;
+            read(1 << 32 | p, true)?;
         }
         let max_shard_ops = shard_ops.iter().copied().max().unwrap_or(0);
 
         // Post-scan: is the hot set still resident?
         mgr.stats.begin_epoch();
         for p in 0..hot_pages {
-            mgr.get_or_load(key(p), true, &sink, || Ok(make_page(p)))?;
+            read(p, false)?;
         }
         let post = mgr.stats.snapshot();
         let post_scan_hit_rate = post.hits as f64 / (post.hits + post.demand_misses).max(1) as f64;
@@ -1254,52 +1173,66 @@ pub fn cache_measurements(sf: f64) -> IqResult<Vec<CacheMeasure>> {
     Ok(out)
 }
 
-/// Ablation — sharded, scan-resistant buffer cache: {1, 8} shards ×
-/// {LRU, SLRU} over the same hot-set + cold-scan trace. Hit rates are the
-/// manager's own epoch counters; the scan wall prices the per-shard
-/// operation counts under the lock-contention model, so the sharding win
-/// and the scan-resistance win each show up in their own column.
-pub fn ablation_cache(sf: f64) -> IqResult<Report> {
-    Ok(report_cache(&cache_measurements(sf)?))
-}
-
-/// Render [`cache_measurements`] rows as the ablation report (split out
-/// so `repro` can emit the same rows to `BENCH_cache.json`).
-pub fn report_cache(measures: &[CacheMeasure]) -> Report {
-    let scan_pages = measures.first().map(|m| m.scan_ops).unwrap_or(0);
-    let mut r = Report::new(
-        format!("Ablation — sharded scan-resistant buffer cache ({scan_pages}-page cold scan, 8 workers)"),
-        &[
-            "Config",
-            "Steady hot hits",
-            "Post-scan hot hits",
-            "Scan wall modeled (ms)",
-            "vs 1-shard LRU",
-        ],
-    );
-    let base = measures.first().map(|m| m.modeled_wall_secs).unwrap_or(0.0);
-    for m in measures {
-        r.row(vec![
-            m.label.to_string(),
-            format!("{:.0}%", m.steady_hit_rate * 100.0),
-            format!("{:.0}%", m.post_scan_hit_rate * 100.0),
-            format!("{:.3}", m.modeled_wall_secs * 1e3),
-            format!("{:.1}x", base / m.modeled_wall_secs.max(1e-12)),
-        ]);
+impl Rows for Vec<CacheMeasure> {
+    fn report(&self) -> Report {
+        let base = &self[0];
+        let mut r = Report::from_columns(
+            format!(
+                "Ablation — sharded scan-resistant buffer cache ({}-page cold scan, 8 workers)",
+                base.scan_ops
+            ),
+            self,
+            &[
+                ("Config", &|m| m.label.to_string()),
+                ("Steady hot hits", &|m| {
+                    format!("{:.0}%", m.steady_hit_rate * 100.0)
+                }),
+                ("Post-scan hot hits", &|m| {
+                    format!("{:.0}%", m.post_scan_hit_rate * 100.0)
+                }),
+                ("Scan wall modeled (ms)", &|m| {
+                    format!("{:.3}", m.modeled_wall_secs * 1e3)
+                }),
+                ("vs 1-shard LRU", &|m| {
+                    let speedup = base.modeled_wall_secs / m.modeled_wall_secs.max(1e-12);
+                    format!("{speedup:.1}x")
+                }),
+            ],
+        );
+        r.note(
+            "sharding divides the lock bottleneck by min(workers, shards); the SLRU's protected \
+             segment keeps the promoted hot set resident through a cold scan that flushes plain LRU \
+             to 0%",
+        );
+        r
     }
-    r.note(
-        "sharding divides the lock bottleneck by min(workers, shards); the SLRU's protected \
-         segment keeps the promoted hot set resident through a cold scan that flushes plain LRU \
-         to 0%",
-    );
-    r
+
+    /// Under the deterministic lock model the sharded SLRU cache must
+    /// finish the scan phase at least 1.5x faster than the single-lock LRU
+    /// baseline, and a cold full-table scan must not regress the hot set's
+    /// hit rate under SLRU while plain LRU demonstrably collapses on the
+    /// same trace.
+    fn gates(&self) -> Result<(), String> {
+        gate!(self.len() == 4);
+        let (base, lru, slru) = (&self[0], &self[2], &self[3]);
+        gate!(base.shards == 1 && lru.shards == 8 && slru.shards == 8);
+        gate!(base.modeled_wall_secs >= 1.5 * slru.modeled_wall_secs);
+        // The hot set fits, so steady is 100% and the scan must not
+        // displace the protected segment.
+        gate!(slru.steady_hit_rate == 1.0);
+        gate!(slru.post_scan_hit_rate >= slru.steady_hit_rate);
+        gate!(lru.post_scan_hit_rate < 0.5);
+        gate!(slru.post_scan_hit_rate > lru.post_scan_hit_rate);
+        Ok(())
+    }
 }
 
-/// One measured configuration of [`ablation_pack`].
+/// One measured configuration of the page-packing ablation (`repro
+/// --pack`).
 #[derive(serde::Serialize)]
 pub struct PackMeasure {
     /// Row label.
-    pub label: String,
+    pub label: &'static str,
     /// Commit-flush packing factor (`DatabaseConfig::pack_pages`).
     pub pack_pages: usize,
     /// Whether composite members were served with ranged GETs (`false`
@@ -1350,14 +1283,9 @@ fn pack_lifecycle(
     pages: u64,
     pack_pages: usize,
     ranged: bool,
-    label: &str,
+    label: &'static str,
 ) -> IqResult<PackMeasure> {
-    use bytes::Bytes;
-    use iq_common::{PageId, TableId};
-    use iq_core::{Database, DatabaseConfig};
-    use iq_engine::PageStore;
     use iq_objectstore::{CostLedger, IoOp};
-    use iq_storage::PageKind;
     use std::sync::atomic::Ordering;
 
     let mut cfg = DatabaseConfig::test_small();
@@ -1370,10 +1298,8 @@ fn pack_lifecycle(
     cfg.retention = None;
     cfg.pack_pages = pack_pages;
     cfg.pack_ranged_gets = ranged;
-    let db = Database::create(cfg)?;
-    let space = db.create_cloud_dbspace("pack")?;
+    let (db, space) = cloud_db(cfg, 1)?;
     let table = TableId(1);
-    db.create_table(table, space)?;
     let store = db.cloud_store(space).expect("cloud dbspace is simulated");
 
     let body = |p: u64, v: u64| -> Bytes {
@@ -1383,62 +1309,52 @@ fn pack_lifecycle(
         }
         Bytes::from(buf)
     };
+    // Cold read-back of every page against the version it must hold.
+    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    let mut read_back = |version: &dyn Fn(u64) -> u64, when: &str| -> IqResult<()> {
+        db.shared().buffer.clear();
+        let rtxn = db.begin();
+        {
+            let pager = db.pager(rtxn)?;
+            for p in 0..pages {
+                let page = pager.read_page(table, PageId(p), true)?;
+                assert_eq!(
+                    page.body,
+                    body(p, version(p)),
+                    "{label}: page {p} after {when}"
+                );
+                fnv1a(&mut checksum, &page.body);
+            }
+        }
+        db.rollback(rtxn)
+    };
 
     // Load: one transaction, `pages` dirty pages, one commit flush.
-    let txn = db.begin();
-    {
-        let pager = db.pager(txn)?;
-        for p in 0..pages {
-            pager.write_page(table, PageId(p), PageKind::Data, body(p, 1), txn)?;
-        }
-    }
-    db.commit(txn)?;
+    db.commit(write_pages(
+        &db,
+        table,
+        (0..pages).map(|p| (p, body(p, 1))),
+    )?)?;
     let load_puts = store.stats.snapshot().op(IoOp::Put).count;
 
-    // Cold read-back of every page.
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
     let gets_before = store.stats.snapshot().op(IoOp::Get).count;
-    db.shared().buffer.clear();
-    let rtxn = db.begin();
-    {
-        let pager = db.pager(rtxn)?;
-        for p in 0..pages {
-            let page = pager.read_page(table, PageId(p), true)?;
-            assert_eq!(page.body, body(p, 1), "{label}: page {p} after load");
-            fnv1a(&mut checksum, &page.body);
-        }
-    }
-    db.rollback(rtxn)?;
+    read_back(&|_| 1, "load")?;
     let cold_gets = store.stats.snapshot().op(IoOp::Get).count - gets_before;
 
     // Churn: overwrite every other page, leaving every load composite
     // exactly half live — the compaction candidate shape.
-    let txn = db.begin();
-    {
-        let pager = db.pager(txn)?;
-        for p in (0..pages).step_by(2) {
-            pager.write_page(table, PageId(p), PageKind::Data, body(p, 2), txn)?;
-        }
-    }
-    db.commit(txn)?;
+    db.commit(write_pages(
+        &db,
+        table,
+        (0..pages).step_by(2).map(|p| (p, body(p, 2))),
+    )?)?;
     db.gc_drain()?;
     db.compact_tick(0.6, 10_000)?;
     db.gc_drain()?;
 
-    // Final cold read-back: the overwrites and the compaction rewrites
-    // must both serve the exact bytes that were committed.
-    db.shared().buffer.clear();
-    let rtxn = db.begin();
-    {
-        let pager = db.pager(rtxn)?;
-        for p in 0..pages {
-            let v = if p % 2 == 0 { 2 } else { 1 };
-            let page = pager.read_page(table, PageId(p), true)?;
-            assert_eq!(page.body, body(p, v), "{label}: page {p} after compaction");
-            fnv1a(&mut checksum, &page.body);
-        }
-    }
-    db.rollback(rtxn)?;
+    // The overwrites and the compaction rewrites must both serve the
+    // exact bytes that were committed.
+    read_back(&|p| if p % 2 == 0 { 2 } else { 1 }, "compaction")?;
 
     let snap = store.stats.snapshot();
     let mut ledger = CostLedger::default();
@@ -1446,7 +1362,7 @@ fn pack_lifecycle(
     let ps = &db.shared().pack_stats;
     let cs = db.shared().txns.composites().stats();
     Ok(PackMeasure {
-        label: label.to_string(),
+        label,
         pack_pages,
         ranged_gets: ranged,
         pages,
@@ -1464,104 +1380,111 @@ fn pack_lifecycle(
     })
 }
 
-/// Run the packed lifecycle across the pack-size sweep {1, 4, 16, 64}
-/// plus the whole-object-GET leg, asserting the served bytes are
-/// identical in every geometry.
-pub fn pack_measurements(sf: f64) -> IqResult<Vec<PackMeasure>> {
+/// Ablation — commit-flush page packing: composite objects, ranged GETs
+/// and compaction. One PUT per ~`pack_pages` dirty pages instead of one
+/// per page, across the pack-size sweep {1, 4, 16, 64} plus the
+/// whole-object-GET leg; request counts and the modeled request bill come
+/// straight from the simulated store's ledger.
+pub(crate) fn pack_rows(sf: f64) -> IqResult<Vec<PackMeasure>> {
     // Page count tracks the scale factor; the floor keeps even the CI
     // smoke at 512 pages (= 4 blockmap leaves at fanout 128), the shape
     // the >=10x PUT claim is pinned against.
     let pages = (((sf * 50_000.0) as u64).clamp(512, 4096) / 2) * 2;
-    let mut out = Vec::new();
-    for (label, pack, ranged) in [
+    [
         ("pack=1 (per-page baseline)", 1usize, true),
         ("pack=4", 4, true),
         ("pack=16 (default)", 16, true),
         ("pack=64", 64, true),
         ("pack=16, whole-object GETs", 16, false),
-    ] {
-        out.push(pack_lifecycle(pages, pack, ranged, label)?);
-    }
-    let base = out[0].checksum;
-    for m in &out[1..] {
-        assert_eq!(
-            m.checksum, base,
-            "{}: packed reads must be byte-identical to the per-page baseline",
-            m.label
+    ]
+    .into_iter()
+    .map(|(label, pack, ranged)| pack_lifecycle(pages, pack, ranged, label))
+    .collect()
+}
+
+impl Rows for Vec<PackMeasure> {
+    fn report(&self) -> Report {
+        let (base, packed) = (&self[0], &self[2]);
+        let mut r = Report::from_columns(
+            format!(
+                "Ablation — commit-flush page packing ({}-page load, half overwritten, compacted)",
+                base.pages
+            ),
+            self,
+            &[
+                ("Config", &|m| m.label.to_string()),
+                ("Load PUTs", &|m| m.load_puts.to_string()),
+                ("vs pack=1", &|m| {
+                    format!("{:.1}x", base.load_puts as f64 / m.load_puts.max(1) as f64)
+                }),
+                ("Cold GETs", &|m| m.cold_gets.to_string()),
+                ("Over-read (KiB)", &|m| {
+                    format!("{:.0}", m.over_read_bytes as f64 / 1024.0)
+                }),
+                ("Composites", &|m| m.objects_written.to_string()),
+                ("Compactions", &|m| m.compactions.to_string()),
+                ("Reclaimed", &|m| m.composites_reclaimed.to_string()),
+                ("Request $", &|m| format!("{:.6}", m.request_usd)),
+            ],
         );
-    }
-    Ok(out)
-}
-
-/// Ablation — commit-flush page packing: composite objects, ranged GETs
-/// and compaction. One PUT per ~`pack_pages` dirty pages instead of one
-/// per page; request counts and the modeled request bill come straight
-/// from the simulated store's ledger.
-pub fn ablation_pack(sf: f64) -> IqResult<Report> {
-    Ok(report_pack(&pack_measurements(sf)?))
-}
-
-/// Render [`pack_measurements`] rows as the ablation report (split out
-/// so `repro` can emit the same rows to `BENCH_pack.json`).
-pub fn report_pack(measures: &[PackMeasure]) -> Report {
-    let pages = measures.first().map(|m| m.pages).unwrap_or(0);
-    let mut r = Report::new(
-        format!(
-            "Ablation — commit-flush page packing ({pages}-page load, half overwritten, compacted)"
-        ),
-        &[
-            "Config",
-            "Load PUTs",
-            "vs pack=1",
-            "Cold GETs",
-            "Over-read (KiB)",
-            "Composites",
-            "Compactions",
-            "Reclaimed",
-            "Request $",
-        ],
-    );
-    let base = measures.first().map(|m| m.load_puts).unwrap_or(0);
-    for m in measures {
-        r.row(vec![
-            m.label.clone(),
-            m.load_puts.to_string(),
-            format!("{:.1}x", base as f64 / m.load_puts.max(1) as f64),
-            m.cold_gets.to_string(),
-            format!("{:.0}", m.over_read_bytes as f64 / 1024.0),
-            m.objects_written.to_string(),
-            m.compactions.to_string(),
-            m.composites_reclaimed.to_string(),
-            format!("{:.6}", m.request_usd),
-        ]);
-    }
-    if let (Some(per_page), Some(packed)) = (
-        measures.first(),
-        measures
-            .iter()
-            .find(|m| m.pack_pages == 16 && m.ranged_gets),
-    ) {
         r.note(format!(
             "packing {} dirty pages per composite cuts the load's {} PUTs to {} ({:.0}x fewer); \
              ranged GETs keep member reads one-page-sized (over-read 0), while the whole-object \
              leg shows what slicing client-side would over-fetch; half-dead composites are \
              rewritten by compaction and reclaimed only when every member is dead",
             packed.pack_pages,
-            per_page.load_puts,
+            base.load_puts,
             packed.load_puts,
-            per_page.load_puts as f64 / packed.load_puts.max(1) as f64,
+            base.load_puts as f64 / packed.load_puts.max(1) as f64,
         ));
+        r
     }
-    r
+
+    /// The packed commit flush must issue at least 10x fewer PUTs than the
+    /// per-page baseline while serving byte-identical pages, and
+    /// `pack_pages = 1` must reproduce the per-page path exactly.
+    fn gates(&self) -> Result<(), String> {
+        gate!(self.len() == 5);
+        let (base, packed, whole) = (&self[0], &self[2], &self[4]);
+        gate!(base.pack_pages == 1 && packed.pack_pages == 16);
+        gate!(packed.ranged_gets && !whole.ranged_gets);
+        for m in &self[1..] {
+            gate!(m.checksum == base.checksum, m.label);
+        }
+        // pack=1 is exactly the old path: one PUT per data page plus the
+        // blockmap-node flushes, and zero composites.
+        gate!(base.load_puts >= base.pages);
+        gate!(base.objects_written == 0 && base.compactions == 0);
+        gate!(base.load_puts >= 10 * packed.load_puts);
+        // ~pages/16 composites across load + churn.
+        gate!(packed.objects_written >= packed.pages / 16);
+        // Ranged GETs never over-read; the whole-object leg must.
+        gate!(packed.over_read_bytes == 0 && whole.over_read_bytes > 0);
+        // Compaction ran and the GC reclaimed the half-dead composites.
+        gate!(packed.compactions > 0 && packed.composites_reclaimed > 0);
+        // The modeled request bill falls with the PUT count.
+        gate!(packed.request_usd < base.request_usd);
+        Ok(())
+    }
 }
 
-/// One measured configuration of [`ablation_group_commit`].
+/// `per_append` or `coalesced`, as the BENCH rows spell a durable-log
+/// mode.
+fn mode_name(mode: GroupCommitMode) -> &'static str {
+    match mode {
+        GroupCommitMode::Coalesced => "coalesced",
+        _ => "per_append",
+    }
+}
+
+/// One measured configuration of the group-commit ablation (`repro
+/// --group-commit`).
 #[derive(serde::Serialize)]
 pub struct GroupCommitMeasure {
     /// Row label.
-    pub label: String,
+    pub label: &'static str,
     /// Durable-log mode (`per_append` or `coalesced`).
-    pub mode: String,
+    pub mode: &'static str,
     /// Concurrent committer threads.
     pub threads: usize,
     /// Barrier-synchronized commit rounds per thread.
@@ -1585,25 +1508,16 @@ pub struct GroupCommitMeasure {
 /// table, with the transaction log mirrored to a [`iq_core::DurableLog`]
 /// in the given mode.
 fn group_commit_leg(
-    mode: iq_core::GroupCommitMode,
+    mode: GroupCommitMode,
     threads: usize,
     rounds: u64,
-    label: &str,
+    label: &'static str,
 ) -> IqResult<GroupCommitMeasure> {
-    use bytes::Bytes;
-    use iq_common::{PageId, TableId};
-    use iq_core::{Database, DatabaseConfig};
-    use iq_engine::PageStore;
-    use iq_storage::PageKind;
     use std::sync::Barrier;
 
     let mut cfg = DatabaseConfig::test_small();
     cfg.group_commit = mode;
-    let db = Database::create(cfg)?;
-    let space = db.create_cloud_dbspace("gclog")?;
-    for t in 0..threads {
-        db.create_table(TableId(t as u32 + 1), space)?;
-    }
+    let (db, _) = cloud_db(cfg, threads as u32)?;
 
     // Every round, all committers arrive at a barrier and then commit
     // together — the contended window the gather exists for. Each thread
@@ -1616,21 +1530,8 @@ fn group_commit_leg(
             s.spawn(move || {
                 let table = TableId(t as u32 + 1);
                 for round in 0..rounds {
-                    let txn = db.begin();
-                    {
-                        let pager = db.pager(txn).expect("pager");
-                        for p in 0..2u64 {
-                            pager
-                                .write_page(
-                                    table,
-                                    PageId(round * 2 + p),
-                                    PageKind::Data,
-                                    Bytes::from(vec![t as u8; 512]),
-                                    txn,
-                                )
-                                .expect("write page");
-                        }
-                    }
+                    let pages = (0..2).map(|p| (round * 2 + p, Bytes::from(vec![t as u8; 512])));
+                    let txn = write_pages(db, table, pages).expect("write pages");
                     // Register with the gather *before* the barrier so
                     // the round's leader provably holds its batch open
                     // for all committers, however the OS schedules the
@@ -1648,11 +1549,8 @@ fn group_commit_leg(
 
     let stats = db.durable_log().expect("mode wires the log").stats();
     Ok(GroupCommitMeasure {
-        label: label.to_string(),
-        mode: match mode {
-            iq_core::GroupCommitMode::Coalesced => "coalesced".to_string(),
-            _ => "per_append".to_string(),
-        },
+        label,
+        mode: mode_name(mode),
         threads,
         rounds,
         commits: threads as u64 * rounds,
@@ -1664,11 +1562,12 @@ fn group_commit_leg(
     })
 }
 
-/// Run the group-commit lifecycle across a committer-count sweep in both
-/// log modes, asserting the acceptance ratio: under concurrent commits
-/// the coalesced log pays at least 2x fewer PUTs than per-append.
-pub fn group_commit_measurements(sf: f64) -> IqResult<Vec<GroupCommitMeasure>> {
-    use iq_core::GroupCommitMode;
+/// Ablation — group commit: coalescing concurrent transaction-log
+/// appends into one PUT through the submission/completion core's gather,
+/// across a committer-count sweep in both log modes. The first payoff of
+/// the PR-7 reactor: log durability cost scales with commit *rounds*, not
+/// committer count.
+pub(crate) fn group_commit_rows(sf: f64) -> IqResult<Vec<GroupCommitMeasure>> {
     // Round count tracks the scale factor; the floor keeps even the CI
     // smoke at 8 contended rounds per leg.
     let rounds = ((sf * 800.0) as u64).clamp(8, 64);
@@ -1691,82 +1590,34 @@ pub fn group_commit_measurements(sf: f64) -> IqResult<Vec<GroupCommitMeasure>> {
             label_gc,
         )?);
     }
-    // Acceptance pin: at the highest concurrency the gather must save at
-    // least half the log PUTs (a leader PUT covering >= 2 commits on
-    // average across the barrier-synchronized rounds).
-    let pa = out
-        .iter()
-        .find(|m| m.threads == 8 && m.mode == "per_append")
-        .expect("per-append leg");
-    let gc = out
-        .iter()
-        .find(|m| m.threads == 8 && m.mode == "coalesced")
-        .expect("coalesced leg");
-    assert_eq!(
-        pa.log_appends, gc.log_appends,
-        "same workload, same records"
-    );
-    assert!(
-        pa.log_puts >= 2 * gc.log_puts,
-        "group commit must save >= 2x log PUTs under 8 concurrent committers \
-         (per-append {} vs coalesced {})",
-        pa.log_puts,
-        gc.log_puts
-    );
     Ok(out)
 }
 
-/// Ablation — group commit: coalescing concurrent transaction-log
-/// appends into one PUT through the submission/completion core's gather.
-/// The first payoff of the PR-7 reactor: log durability cost scales with
-/// commit *rounds*, not committer count.
-pub fn ablation_group_commit(sf: f64) -> IqResult<Report> {
-    Ok(report_group_commit(&group_commit_measurements(sf)?))
-}
-
-/// Render [`group_commit_measurements`] rows as the ablation report
-/// (split out so `repro` can emit the same rows to
-/// `BENCH_group_commit.json`).
-pub fn report_group_commit(measures: &[GroupCommitMeasure]) -> Report {
-    let mut r = Report::new(
-        "Ablation — group commit (coalesced transaction-log appends)".to_string(),
-        &[
-            "Config",
-            "Commits",
-            "Log appends",
-            "Log PUTs",
-            "vs per-append",
-            "Batches",
-            "Max batch",
-            "Coalesced",
-        ],
-    );
-    for m in measures {
+impl Rows for Vec<GroupCommitMeasure> {
+    fn report(&self) -> Report {
         // The same-thread-count per-append leg is each row's baseline.
-        let base = measures
-            .iter()
-            .find(|b| b.threads == m.threads && b.mode == "per_append")
-            .map(|b| b.log_puts)
-            .unwrap_or(m.log_puts);
-        r.row(vec![
-            m.label.clone(),
-            m.commits.to_string(),
-            m.log_appends.to_string(),
-            m.log_puts.to_string(),
-            format!("{:.1}x", base as f64 / m.log_puts.max(1) as f64),
-            m.gathered_batches.to_string(),
-            m.max_batch.to_string(),
-            m.coalesced_records.to_string(),
-        ]);
-    }
-    if let (Some(pa), Some(gc)) = (
-        measures
-            .iter()
-            .find(|m| m.threads == 8 && m.mode == "per_append"),
-        measures
-            .iter()
-            .find(|m| m.threads == 8 && m.mode == "coalesced"),
-    ) {
+        let per_append = |m: &GroupCommitMeasure| {
+            self.iter()
+                .find(|b| b.threads == m.threads && b.mode == "per_append")
+                .map_or(m.log_puts, |b| b.log_puts)
+        };
+        let mut r = Report::from_columns(
+            "Ablation — group commit (coalesced transaction-log appends)",
+            self,
+            &[
+                ("Config", &|m| m.label.to_string()),
+                ("Commits", &|m| m.commits.to_string()),
+                ("Log appends", &|m| m.log_appends.to_string()),
+                ("Log PUTs", &|m| m.log_puts.to_string()),
+                ("vs per-append", &|m| {
+                    format!("{:.1}x", per_append(m) as f64 / m.log_puts.max(1) as f64)
+                }),
+                ("Batches", &|m| m.gathered_batches.to_string()),
+                ("Max batch", &|m| m.max_batch.to_string()),
+                ("Coalesced", &|m| m.coalesced_records.to_string()),
+            ],
+        );
+        let (pa, gc) = (&self[4], &self[5]);
         r.note(format!(
             "a commit's log append registers with the gather before flushing, so every \
              committer that reaches the log while a leader PUT is pending rides that PUT \
@@ -1776,17 +1627,34 @@ pub fn report_group_commit(measures: &[GroupCommitMeasure]) -> Report {
             gc.log_puts,
             pa.log_puts as f64 / gc.log_puts.max(1) as f64,
         ));
+        r
     }
-    r
+
+    /// At the highest concurrency the gather must save at least half the
+    /// log PUTs (a leader PUT covering >= 2 commits on average across the
+    /// barrier-synchronized rounds) for the same records.
+    fn gates(&self) -> Result<(), String> {
+        gate!(self.len() == 6);
+        let (pa, gc) = (&self[4], &self[5]);
+        gate!(pa.threads == 8 && pa.mode == "per_append");
+        gate!(gc.threads == 8 && gc.mode == "coalesced");
+        gate!(pa.log_appends == gc.log_appends);
+        gate!(pa.log_puts >= 2 * gc.log_puts);
+        for m in self.iter().filter(|m| m.mode == "coalesced") {
+            gate!(m.log_appends >= m.commits, m.label);
+        }
+        Ok(())
+    }
 }
 
-/// One measured leg of the durable-log recovery drill.
+/// One measured leg of the durable-log recovery drill (`repro
+/// --recovery`).
 #[derive(serde::Serialize)]
 pub struct RecoveryMeasure {
     /// Row label.
-    pub label: String,
+    pub label: &'static str,
     /// Durable-log mode (`per_append` or `coalesced`).
-    pub mode: String,
+    pub mode: &'static str,
     /// Transactions committed durably before any fault.
     pub durable_commits: u64,
     /// Commits attempted after the log store was cut — every one must
@@ -1806,25 +1674,21 @@ pub struct RecoveryMeasure {
     pub pages_resurrected: u64,
 }
 
+/// Pages each transaction of the recovery drill writes.
+const RECOVERY_PAGES_PER_TXN: u64 = 2;
+
 /// One leg of the recovery drill: `durable_txns` clean commits, then —
 /// with every log-store PUT failing past the retry budget —
 /// `failed_txns` commits that must error and roll back, then a healed
 /// reopen that replays the durable stream and reconciles the phantoms.
 fn recovery_leg(
-    mode: iq_core::GroupCommitMode,
+    mode: GroupCommitMode,
     durable_txns: u64,
     failed_txns: u64,
-    label: &str,
+    label: &'static str,
 ) -> IqResult<RecoveryMeasure> {
-    use bytes::Bytes;
     use iq_common::trace::MetricValue;
-    use iq_common::{PageId, TableId};
-    use iq_core::{Database, DatabaseConfig};
-    use iq_engine::PageStore;
-    use iq_objectstore::{FaultPlan, RetryPolicy};
-    use iq_storage::PageKind;
 
-    const PAGES_PER_TXN: u64 = 2;
     // The failed transactions write a disjoint page range so the
     // post-reopen visibility sweep can tell the two populations apart.
     const FAILED_BASE: u64 = 1_000;
@@ -1833,29 +1697,18 @@ fn recovery_leg(
     cfg.group_commit = mode;
     cfg.log_fault = Some(FaultPlan::none());
     cfg.retry = RetryPolicy::attempts(2);
-    let db = Database::create(cfg.clone())?;
-    let space = db.create_cloud_dbspace("recov")?;
+    let (db, _) = cloud_db(cfg.clone(), 1)?;
     let table = TableId(1);
-    db.create_table(table, space)?;
 
     let commit_one = |base: u64| -> IqResult<bool> {
-        let txn = db.begin();
-        {
-            let pager = db.pager(txn)?;
-            for p in 0..PAGES_PER_TXN {
-                pager.write_page(
-                    table,
-                    PageId(base + p),
-                    PageKind::Data,
-                    Bytes::from(vec![7u8; 512]),
-                    txn,
-                )?;
-            }
-        }
-        Ok(db.commit(txn).is_ok())
+        let pages = (0..RECOVERY_PAGES_PER_TXN).map(|p| (base + p, Bytes::from(vec![7u8; 512])));
+        Ok(db.commit(write_pages(&db, table, pages)?).is_ok())
     };
     for t in 0..durable_txns {
-        assert!(commit_one(t * PAGES_PER_TXN)?, "pre-fault commit failed");
+        assert!(
+            commit_one(t * RECOVERY_PAGES_PER_TXN)?,
+            "pre-fault commit failed"
+        );
     }
     if failed_txns > 0 {
         let injector = db
@@ -1869,7 +1722,7 @@ fn recovery_leg(
         });
         for f in 0..failed_txns {
             assert!(
-                !commit_one(FAILED_BASE + f * PAGES_PER_TXN)?,
+                !commit_one(FAILED_BASE + f * RECOVERY_PAGES_PER_TXN)?,
                 "commit under a cut log store must error"
             );
         }
@@ -1886,7 +1739,7 @@ fn recovery_leg(
     let txn = db.begin();
     let pager = db.pager(txn)?;
     let readable = |base: u64, txns: u64| -> u64 {
-        (0..txns * PAGES_PER_TXN)
+        (0..txns * RECOVERY_PAGES_PER_TXN)
             .filter(|p| pager.read_page(table, PageId(base + p), true).is_ok())
             .count() as u64
     };
@@ -1895,11 +1748,8 @@ fn recovery_leg(
     db.rollback(txn)?;
 
     Ok(RecoveryMeasure {
-        label: label.to_string(),
-        mode: match mode {
-            iq_core::GroupCommitMode::Coalesced => "coalesced".to_string(),
-            _ => "per_append".to_string(),
-        },
+        label,
+        mode: mode_name(mode),
         durable_commits: durable_txns,
         failed_commits: failed_txns,
         put_failures: stats.put_failures,
@@ -1911,17 +1761,16 @@ fn recovery_leg(
     })
 }
 
-/// Run the recovery drill: a no-fault baseline (reconciliation must be
-/// the identity) and a cut-log leg per durable-log mode (every phantom
-/// dropped, nothing resurrected, the durable working set intact).
-pub fn recovery_measurements(sf: f64) -> IqResult<Vec<RecoveryMeasure>> {
-    use iq_core::GroupCommitMode;
-    const PAGES_PER_TXN: u64 = 2;
+/// Ablation — durable-log replay recovery: commits whose log PUT fails
+/// past the retry budget error and roll back; reopen replays the log
+/// keyspace and reconciles away the phantom in-memory records. A no-fault
+/// baseline (reconciliation must be the identity) and a cut-log leg per
+/// durable-log mode.
+pub(crate) fn recovery_rows(sf: f64) -> IqResult<Vec<RecoveryMeasure>> {
     // Durable working set tracks the scale factor; the floor keeps even
     // the CI smoke replaying a non-trivial stream.
     let durable = ((sf * 400.0) as u64).clamp(4, 32);
-    let mut out = Vec::new();
-    for (mode, failed, label) in [
+    [
         (GroupCommitMode::PerAppend, 0, "per-append, no faults"),
         (
             GroupCommitMode::PerAppend,
@@ -1933,73 +1782,30 @@ pub fn recovery_measurements(sf: f64) -> IqResult<Vec<RecoveryMeasure>> {
             3,
             "coalesced, log cut past retry budget",
         ),
-    ] {
-        out.push(recovery_leg(mode, durable, failed, label)?);
-    }
-    for m in &out {
-        // Acceptance pins (ISSUE): failed commits error in their own
-        // life, their phantoms reconcile away, and reopen leaves exactly
-        // the durable working set visible.
-        assert_eq!(
-            m.reconciled_drops, m.failed_commits,
-            "{}: one phantom commit dropped per failed transaction",
-            m.label
-        );
-        assert_eq!(m.pages_resurrected, 0, "{}: resurrection", m.label);
-        assert_eq!(
-            m.pages_visible,
-            m.durable_commits * PAGES_PER_TXN,
-            "{}: durable working set must survive the reopen",
-            m.label
-        );
-        assert!(
-            m.put_failures >= m.failed_commits,
-            "{}: every failed commit exhausted one PUT retry budget",
-            m.label
-        );
-        assert!(m.recovery_gets > 0, "{}: replay issued no GETs", m.label);
-    }
-    Ok(out)
+    ]
+    .into_iter()
+    .map(|(mode, failed, label)| recovery_leg(mode, durable, failed, label))
+    .collect()
 }
 
-/// Ablation — durable-log replay recovery: commits whose log PUT fails
-/// past the retry budget error and roll back; reopen replays the log
-/// keyspace and reconciles away the phantom in-memory records.
-pub fn ablation_recovery(sf: f64) -> IqResult<Report> {
-    Ok(report_recovery(&recovery_measurements(sf)?))
-}
-
-/// Render [`recovery_measurements`] rows as the recovery report (split
-/// out so `repro` can emit the same rows to `BENCH_recovery.json`).
-pub fn report_recovery(measures: &[RecoveryMeasure]) -> Report {
-    let mut r = Report::new(
-        "Ablation — durable-log replay recovery (reconciled reopen)".to_string(),
-        &[
-            "Config",
-            "Durable",
-            "Failed",
-            "PUT fails",
-            "Replay GETs",
-            "Records",
-            "Drops",
-            "Visible",
-            "Resurrected",
-        ],
-    );
-    for m in measures {
-        r.row(vec![
-            m.label.clone(),
-            m.durable_commits.to_string(),
-            m.failed_commits.to_string(),
-            m.put_failures.to_string(),
-            m.recovery_gets.to_string(),
-            m.replayed_records.to_string(),
-            m.reconciled_drops.to_string(),
-            m.pages_visible.to_string(),
-            m.pages_resurrected.to_string(),
-        ]);
-    }
-    if let Some(cut) = measures.iter().find(|m| m.failed_commits > 0) {
+impl Rows for Vec<RecoveryMeasure> {
+    fn report(&self) -> Report {
+        let mut r = Report::from_columns(
+            "Ablation — durable-log replay recovery (reconciled reopen)",
+            self,
+            &[
+                ("Config", &|m| m.label.to_string()),
+                ("Durable", &|m| m.durable_commits.to_string()),
+                ("Failed", &|m| m.failed_commits.to_string()),
+                ("PUT fails", &|m| m.put_failures.to_string()),
+                ("Replay GETs", &|m| m.recovery_gets.to_string()),
+                ("Records", &|m| m.replayed_records.to_string()),
+                ("Drops", &|m| m.reconciled_drops.to_string()),
+                ("Visible", &|m| m.pages_visible.to_string()),
+                ("Resurrected", &|m| m.pages_resurrected.to_string()),
+            ],
+        );
+        let cut = &self[1];
         r.note(format!(
             "the durable log is authoritative: each of the {} commits attempted \
              against the cut store errored in its own life, and at reopen the \
@@ -2011,11 +1817,31 @@ pub fn report_recovery(measures: &[RecoveryMeasure]) -> Report {
             cut.reconciled_drops,
             cut.pages_visible,
         ));
+        r
     }
-    r
+
+    /// Failed commits error in their own life (each exhausting a PUT retry
+    /// budget), their phantoms reconcile away one for one, and reopen
+    /// leaves exactly the durable working set visible.
+    fn gates(&self) -> Result<(), String> {
+        gate!(self.len() == 3);
+        gate!(self.iter().filter(|m| m.failed_commits > 0).count() == 2);
+        for m in self {
+            gate!(m.reconciled_drops == m.failed_commits, m.label);
+            gate!(m.pages_resurrected == 0, m.label);
+            gate!(
+                m.pages_visible == m.durable_commits * RECOVERY_PAGES_PER_TXN,
+                m.label
+            );
+            gate!(m.put_failures >= m.failed_commits, m.label);
+            gate!(m.recovery_gets > 0, m.label);
+        }
+        Ok(())
+    }
 }
 
-/// One measured leg of [`ablation_prune`]: one predicate × one scan mode.
+/// One measured leg of the late-materialization ablation (`repro
+/// --prune`): one predicate × one scan mode.
 #[derive(serde::Serialize)]
 pub struct PruneMeasure {
     /// Row label (predicate + mode).
@@ -2055,10 +1881,13 @@ pub struct PruneMeasure {
 /// unclustered table, clear the buffer, scan with `late_mat` on or off,
 /// and read GETs from the store's own epoch ledger and group/page counts
 /// from the `scan.*` counters.
-fn prune_leg(rows: i64, pred_name: &str, late_mat: bool) -> IqResult<PruneMeasure> {
-    use iq_common::TableId;
-    use iq_core::{Database, DatabaseConfig};
-    use iq_engine::{DataType, Expr, ScanOptions, Schema, TableMeta, TableWriter, Value};
+fn prune_leg(
+    rows: i64,
+    pred_name: &str,
+    pred: &iq_engine::Expr,
+    late_mat: bool,
+) -> IqResult<PruneMeasure> {
+    use iq_engine::{ScanOptions, ScanStats};
     use iq_objectstore::CostLedger;
 
     let mut cfg = DatabaseConfig::test_small();
@@ -2067,10 +1896,7 @@ fn prune_leg(rows: i64, pred_name: &str, late_mat: bool) -> IqResult<PruneMeasur
     cfg.ocm_bytes = 0;
     cfg.pack_pages = 1;
     cfg.retention = None;
-    let db = Database::create(cfg)?;
-    let space = db.create_cloud_dbspace("prune")?;
-    let table = TableId(1);
-    db.create_table(table, space)?;
+    let (db, space) = cloud_db(cfg, 1)?;
     let store = db.cloud_store(space).expect("cloud dbspace is simulated");
 
     // Unclustered data: the predicate columns are multiplicative-hash
@@ -2087,8 +1913,8 @@ fn prune_leg(rows: i64, pred_name: &str, late_mat: bool) -> IqResult<PruneMeasur
         }
     };
     let mut meta = TableMeta::new(
-        table,
-        "prune",
+        TableId(1),
+        "unclustered",
         Schema::new(&[
             ("k", DataType::I64),
             ("cat", DataType::Str),
@@ -2099,38 +1925,17 @@ fn prune_leg(rows: i64, pred_name: &str, late_mat: bool) -> IqResult<PruneMeasur
         ]),
         256,
     );
-    let txn = db.begin();
-    {
-        let pager = db.pager(txn)?;
-        let meter = db.meter().clone();
-        let mut w = TableWriter::new(&mut meta, &pager, txn, &meter);
-        for i in 0..rows {
-            w.append_row(&[
-                Value::I64(scatter(i)),
-                Value::Str(cat(i).into()),
-                Value::I64(i.wrapping_mul(7)),
-                Value::F64(i as f64 * 0.25),
-                Value::Str(format!("pay{}", i % 97).into()),
-                Value::Date((i % 10_000) as i32),
-            ])?;
-        }
-        w.finish()?;
-    }
-    db.commit(txn)?;
-    if let Some(ocm) = db.ocm() {
-        ocm.quiesce();
-    }
+    load_rows(&db, &mut meta, rows, |i| {
+        vec![
+            Value::I64(scatter(i)),
+            Value::Str(cat(i).into()),
+            Value::I64(i.wrapping_mul(7)),
+            Value::F64(i as f64 * 0.25),
+            Value::Str(format!("pay{}", i % 97).into()),
+            Value::Date((i % 10_000) as i32),
+        ]
+    })?;
 
-    // The sweep's predicates: an unclustered integer point probe (the
-    // headline selective leg), a rare and a common dictionary-string
-    // equality (the latter materializes everything — the late-mat
-    // break-even case).
-    let pred = match pred_name {
-        "k = 777 (selective)" => Expr::eq(Expr::col(0), Expr::lit_i64(777)),
-        "cat = 'RARE'" => Expr::eq(Expr::col(1), Expr::lit_str("RARE")),
-        "cat = 'COMMON'" => Expr::eq(Expr::col(1), Expr::lit_str("COMMON")),
-        other => panic!("unknown prune predicate {other}"),
-    };
     let projection = [2usize, 3, 4, 5];
 
     // Cold scan: the GETs in this epoch are the scan's and nothing else's.
@@ -2141,7 +1946,7 @@ fn prune_leg(rows: i64, pred_name: &str, late_mat: bool) -> IqResult<PruneMeasur
     let out = meta.scan_with_options(
         &pager,
         &projection,
-        Some(&pred),
+        Some(pred),
         db.meter(),
         ScanOptions {
             workers: 4,
@@ -2161,7 +1966,6 @@ fn prune_leg(rows: i64, pred_name: &str, late_mat: bool) -> IqResult<PruneMeasur
     }
 
     let sc = db.scan_stats();
-    use iq_engine::ScanStats;
     Ok(PruneMeasure {
         label: format!(
             "{pred_name}, {}",
@@ -2184,84 +1988,92 @@ fn prune_leg(rows: i64, pred_name: &str, late_mat: bool) -> IqResult<PruneMeasur
     })
 }
 
-/// Run the prune sweep: three unclustered predicates of decreasing
-/// selectivity, each scanned eager and late-materialized, asserting the
-/// two modes return bitwise-identical results.
-pub fn prune_measurements(sf: f64) -> IqResult<Vec<PruneMeasure>> {
+/// Ablation — late-materialization scans: predicate-first page reads over
+/// an unclustered selective sweep. Three predicates of decreasing
+/// selectivity, each scanned eager (every needed page of every surviving
+/// group) and two-phase (predicate pages first, a group's projection
+/// pages skipped when the mask comes up all-false), as
+/// `[eager, late-mat]` pairs.
+pub(crate) fn prune_rows(sf: f64) -> IqResult<Vec<PruneMeasure>> {
+    use iq_engine::Expr;
     // Row count tracks the scale factor; the floor keeps even the CI
     // smoke at 16 row groups of 256 rows, enough for the all-false-mask
     // population the ablation is about.
     let rows = ((sf * 400_000.0) as i64).clamp(4_096, 32_768);
+    // An unclustered integer point probe (the headline selective leg),
+    // then a rare and a common dictionary-string equality (the latter
+    // materializes everything — the late-mat break-even case).
+    let cat = |v| Expr::eq(Expr::col(1), Expr::lit_str(v));
     let mut out = Vec::new();
-    for pred in ["k = 777 (selective)", "cat = 'RARE'", "cat = 'COMMON'"] {
-        let eager = prune_leg(rows, pred, false)?;
-        let late = prune_leg(rows, pred, true)?;
-        assert_eq!(
-            eager.checksum, late.checksum,
-            "{pred}: late-materialized scan must be bitwise identical to eager"
-        );
-        assert_eq!(eager.matched_rows, late.matched_rows, "{pred}: row counts");
-        out.push(eager);
-        out.push(late);
+    for (name, pred) in [
+        (
+            "k = 777 (selective)",
+            Expr::eq(Expr::col(0), Expr::lit_i64(777)),
+        ),
+        ("cat = 'RARE'", cat("RARE")),
+        ("cat = 'COMMON'", cat("COMMON")),
+    ] {
+        out.push(prune_leg(rows, name, &pred, false)?);
+        out.push(prune_leg(rows, name, &pred, true)?);
     }
     Ok(out)
 }
 
-/// Ablation — late-materialization scans: predicate-first page reads over
-/// an unclustered selective sweep. Eager reads every needed page of every
-/// surviving group; the two-phase scan reads predicate pages first and
-/// skips a group's projection pages when the mask comes up all-false.
-pub fn ablation_prune(sf: f64) -> IqResult<Report> {
-    Ok(report_prune(&prune_measurements(sf)?))
-}
-
-/// Render [`prune_measurements`] rows as the ablation report (split out
-/// so `repro` can emit the same rows to `BENCH_prune.json`).
-pub fn report_prune(measures: &[PruneMeasure]) -> Report {
-    let (rows, groups) = measures
-        .first()
-        .map(|m| (m.rows, m.groups))
-        .unwrap_or((0, 0));
-    let mut r = Report::new(
-        format!(
-            "Ablation — late-materialization scan ({rows} unclustered rows, {groups} groups, \
-             4-col projection)"
-        ),
-        &[
-            "Predicate, mode",
-            "Matched",
-            "Empty masks",
-            "Pred pages",
-            "Proj pages",
-            "Proj skipped",
-            "Scan GETs",
-            "GETs vs eager",
-            "Request $",
-        ],
-    );
-    for pair in measures.chunks(2) {
-        let base = pair[0].scan_gets;
-        for m in pair {
-            r.row(vec![
-                m.label.clone(),
-                m.matched_rows.to_string(),
-                m.groups_empty_mask.to_string(),
-                m.predicate_pages_read.to_string(),
-                m.projection_pages_read.to_string(),
-                m.projection_pages_skipped.to_string(),
-                m.scan_gets.to_string(),
-                format!("{:.2}x", base as f64 / m.scan_gets.max(1) as f64),
-                format!("{:.9}", m.scan_request_usd),
-            ]);
-        }
+impl Rows for Vec<PruneMeasure> {
+    fn report(&self) -> Report {
+        // Each row beside its pair's eager leg, the "vs eager" baseline.
+        let with_eager = self
+            .chunks(2)
+            .flat_map(|pair| pair.iter().map(|m| (&pair[0], m)));
+        let mut r = Report::from_columns(
+            format!(
+                "Ablation — late-materialization scan ({} unclustered rows, {} groups, \
+                 4-col projection)",
+                self[0].rows, self[0].groups
+            ),
+            with_eager,
+            &[
+                ("Predicate, mode", &|(_, m)| m.label.clone()),
+                ("Matched", &|(_, m)| m.matched_rows.to_string()),
+                ("Empty masks", &|(_, m)| m.groups_empty_mask.to_string()),
+                ("Pred pages", &|(_, m)| m.predicate_pages_read.to_string()),
+                ("Proj pages", &|(_, m)| m.projection_pages_read.to_string()),
+                ("Proj skipped", &|(_, m)| {
+                    m.projection_pages_skipped.to_string()
+                }),
+                ("Scan GETs", &|(_, m)| m.scan_gets.to_string()),
+                ("GETs vs eager", &|(eager, m)| {
+                    format!("{:.2}x", eager.scan_gets as f64 / m.scan_gets.max(1) as f64)
+                }),
+                ("Request $", &|(_, m)| format!("{:.9}", m.scan_request_usd)),
+            ],
+        );
+        r.note(
+            "the predicate columns are hash-scattered, so zone maps never prune and eager must \
+             read every page of every group; the two-phase scan pays one predicate page per group \
+             and materializes projection pages only where the mask has a hit — string predicates \
+             are evaluated in the dictionary code domain without building a single row string",
+        );
+        r
     }
-    r.note(
-        "the predicate columns are hash-scattered, so zone maps never prune and eager must \
-         read every page of every group; the two-phase scan pays one predicate page per group \
-         and materializes projection pages only where the mask has a hit — string predicates \
-         are evaluated in the dictionary code domain without building a single row string",
-    );
-    r
+
+    /// The two modes agree row for row, and on the unclustered selective
+    /// leg the two-phase scan issues at most half the data-page GETs eager
+    /// does by skipping projection pages behind all-false masks.
+    fn gates(&self) -> Result<(), String> {
+        gate!(self.len() == 6);
+        for pair in self.chunks(2) {
+            let (eager, late) = (&pair[0], &pair[1]);
+            gate!(!eager.late_mat && late.late_mat);
+            gate!(eager.checksum == late.checksum, late.label);
+            gate!(eager.matched_rows == late.matched_rows, late.label);
+        }
+        let (eager, late) = (&self[0], &self[1]);
+        gate!(eager.scan_gets >= 2 * late.scan_gets);
+        gate!(late.projection_pages_skipped > 0);
+        gate!(late.scan_request_usd < eager.scan_request_usd);
+        Ok(())
+    }
 }
 
 /// Ablation — notifying the coordinator on rollback vs not (§3.3's
@@ -2271,14 +2083,7 @@ pub fn report_prune(measures: &[PruneMeasure]) -> Report {
 ///
 /// Runs the same workload (R rollbacks, then one writer restart) under
 /// both policies and counts coordinator messages and restart-time polls.
-pub fn ablation_rollback_notify() -> Report {
-    use bytes::Bytes;
-    use iq_common::{DbSpaceId, NodeId, PageId, VersionId};
-    use iq_objectstore::{ConsistencyConfig, ObjectStoreSim, RetryPolicy};
-    use iq_storage::{DbSpace, KeySource, Page, PageKind, StorageConfig};
-    use iq_txn::{Multiplex, RfRb, TxnLog};
-    use std::sync::Arc;
-
+pub fn rollback_notify() -> Report {
     let rollbacks = 50u64;
     let pages_per_txn = 20u64;
 
@@ -2287,27 +2092,16 @@ pub fn ablation_rollback_notify() -> Report {
         let mx = Multiplex::new(Arc::clone(&log), 1, 0);
         let w1 = mx.secondary(NodeId(1)).expect("writer");
         let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::default()));
-        let space = DbSpace::cloud(
-            DbSpaceId(1),
-            "cloud",
-            StorageConfig::test_small(),
-            store,
-            RetryPolicy::default(),
-        );
-        let cache = w1.key_cache().expect("cache");
+        let space = cloud_space(store, RetryPolicy::default());
+        let cache = w1.key_cache().expect("key cache");
         let mut messages = 0u64;
         for _ in 0..rollbacks {
             let mut rfrb = RfRb::new();
             for p in 0..pages_per_txn {
                 let key = KeySource::next_key(cache.as_ref()).expect("key");
-                let page = Page::new(
-                    PageId(p),
-                    VersionId(1),
-                    PageKind::Data,
-                    Bytes::from(vec![0u8; 32]),
-                );
+                let page = data_page(p, vec![0u8; 32]);
                 space.write_page_with_key(&page, key).expect("flush");
-                rfrb.record_alloc(DbSpaceId(1), iq_common::PhysicalLocator::Object(key));
+                rfrb.record_alloc(DbSpaceId(1), PhysicalLocator::Object(key));
             }
             // Roll back: objects die locally.
             for k in rfrb.rb.iter_keys() {
@@ -2328,140 +2122,21 @@ pub fn ablation_rollback_notify() -> Report {
         (messages, polled)
     };
 
-    let (m_notify, p_notify) = run(true);
-    let (m_paper, p_paper) = run(false);
-    let mut r = Report::new(
+    let mut r = Report::from_columns(
         "Ablation — rollback notification policy (50 rollbacks, 1 restart)",
-        &["Policy", "Rollback RPCs", "Restart-time polls"],
+        [
+            ("notify coordinator", run(true)),
+            ("paper (no notify)", run(false)),
+        ],
+        &[
+            ("Policy", &|(policy, _)| policy.to_string()),
+            ("Rollback RPCs", &|(_, (messages, _))| messages.to_string()),
+            ("Restart-time polls", &|(_, (_, polled))| polled.to_string()),
+        ],
     );
-    r.row(vec![
-        "notify coordinator".into(),
-        m_notify.to_string(),
-        p_notify.to_string(),
-    ]);
-    r.row(vec![
-        "paper (no notify)".into(),
-        m_paper.to_string(),
-        p_paper.to_string(),
-    ]);
     r.note(
         "the paper trades cheap idempotent restart polls for zero per-rollback RPCs — \
          correct because polling an already-deleted key is a no-op",
     );
     r
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The PR's acceptance bar: batched+parallel GC must issue at least
-    /// 10x fewer simulated delete requests than the per-key baseline and
-    /// finish in less virtual time.
-    #[test]
-    fn gc_batching_cuts_requests_at_least_10x() {
-        let m = gc_batching_measurements(0.004).unwrap();
-        assert_eq!(m.len(), 3);
-        let per_key = &m[0];
-        let parallel = &m[2];
-        assert_eq!(per_key.keys, parallel.keys);
-        assert_eq!(per_key.delete_requests, per_key.keys);
-        assert!(
-            per_key.delete_requests >= 10 * parallel.delete_requests,
-            "batching must cut requests 10x: {} vs {}",
-            per_key.delete_requests,
-            parallel.delete_requests
-        );
-        assert!(parallel.wall_secs < per_key.wall_secs);
-        // Whether two batches actually overlap depends on OS scheduling,
-        // so only the lower bound is deterministic.
-        assert!(parallel.in_flight_peak >= 1, "fan-out must issue batches");
-    }
-
-    /// The PR's acceptance bar, part 1: under the deterministic lock
-    /// model the sharded SLRU cache must finish the scan phase at least
-    /// 1.5x faster than the single-lock LRU baseline (the report itself
-    /// shows ~min(workers, shards)x).
-    #[test]
-    fn sharded_cache_speedup_at_least_1_5x() {
-        let m = cache_measurements(0.002).unwrap();
-        assert_eq!(m.len(), 4);
-        let base = &m[0]; // 1 shard, LRU
-        let new = &m[3]; // 8 shards, SLRU
-        assert_eq!(base.shards, 1);
-        assert_eq!(new.shards, 8);
-        let speedup = base.modeled_wall_secs / new.modeled_wall_secs.max(1e-12);
-        assert!(
-            speedup >= 1.5,
-            "sharding must model >= 1.5x on the scan phase, got {speedup:.2}x"
-        );
-    }
-
-    /// The packing PR's acceptance bar: the packed commit flush must
-    /// issue at least 10x fewer PUTs than the per-page baseline while
-    /// serving byte-identical query results (the checksum equality is
-    /// asserted inside `pack_measurements` itself), and `pack_pages = 1`
-    /// must reproduce the per-page request count exactly.
-    #[test]
-    fn packing_cuts_load_puts_at_least_10x_with_identical_bytes() {
-        let m = pack_measurements(0.002).unwrap();
-        let base = &m[0]; // pack=1
-        let packed = m
-            .iter()
-            .find(|m| m.pack_pages == 16 && m.ranged_gets)
-            .unwrap();
-        assert_eq!(base.pack_pages, 1);
-        // pack=1 is exactly the old path: one PUT per data page plus the
-        // blockmap-node flushes, and zero composites.
-        assert!(
-            base.load_puts >= base.pages,
-            "per-page baseline: one PUT per data page, got {} for {} pages",
-            base.load_puts,
-            base.pages
-        );
-        assert_eq!(base.objects_written, 0, "pack=1 never writes composites");
-        assert_eq!(base.compactions, 0);
-        assert!(
-            base.load_puts >= 10 * packed.load_puts,
-            "packing must cut load PUTs 10x: {} vs {}",
-            base.load_puts,
-            packed.load_puts
-        );
-        assert!(
-            packed.objects_written >= packed.pages / 16,
-            "~pages/16 composites across load + churn"
-        );
-        // Ranged GETs never over-read; the whole-object leg must.
-        assert_eq!(packed.over_read_bytes, 0);
-        let whole = m.iter().find(|m| !m.ranged_gets).unwrap();
-        assert!(whole.over_read_bytes > 0, "slicing client-side over-reads");
-        // Compaction ran and the GC reclaimed the half-dead composites.
-        assert!(packed.compactions > 0, "half-dead composites must compact");
-        assert!(packed.composites_reclaimed > 0);
-        // The modeled request bill falls with the PUT count.
-        assert!(packed.request_usd < base.request_usd);
-    }
-
-    /// The PR's acceptance bar, part 2: a cold full-table scan must not
-    /// regress the hot set's hit rate under SLRU, while the plain-LRU
-    /// baseline demonstrably collapses on the same trace.
-    #[test]
-    fn slru_preserves_hot_set_through_cold_scan() {
-        let m = cache_measurements(0.002).unwrap();
-        let lru = &m[2]; // 8 shards, LRU
-        let slru = &m[3]; // 8 shards, SLRU
-        assert_eq!(slru.steady_hit_rate, 1.0, "hot set fits: steady is 100%");
-        assert!(
-            slru.post_scan_hit_rate >= slru.steady_hit_rate,
-            "scan must not displace the protected hot set: {} -> {}",
-            slru.steady_hit_rate,
-            slru.post_scan_hit_rate
-        );
-        assert!(
-            lru.post_scan_hit_rate < 0.5,
-            "plain LRU must show the washout the SLRU prevents, got {}",
-            lru.post_scan_hit_rate
-        );
-        assert!(slru.post_scan_hit_rate > lru.post_scan_hit_rate);
-    }
 }

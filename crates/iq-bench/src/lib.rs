@@ -19,6 +19,8 @@
 pub mod experiments;
 pub mod report;
 pub mod runner;
+pub mod scheduler;
+pub mod sections;
 pub mod throughput;
 
 pub use runner::{PowerRun, RunConfig};

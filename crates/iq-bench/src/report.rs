@@ -15,7 +15,29 @@ pub struct Report {
     pub notes: Vec<String>,
 }
 
+/// One report column, declared once: its title and how a row's cell is
+/// formatted.
+pub type Column<'a, R> = (&'static str, &'a dyn Fn(&R) -> String);
+
 impl Report {
+    /// A report with one line per item of `rows`, its headers and cells
+    /// both taken from `columns`.
+    pub fn from_columns<R>(
+        title: impl Into<String>,
+        rows: impl IntoIterator<Item = R>,
+        columns: &[Column<'_, R>],
+    ) -> Self {
+        Self {
+            title: title.into(),
+            headers: columns.iter().map(|(h, _)| h.to_string()).collect(),
+            rows: rows
+                .into_iter()
+                .map(|r| columns.iter().map(|(_, cell)| cell(&r)).collect())
+                .collect(),
+            notes: Vec::new(),
+        }
+    }
+
     /// New empty report.
     pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Self {

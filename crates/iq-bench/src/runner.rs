@@ -1,48 +1,45 @@
 //! Functional TPC-H runs with per-phase activity capture.
 
-use iq_common::{IqError, IqResult, SimDuration, TableId, GIB};
+use std::sync::Arc;
+
+use iq_common::{IqError, IqResult, TableId, GIB};
 use iq_core::{Database, DatabaseConfig};
 use iq_objectstore::timemodel::{DeviceLoad, PhaseLoad};
 use iq_objectstore::{
-    ComputeProfile, CostLedger, DeviceProfile, DeviceStats, IoOp, StatsSnapshot, TimeModel,
-    VolumeKind,
+    ComputeProfile, CostLedger, DeviceProfile, DeviceStats, IoOp, TimeModel, VolumeKind,
 };
 use iq_ocm::OcmStatsSnapshot;
 use iq_tpch::queries::{run_query, Ctx};
 use iq_tpch::TpchDb;
-use serde::Serialize;
+
+/// Scale factor the activity is projected to (the paper ran 1000).
+pub const TARGET_SF: f64 = 1000.0;
+/// Data generator / workload seed.
+pub const SEED: u64 = 20210620;
+/// Row-group size for the TPC-H tables.
+const ROW_GROUP_SIZE: u32 = 4096;
+/// Cache-budget calibration: our generator compresses better than the
+/// paper's dbgen (≈238 GiB vs ≈518 GiB at SF 1000), so RAM/SSD budgets
+/// shrink by this additional factor to preserve the
+/// working-set-to-cache ratios that drive the paper's cache dynamics.
+const CAPACITY_CALIBRATION: f64 = 238.0 / 518.0;
+/// CPU-work multiplier for the load phase: SAP IQ's load engine does
+/// far more per-row work (full dbgen parsing, richer compression,
+/// tiered HG maintenance) than our simplified encoders, and the
+/// paper's Figure 7 shows the load is CPU-bound until ~96 cores.
+const LOAD_CPU_FACTOR: f64 = 26.0;
 
 /// One experiment run's configuration.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Functional scale factor (laptop scale).
     pub sf: f64,
-    /// Scale factor the activity is projected to (the paper ran 1000).
-    pub target_sf: f64,
-    /// Data generator / workload seed.
-    pub seed: u64,
     /// Where user dbspaces live.
     pub volume: VolumeKind,
     /// Instance shape.
     pub compute: ComputeProfile,
     /// OCM on/off (only meaningful on S3).
     pub ocm_enabled: bool,
-    /// Row-group size for the TPC-H tables.
-    pub row_group_size: u32,
-    /// Cache-budget calibration: our generator compresses better than the
-    /// paper's dbgen (≈238 GiB vs ≈518 GiB at SF 1000), so RAM/SSD budgets
-    /// shrink by this additional factor to preserve the
-    /// working-set-to-cache ratios that drive the paper's cache dynamics.
-    pub capacity_calibration: f64,
-    /// Start the query sweep with cold caches (the paper's power runs
-    /// follow an instance restart; m5ad instance storage is ephemeral, so
-    /// the OCM is always cold — the source of Figure 6's warm-up arc).
-    pub cold_start_queries: bool,
-    /// CPU-work multiplier for the load phase: SAP IQ's load engine does
-    /// far more per-row work (full dbgen parsing, richer compression,
-    /// tiered HG maintenance) than our simplified encoders, and the
-    /// paper's Figure 7 shows the load is CPU-bound until ~96 cores.
-    pub load_cpu_factor: f64,
 }
 
 impl RunConfig {
@@ -50,28 +47,22 @@ impl RunConfig {
     pub fn paper_default(sf: f64) -> Self {
         Self {
             sf,
-            target_sf: 1000.0,
-            seed: 20210620,
             volume: VolumeKind::S3,
             compute: ComputeProfile::m5ad_24xlarge(),
             ocm_enabled: true,
-            row_group_size: 4096,
-            capacity_calibration: 238.0 / 518.0,
-            cold_start_queries: true,
-            load_cpu_factor: 26.0,
         }
     }
 
     /// Scale ratio from functional to projected scale.
     pub fn scale(&self) -> f64 {
-        self.target_sf / self.sf
+        TARGET_SF / self.sf
     }
 
     /// RAM/SSD budgets shrink by the same ratio the data does, preserving
     /// the working-set-to-cache ratios that drive the paper's cache
     /// dynamics.
     fn sf_ratio(&self) -> f64 {
-        self.sf / self.target_sf * self.capacity_calibration
+        self.sf / TARGET_SF * CAPACITY_CALIBRATION
     }
 }
 
@@ -98,19 +89,6 @@ pub struct PowerRun {
     pub ocm_stats: OcmStatsSnapshot,
     /// Compressed bytes at rest on the user volume (unscaled).
     pub resident_bytes: u64,
-    /// Raw (uncompressed) input bytes the load read (unscaled estimate).
-    pub input_bytes: u64,
-    /// Load-phase S3 PUT trace buckets (Figure 8), unscaled.
-    pub load_buckets: Vec<iq_objectstore::metrics::TraceBucket>,
-}
-
-/// A phase folded into virtual time.
-#[derive(Debug, Clone, Serialize)]
-pub struct PhaseTime {
-    /// Phase label.
-    pub name: String,
-    /// Elapsed virtual seconds at the projected scale.
-    pub seconds: f64,
 }
 
 fn user_volume_profile(cfg: &RunConfig, resident_scaled_gib: u64) -> IqResult<DeviceProfile> {
@@ -125,9 +103,22 @@ fn user_volume_profile(cfg: &RunConfig, resident_scaled_gib: u64) -> IqResult<De
     }
 }
 
-impl PowerRun {
-    /// Execute the workload functionally and capture activity.
-    pub fn execute(config: RunConfig) -> IqResult<PowerRun> {
+/// A database set up for phase capture — what a power run and the
+/// throughput drill share: database and dbspace set-up, the TPC-H load,
+/// the instance restart, and the reset → run → snapshot bracket around
+/// every captured phase.
+pub(crate) struct Capture {
+    pub(crate) config: RunConfig,
+    pub(crate) db: Database,
+    user_space: Arc<iq_storage::DbSpace>,
+    /// Compressed bytes at rest on the user volume once loaded (unscaled).
+    resident_bytes: u64,
+}
+
+impl Capture {
+    /// Create the database for `config`, scanning with `scan_workers`,
+    /// with the user dbspace and the eight TPC-H tables on it.
+    pub(crate) fn open(config: RunConfig, scan_workers: usize) -> IqResult<Capture> {
         let ratio = config.sf_ratio();
         let mut db_cfg = DatabaseConfig::default();
         db_cfg.storage.page_size = 64 * 1024;
@@ -139,18 +130,10 @@ impl PowerRun {
             0
         };
         db_cfg.retention = None; // GC immediately; retention measured elsewhere
-
-        // Morsel-parallel scans and the commit-flush fan-out run one worker
-        // per modelled core, clamped to the host's real parallelism (the
-        // functional run executes on the laptop; virtual time does the
-        // scale-up).
-        db_cfg.scan_workers = (config.compute.cpus as usize)
-            .min(std::thread::available_parallelism().map_or(8, |n| n.get()))
-            .max(1);
+        db_cfg.scan_workers = scan_workers;
         let db = Database::create(db_cfg)?;
 
-        let is_cloud = config.volume == VolumeKind::S3;
-        let space = if is_cloud {
+        let space = if config.volume == VolumeKind::S3 {
             db.create_cloud_dbspace("tpch")?
         } else {
             // Conventional volume sized 1 TB at target scale.
@@ -159,129 +142,193 @@ impl PowerRun {
         for t in 1..=8u32 {
             db.create_table(TableId(t), space)?;
         }
+        Ok(Capture {
+            user_space: db.dbspace(space)?,
+            config,
+            db,
+            resident_bytes: 0,
+        })
+    }
 
-        let user_space = db.dbspace(space)?;
-        let ssd = db.ssd();
-        let reset_all = || {
-            user_space.reset_backend_stats();
-            ssd.stats.reset();
-            db.buffer_stats().begin_epoch();
-        };
-        let user_stats_snapshot = || -> StatsSnapshot { user_space.backend_stats() };
+    /// Open a phase: restart the device and buffer epochs and return the
+    /// work-meter mark [`Capture::end_phase`] measures from.
+    pub(crate) fn begin_phase(&self) -> u64 {
+        self.user_space.reset_backend_stats();
+        self.db.ssd().stats.reset();
+        self.db.buffer_stats().begin_epoch();
+        self.db.meter().total()
+    }
 
-        // ---------------- Load phase ----------------
-        reset_all();
-        let meter_mark = db.meter().total();
-        let txn = db.begin();
-        let pager = db.pager(txn)?;
+    /// Close the phase opened at `mark` into its captured activity.
+    pub(crate) fn end_phase(&self, name: &str, mark: u64, rows: u64) -> IqResult<PhaseCapture> {
+        self.snapshot_phase(name, rows, None, self.db.meter().since(mark) as f64)
+    }
+
+    /// The activity since the phase began as a [`PhaseCapture`]; the user
+    /// volume is always its first device. `input_bytes` of flat files
+    /// stream in beside it during a load.
+    fn snapshot_phase(
+        &self,
+        name: &str,
+        rows: u64,
+        input_bytes: Option<u64>,
+        cpu_work: f64,
+    ) -> IqResult<PhaseCapture> {
+        let config = &self.config;
+        let demand_fraction = self.db.buffer_stats().demand_fraction();
+        let resident_scaled_gib =
+            ((self.resident_bytes as f64 * config.scale()) as u64 / GIB).max(1);
+        let mut devices = vec![DeviceLoad {
+            profile: user_volume_profile(config, resident_scaled_gib)?,
+            snapshot: self.user_space.backend_stats(),
+            serial_read_fraction: demand_fraction,
+        }];
+        // Input flat files always stream from S3 (§6: "all input files are
+        // stored in an S3 bucket").
+        if let Some(bytes) = input_bytes {
+            let input = DeviceStats::new();
+            const CHUNK: u64 = 8 * 1024 * 1024;
+            for i in 0..bytes.div_ceil(CHUNK) {
+                let chunk = CHUNK.min(bytes - i * CHUNK);
+                input.record_prefixed(IoOp::Get, chunk, Some((i % 512) as u16));
+            }
+            devices.push(DeviceLoad {
+                profile: DeviceProfile::s3(),
+                snapshot: input.snapshot(),
+                serial_read_fraction: 0.0,
+            });
+        }
+        // The OCM's local SSD.
+        let ssd = self.db.ssd().stats.snapshot();
+        if ssd.total_requests > 0 {
+            devices.push(DeviceLoad {
+                profile: DeviceProfile::local_nvme(config.compute.ssd_devices.max(1)),
+                snapshot: ssd,
+                serial_read_fraction: demand_fraction,
+            });
+        }
+        Ok(PhaseCapture {
+            name: name.into(),
+            load: PhaseLoad { devices, cpu_work },
+            rows,
+        })
+    }
+
+    /// Generate and load TPC-H in one transaction, captured as the `load`
+    /// phase.
+    pub(crate) fn load_tpch(&mut self) -> IqResult<(TpchDb, PhaseCapture)> {
+        let mark = self.begin_phase();
+        let txn = self.db.begin();
+        let pager = self.db.pager(txn)?;
         let tpch = TpchDb::load(
-            config.sf,
-            config.seed,
+            self.config.sf,
+            SEED,
             &pager,
             txn,
-            db.meter(),
-            config.row_group_size,
+            self.db.meter(),
+            ROW_GROUP_SIZE,
         )?;
-        db.commit(txn)?;
-        if let Some(ocm) = db.ocm() {
+        self.db.commit(txn)?;
+        if let Some(ocm) = self.db.ocm() {
             ocm.quiesce();
         }
-        let resident_bytes = user_space.resident_bytes();
-        // dbgen flat files are roughly 2× the compressed resident size.
-        let input_bytes = resident_bytes * 2;
-        let user_snap = user_stats_snapshot();
-        let load_buckets = user_snap.buckets.clone();
-        let load = PhaseCapture {
-            name: "load".into(),
-            load: assemble_phase(
-                &config,
-                user_snap,
-                ssd.stats.snapshot(),
-                Some(input_bytes),
-                db.buffer_stats().demand_fraction(),
-                db.meter().since(meter_mark) as f64 * config.load_cpu_factor,
-                resident_bytes,
-            )?,
-            rows: tpch.total_rows(),
-        };
+        self.resident_bytes = self.user_space.resident_bytes();
+        let load = self.snapshot_phase(
+            "load",
+            tpch.total_rows(),
+            // dbgen flat files are roughly 2× the compressed resident size.
+            Some(self.resident_bytes * 2),
+            self.db.meter().since(mark) as f64 * LOAD_CPU_FACTOR,
+        )?;
+        Ok((tpch, load))
+    }
 
-        // Instance restart between the load and the power run: RAM and
-        // the ephemeral instance-store SSD both come back empty.
-        if config.cold_start_queries {
-            db.shared().buffer.clear();
-            if let Some(ocm) = db.ocm() {
-                ocm.clear_cache();
-            }
-            for t in 1..=8u32 {
-                db.shared().table_store(TableId(t))?.invalidate_cache();
-            }
+    /// Instance restart between the load and the measured phases (the
+    /// paper's power runs follow one): RAM and the ephemeral
+    /// instance-store SSD both come back empty, so the OCM is always cold
+    /// — the source of Figure 6's warm-up arc.
+    pub(crate) fn restart(&self) -> IqResult<()> {
+        self.db.shared().buffer.clear();
+        if let Some(ocm) = self.db.ocm() {
+            ocm.clear_cache();
         }
+        for t in 1..=8u32 {
+            self.db.shared().table_store(TableId(t))?.invalidate_cache();
+        }
+        Ok(())
+    }
 
-        // ---------------- Query phases ----------------
-        let ocm_before = db
-            .ocm()
-            .map(|o| o.stats_snapshot())
-            .unwrap_or(OcmStatsSnapshot {
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            });
+    /// Run Q1..Q22 in one reader transaction, each captured as its own
+    /// phase, with operators fanning out over `op_workers` workers and
+    /// accounting into the database's submission-depth stats.
+    pub(crate) fn run_queries(
+        &self,
+        tpch: &TpchDb,
+        op_workers: usize,
+    ) -> IqResult<Vec<PhaseCapture>> {
+        let exec =
+            iq_engine::OpExec::new(op_workers).with_stats(Arc::clone(&self.db.shared().io_stats));
+        let txn = self.db.begin();
+        let pager = self.db.pager(txn)?;
         let mut queries = Vec::with_capacity(22);
-        let qtxn = db.begin();
-        let qpager = db.pager(qtxn)?;
         for n in 1..=22u32 {
-            reset_all();
-            let mark = db.meter().total();
+            let mark = self.begin_phase();
             let ctx = Ctx {
-                db: &tpch,
-                store: &qpager,
-                meter: db.meter(),
-                // Operators fan out as wide as the scans feeding them and
-                // account into the same submission-depth stats.
-                exec: iq_engine::OpExec::for_store(&qpager),
+                db: tpch,
+                store: &pager,
+                meter: self.db.meter(),
+                exec: exec.clone(),
                 late_mat: true,
             };
             let out = run_query(n, &ctx)?;
-            if let Some(ocm) = db.ocm() {
+            if let Some(ocm) = self.db.ocm() {
                 ocm.quiesce();
             }
-            queries.push(PhaseCapture {
-                name: format!("Q{n}"),
-                load: assemble_phase(
-                    &config,
-                    user_stats_snapshot(),
-                    ssd.stats.snapshot(),
-                    None,
-                    db.buffer_stats().demand_fraction(),
-                    db.meter().since(mark) as f64,
-                    resident_bytes,
-                )?,
-                rows: out.len() as u64,
-            });
+            queries.push(self.end_phase(&format!("Q{n}"), mark, out.len() as u64)?);
         }
-        db.rollback(qtxn)?;
-        let ocm_after = db
-            .ocm()
-            .map(|o| o.stats_snapshot())
-            .unwrap_or(OcmStatsSnapshot {
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            });
-        let ocm_stats = OcmStatsSnapshot {
-            hits: ocm_after.hits - ocm_before.hits,
-            misses: ocm_after.misses - ocm_before.misses,
-            evictions: ocm_after.evictions - ocm_before.evictions,
+        self.db.rollback(txn)?;
+        Ok(queries)
+    }
+}
+
+impl PowerRun {
+    /// Execute the workload functionally and capture activity.
+    pub fn execute(config: RunConfig) -> IqResult<PowerRun> {
+        // Morsel-parallel scans, the commit-flush fan-out and the
+        // operators they feed run one worker per modelled core, clamped to
+        // the host's real parallelism (the functional run executes on the
+        // laptop; virtual time does the scale-up).
+        let workers = (config.compute.cpus as usize)
+            .min(std::thread::available_parallelism().map_or(8, |n| n.get()))
+            .max(1);
+        let mut cap = Capture::open(config, workers)?;
+        let (tpch, load) = cap.load_tpch()?;
+        cap.restart()?;
+
+        let ocm_stats = || {
+            cap.db.ocm().map_or(
+                OcmStatsSnapshot {
+                    hits: 0,
+                    misses: 0,
+                    evictions: 0,
+                },
+                |o| o.stats_snapshot(),
+            )
         };
+        let before = ocm_stats();
+        let queries = cap.run_queries(&tpch, workers)?;
+        let after = ocm_stats();
 
         Ok(PowerRun {
-            config,
             load,
             queries,
-            ocm_stats,
-            resident_bytes,
-            input_bytes,
-            load_buckets,
+            ocm_stats: OcmStatsSnapshot {
+                hits: after.hits - before.hits,
+                misses: after.misses - before.misses,
+                evictions: after.evictions - before.evictions,
+            },
+            resident_bytes: cap.resident_bytes,
+            config: cap.config,
         })
     }
 
@@ -291,22 +338,6 @@ impl PowerRun {
         let model = TimeModel::new(self.config.compute.clone());
         let scaled = scale_phase(&phase.load, self.config.scale());
         model.phase_time(&scaled).as_secs_f64()
-    }
-
-    /// All phase timings (load first, then Q1..Q22).
-    pub fn timings(&self) -> Vec<PhaseTime> {
-        let mut out = Vec::with_capacity(23);
-        out.push(PhaseTime {
-            name: "load".into(),
-            seconds: self.phase_seconds(&self.load),
-        });
-        for q in &self.queries {
-            out.push(PhaseTime {
-                name: q.name.clone(),
-                seconds: self.phase_seconds(q),
-            });
-        }
-        out
     }
 
     /// Virtual duration of the whole query sweep.
@@ -352,53 +383,6 @@ impl PowerRun {
     }
 }
 
-/// Build a [`PhaseLoad`] from raw snapshots.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_phase(
-    config: &RunConfig,
-    user: StatsSnapshot,
-    ssd: StatsSnapshot,
-    input_bytes: Option<u64>,
-    demand_fraction: f64,
-    cpu_work: f64,
-    resident_bytes: u64,
-) -> IqResult<PhaseLoad> {
-    let resident_scaled_gib = ((resident_bytes as f64 * config.scale()) as u64 / GIB).max(1);
-    let mut devices = vec![DeviceLoad {
-        profile: user_volume_profile(config, resident_scaled_gib)?,
-        snapshot: user,
-        serial_read_fraction: demand_fraction,
-    }];
-    // Input flat files always stream from S3 (§6: "all input files are
-    // stored in an S3 bucket").
-    if let Some(bytes) = input_bytes {
-        let input = DeviceStats::new();
-        const CHUNK: u64 = 8 * 1024 * 1024;
-        let chunks = bytes.div_ceil(CHUNK);
-        for i in 0..chunks {
-            input.record_prefixed(
-                IoOp::Get,
-                CHUNK.min(bytes - i * CHUNK),
-                Some((i % 512) as u16),
-            );
-        }
-        devices.push(DeviceLoad {
-            profile: DeviceProfile::s3(),
-            snapshot: input.snapshot(),
-            serial_read_fraction: 0.0,
-        });
-    }
-    // The OCM's local SSD.
-    if ssd.total_requests > 0 {
-        devices.push(DeviceLoad {
-            profile: DeviceProfile::local_nvme(config.compute.ssd_devices.max(1)),
-            snapshot: ssd,
-            serial_read_fraction: demand_fraction,
-        });
-    }
-    Ok(PhaseLoad { devices, cpu_work })
-}
-
 /// Scale a phase's activity to the projected scale factor.
 ///
 /// Counts and bytes grow linearly with the data. *Serial* (demand-miss)
@@ -422,10 +406,4 @@ pub fn scale_phase(phase: &PhaseLoad, factor: f64) -> PhaseLoad {
             .collect(),
         cpu_work: phase.cpu_work * factor,
     }
-}
-
-/// Virtual time of a phase under an explicit model (scale-up sweeps reuse
-/// captures across compute profiles).
-pub fn phase_seconds_with(model: &TimeModel, phase: &PhaseCapture, scale: f64) -> SimDuration {
-    model.phase_time(&scale_phase(&phase.load, scale))
 }

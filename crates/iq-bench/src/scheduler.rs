@@ -12,7 +12,7 @@
 //! the heavy backlog grows.
 //!
 //! Everything here runs in *virtual time*: jobs carry modeled service
-//! seconds (from the bench layer's `TimeModel`), the event loop advances
+//! seconds (from the throughput drill's `TimeModel` fold), the event loop advances
 //! a virtual clock, and the whole simulation is a pure deterministic
 //! function of its inputs — fixed seed in, byte-identical latency
 //! distribution out. No wall clocks, no threads, no locks.
@@ -34,6 +34,21 @@ impl QueryClass {
             QueryClass::Light => 0,
             QueryClass::Heavy => 1,
         }
+    }
+
+    /// `"light"` or `"heavy"` — the name reports and `BENCH_throughput.json`
+    /// carry.
+    pub fn name(self) -> &'static str {
+        match self {
+            QueryClass::Light => "light",
+            QueryClass::Heavy => "heavy",
+        }
+    }
+}
+
+impl serde::Serialize for QueryClass {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self.name().serialize(serializer)
     }
 }
 
@@ -128,21 +143,22 @@ impl Completion {
     }
 }
 
-/// Per-class digest of one scheduler run.
-#[derive(Debug, Clone)]
+/// Per-class digest of one scheduler run (a `fair` / `fifo` row of
+/// `BENCH_throughput.json`).
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct ClassSummary {
     /// The class.
     pub class: QueryClass,
     /// Jobs completed.
     pub completed: u64,
     /// Median virtual latency (arrival → finish) in seconds.
-    pub p50_latency_secs: f64,
+    pub p50_s: f64,
     /// 99th-percentile virtual latency in seconds.
-    pub p99_latency_secs: f64,
+    pub p99_s: f64,
     /// Mean service seconds (no queueing) — the solo baseline.
-    pub mean_service_secs: f64,
+    pub mean_service_s: f64,
     /// Mean slot-wait seconds (admission delay).
-    pub mean_wait_secs: f64,
+    pub mean_wait_s: f64,
     /// Mean object-store requests per query.
     pub requests_per_query: f64,
     /// Mean request-priced dollars per query.
@@ -170,6 +186,58 @@ struct Running {
     finish: f64,
 }
 
+/// The two per-class run queues with their SFQ bookkeeping.
+struct RunQueues {
+    /// Per-class fair-queueing weights, `[light, heavy]`.
+    weights: [f64; 2],
+    queues: [VecDeque<Pending>; 2],
+    /// Each class's last-issued finish tag.
+    last_finish_tag: [f64; 2],
+    /// The global virtual work clock (start tag of the latest admission).
+    vtime: f64,
+    enqueue_seq: u64,
+}
+
+impl RunQueues {
+    fn enqueue(&mut self, spec: &JobSpec, stream: usize, seq: usize, now: f64) {
+        let c = spec.class.idx();
+        // A backlogged class's tags advance by service/weight per
+        // job; an idle class restarts at the current virtual time —
+        // the classic SFQ start tag.
+        let start_tag = self.vtime.max(self.last_finish_tag[c]);
+        self.last_finish_tag[c] = start_tag + spec.service_secs / self.weights[c];
+        self.queues[c].push_back(Pending {
+            stream,
+            seq,
+            arrival: now,
+            start_tag,
+            enqueue_seq: self.enqueue_seq,
+        });
+        self.enqueue_seq += 1;
+    }
+
+    /// Pop the next job to admit, if any is queued: of the two class
+    /// heads, the smallest start tag under `WeightedFair`, the oldest
+    /// under `Fifo`. Enqueue order breaks ties (it is unique), so
+    /// Light-before-Heavy never depends on float equality luck.
+    fn admit(&mut self, policy: Policy) -> Option<Pending> {
+        let key = |p: &Pending| match policy {
+            Policy::WeightedFair => (p.start_tag, p.enqueue_seq),
+            Policy::Fifo => (0.0, p.enqueue_seq),
+        };
+        let heads = [self.queues[0].front(), self.queues[1].front()];
+        let c = match heads.map(|head| head.map(key)) {
+            [None, None] => return None,
+            [Some(_), None] => 0,
+            [None, Some(_)] => 1,
+            [Some(l), Some(h)] => usize::from(l > h),
+        };
+        let p = self.queues[c].pop_front().expect("picked head exists");
+        self.vtime = self.vtime.max(p.start_tag);
+        Some(p)
+    }
+}
+
 /// Deterministic virtual-time scheduler over closed-loop job streams.
 ///
 /// Each stream runs its jobs strictly in order: job `k + 1` enters the
@@ -192,97 +260,36 @@ impl QueryScheduler {
     /// finish order. Pure function of the inputs: same streams, same
     /// config ⇒ bitwise-identical output.
     pub fn run(&self, streams: &[Vec<JobSpec>]) -> Vec<Completion> {
-        let weights = [self.config.light_weight, self.config.heavy_weight];
-        let mut queues: [VecDeque<Pending>; 2] = [VecDeque::new(), VecDeque::new()];
-        // SFQ bookkeeping: the class's last-issued finish tag and the
-        // global virtual work clock (start tag of the latest admission).
-        let mut last_finish_tag = [0.0f64; 2];
-        let mut vtime = 0.0f64;
-        let mut enqueue_seq = 0u64;
+        let mut run_queues = RunQueues {
+            weights: [self.config.light_weight, self.config.heavy_weight],
+            queues: [VecDeque::new(), VecDeque::new()],
+            last_finish_tag: [0.0; 2],
+            vtime: 0.0,
+            enqueue_seq: 0,
+        };
         let mut slots: Vec<Option<Running>> = vec![None; self.config.slots];
         let mut clock = 0.0f64;
         let mut completions: Vec<Completion> = Vec::new();
 
-        let job = |stream: usize, seq: usize| -> &JobSpec { &streams[stream][seq] };
-        let enqueue = |stream: usize,
-                       seq: usize,
-                       now: f64,
-                       vtime: f64,
-                       last_finish_tag: &mut [f64; 2],
-                       queues: &mut [VecDeque<Pending>; 2],
-                       enqueue_seq: &mut u64| {
-            let spec = job(stream, seq);
-            let c = spec.class.idx();
-            // A backlogged class's tags advance by service/weight per
-            // job; an idle class restarts at the current virtual time —
-            // the classic SFQ start tag.
-            let start_tag = vtime.max(last_finish_tag[c]);
-            last_finish_tag[c] = start_tag + spec.service_secs / weights[c];
-            queues[c].push_back(Pending {
-                stream,
-                seq,
-                arrival: now,
-                start_tag,
-                enqueue_seq: *enqueue_seq,
-            });
-            *enqueue_seq += 1;
-        };
-
         // All streams open their connection at t = 0, in stream order.
         for (stream, jobs) in streams.iter().enumerate() {
-            if !jobs.is_empty() {
-                enqueue(
-                    stream,
-                    0,
-                    0.0,
-                    vtime,
-                    &mut last_finish_tag,
-                    &mut queues,
-                    &mut enqueue_seq,
-                );
+            if let Some(first) = jobs.first() {
+                run_queues.enqueue(first, stream, 0, 0.0);
             }
         }
 
         loop {
             // Fill every free slot from the run queues.
-            for slot in &mut slots {
-                if slot.is_some() {
-                    continue;
-                }
-                let pick = match self.config.policy {
-                    Policy::WeightedFair => {
-                        // Smallest start tag wins; enqueue order breaks ties
-                        // (it is unique), which also means Light-before-Heavy
-                        // never depends on float equality luck.
-                        let head =
-                            |c: usize| queues[c].front().map(|p| (p.start_tag, p.enqueue_seq));
-                        match (head(0), head(1)) {
-                            (None, None) => None,
-                            (Some(_), None) => Some(0),
-                            (None, Some(_)) => Some(1),
-                            (Some(l), Some(h)) => Some(if l <= h { 0 } else { 1 }),
-                        }
-                    }
-                    Policy::Fifo => {
-                        let head = |c: usize| queues[c].front().map(|p| p.enqueue_seq);
-                        match (head(0), head(1)) {
-                            (None, None) => None,
-                            (Some(_), None) => Some(0),
-                            (None, Some(_)) => Some(1),
-                            (Some(l), Some(h)) => Some(if l < h { 0 } else { 1 }),
-                        }
-                    }
+            for slot in slots.iter_mut().filter(|s| s.is_none()) {
+                let Some(p) = run_queues.admit(self.config.policy) else {
+                    break;
                 };
-                let Some(c) = pick else { break };
-                let p = queues[c].pop_front().expect("picked head exists");
-                vtime = vtime.max(p.start_tag);
-                let service = job(p.stream, p.seq).service_secs;
                 *slot = Some(Running {
                     stream: p.stream,
                     seq: p.seq,
                     arrival: p.arrival,
                     start: clock,
-                    finish: clock + service,
+                    finish: clock + streams[p.stream][p.seq].service_secs,
                 });
             }
 
@@ -293,12 +300,12 @@ impl QueryScheduler {
                 .filter_map(|(i, s)| s.as_ref().map(|r| (r.finish, i)))
                 .min_by(|a, b| a.partial_cmp(b).expect("virtual times are finite"));
             let Some((finish, slot)) = next else {
-                debug_assert!(queues.iter().all(VecDeque::is_empty));
+                debug_assert!(run_queues.queues.iter().all(VecDeque::is_empty));
                 break;
             };
             clock = finish;
             let r = slots[slot].take().expect("slot was running");
-            let spec = job(r.stream, r.seq);
+            let spec = &streams[r.stream][r.seq];
             completions.push(Completion {
                 stream: r.stream,
                 seq: r.seq,
@@ -312,16 +319,8 @@ impl QueryScheduler {
                 cost_usd: spec.cost_usd,
             });
             // Closed loop: the stream's next job arrives now.
-            if r.seq + 1 < streams[r.stream].len() {
-                enqueue(
-                    r.stream,
-                    r.seq + 1,
-                    clock,
-                    vtime,
-                    &mut last_finish_tag,
-                    &mut queues,
-                    &mut enqueue_seq,
-                );
+            if let Some(next) = streams[r.stream].get(r.seq + 1) {
+                run_queues.enqueue(next, r.stream, r.seq + 1, clock);
             }
         }
         completions
@@ -359,10 +358,10 @@ pub fn summarize(completions: &[Completion]) -> Vec<ClassSummary> {
             ClassSummary {
                 class,
                 completed: of_class.len() as u64,
-                p50_latency_secs: percentile(&latencies, 50.0),
-                p99_latency_secs: percentile(&latencies, 99.0),
-                mean_service_secs: mean(&|c| c.service_secs),
-                mean_wait_secs: mean(&|c| c.start - c.arrival),
+                p50_s: percentile(&latencies, 50.0),
+                p99_s: percentile(&latencies, 99.0),
+                mean_service_s: mean(&|c| c.service_secs),
+                mean_wait_s: mean(&|c| c.start - c.arrival),
                 requests_per_query: mean(&|c| c.requests),
                 usd_per_query: mean(&|c| c.cost_usd),
             }
@@ -476,8 +475,8 @@ mod tests {
         assert_eq!(summary[0].class, QueryClass::Light);
         assert_eq!(summary[0].completed, 40);
         assert_eq!(summary[1].completed, 80);
-        assert!(summary[0].p50_latency_secs <= summary[0].p99_latency_secs);
-        assert!((summary[0].mean_service_secs - 0.1).abs() < 1e-12);
+        assert!(summary[0].p50_s <= summary[0].p99_s);
+        assert!((summary[0].mean_service_s - 0.1).abs() < 1e-12);
         assert!((summary[0].requests_per_query - 10.0).abs() < 1e-12);
     }
 

@@ -25,26 +25,25 @@
 //! issue-order deterministic, and disables the OCM SSD tier (its cache
 //! population runs on a background worker, so whether a re-read hits
 //! SSD or S3 would depend on thread timing); the *operators* still fan
-//! out ([`OpExec::new`] with 8 workers) because the partitioned join /
+//! out ([`iq_engine::OpExec`] with 8 workers) because the partitioned join /
 //! aggregate paths are byte-identical and meter-identical at every worker
 //! count — worker fan-out changes wall-clock only, never the capture.
 
 use std::collections::BTreeMap;
 
 use iq_common::trace::MetricValue;
-use iq_common::{DetRng, IqResult, TableId};
-use iq_core::scheduler::{percentile, summarize};
-use iq_core::{Database, DatabaseConfig, JobSpec, QueryClass, QueryScheduler, SchedulerConfig};
-use iq_engine::{OpExec, PageStore};
-use iq_objectstore::timemodel::PhaseLoad;
+use iq_common::{DetRng, IqResult};
 use iq_objectstore::{CostLedger, TimeModel};
-use iq_tpch::queries::{run_query, Ctx};
 use iq_tpch::refresh::{rf1, rf2};
-use iq_tpch::TpchDb;
 use serde::Serialize;
 
-use crate::report::Report;
-use crate::runner::{assemble_phase, scale_phase, RunConfig};
+use crate::report::{Column, Report};
+use crate::runner::{scale_phase, Capture, PhaseCapture, RunConfig, SEED};
+use crate::scheduler::{
+    percentile, summarize, ClassSummary, Completion, JobSpec, QueryClass, QueryScheduler,
+    SchedulerConfig,
+};
+use crate::sections::{gate, Rows};
 
 /// Closed-loop query streams (TPC-H style, each a shuffled Q1..Q22).
 const QUERY_STREAMS: usize = 24;
@@ -60,54 +59,6 @@ const LIGHT_WEIGHT: f64 = 4.0;
 const HEAVY_WEIGHT: f64 = 1.0;
 /// Operator fan-out used for the parallel join/aggregate paths.
 const EXEC_WORKERS: usize = 8;
-
-/// One captured phase: a query or refresh executed once.
-struct JobProfile {
-    label: String,
-    load: PhaseLoad,
-    meter_units: u64,
-    out_rows: u64,
-}
-
-/// Strip the sampled async-write queue depth out of a captured phase.
-///
-/// `mean_queue_depth` is sampled against the *host's* wall clock while
-/// the functional run executes, so it wobbles with thread scheduling —
-/// a nondeterministic channel into [`TimeModel::device_time`] (which
-/// inflates read latency under write pressure). The capture database
-/// runs without the OCM (see [`throughput_measurements`]), so no
-/// samples are recorded today; zeroing here keeps the artifact
-/// byte-stable even if a future capture re-enables a sampling tier.
-/// The power run keeps the pressure term.
-fn sanitize(mut load: PhaseLoad) -> PhaseLoad {
-    for d in &mut load.devices {
-        d.snapshot.mean_queue_depth = 0.0;
-        d.snapshot.max_queue_depth = 0;
-    }
-    load
-}
-
-/// Per-class digest row of one scheduler run (serializable mirror of
-/// [`iq_core::ClassSummary`]).
-#[derive(Debug, Clone, Serialize)]
-pub struct ThroughputClassRow {
-    /// `"light"` or `"heavy"`.
-    pub class: String,
-    /// Jobs completed.
-    pub completed: u64,
-    /// Median virtual latency in seconds.
-    pub p50_s: f64,
-    /// 99th-percentile virtual latency in seconds.
-    pub p99_s: f64,
-    /// Mean modeled service seconds (the no-queueing baseline).
-    pub mean_service_s: f64,
-    /// Mean admission-wait seconds.
-    pub mean_wait_s: f64,
-    /// Mean object-store requests per query (scaled).
-    pub requests_per_query: f64,
-    /// Mean request-priced dollars per query (scaled).
-    pub usd_per_query: f64,
-}
 
 /// The full throughput measurement written to `BENCH_throughput.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -127,9 +78,9 @@ pub struct ThroughputMeasure {
     /// Heavy-class fair-queueing weight.
     pub heavy_weight: f64,
     /// Per-class digest under weighted-fair admission (`[light, heavy]`).
-    pub fair: Vec<ThroughputClassRow>,
+    pub fair: Vec<ClassSummary>,
     /// Per-class digest under the FIFO baseline (`[light, heavy]`).
-    pub fifo: Vec<ThroughputClassRow>,
+    pub fifo: Vec<ClassSummary>,
     /// Virtual makespan of the fair run (seconds).
     pub makespan_s: f64,
     /// Virtual makespan of the FIFO run (seconds).
@@ -142,120 +93,51 @@ pub struct ThroughputMeasure {
     pub metrics: BTreeMap<String, MetricValue>,
 }
 
-fn class_rows(completions: &[iq_core::Completion]) -> Vec<ThroughputClassRow> {
-    summarize(completions)
-        .into_iter()
-        .map(|s| ThroughputClassRow {
-            class: match s.class {
-                QueryClass::Light => "light".into(),
-                QueryClass::Heavy => "heavy".into(),
-            },
-            completed: s.completed,
-            p50_s: s.p50_latency_secs,
-            p99_s: s.p99_latency_secs,
-            mean_service_s: s.mean_service_secs,
-            mean_wait_s: s.mean_wait_secs,
-            requests_per_query: s.requests_per_query,
-            usd_per_query: s.usd_per_query,
-        })
-        .collect()
-}
-
-fn makespan(completions: &[iq_core::Completion]) -> f64 {
+fn makespan(completions: &[Completion]) -> f64 {
     completions.iter().map(|c| c.finish).fold(0.0, f64::max)
 }
 
-/// Capture Q1–Q22 and RF1/RF2 once and replay the seeded stream mix
-/// through weighted-fair and FIFO admission. Deterministic per `sf`.
-pub fn throughput_measurements(sf: f64) -> IqResult<ThroughputMeasure> {
-    let config = RunConfig::paper_default(sf);
-    let ratio = config.sf / config.target_sf * config.capacity_calibration;
+/// Strip the sampled async-write queue depth out of a captured phase.
+///
+/// `mean_queue_depth` is sampled against the *host's* wall clock while
+/// the functional run executes, so it wobbles with thread scheduling —
+/// a nondeterministic channel into [`TimeModel::device_time`] (which
+/// inflates read latency under write pressure). The capture database
+/// runs without the OCM (see [`rows`]), so no samples are recorded today;
+/// zeroing here keeps the artifact byte-stable even if a future capture
+/// re-enables a sampling tier. The power run keeps the pressure term.
+fn sanitize(phase: &mut PhaseCapture) {
+    for d in &mut phase.load.devices {
+        d.snapshot.mean_queue_depth = 0.0;
+        d.snapshot.max_queue_depth = 0;
+    }
+}
 
-    let mut db_cfg = DatabaseConfig::default();
-    db_cfg.storage.page_size = 64 * 1024;
-    db_cfg.buffer_bytes = ((config.compute.buffer_ram() as f64 * ratio) as usize).max(256 * 1024);
+/// The throughput drill (`repro --throughput`): capture Q1–Q22 and
+/// RF1/RF2 once and replay the seeded stream mix through weighted-fair
+/// and FIFO admission. Deterministic per `sf`.
+pub(crate) fn rows(sf: f64) -> IqResult<ThroughputMeasure> {
     // No OCM: its cache population runs on a background worker, so
     // whether a re-read within a capture window hits SSD or falls
     // through to S3 depends on thread timing — hit/miss flips would leak
     // into the per-job device counters. The capture reads straight from
     // the store instead; the power run keeps the full SSD tier.
-    db_cfg.ocm_bytes = 0;
-    db_cfg.retention = None;
+    let config = RunConfig {
+        ocm_enabled: false,
+        ..RunConfig::paper_default(sf)
+    };
     // One scan worker: store traffic becomes issue-order deterministic,
     // which is what makes the whole measurement replayable bit-for-bit.
     // Operator fan-out stays wide (see module docs).
-    db_cfg.scan_workers = 1;
-    let db = Database::create(db_cfg)?;
-    let space = db.create_cloud_dbspace("tpch")?;
-    for t in 1..=8u32 {
-        db.create_table(TableId(t), space)?;
-    }
-
-    let user_space = db.dbspace(space)?;
-    let ssd = db.ssd();
-    let reset_all = || {
-        user_space.reset_backend_stats();
-        ssd.stats.reset();
-        db.buffer_stats().begin_epoch();
-    };
-
-    // ---- Load ----
-    let txn = db.begin();
-    let pager = db.pager(txn)?;
-    let mut tpch = TpchDb::load(
-        config.sf,
-        config.seed,
-        &pager,
-        txn,
-        db.meter(),
-        config.row_group_size,
-    )?;
-    db.commit(txn)?;
+    let mut cap = Capture::open(config, 1)?;
+    let (mut tpch, _load) = cap.load_tpch()?;
+    let db = &cap.db;
     db.gc_drain()?;
-    let resident_bytes = user_space.resident_bytes();
     let lineitem_rows = tpch.lineitem.row_count();
-
-    // Instance restart before the measured phases, as in the power run.
-    db.shared().buffer.clear();
-    for t in 1..=8u32 {
-        db.shared().table_store(TableId(t))?.invalidate_cache();
-    }
+    cap.restart()?;
 
     // ---- Capture Q1..Q22, one execution each ----
-    let mut profiles: Vec<JobProfile> = Vec::with_capacity(24);
-    let qtxn = db.begin();
-    let qpager = db.pager(qtxn)?;
-    let mut exec = OpExec::new(EXEC_WORKERS);
-    if let Some(stats) = qpager.io_stats() {
-        exec = exec.with_stats(stats);
-    }
-    for n in 1..=22u32 {
-        reset_all();
-        let mark = db.meter().total();
-        let ctx = Ctx {
-            db: &tpch,
-            store: &qpager,
-            meter: db.meter(),
-            exec: exec.clone(),
-            late_mat: true,
-        };
-        let out = run_query(n, &ctx)?;
-        profiles.push(JobProfile {
-            label: format!("Q{n}"),
-            load: sanitize(assemble_phase(
-                &config,
-                user_space.backend_stats(),
-                ssd.stats.snapshot(),
-                None,
-                db.buffer_stats().demand_fraction(),
-                db.meter().since(mark) as f64,
-                resident_bytes,
-            )?),
-            meter_units: db.meter().since(mark),
-            out_rows: out.len() as u64,
-        });
-    }
-    db.rollback(qtxn)?;
+    let mut profiles = cap.run_queries(&tpch, EXEC_WORKERS)?;
 
     // ---- Capture RF1/RF2, each committing a new table version ----
     // A reader opened *before* the refreshes pins its snapshot: the
@@ -270,8 +152,7 @@ pub fn throughput_measurements(sf: f64) -> IqResult<ThroughputMeasure> {
         .len();
 
     for rf in ["RF1", "RF2"] {
-        reset_all();
-        let mark = db.meter().total();
+        let mark = cap.begin_phase();
         let wtxn = db.begin();
         let wpager = db.pager(wtxn)?;
         let (orders, lineitem) = if rf == "RF1" {
@@ -290,20 +171,7 @@ pub fn throughput_measurements(sf: f64) -> IqResult<ThroughputMeasure> {
         // Install the new versions for subsequent streams/refreshes.
         tpch.orders = orders;
         tpch.lineitem = lineitem;
-        profiles.push(JobProfile {
-            label: rf.into(),
-            load: sanitize(assemble_phase(
-                &config,
-                user_space.backend_stats(),
-                ssd.stats.snapshot(),
-                None,
-                db.buffer_stats().demand_fraction(),
-                db.meter().since(mark) as f64,
-                resident_bytes,
-            )?),
-            meter_units: db.meter().since(mark),
-            out_rows: 0,
-        });
+        profiles.push(cap.end_phase(rf, mark, 0)?);
     }
     let rows_after = snapshot_orders
         .scan(&rpager, &[okey], None, db.meter())?
@@ -313,11 +181,12 @@ pub fn throughput_measurements(sf: f64) -> IqResult<ThroughputMeasure> {
         "snapshot isolation: a pre-refresh reader must see its version unchanged"
     );
     db.rollback(rtxn)?;
+    profiles.iter_mut().for_each(sanitize);
 
     // ---- Fold captures into virtual-time job specs ----
-    let scale = config.scale();
-    let model = TimeModel::new(config.compute.clone());
-    let fold = |p: &JobProfile, class: QueryClass| -> JobSpec {
+    let scale = cap.config.scale();
+    let model = TimeModel::new(cap.config.compute.clone());
+    let fold = |p: &PhaseCapture, class: QueryClass| -> JobSpec {
         let mut requests = 0.0;
         let mut ledger = CostLedger::default();
         for d in &p.load.devices {
@@ -325,32 +194,26 @@ pub fn throughput_measurements(sf: f64) -> IqResult<ThroughputMeasure> {
             requests += snap.total_requests as f64;
             ledger.charge_requests(&d.profile, &snap);
         }
-        let spec = JobSpec {
-            label: p.label.clone(),
+        JobSpec {
+            label: p.name.clone(),
             class,
             service_secs: model.phase_time(&scale_phase(&p.load, scale)).as_secs_f64(),
             requests,
             cost_usd: ledger.request_usd(),
-        };
-        if std::env::var_os("THROUGHPUT_DEBUG").is_some() {
-            eprintln!(
-                "job {} svc={:.9} req={} meter={} load={:?}",
-                spec.label, spec.service_secs, spec.requests, p.meter_units, p.load
-            );
         }
-        spec
     };
 
     // Light/heavy split by metered cost: at or below the median metered
     // units is a point/light query, above is scan-heavy. Refreshes are
     // heavy by construction (they rewrite orders + lineitem).
-    let mut units: Vec<u64> = profiles[..22].iter().map(|p| p.meter_units).collect();
-    units.sort_unstable();
+    let (queries, refreshes) = profiles.split_at(22);
+    let mut units: Vec<f64> = queries.iter().map(|p| p.load.cpu_work).collect();
+    units.sort_unstable_by(f64::total_cmp);
     let median = units[units.len() / 2 - 1];
-    let query_jobs: Vec<JobSpec> = profiles[..22]
+    let query_jobs: Vec<JobSpec> = queries
         .iter()
         .map(|p| {
-            let class = if p.meter_units <= median {
+            let class = if p.load.cpu_work <= median {
                 QueryClass::Light
             } else {
                 QueryClass::Heavy
@@ -358,11 +221,13 @@ pub fn throughput_measurements(sf: f64) -> IqResult<ThroughputMeasure> {
             fold(p, class)
         })
         .collect();
-    let rf1_job = fold(&profiles[22], QueryClass::Heavy);
-    let rf2_job = fold(&profiles[23], QueryClass::Heavy);
+    let rf_jobs = [
+        fold(&refreshes[0], QueryClass::Heavy),
+        fold(&refreshes[1], QueryClass::Heavy),
+    ];
 
     // ---- Seeded closed-loop stream mix ----
-    let mut rng = DetRng::new(config.seed ^ 0x7487_0909);
+    let mut rng = DetRng::new(SEED ^ 0x7487_0909);
     let mut streams: Vec<Vec<JobSpec>> = Vec::with_capacity(QUERY_STREAMS + REFRESH_STREAMS);
     for s in 0..QUERY_STREAMS {
         let mut order: Vec<usize> = (0..22).collect();
@@ -372,13 +237,7 @@ pub fn throughput_measurements(sf: f64) -> IqResult<ThroughputMeasure> {
     for _ in 0..REFRESH_STREAMS {
         streams.push(
             (0..REFRESH_ROUNDS)
-                .map(|k| {
-                    if k % 2 == 0 {
-                        rf1_job.clone()
-                    } else {
-                        rf2_job.clone()
-                    }
-                })
+                .map(|k| rf_jobs[k % 2].clone())
                 .collect(),
         );
     }
@@ -388,8 +247,8 @@ pub fn throughput_measurements(sf: f64) -> IqResult<ThroughputMeasure> {
             .run(&streams);
     let fifo_done = QueryScheduler::new(SchedulerConfig::fifo(SLOTS)).run(&streams);
 
-    let fair = class_rows(&fair_done);
-    let fifo = class_rows(&fifo_done);
+    let fair = summarize(&fair_done);
+    let fifo = summarize(&fifo_done);
     let makespan_s = makespan(&fair_done);
     let fifo_makespan_s = makespan(&fifo_done);
     let query_completions = (QUERY_STREAMS * 22) as f64;
@@ -401,7 +260,7 @@ pub fn throughput_measurements(sf: f64) -> IqResult<ThroughputMeasure> {
     // plus the serial G·A stitch (DESIGN.md §6g).
     let n = lineitem_rows as f64 * scale;
     let a = 8.0; // Q1 carries 8 aggregates
-    let g = profiles[0].out_rows.max(1) as f64;
+    let g = queries[0].rows.max(1) as f64;
     let agg_speedup_8w = (n * a) / (n * (1.0 + a) / EXEC_WORKERS as f64 + g * a);
 
     let fifo_light_p99 = {
@@ -415,40 +274,22 @@ pub fn throughput_measurements(sf: f64) -> IqResult<ThroughputMeasure> {
 
     // Register the run's digest as a `query.*` metrics source so it
     // rides the same export as every other subsystem counter.
-    let metric_rows: Vec<(String, MetricValue)> = vec![
-        ("light_p50_s".into(), MetricValue::F64(fair[0].p50_s)),
-        ("light_p99_s".into(), MetricValue::F64(fair[0].p99_s)),
-        ("heavy_p50_s".into(), MetricValue::F64(fair[1].p50_s)),
-        ("heavy_p99_s".into(), MetricValue::F64(fair[1].p99_s)),
-        ("fifo_light_p99_s".into(), MetricValue::F64(fifo_light_p99)),
-        (
-            "light_requests_per_query".into(),
-            MetricValue::F64(fair[0].requests_per_query),
-        ),
-        (
-            "heavy_requests_per_query".into(),
-            MetricValue::F64(fair[1].requests_per_query),
-        ),
-        (
-            "light_usd_per_query".into(),
-            MetricValue::F64(fair[0].usd_per_query),
-        ),
-        (
-            "heavy_usd_per_query".into(),
-            MetricValue::F64(fair[1].usd_per_query),
-        ),
-        ("agg_speedup_8w".into(), MetricValue::F64(agg_speedup_8w)),
-        (
-            "completed".into(),
-            MetricValue::U64((fair_done.len()) as u64),
-        ),
-        ("makespan_s".into(), MetricValue::F64(makespan_s)),
-        (
-            "queries_per_hour".into(),
-            MetricValue::F64(queries_per_hour),
-        ),
+    let f = |name: &str, v: f64| (name.to_string(), MetricValue::F64(v));
+    let source_rows = vec![
+        f("light_p50_s", fair[0].p50_s),
+        f("light_p99_s", fair[0].p99_s),
+        f("heavy_p50_s", fair[1].p50_s),
+        f("heavy_p99_s", fair[1].p99_s),
+        f("fifo_light_p99_s", fifo_light_p99),
+        f("light_requests_per_query", fair[0].requests_per_query),
+        f("heavy_requests_per_query", fair[1].requests_per_query),
+        f("light_usd_per_query", fair[0].usd_per_query),
+        f("heavy_usd_per_query", fair[1].usd_per_query),
+        f("agg_speedup_8w", agg_speedup_8w),
+        ("completed".into(), MetricValue::U64(fair_done.len() as u64)),
+        f("makespan_s", makespan_s),
+        f("queries_per_hour", queries_per_hour),
     ];
-    let source_rows = metric_rows.clone();
     db.metrics_registry()
         .register("query", move || source_rows.clone());
     let metrics: BTreeMap<String, MetricValue> = db
@@ -459,7 +300,7 @@ pub fn throughput_measurements(sf: f64) -> IqResult<ThroughputMeasure> {
 
     Ok(ThroughputMeasure {
         sf,
-        seed: config.seed,
+        seed: SEED,
         slots: SLOTS,
         query_streams: QUERY_STREAMS,
         refresh_streams: REFRESH_STREAMS,
@@ -475,54 +316,73 @@ pub fn throughput_measurements(sf: f64) -> IqResult<ThroughputMeasure> {
     })
 }
 
-/// Render a [`ThroughputMeasure`] as the `--throughput` report.
-pub fn report_throughput(m: &ThroughputMeasure) -> Report {
-    let mut r = Report::new(
-        format!(
-            "Throughput — {} query + {} refresh streams over {} slots (virtual s, SF 1000)",
-            m.query_streams, m.refresh_streams, m.slots
-        ),
-        &[
-            "Policy",
-            "Class",
-            "Done",
-            "p50 (s)",
-            "p99 (s)",
-            "Wait (s)",
-            "Req/query",
-            "$/query",
-        ],
-    );
-    for (policy, rows) in [("fair", &m.fair), ("fifo", &m.fifo)] {
-        for c in rows.iter() {
-            r.row(vec![
-                policy.into(),
-                c.class.clone(),
-                c.completed.to_string(),
-                format!("{:.2}", c.p50_s),
-                format!("{:.2}", c.p99_s),
-                format!("{:.2}", c.mean_wait_s),
-                format!("{:.0}", c.requests_per_query),
-                format!("{:.4}", c.usd_per_query),
-            ]);
-        }
+impl Rows for ThroughputMeasure {
+    fn report(&self) -> Report {
+        let by_policy = [("fair", &self.fair), ("fifo", &self.fifo)]
+            .into_iter()
+            .flat_map(|(policy, rows)| rows.iter().map(move |c| (policy, c)));
+        let columns: &[Column<(&str, &ClassSummary)>] = &[
+            ("Policy", &|(policy, _)| policy.to_string()),
+            ("Class", &|(_, c)| c.class.name().to_string()),
+            ("Done", &|(_, c)| c.completed.to_string()),
+            ("p50 (s)", &|(_, c)| format!("{:.2}", c.p50_s)),
+            ("p99 (s)", &|(_, c)| format!("{:.2}", c.p99_s)),
+            ("Wait (s)", &|(_, c)| format!("{:.2}", c.mean_wait_s)),
+            ("Req/query", &|(_, c)| {
+                format!("{:.0}", c.requests_per_query)
+            }),
+            ("$/query", &|(_, c)| format!("{:.4}", c.usd_per_query)),
+        ];
+        let mut r = Report::from_columns(
+            format!(
+                "Throughput — {} query + {} refresh streams over {} slots (virtual s, SF 1000)",
+                self.query_streams, self.refresh_streams, self.slots
+            ),
+            by_policy,
+            columns,
+        );
+        let fair_p99 = self.fair[0].p99_s.max(1e-9);
+        r.note(format!(
+            "weighted-fair admission ({}:{}) cuts light-class p99 {:.1}x vs FIFO ({:.2}s -> {:.2}s)",
+            self.light_weight,
+            self.heavy_weight,
+            self.fifo[0].p99_s / fair_p99,
+            self.fifo[0].p99_s,
+            self.fair[0].p99_s,
+        ));
+        r.note(format!(
+            "fair makespan {:.0}s vs FIFO {:.0}s; {:.0} queries/virtual hour",
+            self.makespan_s, self.fifo_makespan_s, self.queries_per_hour
+        ));
+        r.note(format!(
+            "modeled partitioned-aggregate speedup at {} workers (Q1 shape): {:.1}x",
+            EXEC_WORKERS, self.agg_speedup_8w
+        ));
+        r
     }
-    let fair_p99 = m.fair[0].p99_s.max(1e-9);
-    r.note(format!(
-        "weighted-fair admission ({}:{}) cuts light-class p99 {:.1}x vs FIFO ({:.2}s -> {:.2}s)",
-        m.light_weight,
-        m.heavy_weight,
-        m.fifo[0].p99_s / fair_p99,
-        m.fifo[0].p99_s,
-        m.fair[0].p99_s,
-    ));
-    r.note(format!(
-        "fair makespan {:.0}s vs FIFO {:.0}s; {:.0} queries/virtual hour",
-        m.makespan_s, m.fifo_makespan_s, m.queries_per_hour
-    ));
-    r.note(format!(
-        "modeled partitioned-aggregate speedup at {} workers (Q1 shape): {:.1}x",
-        EXEC_WORKERS, m.agg_speedup_8w
-    ));
-    r
+
+    /// The `query.*` schema is present, the partitioned aggregate models
+    /// at least 2x at 8 workers, and weighted-fair admission shields the
+    /// light class: its p99 does not exceed FIFO's and stays inside a
+    /// pinned bound (82–88 s at the scale factors CI and the committed
+    /// file use; 120 s leaves drift room).
+    fn gates(&self) -> Result<(), String> {
+        gate!(self.fair.len() == 2 && self.fifo.len() == 2);
+        gate!(self.fair[0].class == QueryClass::Light);
+        for key in [
+            "light_p99_s",
+            "heavy_p99_s",
+            "fifo_light_p99_s",
+            "queries_per_hour",
+            "light_usd_per_query",
+            "heavy_usd_per_query",
+            "agg_speedup_8w",
+        ] {
+            gate!(self.metrics.contains_key(&format!("query.{key}")), key);
+        }
+        gate!(self.agg_speedup_8w >= 2.0);
+        gate!(self.fair[0].p99_s <= self.fifo[0].p99_s);
+        gate!(self.fair[0].p99_s < 120.0);
+        Ok(())
+    }
 }

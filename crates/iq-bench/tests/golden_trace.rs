@@ -66,10 +66,10 @@ fn table1_trace_matches_golden_journal() {
 #[test]
 fn packed_lifecycle_emits_pack_events_deterministically() {
     use bytes::Bytes;
+    use iq_bench::experiments::{cloud_db, write_pages};
     use iq_common::{trace, PageId, TableId};
-    use iq_core::{Database, DatabaseConfig};
+    use iq_core::DatabaseConfig;
     use iq_engine::PageStore;
-    use iq_storage::PageKind;
 
     let _g = TRACER.lock().unwrap();
     let run = || -> String {
@@ -78,19 +78,10 @@ fn packed_lifecycle_emits_pack_events_deterministically() {
             let mut cfg = DatabaseConfig::test_small();
             cfg.retention = None;
             cfg.pack_pages = 4;
-            let db = Database::create(cfg)?;
-            let space = db.create_cloud_dbspace("pack")?;
+            let (db, _) = cloud_db(cfg, 1)?;
             let table = TableId(1);
-            db.create_table(table, space)?;
             let body = |p: u64, v: u64| Bytes::from(vec![(p ^ v) as u8; 128]);
-            let txn = db.begin();
-            {
-                let pager = db.pager(txn)?;
-                for p in 0..16u64 {
-                    pager.write_page(table, PageId(p), PageKind::Data, body(p, 1), txn)?;
-                }
-            }
-            db.commit(txn)?;
+            db.commit(write_pages(&db, table, (0..16).map(|p| (p, body(p, 1))))?)?;
             // Cold member reads: ranged GETs against the composites.
             db.shared().buffer.clear();
             let rtxn = db.begin();
@@ -102,14 +93,8 @@ fn packed_lifecycle_emits_pack_events_deterministically() {
             }
             db.rollback(rtxn)?;
             // Leave every composite half dead, then compact.
-            let txn = db.begin();
-            {
-                let pager = db.pager(txn)?;
-                for p in (0..16u64).step_by(2) {
-                    pager.write_page(table, PageId(p), PageKind::Data, body(p, 2), txn)?;
-                }
-            }
-            db.commit(txn)?;
+            let evens = (0..16).step_by(2).map(|p| (p, body(p, 2)));
+            db.commit(write_pages(&db, table, evens)?)?;
             db.gc_drain()?;
             db.compact_tick(0.6, 100)?;
             db.gc_drain()?;

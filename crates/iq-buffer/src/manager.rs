@@ -150,7 +150,8 @@ pub struct BufferStatsSnapshot {
     pub promotions: u64,
     /// Protected→probationary SLRU demotions (protected overflow).
     pub demotions: u64,
-    /// Peak commit flushes in flight at once during the epoch.
+    /// Peak commit-flush groups in flight at once during the epoch
+    /// (submission depth, as [`iq_common::IoStats`] defines it).
     pub flush_in_flight_peak: u64,
     /// Wall-clock nanoseconds inside commit-flush fan-outs (diagnostic).
     pub flush_wall_nanos: u64,
@@ -216,8 +217,9 @@ pub struct BufferStats {
     pub promotions: AtomicU64,
     /// Protected→probationary SLRU demotions.
     pub demotions: AtomicU64,
-    /// Peak number of commit flushes in flight at once (max-counter; reset
-    /// at each [`BufferStats::begin_epoch`]).
+    /// Peak number of commit-flush groups in flight at once — submission
+    /// depth: the most groups one commit submitted (max-counter; reset at
+    /// each [`BufferStats::begin_epoch`]).
     pub flush_in_flight_peak: AtomicU64,
     /// Wall-clock nanoseconds spent inside commit-flush fan-outs.
     /// Diagnostic only — reported results use virtual time.
@@ -768,7 +770,7 @@ impl BufferManager {
         let started = std::time::Instant::now();
         let groups: Vec<&[(FrameKey, Page)]> = batch.chunks(pack_pages.max(1)).collect();
         let done: Vec<AtomicU64> = (0..groups.len()).map(|_| AtomicU64::new(0)).collect();
-        let (result, run) = io.run_ordered_with_stats(groups.len(), |i| -> IqResult<()> {
+        let result = io.run_ordered(groups.len(), |i| -> IqResult<()> {
             let group = groups[i];
             sink.flush_group(group, txn, FlushCause::Commit)?;
             done[i].store(1, Ordering::Release);
@@ -779,7 +781,7 @@ impl BufferManager {
         });
         self.stats
             .flush_in_flight_peak
-            .fetch_max(run.in_flight_peak as u64, Ordering::Relaxed);
+            .fetch_max(groups.len() as u64, Ordering::Relaxed);
         self.stats
             .flush_wall_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);

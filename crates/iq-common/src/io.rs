@@ -130,23 +130,6 @@ pub struct IoStatsSnapshot {
     pub coalesced_appends: u64,
 }
 
-/// Counters describing one [`IoCore::run_ordered_with_stats`] batch.
-///
-/// `in_flight_peak` here is *execution* overlap — how many tasks were
-/// simultaneously inside their closure — kept semantically identical to
-/// the retired `PoolRunStats` so per-run trace events (`GcBatch`) and the
-/// buffer's `flush_in_flight_peak` stay byte-for-byte stable. Submission
-/// depth (the io_uring-style number) lives in the shared [`IoStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoRunStats {
-    /// Number of tasks that actually executed (may be short of the task
-    /// count when an early task failed and the rest were skipped).
-    pub tasks_run: usize,
-    /// Peak number of tasks executing simultaneously. 1 for serial runs;
-    /// up to the lane count when execution genuinely overlaps.
-    pub in_flight_peak: usize,
-}
-
 /// The caller-side submission/completion fan-out.
 ///
 /// An `IoCore` turns a batch of `n` ordered tasks into `n` submitted
@@ -200,18 +183,7 @@ impl IoCore {
     }
 
     /// Submit `tasks` ordered tasks and await their completions in task
-    /// order. See [`IoCore::run_ordered_with_stats`] for semantics.
-    pub fn run_ordered<T, E, F>(&self, tasks: usize, f: F) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
-        self.run_ordered_with_stats(tasks, f).0
-    }
-
-    /// [`run_ordered`](IoCore::run_ordered) plus an [`IoRunStats`]
-    /// describing how much the batch's execution actually overlapped.
+    /// order.
     ///
     /// `f(i)` computes task `i`; tasks are claimed in increasing order but
     /// may complete out of order. On failure the error from the
@@ -220,18 +192,14 @@ impl IoCore {
     /// skipped. Tasks already in flight when a failure lands run to
     /// completion (scoped lanes always join), but their results are
     /// discarded.
-    pub fn run_ordered_with_stats<T, E, F>(
-        &self,
-        tasks: usize,
-        f: F,
-    ) -> (Result<Vec<T>, E>, IoRunStats)
+    pub fn run_ordered<T, E, F>(&self, tasks: usize, f: F) -> Result<Vec<T>, E>
     where
         T: Send,
         E: Send,
         F: Fn(usize) -> Result<T, E> + Sync,
     {
         if tasks == 0 {
-            return (Ok(Vec::new()), IoRunStats::default());
+            return Ok(Vec::new());
         }
         // Submission-first accounting: the whole batch is in flight now.
         if let Some(stats) = &self.stats {
@@ -247,7 +215,7 @@ impl IoCore {
         out
     }
 
-    fn execute<T, E, F>(&self, tasks: usize, f: F) -> (Result<Vec<T>, E>, IoRunStats)
+    fn execute<T, E, F>(&self, tasks: usize, f: F) -> Result<Vec<T>, E>
     where
         T: Send,
         E: Send,
@@ -256,27 +224,16 @@ impl IoCore {
         if self.lanes == 1 || tasks == 1 {
             // Serial fast path: no spawn, no locks, early return on error.
             let mut out = Vec::with_capacity(tasks);
-            let mut stats = IoRunStats {
-                tasks_run: 0,
-                in_flight_peak: 1,
-            };
             for i in 0..tasks {
-                stats.tasks_run += 1;
-                match f(i) {
-                    Ok(v) => out.push(v),
-                    Err(e) => return (Err(e), stats),
-                }
+                out.push(f(i)?);
             }
-            return (Ok(out), stats);
+            return Ok(out);
         }
 
         let results: Mutex<Vec<Option<T>>> = Mutex::new((0..tasks).map(|_| None).collect());
         // Lowest failing task index wins, matching the serial error.
         let failure: Mutex<Option<(usize, E)>> = Mutex::new(None);
         let cursor = AtomicUsize::new(0);
-        let tasks_run = AtomicUsize::new(0);
-        let in_flight = AtomicUsize::new(0);
-        let in_flight_peak = AtomicUsize::new(0);
 
         let lane = || loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -288,12 +245,7 @@ impl IoCore {
             if failure.lock().as_ref().is_some_and(|(fi, _)| i > *fi) {
                 continue;
             }
-            tasks_run.fetch_add(1, Ordering::Relaxed);
-            let now = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-            in_flight_peak.fetch_max(now, Ordering::Relaxed);
-            let r = f(i);
-            in_flight.fetch_sub(1, Ordering::Relaxed);
-            match r {
+            match f(i) {
                 Ok(v) => results.lock()[i] = Some(v),
                 Err(e) => {
                     let mut slot = failure.lock();
@@ -313,19 +265,14 @@ impl IoCore {
             lane();
         });
 
-        let stats = IoRunStats {
-            tasks_run: tasks_run.into_inner(),
-            in_flight_peak: in_flight_peak.into_inner(),
-        };
         if let Some((_, e)) = failure.into_inner() {
-            return (Err(e), stats);
+            return Err(e);
         }
-        let out = results
+        Ok(results
             .into_inner()
             .into_iter()
             .map(|slot| slot.expect("every task completed without failure"))
-            .collect();
-        (Ok(out), stats)
+            .collect())
     }
 }
 
@@ -380,23 +327,29 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_report_overlap_and_skips() {
+    fn lanes_overlap_and_a_failure_skips_the_tail() {
         let io = IoCore::new(4);
+        // All four tasks block on the barrier, so this only returns if
+        // four lanes really carry them at once.
         let gate = std::sync::Barrier::new(4);
-        let (out, stats) = io.run_ordered_with_stats(4, |i| {
+        let out = io.run_ordered(4, |i| {
             gate.wait();
             Ok::<usize, ()>(i)
         });
         assert_eq!(out.unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(stats.tasks_run, 4);
-        // All four tasks block on the barrier, so all four overlap.
-        assert_eq!(stats.in_flight_peak, 4);
 
         // An early failure skips later unclaimed tasks.
-        let (err, stats) =
-            io.run_ordered_with_stats(1000, |i| if i == 0 { Err(()) } else { Ok(i) });
+        let ran = AtomicUsize::new(0);
+        let err = io.run_ordered(1000, |i| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            if i == 0 {
+                Err(())
+            } else {
+                Ok(i)
+            }
+        });
         assert!(err.is_err());
-        assert!(stats.tasks_run < 1000, "failure should skip the tail");
+        assert!(ran.into_inner() < 1000, "failure should skip the tail");
     }
 
     #[test]

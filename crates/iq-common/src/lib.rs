@@ -42,7 +42,7 @@ pub use error::{IqError, IqResult};
 pub use ids::{
     BlockNum, DbSpaceId, NodeId, ObjectKey, PageId, PhysicalLocator, TableId, TxnId, VersionId,
 };
-pub use io::{IoCore, IoRunStats, IoStats, IoStatsSnapshot};
+pub use io::{IoCore, IoStats, IoStatsSnapshot};
 pub use rng::DetRng;
 pub use trace::{EventKind, MetricValue, MetricsRegistry, TraceEvent};
 

@@ -6,11 +6,16 @@ use iq_storage::StorageConfig;
 
 /// How transaction-log appends reach durable storage.
 ///
-/// The in-memory [`iq_txn::TxnLog`] is always the source of truth for
-/// recovery semantics; these modes add an *uploader* that mirrors
-/// appended records onto a strongly consistent log store, which is what
-/// makes commit-PUT traffic measurable. `Off` (the default) adds no
-/// uploader and leaves every existing trace and request count untouched.
+/// Which log is authoritative follows the mode. Under `Off` (the default)
+/// there is no uploader — every existing trace and request count is
+/// untouched — and the in-memory [`iq_txn::TxnLog`] alone decides what
+/// recovery replays. The other two modes mirror appended records onto a
+/// strongly consistent log store, which makes commit-PUT traffic
+/// measurable and the durable stream authoritative for commits: a commit
+/// succeeds only if its record's PUT landed, and reopening an instance
+/// whose previous life ran in one of them reconciles the in-memory log
+/// against the stream before anything replays it, dropping `Commit`
+/// records the store never received (see [`crate::log_recovery`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GroupCommitMode {
     /// No durable log uploads (the pre-PR-7 behaviour).

@@ -30,7 +30,6 @@ pub mod encrypt;
 pub mod group_commit;
 pub mod log_recovery;
 pub mod pager;
-pub mod scheduler;
 pub mod tablestore;
 pub mod view;
 
@@ -39,7 +38,4 @@ pub use database::Database;
 pub use group_commit::{CommitOutcome, DurableLog, DurableLogStats};
 pub use log_recovery::RecoveryReport;
 pub use pager::Pager;
-pub use scheduler::{
-    ClassSummary, Completion, JobSpec, Policy, QueryClass, QueryScheduler, SchedulerConfig,
-};
 pub use view::SnapshotView;

@@ -238,7 +238,8 @@ pub struct GcStats {
     pub retried_keys: AtomicU64,
     /// Entries pushed back onto the chain after a partial failure.
     pub requeues: AtomicU64,
-    /// Peak delete batches in flight across all passes.
+    /// Peak delete batches in flight across all passes (submission
+    /// depth: the largest number of batches one pass submitted).
     pub in_flight_peak: AtomicU64,
     /// Batch-size histogram: ≤1, ≤10, ≤100, ≤1000, >1000 keys.
     pub batch_hist: [AtomicU64; 5],
@@ -713,10 +714,11 @@ impl TransactionManager {
         if let Some(stats) = self.io_stats.lock().clone() {
             io = io.with_stats(stats);
         }
-        let (res, pstats) = io.run_ordered_with_stats(key_batches.len(), |i| {
-            Ok::<_, IqError>(sink.delete_pages(CLOUD_SPACE_SENTINEL, &key_batches[i]))
-        });
-        let outcomes = res.expect("gc batch tasks are infallible");
+        let outcomes = io
+            .run_ordered(key_batches.len(), |i| {
+                Ok::<_, IqError>(sink.delete_pages(CLOUD_SPACE_SENTINEL, &key_batches[i]))
+            })
+            .expect("gc batch tasks are infallible");
 
         let mut key_requests = 0u64;
         let mut retried = 0u64;
@@ -839,15 +841,18 @@ impl TransactionManager {
         );
         s.retried_keys.fetch_add(retried, Ordering::Relaxed);
         s.requeues.fetch_add(requeued, Ordering::Relaxed);
+        // Submission depth, as `IoStats` defines it: the pass's batches are
+        // all in flight from the moment they are submitted.
+        let in_flight_peak = key_batches.len() as u64;
         s.in_flight_peak
-            .fetch_max(pstats.in_flight_peak as u64, Ordering::Relaxed);
+            .fetch_max(in_flight_peak, Ordering::Relaxed);
 
         if trace::is_enabled() {
             if submitted_keys > 0 {
                 trace::emit(EventKind::GcBatch {
                     keys: submitted_keys,
                     requests: key_requests,
-                    in_flight_peak: pstats.in_flight_peak as u64,
+                    in_flight_peak,
                 });
             }
             trace::emit(EventKind::GcTick {
