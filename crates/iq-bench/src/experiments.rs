@@ -1952,6 +1952,7 @@ fn prune_leg(
             workers: 4,
             late_mat,
         },
+        None,
     )?;
     db.rollback(rtxn)?;
     let snap = store.stats.snapshot();

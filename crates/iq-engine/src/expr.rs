@@ -415,28 +415,32 @@ impl Expr {
     /// Evaluate to a row selection. `remap[c]` is the chunk position of
     /// schema column `c` (`usize::MAX`, or past the end, when absent).
     pub fn eval_mask(&self, chunk: &Chunk, remap: &[usize]) -> IqResult<Mask> {
-        self.eval_val(chunk, remap)?.into_mask()
+        self.eval_val(chunk, Some(remap))?.into_mask()
+    }
+
+    /// [`eval_mask`](Expr::eval_mask) with column `c` at chunk position `c`.
+    pub fn mask_on(&self, chunk: &Chunk) -> IqResult<Mask> {
+        self.eval_val(chunk, None)?.into_mask()
     }
 
     /// Evaluate to a column (a predicate yields a `Col::Bool`).
     pub fn eval(&self, chunk: &Chunk, remap: &[usize]) -> IqResult<Col> {
-        let n = chunk.len();
-        Ok(match self.eval_val(chunk, remap)? {
-            Val::Col(c) => c.into_owned(),
-            Val::Mask(m) => Col::Bool(m.to_bools()),
-            Val::Scalar(Value::I64(x)) => Col::I64(vec![*x; n]),
-            Val::Scalar(Value::F64(x)) => Col::F64(vec![*x; n]),
-            Val::Scalar(Value::Str(s)) => Col::Str(vec![Arc::clone(s); n]),
-            Val::Scalar(Value::Date(d)) => Col::Date(vec![*d; n]),
-        })
+        Ok(self.eval_val(chunk, Some(remap))?.into_col(chunk.len()))
     }
 
-    fn eval_val<'a>(&'a self, chunk: &'a Chunk, remap: &[usize]) -> IqResult<Val<'a>> {
+    /// [`eval`](Expr::eval) with column `c` at chunk position `c`.
+    pub fn eval_on(&self, chunk: &Chunk) -> IqResult<Col> {
+        Ok(self.eval_val(chunk, None)?.into_col(chunk.len()))
+    }
+
+    /// `remap` of `None` is the identity: no table of positions to build.
+    fn eval_val<'a>(&'a self, chunk: &'a Chunk, remap: Option<&[usize]>) -> IqResult<Val<'a>> {
         let n = chunk.len();
         let sub = |e: &'a Expr| e.eval_val(chunk, remap);
         Ok(match self {
             Expr::Col(i) => {
-                let col = remap.get(*i).and_then(|&pos| chunk.cols.get(pos));
+                let pos = remap.map_or(Some(*i), |r| r.get(*i).copied());
+                let col = pos.and_then(|pos| chunk.cols.get(pos));
                 Val::Col(Cow::Borrowed(col.ok_or_else(|| {
                     IqError::Invalid(format!("column {i} not in chunk"))
                 })?))
@@ -519,6 +523,18 @@ enum Val<'a> {
 }
 
 impl Val<'_> {
+    /// As a column of `n` rows (a predicate yields a `Col::Bool`).
+    fn into_col(self, n: usize) -> Col {
+        match self {
+            Val::Col(c) => c.into_owned(),
+            Val::Mask(m) => Col::Bool(m.to_bools()),
+            Val::Scalar(Value::I64(x)) => Col::I64(vec![*x; n]),
+            Val::Scalar(Value::F64(x)) => Col::F64(vec![*x; n]),
+            Val::Scalar(Value::Str(s)) => Col::Str(vec![Arc::clone(s); n]),
+            Val::Scalar(Value::Date(d)) => Col::Date(vec![*d; n]),
+        }
+    }
+
     /// As a predicate result; a `Col::Bool` value column converts.
     fn into_mask(self) -> IqResult<Mask> {
         let dtype = match self {

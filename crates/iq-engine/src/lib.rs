@@ -27,7 +27,8 @@
 //!   stack, unit tests with an in-memory map.
 //! * [`expr`] / [`ops`] — vectorized expressions and physical operators
 //!   (filter, hash join incl. semi/anti/left, hash aggregate, sort,
-//!   limit) sufficient to express all 22 TPC-H queries.
+//!   limit) sufficient to express all 22 TPC-H queries; the row-local
+//!   ones run inside a scan's lanes as its [`table::Stage`].
 //! * [`meter`] — abstract CPU-work accounting feeding the virtual-time
 //!   model.
 
@@ -56,5 +57,5 @@ pub use ops::OpExec;
 pub use prefetch::{PrefetchAdmission, PrefetchTicket, PREFETCH_DEPTH};
 pub use scanstats::ScanStats;
 pub use store::{MemPageStore, PageStore};
-pub use table::{ColumnDef, RangePartitioning, ScanOptions, Schema, TableMeta, TableWriter};
+pub use table::{ColumnDef, RangePartitioning, ScanOptions, Schema, Stage, TableMeta, TableWriter};
 pub use value::{DataType, Value};

@@ -1,12 +1,28 @@
 //! Physical operators: hash joins (inner / left / semi / anti), hash
 //! aggregation, sort and limit.
 //!
-//! Operators are fully materialized chunk-in/chunk-out functions — at the
-//! simulated scale, pipelining buys nothing, and materialization keeps
-//! the 22 hand-built TPC-H plans easy to audit. Correlated subqueries are
-//! expressed the classical way: aggregate-then-join (Q2, Q17, Q20),
-//! semi/anti joins for EXISTS/NOT EXISTS (Q4, Q21, Q22) and IN/NOT IN
-//! (Q16, Q18).
+//! # Stages and sinks
+//!
+//! An operator is a *stage* when it is a concatenation homomorphism —
+//! `f(a ++ b) == f(a) ++ f(b)`, rows in input order: a filter, a
+//! projection, a computed column, and the probe side of every
+//! [`JoinType`] against a fixed build side ([`HashJoin::probe`] emits
+//! left to right, each key's matches ascending). A plan hands its chain
+//! of stages to the scan of its probe-side table as one closure
+//! ([`crate::table::Stage`]), and the scan runs it on each row group's
+//! chunk in the lane that decoded it, before the ordered stitch. Because
+//! the stitch concatenates in group order, the result is bitwise what
+//! the same operators give over the whole stitched scan — but the
+//! working set of the probe side is a morsel, not the table, and probe,
+//! gather and expression work runs on the scan's lanes.
+//!
+//! Everything else is a *sink* and takes a stitched chunk: aggregation
+//! (a group's rows span morsels), sort, limit, a result with a second
+//! consumer, and a join's build side ([`HashJoin::build`]).
+//! [`hash_join_exec`] is build + probe over an already materialised left
+//! side. Correlated subqueries are expressed the classical way:
+//! aggregate-then-join (Q2, Q17, Q20), semi/anti joins for EXISTS/NOT
+//! EXISTS (Q4, Q21, Q22) and IN/NOT IN (Q16, Q18).
 //!
 //! # Morsel-parallel execution (`*_exec` entry points)
 //!
@@ -19,7 +35,9 @@
 //!   turned, once and column-wise, into one fixed-width word per row
 //!   ([`KeySpace`]): two rows carry the same word iff their keys are
 //!   equal. Everything below hashes and compares that word; no per-row
-//!   heap key exists.
+//!   heap key exists. A join's probe side is keyed by *lookups* in the
+//!   build side's space: a key the build side never saw is a miss, never
+//!   an insertion, so a built join is shared read-only between lanes.
 //! * **Phase 1 (partition)** — the input is split into contiguous
 //!   morsels; each worker walks its morsel and buckets *row indices* by
 //!   `mix(key word) % P`. Within a morsel rows stay ascending, and
@@ -236,6 +254,11 @@ struct KeySpace<'a> {
     tuples: Interner<(u64, u64)>,
 }
 
+/// The word of a key [`KeySpace::lookup`] does not find. Only a string or
+/// a key tuple can be missing, and the words those are compared with are
+/// dense ids below 2^32, so no row of the space carries it.
+const MISS: u64 = u64::MAX;
+
 impl<'a> KeySpace<'a> {
     fn new() -> Self {
         Self {
@@ -244,46 +267,78 @@ impl<'a> KeySpace<'a> {
         }
     }
 
-    fn col_words(&mut self, col: &'a Col) -> Vec<u64> {
-        match col {
-            Col::I64(v) => v.iter().map(|&x| x as u64).collect(),
-            Col::Date(v) => v.iter().map(|&x| x as i64 as u64).collect(),
-            Col::Bool(v) => v.iter().map(|&x| x as u64).collect(),
-            Col::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
-            Col::Str(v) => {
-                // Equal strings mostly share one `Arc` (a dictionary hands
-                // out clones): hash the bytes once per distinct `Arc`, and
-                // per row only look its pointer up.
-                let mut seen: Interner<usize> = Interner::with_capacity(0);
-                let mut ids: Vec<u64> = Vec::new();
-                let words = v.iter().map(|s| {
-                    let ptr = Arc::as_ptr(s).cast::<u8>() as usize;
-                    let k = seen.intern(mix(ptr as u64), ptr);
-                    if k == ids.len() {
-                        let words = s.as_bytes().chunks(8).map(le_word);
-                        let hash = words.fold(s.len() as u64, |h, w| mix(h ^ w));
-                        ids.push(self.strs.intern(hash, s) as u64);
-                    }
-                    ids[k]
-                });
-                words.collect()
-            }
-        }
+    /// One key word per row of `chunk` over `cols` (no columns: every row
+    /// keys to 0, the single group of a scalar aggregate). Strings and key
+    /// tuples the space has not seen are added to it.
+    fn words(&mut self, chunk: &'a Chunk, cols: &[usize]) -> Vec<u64> {
+        let Self { strs, tuples } = self;
+        key_words(
+            chunk,
+            cols,
+            |hash, s| strs.intern(hash, s) as u64,
+            |hash, pair| tuples.intern(hash, pair) as u64,
+        )
     }
 
-    /// One key word per row of `chunk` over `cols` (no columns: every row
-    /// keys to 0, the single group of a scalar aggregate).
-    fn words(&mut self, chunk: &'a Chunk, cols: &[usize]) -> Vec<u64> {
-        let Some((&first, rest)) = cols.split_first() else {
-            return vec![0; chunk.len()];
-        };
-        let mut words = self.col_words(chunk.col(first));
-        for &c in rest {
-            for (w, v) in words.iter_mut().zip(self.col_words(chunk.col(c))) {
-                *w = self.tuples.intern(mix(*w ^ mix(v)), (*w, v)) as u64;
-            }
+    /// [`words`](KeySpace::words) by lookups alone, for the rows of any
+    /// other chunk: a key the space has not seen words to [`MISS`] and the
+    /// space is left as it was.
+    fn lookup(&self, chunk: &Chunk, cols: &[usize]) -> Vec<u64> {
+        let id = |found: Option<usize>| found.map_or(MISS, |id| id as u64);
+        key_words(
+            chunk,
+            cols,
+            |hash, s| id(self.strs.get(hash, s)),
+            |hash, pair| id(self.tuples.get(hash, pair)),
+        )
+    }
+}
+
+/// The key words of `chunk` over `cols`, given the id of a string
+/// (`str_id`) and of a `(word so far, next word)` pair (`tuple_id`), each
+/// called with its hash.
+fn key_words<'c>(
+    chunk: &'c Chunk,
+    cols: &[usize],
+    mut str_id: impl FnMut(u64, &'c str) -> u64,
+    mut tuple_id: impl FnMut(u64, (u64, u64)) -> u64,
+) -> Vec<u64> {
+    let Some((&first, rest)) = cols.split_first() else {
+        return vec![0; chunk.len()];
+    };
+    let mut words = col_words(chunk.col(first), &mut str_id);
+    for &c in rest {
+        for (w, v) in words.iter_mut().zip(col_words(chunk.col(c), &mut str_id)) {
+            *w = tuple_id(mix(*w ^ mix(v)), (*w, v));
         }
-        words
+    }
+    words
+}
+
+fn col_words<'c>(col: &'c Col, str_id: &mut impl FnMut(u64, &'c str) -> u64) -> Vec<u64> {
+    match col {
+        Col::I64(v) => v.iter().map(|&x| x as u64).collect(),
+        Col::Date(v) => v.iter().map(|&x| x as i64 as u64).collect(),
+        Col::Bool(v) => v.iter().map(|&x| x as u64).collect(),
+        Col::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+        Col::Str(v) => {
+            // Equal strings mostly share one `Arc` (a dictionary hands
+            // out clones): hash the bytes once per distinct `Arc`, and
+            // per row only look its pointer up.
+            let mut seen: Interner<usize> = Interner::with_capacity(0);
+            let mut ids: Vec<u64> = Vec::new();
+            let words = v.iter().map(|s| {
+                let ptr = Arc::as_ptr(s).cast::<u8>() as usize;
+                let k = seen.intern(mix(ptr as u64), ptr);
+                if k == ids.len() {
+                    let words = s.as_bytes().chunks(8).map(le_word);
+                    let hash = words.fold(s.len() as u64, |h, w| mix(h ^ w));
+                    ids.push(str_id(hash, s));
+                }
+                ids[k]
+            });
+            words.collect()
+        }
     }
 }
 
@@ -366,15 +421,176 @@ impl JoinTable {
     }
 }
 
+/// The build side of a hash join: built once, then probed any number of
+/// times and from any thread — a probe reads it and changes nothing, so
+/// a scan stage can call [`probe`](HashJoin::probe) from every lane.
+pub struct HashJoin<'a> {
+    right: &'a Chunk,
+    right_keys: Vec<usize>,
+    space: KeySpace<'a>,
+    /// One table per key-hash partition (a single one when serial).
+    tables: Vec<JoinTable>,
+}
+
+impl<'a> HashJoin<'a> {
+    /// Key `right` on `right_keys`, partition its rows by key hash and
+    /// build each partition's table in parallel under `exec`.
+    pub fn build(
+        right: &'a Chunk,
+        right_keys: &[usize],
+        meter: &WorkMeter,
+        exec: &OpExec,
+    ) -> IqResult<Self> {
+        if right_keys.is_empty() {
+            return Err(IqError::Invalid("join key arity mismatch".into()));
+        }
+        let mut space = KeySpace::new();
+        let words = space.words(right, right_keys);
+        let tables = if exec.workers() <= 1 {
+            // Serial oracle: one build table.
+            let all: Vec<usize> = (0..right.len()).collect();
+            vec![JoinTable::build(&words, &all)]
+        } else {
+            // Row lists are ascending per partition, so every key's match
+            // list is ascending — exactly the serial table.
+            let io = exec.io_core(right.len());
+            let parts = exec.partitions();
+            let by_part = partition_rows(&words, parts, &io, exec.workers())?;
+            io.run_ordered(parts, |p| {
+                Ok::<_, IqError>(JoinTable::build(&words, &by_part[p]))
+            })?
+        };
+        meter.add(cost::JOIN * right.len() as u64);
+        Ok(Self {
+            right,
+            right_keys: right_keys.to_vec(),
+            space,
+            tables,
+        })
+    }
+
+    /// `left ⋈ build side` on `left_keys`, rows in `left` order with each
+    /// key's matches ascending — so probing a chunk piece by piece and
+    /// concatenating equals probing it whole.
+    ///
+    /// Output layout: `Inner`/`Left` → all left columns then all right
+    /// columns (`Left` additionally appends an `I64` matched-marker
+    /// column); `Semi`/`Anti` → left columns only.
+    pub fn probe(
+        &self,
+        left: &Chunk,
+        left_keys: &[usize],
+        jt: JoinType,
+        meter: &WorkMeter,
+    ) -> IqResult<Chunk> {
+        let words = self.left_words(left, left_keys, meter)?;
+        Ok(self.probe_range(left, &words, jt, 0, left.len()))
+    }
+
+    /// The key words of the probe side, by read-only lookups in the build
+    /// side's key space; charges the probe.
+    fn left_words(
+        &self,
+        left: &Chunk,
+        left_keys: &[usize],
+        meter: &WorkMeter,
+    ) -> IqResult<Vec<u64>> {
+        if left_keys.len() != self.right_keys.len() {
+            return Err(IqError::Invalid("join key arity mismatch".into()));
+        }
+        // Key words carry no type tag; values of different types never
+        // compared equal, so such a join is a plan error, not an empty match.
+        // (`Bool` has always keyed as the integers 0 / 1, so it pairs with `I64`.)
+        let kind = |c: &Col| c.data_type().unwrap_or(DataType::I64);
+        for (&l, &r) in left_keys.iter().zip(&self.right_keys) {
+            if kind(left.col(l)) != kind(self.right.col(r)) {
+                return Err(IqError::Invalid(format!(
+                    "join key types differ: {:?} vs {:?}",
+                    kind(left.col(l)),
+                    kind(self.right.col(r))
+                )));
+            }
+        }
+        meter.add(cost::JOIN * left.len() as u64);
+        Ok(self.space.lookup(left, left_keys))
+    }
+
+    /// Probe left rows `[lo, hi)` — left to right, each key's matches in
+    /// build-row order — and gather the output columns.
+    fn probe_range(
+        &self,
+        left: &Chunk,
+        words: &[u64],
+        jt: JoinType,
+        lo: usize,
+        hi: usize,
+    ) -> Chunk {
+        let parts = self.tables.len();
+        // Sized for a match a row (a foreign-key join), not grown to it.
+        let rows = hi - lo;
+        let right_rows = if jt == JoinType::Semi || jt == JoinType::Anti {
+            0
+        } else {
+            rows
+        };
+        let mut left_idx: Vec<usize> = Vec::with_capacity(rows);
+        let mut right_idx: Vec<usize> = Vec::with_capacity(right_rows);
+        let mut matched_marker: Vec<i64> =
+            Vec::with_capacity(if jt == JoinType::Left { rows } else { 0 });
+        for (l, &word) in (lo..hi).zip(&words[lo..hi]) {
+            let hash = mix(word);
+            let matches = self.tables[partition_of(hash, parts)].matches(hash, word);
+            match jt {
+                JoinType::Inner => {
+                    left_idx.extend(std::iter::repeat_n(l, matches.len()));
+                    right_idx.extend_from_slice(matches);
+                }
+                JoinType::Left if matches.is_empty() => {
+                    left_idx.push(l);
+                    right_idx.push(usize::MAX);
+                    matched_marker.push(0);
+                }
+                JoinType::Left => {
+                    left_idx.extend(std::iter::repeat_n(l, matches.len()));
+                    right_idx.extend_from_slice(matches);
+                    matched_marker.extend(std::iter::repeat_n(1, matches.len()));
+                }
+                JoinType::Semi => {
+                    if !matches.is_empty() {
+                        left_idx.push(l);
+                    }
+                }
+                JoinType::Anti => {
+                    if matches.is_empty() {
+                        left_idx.push(l);
+                    }
+                }
+            }
+        }
+        let mut cols: Vec<Col> = left.cols.iter().map(|c| c.take(&left_idx)).collect();
+        match jt {
+            JoinType::Inner => {
+                for c in &self.right.cols {
+                    cols.push(c.take(&right_idx));
+                }
+            }
+            JoinType::Left => {
+                for c in &self.right.cols {
+                    cols.push(take_with_default(c, &right_idx));
+                }
+                cols.push(Col::I64(matched_marker));
+            }
+            JoinType::Semi | JoinType::Anti => {}
+        }
+        Chunk::new(cols)
+    }
+}
+
 /// Hash join `left ⋈ right` on equal key columns under an [`OpExec`]
-/// policy: the build side is partitioned by key hash and built
-/// per-partition in parallel, the probe side runs over contiguous left
-/// morsels stitched in morsel order. Byte-identical to the serial path
-/// ([`OpExec::serial`]) for every worker count.
-///
-/// Output layout: `Inner`/`Left` → all left columns then all right
-/// columns (`Left` additionally appends an `I64` matched-marker column);
-/// `Semi`/`Anti` → left columns only.
+/// policy, both sides materialised: [`HashJoin::build`], then the probe
+/// over contiguous left morsels stitched in morsel order. Byte-identical
+/// to the serial path ([`OpExec::serial`]) for every worker count; output
+/// layout as [`HashJoin::probe`].
 pub fn hash_join_exec(
     left: &Chunk,
     right: &Chunk,
@@ -384,130 +600,18 @@ pub fn hash_join_exec(
     meter: &WorkMeter,
     exec: &OpExec,
 ) -> IqResult<Chunk> {
-    if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-        return Err(IqError::Invalid("join key arity mismatch".into()));
+    let join = HashJoin::build(right, right_keys, meter, exec)?;
+    let words = join.left_words(left, left_keys, meter)?;
+    let n = left.len();
+    if exec.workers() <= 1 {
+        return Ok(join.probe_range(left, &words, jt, 0, n));
     }
-    // Key words carry no type tag; values of different types never
-    // compared equal, so such a join is a plan error, not an empty match.
-    // (`Bool` has always keyed as the integers 0 / 1, so it pairs with `I64`.)
-    let kind = |c: &Col| c.data_type().unwrap_or(DataType::I64);
-    for (&l, &r) in left_keys.iter().zip(right_keys) {
-        if kind(left.col(l)) != kind(right.col(r)) {
-            return Err(IqError::Invalid(format!(
-                "join key types differ: {:?} vs {:?}",
-                kind(left.col(l)),
-                kind(right.col(r))
-            )));
-        }
-    }
-    let mut space = KeySpace::new();
-    let right_words = space.words(right, right_keys);
-    let left_words = space.words(left, left_keys);
-
-    let (left_idx, right_idx, matched_marker) = if exec.workers() <= 1 {
-        // Serial oracle: one build table, one left-to-right probe.
-        let all: Vec<usize> = (0..right.len()).collect();
-        let table = JoinTable::build(&right_words, &all);
-        meter.add(cost::JOIN * right.len() as u64);
-        let out = probe_rows(&left_words, jt, 0, left.len(), |h, w| table.matches(h, w));
-        meter.add(cost::JOIN * left.len() as u64);
-        out
-    } else {
-        let io = exec.io_core(right.len());
-        let parts = exec.partitions();
-        // Build: partition right rows by key, then build each partition's
-        // table independently. Row lists are ascending per partition, so
-        // every key's match list is ascending — exactly the serial table.
-        let by_part = partition_rows(&right_words, parts, &io, exec.workers())?;
-        let tables: Vec<JoinTable> = io.run_ordered(parts, |p| {
-            Ok::<_, IqError>(JoinTable::build(&right_words, &by_part[p]))
-        })?;
-        meter.add(cost::JOIN * right.len() as u64);
-
-        // Probe: contiguous left morsels, stitched in morsel order — the
-        // serial left-to-right emission order.
-        let n = left.len();
-        let morsels = (exec.workers() * 4).min(n).max(1);
-        let pieces = exec.io_core(n).run_ordered(morsels, |i| {
-            let (lo, hi) = morsel_bounds(n, morsels, i);
-            Ok::<_, IqError>(probe_rows(&left_words, jt, lo, hi, |h, w| {
-                tables[partition_of(h, parts)].matches(h, w)
-            }))
-        })?;
-        meter.add(cost::JOIN * left.len() as u64);
-        let (mut left_idx, mut right_idx, mut marker) = (Vec::new(), Vec::new(), Vec::new());
-        for (l, r, m) in pieces {
-            left_idx.extend(l);
-            right_idx.extend(r);
-            marker.extend(m);
-        }
-        (left_idx, right_idx, marker)
-    };
-
-    let mut cols: Vec<Col> = left.cols.iter().map(|c| c.take(&left_idx)).collect();
-    match jt {
-        JoinType::Inner => {
-            for c in &right.cols {
-                cols.push(c.take(&right_idx));
-            }
-        }
-        JoinType::Left => {
-            for c in &right.cols {
-                cols.push(take_with_default(c, &right_idx));
-            }
-            cols.push(Col::I64(matched_marker));
-        }
-        JoinType::Semi | JoinType::Anti => {}
-    }
-    Ok(Chunk::new(cols))
-}
-
-/// Probe left rows `[lo, hi)` against the build side via `lookup` (key
-/// hash, key word → matching build rows, ascending). The emission logic
-/// is shared verbatim between the serial path (one table) and the
-/// partitioned path (per-partition tables), so the two can only differ
-/// if `lookup` itself disagrees — and it can't: a key's partition is a
-/// pure function of the key.
-fn probe_rows<'t>(
-    left_words: &[u64],
-    jt: JoinType,
-    lo: usize,
-    hi: usize,
-    lookup: impl Fn(u64, u64) -> &'t [usize],
-) -> (Vec<usize>, Vec<usize>, Vec<i64>) {
-    let mut left_idx: Vec<usize> = Vec::new();
-    let mut right_idx: Vec<usize> = Vec::new();
-    let mut matched_marker: Vec<i64> = Vec::new();
-    for (l, &word) in (lo..hi).zip(&left_words[lo..hi]) {
-        let matches = lookup(mix(word), word);
-        match jt {
-            JoinType::Inner => {
-                left_idx.extend(std::iter::repeat_n(l, matches.len()));
-                right_idx.extend_from_slice(matches);
-            }
-            JoinType::Left if matches.is_empty() => {
-                left_idx.push(l);
-                right_idx.push(usize::MAX);
-                matched_marker.push(0);
-            }
-            JoinType::Left => {
-                left_idx.extend(std::iter::repeat_n(l, matches.len()));
-                right_idx.extend_from_slice(matches);
-                matched_marker.extend(std::iter::repeat_n(1, matches.len()));
-            }
-            JoinType::Semi => {
-                if !matches.is_empty() {
-                    left_idx.push(l);
-                }
-            }
-            JoinType::Anti => {
-                if matches.is_empty() {
-                    left_idx.push(l);
-                }
-            }
-        }
-    }
-    (left_idx, right_idx, matched_marker)
+    let morsels = (exec.workers() * 4).min(n).max(1);
+    let pieces = exec.io_core(n).run_ordered(morsels, |i| {
+        let (lo, hi) = morsel_bounds(n, morsels, i);
+        Ok::<_, IqError>(join.probe_range(left, &words, jt, lo, hi))
+    })?;
+    Chunk::concat(pieces)
 }
 
 /// Gather rows by index; `usize::MAX` (an unmatched left-join row) takes
@@ -1254,5 +1358,88 @@ mod tests {
             &OpExec::serial(),
         );
         assert!(matches!(err, Err(IqError::Invalid(_))));
+        // The check is the probe's: the build side alone is a fine table.
+        let join = HashJoin::build(&dates, &[0], &m, &OpExec::serial()).unwrap();
+        let err = join.probe(&left(), &[0], JoinType::Semi, &m);
+        assert!(matches!(err, Err(IqError::Invalid(_))));
+        let err = join.probe(&left(), &[0, 1], JoinType::Semi, &m);
+        assert!(matches!(err, Err(IqError::Invalid(_))));
+    }
+
+    #[test]
+    fn probe_keys_the_build_side_never_saw_miss_and_change_nothing() {
+        let build = Chunk::new(vec![
+            Col::I64(vec![-1, 2, -1]),
+            Col::Str(vec!["x".into(), "y".into(), "x".into()]),
+            Col::F64(vec![0.5, 1.5, 2.5]),
+        ]);
+        let probe = Chunk::new(vec![
+            Col::I64(vec![-1, -1, 2, 2, 7]),
+            // Row 1: a string the build side lacks; row 3: both parts are
+            // known but never as a pair; row 4: an unknown integer.
+            Col::Str(vec![
+                "x".into(),
+                "nope".into(),
+                "y".into(),
+                "x".into(),
+                "y".into(),
+            ]),
+        ]);
+        let m = WorkMeter::new();
+        for exec in [OpExec::serial(), OpExec::new(2)] {
+            let join = HashJoin::build(&build, &[0, 1], &m, &exec).unwrap();
+            let seen = (join.space.strs.len(), join.space.tuples.len());
+            let run = || join.probe(&probe, &[0, 1], JoinType::Left, &m).unwrap();
+            // `&self` from two threads at once: a probe only reads.
+            let (here, there) = std::thread::scope(|s| {
+                let there = s.spawn(run);
+                (run(), there.join().unwrap())
+            });
+            assert_chunks_bitwise_eq(&here, &there);
+            assert_eq!(here.col(0).i64s(), &[-1, -1, -1, 2, 2, 7]);
+            assert_eq!(here.col(4).f64s(), &[0.5, 2.5, 0.0, 1.5, 0.0, 0.0]);
+            assert_eq!(here.col(5).i64s(), &[1, 1, 0, 1, 0, 0]);
+            assert_eq!(seen, (join.space.strs.len(), join.space.tuples.len()));
+            // A single integer key of -1 words to `MISS` itself and is
+            // still a value like any other.
+            let join = HashJoin::build(&build, &[0], &m, &exec).unwrap();
+            let anti = join.probe(&probe, &[0], JoinType::Anti, &m).unwrap();
+            assert_eq!(anti.col(0).i64s(), &[7]);
+        }
+    }
+
+    #[test]
+    fn probing_piecewise_equals_probing_whole_for_every_flavour() {
+        let canary = reassociation_canary(203);
+        let l = Chunk::new(vec![canary.col(0).clone(), canary.col(1).clone()]);
+        let r = Chunk::new(vec![
+            Col::I64((0..30).map(|i| i % 5).collect()),
+            Col::Str((0..30).map(|i| format!("r{i}").into()).collect()),
+        ]);
+        let m = WorkMeter::new();
+        let join = HashJoin::build(&r, &[0], &m, &OpExec::new(2)).unwrap();
+        for jt in [
+            JoinType::Inner,
+            JoinType::Left,
+            JoinType::Semi,
+            JoinType::Anti,
+        ] {
+            let whole = WorkMeter::new();
+            let want = join.probe(&l, &[0], jt, &whole).unwrap();
+            // Pieces of 0, 1 and 64 rows: each carries every output column
+            // (`Left`: the marker too), so they stitch.
+            let pieces = WorkMeter::new();
+            let mut got = Vec::new();
+            let mut lo = 0;
+            for len in [0usize, 1, 64, 0, 64, 64, 10] {
+                let rows: Vec<usize> = (lo..lo + len).collect();
+                got.push(join.probe(&l.take(&rows), &[0], jt, &pieces).unwrap());
+                assert_eq!(got.last().unwrap().cols.len(), want.cols.len());
+                lo += len;
+            }
+            assert_eq!(lo, l.len());
+            assert_chunks_bitwise_eq(&want, &Chunk::concat(got).unwrap());
+            assert_eq!(whole.total(), pieces.total(), "charges are linear in rows");
+        }
     }
 }

@@ -41,6 +41,15 @@ pub struct ScanOptions {
     pub late_mat: bool,
 }
 
+/// What a scan applies to each row group's chunk in the lane that decoded
+/// it, before the ordered stitch. It must be a concatenation homomorphism
+/// — `f(a ++ b) == f(a) ++ f(b)`, rows in input order (filters,
+/// projections, computed columns, join probes; see [`crate::ops`]) — so
+/// that a staged scan is bitwise the stage applied to the whole scan, at
+/// every worker count. It also runs once on an empty chunk when no group
+/// survives pruning: the result's columns are always the stage's.
+pub type Stage<'a> = &'a (dyn Fn(Chunk) -> IqResult<Chunk> + Sync);
+
 /// One column of a schema.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ColumnDef {
@@ -218,6 +227,7 @@ impl TableMeta {
                 workers: store.scan_parallelism(),
                 late_mat: true,
             },
+            None,
         )
     }
 
@@ -231,7 +241,8 @@ impl TableMeta {
     /// projection pages are issued and read, and only projected columns
     /// are filtered. Per-group result chunks are stitched back in group
     /// order, so the output is byte-identical to a `workers == 1` run —
-    /// and to an eager (`late_mat: false`) run.
+    /// and to an eager (`late_mat: false`) run. A [`Stage`], if given,
+    /// runs on every group's chunk just before that stitch.
     pub fn scan_with_options(
         &self,
         store: &dyn PageStore,
@@ -239,9 +250,20 @@ impl TableMeta {
         pred: Option<&Expr>,
         meter: &WorkMeter,
         opts: ScanOptions,
+        stage: Option<Stage<'_>>,
     ) -> IqResult<Chunk> {
         let workers = opts.workers;
         let stats = store.scan_stats();
+        // Every exit of a group — and the scan without one — goes through
+        // the stage, so arity and column types are always the stage's.
+        let staged = |chunk: Chunk| match stage {
+            Some(f) => f(chunk),
+            None => Ok(chunk),
+        };
+        let no_rows = || {
+            let empty = |&c: &usize| Col::empty(self.schema.columns[c].dtype);
+            Chunk::new(projection.iter().map(empty).collect())
+        };
 
         // Columns needed: projection plus predicate inputs.
         let pred_cols: Vec<usize> = pred.map(|p| p.columns()).unwrap_or_default();
@@ -491,12 +513,7 @@ impl TableMeta {
                         group: g as u64,
                         rows: 0,
                     });
-                    return Ok(Chunk::new(
-                        projection
-                            .iter()
-                            .map(|&c| Col::empty(self.schema.columns[c].dtype))
-                            .collect(),
-                    ));
+                    return staged(no_rows());
                 }
                 if let Some(s) = &stats {
                     ScanStats::add(&s.groups_materialized, 1);
@@ -564,21 +581,14 @@ impl TableMeta {
                 group: g as u64,
                 rows: mask.as_ref().map_or(rows, Mask::count) as u64,
             });
-            Ok(Chunk::new(out))
+            staged(Chunk::new(out))
         })?;
 
-        // The lanes hand their chunks over by value: stitch by moving.
-        let mut out = Chunk::concat(chunks)?;
-        // An empty result still carries the projected arity.
-        if out.cols.is_empty() {
-            out = Chunk::new(
-                projection
-                    .iter()
-                    .map(|&c| Col::empty(self.schema.columns[c].dtype))
-                    .collect(),
-            );
+        if chunks.is_empty() {
+            return staged(no_rows());
         }
-        Ok(out)
+        // The lanes hand their chunks over by value: stitch by moving.
+        Chunk::concat(chunks)
     }
 
     /// Zone implied by a group's partition tag: when every row fell into
@@ -886,6 +896,69 @@ mod tests {
     }
 
     #[test]
+    fn empty_scans_take_the_stages_shape() {
+        use crate::ops::{HashJoin, JoinType, OpExec};
+        // A probe that appends two build columns, then a computed column:
+        // wider than, and typed differently from, the projection.
+        let build = Chunk::new(vec![
+            Col::I64(vec![5, 70, 70]),
+            Col::Str(vec!["five".into(), "seventy".into(), "again".into()]),
+        ]);
+        let meter = WorkMeter::new();
+        let join = HashJoin::build(&build, &[0], &meter, &OpExec::serial()).unwrap();
+        let doubled = Expr::mul(Expr::col(1), Expr::lit_f64(2.0));
+        let stage = |c: Chunk| -> IqResult<Chunk> {
+            let mut j = join.probe(&c, &[0], JoinType::Inner, &meter)?;
+            let col = doubled.eval_on(&j)?;
+            j.cols.push(col);
+            Ok(j)
+        };
+        let store = MemPageStore::new();
+        let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
+        load_rows(&mut meta, &store, 256); // 4 groups, k = 0..256
+        let no_rows = TableMeta::new(TableId(2), "empty", schema(), 64);
+        let unprunable = |k: i64| {
+            Expr::eq(
+                Expr::modulo(Expr::col(0), Expr::lit_i64(256)),
+                Expr::lit_i64(k),
+            )
+        };
+        let cases = [
+            // Every group zone-pruned: the stage runs once, on no rows.
+            (
+                &meta,
+                Some(Expr::gt(Expr::col(0), Expr::lit_i64(1_000_000))),
+                0,
+            ),
+            // Groups 2 and 3 come up empty-masked, 0 and 1 select a row.
+            (&meta, Some(Expr::or(unprunable(5), unprunable(70))), 3),
+            // Every group empty-masked.
+            (&meta, Some(unprunable(1_000)), 0),
+            // No groups at all.
+            (&no_rows, None, 0),
+        ];
+        for (table, pred, rows) in &cases {
+            for workers in [1usize, 2, 8] {
+                for late_mat in [true, false] {
+                    let opts = ScanOptions { workers, late_mat };
+                    let scan = |stage| {
+                        table
+                            .scan_with_options(&store, &[0, 1], pred.as_ref(), &meter, opts, stage)
+                            .unwrap()
+                    };
+                    let staged = scan(Some(&stage));
+                    assert_eq!(staged, stage(scan(None)).unwrap());
+                    assert_eq!(staged.len(), *rows);
+                    let types: Vec<_> = staged.cols.iter().map(Col::data_type).collect();
+                    let want = [DataType::I64, DataType::F64, DataType::I64, DataType::Str];
+                    assert_eq!(types[..4], want.map(Some));
+                    assert_eq!(types[4], Some(DataType::F64));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn hg_index_built_during_load() {
         let store = MemPageStore::new();
         let mut meta = TableMeta::new(TableId(1), "t", schema(), 64).with_hg_indexes(&["k"]);
@@ -944,6 +1017,7 @@ mod tests {
                     workers: 1,
                     late_mat: true,
                 },
+                None,
             )
             .unwrap();
         assert_eq!(out.len(), 1);

@@ -114,6 +114,7 @@ proptest! {
                             pred.as_ref(),
                             &meter,
                             ScanOptions { workers, late_mat },
+                            None,
                         )
                         .unwrap();
                     let spent = meter.since(mark);

@@ -76,12 +76,12 @@ proptest! {
         let pred = predicate(pred_kind);
         for proj in [vec![0usize, 1, 2], vec![1], vec![2, 0]] {
             let serial = meta
-                .scan_with_options(&store, &proj, pred.as_ref(), &meter, at(1))
+                .scan_with_options(&store, &proj, pred.as_ref(), &meter, at(1), None)
                 .unwrap();
             prop_assert_eq!(serial.cols.len(), proj.len());
             for workers in [2usize, 8] {
                 let parallel = meta
-                    .scan_with_options(&store, &proj, pred.as_ref(), &meter, at(workers))
+                    .scan_with_options(&store, &proj, pred.as_ref(), &meter, at(workers), None)
                     .unwrap();
                 prop_assert_eq!(&parallel, &serial);
             }
@@ -100,7 +100,7 @@ proptest! {
         let pred = predicate(1);
         let a = meta.scan(&store, &[0, 2], pred.as_ref(), &meter).unwrap();
         let b = meta
-            .scan_with_options(&store, &[0, 2], pred.as_ref(), &meter, at(8))
+            .scan_with_options(&store, &[0, 2], pred.as_ref(), &meter, at(8), None)
             .unwrap();
         prop_assert_eq!(a, b);
     }

@@ -1,7 +1,13 @@
 //! The 22 TPC-H queries as hand-built physical plans.
 //!
 //! Each query composes `iq-engine`'s scan / join / aggregate / sort
-//! operators exactly as a rule-based plan for the SQL text would.
+//! operators exactly as a rule-based plan for the SQL text would, under
+//! one rule: build sides are scanned and built first; the probe-side
+//! table is then scanned *with* the plan's chain of probes, filters and
+//! computed columns as the scan's stage ([`Ctx::scan_then`]), so that
+//! chain runs one morsel at a time in the scan's lanes; and a scan is
+//! materialised only where a blocking consumer — an aggregate, a sort, a
+//! second consumer, being a build side — needs the whole of it.
 //! Correlated subqueries use the classical rewrites: aggregate-then-join
 //! (Q2, Q15, Q17, Q20), semi joins for `EXISTS`/`IN` (Q4, Q18, Q20),
 //! anti joins for `NOT EXISTS`/`NOT IN` (Q16, Q22), and per-group
@@ -11,9 +17,10 @@ mod q01_11;
 mod q12_22;
 
 use iq_common::{IqError, IqResult};
-use iq_engine::chunk::{Chunk, Col};
+use iq_engine::chunk::Chunk;
 use iq_engine::expr::Expr;
-use iq_engine::table::{ScanOptions, TableMeta};
+use iq_engine::ops::HashJoin;
+use iq_engine::table::{ScanOptions, Stage, TableMeta};
 use iq_engine::value::parse_date;
 use iq_engine::{OpExec, PageStore, WorkMeter};
 
@@ -42,6 +49,28 @@ impl Ctx<'_> {
     /// Scan `table`, projecting named columns (output positions follow
     /// `cols` order) under an optional predicate in *schema* indexes.
     pub fn scan(&self, table: &TableMeta, cols: &[&str], pred: Option<Expr>) -> IqResult<Chunk> {
+        self.scan_staged(table, cols, pred, None)
+    }
+
+    /// [`scan`](Ctx::scan), then `stage` on each row group's chunk in the
+    /// lane that decoded it — bitwise `stage(scan(..))`.
+    pub fn scan_then(
+        &self,
+        table: &TableMeta,
+        cols: &[&str],
+        pred: Option<Expr>,
+        stage: Stage<'_>,
+    ) -> IqResult<Chunk> {
+        self.scan_staged(table, cols, pred, Some(stage))
+    }
+
+    fn scan_staged(
+        &self,
+        table: &TableMeta,
+        cols: &[&str],
+        pred: Option<Expr>,
+        stage: Option<Stage<'_>>,
+    ) -> IqResult<Chunk> {
         let proj: Vec<usize> = cols
             .iter()
             .map(|c| {
@@ -60,7 +89,13 @@ impl Ctx<'_> {
                 workers: self.store.scan_parallelism(),
                 late_mat: self.late_mat,
             },
+            stage,
         )
+    }
+
+    /// The build side of a join over `right` keyed on `keys`.
+    pub fn build<'c>(&self, right: &'c Chunk, keys: &[usize]) -> IqResult<HashJoin<'c>> {
+        HashJoin::build(right, keys, self.meter, &self.exec)
     }
 }
 
@@ -90,22 +125,27 @@ pub fn ident(n: usize) -> Vec<usize> {
     (0..n).collect()
 }
 
-/// Evaluate `e` over `chunk` with positional column references.
-pub fn eval_on(chunk: &Chunk, e: &Expr) -> IqResult<Col> {
-    e.eval(chunk, &ident(chunk.cols.len()))
+/// `price * (1 - discount)` over chunk positions.
+fn discounted(price: usize, discount: usize) -> Expr {
+    Expr::mul(
+        Expr::col(price),
+        Expr::sub(Expr::lit_f64(1.0), Expr::col(discount)),
+    )
 }
 
 /// Filter `chunk` by a positional predicate.
 pub fn filter_on(chunk: &Chunk, e: &Expr) -> IqResult<Chunk> {
-    let mask = e.eval_mask(chunk, &ident(chunk.cols.len()))?;
-    Ok(chunk.filter(&mask))
+    Ok(chunk.filter(&e.mask_on(chunk)?))
 }
 
-/// Append a computed column.
-pub fn with_col(mut chunk: Chunk, col: Col) -> Chunk {
-    debug_assert!(chunk.cols.is_empty() || col.len() == chunk.len());
-    chunk.cols.push(col);
-    chunk
+/// Append the columns `exprs` compute over `chunk`'s positions, in order:
+/// each sees the ones before it.
+pub fn with_cols(mut chunk: Chunk, exprs: &[&Expr]) -> IqResult<Chunk> {
+    for e in exprs {
+        let col = e.eval_on(&chunk)?;
+        chunk.cols.push(col);
+    }
+    Ok(chunk)
 }
 
 /// Run TPC-H query `n` (1–22).

@@ -7,14 +7,17 @@ use iq_engine::ops::{
     hash_aggregate_exec, hash_join_exec, limit, sort, AggSpec, JoinType, SortDir,
 };
 
-use super::{cx, d, eval_on, filter_on, with_col, Ctx};
+use super::{cx, d, discounted, filter_on, with_cols, Ctx};
 
 /// Q1 — pricing summary report.
 pub fn q1(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let li = &ctx.db.lineitem;
     // shipdate <= 1998-12-01 - 90 days.
     let pred = Expr::le(cx(li, "l_shipdate"), d("1998-09-02"));
-    let c = ctx.scan(
+    // disc_price = ext * (1 - disc); charge = disc_price * (1 + tax).
+    let disc_price = discounted(3, 4);
+    let charge = Expr::mul(Expr::col(6), Expr::add(Expr::lit_f64(1.0), Expr::col(5)));
+    let c = ctx.scan_then(
         li,
         &[
             "l_returnflag",
@@ -25,18 +28,8 @@ pub fn q1(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             "l_tax",
         ],
         Some(pred),
+        &|c| with_cols(c, &[&disc_price, &charge]),
     )?;
-    // disc_price = ext * (1 - disc); charge = disc_price * (1 + tax).
-    let disc_price = eval_on(
-        &c,
-        &Expr::mul(Expr::col(3), Expr::sub(Expr::lit_f64(1.0), Expr::col(4))),
-    )?;
-    let c = with_col(c, disc_price);
-    let charge = eval_on(
-        &c,
-        &Expr::mul(Expr::col(6), Expr::add(Expr::lit_f64(1.0), Expr::col(5))),
-    )?;
-    let c = with_col(c, charge);
     let agg = hash_aggregate_exec(
         &c,
         &[0, 1],
@@ -60,25 +53,30 @@ pub fn q1(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     ))
 }
 
+/// The nations of region `name`: `[n_nationkey, n_name, n_regionkey]`.
+fn nations_of(ctx: &Ctx<'_>, name: &str) -> IqResult<Chunk> {
+    let db = ctx.db;
+    let region = ctx.scan(
+        &db.region,
+        &["r_regionkey"],
+        Some(Expr::eq(cx(&db.region, "r_name"), Expr::lit_str(name))),
+    )?;
+    let region = ctx.build(&region, &[0])?;
+    ctx.scan_then(
+        &db.nation,
+        &["n_nationkey", "n_name", "n_regionkey"],
+        None,
+        &|n| region.probe(&n, &[2], JoinType::Semi, ctx.meter),
+    )
+}
+
 /// Q2 — minimum-cost supplier in EUROPE for size-15 `%BRASS` parts.
 pub fn q2(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let db = ctx.db;
-    let europe = ctx.scan(
-        &db.region,
-        &["r_regionkey"],
-        Some(Expr::eq(cx(&db.region, "r_name"), Expr::lit_str("EUROPE"))),
-    )?;
-    let nations = ctx.scan(&db.nation, &["n_nationkey", "n_name", "n_regionkey"], None)?;
-    let nations = hash_join_exec(
-        &nations,
-        &europe,
-        &[2],
-        &[0],
-        JoinType::Semi,
-        ctx.meter,
-        &ctx.exec,
-    )?;
-    let supp = ctx.scan(
+    let nations = nations_of(ctx, "EUROPE")?;
+    let nations = ctx.build(&nations, &[0])?;
+    // supp ⋈ nation: +[n_nationkey 7, n_name 8, n_regionkey 9]
+    let supp = ctx.scan_then(
         &db.supplier,
         &[
             "s_suppkey",
@@ -90,17 +88,9 @@ pub fn q2(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             "s_comment",
         ],
         None,
+        &|s| nations.probe(&s, &[3], JoinType::Inner, ctx.meter),
     )?;
-    // supp ⋈ nation: +[n_nationkey 7, n_name 8, n_regionkey 9]
-    let supp = hash_join_exec(
-        &supp,
-        &nations,
-        &[3],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?;
+    let supp = ctx.build(&supp, &[0])?;
     let parts = ctx.scan(
         &db.part,
         &["p_partkey", "p_mfgr"],
@@ -109,23 +99,19 @@ pub fn q2(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             Expr::like(cx(&db.part, "p_type"), "%BRASS"),
         )),
     )?;
-    let ps = ctx.scan(
+    let parts = ctx.build(&parts, &[0])?;
+    // Materialised: the per-part minimum below is a second consumer.
+    let j = ctx.scan_then(
         &db.partsupp,
         &["ps_partkey", "ps_suppkey", "ps_supplycost"],
         None,
+        &|ps| {
+            // ps ⋈ part: [ps_partkey 0, ps_suppkey 1, cost 2, p_partkey 3, p_mfgr 4]
+            let j = parts.probe(&ps, &[0], JoinType::Inner, ctx.meter)?;
+            // ⋈ supplier(+nation): cols 5..=14
+            supp.probe(&j, &[1], JoinType::Inner, ctx.meter)
+        },
     )?;
-    // ps ⋈ part: [ps_partkey 0, ps_suppkey 1, cost 2, p_partkey 3, p_mfgr 4]
-    let j = hash_join_exec(
-        &ps,
-        &parts,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?;
-    // ⋈ supplier(+nation): cols 5..=14
-    let j = hash_join_exec(&j, &supp, &[1], &[0], JoinType::Inner, ctx.meter, &ctx.exec)?;
     // min supply cost per part among qualified suppliers.
     let mins = hash_aggregate_exec(&j, &[0], &[AggSpec::min(2)], ctx.meter, &ctx.exec)?;
     let j = hash_join_exec(&j, &mins, &[0], &[0], JoinType::Inner, ctx.meter, &ctx.exec)?; // +[partkey 15, min 16]
@@ -156,40 +142,25 @@ pub fn q3(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             Expr::lit_str("BUILDING"),
         )),
     )?;
-    let orders = ctx.scan(
+    let cust = ctx.build(&cust, &[0])?;
+    let orders = ctx.scan_then(
         &db.orders,
         &["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
         Some(Expr::lt(cx(&db.orders, "o_orderdate"), d("1995-03-15"))),
+        &|o| cust.probe(&o, &[1], JoinType::Semi, ctx.meter),
     )?;
-    let orders = hash_join_exec(
-        &orders,
-        &cust,
-        &[1],
-        &[0],
-        JoinType::Semi,
-        ctx.meter,
-        &ctx.exec,
-    )?;
-    let line = ctx.scan(
+    let orders = ctx.build(&orders, &[0])?;
+    let rev = discounted(1, 2);
+    let j = ctx.scan_then(
         &db.lineitem,
         &["l_orderkey", "l_extendedprice", "l_discount"],
         Some(Expr::gt(cx(&db.lineitem, "l_shipdate"), d("1995-03-15"))),
+        &|line| {
+            // line ⋈ orders: [l_orderkey, ext, disc, o_orderkey, o_custkey, o_orderdate, o_shippriority]
+            let j = orders.probe(&line, &[0], JoinType::Inner, ctx.meter)?;
+            with_cols(j, &[&rev]) // revenue at 7
+        },
     )?;
-    // line ⋈ orders: [l_orderkey, ext, disc, o_orderkey, o_custkey, o_orderdate, o_shippriority]
-    let j = hash_join_exec(
-        &line,
-        &orders,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?;
-    let rev = eval_on(
-        &j,
-        &Expr::mul(Expr::col(1), Expr::sub(Expr::lit_f64(1.0), Expr::col(2))),
-    )?;
-    let j = with_col(j, rev); // revenue at 7
     let agg = hash_aggregate_exec(&j, &[0, 5, 6], &[AggSpec::sum(7)], ctx.meter, &ctx.exec)?;
     let out = sort(&agg, &[(3, SortDir::Desc), (1, SortDir::Asc)], ctx.meter);
     Ok(limit(&out, 10))
@@ -198,14 +169,6 @@ pub fn q3(ctx: &Ctx<'_>) -> IqResult<Chunk> {
 /// Q4 — order-priority checking.
 pub fn q4(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let db = ctx.db;
-    let orders = ctx.scan(
-        &db.orders,
-        &["o_orderkey", "o_orderpriority"],
-        Some(Expr::and(
-            Expr::ge(cx(&db.orders, "o_orderdate"), d("1993-07-01")),
-            Expr::lt(cx(&db.orders, "o_orderdate"), d("1993-10-01")),
-        )),
-    )?;
     let late = ctx.scan(
         &db.lineitem,
         &["l_orderkey"],
@@ -214,14 +177,15 @@ pub fn q4(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             cx(&db.lineitem, "l_receiptdate"),
         )),
     )?;
-    let j = hash_join_exec(
-        &orders,
-        &late,
-        &[0],
-        &[0],
-        JoinType::Semi,
-        ctx.meter,
-        &ctx.exec,
+    let late = ctx.build(&late, &[0])?;
+    let j = ctx.scan_then(
+        &db.orders,
+        &["o_orderkey", "o_orderpriority"],
+        Some(Expr::and(
+            Expr::ge(cx(&db.orders, "o_orderdate"), d("1993-07-01")),
+            Expr::lt(cx(&db.orders, "o_orderdate"), d("1993-10-01")),
+        )),
+        &|o| late.probe(&o, &[0], JoinType::Semi, ctx.meter),
     )?;
     let agg = hash_aggregate_exec(&j, &[1], &[AggSpec::count(0)], ctx.meter, &ctx.exec)?;
     Ok(sort(&agg, &[(0, SortDir::Asc)], ctx.meter))
@@ -230,75 +194,41 @@ pub fn q4(ctx: &Ctx<'_>) -> IqResult<Chunk> {
 /// Q5 — local supplier volume in ASIA.
 pub fn q5(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let db = ctx.db;
-    let asia = ctx.scan(
-        &db.region,
-        &["r_regionkey"],
-        Some(Expr::eq(cx(&db.region, "r_name"), Expr::lit_str("ASIA"))),
-    )?;
-    let nations = ctx.scan(&db.nation, &["n_nationkey", "n_name", "n_regionkey"], None)?;
-    let nations = hash_join_exec(
-        &nations,
-        &asia,
-        &[2],
-        &[0],
-        JoinType::Semi,
-        ctx.meter,
-        &ctx.exec,
-    )?;
+    let nations = nations_of(ctx, "ASIA")?;
+    let nations = ctx.build(&nations, &[0])?;
     let cust = ctx.scan(&db.customer, &["c_custkey", "c_nationkey"], None)?;
-    let orders = ctx.scan(
+    let cust = ctx.build(&cust, &[0])?;
+    // orders ⋈ cust: [o_orderkey, o_custkey, c_custkey, c_nationkey]
+    let oc = ctx.scan_then(
         &db.orders,
         &["o_orderkey", "o_custkey"],
         Some(Expr::and(
             Expr::ge(cx(&db.orders, "o_orderdate"), d("1994-01-01")),
             Expr::lt(cx(&db.orders, "o_orderdate"), d("1995-01-01")),
         )),
+        &|o| cust.probe(&o, &[1], JoinType::Inner, ctx.meter),
     )?;
-    // orders ⋈ cust: [o_orderkey, o_custkey, c_custkey, c_nationkey]
-    let oc = hash_join_exec(
-        &orders,
-        &cust,
-        &[1],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?;
-    let line = ctx.scan(
+    let oc = ctx.build(&oc, &[0])?;
+    let supp = ctx.scan(&db.supplier, &["s_suppkey", "s_nationkey"], None)?;
+    let supp = ctx.build(&supp, &[0])?;
+    let local = Expr::eq(Expr::col(7), Expr::col(9));
+    let rev = discounted(2, 3);
+    let j = ctx.scan_then(
         &db.lineitem,
         &["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
         None,
+        &|line| {
+            // line ⋈ oc: +4 → 8 cols, c_nationkey at 7.
+            let j = oc.probe(&line, &[0], JoinType::Inner, ctx.meter)?;
+            // +2 → s_suppkey 8, s_nationkey 9.
+            let j = supp.probe(&j, &[1], JoinType::Inner, ctx.meter)?;
+            // Local supplier: customer and supplier share a nation.
+            let j = filter_on(&j, &local)?;
+            // ⋈ asian nations: +3 → n_name at 11.
+            let j = nations.probe(&j, &[9], JoinType::Inner, ctx.meter)?;
+            with_cols(j, &[&rev]) // 13
+        },
     )?;
-    // line ⋈ oc: +4 → 8 cols, c_nationkey at 7.
-    let j = hash_join_exec(
-        &line,
-        &oc,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?;
-    let supp = ctx.scan(&db.supplier, &["s_suppkey", "s_nationkey"], None)?;
-    // +2 → s_suppkey 8, s_nationkey 9.
-    let j = hash_join_exec(&j, &supp, &[1], &[0], JoinType::Inner, ctx.meter, &ctx.exec)?;
-    // Local supplier: customer and supplier share a nation.
-    let j = filter_on(&j, &Expr::eq(Expr::col(7), Expr::col(9)))?;
-    // ⋈ asian nations: +3 → n_name at 11.
-    let j = hash_join_exec(
-        &j,
-        &nations,
-        &[9],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?;
-    let rev = eval_on(
-        &j,
-        &Expr::mul(Expr::col(2), Expr::sub(Expr::lit_f64(1.0), Expr::col(3))),
-    )?;
-    let j = with_col(j, rev); // 13
     let agg = hash_aggregate_exec(&j, &[11], &[AggSpec::sum(13)], ctx.meter, &ctx.exec)?;
     Ok(sort(&agg, &[(1, SortDir::Desc)], ctx.meter))
 }
@@ -316,9 +246,10 @@ pub fn q6(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         ),
         Expr::lt(cx(li, "l_quantity"), Expr::lit_i64(24)),
     ]);
-    let c = ctx.scan(li, &["l_extendedprice", "l_discount"], Some(pred))?;
-    let rev = eval_on(&c, &Expr::mul(Expr::col(0), Expr::col(1)))?;
-    let c = with_col(c, rev);
+    let rev = Expr::mul(Expr::col(0), Expr::col(1));
+    let c = ctx.scan_then(li, &["l_extendedprice", "l_discount"], Some(pred), &|c| {
+        with_cols(c, &[&rev])
+    })?;
     hash_aggregate_exec(&c, &[], &[AggSpec::sum(2)], ctx.meter, &ctx.exec)
 }
 
@@ -329,7 +260,25 @@ pub fn q7(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let supp = ctx.scan(&db.supplier, &["s_suppkey", "s_nationkey"], None)?;
     let cust = ctx.scan(&db.customer, &["c_custkey", "c_nationkey"], None)?;
     let orders = ctx.scan(&db.orders, &["o_orderkey", "o_custkey"], None)?;
-    let line = ctx.scan(
+    let supp = ctx.build(&supp, &[0])?;
+    let orders = ctx.build(&orders, &[0])?;
+    let cust = ctx.build(&cust, &[0])?;
+    // `nation n1, nation n2`: one scan, a build side each.
+    let n1 = ctx.build(&nations, &[0])?;
+    let n2 = ctx.build(&nations, &[0])?;
+    let fr_de = Expr::or(
+        Expr::and(
+            Expr::eq(Expr::col(12), Expr::lit_str("FRANCE")),
+            Expr::eq(Expr::col(14), Expr::lit_str("GERMANY")),
+        ),
+        Expr::and(
+            Expr::eq(Expr::col(12), Expr::lit_str("GERMANY")),
+            Expr::eq(Expr::col(14), Expr::lit_str("FRANCE")),
+        ),
+    );
+    let year = Expr::year(Expr::col(4));
+    let vol = discounted(2, 3);
+    let j = ctx.scan_then(
         &db.lineitem,
         &[
             "l_orderkey",
@@ -343,62 +292,16 @@ pub fn q7(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             d("1995-01-01"),
             d("1996-12-31"),
         )),
+        &|line| {
+            let j = supp.probe(&line, &[1], JoinType::Inner, ctx.meter)?; // s_nationkey 6
+            let j = orders.probe(&j, &[0], JoinType::Inner, ctx.meter)?; // o_custkey 8
+            let j = cust.probe(&j, &[8], JoinType::Inner, ctx.meter)?; // c_nationkey 10
+            let j = n1.probe(&j, &[6], JoinType::Inner, ctx.meter)?; // supp n_name 12
+            let j = n2.probe(&j, &[10], JoinType::Inner, ctx.meter)?; // cust n_name 14
+            let j = filter_on(&j, &fr_de)?;
+            with_cols(j, &[&year, &vol]) // 15, 16
+        },
     )?;
-    let j = hash_join_exec(
-        &line,
-        &supp,
-        &[1],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // s_nationkey 6
-    let j = hash_join_exec(
-        &j,
-        &orders,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // o_custkey 8
-    let j = hash_join_exec(&j, &cust, &[8], &[0], JoinType::Inner, ctx.meter, &ctx.exec)?; // c_nationkey 10
-    let j = hash_join_exec(
-        &j,
-        &nations,
-        &[6],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // supp n_name 12
-    let j = hash_join_exec(
-        &j,
-        &nations,
-        &[10],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // cust n_name 14
-    let fr_de = Expr::or(
-        Expr::and(
-            Expr::eq(Expr::col(12), Expr::lit_str("FRANCE")),
-            Expr::eq(Expr::col(14), Expr::lit_str("GERMANY")),
-        ),
-        Expr::and(
-            Expr::eq(Expr::col(12), Expr::lit_str("GERMANY")),
-            Expr::eq(Expr::col(14), Expr::lit_str("FRANCE")),
-        ),
-    );
-    let j = filter_on(&j, &fr_de)?;
-    let year = eval_on(&j, &Expr::year(Expr::col(4)))?;
-    let j = with_col(j, year); // 15
-    let vol = eval_on(
-        &j,
-        &Expr::mul(Expr::col(2), Expr::sub(Expr::lit_f64(1.0), Expr::col(3))),
-    )?;
-    let j = with_col(j, vol); // 16
     let agg = hash_aggregate_exec(&j, &[12, 14, 15], &[AggSpec::sum(16)], ctx.meter, &ctx.exec)?;
     Ok(sort(
         &agg,
@@ -415,16 +318,10 @@ pub fn q8(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         &["r_regionkey"],
         Some(Expr::eq(cx(&db.region, "r_name"), Expr::lit_str("AMERICA"))),
     )?;
-    let n1 = ctx.scan(&db.nation, &["n_nationkey", "n_regionkey"], None)?;
-    let n1 = hash_join_exec(
-        &n1,
-        &america,
-        &[1],
-        &[0],
-        JoinType::Semi,
-        ctx.meter,
-        &ctx.exec,
-    )?;
+    let america = ctx.build(&america, &[0])?;
+    let n1 = ctx.scan_then(&db.nation, &["n_nationkey", "n_regionkey"], None, &|n| {
+        america.probe(&n, &[1], JoinType::Semi, ctx.meter)
+    })?;
     let n2 = ctx.scan(&db.nation, &["n_nationkey", "n_name"], None)?;
     let part = ctx.scan(
         &db.part,
@@ -434,26 +331,6 @@ pub fn q8(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             Expr::lit_str("ECONOMY ANODIZED STEEL"),
         )),
     )?;
-    let line = ctx.scan(
-        &db.lineitem,
-        &[
-            "l_orderkey",
-            "l_partkey",
-            "l_suppkey",
-            "l_extendedprice",
-            "l_discount",
-        ],
-        None,
-    )?;
-    let j = hash_join_exec(
-        &line,
-        &part,
-        &[1],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // 6 cols
     let orders = ctx.scan(
         &db.orders,
         &["o_orderkey", "o_custkey", "o_orderdate"],
@@ -463,37 +340,41 @@ pub fn q8(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             d("1996-12-31"),
         )),
     )?;
-    let j = hash_join_exec(
-        &j,
-        &orders,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // o_custkey 7, o_orderdate 8
     let cust = ctx.scan(&db.customer, &["c_custkey", "c_nationkey"], None)?;
-    let j = hash_join_exec(&j, &cust, &[7], &[0], JoinType::Inner, ctx.meter, &ctx.exec)?; // c_nationkey 10
-    let j = hash_join_exec(&j, &n1, &[10], &[0], JoinType::Semi, ctx.meter, &ctx.exec)?; // customers in AMERICA
     let supp = ctx.scan(&db.supplier, &["s_suppkey", "s_nationkey"], None)?;
-    let j = hash_join_exec(&j, &supp, &[2], &[0], JoinType::Inner, ctx.meter, &ctx.exec)?; // s_nationkey 12
-    let j = hash_join_exec(&j, &n2, &[12], &[0], JoinType::Inner, ctx.meter, &ctx.exec)?; // n2 name 14
-    let year = eval_on(&j, &Expr::year(Expr::col(8)))?;
-    let j = with_col(j, year); // 15
-    let vol = eval_on(
-        &j,
-        &Expr::mul(Expr::col(3), Expr::sub(Expr::lit_f64(1.0), Expr::col(4))),
+    let part = ctx.build(&part, &[0])?;
+    let orders = ctx.build(&orders, &[0])?;
+    let cust = ctx.build(&cust, &[0])?;
+    let n1 = ctx.build(&n1, &[0])?;
+    let supp = ctx.build(&supp, &[0])?;
+    let n2 = ctx.build(&n2, &[0])?;
+    let year = Expr::year(Expr::col(8));
+    let vol = discounted(3, 4);
+    let brazil = Expr::case(
+        Expr::eq(Expr::col(14), Expr::lit_str("BRAZIL")),
+        Expr::col(16),
+        Expr::lit_f64(0.0),
+    );
+    let j = ctx.scan_then(
+        &db.lineitem,
+        &[
+            "l_orderkey",
+            "l_partkey",
+            "l_suppkey",
+            "l_extendedprice",
+            "l_discount",
+        ],
+        None,
+        &|line| {
+            let j = part.probe(&line, &[1], JoinType::Inner, ctx.meter)?; // 6 cols
+            let j = orders.probe(&j, &[0], JoinType::Inner, ctx.meter)?; // o_custkey 7, o_orderdate 8
+            let j = cust.probe(&j, &[7], JoinType::Inner, ctx.meter)?; // c_nationkey 10
+            let j = n1.probe(&j, &[10], JoinType::Semi, ctx.meter)?; // customers in AMERICA
+            let j = supp.probe(&j, &[2], JoinType::Inner, ctx.meter)?; // s_nationkey 12
+            let j = n2.probe(&j, &[12], JoinType::Inner, ctx.meter)?; // n2 name 14
+            with_cols(j, &[&year, &vol, &brazil]) // 15, 16, 17
+        },
     )?;
-    let j = with_col(j, vol); // 16
-    let brazil = eval_on(
-        &j,
-        &Expr::case(
-            Expr::eq(Expr::col(14), Expr::lit_str("BRAZIL")),
-            Expr::col(16),
-            Expr::lit_f64(0.0),
-        ),
-    )?;
-    let j = with_col(j, brazil); // 17
     let agg = hash_aggregate_exec(
         &j,
         &[15],
@@ -501,8 +382,8 @@ pub fn q8(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         ctx.meter,
         &ctx.exec,
     )?;
-    let share = eval_on(&agg, &Expr::div(Expr::col(1), Expr::col(2)))?;
-    let out = with_col(agg.project(&[0]), share);
+    let share = Expr::div(Expr::col(1), Expr::col(2));
+    let out = with_cols(agg, &[&share])?.project(&[0, 3]);
     Ok(sort(&out, &[(0, SortDir::Asc)], ctx.meter))
 }
 
@@ -514,7 +395,23 @@ pub fn q9(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         &["p_partkey"],
         Some(Expr::like(cx(&db.part, "p_name"), "%green%")),
     )?;
-    let line = ctx.scan(
+    let supp = ctx.scan(&db.supplier, &["s_suppkey", "s_nationkey"], None)?;
+    let ps = ctx.scan(
+        &db.partsupp,
+        &["ps_partkey", "ps_suppkey", "ps_supplycost"],
+        None,
+    )?;
+    let orders = ctx.scan(&db.orders, &["o_orderkey", "o_orderdate"], None)?;
+    let nation = ctx.scan(&db.nation, &["n_nationkey", "n_name"], None)?;
+    let part = ctx.build(&part, &[0])?;
+    let supp = ctx.build(&supp, &[0])?;
+    let ps = ctx.build(&ps, &[0, 1])?;
+    let orders = ctx.build(&orders, &[0])?;
+    let nation = ctx.build(&nation, &[0])?;
+    let year = Expr::year(Expr::col(13));
+    // amount = ext*(1-disc) - cost*qty
+    let amount = Expr::sub(discounted(4, 5), Expr::mul(Expr::col(11), Expr::col(3)));
+    let j = ctx.scan_then(
         &db.lineitem,
         &[
             "l_orderkey",
@@ -525,63 +422,15 @@ pub fn q9(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             "l_discount",
         ],
         None,
+        &|line| {
+            let j = part.probe(&line, &[1], JoinType::Inner, ctx.meter)?; // 7 cols
+            let j = supp.probe(&j, &[2], JoinType::Inner, ctx.meter)?; // s_nationkey 8
+            let j = ps.probe(&j, &[1, 2], JoinType::Inner, ctx.meter)?; // cost 11
+            let j = orders.probe(&j, &[0], JoinType::Inner, ctx.meter)?; // o_orderdate 13
+            let j = nation.probe(&j, &[8], JoinType::Inner, ctx.meter)?; // n_name 15
+            with_cols(j, &[&year, &amount]) // 16, 17
+        },
     )?;
-    let j = hash_join_exec(
-        &line,
-        &part,
-        &[1],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // 7 cols
-    let supp = ctx.scan(&db.supplier, &["s_suppkey", "s_nationkey"], None)?;
-    let j = hash_join_exec(&j, &supp, &[2], &[0], JoinType::Inner, ctx.meter, &ctx.exec)?; // s_nationkey 8
-    let ps = ctx.scan(
-        &db.partsupp,
-        &["ps_partkey", "ps_suppkey", "ps_supplycost"],
-        None,
-    )?;
-    let j = hash_join_exec(
-        &j,
-        &ps,
-        &[1, 2],
-        &[0, 1],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // cost 11
-    let orders = ctx.scan(&db.orders, &["o_orderkey", "o_orderdate"], None)?;
-    let j = hash_join_exec(
-        &j,
-        &orders,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // o_orderdate 13
-    let nation = ctx.scan(&db.nation, &["n_nationkey", "n_name"], None)?;
-    let j = hash_join_exec(
-        &j,
-        &nation,
-        &[8],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // n_name 15
-    let year = eval_on(&j, &Expr::year(Expr::col(13)))?;
-    let j = with_col(j, year); // 16
-                               // amount = ext*(1-disc) - cost*qty
-    let amount = eval_on(
-        &j,
-        &Expr::sub(
-            Expr::mul(Expr::col(4), Expr::sub(Expr::lit_f64(1.0), Expr::col(5))),
-            Expr::mul(Expr::col(11), Expr::col(3)),
-        ),
-    )?;
-    let j = with_col(j, amount); // 17
     let agg = hash_aggregate_exec(&j, &[15, 16], &[AggSpec::sum(17)], ctx.meter, &ctx.exec)?;
     Ok(sort(
         &agg,
@@ -601,23 +450,6 @@ pub fn q10(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             Expr::lt(cx(&db.orders, "o_orderdate"), d("1994-01-01")),
         )),
     )?;
-    let line = ctx.scan(
-        &db.lineitem,
-        &["l_orderkey", "l_extendedprice", "l_discount"],
-        Some(Expr::eq(
-            cx(&db.lineitem, "l_returnflag"),
-            Expr::lit_str("R"),
-        )),
-    )?;
-    let j = hash_join_exec(
-        &line,
-        &orders,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // o_custkey 4
     let cust = ctx.scan(
         &db.customer,
         &[
@@ -631,22 +463,25 @@ pub fn q10(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         ],
         None,
     )?;
-    let j = hash_join_exec(&j, &cust, &[4], &[0], JoinType::Inner, ctx.meter, &ctx.exec)?; // cust 5..=11
     let nation = ctx.scan(&db.nation, &["n_nationkey", "n_name"], None)?;
-    let j = hash_join_exec(
-        &j,
-        &nation,
-        &[9],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // n_name 13
-    let rev = eval_on(
-        &j,
-        &Expr::mul(Expr::col(1), Expr::sub(Expr::lit_f64(1.0), Expr::col(2))),
+    let orders = ctx.build(&orders, &[0])?;
+    let cust = ctx.build(&cust, &[0])?;
+    let nation = ctx.build(&nation, &[0])?;
+    let rev = discounted(1, 2);
+    let j = ctx.scan_then(
+        &db.lineitem,
+        &["l_orderkey", "l_extendedprice", "l_discount"],
+        Some(Expr::eq(
+            cx(&db.lineitem, "l_returnflag"),
+            Expr::lit_str("R"),
+        )),
+        &|line| {
+            let j = orders.probe(&line, &[0], JoinType::Inner, ctx.meter)?; // o_custkey 4
+            let j = cust.probe(&j, &[4], JoinType::Inner, ctx.meter)?; // cust 5..=11
+            let j = nation.probe(&j, &[9], JoinType::Inner, ctx.meter)?; // n_name 13
+            with_cols(j, &[&rev]) // 14
+        },
     )?;
-    let j = with_col(j, rev); // 14
     let agg = hash_aggregate_exec(
         &j,
         &[5, 6, 7, 8, 13, 10, 11],
@@ -666,24 +501,22 @@ pub fn q11(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         &["n_nationkey"],
         Some(Expr::eq(cx(&db.nation, "n_name"), Expr::lit_str("GERMANY"))),
     )?;
-    let supp = ctx.scan(&db.supplier, &["s_suppkey", "s_nationkey"], None)?;
-    let supp = hash_join_exec(
-        &supp,
-        &germany,
-        &[1],
-        &[0],
-        JoinType::Semi,
-        ctx.meter,
-        &ctx.exec,
-    )?;
-    let ps = ctx.scan(
+    let germany = ctx.build(&germany, &[0])?;
+    let supp = ctx.scan_then(&db.supplier, &["s_suppkey", "s_nationkey"], None, &|s| {
+        germany.probe(&s, &[1], JoinType::Semi, ctx.meter)
+    })?;
+    let supp = ctx.build(&supp, &[0])?;
+    let value = Expr::mul(Expr::col(3), Expr::col(2));
+    // Materialised: the total and the per-part sums both consume it.
+    let ps = ctx.scan_then(
         &db.partsupp,
         &["ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost"],
         None,
+        &|ps| {
+            let ps = supp.probe(&ps, &[1], JoinType::Semi, ctx.meter)?;
+            with_cols(ps, &[&value]) // 4
+        },
     )?;
-    let ps = hash_join_exec(&ps, &supp, &[1], &[0], JoinType::Semi, ctx.meter, &ctx.exec)?;
-    let value = eval_on(&ps, &Expr::mul(Expr::col(3), Expr::col(2)))?;
-    let ps = with_col(ps, value); // 4
     let total = hash_aggregate_exec(&ps, &[], &[AggSpec::sum(4)], ctx.meter, &ctx.exec)?;
     let threshold = total.col(0).f64s()[0] * (0.0001 / ctx.db.sf);
     let agg = hash_aggregate_exec(&ps, &[0], &[AggSpec::sum(4)], ctx.meter, &ctx.exec)?;

@@ -8,7 +8,7 @@ use iq_engine::ops::{
 };
 use iq_engine::value::Value;
 
-use super::{cx, d, eval_on, filter_on, with_col, Ctx};
+use super::{cx, d, discounted, filter_on, with_cols, Ctx};
 
 /// Q12 — shipping-mode and order-priority split.
 pub fn q12(ctx: &Ctx<'_>) -> IqResult<Chunk> {
@@ -24,31 +24,21 @@ pub fn q12(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         Expr::ge(cx(li, "l_receiptdate"), d("1994-01-01")),
         Expr::lt(cx(li, "l_receiptdate"), d("1995-01-01")),
     ]);
-    let line = ctx.scan(li, &["l_orderkey", "l_shipmode"], Some(pred))?;
     let orders = ctx.scan(&db.orders, &["o_orderkey", "o_orderpriority"], None)?;
-    let j = hash_join_exec(
-        &line,
-        &orders,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // priority 3
-    let high = eval_on(
-        &j,
-        &Expr::case(
-            Expr::in_list(
-                Expr::col(3),
-                vec![Value::Str("1-URGENT".into()), Value::Str("2-HIGH".into())],
-            ),
-            Expr::lit_i64(1),
-            Expr::lit_i64(0),
+    let orders = ctx.build(&orders, &[0])?;
+    let high = Expr::case(
+        Expr::in_list(
+            Expr::col(3),
+            vec![Value::Str("1-URGENT".into()), Value::Str("2-HIGH".into())],
         ),
-    )?;
-    let j = with_col(j, high); // 4
-    let low = eval_on(&j, &Expr::sub(Expr::lit_i64(1), Expr::col(4)))?;
-    let j = with_col(j, low); // 5
+        Expr::lit_i64(1),
+        Expr::lit_i64(0),
+    );
+    let low = Expr::sub(Expr::lit_i64(1), Expr::col(4));
+    let j = ctx.scan_then(li, &["l_orderkey", "l_shipmode"], Some(pred), &|line| {
+        let j = orders.probe(&line, &[0], JoinType::Inner, ctx.meter)?; // priority 3
+        with_cols(j, &[&high, &low]) // 4, 5
+    })?;
     let agg = hash_aggregate_exec(
         &j,
         &[1],
@@ -70,24 +60,18 @@ pub fn q13(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             "%special%requests%",
         ))),
     )?;
-    let cust = ctx.scan(&db.customer, &["c_custkey"], None)?;
+    let orders = ctx.build(&orders, &[1])?;
     // Left join keeps customers with no orders; the trailing marker column
     // is 1 for matches, 0 otherwise.
-    let j = hash_join_exec(
-        &cust,
-        &orders,
-        &[0],
-        &[1],
-        JoinType::Left,
-        ctx.meter,
-        &ctx.exec,
-    )?;
+    let j = ctx.scan_then(&db.customer, &["c_custkey"], None, &|cust| {
+        orders.probe(&cust, &[0], JoinType::Left, ctx.meter)
+    })?;
     let marker = j.cols.len() - 1;
     let per_cust = hash_aggregate_exec(&j, &[0], &[AggSpec::sum(marker)], ctx.meter, &ctx.exec)?;
     // c_count arrives as a float sum of markers; materialize as integers
     // for grouping.
     let counts = Col::I64(per_cust.col(1).f64s().iter().map(|&x| x as i64).collect());
-    let per_cust = with_col(per_cust.project(&[0]), counts);
+    let per_cust = Chunk::new(vec![per_cust.col(0).clone(), counts]);
     let dist = hash_aggregate_exec(&per_cust, &[1], &[AggSpec::count(0)], ctx.meter, &ctx.exec)?;
     Ok(sort(
         &dist,
@@ -99,38 +83,26 @@ pub fn q13(ctx: &Ctx<'_>) -> IqResult<Chunk> {
 /// Q14 — promotion effect.
 pub fn q14(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let db = ctx.db;
-    let line = ctx.scan(
+    let part = ctx.scan(&db.part, &["p_partkey", "p_type"], None)?;
+    let part = ctx.build(&part, &[0])?;
+    let rev = discounted(1, 2);
+    let promo = Expr::case(
+        Expr::like(Expr::col(4), "PROMO%"),
+        Expr::col(5),
+        Expr::lit_f64(0.0),
+    );
+    let j = ctx.scan_then(
         &db.lineitem,
         &["l_partkey", "l_extendedprice", "l_discount"],
         Some(Expr::and(
             Expr::ge(cx(&db.lineitem, "l_shipdate"), d("1995-09-01")),
             Expr::lt(cx(&db.lineitem, "l_shipdate"), d("1995-10-01")),
         )),
+        &|line| {
+            let j = part.probe(&line, &[0], JoinType::Inner, ctx.meter)?; // p_type 4
+            with_cols(j, &[&rev, &promo]) // 5, 6
+        },
     )?;
-    let part = ctx.scan(&db.part, &["p_partkey", "p_type"], None)?;
-    let j = hash_join_exec(
-        &line,
-        &part,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // p_type 4
-    let rev = eval_on(
-        &j,
-        &Expr::mul(Expr::col(1), Expr::sub(Expr::lit_f64(1.0), Expr::col(2))),
-    )?;
-    let j = with_col(j, rev); // 5
-    let promo = eval_on(
-        &j,
-        &Expr::case(
-            Expr::like(Expr::col(4), "PROMO%"),
-            Expr::col(5),
-            Expr::lit_f64(0.0),
-        ),
-    )?;
-    let j = with_col(j, promo); // 6
     let agg = hash_aggregate_exec(
         &j,
         &[],
@@ -138,48 +110,37 @@ pub fn q14(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         ctx.meter,
         &ctx.exec,
     )?;
-    let pct = eval_on(
-        &agg,
-        &Expr::div(Expr::mul(Expr::lit_f64(100.0), Expr::col(0)), Expr::col(1)),
-    )?;
-    Ok(Chunk::new(vec![pct]))
+    let pct = Expr::div(Expr::mul(Expr::lit_f64(100.0), Expr::col(0)), Expr::col(1));
+    Ok(Chunk::new(vec![pct.eval_on(&agg)?]))
 }
 
 /// Q15 — top supplier (revenue view + max).
 pub fn q15(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let db = ctx.db;
-    let line = ctx.scan(
+    let rev = discounted(1, 2);
+    let line = ctx.scan_then(
         &db.lineitem,
         &["l_suppkey", "l_extendedprice", "l_discount"],
         Some(Expr::and(
             Expr::ge(cx(&db.lineitem, "l_shipdate"), d("1996-01-01")),
             Expr::lt(cx(&db.lineitem, "l_shipdate"), d("1996-04-01")),
         )),
+        &|line| with_cols(line, &[&rev]), // 3
     )?;
-    let rev = eval_on(
-        &line,
-        &Expr::mul(Expr::col(1), Expr::sub(Expr::lit_f64(1.0), Expr::col(2))),
-    )?;
-    let line = with_col(line, rev); // 3
     let revenue = hash_aggregate_exec(&line, &[0], &[AggSpec::sum(3)], ctx.meter, &ctx.exec)?;
     let max = hash_aggregate_exec(&revenue, &[], &[AggSpec::max(1)], ctx.meter, &ctx.exec)?;
     let max_rev = max.col(0).f64s()[0];
     let top = filter_on(&revenue, &Expr::eq(Expr::col(1), Expr::lit_f64(max_rev)))?;
-    let supp = ctx.scan(
+    let top = ctx.build(&top, &[0])?;
+    let out = ctx.scan_then(
         &db.supplier,
         &["s_suppkey", "s_name", "s_address", "s_phone"],
         None,
+        &|supp| {
+            let j = top.probe(&supp, &[0], JoinType::Inner, ctx.meter)?; // total 5
+            Ok(j.project(&[0, 1, 2, 3, 5]))
+        },
     )?;
-    let j = hash_join_exec(
-        &supp,
-        &top,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // total 5
-    let out = j.project(&[0, 1, 2, 3, 5]);
     Ok(sort(&out, &[(0, SortDir::Asc)], ctx.meter))
 }
 
@@ -194,8 +155,6 @@ pub fn q16(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             "%Customer%Complaints%",
         )),
     )?;
-    let ps = ctx.scan(&db.partsupp, &["ps_partkey", "ps_suppkey"], None)?;
-    let ps = hash_join_exec(&ps, &bad, &[1], &[0], JoinType::Anti, ctx.meter, &ctx.exec)?;
     let sizes = [49i64, 14, 23, 45, 19, 3, 36, 9].map(Value::I64).to_vec();
     let part = ctx.scan(
         &db.part,
@@ -206,15 +165,12 @@ pub fn q16(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             Expr::in_list(cx(&db.part, "p_size"), sizes),
         ])),
     )?;
-    let j = hash_join_exec(
-        &ps,
-        &part,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // brand 3, type 4, size 5
+    let bad = ctx.build(&bad, &[0])?;
+    let part = ctx.build(&part, &[0])?;
+    let j = ctx.scan_then(&db.partsupp, &["ps_partkey", "ps_suppkey"], None, &|ps| {
+        let ps = bad.probe(&ps, &[1], JoinType::Anti, ctx.meter)?;
+        part.probe(&ps, &[0], JoinType::Inner, ctx.meter) // brand 3, type 4, size 5
+    })?;
     let agg = hash_aggregate_exec(
         &j,
         &[3, 4, 5],
@@ -245,20 +201,14 @@ pub fn q17(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             Expr::eq(cx(&db.part, "p_container"), Expr::lit_str("MED BOX")),
         )),
     )?;
-    let line = ctx.scan(
+    let part = ctx.build(&part, &[0])?;
+    // Materialised: the per-part average below is a second consumer.
+    let j = ctx.scan_then(
         &db.lineitem,
         &["l_partkey", "l_quantity", "l_extendedprice"],
         None,
+        &|line| part.probe(&line, &[0], JoinType::Inner, ctx.meter), // 4 cols
     )?;
-    let j = hash_join_exec(
-        &line,
-        &part,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // 4 cols
     let avgs = hash_aggregate_exec(&j, &[0], &[AggSpec::avg(1)], ctx.meter, &ctx.exec)?;
     let j = hash_join_exec(&j, &avgs, &[0], &[0], JoinType::Inner, ctx.meter, &ctx.exec)?; // avg at 5
     let j = filter_on(
@@ -266,8 +216,8 @@ pub fn q17(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         &Expr::lt(Expr::col(1), Expr::mul(Expr::lit_f64(0.2), Expr::col(5))),
     )?;
     let agg = hash_aggregate_exec(&j, &[], &[AggSpec::sum(2)], ctx.meter, &ctx.exec)?;
-    let yearly = eval_on(&agg, &Expr::div(Expr::col(0), Expr::lit_f64(7.0)))?;
-    Ok(Chunk::new(vec![yearly]))
+    let yearly = Expr::div(Expr::col(0), Expr::lit_f64(7.0));
+    Ok(Chunk::new(vec![yearly.eval_on(&agg)?]))
 }
 
 /// Q18 — large-volume customers (qty > 300 orders).
@@ -276,23 +226,19 @@ pub fn q18(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let line = ctx.scan(&db.lineitem, &["l_orderkey", "l_quantity"], None)?;
     let per_order = hash_aggregate_exec(&line, &[0], &[AggSpec::sum(1)], ctx.meter, &ctx.exec)?;
     let big = filter_on(&per_order, &Expr::gt(Expr::col(1), Expr::lit_f64(300.0)))?;
-    let orders = ctx.scan(
+    let cust = ctx.scan(&db.customer, &["c_custkey", "c_name"], None)?;
+    let big = ctx.build(&big, &[0])?;
+    let cust = ctx.build(&cust, &[0])?;
+    let out = ctx.scan_then(
         &db.orders,
         &["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
         None,
+        &|orders| {
+            let j = big.probe(&orders, &[0], JoinType::Inner, ctx.meter)?; // sumqty 5
+            let j = cust.probe(&j, &[1], JoinType::Inner, ctx.meter)?; // c_name 7
+            Ok(j.project(&[7, 1, 0, 2, 3, 5]))
+        },
     )?;
-    let j = hash_join_exec(
-        &orders,
-        &big,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // sumqty 5
-    let cust = ctx.scan(&db.customer, &["c_custkey", "c_name"], None)?;
-    let j = hash_join_exec(&j, &cust, &[1], &[0], JoinType::Inner, ctx.meter, &ctx.exec)?; // c_name 7
-    let out = j.project(&[7, 1, 0, 2, 3, 5]);
     let out = sort(&out, &[(4, SortDir::Desc), (3, SortDir::Asc)], ctx.meter);
     Ok(limit(&out, 100))
 }
@@ -301,31 +247,12 @@ pub fn q18(ctx: &Ctx<'_>) -> IqResult<Chunk> {
 pub fn q19(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let db = ctx.db;
     let li = &db.lineitem;
-    let line = ctx.scan(
-        li,
-        &["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
-        Some(Expr::and(
-            Expr::in_list(
-                cx(li, "l_shipmode"),
-                vec![Value::Str("AIR".into()), Value::Str("AIR REG".into())],
-            ),
-            Expr::eq(cx(li, "l_shipinstruct"), Expr::lit_str("DELIVER IN PERSON")),
-        )),
-    )?;
     let part = ctx.scan(
         &db.part,
         &["p_partkey", "p_brand", "p_container", "p_size"],
         None,
     )?;
-    let j = hash_join_exec(
-        &line,
-        &part,
-        &[0],
-        &[0],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?;
+    let part = ctx.build(&part, &[0])?;
     // Positions: qty 1, ext 2, disc 3, brand 5, container 6, size 7.
     let band = |brand: &str, containers: [&str; 4], qlo: i64, qhi: i64, smax: i64| {
         Expr::and_all(vec![
@@ -363,19 +290,23 @@ pub fn q19(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             ),
         ),
     );
-    let j = filter_on(&j, &pred)?;
-    let rev = eval_on(
-        &j,
-        &Expr::mul(Expr::col(2), Expr::sub(Expr::lit_f64(1.0), Expr::col(3))),
+    let rev = discounted(2, 3);
+    let j = ctx.scan_then(
+        li,
+        &["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
+        Some(Expr::and(
+            Expr::in_list(
+                cx(li, "l_shipmode"),
+                vec![Value::Str("AIR".into()), Value::Str("AIR REG".into())],
+            ),
+            Expr::eq(cx(li, "l_shipinstruct"), Expr::lit_str("DELIVER IN PERSON")),
+        )),
+        &|line| {
+            let j = part.probe(&line, &[0], JoinType::Inner, ctx.meter)?;
+            with_cols(filter_on(&j, &pred)?, &[&rev]) // 8
+        },
     )?;
-    let j = with_col(j, rev);
-    hash_aggregate_exec(
-        &j,
-        &[],
-        &[AggSpec::sum(j.cols.len() - 1)],
-        ctx.meter,
-        &ctx.exec,
-    )
+    hash_aggregate_exec(&j, &[], &[AggSpec::sum(8)], ctx.meter, &ctx.exec)
 }
 
 /// Q20 — potential part promotion: CANADA suppliers of `forest%` parts
@@ -396,54 +327,36 @@ pub fn q20(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         )),
     )?;
     let shipped = hash_aggregate_exec(&line, &[0, 1], &[AggSpec::sum(2)], ctx.meter, &ctx.exec)?;
-    let ps = ctx.scan(
+    let forest = ctx.build(&forest, &[0])?;
+    let shipped = ctx.build(&shipped, &[0, 1])?;
+    let in_surplus = Expr::gt(Expr::col(2), Expr::mul(Expr::lit_f64(0.5), Expr::col(5)));
+    let j = ctx.scan_then(
         &db.partsupp,
         &["ps_partkey", "ps_suppkey", "ps_availqty"],
         None,
-    )?;
-    let ps = hash_join_exec(
-        &ps,
-        &forest,
-        &[0],
-        &[0],
-        JoinType::Semi,
-        ctx.meter,
-        &ctx.exec,
-    )?;
-    let j = hash_join_exec(
-        &ps,
-        &shipped,
-        &[0, 1],
-        &[0, 1],
-        JoinType::Inner,
-        ctx.meter,
-        &ctx.exec,
-    )?; // sumqty 5
-    let j = filter_on(
-        &j,
-        &Expr::gt(Expr::col(2), Expr::mul(Expr::lit_f64(0.5), Expr::col(5))),
+        &|ps| {
+            let ps = forest.probe(&ps, &[0], JoinType::Semi, ctx.meter)?;
+            let j = shipped.probe(&ps, &[0, 1], JoinType::Inner, ctx.meter)?; // sumqty 5
+            filter_on(&j, &in_surplus)
+        },
     )?;
     let canada = ctx.scan(
         &db.nation,
         &["n_nationkey"],
         Some(Expr::eq(cx(&db.nation, "n_name"), Expr::lit_str("CANADA"))),
     )?;
-    let supp = ctx.scan(
+    let canada = ctx.build(&canada, &[0])?;
+    let surplus = ctx.build(&j, &[1])?;
+    let out = ctx.scan_then(
         &db.supplier,
         &["s_suppkey", "s_name", "s_address", "s_nationkey"],
         None,
+        &|supp| {
+            let supp = canada.probe(&supp, &[3], JoinType::Semi, ctx.meter)?;
+            let supp = surplus.probe(&supp, &[0], JoinType::Semi, ctx.meter)?;
+            Ok(supp.project(&[1, 2]))
+        },
     )?;
-    let supp = hash_join_exec(
-        &supp,
-        &canada,
-        &[3],
-        &[0],
-        JoinType::Semi,
-        ctx.meter,
-        &ctx.exec,
-    )?;
-    let out = hash_join_exec(&supp, &j, &[0], &[1], JoinType::Semi, ctx.meter, &ctx.exec)?;
-    let out = out.project(&[1, 2]);
     Ok(sort(&out, &[(0, SortDir::Asc)], ctx.meter))
 }
 
@@ -459,15 +372,12 @@ pub fn q21(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             Expr::lit_str("SAUDI ARABIA"),
         )),
     )?;
-    let supp = ctx.scan(&db.supplier, &["s_suppkey", "s_name", "s_nationkey"], None)?;
-    let supp = hash_join_exec(
-        &supp,
-        &saudi,
-        &[2],
-        &[0],
-        JoinType::Semi,
-        ctx.meter,
-        &ctx.exec,
+    let saudi = ctx.build(&saudi, &[0])?;
+    let supp = ctx.scan_then(
+        &db.supplier,
+        &["s_suppkey", "s_name", "s_nationkey"],
+        None,
+        &|s| saudi.probe(&s, &[2], JoinType::Semi, ctx.meter),
     )?;
     let orders_f = ctx.scan(
         &db.orders,
@@ -487,6 +397,7 @@ pub fn q21(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         &ctx.exec,
     )?;
     // ... and among late lines (NOT EXISTS l3 with another late supplier).
+    // Materialised: `late` feeds that aggregate *and* the join chain.
     let late = ctx.scan(
         &db.lineitem,
         &["l_orderkey", "l_suppkey"],
@@ -559,10 +470,16 @@ pub fn q22(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         .iter()
         .map(|c| Value::Str((*c).into()))
         .collect();
-    let cust = ctx.scan(&db.customer, &["c_custkey", "c_phone", "c_acctbal"], None)?;
-    let code = eval_on(&cust, &Expr::substr(Expr::col(1), 1, 2))?;
-    let cust = with_col(cust, code); // 3
-    let cust = filter_on(&cust, &Expr::in_list(Expr::col(3), codes))?;
+    let code = Expr::substr(Expr::col(1), 1, 2);
+    let in_codes = Expr::in_list(Expr::col(3), codes);
+    // Materialised: the average balance and the rich customers both
+    // consume it.
+    let cust = ctx.scan_then(
+        &db.customer,
+        &["c_custkey", "c_phone", "c_acctbal"],
+        None,
+        &|cust| filter_on(&with_cols(cust, &[&code])?, &in_codes), // code 3
+    )?;
     // Average positive balance over the candidate codes.
     let positive = filter_on(&cust, &Expr::gt(Expr::col(2), Expr::lit_f64(0.0)))?;
     let avg = hash_aggregate_exec(&positive, &[], &[AggSpec::avg(2)], ctx.meter, &ctx.exec)?;
