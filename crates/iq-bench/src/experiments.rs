@@ -375,23 +375,19 @@ fn table1_walkthrough(faults: bool) -> IqResult<Report> {
     let mx = Multiplex::new(Arc::clone(&log), 1, 0);
     let w1 = mx.secondary(NodeId(1)).expect("writer");
     let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::default()));
-    let (backend, retry): (Arc<dyn ObjectBackend>, RetryPolicy) = if faults {
-        (
-            Arc::new(FaultInjector::new(store.clone(), FaultPlan::flaky(7, 0.08))),
-            RetryPolicy {
-                seed: 7,
-                ..RetryPolicy::attempts(12)
-            },
-        )
+    let (fault, retry) = if faults {
+        let retry = RetryPolicy {
+            seed: 7,
+            ..RetryPolicy::attempts(12)
+        };
+        (Some(FaultPlan::flaky(7, 0.08)), retry)
     } else {
-        (store.clone(), RetryPolicy::default())
+        (None, RetryPolicy::default())
     };
-    // The walkthrough runs with the submission/completion reactor in the
-    // path, like the full database does: completions deliver in
-    // virtual-clock (submission) order, so the golden trace is
-    // byte-identical to the direct-call era.
-    let backend: Arc<dyn ObjectBackend> =
-        Arc::new(ReactorStore::new(Arc::new(IoReactor::new()), backend));
+    // The walkthrough runs on the same store stack as the full database,
+    // reactor included: a single-threaded caller passes its gate in call
+    // order, so the golden trace is byte-identical to the direct-call era.
+    let (backend, _) = ReactorStore::stack(Arc::new(IoReactor::new()), store.clone(), fault);
     let space = cloud_space(backend, retry);
 
     let mut r = Report::new(

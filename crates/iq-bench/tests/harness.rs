@@ -160,7 +160,7 @@ fn metrics_export_matches_the_committed_key_set() {
     // Its cold scan flows through the two-phase scan front end: groups
     // are considered and pages accounted.
     assert!(get("scan.groups_considered") > 0 && get("scan.projection_pages_read") > 0);
-    // The reactor carries the store traffic: descriptors flow and every
+    // The reactor carries the store traffic: requests flow and every
     // submitted one completes.
     assert!(get("io.submitted") > 0 && get("io.completed") == get("io.submitted"));
     // The scripted injector must actually surface in the counters.

@@ -78,11 +78,6 @@ impl<K: Eq + Hash + Clone, V> SlruCache<K, V> {
         self.probationary.is_empty() && self.protected.is_empty()
     }
 
-    /// Entries currently in the protected segment.
-    pub fn protected_len(&self) -> usize {
-        self.protected.len()
-    }
-
     /// True if `key` currently sits in the protected segment.
     pub fn is_protected(&self, key: &K) -> bool {
         self.protected.peek(key).is_some()

@@ -4,20 +4,20 @@
 //! with an io_uring-shaped model: callers *submit* a batch of operations
 //! and then await their completions, so the number of operations in
 //! flight is bounded by how much work was submitted — not by how many
-//! threads happen to be blocked inside the backend. Two pieces implement
-//! that model:
+//! threads happen to be blocked inside the backend. Two pieces sit on
+//! the I/O path, the first of which implements that model:
 //!
 //! * [`IoCore`] (this module) — the caller-side fan-out. It owns the
 //!   submission accounting: all `n` tasks of a batch are counted in
 //!   flight the moment the batch is submitted, and each completion
 //!   retires one. Execution itself is carried by a small scoped worker
-//!   set (the completion reactor's execution lanes), but the *depth*
-//!   reported by [`IoStats`] is submission depth, which is the quantity
-//!   the paper's prefetch/scan pipelines care about.
-//! * `IoReactor` (in `iq-objectstore`) — the backend-side completion
-//!   reactor. Every object-store request becomes a descriptor on a
-//!   single submission queue and completions are delivered in
-//!   virtual-clock order (tie-broken by submission sequence), which is
+//!   set (the core's execution lanes), but the *depth* reported by
+//!   [`IoStats`] is submission depth, which is the quantity the paper's
+//!   prefetch/scan pipelines care about.
+//! * `IoReactor` (in `iq-objectstore`) — the backend-side gate. Every
+//!   object-store request takes it, runs on the thread that issued it
+//!   and is counted on its own; one request runs at a time, so op-clock
+//!   and journal order are the order of arrival at the gate, which is
 //!   what keeps the golden Table-1 trace byte-identical.
 //!
 //! Both sides feed one shared [`IoStats`], exported as the `io.*`
@@ -32,17 +32,18 @@ use parking_lot::Mutex;
 /// metrics source. One instance per database, fed from both ends of the
 /// pipe: the [`IoCore`] fan-out accounts logical operations
 /// (submission-depth in-flight tracking), the backend reactor accounts
-/// descriptors (queue depth, completions, failures), and the group-commit
-/// gather accounts coalesced log appends.
+/// store requests (arrivals waiting at its gate, completions, failures),
+/// and the group-commit gather accounts coalesced log appends.
 #[derive(Debug, Default)]
 pub struct IoStats {
-    /// Descriptors submitted to the backend reactor.
+    /// Store requests that arrived at the backend reactor's gate.
     pub submitted: AtomicU64,
-    /// Completions the reactor delivered (success or failure).
+    /// Requests that ran to an outcome (success or failure).
     pub completed: AtomicU64,
-    /// Completions that carried an error.
+    /// Requests whose outcome was an error.
     pub failed: AtomicU64,
-    /// Peak length of the reactor's submission queue.
+    /// Peak number of requests that had arrived at the gate and not
+    /// started yet, the newest arrival included.
     pub queue_depth_peak: AtomicU64,
     /// Logical operations currently submitted and not yet completed at
     /// the [`IoCore`] layer (scan morsels, flush groups, delete chunks).
@@ -76,17 +77,17 @@ impl IoStats {
         self.ops_in_flight.fetch_sub(n as u64, Ordering::Relaxed);
     }
 
-    /// Account a descriptor entering the reactor's submission queue of
-    /// current depth `depth`.
-    pub fn note_descriptor_submitted(&self, depth: usize) {
+    /// Account a store request arriving at the reactor's gate, the
+    /// `depth`-th waiting to start (itself included).
+    pub fn note_request_submitted(&self, depth: usize) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
         self.queue_depth_peak
             .fetch_max(depth as u64, Ordering::Relaxed);
     }
 
-    /// Account one delivered completion; `ok` is false when it carried an
-    /// error.
-    pub fn note_descriptor_completed(&self, ok: bool) {
+    /// Account one store request finishing; `ok` is false when its
+    /// outcome was an error.
+    pub fn note_request_completed(&self, ok: bool) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         if !ok {
             self.failed.fetch_add(1, Ordering::Relaxed);
@@ -116,13 +117,13 @@ impl IoStats {
 /// Point-in-time copy of [`IoStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStatsSnapshot {
-    /// Descriptors submitted to the reactor.
+    /// Store requests that arrived at the reactor's gate.
     pub submitted: u64,
-    /// Completions delivered.
+    /// Requests that ran to an outcome.
     pub completed: u64,
-    /// Completions carrying an error.
+    /// Requests whose outcome was an error.
     pub failed: u64,
-    /// Peak reactor submission-queue length.
+    /// Peak arrivals waiting at the gate to start.
     pub queue_depth_peak: u64,
     /// Peak logical operations in flight at the submission layer.
     pub in_flight_peak: u64,

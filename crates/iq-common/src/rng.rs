@@ -37,16 +37,6 @@ impl DetRng {
         self.inner.gen_range(0..n)
     }
 
-    /// Uniform in `[lo, hi]` (inclusive).
-    pub fn range_inclusive(&mut self, lo: i64, hi: i64) -> i64 {
-        self.inner.gen_range(lo..=hi)
-    }
-
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
-        self.inner.gen()
-    }
-
     /// Bernoulli trial with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.inner.gen_bool(p.clamp(0.0, 1.0))

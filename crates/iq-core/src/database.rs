@@ -11,9 +11,7 @@ use iq_common::{
     SimDuration, TableId, TxnId,
 };
 use iq_engine::{ScanStats, TableMeta, WorkMeter};
-use iq_objectstore::{
-    BlockDeviceSim, FaultInjector, IoReactor, ObjectBackend, ObjectStoreSim, ReactorStore,
-};
+use iq_objectstore::{BlockDeviceSim, FaultInjector, IoReactor, ObjectStoreSim, ReactorStore};
 use iq_ocm::{Ocm, OcmConfig};
 use iq_snapshot::{RetainingSink, SnapshotManager};
 use iq_storage::{Catalog, DbSpace};
@@ -62,14 +60,14 @@ pub struct Shared {
     metrics: Arc<MetricsRegistry>,
     /// Page-packing counters (the `pack.*` metrics source).
     pub pack_stats: PackStats,
-    /// Descriptor-level I/O accounting shared by the reactor, the scan
+    /// Request-level I/O accounting shared by the reactor, the scan
     /// and flush fan-outs, and GC (the `io.*` metrics source).
     pub io_stats: Arc<IoStats>,
     /// Late-materialization scan counters — groups pruned, predicate vs
     /// projection pages read, GETs saved (the `scan.*` metrics source).
     pub scan_stats: Arc<ScanStats>,
-    /// The submission/completion reactor every cloud backend is routed
-    /// through (see `iq_objectstore::reactor`).
+    /// The gate every cloud backend's requests pass, one at a time and
+    /// each counted on its own (see `iq_objectstore::reactor`).
     pub reactor: Arc<IoReactor>,
     /// Durable transaction-log uploader, when `config.group_commit`
     /// is not `Off`.
@@ -785,28 +783,16 @@ impl Database {
         let shared = &self.shared;
         shared.cloud_stores.write().insert(id.0, store.clone());
         register_store_metrics(&shared.metrics, id.0, &store);
-        // With a fault plan configured, every path to the store — dbspace
-        // reads/writes, OCM uploads, GC polls — goes through the injector.
-        // The concrete sim stays reachable for invariant checks, and the
-        // injector is client-side state: a reopened instance builds a
-        // fresh one (a restarted node is healed).
-        let backend: Arc<dyn ObjectBackend> = match shared.config.fault {
-            Some(plan) => {
-                let injector = Arc::new(FaultInjector::new(store, plan));
-                shared
-                    .fault_injectors
-                    .write()
-                    .insert(id.0, Arc::clone(&injector));
-                injector
-            }
-            None => store,
-        };
-        // Route all of it through the shared submission/completion
-        // reactor. Retry attempts submit individual descriptors, so
-        // per-descriptor fault injection falls out of the stacking
-        // order: retry → reactor → injector → sim.
-        let backend: Arc<dyn ObjectBackend> =
-            Arc::new(ReactorStore::new(Arc::clone(&shared.reactor), backend));
+        // Every path to the store — dbspace reads/writes, OCM uploads, GC
+        // polls — takes the shared reactor's gate and, with a fault plan
+        // configured, the injector below it: retry → reactor → injector →
+        // sim, so each retry attempt is its own request and draws its own
+        // fault. The concrete sim stays reachable for invariant checks.
+        let (backend, injector) =
+            ReactorStore::stack(Arc::clone(&shared.reactor), store, shared.config.fault);
+        if let Some(injector) = injector {
+            shared.fault_injectors.write().insert(id.0, injector);
+        }
         let space = Arc::new(DbSpace::cloud(
             id,
             name,

@@ -4,8 +4,8 @@
 //! (§3.1); this module gives the simulation a measurable stand-in. A
 //! [`DurableLog`] is a [`LogSink`] over its own strongly consistent
 //! [`ObjectStoreSim`], reached through the database's shared
-//! [`IoReactor`] — so log PUTs ride the same submission/completion core
-//! as page traffic.
+//! [`IoReactor`] — so log PUTs take the same gate, and are counted in
+//! the same `io.*` numbers, as page traffic.
 //!
 //! Two upload modes ([`GroupCommitMode`]):
 //!
@@ -144,7 +144,7 @@ pub struct DurableLog {
     mode: GroupCommitMode,
     /// The log store behind the shared reactor (stacked retry → reactor
     /// → injector → sim, like every other cloud backend).
-    store: ReactorStore,
+    store: Arc<dyn ObjectBackend>,
     /// The concrete sim (request-ledger inspection, recovery reads).
     sim: Arc<ObjectStoreSim>,
     /// Optional scripted fault injector wrapping the sim
@@ -166,7 +166,7 @@ pub struct DurableLog {
 
 impl DurableLog {
     /// A durable log in `mode` over a fresh store, uploading through
-    /// `reactor` and charging descriptor traffic into `io_stats` when
+    /// `reactor` and charging coalesced appends into `io_stats` when
     /// present. `retry` covers every upload; `fault` optionally wraps
     /// the store in a scripted [`FaultInjector`].
     pub fn new(
@@ -197,17 +197,7 @@ impl DurableLog {
             .map(|k| k.offset() + 1)
             .unwrap_or(LOG_KEY_BASE)
             .max(LOG_KEY_BASE);
-        let injector = fault.map(|plan| {
-            Arc::new(FaultInjector::new(
-                Arc::clone(&sim) as Arc<dyn ObjectBackend>,
-                plan,
-            ))
-        });
-        let backend: Arc<dyn ObjectBackend> = match &injector {
-            Some(inj) => Arc::clone(inj) as Arc<dyn ObjectBackend>,
-            None => Arc::clone(&sim) as Arc<dyn ObjectBackend>,
-        };
-        let store = ReactorStore::new(reactor, backend);
+        let (store, injector) = ReactorStore::stack(reactor, Arc::clone(&sim), fault);
         Self {
             mode,
             store,
@@ -322,7 +312,7 @@ impl DurableLog {
         self.puts.fetch_add(1, Ordering::Relaxed);
         let body = encode(records);
         self.retry
-            .put(&self.store, key, body.into())
+            .put(self.store.as_ref(), key, body.into())
             .inspect_err(|_| {
                 self.put_failures.fetch_add(1, Ordering::Relaxed);
             })

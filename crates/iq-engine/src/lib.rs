@@ -18,8 +18,6 @@
 //! * [`hg`] — the High-Group index: value → row-id set, standing in for
 //!   IQ's tiered HG index that "combines the power of B+-trees with the
 //!   scalability and compression of bitmaps".
-//! * [`niche`] — the DATE / TEXT / CMP niche indexes the paper's intro
-//!   lists alongside HG.
 //! * [`table`] — range-partitioned tables stored as row groups, one page
 //!   per (row-group, column); the load path and the pruning scan.
 //! * [`store`] — the [`store::PageStore`] trait the engine reads/writes
@@ -38,7 +36,6 @@ pub mod expr;
 pub mod hg;
 pub mod mask;
 pub mod meter;
-pub mod niche;
 pub mod ops;
 pub mod prefetch;
 pub mod scanstats;
@@ -52,7 +49,6 @@ pub use expr::Expr;
 pub use hg::HgIndex;
 pub use mask::Mask;
 pub use meter::WorkMeter;
-pub use niche::{CmpIndex, DateIndex, TextIndex};
 pub use ops::OpExec;
 pub use prefetch::{PrefetchAdmission, PrefetchTicket, PREFETCH_DEPTH};
 pub use scanstats::ScanStats;

@@ -42,7 +42,7 @@ pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use metrics::{DeviceStats, IoOp, StatsSnapshot};
 pub use object_store::{ConsistencyConfig, ObjectStoreSim};
 pub use profiles::{ComputeProfile, DeviceProfile, VolumeKind};
-pub use reactor::{IoCompletion, IoDescriptor, IoReactor, ReactorStore};
+pub use reactor::{IoReactor, ReactorStore};
 pub use retry::{BatchDeleteOutcome, RetryPolicy};
 pub use timemodel::{PhaseLoad, TimeModel};
 pub use traits::{BlockBackend, ObjectBackend, RangeRead, DELETE_BATCH_MAX};

@@ -1,246 +1,90 @@
-//! The backend completion reactor: a batched submission queue over the
-//! simulated object store.
+//! The backend reactor: one gate every object-store request passes.
 //!
 //! Every object-store request — scan morsel GETs, composite-member ranged
-//! GETs, commit-flush PUTs, GC multi-object deletes, OCM populates — is
-//! expressed as an [`IoDescriptor`] on one shared submission queue and
-//! answered with an [`IoCompletion`]. The shape is io_uring's: callers
-//! *submit* and then *wait*; nothing blocks a thread inside the backend
-//! per request. One driver at a time drains the queue (flat combining:
-//! whichever waiter finds no active driver takes the role), executing
-//! descriptors strictly in submission-sequence order with the reactor
-//! lock **released** around each backend call, and publishes completions
-//! for the other waiters.
+//! GETs, commit-flush PUTs, GC multi-object deletes, OCM populates, log
+//! uploads — goes through one shared [`IoReactor`]. It is a gate, not a
+//! queue: a request arrives, takes the gate, runs **on the thread that
+//! issued it**, and leaves. One request runs at a time, in the order the
+//! gate was taken, and each is counted on its own (`io.submitted` /
+//! `io.completed` / `io.failed`; `io.queue_depth_peak` is the most
+//! arrivals ever seen waiting to start, the newcomer included).
 //!
 //! ## Determinism
 //!
-//! Completions are delivered in virtual-clock order, tie-broken by
-//! submission sequence — and with this reactor the two orders coincide by
-//! construction: descriptors execute serially in sequence order, and the
-//! simulated op clock advances monotonically with each executed request,
-//! so the i-th completion carries the i-th clock reading. A
-//! single-threaded caller (the golden Table-1 walkthrough) therefore
-//! drives exactly the same backend call sequence as a direct-call stack,
-//! and the trace stays byte-identical. Retries remain the caller's
-//! (`RetryPolicy`'s) business: each attempt is its own descriptor, fault
-//! injection below the reactor stays per-descriptor, and backoffs are
-//! charged through the same [`ObjectBackend::note_backoff`] path as
-//! before.
+//! The simulated op clock advances with each executed request and the
+//! gate admits one request at a time, so op-clock order and journal order
+//! are the order of arrival at the gate. A single-threaded caller (the
+//! golden Table-1 walkthrough) therefore drives exactly the backend call
+//! sequence a direct-call stack would, and the trace stays
+//! byte-identical. Retries remain the caller's (`RetryPolicy`'s)
+//! business: each attempt is its own request, fault injection below the
+//! gate draws per request, and backoffs are charged through
+//! [`ObjectBackend::note_backoff`], which is accounting and bypasses it.
 
-use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use iq_common::{IoStats, IqError, IqResult, ObjectKey, SimDuration};
-use parking_lot::{Condvar, Mutex};
+use iq_common::{IoStats, IqResult, ObjectKey, SimDuration};
+use parking_lot::Mutex;
 
+use crate::fault::{FaultInjector, FaultPlan};
 use crate::metrics::StatsSnapshot;
+use crate::object_store::ObjectStoreSim;
 use crate::traits::{ObjectBackend, RangeRead};
 
-/// One submitted object-store operation.
-#[derive(Debug, Clone)]
-pub enum IoDescriptor {
-    /// Whole-object GET.
-    Get {
-        /// Object to fetch.
-        key: ObjectKey,
-    },
-    /// Ranged GET of `len` bytes at `offset`.
-    GetRange {
-        /// Object to fetch from.
-        key: ObjectKey,
-        /// First byte of the range.
-        offset: u32,
-        /// Length of the range.
-        len: u32,
-    },
-    /// Whole-object PUT.
-    Put {
-        /// Key to upload under.
-        key: ObjectKey,
-        /// Object body.
-        data: Bytes,
-    },
-    /// Single-object DELETE (the GC's existence poll issues these; kept
-    /// distinct from a one-element [`IoDescriptor::DeleteBatch`] because
-    /// the simulation prices and journals them differently).
-    Delete {
-        /// Key to delete.
-        key: ObjectKey,
-    },
-    /// Multi-object DELETE with per-key outcomes.
-    DeleteBatch {
-        /// Keys to delete.
-        keys: Vec<ObjectKey>,
-    },
-    /// Existence probe (HEAD).
-    Head {
-        /// Key to probe.
-        key: ObjectKey,
-    },
-}
-
-/// The payload of one delivered completion.
-#[derive(Debug)]
-pub enum IoCompletion {
-    /// A fetched object ([`IoDescriptor::Get`]).
-    Bytes(Bytes),
-    /// A fetched range ([`IoDescriptor::GetRange`]).
-    Range(RangeRead),
-    /// A PUT or DELETE finished ([`IoDescriptor::Put`] /
-    /// [`IoDescriptor::Delete`]).
-    Unit,
-    /// Per-key outcomes of a batch delete
-    /// ([`IoDescriptor::DeleteBatch`]).
-    Batch(Vec<(ObjectKey, IqResult<()>)>),
-    /// HEAD verdict ([`IoDescriptor::Head`]).
-    Exists(bool),
-}
-
-struct Pending {
-    seq: u64,
-    backend: Arc<dyn ObjectBackend>,
-    desc: IoDescriptor,
-}
-
-#[derive(Default)]
-struct ReactorState {
-    next_seq: u64,
-    queue: VecDeque<Pending>,
-    results: HashMap<u64, IqResult<IoCompletion>>,
-    driver_active: bool,
-}
-
-/// The shared completion reactor. One instance serves every cloud dbspace
-/// of a database (plus the durable transaction log): descriptors carry
-/// their target backend, so a single submission queue orders all of them.
+/// The shared request gate. One instance serves every cloud dbspace of a
+/// database (plus the durable transaction log), so a single arrival order
+/// covers all of their traffic.
+#[derive(Debug, Default)]
 pub struct IoReactor {
-    state: Mutex<ReactorState>,
-    cv: Condvar,
+    gate: Mutex<()>,
+    /// Requests that have arrived and not started yet.
+    waiting: AtomicUsize,
     stats: Option<Arc<IoStats>>,
-}
-
-impl std::fmt::Debug for IoReactor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IoReactor")
-            .field("stats", &self.stats.is_some())
-            .finish()
-    }
-}
-
-impl Default for IoReactor {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl IoReactor {
     /// A reactor with no metrics attachment.
     pub fn new() -> Self {
-        Self {
-            state: Mutex::new(ReactorState::default()),
-            cv: Condvar::new(),
-            stats: None,
-        }
+        Self::default()
     }
 
-    /// A reactor accounting descriptor traffic into `stats` (the `io.*`
+    /// A reactor accounting request traffic into `stats` (the `io.*`
     /// metrics source).
     pub fn with_stats(stats: Arc<IoStats>) -> Self {
         Self {
-            state: Mutex::new(ReactorState::default()),
-            cv: Condvar::new(),
             stats: Some(stats),
+            ..Self::default()
         }
     }
 
-    /// Submit one descriptor against `backend`; returns its submission
-    /// sequence number for [`Self::wait`].
-    pub fn submit(&self, backend: Arc<dyn ObjectBackend>, desc: IoDescriptor) -> u64 {
-        let mut g = self.state.lock();
-        let seq = g.next_seq;
-        g.next_seq += 1;
-        g.queue.push_back(Pending { seq, backend, desc });
+    /// Run one request through the gate on the calling thread; `ok` says
+    /// whether its outcome counts as a success (`io.failed` otherwise).
+    fn run<T>(&self, op: impl FnOnce() -> T, ok: impl FnOnce(&T) -> bool) -> T {
+        let depth = self.waiting.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(stats) = &self.stats {
-            stats.note_descriptor_submitted(g.queue.len());
+            stats.note_request_submitted(depth);
         }
-        // Wake a parked waiter so someone becomes the driver.
-        drop(g);
-        self.cv.notify_all();
-        seq
-    }
-
-    /// Await the completion of submission `seq`.
-    ///
-    /// Flat combining: if no driver is active the calling thread takes
-    /// the role, drains the whole queue in submission order (executing
-    /// each descriptor with the reactor lock released), publishes the
-    /// completions and hands the role back. Otherwise it parks until the
-    /// active driver delivers its completion.
-    pub fn wait(&self, seq: u64) -> IqResult<IoCompletion> {
-        let mut g = self.state.lock();
-        loop {
-            if let Some(done) = g.results.remove(&seq) {
-                return done;
-            }
-            if g.driver_active {
-                self.cv.wait(&mut g);
-                continue;
-            }
-            g.driver_active = true;
-            while let Some(p) = g.queue.pop_front() {
-                // LOCK-OK: the reactor lock is explicitly dropped around
-                // the backend call; `drive` runs unlocked.
-                drop(g);
-                let outcome = Self::drive(&p);
-                g = self.state.lock();
-                if let Some(stats) = &self.stats {
-                    stats.note_descriptor_completed(outcome.is_ok());
-                }
-                g.results.insert(p.seq, outcome);
-                self.cv.notify_all();
-            }
-            g.driver_active = false;
-            self.cv.notify_all();
+        let gate = self.gate.lock();
+        self.waiting.fetch_sub(1, Ordering::Relaxed);
+        // Held across exactly one backend call by design: the gate is the
+        // sequencing point, not a cache lock.
+        let out = op(); // LOCK-OK: the gate sequences requests
+        drop(gate);
+        if let Some(stats) = &self.stats {
+            stats.note_request_completed(ok(&out));
         }
-    }
-
-    /// Submit + wait in one call.
-    pub fn run(
-        &self,
-        backend: Arc<dyn ObjectBackend>,
-        desc: IoDescriptor,
-    ) -> IqResult<IoCompletion> {
-        let seq = self.submit(backend, desc);
-        self.wait(seq)
-    }
-
-    fn drive(p: &Pending) -> IqResult<IoCompletion> {
-        match &p.desc {
-            IoDescriptor::Get { key } => p.backend.get(*key).map(IoCompletion::Bytes),
-            IoDescriptor::GetRange { key, offset, len } => p
-                .backend
-                .get_range(*key, *offset, *len)
-                .map(IoCompletion::Range),
-            IoDescriptor::Put { key, data } => p
-                .backend
-                .put(*key, data.clone())
-                .map(|()| IoCompletion::Unit),
-            IoDescriptor::Delete { key } => p.backend.delete(*key).map(|()| IoCompletion::Unit),
-            IoDescriptor::DeleteBatch { keys } => {
-                Ok(IoCompletion::Batch(p.backend.delete_batch(keys)))
-            }
-            IoDescriptor::Head { key } => Ok(IoCompletion::Exists(p.backend.exists(*key))),
-        }
+        out
     }
 }
 
-/// An [`ObjectBackend`] adapter that routes every operation through a
+/// An [`ObjectBackend`] adapter that passes every operation through a
 /// shared [`IoReactor`]. This is what sits between the retry layer and
-/// the (possibly fault-injecting) store: retries submit fresh
-/// descriptors, faults draw per descriptor, and bookkeeping calls
-/// (`stats_snapshot`, `resident_bytes`, `note_backoff`) pass straight
-/// through — a backoff is accounting, not I/O.
+/// the (possibly fault-injecting) store: each retry attempt is a fresh
+/// request, faults draw per request, and bookkeeping calls
+/// (`stats_snapshot`, `resident_bytes`, `note_backoff`) pass around the
+/// gate — a backoff is accounting, not I/O.
 pub struct ReactorStore {
     reactor: Arc<IoReactor>,
     inner: Arc<dyn ObjectBackend>,
@@ -253,68 +97,57 @@ impl std::fmt::Debug for ReactorStore {
 }
 
 impl ReactorStore {
-    /// Wrap `inner` so its traffic flows through `reactor`.
+    /// Wrap `inner` so its traffic passes through `reactor`.
     pub fn new(reactor: Arc<IoReactor>, inner: Arc<dyn ObjectBackend>) -> Self {
         Self { reactor, inner }
     }
 
-    /// The wrapped backend (tests and stats plumbing).
-    pub fn inner(&self) -> &Arc<dyn ObjectBackend> {
-        &self.inner
-    }
-
-    fn run(&self, desc: IoDescriptor) -> IqResult<IoCompletion> {
-        self.reactor.run(Arc::clone(&self.inner), desc)
+    /// The one cloud-store stack, below the caller's retry policy:
+    /// reactor → [`FaultInjector`] (when `fault` sets a plan) → `sim`.
+    /// Returns the backend to hand to a dbspace, OCM or log, plus the
+    /// injector for crash scripts to arm. The injector is client-side
+    /// state: a reopened instance builds a fresh one (a restarted node is
+    /// healed).
+    pub fn stack(
+        reactor: Arc<IoReactor>,
+        sim: Arc<ObjectStoreSim>,
+        fault: Option<FaultPlan>,
+    ) -> (Arc<dyn ObjectBackend>, Option<Arc<FaultInjector>>) {
+        let injector = fault.map(|plan| Arc::new(FaultInjector::new(sim.clone(), plan)));
+        let below: Arc<dyn ObjectBackend> = match &injector {
+            Some(injector) => injector.clone(),
+            None => sim,
+        };
+        (Arc::new(Self::new(reactor, below)), injector)
     }
 }
 
 impl ObjectBackend for ReactorStore {
     fn put(&self, key: ObjectKey, data: Bytes) -> IqResult<()> {
-        match self.run(IoDescriptor::Put { key, data })? {
-            IoCompletion::Unit => Ok(()),
-            other => Err(IqError::Invalid(format!("put completion: {other:?}"))),
-        }
+        self.reactor
+            .run(|| self.inner.put(key, data), Result::is_ok)
     }
 
     fn get(&self, key: ObjectKey) -> IqResult<Bytes> {
-        match self.run(IoDescriptor::Get { key })? {
-            IoCompletion::Bytes(b) => Ok(b),
-            other => Err(IqError::Invalid(format!("get completion: {other:?}"))),
-        }
+        self.reactor.run(|| self.inner.get(key), Result::is_ok)
     }
 
     fn get_range(&self, key: ObjectKey, offset: u32, len: u32) -> IqResult<RangeRead> {
-        match self.run(IoDescriptor::GetRange { key, offset, len })? {
-            IoCompletion::Range(r) => Ok(r),
-            other => Err(IqError::Invalid(format!("range completion: {other:?}"))),
-        }
+        self.reactor
+            .run(|| self.inner.get_range(key, offset, len), Result::is_ok)
     }
 
     fn delete(&self, key: ObjectKey) -> IqResult<()> {
-        match self.run(IoDescriptor::Delete { key })? {
-            IoCompletion::Unit => Ok(()),
-            other => Err(IqError::Invalid(format!("delete completion: {other:?}"))),
-        }
+        self.reactor.run(|| self.inner.delete(key), Result::is_ok)
     }
 
+    // Per-key outcomes and a HEAD verdict are answers, not failed requests.
     fn delete_batch(&self, keys: &[ObjectKey]) -> Vec<(ObjectKey, IqResult<()>)> {
-        match self.run(IoDescriptor::DeleteBatch {
-            keys: keys.to_vec(),
-        }) {
-            Ok(IoCompletion::Batch(results)) => results,
-            Ok(other) => {
-                let err = IqError::Invalid(format!("batch completion: {other:?}"));
-                keys.iter().map(|&k| (k, Err(err.clone()))).collect()
-            }
-            Err(e) => keys.iter().map(|&k| (k, Err(e.clone()))).collect(),
-        }
+        self.reactor.run(|| self.inner.delete_batch(keys), |_| true)
     }
 
     fn exists(&self, key: ObjectKey) -> bool {
-        matches!(
-            self.run(IoDescriptor::Head { key }),
-            Ok(IoCompletion::Exists(true))
-        )
+        self.reactor.run(|| self.inner.exists(key), |_| true)
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -337,24 +170,25 @@ impl ObjectBackend for ReactorStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object_store::{ConsistencyConfig, ObjectStoreSim};
+    use crate::object_store::ConsistencyConfig;
+    use iq_common::IqError;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
 
     fn key(off: u64) -> ObjectKey {
         ObjectKey::from_offset(off)
     }
 
-    fn stack() -> (Arc<IoReactor>, Arc<ObjectStoreSim>, ReactorStore) {
-        let reactor = Arc::new(IoReactor::new());
+    fn stack() -> (Arc<IoStats>, Arc<ObjectStoreSim>, ReactorStore) {
+        let stats = Arc::new(IoStats::new());
         let sim = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
-        let store = ReactorStore::new(
-            Arc::clone(&reactor),
-            Arc::clone(&sim) as Arc<dyn ObjectBackend>,
-        );
-        (reactor, sim, store)
+        let reactor = Arc::new(IoReactor::with_stats(Arc::clone(&stats)));
+        let store = ReactorStore::new(reactor, sim.clone());
+        (stats, sim, store)
     }
 
     #[test]
-    fn round_trips_every_descriptor_kind() {
+    fn round_trips_every_request_kind() {
         let (_, sim, store) = stack();
         store
             .put(key(1), Bytes::from_static(b"hello world"))
@@ -392,78 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn completions_deliver_in_submission_order() {
-        // Submit a burst before waiting on any of it: completions must be
-        // retrievable per-seq and the backend must have executed them in
-        // submission order (monotone op clock ⇒ virtual-clock order).
-        let (reactor, sim, _) = stack();
-        let backend: Arc<dyn ObjectBackend> = Arc::clone(&sim) as _;
-        let mut seqs = Vec::new();
-        for i in 0..32u64 {
-            seqs.push(reactor.submit(
-                Arc::clone(&backend),
-                IoDescriptor::Put {
-                    key: key(i),
-                    data: Bytes::from(vec![i as u8]),
-                },
-            ));
-        }
-        for i in 0..32u64 {
-            seqs.push(reactor.submit(Arc::clone(&backend), IoDescriptor::Get { key: key(i) }));
-        }
-        // Waiting on the *last* seq drives the whole queue.
-        for (i, seq) in seqs.iter().enumerate().rev() {
-            let done = reactor.wait(*seq).unwrap();
-            if i >= 32 {
-                match done {
-                    IoCompletion::Bytes(b) => assert_eq!(b[0], (i - 32) as u8),
-                    other => panic!("expected bytes, got {other:?}"),
-                }
-            }
-        }
-        assert_eq!(sim.object_count(), 32);
-    }
-
-    #[test]
-    fn concurrent_waiters_all_complete() {
-        let (reactor, sim, _) = stack();
-        let backend: Arc<dyn ObjectBackend> = Arc::clone(&sim) as _;
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                let reactor = Arc::clone(&reactor);
-                let backend = Arc::clone(&backend);
-                scope.spawn(move || {
-                    for i in 0..50u64 {
-                        let k = key(t * 1000 + i);
-                        reactor
-                            .run(
-                                Arc::clone(&backend),
-                                IoDescriptor::Put {
-                                    key: k,
-                                    data: Bytes::from(vec![t as u8]),
-                                },
-                            )
-                            .unwrap();
-                        match reactor
-                            .run(Arc::clone(&backend), IoDescriptor::Get { key: k })
-                            .unwrap()
-                        {
-                            IoCompletion::Bytes(b) => assert_eq!(b[0], t as u8),
-                            other => panic!("expected bytes, got {other:?}"),
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(sim.object_count(), 400);
-    }
-
-    #[test]
-    fn reactor_accounts_descriptor_traffic() {
-        let stats = Arc::new(IoStats::new());
-        let reactor = Arc::new(IoReactor::with_stats(Arc::clone(&stats)));
-        let sim = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
-        let store = ReactorStore::new(Arc::clone(&reactor), Arc::clone(&sim) as _);
+    fn reactor_accounts_request_traffic() {
+        let (stats, _, store) = stack();
         store.put(key(1), Bytes::from_static(b"a")).unwrap();
         store.get(key(1)).unwrap();
         let _ = store.get(key(404));
@@ -472,5 +236,120 @@ mod tests {
         assert_eq!(snap.completed, 3);
         assert_eq!(snap.failed, 1);
         assert!(snap.queue_depth_peak >= 1);
+    }
+
+    /// A backend that flags any two calls overlapping and records call
+    /// order. Every DELETE is refused, so a batch delete has failing keys.
+    struct Probe {
+        sim: ObjectStoreSim,
+        busy: AtomicBool,
+        overlapped: AtomicBool,
+        calls: Mutex<Vec<ObjectKey>>,
+    }
+
+    impl Probe {
+        fn call<T>(&self, key: ObjectKey, op: impl FnOnce() -> T) -> T {
+            let overlapping = self.busy.swap(true, Ordering::SeqCst);
+            self.overlapped.fetch_or(overlapping, Ordering::SeqCst);
+            self.calls.lock().push(key);
+            std::thread::yield_now();
+            let out = op();
+            self.busy.store(false, Ordering::SeqCst);
+            out
+        }
+    }
+
+    impl ObjectBackend for Probe {
+        fn put(&self, key: ObjectKey, data: Bytes) -> IqResult<()> {
+            self.call(key, || self.sim.put(key, data))
+        }
+        fn get(&self, key: ObjectKey) -> IqResult<Bytes> {
+            self.call(key, || self.sim.get(key))
+        }
+        fn delete(&self, key: ObjectKey) -> IqResult<()> {
+            self.call(key, || Err(IqError::Throttled("probe".into())))
+        }
+        fn exists(&self, key: ObjectKey) -> bool {
+            self.call(key, || self.sim.exists(key))
+        }
+        fn resident_bytes(&self) -> u64 {
+            self.sim.resident_bytes()
+        }
+        fn stats_snapshot(&self) -> StatsSnapshot {
+            self.sim.stats_snapshot()
+        }
+        fn reset_stats(&self) {}
+    }
+
+    #[test]
+    fn concurrent_callers_never_overlap_and_each_request_is_counted() {
+        let stats = Arc::new(IoStats::new());
+        let probe = Arc::new(Probe {
+            sim: ObjectStoreSim::new(ConsistencyConfig::strong()),
+            busy: AtomicBool::new(false),
+            overlapped: AtomicBool::new(false),
+            calls: Mutex::new(Vec::new()),
+        });
+        let reactor = Arc::new(IoReactor::with_stats(Arc::clone(&stats)));
+        let store = ReactorStore::new(reactor, probe.clone());
+        let start = Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                let (store, start) = (&store, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..50u64 {
+                        let k = key(t * 1000 + i);
+                        store.put(k, Bytes::from(vec![t as u8])).unwrap();
+                        assert_eq!(store.get(k).unwrap()[0], t as u8);
+                    }
+                });
+            }
+        });
+        assert!(!probe.overlapped.load(Ordering::SeqCst));
+        let snap = stats.snapshot();
+        assert_eq!((snap.submitted, snap.completed, snap.failed), (800, 800, 0));
+        assert!((1..=8).contains(&snap.queue_depth_peak));
+        // Each thread's PUT k, GET k pairs reached the backend in its own
+        // program order, whatever the interleaving between threads.
+        for t in 0..8u64 {
+            let calls = probe.calls.lock();
+            let mine = calls.iter().filter(|k| k.offset() / 1000 == t);
+            let want = (0..50u64).flat_map(|i| [key(t * 1000 + i); 2]);
+            assert!(mine.copied().eq(want));
+        }
+        // Only an `Err` outcome is a failed request: failing keys inside a
+        // batch delete and a `false` HEAD are answers.
+        let refused = store.delete_batch(&[key(1), key(2)]);
+        assert!(refused.iter().all(|(_, r)| r.is_err()));
+        assert!(!store.exists(key(404)));
+        assert!(store.get(key(404)).is_err());
+        let snap = stats.snapshot();
+        assert_eq!((snap.submitted, snap.completed, snap.failed), (803, 803, 1));
+    }
+
+    #[test]
+    fn single_threaded_caller_drives_the_direct_call_sequence() {
+        // Journal order is the golden-trace tests' job (the journal is
+        // process-global); here: same request ledger, same objects.
+        let sim = || Arc::new(ObjectStoreSim::new(ConsistencyConfig::default()));
+        let (gated, direct) = (sim(), sim());
+        let store = ReactorStore::new(Arc::new(IoReactor::new()), gated.clone());
+        for s in [&store as &dyn ObjectBackend, direct.as_ref()] {
+            for i in 0..20u64 {
+                s.put(key(i), Bytes::from(vec![i as u8; 64])).unwrap();
+                let _ = s.get(key(i));
+            }
+            for i in 0..20u64 {
+                let _ = s.get_range(key(i), 8, 16);
+            }
+            s.exists(key(3));
+            s.delete(key(0)).unwrap();
+            s.delete_batch(&[key(1), key(2), key(77)]);
+        }
+        let ledger = |s: &ObjectStoreSim| format!("{:?}", s.stats_snapshot());
+        assert_eq!(ledger(&gated), ledger(&direct));
+        assert_eq!(gated.live_keys(), direct.live_keys());
+        assert_eq!(gated.object_count(), 17);
     }
 }

@@ -225,52 +225,6 @@ impl TimeModel {
         SimDuration::from_secs_f64(secs)
     }
 
-    /// Human-readable breakdown of a device's time components (used by
-    /// the harness's `--explain` mode when calibrating).
-    pub fn explain_device(&self, load: &DeviceLoad) -> String {
-        let p = &load.profile;
-        let s = &load.snapshot;
-        let streams = self.streams();
-        let read_ops = s.count_for(&[IoOp::Get, IoOp::GetMiss, IoOp::Head, IoOp::BlockRead]);
-        let write_ops = s.count_for(&[IoOp::Put, IoOp::Delete, IoOp::BlockWrite]);
-        let read_bytes = s.bytes_for(&[IoOp::Get, IoOp::BlockRead]);
-        let write_bytes = s.bytes_for(&[IoOp::Put, IoOp::BlockWrite]);
-        let read_latency = p.read_latency.as_secs_f64()
-            * (1.0 + self.tuning.ssd_pressure_coeff * s.mean_queue_depth);
-        let serial = read_ops as f64 * load.serial_read_fraction.clamp(0.0, 1.0);
-        let latency_time = serial * read_latency
-            + (read_ops as f64 - serial) * read_latency / streams
-            + write_ops as f64 * p.write_latency.as_secs_f64() / streams;
-        let mut bw = p.per_stream_bandwidth as f64 * streams;
-        if let Some(cap) = p.device_bandwidth_cap {
-            bw = bw.min(cap as f64);
-        }
-        if p.remote {
-            let nic = (self
-                .compute
-                .network_bps
-                .min(self.tuning.intrinsic_network_bps)
-                / 8) as f64;
-            bw = bw.min(nic);
-        }
-        let transfer = (read_bytes + write_bytes) as f64 / bw.max(1.0);
-        let iops = p
-            .iops_cap
-            .map(|cap| {
-                let coalesced = ((read_bytes + write_bytes).div_ceil(512 * 1024)) as f64
-                    + 0.02 * (read_ops + write_ops) as f64;
-                ((read_ops + write_ops) as f64).min(coalesced) / cap as f64
-            })
-            .unwrap_or(0.0);
-        let backoff = self.backoff_time(load);
-        format!(
-            "{:?}: r={read_ops}ops/{read_bytes}B w={write_ops}ops/{write_bytes}B \
-             serial={serial:.0} | transfer={transfer:.1}s iops={iops:.1}s latency={latency_time:.1}s \
-             backoff={backoff:.1}s qdepth={:.1}",
-            p.kind, s.mean_queue_depth
-        )
-    }
-
     /// CPU time for `work` units under Amdahl's law.
     pub fn cpu_time(&self, work: f64) -> SimDuration {
         let per_core = self.tuning.cpu_work_per_core_per_sec;

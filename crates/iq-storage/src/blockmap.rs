@@ -394,9 +394,9 @@ impl Blockmap {
     }
 }
 
-/// Magic tag opening a v2 blockmap node. The v1 format's first `u32` is
-/// the node's `level`, which never comes close to this value, so the two
-/// formats are distinguishable by peeking at the first word.
+/// Magic tag opening a v2 blockmap node; a body that opens with anything
+/// else is refused. (The v1 format's first `u32` was the node's `level`,
+/// which never comes close to this value.)
 const BM_NODE_V2_MAGIC: u32 = 0xB10C_4DF2;
 
 /// Bytes of one v2 slot: `tag u8` + 17 payload bytes.
@@ -409,7 +409,8 @@ const V2_SLOT_LEN: usize = 18;
 /// whole object, exactly the v1 payload); tag 2 = ranged locator
 /// (`key u64 | offset u32 | len u32 | 1 zero byte` — one member of a
 /// composite object). The superseded **v1** format had no magic and
-/// 10-byte slots (tags 0/1 only); [`decode_node`] still reads it.
+/// 10-byte slots (tags 0/1 only); nothing writes it and [`decode_node`]
+/// refuses it as corruption.
 fn encode_node(node: &Node, nodes: &HashMap<NodeId, Node>) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + node.slots.len() * V2_SLOT_LEN);
     out.extend_from_slice(&BM_NODE_V2_MAGIC.to_le_bytes());
@@ -446,54 +447,13 @@ fn encode_node(node: &Node, nodes: &HashMap<NodeId, Node>) -> Vec<u8> {
 }
 
 fn decode_node(body: &[u8], expected_fanout: usize) -> IqResult<(u32, Vec<Slot>)> {
-    if body.len() < 8 {
+    if body.len() < 12 {
         return Err(IqError::Corruption("blockmap node too short".into()));
     }
-    let first = u32::from_le_bytes(body[0..4].try_into().unwrap());
-    if first == BM_NODE_V2_MAGIC {
-        decode_node_v2(body, expected_fanout)
-    } else {
-        decode_node_v1(body, expected_fanout)
-    }
-}
-
-/// Decode the pre-composite 10-byte-slot format (no magic; first word is
-/// the level). Kept so blockmaps persisted before the v2 cut still open.
-fn decode_node_v1(body: &[u8], expected_fanout: usize) -> IqResult<(u32, Vec<Slot>)> {
-    let level = u32::from_le_bytes(body[0..4].try_into().unwrap());
-    let fanout = u32::from_le_bytes(body[4..8].try_into().unwrap()) as usize;
-    if fanout != expected_fanout {
-        return Err(IqError::Corruption(format!(
-            "blockmap fanout mismatch: node {fanout}, expected {expected_fanout}"
-        )));
-    }
-    if body.len() < 8 + fanout * 10 {
-        return Err(IqError::Corruption("blockmap node truncated".into()));
-    }
-    let mut slots = Vec::with_capacity(fanout);
-    for i in 0..fanout {
-        let off = 8 + i * 10;
-        let tag = body[off];
-        if tag == 0 {
-            slots.push(Slot::Empty);
-            continue;
-        }
-        let raw = u64::from_le_bytes(body[off + 1..off + 9].try_into().unwrap());
-        let count = body[off + 9];
-        let loc = PhysicalLocator::decode(raw, count)
-            .ok_or_else(|| IqError::Corruption("bad locator in blockmap node".into()))?;
-        slots.push(if level == 0 {
-            Slot::Data(loc)
-        } else {
-            Slot::ChildOnDisk(loc)
-        });
-    }
-    Ok((level, slots))
-}
-
-fn decode_node_v2(body: &[u8], expected_fanout: usize) -> IqResult<(u32, Vec<Slot>)> {
-    if body.len() < 12 {
-        return Err(IqError::Corruption("blockmap v2 node too short".into()));
+    if u32::from_le_bytes(body[0..4].try_into().unwrap()) != BM_NODE_V2_MAGIC {
+        return Err(IqError::Corruption(
+            "blockmap node does not open with the v2 magic".into(),
+        ));
     }
     let level = u32::from_le_bytes(body[4..8].try_into().unwrap());
     let fanout = u32::from_le_bytes(body[8..12].try_into().unwrap()) as usize;
@@ -503,7 +463,7 @@ fn decode_node_v2(body: &[u8], expected_fanout: usize) -> IqResult<(u32, Vec<Slo
         )));
     }
     if body.len() < 12 + fanout * V2_SLOT_LEN {
-        return Err(IqError::Corruption("blockmap v2 node truncated".into()));
+        return Err(IqError::Corruption("blockmap node truncated".into()));
     }
     let mut slots = Vec::with_capacity(fanout);
     for i in 0..fanout {
@@ -757,9 +717,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_node_bytes_still_decode() {
+    fn v1_node_bytes_are_refused_as_corruption() {
         // Hand-build a v1 leaf (no magic, 10-byte slots): fanout 4, slots
-        // [empty, object(+9), blocks(50×2), empty].
+        // [empty, object(+9), blocks(50×2), empty]. Nothing has written
+        // one since the v2 cut, so bytes without the magic are not a node.
         let mut body = Vec::new();
         body.extend_from_slice(&0u32.to_le_bytes()); // level
         body.extend_from_slice(&4u32.to_le_bytes()); // fanout
@@ -773,18 +734,7 @@ mod tests {
         body.push(2);
         body.push(0);
         body.extend_from_slice(&[0u8; 9]);
-        let (level, slots) = decode_node(&body, 4).unwrap();
-        assert_eq!(level, 0);
-        assert_eq!(slots[0], Slot::Empty);
-        assert_eq!(slots[1], Slot::Data(data_loc(9)));
-        assert_eq!(
-            slots[2],
-            Slot::Data(PhysicalLocator::Blocks {
-                start: iq_common::BlockNum(50),
-                count: 2
-            })
-        );
-        assert_eq!(slots[3], Slot::Empty);
+        assert!(matches!(decode_node(&body, 4), Err(IqError::Corruption(_))));
     }
 
     #[test]

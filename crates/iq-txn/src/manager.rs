@@ -591,11 +591,6 @@ impl TransactionManager {
             })
     }
 
-    /// Oldest snapshot sequence still held by an active transaction.
-    pub fn oldest_active_seq(&self) -> Option<u64> {
-        self.inner.lock().active.values().map(|t| t.start_seq).min()
-    }
-
     /// Drop chain entries no longer referenced by any active transaction
     /// and delete their RF pages. Returns pages deleted (first-time only).
     pub fn gc_tick(&self, sink: &dyn DeletionSink) -> IqResult<usize> {
