@@ -24,7 +24,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::config::{DatabaseConfig, GroupCommitMode};
 use crate::group_commit::DurableLog;
 use crate::pager::Pager;
-use crate::tablestore::TableStore;
+use crate::tablestore::{TableStore, LATEST};
 
 /// Shared state behind a [`Database`] (and its [`Pager`]s).
 pub struct Shared {
@@ -1019,10 +1019,12 @@ impl Database {
     /// A [`Pager`] bound to `txn` (implements the engine's `PageStore`).
     pub fn pager(&self, txn: TxnId) -> IqResult<Pager> {
         let node = self.shared.txns.node_of(txn)?;
+        let begin = self.shared.txns.snapshot_seq(txn)?;
         let keys = self.shared.key_cache(node)?;
         Ok(Pager {
             shared: Arc::clone(&self.shared),
             txn,
+            begin,
             keys,
         })
     }
@@ -1062,6 +1064,11 @@ impl Database {
         // same store) must also roll the transaction back (§4) — leaving
         // it active would strand its dirty frames and RF/RB state.
         let version = self.shared.catalog.lock().bump_version();
+        // Transactions that began at or before the current commit sequence
+        // keep reading the versions this one supersedes — one point for
+        // every table it wrote, and never above the sequence it is about
+        // to take, so GC holds the pages as long as a reader holds a tree.
+        let commit_point = self.shared.txns.current_seq() + 1;
         let cascade = || -> IqResult<()> {
             let tables: Vec<Arc<TableStore>> =
                 self.shared.tables.read().values().cloned().collect();
@@ -1074,7 +1081,8 @@ impl Database {
                     space: &space,
                     keys: pager.keys.as_ref(),
                 };
-                if let Some((identity, superseded, written)) = ts.commit(txn, version, 0, &io)? {
+                let committed = ts.commit(txn, version, 0, commit_point, &io)?;
+                if let Some((identity, superseded, written)) = committed {
                     for loc in written {
                         self.shared.txns.record_alloc(txn, ts.space, loc)?;
                     }
@@ -1115,7 +1123,17 @@ impl Database {
         if let Some((_, ocm)) = self.shared.ocm.lock().as_ref() {
             ocm.end_txn(txn);
         }
+        self.release_versions();
         Ok(seq)
+    }
+
+    /// A transaction ended: drop the superseded table versions that were
+    /// kept for it and that no remaining one began early enough to read.
+    fn release_versions(&self) {
+        let horizon = self.shared.txns.oldest_active_seq();
+        for ts in self.shared.tables.read().values() {
+            ts.release(horizon);
+        }
     }
 
     /// Roll back: discard dirty frames and working blockmaps, delete the
@@ -1140,6 +1158,7 @@ impl Database {
             .shared
             .txns
             .rollback(txn, self.shared.immediate_sink.as_ref());
+        self.release_versions();
         if already_failed {
             let _ = res;
             Ok(())
@@ -1200,7 +1219,13 @@ impl Database {
         };
         let txn = self.begin();
         let run = || -> IqResult<usize> {
-            let pager = self.pager(txn)?;
+            // Compaction moves what is current: were it pinned to its
+            // begin, a commit landing before its first write would have
+            // it rewrite — and so resurrect — a superseded page image.
+            let pager = Pager {
+                begin: LATEST,
+                ..self.pager(txn)?
+            };
             let mut rewritten = 0usize;
             for (key, live) in &candidates {
                 let mut this_rewritten = 0u64;
@@ -1219,7 +1244,7 @@ impl Database {
                             space: &space,
                             keys: pager.keys.as_ref(),
                         };
-                        ts.resolve(txn, iq_common::PageId(m.page), &pio)?
+                        ts.resolve(txn, LATEST, iq_common::PageId(m.page), &pio)?
                     };
                     if current != Some(expect) {
                         this_stale += 1;

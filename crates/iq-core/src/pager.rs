@@ -72,6 +72,9 @@ impl Shared {
 pub struct Pager {
     pub(crate) shared: std::sync::Arc<Shared>,
     pub(crate) txn: TxnId,
+    /// The commit point `txn` began at — the table versions it reads —
+    /// or [`crate::tablestore::LATEST`].
+    pub(crate) begin: u64,
     pub(crate) keys: std::sync::Arc<iq_txn::NodeKeyCache>,
 }
 
@@ -89,7 +92,7 @@ impl Pager {
             keys: self.keys.as_ref(),
         };
         let loc = ts
-            .resolve(self.txn, page, &io)?
+            .resolve(self.txn, self.begin, page, &io)?
             .ok_or(IqError::PageNotFound(page))?;
         self.shared.fetch_page(&space, loc, !demand)
     }
@@ -119,7 +122,10 @@ impl Pager {
 
 impl PageStore for Pager {
     fn read_page(&self, table: TableId, page: PageId, demand: bool) -> IqResult<Page> {
-        let epoch = self.shared.table_store(table)?.frame_epoch(self.txn);
+        let epoch = self
+            .shared
+            .table_store(table)?
+            .frame_epoch(self.txn, self.begin);
         let key = FrameKey { table, page, epoch };
         self.shared
             .buffer
@@ -143,7 +149,10 @@ impl PageStore for Pager {
     }
 
     fn prefetch(&self, table: TableId, pages: &[PageId]) -> IqResult<()> {
-        let epoch = self.shared.table_store(table)?.frame_epoch(self.txn);
+        let epoch = self
+            .shared
+            .table_store(table)?
+            .frame_epoch(self.txn, self.begin);
         for &page in pages {
             let key = FrameKey { table, page, epoch };
             if self.shared.buffer.contains(key) {

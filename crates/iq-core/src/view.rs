@@ -24,7 +24,7 @@ use iq_engine::{PageStore, TableMeta};
 use iq_storage::{KeySource, Page, PageIo, PageKind};
 
 use crate::database::Shared;
-use crate::tablestore::TableStore;
+use crate::tablestore::{TableStore, LATEST};
 
 /// A key source that must never be asked for a key: snapshot views are
 /// strictly read-only, and reads never allocate.
@@ -111,10 +111,10 @@ impl PageStore for SnapshotView {
             space: &space,
             keys: &keys,
         };
-        // TxnId(0) is never a writer, so resolution always takes the
-        // committed (snapshot) tree.
+        // TxnId(0) is never a writer and the view's store never commits,
+        // so resolution always takes the committed (snapshot) tree.
         let loc = ts
-            .resolve(TxnId(0), page, &io)?
+            .resolve(TxnId(0), LATEST, page, &io)?
             .ok_or(IqError::PageNotFound(page))?;
         // Same fetch path as the live pager — through the OCM, whose
         // never-write-twice keys are timeline-agnostic — admitted as a

@@ -8,11 +8,30 @@
 //! compressed-bitmap posting lists. The paper's experiments build HG
 //! indexes on seven join columns (§6) — the same columns `iq-tpch`
 //! declares.
+//!
+//! A posting addresses its row as `(row group, row within the group)`
+//! ([`posting`] / [`locate`]), not as a table-wide ordinal: a refresh
+//! that rewrites one group in place shifts no row of any other group, so
+//! every other group's postings survive it.
 
 use std::collections::BTreeMap;
 
 use iq_common::KeySet;
 use serde::{Deserialize, Serialize};
+
+/// The posting of row `row` of row group `group`: `group << 32 | row`.
+pub fn posting(group: usize, row: usize) -> u64 {
+    debug_assert!(row <= u32::MAX as usize, "row-group sizes are u32");
+    (group as u64) << 32 | row as u64
+}
+
+/// The `(row group, row within the group)` a [`posting`] addresses.
+pub fn locate(posting: u64) -> (usize, usize) {
+    (
+        (posting >> 32) as usize,
+        (posting & u32::MAX as u64) as usize,
+    )
+}
 
 /// An HG index over an integer-keyed column (TPC-H HG columns are all
 /// integer keys).
@@ -41,6 +60,20 @@ impl HgIndex {
     pub fn insert(&mut self, key: i64, row: u64) {
         self.groups.entry(key).or_default().insert(row);
         self.rows += 1;
+    }
+
+    /// Drop one `(key, row)` posting; absent postings are ignored.
+    pub fn remove(&mut self, key: i64, row: u64) {
+        let Some(set) = self.groups.get_mut(&key) else {
+            return;
+        };
+        if set.contains(row) {
+            set.remove(row);
+            self.rows -= 1;
+            if set.is_empty() {
+                self.groups.remove(&key);
+            }
+        }
     }
 
     /// Row ids holding exactly `key`.
@@ -116,6 +149,27 @@ mod tests {
         let back: HgIndex = serde_json::from_str(&json).unwrap();
         assert_eq!(back.lookup(1).unwrap().len(), 2);
         assert_eq!(back.rows(), 3);
+    }
+
+    #[test]
+    fn remove_drops_postings_and_emptied_keys() {
+        let mut idx = HgIndex::build(&[5, 3, 5]);
+        idx.remove(5, 0);
+        idx.remove(5, 0); // already gone
+        idx.remove(7, 1); // never there
+        assert_eq!(idx.lookup(5).unwrap().iter().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(idx.rows(), 2);
+        idx.remove(3, 1);
+        assert!(idx.lookup(3).is_none());
+        assert_eq!(idx.keys().collect::<Vec<_>>(), vec![5]);
+    }
+
+    #[test]
+    fn postings_round_trip_group_and_row() {
+        assert_eq!(posting(0, 42), 42);
+        assert_eq!(locate(posting(7, 4095)), (7, 4095));
+        // Postings of one group are contiguous: one run per clustered key.
+        assert_eq!(posting(3, 1), posting(3, 0) + 1);
     }
 
     #[test]

@@ -6,9 +6,16 @@
 //! during load. "The TPC-H tables are created as range-partitioned, and
 //! High-Group (HG) indexes are created on the following columns..." (§6) —
 //! the schema declarations in `iq-tpch` mirror that setup.
+//!
+//! Updates are page-granular: [`TableWriter::reopen`] appends by refilling
+//! the partial last group, [`TableMeta::delete_keys`] rewrites in place
+//! only the groups that hold a deleted row. Every other page keeps its id
+//! and is never written, so under a copy-on-write `PageStore` the new
+//! table version shares it with the old one. Groups are therefore not all
+//! full but the last: a row is addressed as `(group, row in group)`.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bytes::Bytes;
@@ -20,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use crate::chunk::{Chunk, Col};
 use crate::encode::{decode_codes_as, decode_rows, encode_column, Dictionary};
 use crate::expr::Expr;
-use crate::hg::HgIndex;
+use crate::hg::{self, HgIndex};
 use crate::mask::Mask;
 use crate::meter::{cost, WorkMeter};
 use crate::prefetch::{PrefetchAdmission, PREFETCH_DEPTH};
@@ -93,6 +100,11 @@ impl Schema {
     /// True if no columns.
     pub fn is_empty(&self) -> bool {
         self.columns.is_empty()
+    }
+
+    /// One empty column per schema column.
+    fn empty_cols(&self) -> Vec<Col> {
+        self.columns.iter().map(|c| Col::empty(c.dtype)).collect()
     }
 }
 
@@ -278,6 +290,11 @@ impl TableMeta {
         let prune_checks = pred.map(|p| p.prune_checks()).unwrap_or_default();
         let mut survivors: Vec<usize> = Vec::with_capacity(self.groups.len());
         for g in 0..self.groups.len() {
+            // A group a delete emptied holds nothing to consider: its
+            // (zero-row) pages are never requested.
+            if self.groups[g].rows == 0 {
+                continue;
+            }
             let mut by_partition = false;
             let survives = prune_checks.iter().all(|check| {
                 let zone = &self.groups[g].zones[check.col()];
@@ -619,7 +636,8 @@ impl TableMeta {
         Some(ZoneEntry::Num { min, max })
     }
 
-    /// Fetch specific rows of one column via row ids (HG index probes).
+    /// Fetch specific rows of one column via HG postings
+    /// ([`hg::posting`]: group-addressed row ids, ascending).
     pub fn gather_rows(
         &self,
         store: &dyn PageStore,
@@ -628,14 +646,13 @@ impl TableMeta {
         meter: &WorkMeter,
     ) -> IqResult<Col> {
         let mut out = Col::empty(self.schema.columns[col].dtype);
-        let gsize = self.row_group_size as u64;
         // Batch-hint every distinct group page beyond the first before
         // the demand loop: the probes below then overlap in the store
         // instead of paying one serial GET per touched group. Mirrors
         // the scan's admission discipline — the first group is
         // demand-read, never prefetched; a shed or failed hint degrades
         // to the demand read, where a real fault resurfaces.
-        let mut groups: Vec<usize> = rows.iter().map(|&r| (r / gsize) as usize).collect();
+        let mut groups: Vec<usize> = rows.iter().map(|&r| hg::locate(r).0).collect();
         groups.sort_unstable();
         groups.dedup();
         if groups.len() > 1 {
@@ -651,7 +668,7 @@ impl TableMeta {
         }
         let mut i = 0usize;
         while i < rows.len() {
-            let group = (rows[i] / gsize) as usize;
+            let group = hg::locate(rows[i]).0;
             let group_rows = self
                 .groups
                 .get(group)
@@ -661,8 +678,8 @@ impl TableMeta {
             let dict = self.dicts[col].as_ref();
             let column = decode_rows(&page.body, dict, Some(group_rows), None)?;
             meter.add(cost::SCAN * 8);
-            while i < rows.len() && (rows[i] / gsize) as usize == group {
-                let local = (rows[i] % gsize) as usize;
+            while i < rows.len() && hg::locate(rows[i]).0 == group {
+                let local = hg::locate(rows[i]).1;
                 if local >= group_rows {
                     return Err(IqError::Invalid(format!(
                         "row {} is past its group",
@@ -674,6 +691,151 @@ impl TableMeta {
             }
         }
         Ok(out)
+    }
+
+    /// Delete every row whose `key_col` value (an integer column) is in
+    /// `victims`, rewriting in place — at the same page ids — only the
+    /// row groups that hold one. A group whose key zone cannot reach a
+    /// victim is not read at all; one whose zone can but whose keys do
+    /// not costs its key page and nothing else. Surviving rows keep their
+    /// order and group indices never shift: a group that empties stays,
+    /// as a zero-row group scans skip. Returns the rows removed.
+    pub fn delete_keys(
+        &mut self,
+        store: &dyn PageStore,
+        txn: TxnId,
+        meter: &WorkMeter,
+        key_col: usize,
+        victims: &HashSet<i64>,
+    ) -> IqResult<u64> {
+        if self.schema.columns[key_col].dtype != DataType::I64 {
+            return Err(IqError::Invalid("delete keys must be integers".into()));
+        }
+        let (Some(&lo), Some(&hi)) = (victims.iter().min(), victims.iter().max()) else {
+            return Ok(0);
+        };
+        let mut removed = 0u64;
+        for g in 0..self.groups.len() {
+            let rows = self.groups[g].rows as usize;
+            let out_of_reach = match self.groups[g].zones[key_col] {
+                ZoneEntry::Num { min, max } => max < lo || min > hi,
+                _ => false,
+            };
+            if rows == 0 || out_of_reach {
+                continue;
+            }
+            let key_page = store.read_page(self.id, self.page_id(g, key_col), true)?;
+            let keys = decode_rows(&key_page.body, None, Some(rows), None)?;
+            meter.add(cost::SCAN * rows as u64);
+            let keys = keys.i64s();
+            let keep = Mask::from_fn(rows, |i| !victims.contains(&keys[i]));
+            if keep.count() == rows {
+                continue;
+            }
+            let old = self.read_group(store, meter, g)?;
+            self.index_group(g, &old, HgIndex::remove)?;
+            let kept: Vec<Col> = old.iter().map(|col| col.filter(&keep)).collect();
+            self.groups[g] = self.write_group(store, txn, meter, g, &kept)?;
+            removed += (rows - keep.count()) as u64;
+        }
+        Ok(removed)
+    }
+
+    /// Read and decode every column of row group `group`.
+    fn read_group(
+        &self,
+        store: &dyn PageStore,
+        meter: &WorkMeter,
+        group: usize,
+    ) -> IqResult<Vec<Col>> {
+        let rows = self.groups[group].rows as usize;
+        if rows == 0 {
+            return Ok(self.schema.empty_cols());
+        }
+        (0..self.schema.len())
+            .map(|c| {
+                let page = store.read_page(self.id, self.page_id(group, c), true)?;
+                meter.add(cost::SCAN * rows as u64);
+                decode_rows(&page.body, self.dicts[c].as_ref(), Some(rows), None)
+            })
+            .collect()
+    }
+
+    /// Encode `cols` as the pages of row group `group` and write them —
+    /// new strings intern into the (append-only) dictionaries, so a
+    /// rewritten group keeps the codes it had — and add the group's HG
+    /// postings. Returns the group's metadata for the caller to install.
+    fn write_group(
+        &mut self,
+        store: &dyn PageStore,
+        txn: TxnId,
+        meter: &WorkMeter,
+        group: usize,
+        cols: &[Col],
+    ) -> IqResult<RowGroupMeta> {
+        let mut zones = Vec::with_capacity(cols.len());
+        for (c, col) in cols.iter().enumerate() {
+            zones.push(ZoneEntry::of(col));
+            let codes: Option<Vec<u32>> = match col {
+                Col::Str(vals) => {
+                    let dict = self.dicts[c]
+                        .as_mut()
+                        .expect("string column has a dictionary");
+                    Some(vals.iter().map(|s| dict.encode(s)).collect())
+                }
+                _ => None,
+            };
+            let body = encode_column(col, codes.as_deref())?;
+            meter.add(cost::LOAD * col.len() as u64);
+            store.write_page(
+                self.id,
+                self.page_id(group, c),
+                PageKind::Data,
+                Bytes::from(body),
+                txn,
+            )?;
+        }
+        self.index_group(group, cols, HgIndex::insert)?;
+
+        // Partition tag: the single partition containing every row, if any.
+        let partition = self.partitioning.as_ref().and_then(|p| {
+            let vals: Vec<i64> = match &cols[p.column] {
+                Col::I64(v) => v.clone(),
+                Col::Date(v) => v.iter().map(|&x| x as i64).collect(),
+                _ => return None,
+            };
+            let first = p.partition_of(*vals.first()?);
+            vals.iter()
+                .all(|&v| p.partition_of(v) == first)
+                .then_some(first as u32)
+        });
+        Ok(RowGroupMeta {
+            rows: cols[0].len() as u32,
+            zones,
+            partition,
+        })
+    }
+
+    /// Apply `op` ([`HgIndex::insert`] or [`HgIndex::remove`]) to the HG
+    /// postings of row group `group`, whose columns hold `cols`.
+    fn index_group(
+        &mut self,
+        group: usize,
+        cols: &[Col],
+        op: fn(&mut HgIndex, i64, u64),
+    ) -> IqResult<()> {
+        for &c in &self.hg_columns {
+            let Col::I64(keys) = &cols[c] else {
+                return Err(IqError::Invalid(
+                    "HG indexes require integer columns".into(),
+                ));
+            };
+            let idx = self.hg_indexes.entry(c).or_default();
+            for (row, &key) in keys.iter().enumerate() {
+                op(idx, key, hg::posting(group, row));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -694,12 +856,7 @@ impl<'a> TableWriter<'a> {
         txn: TxnId,
         meter: &'a WorkMeter,
     ) -> Self {
-        let pending = meta
-            .schema
-            .columns
-            .iter()
-            .map(|c| Col::empty(c.dtype))
-            .collect();
+        let pending = meta.schema.empty_cols();
         Self {
             meta,
             store,
@@ -707,6 +864,29 @@ impl<'a> TableWriter<'a> {
             pending,
             meter,
         }
+    }
+
+    /// Continue loading a table that already holds rows. A partial last
+    /// group is read back into the pending rows and dropped from `meta`,
+    /// so appended rows refill it (and overflow into new groups) instead
+    /// of starting a near-empty group per append: a sealed page occupies
+    /// a whole page however few rows it holds. Every earlier group is
+    /// left as it is, unread and unwritten.
+    pub fn reopen(
+        meta: &'a mut TableMeta,
+        store: &'a dyn PageStore,
+        txn: TxnId,
+        meter: &'a WorkMeter,
+    ) -> IqResult<Self> {
+        let mut w = Self::new(meta, store, txn, meter);
+        let last = w.meta.groups.last();
+        if last.is_some_and(|g| g.rows < w.meta.row_group_size) {
+            let tail = w.meta.groups.len() - 1;
+            w.pending = w.meta.read_group(store, meter, tail)?;
+            w.meta.index_group(tail, &w.pending, HgIndex::remove)?;
+            w.meta.groups.pop();
+        }
+        Ok(w)
     }
 
     /// Append one row.
@@ -728,81 +908,15 @@ impl<'a> TableWriter<'a> {
     }
 
     fn flush_group(&mut self) -> IqResult<()> {
-        let rows = self.pending[0].len() as u32;
-        if rows == 0 {
+        if self.pending[0].is_empty() {
             return Ok(());
         }
+        let cols = std::mem::replace(&mut self.pending, self.meta.schema.empty_cols());
         let group = self.meta.groups.len();
-        let base_row = self.meta.row_count();
-        let ncols = self.meta.schema.len();
-        let mut zones = Vec::with_capacity(ncols);
-
-        let cols = std::mem::replace(
-            &mut self.pending,
-            self.meta
-                .schema
-                .columns
-                .iter()
-                .map(|c| Col::empty(c.dtype))
-                .collect(),
-        );
-        for (c, col) in cols.iter().enumerate() {
-            zones.push(ZoneEntry::of(col));
-            // String columns intern through the dictionary.
-            let codes: Option<Vec<u32>> = match col {
-                Col::Str(vals) => {
-                    let dict = self.meta.dicts[c]
-                        .as_mut()
-                        .expect("string column has a dictionary");
-                    Some(vals.iter().map(|s| dict.encode(s)).collect())
-                }
-                _ => None,
-            };
-            let body = encode_column(col, codes.as_deref())?;
-            self.meter.add(cost::LOAD * col.len() as u64);
-            self.store.write_page(
-                self.meta.id,
-                self.meta.page_id(group, c),
-                PageKind::Data,
-                Bytes::from(body),
-                self.txn,
-            )?;
-            // HG maintenance.
-            if self.meta.hg_columns.contains(&c) {
-                let idx = self.meta.hg_indexes.entry(c).or_default();
-                match col {
-                    Col::I64(v) => {
-                        for (i, &key) in v.iter().enumerate() {
-                            idx.insert(key, base_row + i as u64);
-                        }
-                    }
-                    _ => {
-                        return Err(IqError::Invalid(
-                            "HG indexes require integer columns".into(),
-                        ))
-                    }
-                }
-            }
-        }
-
-        // Partition tag: the single partition containing every row, if any.
-        let partition = self.meta.partitioning.as_ref().and_then(|p| {
-            let vals: Vec<i64> = match &cols[p.column] {
-                Col::I64(v) => v.clone(),
-                Col::Date(v) => v.iter().map(|&x| x as i64).collect(),
-                _ => return None,
-            };
-            let first = p.partition_of(*vals.first()?);
-            vals.iter()
-                .all(|&v| p.partition_of(v) == first)
-                .then_some(first as u32)
-        });
-
-        self.meta.groups.push(RowGroupMeta {
-            rows,
-            zones,
-            partition,
-        });
+        let written = self
+            .meta
+            .write_group(self.store, self.txn, self.meter, group, &cols)?;
+        self.meta.groups.push(written);
         Ok(())
     }
 
@@ -1162,7 +1276,8 @@ mod tests {
         let before = store.prefetched_pages();
         // Rows spread over groups 0, 2 and 3: the two groups beyond the
         // first are hinted in one batch before the demand loop.
-        let col = meta.gather_rows(&store, 0, &[1, 130, 200], &meter).unwrap();
+        let rows = [hg::posting(0, 1), hg::posting(2, 2), hg::posting(3, 8)];
+        let col = meta.gather_rows(&store, 0, &rows, &meter).unwrap();
         assert_eq!(col.i64s(), &[1, 130, 200]);
         assert_eq!(store.prefetched_pages() - before, 2);
         // A single-group probe issues no hint at all.
@@ -1195,7 +1310,7 @@ mod tests {
         let pred = Expr::ge(Expr::col(0), Expr::lit_i64(0));
         let scanned = meta.scan(&store, &[0, 1], Some(&pred), &meter);
         assert!(matches!(scanned, Err(IqError::Corruption(_))));
-        let gathered = meta.gather_rows(&store, 0, &[70], &meter);
+        let gathered = meta.gather_rows(&store, 0, &[hg::posting(1, 6)], &meter);
         assert!(matches!(gathered, Err(IqError::Corruption(_))));
         // Width 0 and a count of 2^32 - 1 in 14 bytes: trusted, a 32 GiB
         // allocation. (Group 1 is still forged, so restore it first.)
@@ -1210,8 +1325,107 @@ mod tests {
         assert!(matches!(scanned, Err(IqError::Corruption(_))));
         let gathered = meta.gather_rows(&store, 0, &[3], &meter);
         assert!(matches!(gathered, Err(IqError::Corruption(_))));
-        // Rows past the table or past a short last group are refused too.
-        assert!(meta.gather_rows(&store, 1, &[128], &meter).is_err());
+        // Rows past the table or past their group are refused too.
+        assert!(meta
+            .gather_rows(&store, 1, &[hg::posting(2, 0)], &meter)
+            .is_err());
+        assert!(meta
+            .gather_rows(&store, 1, &[hg::posting(1, 64)], &meter)
+            .is_err());
+    }
+
+    #[test]
+    fn reopen_refills_the_partial_tail_group() {
+        let store = MemPageStore::new();
+        let mut meta = TableMeta::new(TableId(1), "t", schema(), 64).with_hg_indexes(&["k"]);
+        load_rows(&mut meta, &store, 150); // 64 + 64 + 22
+        let meter = WorkMeter::new();
+        let reads = store.demand_reads();
+        let mut w = TableWriter::reopen(&mut meta, &store, TxnId(2), &meter).unwrap();
+        // Only the tail group's four pages came back.
+        assert_eq!(store.demand_reads() - reads, 4);
+        for k in 150..200 {
+            w.append_row(&[
+                Value::I64(k),
+                Value::F64(0.0),
+                Value::Str("NORTH".into()),
+                Value::Date(0),
+            ])
+            .unwrap();
+        }
+        w.finish().unwrap();
+        let rows: Vec<u32> = meta.groups.iter().map(|g| g.rows).collect();
+        assert_eq!(rows, [64, 64, 64, 8]);
+        assert_eq!(store.page_count(), 4 * 4);
+        let out = meta.scan(&store, &[0, 2], None, &meter).unwrap();
+        assert_eq!(out.col(0).i64s(), (0..200).collect::<Vec<_>>());
+        assert_eq!(out.col(1).strs()[199].as_ref(), "NORTH");
+        // The refilled group's postings moved with it; a full tail group
+        // is left alone.
+        let idx = &meta.hg_indexes[&0];
+        assert_eq!(idx.rows(), 200);
+        let at = |k| idx.lookup(k).unwrap().iter().collect::<Vec<_>>();
+        assert_eq!(at(149), [hg::posting(2, 21)]);
+        assert_eq!(at(199), [hg::posting(3, 7)]);
+    }
+
+    #[test]
+    fn delete_keys_rewrites_only_the_groups_holding_a_victim() {
+        let store = MemPageStore::new();
+        let mut meta = TableMeta::new(TableId(1), "t", schema(), 64).with_hg_indexes(&["k"]);
+        load_rows(&mut meta, &store, 256); // 4 groups
+        let meter = WorkMeter::new();
+        // Victims in groups 0 and 2; group 1's zone lies between them, so
+        // its key page is read and nothing else; group 3's is out of reach.
+        let victims: HashSet<i64> = [3, 4, 130].into();
+        let reads = store.demand_reads();
+        let removed = meta
+            .delete_keys(&store, TxnId(2), &meter, 0, &victims)
+            .unwrap();
+        assert_eq!(removed, 3);
+        assert_eq!(store.demand_reads() - reads, 3 + 2 * 4);
+        let rows: Vec<u32> = meta.groups.iter().map(|g| g.rows).collect();
+        assert_eq!(rows, [62, 64, 63, 64]);
+        assert_eq!(
+            meta.groups[0].zones[0],
+            ZoneEntry::Num { min: 0, max: 63 },
+            "zones are recomputed from the survivors"
+        );
+        let out = meta.scan(&store, &[0], None, &meter).unwrap();
+        let want: Vec<i64> = (0..256).filter(|k| !victims.contains(k)).collect();
+        assert_eq!(out.col(0).i64s(), want);
+        let idx = &meta.hg_indexes[&0];
+        assert!(idx.lookup(130).is_none());
+        let at = |k| idx.lookup(k).unwrap().iter().collect::<Vec<_>>();
+        assert_eq!(at(5), [hg::posting(0, 3)]);
+        assert_eq!(at(131), [hg::posting(2, 2)]);
+        assert_eq!(at(255), [hg::posting(3, 63)]);
+
+        // A group that empties keeps its index; scans never ask for its
+        // pages, and an append reuses it when it is the tail.
+        let tail: HashSet<i64> = (192..256).collect();
+        meta.delete_keys(&store, TxnId(3), &meter, 0, &tail)
+            .unwrap();
+        assert_eq!(meta.groups.len(), 4);
+        assert_eq!(meta.groups[3].rows, 0);
+        let reads = store.demand_reads();
+        assert_eq!(meta.scan(&store, &[0], None, &meter).unwrap().len(), 189);
+        assert_eq!(store.demand_reads() - reads, 3);
+        let mut w = TableWriter::reopen(&mut meta, &store, TxnId(4), &meter).unwrap();
+        w.append_row(&[
+            Value::I64(900),
+            Value::F64(0.0),
+            Value::Str("EAST".into()),
+            Value::Date(0),
+        ])
+        .unwrap();
+        w.finish().unwrap();
+        assert_eq!(meta.groups.len(), 4);
+        assert_eq!(meta.groups[3].rows, 1);
+        // Float keys are refused before anything is read.
+        assert!(meta
+            .delete_keys(&store, TxnId(5), &meter, 1, &tail)
+            .is_err());
     }
 
     #[test]

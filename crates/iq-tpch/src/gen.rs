@@ -222,6 +222,17 @@ impl Generator {
     /// l_shipinstruct, l_shipmode, l_comment`.
     pub fn order_and_lineitem_rows(
         &self,
+        order: impl FnMut(Vec<Value>),
+        line: impl FnMut(Vec<Value>),
+    ) {
+        self.first_orders(self.orders(), order, line);
+    }
+
+    /// The first `n` orders of [`Self::order_and_lineitem_rows`] and their
+    /// line items — the same rows, generated without the rest.
+    pub fn first_orders(
+        &self,
+        n: i64,
         mut order: impl FnMut(Vec<Value>),
         mut line: impl FnMut(Vec<Value>),
     ) {
@@ -233,7 +244,7 @@ impl Generator {
         let date_span = (end_order_date() - start_date()) as u64;
         let cut = current_date();
 
-        for okey in 1..=self.orders() {
+        for okey in 1..=n.min(self.orders()) {
             // Two thirds of customers have orders: skip custkey % 3 == 0.
             let mut custkey = 1 + rng.below(customers as u64) as i64;
             if custkey % 3 == 0 {
@@ -395,6 +406,23 @@ mod tests {
             .sum();
         let total = orders[0][3].as_f64().unwrap();
         assert!((total - expected).abs() < 1e-6);
+    }
+
+    #[test]
+    fn first_orders_is_a_prefix_of_the_full_stream() {
+        let g = Generator::new(0.002, 7);
+        let (mut orders, mut lines) = (Vec::new(), Vec::new());
+        g.order_and_lineitem_rows(|o| orders.push(o), |l| lines.push(l));
+        let (mut first, mut first_lines) = (Vec::new(), Vec::new());
+        g.first_orders(30, |o| first.push(o), |l| first_lines.push(l));
+        assert_eq!(first.len(), 30);
+        assert_eq!(first[..], orders[..30]);
+        assert_eq!(first_lines[..], lines[..first_lines.len()]);
+        assert_eq!(lines[first_lines.len()][0], Value::I64(31));
+        // Asking for more than there are stops at the last order.
+        let mut all = 0;
+        g.first_orders(i64::MAX, |_| all += 1, |_| {});
+        assert_eq!(all, g.orders());
     }
 
     #[test]

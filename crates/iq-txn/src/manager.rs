@@ -315,6 +315,16 @@ struct TmInner {
     chain: VecDeque<CommittedTxn>,
 }
 
+impl TmInner {
+    fn oldest_active_seq(&self) -> u64 {
+        self.active
+            .values()
+            .map(|t| t.start_seq)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+}
+
 /// The transaction manager.
 pub struct TransactionManager {
     next_txn: AtomicU64,
@@ -403,6 +413,14 @@ impl TransactionManager {
                 txn,
                 reason: "not active".into(),
             })
+    }
+
+    /// The earliest snapshot sequence among the active transactions
+    /// (`u64::MAX` with none): the horizon below which a superseded
+    /// version — its pages on the committed chain, its blockmap in the
+    /// table store — has no reader left.
+    pub fn oldest_active_seq(&self) -> u64 {
+        self.inner.lock().oldest_active_seq()
     }
 
     /// Current commit sequence (the version counter new commits get).
@@ -625,12 +643,7 @@ impl TransactionManager {
         // active sequence under the lock for every entry).
         let (mut entries, left_on_chain) = {
             let mut g = self.inner.lock();
-            let oldest_active = g
-                .active
-                .values()
-                .map(|t| t.start_seq)
-                .min()
-                .unwrap_or(u64::MAX);
+            let oldest_active = g.oldest_active_seq();
             let mut v: Vec<CommittedTxn> = Vec::new();
             while v.len() < budget {
                 match g.chain.front() {

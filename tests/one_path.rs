@@ -5,6 +5,7 @@
 
 use bytes::Bytes;
 use cloudiq::common::{DbSpaceId, ObjectKey, PageId, PhysicalLocator, TableId};
+use cloudiq::core::tablestore::LATEST;
 use cloudiq::core::{Database, DatabaseConfig};
 use cloudiq::engine::PageStore;
 use cloudiq::objectstore::FaultPlan;
@@ -107,7 +108,7 @@ fn pager_and_snapshot_view_read_identical_pages_behind_every_locator_kind() {
             keys: &keys,
         };
         for p in 0..pages {
-            let loc = ts.resolve(txn, PageId(p), &io).unwrap().unwrap();
+            let loc = ts.resolve(txn, LATEST, PageId(p), &io).unwrap().unwrap();
             assert!(
                 is_expected_kind(&loc),
                 "{table} page {p} sits behind {loc:?}"
