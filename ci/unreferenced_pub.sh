@@ -10,6 +10,12 @@
 # bench/src bench/tests — once is its own declaration. A name that also
 # appears in a comment or belongs to two items passes; this is a floor,
 # not a proof. There is no allow-list: delete the item or use it.
+#
+# A second section reports, without failing, the items that pass only
+# because a *test* names them: no product text (the product part of
+# crates/*/src, src/, bench/src) does. That is how a maintained-but-never-
+# read structure stays invisible; the count goes in CHANGES.md beside
+# ci/loc.sh's.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,3 +44,19 @@ if [ -n "$UNREFERENCED" ]; then
   exit 1
 fi
 echo "unreferenced-pub: clean ($(echo "$DECLS" | wc -l) pub items)"
+
+# Identifier counts over product text only.
+PRODUCT_COUNTS=$({
+  find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests'
+  find src bench/src -name '*.rs' -print0 | xargs -0 cat
+} | grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c)
+
+TEST_ONLY=$(awk '
+  NR == FNR { count[$2] = $1; next }
+  count[$1] < 2 { printf "%s: pub item `%s` is named only by tests\n", $2, $1 }
+' <(echo "$PRODUCT_COUNTS") <(echo "$DECLS"))
+[ -z "$TEST_ONLY" ] || echo "$TEST_ONLY"
+echo "test-only-pub: $(echo -n "$TEST_ONLY" | grep -c '^' || true) pub items no product text names"

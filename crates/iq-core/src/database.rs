@@ -452,10 +452,6 @@ fn register_core_metrics(shared: &Arc<Shared>) {
                 MetricValue::U64(ScanStats::get(&sc.groups_zone_pruned)),
             ),
             (
-                "groups_partition_pruned".into(),
-                MetricValue::U64(ScanStats::get(&sc.groups_partition_pruned)),
-            ),
-            (
                 "groups_empty_mask".into(),
                 MetricValue::U64(ScanStats::get(&sc.groups_empty_mask)),
             ),
@@ -1517,49 +1513,6 @@ impl Database {
         self.shared.metrics.to_json()
     }
 
-    /// Aggregate monitoring snapshot across every layer of the stack.
-    pub fn stats(&self) -> DatabaseStats {
-        let b = self.shared.buffer.stats.lifetime_snapshot();
-        let ocm = self.ocm().map(|o| o.stats_snapshot());
-        let (cloud_objects, cloud_bytes, max_writes) = {
-            let stores = self.shared.cloud_stores.read();
-            let mut objects = 0;
-            let mut bytes = 0;
-            let mut writes = 0;
-            for s in stores.values() {
-                objects += s.object_count() as u64;
-                bytes += iq_objectstore::ObjectBackend::resident_bytes(s.as_ref());
-                writes = writes.max(s.max_write_count());
-            }
-            (objects, bytes, writes)
-        };
-        DatabaseStats {
-            buffer_hits: b.hits,
-            buffer_demand_misses: b.demand_misses,
-            buffer_prefetched: b.prefetched,
-            buffer_evictions: b.evictions,
-            buffer_used_bytes: self.shared.buffer.used_bytes() as u64,
-            ocm,
-            cloud_objects,
-            cloud_resident_bytes: cloud_bytes,
-            max_key_writes: max_writes,
-            active_txns: self.shared.txns.active_count() as u64,
-            committed_chain: self.shared.txns.chain_len() as u64,
-            retained_pages: self
-                .shared
-                .snapshots
-                .as_ref()
-                .map_or(0, |sm| sm.retained_count() as u64),
-            max_allocated_key: self
-                .shared
-                .mx
-                .coordinator
-                .keygen()
-                .map(|k| k.max_allocated())
-                .unwrap_or(0),
-        }
-    }
-
     /// Poll-delete a specific object key everywhere (tests).
     pub fn poll_delete(&self, key: ObjectKey) -> IqResult<bool> {
         for space in self.shared.spaces.read().values() {
@@ -1821,37 +1774,6 @@ pub struct TableDef {
     pub id: u32,
     /// Dbspace the table lives on.
     pub space: u32,
-}
-
-/// One monitoring snapshot across the stack (see [`Database::stats`]).
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct DatabaseStats {
-    /// Buffer-manager cache hits.
-    pub buffer_hits: u64,
-    /// Buffer-manager demand misses (queries waited on these).
-    pub buffer_demand_misses: u64,
-    /// Pages loaded by the prefetcher.
-    pub buffer_prefetched: u64,
-    /// Buffer frames evicted.
-    pub buffer_evictions: u64,
-    /// RAM currently used by the buffer cache.
-    pub buffer_used_bytes: u64,
-    /// OCM counters, when an OCM is bound.
-    pub ocm: Option<iq_ocm::OcmStatsSnapshot>,
-    /// Objects resident across all cloud dbspaces.
-    pub cloud_objects: u64,
-    /// Bytes at rest across all cloud dbspaces.
-    pub cloud_resident_bytes: u64,
-    /// Maximum writes observed to any single key (must be ≤ 1).
-    pub max_key_writes: u64,
-    /// Transactions currently active.
-    pub active_txns: u64,
-    /// Committed transactions awaiting garbage collection.
-    pub committed_chain: u64,
-    /// Pages held by the snapshot manager's retention FIFO.
-    pub retained_pages: u64,
-    /// Largest object-key offset ever allocated.
-    pub max_allocated_key: u64,
 }
 
 /// What survives an instance stop: the system dbspace, the transaction

@@ -210,18 +210,18 @@ impl FlushSink for Pager {
 
     /// Commit-flush packing: the group becomes ONE composite object — one
     /// PUT under one fresh key — and each member page maps to a ranged
-    /// locator inside it. Groups of one, eviction flushes and
-    /// conventional dbspaces take the per-page [`FlushSink::flush`] path,
-    /// which keeps `pack_pages = 1` byte- and request-identical to the
-    /// pre-packing flush (including its OCM write-back/write-through
-    /// behaviour; composite writes bypass the OCM).
+    /// locator inside it. Groups of one and conventional dbspaces take
+    /// the per-page [`FlushSink::flush`] path, which keeps
+    /// `pack_pages = 1` byte- and request-identical to the pre-packing
+    /// flush (including its OCM write-back/write-through behaviour;
+    /// composite writes bypass the OCM).
     fn flush_group(
         &self,
         items: &[(FrameKey, Page)],
         txn: TxnId,
         cause: FlushCause,
     ) -> IqResult<()> {
-        if items.len() <= 1 || cause == FlushCause::Eviction {
+        if items.len() <= 1 {
             for (key, page) in items {
                 self.flush(*key, page, txn, cause)?;
             }

@@ -15,11 +15,8 @@
 //!   paper names (§1, citing the n-bit dictionary patent).
 //! * [`zonemap`] — per-page min/max zone maps used "to early-prune pages
 //!   that are not needed for a query" (§1).
-//! * [`hg`] — the High-Group index: value → row-id set, standing in for
-//!   IQ's tiered HG index that "combines the power of B+-trees with the
-//!   scalability and compression of bitmaps".
-//! * [`table`] — range-partitioned tables stored as row groups, one page
-//!   per (row-group, column); the load path and the pruning scan.
+//! * [`table`] — tables stored as row groups, one page per (row-group,
+//!   column); the load path and the pruning scan.
 //! * [`store`] — the [`store::PageStore`] trait the engine reads/writes
 //!   pages through; `iq-core` implements it with the full cloud storage
 //!   stack, unit tests with an in-memory map.
@@ -33,7 +30,6 @@
 pub mod chunk;
 pub mod encode;
 pub mod expr;
-pub mod hg;
 pub mod mask;
 pub mod meter;
 pub mod ops;
@@ -46,12 +42,11 @@ pub mod zonemap;
 
 pub use chunk::{Chunk, Col};
 pub use expr::Expr;
-pub use hg::HgIndex;
 pub use mask::Mask;
 pub use meter::WorkMeter;
 pub use ops::OpExec;
 pub use prefetch::{PrefetchAdmission, PrefetchTicket, PREFETCH_DEPTH};
 pub use scanstats::ScanStats;
 pub use store::{MemPageStore, PageStore};
-pub use table::{ColumnDef, RangePartitioning, ScanOptions, Schema, Stage, TableMeta, TableWriter};
+pub use table::{ColumnDef, ScanOptions, Schema, Stage, TableMeta, TableWriter};
 pub use value::{DataType, Value};

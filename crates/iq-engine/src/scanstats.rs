@@ -2,13 +2,12 @@
 //!
 //! The two-phase late-materialization scan (DESIGN.md §6h) makes two
 //! per-group decisions worth observing: whether the group was pruned
-//! before any I/O (zone maps or the partition-tag fallback), and whether
-//! its projection pages were skipped because the predicate mask came up
-//! all-false. Each skipped page is one data-page GET that never reached
-//! the object store — the request-economy win the paper's zone-map story
-//! (§1) is about. Stores backed by the full cloud stack hand one shared
-//! [`ScanStats`] to every scan via
-//! [`PageStore::scan_stats`](crate::store::PageStore::scan_stats).
+//! before any I/O (zone maps), and whether its projection pages were
+//! skipped because the predicate mask came up all-false. Each skipped
+//! page is one data-page GET that never reached the object store — the
+//! request-economy win the paper's zone-map story (§1) is about. Stores
+//! backed by the full cloud stack hand one shared [`ScanStats`] to every
+//! scan via [`PageStore::scan_stats`](crate::store::PageStore::scan_stats).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,8 +21,6 @@ pub struct ScanStats {
     pub groups_considered: AtomicU64,
     /// Groups pruned by a per-column zone entry.
     pub groups_zone_pruned: AtomicU64,
-    /// Groups pruned by the partition-tag fallback (zone was `None`).
-    pub groups_partition_pruned: AtomicU64,
     /// Surviving groups whose predicate mask came up all-false, so their
     /// projection pages were never read.
     pub groups_empty_mask: AtomicU64,

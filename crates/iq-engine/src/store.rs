@@ -65,7 +65,6 @@ pub struct MemPageStore {
     pages: Mutex<HashMap<(u32, u64), Page>>,
     scan_stats: Option<std::sync::Arc<crate::scanstats::ScanStats>>,
     demand_reads: std::sync::atomic::AtomicU64,
-    prefetched_pages: std::sync::atomic::AtomicU64,
 }
 
 impl MemPageStore {
@@ -91,12 +90,6 @@ impl MemPageStore {
     /// Demand (`demand=true`) reads served.
     pub fn demand_reads(&self) -> u64 {
         self.demand_reads.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Total pages hinted through [`PageStore::prefetch`].
-    pub fn prefetched_pages(&self) -> u64 {
-        self.prefetched_pages
-            .load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -128,9 +121,7 @@ impl PageStore for MemPageStore {
         Ok(())
     }
 
-    fn prefetch(&self, _table: TableId, pages: &[PageId]) -> IqResult<()> {
-        self.prefetched_pages
-            .fetch_add(pages.len() as u64, std::sync::atomic::Ordering::Relaxed);
+    fn prefetch(&self, _table: TableId, _pages: &[PageId]) -> IqResult<()> {
         Ok(())
     }
 

@@ -1,11 +1,12 @@
-//! Range-partitioned columnar tables stored as row groups.
+//! Columnar tables stored as row groups.
 //!
 //! A table is a sequence of *row groups*; each row group stores each
 //! column in one page (`PageId = group × ncols + col`). Per-group zone
-//! maps prune scans; per-column dictionaries and HG indexes are built
-//! during load. "The TPC-H tables are created as range-partitioned, and
-//! High-Group (HG) indexes are created on the following columns..." (§6) —
-//! the schema declarations in `iq-tpch` mirror that setup.
+//! maps prune scans; per-column dictionaries are built during load. A
+//! table's metadata is exactly what a scan, the writer and a delete read:
+//! the paper's range partitions and HG indexes (§6) are not built — the
+//! zone map already is the partition summary at row-group granularity,
+//! and no plan probes an index (EXPERIMENTS.md, "Honest limitations").
 //!
 //! Updates are page-granular: [`TableWriter::reopen`] appends by refilling
 //! the partial last group, [`TableMeta::delete_keys`] rewrites in place
@@ -15,7 +16,7 @@
 //! full but the last: a row is addressed as `(group, row in group)`.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bytes::Bytes;
@@ -27,7 +28,6 @@ use serde::{Deserialize, Serialize};
 use crate::chunk::{Chunk, Col};
 use crate::encode::{decode_codes_as, decode_rows, encode_column, Dictionary};
 use crate::expr::Expr;
-use crate::hg::{self, HgIndex};
 use crate::mask::Mask;
 use crate::meter::{cost, WorkMeter};
 use crate::prefetch::{PrefetchAdmission, PREFETCH_DEPTH};
@@ -108,29 +108,6 @@ impl Schema {
     }
 }
 
-/// Range partitioning declaration: rows route to the partition whose
-/// upper bound (exclusive) is the first one above the value; values above
-/// every bound fall in the last partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RangePartitioning {
-    /// Partition column (must be I64 or Date).
-    pub column: usize,
-    /// Ascending exclusive upper bounds; `bounds.len() + 1` partitions.
-    pub bounds: Vec<i64>,
-}
-
-impl RangePartitioning {
-    /// Partition index of a value.
-    pub fn partition_of(&self, v: i64) -> usize {
-        self.bounds.partition_point(|&b| b <= v)
-    }
-
-    /// Number of partitions.
-    pub fn partitions(&self) -> usize {
-        self.bounds.len() + 1
-    }
-}
-
 /// Metadata of one row group.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RowGroupMeta {
@@ -138,11 +115,9 @@ pub struct RowGroupMeta {
     pub rows: u32,
     /// Zone entry per column.
     pub zones: Vec<ZoneEntry>,
-    /// Partition id when every row falls in one partition.
-    pub partition: Option<u32>,
 }
 
-/// A table's complete metadata: schema, groups, dictionaries, indexes.
+/// A table's complete metadata: schema, groups, dictionaries.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TableMeta {
     /// Table id.
@@ -157,12 +132,6 @@ pub struct TableMeta {
     pub groups: Vec<RowGroupMeta>,
     /// Per-column dictionary (string columns only).
     pub dicts: Vec<Option<Dictionary>>,
-    /// Range partitioning, if declared.
-    pub partitioning: Option<RangePartitioning>,
-    /// Columns carrying an HG index.
-    pub hg_columns: Vec<usize>,
-    /// Built HG indexes (column → index), populated during load.
-    pub hg_indexes: BTreeMap<usize, HgIndex>,
 }
 
 impl TableMeta {
@@ -180,25 +149,7 @@ impl TableMeta {
             row_group_size,
             groups: Vec::new(),
             dicts,
-            partitioning: None,
-            hg_columns: Vec::new(),
-            hg_indexes: BTreeMap::new(),
         }
-    }
-
-    /// Declare range partitioning (before loading).
-    pub fn with_partitioning(mut self, p: RangePartitioning) -> Self {
-        self.partitioning = Some(p);
-        self
-    }
-
-    /// Declare HG indexes on named columns (before loading).
-    pub fn with_hg_indexes(mut self, cols: &[&str]) -> Self {
-        for name in cols {
-            let idx = self.schema.col(name).expect("HG column must exist");
-            self.hg_columns.push(idx);
-        }
-        self
     }
 
     /// Logical page of `(group, column)`.
@@ -284,9 +235,7 @@ impl TableMeta {
         needed.sort_unstable();
         needed.dedup();
 
-        // Group-level pruning: per-column zone entries first; when a
-        // column's zone is absent, the group's partition tag is a coarser
-        // fallback summary of the partitioning column.
+        // Group-level pruning on the per-column zone entries.
         let prune_checks = pred.map(|p| p.prune_checks()).unwrap_or_default();
         let mut survivors: Vec<usize> = Vec::with_capacity(self.groups.len());
         for g in 0..self.groups.len() {
@@ -295,22 +244,8 @@ impl TableMeta {
             if self.groups[g].rows == 0 {
                 continue;
             }
-            let mut by_partition = false;
-            let survives = prune_checks.iter().all(|check| {
-                let zone = &self.groups[g].zones[check.col()];
-                if !check.may_match(zone) {
-                    return false;
-                }
-                if matches!(zone, ZoneEntry::None) {
-                    if let Some(pz) = self.partition_zone(g, check.col()) {
-                        if !check.may_match(&pz) {
-                            by_partition = true;
-                            return false;
-                        }
-                    }
-                }
-                true
-            });
+            let zones = &self.groups[g].zones;
+            let survives = prune_checks.iter().all(|c| c.may_match(&zones[c.col()]));
             if let Some(s) = &stats {
                 ScanStats::add(&s.groups_considered, 1);
             }
@@ -318,14 +253,7 @@ impl TableMeta {
                 survivors.push(g);
             } else {
                 if let Some(s) = &stats {
-                    ScanStats::add(
-                        if by_partition {
-                            &s.groups_partition_pruned
-                        } else {
-                            &s.groups_zone_pruned
-                        },
-                        1,
-                    );
+                    ScanStats::add(&s.groups_zone_pruned, 1);
                     ScanStats::add(&s.pruned_pages_skipped, needed.len() as u64);
                 }
                 trace::emit(EventKind::GroupPruned {
@@ -608,91 +536,6 @@ impl TableMeta {
         Chunk::concat(chunks)
     }
 
-    /// Zone implied by a group's partition tag: when every row fell into
-    /// one partition of the range partitioning on `col`, that partition's
-    /// value range bounds the column even without a recorded zone entry.
-    fn partition_zone(&self, group: usize, col: usize) -> Option<ZoneEntry> {
-        let p = self.partitioning.as_ref()?;
-        if p.column != col || p.bounds.is_empty() {
-            return None;
-        }
-        let part = self.groups[group].partition? as usize;
-        if part > p.bounds.len() {
-            return None;
-        }
-        // Bounds are exclusive uppers over an integral domain (I64/Date),
-        // so partition `k` covers `[bounds[k-1], bounds[k] - 1]`, open at
-        // the extremes.
-        let min = if part == 0 {
-            i64::MIN
-        } else {
-            p.bounds[part - 1]
-        };
-        let max = if part == p.bounds.len() {
-            i64::MAX
-        } else {
-            p.bounds[part] - 1
-        };
-        Some(ZoneEntry::Num { min, max })
-    }
-
-    /// Fetch specific rows of one column via HG postings
-    /// ([`hg::posting`]: group-addressed row ids, ascending).
-    pub fn gather_rows(
-        &self,
-        store: &dyn PageStore,
-        col: usize,
-        rows: &[u64],
-        meter: &WorkMeter,
-    ) -> IqResult<Col> {
-        let mut out = Col::empty(self.schema.columns[col].dtype);
-        // Batch-hint every distinct group page beyond the first before
-        // the demand loop: the probes below then overlap in the store
-        // instead of paying one serial GET per touched group. Mirrors
-        // the scan's admission discipline — the first group is
-        // demand-read, never prefetched; a shed or failed hint degrades
-        // to the demand read, where a real fault resurfaces.
-        let mut groups: Vec<usize> = rows.iter().map(|&r| hg::locate(r).0).collect();
-        groups.sort_unstable();
-        groups.dedup();
-        if groups.len() > 1 {
-            let admission = PrefetchAdmission::for_depth(groups.len() - 1);
-            if let Some(_ticket) = admission.admit(groups.len() - 1) {
-                let pages: Vec<PageId> =
-                    groups[1..].iter().map(|&g| self.page_id(g, col)).collect();
-                match store.prefetch(self.id, &pages) {
-                    Ok(()) => admission.record_success(),
-                    Err(e) => admission.record_error(&e),
-                }
-            };
-        }
-        let mut i = 0usize;
-        while i < rows.len() {
-            let group = hg::locate(rows[i]).0;
-            let group_rows = self
-                .groups
-                .get(group)
-                .ok_or_else(|| IqError::Invalid(format!("row {} is past the table", rows[i])))?
-                .rows as usize;
-            let page = store.read_page(self.id, self.page_id(group, col), true)?;
-            let dict = self.dicts[col].as_ref();
-            let column = decode_rows(&page.body, dict, Some(group_rows), None)?;
-            meter.add(cost::SCAN * 8);
-            while i < rows.len() && hg::locate(rows[i]).0 == group {
-                let local = hg::locate(rows[i]).1;
-                if local >= group_rows {
-                    return Err(IqError::Invalid(format!(
-                        "row {} is past its group",
-                        rows[i]
-                    )));
-                }
-                out.push(&column.value(local))?;
-                i += 1;
-            }
-        }
-        Ok(out)
-    }
-
     /// Delete every row whose `key_col` value (an integer column) is in
     /// `victims`, rewriting in place — at the same page ids — only the
     /// row groups that hold one. A group whose key zone cannot reach a
@@ -733,7 +576,6 @@ impl TableMeta {
                 continue;
             }
             let old = self.read_group(store, meter, g)?;
-            self.index_group(g, &old, HgIndex::remove)?;
             let kept: Vec<Col> = old.iter().map(|col| col.filter(&keep)).collect();
             self.groups[g] = self.write_group(store, txn, meter, g, &kept)?;
             removed += (rows - keep.count()) as u64;
@@ -763,8 +605,8 @@ impl TableMeta {
 
     /// Encode `cols` as the pages of row group `group` and write them —
     /// new strings intern into the (append-only) dictionaries, so a
-    /// rewritten group keeps the codes it had — and add the group's HG
-    /// postings. Returns the group's metadata for the caller to install.
+    /// rewritten group keeps the codes it had. Returns the group's
+    /// metadata for the caller to install.
     fn write_group(
         &mut self,
         store: &dyn PageStore,
@@ -795,47 +637,10 @@ impl TableMeta {
                 txn,
             )?;
         }
-        self.index_group(group, cols, HgIndex::insert)?;
-
-        // Partition tag: the single partition containing every row, if any.
-        let partition = self.partitioning.as_ref().and_then(|p| {
-            let vals: Vec<i64> = match &cols[p.column] {
-                Col::I64(v) => v.clone(),
-                Col::Date(v) => v.iter().map(|&x| x as i64).collect(),
-                _ => return None,
-            };
-            let first = p.partition_of(*vals.first()?);
-            vals.iter()
-                .all(|&v| p.partition_of(v) == first)
-                .then_some(first as u32)
-        });
         Ok(RowGroupMeta {
             rows: cols[0].len() as u32,
             zones,
-            partition,
         })
-    }
-
-    /// Apply `op` ([`HgIndex::insert`] or [`HgIndex::remove`]) to the HG
-    /// postings of row group `group`, whose columns hold `cols`.
-    fn index_group(
-        &mut self,
-        group: usize,
-        cols: &[Col],
-        op: fn(&mut HgIndex, i64, u64),
-    ) -> IqResult<()> {
-        for &c in &self.hg_columns {
-            let Col::I64(keys) = &cols[c] else {
-                return Err(IqError::Invalid(
-                    "HG indexes require integer columns".into(),
-                ));
-            };
-            let idx = self.hg_indexes.entry(c).or_default();
-            for (row, &key) in keys.iter().enumerate() {
-                op(idx, key, hg::posting(group, row));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -883,7 +688,6 @@ impl<'a> TableWriter<'a> {
         if last.is_some_and(|g| g.rows < w.meta.row_group_size) {
             let tail = w.meta.groups.len() - 1;
             w.pending = w.meta.read_group(store, meter, tail)?;
-            w.meta.index_group(tail, &w.pending, HgIndex::remove)?;
             w.meta.groups.pop();
         }
         Ok(w)
@@ -978,7 +782,7 @@ mod tests {
 
     #[test]
     fn scan_with_predicate_and_zone_pruning() {
-        let store = MemPageStore::new();
+        let store = MemPageStore::with_scan_stats();
         let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
         load_rows(&mut meta, &store, 256);
         let meter = WorkMeter::new();
@@ -995,6 +799,26 @@ mod tests {
         );
         meta.scan(&store, &[0], Some(&pred2), &meter2).unwrap();
         assert!(pruned_work < meter2.total(), "zone maps must reduce work");
+
+        // A group a delete emptied (zero rows, zone `None`) is skipped
+        // before it is considered: of the three groups left, `k < 190`
+        // zone-prunes the last and reads the other two.
+        let emptied: HashSet<i64> = (64..128).collect();
+        meta.delete_keys(&store, TxnId(2), &meter, 0, &emptied)
+            .unwrap();
+        assert_eq!(meta.groups[1].rows, 0);
+        assert_eq!(meta.groups[1].zones[0], ZoneEntry::None);
+        let stats = store.scan_stats().unwrap();
+        let considered = ScanStats::get(&stats.groups_considered);
+        let pruned = ScanStats::get(&stats.groups_zone_pruned);
+        let reads = store.demand_reads();
+        let pred3 = Expr::lt(Expr::col(0), Expr::lit_i64(190));
+        let out = meta.scan(&store, &[0], Some(&pred3), &meter).unwrap();
+        let want: Vec<i64> = (0..64).chain(128..190).collect();
+        assert_eq!(out.col(0).i64s(), want);
+        assert_eq!(ScanStats::get(&stats.groups_considered) - considered, 3);
+        assert_eq!(ScanStats::get(&stats.groups_zone_pruned) - pruned, 1);
+        assert_eq!(store.demand_reads() - reads, 2);
     }
 
     #[test]
@@ -1073,41 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn hg_index_built_during_load() {
-        let store = MemPageStore::new();
-        let mut meta = TableMeta::new(TableId(1), "t", schema(), 64).with_hg_indexes(&["k"]);
-        load_rows(&mut meta, &store, 100);
-        let idx = meta.hg_indexes.get(&0).unwrap();
-        assert_eq!(idx.rows(), 100);
-        assert_eq!(idx.lookup(42).unwrap().iter().collect::<Vec<_>>(), vec![42]);
-        // Gather through the index.
-        let meter = WorkMeter::new();
-        let rows: Vec<u64> = idx.lookup(42).unwrap().iter().collect();
-        let col = meta.gather_rows(&store, 1, &rows, &meter).unwrap();
-        assert_eq!(col.f64s(), &[63.0]);
-    }
-
-    #[test]
-    fn partition_tags_assigned_for_sorted_input() {
-        let store = MemPageStore::new();
-        let mut meta =
-            TableMeta::new(TableId(1), "t", schema(), 50).with_partitioning(RangePartitioning {
-                column: 0,
-                bounds: vec![100, 200],
-            });
-        load_rows(&mut meta, &store, 300);
-        // Input sorted by k: groups of 50 fall wholly into partitions.
-        assert_eq!(meta.groups[0].partition, Some(0));
-        assert_eq!(meta.groups[2].partition, Some(1));
-        assert_eq!(meta.groups[5].partition, Some(2));
-        let p = meta.partitioning.as_ref().unwrap();
-        assert_eq!(p.partitions(), 3);
-        assert_eq!(p.partition_of(99), 0);
-        assert_eq!(p.partition_of(100), 1);
-        assert_eq!(p.partition_of(250), 2);
-    }
-
-    #[test]
     fn late_mat_skips_projection_pages_on_empty_masks() {
         let store = MemPageStore::with_scan_stats();
         let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
@@ -1166,75 +955,6 @@ mod tests {
         assert_eq!(out.cols.len(), 2);
     }
 
-    #[test]
-    fn partition_tag_prunes_when_zone_is_absent() {
-        // Hand-build metadata whose zones were lost (None) but whose
-        // groups carry partition tags: the coarser summary must still
-        // prune, and untagged groups must survive.
-        let store = MemPageStore::new();
-        let mut meta = TableMeta::new(TableId(1), "t", Schema::new(&[("k", DataType::I64)]), 4)
-            .with_partitioning(RangePartitioning {
-                column: 0,
-                bounds: vec![100, 200],
-            });
-        load_rows_i64(&mut meta, &store, &[(0..4).collect(), (100..104).collect()]);
-        // Wipe the zones; tag group 0 → partition 0, group 1 → partition 1.
-        for g in &mut meta.groups {
-            g.zones = vec![ZoneEntry::None];
-        }
-        meta.groups[0].partition = Some(0);
-        meta.groups[1].partition = Some(1);
-        let meter = WorkMeter::new();
-        let pred = Expr::ge(Expr::col(0), Expr::lit_i64(150));
-        let stats_store = MemPageStore::with_scan_stats();
-        // Reload pages into the stats store for observability assertions.
-        let mut meta2 = TableMeta::new(TableId(1), "t", Schema::new(&[("k", DataType::I64)]), 4)
-            .with_partitioning(RangePartitioning {
-                column: 0,
-                bounds: vec![100, 200],
-            });
-        load_rows_i64(
-            &mut meta2,
-            &stats_store,
-            &[(0..4).collect(), (100..104).collect()],
-        );
-        for g in &mut meta2.groups {
-            g.zones = vec![ZoneEntry::None];
-        }
-        let out = meta2.scan(&stats_store, &[0], Some(&pred), &meter).unwrap();
-        // Group 0 (partition 0: values < 100) pruned by the tag; group 1
-        // survives (partition 1 spans [100, 199]) and filters to empty.
-        assert!(out.is_empty());
-        let stats = stats_store.scan_stats().unwrap();
-        assert_eq!(ScanStats::get(&stats.groups_partition_pruned), 1);
-        assert_eq!(ScanStats::get(&stats.groups_zone_pruned), 0);
-        // Without tags, nothing can be pruned: both groups are read.
-        let meter2 = WorkMeter::new();
-        let untagged = MemPageStore::with_scan_stats();
-        let mut meta3 = TableMeta::new(TableId(1), "t", Schema::new(&[("k", DataType::I64)]), 4)
-            .with_partitioning(RangePartitioning {
-                column: 0,
-                bounds: vec![100, 200],
-            });
-        load_rows_i64(
-            &mut meta3,
-            &untagged,
-            &[(0..4).collect(), (100..104).collect()],
-        );
-        for g in &mut meta3.groups {
-            g.zones = vec![ZoneEntry::None];
-            g.partition = None;
-        }
-        meta3.scan(&untagged, &[0], Some(&pred), &meter2).unwrap();
-        let stats = untagged.scan_stats().unwrap();
-        assert_eq!(ScanStats::get(&stats.groups_partition_pruned), 0);
-        assert_eq!(ScanStats::get(&stats.groups_zone_pruned), 0);
-        // `meta`'s hand-tagged copy agrees with the straight scan result.
-        let meter3 = WorkMeter::new();
-        let out = meta.scan(&store, &[0], Some(&pred), &meter3).unwrap();
-        assert!(out.is_empty());
-    }
-
     fn load_rows_i64(meta: &mut TableMeta, store: &MemPageStore, groups: &[Vec<i64>]) {
         let meter = WorkMeter::new();
         let mut w = TableWriter::new(meta, store, TxnId(1), &meter);
@@ -1268,25 +988,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_rows_batches_prefetch_of_touched_groups() {
-        let store = MemPageStore::new();
-        let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
-        load_rows(&mut meta, &store, 256); // 4 groups
-        let meter = WorkMeter::new();
-        let before = store.prefetched_pages();
-        // Rows spread over groups 0, 2 and 3: the two groups beyond the
-        // first are hinted in one batch before the demand loop.
-        let rows = [hg::posting(0, 1), hg::posting(2, 2), hg::posting(3, 8)];
-        let col = meta.gather_rows(&store, 0, &rows, &meter).unwrap();
-        assert_eq!(col.i64s(), &[1, 130, 200]);
-        assert_eq!(store.prefetched_pages() - before, 2);
-        // A single-group probe issues no hint at all.
-        let before = store.prefetched_pages();
-        meta.gather_rows(&store, 0, &[10, 11], &meter).unwrap();
-        assert_eq!(store.prefetched_pages(), before);
-    }
-
-    #[test]
     fn forged_page_row_count_fails_the_read() {
         let store = MemPageStore::new();
         let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
@@ -1310,8 +1011,6 @@ mod tests {
         let pred = Expr::ge(Expr::col(0), Expr::lit_i64(0));
         let scanned = meta.scan(&store, &[0, 1], Some(&pred), &meter);
         assert!(matches!(scanned, Err(IqError::Corruption(_))));
-        let gathered = meta.gather_rows(&store, 0, &[hg::posting(1, 6)], &meter);
-        assert!(matches!(gathered, Err(IqError::Corruption(_))));
         // Width 0 and a count of 2^32 - 1 in 14 bytes: trusted, a 32 GiB
         // allocation. (Group 1 is still forged, so restore it first.)
         overwrite(
@@ -1323,21 +1022,12 @@ mod tests {
         overwrite(0, forged);
         let scanned = meta.scan(&store, &[0], None, &meter);
         assert!(matches!(scanned, Err(IqError::Corruption(_))));
-        let gathered = meta.gather_rows(&store, 0, &[3], &meter);
-        assert!(matches!(gathered, Err(IqError::Corruption(_))));
-        // Rows past the table or past their group are refused too.
-        assert!(meta
-            .gather_rows(&store, 1, &[hg::posting(2, 0)], &meter)
-            .is_err());
-        assert!(meta
-            .gather_rows(&store, 1, &[hg::posting(1, 64)], &meter)
-            .is_err());
     }
 
     #[test]
     fn reopen_refills_the_partial_tail_group() {
         let store = MemPageStore::new();
-        let mut meta = TableMeta::new(TableId(1), "t", schema(), 64).with_hg_indexes(&["k"]);
+        let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
         load_rows(&mut meta, &store, 150); // 64 + 64 + 22
         let meter = WorkMeter::new();
         let reads = store.demand_reads();
@@ -1360,19 +1050,12 @@ mod tests {
         let out = meta.scan(&store, &[0, 2], None, &meter).unwrap();
         assert_eq!(out.col(0).i64s(), (0..200).collect::<Vec<_>>());
         assert_eq!(out.col(1).strs()[199].as_ref(), "NORTH");
-        // The refilled group's postings moved with it; a full tail group
-        // is left alone.
-        let idx = &meta.hg_indexes[&0];
-        assert_eq!(idx.rows(), 200);
-        let at = |k| idx.lookup(k).unwrap().iter().collect::<Vec<_>>();
-        assert_eq!(at(149), [hg::posting(2, 21)]);
-        assert_eq!(at(199), [hg::posting(3, 7)]);
     }
 
     #[test]
     fn delete_keys_rewrites_only_the_groups_holding_a_victim() {
         let store = MemPageStore::new();
-        let mut meta = TableMeta::new(TableId(1), "t", schema(), 64).with_hg_indexes(&["k"]);
+        let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
         load_rows(&mut meta, &store, 256); // 4 groups
         let meter = WorkMeter::new();
         // Victims in groups 0 and 2; group 1's zone lies between them, so
@@ -1394,12 +1077,6 @@ mod tests {
         let out = meta.scan(&store, &[0], None, &meter).unwrap();
         let want: Vec<i64> = (0..256).filter(|k| !victims.contains(k)).collect();
         assert_eq!(out.col(0).i64s(), want);
-        let idx = &meta.hg_indexes[&0];
-        assert!(idx.lookup(130).is_none());
-        let at = |k| idx.lookup(k).unwrap().iter().collect::<Vec<_>>();
-        assert_eq!(at(5), [hg::posting(0, 3)]);
-        assert_eq!(at(131), [hg::posting(2, 2)]);
-        assert_eq!(at(255), [hg::posting(3, 63)]);
 
         // A group that empties keeps its index; scans never ask for its
         // pages, and an append reuses it when it is the tail.

@@ -6,7 +6,7 @@
 
 use iq_common::{TableId, TxnId};
 use iq_engine::expr::Expr;
-use iq_engine::table::{RangePartitioning, ScanOptions, Schema, TableMeta, TableWriter};
+use iq_engine::table::{ScanOptions, Schema, TableMeta, TableWriter};
 use iq_engine::value::{DataType, Value};
 use iq_engine::{MemPageStore, WorkMeter};
 use proptest::prelude::*;
@@ -21,9 +21,7 @@ fn schema() -> Schema {
 }
 
 /// Build a table from integer seeds; every column derives from `k` so
-/// result rows are fully determined by the seed vector. Odd-length seed
-/// vectors also declare range partitioning on `k` so the partition-tag
-/// fallback path gets proptest coverage.
+/// result rows are fully determined by the seed vector.
 fn build_table(
     seeds: &[i64],
     group_size: u32,
@@ -31,12 +29,6 @@ fn build_table(
     meter: &WorkMeter,
 ) -> TableMeta {
     let mut meta = TableMeta::new(TableId(1), "t", schema(), group_size);
-    if seeds.len() % 2 == 1 {
-        meta = meta.with_partitioning(RangePartitioning {
-            column: 0,
-            bounds: vec![250, 500, 750],
-        });
-    }
     let mut w = TableWriter::new(&mut meta, store, TxnId(1), meter);
     for &k in seeds {
         w.append_row(&[

@@ -1,21 +1,18 @@
 //! Property tests for the page-granular update primitives: whatever the
 //! sequence of appends ([`TableWriter::reopen`]) and deletes
 //! ([`TableMeta::delete_keys`]), the table scans — every column, same
-//! rows, same order — like one rewritten from nothing after every step,
-//! and its HG postings still lead to the rows that hold the key.
+//! rows, same order — like one rewritten from nothing after every step.
 
 use std::collections::HashSet;
 
 use iq_common::{TableId, TxnId};
 use iq_engine::expr::Expr;
-use iq_engine::table::{RangePartitioning, Schema, TableMeta, TableWriter};
+use iq_engine::table::{Schema, TableMeta, TableWriter};
 use iq_engine::value::{DataType, Value};
-use iq_engine::{Chunk, HgIndex, MemPageStore, WorkMeter};
+use iq_engine::{Chunk, MemPageStore, WorkMeter};
 use proptest::prelude::*;
 
 const KEY: usize = 0;
-/// The HG-indexed column: `k % 13`, so every key has many postings.
-const BUCKET: usize = 1;
 
 fn schema() -> Schema {
     Schema::new(&[
@@ -37,16 +34,8 @@ fn row(k: i64) -> Vec<Value> {
     ]
 }
 
-fn empty_table(group_size: u32, partitioned: bool) -> TableMeta {
-    let meta = TableMeta::new(TableId(1), "t", schema(), group_size).with_hg_indexes(&["bucket"]);
-    if partitioned {
-        meta.with_partitioning(RangePartitioning {
-            column: KEY,
-            bounds: vec![50, 150, 400],
-        })
-    } else {
-        meta
-    }
+fn empty_table(group_size: u32) -> TableMeta {
+    TableMeta::new(TableId(1), "t", schema(), group_size)
 }
 
 fn full_scan(meta: &TableMeta, store: &MemPageStore, pred: Option<&Expr>) -> Chunk {
@@ -56,7 +45,7 @@ fn full_scan(meta: &TableMeta, store: &MemPageStore, pred: Option<&Expr>) -> Chu
 
 /// The oracle: the table reloaded from nothing with `keys` as its rows.
 fn rewritten(like: &TableMeta, keys: &[i64], store: &MemPageStore) -> TableMeta {
-    let mut meta = empty_table(like.row_group_size, like.partitioning.is_some());
+    let mut meta = empty_table(like.row_group_size);
     let meter = WorkMeter::new();
     let mut w = TableWriter::new(&mut meta, store, TxnId(1), &meter);
     for &k in keys {
@@ -79,7 +68,7 @@ proptest! {
         let (store, oracle_store) = (MemPageStore::new(), MemPageStore::new());
         let mut keys: Vec<i64> = (0..initial as i64).collect();
         let mut next_key = initial as i64;
-        let mut meta = rewritten(&empty_table(group_size, initial % 2 == 1), &keys, &store);
+        let mut meta = rewritten(&empty_table(group_size), &keys, &store);
 
         for (kind, a, b) in ops {
             match kind {
@@ -120,24 +109,12 @@ proptest! {
                 full_scan(&meta, &store, None),
                 full_scan(&oracle, &oracle_store, None)
             );
-            // Zones and partition tags of rewritten groups still prune
-            // soundly.
+            // Zones of rewritten groups still prune soundly.
             let pred = Expr::lt(Expr::col(KEY), Expr::lit_i64(next_key / 2));
             prop_assert_eq!(
                 full_scan(&meta, &store, Some(&pred)),
                 full_scan(&oracle, &oracle_store, Some(&pred))
             );
-            // HG postings: one per row, each leading to a row of its key.
-            let never_written = HgIndex::new();
-            let idx = meta.hg_indexes.get(&BUCKET).unwrap_or(&never_written);
-            prop_assert_eq!(idx.rows(), keys.len() as u64);
-            for bucket in 0..13i64 {
-                let want: Vec<i64> = keys.iter().copied().filter(|k| k % 13 == bucket).collect();
-                let postings: Vec<u64> =
-                    idx.lookup(bucket).map(|set| set.iter().collect()).unwrap_or_default();
-                let got = meta.gather_rows(&store, KEY, &postings, &meter).unwrap();
-                prop_assert_eq!(got.i64s(), &want[..]);
-            }
         }
     }
 }

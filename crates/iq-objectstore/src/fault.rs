@@ -405,8 +405,9 @@ impl ObjectBackend for FaultInjector {
     }
 }
 
-/// SplitMix64 finalizer (stateless hash behind all fault decisions).
-fn splitmix(mut z: u64) -> u64 {
+/// SplitMix64 finalizer: the stateless hash behind every fault decision
+/// and the retry policy's deterministic jitter.
+pub(crate) fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

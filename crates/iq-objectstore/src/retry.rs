@@ -28,6 +28,7 @@ use bytes::Bytes;
 use iq_common::trace::{self, EventKind};
 use iq_common::{IqError, IqResult, ObjectKey, SimDuration};
 
+use crate::fault::splitmix;
 use crate::object_store::ConsistencyConfig;
 use crate::traits::{ObjectBackend, RangeRead, DELETE_BATCH_MAX};
 
@@ -319,15 +320,6 @@ impl RetryPolicy {
             retried_keys,
         }
     }
-}
-
-/// SplitMix64 finalizer — the stateless hash behind the deterministic
-/// jitter.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
-//! TPC-H physical database: schemas, the paper's physical design
-//! (range partitioning + HG indexes, §6), and the load path.
+//! TPC-H physical database: schemas and the load path. The paper's
+//! physical design (§6: range-partitioned tables, HG indexes on seven
+//! join columns) is not declared: no plan here probes an index and the
+//! per-row-group zone maps already bound every date column.
 
 use iq_common::{IqResult, TableId, TxnId};
-use iq_engine::table::{RangePartitioning, Schema, TableMeta, TableWriter};
-use iq_engine::value::{date_to_days, DataType, Value};
+use iq_engine::table::{Schema, TableMeta, TableWriter};
+use iq_engine::value::{DataType, Value};
 use iq_engine::{PageStore, WorkMeter};
 
 use crate::gen::Generator;
@@ -32,18 +34,8 @@ pub struct TpchDb {
 
 use DataType::{Date, Str, F64, I64};
 
-fn yearly_bounds() -> Vec<i64> {
-    (1993..=1998)
-        .map(|y| date_to_days(y, 1, 1) as i64)
-        .collect()
-}
-
 impl TpchDb {
-    /// Empty table metadata with the paper's physical design. "The TPC-H
-    /// tables are created as range-partitioned, and High-Group (HG)
-    /// indexes are created on the following columns: o_custkey,
-    /// n_regionkey, s_nationkey, c_nationkey, ps_suppkey, ps_partkey and
-    /// l_orderkey" (§6).
+    /// Empty table metadata for the eight tables.
     pub fn schemas(sf: f64, row_group_size: u32) -> Self {
         let region = TableMeta::new(
             TableId(1),
@@ -61,8 +53,7 @@ impl TpchDb {
                 ("n_comment", Str),
             ]),
             row_group_size,
-        )
-        .with_hg_indexes(&["n_regionkey"]);
+        );
         let supplier = TableMeta::new(
             TableId(3),
             "supplier",
@@ -76,8 +67,7 @@ impl TpchDb {
                 ("s_comment", Str),
             ]),
             row_group_size,
-        )
-        .with_hg_indexes(&["s_nationkey"]);
+        );
         let customer = TableMeta::new(
             TableId(4),
             "customer",
@@ -92,8 +82,7 @@ impl TpchDb {
                 ("c_comment", Str),
             ]),
             row_group_size,
-        )
-        .with_hg_indexes(&["c_nationkey"]);
+        );
         let part = TableMeta::new(
             TableId(5),
             "part",
@@ -121,8 +110,7 @@ impl TpchDb {
                 ("ps_comment", Str),
             ]),
             row_group_size,
-        )
-        .with_hg_indexes(&["ps_suppkey", "ps_partkey"]);
+        );
         let orders = TableMeta::new(
             TableId(7),
             "orders",
@@ -138,12 +126,7 @@ impl TpchDb {
                 ("o_comment", Str),
             ]),
             row_group_size,
-        )
-        .with_partitioning(RangePartitioning {
-            column: 4,
-            bounds: yearly_bounds(),
-        })
-        .with_hg_indexes(&["o_custkey"]);
+        );
         let lineitem = TableMeta::new(
             TableId(8),
             "lineitem",
@@ -166,12 +149,7 @@ impl TpchDb {
                 ("l_comment", Str),
             ]),
             row_group_size,
-        )
-        .with_partitioning(RangePartitioning {
-            column: 10,
-            bounds: yearly_bounds(),
-        })
-        .with_hg_indexes(&["l_orderkey"]);
+        );
         Self {
             region,
             nation,
@@ -287,13 +265,6 @@ mod tests {
         assert!(db.lineitem.row_count() >= 1_500);
         assert!(meter.total() > 0);
         assert!(store.page_count() > 0);
-        // Physical design: HG indexes exist on the paper's columns.
-        assert!(db.orders.hg_indexes.contains_key(&1)); // o_custkey
-        assert!(db.lineitem.hg_indexes.contains_key(&0)); // l_orderkey
-        assert!(db.partsupp.hg_indexes.len() == 2);
-        // Range partitioning declared on the date columns.
-        assert!(db.orders.partitioning.is_some());
-        assert!(db.lineitem.partitioning.is_some());
         assert!(db.table("lineitem").is_some());
         assert!(db.table("nope").is_none());
     }

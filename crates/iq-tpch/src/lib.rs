@@ -7,7 +7,8 @@
 //! The paper's evaluation (§6) runs TPC-H at scale factor 1000 with
 //! range-partitioned tables and HG indexes on `o_custkey`, `n_regionkey`,
 //! `s_nationkey`, `c_nationkey`, `ps_suppkey`, `ps_partkey` and
-//! `l_orderkey`; [`db::TpchDb`] declares exactly that physical design.
+//! `l_orderkey`. [`db::TpchDb`] declares neither: no plan here probes an
+//! index and row-group zone maps do the partitions' pruning.
 //! The generator reproduces dbgen's schema, key structure, value
 //! distributions and date ranges at any scale factor — the official
 //! qualification answers apply only at SF 1, so tests validate queries by

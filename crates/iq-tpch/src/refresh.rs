@@ -148,8 +148,6 @@ mod tests {
             meta.schema.clone(),
             meta.row_group_size,
         );
-        next.partitioning = meta.partitioning.clone();
-        next.hg_columns = meta.hg_columns.clone();
         let mut w = TableWriter::new(&mut next, store, TxnId(9), meter);
         for r in 0..current.len() {
             let row = current.row(r);

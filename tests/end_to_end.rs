@@ -2,6 +2,7 @@
 //! the simulated object store, exercising the paper's §3 write discipline.
 
 use bytes::Bytes;
+use cloudiq::common::trace::MetricValue;
 use cloudiq::common::{IqError, NodeId, TableId};
 use cloudiq::core::{Database, DatabaseConfig};
 use cloudiq::engine::table::{Schema, TableMeta, TableWriter};
@@ -393,15 +394,22 @@ fn database_stats_aggregate_the_stack() {
     if let Some(ocm) = db.ocm() {
         ocm.quiesce();
     }
-    let s = db.stats();
-    assert!(s.cloud_objects > 0);
-    assert!(s.cloud_resident_bytes > 0);
-    assert_eq!(s.max_key_writes, 1);
-    assert_eq!(s.active_txns, 0);
-    assert!(s.max_allocated_key > 0);
-    // Serializes for monitoring endpoints.
-    let json = serde_json::to_string(&s).unwrap();
-    assert!(json.contains("cloud_objects"));
+    let metrics = db.metrics();
+    let u64_of = |key: &str| match metrics[key] {
+        MetricValue::U64(v) => v,
+        MetricValue::F64(v) => panic!("{key} is a gauge: {v}"),
+    };
+    assert_eq!(u64_of("txn.active"), 0);
+    assert!(u64_of("txn.max_allocated_key") > 0);
+    // 300 rows in groups of 64, two columns: ten pages, flushed at commit
+    // and still cached.
+    assert_eq!(u64_of("buffer.commit_flushes"), 10);
+    assert!((1..=8 * 1024).contains(&u64_of("buffer.used_bytes")));
+    let store = db.cloud_store(space).unwrap();
+    assert!(store.object_count() > 0);
+    assert!(cloudiq::objectstore::ObjectBackend::resident_bytes(store.as_ref()) > 0);
+    assert_eq!(store.max_write_count(), 1);
+    assert_eq!(db.snapshot_manager().unwrap().retained_count(), 0);
 }
 
 #[test]
