@@ -3,7 +3,7 @@
 # runner — never on times.
 #
 # Input: the `--out` JSON of
-#   wallbench --workload <power_warm|scan_cold|ingest> --quick --trace 1
+#   wallbench --workload <power_warm|scan_cold|ingest|txn_churn> --quick --trace 1
 # Checked on every workload: no operation failed and every output matched
 # its reference. On the two that run the plans, also:
 #   * the engine did exactly the metered work and page reads it has done
@@ -24,8 +24,17 @@
 #   * <= 500 data-store PUTs and <= 600 scanned pages a round. A refresh
 #     writes the row groups it changes (400 and 346 measured); one that
 #     rewrites `orders` and `lineitem` whole costs 1 900 and 2 554.
+# Its bytes are gated exactly (three runs of the commit before the page
+# codec was rewritten agreed to the last digit, PUT count included; the
+# PUT count stays a ceiling because full-length runs have seen it move):
+#   * bytes written per user byte and the stored / raw ratio of sealed
+#     pages. The page compressor's token stream is pinned by these: a
+#     parse that finds other matches moves both.
+# `txn_churn` (one committer: 4-page transactions, GC, snapshots,
+# checkpoints, restarts) repeats exactly, so all three are equalities:
+#   * PUTs, bytes written per user byte, stored / raw ratio.
 #
-# Usage: ci/bench_counts.sh /tmp/pw.json [/tmp/sc.json /tmp/in.json ...]
+# Usage: ci/bench_counts.sh /tmp/pw.json [/tmp/sc.json /tmp/in.json /tmp/tc.json ...]
 
 set -euo pipefail
 [[ $# -ge 1 ]] || {
@@ -45,7 +54,9 @@ gate() { # file workload jq-condition over $m, the metric values
               + (.metrics | with_entries(select(.key | IN(
                   "store_gets_per_round", "buffer.hit_ratio",
                   "engine.work_units_per_round", "engine.scan_pages_read_per_round",
-                  "proc.allocs_per_page_read", "objectstore.puts"))) | map_values(.value))' "$1" >&2
+                  "proc.allocs_per_page_read", "objectstore.puts",
+                  "objectstore.bytes_written_per_user_byte",
+                  "storage.compression_ratio"))) | map_values(.value))' "$1" >&2
         exit 1
     }
     echo "bench_counts: $2 counters hold"
@@ -71,11 +82,20 @@ for out in "$@"; do
     if jq -e '.workloads | has("ingest")' "$out" >/dev/null; then
         gate "$out" ingest '
             $m."objectstore.puts" <= 500
-            and $m."engine.scan_pages_read_per_round" <= 600'
+            and $m."engine.scan_pages_read_per_round" <= 600
+            and $m."objectstore.bytes_written_per_user_byte" == 0.3038639243162959
+            and $m."storage.compression_ratio" == 1.0304481946217767'
+        checked=1
+    fi
+    if jq -e '.workloads | has("txn_churn")' "$out" >/dev/null; then
+        gate "$out" txn_churn '
+            $m."objectstore.puts" == 8971
+            and $m."objectstore.bytes_written_per_user_byte" == 1.7486667277018229
+            and $m."storage.compression_ratio" == 1.7486667277018229'
         checked=1
     fi
     [[ $checked == 1 ]] || {
-        echo "bench_counts: $out holds none of power_warm, scan_cold, ingest" >&2
+        echo "bench_counts: $out holds none of power_warm, scan_cold, ingest, txn_churn" >&2
         exit 1
     }
 done

@@ -25,15 +25,17 @@ fn keystream(key: u64, counter: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// XOR-encrypt/decrypt (involution).
+/// XOR-encrypt/decrypt (involution): one keystream word per eight bytes,
+/// applied a word at a time.
 pub fn apply(key: u64, data: &[u8]) -> Bytes {
     let mut out = Vec::with_capacity(data.len());
-    for (i, chunk) in data.chunks(8).enumerate() {
-        let ks = keystream(key, i as u64).to_le_bytes();
-        for (j, &b) in chunk.iter().enumerate() {
-            out.push(b ^ ks[j]);
-        }
+    let mut words = data.chunks_exact(8);
+    for (i, chunk) in (&mut words).enumerate() {
+        let word = u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"));
+        out.extend_from_slice(&(word ^ keystream(key, i as u64)).to_le_bytes());
     }
+    let ks = keystream(key, (data.len() / 8) as u64).to_le_bytes();
+    out.extend(words.remainder().iter().zip(ks).map(|(b, k)| b ^ k));
     Bytes::from(out)
 }
 
@@ -56,6 +58,29 @@ mod tests {
         let enc = apply(1, &data);
         let bad = apply(2, &enc);
         assert_ne!(&bad[..], &data[..]);
+    }
+
+    #[test]
+    fn ciphertext_equals_the_byte_at_a_time_loop() {
+        fn bytewise(key: u64, data: &[u8]) -> Vec<u8> {
+            let mut out = Vec::with_capacity(data.len());
+            for (i, chunk) in data.chunks(8).enumerate() {
+                let ks = keystream(key, i as u64).to_le_bytes();
+                for (j, &b) in chunk.iter().enumerate() {
+                    out.push(b ^ ks[j]);
+                }
+            }
+            out
+        }
+        let mut rng = iq_common::DetRng::new(5);
+        let data: Vec<u8> = (0..4096 + 7).map(|_| rng.next_u64() as u8).collect();
+        // Every tail length, and a whole page image.
+        for len in (0..=24).chain([4096, data.len()]) {
+            assert_eq!(
+                &apply(77, &data[..len])[..],
+                &bytewise(77, &data[..len])[..]
+            );
+        }
     }
 
     #[test]

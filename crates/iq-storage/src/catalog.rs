@@ -15,7 +15,7 @@ use iq_common::{BlockNum, IqError, IqResult, TableId, VersionId};
 use iq_objectstore::BlockBackend;
 use serde::{Deserialize, Serialize};
 
-use crate::checksum::fnv1a64;
+use crate::checksum::checksum64;
 use crate::identity::IdentityObject;
 
 const CATALOG_MAGIC: u32 = 0x4951_4341; // "IQCA"
@@ -83,7 +83,7 @@ impl Catalog {
         let mut image = Vec::with_capacity(bs + payload.len());
         image.extend_from_slice(&CATALOG_MAGIC.to_le_bytes());
         image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        image.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        image.extend_from_slice(&checksum64(0, &payload).to_le_bytes());
         image.resize(bs, 0);
         image.extend_from_slice(&payload);
         let padded = image.len().div_ceil(bs) * bs;
@@ -108,7 +108,7 @@ impl Catalog {
         if payload.len() != len {
             return Err(IqError::Catalog("catalog payload truncated".into()));
         }
-        if fnv1a64(payload) != checksum {
+        if checksum64(0, payload) != checksum {
             return Err(IqError::Catalog("catalog checksum mismatch".into()));
         }
         serde_json::from_slice(payload).map_err(|e| IqError::Catalog(format!("parse catalog: {e}")))

@@ -10,6 +10,8 @@
 //!
 //! * [`page`] — the physical page image: header, checksum, page-level
 //!   compression, 1–16 block padding.
+//! * [`checksum`] — the one word-at-a-time 64-bit sum over page images
+//!   (header fields and payload) and the catalog blob.
 //! * [`compress`] — the page-level compressor (an LZ77-class codec built
 //!   from scratch) standing in for IQ's page compression.
 //! * [`freelist`] — the dense allocation bitmap for conventional dbspaces;

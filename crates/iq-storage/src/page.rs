@@ -11,12 +11,16 @@ use bytes::Bytes;
 use iq_common::{IqError, IqResult, PageId, VersionId};
 use serde::{Deserialize, Serialize};
 
-use crate::checksum::fnv1a64;
+use crate::checksum::checksum64;
 use crate::compress;
 
 /// Fixed header size of a sealed page image.
 pub const HEADER_LEN: usize = 40;
 const MAGIC: u32 = 0x4951_5047; // "IQPG"
+/// Header bytes `[0, CHECKSUM_AT)` are the fields, the rest the checksum.
+const CHECKSUM_AT: usize = HEADER_LEN - 8;
+/// The one flag bit in use: the payload is page-compressed.
+const FLAG_COMPRESSED: u8 = 1;
 
 /// Blocks-per-page: IQ pages span 1–16 blocks.
 pub const MAX_BLOCKS_PER_PAGE: u32 = 16;
@@ -109,39 +113,43 @@ impl Page {
     /// number of blocks. Returns the image and the number of blocks it
     /// spans (1–16).
     pub fn seal(&self, config: &StorageConfig) -> IqResult<(Bytes, u8)> {
-        if self.body.len() > Self::max_body_len(config) {
+        let body = &self.body[..];
+        if body.len() > Self::max_body_len(config) {
             return Err(IqError::Invalid(format!(
                 "page body of {} bytes exceeds page size {}",
-                self.body.len(),
+                body.len(),
                 config.page_size
             )));
         }
-        let compressed = compress::compress(&self.body);
-        // Store compressed only when it actually saves space.
-        let (payload, flags): (&[u8], u8) = if compressed.len() < self.body.len() {
-            (&compressed, 1)
-        } else {
-            (&self.body, 0)
-        };
-
         let block = config.block_size() as usize;
-        let image_len = (HEADER_LEN + payload.len()).div_ceil(block) * block;
+        // Room for the raw body, the larger of the two payloads; the
+        // compressor writes behind the reserved header and gives up once
+        // it is no smaller than that.
+        let mut image = Vec::with_capacity((HEADER_LEN + body.len()).next_multiple_of(block));
+        image.resize(HEADER_LEN, 0);
+        // Store compressed only when it actually saves space.
+        let compressed =
+            !body.is_empty() && compress::compress_into(body, &mut image, body.len() - 1);
+        if !compressed {
+            image.extend_from_slice(body);
+        }
+        let payload_len = image.len() - HEADER_LEN;
+
+        let header = &mut image[..HEADER_LEN];
+        header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+        header[4] = self.kind as u8;
+        header[5] = if compressed { FLAG_COMPRESSED } else { 0 };
+        // [6, 8) reserved, zero.
+        header[8..16].copy_from_slice(&self.id.0.to_le_bytes());
+        header[16..24].copy_from_slice(&self.version.0.to_le_bytes());
+        header[24..28].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        header[28..32].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        let checksum = image_checksum(&image);
+        image[CHECKSUM_AT..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+
+        let image_len = image.len().next_multiple_of(block);
         let blocks = (image_len / block) as u8;
         debug_assert!(blocks as u32 <= MAX_BLOCKS_PER_PAGE);
-
-        let mut image = Vec::with_capacity(image_len);
-        image.extend_from_slice(&MAGIC.to_le_bytes());
-        image.push(self.kind as u8);
-        image.push(flags);
-        image.extend_from_slice(&[0u8; 2]); // reserved
-        image.extend_from_slice(&self.id.0.to_le_bytes());
-        image.extend_from_slice(&self.version.0.to_le_bytes());
-        image.extend_from_slice(&(self.body.len() as u32).to_le_bytes());
-        image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let checksum = fnv1a64(payload);
-        image.extend_from_slice(&checksum.to_le_bytes());
-        debug_assert_eq!(image.len(), HEADER_LEN);
-        image.extend_from_slice(payload);
         image.resize(image_len, 0);
         Ok((Bytes::from(image), blocks))
     }
@@ -158,22 +166,29 @@ impl Page {
         let kind = PageKind::from_u8(image[4])
             .ok_or_else(|| IqError::Corruption(format!("bad page kind {}", image[4])))?;
         let flags = image[5];
+        if flags & !FLAG_COMPRESSED != 0 {
+            return Err(IqError::Corruption(format!(
+                "unknown page flags {flags:#x}"
+            )));
+        }
         let id = PageId(u64::from_le_bytes(image[8..16].try_into().unwrap()));
         let version = VersionId(u64::from_le_bytes(image[16..24].try_into().unwrap()));
         let body_len = u32::from_le_bytes(image[24..28].try_into().unwrap()) as usize;
         let payload_len = u32::from_le_bytes(image[28..32].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(image[32..40].try_into().unwrap());
+        let checksum = u64::from_le_bytes(image[CHECKSUM_AT..HEADER_LEN].try_into().unwrap());
         let end = HEADER_LEN + payload_len;
         if end > image.len() {
             return Err(IqError::Corruption("payload extends past image".into()));
         }
-        let payload = &image[HEADER_LEN..end];
-        if fnv1a64(payload) != checksum {
+        if image_checksum(&image[..end]) != checksum {
             return Err(IqError::Corruption(format!(
                 "checksum mismatch on page {id}"
             )));
         }
-        let body = if flags & 1 != 0 {
+        let payload = &image[HEADER_LEN..end];
+        let body = if flags & FLAG_COMPRESSED != 0 {
+            // `decompress` bounds `body_len` by what `payload` can encode
+            // before it allocates.
             Bytes::from(compress::decompress(payload, body_len)?)
         } else {
             if payload_len != body_len {
@@ -188,6 +203,12 @@ impl Page {
             body,
         })
     }
+}
+
+/// The sum stored at [`CHECKSUM_AT`]: over the header fields before it,
+/// chained into the payload. `image` ends where the payload does.
+fn image_checksum(image: &[u8]) -> u64 {
+    checksum64(checksum64(0, &image[..CHECKSUM_AT]), &image[HEADER_LEN..])
 }
 
 #[cfg(test)]
