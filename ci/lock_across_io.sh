@@ -40,7 +40,6 @@ for f in crates/iq-buffer/src/*.rs crates/iq-ocm/src/*.rs \
          crates/iq-core/src/log_recovery.rs \
          crates/iq-bench/src/scheduler.rs \
          crates/iq-engine/src/table.rs \
-         crates/iq-engine/src/prefetch.rs \
          crates/iq-engine/src/scanstats.rs; do
   awk -v FILE="$f" '
     BEGIN { depth = 0; nguards = 0; bad = 0 }

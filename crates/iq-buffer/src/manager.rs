@@ -438,10 +438,9 @@ impl BufferManager {
         loader: impl FnOnce() -> IqResult<Page>,
     ) -> IqResult<Page> {
         let idx = self.shard_of(&key);
-        // Single-flight: concurrent readers of the same frame (e.g. a
-        // morsel worker demand-reading a group whose prefetch another
-        // worker claimed moments earlier) must not run `loader` twice.
-        // A duplicate load would double-charge the I/O meters and make
+        // Single-flight: concurrent readers of the same frame (two
+        // sessions scanning one table) must not run `loader` twice. A
+        // duplicate load would double-charge the I/O meters and make
         // the demand/prefetch split depend on thread timing.
         {
             let mut inner = self.lock_shard(idx);

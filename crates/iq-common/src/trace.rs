@@ -275,19 +275,6 @@ pub enum EventKind {
         /// Key offset.
         key: u64,
     },
-    /// Prefetch admission: a speculative window prefetch was shed because
-    /// the in-flight budget was exhausted — the scan degrades those pages
-    /// to demand loads instead of queueing behind a slow backend.
-    PrefetchShed {
-        /// Row groups dropped from the speculative window.
-        groups: u64,
-    },
-    /// Prefetch admission: the AIMD controller shrank the in-flight limit
-    /// after the backend pushed back (SlowDown / retries exhausted).
-    PrefetchThrottle {
-        /// The new in-flight limit.
-        limit: u64,
-    },
     /// Scan: one morsel (row group) was claimed and processed.
     ScanMorsel {
         /// Table id.
@@ -367,8 +354,6 @@ impl EventKind {
             EventKind::GcTick { .. } => "GcTick",
             EventKind::GcBatch { .. } => "GcBatch",
             EventKind::DeferredDelete { .. } => "DeferredDelete",
-            EventKind::PrefetchShed { .. } => "PrefetchShed",
-            EventKind::PrefetchThrottle { .. } => "PrefetchThrottle",
             EventKind::ScanMorsel { .. } => "ScanMorsel",
             EventKind::GroupPruned { .. } => "GroupPruned",
             EventKind::LateMatSkip { .. } => "LateMatSkip",
@@ -588,11 +573,6 @@ impl MetricsRegistry {
         sources.push((name.to_string(), Box::new(source)));
     }
 
-    /// Remove a named source.
-    pub fn unregister(&self, name: &str) {
-        self.sources.lock().retain(|(n, _)| n != name);
-    }
-
     /// Evaluate every source into a sorted `source.metric → value` map.
     pub fn snapshot(&self) -> BTreeMap<String, MetricValue> {
         let sources = self.sources.lock();
@@ -727,7 +707,5 @@ mod tests {
         reg.register("zeta", || vec![("b".into(), MetricValue::U64(3))]);
         assert_eq!(snap.len(), 3);
         assert_eq!(reg.snapshot()["zeta.b"], MetricValue::U64(3));
-        reg.unregister("alpha");
-        assert_eq!(reg.snapshot().len(), 1);
     }
 }

@@ -158,9 +158,9 @@ impl PageStore for Pager {
             if self.shared.buffer.contains(key) {
                 continue;
             }
-            // Prefetched loads are charged as overlapped I/O, not demand
-            // misses — the prefetcher "goes far beyond sequential
-            // block-based prefetching" (§1); ours is plan-driven.
+            // Non-demand loads are charged as overlapped I/O, not demand
+            // misses. Nothing runs in the background: the scan calls this
+            // for the group it reads next, on the lane that reads it.
             self.shared
                 .buffer
                 .get_or_load(key, false, self, || self.load_page(table, page, false))?;

@@ -17,7 +17,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::chunk::Col;
 use crate::mask::Mask;
-use crate::value::DataType;
 
 /// Per-column string dictionary (built during load, stable thereafter).
 #[derive(Debug, Default, Clone)]
@@ -347,17 +346,6 @@ pub(crate) fn decode_codes_as<T>(
     NBit::parse(payload, count)?.collect(None, |c| Ok(f(c as u32)))
 }
 
-/// The declared type of an encoded column image.
-pub fn encoded_type(bytes: &[u8]) -> Option<DataType> {
-    match *bytes.first()? {
-        TAG_I64 => Some(DataType::I64),
-        TAG_F64 => Some(DataType::F64),
-        TAG_STR => Some(DataType::Str),
-        TAG_DATE => Some(DataType::Date),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,7 +439,6 @@ mod tests {
         let d = vec![10_000i32, 10_500, 9_000];
         let enc = encode_column(&Col::Date(d.clone()), None).unwrap();
         assert_eq!(decode_column(&enc, None).unwrap().dates(), &d[..]);
-        assert_eq!(encoded_type(&enc), Some(DataType::Date));
     }
 
     #[test]

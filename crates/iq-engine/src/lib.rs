@@ -16,7 +16,8 @@
 //! * [`zonemap`] — per-page min/max zone maps used "to early-prune pages
 //!   that are not needed for a query" (§1).
 //! * [`table`] — tables stored as row groups, one page per (row-group,
-//!   column); the load path and the pruning scan.
+//!   column); the load path and the pruning scan, which asks the store
+//!   for exactly the pages it reads — nothing is fetched ahead.
 //! * [`store`] — the [`store::PageStore`] trait the engine reads/writes
 //!   pages through; `iq-core` implements it with the full cloud storage
 //!   stack, unit tests with an in-memory map.
@@ -33,7 +34,6 @@ pub mod expr;
 pub mod mask;
 pub mod meter;
 pub mod ops;
-pub mod prefetch;
 pub mod scanstats;
 pub mod store;
 pub mod table;
@@ -45,7 +45,6 @@ pub use expr::Expr;
 pub use mask::Mask;
 pub use meter::WorkMeter;
 pub use ops::OpExec;
-pub use prefetch::{PrefetchAdmission, PrefetchTicket, PREFETCH_DEPTH};
 pub use scanstats::ScanStats;
 pub use store::{MemPageStore, PageStore};
 pub use table::{ColumnDef, ScanOptions, Schema, Stage, TableMeta, TableWriter};

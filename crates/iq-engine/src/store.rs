@@ -30,9 +30,12 @@ pub trait PageStore: Send + Sync {
         txn: TxnId,
     ) -> IqResult<()>;
 
-    /// Hint that `pages` will be read soon; implementations overlap the
-    /// fetches ("prefetching techniques have been specifically tuned",
-    /// §1).
+    /// Load `pages` as non-demand reads: the caller is about to read
+    /// them, but no query is charged for waiting on them. A scan hands
+    /// this only the pages of the group the calling task reads next;
+    /// an error here never fails it (the demand read that follows
+    /// resurfaces a real fault). The paper's tuned, latency-hiding
+    /// prefetcher (§1) is not reproduced — nothing is fetched ahead.
     fn prefetch(&self, table: TableId, pages: &[PageId]) -> IqResult<()>;
 
     /// Degree of morsel parallelism scans through this store should use.

@@ -8,6 +8,9 @@
 //! zone map already is the partition summary at row-group granularity,
 //! and no plan probes an index (EXPERIMENTS.md, "Honest limitations").
 //!
+//! A scan loads a page only in the task that is about to decode it: one
+//! task per surviving row group, its own pages, no read-ahead.
+//!
 //! Updates are page-granular: [`TableWriter::reopen`] appends by refilling
 //! the partial last group, [`TableMeta::delete_keys`] rewrites in place
 //! only the groups that hold a deleted row. Every other page keeps its id
@@ -17,7 +20,6 @@
 
 use std::borrow::Cow;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bytes::Bytes;
 use iq_common::trace::{self, EventKind};
@@ -30,7 +32,6 @@ use crate::encode::{decode_codes_as, decode_rows, encode_column, Dictionary};
 use crate::expr::Expr;
 use crate::mask::Mask;
 use crate::meter::{cost, WorkMeter};
-use crate::prefetch::{PrefetchAdmission, PREFETCH_DEPTH};
 use crate::scanstats::ScanStats;
 use crate::store::PageStore;
 use crate::value::{DataType, Value};
@@ -168,7 +169,7 @@ impl TableMeta {
     }
 
     /// Scan: read `projection` columns for rows passing `pred`, consulting
-    /// zone maps to skip groups and prefetching ahead of the read point.
+    /// zone maps to skip groups.
     ///
     /// The degree of morsel parallelism comes from the store (see
     /// [`PageStore::scan_parallelism`]); output is identical to a serial
@@ -196,13 +197,15 @@ impl TableMeta {
 
     /// The scan hot path: a two-phase late-materialization morsel scan.
     ///
-    /// Each surviving row group is one morsel: a worker claims it, issues
-    /// its share of the speculative prefetch window (predicate pages
-    /// only), demand-reads and decodes the predicate inputs, and
-    /// evaluates the mask. A group whose mask comes up all-false is
-    /// finished — its projection pages are never requested. Otherwise the
-    /// projection pages are issued and read, and only projected columns
-    /// are filtered. Per-group result chunks are stitched back in group
+    /// Each surviving row group is one morsel, and the task that owns it
+    /// is the only one that asks for its pages: it loads and decodes the
+    /// predicate inputs and evaluates the mask. A group whose mask comes
+    /// up all-false is finished — its projection pages are never
+    /// requested. Otherwise the projection pages are loaded and read, and
+    /// only projected columns are filtered. Nothing is fetched ahead of
+    /// the group being read, so the scan's I/O plan is a function of the
+    /// survivor list: each page requested once, by the task that decodes
+    /// it. Per-group result chunks are stitched back in group
     /// order, so the output is byte-identical to a `workers == 1` run —
     /// and to an eager (`late_mat: false`) run. A [`Stage`], if given,
     /// runs on every group's chunk just before that stitch.
@@ -339,27 +342,6 @@ impl TableMeta {
             })
             .collect();
 
-        // Monotone prefetch cursor: morsel `i` wants groups `i+1 ..
-        // i+1+DEPTH` in flight, but overlapping windows must not re-issue
-        // the same pages. `fetch_max` hands each task the not-yet-issued
-        // tail of its window (disjoint ranges), so every surviving group is
-        // prefetch-issued exactly once — serial or parallel. Group 0 is
-        // demand-read, never prefetched, as before.
-        let prefetch_cursor = AtomicUsize::new(1);
-        // Speculative windows pass through admission: bounded in flight,
-        // AIMD-shrunk when the store throttles, shed (degrading those
-        // pages to demand loads) instead of queueing behind SlowDowns.
-        // Sized from the IoCore submission depth (all survivors are
-        // submitted up front, below), floored at the worker count so a
-        // fault-free scan never sheds whatever the morsel count. With
-        // shared reactor stats available, post-throttle regrowth tracks
-        // the observed queue-depth headroom instead of the fixed ceiling.
-        let depth_target = survivors.len().max(workers);
-        let mut admission = PrefetchAdmission::for_depth(depth_target);
-        if let Some(io) = store.io_stats() {
-            admission = admission.with_io(io, depth_target);
-        }
-
         // Every surviving morsel is submitted to the I/O core up front:
         // in-flight depth is the submitted batch, not the lane count, so
         // the `io.*` in-flight peak reports survivors — the io_uring-style
@@ -369,41 +351,20 @@ impl TableMeta {
             io = io.with_stats(s);
         }
         let chunks = io.run_ordered(survivors.len(), |i| -> IqResult<Chunk> {
-            let window_end = (i + 1 + PREFETCH_DEPTH).min(survivors.len());
-            let issued = prefetch_cursor.fetch_max(window_end, Ordering::Relaxed);
-            if issued < window_end {
-                if let Some(_ticket) = admission.admit(window_end - issued) {
-                    // Speculative windows carry phase-1 (predicate) pages
-                    // only: whether an upcoming group's projection pages
-                    // are needed at all is unknowable until its mask is
-                    // evaluated.
-                    let upcoming: Vec<PageId> = survivors[issued..window_end]
-                        .iter()
-                        .flat_map(|&ng| phase1.iter().map(move |&c| self.page_id(ng, c)))
-                        .collect();
-                    // Speculative read-ahead never fails the scan: a
-                    // throttle-class error shrinks the admission budget
-                    // and the pages arrive as demand loads instead; a
-                    // real fault resurfaces at the demand read below.
-                    match store.prefetch(self.id, &upcoming) {
-                        Ok(()) => admission.record_success(),
-                        Err(e) => admission.record_error(&e),
-                    }
-                }
-            }
             let g = survivors[i];
-            if i > 0 {
-                // The worker that claimed this group's prefetch may not
-                // have loaded it yet; loading it here (as a prefetch,
-                // no-op when already cached) keeps the metered
-                // demand/prefetch split identical to the serial scan
-                // instead of depending on which worker wins the race.
-                // Never gated — only speculative windows are shed.
-                let own: Vec<PageId> = phase1.iter().map(|&c| self.page_id(g, c)).collect();
-                if let Err(e) = store.prefetch(self.id, &own) {
-                    admission.record_error(&e);
+            // The task that owns a group loads that group's pages, each
+            // phase's just before it reads them: non-demand for every
+            // group but the first, which is demand-read. Which task owns
+            // a group never depends on timing, so neither does the
+            // metered demand / prefetch split. Errors are ignored: a real
+            // fault resurfaces at the demand read.
+            let load = |cols: &[usize]| {
+                if i > 0 && !cols.is_empty() {
+                    let own: Vec<PageId> = cols.iter().map(|&c| self.page_id(g, c)).collect();
+                    let _ = store.prefetch(self.id, &own);
                 }
-            }
+            };
+            load(&phase1);
 
             // Phase 1: demand-read and decode the predicate inputs (all
             // needed columns when eager). A page must hold exactly the
@@ -463,15 +424,9 @@ impl TableMeta {
                 if let Some(s) = &stats {
                     ScanStats::add(&s.groups_materialized, 1);
                 }
-                // Mask known and non-empty: issue this group's projection
-                // pages (same first-group demand-read discipline as
-                // phase 1).
-                if !phase2.is_empty() && i > 0 {
-                    let own: Vec<PageId> = phase2.iter().map(|&c| self.page_id(g, c)).collect();
-                    if let Err(e) = store.prefetch(self.id, &own) {
-                        admission.record_error(&e);
-                    }
-                }
+                // Mask known and non-empty: this group's projection
+                // pages are needed.
+                load(&phase2);
             }
 
             // Phase 2: demand-read the projection-only columns, decoding

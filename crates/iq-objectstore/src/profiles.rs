@@ -239,28 +239,9 @@ impl ComputeProfile {
         }
     }
 
-    /// r5.large: 2 vCPU, 16 GiB, no instance storage — the paper's
-    /// coordinator shape for the scale-out experiment (§6).
-    pub fn r5_large() -> Self {
-        Self {
-            name: "r5.large".into(),
-            cpus: 2,
-            ram_bytes: 16 * GIB,
-            ssd_bytes: 0,
-            ssd_devices: 0,
-            network_bps: 10_000_000_000,
-            usd_per_hour: 0.126,
-        }
-    }
-
     /// Buffer-manager RAM: half the instance RAM (§6).
     pub fn buffer_ram(&self) -> u64 {
         self.ram_bytes / 2
-    }
-
-    /// NIC line rate in bytes/s.
-    pub fn network_bytes_per_sec(&self) -> u64 {
-        self.network_bps / 8
     }
 }
 
@@ -298,8 +279,6 @@ mod tests {
         let p = ComputeProfile::m5ad_24xlarge();
         assert_eq!(p.cpus, 96);
         assert_eq!(p.buffer_ram(), 192 * GIB);
-        assert_eq!(p.network_bytes_per_sec(), 2_500_000_000);
-        assert!(ComputeProfile::r5_large().ssd_bytes == 0);
     }
 
     #[test]

@@ -46,13 +46,6 @@ pub struct BatchDeleteOutcome {
     pub retried_keys: u64,
 }
 
-impl BatchDeleteOutcome {
-    /// First per-key error, if any key ultimately failed.
-    pub fn first_error(&self) -> Option<&IqError> {
-        self.results.iter().find_map(|(_, r)| r.as_ref().err())
-    }
-}
-
 /// Retry budget and backoff schedule for object-store operations.
 ///
 /// The default budget is *derived* from [`ConsistencyConfig::default`]
@@ -448,7 +441,6 @@ mod tests {
         let policy = RetryPolicy::attempts(16);
         let outcome = policy.delete_batch(&inj, &keys);
         assert!(outcome.results.iter().all(|(_, r)| r.is_ok()));
-        assert!(outcome.first_error().is_none());
         assert_eq!(store.object_count(), 0, "every key must be reclaimed");
         assert!(outcome.retried_keys > 0, "fault injection inactive");
         // Only the failed subset is re-driven: at a 0.4 per-key failure
