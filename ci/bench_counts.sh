@@ -28,8 +28,11 @@
 # codec was rewritten agreed to the last digit, PUT count included; the
 # PUT count stays a ceiling because full-length runs have seen it move):
 #   * bytes written per user byte and the stored / raw ratio of sealed
-#     pages. The page compressor's token stream is pinned by these: a
-#     parse that finds other matches moves both.
+#     pages. These pin the padded image bytes, not the page compressor's
+#     token stream: images are padded to whole blocks, so a parse that
+#     finds other matches can leave both where they were (the skip-ahead
+#     matcher changed 315 of 1 462 TPC-H streams and neither number).
+#     crates/iq-storage/tests/codec_oracle.rs pins the stream.
 # `txn_churn` (one committer: 4-page transactions, GC, snapshots,
 # checkpoints, restarts) repeats exactly, so all three are equalities:
 #   * PUTs, bytes written per user byte, stored / raw ratio.

@@ -1,12 +1,15 @@
 //! The page codec against its predecessor and against hostile bytes.
 //!
 //! * `oracle_compress` is the compressor as it stood before the
-//!   allocation-free rewrite, verbatim. The rewrite claims the *same
-//!   greedy parse*, so its output must equal the oracle's byte for byte —
-//!   that is what keeps every stored byte count in the repository where it
-//!   was — over random, low-entropy, periodic, ramp-with-noise, all-zero
-//!   and n-bit-packed inputs, and whatever an earlier call left in the
+//!   allocation-free rewrite, plus the skip-ahead rule (`misses` since the
+//!   last match; a miss moves the cursor `1 + (misses >> 6)`). The product
+//!   compressor must equal it byte for byte over random, low-entropy,
+//!   periodic, ramp-with-noise, all-zero, n-bit-packed and
+//!   random-then-periodic inputs, and whatever an earlier call left in the
 //!   reused match table.
+//! * With the skip turned off the oracle is the greedy parse that tests
+//!   every position — kept here as a *ratio* reference only: on data that
+//!   compresses, skipping may cost at most 1 % of output length.
 //! * The page checksum covers the header fields as well as the payload:
 //!   every single-bit flip of either is refused.
 //! * `decompress` and `Page::unseal` take bytes read off a device: no
@@ -35,11 +38,17 @@ fn hash4(data: &[u8]) -> usize {
     (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
 }
 
-fn oracle_compress(input: &[u8]) -> Vec<u8> {
+/// A miss run tests every position for `1 << SKIP_TRIGGER` probes, then
+/// the step grows by one byte every as many probes again.
+const SKIP_TRIGGER: u32 = 6;
+
+/// The reference parse; `skip: false` tests every position (greedy).
+fn oracle_compress(input: &[u8], skip: bool) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     let mut head = vec![usize::MAX; 1 << HASH_BITS];
     let mut literal_start = 0usize;
     let mut i = 0usize;
+    let mut misses = 0usize;
 
     let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, input: &[u8]| {
         let mut s = from;
@@ -81,8 +90,10 @@ fn oracle_compress(input: &[u8]) -> Vec<u8> {
             }
             i = end;
             literal_start = i;
+            misses = 0;
         } else {
-            i += 1;
+            i += 1 + if skip { misses >> SKIP_TRIGGER } else { 0 };
+            misses += 1;
         }
     }
     flush_literals(&mut out, literal_start, input.len(), input);
@@ -113,13 +124,14 @@ fn nbit_column(rng: &mut DetRng, rows: usize, width: u32) -> Vec<u8> {
     out
 }
 
-const MODES: [&str; 6] = [
+const MODES: [&str; 7] = [
     "random",
     "2-bit",
     "period-17",
     "ramp+noise",
     "zero",
     "n-bit",
+    "random+period",
 ];
 
 fn input(mode: &str, len: usize, rng: &mut DetRng) -> Vec<u8> {
@@ -141,6 +153,12 @@ fn input(mode: &str, len: usize, rng: &mut DetRng) -> Vec<u8> {
             let mut image = nbit_column(rng, len * 8 / 11 + 1, 11);
             image.truncate(len);
             image.resize(len, 0);
+            image
+        }
+        // A miss run long enough to skip far, then data that matches.
+        "random+period" => {
+            let mut image = input("random", len / 2, rng);
+            image.extend(input("period-17", len - len / 2, rng));
             image
         }
         other => unreachable!("mode {other}"),
@@ -166,7 +184,7 @@ fn compress_equals_the_oracle_byte_for_byte() {
             let data = input(mode, len, &mut rng);
             let packed = compress(&data);
             assert!(
-                packed == oracle_compress(&data),
+                packed == oracle_compress(&data, true),
                 "{mode} input of {len} bytes compresses differently"
             );
             assert!(
@@ -194,7 +212,7 @@ fn a_reused_match_table_equals_a_fresh_one() {
         };
         let data = input(mode, len, &mut rng);
         assert!(
-            compress(&data) == oracle_compress(&data),
+            compress(&data) == oracle_compress(&data, true),
             "round {round}: {mode} of {len} bytes after an input of {previous} bytes"
         );
         previous = len;
@@ -203,6 +221,46 @@ fn a_reused_match_table_equals_a_fresh_one() {
     // at the same position, by the first.
     let data = input("2-bit", 20_000, &mut rng);
     assert_eq!(compress(&data), compress(&data));
+}
+
+#[test]
+fn skipping_costs_at_most_one_percent_over_the_greedy_parse() {
+    // Over the modes that compress throughout (measured: ramp+noise
+    // +0.77 %, n-bit +0.86 %, the rest +0.000 %). A random head pays the
+    // literals before its tail's first match instead: the next test.
+    let mut rng = DetRng::new(0x5c1b);
+    for mode in MODES.into_iter().filter(|m| !m.starts_with("random")) {
+        let (mut skipping, mut greedy) = (0usize, 0usize);
+        for len in sizes(&mut rng) {
+            let data = input(mode, len, &mut rng);
+            skipping += compress(&data).len();
+            greedy += oracle_compress(&data, false).len();
+        }
+        assert!(
+            skipping * 100 <= greedy * 101,
+            "{mode}: {skipping} bytes where the greedy parse takes {greedy}"
+        );
+    }
+}
+
+#[test]
+fn data_that_matches_after_a_long_miss_run_still_compresses() {
+    // 32 KiB of noise leave the cursor skipping ≈ 32 bytes a probe when
+    // the periodic tail begins: the tail costs what it costs on its own
+    // plus the literals before its first match.
+    let mut rng = DetRng::new(0x7a11);
+    let data = input("random+period", 65_536, &mut rng);
+    let (head, tail) = data.split_at(32_768);
+    let (packed, alone) = (compress(&data).len(), compress(tail).len());
+    assert!(
+        packed <= compress(head).len() + alone + 1_024,
+        "{packed} bytes; the head alone {}, the tail alone {alone}",
+        compress(head).len()
+    );
+    assert!(
+        alone < tail.len() / 32,
+        "the tail alone takes {alone} bytes"
+    );
 }
 
 fn cfg() -> StorageConfig {
