@@ -242,8 +242,15 @@ pub fn fig8(suite: &VolumeSuite) -> Report {
     let run = &suite.runs["AWS S3"];
     let load_secs = run.phase_seconds(&run.load);
     let scale = run.config.scale();
-    // The user volume is the load phase's first device.
-    let buckets = &run.load.load.devices[0].snapshot.buckets;
+    // The user volume is the load phase's first device, the input flat
+    // files its second.
+    let devices = &run.load.load.devices;
+    let buckets = &devices[0].snapshot.buckets;
+    // Dbspace traffic shares the NIC with the input-file reads streaming
+    // in beside it: spread the input over the buckets in proportion.
+    let dbspace_bytes: u64 = buckets.iter().map(|b| b.bytes).sum();
+    let input_bytes = devices[1].snapshot.bytes_for(&[IoOp::Get]);
+    let nic_share = 1.0 + input_bytes as f64 / dbspace_bytes.max(1) as f64;
     let mut r = Report::new(
         "Figure 8 — network bandwidth during load (S3 dbspace traffic)",
         &["t (s)", "Gbit/s"],
@@ -255,9 +262,7 @@ pub fn fig8(suite: &VolumeSuite) -> Report {
     for (i, chunk) in buckets.chunks(step).enumerate() {
         let bytes: u64 = chunk.iter().map(|b| b.bytes).sum();
         let secs_span = dt * chunk.len() as f64;
-        // Dbspace writes plus the simultaneous input-file reads (~2×
-        // compressed volume) share the NIC during load.
-        let gbps = (bytes as f64 * scale * 3.0) * 8.0 / secs_span.max(1e-9) / 1e9;
+        let gbps = (bytes as f64 * scale * nic_share) * 8.0 / secs_span.max(1e-9) / 1e9;
         r.row(vec![
             format!("{:.0}", dt * (i * step) as f64),
             format!("{:.2}", gbps.min(9.0)),

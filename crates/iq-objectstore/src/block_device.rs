@@ -70,19 +70,25 @@ impl BlockBackend for BlockDeviceSim {
     }
 
     fn write_blocks(&self, start: BlockNum, data: &[u8]) -> IqResult<()> {
-        if data.is_empty() || !data.len().is_multiple_of(self.block_size as usize) {
-            return Err(IqError::Invalid(format!(
-                "write of {} bytes is not a multiple of the {}-byte block size",
-                data.len(),
-                self.block_size
-            )));
+        let block = self.block_size as usize;
+        if data.is_empty() {
+            return Err(IqError::Invalid("zero-length block write".into()));
         }
-        let count = (data.len() / self.block_size as usize) as u32;
+        let count = data.len().div_ceil(block) as u32;
         self.check_range(start, count)?;
-        self.stats.record(IoOp::BlockWrite, data.len() as u64);
+        // The device stores, and is charged for, whole blocks.
+        self.stats
+            .record(IoOp::BlockWrite, count as u64 * self.block_size as u64);
         let mut blocks = self.blocks.lock();
-        for (i, chunk) in data.chunks_exact(self.block_size as usize).enumerate() {
-            blocks.insert(start.0 + i as u64, Bytes::copy_from_slice(chunk));
+        for (i, chunk) in data.chunks(block).enumerate() {
+            let stored = if chunk.len() == block {
+                Bytes::copy_from_slice(chunk)
+            } else {
+                let mut tail = vec![0u8; block];
+                tail[..chunk.len()].copy_from_slice(chunk);
+                Bytes::from(tail)
+            };
+            blocks.insert(start.0 + i as u64, stored);
         }
         Ok(())
     }
@@ -157,12 +163,33 @@ mod tests {
     }
 
     #[test]
-    fn rejects_misaligned_and_out_of_range() {
+    fn short_final_block_is_zero_filled_and_charged_whole() {
         let d = BlockDeviceSim::new(512, 4);
-        assert!(d.write_blocks(BlockNum(0), &[0u8; 100]).is_err());
+        // Dirty the block first: the fill must overwrite, not leave stale
+        // bytes behind the short write.
+        d.write_blocks(BlockNum(0), &[9u8; 512]).unwrap();
+        d.reset_stats();
+        d.write_blocks(BlockNum(0), &[5u8; 100]).unwrap();
+        assert_eq!(d.used_blocks(), 1);
+        assert_eq!(d.stats.snapshot().op(IoOp::BlockWrite).bytes, 512);
+        let back = d.read_blocks(BlockNum(0), 1).unwrap();
+        assert!(back[..100].iter().all(|&x| x == 5));
+        assert!(back[100..].iter().all(|&x| x == 0));
+        // A write that ends mid-block takes every block it touches.
+        d.write_blocks(BlockNum(1), &[6u8; 513]).unwrap();
+        assert_eq!(d.used_blocks(), 3);
+        assert_eq!(d.resident_bytes(), 3 * 512);
+    }
+
+    #[test]
+    fn rejects_empty_and_out_of_range() {
+        let d = BlockDeviceSim::new(512, 4);
+        assert!(d.write_blocks(BlockNum(0), &[]).is_err());
         assert!(d.write_blocks(BlockNum(3), &[0u8; 1024]).is_err());
+        assert!(d.write_blocks(BlockNum(3), &[0u8; 513]).is_err());
         assert!(d.read_blocks(BlockNum(0), 0).is_err());
         assert!(d.read_blocks(BlockNum(4), 1).is_err());
+        assert_eq!(d.used_blocks(), 0);
     }
 
     #[test]

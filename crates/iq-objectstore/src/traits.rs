@@ -121,8 +121,10 @@ pub trait BlockBackend: Send + Sync {
     /// Device capacity in blocks.
     fn capacity_blocks(&self) -> u64;
 
-    /// Write `data` starting at block `start`. `data.len()` must be a
-    /// multiple of the block size.
+    /// Write `data` starting at block `start`, over `data.len()` rounded
+    /// up to whole blocks. A short final block is zero-filled: this is the
+    /// one place a page image is padded, because only a block device
+    /// stores whole blocks. `data` must not be empty.
     fn write_blocks(&self, start: BlockNum, data: &[u8]) -> IqResult<()>;
 
     /// Read `count` blocks starting at `start`.

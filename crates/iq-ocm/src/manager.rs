@@ -319,10 +319,7 @@ impl Ocm {
                 let mut final_slot = cache_slot;
                 if let Some((start, _)) = slot_meta {
                     // Write only the blocks the object needs within its slot.
-                    let blocks = (data.len() as u32).div_ceil(self.ssd.block_size()).max(1);
-                    let image =
-                        pad_to_blocks(&data, blocks as usize * self.ssd.block_size() as usize);
-                    if self.ssd.write_blocks(start, &image).is_err() {
+                    if self.ssd.write_blocks(start, &data).is_err() {
                         let mut inner = self.inner.lock();
                         if let Some(s) = cache_slot {
                             inner.slots.free(s);
@@ -460,7 +457,7 @@ fn allocate_slot(inner: &mut Inner, stats: &OcmStats) -> Option<u64> {
 /// Returns the length narrowed to `u32` only when it provably fits in one
 /// slot. Lengths that overflow `u32` (or merely the slot) are rejected with
 /// [`IqError::Invalid`] — the old `as u32` casts silently truncated them at
-/// PUT time, recording a wrong `CacheEntry::len` and letting the padded
+/// PUT time, recording a wrong `CacheEntry::len` and letting the
 /// image overrun neighbouring slots.
 pub fn validate_slot_len(len: usize, slot_bytes: u32) -> IqResult<u32> {
     let narrowed = u32::try_from(len).map_err(|_| {
@@ -474,13 +471,6 @@ pub fn validate_slot_len(len: usize, slot_bytes: u32) -> IqResult<u32> {
         )));
     }
     Ok(narrowed)
-}
-
-fn pad_to_blocks(data: &[u8], target: usize) -> Vec<u8> {
-    let mut v = Vec::with_capacity(target);
-    v.extend_from_slice(data);
-    v.resize(target, 0);
-    v
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -552,7 +542,7 @@ fn worker_loop(
                 }
                 // Defence in depth: never slot an image larger than a slot.
                 // The old unchecked `data.len() as u32` truncated the stored
-                // length and let the padded image overrun neighbouring slots.
+                // length and let the image overrun neighbouring slots.
                 let Ok(len) = validate_slot_len(data.len(), slot_bytes) else {
                     guard.pending_populates.remove(&key);
                     done_cv.notify_all();
@@ -564,10 +554,8 @@ fn worker_loop(
                     continue;
                 };
                 let start = guard.slots.slot_start(slot);
-                let blocks = len.div_ceil(ssd.block_size()).max(1);
                 drop(guard);
-                let image = pad_to_blocks(&data, blocks as usize * ssd.block_size() as usize);
-                let ok = ssd.write_blocks(start, &image).is_ok();
+                let ok = ssd.write_blocks(start, &data).is_ok();
                 guard = inner.lock();
                 // The key leaves the pending set in every outcome, success
                 // or not — a stale entry would count phantom hits forever.

@@ -74,8 +74,9 @@ impl Catalog {
     }
 
     /// Persist to `device` starting at block `start`. Layout: one header
-    /// block (`magic | len | checksum`) followed by the JSON payload padded
-    /// to whole blocks. Returns blocks written.
+    /// block (`magic | len | checksum`) followed by the JSON payload from
+    /// the next block on (the device zero-fills its last block). Returns
+    /// blocks written.
     pub fn save(&self, device: &dyn BlockBackend, start: BlockNum) -> IqResult<u32> {
         let payload = serde_json::to_vec(self)
             .map_err(|e| IqError::Catalog(format!("serialize catalog: {e}")))?;
@@ -86,10 +87,8 @@ impl Catalog {
         image.extend_from_slice(&checksum64(0, &payload).to_le_bytes());
         image.resize(bs, 0);
         image.extend_from_slice(&payload);
-        let padded = image.len().div_ceil(bs) * bs;
-        image.resize(padded, 0);
         device.write_blocks(start, &image)?;
-        Ok((padded / bs) as u32)
+        Ok(image.len().div_ceil(bs) as u32)
     }
 
     /// Load from `device` at block `start`.

@@ -9,7 +9,7 @@
 //! This crate reproduces that layering:
 //!
 //! * [`page`] — the physical page image: header, checksum, page-level
-//!   compression, 1–16 block padding.
+//!   compression, byte-exact (a block device pads it to 1–16 blocks).
 //! * [`checksum`] — the one word-at-a-time 64-bit sum over page images
 //!   (header fields and payload) and the catalog blob.
 //! * [`compress`] — the page-level compressor (an LZ77-class codec built

@@ -3,9 +3,13 @@
 //! The storage unit in SAP IQ is a page; "a page is stored physically as a
 //! contiguous set of blocks and can occupy anywhere between 1–16 blocks"
 //! (§2, footnote 2). A [`Page`] is the logical object; [`Page::seal`]
-//! produces the physical image — header, page-compressed payload,
-//! checksum, zero-padded to a whole number of blocks — and
-//! [`Page::unseal`] reverses it, verifying the checksum.
+//! produces the physical image — header with checksum, then the
+//! page-compressed payload, and not one byte more — and [`Page::unseal`]
+//! reverses it, verifying the checksum. The image is byte-exact because an
+//! object store bills and moves bytes, not blocks: a whole object, a
+//! composite member and an OCM entry all hold exactly the image. Only a
+//! block device stores whole blocks, so only its `write_blocks` pads the
+//! last one; `unseal` reads `payload_len` and ignores what follows.
 
 use bytes::Bytes;
 use iq_common::{IqError, IqResult, PageId, VersionId};
@@ -109,9 +113,10 @@ impl Page {
         config.page_size as usize - HEADER_LEN
     }
 
-    /// Produce the physical image: compress, checksum, pad to a whole
-    /// number of blocks. Returns the image and the number of blocks it
-    /// spans (1–16).
+    /// Produce the physical image: header and compressed (or raw) payload,
+    /// exactly `HEADER_LEN + payload_len` bytes. Returns the image and the
+    /// number of blocks it spans on a block device (1–16); only the device
+    /// pads the last one.
     pub fn seal(&self, config: &StorageConfig) -> IqResult<(Bytes, u8)> {
         let body = &self.body[..];
         if body.len() > Self::max_body_len(config) {
@@ -121,11 +126,10 @@ impl Page {
                 config.page_size
             )));
         }
-        let block = config.block_size() as usize;
         // Room for the raw body, the larger of the two payloads; the
         // compressor writes behind the reserved header and gives up once
         // it is no smaller than that.
-        let mut image = Vec::with_capacity((HEADER_LEN + body.len()).next_multiple_of(block));
+        let mut image = Vec::with_capacity(HEADER_LEN + body.len());
         image.resize(HEADER_LEN, 0);
         // Store compressed only when it actually saves space.
         let compressed =
@@ -147,10 +151,8 @@ impl Page {
         let checksum = image_checksum(&image);
         image[CHECKSUM_AT..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
 
-        let image_len = image.len().next_multiple_of(block);
-        let blocks = (image_len / block) as u8;
+        let blocks = image.len().div_ceil(config.block_size() as usize) as u8;
         debug_assert!(blocks as u32 <= MAX_BLOCKS_PER_PAGE);
-        image.resize(image_len, 0);
         Ok((Bytes::from(image), blocks))
     }
 
@@ -225,8 +227,12 @@ mod tests {
         let body = Bytes::from(vec![42u8; 1000]);
         let page = Page::new(PageId(7), VersionId(3), PageKind::Data, body);
         let (image, blocks) = page.seal(&cfg()).unwrap();
-        assert_eq!(image.len() % cfg().block_size() as usize, 0);
-        assert_eq!(blocks as usize * cfg().block_size() as usize, image.len());
+        let payload_len = u32::from_le_bytes(image[28..32].try_into().unwrap()) as usize;
+        assert_eq!(image.len(), HEADER_LEN + payload_len, "no padding");
+        assert_eq!(
+            blocks as usize,
+            image.len().div_ceil(cfg().block_size() as usize)
+        );
         let back = Page::unseal(&image).unwrap();
         assert_eq!(back, page);
     }
@@ -303,6 +309,27 @@ mod tests {
             let (image, blocks) = page.seal(&cfg()).unwrap();
             prop_assert!(blocks >= 1 && blocks as u32 <= MAX_BLOCKS_PER_PAGE);
             prop_assert_eq!(Page::unseal(&image).unwrap(), page);
+        }
+
+        /// What a block device hands back — the image zero-filled to its
+        /// last block — unseals to the same page; and with no padding
+        /// left to hide a truncation, every strict prefix is corrupt.
+        #[test]
+        fn block_padded_image_unseals_and_every_prefix_is_corrupt(
+            body in proptest::collection::vec(0u8..4, 0..2000),
+            id in any::<u64>(),
+        ) {
+            let page = Page::new(PageId(id), VersionId(1), PageKind::Data, Bytes::from(body));
+            let (image, blocks) = page.seal(&cfg()).unwrap();
+            let mut padded = image.to_vec();
+            padded.resize(blocks as usize * cfg().block_size() as usize, 0);
+            prop_assert_eq!(Page::unseal(&padded).unwrap(), page);
+            for cut in 0..image.len() {
+                prop_assert!(
+                    matches!(Page::unseal(&image[..cut]), Err(IqError::Corruption(_))),
+                    "prefix of {} / {} bytes accepted", cut, image.len()
+                );
+            }
         }
     }
 }

@@ -10,15 +10,17 @@
 //! * strictly fewer PUT requests on the packed side,
 //!
 //! with the never-write-twice invariant intact throughout, including
-//! across a compaction pass.
+//! across a compaction pass. A second test pins the composite's layout:
+//! byte-exact member images laid end to end.
 
 use std::collections::BTreeMap;
 
-use cloudiq::common::{DetRng, PageId, TableId};
+use cloudiq::common::{DetRng, PageId, PhysicalLocator, TableId};
+use cloudiq::core::tablestore::LATEST;
 use cloudiq::core::{Database, DatabaseConfig};
 use cloudiq::engine::PageStore;
-use cloudiq::objectstore::IoOp;
-use cloudiq::storage::PageKind;
+use cloudiq::objectstore::{IoOp, ObjectBackend};
+use cloudiq::storage::{CountingKeySource, Page, PageIo, PageKind};
 
 const TABLE: TableId = TableId(1);
 const PAGE_UNIVERSE: u64 = 96;
@@ -129,6 +131,88 @@ fn puts(r: &Replay) -> u64 {
         .snapshot()
         .op(IoOp::Put)
         .count
+}
+
+/// A composite is its members' sealed images laid end to end: each member
+/// starts where the one before it ends, the object is exactly the sum of
+/// their lengths, and each member is byte for byte what `Page::seal`
+/// returns — no block padding inside or after any of them.
+#[test]
+fn packed_members_are_contiguous_and_the_object_is_their_sum() {
+    let mut cfg = DatabaseConfig::test_small();
+    cfg.pack_pages = 8;
+    let storage = cfg.storage;
+    let db = Database::create(cfg).unwrap();
+    let space = db.create_cloud_dbspace("clouddata").unwrap();
+    db.create_table(TABLE, space).unwrap();
+
+    // Bodies of assorted lengths, some compressible, some not.
+    let mut rng = DetRng::new(11);
+    let bodies: Vec<bytes::Bytes> = (0..8u64)
+        .map(|p| {
+            let len = 90 + 173 * p as usize;
+            let noisy = p % 2 == 0;
+            (0..len)
+                .map(|i| {
+                    if noisy {
+                        rng.below(256) as u8
+                    } else {
+                        (i / 64) as u8
+                    }
+                })
+                .collect::<Vec<u8>>()
+                .into()
+        })
+        .collect();
+    let txn = db.begin();
+    {
+        let pager = db.pager(txn).unwrap();
+        for (p, b) in bodies.iter().enumerate() {
+            pager
+                .write_page(TABLE, PageId(p as u64), PageKind::Data, b.clone(), txn)
+                .unwrap();
+        }
+    }
+    db.commit(txn).unwrap();
+
+    let ts = db.shared().table_store(TABLE).unwrap();
+    let dbspace = db.dbspace(space).unwrap();
+    let keys = CountingKeySource::default();
+    let io = PageIo {
+        space: &dbspace,
+        keys: &keys,
+    };
+    let reader = db.begin();
+    let mut members = Vec::new();
+    for p in 0..bodies.len() as u64 {
+        let loc = ts.resolve(reader, LATEST, PageId(p), &io).unwrap().unwrap();
+        let PhysicalLocator::ObjectRange { key, offset, len } = loc else {
+            panic!("page {p} was not packed: {loc:?}");
+        };
+        members.push((key, offset, len));
+    }
+    members.sort();
+    let key = members[0].0;
+    assert!(members.iter().all(|m| m.0 == key), "one composite");
+    assert_eq!(members[0].1, 0);
+    for w in members.windows(2) {
+        assert_eq!(w[1].1, w[0].1 + w[0].2, "members {w:?} are not contiguous");
+    }
+    let store = db.cloud_store(space).unwrap();
+    store.settle();
+    let object = ObjectBackend::get(store.as_ref(), key).unwrap();
+    let sum: u32 = members.iter().map(|m| m.2).sum();
+    assert_eq!(object.len(), sum as usize, "object is Σ len");
+    let mut unaligned = 0;
+    for &(_, offset, len) in &members {
+        let image = &object[offset as usize..(offset + len) as usize];
+        let page = Page::unseal(image).unwrap();
+        assert_eq!(page.body, bodies[page.id.0 as usize]);
+        assert_eq!(&page.seal(&storage).unwrap().0[..], image);
+        unaligned += usize::from(len % storage.block_size() != 0);
+    }
+    assert!(unaligned > 0, "no member exercised a short last block");
+    db.rollback(reader).unwrap();
 }
 
 #[test]
