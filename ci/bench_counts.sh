@@ -14,7 +14,8 @@
 # fails here (it would add 38 % on TPC-H and 50 % on `txn_churn`).
 # `scan_cold`'s log store has been seen one byte longer in one run of
 # several (group-commit batching), so it gets a band of 1e-7: one byte
-# moves the ratio by 8e-9, padding by 0.07.
+# moves the ratio by 8e-9, padding by 0.07. `txn_churn`'s store PUTs per
+# MiB written repeat exactly too, and are an equality (see below).
 #
 # A traced run reports the per-layer metrics. On the two workloads that
 # run the plans:
@@ -34,17 +35,23 @@
 # on ceilings, not equalities — its PUT count jitters by half a percent
 # run to run:
 #   * <= 500 data-store PUTs and <= 600 scanned pages a round. A refresh
-#     writes the row groups it changes (400 and 346 measured); one that
+#     writes the row groups it changes (372 and 346 measured); one that
 #     rewrites `orders` and `lineitem` whole costs 1 900 and 2 554.
 # Its bytes are gated exactly (three runs of the commit before the page
 # codec was rewritten agreed to the last digit, PUT count included; the
 # PUT count stays a ceiling because full-length runs have seen it move):
 #   * bytes written per user byte and the stored / raw ratio of sealed
-#     pages (0.7156: the data compresses, now that no padding pushes the
+#     pages (0.7157: the data compresses, now that no padding pushes the
 #     ratio above 1).
 # `txn_churn` (one committer: 4-page transactions, GC, snapshots,
-# checkpoints, restarts) repeats exactly, so all three are equalities:
-#   * PUTs, bytes written per user byte, stored / raw ratio.
+# checkpoints, restarts) repeats exactly, so all of its gates are
+# equalities:
+#   * 3 003 data-store PUTs: one composite a commit, which carries the
+#     commit's blockmap nodes, plus three retention-FIFO pages (8 971 when
+#     each node was an object of its own);
+#   * store PUTs per MiB written, log batches included (64.224, untraced;
+#     127.91 with a PUT per node);
+#   * bytes written per user byte and the stored / raw ratio.
 # These byte gates pin the length of each page's compressed stream; the
 # stream itself is pinned by crates/iq-storage/tests/codec_oracle.rs.
 #
@@ -70,7 +77,8 @@ gate() { # file workload jq-condition over $m, the metric values
                   "engine.work_units_per_round", "engine.scan_pages_read_per_round",
                   "proc.allocs_per_page_read", "objectstore.puts",
                   "objectstore.bytes_written_per_user_byte",
-                  "storage.compression_ratio", "store_bytes_per_user_byte")))
+                  "storage.compression_ratio", "store_bytes_per_user_byte",
+                  "store_puts_per_user_mib")))
                 | map_values(.value))' "$1" >&2
         exit 1
     }
@@ -90,27 +98,28 @@ check() { # file workload untraced-condition traced-condition
 for out in "$@"; do
     checked=0
     check "$out" power_warm '
-        $m."store_bytes_per_user_byte" == 0.18970598944610434' '
+        $m."store_bytes_per_user_byte" == 0.18970615518915063' '
         $m."engine.work_units_per_round" == 57428790
         and $m."engine.scan_pages_read_per_round" == 6551
         and $m."store_gets_per_round" == 0
         and $m."buffer.hit_ratio" >= 0.999
         and $m."proc.allocs_per_page_read" <= 320'
     check "$out" scan_cold '
-        ($m."store_bytes_per_user_byte" - 0.18964338001037345 | fabs) < 1e-7' '
+        ($m."store_bytes_per_user_byte" - 0.18964441590441267 | fabs) < 1e-7' '
         $m."engine.work_units_per_round" == 13760728
         and $m."engine.scan_pages_read_per_round" == 2708'
     check "$out" ingest '
-        $m."store_bytes_per_user_byte" == 0.18643195247166705' '
+        $m."store_bytes_per_user_byte" == 0.18691023215265895' '
         $m."objectstore.puts" <= 500
         and $m."engine.scan_pages_read_per_round" <= 600
-        and $m."objectstore.bytes_written_per_user_byte" == 0.21103003454844854
-        and $m."storage.compression_ratio" == 0.7156345347698061'
+        and $m."objectstore.bytes_written_per_user_byte" == 0.21103752542701237
+        and $m."storage.compression_ratio" == 0.7156599374638231'
     check "$out" txn_churn '
-        $m."store_bytes_per_user_byte" == 5.460058212280273' '
-        $m."objectstore.puts" == 8971
-        and $m."objectstore.bytes_written_per_user_byte" == 1.0441131998697917
-        and $m."storage.compression_ratio" == 1.0441131998697917'
+        $m."store_bytes_per_user_byte" == 5.439765930175781
+        and $m."store_puts_per_user_mib" == 64.224' '
+        $m."objectstore.puts" == 3003
+        and $m."objectstore.bytes_written_per_user_byte" == 1.0440166625976564
+        and $m."storage.compression_ratio" == 1.0440166625976564'
     [[ $checked == 1 ]] || {
         echo "bench_counts: $out holds none of power_warm, scan_cold, ingest, txn_churn" >&2
         exit 1

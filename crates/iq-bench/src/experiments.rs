@@ -1369,7 +1369,7 @@ fn pack_lifecycle(
         pages,
         load_puts,
         cold_gets,
-        over_read_bytes: ps.bytes_over_read.load(Ordering::Relaxed),
+        over_read_bytes: db.shared().member_reads().1,
         objects_written: ps.objects_written.load(Ordering::Relaxed),
         compactions: ps.compactions.load(Ordering::Relaxed),
         compaction_rewritten: ps.compaction_rewritten.load(Ordering::Relaxed),

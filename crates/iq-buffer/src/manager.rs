@@ -99,6 +99,21 @@ pub trait FlushSink: Sync {
         }
         Ok(())
     }
+
+    /// Persist the last group of a commit flush (see
+    /// [`BufferManager::flush_txn_packed`]). Called exactly once per
+    /// commit flush, after every other group has landed and no eviction
+    /// flush of `txn` is in flight, so a sink may append to the group what
+    /// the commit writes after its pages — the packing sink adds the
+    /// blockmap cascade. `items` is empty when packing is off or nothing
+    /// was left dirty. On failure every member is re-dirtied. The default
+    /// is [`FlushSink::flush_group`].
+    fn flush_commit_tail(&self, items: &[(FrameKey, Page)], txn: TxnId) -> IqResult<()> {
+        if items.is_empty() {
+            return Ok(());
+        }
+        self.flush_group(items, txn, FlushCause::Commit)
+    }
 }
 
 struct Frame {
@@ -688,6 +703,25 @@ impl BufferManager {
         }
     }
 
+    /// Mark the claimed `items` dirty under `txn` again after their flush
+    /// failed, so the caller's rollback discards them.
+    fn redirty(&self, txn: TxnId, items: &[(FrameKey, Page)]) {
+        for (key, _) in items {
+            let mut inner = self.lock_shard(self.shard_of(key));
+            if let Some(frame) = inner.cache.peek_mut(key) {
+                if frame.dirty.is_none() {
+                    frame.dirty = Some(txn);
+                    self.dirty
+                        .lock()
+                        .by_txn
+                        .entry(txn)
+                        .or_default()
+                        .insert(*key);
+                }
+            }
+        }
+    }
+
     /// Flush every dirty page of `txn` (commit path). Pages stay cached,
     /// now clean. "Before a transaction commits, all associated dirty
     /// pages are flushed to permanent storage" (§3.1).
@@ -722,6 +756,12 @@ impl BufferManager {
     /// member (the packing sink maps no member of a failed composite), so
     /// `flushed + re-dirtied == claimed` always holds and rollback can
     /// discard exactly the unpersisted frames.
+    ///
+    /// With `pack_pages > 1` the last group is held back and handed to
+    /// [`FlushSink::flush_commit_tail`] once every other group has landed,
+    /// so the commit's last composite can carry what the commit writes
+    /// after its pages. The tail is called in every successful flush,
+    /// with an empty group when there is none.
     pub fn flush_txn_packed(
         &self,
         txn: TxnId,
@@ -763,11 +803,18 @@ impl BufferManager {
             .collect();
 
         // Phase 2 (no lock): chunk the key-sorted batch into groups of up
-        // to `pack_pages` and submit the whole group batch to the I/O
-        // core. The group — not the page — is the unit of
-        // success/failure.
+        // to `pack_pages`, hold the last one back for the tail when
+        // packing, and submit the other groups to the I/O core. The group
+        // — not the page — is the unit of success/failure.
         let started = std::time::Instant::now();
-        let groups: Vec<&[(FrameKey, Page)]> = batch.chunks(pack_pages.max(1)).collect();
+        let pack = pack_pages.max(1);
+        let cut = if pack > 1 {
+            batch.len().saturating_sub(1) / pack * pack
+        } else {
+            batch.len()
+        };
+        let (head, tail) = batch.split_at(cut);
+        let groups: Vec<&[(FrameKey, Page)]> = head.chunks(pack).collect();
         let done: Vec<AtomicU64> = (0..groups.len()).map(|_| AtomicU64::new(0)).collect();
         let result = io.run_ordered(groups.len(), |i| -> IqResult<()> {
             let group = groups[i];
@@ -778,37 +825,22 @@ impl BufferManager {
                 .fetch_add(group.len() as u64, Ordering::Relaxed);
             Ok(())
         });
-        self.stats
-            .flush_in_flight_peak
-            .fetch_max(groups.len() as u64, Ordering::Relaxed);
-        self.stats
-            .flush_wall_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.stats.flush_in_flight_peak.fetch_max(
+            (groups.len() + usize::from(!tail.is_empty())) as u64,
+            Ordering::Relaxed,
+        );
 
+        // Phase 3 (error path, short locks): every member of every group
+        // not confirmed flushed — the held-back tail included — goes back
+        // to being dirty under `txn`, so the caller's rollback discards it
+        // instead of leaking a clean-but-unpersisted frame.
         if let Err(e) = result {
-            // Phase 3 (error path, short locks): every member of every
-            // group not confirmed flushed goes back to being dirty under
-            // `txn`, so the caller's rollback discards it instead of
-            // leaking a clean-but-unpersisted frame.
             for (i, group) in groups.iter().enumerate() {
-                if done[i].load(Ordering::Acquire) != 0 {
-                    continue;
-                }
-                for (key, _) in group.iter() {
-                    let mut inner = self.lock_shard(self.shard_of(key));
-                    if let Some(frame) = inner.cache.peek_mut(key) {
-                        if frame.dirty.is_none() {
-                            frame.dirty = Some(txn);
-                            self.dirty
-                                .lock()
-                                .by_txn
-                                .entry(txn)
-                                .or_default()
-                                .insert(*key);
-                        }
-                    }
+                if done[i].load(Ordering::Acquire) == 0 {
+                    self.redirty(txn, group);
                 }
             }
+            self.redirty(txn, tail);
             return Err(e);
         }
 
@@ -821,8 +853,21 @@ impl BufferManager {
         // 1b's acquisition of that same shard lock, so by now the count is
         // visible here: wait it out (and surface its error) so commit
         // never returns while an eviction is still persisting — or has
-        // failed to persist — one of its pages.
-        self.wait_out_eviction_flushes(txn)?;
+        // failed to persist — one of its pages. The tail runs after it:
+        // nothing of the transaction is being written but the tail.
+        let tail_result = self
+            .wait_out_eviction_flushes(txn)
+            .and_then(|()| sink.flush_commit_tail(tail, txn));
+        self.stats
+            .flush_wall_nanos
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if let Err(e) = tail_result {
+            self.redirty(txn, tail);
+            return Err(e);
+        }
+        self.stats
+            .commit_flushes
+            .fetch_add(tail.len() as u64, Ordering::Relaxed);
 
         if !batch.is_empty() {
             trace::emit(EventKind::BufferFlush {
@@ -1115,6 +1160,84 @@ mod tests {
             .unwrap();
         assert_eq!(healed.groups.lock().iter().map(Vec::len).sum::<usize>(), 4);
         assert_eq!(bm.dirty_count(txn), 0);
+    }
+
+    /// Sink recording groups and tails in call order, optionally failing
+    /// the tail.
+    #[derive(Default)]
+    struct TailSink {
+        calls: PMutex<Vec<(&'static str, Vec<FrameKey>)>>,
+        fail_tail: bool,
+    }
+
+    impl FlushSink for TailSink {
+        fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, cause: FlushCause) -> IqResult<()> {
+            self.flush_group(&[(key, page.clone())], txn, cause)
+        }
+
+        fn flush_group(&self, items: &[(FrameKey, Page)], _: TxnId, _: FlushCause) -> IqResult<()> {
+            let keys = items.iter().map(|(k, _)| *k).collect();
+            self.calls.lock().push(("group", keys));
+            Ok(())
+        }
+
+        fn flush_commit_tail(&self, items: &[(FrameKey, Page)], _: TxnId) -> IqResult<()> {
+            let keys = items.iter().map(|(k, _)| *k).collect();
+            self.calls.lock().push(("tail", keys));
+            if self.fail_tail {
+                return Err(IqError::Io("tail upload failed".into()));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn packed_commit_hands_its_last_group_to_the_tail() {
+        let bm = BufferManager::new(1 << 20);
+        let txn = TxnId(5);
+        let sink = TailSink::default();
+        for p in 0..10 {
+            bm.put_dirty(key(1, p), page(p, 100), txn, &sink).unwrap();
+        }
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(2), 4).unwrap();
+        let calls = std::mem::take(&mut *sink.calls.lock());
+        assert_eq!(calls.len(), 3);
+        assert!(calls[..2]
+            .iter()
+            .all(|(c, g)| *c == "group" && g.len() == 4));
+        assert_eq!(calls[2], ("tail", vec![key(1, 8), key(1, 9)]), "last, once");
+        assert_eq!(bm.stats.commit_flushes.load(Ordering::Relaxed), 10);
+        // Nothing left dirty: the tail still runs, with no pages.
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(2), 4).unwrap();
+        assert_eq!(*sink.calls.lock(), vec![("tail", vec![])]);
+        // Per-page flushing holds nothing back.
+        sink.calls.lock().clear();
+        for p in 0..3 {
+            bm.put_dirty(key(2, p), page(p, 100), txn, &sink).unwrap();
+        }
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(1), 1).unwrap();
+        let calls: Vec<_> = sink
+            .calls
+            .lock()
+            .iter()
+            .map(|(c, g)| (*c, g.len()))
+            .collect();
+        assert_eq!(
+            calls,
+            [("group", 1), ("group", 1), ("group", 1), ("tail", 0)]
+        );
+        // A failed tail re-dirties exactly its members.
+        let failing = TailSink {
+            fail_tail: true,
+            ..TailSink::default()
+        };
+        for p in 0..6 {
+            bm.put_dirty(key(3, p), page(p, 100), txn, &failing)
+                .unwrap();
+        }
+        bm.flush_txn_packed(txn, &failing, &IoCore::new(1), 4)
+            .unwrap_err();
+        assert_eq!(bm.dirty_count(txn), 2);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::config::{DatabaseConfig, GroupCommitMode};
 use crate::group_commit::DurableLog;
-use crate::pager::Pager;
+use crate::pager::{CommitFlush, Pager};
 use crate::tablestore::{TableStore, LATEST};
 
 /// Shared state behind a [`Database`] (and its [`Pager`]s).
@@ -109,15 +109,11 @@ impl LogRecoveryStats {
 pub struct PackStats {
     /// Composite objects written.
     pub objects_written: AtomicU64,
-    /// Pages that left the cache inside a composite.
+    /// Members written inside composites: data pages and the blockmap
+    /// nodes that ride with a commit's last group.
     pub pages_packed: AtomicU64,
-    /// Pages-per-object histogram: ≤1, ≤4, ≤16, ≤64, >64.
+    /// Members-per-object histogram: ≤1, ≤4, ≤16, ≤64, >64.
     pub pack_hist: [AtomicU64; 5],
-    /// Member reads served (ranged or slice-of-whole).
-    pub ranged_gets: AtomicU64,
-    /// Bytes fetched beyond the member window (0 for true ranged GETs;
-    /// the `pack_ranged_gets = false` ablation makes this nonzero).
-    pub bytes_over_read: AtomicU64,
     /// Compaction rounds driven to a commit.
     pub compactions: AtomicU64,
     /// Live members rewritten into fresh composites by compaction.
@@ -140,14 +136,6 @@ impl PackStats {
         };
         self.pack_hist[bucket].fetch_add(1, Ordering::Relaxed);
     }
-
-    pub(crate) fn note_range_read(&self, read: &iq_objectstore::RangeRead) {
-        self.ranged_gets.fetch_add(1, Ordering::Relaxed);
-        self.bytes_over_read.fetch_add(
-            read.fetched.saturating_sub(read.data.len() as u64),
-            Ordering::Relaxed,
-        );
-    }
 }
 
 impl Shared {
@@ -167,6 +155,30 @@ impl Shared {
             .get(&id.0)
             .cloned()
             .ok_or_else(|| IqError::NotFound(format!("table {id}")))
+    }
+
+    /// The tables `txn` holds a working blockmap for, by table id.
+    pub(crate) fn written_tables(&self, txn: TxnId) -> Vec<Arc<TableStore>> {
+        let mut v: Vec<Arc<TableStore>> = self
+            .tables
+            .read()
+            .values()
+            .filter(|ts| ts.written_by(txn))
+            .cloned()
+            .collect();
+        v.sort_by_key(|ts| ts.table);
+        v
+    }
+
+    /// Composite members served across every dbspace — data pages and
+    /// blockmap nodes alike — and the bytes fetched beyond their windows,
+    /// as `(reads, over_read_bytes)`.
+    pub fn member_reads(&self) -> (u64, u64) {
+        self.spaces
+            .read()
+            .values()
+            .map(|s| s.member_reads())
+            .fold((0, 0), |(r, o), (dr, dob)| (r + dr, o + dob))
     }
 
     /// The OCM, if enabled and bound to `space`.
@@ -336,6 +348,7 @@ fn register_core_metrics(shared: &Arc<Shared>) {
             return Vec::new();
         };
         let p = &s.pack_stats;
+        let (member_reads, over_read) = s.member_reads();
         let c = s.txns.composites().stats();
         let mean_live_at_claim = if c.compaction_claims == 0 {
             0.0
@@ -371,14 +384,8 @@ fn register_core_metrics(shared: &Arc<Shared>) {
                 "pack_gt_64".into(),
                 MetricValue::U64(p.pack_hist[4].load(Ordering::Relaxed)),
             ),
-            (
-                "ranged_gets".into(),
-                MetricValue::U64(p.ranged_gets.load(Ordering::Relaxed)),
-            ),
-            (
-                "bytes_over_read".into(),
-                MetricValue::U64(p.bytes_over_read.load(Ordering::Relaxed)),
-            ),
+            ("ranged_gets".into(), MetricValue::U64(member_reads)),
+            ("bytes_over_read".into(), MetricValue::U64(over_read)),
             (
                 "compactions".into(),
                 MetricValue::U64(p.compactions.load(Ordering::Relaxed)),
@@ -1025,81 +1032,48 @@ impl Database {
         })
     }
 
-    /// Commit: flush dirty pages (write-through at the OCM), run the
-    /// Figure 2 blockmap cascade, install identities, drain the OCM write
-    /// queue, log the RF/RB bitmaps, and garbage collect what the chain
-    /// allows. Returns the commit sequence.
+    /// Commit: drain the OCM write queue, flush dirty pages, run the
+    /// Figure 2 blockmap cascade into the commit's last composite, install
+    /// identities, and log the RF/RB bitmaps. Returns the commit sequence.
     pub fn commit(&self, txn: TxnId) -> IqResult<u64> {
         // Group commit: register as an expected committer *before* any
         // flushing, so a gather leader holds its batch open for us. The
         // guard deregisters on every early-error path (rollback).
         let _commit_window = self.shared.durable_log.as_ref().map(|dl| dl.enter_commit());
         let pager = self.pager(txn)?;
-        // FlushForCommit semantics: the OCM prioritizes this transaction
-        // and upgrades its writes to write-through from here on.
-        if let Some((_, ocm)) = self.shared.ocm.lock().as_ref() {
-            // Signal first so buffered flushes below go write-through.
-            ocm.flush_for_commit(txn).inspect_err(|_e| {
-                let _ = self.rollback_inner(txn, true);
-            })?;
-        }
-        // Fan the uploads across the I/O core — packed into composite
-        // objects of up to `pack_pages` pages (one PUT per group); the
-        // buffer lock is no longer held across object-store writes.
-        let flush_io = IoCore::new(self.shared.config.scan_workers.max(1))
-            .with_stats(Arc::clone(&self.shared.io_stats));
-        self.shared
-            .buffer
-            .flush_txn_packed(txn, &pager, &flush_io, self.shared.config.pack_pages.max(1))
-            .inspect_err(|_| {
-                let _ = self.rollback_inner(txn, true);
-            })?;
-
-        // Blockmap cascade + identity installation per written table. A
-        // failure anywhere in the cascade (blockmap uploads go to the
-        // same store) must also roll the transaction back (§4) — leaving
-        // it active would strand its dirty frames and RF/RB state.
         let version = self.shared.catalog.lock().bump_version();
         // Transactions that began at or before the current commit sequence
         // keep reading the versions this one supersedes — one point for
         // every table it wrote, and never above the sequence it is about
         // to take, so GC holds the pages as long as a reader holds a tree.
         let commit_point = self.shared.txns.current_seq() + 1;
-        let cascade = || -> IqResult<()> {
-            let tables: Vec<Arc<TableStore>> =
-                self.shared.tables.read().values().cloned().collect();
-            for ts in tables {
-                if !ts.written_by(txn) {
-                    continue;
-                }
-                let space = self.shared.space(ts.space)?;
-                let io = iq_storage::PageIo {
-                    space: &space,
-                    keys: pager.keys.as_ref(),
-                };
-                let committed = ts.commit(txn, version, 0, commit_point, &io)?;
-                if let Some((identity, superseded, written)) = committed {
-                    for loc in written {
-                        self.shared.txns.record_alloc(txn, ts.space, loc)?;
-                    }
-                    for loc in superseded {
-                        self.shared.txns.record_free(txn, ts.space, loc)?;
-                    }
-                    // Identity objects update in place in the catalog (§3.1).
-                    self.shared.catalog.lock().set_identity(identity);
-                }
-            }
-            Ok(())
-        };
-        cascade().inspect_err(|_| {
-            let _ = self.rollback_inner(txn, true);
-        })?;
-        // Drain this transaction's asynchronous uploads; failure forces
-        // rollback (§4).
-        if let Some((_, ocm)) = self.shared.ocm.lock().as_ref() {
-            ocm.flush_for_commit(txn).inspect_err(|_e| {
+        // FlushForCommit (§4), the one OCM barrier of the commit: the
+        // transaction's queued write-back uploads of evicted pages land,
+        // and whatever it writes from here on goes through to the store.
+        // Then fan the uploads across the I/O core, packed into composites
+        // of up to `pack_pages` pages, the last of which carries the
+        // cascade (`CommitFlush`). A failure anywhere rolls the
+        // transaction back, and no table has been installed yet to undo.
+        let ocm = self.ocm();
+        let sink = CommitFlush::new(&pager, version);
+        let flush_io = IoCore::new(self.shared.config.scan_workers.max(1))
+            .with_stats(Arc::clone(&self.shared.io_stats));
+        ocm.as_ref()
+            .map_or(Ok(()), |o| o.flush_for_commit(txn))
+            .and_then(|()| {
+                let pack = self.shared.config.pack_pages.max(1);
+                self.shared
+                    .buffer
+                    .flush_txn_packed(txn, &sink, &flush_io, pack)
+            })
+            .inspect_err(|_| {
                 let _ = self.rollback_inner(txn, true);
             })?;
+        // Every upload of the commit has landed: install the identities
+        // (updated in place in the catalog, §3.1) and promote the trees.
+        for (ts, identity) in sink.into_flushed() {
+            ts.install(txn, identity, commit_point);
+            self.shared.catalog.lock().set_identity(identity);
         }
         // Deferred GC: the commit only moves the transaction onto the
         // committed chain. Reclamation runs through the budgeted driver
@@ -1116,7 +1090,7 @@ impl Database {
             .catalog
             .lock()
             .save(self.shared.system.as_ref(), BlockNum(0))?;
-        if let Some((_, ocm)) = self.shared.ocm.lock().as_ref() {
+        if let Some(ocm) = &ocm {
             ocm.end_txn(txn);
         }
         self.release_versions();
@@ -1189,12 +1163,15 @@ impl Database {
     /// never-write-twice holds by construction — and commit. The rewrite
     /// supersedes each member's old ranged locator, so the donor
     /// composites turn fully dead and the next [`Self::gc_tick`] reclaims
-    /// them as whole objects. Returns the number of members rewritten.
+    /// them as whole objects. A blockmap node member is moved by dirtying
+    /// it in the round's working tree, so the commit's cascade rewrites
+    /// it. Returns the number of members rewritten.
     ///
     /// Safety rule: a claimed member whose current committed locator is no
-    /// longer the exact donor range is skipped *without* being touched —
-    /// the page has moved on, and rewriting it would free the newer
-    /// version out from under concurrent readers.
+    /// longer the exact donor range — for a node, that is no longer a node
+    /// of the current tree — is skipped *without* being touched: the page
+    /// has moved on, and rewriting it would free the newer version out
+    /// from under concurrent readers.
     pub fn compact_tick(&self, live_threshold: f64, max_composites: usize) -> IqResult<usize> {
         let candidates = self
             .shared
@@ -1227,41 +1204,36 @@ impl Database {
                 let mut this_rewritten = 0u64;
                 let mut this_stale = 0u64;
                 for m in live {
-                    let table = TableId(m.table);
+                    let (table, page) = (TableId(m.table), iq_common::PageId(m.page));
                     let expect = iq_common::PhysicalLocator::ObjectRange {
                         key: *key,
                         offset: m.offset,
                         len: m.len,
                     };
-                    let current = {
-                        let ts = self.shared.table_store(table)?;
-                        let space = self.shared.space(ts.space)?;
-                        let pio = iq_storage::PageIo {
-                            space: &space,
-                            keys: pager.keys.as_ref(),
-                        };
-                        ts.resolve(txn, LATEST, iq_common::PageId(m.page), &pio)?
+                    let ts = self.shared.table_store(table)?;
+                    let space = self.shared.space(ts.space)?;
+                    let pio = iq_storage::PageIo {
+                        space: &space,
+                        keys: pager.keys.as_ref(),
                     };
-                    if current != Some(expect) {
+                    let moved = if m.page & iq_storage::NODE_PAGE_TAG != 0 {
+                        // A live blockmap node: the compaction commit
+                        // rewrites it (and its path to the root) and frees
+                        // this range.
+                        ts.redirty_node(txn, expect, &pio)?
+                    } else if ts.resolve(txn, LATEST, page, &pio)? == Some(expect) {
+                        let p = iq_engine::PageStore::read_page(&pager, table, page, true)?;
+                        iq_engine::PageStore::write_page(&pager, table, page, p.kind, p.body, txn)?;
+                        true
+                    } else {
+                        false
+                    };
+                    if moved {
+                        this_rewritten += 1;
+                        rewritten += 1;
+                    } else {
                         this_stale += 1;
-                        continue;
                     }
-                    let page = iq_engine::PageStore::read_page(
-                        &pager,
-                        table,
-                        iq_common::PageId(m.page),
-                        true,
-                    )?;
-                    iq_engine::PageStore::write_page(
-                        &pager,
-                        table,
-                        iq_common::PageId(m.page),
-                        page.kind,
-                        page.body.clone(),
-                        txn,
-                    )?;
-                    this_rewritten += 1;
-                    rewritten += 1;
                 }
                 iq_common::trace::emit(iq_common::trace::EventKind::Compaction {
                     key: key.offset(),

@@ -9,12 +9,19 @@
 //! (superseding the previous version into the RF bitmap) and in the RB
 //! bitmap.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use bytes::Bytes;
 use iq_buffer::{FlushCause, FlushSink, FrameKey};
-use iq_common::{IqError, IqResult, PageId, PhysicalLocator, TableId, TxnId, VersionId};
+use iq_common::{
+    DbSpaceId, IqError, IqResult, ObjectKey, PageId, PhysicalLocator, TableId, TxnId, VersionId,
+};
 use iq_engine::PageStore;
 use iq_ocm::WriteMode;
-use iq_storage::{DbSpace, Page, PageIo, PageKind};
+use iq_storage::{DbSpace, IdentityObject, KeySource, NodeSink, Page, PageIo, PageKind};
+use iq_txn::PackMember;
+use parking_lot::Mutex;
 
 use crate::database::Shared;
 use crate::encrypt;
@@ -58,9 +65,9 @@ impl Shared {
             // GET sliced client-side under the `pack_ranged_gets = false`
             // ablation, which is what makes over-read measurable.
             PhysicalLocator::ObjectRange { key, offset, len } => {
-                let read = space.get_range(key, offset, len, self.config.pack_ranged_gets)?;
-                self.pack_stats.note_range_read(&read);
-                read.data
+                space
+                    .get_range(key, offset, len, self.config.pack_ranged_gets)?
+                    .data
             }
             PhysicalLocator::Blocks { .. } => return space.read_page(loc),
         };
@@ -236,48 +243,217 @@ impl FlushSink for Pager {
             by_space.entry(ts.space.0).or_default().push(item);
         }
         for (space_id, group) in by_space {
-            let space = self.shared.space(iq_common::DbSpaceId(space_id))?;
+            let space = self.shared.space(DbSpaceId(space_id))?;
             if !space.is_cloud() || group.len() == 1 {
                 for (key, page) in group {
                     self.flush(*key, page, txn, cause)?;
                 }
                 continue;
             }
-            // Seal (and encrypt) every member, recording its byte window.
-            let obj_key = iq_storage::KeySource::next_key(self.keys.as_ref())?;
-            let mut blob = Vec::new();
-            let mut members = Vec::with_capacity(group.len());
+            // Seal (and encrypt) every member, upload, then publish each
+            // member at its ranged locator.
+            let mut composite = Composite::new(self.keys.as_ref())?;
+            let mut locs = Vec::with_capacity(group.len());
             for (fkey, page) in &group {
                 let image = self.shared.seal_image(&space, page)?;
-                members.push(iq_txn::PackMember {
-                    table: fkey.table.0,
-                    page: fkey.page.0,
-                    offset: blob.len() as u32,
-                    len: image.len() as u32,
-                });
-                blob.extend_from_slice(&image);
+                locs.push(composite.push(fkey.table, fkey.page, &image));
             }
-            let bytes = blob.len() as u64;
-            space.put_raw(obj_key, Bytes::from(blob))?;
-            iq_common::trace::emit(iq_common::trace::EventKind::PackFlush {
-                key: obj_key.offset(),
-                pages: members.len() as u64,
-                bytes,
-            });
-            self.shared.pack_stats.note_pack(members.len(), bytes);
-            // Publish each member at its ranged locator; the member
-            // layout goes to the composite registry at commit via the
-            // transaction's pack record.
-            for ((fkey, _), m) in group.iter().zip(&members) {
+            composite.upload(&self.shared, &space, txn)?;
+            for ((fkey, _), loc) in group.iter().zip(locs) {
                 let ts = self.shared.table_store(fkey.table)?;
-                let loc = PhysicalLocator::ObjectRange {
-                    key: obj_key,
-                    offset: m.offset,
-                    len: m.len,
-                };
                 self.publish(&ts, &space, txn, fkey.page, loc)?;
             }
-            self.shared.txns.record_pack(txn, obj_key, members)?;
+        }
+        Ok(())
+    }
+}
+
+/// A composite object being assembled. Its key is drawn before any member
+/// is placed, so every member's ranged locator is known before the one
+/// PUT that uploads them all.
+struct Composite {
+    key: ObjectKey,
+    blob: Vec<u8>,
+    members: Vec<PackMember>,
+}
+
+impl Composite {
+    fn new(keys: &dyn KeySource) -> IqResult<Self> {
+        Ok(Self {
+            key: keys.next_key()?,
+            blob: Vec::new(),
+            members: Vec::new(),
+        })
+    }
+
+    /// Lay `image` end to end after the members already placed and return
+    /// its locator.
+    fn push(&mut self, table: TableId, page: PageId, image: &[u8]) -> PhysicalLocator {
+        let (offset, len) = (self.blob.len() as u32, image.len() as u32);
+        self.members.push(PackMember {
+            table: table.0,
+            page: page.0,
+            offset,
+            len,
+        });
+        self.blob.extend_from_slice(image);
+        PhysicalLocator::ObjectRange {
+            key: self.key,
+            offset,
+            len,
+        }
+    }
+
+    /// Upload the object in one PUT. The member layout goes to the
+    /// composite registry at commit through the transaction's pack record.
+    fn upload(self, shared: &Shared, space: &DbSpace, txn: TxnId) -> IqResult<()> {
+        let bytes = self.blob.len() as u64;
+        space.put_raw(self.key, Bytes::from(self.blob))?;
+        iq_common::trace::emit(iq_common::trace::EventKind::PackFlush {
+            key: self.key.offset(),
+            pages: self.members.len() as u64,
+            bytes,
+        });
+        shared.pack_stats.note_pack(self.members.len(), bytes);
+        shared.txns.record_pack(txn, self.key, self.members)
+    }
+}
+
+/// Stages one table's blockmap nodes as composite members, sealed with
+/// the dbspace's geometry and no cipher — the image
+/// [`DbSpace::write_page`] uploads for a node on its own.
+struct StagedNodes<'a> {
+    composite: &'a mut Composite,
+    space: &'a DbSpace,
+    table: TableId,
+}
+
+impl NodeSink for StagedNodes<'_> {
+    fn write_node(&mut self, page: &Page) -> IqResult<PhysicalLocator> {
+        let (image, _) = page.seal(&self.space.config)?;
+        Ok(self.composite.push(self.table, page.id, &image))
+    }
+}
+
+/// The commit's flush sink: the [`Pager`]'s flushes for every group but
+/// the last, and a tail that runs the blockmap cascade of every table the
+/// transaction wrote. With packing on, the tail's pages and the nodes of
+/// the tables on their dbspace become one composite, so the commit's last
+/// group and its whole cascade cost one PUT. Nothing is installed here:
+/// the identities wait in `flushed` until every upload of the commit has
+/// landed.
+pub(crate) struct CommitFlush<'a> {
+    pager: &'a Pager,
+    version: VersionId,
+    flushed: Mutex<Vec<(Arc<TableStore>, IdentityObject)>>,
+}
+
+impl<'a> CommitFlush<'a> {
+    pub(crate) fn new(pager: &'a Pager, version: VersionId) -> Self {
+        Self {
+            pager,
+            version,
+            flushed: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Each table the cascade flushed, with the identity to install.
+    pub(crate) fn into_flushed(self) -> Vec<(Arc<TableStore>, IdentityObject)> {
+        self.flushed.into_inner()
+    }
+
+    /// Flush `ts`'s working tree into `sink` and record the nodes it wrote
+    /// (RB) and superseded (RF).
+    fn cascade(&self, ts: &Arc<TableStore>, sink: &mut dyn NodeSink) -> IqResult<()> {
+        let txn = self.pager.txn;
+        let Some((identity, outcome)) = ts.flush(txn, self.version, sink)? else {
+            return Ok(());
+        };
+        let txns = &self.pager.shared.txns;
+        for loc in outcome.written {
+            txns.record_alloc(txn, ts.space, loc)?;
+        }
+        for loc in outcome.superseded {
+            txns.record_free(txn, ts.space, loc)?;
+        }
+        self.flushed.lock().push((Arc::clone(ts), identity));
+        Ok(())
+    }
+}
+
+impl FlushSink for CommitFlush<'_> {
+    fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, cause: FlushCause) -> IqResult<()> {
+        self.pager.flush(key, page, txn, cause)
+    }
+
+    fn flush_group(
+        &self,
+        items: &[(FrameKey, Page)],
+        txn: TxnId,
+        cause: FlushCause,
+    ) -> IqResult<()> {
+        self.pager.flush_group(items, txn, cause)
+    }
+
+    /// Per dbspace: seal the tail's pages and publish them at their
+    /// offsets in a composite whose key is already drawn, append the
+    /// cascade of every written table on that dbspace — children before
+    /// parents, so each parent encodes its children's ranged locators —
+    /// and upload it all in one PUT. Without packing, on a conventional
+    /// dbspace, or for a lone node, pages and nodes are written one object
+    /// (or block run) each.
+    fn flush_commit_tail(&self, items: &[(FrameKey, Page)], txn: TxnId) -> IqResult<()> {
+        let shared = &self.pager.shared;
+        let mut by_space: BTreeMap<u32, Vec<&(FrameKey, Page)>> = BTreeMap::new();
+        for item in items {
+            let ts = shared.table_store(item.0.table)?;
+            by_space.entry(ts.space.0).or_default().push(item);
+        }
+        for ts in shared.written_tables(txn) {
+            by_space.entry(ts.space.0).or_default();
+        }
+        for (space_id, group) in by_space {
+            let space = shared.space(DbSpaceId(space_id))?;
+            let tables = || {
+                let mut v = shared.written_tables(txn);
+                v.retain(|ts| ts.space.0 == space_id);
+                v
+            };
+            // A page brings at least the leaf above it, so only a tail of
+            // nodes alone can be too small for a composite.
+            let pack = shared.config.pack_pages > 1
+                && space.is_cloud()
+                && (!group.is_empty()
+                    || tables().iter().map(|t| t.dirty_nodes(txn)).sum::<usize>() > 1);
+            if !pack {
+                for (key, page) in group {
+                    self.pager.flush(*key, page, txn, FlushCause::Commit)?;
+                }
+                let mut io = PageIo {
+                    space: &space,
+                    keys: self.pager.keys.as_ref(),
+                };
+                for ts in tables() {
+                    self.cascade(&ts, &mut io)?;
+                }
+                continue;
+            }
+            let mut composite = Composite::new(self.pager.keys.as_ref())?;
+            for (fkey, page) in group {
+                let image = shared.seal_image(&space, page)?;
+                let loc = composite.push(fkey.table, fkey.page, &image);
+                let ts = shared.table_store(fkey.table)?;
+                self.pager.publish(&ts, &space, txn, fkey.page, loc)?;
+            }
+            for ts in tables() {
+                let mut nodes = StagedNodes {
+                    composite: &mut composite,
+                    space: &space,
+                    table: ts.table,
+                };
+                self.cascade(&ts, &mut nodes)?;
+            }
+            composite.upload(shared, &space, txn)?;
         }
         Ok(())
     }

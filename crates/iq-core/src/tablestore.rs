@@ -14,7 +14,7 @@
 //! tree pins is the handful of pages a small update replaced.
 
 use iq_common::{DbSpaceId, IqResult, PageId, PhysicalLocator, TableId, TxnId, VersionId};
-use iq_storage::{Blockmap, IdentityObject, PageIo};
+use iq_storage::{Blockmap, FlushOutcome, IdentityObject, NodeSink, PageIo};
 use parking_lot::Mutex;
 
 /// The begin point of a reader that follows the latest committed
@@ -225,36 +225,80 @@ impl TableStore {
             .is_some_and(|(o, _)| *o == txn)
     }
 
-    /// Commit `txn`'s working copy: flush the blockmap (Figure 2 cascade),
-    /// install the new identity, promote the working tree to committed.
-    /// The superseded tree stays readable by transactions that began
-    /// before `commit_point` until [`Self::release`] drops it.
-    /// Returns `(new identity, superseded locators, written locators)`.
-    #[allow(clippy::type_complexity)]
-    pub fn commit(
+    /// Nodes of `txn`'s working copy the commit's cascade writes (0 when
+    /// `txn` holds none).
+    pub fn dirty_nodes(&self, txn: TxnId) -> usize {
+        match &self.inner.lock().working {
+            Some((owner, bm)) if *owner == txn => bm.dirty_nodes(),
+            _ => 0,
+        }
+    }
+
+    /// Make `txn` rewrite the blockmap node persisted at `loc` (and its
+    /// path to the root) in its commit — how compaction moves a live node
+    /// out of a composite. Returns `false`, leaving the table untouched,
+    /// when `loc` is not a node of the tree `txn` would commit.
+    pub fn redirty_node(
+        &self,
+        txn: TxnId,
+        loc: PhysicalLocator,
+        io: &PageIo<'_>,
+    ) -> IqResult<bool> {
+        let mut inner = self.inner.lock();
+        match &mut inner.working {
+            Some((owner, bm)) if *owner == txn => return bm.redirty_node(loc, io),
+            Some(_) => {
+                return Err(iq_common::IqError::Txn {
+                    txn,
+                    reason: format!("table {} already has a writing transaction", self.table),
+                })
+            }
+            None => {}
+        }
+        self.load_committed(&mut inner, io)?;
+        let mut copy = inner.committed.clone().expect("loaded");
+        if !copy.redirty_node(loc, io)? {
+            return Ok(false);
+        }
+        inner.working = Some((txn, copy));
+        Ok(true)
+    }
+
+    /// First half of a commit: flush `txn`'s working copy bottom-up into
+    /// `sink` (the Figure 2 cascade). The tree stays `txn`'s working copy
+    /// — no reader sees it — until [`Self::install`]. Returns the identity
+    /// that will anchor it and the node locators the flush superseded and
+    /// wrote; `None` when `txn` holds no working copy.
+    pub fn flush(
         &self,
         txn: TxnId,
         version: VersionId,
-        page_watermark: u64,
-        commit_point: u64,
-        io: &PageIo<'_>,
-    ) -> IqResult<Option<(IdentityObject, Vec<PhysicalLocator>, Vec<PhysicalLocator>)>> {
+        sink: &mut dyn NodeSink,
+    ) -> IqResult<Option<(IdentityObject, FlushOutcome)>> {
         let mut inner = self.inner.lock();
-        let Some((owner, mut bm)) = inner.working.take() else {
+        let Some((owner, bm)) = inner.working.as_mut() else {
             return Ok(None);
         };
-        if owner != txn {
-            inner.working = Some((owner, bm));
+        if *owner != txn {
             return Ok(None);
         }
-        let outcome = bm.flush(version, io)?;
-        let identity = IdentityObject::new(
-            self.table,
-            version,
-            outcome.root,
-            self.fanout as u32,
-            page_watermark,
-        );
+        let outcome = bm.flush(version, sink)?;
+        let identity =
+            IdentityObject::new(self.table, version, outcome.root, self.fanout as u32, 0);
+        Ok(Some((identity, outcome)))
+    }
+
+    /// Second half of a commit, once every upload of it has landed:
+    /// install `identity` and promote `txn`'s flushed working tree to
+    /// committed. The superseded tree stays readable by transactions that
+    /// began before `commit_point` until [`Self::release`] drops it.
+    pub fn install(&self, txn: TxnId, identity: IdentityObject, commit_point: u64) {
+        let mut inner = self.inner.lock();
+        if inner.working.as_ref().is_none_or(|(o, _)| *o != txn) {
+            return;
+        }
+        let (_, bm) = inner.working.take().expect("checked above");
+        debug_assert!(!bm.is_dirty(), "install a flushed tree");
         inner.identity = Some(identity);
         // Promote the writer's cached frames: they carried epoch+1, which
         // now becomes the committed epoch.
@@ -269,7 +313,6 @@ impl TableStore {
             });
         }
         inner.writer_intent = None;
-        Ok(Some((identity, outcome.superseded, outcome.written)))
     }
 
     /// Drop the superseded versions no transaction can read any more:
@@ -340,6 +383,25 @@ mod tests {
         PhysicalLocator::Object(ObjectKey::from_offset(off))
     }
 
+    /// Flush and install in one step: a commit with nothing else to
+    /// upload, its nodes written one object each.
+    fn commit(
+        ts: &TableStore,
+        txn: u64,
+        point: u64,
+        io: &PageIo<'_>,
+    ) -> Option<(IdentityObject, FlushOutcome)> {
+        let mut sink = PageIo {
+            space: io.space,
+            keys: io.keys,
+        };
+        let flushed = ts.flush(TxnId(txn), VersionId(point), &mut sink).unwrap();
+        if let Some((identity, _)) = &flushed {
+            ts.install(TxnId(txn), *identity, point);
+        }
+        flushed
+    }
+
     #[test]
     fn single_writer_per_table_enforced() {
         let (space, keys) = fixture();
@@ -372,9 +434,7 @@ mod tests {
         assert_eq!(ts.frame_epoch(TxnId(1), LATEST), writer_epoch);
         // Commit promotes the writer's epoch.
         ts.map(TxnId(1), PageId(0), loc(1), &io).unwrap();
-        ts.commit(TxnId(1), iq_common::VersionId(1), 0, 1, &io)
-            .unwrap()
-            .unwrap();
+        commit(&ts, 1, 1, &io).unwrap();
         assert_eq!(ts.frame_epoch(TxnId(9), LATEST), writer_epoch);
     }
 
@@ -387,26 +447,78 @@ mod tests {
         };
         let ts = TableStore::new(TableId(1), DbSpaceId(1), 4);
         ts.map(TxnId(1), PageId(0), loc(1), &io).unwrap();
-        let (id1, superseded, written) = ts
-            .commit(TxnId(1), iq_common::VersionId(1), 0, 1, &io)
-            .unwrap()
-            .unwrap();
-        assert!(superseded.is_empty(), "first flush supersedes nothing");
-        assert!(!written.is_empty(), "blockmap pages were written");
+        let (id1, first) = commit(&ts, 1, 1, &io).unwrap();
+        assert!(
+            first.superseded.is_empty(),
+            "first flush supersedes nothing"
+        );
+        assert!(!first.written.is_empty(), "blockmap pages were written");
         // Second version supersedes the first root.
         let old = ts.map(TxnId(2), PageId(0), loc(2), &io).unwrap();
         assert_eq!(old, Some(loc(1)));
-        let (id2, superseded, _) = ts
-            .commit(TxnId(2), iq_common::VersionId(2), 0, 2, &io)
-            .unwrap()
-            .unwrap();
+        let (id2, second) = commit(&ts, 2, 2, &io).unwrap();
         assert_ne!(id1.root, id2.root);
-        assert!(superseded.contains(&id1.root));
+        assert!(second.superseded.contains(&id1.root));
         // Commit by a non-writer is a no-op.
-        assert!(ts
-            .commit(TxnId(3), iq_common::VersionId(3), 0, 3, &io)
-            .unwrap()
-            .is_none());
+        assert!(commit(&ts, 3, 3, &io).is_none());
+    }
+
+    #[test]
+    fn a_flushed_tree_stays_invisible_until_installed() {
+        let (space, keys) = fixture();
+        let mut io = PageIo {
+            space: &space,
+            keys: &keys,
+        };
+        let ts = TableStore::new(TableId(1), DbSpaceId(1), 4);
+        ts.map(TxnId(1), PageId(0), loc(10), &io).unwrap();
+        let (id1, _) = commit(&ts, 1, 1, &io).unwrap();
+        ts.map(TxnId(2), PageId(0), loc(20), &io).unwrap();
+        assert_eq!(ts.dirty_nodes(TxnId(2)), 1);
+        assert_eq!(ts.dirty_nodes(TxnId(7)), 0);
+        let (id2, _) = ts.flush(TxnId(2), VersionId(2), &mut io).unwrap().unwrap();
+        assert_eq!(ts.dirty_nodes(TxnId(2)), 0);
+        // Flushed but not installed: readers and the catalog anchor still
+        // see version 1, and rolling back drops the flushed tree.
+        assert_eq!(ts.identity(), Some(id1));
+        let reader = ts.resolve(TxnId(7), LATEST, PageId(0), &io).unwrap();
+        assert_eq!(reader, Some(loc(10)));
+        ts.rollback(TxnId(2));
+        assert!(!ts.written_by(TxnId(2)));
+        ts.install(TxnId(2), id2, 2);
+        assert_eq!(ts.identity(), Some(id1), "nothing left to install");
+        let reader = ts.resolve(TxnId(7), LATEST, PageId(0), &io).unwrap();
+        assert_eq!(reader, Some(loc(10)));
+    }
+
+    #[test]
+    fn redirty_node_makes_the_commit_rewrite_it() {
+        let (space, keys) = fixture();
+        let io = PageIo {
+            space: &space,
+            keys: &keys,
+        };
+        let ts = TableStore::new(TableId(1), DbSpaceId(1), 4);
+        for p in 0..8 {
+            ts.map(TxnId(1), PageId(p), loc(10 + p), &io).unwrap();
+        }
+        let (id1, first) = commit(&ts, 1, 1, &io).unwrap();
+        // Not a node: nothing changes and the table gains no writer.
+        assert!(!ts.redirty_node(TxnId(2), loc(10), &io).unwrap());
+        assert!(!ts.written_by(TxnId(2)));
+        // A leaf: the next commit rewrites it and the root above it.
+        let leaf = first.written[0];
+        assert!(ts.redirty_node(TxnId(2), leaf, &io).unwrap());
+        assert!(ts.written_by(TxnId(2)));
+        assert_eq!(ts.dirty_nodes(TxnId(2)), 2);
+        assert!(ts.redirty_node(TxnId(3), leaf, &io).is_err(), "one writer");
+        let (_, second) = commit(&ts, 2, 2, &io).unwrap();
+        assert_eq!(second.superseded.len(), 2);
+        assert!(second.superseded.contains(&leaf) && second.superseded.contains(&id1.root));
+        for p in 0..8 {
+            let got = ts.resolve(TxnId(7), LATEST, PageId(p), &io).unwrap();
+            assert_eq!(got, Some(loc(10 + p)));
+        }
     }
 
     #[test]
@@ -418,8 +530,7 @@ mod tests {
         };
         let ts = TableStore::new(TableId(1), DbSpaceId(1), 4);
         ts.map(TxnId(1), PageId(0), loc(10), &io).unwrap();
-        ts.commit(TxnId(1), iq_common::VersionId(1), 0, 1, &io)
-            .unwrap();
+        commit(&ts, 1, 1, &io);
         ts.map(TxnId(2), PageId(0), loc(20), &io).unwrap();
         assert_eq!(
             ts.resolve(TxnId(2), LATEST, PageId(0), &io).unwrap(),
@@ -443,9 +554,7 @@ mod tests {
             for &(page, off) in pages {
                 ts.map(TxnId(txn), PageId(page), loc(off), &io).unwrap();
             }
-            ts.commit(TxnId(txn), VersionId(point), 0, point, &io)
-                .unwrap()
-                .unwrap();
+            commit(&ts, txn, point, &io).unwrap();
         };
         // Version 1: pages 0 and 1. A reader begins at commit point 1.
         commit(1, 1, &[(0, 10), (1, 11)]);

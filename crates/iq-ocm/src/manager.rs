@@ -357,19 +357,26 @@ impl Ocm {
         }
     }
 
-    /// FlushForCommit: prioritize `txn`'s queued uploads, switch it to
-    /// write-through, and wait for its uploads to drain. An upload failure
+    /// FlushForCommit: switch `txn` to write-through, prioritize its
+    /// queued uploads, and wait for them to drain. An upload failure
     /// surfaces here so the caller rolls the transaction back.
+    ///
+    /// A transaction with no upload outstanding — every commit whose pages
+    /// went out in composites or write-through — costs one lock and a few
+    /// map lookups: the queue is neither re-partitioned nor the worker
+    /// woken for it.
     pub fn flush_for_commit(&self, txn: TxnId) -> IqResult<()> {
         let mut inner = self.inner.lock();
         inner.commit_mode.insert(txn);
-        // Stable-partition: this transaction's jobs move to the head,
-        // preserving their relative order.
-        let (mine, rest): (VecDeque<Job>, VecDeque<Job>) =
-            inner.queue.drain(..).partition(|j| j.txn() == Some(txn));
-        inner.queue = mine;
-        inner.queue.extend(rest);
-        self.work_cv.notify_all();
+        if inner.pending_puts.get(&txn).copied().unwrap_or(0) > 0 {
+            // Stable-partition: this transaction's jobs move to the head,
+            // preserving their relative order.
+            let (mine, rest): (VecDeque<Job>, VecDeque<Job>) =
+                inner.queue.drain(..).partition(|j| j.txn() == Some(txn));
+            inner.queue = mine;
+            inner.queue.extend(rest);
+            self.work_cv.notify_all();
+        }
         loop {
             if let Some(err) = inner.txn_errors.remove(&txn) {
                 return Err(err);

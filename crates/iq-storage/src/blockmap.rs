@@ -21,8 +21,12 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use iq_common::{IqError, IqResult, PageId, PhysicalLocator, VersionId};
 
-use crate::dbspace::PageIo;
+use crate::dbspace::{NodeSink, PageIo};
 use crate::page::{Page, PageKind};
+
+/// The bit that sets a blockmap node's page id apart from every data
+/// page id: node `n` of a tree is page `NODE_PAGE_TAG | n`.
+pub const NODE_PAGE_TAG: u64 = 1 << 62;
 
 /// In-memory handle to a node.
 type NodeId = u64;
@@ -290,15 +294,15 @@ impl Blockmap {
         unreachable!()
     }
 
-    /// Flush every dirty node bottom-up, writing each under a fresh
-    /// locator and recording its new position in the parent. Returns the
-    /// new root locator (for the identity object) and the locators
-    /// superseded along the way.
-    pub fn flush(&mut self, version: VersionId, io: &PageIo<'_>) -> IqResult<FlushOutcome> {
+    /// Flush every dirty node bottom-up into `sink`, each under a fresh
+    /// locator recorded in its parent before the parent is encoded.
+    /// Returns the new root locator (for the identity object) and the
+    /// locators superseded along the way.
+    pub fn flush(&mut self, version: VersionId, sink: &mut dyn NodeSink) -> IqResult<FlushOutcome> {
         let mut superseded = Vec::new();
         let mut written = Vec::new();
         let root = self.root;
-        let root_loc = self.flush_node(root, version, io, &mut superseded, &mut written)?;
+        let root_loc = self.flush_node(root, version, sink, &mut superseded, &mut written)?;
         Ok(FlushOutcome {
             root: root_loc,
             superseded,
@@ -306,11 +310,49 @@ impl Blockmap {
         })
     }
 
+    /// Nodes the next [`Self::flush`] writes.
+    pub fn dirty_nodes(&self) -> usize {
+        self.nodes.values().filter(|n| n.dirty).count()
+    }
+
+    /// Dirty the node persisted at `loc` and its path to the root, so the
+    /// next [`Self::flush`] writes it under a fresh locator and reports
+    /// `loc` superseded. Loads on-disk nodes as it searches. Returns
+    /// whether `loc` is a node of this tree.
+    pub fn redirty_node(&mut self, loc: PhysicalLocator, io: &PageIo<'_>) -> IqResult<bool> {
+        let mut paths = vec![vec![self.root]];
+        while let Some(path) = paths.pop() {
+            let id = *path.last().expect("paths are never empty");
+            if self.nodes[&id].persisted == Some(loc) {
+                for n in &path {
+                    self.nodes.get_mut(n).expect("node present").dirty = true;
+                }
+                return Ok(true);
+            }
+            if self.nodes[&id].level == 0 {
+                continue;
+            }
+            for i in 0..self.fanout {
+                let child = match self.nodes[&id].slots[i] {
+                    Slot::Child(c) => c,
+                    Slot::ChildOnDisk(l) => {
+                        let c = self.load_node(l, io)?;
+                        self.nodes.get_mut(&id).expect("node present").slots[i] = Slot::Child(c);
+                        c
+                    }
+                    _ => continue,
+                };
+                paths.push([path.as_slice(), &[child]].concat());
+            }
+        }
+        Ok(false)
+    }
+
     fn flush_node(
         &mut self,
         id: NodeId,
         version: VersionId,
-        io: &PageIo<'_>,
+        sink: &mut dyn NodeSink,
         superseded: &mut Vec<PhysicalLocator>,
         written: &mut Vec<PhysicalLocator>,
     ) -> IqResult<PhysicalLocator> {
@@ -330,7 +372,7 @@ impl Blockmap {
             })
             .collect();
         for (i, child) in child_slots {
-            let loc = self.flush_node(child, version, io, superseded, written)?;
+            let loc = self.flush_node(child, version, sink, superseded, written)?;
             self.nodes.get_mut(&id).expect("node present").slots[i] = Slot::Child(child);
             // The serialized form needs the child's locator; stash it in
             // the node's persisted field — encode_node reads it below.
@@ -338,10 +380,10 @@ impl Blockmap {
         }
         let node = &self.nodes[&id];
         let body = encode_node(node, &self.nodes);
-        let page_id = PageId((1 << 62) | self.next_bm_page);
+        let page_id = PageId(NODE_PAGE_TAG | self.next_bm_page);
         self.next_bm_page += 1;
         let page = Page::new(page_id, version, PageKind::Blockmap, Bytes::from(body));
-        let new_loc = io.write(&page)?;
+        let new_loc = sink.write_node(&page)?;
         written.push(new_loc);
         let node = self.nodes.get_mut(&id).expect("node present");
         if let Some(old) = node.persisted {
@@ -585,7 +627,7 @@ mod tests {
     #[test]
     fn flush_persists_and_reopens() {
         let f = fixture();
-        let io = PageIo {
+        let mut io = PageIo {
             space: &f.space,
             keys: &f.keys,
         };
@@ -593,7 +635,7 @@ mod tests {
         for p in [0u64, 5, 17, 63] {
             bm.set(PageId(p), data_loc(100 + p), &io).unwrap();
         }
-        let outcome = bm.flush(VersionId(1), &io).unwrap();
+        let outcome = bm.flush(VersionId(1), &mut io).unwrap();
         assert!(!bm.is_dirty());
         // Reopen from the root locator (as the identity object would).
         let mut reopened = Blockmap::open(4, outcome.root, &io).unwrap();
@@ -611,7 +653,7 @@ mod tests {
         // Build + flush, then dirty one page: the reflush must version the
         // leaf-to-root path and report the old versions for GC.
         let f = fixture();
-        let io = PageIo {
+        let mut io = PageIo {
             space: &f.space,
             keys: &f.keys,
         };
@@ -619,7 +661,7 @@ mod tests {
         for p in 0..16u64 {
             bm.set(PageId(p), data_loc(p), &io).unwrap();
         }
-        let first = bm.flush(VersionId(1), &io).unwrap();
+        let first = bm.flush(VersionId(1), &mut io).unwrap();
         assert!(
             first.superseded.is_empty(),
             "first flush supersedes nothing"
@@ -628,7 +670,7 @@ mod tests {
 
         // Dirty page H (page 15 lives under one specific leaf).
         bm.set(PageId(15), data_loc(999), &io).unwrap();
-        let second = bm.flush(VersionId(2), &io).unwrap();
+        let second = bm.flush(VersionId(2), &mut io).unwrap();
         // Root changed (identity object must be updated).
         assert_ne!(second.root, first.root);
         // Exactly the path depth (leaf + root here, depth=2) superseded.
@@ -638,16 +680,50 @@ mod tests {
     }
 
     #[test]
+    fn redirty_node_rewrites_its_path_and_supersedes_it() {
+        let f = fixture();
+        let mut io = PageIo {
+            space: &f.space,
+            keys: &f.keys,
+        };
+        let mut bm = Blockmap::new(4);
+        for p in 0..16u64 {
+            bm.set(PageId(p), data_loc(p), &io).unwrap();
+        }
+        assert_eq!(bm.dirty_nodes(), 5, "a root and four leaves");
+        let first = bm.flush(VersionId(1), &mut io).unwrap();
+        assert_eq!(bm.dirty_nodes(), 0);
+        // Children flush before their parent: leaf 1 is the second write.
+        let leaf = first.written[1];
+        let mut reopened = Blockmap::open(4, first.root, &io).unwrap();
+        assert!(reopened.redirty_node(leaf, &io).unwrap());
+        assert_eq!(reopened.dirty_nodes(), 2, "the leaf and the root");
+        let second = reopened.flush(VersionId(2), &mut io).unwrap();
+        let mut superseded = second.superseded.clone();
+        superseded.sort_by_key(|l| l.encode().0);
+        let mut expected = vec![leaf, first.root];
+        expected.sort_by_key(|l| l.encode().0);
+        assert_eq!(superseded, expected);
+        for p in 0..16u64 {
+            assert_eq!(reopened.get(PageId(p), &io).unwrap(), Some(data_loc(p)));
+        }
+        // Neither the superseded node nor a data locator is a node now.
+        assert!(!reopened.redirty_node(leaf, &io).unwrap());
+        assert!(!reopened.redirty_node(data_loc(3), &io).unwrap());
+        assert_eq!(reopened.dirty_nodes(), 0);
+    }
+
+    #[test]
     fn clean_reflush_is_noop() {
         let f = fixture();
-        let io = PageIo {
+        let mut io = PageIo {
             space: &f.space,
             keys: &f.keys,
         };
         let mut bm = Blockmap::new(4);
         bm.set(PageId(0), data_loc(1), &io).unwrap();
-        let a = bm.flush(VersionId(1), &io).unwrap();
-        let b = bm.flush(VersionId(1), &io).unwrap();
+        let a = bm.flush(VersionId(1), &mut io).unwrap();
+        let b = bm.flush(VersionId(1), &mut io).unwrap();
         assert_eq!(a.root, b.root);
         assert!(b.superseded.is_empty());
     }
@@ -670,7 +746,7 @@ mod tests {
     #[test]
     fn live_data_locators_complete_after_reopen() {
         let f = fixture();
-        let io = PageIo {
+        let mut io = PageIo {
             space: &f.space,
             keys: &f.keys,
         };
@@ -678,7 +754,7 @@ mod tests {
         for p in 0..20u64 {
             bm.set(PageId(p), data_loc(p), &io).unwrap();
         }
-        let outcome = bm.flush(VersionId(1), &io).unwrap();
+        let outcome = bm.flush(VersionId(1), &mut io).unwrap();
         let mut reopened = Blockmap::open(4, outcome.root, &io).unwrap();
         let mut locs = reopened.live_data_locators(&io).unwrap();
         locs.sort_by_key(|l| l.encode().0);
@@ -688,7 +764,7 @@ mod tests {
     #[test]
     fn ranged_locators_survive_flush_and_reopen() {
         let f = fixture();
-        let io = PageIo {
+        let mut io = PageIo {
             space: &f.space,
             keys: &f.keys,
         };
@@ -704,7 +780,7 @@ mod tests {
                 .unwrap();
         }
         bm.set(PageId(20), data_loc(7), &io).unwrap();
-        let outcome = bm.flush(VersionId(1), &io).unwrap();
+        let outcome = bm.flush(VersionId(1), &mut io).unwrap();
         let mut reopened = Blockmap::open(4, outcome.root, &io).unwrap();
         for p in 0..20u64 {
             assert_eq!(
@@ -763,7 +839,7 @@ mod tests {
     #[test]
     fn never_write_twice_holds_for_blockmap_pages() {
         let f = fixture();
-        let io = PageIo {
+        let mut io = PageIo {
             space: &f.space,
             keys: &f.keys,
         };
@@ -772,7 +848,7 @@ mod tests {
             for p in 0..16u64 {
                 bm.set(PageId(p), data_loc(round * 100 + p), &io).unwrap();
             }
-            bm.flush(VersionId(round), &io).unwrap();
+            bm.flush(VersionId(round), &mut io).unwrap();
         }
         // Every object in the store (all blockmap pages here) was written
         // exactly once.

@@ -11,6 +11,7 @@
 //!   every single write (never-write-twice) and uploads the image under
 //!   it; reads go through the read-after-write retry loop.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use iq_common::trace::{self, EventKind};
@@ -71,6 +72,10 @@ pub struct DbSpace {
     /// Page geometry.
     pub config: StorageConfig,
     backing: Backing,
+    /// Composite members served, and bytes fetched beyond their windows
+    /// (nonzero only when members are sliced out of whole-object GETs).
+    member_reads: AtomicU64,
+    member_over_read: AtomicU64,
 }
 
 impl DbSpace {
@@ -97,6 +102,8 @@ impl DbSpace {
                 device,
                 freelist: Mutex::new(freelist),
             },
+            member_reads: AtomicU64::new(0),
+            member_over_read: AtomicU64::new(0),
         })
     }
 
@@ -113,6 +120,8 @@ impl DbSpace {
             name: name.into(),
             config,
             backing: Backing::Cloud { store, retry },
+            member_reads: AtomicU64::new(0),
+            member_over_read: AtomicU64::new(0),
         }
     }
 
@@ -191,10 +200,10 @@ impl DbSpace {
         len: u32,
         ranged: bool,
     ) -> IqResult<iq_objectstore::RangeRead> {
-        match &self.backing {
+        let read = match &self.backing {
             Backing::Cloud { store, retry } => {
                 if ranged {
-                    retry.get_range(store.as_ref(), key, offset, len)
+                    retry.get_range(store.as_ref(), key, offset, len)?
                 } else {
                     let full = retry.get(store.as_ref(), key)?;
                     let fetched = full.len() as u64;
@@ -205,16 +214,33 @@ impl DbSpace {
                             full.len()
                         )));
                     }
-                    Ok(iq_objectstore::RangeRead {
+                    iq_objectstore::RangeRead {
                         data: full.slice(start..end),
                         fetched,
-                    })
+                    }
                 }
             }
-            Backing::Conventional { .. } => Err(IqError::Invalid(
-                "get_range requires a cloud dbspace".into(),
-            )),
-        }
+            Backing::Conventional { .. } => {
+                return Err(IqError::Invalid(
+                    "get_range requires a cloud dbspace".into(),
+                ))
+            }
+        };
+        self.member_reads.fetch_add(1, Ordering::Relaxed);
+        self.member_over_read.fetch_add(
+            read.fetched.saturating_sub(read.data.len() as u64),
+            Ordering::Relaxed,
+        );
+        Ok(read)
+    }
+
+    /// Composite members this dbspace has served and the bytes it fetched
+    /// beyond their windows, as `(reads, over_read_bytes)`.
+    pub fn member_reads(&self) -> (u64, u64) {
+        (
+            self.member_reads.load(Ordering::Relaxed),
+            self.member_over_read.load(Ordering::Relaxed),
+        )
     }
 
     /// The underlying object store (cloud only) — shared with the OCM.
@@ -233,6 +259,9 @@ impl DbSpace {
             }
             (Backing::Cloud { store, retry }, PhysicalLocator::Object(key)) => {
                 retry.get(store.as_ref(), key)?
+            }
+            (Backing::Cloud { .. }, PhysicalLocator::ObjectRange { key, offset, len }) => {
+                self.get_range(key, offset, len, true)?.data
             }
             _ => {
                 return Err(IqError::Invalid(format!(
@@ -368,6 +397,22 @@ impl<'a> PageIo<'a> {
     }
 }
 
+/// Where [`crate::Blockmap::flush`] puts the node pages it writes.
+///
+/// [`PageIo`] writes each node on its own (one object or block run per
+/// node); a commit that uploads a composite instead appends its nodes to
+/// that composite and hands out their ranged locators before the upload.
+pub trait NodeSink {
+    /// Persist one node page and return where it lives.
+    fn write_node(&mut self, page: &Page) -> IqResult<PhysicalLocator>;
+}
+
+impl NodeSink for PageIo<'_> {
+    fn write_node(&mut self, page: &Page) -> IqResult<PhysicalLocator> {
+        self.write(page)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,7 +510,30 @@ mod tests {
         assert_eq!(w.data, Bytes::from_static(b"cdef"));
         assert_eq!(w.fetched, 8, "whole-get fallback over-reads the rest");
         assert!(space.get_range(key, 6, 4, true).is_err());
+        assert_eq!(space.member_reads(), (2, 4), "a failed read counts nothing");
         assert!(conventional().get_range(key, 0, 1, true).is_err());
+    }
+
+    #[test]
+    fn read_page_serves_a_composite_member_by_ranged_get() {
+        let (space, store) = cloud();
+        let (a, b) = (page(1, 1), page(2, 2));
+        let (ia, ib) = (a.seal(&cfg()).unwrap().0, b.seal(&cfg()).unwrap().0);
+        let key = ObjectKey::from_offset(5);
+        space
+            .put_raw(key, Bytes::from([&ia[..], &ib[..]].concat()))
+            .unwrap();
+        let member = |offset: usize, len: usize| PhysicalLocator::ObjectRange {
+            key,
+            offset: offset as u32,
+            len: len as u32,
+        };
+        assert_eq!(space.read_page(member(0, ia.len())).unwrap(), a);
+        assert_eq!(space.read_page(member(ia.len(), ib.len())).unwrap(), b);
+        // Two GETs of exactly the members' bytes, counted as member reads.
+        let get = store.stats_snapshot().op(iq_objectstore::IoOp::Get);
+        assert_eq!((get.count, get.bytes), (2, (ia.len() + ib.len()) as u64));
+        assert_eq!(space.member_reads(), (2, 0));
     }
 
     #[test]

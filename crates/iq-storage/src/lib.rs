@@ -41,9 +41,9 @@ pub mod freelist;
 pub mod identity;
 pub mod page;
 
-pub use blockmap::{Blockmap, FlushOutcome};
+pub use blockmap::{Blockmap, FlushOutcome, NODE_PAGE_TAG};
 pub use catalog::Catalog;
-pub use dbspace::{CountingKeySource, DbSpace, KeySource, PageIo};
+pub use dbspace::{CountingKeySource, DbSpace, KeySource, NodeSink, PageIo};
 pub use freelist::Freelist;
 pub use identity::IdentityObject;
 pub use page::{Page, PageKind, StorageConfig};

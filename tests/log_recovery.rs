@@ -11,7 +11,7 @@ use cloudiq::core::{Database, DatabaseConfig, GroupCommitMode};
 use cloudiq::engine::table::{Schema, TableMeta, TableWriter};
 use cloudiq::engine::value::{DataType, Value};
 use cloudiq::objectstore::FaultPlan;
-use cloudiq::objectstore::RetryPolicy;
+use cloudiq::objectstore::{IoOp, RetryPolicy};
 use cloudiq::txn::LogRecord;
 
 fn schema() -> Schema {
@@ -274,4 +274,53 @@ fn reconciled_replay_equals_in_memory_suffix_without_faults() {
         );
         db.rollback(rtxn).unwrap();
     }
+}
+
+/// The cascade rides the commit's last composite, so a commit whose
+/// composite landed and whose log PUT did not leaves nothing behind: the
+/// rollback deletes the composite — blockmap nodes and all — and after
+/// reopen the table, the store and the composite registry are as if the
+/// commit had never run.
+#[test]
+fn a_landed_composite_without_its_log_record_resurrects_nothing() {
+    let mut cfg = recovery_cfg();
+    cfg.pack_pages = 16;
+    let db = Database::create(cfg.clone()).unwrap();
+    let space = db.create_cloud_dbspace("clouddata").unwrap();
+    db.create_table(TableId(1), space).unwrap();
+    let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
+    let txn = db.begin();
+    load(&db, &mut meta, txn, 0, 100);
+    db.commit(txn).unwrap();
+    db.save_table_meta(&meta).unwrap();
+    let store = db.cloud_store(space).unwrap();
+    let baseline = store.live_keys();
+    let puts = || store.stats.snapshot().op(IoOp::Put).count;
+    let puts_before = puts();
+
+    let doomed = db.begin();
+    load(&db, &mut meta.clone(), doomed, 100, 50);
+    cut_log_puts(&db);
+    assert!(db.commit(doomed).is_err(), "an un-durable commit fails");
+    assert_eq!(
+        puts() - puts_before,
+        1,
+        "one data PUT: the composite and its cascade"
+    );
+    assert_eq!(store.live_keys(), baseline, "the rollback deleted it");
+
+    heal_log_puts(&db);
+    let db = Database::reopen(db.into_durable(), cfg).unwrap();
+    let store = db.cloud_store(space).unwrap();
+    assert_eq!(store.live_keys(), baseline);
+    let m = db.metrics();
+    assert_eq!(format!("{:?}", m["pack.composites_live"]), "U64(1)");
+    let meta = db.load_table_meta(TableId(1)).unwrap().unwrap();
+    let rtxn = db.begin();
+    let pager = db.pager(rtxn).unwrap();
+    let out = meta.scan(&pager, &[0, 1], None, db.meter()).unwrap();
+    assert_eq!(out.len(), 100);
+    assert_eq!(out.col(1).strs()[99].as_ref(), "r99");
+    db.rollback(rtxn).unwrap();
+    assert_eq!(store.max_write_count(), 1);
 }

@@ -57,69 +57,70 @@ fn created_and_reopened_instances_are_wired_alike() {
 
 #[test]
 fn pager_and_snapshot_view_read_identical_pages_behind_every_locator_kind() {
-    let cfg = DatabaseConfig {
-        encryption_key: Some(0x5eed_cafe),
-        pack_pages: 4,
-        ..DatabaseConfig::test_small()
-    };
-    let db = Database::create(cfg).unwrap();
-    let cloud = db.create_cloud_dbspace("clouddata").unwrap();
-    let conv = db.create_conventional_dbspace("main", 1 << 20).unwrap();
-    let (single, packed, blocks) = (TableId(1), TableId(2), TableId(3));
-    db.create_table(single, cloud).unwrap();
-    db.create_table(packed, cloud).unwrap();
-    db.create_table(blocks, conv).unwrap();
-
-    // One transaction per table: a lone cloud page flushes as a whole
-    // object, three cloud pages pack into one composite, and the
-    // conventional dbspace hands out block runs.
     type Kind = fn(&PhysicalLocator) -> bool;
-    let cases: [(TableId, u64, Kind); 3] = [
-        (single, 1, |l| matches!(l, PhysicalLocator::Object(_))),
-        (packed, 3, |l| {
-            matches!(l, PhysicalLocator::ObjectRange { .. })
-        }),
-        (blocks, 2, |l| matches!(l, PhysicalLocator::Blocks { .. })),
-    ];
-    let body = |t: TableId, p: u64| Bytes::from(vec![(t.0 as u8) << 4 | p as u8; 200]);
-    for (table, pages, _) in cases {
+    let object: Kind = |l| matches!(l, PhysicalLocator::Object(_));
+    let ranged: Kind = |l| matches!(l, PhysicalLocator::ObjectRange { .. });
+    let blocks: Kind = |l| matches!(l, PhysicalLocator::Blocks { .. });
+    // One transaction per table. Without packing a lone cloud page is a
+    // whole object; with it, pages — a lone one included, which rides
+    // with its blockmap node — are composite members. The conventional
+    // dbspace hands out block runs either way.
+    for (pack_pages, lone) in [(1, object), (4, ranged)] {
+        let cfg = DatabaseConfig {
+            encryption_key: Some(0x5eed_cafe),
+            pack_pages,
+            ..DatabaseConfig::test_small()
+        };
+        let db = Database::create(cfg).unwrap();
+        let cloud = db.create_cloud_dbspace("clouddata").unwrap();
+        let conv = db.create_conventional_dbspace("main", 1 << 20).unwrap();
+        let (single, packed, on_blocks) = (TableId(1), TableId(2), TableId(3));
+        db.create_table(single, cloud).unwrap();
+        db.create_table(packed, cloud).unwrap();
+        db.create_table(on_blocks, conv).unwrap();
+        let many = if pack_pages > 1 { ranged } else { object };
+        let cases: [(TableId, u64, Kind); 3] =
+            [(single, 1, lone), (packed, 3, many), (on_blocks, 2, blocks)];
+        let body = |t: TableId, p: u64| Bytes::from(vec![(t.0 as u8) << 4 | p as u8; 200]);
+        for (table, pages, _) in cases {
+            let txn = db.begin();
+            let pager = db.pager(txn).unwrap();
+            for p in 0..pages {
+                pager
+                    .write_page(table, PageId(p), PageKind::Data, body(table, p), txn)
+                    .unwrap();
+            }
+            db.commit(txn).unwrap();
+        }
+        let snap = db.take_snapshot().unwrap();
+        // Both readers must go to storage, not to a cached decoded frame.
+        db.shared().buffer.clear();
+
+        let view = db.snapshot_view(snap).unwrap();
         let txn = db.begin();
         let pager = db.pager(txn).unwrap();
-        for p in 0..pages {
-            pager
-                .write_page(table, PageId(p), PageKind::Data, body(table, p), txn)
-                .unwrap();
+        for (table, pages, is_expected_kind) in cases {
+            let ts = db.shared().table_store(table).unwrap();
+            let space = db.dbspace(ts.space).unwrap();
+            let keys = CountingKeySource::default();
+            let io = PageIo {
+                space: &space,
+                keys: &keys,
+            };
+            for p in 0..pages {
+                let loc = ts.resolve(txn, LATEST, PageId(p), &io).unwrap().unwrap();
+                assert!(
+                    is_expected_kind(&loc),
+                    "pack {pack_pages}: {table} page {p} sits behind {loc:?}"
+                );
+                let live = pager.read_page(table, PageId(p), true).unwrap();
+                let viewed = view.read_page(table, PageId(p), true).unwrap();
+                assert_eq!(live, viewed, "{table} page {p} behind {loc:?}");
+                assert_eq!(live.body, body(table, p));
+            }
         }
-        db.commit(txn).unwrap();
+        db.rollback(txn).unwrap();
     }
-    let snap = db.take_snapshot().unwrap();
-    // Both readers must go to storage, not to a cached decoded frame.
-    db.shared().buffer.clear();
-
-    let view = db.snapshot_view(snap).unwrap();
-    let txn = db.begin();
-    let pager = db.pager(txn).unwrap();
-    for (table, pages, is_expected_kind) in cases {
-        let ts = db.shared().table_store(table).unwrap();
-        let space = db.dbspace(ts.space).unwrap();
-        let keys = CountingKeySource::default();
-        let io = PageIo {
-            space: &space,
-            keys: &keys,
-        };
-        for p in 0..pages {
-            let loc = ts.resolve(txn, LATEST, PageId(p), &io).unwrap().unwrap();
-            assert!(
-                is_expected_kind(&loc),
-                "{table} page {p} sits behind {loc:?}"
-            );
-            let live = pager.read_page(table, PageId(p), true).unwrap();
-            let viewed = view.read_page(table, PageId(p), true).unwrap();
-            assert_eq!(live, viewed, "{table} page {p} behind {loc:?}");
-            assert_eq!(live.body, body(table, p));
-        }
-    }
-    db.rollback(txn).unwrap();
 }
 
 /// `take_snapshot` persists the retention FIFO as a raw blob, so it must

@@ -11,7 +11,8 @@
 //!
 //! with the never-write-twice invariant intact throughout, including
 //! across a compaction pass. A second test pins the composite's layout:
-//! byte-exact member images laid end to end.
+//! byte-exact member images laid end to end, the commit's blockmap nodes
+//! among them. A third pins that compaction moves a live node member.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +21,7 @@ use cloudiq::core::tablestore::LATEST;
 use cloudiq::core::{Database, DatabaseConfig};
 use cloudiq::engine::PageStore;
 use cloudiq::objectstore::{IoOp, ObjectBackend};
-use cloudiq::storage::{CountingKeySource, Page, PageIo, PageKind};
+use cloudiq::storage::{Blockmap, CountingKeySource, Page, PageIo, PageKind, NODE_PAGE_TAG};
 
 const TABLE: TableId = TableId(1);
 const PAGE_UNIVERSE: u64 = 96;
@@ -136,11 +137,14 @@ fn puts(r: &Replay) -> u64 {
 /// A composite is its members' sealed images laid end to end: each member
 /// starts where the one before it ends, the object is exactly the sum of
 /// their lengths, and each member is byte for byte what `Page::seal`
-/// returns — no block padding inside or after any of them.
+/// returns — no block padding inside or after any of them. The commit's
+/// blockmap nodes (a root over two leaves here) are members too: the
+/// commit is that one PUT.
 #[test]
 fn packed_members_are_contiguous_and_the_object_is_their_sum() {
     let mut cfg = DatabaseConfig::test_small();
     cfg.pack_pages = 8;
+    cfg.blockmap_fanout = 4;
     let storage = cfg.storage;
     let db = Database::create(cfg).unwrap();
     let space = db.create_cloud_dbspace("clouddata").unwrap();
@@ -183,14 +187,24 @@ fn packed_members_are_contiguous_and_the_object_is_their_sum() {
         keys: &keys,
     };
     let reader = db.begin();
-    let mut members = Vec::new();
+    let mut locs = Vec::new();
     for p in 0..bodies.len() as u64 {
-        let loc = ts.resolve(reader, LATEST, PageId(p), &io).unwrap().unwrap();
-        let PhysicalLocator::ObjectRange { key, offset, len } = loc else {
-            panic!("page {p} was not packed: {loc:?}");
-        };
-        members.push((key, offset, len));
+        locs.push(ts.resolve(reader, LATEST, PageId(p), &io).unwrap().unwrap());
     }
+    // The commit's blockmap nodes ride in the same object.
+    let identity = ts.identity().unwrap();
+    let mut tree = Blockmap::open(identity.fanout as usize, identity.root, &io).unwrap();
+    tree.live_data_locators(&io).unwrap();
+    let nodes = tree.live_node_locators();
+    assert_eq!(nodes.len(), 3);
+    locs.extend(&nodes);
+    let mut members: Vec<_> = locs
+        .iter()
+        .map(|loc| match *loc {
+            PhysicalLocator::ObjectRange { key, offset, len } => (key, offset, len),
+            other => panic!("{other:?} is not a composite member"),
+        })
+        .collect();
     members.sort();
     let key = members[0].0;
     assert!(members.iter().all(|m| m.0 == key), "one composite");
@@ -203,11 +217,15 @@ fn packed_members_are_contiguous_and_the_object_is_their_sum() {
     let object = ObjectBackend::get(store.as_ref(), key).unwrap();
     let sum: u32 = members.iter().map(|m| m.2).sum();
     assert_eq!(object.len(), sum as usize, "object is Σ len");
+    assert_eq!(store.stats.snapshot().op(IoOp::Put).count, 1, "one PUT");
     let mut unaligned = 0;
     for &(_, offset, len) in &members {
         let image = &object[offset as usize..(offset + len) as usize];
         let page = Page::unseal(image).unwrap();
-        assert_eq!(page.body, bodies[page.id.0 as usize]);
+        match page.kind {
+            PageKind::Blockmap => assert!(page.id.0 & NODE_PAGE_TAG != 0),
+            _ => assert_eq!(page.body, bodies[page.id.0 as usize]),
+        }
         assert_eq!(&page.seal(&storage).unwrap().0[..], image);
         unaligned += usize::from(len % storage.block_size() != 0);
     }
@@ -289,4 +307,71 @@ fn random_histories_pack_equivalent_with_fewer_puts() {
         );
         assert!(!registry.has_fully_dead());
     }
+}
+
+/// A composite whose only survivor is a blockmap node is not pinned until
+/// the table happens to change under that node: compaction dirties the
+/// node, its commit's cascade rewrites it, and the GC reclaims the donor.
+#[test]
+fn compaction_reclaims_a_composite_whose_only_survivor_is_a_node() {
+    let mut cfg = DatabaseConfig::test_small();
+    cfg.retention = None;
+    cfg.pack_pages = 2;
+    cfg.blockmap_fanout = 4;
+    let db = Database::create(cfg.clone()).unwrap();
+    let space = db.create_cloud_dbspace("clouddata").unwrap();
+    db.create_table(TABLE, space).unwrap();
+    let commit = |pages: &[u64], round: u64| {
+        let txn = db.begin();
+        {
+            let pager = db.pager(txn).unwrap();
+            for &p in pages {
+                pager
+                    .write_page(TABLE, PageId(p), PageKind::Data, body(p, round), txn)
+                    .unwrap();
+            }
+        }
+        db.commit(txn).unwrap();
+    };
+    // Pages 0 and 4 fill the first composite. Page 5 rides in the last
+    // one with the whole cascade: leaf 0 (over page 0), leaf 1 (over
+    // pages 4 and 5) and the root.
+    commit(&[0, 4, 5], 1);
+    let ts = db.shared().table_store(TABLE).unwrap();
+    let PhysicalLocator::ObjectRange { key: tail, .. } = ts.identity().unwrap().root else {
+        panic!("the root is a member of the commit's last composite");
+    };
+    // Rewriting page 5 kills its member, leaf 1 and the root: leaf 0 is
+    // the last composite's only survivor.
+    commit(&[5], 2);
+    db.gc_drain().unwrap();
+    let registry = db.shared().txns.composites();
+    assert_eq!(registry.live_fraction(tail), Some(0.25));
+
+    assert_eq!(db.compact_tick(0.5, 10).unwrap(), 1, "the node moved");
+    db.gc_drain().unwrap();
+    assert_eq!(registry.live_fraction(tail), None, "the donor is reclaimed");
+    let store = db.cloud_store(space).unwrap();
+    assert!(!store.live_keys().contains(&tail));
+    assert_eq!(store.max_write_count(), 1);
+    let stats = &db.shared().pack_stats;
+    let moved = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(
+        (
+            moved(&stats.compaction_rewritten),
+            moved(&stats.compaction_stale_skips)
+        ),
+        (1, 0),
+        "a live node counts as rewritten, not dead"
+    );
+
+    // The moved tree still maps every page, read back from storage.
+    let reopened = Database::reopen(db.into_durable(), cfg).unwrap();
+    let txn = reopened.begin();
+    let pager = reopened.pager(txn).unwrap();
+    for (p, round) in [(0, 1), (4, 1), (5, 2)] {
+        let page = pager.read_page(TABLE, PageId(p), true).unwrap();
+        assert_eq!(page.body, body(p, round), "page {p}");
+    }
+    reopened.rollback(txn).unwrap();
 }

@@ -6,6 +6,7 @@ use cloudiq::common::{NodeId, TableId};
 use cloudiq::core::{Database, DatabaseConfig};
 use cloudiq::engine::table::{Schema, TableMeta, TableWriter};
 use cloudiq::engine::value::{DataType, Value};
+use cloudiq::objectstore::IoOp;
 use cloudiq::storage::StorageConfig;
 
 fn schema() -> Schema {
@@ -196,4 +197,39 @@ fn reopen_twice_is_stable() {
     // Reader-node discipline also survives: node 1 is a writer, readers
     // cannot allocate keys.
     assert!(db.begin_on(NodeId(1)).is_ok());
+}
+
+/// A packed commit's blockmap nodes are members of its composite, so a
+/// reopened instance loads the tree — like the pages under it — with
+/// ranged GETs of exactly each member's bytes.
+#[test]
+fn reopen_loads_member_nodes_by_ranged_get() {
+    let mut cfg = DatabaseConfig::test_small();
+    cfg.pack_pages = 16;
+    let db = Database::create(cfg.clone()).unwrap();
+    let space = db.create_cloud_dbspace("clouddata").unwrap();
+    db.create_table(TableId(1), space).unwrap();
+    let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
+    let txn = db.begin();
+    load(&db, &mut meta, txn, 600);
+    db.commit(txn).unwrap();
+    db.save_table_meta(&meta).unwrap();
+
+    let db = Database::reopen(db.into_durable(), cfg).unwrap();
+    let rtxn = db.begin();
+    let pager = db.pager(rtxn).unwrap();
+    assert_eq!(
+        meta.scan(&pager, &[0, 1], None, db.meter()).unwrap().len(),
+        600
+    );
+    db.rollback(rtxn).unwrap();
+    // 20 pages under a root and two leaves: 23 members, each one GET.
+    let gets = db
+        .cloud_store(space)
+        .unwrap()
+        .stats
+        .snapshot()
+        .op(IoOp::Get);
+    assert_eq!(gets.count, 23);
+    assert_eq!(db.shared().member_reads(), (23, 0));
 }

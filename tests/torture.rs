@@ -177,12 +177,13 @@ fn crash_cut_mid_packed_commit_recovers() {
         "the baseline commit must actually have packed"
     );
 
-    // The doomed packed commit dies mid-flush.
+    // The doomed packed commit dies mid-flush: its 50 pages are seven
+    // composites, the last one carrying the blockmap cascade.
     let inj = db.fault_injector(space).unwrap();
     let mut meta2 = TableMeta::new(TableId(2), "t2", schema(), 32);
     let doomed = db.begin();
     load(&db, &mut meta2, doomed, 800);
-    inj.arm_crash(10);
+    inj.arm_crash(4);
     assert!(
         db.commit(doomed).is_err(),
         "commit across the cut must fail"
@@ -205,6 +206,71 @@ fn crash_cut_mid_packed_commit_recovers() {
     // Replay rebuilt the registry; nothing reclaimable may linger.
     db.gc_drain().unwrap();
     assert!(!db.shared().txns.composites().has_fully_dead());
+}
+
+/// A commit that writes two tables and fails at any of its uploads —
+/// a data composite, the composite that carries the blockmap cascade, or,
+/// without packing, a page or a node of either table — leaves both tables
+/// at their pre-commit versions: no table is installed until every upload
+/// of the commit has landed, so rollback has nothing to undo.
+#[test]
+fn a_failed_upload_leaves_every_table_of_the_commit_at_its_old_version() {
+    use cloudiq::common::PageId;
+    use cloudiq::engine::PageStore;
+    use cloudiq::storage::PageKind;
+
+    let tables = [TableId(1), TableId(2)];
+    let body = |t: TableId, p: u64, v: u8| bytes::Bytes::from(vec![t.0 as u8 ^ p as u8 ^ v; 300]);
+    for pack_pages in [1, 16] {
+        let mut failures = 0;
+        for cut in 0.. {
+            let mut cfg = faulted_cfg(FaultPlan::none());
+            cfg.pack_pages = pack_pages;
+            let db = Database::create(cfg).unwrap();
+            let space = db.create_cloud_dbspace("clouddata").unwrap();
+            for t in tables {
+                db.create_table(t, space).unwrap();
+            }
+            let write = |v: u8| {
+                let txn = db.begin();
+                let pager = db.pager(txn).unwrap();
+                for t in tables {
+                    for p in 0..20 {
+                        pager
+                            .write_page(t, PageId(p), PageKind::Data, body(t, p, v), txn)
+                            .unwrap();
+                    }
+                }
+                db.commit(txn)
+            };
+            write(1).unwrap();
+            let inj = db.fault_injector(space).unwrap();
+            inj.arm_crash(cut);
+            let committed = write(2).is_ok();
+            inj.heal();
+            let v = if committed { 2 } else { 1 };
+            db.shared().buffer.clear();
+            let rtxn = db.begin();
+            let pager = db.pager(rtxn).unwrap();
+            for t in tables {
+                for p in 0..20 {
+                    let page = pager.read_page(t, PageId(p), true).unwrap_or_else(|e| {
+                        panic!("pack {pack_pages} cut {cut}: {t} page {p}: {e}")
+                    });
+                    assert_eq!(page.body, body(t, p, v), "pack {pack_pages} cut {cut}");
+                }
+            }
+            db.rollback(rtxn).unwrap();
+            if committed {
+                break;
+            }
+            failures += 1;
+        }
+        // Per page and node: 40 pages and two trees of a root over two
+        // leaves. Packed: two composites of 16 pages, then the last 8 with
+        // both cascades.
+        assert_eq!(failures, if pack_pages == 1 { 46 } else { 3 });
+    }
 }
 
 /// Compaction over a flaky store: retries and throttles on the
