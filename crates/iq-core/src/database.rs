@@ -15,9 +15,10 @@ use iq_objectstore::{BlockDeviceSim, FaultInjector, IoReactor, ObjectStoreSim, R
 use iq_ocm::{Ocm, OcmConfig};
 use iq_snapshot::{RetainingSink, SnapshotManager};
 use iq_storage::{Catalog, DbSpace};
+use iq_txn::rfrb::PageSet;
 use iq_txn::{
-    DeletionSink, ImmediateDeletion, Multiplex, NodeKeyCache, NodeRole, RangeProvider,
-    TransactionManager, TxnLog,
+    Checkpoint, DeletionSink, ImmediateDeletion, LogRecord, Multiplex, NodeKeyCache, NodeRole,
+    RangeProvider, TransactionManager, TxnLog,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -1070,11 +1071,20 @@ impl Database {
                 let _ = self.rollback_inner(txn, true);
             })?;
         // Every upload of the commit has landed: install the identities
-        // (updated in place in the catalog, §3.1) and promote the trees.
-        for (ts, identity) in sink.into_flushed() {
-            ts.install(txn, identity, commit_point);
-            self.shared.catalog.lock().set_identity(identity);
-        }
+        // (updated in place in the catalog, §3.1) and promote the trees,
+        // before the commit sequence moves — a transaction that begins in
+        // between is pinned to the versions they supersede. The tables stay
+        // this transaction's to write until its record's fate is known.
+        let installed: Vec<(Arc<TableStore>, Option<iq_storage::IdentityObject>)> = sink
+            .into_flushed()
+            .into_iter()
+            .map(|(ts, identity)| {
+                let previous = ts.identity();
+                ts.install(txn, identity, commit_point);
+                self.shared.catalog.lock().set_identity(identity);
+                (ts, previous)
+            })
+            .collect();
         // Deferred GC: the commit only moves the transaction onto the
         // committed chain. Reclamation runs through the budgeted driver
         // ([`Self::gc_tick`] / [`Self::gc_drain`]), so commit latency no
@@ -1082,10 +1092,25 @@ impl Database {
         //
         // `commit_deferred` appends the commit record durably: if the
         // durable-log PUT fails past its retry budget, the commit fails
-        // here and rolls back exactly like a blockmap-cascade failure.
+        // here. Every table it installed goes back to the version it
+        // superseded, then it rolls back like a blockmap-cascade failure
+        // — which deletes the uploads the installed trees pointed at.
         let seq = self.shared.txns.commit_deferred(txn).inspect_err(|_| {
+            for (ts, previous) in &installed {
+                ts.uninstall(txn, *previous, commit_point);
+                let mut catalog = self.shared.catalog.lock();
+                match previous {
+                    Some(identity) => catalog.set_identity(*identity),
+                    None => {
+                        catalog.remove_identity(ts.table);
+                    }
+                }
+            }
             let _ = self.rollback_inner(txn, true);
         })?;
+        for (ts, _) in &installed {
+            ts.release_writer(txn);
+        }
         self.shared
             .catalog
             .lock()
@@ -1273,16 +1298,45 @@ impl Database {
         finished
     }
 
-    /// Emit a checkpoint (key-generator state + freelists) to the log.
+    /// Write a checkpoint, the base reopen starts from: the key
+    /// generator's state, the conventional freelists, and the garbage
+    /// collector's — the composite registry with its death bits, the
+    /// committed chain's pending frees, the retention FIFO and its clock.
+    /// Once the record is durable the log is cut behind it, in memory and
+    /// on the log store, so reopen replays only what came after it. If the
+    /// record does not become durable the error is returned and nothing is
+    /// cut.
     pub fn checkpoint(&self) -> IqResult<()> {
-        let mut freelists = std::collections::BTreeMap::new();
-        for (id, space) in self.shared.spaces.read().iter() {
-            if let Some(image) = space.freelist_image() {
-                freelists.insert(*id, image);
-            }
-        }
-        self.shared.mx.coordinator.keygen()?.checkpoint(freelists);
+        let keygen = self.shared.mx.coordinator.keygen()?;
+        // Quiesced, the fence has no commit between its log append and its
+        // chain push and no GC pass or retention sweep between popping and
+        // settling: the image holds exactly what the records before its
+        // own did. It stays quiesced until the in-memory log is cut at this
+        // record. The store's cut needs no fence: the record has landed,
+        // so every object below its key is fixed, and whatever lands
+        // meanwhile lands above it.
+        let quiet = self.shared.txns.fence().quiesce();
+        let freelists = self
+            .shared
+            .spaces
+            .read()
+            .iter()
+            .filter_map(|(id, space)| Some((*id, space.freelist_image()?)))
+            .collect();
+        keygen.checkpoint(Checkpoint {
+            freelists,
+            retention: self
+                .shared
+                .snapshots
+                .as_ref()
+                .map(|sm| sm.retention_image()),
+            ..self.shared.txns.gc_image(&quiet)
+        })?;
         self.shared.log.truncate_before_checkpoint()?;
+        drop(quiet);
+        if let Some(dl) = &self.shared.durable_log {
+            dl.truncate_before_checkpoint()?;
+        }
         Ok(())
     }
 
@@ -1428,7 +1482,12 @@ impl Database {
     /// Sweep expired retained pages. Returns pages permanently deleted.
     pub fn sweep_retention(&self) -> IqResult<usize> {
         match &self.shared.snapshots {
-            Some(sm) => sm.sweep_expired(self.shared.immediate_sink.as_ref()),
+            Some(sm) => {
+                // Inside the checkpoint fence: pages popped from the FIFO
+                // are in no image until they are deleted or back in it.
+                let _inside = self.shared.txns.fence().enter();
+                sm.sweep_expired(self.shared.immediate_sink.as_ref())
+            }
             None => Ok(0),
         }
     }
@@ -1555,10 +1614,10 @@ impl Database {
     /// Reopen a database from its durable state: reload the catalog,
     /// rebuild dbspaces and tables from their definitions and identity
     /// objects, recover the Object Key Generator by log replay (§3.2),
-    /// restore conventional freelists from the last checkpoint plus
-    /// committed RF/RB bitmaps (§3.3), and garbage collect every
-    /// outstanding active-set range — transactions in flight at power-off
-    /// can never commit.
+    /// restore conventional freelists and the garbage collector's state
+    /// from the last checkpoint plus the committed RF/RB bitmaps logged
+    /// after it (§3.3), and garbage collect every outstanding active-set
+    /// range — transactions in flight at power-off can never commit.
     pub fn reopen(durable: DurableState, config: DatabaseConfig) -> IqResult<Self> {
         let catalog = Catalog::load(durable.system.as_ref(), BlockNum(0))?;
         // When the previous life mirrored the log durably, the durable
@@ -1635,58 +1694,59 @@ impl Database {
             db.next_space.fetch_max(def.id + 1, Ordering::Relaxed);
         }
 
-        // Restore conventional freelists: last checkpoint image, then
-        // committed RF/RB bitmaps replayed in order (§3.3).
-        let mut checkpoint_freelists: Option<std::collections::BTreeMap<u32, Vec<u8>>> = None;
-        let mut commit_bitmaps = Vec::new();
+        // Restore the garbage collector and the conventional freelists: the
+        // last checkpoint's image, then the commits logged after it, in
+        // order (§3.3). With no checkpoint in the log the image is empty
+        // and the whole log is the suffix. Block runs go straight back to
+        // the freelists — the checkpoint's pending ones first, then each
+        // commit's RB and RF — because a later commit may have reused a
+        // run an earlier one freed. The registry, the retention FIFO, and
+        // the cloud keys and members still to free go back to their
+        // managers; the next GC pass reclaims what is owed.
+        let mut checkpoint = Checkpoint::default();
+        let mut commits = Vec::new();
         for record in db.shared.log.replay_suffix() {
             match record {
-                iq_txn::LogRecord::Checkpoint { freelists, .. } => {
-                    checkpoint_freelists = Some(freelists);
-                    commit_bitmaps.clear();
+                LogRecord::Checkpoint(cp) => {
+                    checkpoint = cp;
+                    commits.clear();
                 }
-                iq_txn::LogRecord::Commit { rfrb, .. } => commit_bitmaps.push(rfrb),
-                iq_txn::LogRecord::AllocateRange { .. } => {}
+                LogRecord::Commit { rfrb, .. } => commits.push(rfrb),
+                LogRecord::AllocateRange { .. } => {}
             }
         }
-        if let Some(images) = checkpoint_freelists {
-            for (space_id, image) in images {
-                if let Ok(space) = db.shared.space(DbSpaceId(space_id)) {
-                    space.restore_freelist(&image)?;
-                }
+        for (space_id, image) in &checkpoint.freelists {
+            if let Ok(space) = db.shared.space(DbSpaceId(*space_id)) {
+                space.restore_freelist(image)?;
             }
         }
-        for rfrb in &commit_bitmaps {
-            for (space_id, start, count) in rfrb.rb.iter_blocks() {
+        let blocks = |set: &PageSet, apply: fn(&mut iq_storage::Freelist, BlockNum, u32)| {
+            for (space_id, start, count) in set.iter_blocks() {
                 if let Ok(space) = db.shared.space(space_id) {
-                    space.with_freelist(|f| f.mark_used(start, count as u32));
+                    space.with_freelist(|f| apply(f, start, u32::from(count)));
                 }
             }
-            for (space_id, start, count) in rfrb.rf.iter_blocks() {
-                if let Ok(space) = db.shared.space(space_id) {
-                    space.with_freelist(|f| f.free(start, count as u32));
+        };
+        blocks(&checkpoint.pending, iq_storage::Freelist::free);
+        for rfrb in &commits {
+            blocks(&rfrb.rb, iq_storage::Freelist::mark_used);
+            blocks(&rfrb.rf, iq_storage::Freelist::free);
+        }
+        let mut pending = checkpoint.pending.keys;
+        match (checkpoint.retention, &db.shared.snapshots) {
+            (Some(image), Some(sm)) => sm.restore_retention(&image),
+            // Retention is off in this life: what the last one retained
+            // dies now.
+            (Some(image), None) => {
+                for (key, _expiry) in image.fifo {
+                    pending.insert(key);
                 }
             }
+            (None, _) => {}
         }
-
-        // Rebuild the composite registry from the same suffix: member
-        // layouts first (registration precedes any member free in commit
-        // order), then the recorded member deaths. A composite the
-        // pre-crash GC already reclaimed re-registers, re-dies, and hits
-        // an idempotent delete — self-healing, never a double free.
-        let composites = db.shared.txns.composites();
-        for rfrb in &commit_bitmaps {
-            for (&off, members) in &rfrb.packs {
-                composites.register(ObjectKey::from_offset(off), members);
-            }
-        }
-        for rfrb in &commit_bitmaps {
-            for (&off, ranges) in &rfrb.rf.members {
-                for &(member_off, _len) in ranges {
-                    composites.mark_member_dead(off, member_off);
-                }
-            }
-        }
+        db.shared
+            .txns
+            .recover_gc(checkpoint.composites, pending, &commits);
 
         // Rebuild tables from definitions + identity objects.
         let table_defs: Vec<TableDef> = db

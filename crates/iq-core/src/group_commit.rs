@@ -38,6 +38,13 @@
 //! return now guarantees the commit record reached the log store.
 //! The store itself can be wrapped in an optional [`FaultInjector`]
 //! (`DatabaseConfig::log_fault`) so that contract is testable.
+//!
+//! **Truncation.** A checkpoint record is uploaded like any other
+//! non-commit record, and the uploader remembers the key it landed under.
+//! Every log object below that key holds records the checkpoint
+//! supersedes; [`DurableLog::truncate_before_checkpoint`] deletes them, so
+//! recovery reads the checkpoint and what came after it, however long the
+//! instance has lived.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +53,7 @@ use std::sync::Arc;
 use iq_common::{IoStats, IqError, IqResult, ObjectKey};
 use iq_objectstore::{
     ConsistencyConfig, FaultInjector, FaultPlan, IoReactor, ObjectBackend, ObjectStoreSim,
-    ReactorStore, RetryPolicy,
+    ReactorStore, RetryPolicy, DELETE_BATCH_MAX,
 };
 use iq_txn::{LogRecord, LogSink};
 use parking_lot::{Condvar, Mutex};
@@ -152,6 +159,8 @@ pub struct DurableLog {
     injector: Option<Arc<FaultInjector>>,
     retry: RetryPolicy,
     next_key: AtomicU64,
+    /// Key of the last checkpoint record that landed (0: none yet).
+    checkpoint_key: AtomicU64,
     io_stats: Option<Arc<IoStats>>,
     gather: Mutex<GatherState>,
     cv: Condvar,
@@ -205,6 +214,7 @@ impl DurableLog {
             injector,
             retry,
             next_key: AtomicU64::new(next_key),
+            checkpoint_key: AtomicU64::new(0),
             io_stats,
             gather: Mutex::new(GatherState::default()),
             cv: Condvar::new(),
@@ -243,7 +253,31 @@ impl DurableLog {
         if records.is_empty() {
             return Ok(());
         }
-        self.put(records)
+        self.put(records).map(drop)
+    }
+
+    /// Delete every log object below the last checkpoint that landed:
+    /// they hold only records the checkpoint supersedes. Multi-object
+    /// deletes of at most [`DELETE_BATCH_MAX`] keys go through the retry
+    /// stack; the first batch that fails stops the cut and returns its
+    /// error (the next checkpoint deletes whatever is left below it). The
+    /// checkpoint's own object stays, so an uploader reopened over this
+    /// store keeps allocating above it. Returns the objects deleted.
+    pub fn truncate_before_checkpoint(&self) -> IqResult<u64> {
+        let below = self.checkpoint_key.load(Ordering::Relaxed);
+        let keys: Vec<ObjectKey> = self
+            .sim
+            .live_keys()
+            .into_iter()
+            .filter(|k| (LOG_KEY_BASE..below).contains(&k.offset()))
+            .collect();
+        for batch in keys.chunks(DELETE_BATCH_MAX) {
+            let outcome = self.retry.delete_batch(self.store.as_ref(), batch);
+            if let Some(e) = outcome.results.into_iter().find_map(|(_, r)| r.err()) {
+                return Err(e);
+            }
+        }
+        Ok(keys.len() as u64)
     }
 
     /// Counter snapshot.
@@ -283,13 +317,13 @@ impl DurableLog {
     }
 
     /// One PUT for one record.
-    fn upload_one(&self, record: &LogRecord) -> IqResult<()> {
+    fn upload_one(&self, record: &LogRecord) -> IqResult<ObjectKey> {
         self.put(std::slice::from_ref(record))
     }
 
     /// One PUT for a gathered batch.
     fn upload_batch(&self, batch: &[LogRecord]) -> IqResult<()> {
-        let res = self.put(batch);
+        let res = self.put(batch).map(drop);
         self.max_batch
             .fetch_max(batch.len() as u64, Ordering::Relaxed);
         if batch.len() > 1 {
@@ -306,8 +340,8 @@ impl DurableLog {
     /// One logical upload: burns one log key (never-write-twice — a
     /// retried or failed key is never reused), retries transient errors
     /// through the policy, and on exhaustion counts the failure exactly
-    /// once and returns it.
-    fn put(&self, records: &[LogRecord]) -> IqResult<()> {
+    /// once and returns it. Returns the key the records landed under.
+    fn put(&self, records: &[LogRecord]) -> IqResult<ObjectKey> {
         let key = ObjectKey::from_offset(self.next_key.fetch_add(1, Ordering::Relaxed));
         self.puts.fetch_add(1, Ordering::Relaxed);
         let body = encode(records);
@@ -315,7 +349,8 @@ impl DurableLog {
             .put(self.store.as_ref(), key, body.into())
             .inspect_err(|_| {
                 self.put_failures.fetch_add(1, Ordering::Relaxed);
-            })
+            })?;
+        Ok(key)
     }
 
     /// The gather path for an armed committer's commit record. Returns
@@ -384,7 +419,11 @@ impl LogSink for DurableLog {
             // `PerAppend` always; in `Coalesced`, the non-commit
             // records (allocations, checkpoints) and commit records
             // from threads outside a commit window.
-            self.upload_one(record)
+            let key = self.upload_one(record)?;
+            if matches!(record, LogRecord::Checkpoint(_)) {
+                self.checkpoint_key.store(key.offset(), Ordering::Relaxed);
+            }
+            Ok(())
         }
     }
 }

@@ -67,6 +67,21 @@ impl Inner {
         self.writer_intent == Some(txn) || self.working.as_ref().is_some_and(|(o, _)| *o == txn)
     }
 
+    /// Refuse `txn` as a writer while another transaction is one: the
+    /// declared writer, or the holder of the working copy.
+    fn check_writer(&self, txn: TxnId, table: TableId) -> IqResult<()> {
+        let writer = self
+            .writer_intent
+            .or_else(|| self.working.as_ref().map(|(o, _)| *o));
+        match writer {
+            Some(owner) if owner != txn => Err(iq_common::IqError::Txn {
+                txn,
+                reason: format!("table {table} already has writer {owner}"),
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// The retained version a reader that began at `begin` is pinned to;
     /// `None` when that is the committed one.
     fn pinned(&mut self, begin: u64) -> Option<&mut Retained> {
@@ -132,19 +147,9 @@ impl TableStore {
     /// one writer per table and returns the epoch its frames carry.
     pub fn declare_writer(&self, txn: TxnId) -> IqResult<u64> {
         let mut inner = self.inner.lock();
-        let current = inner
-            .writer_intent
-            .or_else(|| inner.working.as_ref().map(|(o, _)| *o));
-        match current {
-            Some(owner) if owner != txn => Err(iq_common::IqError::Txn {
-                txn,
-                reason: format!("table {} already has writer {owner}", self.table),
-            }),
-            _ => {
-                inner.writer_intent = Some(txn);
-                Ok(self.epoch.load(std::sync::atomic::Ordering::Relaxed) + 1)
-            }
-        }
+        inner.check_writer(txn, self.table)?;
+        inner.writer_intent = Some(txn);
+        Ok(self.epoch.load(std::sync::atomic::Ordering::Relaxed) + 1)
     }
 
     fn load_committed(&self, inner: &mut Inner, io: &PageIo<'_>) -> IqResult<()> {
@@ -193,16 +198,7 @@ impl TableStore {
         io: &PageIo<'_>,
     ) -> IqResult<Option<PhysicalLocator>> {
         let mut inner = self.inner.lock();
-        if inner
-            .working
-            .as_ref()
-            .is_some_and(|(owner, _)| *owner != txn)
-        {
-            return Err(iq_common::IqError::Txn {
-                txn,
-                reason: format!("table {} already has a writing transaction", self.table),
-            });
-        }
+        inner.check_writer(txn, self.table)?;
         if inner.working.is_none() {
             self.load_committed(&mut inner, io)?;
             let copy = inner.committed.as_ref().expect("loaded").clone();
@@ -245,15 +241,9 @@ impl TableStore {
         io: &PageIo<'_>,
     ) -> IqResult<bool> {
         let mut inner = self.inner.lock();
-        match &mut inner.working {
-            Some((owner, bm)) if *owner == txn => return bm.redirty_node(loc, io),
-            Some(_) => {
-                return Err(iq_common::IqError::Txn {
-                    txn,
-                    reason: format!("table {} already has a writing transaction", self.table),
-                })
-            }
-            None => {}
+        inner.check_writer(txn, self.table)?;
+        if let Some((_, bm)) = &mut inner.working {
+            return bm.redirty_node(loc, io);
         }
         self.load_committed(&mut inner, io)?;
         let mut copy = inner.committed.clone().expect("loaded");
@@ -291,7 +281,11 @@ impl TableStore {
     /// Second half of a commit, once every upload of it has landed:
     /// install `identity` and promote `txn`'s flushed working tree to
     /// committed. The superseded tree stays readable by transactions that
-    /// began before `commit_point` until [`Self::release`] drops it.
+    /// began before `commit_point` until [`Self::release`] drops it. The
+    /// table stays `txn`'s to write until its commit record's fate is
+    /// known — [`Self::release_writer`] once it is durable,
+    /// [`Self::uninstall`] if it failed — so no other writer clones a tree
+    /// that may yet be undone.
     pub fn install(&self, txn: TxnId, identity: IdentityObject, commit_point: u64) {
         let mut inner = self.inner.lock();
         if inner.working.as_ref().is_none_or(|(o, _)| *o != txn) {
@@ -312,7 +306,41 @@ impl TableStore {
                 tree,
             });
         }
+        inner.writer_intent = Some(txn);
+    }
+
+    /// `txn`'s commit record is durable: the table takes its next writer.
+    pub fn release_writer(&self, txn: TxnId) {
+        let mut inner = self.inner.lock();
+        if inner.writer_intent == Some(txn) {
+            inner.writer_intent = None;
+        }
+    }
+
+    /// Undo `txn`'s [`Self::install`] at `commit_point`, whose log record
+    /// then failed to land: `previous` — the identity the install replaced
+    /// — and the tree it superseded are committed again, and the table
+    /// takes its next writer. The install held the table, so the newest
+    /// version retained until `commit_point` is the one it superseded. The
+    /// epoch moves on past the failed version's rather than back, so no
+    /// frame cached under it is served as committed or to the next writer
+    /// (readers re-key the restored tree's frames, as after a restore).
+    pub fn uninstall(&self, txn: TxnId, previous: Option<IdentityObject>, commit_point: u64) {
+        let mut inner = self.inner.lock();
+        if inner.writer_intent != Some(txn) {
+            return;
+        }
+        let superseded = inner
+            .retained
+            .iter()
+            .rposition(|r| r.until == commit_point)
+            .map(|i| inner.retained.remove(i).tree);
+        // Not loaded, it reloads from `previous`.
+        inner.committed = superseded;
+        inner.identity = previous;
         inner.writer_intent = None;
+        self.epoch
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Drop the superseded versions no transaction can read any more:
@@ -383,9 +411,9 @@ mod tests {
         PhysicalLocator::Object(ObjectKey::from_offset(off))
     }
 
-    /// Flush and install in one step: a commit with nothing else to
-    /// upload, its nodes written one object each.
-    fn commit(
+    /// Flush and install, its commit record not yet logged: a commit with
+    /// nothing else to upload, its nodes written one object each.
+    fn install(
         ts: &TableStore,
         txn: u64,
         point: u64,
@@ -399,6 +427,18 @@ mod tests {
         if let Some((identity, _)) = &flushed {
             ts.install(TxnId(txn), *identity, point);
         }
+        flushed
+    }
+
+    /// A whole commit: [`install`], then its record lands.
+    fn commit(
+        ts: &TableStore,
+        txn: u64,
+        point: u64,
+        io: &PageIo<'_>,
+    ) -> Option<(IdentityObject, FlushOutcome)> {
+        let flushed = install(ts, txn, point, io);
+        ts.release_writer(TxnId(txn));
         flushed
     }
 
@@ -489,6 +529,49 @@ mod tests {
         assert_eq!(ts.identity(), Some(id1), "nothing left to install");
         let reader = ts.resolve(TxnId(7), LATEST, PageId(0), &io).unwrap();
         assert_eq!(reader, Some(loc(10)));
+    }
+
+    #[test]
+    fn uninstall_puts_back_the_superseded_version() {
+        let (space, keys) = fixture();
+        let io = PageIo {
+            space: &space,
+            keys: &keys,
+        };
+        let ts = TableStore::new(TableId(1), DbSpaceId(1), 4);
+        ts.map(TxnId(1), PageId(0), loc(10), &io).unwrap();
+        let (id1, _) = commit(&ts, 1, 1, &io).unwrap();
+        let reader = TxnId(9);
+        // Version 2 is installed; until its commit record's fate is known
+        // no other transaction may write the table.
+        ts.map(TxnId(2), PageId(0), loc(20), &io).unwrap();
+        let writer_epoch = ts.frame_epoch(TxnId(2), LATEST);
+        install(&ts, 2, 2, &io).unwrap();
+        assert!(ts.declare_writer(TxnId(3)).is_err());
+        assert!(ts.map(TxnId(3), PageId(1), loc(31), &io).is_err());
+        assert!(ts.redirty_node(TxnId(3), id1.root, &io).is_err());
+        // The record fails to log.
+        ts.uninstall(TxnId(2), Some(id1), 2);
+        assert_eq!(ts.identity(), Some(id1));
+        assert_eq!(
+            ts.resolve(reader, LATEST, PageId(0), &io).unwrap(),
+            Some(loc(10))
+        );
+        assert!(ts.inner.lock().retained.iter().all(|r| r.until != 2));
+        // Neither readers nor the next writer meet the failed version's
+        // frames.
+        let epoch = ts.frame_epoch(reader, LATEST);
+        ts.declare_writer(TxnId(3)).unwrap();
+        let next_writer = ts.frame_epoch(TxnId(3), LATEST);
+        assert_ne!(epoch, writer_epoch);
+        assert_ne!(next_writer, writer_epoch);
+        // A table whose first version failed is empty again.
+        let fresh = TableStore::new(TableId(2), DbSpaceId(1), 4);
+        fresh.map(TxnId(4), PageId(0), loc(40), &io).unwrap();
+        install(&fresh, 4, 4, &io).unwrap();
+        fresh.uninstall(TxnId(4), None, 4);
+        assert_eq!(fresh.identity(), None);
+        assert_eq!(fresh.resolve(reader, LATEST, PageId(0), &io).unwrap(), None);
     }
 
     #[test]

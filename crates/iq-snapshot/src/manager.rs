@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use iq_common::{DbSpaceId, IqResult, ObjectKey, PhysicalLocator, SimDuration, SimInstant};
 use iq_storage::{Catalog, DbSpace, KeySource};
-use iq_txn::{BulkDeleteOutcome, DeletionSink};
+use iq_txn::{BulkDeleteOutcome, DeletionSink, RetentionImage};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -79,6 +79,34 @@ impl SnapshotManager {
             key_offset: key.offset(),
             expiry,
         });
+    }
+
+    /// The FIFO and its clock, as a checkpoint carries them.
+    pub fn retention_image(&self) -> RetentionImage {
+        let g = self.state.lock();
+        RetentionImage {
+            clock: g.clock.as_nanos(),
+            fifo: g
+                .fifo
+                .iter()
+                .map(|r| (r.key_offset, r.expiry.as_nanos()))
+                .collect(),
+        }
+    }
+
+    /// Start from a checkpoint's image (reopen): its FIFO and its clock,
+    /// so pages retained before the power-off still expire and die.
+    pub fn restore_retention(&self, image: &RetentionImage) {
+        let mut g = self.state.lock();
+        g.clock = SimInstant::from_nanos(image.clock);
+        g.fifo = image
+            .fifo
+            .iter()
+            .map(|&(key_offset, expiry)| Retained {
+                key_offset,
+                expiry: SimInstant::from_nanos(expiry),
+            })
+            .collect();
     }
 
     /// Pages currently under retention.
@@ -388,6 +416,20 @@ mod tests {
         assert_eq!(sm.retained_count(), 1);
         assert!(final_sink.cloud.lock().is_empty());
         assert_eq!(*final_sink.blocks.lock(), 1);
+    }
+
+    #[test]
+    fn retention_image_round_trips_fifo_and_clock() {
+        let sm = SnapshotManager::new(SimDuration::from_secs(10));
+        sm.retain(key(1));
+        sm.advance_clock(SimDuration::from_secs(4));
+        sm.retain(key(2));
+        let image = sm.retention_image();
+        let restored = SnapshotManager::new(SimDuration::from_secs(10));
+        restored.restore_retention(&image);
+        assert_eq!(restored.now(), sm.now());
+        assert_eq!(restored.state.lock().fifo, sm.state.lock().fifo);
+        assert_eq!(restored.retention_image(), image);
     }
 
     #[test]

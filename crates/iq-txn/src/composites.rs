@@ -7,9 +7,11 @@
 //! never-write-twice store only supports whole-object deletion, so the GC
 //! must not delete a composite until *every* member is dead. The registry
 //! is that bookkeeping: each composite's member layout is registered at
-//! commit (and re-registered from the transaction log at recovery), member
-//! frees arriving through the RF bitmaps flip per-member death bits, and
-//! the GC asks for [`CompositeRegistry::take_fully_dead`] each tick.
+//! commit, member frees arriving through the RF bitmaps flip per-member
+//! death bits, and the GC asks for [`CompositeRegistry::fully_dead_pending`]
+//! each tick. A checkpoint carries the whole registry
+//! ([`CompositeRegistry::image`]); reopen restores it and registers the
+//! composites committed after the checkpoint.
 //!
 //! Sparse composites — mostly dead but pinned by a few survivors — are
 //! what the LSM-style compaction pass targets:
@@ -22,20 +24,21 @@ use std::collections::BTreeMap;
 
 use iq_common::ObjectKey;
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 
 use crate::rfrb::PackMember;
 
-/// One registered composite.
-#[derive(Debug, Clone)]
-struct CompositeInfo {
-    members: Vec<PackMember>,
-    dead: Vec<bool>,
-    /// Claimed by an in-flight compaction; GC leaves it alone until the
-    /// driver either finishes (members die) or releases it (failure).
-    compacting: bool,
+/// One composite's member layout and death bits — what the registry
+/// tracks, and what a checkpoint carries of it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompositeImage {
+    /// The members, in layout order.
+    pub(crate) members: Vec<PackMember>,
+    /// Per member: whether it is dead (as long as `members`).
+    pub(crate) dead: Vec<bool>,
 }
 
-impl CompositeInfo {
+impl CompositeImage {
     fn dead_count(&self) -> usize {
         self.dead.iter().filter(|d| **d).count()
     }
@@ -46,6 +49,60 @@ impl CompositeInfo {
         }
         1.0 - self.dead_count() as f64 / self.members.len() as f64
     }
+
+    fn fully_dead(&self) -> bool {
+        self.dead.iter().all(|d| *d)
+    }
+
+    /// Mark the member at byte `offset` dead. `None` when no member sits
+    /// there; otherwise whether it was live until now.
+    pub(crate) fn kill(&mut self, offset: u32) -> Option<bool> {
+        let i = self.members.iter().position(|m| m.offset == offset)?;
+        Some(!std::mem::replace(&mut self.dead[i], true))
+    }
+}
+
+// A checkpoint lists every composite, so it is `[members, dead]`: the
+// members as `PackMember` tuples, the death bits as a mask of 64-bit words
+// (member `i` is bit `i % 64` of word `i / 64`) without its trailing zero
+// words — a composite with no dead member writes `[]`.
+impl Serialize for CompositeImage {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut mask = vec![0u64; self.dead.len().div_ceil(64)];
+        for (i, _) in self.dead.iter().enumerate().filter(|(_, d)| **d) {
+            mask[i / 64] |= 1 << (i % 64);
+        }
+        while mask.last() == Some(&0) {
+            mask.pop();
+        }
+        (&self.members, mask).serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for CompositeImage {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error;
+        let (members, mask) = <(Vec<PackMember>, Vec<u64>)>::deserialize(deserializer)?;
+        let dead: Vec<bool> = (0..members.len())
+            .map(|i| mask.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
+            .collect();
+        let bits: usize = mask.iter().map(|w| w.count_ones() as usize).sum();
+        if bits != dead.iter().filter(|d| **d).count() {
+            return Err(D::Error::custom(
+                "death mask names a member past the layout",
+            ));
+        }
+        Ok(Self { members, dead })
+    }
+}
+
+/// One registered composite.
+#[derive(Debug, Clone)]
+struct CompositeInfo {
+    layout: CompositeImage,
+    /// Claimed by an in-flight compaction; GC leaves it alone until the
+    /// driver either finishes (members die) or releases it (failure).
+    compacting: bool,
 }
 
 /// Aggregate counters the `pack.*` metrics source exports.
@@ -92,8 +149,8 @@ impl CompositeRegistry {
         Self::default()
     }
 
-    /// Register a composite's member layout. Idempotent: recovery replays
-    /// commit records that may already be registered.
+    /// Register a composite's member layout. Idempotent: a reopen replays
+    /// commit records whose composites the checkpoint may already hold.
     ///
     /// An empty member slice is rejected (counted in
     /// [`CompositeStats::rejected_empty`]): a member-less composite would
@@ -133,18 +190,50 @@ impl CompositeRegistry {
         g.composites.insert(
             key.offset(),
             CompositeInfo {
-                members: members.to_vec(),
-                dead: vec![false; members.len()],
+                layout: CompositeImage {
+                    members: members.to_vec(),
+                    dead: vec![false; members.len()],
+                },
                 compacting: false,
             },
         );
         g.stats.registered += 1;
     }
 
+    /// Every registered composite with its death bits, for a checkpoint.
+    /// Compaction claims are volatile and left out.
+    pub fn image(&self) -> BTreeMap<u64, CompositeImage> {
+        self.inner
+            .lock()
+            .composites
+            .iter()
+            .map(|(&off, info)| (off, info.layout.clone()))
+            .collect()
+    }
+
+    /// Start from a checkpoint's image (reopen): every composite it lists
+    /// is registered again with its death bits.
+    pub fn restore(&self, image: BTreeMap<u64, CompositeImage>) {
+        let mut g = self.inner.lock();
+        for (off, layout) in image {
+            // An empty layout would be vacuously dead (see `register`).
+            if !layout.members.is_empty() {
+                g.composites.insert(
+                    off,
+                    CompositeInfo {
+                        layout,
+                        compacting: false,
+                    },
+                );
+            }
+        }
+    }
+
     /// Record the death of the member at byte `offset` of composite
     /// `key_offset`. Idempotent per member; a free naming an unknown key
-    /// is counted but otherwise ignored (the object, if it exists, leaks
-    /// until the next recovery sweep — never a correctness hazard).
+    /// is counted but otherwise ignored. Checkpoints carry the registry
+    /// and reopen restores it, so the count stays zero: a nonzero one
+    /// means an object the GC can no longer reclaim.
     ///
     /// `key_offset` alone identifies the composite across every dbspace,
     /// and `offset` alone identifies the member within it — see the
@@ -152,17 +241,14 @@ impl CompositeRegistry {
     /// collision-free.
     pub fn mark_member_dead(&self, key_offset: u64, offset: u32) {
         let mut g = self.inner.lock();
-        let Some(info) = g.composites.get_mut(&key_offset) else {
-            g.stats.unknown_member_frees += 1;
-            return;
-        };
-        let Some(i) = info.members.iter().position(|m| m.offset == offset) else {
-            g.stats.unknown_member_frees += 1;
-            return;
-        };
-        if !info.dead[i] {
-            info.dead[i] = true;
-            g.stats.member_deaths += 1;
+        match g
+            .composites
+            .get_mut(&key_offset)
+            .and_then(|info| info.layout.kill(offset))
+        {
+            Some(true) => g.stats.member_deaths += 1,
+            Some(false) => {}
+            None => g.stats.unknown_member_frees += 1,
         }
     }
 
@@ -175,7 +261,7 @@ impl CompositeRegistry {
             .lock()
             .composites
             .iter()
-            .filter(|(_, info)| !info.compacting && info.dead.iter().all(|d| *d))
+            .filter(|(_, info)| !info.compacting && info.layout.fully_dead())
             .map(|(&off, _)| ObjectKey::from_offset(off))
             .collect()
     }
@@ -198,7 +284,7 @@ impl CompositeRegistry {
             .lock()
             .composites
             .values()
-            .any(|info| !info.compacting && info.dead.iter().all(|d| *d))
+            .any(|info| !info.compacting && info.layout.fully_dead())
     }
 
     /// Claim up to `limit` compaction candidates: composites with at
@@ -220,14 +306,15 @@ impl CompositeRegistry {
             if out.len() >= limit {
                 break;
             }
-            let frac = info.live_fraction();
+            let frac = info.layout.live_fraction();
             if info.compacting || frac <= 0.0 || frac > threshold {
                 continue;
             }
             let live: Vec<PackMember> = info
+                .layout
                 .members
                 .iter()
-                .zip(&info.dead)
+                .zip(&info.layout.dead)
                 .filter(|(_, dead)| !**dead)
                 .map(|(m, _)| *m)
                 .collect();
@@ -272,7 +359,7 @@ impl CompositeRegistry {
             .lock()
             .composites
             .get(&key.offset())
-            .map(CompositeInfo::live_fraction)
+            .map(|info| info.layout.live_fraction())
     }
 
     /// Aggregate counters.
@@ -407,6 +494,38 @@ mod tests {
             "deaths on one composite must not leak onto the other"
         );
         assert_eq!(reg.stats().unknown_member_frees, 0);
+    }
+
+    /// A checkpoint's image of the registry round-trips: layouts, death
+    /// bits (a mask spanning two words here), and no compaction claim.
+    #[test]
+    fn image_round_trips_death_bits_but_not_claims() {
+        let reg = CompositeRegistry::new();
+        let wide: Vec<PackMember> = (0..70).map(|i| member(i, i as u32 * 512)).collect();
+        reg.register(key(1), &wide);
+        reg.mark_member_dead(1, 0);
+        reg.mark_member_dead(1, 65 * 512);
+        reg.register(key(2), &[member(1, 0)]);
+        assert_eq!(reg.compaction_candidates(0.99, 8).len(), 1, "claims key 1");
+        let image = reg.image();
+        let json = serde_json::to_string(&image).unwrap();
+        assert!(
+            json.ends_with(r#"],[1,2]],"2":[[[1,1,0,512]],[]]}"#),
+            "{json}"
+        );
+        let back: BTreeMap<u64, CompositeImage> = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, image);
+        let restored = CompositeRegistry::new();
+        restored.restore(back);
+        assert_eq!(restored.live_fraction(key(1)), Some(1.0 - 2.0 / 70.0));
+        assert_eq!(restored.live_fraction(key(2)), Some(1.0));
+        assert_eq!(
+            restored.compaction_candidates(0.99, 8).len(),
+            1,
+            "unclaimed"
+        );
+        // A mask naming a member past the layout is refused.
+        assert!(serde_json::from_str::<CompositeImage>(r#"[[[1,1,0,512]],[2]]"#).is_err());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use iq_storage::KeySource;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::log::{LogRecord, TxnLog};
+use crate::log::{Checkpoint, LogRecord, TxnLog};
 use crate::rfrb::RfRb;
 
 /// A half-open range of key offsets `[start, end)` handed to a node.
@@ -100,13 +100,9 @@ impl KeyGenerator {
         let mut state = KgState::default();
         for record in log.replay_suffix() {
             match record {
-                LogRecord::Checkpoint {
-                    max_allocated,
-                    active_sets,
-                    ..
-                } => {
-                    state.max_allocated = max_allocated;
-                    state.active_sets = active_sets;
+                LogRecord::Checkpoint(cp) => {
+                    state.max_allocated = cp.max_allocated;
+                    state.active_sets = cp.active_sets;
                 }
                 LogRecord::AllocateRange { node, start, end } => {
                     state.max_allocated = state.max_allocated.max(end);
@@ -172,14 +168,20 @@ impl KeyGenerator {
             .unwrap_or_default()
     }
 
-    /// Emit a checkpoint record capturing the generator's durable state.
-    pub fn checkpoint(&self, freelists: BTreeMap<u32, Vec<u8>>) {
+    /// Append a checkpoint record: `image` — whatever else the caller
+    /// checkpoints — completed with the generator's state. The record is
+    /// appended under the generator's lock, so no allocation record falls
+    /// between the state it captures and its place in the log. An `Err`
+    /// means the record did not become durable (see
+    /// [`TxnLog::append_durable`]).
+    pub fn checkpoint(&self, image: Checkpoint) -> IqResult<()> {
         let g = self.state.lock();
-        self.log.append(LogRecord::Checkpoint {
+        self.log.append_durable(LogRecord::Checkpoint(Checkpoint {
             max_allocated: g.max_allocated,
             active_sets: g.active_sets.clone(),
-            freelists,
-        });
+            ..image
+        }))?;
+        Ok(())
     }
 }
 
@@ -349,7 +351,7 @@ mod tests {
         // W1 (we use 0-based offsets 0..100), T1 commits 0..30, crash,
         // recover: active set is {30..100}.
         let (log, kg) = fresh();
-        kg.checkpoint(BTreeMap::new()); // clock 50
+        kg.checkpoint(Checkpoint::default()).unwrap(); // clock 50
         kg.allocate_range(NodeId(1), 100).unwrap(); // clock 60
         let mut rfrb = RfRb::new();
         for off in 0..30 {
@@ -378,7 +380,7 @@ mod tests {
     fn recovery_from_checkpoint_with_prior_state() {
         let (log, kg) = fresh();
         kg.allocate_range(NodeId(2), 40).unwrap();
-        kg.checkpoint(BTreeMap::new());
+        kg.checkpoint(Checkpoint::default()).unwrap();
         kg.allocate_range(NodeId(2), 10).unwrap();
         drop(kg);
         let recovered = KeyGenerator::recover(log);

@@ -9,8 +9,10 @@
 //!
 //! * [`log`] — the transaction log. The log "does not store the data that
 //!   are updated ...; instead, it stores the metadata" (§3.1): checkpoint
-//!   records, key-range allocations, and commit records carrying RF/RB
-//!   bitmap identities.
+//!   records (the base recovery starts from, garbage-collector state
+//!   included), key-range allocations, and commit records carrying RF/RB
+//!   bitmap identities. [`fence`] keeps a checkpoint's image and its place
+//!   in the log in agreement.
 //! * [`keygen`] — the Object Key Generator: coordinator-resident,
 //!   transactional, strictly monotone range allocation with per-node
 //!   *active sets*; plus the per-node key cache with adaptive range sizing
@@ -27,15 +29,17 @@
 //!   crash, and restart; reproduces Table 1's recovery walkthrough.
 
 pub mod composites;
+pub mod fence;
 pub mod keygen;
 pub mod log;
 pub mod manager;
 pub mod multiplex;
 pub mod rfrb;
 
-pub use composites::{CompositeRegistry, CompositeStats};
+pub use composites::{CompositeImage, CompositeRegistry, CompositeStats};
+pub use fence::CheckpointFence;
 pub use keygen::{KeyGenerator, KeyRange, NodeKeyCache, RangeProvider};
-pub use log::{LogRecord, LogSink, TxnLog};
+pub use log::{Checkpoint, LogRecord, LogSink, RetentionImage, TxnLog};
 pub use manager::{
     BulkDeleteOutcome, DeletionSink, GcStats, GcStatsSnapshot, ImmediateDeletion,
     TransactionManager, TxnOutcome,

@@ -5,9 +5,14 @@
 //! metadata" (§3.1). Our log carries exactly the records the paper's
 //! recovery walkthrough (§3.2–3.3, Table 1) needs:
 //!
-//! * `Checkpoint` — the key generator's state (maximum allocated key and
-//!   the per-node active sets) plus freelist images for conventional
-//!   dbspaces;
+//! * `Checkpoint` — the base recovery starts from ([`Checkpoint`]): the
+//!   key generator's state (maximum allocated key and the per-node active
+//!   sets), freelist images for conventional dbspaces, and everything the
+//!   garbage collector needs to go on where it stopped — the composite
+//!   registry with each composite's death bits, the committed chain's
+//!   pending frees, and the retention FIFO with its clock. Once it is
+//!   durable every record before it is dead weight: the database cuts the
+//!   log behind it, in memory and on the log store;
 //! * `AllocateRange` — "the largest allocated object key is recorded in
 //!   the transaction log" on every range allocation;
 //! * `Commit` — the committing transaction's RF/RB bitmap identity and the
@@ -25,20 +30,14 @@ use iq_common::{IqError, IqResult, KeySet, NodeId, TxnId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::rfrb::RfRb;
+use crate::composites::CompositeImage;
+use crate::rfrb::{PageSet, RfRb};
 
 /// One durable log record.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub enum LogRecord {
     /// Periodic checkpoint: replay starts at the most recent one.
-    Checkpoint {
-        /// Largest object-key offset ever allocated.
-        max_allocated: u64,
-        /// Per-node active sets (outstanding key ranges), keyed by node id.
-        active_sets: BTreeMap<u32, KeySet>,
-        /// Serialized freelist image per conventional dbspace id.
-        freelists: BTreeMap<u32, Vec<u8>>,
-    },
+    Checkpoint(Checkpoint),
     /// A key range `[start, end)` was handed to `node`.
     AllocateRange {
         /// Receiving node.
@@ -60,6 +59,45 @@ pub enum LogRecord {
     },
 }
 
+/// A checkpoint record: the state recovery "starts from" (§3.3) before it
+/// replays the records logged after it.
+///
+/// The garbage collector's three fields are written only when they hold
+/// something, so a checkpoint of the key generator alone serialises as it
+/// always has.
+#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+pub struct Checkpoint {
+    /// Largest object-key offset ever allocated.
+    pub max_allocated: u64,
+    /// Per-node active sets (outstanding key ranges), keyed by node id.
+    pub active_sets: BTreeMap<u32, KeySet>,
+    /// Serialized freelist image per conventional dbspace id.
+    pub freelists: BTreeMap<u32, Vec<u8>>,
+    /// The composite registry: every composite's member layout and death
+    /// bits, keyed by composite-key offset. The committed chain's pending
+    /// member frees are already folded into the death bits: no reader
+    /// survives a reopen, so every chain entry is eligible there.
+    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
+    pub composites: BTreeMap<u64, CompositeImage>,
+    /// The committed chain's pending frees (RF minus what GC already
+    /// deleted): whole-object keys and block runs.
+    #[serde(default, skip_serializing_if = "PageSet::is_empty")]
+    pub pending: PageSet,
+    /// The retention FIFO and its clock, when retention is on (§5).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub retention: Option<RetentionImage>,
+}
+
+/// The snapshot manager's retention FIFO and clock (§5), as a checkpoint
+/// carries them. Times are virtual nanoseconds.
+#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+pub struct RetentionImage {
+    /// The retention clock.
+    pub clock: u64,
+    /// Retained pages, oldest first: `(key offset, expiry)`.
+    pub fifo: Vec<(u64, u64)>,
+}
+
 /// A durability hook invoked for every appended record, *after* the
 /// in-memory append completed and the log's internal lock was released.
 ///
@@ -72,8 +110,8 @@ pub enum LogRecord {
 /// concurrency; single-threaded callers see identical order.
 ///
 /// An `Err` means the record did **not** reach durable storage (the
-/// upload failed past its retry budget). Callers on the commit path use
-/// [`TxnLog::append_durable`] to observe it; metadata appends via
+/// upload failed past its retry budget). Commits and checkpoints use
+/// [`TxnLog::append_durable`] to observe it; allocation records via
 /// [`TxnLog::append`] keep the in-memory record regardless and rely on
 /// reopen-time reconciliation against the durable stream.
 pub trait LogSink: Send + Sync {
@@ -126,8 +164,8 @@ impl TxnLog {
 
     /// Append a record; returns its log sequence number. A sink failure
     /// is swallowed here (the in-memory record stands and reopen-time
-    /// reconciliation squares it with the durable stream) — commit
-    /// records go through [`Self::append_durable`] instead.
+    /// reconciliation squares it with the durable stream) — commit and
+    /// checkpoint records go through [`Self::append_durable`] instead.
     pub fn append(&self, record: LogRecord) -> u64 {
         self.append_inner(record).0
     }
@@ -135,8 +173,9 @@ impl TxnLog {
     /// Append a record and require the sink (when installed) to make it
     /// durable: the in-memory append always happens first — so a crash
     /// between apply and upload is observable — but a sink failure is
-    /// returned to the caller, whose commit must then fail and roll
-    /// back. With no sink installed the append is trivially "durable".
+    /// returned to the caller, whose commit must then fail and roll back,
+    /// and whose checkpoint must not cut the log behind it. With no sink
+    /// installed the append is trivially "durable".
     pub fn append_durable(&self, record: LogRecord) -> IqResult<u64> {
         let (lsn, sunk) = self.append_inner(record);
         sunk?;
@@ -150,11 +189,11 @@ impl TxnLog {
         let mirrored = sink.as_ref().map(|_| record.clone());
         let lsn = {
             let mut g = self.inner.lock();
-            if matches!(record, LogRecord::Checkpoint { .. }) {
+            if matches!(record, LogRecord::Checkpoint(_)) {
                 g.last_checkpoint = Some(g.records.len());
             }
             let kind = match record {
-                LogRecord::Checkpoint { .. } => "Checkpoint",
+                LogRecord::Checkpoint(_) => "Checkpoint",
                 LogRecord::AllocateRange { .. } => "AllocateRange",
                 LogRecord::Commit { .. } => "Commit",
             };
@@ -201,7 +240,7 @@ impl TxnLog {
         g.last_checkpoint = g
             .records
             .iter()
-            .rposition(|r| matches!(r, LogRecord::Checkpoint { .. }));
+            .rposition(|r| matches!(r, LogRecord::Checkpoint(_)));
         before - g.records.len()
     }
 
@@ -247,11 +286,10 @@ mod tests {
     use super::*;
 
     fn checkpoint(max: u64) -> LogRecord {
-        LogRecord::Checkpoint {
+        LogRecord::Checkpoint(Checkpoint {
             max_allocated: max,
-            active_sets: BTreeMap::new(),
-            freelists: BTreeMap::new(),
-        }
+            ..Checkpoint::default()
+        })
     }
 
     #[test]
@@ -270,7 +308,7 @@ mod tests {
         });
         let suffix = log.replay_suffix();
         assert_eq!(suffix.len(), 2);
-        assert!(matches!(suffix[0], LogRecord::Checkpoint { .. }));
+        assert!(matches!(suffix[0], LogRecord::Checkpoint(_)));
         assert!(matches!(
             suffix[1],
             LogRecord::AllocateRange { start: 100, .. }
@@ -306,10 +344,7 @@ mod tests {
         let dropped = log.truncate_before_checkpoint().unwrap();
         assert_eq!(dropped, 1);
         assert_eq!(log.len(), 2);
-        assert!(matches!(
-            log.replay_suffix()[0],
-            LogRecord::Checkpoint { .. }
-        ));
+        assert!(matches!(log.replay_suffix()[0], LogRecord::Checkpoint(_)));
     }
 
     #[test]
@@ -318,8 +353,85 @@ mod tests {
         log.append(checkpoint(1));
         log.append(checkpoint(2));
         match log.last_checkpoint().unwrap() {
-            LogRecord::Checkpoint { max_allocated, .. } => assert_eq!(max_allocated, 2),
+            LogRecord::Checkpoint(cp) => assert_eq!(cp.max_allocated, 2),
             _ => panic!(),
         }
+    }
+
+    /// A checkpoint of the key generator and freelists alone writes the
+    /// bytes it always has: the garbage collector's fields are left out
+    /// when empty, and read back empty when missing.
+    #[test]
+    fn a_key_generator_checkpoint_serialises_as_before() {
+        let set = |start, end| {
+            let mut set = KeySet::new();
+            set.insert_range(start, end);
+            set
+        };
+        let active_sets = [(1, set(0, 100)), (2, set(100, 150))].into();
+        let record = LogRecord::Checkpoint(Checkpoint {
+            max_allocated: 150,
+            active_sets,
+            freelists: [(3, vec![1, 2])].into(),
+            ..Checkpoint::default()
+        });
+        let json = concat!(
+            r#"{"Checkpoint":{"max_allocated":150,"active_sets":{"1":{"runs":[[0,100]]},"#,
+            r#""2":{"runs":[[100,150]]}},"freelists":{"3":[1,2]}}}"#
+        );
+        assert_eq!(serde_json::to_string(&record).unwrap(), json);
+        assert_eq!(serde_json::from_str::<LogRecord>(json).unwrap(), record);
+    }
+
+    /// The garbage collector's image survives the log's wire form.
+    #[test]
+    fn a_checkpoint_image_round_trips() {
+        use crate::rfrb::PackMember;
+        let member = |page: u64, offset: u32| PackMember {
+            table: 1,
+            page,
+            offset,
+            len: 600,
+        };
+        let mut pending = PageSet::default();
+        pending.keys.insert_range(40, 43);
+        pending.blocks.insert(2, vec![(64, 4)]);
+        let record = LogRecord::Checkpoint(Checkpoint {
+            max_allocated: 99,
+            composites: [
+                (
+                    7,
+                    CompositeImage {
+                        members: vec![member(1, 0), member(2, 600)],
+                        dead: vec![false, true],
+                    },
+                ),
+                (
+                    9,
+                    CompositeImage {
+                        members: vec![member(3, 0)],
+                        dead: vec![false],
+                    },
+                ),
+            ]
+            .into(),
+            pending,
+            retention: Some(RetentionImage {
+                clock: 5_000,
+                fifo: vec![(30, 9_000), (31, 9_500)],
+            }),
+            ..Checkpoint::default()
+        });
+        let json = serde_json::to_string(&record).unwrap();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"Checkpoint":{"max_allocated":99,"active_sets":{},"freelists":{},"#,
+                r#""composites":{"7":[[[1,1,0,600],[1,2,600,600]],[2]],"9":[[[1,3,0,600]],[]]},"#,
+                r#""pending":{"keys":[[40,43]],"blocks":{"2":[[64,4]]}},"#,
+                r#""retention":{"clock":5000,"fifo":[[30,9000],[31,9500]]}}}"#
+            )
+        );
+        assert_eq!(serde_json::from_str::<LogRecord>(&json).unwrap(), record);
     }
 }

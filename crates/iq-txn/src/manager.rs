@@ -25,9 +25,10 @@ use iq_common::{
 use iq_storage::DbSpace;
 use parking_lot::{Mutex, RwLock};
 
-use crate::composites::CompositeRegistry;
+use crate::composites::{CompositeImage, CompositeRegistry};
+use crate::fence::{CheckpointFence, Quiesced};
 use crate::keygen::KeyGenerator;
-use crate::log::{LogRecord, TxnLog};
+use crate::log::{Checkpoint, LogRecord, TxnLog};
 use crate::rfrb::{coalesce_block_runs, PackMember, PageSet, RfRb};
 
 /// Outcome of a [`DeletionSink::delete_pages`] bulk call.
@@ -342,6 +343,8 @@ pub struct TransactionManager {
     gc_stats: GcStats,
     /// Live-member refcounts of composite (packed) objects.
     composites: Arc<CompositeRegistry>,
+    /// Keeps checkpoints out of commit tails and GC passes.
+    fence: CheckpointFence,
 }
 
 impl TransactionManager {
@@ -358,6 +361,7 @@ impl TransactionManager {
             io_stats: Mutex::new(None),
             gc_stats: GcStats::default(),
             composites: Arc::new(CompositeRegistry::new()),
+            fence: CheckpointFence::default(),
         }
     }
 
@@ -375,6 +379,80 @@ impl TransactionManager {
     /// The composite registry (the pack GC's refcount bookkeeping).
     pub fn composites(&self) -> &Arc<CompositeRegistry> {
         &self.composites
+    }
+
+    /// The fence commit tails and GC passes enter and a checkpoint
+    /// quiesces (see [`crate::fence`]).
+    pub fn fence(&self) -> &CheckpointFence {
+        &self.fence
+    }
+
+    /// The garbage collector's part of a checkpoint, taken while `_quiet`
+    /// holds [`Self::fence`]: every registered composite with its death
+    /// bits, and the committed chain's pending frees. No reader survives
+    /// a reopen, so every chain entry is eligible there: its member frees
+    /// are folded into the death bits, and what is left of it is its
+    /// whole-object keys and block runs, minus what an earlier, partly
+    /// failed GC pass already deleted.
+    pub fn gc_image(&self, _quiet: &Quiesced<'_>) -> Checkpoint {
+        let mut composites = self.composites.image();
+        let g = self.inner.lock();
+        for e in &g.chain {
+            for (off, ranges) in &e.rfrb.rf.members {
+                if let Some(c) = composites.get_mut(off) {
+                    for &(member_off, _len) in ranges {
+                        c.kill(member_off);
+                    }
+                }
+            }
+        }
+        Checkpoint {
+            composites,
+            pending: owed(&g.chain),
+            ..Checkpoint::default()
+        }
+    }
+
+    /// Seed the garbage collector at reopen: the composite registry from
+    /// the last checkpoint's image, then the composites of the commits
+    /// logged after it. `pending` — whole-object keys the checkpoint still
+    /// owed — and every cloud key and member those commits freed go back
+    /// on the committed chain as one entry. No reader survives a reopen,
+    /// so the entry is eligible at once and the next GC pass reclaims it;
+    /// what the previous life already deleted costs an idempotent delete.
+    /// Block runs are not queued: the caller frees them in log order,
+    /// because a later commit may have reused them.
+    pub fn recover_gc(
+        &self,
+        composites: BTreeMap<u64, CompositeImage>,
+        pending: KeySet,
+        commits: &[RfRb],
+    ) {
+        self.composites.restore(composites);
+        let mut rf = PageSet {
+            keys: pending,
+            ..PageSet::default()
+        };
+        for rfrb in commits {
+            for (&off, members) in &rfrb.packs {
+                self.composites
+                    .register(ObjectKey::from_offset(off), members);
+            }
+            rf.keys.union_with(&rfrb.rf.keys);
+            for (&off, ranges) in &rfrb.rf.members {
+                rf.members.entry(off).or_default().extend(ranges);
+            }
+        }
+        if !rf.is_empty() {
+            self.inner.lock().chain.push_back(CommittedTxn {
+                commit_seq: 0,
+                rfrb: RfRb {
+                    rf,
+                    ..RfRb::default()
+                },
+                done: PageSet::default(),
+            });
+        }
     }
 
     /// Cumulative GC pipeline counters.
@@ -501,6 +579,11 @@ impl TransactionManager {
         // roll it back like any other commit-path failure; the in-memory
         // record it left behind is squared away by reopen-time
         // reconciliation (durable log is authoritative for commits).
+        //
+        // From the log append to the chain push the commit is inside the
+        // checkpoint fence: a checkpoint sees it either wholly before its
+        // record or wholly after.
+        let _inside = self.fence.enter();
         if let Err(e) = self.log.append_durable(LogRecord::Commit {
             txn,
             node: entry.node,
@@ -639,6 +722,9 @@ impl TransactionManager {
     /// pages — nothing leaks and nothing is double-counted. On any page
     /// failure the first error is returned after the re-queue.
     pub fn gc_tick_budget(&self, sink: &dyn DeletionSink, budget: usize) -> IqResult<usize> {
+        // The whole pass is inside the checkpoint fence: popped entries
+        // are in no chain a checkpoint could image until they are settled.
+        let _inside = self.fence.enter();
         // One lock pass for eligibility (the old loop re-derived the min
         // active sequence under the lock for every entry).
         let (mut entries, left_on_chain) = {
@@ -679,31 +765,14 @@ impl TransactionManager {
         }
         self.gc_stats.ticks.fetch_add(1, Ordering::Relaxed);
 
-        // Pending work = RF minus the per-entry resume point; cloud keys
-        // dedupe globally (entries may free overlapping ranges), block
-        // runs dedupe and coalesce per dbspace.
-        let mut all_keys = KeySet::new();
-        for e in &entries {
-            let mut fresh = e.rfrb.rf.keys.clone();
-            fresh.subtract(&e.done.keys);
-            all_keys.union_with(&fresh);
-        }
+        // Pending work = what the entries still owe, plus the composites.
+        let PageSet {
+            keys: mut all_keys,
+            blocks: runs_by_space,
+            ..
+        } = owed(&entries);
         for key in &composite_dead {
             all_keys.insert(key.offset());
-        }
-        let mut runs_by_space: BTreeMap<u32, Vec<(u64, u8)>> = BTreeMap::new();
-        for e in &entries {
-            for (&space, runs) in &e.rfrb.rf.blocks {
-                let done = e.done.blocks.get(&space);
-                for &run in runs {
-                    if done.is_none_or(|d| !d.contains(&run)) {
-                        runs_by_space.entry(space).or_default().push(run);
-                    }
-                }
-            }
-        }
-        for runs in runs_by_space.values_mut() {
-            coalesce_block_runs(runs);
         }
 
         // Fan the key batches out. Tasks never return Err: one failing
@@ -883,6 +952,31 @@ impl TransactionManager {
     pub fn active_count(&self) -> usize {
         self.inner.lock().active.len()
     }
+}
+
+/// What chain `entries` still owe: their RF whole-object keys and block
+/// runs minus each entry's resume point. Keys dedupe globally (entries may
+/// free overlapping ranges); block runs dedupe and coalesce per dbspace.
+/// Member frees are the composite registry's and are left out.
+fn owed<'a>(entries: impl IntoIterator<Item = &'a CommittedTxn>) -> PageSet {
+    let mut owed = PageSet::default();
+    for e in entries {
+        let mut keys = e.rfrb.rf.keys.clone();
+        keys.subtract(&e.done.keys);
+        owed.keys.union_with(&keys);
+        for (&space, runs) in &e.rfrb.rf.blocks {
+            let done = e.done.blocks.get(&space);
+            for &run in runs {
+                if done.is_none_or(|d| !d.contains(&run)) {
+                    owed.blocks.entry(space).or_default().push(run);
+                }
+            }
+        }
+    }
+    for runs in owed.blocks.values_mut() {
+        coalesce_block_runs(runs);
+    }
+    owed
 }
 
 /// RF/RB page sets carry the owning dbspace only for block runs; cloud
@@ -1096,6 +1190,71 @@ mod tests {
         tm.gc_tick(&sink).unwrap();
         assert!(sink.inner.cloud.lock().contains(70));
         assert!(tm.composites().is_empty());
+    }
+
+    /// A checkpoint's GC image holds the registry with the chain's member
+    /// frees folded into its death bits, and what the chain still owes in
+    /// whole keys and block runs — minus what a failed pass already
+    /// deleted. A reopened manager seeded from it reclaims exactly that.
+    #[test]
+    fn gc_image_carries_what_the_chain_owes_and_recover_gc_reclaims_it() {
+        let (_, tm) = manager();
+        let key = ObjectKey::from_offset(900);
+        let member = |i: u32| PackMember {
+            table: 1,
+            page: 10 + u64::from(i),
+            offset: i * 512,
+            len: 512,
+        };
+        let w = tm.begin(NodeId(1));
+        tm.record_pack(w, key, vec![member(0), member(1)]).unwrap();
+        tm.commit_deferred(w).unwrap();
+        let reader = tm.begin(NodeId(2));
+        let t = tm.begin(NodeId(1));
+        let first = PhysicalLocator::ObjectRange {
+            key,
+            offset: 0,
+            len: 512,
+        };
+        tm.record_free(t, CLOUD_SPACE_SENTINEL, first).unwrap();
+        for off in 40..45 {
+            tm.record_free(t, DbSpaceId(1), cloud(off)).unwrap();
+        }
+        let run = PhysicalLocator::Blocks {
+            start: BlockNum(64),
+            count: 4,
+        };
+        tm.record_free(t, DbSpaceId(2), run).unwrap();
+        tm.commit_deferred(t).unwrap();
+
+        // The reader pins the entry: the registry has no death yet, the
+        // image does.
+        let image = tm.gc_image(&tm.fence().quiesce());
+        assert_eq!(image.composites[&900].dead, [true, false]);
+        assert_eq!(tm.composites().live_fraction(key), Some(1.0));
+        assert_eq!(image.pending.keys.runs(), &[(40, 45)]);
+        assert_eq!(image.pending.blocks[&2], [(64, 4)]);
+
+        // A pass that fails on one key requeues the entry owing only it.
+        tm.rollback(reader, &RecordingSink::default()).unwrap();
+        let sink = FlakySink {
+            inner: RecordingSink::default(),
+            remaining_failures: Mutex::new(1),
+        };
+        tm.gc_tick(&sink).unwrap_err();
+        let image = tm.gc_image(&tm.fence().quiesce());
+        assert_eq!(image.pending.keys.runs(), &[(40, 41)]);
+        assert!(image.pending.blocks.is_empty());
+
+        let (_, reopened) = manager();
+        reopened.recover_gc(image.composites, image.pending.keys, &[]);
+        assert_eq!(reopened.chain_len(), 1);
+        assert_eq!(reopened.composites().live_fraction(key), Some(0.5));
+        let sink = RecordingSink::default();
+        reopened.gc_tick(&sink).unwrap();
+        assert_eq!(sink.cloud.lock().runs(), &[(40, 41)]);
+        assert_eq!(reopened.chain_len(), 0);
+        assert_eq!(reopened.composites().stats().unknown_member_frees, 0);
     }
 
     #[test]

@@ -101,8 +101,7 @@ impl Coordinator {
 
     /// Emit a checkpoint of the generator state.
     pub fn checkpoint(&self) -> IqResult<()> {
-        self.keygen()?.checkpoint(Default::default());
-        Ok(())
+        self.keygen()?.checkpoint(Default::default())
     }
 }
 

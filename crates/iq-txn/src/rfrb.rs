@@ -31,8 +31,8 @@ fn locator_bit(loc: PhysicalLocator) -> u64 {
 
 /// One page's placement inside a composite object: which logical page the
 /// member holds and where its sealed image sits. Recorded in the
-/// committing transaction's [`RfRb`] so recovery can rebuild the
-/// composite registry from the log.
+/// committing transaction's [`RfRb`], so a reopen registers the
+/// composites committed after the last checkpoint from the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackMember {
     /// Owning table.
@@ -233,7 +233,8 @@ pub struct RfRb {
     pub rb: PageSet,
     /// Composite objects this transaction wrote: member layout per
     /// composite-key offset. Registered with the composite registry at
-    /// commit (and re-registered from the log at recovery).
+    /// commit, and again at reopen when the commit follows the last
+    /// checkpoint.
     pub packs: BTreeMap<u64, Vec<PackMember>>,
 }
 

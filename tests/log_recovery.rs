@@ -51,6 +51,11 @@ fn cut_log_puts(db: &Database) {
         });
 }
 
+/// The body of page `p` of table `t` in the version `v` writes.
+fn body(t: TableId, p: u64, v: u8) -> bytes::Bytes {
+    bytes::Bytes::from(vec![t.0 as u8 ^ p as u8 ^ v; 300])
+}
+
 fn heal_log_puts(db: &Database) {
     db.durable_log()
         .unwrap()
@@ -323,4 +328,146 @@ fn a_landed_composite_without_its_log_record_resurrects_nothing() {
     assert_eq!(out.col(1).strs()[99].as_ref(), "r99");
     db.rollback(rtxn).unwrap();
     assert_eq!(store.max_write_count(), 1);
+}
+
+/// A commit whose log record fails to land leaves every table it wrote at
+/// the version it would have superseded — in the live instance too, not
+/// only after a reopen: it installed its tables before logging, and the
+/// failure puts back the old tree, identity and epoch before the rollback
+/// deletes the uploads the new trees pointed at. A reader that begins
+/// after the failure reads the old contents, a table the commit created
+/// stays empty, and a later commit that saves the catalog does not make
+/// the failed version durable.
+#[test]
+fn a_failed_commit_record_leaves_the_old_versions_installed() {
+    use cloudiq::common::PageId;
+    use cloudiq::engine::PageStore;
+    use cloudiq::storage::PageKind;
+
+    let (old, new) = (TableId(1), TableId(2));
+    for pack_pages in [1, 16] {
+        let mut cfg = recovery_cfg();
+        cfg.pack_pages = pack_pages;
+        let db = Database::create(cfg.clone()).unwrap();
+        let space = db.create_cloud_dbspace("clouddata").unwrap();
+        for t in [old, new, TableId(3)] {
+            db.create_table(t, space).unwrap();
+        }
+        let write = |db: &Database, tables: &[TableId], v: u8| {
+            let txn = db.begin();
+            let pager = db.pager(txn).unwrap();
+            for &t in tables {
+                for p in 0..20 {
+                    pager
+                        .write_page(t, PageId(p), PageKind::Data, body(t, p, v), txn)
+                        .unwrap();
+                }
+            }
+            db.commit(txn)
+        };
+        let check = |db: &Database, when: &str| {
+            let rtxn = db.begin();
+            let pager = db.pager(rtxn).unwrap();
+            for p in 0..20 {
+                let page = pager.read_page(old, PageId(p), true).unwrap_or_else(|e| {
+                    panic!("pack {pack_pages} {when}: page {p} of the old table: {e}")
+                });
+                assert_eq!(page.body, body(old, p, 1), "pack {pack_pages} {when}");
+                assert!(
+                    pager.read_page(new, PageId(p), true).is_err(),
+                    "pack {pack_pages} {when}: the failed commit's new table is readable"
+                );
+            }
+            db.rollback(rtxn).unwrap();
+        };
+        write(&db, &[old], 1).unwrap();
+        cut_log_puts(&db);
+        assert!(write(&db, &[old, new], 2).is_err());
+        check(&db, "after the failure");
+        heal_log_puts(&db);
+        write(&db, &[TableId(3)], 3).unwrap();
+        check(&db, "after a later commit");
+        let db = Database::reopen(db.into_durable(), cfg).unwrap();
+        check(&db, "after a reopen");
+        assert_eq!(db.cloud_store(space).unwrap().max_write_count(), 1);
+    }
+}
+
+/// While a commit's record is failing to land, the tables it installed are
+/// still its own: a second transaction that tries to write one is refused,
+/// not handed the installed tree the failure is about to undo. After the
+/// failure the next writer builds on the old version, and neither the live
+/// instance nor a reopen reads a page of the failed one.
+#[test]
+fn a_second_writer_waits_out_a_failing_commit_record() {
+    use cloudiq::common::PageId;
+    use cloudiq::engine::PageStore;
+    use cloudiq::storage::PageKind;
+
+    let table = TableId(1);
+    let mut cfg = recovery_cfg();
+    cfg.group_commit = GroupCommitMode::Coalesced;
+    let db = Database::create(cfg.clone()).unwrap();
+    let space = db.create_cloud_dbspace("clouddata").unwrap();
+    db.create_table(table, space).unwrap();
+    let write = |db: &Database, txn: TxnId, mut pages: std::ops::Range<u64>, v: u8| {
+        let pager = db.pager(txn).unwrap();
+        pages.try_for_each(|p| {
+            pager.write_page(table, PageId(p), PageKind::Data, body(table, p, v), txn)
+        })
+    };
+    let check = |db: &Database, when: &str| {
+        let rtxn = db.begin();
+        let pager = db.pager(rtxn).unwrap();
+        for p in 0..20 {
+            let page = pager
+                .read_page(table, PageId(p), true)
+                .unwrap_or_else(|e| panic!("{when}: page {p}: {e}"));
+            let v = if p < 10 { 3 } else { 1 };
+            assert_eq!(page.body, body(table, p, v), "{when}: page {p}");
+        }
+        db.rollback(rtxn).unwrap();
+    };
+    let txn = db.begin();
+    write(&db, txn, 0..20, 1).unwrap();
+    db.commit(txn).unwrap();
+
+    cut_log_puts(&db);
+    // An open commit window holds the gather: the failing commit's leader
+    // waits for it before the PUT that will fail.
+    let hold = db.durable_log().map(|dl| dl.enter_commit());
+    let doomed = db.begin();
+    std::thread::scope(|s| {
+        let failing = s.spawn(|| {
+            write(&db, doomed, 0..20, 2).unwrap();
+            db.commit(doomed)
+        });
+        // Its record is in the in-memory log: the table is installed and
+        // the record's PUT has not been tried.
+        let logged = |r: &LogRecord| matches!(r, LogRecord::Commit { txn, .. } if *txn == doomed);
+        while !db.txn_log().replay_suffix().iter().any(logged) {
+            assert!(!failing.is_finished(), "the commit ended before logging");
+            std::thread::yield_now();
+        }
+        let second = db.begin();
+        assert!(
+            write(&db, second, 0..1, 9).is_err(),
+            "a second writer cloned a tree whose record has not landed"
+        );
+        db.rollback(second).unwrap();
+        drop(hold);
+        assert!(
+            failing.join().unwrap().is_err(),
+            "an un-durable commit fails"
+        );
+    });
+
+    heal_log_puts(&db);
+    let txn = db.begin();
+    write(&db, txn, 0..10, 3).unwrap();
+    db.commit(txn).unwrap();
+    check(&db, "after the next commit");
+    let db = Database::reopen(db.into_durable(), cfg).unwrap();
+    check(&db, "after a reopen");
+    assert_eq!(db.cloud_store(space).unwrap().max_write_count(), 1);
 }

@@ -2,12 +2,15 @@
 //! the ephemeral SSD, key caches and in-flight transactions) and reopens
 //! from the system dbspace + transaction log + storage backends alone.
 
-use cloudiq::common::{NodeId, TableId};
-use cloudiq::core::{Database, DatabaseConfig};
+use bytes::Bytes;
+use cloudiq::common::trace::MetricValue;
+use cloudiq::common::{NodeId, PageId, SimDuration, TableId};
+use cloudiq::core::{Database, DatabaseConfig, GroupCommitMode};
 use cloudiq::engine::table::{Schema, TableMeta, TableWriter};
 use cloudiq::engine::value::{DataType, Value};
-use cloudiq::objectstore::IoOp;
-use cloudiq::storage::StorageConfig;
+use cloudiq::engine::PageStore;
+use cloudiq::objectstore::{IoOp, ObjectBackend};
+use cloudiq::storage::{PageKind, StorageConfig};
 
 fn schema() -> Schema {
     Schema::new(&[("k", DataType::I64), ("v", DataType::Str)])
@@ -232,4 +235,141 @@ fn reopen_loads_member_nodes_by_ranged_get() {
         .op(IoOp::Get);
     assert_eq!(gets.count, 23);
     assert_eq!(db.shared().member_reads(), (23, 0));
+}
+
+fn metric(db: &Database, name: &str) -> u64 {
+    match db.metrics()[name] {
+        MetricValue::U64(v) => v,
+        other => panic!("{name} is {other:?}"),
+    }
+}
+
+/// Three epochs of small packed commits on a 64-page ring, each ending in
+/// a checkpoint and a reopen. The checkpoint carries the composite
+/// registry and the committed chain, so nothing leaks across the reopen:
+/// every data object is a registered composite, every member free finds
+/// its composite, and once the GC has caught up the data store holds as
+/// much after the third epoch as after the first. The log is cut behind the checkpoint, so reopen
+/// reads one log object after 1 000, 2 000 and 3 000 commits alike.
+#[test]
+fn checkpointed_reopens_leak_nothing_and_read_one_log_object() {
+    const RING: u64 = 64;
+    let mut cfg = DatabaseConfig::test_small();
+    cfg.pack_pages = 16;
+    cfg.group_commit = GroupCommitMode::Coalesced;
+    cfg.retention = None;
+    let mut db = Database::create(cfg.clone()).unwrap();
+    let space = db.create_cloud_dbspace("churn").unwrap();
+    let table = TableId(1);
+    db.create_table(table, space).unwrap();
+    let store = db.cloud_store(space).unwrap();
+    let body = |ordinal: u64, page: u64| Bytes::from(vec![(ordinal ^ page) as u8; 512]);
+    let mut last = [0u64; RING as usize];
+    let mut data_bytes = Vec::new();
+    let mut log_gets = Vec::new();
+    for epoch in 0..3u64 {
+        for ordinal in epoch * 1_000..(epoch + 1) * 1_000 {
+            if ordinal % 64 == 0 {
+                db.gc_tick(512).unwrap();
+            }
+            let txn = db.begin();
+            let pager = db.pager(txn).unwrap();
+            for page in (ordinal * 4..ordinal * 4 + 4).map(|p| p % RING) {
+                pager
+                    .write_page(
+                        table,
+                        PageId(page),
+                        PageKind::Data,
+                        body(ordinal, page),
+                        txn,
+                    )
+                    .unwrap();
+                last[page as usize] = ordinal;
+            }
+            db.commit(txn).unwrap();
+        }
+        db.checkpoint().unwrap();
+        db = Database::reopen(db.into_durable(), cfg.clone()).unwrap();
+        log_gets.push(metric(&db, "log.recovery_gets"));
+        let registry = db.shared().txns.composites();
+        for key in store.live_keys() {
+            assert!(
+                registry.live_fraction(key).is_some(),
+                "epoch {epoch}: {key} is on the store but not registered"
+            );
+        }
+        db.gc_drain().unwrap();
+        assert_eq!(metric(&db, "pack.unknown_member_frees"), 0, "epoch {epoch}");
+        data_bytes.push(store.resident_bytes());
+        let rtxn = db.begin();
+        let pager = db.pager(rtxn).unwrap();
+        for (page, &ordinal) in last.iter().enumerate() {
+            let page = page as u64;
+            let read = pager.read_page(table, PageId(page), true).unwrap();
+            assert_eq!(read.body, body(ordinal, page), "epoch {epoch} page {page}");
+        }
+        db.rollback(rtxn).unwrap();
+    }
+    assert_eq!(log_gets, [1, 1, 1], "reopen reads the checkpoint alone");
+    for (epoch, &bytes) in data_bytes.iter().enumerate() {
+        let ratio = bytes as f64 / data_bytes[0] as f64;
+        assert!(
+            (0.9..1.1).contains(&ratio),
+            "epoch {epoch}: {bytes} B of data against {} B after the first",
+            data_bytes[0]
+        );
+    }
+}
+
+/// Pages retained when the instance powers off still expire and die
+/// after the reopen, on the clock they were retained by: the checkpoint
+/// carries the retention FIFO and its clock.
+#[test]
+fn retained_pages_expire_after_a_reopen() {
+    let mut cfg = DatabaseConfig::test_small();
+    cfg.retention = Some(SimDuration::from_secs(100));
+    let db = Database::create(cfg.clone()).unwrap();
+    let space = db.create_cloud_dbspace("clouddata").unwrap();
+    let table = TableId(1);
+    db.create_table(table, space).unwrap();
+    let store = db.cloud_store(space).unwrap();
+    let write = |db: &Database, v: u8| {
+        let txn = db.begin();
+        let pager = db.pager(txn).unwrap();
+        pager
+            .write_page(
+                table,
+                PageId(0),
+                PageKind::Data,
+                Bytes::from(vec![v; 64]),
+                txn,
+            )
+            .unwrap();
+        db.commit(txn).unwrap();
+    };
+    write(&db, 1);
+    let first = store.live_keys();
+    write(&db, 2);
+    let second: Vec<_> = store
+        .live_keys()
+        .into_iter()
+        .filter(|k| !first.contains(k))
+        .collect();
+    db.gc_drain().unwrap();
+    let sm = db.snapshot_manager().unwrap();
+    let retained = sm.retained_count();
+    assert!(retained > 0, "the first version's pages are retained");
+    db.advance_clock(SimDuration::from_secs(60));
+    let clock = sm.now();
+    db.checkpoint().unwrap();
+
+    let db = Database::reopen(db.into_durable(), cfg).unwrap();
+    let sm = db.snapshot_manager().unwrap();
+    assert_eq!(sm.retained_count(), retained);
+    assert_eq!(sm.now(), clock);
+    db.advance_clock(SimDuration::from_secs(30));
+    assert_eq!(db.sweep_retention().unwrap(), 0, "not expired yet");
+    db.advance_clock(SimDuration::from_secs(20));
+    assert_eq!(db.sweep_retention().unwrap(), retained);
+    assert_eq!(store.live_keys(), second, "only the second version is left");
 }

@@ -11,8 +11,9 @@
 //! The multi-seed sweep is heavy and runs under `--features torture`
 //! (the CI `torture` job); the single-seed cases always run.
 
-use cloudiq::common::TableId;
-use cloudiq::core::{Database, DatabaseConfig};
+use cloudiq::common::trace::MetricValue;
+use cloudiq::common::{ObjectKey, TableId};
+use cloudiq::core::{Database, DatabaseConfig, GroupCommitMode};
 use cloudiq::engine::table::{Schema, TableMeta, TableWriter};
 use cloudiq::engine::value::{DataType, Value};
 use cloudiq::objectstore::{FaultPlan, ObjectBackend, RetryPolicy};
@@ -339,6 +340,191 @@ fn compaction_under_faults_never_writes_twice() {
         assert_eq!(page.body, body(p, v), "page {p} after faulted compaction");
     }
     db.rollback(rtxn).unwrap();
+}
+
+/// Where a checkpoint scenario cuts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Cut {
+    /// Nowhere: the clean run the others are held to.
+    None,
+    /// The checkpoint's own PUT.
+    CheckpointPut,
+    /// After the checkpoint landed, before the log prefix is deleted.
+    BeforePrefixDelete,
+    /// Between the first and the second batch of the prefix delete.
+    BetweenDeleteBatches,
+    /// A GC pass before the checkpoint, which requeues its chain entry.
+    MidGc,
+}
+
+/// The objects `table`'s committed tree references: its pages' and its
+/// nodes' (a composite's key once, however many members it serves).
+fn reachable(db: &Database, table: TableId) -> Vec<ObjectKey> {
+    use cloudiq::common::PhysicalLocator;
+    use cloudiq::storage::{Blockmap, CountingKeySource, PageIo};
+    let ts = db.shared().table_store(table).unwrap();
+    let space = db.dbspace(ts.space).unwrap();
+    let keys = CountingKeySource::default();
+    let io = PageIo {
+        space: &space,
+        keys: &keys,
+    };
+    let identity = ts.identity().unwrap();
+    let mut tree = Blockmap::open(identity.fanout as usize, identity.root, &io).unwrap();
+    let mut out: Vec<ObjectKey> = tree
+        .live_data_locators(&io)
+        .unwrap()
+        .into_iter()
+        .chain(tree.live_node_locators())
+        .map(|loc| match loc {
+            PhysicalLocator::Object(key) | PhysicalLocator::ObjectRange { key, .. } => key,
+            PhysicalLocator::Blocks { .. } => panic!("a cloud table holds no block runs"),
+        })
+        .collect();
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// What a reopened instance holds: the data store's objects, and every
+/// ring page as a fresh reader reads it.
+#[derive(Debug, PartialEq)]
+struct Reopened {
+    objects: Vec<ObjectKey>,
+    pages: Vec<bytes::Bytes>,
+}
+
+/// `commits` small transactions on a 32-page ring, with a GC pass every
+/// 16, then a checkpoint cut at `cut`, a restart and a reopen that drains
+/// the GC. Asserts what each cut leaves behind before the reopen, and
+/// after it that the data store holds exactly the objects the table's
+/// tree references — nothing leaked, nothing it needs deleted — that no
+/// member free missed its composite, and that no object was written twice
+/// on either store.
+fn checkpoint_scenario(cut: Cut, commits: u64, pack_pages: usize) -> Reopened {
+    use cloudiq::common::PageId;
+    use cloudiq::engine::PageStore;
+    use cloudiq::storage::PageKind;
+
+    const RING: u64 = 32;
+    let mut cfg = faulted_cfg(FaultPlan::none());
+    cfg.pack_pages = pack_pages;
+    cfg.group_commit = GroupCommitMode::PerAppend;
+    cfg.log_fault = Some(FaultPlan::none());
+    cfg.retention = None;
+    let db = Database::create(cfg.clone()).unwrap();
+    let space = db.create_cloud_dbspace("clouddata").unwrap();
+    let table = TableId(1);
+    db.create_table(table, space).unwrap();
+    let body = |ordinal: u64, page: u64| bytes::Bytes::from(vec![(ordinal ^ page) as u8; 256]);
+    for ordinal in 0..commits {
+        if ordinal % 16 == 0 {
+            db.gc_tick(64).unwrap();
+        }
+        let txn = db.begin();
+        let pager = db.pager(txn).unwrap();
+        for page in (ordinal * 4..ordinal * 4 + 4).map(|p| p % RING) {
+            pager
+                .write_page(
+                    table,
+                    PageId(page),
+                    PageKind::Data,
+                    body(ordinal, page),
+                    txn,
+                )
+                .unwrap();
+        }
+        db.commit(txn).unwrap();
+    }
+    if cut == Cut::MidGc {
+        let data = db.fault_injector(space).unwrap();
+        data.arm_crash(0);
+        assert!(db.gc_drain().is_err(), "the GC pass meets the cut");
+        assert!(
+            db.shared().txns.gc_stats().requeues > 0,
+            "an entry requeued"
+        );
+        data.heal();
+    }
+
+    let log = db.durable_log().unwrap();
+    let (log_store, injector) = (log.sim().clone(), log.fault_injector().unwrap().clone());
+    let (objects, records) = (log_store.object_count(), db.txn_log().len());
+    match cut {
+        Cut::CheckpointPut => injector.arm_crash(0),
+        Cut::BeforePrefixDelete => injector.arm_crash(1),
+        Cut::BetweenDeleteBatches => injector.arm_crash(2),
+        Cut::None | Cut::MidGc => {}
+    }
+    let checkpointed = db.checkpoint();
+    match cut {
+        Cut::CheckpointPut => {
+            assert!(checkpointed.is_err(), "an undurable checkpoint fails");
+            assert_eq!(log_store.object_count(), objects, "nothing deleted");
+            assert_eq!(db.txn_log().len(), records + 1, "nothing truncated");
+        }
+        Cut::BeforePrefixDelete => {
+            assert!(checkpointed.is_err());
+            assert_eq!(log_store.object_count(), objects + 1);
+        }
+        Cut::BetweenDeleteBatches => {
+            assert!(checkpointed.is_err());
+            assert!(objects > 1_000, "two batches to cut between");
+            assert_eq!(log_store.object_count(), objects + 1 - 1_000);
+        }
+        Cut::None | Cut::MidGc => {
+            checkpointed.unwrap();
+            assert_eq!(log_store.object_count(), 1, "the checkpoint alone");
+        }
+    }
+    injector.heal();
+
+    let db = Database::reopen(db.into_durable(), cfg).unwrap();
+    db.gc_drain().unwrap();
+    assert!(matches!(
+        db.metrics()["pack.unknown_member_frees"],
+        MetricValue::U64(0)
+    ));
+    let store = db.cloud_store(space).unwrap();
+    assert_eq!(store.live_keys(), reachable(&db, table), "{cut:?}");
+    assert_eq!(store.max_write_count(), 1);
+    assert_eq!(log_store.max_write_count(), 1);
+    let rtxn = db.begin();
+    let pager = db.pager(rtxn).unwrap();
+    let pages = (0..RING)
+        .map(|page| pager.read_page(table, PageId(page), true).unwrap().body)
+        .collect();
+    db.rollback(rtxn).unwrap();
+    Reopened {
+        objects: store.live_keys(),
+        pages,
+    }
+}
+
+/// A checkpoint cut on its PUT, between its PUT and the prefix delete, or
+/// between two delete batches, reopens to what a clean run reopens to:
+/// the same data objects — none resurrected, none leaked — and the same
+/// contents.
+#[test]
+fn a_cut_checkpoint_reopens_to_what_a_clean_one_does() {
+    let clean = checkpoint_scenario(Cut::None, 200, 16);
+    for cut in [Cut::CheckpointPut, Cut::BeforePrefixDelete] {
+        assert_eq!(checkpoint_scenario(cut, 200, 16), clean, "{cut:?}");
+    }
+    // Over 1 000 log objects: the prefix delete takes two batches.
+    let clean = checkpoint_scenario(Cut::None, 1_010, 16);
+    assert_eq!(
+        checkpoint_scenario(Cut::BetweenDeleteBatches, 1_010, 16),
+        clean
+    );
+}
+
+/// A chain entry a failed GC pass requeued is in the checkpoint's image
+/// with what it still owes; the reopened instance deletes exactly that.
+#[test]
+fn a_checkpoint_after_a_requeued_gc_pass_reclaims_the_rest() {
+    let clean = checkpoint_scenario(Cut::None, 200, 1);
+    assert_eq!(checkpoint_scenario(Cut::MidGc, 200, 1), clean);
 }
 
 /// Heavy multi-seed sweep: flaky stores plus crash cuts at varying
