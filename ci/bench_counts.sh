@@ -46,12 +46,13 @@
 # `txn_churn` (one committer: 4-page transactions, GC, snapshots,
 # checkpoints, restarts) repeats exactly, so all of its gates but one are
 # equalities:
-#   * 3 003 data-store PUTs: one composite a commit, which carries the
-#     commit's blockmap nodes, plus three retention-FIFO pages (8 971 when
-#     each node was an object of its own);
-#   * store PUTs per MiB written, log batches included (64.224, untraced;
+#   * 3 000 data-store PUTs: one composite a commit, which carries the
+#     commit's blockmap nodes (8 971 when each node was an object of its
+#     own; 3 003 while each snapshot also uploaded a retention-FIFO copy);
+#   * store PUTs per MiB written, log batches included (64.16, untraced;
+#     64.224 with the FIFO copies and the key ranges they allocated,
 #     127.91 with a PUT per node);
-#   * stored bytes per user byte, untraced (1.9681; 5.4398 while a
+#   * stored bytes per user byte, untraced (1.96795; 5.4398 while a
 #     checkpoint carried neither the composite registry nor the GC chain —
 #     every composite resident at a checkpoint leaked across the reopen —
 #     and the log store kept every batch the instance ever wrote);
@@ -123,12 +124,12 @@ for out in "$@"; do
         and $m."objectstore.bytes_written_per_user_byte" == 0.21103752542701237
         and $m."storage.compression_ratio" == 0.7156599374638231'
     check "$out" txn_churn '
-        $m."store_bytes_per_user_byte" == 1.968137264251709
-        and $m."store_puts_per_user_mib" == 64.224' '
-        $m."objectstore.puts" == 3003
+        $m."store_bytes_per_user_byte" == 1.9679532051086426
+        and $m."store_puts_per_user_mib" == 64.16' '
+        $m."objectstore.puts" == 3000
         and $m."core.reopen_log_gets" <= 2
-        and $m."objectstore.bytes_written_per_user_byte" == 1.0440166625976564
-        and $m."storage.compression_ratio" == 1.0440166625976564'
+        and $m."objectstore.bytes_written_per_user_byte" == 1.0442511596679687
+        and $m."storage.compression_ratio" == 1.0442511596679687'
     [[ $checked == 1 ]] || {
         echo "bench_counts: $out holds none of power_warm, scan_cold, ingest, txn_churn" >&2
         exit 1

@@ -1236,9 +1236,6 @@ pub struct PackMeasure {
     pub label: &'static str,
     /// Commit-flush packing factor (`DatabaseConfig::pack_pages`).
     pub pack_pages: usize,
-    /// Whether composite members were served with ranged GETs (`false`
-    /// fetches the whole composite and slices client-side).
-    pub ranged_gets: bool,
     /// Data pages written by the load commit.
     pub pages: u64,
     /// Simulated-store PUT requests issued by the load commit (data
@@ -1246,9 +1243,6 @@ pub struct PackMeasure {
     pub load_puts: u64,
     /// GET-class requests for the cold full read-back after the load.
     pub cold_gets: u64,
-    /// Bytes fetched beyond the requested member windows across the
-    /// whole lifecycle (0 under true ranged GETs).
-    pub over_read_bytes: u64,
     /// Composite objects written across the lifecycle.
     pub objects_written: u64,
     /// Compaction rounds driven to a commit.
@@ -1280,12 +1274,7 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 /// page (leaving each composite half dead), GC, compact, GC again, and
 /// cold-read everything back once more — asserting byte-exact contents
 /// throughout. Request counts come from the store's own ledger.
-fn pack_lifecycle(
-    pages: u64,
-    pack_pages: usize,
-    ranged: bool,
-    label: &'static str,
-) -> IqResult<PackMeasure> {
+fn pack_lifecycle(pages: u64, pack_pages: usize, label: &'static str) -> IqResult<PackMeasure> {
     use iq_objectstore::{CostLedger, IoOp};
     use std::sync::atomic::Ordering;
 
@@ -1298,7 +1287,6 @@ fn pack_lifecycle(
     cfg.ocm_bytes = 0;
     cfg.retention = None;
     cfg.pack_pages = pack_pages;
-    cfg.pack_ranged_gets = ranged;
     let (db, space) = cloud_db(cfg, 1)?;
     let table = TableId(1);
     let store = db.cloud_store(space).expect("cloud dbspace is simulated");
@@ -1365,11 +1353,9 @@ fn pack_lifecycle(
     Ok(PackMeasure {
         label,
         pack_pages,
-        ranged_gets: ranged,
         pages,
         load_puts,
         cold_gets,
-        over_read_bytes: db.shared().member_reads().1,
         objects_written: ps.objects_written.load(Ordering::Relaxed),
         compactions: ps.compactions.load(Ordering::Relaxed),
         compaction_rewritten: ps.compaction_rewritten.load(Ordering::Relaxed),
@@ -1383,23 +1369,23 @@ fn pack_lifecycle(
 
 /// Ablation — commit-flush page packing: composite objects, ranged GETs
 /// and compaction. One PUT per ~`pack_pages` dirty pages instead of one
-/// per page, across the pack-size sweep {1, 4, 16, 64} plus the
-/// whole-object-GET leg; request counts and the modeled request bill come
-/// straight from the simulated store's ledger.
+/// per page, across the pack-size sweep {1, 4, 16, 64}; request counts and
+/// the modeled request bill come straight from the simulated store's
+/// ledger. Members are read by ranged GET, the only read path, so nothing
+/// is over-read.
 pub(crate) fn pack_rows(sf: f64) -> IqResult<Vec<PackMeasure>> {
     // Page count tracks the scale factor; the floor keeps even the CI
     // smoke at 512 pages (= 4 blockmap leaves at fanout 128), the shape
     // the >=10x PUT claim is pinned against.
     let pages = (((sf * 50_000.0) as u64).clamp(512, 4096) / 2) * 2;
     [
-        ("pack=1 (per-page baseline)", 1usize, true),
-        ("pack=4", 4, true),
-        ("pack=16 (default)", 16, true),
-        ("pack=64", 64, true),
-        ("pack=16, whole-object GETs", 16, false),
+        ("pack=1 (per-page baseline)", 1usize),
+        ("pack=4", 4),
+        ("pack=16 (default)", 16),
+        ("pack=64", 64),
     ]
     .into_iter()
-    .map(|(label, pack, ranged)| pack_lifecycle(pages, pack, ranged, label))
+    .map(|(label, pack)| pack_lifecycle(pages, pack, label))
     .collect()
 }
 
@@ -1419,9 +1405,6 @@ impl Rows for Vec<PackMeasure> {
                     format!("{:.1}x", base.load_puts as f64 / m.load_puts.max(1) as f64)
                 }),
                 ("Cold GETs", &|m| m.cold_gets.to_string()),
-                ("Over-read (KiB)", &|m| {
-                    format!("{:.0}", m.over_read_bytes as f64 / 1024.0)
-                }),
                 ("Composites", &|m| m.objects_written.to_string()),
                 ("Compactions", &|m| m.compactions.to_string()),
                 ("Reclaimed", &|m| m.composites_reclaimed.to_string()),
@@ -1430,9 +1413,9 @@ impl Rows for Vec<PackMeasure> {
         );
         r.note(format!(
             "packing {} dirty pages per composite cuts the load's {} PUTs to {} ({:.0}x fewer); \
-             ranged GETs keep member reads one-page-sized (over-read 0), while the whole-object \
-             leg shows what slicing client-side would over-fetch; half-dead composites are \
-             rewritten by compaction and reclaimed only when every member is dead",
+             a ranged GET reads each member, one page of bytes, so cold GETs do not move; \
+             half-dead composites are rewritten by compaction and reclaimed only when every \
+             member is dead",
             packed.pack_pages,
             base.load_puts,
             packed.load_puts,
@@ -1445,10 +1428,9 @@ impl Rows for Vec<PackMeasure> {
     /// per-page baseline while serving byte-identical pages, and
     /// `pack_pages = 1` must reproduce the per-page path exactly.
     fn gates(&self) -> Result<(), String> {
-        gate!(self.len() == 5);
-        let (base, packed, whole) = (&self[0], &self[2], &self[4]);
+        gate!(self.len() == 4);
+        let (base, packed) = (&self[0], &self[2]);
         gate!(base.pack_pages == 1 && packed.pack_pages == 16);
-        gate!(packed.ranged_gets && !whole.ranged_gets);
         for m in &self[1..] {
             gate!(m.checksum == base.checksum, m.label);
         }
@@ -1459,22 +1441,13 @@ impl Rows for Vec<PackMeasure> {
         gate!(base.load_puts >= 10 * packed.load_puts);
         // ~pages/16 composites across load + churn.
         gate!(packed.objects_written >= packed.pages / 16);
-        // Ranged GETs never over-read; the whole-object leg must.
-        gate!(packed.over_read_bytes == 0 && whole.over_read_bytes > 0);
+        // One ranged GET per member read, whatever the pack size.
+        gate!(packed.cold_gets == base.cold_gets);
         // Compaction ran and the GC reclaimed the half-dead composites.
         gate!(packed.compactions > 0 && packed.composites_reclaimed > 0);
         // The modeled request bill falls with the PUT count.
         gate!(packed.request_usd < base.request_usd);
         Ok(())
-    }
-}
-
-/// `per_append` or `coalesced`, as the BENCH rows spell a durable-log
-/// mode.
-fn mode_name(mode: GroupCommitMode) -> &'static str {
-    match mode {
-        GroupCommitMode::Coalesced => "coalesced",
-        _ => "per_append",
     }
 }
 
@@ -1484,15 +1457,14 @@ fn mode_name(mode: GroupCommitMode) -> &'static str {
 pub struct GroupCommitMeasure {
     /// Row label.
     pub label: &'static str,
-    /// Durable-log mode (`per_append` or `coalesced`).
-    pub mode: &'static str,
     /// Concurrent committer threads.
     pub threads: usize,
     /// Barrier-synchronized commit rounds per thread.
     pub rounds: u64,
     /// Total transactions committed (`threads * rounds`).
     pub commits: u64,
-    /// Log records handed to the durable-log sink.
+    /// Log records handed to the durable-log sink — the PUTs one upload
+    /// per record would cost.
     pub log_appends: u64,
     /// PUT requests the durable log issued against its store.
     pub log_puts: u64,
@@ -1506,10 +1478,8 @@ pub struct GroupCommitMeasure {
 
 /// One leg of the group-commit ablation: `threads` committers, each
 /// running `rounds` barrier-synchronized commit rounds against its own
-/// table, with the transaction log mirrored to a [`iq_core::DurableLog`]
-/// in the given mode.
+/// table, with the transaction log mirrored to a [`iq_core::DurableLog`].
 fn group_commit_leg(
-    mode: GroupCommitMode,
     threads: usize,
     rounds: u64,
     label: &'static str,
@@ -1517,7 +1487,7 @@ fn group_commit_leg(
     use std::sync::Barrier;
 
     let mut cfg = DatabaseConfig::test_small();
-    cfg.group_commit = mode;
+    cfg.group_commit = GroupCommitMode::Coalesced;
     let (db, _) = cloud_db(cfg, threads as u32)?;
 
     // Every round, all committers arrive at a barrier and then commit
@@ -1548,10 +1518,12 @@ fn group_commit_leg(
         }
     });
 
-    let stats = db.durable_log().expect("mode wires the log").stats();
+    let stats = db
+        .durable_log()
+        .expect("group commit wires the log")
+        .stats();
     Ok(GroupCommitMeasure {
         label,
-        mode: mode_name(mode),
         threads,
         rounds,
         commits: threads as u64 * rounds,
@@ -1565,43 +1537,25 @@ fn group_commit_leg(
 
 /// Ablation — group commit: coalescing concurrent transaction-log
 /// appends into one PUT through the submission/completion core's gather,
-/// across a committer-count sweep in both log modes. The first payoff of
-/// the PR-7 reactor: log durability cost scales with commit *rounds*, not
-/// committer count.
+/// across a committer-count sweep. The baseline, one PUT per record, is
+/// the log's own append count. The first payoff of the PR-7 reactor: log
+/// durability cost scales with commit *rounds*, not committer count.
 pub(crate) fn group_commit_rows(sf: f64) -> IqResult<Vec<GroupCommitMeasure>> {
     // Round count tracks the scale factor; the floor keeps even the CI
     // smoke at 8 contended rounds per leg.
     let rounds = ((sf * 800.0) as u64).clamp(8, 64);
-    let mut out = Vec::new();
-    for (threads, label_pa, label_gc) in [
-        (1usize, "per-append, 1 committer", "coalesced, 1 committer"),
-        (4, "per-append, 4 committers", "coalesced, 4 committers"),
-        (8, "per-append, 8 committers", "coalesced, 8 committers"),
-    ] {
-        out.push(group_commit_leg(
-            GroupCommitMode::PerAppend,
-            threads,
-            rounds,
-            label_pa,
-        )?);
-        out.push(group_commit_leg(
-            GroupCommitMode::Coalesced,
-            threads,
-            rounds,
-            label_gc,
-        )?);
-    }
-    Ok(out)
+    [
+        (1usize, "coalesced, 1 committer"),
+        (4, "coalesced, 4 committers"),
+        (8, "coalesced, 8 committers"),
+    ]
+    .into_iter()
+    .map(|(threads, label)| group_commit_leg(threads, rounds, label))
+    .collect()
 }
 
 impl Rows for Vec<GroupCommitMeasure> {
     fn report(&self) -> Report {
-        // The same-thread-count per-append leg is each row's baseline.
-        let per_append = |m: &GroupCommitMeasure| {
-            self.iter()
-                .find(|b| b.threads == m.threads && b.mode == "per_append")
-                .map_or(m.log_puts, |b| b.log_puts)
-        };
         let mut r = Report::from_columns(
             "Ablation — group commit (coalesced transaction-log appends)",
             self,
@@ -1611,37 +1565,40 @@ impl Rows for Vec<GroupCommitMeasure> {
                 ("Log appends", &|m| m.log_appends.to_string()),
                 ("Log PUTs", &|m| m.log_puts.to_string()),
                 ("vs per-append", &|m| {
-                    format!("{:.1}x", per_append(m) as f64 / m.log_puts.max(1) as f64)
+                    format!("{:.1}x", m.log_appends as f64 / m.log_puts.max(1) as f64)
                 }),
                 ("Batches", &|m| m.gathered_batches.to_string()),
                 ("Max batch", &|m| m.max_batch.to_string()),
                 ("Coalesced", &|m| m.coalesced_records.to_string()),
             ],
         );
-        let (pa, gc) = (&self[4], &self[5]);
+        let gc = &self[2];
         r.note(format!(
             "a commit's log append registers with the gather before flushing, so every \
              committer that reaches the log while a leader PUT is pending rides that PUT \
-             for free; with 8 barrier-synchronized committers the {} per-append PUTs drop \
-             to {} ({:.1}x fewer) while single-committer legs pay per-append cost exactly",
-            pa.log_puts,
+             for free; with 8 barrier-synchronized committers the {} appends, one PUT each \
+             without the gather, cost {} PUTs ({:.1}x fewer) while a single committer pays \
+             one PUT per append exactly",
+            gc.log_appends,
             gc.log_puts,
-            pa.log_puts as f64 / gc.log_puts.max(1) as f64,
+            gc.log_appends as f64 / gc.log_puts.max(1) as f64,
         ));
         r
     }
 
-    /// At the highest concurrency the gather must save at least half the
-    /// log PUTs (a leader PUT covering >= 2 commits on average across the
-    /// barrier-synchronized rounds) for the same records.
+    /// Every append is a PUT or a rider of one; a lone committer pays a
+    /// PUT per append, and at the highest concurrency the gather must save
+    /// at least half the PUTs one per append would cost (a leader PUT
+    /// covering >= 2 commits on average across the barrier-synchronized
+    /// rounds).
     fn gates(&self) -> Result<(), String> {
-        gate!(self.len() == 6);
-        let (pa, gc) = (&self[4], &self[5]);
-        gate!(pa.threads == 8 && pa.mode == "per_append");
-        gate!(gc.threads == 8 && gc.mode == "coalesced");
-        gate!(pa.log_appends == gc.log_appends);
-        gate!(pa.log_puts >= 2 * gc.log_puts);
-        for m in self.iter().filter(|m| m.mode == "coalesced") {
+        gate!(self.len() == 3);
+        let (one, gc) = (&self[0], &self[2]);
+        gate!(one.threads == 1 && gc.threads == 8);
+        gate!(one.log_puts == one.log_appends);
+        gate!(gc.log_appends >= 2 * gc.log_puts);
+        for m in self {
+            gate!(m.log_appends == m.log_puts + m.coalesced_records, m.label);
             gate!(m.log_appends >= m.commits, m.label);
         }
         Ok(())
@@ -1654,8 +1611,6 @@ impl Rows for Vec<GroupCommitMeasure> {
 pub struct RecoveryMeasure {
     /// Row label.
     pub label: &'static str,
-    /// Durable-log mode (`per_append` or `coalesced`).
-    pub mode: &'static str,
     /// Transactions committed durably before any fault.
     pub durable_commits: u64,
     /// Commits attempted after the log store was cut — every one must
@@ -1683,7 +1638,6 @@ const RECOVERY_PAGES_PER_TXN: u64 = 2;
 /// `failed_txns` commits that must error and roll back, then a healed
 /// reopen that replays the durable stream and reconciles the phantoms.
 fn recovery_leg(
-    mode: GroupCommitMode,
     durable_txns: u64,
     failed_txns: u64,
     label: &'static str,
@@ -1695,7 +1649,7 @@ fn recovery_leg(
     const FAILED_BASE: u64 = 1_000;
 
     let mut cfg = DatabaseConfig::test_small();
-    cfg.group_commit = mode;
+    cfg.group_commit = GroupCommitMode::Coalesced;
     cfg.log_fault = Some(FaultPlan::none());
     cfg.retry = RetryPolicy::attempts(2);
     let (db, _) = cloud_db(cfg.clone(), 1)?;
@@ -1714,7 +1668,7 @@ fn recovery_leg(
     if failed_txns > 0 {
         let injector = db
             .durable_log()
-            .expect("mode wires the log")
+            .expect("group commit wires the log")
             .fault_injector()
             .expect("log_fault wires an injector");
         injector.set_plan(FaultPlan {
@@ -1729,7 +1683,10 @@ fn recovery_leg(
         }
         injector.set_plan(FaultPlan::none());
     }
-    let stats = db.durable_log().expect("mode wires the log").stats();
+    let stats = db
+        .durable_log()
+        .expect("group commit wires the log")
+        .stats();
 
     let db = Database::reopen(db.into_durable(), cfg)?;
     let metrics = db.metrics();
@@ -1750,7 +1707,6 @@ fn recovery_leg(
 
     Ok(RecoveryMeasure {
         label,
-        mode: mode_name(mode),
         durable_commits: durable_txns,
         failed_commits: failed_txns,
         put_failures: stats.put_failures,
@@ -1765,27 +1721,17 @@ fn recovery_leg(
 /// Ablation — durable-log replay recovery: commits whose log PUT fails
 /// past the retry budget error and roll back; reopen replays the log
 /// keyspace and reconciles away the phantom in-memory records. A no-fault
-/// baseline (reconciliation must be the identity) and a cut-log leg per
-/// durable-log mode.
+/// baseline (reconciliation must be the identity) and a cut-log leg.
 pub(crate) fn recovery_rows(sf: f64) -> IqResult<Vec<RecoveryMeasure>> {
     // Durable working set tracks the scale factor; the floor keeps even
     // the CI smoke replaying a non-trivial stream.
     let durable = ((sf * 400.0) as u64).clamp(4, 32);
     [
-        (GroupCommitMode::PerAppend, 0, "per-append, no faults"),
-        (
-            GroupCommitMode::PerAppend,
-            3,
-            "per-append, log cut past retry budget",
-        ),
-        (
-            GroupCommitMode::Coalesced,
-            3,
-            "coalesced, log cut past retry budget",
-        ),
+        (0, "coalesced, no faults"),
+        (3, "coalesced, log cut past retry budget"),
     ]
     .into_iter()
-    .map(|(mode, failed, label)| recovery_leg(mode, durable, failed, label))
+    .map(|(failed, label)| recovery_leg(durable, failed, label))
     .collect()
 }
 
@@ -1825,8 +1771,8 @@ impl Rows for Vec<RecoveryMeasure> {
     /// budget), their phantoms reconcile away one for one, and reopen
     /// leaves exactly the durable working set visible.
     fn gates(&self) -> Result<(), String> {
-        gate!(self.len() == 3);
-        gate!(self.iter().filter(|m| m.failed_commits > 0).count() == 2);
+        gate!(self.len() == 2);
+        gate!(self[0].failed_commits == 0 && self[1].failed_commits > 0);
         for m in self {
             gate!(m.reconciled_drops == m.failed_commits, m.label);
             gate!(m.pages_resurrected == 0, m.label);

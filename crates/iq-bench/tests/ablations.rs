@@ -25,8 +25,8 @@ fn measured() -> impl Iterator<Item = (&'static Section, Measure)> {
 }
 
 /// Break one condition of the rows' gate — e.g. make the coalesced log
-/// pay as many PUTs as per-append — so a gate that silently became
-/// `Ok(())` is caught.
+/// pay one PUT per append — so a gate that silently became `Ok(())` is
+/// caught.
 fn violate(rows: &mut dyn Rows) {
     let rows: &mut dyn Any = rows;
     if let Some(r) = rows.downcast_mut::<Vec<GcBatchingMeasure>>() {
@@ -36,7 +36,7 @@ fn violate(rows: &mut dyn Rows) {
     } else if let Some(r) = rows.downcast_mut::<Vec<PackMeasure>>() {
         r[2].load_puts = r[0].load_puts;
     } else if let Some(r) = rows.downcast_mut::<Vec<GroupCommitMeasure>>() {
-        r[5].log_puts = r[4].log_puts;
+        r[2].log_puts = r[2].log_appends;
     } else if let Some(r) = rows.downcast_mut::<Vec<RecoveryMeasure>>() {
         r[1].pages_resurrected = 1;
     } else if let Some(r) = rows.downcast_mut::<Vec<PruneMeasure>>() {

@@ -11,6 +11,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::{IqError, IqResult};
+
 /// The value below which a raw 64-bit locator is a physical block number.
 /// SAP IQ's maximum physical block number is `2^48 - 1`.
 pub const MAX_BLOCK_NUM: u64 = (1 << 48) - 1;
@@ -151,10 +153,10 @@ impl fmt::Display for ObjectKey {
 /// Where a page version physically lives: a run of blocks on a conventional
 /// dbspace, an object in an object store, or a byte range inside a
 /// *composite* object (several sealed page images packed into one few-MB
-/// immutable upload). Whole objects and block runs serialize as the single
-/// overloaded 64-bit field plus the run length (which is 0 for objects);
-/// ranged locators additionally carry `(offset, len)` and need the v2
-/// blockmap node format.
+/// immutable upload). A blockmap node stores one in an 18-byte slot
+/// ([`PhysicalLocator::to_slot`]): whole objects and block runs as the
+/// single overloaded 64-bit field plus the run length (which is 0 for
+/// objects), ranged locators as the key plus `(offset, len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PhysicalLocator {
     /// `count` contiguous blocks starting at `start` (1–16 per page).
@@ -180,33 +182,61 @@ pub enum PhysicalLocator {
 }
 
 impl PhysicalLocator {
-    /// Encode into the overloaded `(u64, u8)` on-disk representation.
-    ///
-    /// Ranged locators do not fit this legacy 10-byte slot; callers that
-    /// may hold one must use the v2 blockmap node format instead.
-    pub fn encode(self) -> (u64, u8) {
-        match self {
-            PhysicalLocator::Blocks { start, count } => (start.0, count),
-            PhysicalLocator::Object(key) => (key.raw(), 0),
-            PhysicalLocator::ObjectRange { .. } => {
-                panic!("ranged locators require the v2 slot encoding")
+    /// Bytes of one blockmap slot: a tag byte and 17 payload bytes.
+    pub const SLOT_LEN: usize = 18;
+
+    /// The blockmap slot holding this locator. Tag 1 is the overloaded
+    /// field of §3.1 — `raw u64 | count u8 | 8 zero bytes`, a block run or
+    /// (count 0) a whole object; tag 2 a composite member — `key u64 |
+    /// offset u32 | len u32 | 1 zero byte`. An all-zero slot (tag 0) is
+    /// empty. Integers are little-endian.
+    pub fn to_slot(self) -> [u8; Self::SLOT_LEN] {
+        let mut slot = [0u8; Self::SLOT_LEN];
+        let (tag, raw) = match self {
+            PhysicalLocator::Blocks { start, count } => {
+                slot[9] = count;
+                (1, start.0)
             }
-        }
+            PhysicalLocator::Object(key) => (1, key.raw()),
+            PhysicalLocator::ObjectRange { key, offset, len } => {
+                slot[9..13].copy_from_slice(&offset.to_le_bytes());
+                slot[13..17].copy_from_slice(&len.to_le_bytes());
+                (2, key.raw())
+            }
+        };
+        slot[0] = tag;
+        slot[1..9].copy_from_slice(&raw.to_le_bytes());
+        slot
     }
 
-    /// Decode from the on-disk representation; distinguishes the two cases
-    /// "by simply looking at the range in which" the value falls (§3.3).
-    pub fn decode(raw: u64, count: u8) -> Option<Self> {
-        if raw >= OBJECT_KEY_BASE {
-            Some(PhysicalLocator::Object(ObjectKey::from_raw(raw)?))
-        } else if raw <= MAX_BLOCK_NUM && (1..=16).contains(&count) {
-            Some(PhysicalLocator::Blocks {
+    /// Read a blockmap slot: `None` for an empty one, and `Corruption` for
+    /// a tag or payload no locator writes. A tag-1 value is told apart "by
+    /// simply looking at the range in which" it falls (§3.3).
+    pub fn from_slot(slot: &[u8; Self::SLOT_LEN]) -> IqResult<Option<Self>> {
+        let raw = u64::from_le_bytes(std::array::from_fn(|i| slot[1 + i]));
+        let word = |at: usize| u32::from_le_bytes(std::array::from_fn(|i| slot[at + i]));
+        let loc = match slot[0] {
+            0 => return Ok(None),
+            1 if raw >= OBJECT_KEY_BASE => PhysicalLocator::Object(ObjectKey(raw)),
+            1 if raw <= MAX_BLOCK_NUM && (1..=16).contains(&slot[9]) => PhysicalLocator::Blocks {
                 start: BlockNum(raw),
-                count,
-            })
-        } else {
-            None
-        }
+                count: slot[9],
+            },
+            1 => return Err(IqError::Corruption("bad locator in blockmap node".into())),
+            2 => PhysicalLocator::ObjectRange {
+                key: ObjectKey::from_raw(raw).ok_or_else(|| {
+                    IqError::Corruption("bad composite key in blockmap node".into())
+                })?,
+                offset: word(9),
+                len: word(13),
+            },
+            other => {
+                return Err(IqError::Corruption(format!(
+                    "unknown blockmap v2 slot tag {other}"
+                )))
+            }
+        };
+        Ok(Some(loc))
     }
 
     /// True if this locator points into an object store.
@@ -229,6 +259,7 @@ impl PhysicalLocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn object_key_roundtrip() {
@@ -272,20 +303,24 @@ mod tests {
     }
 
     #[test]
-    fn locator_encode_decode() {
+    fn locator_slot_roundtrip() {
         let b = PhysicalLocator::Blocks {
             start: BlockNum(99),
             count: 4,
         };
-        let (raw, n) = b.encode();
-        assert_eq!(PhysicalLocator::decode(raw, n), Some(b));
+        assert_eq!(PhysicalLocator::from_slot(&b.to_slot()).unwrap(), Some(b));
         assert!(!b.is_cloud());
 
         let o = PhysicalLocator::Object(ObjectKey::from_offset(5));
-        let (raw, n) = o.encode();
-        assert_eq!(n, 0);
-        assert_eq!(PhysicalLocator::decode(raw, n), Some(o));
+        let slot = o.to_slot();
+        assert_eq!(
+            (slot[0], slot[9]),
+            (1, 0),
+            "a whole object is a count-0 run"
+        );
+        assert_eq!(PhysicalLocator::from_slot(&slot).unwrap(), Some(o));
         assert!(o.is_cloud());
+        assert_eq!(PhysicalLocator::from_slot(&[0; 18]).unwrap(), None);
     }
 
     #[test]
@@ -310,13 +345,70 @@ mod tests {
     }
 
     #[test]
-    fn locator_decode_rejects_garbage() {
+    fn locator_slot_rejects_garbage() {
+        let slot = |tag: u8, raw: u64, count: u8| {
+            let mut s = [0u8; 18];
+            s[0] = tag;
+            s[1..9].copy_from_slice(&raw.to_le_bytes());
+            s[9] = count;
+            s
+        };
         // Block number beyond the 2^48-1 cap but below the key base.
-        assert_eq!(PhysicalLocator::decode(1 << 50, 1), None);
+        assert!(PhysicalLocator::from_slot(&slot(1, 1 << 50, 1)).is_err());
         // Zero-length block run.
-        assert_eq!(PhysicalLocator::decode(100, 0), None);
+        assert!(PhysicalLocator::from_slot(&slot(1, 100, 0)).is_err());
         // 17-block run.
-        assert_eq!(PhysicalLocator::decode(100, 17), None);
+        assert!(PhysicalLocator::from_slot(&slot(1, 100, 17)).is_err());
+        // A composite member whose key is a block number.
+        assert!(PhysicalLocator::from_slot(&slot(2, 100, 0)).is_err());
+        // A tag no format writes.
+        assert!(PhysicalLocator::from_slot(&slot(3, 0, 0)).is_err());
+    }
+
+    /// Offsets and lengths anywhere in `u32`, their extremes included.
+    fn edge_u32() -> impl Strategy<Value = u32> {
+        prop_oneof![any::<u32>(), Just(0u32), Just(u32::MAX)]
+    }
+
+    /// Every variant, each field over its whole valid domain.
+    fn locator() -> impl Strategy<Value = PhysicalLocator> {
+        prop_oneof![
+            (0..=MAX_BLOCK_NUM, 1u8..=16).prop_map(|(start, count)| PhysicalLocator::Blocks {
+                start: BlockNum(start),
+                count
+            }),
+            (0..OBJECT_KEY_BASE)
+                .prop_map(|off| PhysicalLocator::Object(ObjectKey::from_offset(off))),
+            (0..OBJECT_KEY_BASE, edge_u32(), edge_u32()).prop_map(|(off, offset, len)| {
+                PhysicalLocator::ObjectRange {
+                    key: ObjectKey::from_offset(off),
+                    offset,
+                    len,
+                }
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn any_slot_decodes_without_panicking(
+            tag in 0u8..4,
+            payload in proptest::collection::vec(any::<u8>(), 17..18),
+        ) {
+            let mut slot = [tag; 18];
+            slot[1..].copy_from_slice(&payload);
+            if let Ok(Some(loc)) = PhysicalLocator::from_slot(&slot) {
+                // Whatever decodes re-encodes to a slot that decodes alike.
+                prop_assert_eq!(PhysicalLocator::from_slot(&loc.to_slot()).ok(), Some(Some(loc)));
+            }
+        }
+
+        #[test]
+        fn every_locator_round_trips_through_its_slot(loc in locator()) {
+            prop_assert_eq!(PhysicalLocator::from_slot(&loc.to_slot()).ok(), Some(Some(loc)));
+        }
     }
 
     #[test]

@@ -1,31 +1,35 @@
 //! Database configuration.
+//!
+//! Each knob selects *whether* a mechanism runs, never which of two
+//! implementations of it does: a baseline is the one path with a factor
+//! of 1 (`pack_pages = 1` is the per-page flush) or a count that path
+//! already takes (the durable log's appends are what one PUT per record
+//! would cost).
 
 use iq_common::{SimDuration, GIB, MIB};
 use iq_objectstore::{ConsistencyConfig, FaultPlan, RetryPolicy};
 use iq_storage::StorageConfig;
 
-/// How transaction-log appends reach durable storage.
+/// Whether transaction-log appends reach durable storage.
 ///
 /// Which log is authoritative follows the mode. Under `Off` (the default)
 /// there is no uploader — every existing trace and request count is
 /// untouched — and the in-memory [`iq_txn::TxnLog`] alone decides what
-/// recovery replays. The other two modes mirror appended records onto a
-/// strongly consistent log store, which makes commit-PUT traffic
-/// measurable and the durable stream authoritative for commits: a commit
-/// succeeds only if its record's PUT landed, and reopening an instance
-/// whose previous life ran in one of them reconciles the in-memory log
-/// against the stream before anything replays it, dropping `Commit`
-/// records the store never received (see [`crate::log_recovery`]).
+/// recovery replays. `Coalesced` mirrors appended records onto a strongly
+/// consistent log store, which makes commit-PUT traffic measurable and the
+/// durable stream authoritative for commits: a commit succeeds only if its
+/// record's PUT landed, and reopening an instance whose previous life ran
+/// with it reconciles the in-memory log against the stream before anything
+/// replays it, dropping `Commit` records the store never received (see
+/// [`crate::log_recovery`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GroupCommitMode {
     /// No durable log uploads (the pre-PR-7 behaviour).
     #[default]
     Off,
-    /// One PUT per commit record — the naive baseline the group-commit
-    /// ablation measures against.
-    PerAppend,
     /// Group commit: a gather leader coalesces the commit records of
-    /// every concurrently committing transaction into one PUT.
+    /// every concurrently committing transaction into one PUT; any other
+    /// record costs one PUT of its own.
     Coalesced,
 }
 
@@ -72,12 +76,8 @@ pub struct DatabaseConfig {
     /// page size). `1` disables packing and reproduces the per-page flush
     /// path — and its request counts — exactly.
     pub pack_pages: usize,
-    /// Serve composite members with ranged GETs (`true`, the default) or
-    /// by fetching the whole composite and slicing client-side (`false` —
-    /// the ablation that makes over-read bytes measurable).
-    pub pack_ranged_gets: bool,
-    /// Durable transaction-log upload mode (the `--group-commit`
-    /// ablation). `Off` by default: no extra traffic, no trace changes.
+    /// Durable transaction-log uploads (the `--group-commit` ablation).
+    /// `Off` by default: no extra traffic, no trace changes.
     pub group_commit: GroupCommitMode,
     /// Scripted fault schedule for the *durable-log* store, independent
     /// of [`Self::fault`] so log PUTs can be failed without perturbing
@@ -106,7 +106,6 @@ impl Default for DatabaseConfig {
             scan_workers: 1,
             fault: None,
             pack_pages: 16,
-            pack_ranged_gets: true,
             group_commit: GroupCommitMode::Off,
             log_fault: None,
         }

@@ -172,14 +172,9 @@ impl Shared {
     }
 
     /// Composite members served across every dbspace — data pages and
-    /// blockmap nodes alike — and the bytes fetched beyond their windows,
-    /// as `(reads, over_read_bytes)`.
-    pub fn member_reads(&self) -> (u64, u64) {
-        self.spaces
-            .read()
-            .values()
-            .map(|s| s.member_reads())
-            .fold((0, 0), |(r, o), (dr, dob)| (r + dr, o + dob))
+    /// blockmap nodes alike, one ranged GET each.
+    pub fn member_reads(&self) -> u64 {
+        self.spaces.read().values().map(|s| s.member_reads()).sum()
     }
 
     /// The OCM, if enabled and bound to `space`.
@@ -349,7 +344,6 @@ fn register_core_metrics(shared: &Arc<Shared>) {
             return Vec::new();
         };
         let p = &s.pack_stats;
-        let (member_reads, over_read) = s.member_reads();
         let c = s.txns.composites().stats();
         let mean_live_at_claim = if c.compaction_claims == 0 {
             0.0
@@ -385,8 +379,7 @@ fn register_core_metrics(shared: &Arc<Shared>) {
                 "pack_gt_64".into(),
                 MetricValue::U64(p.pack_hist[4].load(Ordering::Relaxed)),
             ),
-            ("ranged_gets".into(), MetricValue::U64(member_reads)),
-            ("bytes_over_read".into(), MetricValue::U64(over_read)),
+            ("ranged_gets".into(), MetricValue::U64(s.member_reads())),
             (
                 "compactions".into(),
                 MetricValue::U64(p.compactions.load(Ordering::Relaxed)),
@@ -725,14 +718,14 @@ impl Database {
         let reactor = Arc::new(IoReactor::with_stats(Arc::clone(&io_stats)));
         let durable_log = match config.group_commit {
             GroupCommitMode::Off => None,
-            mode => {
+            GroupCommitMode::Coalesced => {
                 let (reactor, stats) = (Arc::clone(&reactor), Some(Arc::clone(&io_stats)));
                 let (retry, fault) = (config.retry, config.log_fault);
                 let dl = Arc::new(match log_store {
                     // A surviving log store resumes key allocation above
                     // its live keys.
-                    Some(sim) => DurableLog::over_store(mode, reactor, stats, retry, fault, sim),
-                    None => DurableLog::new(mode, reactor, stats, retry, fault),
+                    Some(sim) => DurableLog::over_store(reactor, stats, retry, fault, sim),
+                    None => DurableLog::new(reactor, stats, retry, fault),
                 });
                 log.set_sink(Arc::clone(&dl) as Arc<dyn iq_txn::LogSink>);
                 Some(dl)
@@ -1422,20 +1415,10 @@ impl Database {
         for cache in self.shared.key_caches.lock().values() {
             cache.surrender();
         }
-        // "Just like the user data, this list of metadata is also stored
-        // on object stores" (§5): persist the retention FIFO to the first
-        // cloud dbspace and anchor its key in the catalog.
-        let fifo_anchor = {
-            let spaces = self.shared.spaces.read();
-            spaces.values().find(|s| s.is_cloud()).cloned()
-        };
-        if let Some(space) = fifo_anchor {
-            let keys = self.shared.key_cache(NodeId(0))?;
-            let key = sm.persist_fifo(&space, keys.as_ref())?;
-            let mut catalog = self.shared.catalog.lock();
-            catalog.put_section("snapshot-fifo", &key.offset())?;
-            catalog.save(self.shared.system.as_ref(), BlockNum(0))?;
-        }
+        // The retention FIFO needs no copy of its own here. Its durable
+        // copy is the checkpoint record, which carries it and its clock
+        // to the log's object store (§5: "this list of metadata is also
+        // stored on object stores"), and reopen restores it from there.
         let max_key = self.shared.mx.coordinator.keygen()?.max_allocated();
         let catalog = self.shared.catalog.lock().clone();
         Ok(sm.take_snapshot(&catalog, max_key).id)

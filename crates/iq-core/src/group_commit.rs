@@ -7,26 +7,26 @@
 //! [`IoReactor`] — so log PUTs take the same gate, and are counted in
 //! the same `io.*` numbers, as page traffic.
 //!
-//! Two upload modes ([`GroupCommitMode`]):
-//!
-//! * `PerAppend` — every record becomes one PUT. This is the naive
-//!   baseline: N concurrent committers cost N log PUTs.
-//! * `Coalesced` — group commit. [`Database::commit`] calls
-//!   [`DurableLog::enter_commit`] before doing any work, which *arms*
-//!   the calling thread and registers it as an expected committer. When
-//!   the commit record reaches the sink, the first arrival with no
-//!   active leader becomes the **gather leader**: it waits until every
-//!   expected committer has either appended its commit record or
-//!   aborted (guard drop), then uploads the whole batch as ONE PUT.
-//!   Later arrivals are followers — they park until the leader's upload
-//!   covers their record. N concurrent committers cost 1 log PUT.
+//! One upload path, group commit. [`Database::commit`] calls
+//! [`DurableLog::enter_commit`] before doing any work, which *arms* the
+//! calling thread and registers it as an expected committer. When the
+//! commit record reaches the sink, the first arrival with no active
+//! leader becomes the **gather leader**: it waits until every expected
+//! committer has either appended its commit record or aborted (guard
+//! drop), then uploads the whole batch as ONE PUT. Later arrivals are
+//! followers — they park until the leader's upload covers their record.
+//! N concurrent committers cost 1 log PUT. Every other record — an
+//! allocation, a checkpoint, a commit record from a thread outside a
+//! commit window — costs one PUT of its own.
 //!
 //! [`Database::commit`]: crate::Database::commit
 //!
+//! The baseline is a count this path already keeps: one PUT per record
+//! would cost [`DurableLogStats::appends`] PUTs, and every append is
+//! either a PUT or a rider, so `appends == puts + coalesced_records`.
 //! Determinism: single-threaded workloads have exactly one expected
-//! committer at a time, so every batch has size 1 and the PUT order
-//! equals the append order — `Coalesced` under no concurrency behaves
-//! like `PerAppend` with the same request count.
+//! committer at a time, so every batch has size 1, the PUT order equals
+//! the append order, and `puts == appends`.
 //!
 //! **Durability contract.** Every log PUT goes through the configured
 //! [`RetryPolicy`]; a PUT that fails past its retry budget *propagates*:
@@ -57,8 +57,6 @@ use iq_objectstore::{
 };
 use iq_txn::{LogRecord, LogSink};
 use parking_lot::{Condvar, Mutex};
-
-use crate::config::GroupCommitMode;
 
 /// Log-object keys start here — far above any data key the generator
 /// will allocate in a simulated run, so dumps of the two stores are
@@ -148,7 +146,6 @@ impl GatherState {
 
 /// Durable transaction-log uploader. See module docs.
 pub struct DurableLog {
-    mode: GroupCommitMode,
     /// The log store behind the shared reactor (stacked retry → reactor
     /// → injector → sim, like every other cloud backend).
     store: Arc<dyn ObjectBackend>,
@@ -174,26 +171,24 @@ pub struct DurableLog {
 }
 
 impl DurableLog {
-    /// A durable log in `mode` over a fresh store, uploading through
-    /// `reactor` and charging coalesced appends into `io_stats` when
-    /// present. `retry` covers every upload; `fault` optionally wraps
-    /// the store in a scripted [`FaultInjector`].
+    /// A durable log over a fresh store, uploading through `reactor` and
+    /// charging coalesced appends into `io_stats` when present. `retry`
+    /// covers every upload; `fault` optionally wraps the store in a
+    /// scripted [`FaultInjector`].
     pub fn new(
-        mode: GroupCommitMode,
         reactor: Arc<IoReactor>,
         io_stats: Option<Arc<IoStats>>,
         retry: RetryPolicy,
         fault: Option<FaultPlan>,
     ) -> Self {
         let sim = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
-        Self::over_store(mode, reactor, io_stats, retry, fault, sim)
+        Self::over_store(reactor, io_stats, retry, fault, sim)
     }
 
     /// A durable log resuming a *surviving* store after a restart: key
     /// allocation continues strictly above every object already present,
     /// so never-write-twice holds on the log keyspace across reopens.
     pub fn over_store(
-        mode: GroupCommitMode,
         reactor: Arc<IoReactor>,
         io_stats: Option<Arc<IoStats>>,
         retry: RetryPolicy,
@@ -208,7 +203,6 @@ impl DurableLog {
             .max(LOG_KEY_BASE);
         let (store, injector) = ReactorStore::stack(reactor, Arc::clone(&sim), fault);
         Self {
-            mode,
             store,
             sim,
             injector,
@@ -226,11 +220,6 @@ impl DurableLog {
             put_failures: AtomicU64::new(0),
             deregistered: AtomicU64::new(0),
         }
-    }
-
-    /// The upload mode.
-    pub fn mode(&self) -> GroupCommitMode {
-        self.mode
     }
 
     /// The private log store's sim (request-ledger inspection, recovery).
@@ -293,10 +282,10 @@ impl DurableLog {
         }
     }
 
-    /// Open a commit window for the calling thread. In `Coalesced` mode
-    /// this registers the thread as an expected committer — a gather
-    /// leader will hold its batch open until this thread's commit
-    /// record arrives (or the guard drops on abort). Call at the top of
+    /// Open a commit window for the calling thread: register it as an
+    /// expected committer — a gather leader will hold its batch open
+    /// until this thread's commit record arrives (or the guard drops on
+    /// abort). Call at the top of
     /// the commit path, before any flushing; keep the guard alive until
     /// after the commit record is appended.
     ///
@@ -306,7 +295,7 @@ impl DurableLog {
     /// its peers), the nested call is a no-op guard and the committer
     /// stays registered exactly once.
     pub fn enter_commit(self: &Arc<Self>) -> CommitGuard {
-        if self.mode != GroupCommitMode::Coalesced || ARMED.with(|a| a.get()) {
+        if ARMED.with(|a| a.get()) {
             return CommitGuard { log: None };
         }
         self.gather.lock().expected += 1;
@@ -410,15 +399,12 @@ impl DurableLog {
 impl LogSink for DurableLog {
     fn append(&self, record: &LogRecord, _lsn: u64) -> IqResult<()> {
         self.appends.fetch_add(1, Ordering::Relaxed);
-        let gather = self.mode == GroupCommitMode::Coalesced
-            && matches!(record, LogRecord::Commit { .. })
-            && ARMED.with(|a| a.replace(false));
+        let gather = matches!(record, LogRecord::Commit { .. }) && ARMED.with(|a| a.replace(false));
         if gather {
             self.append_gathered(record)
         } else {
-            // `PerAppend` always; in `Coalesced`, the non-commit
-            // records (allocations, checkpoints) and commit records
-            // from threads outside a commit window.
+            // Non-commit records (allocations, checkpoints) and commit
+            // records from threads outside a commit window.
             let key = self.upload_one(record)?;
             if matches!(record, LogRecord::Checkpoint(_)) {
                 self.checkpoint_key.store(key.offset(), Ordering::Relaxed);
@@ -472,9 +458,8 @@ mod tests {
         }
     }
 
-    fn durable(mode: GroupCommitMode) -> Arc<DurableLog> {
+    fn durable() -> Arc<DurableLog> {
         Arc::new(DurableLog::new(
-            mode,
             Arc::new(IoReactor::new()),
             None,
             RetryPolicy::attempts(3),
@@ -484,13 +469,12 @@ mod tests {
 
     /// A durable log whose store fails every PUT (zero-budget plan), so
     /// each logical upload exhausts its retries.
-    fn failing(mode: GroupCommitMode) -> Arc<DurableLog> {
+    fn failing() -> Arc<DurableLog> {
         let plan = FaultPlan {
             put_fail_rate: 1.0,
             ..FaultPlan::default()
         };
         Arc::new(DurableLog::new(
-            mode,
             Arc::new(IoReactor::new()),
             None,
             RetryPolicy::attempts(2),
@@ -499,8 +483,8 @@ mod tests {
     }
 
     #[test]
-    fn per_append_costs_one_put_per_record() {
-        let log = durable(GroupCommitMode::PerAppend);
+    fn records_outside_a_commit_window_cost_one_put_each() {
+        let log = durable();
         for i in 0..5 {
             log.append(&commit_record(i), i).unwrap();
         }
@@ -508,11 +492,12 @@ mod tests {
         assert_eq!(s.appends, 5);
         assert_eq!(s.puts, 5);
         assert_eq!(s.gathered_batches, 0);
+        assert_eq!(s.max_batch, 0, "no record went through the gather");
     }
 
     #[test]
     fn nested_commit_windows_register_exactly_once() {
-        let log = durable(GroupCommitMode::Coalesced);
+        let log = durable();
         // A caller opens the window early; the commit path's own
         // enter_commit nests as a no-op.
         let outer = log.enter_commit();
@@ -542,8 +527,8 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_without_concurrency_matches_per_append() {
-        let log = durable(GroupCommitMode::Coalesced);
+    fn one_committer_at_a_time_pays_one_put_per_commit() {
+        let log = durable();
         for i in 0..3 {
             let _guard = log.enter_commit();
             log.append(&commit_record(i), i).unwrap();
@@ -555,7 +540,7 @@ mod tests {
 
     #[test]
     fn concurrent_commits_coalesce_into_one_put() {
-        let log = durable(GroupCommitMode::Coalesced);
+        let log = durable();
         const N: usize = 8;
         let start = Barrier::new(N);
         let ready = Barrier::new(N);
@@ -583,7 +568,7 @@ mod tests {
 
     #[test]
     fn aborted_commit_does_not_strand_the_leader() {
-        let log = durable(GroupCommitMode::Coalesced);
+        let log = durable();
         let aborter = Arc::clone(&log);
         let committer = Arc::clone(&log);
         let gate = Arc::new(Barrier::new(2));
@@ -610,7 +595,7 @@ mod tests {
 
     #[test]
     fn non_commit_records_bypass_the_gather() {
-        let log = durable(GroupCommitMode::Coalesced);
+        let log = durable();
         let _guard = log.enter_commit();
         log.append(
             &LogRecord::AllocateRange {
@@ -629,14 +614,14 @@ mod tests {
 
     #[test]
     fn log_store_receives_the_puts() {
-        let log = durable(GroupCommitMode::PerAppend);
+        let log = durable();
         log.append(&commit_record(1), 0).unwrap();
         assert_eq!(log.sim().object_count(), 1);
     }
 
     #[test]
     fn exhausted_put_propagates_and_counts_once() {
-        let log = failing(GroupCommitMode::PerAppend);
+        let log = failing();
         assert!(log.append(&commit_record(1), 0).is_err());
         let s = log.stats();
         // One logical upload failed once, however many attempts the
@@ -648,7 +633,7 @@ mod tests {
 
     #[test]
     fn failed_batch_fails_leader_and_every_rider() {
-        let log = failing(GroupCommitMode::Coalesced);
+        let log = failing();
         const N: usize = 4;
         let start = Barrier::new(N);
         let ready = Barrier::new(N);
@@ -676,7 +661,7 @@ mod tests {
 
     #[test]
     fn failed_batch_does_not_poison_later_batches() {
-        let log = failing(GroupCommitMode::Coalesced);
+        let log = failing();
         {
             let _guard = log.enter_commit();
             assert!(log.append(&commit_record(1), 0).is_err());
@@ -694,13 +679,12 @@ mod tests {
 
     #[test]
     fn resumed_store_continues_key_allocation_above_live_keys() {
-        let log = durable(GroupCommitMode::PerAppend);
+        let log = durable();
         log.append(&commit_record(1), 0).unwrap();
         log.append(&commit_record(2), 1).unwrap();
         let sim = Arc::clone(log.sim());
         let top = sim.live_keys().last().unwrap().offset();
         let resumed = DurableLog::over_store(
-            GroupCommitMode::PerAppend,
             Arc::new(IoReactor::new()),
             None,
             RetryPolicy::attempts(3),

@@ -96,7 +96,6 @@ mod tests {
     use iq_txn::LogSink;
 
     use super::*;
-    use crate::config::GroupCommitMode;
     use crate::group_commit::DurableLog;
 
     fn commit_record(txn: u64) -> LogRecord {
@@ -117,7 +116,6 @@ mod tests {
 
     fn durable_log(fault: Option<FaultPlan>) -> Arc<DurableLog> {
         Arc::new(DurableLog::new(
-            GroupCommitMode::PerAppend,
             Arc::new(IoReactor::new()),
             None,
             RetryPolicy::attempts(2),

@@ -1,6 +1,6 @@
-//! The pager: the engine-facing [`PageStore`] bound to one transaction,
-//! and the buffer manager's [`FlushSink`] implementing the cloud flush
-//! path.
+//! The pager: the engine-facing [`PageStore`] bound to one transaction and
+//! the buffer manager's eviction [`FlushSink`], plus the commit's sink,
+//! [`CommitFlush`], the one writer of composite objects.
 //!
 //! This is where the paper's write discipline lives: a dirty cloud page
 //! leaving the buffer cache is sealed, (optionally) encrypted, uploaded
@@ -61,13 +61,9 @@ impl Shared {
                 None => space.get_raw(key)?,
             },
             // Composite members bypass the OCM (its cache is keyed by
-            // whole objects) and go straight to a ranged GET — or a whole
-            // GET sliced client-side under the `pack_ranged_gets = false`
-            // ablation, which is what makes over-read measurable.
+            // whole objects) and go straight to a ranged GET.
             PhysicalLocator::ObjectRange { key, offset, len } => {
-                space
-                    .get_range(key, offset, len, self.config.pack_ranged_gets)?
-                    .data
+                space.get_range(key, offset, len)?
             }
             PhysicalLocator::Blocks { .. } => return space.read_page(loc),
         };
@@ -188,6 +184,8 @@ impl PageStore for Pager {
     }
 }
 
+/// The eviction sink, and the per-page write of the commit's sink: one
+/// page, one object (or block run).
 impl FlushSink for Pager {
     fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, cause: FlushCause) -> IqResult<()> {
         let ts = self.shared.table_store(key.table)?;
@@ -213,58 +211,6 @@ impl FlushSink for Pager {
             space.write_page(page, self.keys.as_ref())?
         };
         self.publish(&ts, &space, txn, key.page, loc)
-    }
-
-    /// Commit-flush packing: the group becomes ONE composite object — one
-    /// PUT under one fresh key — and each member page maps to a ranged
-    /// locator inside it. Groups of one and conventional dbspaces take
-    /// the per-page [`FlushSink::flush`] path, which keeps
-    /// `pack_pages = 1` byte- and request-identical to the pre-packing
-    /// flush (including its OCM write-back/write-through behaviour;
-    /// composite writes bypass the OCM).
-    fn flush_group(
-        &self,
-        items: &[(FrameKey, Page)],
-        txn: TxnId,
-        cause: FlushCause,
-    ) -> IqResult<()> {
-        if items.len() <= 1 {
-            for (key, page) in items {
-                self.flush(*key, page, txn, cause)?;
-            }
-            return Ok(());
-        }
-        // A group may span tables on different dbspaces: pack per cloud
-        // dbspace; conventional members fall back per page.
-        let mut by_space: std::collections::BTreeMap<u32, Vec<&(FrameKey, Page)>> =
-            std::collections::BTreeMap::new();
-        for item in items {
-            let ts = self.shared.table_store(item.0.table)?;
-            by_space.entry(ts.space.0).or_default().push(item);
-        }
-        for (space_id, group) in by_space {
-            let space = self.shared.space(DbSpaceId(space_id))?;
-            if !space.is_cloud() || group.len() == 1 {
-                for (key, page) in group {
-                    self.flush(*key, page, txn, cause)?;
-                }
-                continue;
-            }
-            // Seal (and encrypt) every member, upload, then publish each
-            // member at its ranged locator.
-            let mut composite = Composite::new(self.keys.as_ref())?;
-            let mut locs = Vec::with_capacity(group.len());
-            for (fkey, page) in &group {
-                let image = self.shared.seal_image(&space, page)?;
-                locs.push(composite.push(fkey.table, fkey.page, &image));
-            }
-            composite.upload(&self.shared, &space, txn)?;
-            for ((fkey, _), loc) in group.iter().zip(locs) {
-                let ts = self.shared.table_store(fkey.table)?;
-                self.publish(&ts, &space, txn, fkey.page, loc)?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -335,13 +281,12 @@ impl NodeSink for StagedNodes<'_> {
     }
 }
 
-/// The commit's flush sink: the [`Pager`]'s flushes for every group but
-/// the last, and a tail that runs the blockmap cascade of every table the
-/// transaction wrote. With packing on, the tail's pages and the nodes of
-/// the tables on their dbspace become one composite, so the commit's last
-/// group and its whole cascade cost one PUT. Nothing is installed here:
-/// the identities wait in `flushed` until every upload of the commit has
-/// landed.
+/// The commit's flush sink, and the one composite writer. Every group of
+/// the commit flush goes through [`CommitFlush::write`]; the tail also
+/// appends the blockmap cascade of every table the transaction wrote, so
+/// with packing on the commit's last group and its whole cascade cost one
+/// PUT. Nothing is installed here: the identities wait in `flushed` until
+/// every upload of the commit has landed.
 pub(crate) struct CommitFlush<'a> {
     pager: &'a Pager,
     version: VersionId,
@@ -379,6 +324,101 @@ impl<'a> CommitFlush<'a> {
         self.flushed.lock().push((Arc::clone(ts), identity));
         Ok(())
     }
+
+    /// Write one group of the commit flush, per dbspace. With `cascade`
+    /// (the tail), the cascade of every table the transaction wrote on
+    /// that dbspace follows the pages — children before parents, so each
+    /// parent encodes its children's ranged locators.
+    ///
+    /// A composite needs two members. A head group counts its pages; in
+    /// the tail a page brings at least the leaf above it, so only a tail
+    /// of nodes alone can be too small. A composite's key is drawn first
+    /// and its pages are sealed at their offsets; without packing, on a
+    /// conventional dbspace, or below two members, each page and node is
+    /// written one object (or block run) on its own.
+    fn write(
+        &self,
+        items: &[(FrameKey, Page)],
+        txn: TxnId,
+        cause: FlushCause,
+        cascade: bool,
+    ) -> IqResult<()> {
+        let shared = &self.pager.shared;
+        let mut by_space: BTreeMap<u32, Vec<&(FrameKey, Page)>> = BTreeMap::new();
+        for item in items {
+            let ts = shared.table_store(item.0.table)?;
+            by_space.entry(ts.space.0).or_default().push(item);
+        }
+        if cascade {
+            for ts in shared.written_tables(txn) {
+                by_space.entry(ts.space.0).or_default();
+            }
+        }
+        for (space_id, pages) in by_space {
+            let space = shared.space(DbSpaceId(space_id))?;
+            // Read again after the pages are published: publishing a
+            // table's first page gives it its working tree.
+            let tables = || -> Vec<Arc<TableStore>> {
+                if !cascade {
+                    return Vec::new();
+                }
+                let mut v = shared.written_tables(txn);
+                v.retain(|ts| ts.space.0 == space_id);
+                v
+            };
+            let nodes = tables()
+                .iter()
+                .map(|t| t.dirty_nodes(txn))
+                .sum::<usize>()
+                .max(usize::from(cascade && !pages.is_empty()));
+            if shared.config.pack_pages <= 1 || !space.is_cloud() || pages.len() + nodes < 2 {
+                for (key, page) in pages {
+                    self.pager.flush(*key, page, txn, cause)?;
+                }
+                let mut io = PageIo {
+                    space: &space,
+                    keys: self.pager.keys.as_ref(),
+                };
+                for ts in tables() {
+                    self.cascade(&ts, &mut io)?;
+                }
+                continue;
+            }
+            let mut composite = Composite::new(self.pager.keys.as_ref())?;
+            let mut locs = Vec::with_capacity(pages.len());
+            for (fkey, page) in &pages {
+                let image = shared.seal_image(&space, page)?;
+                locs.push(composite.push(fkey.table, fkey.page, &image));
+            }
+            let publish = || -> IqResult<()> {
+                for ((fkey, _), &loc) in pages.iter().zip(&locs) {
+                    let ts = shared.table_store(fkey.table)?;
+                    self.pager.publish(&ts, &space, txn, fkey.page, loc)?;
+                }
+                Ok(())
+            };
+            if cascade {
+                // The leaves encode the pages' locators, so the pages are
+                // published before the cascade appends the nodes.
+                publish()?;
+                for ts in tables() {
+                    let mut nodes = StagedNodes {
+                        composite: &mut composite,
+                        space: &space,
+                        table: ts.table,
+                    };
+                    self.cascade(&ts, &mut nodes)?;
+                }
+                composite.upload(shared, &space, txn)?;
+            } else {
+                // A head group maps its pages once the upload has landed,
+                // so a failed group maps nothing.
+                composite.upload(shared, &space, txn)?;
+                publish()?;
+            }
+        }
+        Ok(())
+    }
 }
 
 impl FlushSink for CommitFlush<'_> {
@@ -392,69 +432,10 @@ impl FlushSink for CommitFlush<'_> {
         txn: TxnId,
         cause: FlushCause,
     ) -> IqResult<()> {
-        self.pager.flush_group(items, txn, cause)
+        self.write(items, txn, cause, false)
     }
 
-    /// Per dbspace: seal the tail's pages and publish them at their
-    /// offsets in a composite whose key is already drawn, append the
-    /// cascade of every written table on that dbspace — children before
-    /// parents, so each parent encodes its children's ranged locators —
-    /// and upload it all in one PUT. Without packing, on a conventional
-    /// dbspace, or for a lone node, pages and nodes are written one object
-    /// (or block run) each.
     fn flush_commit_tail(&self, items: &[(FrameKey, Page)], txn: TxnId) -> IqResult<()> {
-        let shared = &self.pager.shared;
-        let mut by_space: BTreeMap<u32, Vec<&(FrameKey, Page)>> = BTreeMap::new();
-        for item in items {
-            let ts = shared.table_store(item.0.table)?;
-            by_space.entry(ts.space.0).or_default().push(item);
-        }
-        for ts in shared.written_tables(txn) {
-            by_space.entry(ts.space.0).or_default();
-        }
-        for (space_id, group) in by_space {
-            let space = shared.space(DbSpaceId(space_id))?;
-            let tables = || {
-                let mut v = shared.written_tables(txn);
-                v.retain(|ts| ts.space.0 == space_id);
-                v
-            };
-            // A page brings at least the leaf above it, so only a tail of
-            // nodes alone can be too small for a composite.
-            let pack = shared.config.pack_pages > 1
-                && space.is_cloud()
-                && (!group.is_empty()
-                    || tables().iter().map(|t| t.dirty_nodes(txn)).sum::<usize>() > 1);
-            if !pack {
-                for (key, page) in group {
-                    self.pager.flush(*key, page, txn, FlushCause::Commit)?;
-                }
-                let mut io = PageIo {
-                    space: &space,
-                    keys: self.pager.keys.as_ref(),
-                };
-                for ts in tables() {
-                    self.cascade(&ts, &mut io)?;
-                }
-                continue;
-            }
-            let mut composite = Composite::new(self.pager.keys.as_ref())?;
-            for (fkey, page) in group {
-                let image = shared.seal_image(&space, page)?;
-                let loc = composite.push(fkey.table, fkey.page, &image);
-                let ts = shared.table_store(fkey.table)?;
-                self.pager.publish(&ts, &space, txn, fkey.page, loc)?;
-            }
-            for ts in tables() {
-                let mut nodes = StagedNodes {
-                    composite: &mut composite,
-                    space: &space,
-                    table: ts.table,
-                };
-                self.cascade(&ts, &mut nodes)?;
-            }
-            composite.upload(shared, &space, txn)?;
-        }
-        Ok(())
+        self.write(items, txn, FlushCause::Commit, true)
     }
 }

@@ -15,8 +15,9 @@
 //!   is a [`iq_txn::DeletionSink`] wrapping the real one.
 //! * Retained pages sit in a FIFO of `(object-key, expiry)` records; a
 //!   background sweep permanently deletes expired pages and prunes the
-//!   list. The FIFO itself is persisted to the object store, "just like
-//!   the user data".
+//!   list. The FIFO is stored "just like the user data" through the
+//!   checkpoint record, which carries it and its clock
+//!   ([`SnapshotManager::retention_image`]); reopen restores it from there.
 //! * Taking a snapshot backs up only the snapshot-manager metadata, the
 //!   system catalog and non-cloud dbspaces — cloud dbspaces are *not*
 //!   copied, which is what makes snapshots near-instantaneous.

@@ -4,13 +4,13 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use iq_common::{DbSpaceId, IqResult, ObjectKey, PhysicalLocator, SimDuration, SimInstant};
-use iq_storage::{Catalog, DbSpace, KeySource};
+use iq_storage::{Catalog, DbSpace};
 use iq_txn::{BulkDeleteOutcome, DeletionSink, RetentionImage};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// One retained-page record: "(object-key, expiry)" (§5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Retained {
     key_offset: u64,
     expiry: SimInstant,
@@ -234,31 +234,6 @@ impl SnapshotManager {
         }
         Ok((polled, deleted))
     }
-
-    /// Persist the FIFO metadata to a cloud dbspace ("just like the user
-    /// data, this list of metadata is also stored on object stores", §5).
-    /// Returns the key it was stored under.
-    pub fn persist_fifo(&self, space: &DbSpace, keys: &dyn KeySource) -> IqResult<ObjectKey> {
-        let image = {
-            let g = self.state.lock();
-            serde_json::to_vec(&g.fifo.iter().collect::<Vec<_>>())
-                .map_err(|e| iq_common::IqError::Catalog(format!("fifo: {e}")))?
-        };
-        let key = keys.next_key()?;
-        // Stored raw, not as a sealed page: a pure metadata blob that
-        // outgrows one page once enough keys are retained.
-        space.put_raw(key, bytes::Bytes::from(image))?;
-        Ok(key)
-    }
-
-    /// Restore the FIFO from a persisted image.
-    pub fn restore_fifo(&self, space: &DbSpace, key: ObjectKey) -> IqResult<()> {
-        let image = space.get_raw(key)?;
-        let entries: Vec<Retained> = serde_json::from_slice(&image)
-            .map_err(|e| iq_common::IqError::Catalog(format!("fifo image: {e}")))?;
-        self.state.lock().fifo = entries.into();
-        Ok(())
-    }
 }
 
 /// A [`DeletionSink`] that retains cloud pages in the snapshot manager and
@@ -467,92 +442,5 @@ mod tests {
         let snap = sm.take_snapshot(&Catalog::default(), 10_000);
         let serialized = serde_json::to_vec(&snap.catalog).unwrap();
         assert!(serialized.len() < 4096, "snapshot catalog is metadata-only");
-    }
-}
-
-#[cfg(test)]
-mod fifo_persistence_tests {
-    use super::*;
-    use iq_common::{DbSpaceId, SimDuration};
-    use iq_objectstore::{ConsistencyConfig, ObjectStoreSim, RetryPolicy};
-    use iq_storage::{CountingKeySource, StorageConfig};
-    use std::sync::Arc;
-
-    #[test]
-    fn fifo_persists_and_restores_through_the_object_store() {
-        let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::default()));
-        let space = DbSpace::cloud(
-            DbSpaceId(1),
-            "meta",
-            StorageConfig::test_small(),
-            store,
-            RetryPolicy::default(),
-        );
-        let keys = CountingKeySource::starting_at(10_000);
-
-        let sm = SnapshotManager::new(SimDuration::from_secs(100));
-        sm.advance_clock(SimDuration::from_secs(5));
-        for off in 0..50 {
-            sm.retain(ObjectKey::from_offset(off));
-        }
-        let anchor = sm.persist_fifo(&space, &keys).unwrap();
-
-        // A fresh manager (fresh process) restores the FIFO from the
-        // store — "just like the user data" (§5).
-        let restored = SnapshotManager::new(SimDuration::from_secs(100));
-        restored.restore_fifo(&space, anchor).unwrap();
-        assert_eq!(restored.retained_count(), 50);
-        // Expiries survived too: nothing sweeps before the original
-        // retention lapses.
-        struct Null;
-        impl iq_txn::DeletionSink for Null {
-            fn delete_page(
-                &self,
-                _s: DbSpaceId,
-                _l: iq_common::PhysicalLocator,
-            ) -> iq_common::IqResult<()> {
-                Ok(())
-            }
-        }
-        restored.advance_clock(SimDuration::from_secs(104));
-        assert_eq!(restored.sweep_expired(&Null).unwrap(), 0);
-        restored.advance_clock(SimDuration::from_secs(2));
-        assert_eq!(restored.sweep_expired(&Null).unwrap(), 50);
-    }
-
-    /// The FIFO image is a raw blob, not a sealed page, so it may outgrow
-    /// one: ~110 retained keys fill a page at this 4 KiB geometry
-    /// (~1 770 at 64 KiB).
-    #[test]
-    fn fifo_larger_than_one_page_round_trips() {
-        let storage = StorageConfig::test_small();
-        let space = DbSpace::cloud(
-            DbSpaceId(1),
-            "meta",
-            storage,
-            Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong())),
-            RetryPolicy::default(),
-        );
-        let keys = CountingKeySource::starting_at(1 << 20);
-
-        // Two expiry cohorts, far more keys than one page's worth.
-        let sm = SnapshotManager::new(SimDuration::from_secs(100));
-        let per_cohort = storage.page_size as u64;
-        for off in 0..per_cohort {
-            sm.retain(ObjectKey::from_offset(off));
-        }
-        sm.advance_clock(SimDuration::from_secs(10));
-        for off in per_cohort..2 * per_cohort {
-            sm.retain(ObjectKey::from_offset(off));
-        }
-        let anchor = sm.persist_fifo(&space, &keys).unwrap();
-
-        let restored = SnapshotManager::new(SimDuration::from_secs(100));
-        restored.restore_fifo(&space, anchor).unwrap();
-        assert_eq!(
-            restored.state.lock().fifo,
-            sm.state.lock().fifo,
-            "every entry and expiry survives"
-        );
     }
 }

@@ -441,18 +441,14 @@ impl Blockmap {
 /// which never comes close to this value.)
 const BM_NODE_V2_MAGIC: u32 = 0xB10C_4DF2;
 
-/// Bytes of one v2 slot: `tag u8` + 17 payload bytes.
-const V2_SLOT_LEN: usize = 18;
+/// Bytes of one v2 slot.
+const V2_SLOT_LEN: usize = PhysicalLocator::SLOT_LEN;
 
 /// Binary node format, **v2**:
 /// `magic u32 | level u32 | fanout u32 | fanout × slot`, where a slot is
-/// 18 bytes: `tag u8` + payload. Tag 0 = empty (payload zero); tag 1 =
-/// legacy locator (`raw u64 | count u8 | 8 zero bytes` — a block run or
-/// whole object, exactly the v1 payload); tag 2 = ranged locator
-/// (`key u64 | offset u32 | len u32 | 1 zero byte` — one member of a
-/// composite object). The superseded **v1** format had no magic and
-/// 10-byte slots (tags 0/1 only); nothing writes it and [`decode_node`]
-/// refuses it as corruption.
+/// the 18 bytes of [`PhysicalLocator::to_slot`], all zero when empty. The
+/// superseded **v1** format had no magic and 10-byte slots; nothing writes
+/// it and [`decode_node`] refuses it as corruption.
 fn encode_node(node: &Node, nodes: &HashMap<NodeId, Node>) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + node.slots.len() * V2_SLOT_LEN);
     out.extend_from_slice(&BM_NODE_V2_MAGIC.to_le_bytes());
@@ -464,26 +460,7 @@ fn encode_node(node: &Node, nodes: &HashMap<NodeId, Node>) -> Vec<u8> {
             Slot::Data(l) | Slot::ChildOnDisk(l) => Some(*l),
             Slot::Child(c) => nodes[c].persisted,
         };
-        match loc {
-            None => {
-                out.push(0);
-                out.extend_from_slice(&[0u8; 17]);
-            }
-            Some(PhysicalLocator::ObjectRange { key, offset, len }) => {
-                out.push(2);
-                out.extend_from_slice(&key.raw().to_le_bytes());
-                out.extend_from_slice(&offset.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
-                out.push(0);
-            }
-            Some(l) => {
-                let (raw, count) = l.encode();
-                out.push(1);
-                out.extend_from_slice(&raw.to_le_bytes());
-                out.push(count);
-                out.extend_from_slice(&[0u8; 8]);
-            }
-        }
+        out.extend_from_slice(&loc.map_or([0; V2_SLOT_LEN], PhysicalLocator::to_slot));
     }
     out
 }
@@ -507,42 +484,17 @@ fn decode_node(body: &[u8], expected_fanout: usize) -> IqResult<(u32, Vec<Slot>)
     if body.len() < 12 + fanout * V2_SLOT_LEN {
         return Err(IqError::Corruption("blockmap node truncated".into()));
     }
-    let mut slots = Vec::with_capacity(fanout);
-    for i in 0..fanout {
-        let off = 12 + i * V2_SLOT_LEN;
-        let tag = body[off];
-        let loc = match tag {
-            0 => {
-                slots.push(Slot::Empty);
-                continue;
-            }
-            1 => {
-                let raw = u64::from_le_bytes(body[off + 1..off + 9].try_into().unwrap());
-                let count = body[off + 9];
-                PhysicalLocator::decode(raw, count)
-                    .ok_or_else(|| IqError::Corruption("bad locator in blockmap node".into()))?
-            }
-            2 => {
-                let raw = u64::from_le_bytes(body[off + 1..off + 9].try_into().unwrap());
-                let key = iq_common::ObjectKey::from_raw(raw).ok_or_else(|| {
-                    IqError::Corruption("bad composite key in blockmap node".into())
-                })?;
-                let offset = u32::from_le_bytes(body[off + 9..off + 13].try_into().unwrap());
-                let len = u32::from_le_bytes(body[off + 13..off + 17].try_into().unwrap());
-                PhysicalLocator::ObjectRange { key, offset, len }
-            }
-            other => {
-                return Err(IqError::Corruption(format!(
-                    "unknown blockmap v2 slot tag {other}"
-                )))
-            }
-        };
-        slots.push(if level == 0 {
-            Slot::Data(loc)
-        } else {
-            Slot::ChildOnDisk(loc)
-        });
-    }
+    let slots = body[12..12 + fanout * V2_SLOT_LEN]
+        .chunks_exact(V2_SLOT_LEN)
+        .map(|slot| {
+            let slot = slot.try_into().expect("chunks are one slot long");
+            Ok(match PhysicalLocator::from_slot(slot)? {
+                None => Slot::Empty,
+                Some(loc) if level == 0 => Slot::Data(loc),
+                Some(loc) => Slot::ChildOnDisk(loc),
+            })
+        })
+        .collect::<IqResult<Vec<_>>>()?;
     Ok((level, slots))
 }
 
@@ -700,9 +652,9 @@ mod tests {
         assert_eq!(reopened.dirty_nodes(), 2, "the leaf and the root");
         let second = reopened.flush(VersionId(2), &mut io).unwrap();
         let mut superseded = second.superseded.clone();
-        superseded.sort_by_key(|l| l.encode().0);
+        superseded.sort_by_key(|l| l.to_slot());
         let mut expected = vec![leaf, first.root];
-        expected.sort_by_key(|l| l.encode().0);
+        expected.sort_by_key(|l| l.to_slot());
         assert_eq!(superseded, expected);
         for p in 0..16u64 {
             assert_eq!(reopened.get(PageId(p), &io).unwrap(), Some(data_loc(p)));
@@ -757,7 +709,7 @@ mod tests {
         let outcome = bm.flush(VersionId(1), &mut io).unwrap();
         let mut reopened = Blockmap::open(4, outcome.root, &io).unwrap();
         let mut locs = reopened.live_data_locators(&io).unwrap();
-        locs.sort_by_key(|l| l.encode().0);
+        locs.sort_by_key(|l| l.to_slot());
         assert_eq!(locs, (0..20u64).map(data_loc).collect::<Vec<_>>());
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The catalog is the strongly consistent root of the whole database: it
 //! holds the identity objects (blockmap anchors), registered dbspaces,
-//! and opaque metadata sections contributed by higher layers (the key
-//! generator's checkpoint state, the snapshot manager's FIFO pointer, …).
+//! and opaque metadata sections contributed by higher layers (table and
+//! dbspace definitions, …).
 //! It lives on the **system dbspace**, which stays on a block device with
 //! strong consistency, so it can be updated in place (§3.1) — and because
 //! the freelist's role shrinks in the cloud version, this is the only

@@ -72,10 +72,8 @@ pub struct DbSpace {
     /// Page geometry.
     pub config: StorageConfig,
     backing: Backing,
-    /// Composite members served, and bytes fetched beyond their windows
-    /// (nonzero only when members are sliced out of whole-object GETs).
+    /// Composite members served, one ranged GET each.
     member_reads: AtomicU64,
-    member_over_read: AtomicU64,
 }
 
 impl DbSpace {
@@ -103,7 +101,6 @@ impl DbSpace {
                 freelist: Mutex::new(freelist),
             },
             member_reads: AtomicU64::new(0),
-            member_over_read: AtomicU64::new(0),
         })
     }
 
@@ -121,7 +118,6 @@ impl DbSpace {
             config,
             backing: Backing::Cloud { store, retry },
             member_reads: AtomicU64::new(0),
-            member_over_read: AtomicU64::new(0),
         }
     }
 
@@ -151,9 +147,8 @@ impl DbSpace {
         }
     }
 
-    /// Write a page under a caller-provided key (cloud dbspaces only).
-    /// Used by components that track their own key, e.g. the snapshot
-    /// manager persisting its retention FIFO.
+    /// Write a page under a caller-provided key (cloud dbspaces only), for
+    /// callers that track their own keys, such as the Table-1 walkthrough.
     pub fn write_page_with_key(&self, page: &Page, key: ObjectKey) -> IqResult<PhysicalLocator> {
         let (image, _) = page.seal(&self.config)?;
         match &self.backing {
@@ -188,59 +183,23 @@ impl DbSpace {
         }
     }
 
-    /// Fetch `len` bytes at `offset` of an object (cloud only) — one
-    /// ranged GET through the retry loop. When `ranged` is false the whole
-    /// object is downloaded and sliced client-side instead (the
-    /// `pack_ranged_gets = false` ablation, which makes the over-read
-    /// measurable in [`iq_objectstore::RangeRead::fetched`]).
-    pub fn get_range(
-        &self,
-        key: ObjectKey,
-        offset: u32,
-        len: u32,
-        ranged: bool,
-    ) -> IqResult<iq_objectstore::RangeRead> {
-        let read = match &self.backing {
-            Backing::Cloud { store, retry } => {
-                if ranged {
-                    retry.get_range(store.as_ref(), key, offset, len)?
-                } else {
-                    let full = retry.get(store.as_ref(), key)?;
-                    let fetched = full.len() as u64;
-                    let (start, end) = (offset as usize, offset as usize + len as usize);
-                    if end > full.len() {
-                        return Err(IqError::Invalid(format!(
-                            "range {start}..{end} exceeds object {key} of {} bytes",
-                            full.len()
-                        )));
-                    }
-                    iq_objectstore::RangeRead {
-                        data: full.slice(start..end),
-                        fetched,
-                    }
-                }
-            }
-            Backing::Conventional { .. } => {
-                return Err(IqError::Invalid(
-                    "get_range requires a cloud dbspace".into(),
-                ))
-            }
+    /// Fetch the composite member of `len` bytes at `offset` of an object
+    /// (cloud only): one ranged GET through the retry loop, which fetches
+    /// exactly the member's bytes.
+    pub fn get_range(&self, key: ObjectKey, offset: u32, len: u32) -> IqResult<bytes::Bytes> {
+        let Backing::Cloud { store, retry } = &self.backing else {
+            return Err(IqError::Invalid(
+                "get_range requires a cloud dbspace".into(),
+            ));
         };
+        let read = retry.get_range(store.as_ref(), key, offset, len)?;
         self.member_reads.fetch_add(1, Ordering::Relaxed);
-        self.member_over_read.fetch_add(
-            read.fetched.saturating_sub(read.data.len() as u64),
-            Ordering::Relaxed,
-        );
-        Ok(read)
+        Ok(read.data)
     }
 
-    /// Composite members this dbspace has served and the bytes it fetched
-    /// beyond their windows, as `(reads, over_read_bytes)`.
-    pub fn member_reads(&self) -> (u64, u64) {
-        (
-            self.member_reads.load(Ordering::Relaxed),
-            self.member_over_read.load(Ordering::Relaxed),
-        )
+    /// Composite members this dbspace has served.
+    pub fn member_reads(&self) -> u64 {
+        self.member_reads.load(Ordering::Relaxed)
     }
 
     /// The underlying object store (cloud only) — shared with the OCM.
@@ -261,7 +220,7 @@ impl DbSpace {
                 retry.get(store.as_ref(), key)?
             }
             (Backing::Cloud { .. }, PhysicalLocator::ObjectRange { key, offset, len }) => {
-                self.get_range(key, offset, len, true)?.data
+                self.get_range(key, offset, len)?
             }
             _ => {
                 return Err(IqError::Invalid(format!(
@@ -499,19 +458,19 @@ mod tests {
     }
 
     #[test]
-    fn get_range_fetches_members_and_falls_back_whole() {
-        let (space, _store) = cloud();
+    fn get_range_fetches_exactly_the_member() {
+        let (space, store) = cloud();
         let key = ObjectKey::from_offset(77);
         space.put_raw(key, Bytes::from_static(b"abcdefgh")).unwrap();
-        let r = space.get_range(key, 2, 4, true).unwrap();
-        assert_eq!(r.data, Bytes::from_static(b"cdef"));
-        assert_eq!(r.fetched, 4, "ranged path must fetch exactly len");
-        let w = space.get_range(key, 2, 4, false).unwrap();
-        assert_eq!(w.data, Bytes::from_static(b"cdef"));
-        assert_eq!(w.fetched, 8, "whole-get fallback over-reads the rest");
-        assert!(space.get_range(key, 6, 4, true).is_err());
-        assert_eq!(space.member_reads(), (2, 4), "a failed read counts nothing");
-        assert!(conventional().get_range(key, 0, 1, true).is_err());
+        assert_eq!(
+            space.get_range(key, 2, 4).unwrap(),
+            Bytes::from_static(b"cdef")
+        );
+        let get = store.stats_snapshot().op(iq_objectstore::IoOp::Get);
+        assert_eq!(get.bytes, 4, "a ranged GET fetches exactly len");
+        assert!(space.get_range(key, 6, 4).is_err());
+        assert_eq!(space.member_reads(), 1, "a failed read counts nothing");
+        assert!(conventional().get_range(key, 0, 1).is_err());
     }
 
     #[test]
@@ -533,7 +492,7 @@ mod tests {
         // Two GETs of exactly the members' bytes, counted as member reads.
         let get = store.stats_snapshot().op(iq_objectstore::IoOp::Get);
         assert_eq!((get.count, get.bytes), (2, (ia.len() + ib.len()) as u64));
-        assert_eq!(space.member_reads(), (2, 0));
+        assert_eq!(space.member_reads(), 2);
     }
 
     #[test]

@@ -3,11 +3,13 @@
 
 use bytes::Bytes;
 use cloudiq::common::trace::MetricValue;
-use cloudiq::common::{IqError, NodeId, TableId};
-use cloudiq::core::{Database, DatabaseConfig};
+use cloudiq::common::{IqError, NodeId, PageId, TableId};
+use cloudiq::core::{Database, DatabaseConfig, GroupCommitMode};
 use cloudiq::engine::table::{Schema, TableMeta, TableWriter};
 use cloudiq::engine::value::{DataType, Value};
-use cloudiq::engine::Expr;
+use cloudiq::engine::{Expr, PageStore};
+use cloudiq::objectstore::IoOp;
+use cloudiq::storage::PageKind;
 
 fn small_db() -> Database {
     let mut cfg = DatabaseConfig::test_small();
@@ -365,20 +367,49 @@ fn drop_table_reclaims_all_pages() {
     assert!(db.load_table_meta(table).unwrap().is_none());
 }
 
+/// "Just like the user data, this list of metadata is also stored on
+/// object stores" (§5): the retention FIFO's durable copy is the checkpoint
+/// record on the log's object store. Taking a snapshot therefore moves no
+/// data-store request, and a reopen that replays the log store gets every
+/// retained page back.
 #[test]
 fn snapshot_persists_retention_fifo_on_the_store() {
-    let db = small_db();
+    let mut cfg = DatabaseConfig::test_small();
+    cfg.group_commit = GroupCommitMode::Coalesced;
+    let db = Database::create(cfg.clone()).unwrap();
     let space = db.create_cloud_dbspace("clouddata").unwrap();
     let table = TableId(1);
     db.create_table(table, space).unwrap();
-    let mut meta = TableMeta::new(table, "t", simple_schema(), 64);
-    let txn = db.begin();
-    load_table(&db, &mut meta, txn, 100);
-    db.commit(txn).unwrap();
-    let before = db.cloud_store(space).unwrap().object_count();
+    for v in 0..2u8 {
+        let txn = db.begin();
+        let pager = db.pager(txn).unwrap();
+        pager
+            .write_page(
+                table,
+                PageId(0),
+                PageKind::Data,
+                Bytes::from(vec![v; 64]),
+                txn,
+            )
+            .unwrap();
+        db.commit(txn).unwrap();
+    }
+    db.gc_drain().unwrap();
+    let retained = db.snapshot_manager().unwrap().retained_count();
+    assert!(retained > 0, "the first version's pages are retained");
+
+    let store = db.cloud_store(space).unwrap();
+    let requests = || {
+        let s = store.stats.snapshot();
+        (s.op(IoOp::Put).count, s.op(IoOp::Delete).count)
+    };
+    let before = requests();
     db.take_snapshot().unwrap();
-    // The FIFO metadata object landed on the object store (§5).
-    assert_eq!(db.cloud_store(space).unwrap().object_count(), before + 1);
+    assert_eq!(requests(), before, "a snapshot PUTs and DELETEs nothing");
+
+    db.checkpoint().unwrap();
+    let db = Database::reopen(db.into_durable(), cfg).unwrap();
+    assert_eq!(db.snapshot_manager().unwrap().retained_count(), retained);
 }
 
 #[test]

@@ -77,63 +77,65 @@ fn scan_submission_depth_exceeds_worker_count() {
     assert_eq!(after.completed, after.submitted);
 }
 
-/// Concurrent commits in `Coalesced` mode gather into one log PUT; the
-/// same workload in `PerAppend` mode pays one PUT per commit record. The
+/// Concurrent commits gather into one log PUT. The baseline is the log's
+/// own append count: every append is either a PUT or a rider of one. The
 /// ≥2× acceptance ratio for the ablation comes from exactly this effect.
 #[test]
 fn group_commit_coalesces_concurrent_log_appends() {
-    let run = |mode: GroupCommitMode| -> (u64, u64) {
-        let mut cfg = DatabaseConfig::test_small();
-        cfg.group_commit = mode;
-        let db = Database::create(cfg).unwrap();
-        let space = db.create_cloud_dbspace("clouddata").unwrap();
-        const THREADS: usize = 6;
+    let mut cfg = DatabaseConfig::test_small();
+    cfg.group_commit = GroupCommitMode::Coalesced;
+    let db = Database::create(cfg).unwrap();
+    let space = db.create_cloud_dbspace("clouddata").unwrap();
+    const THREADS: usize = 6;
+    for t in 0..THREADS {
+        db.create_table(TableId(t as u32 + 1), space).unwrap();
+    }
+    let gate = Barrier::new(THREADS);
+    std::thread::scope(|s| {
         for t in 0..THREADS {
-            db.create_table(TableId(t as u32 + 1), space).unwrap();
-        }
-        let gate = Barrier::new(THREADS);
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let db = &db;
-                let gate = &gate;
-                s.spawn(move || {
-                    let table = TableId(t as u32 + 1);
-                    let txn = db.begin();
-                    {
-                        let pager = db.pager(txn).unwrap();
-                        for p in 0..4u64 {
-                            pager
-                                .write_page(
-                                    table,
-                                    PageId(p),
-                                    PageKind::Data,
-                                    bytes::Bytes::from(vec![t as u8; 256]),
-                                    txn,
-                                )
-                                .unwrap();
-                        }
+            let db = &db;
+            let gate = &gate;
+            s.spawn(move || {
+                let table = TableId(t as u32 + 1);
+                let txn = db.begin();
+                {
+                    let pager = db.pager(txn).unwrap();
+                    for p in 0..4u64 {
+                        pager
+                            .write_page(
+                                table,
+                                PageId(p),
+                                PageKind::Data,
+                                bytes::Bytes::from(vec![t as u8; 256]),
+                                txn,
+                            )
+                            .unwrap();
                     }
-                    // Pre-register with the gather (idempotent: commit's
-                    // own window nests as a no-op) so the coalescing
-                    // outcome does not depend on thread scheduling.
-                    let window = db.durable_log().map(|dl| dl.enter_commit());
-                    gate.wait();
-                    db.commit(txn).unwrap();
-                    drop(window);
-                });
-            }
-        });
-        let stats = db.durable_log().expect("mode wires the log").stats();
-        (stats.appends, stats.puts)
-    };
-
-    let (pa_appends, pa_puts) = run(GroupCommitMode::PerAppend);
-    let (gc_appends, gc_puts) = run(GroupCommitMode::Coalesced);
-    assert_eq!(pa_appends, pa_puts, "PerAppend pays one PUT per record");
-    assert_eq!(gc_appends, pa_appends, "same workload, same records");
+                }
+                // Pre-register with the gather (idempotent: commit's own
+                // window nests as a no-op) so the coalescing outcome does
+                // not depend on thread scheduling.
+                let window = db.durable_log().map(|dl| dl.enter_commit());
+                gate.wait();
+                db.commit(txn).unwrap();
+                drop(window);
+            });
+        }
+    });
+    let stats = db
+        .durable_log()
+        .expect("group commit wires the log")
+        .stats();
     assert!(
-        gc_puts < pa_puts,
-        "coalescing must save log PUTs ({gc_puts} vs {pa_puts})"
+        stats.puts < stats.appends,
+        "coalescing must save log PUTs ({} vs {} appends)",
+        stats.puts,
+        stats.appends
+    );
+    assert_eq!(
+        stats.appends,
+        stats.puts + stats.coalesced_records,
+        "every append is a PUT or rides one"
     );
 }
 

@@ -31,7 +31,7 @@ fn load(db: &Database, meta: &mut TableMeta, txn: TxnId, base: i64, n: i64) {
 
 fn recovery_cfg() -> DatabaseConfig {
     let mut cfg = DatabaseConfig::test_small();
-    cfg.group_commit = GroupCommitMode::PerAppend;
+    cfg.group_commit = GroupCommitMode::Coalesced;
     // An injector on the log store (transparent until a plan is set);
     // small retry budget so exhaustion is cheap to script.
     cfg.log_fault = Some(FaultPlan::none());
@@ -244,7 +244,7 @@ fn failed_gathered_batch_fails_every_rider_and_none_resurrect() {
 fn reconciled_replay_equals_in_memory_suffix_without_faults() {
     for (txns, rows) in [(1usize, 10i64), (3, 33), (5, 7)] {
         let mut cfg = DatabaseConfig::test_small();
-        cfg.group_commit = GroupCommitMode::PerAppend;
+        cfg.group_commit = GroupCommitMode::Coalesced;
         let db = Database::create(cfg.clone()).unwrap();
         let space = db.create_cloud_dbspace("clouddata").unwrap();
         db.create_table(TableId(1), space).unwrap();

@@ -123,8 +123,8 @@ fn pager_and_snapshot_view_read_identical_pages_behind_every_locator_kind() {
     }
 }
 
-/// `take_snapshot` persists the retention FIFO as a raw blob, so it must
-/// succeed with more retained keys than fit one page.
+/// A snapshot, and the checkpoint that carries the retention FIFO, succeed
+/// with more retained keys than fit one page.
 #[test]
 fn take_snapshot_with_a_fifo_larger_than_one_page() {
     let db = Database::create(DatabaseConfig::test_small()).unwrap();
@@ -148,4 +148,5 @@ fn take_snapshot_with_a_fifo_larger_than_one_page() {
         round += 1;
     }
     db.take_snapshot().unwrap();
+    db.checkpoint().unwrap();
 }

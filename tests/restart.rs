@@ -234,7 +234,7 @@ fn reopen_loads_member_nodes_by_ranged_get() {
         .snapshot()
         .op(IoOp::Get);
     assert_eq!(gets.count, 23);
-    assert_eq!(db.shared().member_reads(), (23, 0));
+    assert_eq!(db.shared().member_reads(), 23);
 }
 
 fn metric(db: &Database, name: &str) -> u64 {

@@ -409,7 +409,7 @@ fn checkpoint_scenario(cut: Cut, commits: u64, pack_pages: usize) -> Reopened {
     const RING: u64 = 32;
     let mut cfg = faulted_cfg(FaultPlan::none());
     cfg.pack_pages = pack_pages;
-    cfg.group_commit = GroupCommitMode::PerAppend;
+    cfg.group_commit = GroupCommitMode::Coalesced;
     cfg.log_fault = Some(FaultPlan::none());
     cfg.retention = None;
     let db = Database::create(cfg.clone()).unwrap();
