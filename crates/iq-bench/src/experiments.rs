@@ -15,6 +15,7 @@ use iq_common::{
 };
 use iq_core::{Database, DatabaseConfig, GroupCommitMode};
 use iq_engine::{DataType, PageStore, Schema, TableMeta, TableWriter, Value};
+use iq_objectstore::metrics::TraceBucket;
 use iq_objectstore::timemodel::DeviceLoad;
 use iq_objectstore::{
     cost::monthly_storage_usd, ComputeProfile, ConsistencyConfig, CostSummary, DeviceProfile,
@@ -238,6 +239,13 @@ pub fn fig7(sf: f64) -> IqResult<Report> {
 }
 
 /// **Figure 8** — network bandwidth during the load, as a time series.
+///
+/// The ledger buckets the dbspace's traffic by bytes moved, so the series
+/// keeps its length however few and large the requests are. Each bucket's
+/// share of the load time is what the S3 profile charges for it — a write
+/// latency per request begun in it, plus its bytes over one stream — so a
+/// stretch of many small requests reads as low bandwidth and a stretch of
+/// large composites as high.
 pub fn fig8(suite: &VolumeSuite) -> Report {
     let run = &suite.runs["AWS S3"];
     let load_secs = run.phase_seconds(&run.load);
@@ -251,22 +259,25 @@ pub fn fig8(suite: &VolumeSuite) -> Report {
     let dbspace_bytes: u64 = buckets.iter().map(|b| b.bytes).sum();
     let input_bytes = devices[1].snapshot.bytes_for(&[IoOp::Get]);
     let nic_share = 1.0 + input_bytes as f64 / dbspace_bytes.max(1) as f64;
+    let s3 = DeviceProfile::s3();
+    let cost = |b: &TraceBucket| {
+        b.requests as f64 * s3.write_latency.as_secs_f64()
+            + b.bytes as f64 / s3.per_stream_bandwidth as f64
+    };
+    let total_cost: f64 = buckets.iter().map(cost).sum();
     let mut r = Report::new(
         "Figure 8 — network bandwidth during load (S3 dbspace traffic)",
         &["t (s)", "Gbit/s"],
     );
-    let n = buckets.len().max(1);
-    let dt = load_secs / n as f64;
     // Down-sample to ~20 points for readability.
-    let step = n.div_ceil(20);
-    for (i, chunk) in buckets.chunks(step).enumerate() {
+    let step = buckets.len().div_ceil(20).max(1);
+    let mut t = 0.0;
+    for chunk in buckets.chunks(step) {
         let bytes: u64 = chunk.iter().map(|b| b.bytes).sum();
-        let secs_span = dt * chunk.len() as f64;
+        let secs_span = load_secs * chunk.iter().map(cost).sum::<f64>() / total_cost.max(1e-12);
         let gbps = (bytes as f64 * scale * nic_share) * 8.0 / secs_span.max(1e-9) / 1e9;
-        r.row(vec![
-            format!("{:.0}", dt * (i * step) as f64),
-            format!("{:.2}", gbps.min(9.0)),
-        ]);
+        r.row(vec![format!("{t:.0}"), format!("{:.2}", gbps.min(9.0))]);
+        t += secs_span;
     }
     r.note("paper: saturates at ≈9 Gbit/s on a 20 Gbit/s NIC (intrinsic engine limit)");
     r
@@ -1238,8 +1249,11 @@ pub struct PackMeasure {
     pub pack_pages: usize,
     /// Data pages written by the load commit.
     pub pages: u64,
-    /// Simulated-store PUT requests issued by the load commit (data
-    /// pages + blockmap nodes).
+    /// Dirty pages the load evicted before its commit (only the
+    /// eviction-bound leg's buffer is smaller than the load).
+    pub evicted: u64,
+    /// Simulated-store PUT requests issued by the load, evictions and
+    /// commit (data pages + blockmap nodes).
     pub load_puts: u64,
     /// GET-class requests for the cold full read-back after the load.
     pub cold_gets: u64,
@@ -1260,6 +1274,11 @@ pub struct PackMeasure {
     /// FNV-1a over every byte served by the two cold read-backs — must
     /// be identical across every packing geometry.
     pub checksum: u64,
+    /// OCM hits of a last read-back with only the buffer dropped.
+    pub ocm_hits: u64,
+    /// GET-class store requests of that read-back: zero when the OCM
+    /// holds every page, whole object or composite member.
+    pub store_gets: u64,
 }
 
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
@@ -1273,8 +1292,18 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 /// pages in one commit, cold-read everything back, overwrite every other
 /// page (leaving each composite half dead), GC, compact, GC again, and
 /// cold-read everything back once more — asserting byte-exact contents
-/// throughout. Request counts come from the store's own ledger.
-fn pack_lifecycle(pages: u64, pack_pages: usize, label: &'static str) -> IqResult<PackMeasure> {
+/// throughout — then read everything once more with only the buffer
+/// dropped. Request counts come from the store's own ledger.
+///
+/// With `evict`, the buffer holds a quarter of the load, so most of it
+/// leaves in eviction groups written back through an OCM that holds every
+/// page; otherwise the OCM is off.
+fn pack_lifecycle(
+    pages: u64,
+    pack_pages: usize,
+    label: &'static str,
+    evict: bool,
+) -> IqResult<PackMeasure> {
     use iq_objectstore::{CostLedger, IoOp};
     use std::sync::atomic::Ordering;
 
@@ -1287,6 +1316,11 @@ fn pack_lifecycle(pages: u64, pack_pages: usize, label: &'static str) -> IqResul
     cfg.ocm_bytes = 0;
     cfg.retention = None;
     cfg.pack_pages = pack_pages;
+    if evict {
+        // A 1 KiB body costs its frame 1 152 bytes.
+        cfg.buffer_bytes = (pages * 1_152 / 4) as usize;
+        cfg.ocm_bytes = 4 * pages * u64::from(cfg.storage.page_size);
+    }
     let (db, space) = cloud_db(cfg, 1)?;
     let table = TableId(1);
     let store = db.cloud_store(space).expect("cloud dbspace is simulated");
@@ -1298,9 +1332,10 @@ fn pack_lifecycle(pages: u64, pack_pages: usize, label: &'static str) -> IqResul
         }
         Bytes::from(buf)
     };
-    // Cold read-back of every page against the version it must hold.
+    // Cold read-back of every page against the version it must hold,
+    // summed into `checksum` unless it repeats one already summed.
     let mut checksum = 0xcbf2_9ce4_8422_2325u64;
-    let mut read_back = |version: &dyn Fn(u64) -> u64, when: &str| -> IqResult<()> {
+    let mut read_back = |version: &dyn Fn(u64) -> u64, when: &str, sum: bool| -> IqResult<()> {
         db.shared().buffer.clear();
         let rtxn = db.begin();
         {
@@ -1312,7 +1347,9 @@ fn pack_lifecycle(pages: u64, pack_pages: usize, label: &'static str) -> IqResul
                     body(p, version(p)),
                     "{label}: page {p} after {when}"
                 );
-                fnv1a(&mut checksum, &page.body);
+                if sum {
+                    fnv1a(&mut checksum, &page.body);
+                }
             }
         }
         db.rollback(rtxn)
@@ -1325,9 +1362,15 @@ fn pack_lifecycle(pages: u64, pack_pages: usize, label: &'static str) -> IqResul
         (0..pages).map(|p| (p, body(p, 1))),
     )?)?;
     let load_puts = store.stats.snapshot().op(IoOp::Put).count;
+    let evicted = db
+        .shared()
+        .buffer
+        .stats
+        .dirty_evictions
+        .load(Ordering::Relaxed);
 
     let gets_before = store.stats.snapshot().op(IoOp::Get).count;
-    read_back(&|_| 1, "load")?;
+    read_back(&|_| 1, "load", true)?;
     let cold_gets = store.stats.snapshot().op(IoOp::Get).count - gets_before;
 
     // Churn: overwrite every other page, leaving every load composite
@@ -1343,9 +1386,20 @@ fn pack_lifecycle(pages: u64, pack_pages: usize, label: &'static str) -> IqResul
 
     // The overwrites and the compaction rewrites must both serve the
     // exact bytes that were committed.
-    read_back(&|p| if p % 2 == 0 { 2 } else { 1 }, "compaction")?;
+    let compacted = |p: u64| if p.is_multiple_of(2) { 2 } else { 1 };
+    read_back(&compacted, "compaction", true)?;
 
     let snap = store.stats.snapshot();
+    // Once the read-back's populates have landed, a re-read with only
+    // the buffer dropped: an OCM that caches members serves all of it.
+    let ocm = db.ocm();
+    let hits = || ocm.as_ref().map_or(0, |o| o.stats_snapshot().hits);
+    if let Some(ocm) = &ocm {
+        ocm.quiesce();
+    }
+    let hits_before = hits();
+    read_back(&compacted, "a warm re-read", false)?;
+    let warm = store.stats.snapshot();
     let mut ledger = CostLedger::default();
     ledger.charge_requests(&DeviceProfile::s3(), &snap);
     let ps = &db.shared().pack_stats;
@@ -1354,6 +1408,7 @@ fn pack_lifecycle(pages: u64, pack_pages: usize, label: &'static str) -> IqResul
         label,
         pack_pages,
         pages,
+        evicted,
         load_puts,
         cold_gets,
         objects_written: ps.objects_written.load(Ordering::Relaxed),
@@ -1364,6 +1419,9 @@ fn pack_lifecycle(pages: u64, pack_pages: usize, label: &'static str) -> IqResul
         total_gets: snap.count_for(&[IoOp::Get, IoOp::GetMiss, IoOp::Head]),
         request_usd: ledger.request_usd(),
         checksum,
+        ocm_hits: hits() - hits_before,
+        store_gets: warm.count_for(&[IoOp::Get, IoOp::GetMiss, IoOp::Head])
+            - snap.count_for(&[IoOp::Get, IoOp::GetMiss, IoOp::Head]),
     })
 }
 
@@ -1379,13 +1437,14 @@ pub(crate) fn pack_rows(sf: f64) -> IqResult<Vec<PackMeasure>> {
     // the >=10x PUT claim is pinned against.
     let pages = (((sf * 50_000.0) as u64).clamp(512, 4096) / 2) * 2;
     [
-        ("pack=1 (per-page baseline)", 1usize),
-        ("pack=4", 4),
-        ("pack=16 (default)", 16),
-        ("pack=64", 64),
+        ("pack=1 (per-page baseline)", 1usize, false),
+        ("pack=4", 4, false),
+        ("pack=16 (default)", 16, false),
+        ("pack=64", 64, false),
+        ("pack=16, load > buffer, OCM on", 16, true),
     ]
     .into_iter()
-    .map(|(label, pack)| pack_lifecycle(pages, pack, label))
+    .map(|(label, pack, evict)| pack_lifecycle(pages, pack, label, evict))
     .collect()
 }
 
@@ -1400,6 +1459,7 @@ impl Rows for Vec<PackMeasure> {
             self,
             &[
                 ("Config", &|m| m.label.to_string()),
+                ("Evicted", &|m| m.evicted.to_string()),
                 ("Load PUTs", &|m| m.load_puts.to_string()),
                 ("vs pack=1", &|m| {
                     format!("{:.1}x", base.load_puts as f64 / m.load_puts.max(1) as f64)
@@ -1409,8 +1469,11 @@ impl Rows for Vec<PackMeasure> {
                 ("Compactions", &|m| m.compactions.to_string()),
                 ("Reclaimed", &|m| m.composites_reclaimed.to_string()),
                 ("Request $", &|m| format!("{:.6}", m.request_usd)),
+                ("Warm OCM hits", &|m| m.ocm_hits.to_string()),
+                ("Warm GETs", &|m| m.store_gets.to_string()),
             ],
         );
+        let evict = &self[4];
         r.note(format!(
             "packing {} dirty pages per composite cuts the load's {} PUTs to {} ({:.0}x fewer); \
              a ranged GET reads each member, one page of bytes, so cold GETs do not move; \
@@ -1421,14 +1484,22 @@ impl Rows for Vec<PackMeasure> {
             packed.load_puts,
             base.load_puts as f64 / packed.load_puts.max(1) as f64,
         ));
+        r.note(format!(
+            "with a quarter of the load buffered, {} pages leave in eviction groups of up to {} \
+             and the load still costs {} PUTs; the OCM caches every member, so a re-read with \
+             the buffer dropped sends {} GETs to the store",
+            evict.evicted, evict.pack_pages, evict.load_puts, evict.store_gets,
+        ));
         r
     }
 
     /// The packed commit flush must issue at least 10x fewer PUTs than the
     /// per-page baseline while serving byte-identical pages, and
-    /// `pack_pages = 1` must reproduce the per-page path exactly.
+    /// `pack_pages = 1` must reproduce the per-page path exactly. A load
+    /// that does not fit the buffer packs as tightly, and the OCM then
+    /// serves every page.
     fn gates(&self) -> Result<(), String> {
-        gate!(self.len() == 4);
+        gate!(self.len() == 5);
         let (base, packed) = (&self[0], &self[2]);
         gate!(base.pack_pages == 1 && packed.pack_pages == 16);
         for m in &self[1..] {
@@ -1447,6 +1518,18 @@ impl Rows for Vec<PackMeasure> {
         gate!(packed.compactions > 0 && packed.composites_reclaimed > 0);
         // The modeled request bill falls with the PUT count.
         gate!(packed.request_usd < base.request_usd);
+        // Without an OCM every re-read page is a store GET.
+        gate!(self[..4]
+            .iter()
+            .all(|m| m.ocm_hits == 0 && m.store_gets == m.pages));
+        // Eviction-bound: most of the load leaves in eviction groups, one
+        // PUT per 16 pages; the commit's last composite carries the
+        // cascade, and the pages left buffered may take one group more.
+        let evict = &self[4];
+        gate!(evict.pack_pages == 16 && evict.evicted >= evict.pages / 2);
+        gate!(evict.load_puts <= evict.pages.div_ceil(16) + 1);
+        // The OCM-warm re-read never reaches the store.
+        gate!(evict.store_gets == 0 && evict.ocm_hits == evict.pages);
         Ok(())
     }
 }

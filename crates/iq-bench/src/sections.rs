@@ -198,7 +198,7 @@ pub static SECTIONS: [Section; 24] = [
     row(
         Ablation,
         "pack",
-        "commit-flush page packing: pack sizes 1/4/16/64 + a whole-object-GET leg",
+        "commit-flush page packing: pack sizes 1/4/16/64 + an eviction-bound leg with the OCM on",
         Run::Measured(|sf| Ok(Box::new(ex::pack_rows(sf)?))),
     ),
     row(

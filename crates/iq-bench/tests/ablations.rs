@@ -34,7 +34,8 @@ fn violate(rows: &mut dyn Rows) {
     } else if let Some(r) = rows.downcast_mut::<Vec<CacheMeasure>>() {
         r[3].post_scan_hit_rate = r[2].post_scan_hit_rate;
     } else if let Some(r) = rows.downcast_mut::<Vec<PackMeasure>>() {
-        r[2].load_puts = r[0].load_puts;
+        // A composite member read past the OCM on the warm re-read.
+        r[4].store_gets = 1;
     } else if let Some(r) = rows.downcast_mut::<Vec<GroupCommitMeasure>>() {
         r[2].log_puts = r[2].log_appends;
     } else if let Some(r) = rows.downcast_mut::<Vec<RecoveryMeasure>>() {
@@ -68,6 +69,31 @@ fn gates_hold_runs_replay_and_violations_are_caught() {
             rows.gates().is_err(),
             "--{flag}: the gate accepted rows that violate it"
         );
+    }
+}
+
+/// The pack ablation gates several claims; each fixture breaks one of
+/// them and must be rejected on its own (`violate` holds one of them).
+#[test]
+fn each_pack_claim_rejects_its_violation() {
+    type Fixture = fn(&mut Vec<PackMeasure>);
+    let fixtures: [(&str, Fixture); 3] = [
+        ("packing stops saving PUTs", |r| {
+            r[2].load_puts = r[0].load_puts
+        }),
+        ("eviction goes page by page", |r| {
+            r[4].load_puts = r[4].pages
+        }),
+        ("a member bypasses the OCM", |r| r[4].store_gets = 1),
+    ];
+    let (_, measure) = measured()
+        .find(|(s, _)| s.flag == "pack")
+        .expect("--pack is a measured section");
+    for (claim, break_it) in fixtures {
+        let mut rows = measure(0.002).expect("pack");
+        let any: &mut dyn Any = rows.as_mut();
+        break_it(any.downcast_mut().expect("pack rows"));
+        assert!(rows.gates().is_err(), "the pack gate accepted: {claim}");
     }
 }
 

@@ -32,7 +32,10 @@
 //! released; the key is parked in the shard's single-flight `loading` set
 //! for the duration so a concurrent reader waits for the flush (and then
 //! reloads through the updated blockmap) instead of resurrecting the
-//! pre-flush frame.
+//! pre-flush frame. A dirty victim leaves with its transaction's other
+//! dirty frames of the same table in its aligned run of
+//! [`FlushSink::pack_pages`] pages, claimed and parked the same way, as
+//! one eviction group.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -98,6 +101,31 @@ pub trait FlushSink: Sync {
             self.flush(*key, page, txn, cause)?;
         }
         Ok(())
+    }
+
+    /// The most pages one [`FlushSink::flush_group`] packs into an object.
+    /// The evictor hands a dirty victim to the sink together with up to
+    /// this many minus one of its transaction's dirty frames of the same
+    /// table. The default, 1, evicts page by page through
+    /// [`FlushSink::flush`].
+    fn pack_pages(&self) -> usize {
+        1
+    }
+
+    /// Persist head group `index` of a commit flush (see
+    /// [`BufferManager::flush_txn_packed`]). Head groups run concurrently
+    /// and are numbered in key order; a sink that draws object keys may
+    /// use `index` to draw them in that order, so the commit writes the
+    /// objects a serial flush would. A failed group re-dirties every
+    /// member. The default is [`FlushSink::flush_group`].
+    fn flush_commit_group(
+        &self,
+        index: usize,
+        items: &[(FrameKey, Page)],
+        txn: TxnId,
+    ) -> IqResult<()> {
+        let _ = index;
+        self.flush_group(items, txn, FlushCause::Commit)
     }
 
     /// Persist the last group of a commit flush (see
@@ -333,6 +361,9 @@ pub struct BufferManager {
     /// Bytes currently cached, across all shards.
     used_bytes: AtomicUsize,
     dirty: Mutex<DirtyIndex>,
+    /// Held by an evictor while it pops a victim and claims its group
+    /// (lock order: evicting → shard → dirty; never across a flush).
+    evicting: Mutex<()>,
     /// Signalled when an eviction flush completes (`evict_in_flight`
     /// decrements); commit waits on this.
     evict_done: Condvar,
@@ -361,6 +392,7 @@ impl BufferManager {
             protected_capacity,
             used_bytes: AtomicUsize::new(0),
             dirty: Mutex::new(DirtyIndex::default()),
+            evicting: Mutex::new(()),
             evict_done: Condvar::new(),
             stats: BufferStats::default(),
         }
@@ -590,7 +622,8 @@ impl BufferManager {
     /// shard outward. `protect` (the just-inserted key) is skipped while
     /// any other victim exists; if the cache cannot otherwise fit, a
     /// second pass may evict it — an insert larger than the whole budget
-    /// must still not pin itself resident forever.
+    /// must still not pin itself resident forever. A dirty victim takes
+    /// its eviction group along (see [`Self::claim_group`]).
     fn evict_to_fit(
         &self,
         home: usize,
@@ -598,9 +631,20 @@ impl BufferManager {
         sink: &dyn FlushSink,
     ) -> IqResult<()> {
         let mut exclude = protect;
+        let pack = sink.pack_pages();
         while self.used_bytes.load(Ordering::Relaxed) > self.capacity_bytes {
-            match self.pop_one_victim(home, exclude) {
-                Some((idx, key, frame)) => self.finish_eviction(idx, key, frame, sink)?,
+            // Pop and claim as one step, so two evictors never split a
+            // group between them.
+            let popped = {
+                let _one_evictor = self.evicting.lock();
+                self.pop_one_victim(home, exclude).map(|(key, frame)| {
+                    let txn = frame.dirty?;
+                    Some((self.claim_group(key, frame.page, txn, protect, pack), txn))
+                })
+            };
+            match popped {
+                Some(Some((group, txn))) => self.finish_eviction(group, txn, sink)?,
+                Some(None) => {}                             // clean victim
                 None if exclude.is_some() => exclude = None, // pass 2
                 None => break,                               // cache is empty
             }
@@ -614,11 +658,7 @@ impl BufferManager {
     /// pre-flush frame) and its transaction's `evict_in_flight` count is
     /// bumped (so a racing commit waits for the flush). All bookkeeping
     /// happens under the shard lock; the flush itself does not.
-    fn pop_one_victim(
-        &self,
-        home: usize,
-        protect: Option<&FrameKey>,
-    ) -> Option<(usize, FrameKey, Frame)> {
+    fn pop_one_victim(&self, home: usize, protect: Option<&FrameKey>) -> Option<(FrameKey, Frame)> {
         let n = self.shards.len();
         for i in 0..n {
             let idx = (home + i) & self.shard_mask;
@@ -627,65 +667,125 @@ impl BufferManager {
             let Some((key, frame)) = inner.cache.pop_victim_excluding(exclude) else {
                 continue;
             };
-            self.used_bytes.fetch_sub(frame.bytes, Ordering::Relaxed);
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            trace::emit(EventKind::BufferEvict {
-                table: key.table.0 as u64,
-                page: key.page.0,
-                dirty: frame.dirty.is_some(),
-            });
-            if let Some(txn) = frame.dirty {
-                inner.loading.insert(key);
-                let mut dirty = self.dirty.lock(); // shard → dirty order
-                if let Some(set) = dirty.by_txn.get_mut(&txn) {
-                    set.remove(&key);
-                }
-                *dirty.evict_in_flight.entry(txn).or_insert(0) += 1;
-            }
-            return Some((idx, key, frame));
+            self.note_evicted(&mut inner, key, &frame);
+            return Some((key, frame));
         }
         None
     }
 
-    /// Flush a popped dirty victim with no shard lock held, then release
-    /// its single-flight claim and in-flight count. Clean victims need no
-    /// work. On a sink error the frame is gone (budget already released)
-    /// and the error propagates, as in the historical serial path.
+    /// Account a frame leaving its shard (`inner`, locked) and, if dirty,
+    /// park its key and count its flush in flight.
+    fn note_evicted(&self, inner: &mut ShardInner<FrameKey, Frame>, key: FrameKey, frame: &Frame) {
+        self.used_bytes.fetch_sub(frame.bytes, Ordering::Relaxed);
+        self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+        trace::emit(EventKind::BufferEvict {
+            table: key.table.0 as u64,
+            page: key.page.0,
+            dirty: frame.dirty.is_some(),
+        });
+        if let Some(txn) = frame.dirty {
+            inner.loading.insert(key);
+            let mut dirty = self.dirty.lock(); // shard → dirty order
+            if let Some(set) = dirty.by_txn.get_mut(&txn) {
+                set.remove(&key);
+            }
+            *dirty.evict_in_flight.entry(txn).or_insert(0) += 1;
+        }
+    }
+
+    /// The eviction group of a dirty `victim` (already popped): the victim
+    /// and `txn`'s other dirty frames of the same table and epoch in its
+    /// aligned run of `pack` pages (`page / pack`), never `protect`. Pages
+    /// written together die together (a refresh rewrites a row group's
+    /// pages at once), so a run of neighbours tends to die whole instead
+    /// of stranding dead members in a live composite; and since the run is
+    /// fixed by the page, not by which member happened to be the victim,
+    /// evictors racing on different lanes group the same pages. Each
+    /// member is taken out of its shard, parked and counted in flight
+    /// exactly as the victim was: `pack` shard lookups, no scan of the
+    /// dirty index. Key-sorted.
+    fn claim_group(
+        &self,
+        victim: FrameKey,
+        page: Page,
+        txn: TxnId,
+        protect: Option<&FrameKey>,
+        pack: usize,
+    ) -> Vec<(FrameKey, Page)> {
+        let mut group = vec![(victim, page)];
+        let pack = pack.max(1) as u64;
+        let base = victim.page.0 - victim.page.0 % pack;
+        for p in base..base.saturating_add(pack) {
+            let key = FrameKey {
+                page: PageId(p),
+                ..victim
+            };
+            if key == victim || Some(&key) == protect {
+                continue;
+            }
+            let mut inner = self.lock_shard(self.shard_of(&key));
+            // A key mid-load or mid-flush is left to its owner.
+            if inner.cache.peek(&key).map(|f| f.dirty) != Some(Some(txn))
+                || inner.loading.contains(&key)
+            {
+                continue;
+            }
+            let Some(frame) = inner.cache.remove(&key) else {
+                continue;
+            };
+            self.note_evicted(&mut inner, key, &frame);
+            group.push((key, frame.page));
+        }
+        group.sort_by_key(|(k, _)| *k);
+        group
+    }
+
+    /// Flush a claimed eviction group with no shard lock held — one page
+    /// through [`FlushSink::flush`], several as one
+    /// [`FlushSink::flush_group`] — then release every member's
+    /// single-flight claim and in-flight count. On a sink error the frames
+    /// are gone (budget already released), every member counts as
+    /// unflushed, and the error propagates, as in the historical serial
+    /// path.
     fn finish_eviction(
         &self,
-        idx: usize,
-        key: FrameKey,
-        frame: Frame,
+        group: Vec<(FrameKey, Page)>,
+        txn: TxnId,
         sink: &dyn FlushSink,
     ) -> IqResult<()> {
-        let Some(txn) = frame.dirty else {
-            return Ok(());
-        };
         // "A dirty page can be flushed from the cache earlier as well
         // (upon eviction), when the buffer manager needs to make room for
         // a more recent page" (§3.1).
-        let result = sink.flush(key, &frame.page, txn, FlushCause::Eviction);
+        let result = match group.as_slice() {
+            [(key, page)] => sink.flush(*key, page, txn, FlushCause::Eviction),
+            _ => sink.flush_group(&group, txn, FlushCause::Eviction),
+        };
         if result.is_ok() {
-            self.stats.dirty_evictions.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .dirty_evictions
+                .fetch_add(group.len() as u64, Ordering::Relaxed);
         }
         {
             let mut dirty = self.dirty.lock();
             if let Err(e) = &result {
                 // The error propagates to the evicting thread below, but a
-                // commit of `txn` must also learn the page was never
+                // commit of `txn` must also learn the pages were never
                 // persisted — stash a copy for `flush_txn_packed`.
                 dirty.evict_errors.entry(txn).or_insert_with(|| e.clone());
             }
             if let Some(count) = dirty.evict_in_flight.get_mut(&txn) {
-                *count -= 1;
+                *count -= group.len();
                 if *count == 0 {
                     dirty.evict_in_flight.remove(&txn);
                 }
             }
         }
         self.evict_done.notify_all();
-        self.lock_shard(idx).loading.remove(&key);
-        self.shards[idx].load_done.notify_all();
+        for (key, _) in &group {
+            let idx = self.shard_of(key);
+            self.lock_shard(idx).loading.remove(key);
+            self.shards[idx].load_done.notify_all();
+        }
         result
     }
 
@@ -727,14 +827,14 @@ impl BufferManager {
     /// pages are flushed to permanent storage" (§3.1).
     ///
     /// The claimed dirty set is chunked into key-sorted groups of up to
-    /// `pack_pages` frames, and each group goes to the sink as one
-    /// [`FlushSink::flush_group`] call — the packing sink turns a group
-    /// into a single composite-object PUT. The groups are submitted to
-    /// `io` — the database's submission/completion core — which fans them
-    /// across its execution lanes and accounts the batch's in-flight
-    /// depth. `pack_pages <= 1` is the per-page flush (groups of one; the
-    /// default `flush_group` forwards to `flush`) and `IoCore::new(1)`
-    /// the serial flush order.
+    /// [`FlushSink::pack_pages`] frames, and each group goes to the sink
+    /// as one [`FlushSink::flush_commit_group`] call — the packing sink
+    /// turns a group into a single composite-object PUT. The groups are
+    /// submitted to `io` — the database's submission/completion core —
+    /// which fans them across its execution lanes and accounts the
+    /// batch's in-flight depth. A pack of 1 is the per-page flush (groups
+    /// of one; the default `flush_group` forwards to `flush`) and
+    /// `IoCore::new(1)` the serial flush order.
     ///
     /// Locks are held only to claim the dirty set — frames are marked
     /// clean and their pages snapshotted under short per-shard locks, then
@@ -757,18 +857,12 @@ impl BufferManager {
     /// `flushed + re-dirtied == claimed` always holds and rollback can
     /// discard exactly the unpersisted frames.
     ///
-    /// With `pack_pages > 1` the last group is held back and handed to
+    /// With a pack above 1 the last group is held back and handed to
     /// [`FlushSink::flush_commit_tail`] once every other group has landed,
     /// so the commit's last composite can carry what the commit writes
     /// after its pages. The tail is called in every successful flush,
     /// with an empty group when there is none.
-    pub fn flush_txn_packed(
-        &self,
-        txn: TxnId,
-        sink: &dyn FlushSink,
-        io: &IoCore,
-        pack_pages: usize,
-    ) -> IqResult<()> {
+    pub fn flush_txn_packed(&self, txn: TxnId, sink: &dyn FlushSink, io: &IoCore) -> IqResult<()> {
         // Phase 1a: claim the dirty key set, first waiting out eviction
         // flushes of this transaction still in flight (their pages must be
         // persisted before commit declares them so). A prior eviction
@@ -803,11 +897,11 @@ impl BufferManager {
             .collect();
 
         // Phase 2 (no lock): chunk the key-sorted batch into groups of up
-        // to `pack_pages`, hold the last one back for the tail when
+        // to the sink's pack, hold the last one back for the tail when
         // packing, and submit the other groups to the I/O core. The group
         // — not the page — is the unit of success/failure.
         let started = std::time::Instant::now();
-        let pack = pack_pages.max(1);
+        let pack = sink.pack_pages().max(1);
         let cut = if pack > 1 {
             batch.len().saturating_sub(1) / pack * pack
         } else {
@@ -818,7 +912,7 @@ impl BufferManager {
         let done: Vec<AtomicU64> = (0..groups.len()).map(|_| AtomicU64::new(0)).collect();
         let result = io.run_ordered(groups.len(), |i| -> IqResult<()> {
             let group = groups[i];
-            sink.flush_group(group, txn, FlushCause::Commit)?;
+            sink.flush_commit_group(i, group, txn)?;
             done[i].store(1, Ordering::Release);
             self.stats
                 .commit_flushes
@@ -1066,7 +1160,7 @@ mod tests {
         for p in 0..5 {
             bm.put_dirty(key(1, p), page(p, 100), txn, &sink).unwrap();
         }
-        bm.flush_txn_packed(txn, &sink, &IoCore::new(1), 1).unwrap();
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(1)).unwrap();
         let flushed = sink.flushed.lock();
         assert_eq!(flushed.len(), 5);
         assert!(flushed
@@ -1077,13 +1171,15 @@ mod tests {
         // Pages remain cached.
         assert!(bm.get(key(1, 0)).is_some());
         // Re-flushing does nothing.
-        bm.flush_txn_packed(txn, &sink, &IoCore::new(1), 1).unwrap();
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(1)).unwrap();
         assert_eq!(sink.flushed.lock().len(), 5);
     }
 
-    /// Sink recording whole groups, optionally failing a specific group.
+    /// Sink recording whole groups of up to `pack` pages, optionally
+    /// failing a specific group.
     #[derive(Default)]
     struct GroupSink {
+        pack: usize,
         groups: PMutex<Vec<Vec<FrameKey>>>,
         fail_group_containing: Option<FrameKey>,
     }
@@ -1109,17 +1205,24 @@ mod tests {
                 .push(items.iter().map(|(k, _)| *k).collect());
             Ok(())
         }
+
+        fn pack_pages(&self) -> usize {
+            self.pack
+        }
     }
 
     #[test]
     fn packed_commit_chunks_into_sorted_groups() {
         let bm = BufferManager::new(1 << 20);
-        let sink = GroupSink::default();
+        let sink = GroupSink {
+            pack: 4,
+            ..GroupSink::default()
+        };
         let txn = TxnId(3);
         for p in 0..10 {
             bm.put_dirty(key(1, p), page(p, 100), txn, &sink).unwrap();
         }
-        bm.flush_txn_packed(txn, &sink, &IoCore::new(2), 4).unwrap();
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(2)).unwrap();
         let mut groups = sink.groups.lock().clone();
         groups.sort();
         assert_eq!(
@@ -1145,27 +1248,31 @@ mod tests {
         }
         // Poison the group holding page 5 (second group of four).
         let sink = GroupSink {
+            pack: 4,
             groups: PMutex::new(Vec::new()),
             fail_group_containing: Some(key(1, 5)),
         };
-        bm.flush_txn_packed(txn, &sink, &IoCore::new(1), 4)
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(1))
             .unwrap_err();
         let flushed: usize = sink.groups.lock().iter().map(Vec::len).sum();
         // Invariant: flushed + re-dirtied == claimed, at group granularity.
         assert_eq!(flushed, 4);
         assert_eq!(bm.dirty_count(txn), 4);
         // The healed sink flushes exactly the re-dirtied group.
-        let healed = GroupSink::default();
-        bm.flush_txn_packed(txn, &healed, &IoCore::new(1), 4)
-            .unwrap();
+        let healed = GroupSink {
+            pack: 4,
+            ..GroupSink::default()
+        };
+        bm.flush_txn_packed(txn, &healed, &IoCore::new(1)).unwrap();
         assert_eq!(healed.groups.lock().iter().map(Vec::len).sum::<usize>(), 4);
         assert_eq!(bm.dirty_count(txn), 0);
     }
 
-    /// Sink recording groups and tails in call order, optionally failing
-    /// the tail.
+    /// Sink recording groups of up to `pack` pages and tails in call
+    /// order, optionally failing the tail.
     #[derive(Default)]
     struct TailSink {
+        pack: usize,
         calls: PMutex<Vec<(&'static str, Vec<FrameKey>)>>,
         fail_tail: bool,
     }
@@ -1189,17 +1296,24 @@ mod tests {
             }
             Ok(())
         }
+
+        fn pack_pages(&self) -> usize {
+            self.pack
+        }
     }
 
     #[test]
     fn packed_commit_hands_its_last_group_to_the_tail() {
         let bm = BufferManager::new(1 << 20);
         let txn = TxnId(5);
-        let sink = TailSink::default();
+        let sink = TailSink {
+            pack: 4,
+            ..TailSink::default()
+        };
         for p in 0..10 {
             bm.put_dirty(key(1, p), page(p, 100), txn, &sink).unwrap();
         }
-        bm.flush_txn_packed(txn, &sink, &IoCore::new(2), 4).unwrap();
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(2)).unwrap();
         let calls = std::mem::take(&mut *sink.calls.lock());
         assert_eq!(calls.len(), 3);
         assert!(calls[..2]
@@ -1208,15 +1322,17 @@ mod tests {
         assert_eq!(calls[2], ("tail", vec![key(1, 8), key(1, 9)]), "last, once");
         assert_eq!(bm.stats.commit_flushes.load(Ordering::Relaxed), 10);
         // Nothing left dirty: the tail still runs, with no pages.
-        bm.flush_txn_packed(txn, &sink, &IoCore::new(2), 4).unwrap();
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(2)).unwrap();
         assert_eq!(*sink.calls.lock(), vec![("tail", vec![])]);
         // Per-page flushing holds nothing back.
-        sink.calls.lock().clear();
+        let per_page = TailSink::default();
         for p in 0..3 {
-            bm.put_dirty(key(2, p), page(p, 100), txn, &sink).unwrap();
+            bm.put_dirty(key(2, p), page(p, 100), txn, &per_page)
+                .unwrap();
         }
-        bm.flush_txn_packed(txn, &sink, &IoCore::new(1), 1).unwrap();
-        let calls: Vec<_> = sink
+        bm.flush_txn_packed(txn, &per_page, &IoCore::new(1))
+            .unwrap();
+        let calls: Vec<_> = per_page
             .calls
             .lock()
             .iter()
@@ -1228,6 +1344,7 @@ mod tests {
         );
         // A failed tail re-dirties exactly its members.
         let failing = TailSink {
+            pack: 4,
             fail_tail: true,
             ..TailSink::default()
         };
@@ -1235,7 +1352,7 @@ mod tests {
             bm.put_dirty(key(3, p), page(p, 100), txn, &failing)
                 .unwrap();
         }
-        bm.flush_txn_packed(txn, &failing, &IoCore::new(1), 4)
+        bm.flush_txn_packed(txn, &failing, &IoCore::new(1))
             .unwrap_err();
         assert_eq!(bm.dirty_count(txn), 2);
     }
@@ -1260,7 +1377,7 @@ mod tests {
             .unwrap();
         bm.put_dirty(key(1, 2), page(2, 100), TxnId(2), &sink)
             .unwrap();
-        bm.flush_txn_packed(TxnId(1), &sink, &IoCore::new(1), 1)
+        bm.flush_txn_packed(TxnId(1), &sink, &IoCore::new(1))
             .unwrap();
         assert_eq!(sink.flushed.lock().len(), 1);
         assert_eq!(bm.dirty_count(TxnId(2)), 1);
@@ -1306,7 +1423,7 @@ mod tests {
                 .unwrap();
         }
         serial_bm
-            .flush_txn_packed(txn, &serial_sink, &IoCore::new(1), 1)
+            .flush_txn_packed(txn, &serial_sink, &IoCore::new(1))
             .unwrap();
         let serial_flushed = serial_sink.flushed.into_inner();
 
@@ -1333,7 +1450,7 @@ mod tests {
                     }
                 });
             }
-            scope.spawn(|| bm.flush_txn_packed(txn, &sink, &IoCore::new(4), 1).unwrap());
+            scope.spawn(|| bm.flush_txn_packed(txn, &sink, &IoCore::new(4)).unwrap());
         });
 
         // Same flushes as serial: same key set, all Commit, each exactly
@@ -1386,7 +1503,7 @@ mod tests {
                 bm.put_dirty(key(1, p), page(p, 64), txn, &sink).unwrap();
             }
             let err = bm
-                .flush_txn_packed(txn, &sink, &IoCore::new(workers), 1)
+                .flush_txn_packed(txn, &sink, &IoCore::new(workers))
                 .unwrap_err();
             assert!(matches!(err, iq_common::IqError::Io(_)));
             // Accounting closes: every page either reached the sink or is
@@ -1579,7 +1696,7 @@ mod tests {
             sink.evict_entered.wait();
             // Commit in parallel with the parked eviction flush.
             let committer =
-                scope.spawn(move || bm.flush_txn_packed(txn, sink_ref, &IoCore::new(2), 1));
+                scope.spawn(move || bm.flush_txn_packed(txn, sink_ref, &IoCore::new(2)));
             // Give the committer a moment to reach the wait, then release.
             std::thread::sleep(std::time::Duration::from_millis(20));
             assert!(
@@ -1674,7 +1791,7 @@ mod tests {
             let sink_ref = &sink;
             let stall = bm.shards[s_a].inner.lock();
             let committer =
-                scope.spawn(move || bm.flush_txn_packed(txn, sink_ref, &IoCore::new(2), 1));
+                scope.spawn(move || bm.flush_txn_packed(txn, sink_ref, &IoCore::new(2)));
             // Phase 1a has claimed the dirty set once the index is empty;
             // phase 1b is now blocked on `stall`.
             while bm.dirty_count(txn) != 0 {
@@ -1746,7 +1863,7 @@ mod tests {
         assert!(matches!(err, iq_common::IqError::Io(_)));
         // ...and poisons the commit of the same transaction.
         let err = bm
-            .flush_txn_packed(txn, &sink, &IoCore::new(1), 1)
+            .flush_txn_packed(txn, &sink, &IoCore::new(1))
             .unwrap_err();
         assert!(matches!(err, iq_common::IqError::Io(_)));
         // The dirty set was not claimed, so rollback still discards it —
@@ -1755,7 +1872,208 @@ mod tests {
         bm.discard_txn(txn);
         assert_eq!(bm.dirty_count(txn), 0);
         bm.put_dirty(key(1, 9), page(9, 100), txn, &sink).unwrap();
-        bm.flush_txn_packed(txn, &sink, &IoCore::new(1), 1).unwrap();
+        bm.flush_txn_packed(txn, &sink, &IoCore::new(1)).unwrap();
+    }
+
+    /// Sink packing up to `pack` pages an eviction group. Records each
+    /// call's keys, and optionally fails eviction groups or parks the
+    /// first one until released.
+    struct PackSink {
+        pack: usize,
+        calls: PMutex<Vec<Vec<FrameKey>>>,
+        fail: bool,
+        park: Option<(std::sync::Barrier, std::sync::Barrier)>,
+    }
+
+    impl PackSink {
+        fn new(pack: usize) -> Self {
+            Self {
+                pack,
+                calls: PMutex::new(Vec::new()),
+                fail: false,
+                park: None,
+            }
+        }
+    }
+
+    impl FlushSink for PackSink {
+        fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, cause: FlushCause) -> IqResult<()> {
+            self.flush_group(&[(key, page.clone())], txn, cause)
+        }
+
+        fn flush_group(
+            &self,
+            items: &[(FrameKey, Page)],
+            _: TxnId,
+            cause: FlushCause,
+        ) -> IqResult<()> {
+            let first = {
+                let mut calls = self.calls.lock();
+                calls.push(items.iter().map(|(k, _)| *k).collect());
+                calls.len() == 1
+            };
+            if cause == FlushCause::Eviction {
+                if let (Some((entered, release)), true) = (&self.park, first) {
+                    entered.wait();
+                    release.wait();
+                }
+                if self.fail {
+                    return Err(IqError::Io("eviction group failed".into()));
+                }
+            }
+            Ok(())
+        }
+
+        fn pack_pages(&self) -> usize {
+            self.pack
+        }
+    }
+
+    #[test]
+    fn eviction_group_is_the_victims_aligned_run_never_protect() {
+        // Six frames of 1000+128 bytes fit; the seventh insert evicts.
+        let bm = BufferManager::new(6 * 1128 + 100);
+        let sink = PackSink::new(4);
+        let (txn, other) = (TxnId(1), TxnId(2));
+        for p in [5, 4, 1, 2] {
+            bm.put_dirty(key(1, p), page(p, 1000), txn, &sink).unwrap();
+        }
+        // A frame of another table and one of another transaction, both
+        // in the victim's run: neither may ride along.
+        bm.put_dirty(key(2, 6), page(6, 1000), txn, &sink).unwrap();
+        bm.put_dirty(key(1, 6), page(6, 1000), other, &sink)
+            .unwrap();
+        assert!(sink.calls.lock().is_empty());
+        // Inserting 7 evicts 5 (LRU). Its run of four is 4..8: 4 rides
+        // along, 7 is the insert being protected, and 1 and 2 — nearer
+        // than 7 but in the run before — stay.
+        bm.put_dirty(key(1, 7), page(7, 1000), txn, &sink).unwrap();
+        assert_eq!(*sink.calls.lock(), vec![vec![key(1, 4), key(1, 5)]]);
+        for p in [4, 5] {
+            assert!(!bm.contains(key(1, p)), "page {p} left with its group");
+        }
+        for k in [key(1, 1), key(1, 2), key(1, 7), key(2, 6), key(1, 6)] {
+            assert!(bm.contains(k), "{k:?} stayed");
+        }
+        assert_eq!(bm.stats.dirty_evictions.load(Ordering::Relaxed), 2);
+        assert_eq!(bm.stats.evictions.load(Ordering::Relaxed), 2);
+        assert_eq!((bm.dirty_count(txn), bm.dirty_count(other)), (4, 1));
+    }
+
+    #[test]
+    fn eviction_group_is_the_same_whichever_member_is_the_victim() {
+        // The same dirty pages, inserted so that 6, then 4, is the LRU
+        // victim: both evict the run 4..8, and 3, one page from 4, stays.
+        let evicted = |order: [u64; 8]| {
+            let bm = BufferManager::new(8 * 1128 + 100);
+            let sink = PackSink::new(4);
+            for p in order {
+                bm.put_dirty(key(1, p), page(p, 1000), TxnId(1), &sink)
+                    .unwrap();
+            }
+            bm.put_dirty(key(1, 20), page(20, 1000), TxnId(1), &sink)
+                .unwrap();
+            assert_eq!(bm.dirty_count(TxnId(1)), 5);
+            sink.calls.into_inner()
+        };
+        let run = vec![vec![key(1, 4), key(1, 5), key(1, 6), key(1, 7)]];
+        assert_eq!(evicted([6, 3, 4, 5, 7, 9, 10, 11]), run);
+        assert_eq!(evicted([4, 3, 6, 5, 7, 9, 10, 11]), run);
+    }
+
+    #[test]
+    fn pack_pages_one_evicts_page_by_page_as_before() {
+        // The same inserts through a sink that packs nothing and through
+        // the default sink: the same single flushes, in the same order.
+        let run = |sink: &dyn FlushSink| {
+            let bm = BufferManager::new(3500);
+            for p in 1..=9 {
+                bm.put_dirty(key(1, p), page(p, 1000), TxnId(1), sink)
+                    .unwrap();
+            }
+            bm.stats.dirty_evictions.load(Ordering::Relaxed)
+        };
+        let packed_one = PackSink::new(1);
+        let recording = RecordingSink::default();
+        assert_eq!(run(&packed_one), 6);
+        assert_eq!(run(&recording), 6);
+        let singles: Vec<Vec<FrameKey>> = recording
+            .flushed
+            .lock()
+            .iter()
+            .map(|(k, _, _)| vec![*k])
+            .collect();
+        assert_eq!(*packed_one.calls.lock(), singles);
+        assert_eq!(
+            singles.concat(),
+            (1..=6).map(|p| key(1, p)).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn failed_eviction_group_poisons_the_commit() {
+        let bm = BufferManager::new(4 * 1128 + 100);
+        let mut sink = PackSink::new(3);
+        sink.fail = true;
+        let txn = TxnId(8);
+        for p in 0..=3 {
+            bm.put_dirty(key(1, p), page(p, 1000), txn, &sink).unwrap();
+        }
+        // The fifth insert evicts 0 with 1 and 2; the group fails on the
+        // inserter, and every member is gone and unflushed.
+        let err = bm
+            .put_dirty(key(1, 4), page(4, 1000), txn, &sink)
+            .unwrap_err();
+        assert!(matches!(err, IqError::Io(_)));
+        assert_eq!(
+            *sink.calls.lock(),
+            vec![vec![key(1, 0), key(1, 1), key(1, 2)]]
+        );
+        assert_eq!(bm.dirty_count(txn), 2);
+        let err = bm
+            .flush_txn_packed(txn, &sink, &IoCore::new(1))
+            .unwrap_err();
+        assert!(matches!(err, IqError::Io(_)));
+        assert_eq!(bm.dirty_count(txn), 2, "nothing claimed");
+        bm.discard_txn(txn);
+        assert_eq!(bm.dirty_count(txn), 0);
+    }
+
+    #[test]
+    fn reader_of_a_claimed_companion_waits_out_the_group_flush() {
+        let bm = BufferManager::new(3 * 1128 + 100);
+        let mut sink = PackSink::new(2);
+        sink.park = Some((std::sync::Barrier::new(2), std::sync::Barrier::new(2)));
+        let txn = TxnId(5);
+        for p in [2, 3, 1] {
+            bm.put_dirty(key(1, p), page(p, 1000), txn, &sink).unwrap();
+        }
+        let loads = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            let (bm, sink, loads) = (&bm, &sink, &loads);
+            // Evicts 2 with its companion 3; the group parks in the sink.
+            scope.spawn(move || {
+                bm.put_dirty(key(1, 4), page(4, 1000), txn, sink).unwrap();
+            });
+            let (entered, release) = sink.park.as_ref().unwrap();
+            entered.wait();
+            let first = sink.calls.lock()[0].clone();
+            let reader = scope.spawn(move || {
+                bm.get_or_load(key(1, 3), true, sink, || {
+                    loads.fetch_add(1, Ordering::Relaxed);
+                    Ok(page(3, 64))
+                })
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(
+                !reader.is_finished(),
+                "reader of a companion finished while its group was in flight"
+            );
+            release.wait();
+            assert_eq!(reader.join().unwrap().unwrap().body[0], 3);
+            assert_eq!(first, vec![key(1, 2), key(1, 3)]);
+        });
+        assert_eq!(loads.load(Ordering::Relaxed), 1, "loader ran exactly once");
     }
 
     #[test]

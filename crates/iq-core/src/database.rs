@@ -171,8 +171,8 @@ impl Shared {
         v
     }
 
-    /// Composite members served across every dbspace — data pages and
-    /// blockmap nodes alike, one ranged GET each.
+    /// Composite members read from the store across every dbspace — data
+    /// pages and blockmap nodes alike, one ranged GET each.
     pub fn member_reads(&self) -> u64 {
         self.spaces.read().values().map(|s| s.member_reads()).sum()
     }
@@ -798,7 +798,7 @@ impl Database {
             shared.config.retry,
         ));
         shared.spaces.write().insert(id.0, Arc::clone(&space));
-        shared.immediate_sink.register(space);
+        shared.immediate_sink.register(Arc::clone(&space));
         let mut ocm = shared.ocm.lock();
         if ocm.is_none() && shared.config.ocm_bytes > 0 {
             let bound = Arc::new(Ocm::new(
@@ -813,6 +813,7 @@ impl Database {
                 },
             ));
             register_ocm_metrics(&shared.metrics, &bound, &shared.ssd);
+            space.attach_cache(bound.clone());
             *ocm = Some((id, bound));
         }
     }
@@ -831,7 +832,7 @@ impl Database {
         register_device_metrics(&shared.metrics, id.0, &device);
         shared.block_devices.write().insert(id.0, device);
         shared.spaces.write().insert(id.0, Arc::clone(&space));
-        shared.immediate_sink.register(space);
+        shared.immediate_sink.register(Arc::clone(&space));
         Ok(())
     }
 
@@ -1054,12 +1055,7 @@ impl Database {
             .with_stats(Arc::clone(&self.shared.io_stats));
         ocm.as_ref()
             .map_or(Ok(()), |o| o.flush_for_commit(txn))
-            .and_then(|()| {
-                let pack = self.shared.config.pack_pages.max(1);
-                self.shared
-                    .buffer
-                    .flush_txn_packed(txn, &sink, &flush_io, pack)
-            })
+            .and_then(|()| self.shared.buffer.flush_txn_packed(txn, &sink, &flush_io))
             .inspect_err(|_| {
                 let _ = self.rollback_inner(txn, true);
             })?;

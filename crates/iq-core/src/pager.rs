@@ -1,10 +1,12 @@
 //! The pager: the engine-facing [`PageStore`] bound to one transaction and
 //! the buffer manager's eviction [`FlushSink`], plus the commit's sink,
-//! [`CommitFlush`], the one writer of composite objects.
+//! [`CommitFlush`]. [`Pager::write_group`] is the one writer of composite
+//! objects, for eviction groups and commit groups alike.
 //!
 //! This is where the paper's write discipline lives: a dirty cloud page
 //! leaving the buffer cache is sealed, (optionally) encrypted, uploaded
 //! under a **fresh object key** — write-back through the OCM during churn,
+//! on its own or as a member of an eviction group's composite;
 //! write-through at commit — then recorded in the working blockmap
 //! (superseding the previous version into the RF bitmap) and in the RB
 //! bitmap.
@@ -18,10 +20,10 @@ use iq_common::{
     DbSpaceId, IqError, IqResult, ObjectKey, PageId, PhysicalLocator, TableId, TxnId, VersionId,
 };
 use iq_engine::PageStore;
-use iq_ocm::WriteMode;
+use iq_ocm::{Ocm, WriteMode};
 use iq_storage::{DbSpace, IdentityObject, KeySource, NodeSink, Page, PageIo, PageKind};
 use iq_txn::PackMember;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::database::Shared;
 use crate::encrypt;
@@ -44,30 +46,22 @@ impl Shared {
         Ok(self.crypt(image))
     }
 
-    /// The one page-image read path: fetch what `loc` names on `space`,
-    /// decrypt, unseal. Shared by the live [`Pager`] and snapshot views.
+    /// The one page-image read path: fetch what `loc` names on `space` —
+    /// through the OCM for an object or a composite member — decrypt,
+    /// unseal. Shared by the live [`Pager`] and snapshot views.
     pub(crate) fn fetch_page(
         &self,
         space: &DbSpace,
         loc: PhysicalLocator,
         scan: bool,
     ) -> IqResult<Page> {
-        let image = match loc {
-            PhysicalLocator::Object(key) => match self.ocm_for(space.id) {
-                // Scan-driven loads are hinted so the OCM admits them
-                // probationary: a cold table scan must not wash the
-                // promoted point-read set out of the SSD cache.
-                Some(ocm) => ocm.read_hinted(key, scan)?,
-                None => space.get_raw(key)?,
-            },
-            // Composite members bypass the OCM (its cache is keyed by
-            // whole objects) and go straight to a ranged GET.
-            PhysicalLocator::ObjectRange { key, offset, len } => {
-                space.get_range(key, offset, len)?
-            }
-            PhysicalLocator::Blocks { .. } => return space.read_page(loc),
-        };
-        Page::unseal(&self.crypt(image))
+        if let PhysicalLocator::Blocks { .. } = loc {
+            return space.read_page(loc);
+        }
+        // Scan-driven loads are hinted so the OCM admits them
+        // probationary: a cold table scan must not wash the promoted
+        // point-read set out of the SSD cache.
+        Page::unseal(&self.crypt(space.read_image(loc, scan)?))
     }
 }
 
@@ -185,7 +179,7 @@ impl PageStore for Pager {
 }
 
 /// The eviction sink, and the per-page write of the commit's sink: one
-/// page, one object (or block run).
+/// page, one object (or block run); an eviction group is one composite.
 impl FlushSink for Pager {
     fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, cause: FlushCause) -> IqResult<()> {
         let ts = self.shared.table_store(key.table)?;
@@ -211,6 +205,40 @@ impl FlushSink for Pager {
             space.write_page(page, self.keys.as_ref())?
         };
         self.publish(&ts, &space, txn, key.page, loc)
+    }
+
+    fn flush_group(
+        &self,
+        items: &[(FrameKey, Page)],
+        txn: TxnId,
+        cause: FlushCause,
+    ) -> IqResult<()> {
+        self.write_group(items, txn, Group::Plain(cause))
+    }
+
+    fn pack_pages(&self) -> usize {
+        self.shared.config.pack_pages
+    }
+}
+
+/// What a group handed to [`Pager::write_group`] is.
+#[derive(Clone, Copy)]
+enum Group<'a> {
+    /// An eviction group, or a commit group outside the commit flush.
+    Plain(FlushCause),
+    /// Head group `index` of a commit flush: its composites draw their
+    /// keys in turn.
+    Head(&'a CommitFlush<'a>, usize),
+    /// The commit flush's last group, which carries the cascade.
+    Tail(&'a CommitFlush<'a>),
+}
+
+impl Group<'_> {
+    fn cause(self) -> FlushCause {
+        match self {
+            Group::Plain(cause) => cause,
+            Group::Head(..) | Group::Tail(_) => FlushCause::Commit,
+        }
     }
 }
 
@@ -250,11 +278,27 @@ impl Composite {
         }
     }
 
-    /// Upload the object in one PUT. The member layout goes to the
-    /// composite registry at commit through the transaction's pack record.
-    fn upload(self, shared: &Shared, space: &DbSpace, txn: TxnId) -> IqResult<()> {
+    /// Upload the object in one PUT: write-back through `ocm`, whose slots
+    /// take every member at once, or straight to the store. The member
+    /// layout goes to the composite registry at commit through the
+    /// transaction's pack record.
+    fn upload(
+        self,
+        shared: &Shared,
+        space: &DbSpace,
+        txn: TxnId,
+        ocm: Option<&Ocm>,
+    ) -> IqResult<()> {
         let bytes = self.blob.len() as u64;
-        space.put_raw(self.key, Bytes::from(self.blob))?;
+        let blob = Bytes::from(self.blob);
+        match ocm {
+            Some(ocm) => {
+                let members: Vec<(u32, u32)> =
+                    self.members.iter().map(|m| (m.offset, m.len)).collect();
+                ocm.write_group(self.key, blob, &members, txn, WriteMode::WriteBack)?;
+            }
+            None => space.put_raw(self.key, blob)?,
+        }
         iq_common::trace::emit(iq_common::trace::EventKind::PackFlush {
             key: self.key.offset(),
             pages: self.members.len() as u64,
@@ -265,85 +309,34 @@ impl Composite {
     }
 }
 
-/// Stages one table's blockmap nodes as composite members, sealed with
-/// the dbspace's geometry and no cipher — the image
-/// [`DbSpace::write_page`] uploads for a node on its own.
-struct StagedNodes<'a> {
-    composite: &'a mut Composite,
-    space: &'a DbSpace,
-    table: TableId,
-}
-
-impl NodeSink for StagedNodes<'_> {
-    fn write_node(&mut self, page: &Page) -> IqResult<PhysicalLocator> {
-        let (image, _) = page.seal(&self.space.config)?;
-        Ok(self.composite.push(self.table, page.id, &image))
-    }
-}
-
-/// The commit's flush sink, and the one composite writer. Every group of
-/// the commit flush goes through [`CommitFlush::write`]; the tail also
-/// appends the blockmap cascade of every table the transaction wrote, so
-/// with packing on the commit's last group and its whole cascade cost one
-/// PUT. Nothing is installed here: the identities wait in `flushed` until
-/// every upload of the commit has landed.
-pub(crate) struct CommitFlush<'a> {
-    pager: &'a Pager,
-    version: VersionId,
-    flushed: Mutex<Vec<(Arc<TableStore>, IdentityObject)>>,
-}
-
-impl<'a> CommitFlush<'a> {
-    pub(crate) fn new(pager: &'a Pager, version: VersionId) -> Self {
-        Self {
-            pager,
-            version,
-            flushed: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Each table the cascade flushed, with the identity to install.
-    pub(crate) fn into_flushed(self) -> Vec<(Arc<TableStore>, IdentityObject)> {
-        self.flushed.into_inner()
-    }
-
-    /// Flush `ts`'s working tree into `sink` and record the nodes it wrote
-    /// (RB) and superseded (RF).
-    fn cascade(&self, ts: &Arc<TableStore>, sink: &mut dyn NodeSink) -> IqResult<()> {
-        let txn = self.pager.txn;
-        let Some((identity, outcome)) = ts.flush(txn, self.version, sink)? else {
-            return Ok(());
-        };
-        let txns = &self.pager.shared.txns;
-        for loc in outcome.written {
-            txns.record_alloc(txn, ts.space, loc)?;
-        }
-        for loc in outcome.superseded {
-            txns.record_free(txn, ts.space, loc)?;
-        }
-        self.flushed.lock().push((Arc::clone(ts), identity));
-        Ok(())
-    }
-
-    /// Write one group of the commit flush, per dbspace. With `cascade`
-    /// (the tail), the cascade of every table the transaction wrote on
-    /// that dbspace follows the pages — children before parents, so each
-    /// parent encodes its children's ranged locators.
+impl Pager {
+    /// The one composite writer: write one group — of an eviction, or of
+    /// the commit flush — per dbspace. The commit's tail (its last group)
+    /// is followed by the cascade of every table the transaction wrote on
+    /// that dbspace — children before parents, so each parent encodes its
+    /// children's ranged locators.
     ///
     /// A composite needs two members. A head group counts its pages; in
     /// the tail a page brings at least the leaf above it, so only a tail
-    /// of nodes alone can be too small. A composite's key is drawn first
-    /// and its pages are sealed at their offsets; without packing, on a
-    /// conventional dbspace, or below two members, each page and node is
-    /// written one object (or block run) on its own.
-    fn write(
+    /// of nodes alone can be too small. The pages are sealed, then the
+    /// composite's key is drawn and they are laid out at their offsets;
+    /// without packing, on a conventional dbspace, or below two members,
+    /// each page and node is written one object (or block run) on its own.
+    ///
+    /// A head group is uploaded, then published: an eviction group write-
+    /// back through the OCM, a commit group straight to the store (commit
+    /// composites are not cached). The commit's head groups are written
+    /// concurrently, but each draws its composites' keys only in its turn
+    /// ([`Turnstile`]), so their keys, and the blockmap leaves that encode
+    /// them, are those of a serial flush.
+    fn write_group(
         &self,
         items: &[(FrameKey, Page)],
         txn: TxnId,
-        cause: FlushCause,
-        cascade: bool,
+        group: Group<'_>,
     ) -> IqResult<()> {
-        let shared = &self.pager.shared;
+        let shared = &self.shared;
+        let cascade = matches!(group, Group::Tail(_));
         let mut by_space: BTreeMap<u32, Vec<&(FrameKey, Page)>> = BTreeMap::new();
         for item in items {
             let ts = shared.table_store(item.0.table)?;
@@ -373,50 +366,167 @@ impl<'a> CommitFlush<'a> {
                 .max(usize::from(cascade && !pages.is_empty()));
             if shared.config.pack_pages <= 1 || !space.is_cloud() || pages.len() + nodes < 2 {
                 for (key, page) in pages {
-                    self.pager.flush(*key, page, txn, cause)?;
+                    self.flush(*key, page, txn, group.cause())?;
                 }
                 let mut io = PageIo {
                     space: &space,
-                    keys: self.pager.keys.as_ref(),
+                    keys: self.keys.as_ref(),
                 };
-                for ts in tables() {
-                    self.cascade(&ts, &mut io)?;
+                if let Group::Tail(commit) = group {
+                    for ts in tables() {
+                        commit.cascade(&ts, &mut io)?;
+                    }
                 }
                 continue;
             }
-            let mut composite = Composite::new(self.pager.keys.as_ref())?;
-            let mut locs = Vec::with_capacity(pages.len());
-            for (fkey, page) in &pages {
-                let image = shared.seal_image(&space, page)?;
-                locs.push(composite.push(fkey.table, fkey.page, &image));
+            let images = pages
+                .iter()
+                .map(|(_, page)| shared.seal_image(&space, page))
+                .collect::<IqResult<Vec<_>>>()?;
+            if let Group::Head(commit, index) = group {
+                commit.turn.wait(index);
             }
+            let mut composite = Composite::new(self.keys.as_ref())?;
+            let locs: Vec<PhysicalLocator> = pages
+                .iter()
+                .zip(&images)
+                .map(|((fkey, _), image)| composite.push(fkey.table, fkey.page, image))
+                .collect();
             let publish = || -> IqResult<()> {
                 for ((fkey, _), &loc) in pages.iter().zip(&locs) {
                     let ts = shared.table_store(fkey.table)?;
-                    self.pager.publish(&ts, &space, txn, fkey.page, loc)?;
+                    self.publish(&ts, &space, txn, fkey.page, loc)?;
                 }
                 Ok(())
             };
-            if cascade {
-                // The leaves encode the pages' locators, so the pages are
-                // published before the cascade appends the nodes.
-                publish()?;
-                for ts in tables() {
-                    let mut nodes = StagedNodes {
-                        composite: &mut composite,
-                        space: &space,
-                        table: ts.table,
-                    };
-                    self.cascade(&ts, &mut nodes)?;
+            match group {
+                Group::Tail(commit) => {
+                    // The leaves encode the pages' locators, so the pages
+                    // are published before the cascade appends the nodes.
+                    publish()?;
+                    for ts in tables() {
+                        let mut nodes = StagedNodes {
+                            composite: &mut composite,
+                            space: &space,
+                            table: ts.table,
+                        };
+                        commit.cascade(&ts, &mut nodes)?;
+                    }
+                    composite.upload(shared, &space, txn, None)?;
                 }
-                composite.upload(shared, &space, txn)?;
-            } else {
-                // A head group maps its pages once the upload has landed,
-                // so a failed group maps nothing.
-                composite.upload(shared, &space, txn)?;
-                publish()?;
+                Group::Plain(_) | Group::Head(..) => {
+                    // A head group maps its pages once the upload has
+                    // landed (or, write-back, is queued behind its SSD
+                    // copies), so a failed group maps nothing.
+                    let ocm = match group.cause() {
+                        FlushCause::Eviction => shared.ocm_for(space.id),
+                        FlushCause::Commit => None,
+                    };
+                    composite.upload(shared, &space, txn, ocm.as_deref())?;
+                    publish()?;
+                }
             }
         }
+        Ok(())
+    }
+}
+
+/// Stages one table's blockmap nodes as composite members, sealed with
+/// the dbspace's geometry and no cipher — the image
+/// [`DbSpace::write_page`] uploads for a node on its own.
+struct StagedNodes<'a> {
+    composite: &'a mut Composite,
+    space: &'a DbSpace,
+    table: TableId,
+}
+
+impl NodeSink for StagedNodes<'_> {
+    fn write_node(&mut self, page: &Page) -> IqResult<PhysicalLocator> {
+        let (image, _) = page.seal(&self.space.config)?;
+        Ok(self.composite.push(self.table, page.id, &image))
+    }
+}
+
+/// The order in which a commit's head groups, written concurrently, draw
+/// their composites' keys: group `i` draws only once group `i − 1` is
+/// done, which is the order a serial flush draws them in. A failed group
+/// opens the turnstile for good: the commit rolls back, and the fan-out
+/// skips later groups, which would otherwise never hand the turn on.
+#[derive(Default)]
+struct Turnstile {
+    /// The head group whose turn it is; `usize::MAX` once one failed.
+    next: Mutex<usize>,
+    turned: Condvar,
+}
+
+impl Turnstile {
+    /// Block until it is group `index`'s turn.
+    fn wait(&self, index: usize) {
+        let mut next = self.next.lock();
+        while *next < index {
+            self.turned.wait(&mut next);
+        }
+    }
+
+    /// Group `index` is done: hand the turn on, once it has had it.
+    fn pass(&self, index: usize, ok: bool) {
+        if ok {
+            self.wait(index);
+        }
+        let mut next = self.next.lock();
+        *next = if ok {
+            (*next).max(index + 1)
+        } else {
+            usize::MAX
+        };
+        drop(next);
+        self.turned.notify_all();
+    }
+}
+
+/// The commit's flush sink. Every group of the commit flush goes through
+/// [`Pager::write_group`]; the tail also appends the blockmap cascade of
+/// every table the transaction wrote, so with packing on the commit's last
+/// group and its whole cascade cost one PUT. Nothing is installed here:
+/// the identities wait in `flushed` until every upload of the commit has
+/// landed.
+pub(crate) struct CommitFlush<'a> {
+    pager: &'a Pager,
+    version: VersionId,
+    flushed: Mutex<Vec<(Arc<TableStore>, IdentityObject)>>,
+    turn: Turnstile,
+}
+
+impl<'a> CommitFlush<'a> {
+    pub(crate) fn new(pager: &'a Pager, version: VersionId) -> Self {
+        Self {
+            pager,
+            version,
+            flushed: Mutex::new(Vec::new()),
+            turn: Turnstile::default(),
+        }
+    }
+
+    /// Each table the cascade flushed, with the identity to install.
+    pub(crate) fn into_flushed(self) -> Vec<(Arc<TableStore>, IdentityObject)> {
+        self.flushed.into_inner()
+    }
+
+    /// Flush `ts`'s working tree into `sink` and record the nodes it wrote
+    /// (RB) and superseded (RF).
+    fn cascade(&self, ts: &Arc<TableStore>, sink: &mut dyn NodeSink) -> IqResult<()> {
+        let txn = self.pager.txn;
+        let Some((identity, outcome)) = ts.flush(txn, self.version, sink)? else {
+            return Ok(());
+        };
+        let txns = &self.pager.shared.txns;
+        for loc in outcome.written {
+            txns.record_alloc(txn, ts.space, loc)?;
+        }
+        for loc in outcome.superseded {
+            txns.record_free(txn, ts.space, loc)?;
+        }
+        self.flushed.lock().push((Arc::clone(ts), identity));
         Ok(())
     }
 }
@@ -426,16 +536,22 @@ impl FlushSink for CommitFlush<'_> {
         self.pager.flush(key, page, txn, cause)
     }
 
-    fn flush_group(
+    fn flush_commit_group(
         &self,
+        index: usize,
         items: &[(FrameKey, Page)],
         txn: TxnId,
-        cause: FlushCause,
     ) -> IqResult<()> {
-        self.write(items, txn, cause, false)
+        let result = self.pager.write_group(items, txn, Group::Head(self, index));
+        self.turn.pass(index, result.is_ok());
+        result
     }
 
     fn flush_commit_tail(&self, items: &[(FrameKey, Page)], txn: TxnId) -> IqResult<()> {
-        self.write(items, txn, FlushCause::Commit, true)
+        self.pager.write_group(items, txn, Group::Tail(self))
+    }
+
+    fn pack_pages(&self) -> usize {
+        self.pager.pack_pages()
     }
 }

@@ -18,9 +18,18 @@ use parking_lot::Mutex;
 use crate::metrics::{DeviceStats, IoOp};
 use crate::traits::BlockBackend;
 
+/// One written block: block `at` of the bytes one write stored. The write
+/// is kept as it came, so its last block may be short; the rest of that
+/// block reads back as zeroes. A read inside one write is a slice of it,
+/// with no copy.
+struct Block {
+    run: Bytes,
+    at: usize,
+}
+
 /// In-process strongly consistent block device.
 pub struct BlockDeviceSim {
-    blocks: Mutex<HashMap<u64, Bytes>>,
+    blocks: Mutex<HashMap<u64, Block>>,
     block_size: u32,
     capacity_blocks: u64,
     /// Request ledger.
@@ -58,6 +67,73 @@ impl BlockDeviceSim {
         }
         Ok(())
     }
+
+    /// The first `len` bytes of the blocks from `start`, charged as the
+    /// whole blocks they touch, exactly as [`BlockBackend::read_blocks`]
+    /// charges them. Bytes one write stored are served as a slice of it.
+    pub fn read_bytes(&self, start: BlockNum, len: u32) -> IqResult<Bytes> {
+        let count = len.div_ceil(self.block_size).max(1);
+        self.check_range(start, count)?;
+        self.stats
+            .record(IoOp::BlockRead, count as u64 * self.block_size as u64);
+        Ok(self.gather(start, len as usize))
+    }
+
+    /// `len` bytes from the start of block `start`: a slice when one write
+    /// holds them all, else assembled block by block.
+    fn gather(&self, start: BlockNum, len: usize) -> Bytes {
+        let block = self.block_size as usize;
+        let blocks = self.blocks.lock();
+        if let Some(first) = blocks.get(&start.0) {
+            let from = first.at * block;
+            let one_write = from + len <= first.run.len()
+                && (start.0..)
+                    .zip(first.at..)
+                    .take(len.div_ceil(block))
+                    .all(|(b, at)| {
+                        blocks
+                            .get(&b)
+                            .is_some_and(|x| x.at == at && x.run.as_ptr() == first.run.as_ptr())
+                    });
+            if one_write {
+                return first.run.slice(from..from + len);
+            }
+        }
+        let mut out = vec![0u8; len];
+        for (i, chunk) in out.chunks_mut(block).enumerate() {
+            if let Some(x) = blocks.get(&(start.0 + i as u64)) {
+                let from = (x.at * block).min(x.run.len());
+                let have = &x.run[from..(from + chunk.len()).min(x.run.len())];
+                chunk[..have.len()].copy_from_slice(have);
+            }
+        }
+        Bytes::from(out)
+    }
+}
+
+/// `gone` are blocks just overwritten or trimmed, by block number. Any
+/// other block of their writes that is still mapped gets a copy of its own
+/// bytes, so an old write's memory goes once it is partly overwritten, as
+/// each block's would on its own.
+fn unpin(blocks: &mut HashMap<u64, Block>, block: usize, gone: Vec<(u64, Block)>) {
+    let mut seen: Vec<*const u8> = Vec::new();
+    for (b, old) in gone {
+        let ptr = old.run.as_ptr();
+        if seen.contains(&ptr) {
+            continue;
+        }
+        seen.push(ptr);
+        let first = b - old.at as u64;
+        for (at, b) in (first..).take(old.run.len().div_ceil(block)).enumerate() {
+            if let Some(x) = blocks.get_mut(&b) {
+                if x.run.as_ptr() == ptr && x.at == at {
+                    let end = ((at + 1) * block).min(old.run.len());
+                    let own = Bytes::copy_from_slice(&old.run[at * block..end]);
+                    *x = Block { run: own, at: 0 };
+                }
+            }
+        }
+    }
 }
 
 impl BlockBackend for BlockDeviceSim {
@@ -76,20 +152,21 @@ impl BlockBackend for BlockDeviceSim {
         }
         let count = data.len().div_ceil(block) as u32;
         self.check_range(start, count)?;
-        // The device stores, and is charged for, whole blocks.
+        // The device stores, and is charged for, whole blocks: the short
+        // tail of the last one reads back as zeroes.
         self.stats
             .record(IoOp::BlockWrite, count as u64 * self.block_size as u64);
+        let run = Bytes::copy_from_slice(data);
         let mut blocks = self.blocks.lock();
-        for (i, chunk) in data.chunks(block).enumerate() {
-            let stored = if chunk.len() == block {
-                Bytes::copy_from_slice(chunk)
-            } else {
-                let mut tail = vec![0u8; block];
-                tail[..chunk.len()].copy_from_slice(chunk);
-                Bytes::from(tail)
-            };
-            blocks.insert(start.0 + i as u64, stored);
+        let mut covered = Vec::new();
+        for at in 0..count as usize {
+            let run = run.clone();
+            let b = start.0 + at as u64;
+            if let Some(old) = blocks.insert(b, Block { run, at }) {
+                covered.push((b, old));
+            }
         }
+        unpin(&mut blocks, block, covered);
         Ok(())
     }
 
@@ -97,24 +174,16 @@ impl BlockBackend for BlockDeviceSim {
         self.check_range(start, count)?;
         self.stats
             .record(IoOp::BlockRead, count as u64 * self.block_size as u64);
-        let blocks = self.blocks.lock();
-        let mut out = Vec::with_capacity(count as usize * self.block_size as usize);
-        for b in start.0..start.0 + count as u64 {
-            match blocks.get(&b) {
-                Some(bytes) => out.extend_from_slice(bytes),
-                // Unwritten blocks read back as zeroes, like a fresh volume.
-                None => out.resize(out.len() + self.block_size as usize, 0),
-            }
-        }
-        Ok(Bytes::from(out))
+        Ok(self.gather(start, count as usize * self.block_size as usize))
     }
 
     fn trim_blocks(&self, start: BlockNum, count: u32) -> IqResult<()> {
         self.check_range(start, count)?;
         let mut blocks = self.blocks.lock();
-        for b in start.0..start.0 + count as u64 {
-            blocks.remove(&b);
-        }
+        let trimmed = (start.0..start.0 + count as u64)
+            .filter_map(|b| Some((b, blocks.remove(&b)?)))
+            .collect();
+        unpin(&mut blocks, self.block_size as usize, trimmed);
         Ok(())
     }
 
@@ -205,6 +274,54 @@ mod tests {
             .iter()
             .all(|&x| x == 0));
         assert_eq!(d.read_blocks(BlockNum(0), 1).unwrap()[0], 1);
+    }
+
+    #[test]
+    fn reads_across_writes_see_the_latest_block() {
+        let d = BlockDeviceSim::new(4, 16);
+        d.write_blocks(BlockNum(0), &[1u8; 16]).unwrap();
+        d.write_blocks(BlockNum(1), &[2u8; 6]).unwrap();
+        let back = d.read_blocks(BlockNum(0), 4).unwrap();
+        assert_eq!(&back[..], &[1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 0, 0, 1, 1, 1, 1]);
+        // Within one write, a read is that write's bytes.
+        assert_eq!(
+            &d.read_blocks(BlockNum(1), 2).unwrap()[..],
+            &[2, 2, 2, 2, 2, 2, 0, 0]
+        );
+        assert_eq!(&d.read_blocks(BlockNum(3), 1).unwrap()[..], &[1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn a_partly_overwritten_write_keeps_only_its_surviving_blocks() {
+        let d = BlockDeviceSim::new(4, 16);
+        d.write_blocks(BlockNum(0), &[1u8; 16]).unwrap();
+        d.write_blocks(BlockNum(0), &[2u8; 4]).unwrap();
+        d.trim_blocks(BlockNum(3), 1).unwrap();
+        let back = d.read_blocks(BlockNum(0), 4).unwrap();
+        assert_eq!(&back[..], &[2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0]);
+        // Blocks 1 and 2 of the first write survive, each on its own.
+        let blocks = d.blocks.lock();
+        for b in [1, 2] {
+            assert_eq!(
+                (blocks[&b].run.len(), &blocks[&b].run[..]),
+                (4, &[1u8; 4][..])
+            );
+        }
+        assert_eq!(blocks.len(), 3);
+    }
+
+    #[test]
+    fn read_bytes_slices_one_write_and_charges_whole_blocks() {
+        let d = BlockDeviceSim::new(4, 16);
+        d.write_blocks(BlockNum(2), &[3, 4, 5, 6, 7, 8]).unwrap();
+        assert_eq!(
+            &d.read_bytes(BlockNum(2), 6).unwrap()[..],
+            &[3, 4, 5, 6, 7, 8]
+        );
+        assert_eq!(&d.read_bytes(BlockNum(3), 2).unwrap()[..], &[7, 8]);
+        // Past what the write stored, the block reads zero.
+        assert_eq!(&d.read_bytes(BlockNum(3), 4).unwrap()[..], &[7, 8, 0, 0]);
+        assert_eq!(d.stats.snapshot().op(IoOp::BlockRead).bytes, 4 * 4);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   time model derives the effective per-prefix throttling (S3 limits
 //!   request rates *per key prefix* — the reason the paper hashes key
 //!   prefixes, §3.1);
-//! * **time-series buckets** (requests/bytes per fixed op-count window) so
-//!   Figure 8's bandwidth-over-time plot can be regenerated;
+//! * **time-series buckets** (requests/bytes per fixed window of bytes
+//!   moved) so Figure 8's bandwidth-over-time plot can be regenerated;
 //! * **queue-depth samples** from the OCM's asynchronous write queue, which
 //!   drive the SSD write-pressure model behind the paper's Q3/Q4 anomaly.
 
@@ -59,14 +59,19 @@ pub struct OpCounter {
     pub bytes: u64,
 }
 
-/// One bucket of the request time series (bucketed by request ordinal).
+/// One bucket of the request time series: a fixed count of bytes moved
+/// (the last bucket may be short), and the requests that began in it.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct TraceBucket {
-    /// Requests that landed in this bucket.
+    /// Requests whose first byte fell in this bucket (a request that
+    /// moves no bytes counts in the bucket being filled).
     pub requests: u64,
     /// Payload bytes in this bucket.
     pub bytes: u64,
 }
+
+/// Default time-series bucket: bytes moved per bucket.
+const BUCKET_BYTES: u64 = 64 * 1024;
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -74,6 +79,8 @@ struct Inner {
     prefix_spread: HashMap<u16, u64>,
     buckets: Vec<TraceBucket>,
     total_requests: u64,
+    /// Bytes moved so far: the time-series cursor.
+    total_bytes: u64,
     queue_depth_sum: u64,
     queue_depth_samples: u64,
     queue_depth_max: u64,
@@ -97,6 +104,7 @@ impl Inner {
         }
         self.buckets.extend_from_slice(&src.buckets);
         self.total_requests += src.total_requests;
+        self.total_bytes += src.total_bytes;
         self.queue_depth_sum += src.queue_depth_sum;
         self.queue_depth_samples += src.queue_depth_samples;
         self.queue_depth_max = self.queue_depth_max.max(src.queue_depth_max);
@@ -120,24 +128,22 @@ pub struct DeviceStats {
     archived: Mutex<Inner>,
     /// Number of closed epochs (0 until the first [`DeviceStats::begin_epoch`]).
     epoch: std::sync::atomic::AtomicU64,
-    /// Requests per time-series bucket (ordinal bucketing).
-    bucket_width: u64,
+    /// Bytes moved per time-series bucket.
+    bucket_bytes: u64,
 }
 
 impl DeviceStats {
-    /// New ledger with the default time-series bucket width.
+    /// New ledger with the default time-series bucket (64 KiB moved).
     pub fn new() -> Self {
-        Self {
-            bucket_width: 32,
-            ..Self::default()
-        }
+        Self::with_bucket_bytes(BUCKET_BYTES)
     }
 
-    /// New ledger with an explicit time-series bucket width (requests per
-    /// bucket).
-    pub fn with_bucket_width(bucket_width: u64) -> Self {
+    /// New ledger whose time-series buckets each cover `bucket_bytes`
+    /// bytes moved. Bucketing on bytes rather than request ordinals keeps
+    /// the series as long when requests get fewer and larger.
+    pub fn with_bucket_bytes(bucket_bytes: u64) -> Self {
         Self {
-            bucket_width: bucket_width.max(1),
+            bucket_bytes: bucket_bytes.max(1),
             ..Self::default()
         }
     }
@@ -156,12 +162,21 @@ impl DeviceStats {
         if let Some(p) = prefix {
             *g.prefix_spread.entry(p).or_default() += 1;
         }
-        let bucket = (g.total_requests / self.bucket_width) as usize;
-        if g.buckets.len() <= bucket {
-            g.buckets.resize(bucket + 1, TraceBucket::default());
+        // The request counts where its first byte lands; its bytes fill
+        // that bucket and spill into the next ones.
+        let width = self.bucket_bytes;
+        let (mut at, end) = (g.total_bytes, g.total_bytes + bytes);
+        let last = (end.max(at + 1) - 1) / width;
+        if g.buckets.len() as u64 <= last {
+            g.buckets.resize(last as usize + 1, TraceBucket::default());
         }
-        g.buckets[bucket].requests += 1;
-        g.buckets[bucket].bytes += bytes;
+        g.buckets[(at / width) as usize].requests += 1;
+        while at < end {
+            let fill = (at / width + 1) * width;
+            g.buckets[(at / width) as usize].bytes += fill.min(end) - at;
+            at = fill.min(end);
+        }
+        g.total_bytes = end;
         g.total_requests += 1;
     }
 
@@ -189,7 +204,7 @@ impl DeviceStats {
             prefix_count: g.prefix_spread.len() as u64,
             effective_prefixes: effective_prefixes(&g.prefix_spread),
             buckets: g.buckets.clone(),
-            bucket_width: self.bucket_width,
+            bucket_bytes: self.bucket_bytes,
             total_requests: g.total_requests,
             mean_queue_depth: if g.queue_depth_samples == 0 {
                 0.0
@@ -268,8 +283,8 @@ pub struct StatsSnapshot {
     pub effective_prefixes: f64,
     /// Request time series.
     pub buckets: Vec<TraceBucket>,
-    /// Requests per bucket.
-    pub bucket_width: u64,
+    /// Bytes moved per bucket.
+    pub bucket_bytes: u64,
     /// Total requests across all ops.
     pub total_requests: u64,
     /// Mean sampled async-write queue depth.
@@ -402,8 +417,8 @@ mod tests {
     }
 
     #[test]
-    fn buckets_fill_in_order() {
-        let s = DeviceStats::with_bucket_width(2);
+    fn buckets_fill_by_bytes_in_order() {
+        let s = DeviceStats::with_bucket_bytes(20);
         for _ in 0..5 {
             s.record(IoOp::BlockWrite, 10);
         }
@@ -412,6 +427,16 @@ mod tests {
         assert_eq!(snap.buckets[0].requests, 2);
         assert_eq!(snap.buckets[2].requests, 1);
         assert_eq!(snap.buckets[1].bytes, 20);
+        // One large request spreads its bytes over the buckets it spans
+        // and counts once, where it starts; a byteless one counts in the
+        // bucket being filled.
+        s.record(IoOp::Put, 45);
+        s.record(IoOp::Delete, 0);
+        let snap = s.snapshot();
+        let bytes: Vec<u64> = snap.buckets.iter().map(|b| b.bytes).collect();
+        let requests: Vec<u64> = snap.buckets.iter().map(|b| b.requests).collect();
+        assert_eq!(bytes, [20, 20, 20, 20, 15]);
+        assert_eq!(requests, [2, 2, 2, 0, 1]);
     }
 
     #[test]
@@ -449,7 +474,7 @@ mod tests {
 
     #[test]
     fn epochs_partition_and_lifetime_merges() {
-        let s = DeviceStats::with_bucket_width(2);
+        let s = DeviceStats::with_bucket_bytes(200);
         s.record_prefixed(IoOp::Put, 100, Some(1));
         s.record_prefixed(IoOp::Put, 100, Some(2));
         s.record_backoff(500);

@@ -9,12 +9,19 @@
 //!
 //! Semantics reproduced here:
 //!
-//! * **Read-through**: a miss fetches from the object store, returns to
-//!   the caller, and caches the object on SSD *asynchronously*.
-//! * **Write-back** (churn phase): synchronous SSD write, asynchronous
-//!   object-store upload; the entry joins the LRU only after the upload
-//!   succeeds, "to prevent unnecessary build-up of pages in the OCM cache
-//!   (e.g., pages of failed/rolled-back transactions)".
+//! * **Extents**: the cache is keyed by [`Extent`] — an object key and a
+//!   byte offset, one page per slot — so a whole object and each member
+//!   of a composite object are cached alike, and every page read goes
+//!   through the OCM.
+//! * **Read-through**: a miss fetches from the object store (a ranged GET
+//!   for a member), returns to the caller, and caches the extent on SSD
+//!   *asynchronously*.
+//! * **Write-back** (churn phase): synchronous SSD write of every page of
+//!   the object, one asynchronous object-store upload; the entries join
+//!   the LRU only after the upload succeeds, "to prevent unnecessary
+//!   build-up of pages in the OCM cache (e.g., pages of
+//!   failed/rolled-back transactions)". Until then a read is served from
+//!   the page's slot.
 //! * **Write-through** (commit phase): synchronous object-store upload,
 //!   asynchronous SSD caching.
 //! * **FlushForCommit**: moves the committing transaction's queued jobs to
@@ -32,5 +39,7 @@
 pub mod manager;
 pub mod slots;
 
-pub use manager::{validate_slot_len, Ocm, OcmConfig, OcmStats, OcmStatsSnapshot, WriteMode};
+pub use manager::{
+    validate_slot_len, Extent, Ocm, OcmConfig, OcmStats, OcmStatsSnapshot, WriteMode,
+};
 pub use slots::SlotAllocator;

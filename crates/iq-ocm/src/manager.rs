@@ -1,5 +1,5 @@
 //! The OCM proper: a scan-resistant SSD cache with an asynchronous write
-//! queue.
+//! queue, keyed by [`Extent`].
 //!
 //! The slot list is a segmented LRU ([`iq_buffer::SlruCache`]): reads
 //! issued on behalf of a table scan are admitted probationary (see
@@ -16,8 +16,9 @@ use std::thread::JoinHandle;
 use bytes::Bytes;
 use iq_buffer::{Admission, SlruCache};
 use iq_common::trace::{self, EventKind};
-use iq_common::{IqError, IqResult, ObjectKey, TxnId};
+use iq_common::{BlockNum, IqError, IqResult, ObjectKey, TxnId};
 use iq_objectstore::{BlockBackend, BlockDeviceSim, ObjectBackend, RetryPolicy};
+use iq_storage::ExtentCache;
 use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
 
@@ -81,25 +82,54 @@ impl OcmStatsSnapshot {
     }
 }
 
+/// What the OCM caches: the byte run of an object that starts at `offset`,
+/// one page image per slot. A whole object is the extent at offset 0; a
+/// composite member is the extent at its byte offset, so a member is
+/// fetched (by ranged GET) and cached on its own, as the chunked-object
+/// layout addresses each chunk by its offset in the object's manifest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Extent {
+    /// The object.
+    pub key: ObjectKey,
+    /// Byte offset of the run inside the object.
+    pub offset: u32,
+}
+
+impl From<ObjectKey> for Extent {
+    /// A whole object.
+    fn from(key: ObjectKey) -> Self {
+        Self { key, offset: 0 }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
     slot: u64,
     len: u32,
 }
 
+/// One page of a write-back group. `slot` already holds `image` on SSD,
+/// unless the SSD write failed or no slot was free.
+struct Member {
+    extent: Extent,
+    slot: Option<u64>,
+    image: Bytes,
+}
+
 enum Job {
-    /// Write-back upload; `cache_slot` already holds the bytes on SSD.
+    /// Write-back upload of a whole object — one page, or a composite of
+    /// several — whose members already sit in their SSD slots.
     StorePut {
         txn: TxnId,
         key: ObjectKey,
         data: Bytes,
-        cache_slot: Option<u64>,
+        members: Vec<Extent>,
     },
     /// Asynchronous SSD population after a read-through or write-through.
     /// `scan` carries the originating read's admission hint to the slot
     /// list (scan reads are admitted probationary).
     CachePopulate {
-        key: ObjectKey,
+        extent: Extent,
         data: Bytes,
         scan: bool,
     },
@@ -115,7 +145,7 @@ impl Job {
 }
 
 struct Inner {
-    cache: SlruCache<ObjectKey, CacheEntry>,
+    cache: SlruCache<Extent, CacheEntry>,
     slots: SlotAllocator,
     queue: VecDeque<Job>,
     /// Outstanding asynchronous store uploads per transaction.
@@ -125,11 +155,15 @@ struct Inner {
     /// Transactions that signalled FlushForCommit; their writes are
     /// forced to write-through from then on.
     commit_mode: HashSet<TxnId>,
-    /// Object images queued for SSD population but not yet durable in a
-    /// slot. A read that lands here is a cache hit (the store round trip
-    /// was already paid and counted by the populate's originator), and the
-    /// key must not be enqueued for population a second time.
-    pending_populates: HashMap<ObjectKey, Bytes>,
+    /// Images queued for SSD population but not yet durable in a slot. A
+    /// read that lands here is a cache hit (the store round trip was
+    /// already paid and counted by the populate's originator), and the
+    /// extent must not be enqueued for population a second time.
+    pending_populates: HashMap<Extent, Bytes>,
+    /// Write-back members whose upload has not resolved. They are not in
+    /// the LRU yet (§4), but the store may not have them either, so a read
+    /// is served from here and counts as a hit.
+    queued_writes: HashMap<Extent, Member>,
     shutdown: bool,
 }
 
@@ -172,6 +206,7 @@ impl Ocm {
             txn_errors: HashMap::new(),
             commit_mode: HashSet::new(),
             pending_populates: HashMap::new(),
+            queued_writes: HashMap::new(),
             shutdown: false,
         }));
         let work_cv = Arc::new(Condvar::new());
@@ -246,27 +281,56 @@ impl Ocm {
     /// recycles its own slots instead of evicting the point-read working
     /// set.
     pub fn read_hinted(&self, key: ObjectKey, scan: bool) -> IqResult<Bytes> {
+        self.read_extent(key.into(), scan, || {
+            self.config.retry.get(self.store.as_ref(), key)
+        })
+    }
+
+    /// Read one extent, hinted as [`Ocm::read_hinted`]: an SSD hit, a hit
+    /// on an image still queued for upload or population, or a miss that
+    /// `fetch` reads through from the store — a GET for a whole object, a
+    /// ranged GET for a composite member — and that is cached
+    /// asynchronously.
+    pub fn read_extent(
+        &self,
+        extent: Extent,
+        scan: bool,
+        fetch: impl FnOnce() -> IqResult<Bytes>,
+    ) -> IqResult<Bytes> {
         let mut inner = self.inner.lock();
-        if let Some(entry) = inner.cache.get(&key).copied() {
+        let key = extent.key;
+        // A write-back member waiting on its upload is read from its slot
+        // like a cached one: the store may not have it yet.
+        let slotted = inner.cache.get(&extent).copied().or_else(|| {
+            let m = inner.queued_writes.get(&extent)?;
+            Some(CacheEntry {
+                slot: m.slot?,
+                len: m.image.len() as u32,
+            })
+        });
+        if let Some(entry) = slotted {
             // Sample the async-write queue depth: deep queues inflate SSD
             // read latency in the time model (Figure 6's anomaly).
             let depth = inner.queue.len() as u64;
             self.ssd.stats.record_queue_depth(depth);
             trace::emit(EventKind::OcmQueueDepth { depth });
             let start = inner.slots.slot_start(entry.slot);
-            // Read only the blocks the object actually covers.
-            let blocks = entry.len.div_ceil(self.ssd.block_size()).max(1);
-            // Hold the lock across the SSD read so eviction cannot recycle
-            // the slot underneath us (the simulation's equivalent of a pin).
-            let image = self.ssd.read_blocks(start, blocks)?; // LOCK-OK: slot pin
+            // Read only the blocks the object actually covers. Hold the
+            // lock across the SSD read so eviction cannot recycle the slot
+            // underneath us (the simulation's equivalent of a pin).
+            let image = self.ssd.read_bytes(start, entry.len)?; // LOCK-OK: slot pin
 
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             trace::emit(EventKind::OcmHit { key: key.offset() });
-            return Ok(image.slice(0..entry.len as usize));
+            return Ok(image);
         }
-        if let Some(data) = inner.pending_populates.get(&key).cloned() {
-            // Queued for population but not yet in a durable slot: serve the
-            // queued image and count a hit. The read-through that queued it
+        let queued = match inner.queued_writes.get(&extent) {
+            Some(m) => Some(m.image.clone()),
+            None => inner.pending_populates.get(&extent).cloned(),
+        };
+        if let Some(data) = queued {
+            // Queued but not in a durable slot: serve the queued image and
+            // count a hit. For a populate, the read-through that queued it
             // already counted the miss; bumping misses again here (and
             // re-enqueueing a populate) double-counted Table 5 until the
             // slot became durable.
@@ -277,17 +341,20 @@ impl Ocm {
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         trace::emit(EventKind::OcmMiss { key: key.offset() });
         drop(inner);
-        let data = self.config.retry.get(self.store.as_ref(), key)?;
+        let data = fetch()?;
         // Asynchronously cache for future lookups (read-through) — unless
-        // the object exceeds the slot size, in which case it is served
+        // the image exceeds the slot size, in which case it is served
         // directly and never cached: a truncated slot image would corrupt
         // every later hit.
         if validate_slot_len(data.len(), self.config.slot_bytes).is_ok() {
             let mut inner = self.inner.lock();
-            if inner.cache.peek(&key).is_none() && !inner.pending_populates.contains_key(&key) {
-                inner.pending_populates.insert(key, data.clone());
+            if inner.cache.peek(&extent).is_none()
+                && !inner.pending_populates.contains_key(&extent)
+                && !inner.queued_writes.contains_key(&extent)
+            {
+                inner.pending_populates.insert(extent, data.clone());
                 inner.queue.push_back(Job::CachePopulate {
-                    key,
+                    extent,
                     data: data.clone(),
                     scan,
                 });
@@ -297,10 +364,44 @@ impl Ocm {
         Ok(data)
     }
 
-    /// Write an object on behalf of `txn`. The mode is upgraded to
-    /// write-through once the transaction has signalled FlushForCommit.
+    /// Write a one-page object on behalf of `txn` (see
+    /// [`Ocm::write_group`]).
     pub fn write(&self, key: ObjectKey, data: Bytes, txn: TxnId, mode: WriteMode) -> IqResult<()> {
-        validate_slot_len(data.len(), self.config.slot_bytes)?;
+        let len = validate_slot_len(data.len(), self.config.slot_bytes)?;
+        self.write_group(key, data, &[(0, len)], txn, mode)
+    }
+
+    /// Write an object on behalf of `txn` whose pages are the
+    /// `(offset, len)` runs of `data`: a composite, or one page at offset
+    /// 0. The mode is upgraded to write-through once the transaction has
+    /// signalled FlushForCommit.
+    ///
+    /// Write-back puts each page in its own SSD slot synchronously and
+    /// queues one upload for the whole object; the pages join the LRU only
+    /// when it lands, and until then a read is served from the slot. A
+    /// failed upload frees every slot and fails `txn`'s commit.
+    /// Write-through uploads synchronously, then caches every page
+    /// asynchronously.
+    pub fn write_group(
+        &self,
+        key: ObjectKey,
+        data: Bytes,
+        members: &[(u32, u32)],
+        txn: TxnId,
+        mode: WriteMode,
+    ) -> IqResult<()> {
+        let mut pages = Vec::with_capacity(members.len());
+        for &(offset, len) in members {
+            validate_slot_len(len as usize, self.config.slot_bytes)?;
+            let (at, end) = (offset as usize, offset as usize + len as usize);
+            if end > data.len() {
+                return Err(IqError::Invalid(format!(
+                    "member {at}..{end} overruns a {}-byte object",
+                    data.len()
+                )));
+            }
+            pages.push((Extent { key, offset }, data.slice(at..end)));
+        }
         let mut inner = self.inner.lock();
         let effective = if inner.commit_mode.contains(&txn) {
             WriteMode::WriteThrough
@@ -309,30 +410,52 @@ impl Ocm {
         };
         match effective {
             WriteMode::WriteBack => {
-                let cache_slot = allocate_slot(&mut inner, &self.stats);
-                let slot_meta =
-                    cache_slot.map(|s| (inner.slots.slot_start(s), inner.slots.blocks_per_slot()));
+                let slots: Vec<Option<(u64, BlockNum)>> = pages
+                    .iter()
+                    .map(|_| {
+                        let slot = allocate_slot(&mut inner, &self.stats)?;
+                        Some((slot, inner.slots.slot_start(slot)))
+                    })
+                    .collect();
                 *inner.pending_puts.entry(txn).or_insert(0) += 1;
                 drop(inner);
-                // Synchronous SSD write; "if a write to the locally
-                // attached storage fails, the error is ignored" (§4).
-                let mut final_slot = cache_slot;
-                if let Some((start, _)) = slot_meta {
-                    // Write only the blocks the object needs within its slot.
-                    if self.ssd.write_blocks(start, &data).is_err() {
-                        let mut inner = self.inner.lock();
-                        if let Some(s) = cache_slot {
-                            inner.slots.free(s);
+                // Synchronous SSD writes; "if a write to the locally
+                // attached storage fails, the error is ignored" (§4): that
+                // page is then served from its queued image until the
+                // upload lands, and never cached.
+                let mut lost = Vec::new();
+                let queued: Vec<Member> = pages
+                    .into_iter()
+                    .zip(slots)
+                    .map(|((extent, image), placed)| {
+                        let slot = placed.and_then(|(slot, start)| {
+                            if self.ssd.write_blocks(start, &image).is_ok() {
+                                Some(slot)
+                            } else {
+                                lost.push(slot);
+                                None
+                            }
+                        });
+                        Member {
+                            extent,
+                            slot,
+                            image,
                         }
-                        final_slot = None;
-                    }
-                }
+                    })
+                    .collect();
                 let mut inner = self.inner.lock();
+                for slot in lost {
+                    inner.slots.free(slot);
+                }
+                let members = queued.iter().map(|m| m.extent).collect();
+                for m in queued {
+                    inner.queued_writes.insert(m.extent, m);
+                }
                 inner.queue.push_back(Job::StorePut {
                     txn,
                     key,
                     data,
-                    cache_slot: final_slot,
+                    members,
                 });
                 self.work_cv.notify_one();
                 Ok(())
@@ -341,16 +464,16 @@ impl Ocm {
                 drop(inner);
                 // Synchronous upload; failure rolls the transaction back
                 // at the caller.
-                self.config
-                    .retry
-                    .put(self.store.as_ref(), key, data.clone())?;
+                self.config.retry.put(self.store.as_ref(), key, data)?;
                 let mut inner = self.inner.lock();
-                inner.pending_populates.insert(key, data.clone());
-                inner.queue.push_back(Job::CachePopulate {
-                    key,
-                    data,
-                    scan: false,
-                });
+                for (extent, image) in pages {
+                    inner.pending_populates.insert(extent, image.clone());
+                    inner.queue.push_back(Job::CachePopulate {
+                        extent,
+                        data: image,
+                        scan: false,
+                    });
+                }
                 self.work_cv.notify_one();
                 Ok(())
             }
@@ -408,9 +531,10 @@ impl Ocm {
         }
     }
 
-    /// Whether an object is currently cached (does not touch recency).
-    pub fn contains(&self, key: ObjectKey) -> bool {
-        self.inner.lock().cache.peek(&key).is_some()
+    /// Whether an extent — or, given a key, a whole object — is currently
+    /// cached (does not touch recency).
+    pub fn contains(&self, extent: impl Into<Extent>) -> bool {
+        self.inner.lock().cache.peek(&extent.into()).is_some()
     }
 
     /// Snapshot of the SSD device's request ledger (queue-depth samples
@@ -426,6 +550,18 @@ impl Ocm {
         while let Some((_, e)) = inner.cache.pop_victim() {
             inner.slots.free(e.slot);
         }
+    }
+}
+
+impl ExtentCache for Ocm {
+    fn read_extent(
+        &self,
+        key: ObjectKey,
+        offset: u32,
+        scan: bool,
+        fetch: &mut dyn FnMut() -> IqResult<Bytes>,
+    ) -> IqResult<Bytes> {
+        Ocm::read_extent(self, Extent { key, offset }, scan, fetch)
     }
 }
 
@@ -448,12 +584,12 @@ fn allocate_slot(inner: &mut Inner, stats: &OcmStats) -> Option<u64> {
     if let Some(s) = inner.slots.allocate() {
         return Some(s);
     }
-    if let Some((old_key, old)) = inner.cache.pop_victim() {
+    if let Some((old, entry)) = inner.cache.pop_victim() {
         stats.evictions.fetch_add(1, Ordering::Relaxed);
         trace::emit(EventKind::OcmEvict {
-            key: old_key.offset(),
+            key: old.key.offset(),
         });
-        inner.slots.free(old.slot);
+        inner.slots.free(entry.slot);
         return inner.slots.allocate();
     }
     None
@@ -505,45 +641,45 @@ fn worker_loop(
                 txn,
                 key,
                 data,
-                cache_slot,
+                members,
             } => {
                 drop(guard);
-                let len = data.len() as u32;
                 let result = retry.put(store, key, data);
                 guard = inner.lock();
                 if let Some(n) = guard.pending_puts.get_mut(&txn) {
                     *n = n.saturating_sub(1);
                 }
-                match result {
-                    Ok(()) => {
-                        // Only now does the entry join the LRU: "a page is
-                        // not added to the LRU list until it has been
-                        // successfully written to the underlying object
-                        // store" (§4).
-                        if let Some(slot) = cache_slot {
-                            if let Some(old) = guard.cache.insert(
-                                key,
-                                CacheEntry { slot, len },
-                                1,
-                                Admission::Demand,
-                            ) {
-                                guard.slots.free(old.slot);
-                            }
-                        }
+                for extent in members {
+                    let Some(Member { slot, image, .. }) = guard.queued_writes.remove(&extent)
+                    else {
+                        continue;
+                    };
+                    let Some(slot) = slot else { continue };
+                    if result.is_err() {
+                        guard.slots.free(slot);
+                        continue;
                     }
-                    Err(e) => {
-                        if let Some(slot) = cache_slot {
-                            guard.slots.free(slot);
-                        }
-                        guard.txn_errors.entry(txn).or_insert(e);
+                    // Only now does the entry join the LRU: "a page is
+                    // not added to the LRU list until it has been
+                    // successfully written to the underlying object
+                    // store" (§4).
+                    let entry = CacheEntry {
+                        slot,
+                        len: image.len() as u32,
+                    };
+                    if let Some(old) = guard.cache.insert(extent, entry, 1, Admission::Demand) {
+                        guard.slots.free(old.slot);
                     }
+                }
+                if let Err(e) = result {
+                    guard.txn_errors.entry(txn).or_insert(e);
                 }
                 done_cv.notify_all();
             }
-            Job::CachePopulate { key, data, scan } => {
-                if guard.cache.peek(&key).is_some() {
+            Job::CachePopulate { extent, data, scan } => {
+                if guard.cache.peek(&extent).is_some() {
                     // Already cached by a racing populate.
-                    guard.pending_populates.remove(&key);
+                    guard.pending_populates.remove(&extent);
                     done_cv.notify_all();
                     continue;
                 }
@@ -551,12 +687,12 @@ fn worker_loop(
                 // The old unchecked `data.len() as u32` truncated the stored
                 // length and let the image overrun neighbouring slots.
                 let Ok(len) = validate_slot_len(data.len(), slot_bytes) else {
-                    guard.pending_populates.remove(&key);
+                    guard.pending_populates.remove(&extent);
                     done_cv.notify_all();
                     continue;
                 };
                 let Some(slot) = allocate_slot(&mut guard, stats) else {
-                    guard.pending_populates.remove(&key);
+                    guard.pending_populates.remove(&extent);
                     done_cv.notify_all();
                     continue;
                 };
@@ -564,16 +700,20 @@ fn worker_loop(
                 drop(guard);
                 let ok = ssd.write_blocks(start, &data).is_ok();
                 guard = inner.lock();
-                // The key leaves the pending set in every outcome, success
+                // The extent leaves the pending set in every outcome, success
                 // or not — a stale entry would count phantom hits forever.
-                guard.pending_populates.remove(&key);
+                guard.pending_populates.remove(&extent);
                 if ok {
                     let admit = if scan {
                         Admission::Scan
                     } else {
                         Admission::Demand
                     };
-                    if let Some(old) = guard.cache.insert(key, CacheEntry { slot, len }, 1, admit) {
+                    if let Some(old) =
+                        guard
+                            .cache
+                            .insert(extent, CacheEntry { slot, len }, 1, admit)
+                    {
                         guard.slots.free(old.slot);
                     }
                 } else {
@@ -865,6 +1005,180 @@ mod tests {
         ocm.quiesce();
         assert!(ocm.contains(key(31)));
         assert_eq!(&ocm.read(key(31)).unwrap()[..], b"small");
+    }
+
+    /// A strong store whose PUTs wait until the test opens the gate, then
+    /// land — or fail, with `fail`.
+    struct GatedStore {
+        sim: ObjectStoreSim,
+        open: Mutex<bool>,
+        opened: Condvar,
+        fail: bool,
+    }
+
+    impl GatedStore {
+        fn new(fail: bool) -> Arc<Self> {
+            Arc::new(Self {
+                sim: ObjectStoreSim::new(ConsistencyConfig::strong()),
+                open: Mutex::new(false),
+                opened: Condvar::new(),
+                fail,
+            })
+        }
+
+        fn release(&self) {
+            *self.open.lock() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    impl ObjectBackend for GatedStore {
+        fn put(&self, key: ObjectKey, data: Bytes) -> IqResult<()> {
+            let mut open = self.open.lock();
+            while !*open {
+                self.opened.wait(&mut open);
+            }
+            if self.fail {
+                return Err(IqError::DuplicateObjectKey(key));
+            }
+            self.sim.put(key, data)
+        }
+        fn get(&self, key: ObjectKey) -> IqResult<Bytes> {
+            self.sim.get(key)
+        }
+        fn delete(&self, key: ObjectKey) -> IqResult<()> {
+            self.sim.delete(key)
+        }
+        fn exists(&self, key: ObjectKey) -> bool {
+            self.sim.exists(key)
+        }
+        fn resident_bytes(&self) -> u64 {
+            self.sim.resident_bytes()
+        }
+        fn stats_snapshot(&self) -> iq_objectstore::StatsSnapshot {
+            self.sim.stats_snapshot()
+        }
+        fn reset_stats(&self) {
+            self.sim.reset_stats()
+        }
+    }
+
+    fn gated(slots: u32, fail: bool) -> (Ocm, Arc<GatedStore>) {
+        let slot_bytes = 1024u32;
+        let ssd = Arc::new(BlockDeviceSim::new(256, slots as u64 * 4));
+        let store = GatedStore::new(fail);
+        let ocm = Ocm::new(
+            ssd,
+            store.clone(),
+            OcmConfig {
+                slot_bytes,
+                capacity_bytes: slots as u64 * slot_bytes as u64,
+                protected_fraction: 0.8,
+                retry: RetryPolicy::default(),
+            },
+        );
+        (ocm, store)
+    }
+
+    /// Three pages of 300, 500 and 200 bytes laid end to end.
+    fn composite() -> (Bytes, Vec<(u32, u32)>) {
+        let mut blob = vec![1u8; 300];
+        blob.extend(vec![2u8; 500]);
+        blob.extend(vec![3u8; 200]);
+        (Bytes::from(blob), vec![(0, 300), (300, 500), (800, 200)])
+    }
+
+    fn extent(key: ObjectKey, offset: u32) -> Extent {
+        Extent { key, offset }
+    }
+
+    #[test]
+    fn group_members_join_the_lru_only_after_the_put_lands() {
+        let (ocm, store) = gated(8, false);
+        let (blob, members) = composite();
+        let txn = TxnId(1);
+        ocm.write_group(key(9), blob.clone(), &members, txn, WriteMode::WriteBack)
+            .unwrap();
+        // Queued: each member holds a slot but none is in the LRU, and a
+        // read is served from the slot as a hit — the store has nothing.
+        assert_eq!(ocm.inner.lock().slots.allocated(), 3);
+        for &(offset, len) in &members {
+            assert!(!ocm.contains(extent(key(9), offset)));
+            let at = offset as usize..(offset + len) as usize;
+            let read = ocm
+                .read_extent(extent(key(9), offset), false, || {
+                    panic!("a queued member must not be read from the store")
+                })
+                .unwrap();
+            assert_eq!(read, blob.slice(at));
+        }
+        assert_eq!(ocm.stats_snapshot().hits, 3);
+        assert_eq!(ocm.stats_snapshot().misses, 0);
+        assert!(!store.exists(key(9)));
+        // The one PUT lands: every member joins, the whole object once.
+        store.release();
+        ocm.flush_for_commit(txn).unwrap();
+        for &(offset, _) in &members {
+            assert!(ocm.contains(extent(key(9), offset)));
+        }
+        assert_eq!(
+            store
+                .sim
+                .stats_snapshot()
+                .op(iq_objectstore::IoOp::Put)
+                .count,
+            1
+        );
+        assert_eq!(store.sim.max_write_count(), 1);
+        ocm.end_txn(txn);
+    }
+
+    #[test]
+    fn a_failed_group_put_frees_every_member_slot() {
+        let (ocm, store) = gated(8, true);
+        let (blob, members) = composite();
+        let txn = TxnId(2);
+        ocm.write_group(key(5), blob, &members, txn, WriteMode::WriteBack)
+            .unwrap();
+        assert_eq!(ocm.inner.lock().slots.allocated(), 3);
+        store.release();
+        let err = ocm.flush_for_commit(txn).unwrap_err();
+        assert_eq!(err, IqError::DuplicateObjectKey(key(5)));
+        ocm.end_txn(txn);
+        assert_eq!(ocm.inner.lock().slots.allocated(), 0, "every slot freed");
+        assert_eq!(ocm.cached_objects(), 0, "no member joined the LRU");
+        assert!(ocm.inner.lock().queued_writes.is_empty());
+    }
+
+    #[test]
+    fn a_write_back_page_reads_back_before_its_upload_lands() {
+        // Write-back then an immediate read, 2 000 times: the read races
+        // the worker's upload and must be served by the OCM whether or
+        // not it has landed (before, most of these reads went to the
+        // store ahead of the PUT and failed).
+        let slot_bytes = 1024u32;
+        let ssd = Arc::new(BlockDeviceSim::new(256, 64 * 4));
+        let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
+        let ocm = Ocm::new(
+            ssd,
+            store.clone(),
+            OcmConfig {
+                slot_bytes,
+                capacity_bytes: 64 * slot_bytes as u64,
+                protected_fraction: 0.8,
+                retry: RetryPolicy::default(),
+            },
+        );
+        let txn = TxnId(3);
+        for off in 0..2_000u64 {
+            let data = Bytes::from(vec![off as u8; 100 + (off % 700) as usize]);
+            ocm.write(key(off), data.clone(), txn, WriteMode::WriteBack)
+                .unwrap();
+            assert_eq!(ocm.read(key(off)).unwrap(), data, "read {off}");
+        }
+        ocm.flush_for_commit(txn).unwrap();
+        assert_eq!(store.max_write_count(), 1);
+        ocm.end_txn(txn);
     }
 
     #[test]

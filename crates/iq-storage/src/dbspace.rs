@@ -12,7 +12,7 @@
 //!   it; reads go through the read-after-write retry loop.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use iq_common::trace::{self, EventKind};
 use iq_common::{DbSpaceId, IqError, IqResult, ObjectKey, PhysicalLocator};
@@ -63,6 +63,21 @@ enum Backing {
     },
 }
 
+/// A read-through cache of object extents in front of a cloud dbspace:
+/// the OCM. An extent is the byte run of an object at `offset` — a whole
+/// object at 0, a composite member at its offset.
+pub trait ExtentCache: Send + Sync {
+    /// Serve the extent at `offset` of `key`, calling `fetch` to read it
+    /// from the store on a miss. `scan` hints that a table scan asked.
+    fn read_extent(
+        &self,
+        key: ObjectKey,
+        offset: u32,
+        scan: bool,
+        fetch: &mut dyn FnMut() -> IqResult<bytes::Bytes>,
+    ) -> IqResult<bytes::Bytes>;
+}
+
 /// One dbspace.
 pub struct DbSpace {
     /// Dbspace identifier.
@@ -72,8 +87,12 @@ pub struct DbSpace {
     /// Page geometry.
     pub config: StorageConfig,
     backing: Backing,
-    /// Composite members served, one ranged GET each.
+    /// Composite members read from the store, one ranged GET each (an
+    /// OCM hit reads none).
     member_reads: AtomicU64,
+    /// The cache every page read of a cloud dbspace goes through, once
+    /// attached.
+    cache: OnceLock<Arc<dyn ExtentCache>>,
 }
 
 impl DbSpace {
@@ -101,6 +120,7 @@ impl DbSpace {
                 freelist: Mutex::new(freelist),
             },
             member_reads: AtomicU64::new(0),
+            cache: OnceLock::new(),
         })
     }
 
@@ -118,7 +138,14 @@ impl DbSpace {
             config,
             backing: Backing::Cloud { store, retry },
             member_reads: AtomicU64::new(0),
+            cache: OnceLock::new(),
         }
+    }
+
+    /// Put `cache` in front of every page read of this dbspace from now
+    /// on. A dbspace takes one cache, once; a second is ignored.
+    pub fn attach_cache(&self, cache: Arc<dyn ExtentCache>) {
+        let _ = self.cache.set(cache);
     }
 
     /// Whether this dbspace lives on an object store.
@@ -197,7 +224,7 @@ impl DbSpace {
         Ok(read.data)
     }
 
-    /// Composite members this dbspace has served.
+    /// Composite members this dbspace has read from the store.
     pub fn member_reads(&self) -> u64 {
         self.member_reads.load(Ordering::Relaxed)
     }
@@ -212,15 +239,21 @@ impl DbSpace {
 
     /// Read and verify the page at `loc`.
     pub fn read_page(&self, loc: PhysicalLocator) -> IqResult<Page> {
-        let image = match (&self.backing, loc) {
+        Page::unseal(&self.read_image(loc, false)?)
+    }
+
+    /// The sealed image at `loc`: a block run, or an object or composite
+    /// member read through the attached cache (a miss is one GET, or one
+    /// ranged GET of exactly the member's bytes). `scan` is the cache's
+    /// admission hint.
+    pub fn read_image(&self, loc: PhysicalLocator, scan: bool) -> IqResult<bytes::Bytes> {
+        let (key, offset) = match (&self.backing, loc) {
             (Backing::Conventional { device, .. }, PhysicalLocator::Blocks { start, count }) => {
-                device.read_blocks(start, count as u32)?
+                return device.read_blocks(start, count as u32);
             }
-            (Backing::Cloud { store, retry }, PhysicalLocator::Object(key)) => {
-                retry.get(store.as_ref(), key)?
-            }
-            (Backing::Cloud { .. }, PhysicalLocator::ObjectRange { key, offset, len }) => {
-                self.get_range(key, offset, len)?
+            (Backing::Cloud { .. }, PhysicalLocator::Object(key)) => (key, 0),
+            (Backing::Cloud { .. }, PhysicalLocator::ObjectRange { key, offset, .. }) => {
+                (key, offset)
             }
             _ => {
                 return Err(IqError::Invalid(format!(
@@ -229,7 +262,14 @@ impl DbSpace {
                 )))
             }
         };
-        Page::unseal(&image)
+        let mut fetch = || match loc {
+            PhysicalLocator::ObjectRange { len, .. } => self.get_range(key, offset, len),
+            _ => self.get_raw(key),
+        };
+        match self.cache.get() {
+            Some(cache) => cache.read_extent(key, offset, scan, &mut fetch),
+            None => fetch(),
+        }
     }
 
     /// Release the storage behind `loc` (garbage collection).

@@ -43,7 +43,7 @@ pub mod page;
 
 pub use blockmap::{Blockmap, FlushOutcome, NODE_PAGE_TAG};
 pub use catalog::Catalog;
-pub use dbspace::{CountingKeySource, DbSpace, KeySource, NodeSink, PageIo};
+pub use dbspace::{CountingKeySource, DbSpace, ExtentCache, KeySource, NodeSink, PageIo};
 pub use freelist::Freelist;
 pub use identity::IdentityObject;
 pub use page::{Page, PageKind, StorageConfig};

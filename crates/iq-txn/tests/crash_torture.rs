@@ -198,7 +198,7 @@ fn crash_mid_parallel_flush() {
         bm.put_dirty(fk, page(i, 0x22), txn, &sink).unwrap();
     }
     inj.arm_crash(8);
-    let err = bm.flush_txn_packed(txn, &sink, &IoCore::new(4), 1);
+    let err = bm.flush_txn_packed(txn, &sink, &IoCore::new(4));
     assert!(err.is_err(), "mid-flush crash must surface to the caller");
     let landed: Vec<ObjectKey> = sink.written.lock().clone();
     assert!(landed.len() < 20, "the cut stopped part of the fan-out");

@@ -8,7 +8,7 @@ use cloudiq::core::{Database, DatabaseConfig, GroupCommitMode};
 use cloudiq::engine::table::{Schema, TableMeta, TableWriter};
 use cloudiq::engine::value::{DataType, Value};
 use cloudiq::engine::{Expr, PageStore};
-use cloudiq::objectstore::IoOp;
+use cloudiq::objectstore::{IoOp, ObjectBackend};
 use cloudiq::storage::PageKind;
 
 fn small_db() -> Database {
@@ -172,6 +172,62 @@ fn ocm_caches_and_serves_reads() {
     assert!(snap.hits > 0, "OCM should serve cache hits: {snap:?}");
 }
 
+/// A transaction reads back the pages it evicted before their write-back
+/// uploads land: the OCM serves each one from its slot. (The read used to
+/// go to the store ahead of the PUT and fail with retries exhausted — 5
+/// runs in 200 under this 8 KiB buffer.)
+#[test]
+fn a_transaction_reads_its_evicted_pages_before_their_uploads_land() {
+    for run in 0..200 {
+        let db = small_db();
+        let space = db.create_cloud_dbspace("clouddata").unwrap();
+        let table = TableId(1);
+        db.create_table(table, space).unwrap();
+        let mut meta = TableMeta::new(table, "t", simple_schema(), 64);
+        let txn = db.begin();
+        load_table(&db, &mut meta, txn, 2_000);
+        let pager = db.pager(txn).unwrap();
+        let out = meta.scan(&pager, &[0, 1], None, db.meter());
+        assert_eq!(out.map(|c| c.len()), Ok(2_000), "run {run}");
+        db.commit(txn).unwrap();
+        assert_eq!(db.cloud_store(space).unwrap().max_write_count(), 1);
+    }
+}
+
+/// A packed commit writes its groups across the I/O core's lanes, but
+/// each group draws its composite's key in group order, so the objects —
+/// and the blockmap leaves that name them — are those of a serial flush.
+#[test]
+fn a_packed_commit_writes_a_serial_flushs_objects_on_any_lane_count() {
+    let objects = |lanes: usize| {
+        let mut cfg = DatabaseConfig::test_small();
+        cfg.pack_pages = 2;
+        cfg.scan_workers = lanes;
+        // Nothing is evicted: the buffer's shard count follows the lanes,
+        // and with it which pages an eviction would pick.
+        cfg.buffer_bytes = 64 << 20;
+        let db = Database::create(cfg).unwrap();
+        let space = db.create_cloud_dbspace("clouddata").unwrap();
+        db.create_table(TableId(1), space).unwrap();
+        let mut meta = TableMeta::new(TableId(1), "t", simple_schema(), 64);
+        let txn = db.begin();
+        load_table(&db, &mut meta, txn, 2_000);
+        db.commit(txn).unwrap();
+        let store = db.cloud_store(space).unwrap();
+        store.settle();
+        let mut keys = store.live_keys();
+        keys.sort();
+        keys.into_iter()
+            .map(|k| (k, store.get(k).unwrap()))
+            .collect::<Vec<_>>()
+    };
+    let serial = objects(1);
+    assert!(serial.len() > 8, "{} objects", serial.len());
+    for run in 0..20 {
+        assert!(objects(4) == serial, "run {run}");
+    }
+}
+
 #[test]
 fn writer_crash_restart_reclaims_outstanding_keys() {
     // The Table 1 walkthrough at Database level.
@@ -269,10 +325,11 @@ fn encryption_keeps_plaintext_off_the_store() {
     let store = db.cloud_store(space).unwrap();
     let needle = secret.as_bytes();
     for key in store.live_keys() {
-        let bytes: Bytes = cloudiq::objectstore::ObjectBackend::get(store.as_ref(), key)
+        let bytes: Bytes = store
+            .get(key)
             .or_else(|_| {
                 store.settle();
-                cloudiq::objectstore::ObjectBackend::get(store.as_ref(), key)
+                store.get(key)
             })
             .unwrap();
         assert!(
@@ -438,7 +495,7 @@ fn database_stats_aggregate_the_stack() {
     assert!((1..=8 * 1024).contains(&u64_of("buffer.used_bytes")));
     let store = db.cloud_store(space).unwrap();
     assert!(store.object_count() > 0);
-    assert!(cloudiq::objectstore::ObjectBackend::resident_bytes(store.as_ref()) > 0);
+    assert!(store.resident_bytes() > 0);
     assert_eq!(store.max_write_count(), 1);
     assert_eq!(db.snapshot_manager().unwrap().retained_count(), 0);
 }

@@ -11,6 +11,8 @@
 //! The multi-seed sweep is heavy and runs under `--features torture`
 //! (the CI `torture` job); the single-seed cases always run.
 
+use std::sync::atomic::Ordering;
+
 use cloudiq::common::trace::MetricValue;
 use cloudiq::common::{ObjectKey, TableId};
 use cloudiq::core::{Database, DatabaseConfig, GroupCommitMode};
@@ -207,6 +209,102 @@ fn crash_cut_mid_packed_commit_recovers() {
     // Replay rebuilt the registry; nothing reclaimable may linger.
     db.gc_drain().unwrap();
     assert!(!db.shared().txns.composites().has_fully_dead());
+}
+
+/// A hard cut mid-*eviction-group*: a load larger than the buffer leaves
+/// in composites uploaded write-back through the OCM, and the store dies
+/// a few of those uploads in. The loading transaction's commit fails on
+/// the group that did not land, reopen recovers the baseline, and the
+/// groups that did land are reclaimed as garbage.
+#[test]
+fn crash_cut_mid_eviction_group_recovers() {
+    let mut cfg = faulted_cfg(FaultPlan::none());
+    cfg.pack_pages = 8;
+    cfg.buffer_bytes = 8 * 1024;
+    let db = Database::create(cfg.clone()).unwrap();
+    let space = db.create_cloud_dbspace("clouddata").unwrap();
+    db.create_table(TableId(1), space).unwrap();
+    db.create_table(TableId(2), space).unwrap();
+
+    let mut meta1 = TableMeta::new(TableId(1), "t1", schema(), 64);
+    let txn = db.begin();
+    load(&db, &mut meta1, txn, 200);
+    db.commit(txn).unwrap();
+    db.save_table_meta(&meta1).unwrap();
+    db.checkpoint().unwrap();
+
+    // The doomed load spills in eviction groups; the third upload after
+    // the cut is armed is the last one the store takes.
+    let inj = db.fault_injector(space).unwrap();
+    let groups_before = db
+        .shared()
+        .pack_stats
+        .objects_written
+        .load(Ordering::Relaxed);
+    let evicted_before = db
+        .shared()
+        .buffer
+        .stats
+        .dirty_evictions
+        .load(Ordering::Relaxed);
+    let mut meta2 = TableMeta::new(TableId(2), "t2", schema(), 32);
+    let doomed = db.begin();
+    inj.arm_crash(3);
+    load(&db, &mut meta2, doomed, 2_000);
+    let groups = db
+        .shared()
+        .pack_stats
+        .objects_written
+        .load(Ordering::Relaxed)
+        - groups_before;
+    let evicted = db
+        .shared()
+        .buffer
+        .stats
+        .dirty_evictions
+        .load(Ordering::Relaxed)
+        - evicted_before;
+    assert!(
+        groups > 3,
+        "the load must spill in more groups than land: {groups}"
+    );
+    assert!(evicted > groups, "eviction groups carry several pages");
+    assert!(
+        db.commit(doomed).is_err(),
+        "a commit whose eviction group never landed must fail"
+    );
+    assert_eq!(db.shared().txns.active_count(), 0);
+    assert!(inj.fault_stats().refused_while_crashed > 0);
+
+    inj.heal();
+    let db = Database::reopen(db.into_durable(), cfg).unwrap();
+    let meta1 = db.load_table_meta(TableId(1)).unwrap().unwrap();
+    let rtxn = db.begin();
+    let pager = db.pager(rtxn).unwrap();
+    assert_eq!(
+        meta1.scan(&pager, &[0, 1], None, db.meter()).unwrap().len(),
+        200,
+        "committed baseline survives the cut"
+    );
+    db.rollback(rtxn).unwrap();
+    let store = db.cloud_store(space).unwrap();
+    assert_eq!(store.max_write_count(), 1, "no group written twice");
+    db.gc_drain().unwrap();
+    assert!(!db.shared().txns.composites().has_fully_dead());
+
+    // Usable after recovery, eviction groups and all.
+    let mut meta2 = TableMeta::new(TableId(2), "t2", schema(), 32);
+    let txn = db.begin();
+    load(&db, &mut meta2, txn, 2_000);
+    db.commit(txn).unwrap();
+    let rtxn = db.begin();
+    let pager = db.pager(rtxn).unwrap();
+    assert_eq!(
+        meta2.scan(&pager, &[0, 1], None, db.meter()).unwrap().len(),
+        2_000
+    );
+    db.rollback(rtxn).unwrap();
+    assert_eq!(store.max_write_count(), 1);
 }
 
 /// A commit that writes two tables and fails at any of its uploads —
