@@ -904,15 +904,15 @@ pub struct GcBatchingMeasure {
 const GC_BATCH_KEYS: u64 = 1000;
 
 /// Ablation — per-key vs batched vs batched+parallel GC deletion. Drive
-/// the committed-chain GC over a real simulated cloud dbspace in three
-/// modes — per-key (the old cost model: one `DELETE` per page), batched
-/// multi-object deletes on one worker, and batched deletes fanned over
-/// the worker pool. The request counts come from the simulated store's
-/// ledger; the wall prices those requests under the S3 device model, so
-/// the batching win shows up in both columns.
+/// the committed-chain GC over a real simulated cloud dbspace with batched
+/// multi-object deletes, on one worker and fanned over the worker pool.
+/// The request counts come from the simulated store's ledger; the wall
+/// prices those requests under the S3 device model, so the batching win
+/// shows up in both columns. The per-key baseline is a count of the same
+/// run: one `DELETE` per reclaimed key, priced the same way.
 pub(crate) fn gc_rows(sf: f64) -> IqResult<Vec<GcBatchingMeasure>> {
     use iq_storage::CountingKeySource;
-    use iq_txn::{DeletionSink, ImmediateDeletion, TransactionManager};
+    use iq_txn::{ImmediateDeletion, TransactionManager};
 
     const SPACE: DbSpaceId = DbSpaceId(1);
     // Table-2-scale churn: the freed-page count tracks the scale factor.
@@ -920,35 +920,20 @@ pub(crate) fn gc_rows(sf: f64) -> IqResult<Vec<GcBatchingMeasure>> {
     let txns = 20u64;
     let per_txn = keys_total / txns;
 
-    /// Wrapper forcing the trait's default per-page loop — the pre-batch
-    /// cost model (one store request per key).
-    struct PerPage(ImmediateDeletion);
-    impl DeletionSink for PerPage {
-        fn delete_page(&self, space: DbSpaceId, loc: PhysicalLocator) -> IqResult<()> {
-            self.0.delete_page(space, loc)
-        }
-    }
-
     let model = TimeModel::new(ComputeProfile::m5ad_24xlarge());
+    // Price `requests` DELETEs under the S3 model.
+    let wall_secs = |requests: u64| {
+        let deletes = synthetic_load(DeviceProfile::s3(), IoOp::Delete, requests, 0, Some(4096));
+        model.device_time(&deletes).as_secs_f64()
+    };
     let mut out = Vec::new();
-    for (label, workers, batched) in [
-        ("per-key (old path)", 1usize, false),
-        ("batched", 1, true),
-        ("batched + parallel", 8, true),
-    ] {
+    for (label, workers) in [("batched", 1usize), ("batched + parallel", 8)] {
         let sim = Arc::new(ObjectStoreSim::new(ConsistencyConfig::default()));
         let space = Arc::new(cloud_space(sim.clone(), RetryPolicy::default()));
         let tm = TransactionManager::new(Arc::new(TxnLog::new()), None);
         tm.set_gc_workers(workers);
-        let immediate = ImmediateDeletion::new();
-        immediate.register(Arc::clone(&space));
-        let per_page;
-        let sink: &dyn DeletionSink = if batched {
-            &immediate
-        } else {
-            per_page = PerPage(immediate);
-            &per_page
-        };
+        let sink = ImmediateDeletion::new();
+        sink.register(Arc::clone(&space));
 
         // Load: K committed pages, then churn transactions free them all
         // behind a long reader so the chain accumulates.
@@ -963,28 +948,35 @@ pub(crate) fn gc_rows(sf: f64) -> IqResult<Vec<GcBatchingMeasure>> {
             for &loc in c {
                 tm.record_free(t, SPACE, loc)?;
             }
-            tm.commit(t, sink)?;
+            tm.commit(t, &sink)?;
         }
-        tm.rollback(blocker, sink)?;
+        tm.rollback(blocker, &sink)?;
 
         // The measured region: one drain pass over the whole chain.
         let before = sim.stats.snapshot().op(IoOp::Delete).count;
-        tm.gc_tick(sink)?;
+        tm.gc_tick(&sink)?;
         let delete_requests = sim.stats.snapshot().op(IoOp::Delete).count - before;
         let gc = tm.gc_stats();
         assert_eq!(gc.keys_deleted, keys_total, "every freed page reclaimed");
-
-        // Price exactly the deletion requests under the S3 model.
-        let s3 = DeviceProfile::s3();
-        let deletes = synthetic_load(s3, IoOp::Delete, delete_requests, 0, Some(4096));
-        let wall = model.device_time(&deletes);
+        if out.is_empty() {
+            // The per-key baseline: one DELETE per reclaimed key, through
+            // the same single-worker pass.
+            out.push(GcBatchingMeasure {
+                label: "per-key (old path)",
+                workers,
+                keys: keys_total,
+                delete_requests: gc.keys_deleted,
+                in_flight_peak: gc.in_flight_peak,
+                wall_secs: wall_secs(gc.keys_deleted),
+            });
+        }
         out.push(GcBatchingMeasure {
             label,
             workers,
             keys: keys_total,
             delete_requests,
             in_flight_peak: gc.in_flight_peak,
-            wall_secs: wall.as_secs_f64(),
+            wall_secs: wall_secs(delete_requests),
         });
     }
     Ok(out)
@@ -1056,7 +1048,7 @@ pub struct CacheMeasure {
     pub scan_ops: u64,
     /// Scan-phase operations landing on the busiest shard.
     pub max_shard_ops: u64,
-    /// Modeled scan-phase wall at 8 workers (see [`modeled_cache_wall`]).
+    /// Modeled scan-phase wall at 8 workers (see `modeled_cache_wall`).
     pub modeled_wall_secs: f64,
 }
 

@@ -32,6 +32,7 @@ pub mod slru;
 
 pub use lru::LruCache;
 pub use manager::{
-    BufferManager, BufferOptions, BufferStats, BufferStatsSnapshot, FlushCause, FlushSink, FrameKey,
+    BufferManager, BufferOptions, BufferStats, BufferStatsSnapshot, FlushCause, FlushGroup,
+    FlushSink, FrameKey,
 };
 pub use slru::{Admission, SlruCache};

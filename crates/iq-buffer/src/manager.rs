@@ -27,8 +27,8 @@
 //! working set — the property the paper's §5 RAM-over-OCM-over-store cache
 //! hierarchy depends on to keep the per-request-billed object store cold.
 //!
-//! No shard lock is ever held across a [`FlushSink::flush`] or a backend
-//! GET. An evicted dirty frame is flushed *after* its shard lock is
+//! No shard lock is ever held across a [`FlushSink::flush_group`] or a
+//! backend GET. An evicted dirty frame is flushed *after* its shard lock is
 //! released; the key is parked in the shard's single-flight `loading` set
 //! for the duration so a concurrent reader waits for the flush (and then
 //! reloads through the updated blockmap) instead of resurrecting the
@@ -73,32 +73,66 @@ pub enum FlushCause {
     Commit,
 }
 
+/// Which batch a [`FlushSink::flush_group`] call carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushGroup {
+    /// An eviction group: a dirty victim and its claimed neighbours, or a
+    /// lone page.
+    Eviction,
+    /// Head group `index` of a commit flush (see
+    /// [`BufferManager::flush_txn_packed`]). Head groups run concurrently
+    /// and are numbered in key order; a sink that draws object keys may
+    /// use `index` to draw them in that order, so the commit writes the
+    /// objects a serial flush would.
+    Commit(usize),
+    /// The last group of a commit flush, handed over exactly once per
+    /// commit flush — empty when packing is off or nothing was left
+    /// dirty — after every other group has landed and no eviction flush of
+    /// the transaction is in flight. A sink may append to it what the
+    /// commit writes after its pages: the packing sink adds the blockmap
+    /// cascade.
+    CommitTail,
+}
+
+impl FlushGroup {
+    /// Why the group's pages are written out.
+    pub fn cause(self) -> FlushCause {
+        match self {
+            FlushGroup::Eviction => FlushCause::Eviction,
+            FlushGroup::Commit(_) | FlushGroup::CommitTail => FlushCause::Commit,
+        }
+    }
+}
+
 /// Downstream writer for dirty pages.
 ///
-/// `Sync` because the commit path fans `flush` calls across a worker pool
-/// (see [`BufferManager::flush_txn_packed`]); implementations must be
-/// safe to call from several threads at once. The core stack already is:
-/// key generation, blockmap updates and RF/RB bookkeeping are all
-/// internally synchronized.
+/// `Sync` because the commit path fans groups across a worker pool (see
+/// [`BufferManager::flush_txn_packed`]); implementations must be safe to
+/// call from several threads at once. The core stack already is: key
+/// generation, blockmap updates and RF/RB bookkeeping are all internally
+/// synchronized.
 pub trait FlushSink: Sync {
     /// Persist `page`. Implementations obtain a fresh object key for cloud
     /// dbspaces, update the blockmap, and record RF/RB bitmap entries.
     fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, cause: FlushCause) -> IqResult<()>;
 
-    /// Persist a group of pages together. The packing sink coalesces the
-    /// group into one composite object (one PUT instead of
-    /// `items.len()`); the default just loops over [`FlushSink::flush`],
-    /// so non-packing sinks keep per-page semantics. A group either fully
-    /// succeeds or the caller treats every member as unflushed —
-    /// implementations must not leave a partially applied group mapped.
+    /// Persist a group of pages together — every batch the buffer manager
+    /// writes out arrives here, a lone evicted page included. The packing
+    /// sink coalesces the group into one composite object (one PUT
+    /// instead of `items.len()`); the default loops over
+    /// [`FlushSink::flush`] with [`FlushGroup::cause`], so non-packing
+    /// sinks keep per-page semantics. A group either fully succeeds or the
+    /// caller treats every member as unflushed (a failed commit group
+    /// re-dirties every member) — implementations must not leave a
+    /// partially applied group mapped.
     fn flush_group(
         &self,
         items: &[(FrameKey, Page)],
         txn: TxnId,
-        cause: FlushCause,
+        group: FlushGroup,
     ) -> IqResult<()> {
         for (key, page) in items {
-            self.flush(*key, page, txn, cause)?;
+            self.flush(*key, page, txn, group.cause())?;
         }
         Ok(())
     }
@@ -106,41 +140,9 @@ pub trait FlushSink: Sync {
     /// The most pages one [`FlushSink::flush_group`] packs into an object.
     /// The evictor hands a dirty victim to the sink together with up to
     /// this many minus one of its transaction's dirty frames of the same
-    /// table. The default, 1, evicts page by page through
-    /// [`FlushSink::flush`].
+    /// table. The default, 1, evicts page by page.
     fn pack_pages(&self) -> usize {
         1
-    }
-
-    /// Persist head group `index` of a commit flush (see
-    /// [`BufferManager::flush_txn_packed`]). Head groups run concurrently
-    /// and are numbered in key order; a sink that draws object keys may
-    /// use `index` to draw them in that order, so the commit writes the
-    /// objects a serial flush would. A failed group re-dirties every
-    /// member. The default is [`FlushSink::flush_group`].
-    fn flush_commit_group(
-        &self,
-        index: usize,
-        items: &[(FrameKey, Page)],
-        txn: TxnId,
-    ) -> IqResult<()> {
-        let _ = index;
-        self.flush_group(items, txn, FlushCause::Commit)
-    }
-
-    /// Persist the last group of a commit flush (see
-    /// [`BufferManager::flush_txn_packed`]). Called exactly once per
-    /// commit flush, after every other group has landed and no eviction
-    /// flush of `txn` is in flight, so a sink may append to the group what
-    /// the commit writes after its pages — the packing sink adds the
-    /// blockmap cascade. `items` is empty when packing is off or nothing
-    /// was left dirty. On failure every member is re-dirtied. The default
-    /// is [`FlushSink::flush_group`].
-    fn flush_commit_tail(&self, items: &[(FrameKey, Page)], txn: TxnId) -> IqResult<()> {
-        if items.is_empty() {
-            return Ok(());
-        }
-        self.flush_group(items, txn, FlushCause::Commit)
     }
 }
 
@@ -156,12 +158,11 @@ struct Frame {
 #[derive(Default)]
 struct DirtyIndex {
     by_txn: HashMap<TxnId, HashSet<FrameKey>>,
-    /// Dirty frames popped by the evictor whose [`FlushSink::flush`] is
-    /// still in flight, per transaction. The commit path waits for this to
-    /// reach zero both before claiming the dirty set and again after the
-    /// per-shard clean pass, so "all associated dirty pages are flushed"
-    /// (§3.1) covers eviction flushes racing the commit from either side
-    /// of the claim.
+    /// Dirty frames popped by the evictor whose flush is still in flight,
+    /// per transaction. The commit path waits for this to reach zero both
+    /// before claiming the dirty set and again after the per-shard clean
+    /// pass, so "all associated dirty pages are flushed" (§3.1) covers
+    /// eviction flushes racing the commit from either side of the claim.
     evict_in_flight: HashMap<TxnId, usize>,
     /// First eviction-flush error per transaction. The evictor's caller
     /// (an unrelated inserting thread) already gets the error inline; this
@@ -333,7 +334,7 @@ impl BufferStats {
 #[derive(Debug, Clone, Copy)]
 pub struct BufferOptions {
     /// Requested shard count; rounded to a power of two in `[1, 64]`.
-    /// 1 reproduces the historical single-lock manager exactly.
+    /// 1 is a single-lock manager.
     pub shards: usize,
     /// Fraction of each shard's byte budget reserved for the protected
     /// SLRU segment (clamped to `[0, 1]`; 0 disables scan resistance and
@@ -740,13 +741,12 @@ impl BufferManager {
         group
     }
 
-    /// Flush a claimed eviction group with no shard lock held — one page
-    /// through [`FlushSink::flush`], several as one
-    /// [`FlushSink::flush_group`] — then release every member's
-    /// single-flight claim and in-flight count. On a sink error the frames
-    /// are gone (budget already released), every member counts as
-    /// unflushed, and the error propagates, as in the historical serial
-    /// path.
+    /// Flush a claimed eviction group — one page or several — with no
+    /// shard lock held, as one [`FlushSink::flush_group`], then release
+    /// every member's single-flight claim and in-flight count. On a sink
+    /// error the frames are gone (budget already released), every member
+    /// counts as unflushed, and the error propagates to the evicting
+    /// thread.
     fn finish_eviction(
         &self,
         group: Vec<(FrameKey, Page)>,
@@ -756,10 +756,7 @@ impl BufferManager {
         // "A dirty page can be flushed from the cache earlier as well
         // (upon eviction), when the buffer manager needs to make room for
         // a more recent page" (§3.1).
-        let result = match group.as_slice() {
-            [(key, page)] => sink.flush(*key, page, txn, FlushCause::Eviction),
-            _ => sink.flush_group(&group, txn, FlushCause::Eviction),
-        };
+        let result = sink.flush_group(&group, txn, FlushGroup::Eviction);
         if result.is_ok() {
             self.stats
                 .dirty_evictions
@@ -828,13 +825,13 @@ impl BufferManager {
     ///
     /// The claimed dirty set is chunked into key-sorted groups of up to
     /// [`FlushSink::pack_pages`] frames, and each group goes to the sink
-    /// as one [`FlushSink::flush_commit_group`] call — the packing sink
-    /// turns a group into a single composite-object PUT. The groups are
-    /// submitted to `io` — the database's submission/completion core —
-    /// which fans them across its execution lanes and accounts the
-    /// batch's in-flight depth. A pack of 1 is the per-page flush (groups
-    /// of one; the default `flush_group` forwards to `flush`) and
-    /// `IoCore::new(1)` the serial flush order.
+    /// as one [`FlushSink::flush_group`] call ([`FlushGroup::Commit`]) —
+    /// the packing sink turns a group into a single composite-object PUT.
+    /// The groups are submitted to `io` — the database's
+    /// submission/completion core — which fans them across its execution
+    /// lanes and accounts the batch's in-flight depth. A pack of 1 is the
+    /// per-page flush (groups of one; the default `flush_group` forwards
+    /// to `flush`) and `IoCore::new(1)` the serial flush order.
     ///
     /// Locks are held only to claim the dirty set — frames are marked
     /// clean and their pages snapshotted under short per-shard locks, then
@@ -857,11 +854,11 @@ impl BufferManager {
     /// `flushed + re-dirtied == claimed` always holds and rollback can
     /// discard exactly the unpersisted frames.
     ///
-    /// With a pack above 1 the last group is held back and handed to
-    /// [`FlushSink::flush_commit_tail`] once every other group has landed,
-    /// so the commit's last composite can carry what the commit writes
-    /// after its pages. The tail is called in every successful flush,
-    /// with an empty group when there is none.
+    /// With a pack above 1 the last group is held back and handed over as
+    /// [`FlushGroup::CommitTail`] once every other group has landed, so
+    /// the commit's last composite can carry what the commit writes after
+    /// its pages. The tail is handed over in every successful flush, as an
+    /// empty group when there is none.
     pub fn flush_txn_packed(&self, txn: TxnId, sink: &dyn FlushSink, io: &IoCore) -> IqResult<()> {
         // Phase 1a: claim the dirty key set, first waiting out eviction
         // flushes of this transaction still in flight (their pages must be
@@ -912,7 +909,7 @@ impl BufferManager {
         let done: Vec<AtomicU64> = (0..groups.len()).map(|_| AtomicU64::new(0)).collect();
         let result = io.run_ordered(groups.len(), |i| -> IqResult<()> {
             let group = groups[i];
-            sink.flush_commit_group(i, group, txn)?;
+            sink.flush_group(group, txn, FlushGroup::Commit(i))?;
             done[i].store(1, Ordering::Release);
             self.stats
                 .commit_flushes
@@ -951,7 +948,7 @@ impl BufferManager {
         // nothing of the transaction is being written but the tail.
         let tail_result = self
             .wait_out_eviction_flushes(txn)
-            .and_then(|()| sink.flush_commit_tail(tail, txn));
+            .and_then(|()| sink.flush_group(tail, txn, FlushGroup::CommitTail));
         self.stats
             .flush_wall_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -1185,16 +1182,11 @@ mod tests {
     }
 
     impl FlushSink for GroupSink {
-        fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, cause: FlushCause) -> IqResult<()> {
-            self.flush_group(&[(key, page.clone())], txn, cause)
+        fn flush(&self, _: FrameKey, _: &Page, _: TxnId, _: FlushCause) -> IqResult<()> {
+            unreachable!("the buffer manager hands every batch to flush_group")
         }
 
-        fn flush_group(
-            &self,
-            items: &[(FrameKey, Page)],
-            _txn: TxnId,
-            _cause: FlushCause,
-        ) -> IqResult<()> {
+        fn flush_group(&self, items: &[(FrameKey, Page)], _: TxnId, _: FlushGroup) -> IqResult<()> {
             if let Some(poison) = self.fail_group_containing {
                 if items.iter().any(|(k, _)| *k == poison) {
                     return Err(IqError::Io("poisoned group".into()));
@@ -1278,20 +1270,22 @@ mod tests {
     }
 
     impl FlushSink for TailSink {
-        fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, cause: FlushCause) -> IqResult<()> {
-            self.flush_group(&[(key, page.clone())], txn, cause)
+        fn flush(&self, _: FrameKey, _: &Page, _: TxnId, _: FlushCause) -> IqResult<()> {
+            unreachable!("the buffer manager hands every batch to flush_group")
         }
 
-        fn flush_group(&self, items: &[(FrameKey, Page)], _: TxnId, _: FlushCause) -> IqResult<()> {
+        fn flush_group(
+            &self,
+            items: &[(FrameKey, Page)],
+            _: TxnId,
+            group: FlushGroup,
+        ) -> IqResult<()> {
+            let tail = group == FlushGroup::CommitTail;
             let keys = items.iter().map(|(k, _)| *k).collect();
-            self.calls.lock().push(("group", keys));
-            Ok(())
-        }
-
-        fn flush_commit_tail(&self, items: &[(FrameKey, Page)], _: TxnId) -> IqResult<()> {
-            let keys = items.iter().map(|(k, _)| *k).collect();
-            self.calls.lock().push(("tail", keys));
-            if self.fail_tail {
+            self.calls
+                .lock()
+                .push((if tail { "tail" } else { "group" }, keys));
+            if tail && self.fail_tail {
                 return Err(IqError::Io("tail upload failed".into()));
             }
             Ok(())
@@ -1897,22 +1891,22 @@ mod tests {
     }
 
     impl FlushSink for PackSink {
-        fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, cause: FlushCause) -> IqResult<()> {
-            self.flush_group(&[(key, page.clone())], txn, cause)
+        fn flush(&self, _: FrameKey, _: &Page, _: TxnId, _: FlushCause) -> IqResult<()> {
+            unreachable!("the buffer manager hands every batch to flush_group")
         }
 
         fn flush_group(
             &self,
             items: &[(FrameKey, Page)],
             _: TxnId,
-            cause: FlushCause,
+            group: FlushGroup,
         ) -> IqResult<()> {
             let first = {
                 let mut calls = self.calls.lock();
                 calls.push(items.iter().map(|(k, _)| *k).collect());
                 calls.len() == 1
             };
-            if cause == FlushCause::Eviction {
+            if group == FlushGroup::Eviction {
                 if let (Some((entered, release)), true) = (&self.park, first) {
                     entered.wait();
                     release.wait();
@@ -1984,7 +1978,8 @@ mod tests {
     #[test]
     fn pack_pages_one_evicts_page_by_page_as_before() {
         // The same inserts through a sink that packs nothing and through
-        // the default sink: the same single flushes, in the same order.
+        // the default sink: the same pages, each a group of one, in the
+        // same order.
         let run = |sink: &dyn FlushSink| {
             let bm = BufferManager::new(3500);
             for p in 1..=9 {

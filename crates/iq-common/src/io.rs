@@ -1,10 +1,9 @@
 //! The submission/completion I/O core.
 //!
-//! PR 7 replaces the thread-per-op [`WorkerPool`](crate::pool) call sites
-//! with an io_uring-shaped model: callers *submit* a batch of operations
-//! and then await their completions, so the number of operations in
-//! flight is bounded by how much work was submitted — not by how many
-//! threads happen to be blocked inside the backend. Two pieces sit on
+//! An io_uring-shaped model: callers *submit* a batch of operations and
+//! then await their completions, so the number of operations in flight is
+//! bounded by how much work was submitted — not by how many threads
+//! happen to be blocked inside the backend. Two pieces sit on
 //! the I/O path, the first of which implements that model:
 //!
 //! * [`IoCore`] (this module) — the caller-side fan-out. It owns the

@@ -7,7 +7,7 @@
 //! would cost).
 
 use iq_common::{SimDuration, GIB, MIB};
-use iq_objectstore::{ConsistencyConfig, FaultPlan, RetryPolicy};
+use iq_objectstore::{FaultPlan, RetryPolicy};
 use iq_storage::StorageConfig;
 
 /// Whether transaction-log appends reach durable storage.
@@ -24,7 +24,7 @@ use iq_storage::StorageConfig;
 /// [`crate::log_recovery`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GroupCommitMode {
-    /// No durable log uploads (the pre-PR-7 behaviour).
+    /// No durable log uploads.
     #[default]
     Off,
     /// Group commit: a gather leader coalesces the commit records of
@@ -43,8 +43,6 @@ pub struct DatabaseConfig {
     pub buffer_bytes: usize,
     /// OCM SSD budget; 0 disables the OCM.
     pub ocm_bytes: u64,
-    /// Object-store consistency model.
-    pub consistency: ConsistencyConfig,
     /// Retry budget for object-store operations.
     pub retry: RetryPolicy,
     /// Snapshot retention period; `None` disables retention (pages die as
@@ -95,7 +93,6 @@ impl Default for DatabaseConfig {
             },
             buffer_bytes: 256 * MIB as usize,
             ocm_bytes: GIB,
-            consistency: ConsistencyConfig::default(),
             retry: RetryPolicy::default(),
             retention: Some(SimDuration::from_secs(24 * 3600)),
             writers: 1,

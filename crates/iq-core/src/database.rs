@@ -11,7 +11,9 @@ use iq_common::{
     SimDuration, TableId, TxnId,
 };
 use iq_engine::{ScanStats, TableMeta, WorkMeter};
-use iq_objectstore::{BlockDeviceSim, FaultInjector, IoReactor, ObjectStoreSim, ReactorStore};
+use iq_objectstore::{
+    BlockDeviceSim, ConsistencyConfig, FaultInjector, IoReactor, ObjectStoreSim, ReactorStore,
+};
 use iq_ocm::{Ocm, OcmConfig};
 use iq_snapshot::{RetainingSink, SnapshotManager};
 use iq_storage::{Catalog, DbSpace};
@@ -869,7 +871,7 @@ impl Database {
         storage: iq_storage::StorageConfig,
     ) -> IqResult<DbSpaceId> {
         let id = DbSpaceId(self.next_space.fetch_add(1, Ordering::Relaxed));
-        let store = Arc::new(ObjectStoreSim::new(self.shared.config.consistency.clone()));
+        let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::default()));
         self.attach_cloud_space(id, name, storage, store);
         self.persist_ddl()?;
         Ok(id)

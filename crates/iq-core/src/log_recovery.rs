@@ -48,7 +48,7 @@ pub struct RecoveryReport {
 
 /// Read every log object in key order and reconstruct the durable
 /// record stream. The log store is strongly consistent and log keys are
-/// allocated monotonically from [`LOG_KEY_BASE`], so key order *is*
+/// allocated monotonically from `LOG_KEY_BASE`, so key order *is*
 /// upload order; each object holds one JSON-encoded batch of records.
 /// Returns the stream and the number of GETs issued.
 pub fn read_durable_records(store: &Arc<ObjectStoreSim>) -> IqResult<(Vec<LogRecord>, u64)> {

@@ -1,6 +1,6 @@
 //! The pager: the engine-facing [`PageStore`] bound to one transaction and
 //! the buffer manager's eviction [`FlushSink`], plus the commit's sink,
-//! [`CommitFlush`]. [`Pager::write_group`] is the one writer of composite
+//! `CommitFlush`. `Pager::write_group` is the one writer of composite
 //! objects, for eviction groups and commit groups alike.
 //!
 //! This is where the paper's write discipline lives: a dirty cloud page
@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use iq_buffer::{FlushCause, FlushSink, FrameKey};
+use iq_buffer::{FlushCause, FlushGroup, FlushSink, FrameKey};
 use iq_common::{
     DbSpaceId, IqError, IqResult, ObjectKey, PageId, PhysicalLocator, TableId, TxnId, VersionId,
 };
@@ -179,7 +179,8 @@ impl PageStore for Pager {
 }
 
 /// The eviction sink, and the per-page write of the commit's sink: one
-/// page, one object (or block run); an eviction group is one composite.
+/// page, one object (or block run); an eviction group of two or more is
+/// one composite.
 impl FlushSink for Pager {
     fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, cause: FlushCause) -> IqResult<()> {
         let ts = self.shared.table_store(key.table)?;
@@ -196,7 +197,10 @@ impl FlushSink for Pager {
                         FlushCause::Eviction => WriteMode::WriteBack,
                         FlushCause::Commit => WriteMode::WriteThrough,
                     };
-                    ocm.write(obj_key, image, txn, mode)?;
+                    // One member at offset 0; a sealed image is at most
+                    // the page size, a u32.
+                    let page = (0, image.len() as u32);
+                    ocm.write_group(obj_key, image, &[page], txn, mode)?;
                 }
                 None => space.put_raw(obj_key, image)?,
             }
@@ -211,34 +215,13 @@ impl FlushSink for Pager {
         &self,
         items: &[(FrameKey, Page)],
         txn: TxnId,
-        cause: FlushCause,
+        group: FlushGroup,
     ) -> IqResult<()> {
-        self.write_group(items, txn, Group::Plain(cause))
+        self.write_group(items, txn, group, None)
     }
 
     fn pack_pages(&self) -> usize {
         self.shared.config.pack_pages
-    }
-}
-
-/// What a group handed to [`Pager::write_group`] is.
-#[derive(Clone, Copy)]
-enum Group<'a> {
-    /// An eviction group, or a commit group outside the commit flush.
-    Plain(FlushCause),
-    /// Head group `index` of a commit flush: its composites draw their
-    /// keys in turn.
-    Head(&'a CommitFlush<'a>, usize),
-    /// The commit flush's last group, which carries the cascade.
-    Tail(&'a CommitFlush<'a>),
-}
-
-impl Group<'_> {
-    fn cause(self) -> FlushCause {
-        match self {
-            Group::Plain(cause) => cause,
-            Group::Head(..) | Group::Tail(_) => FlushCause::Commit,
-        }
     }
 }
 
@@ -311,10 +294,10 @@ impl Composite {
 
 impl Pager {
     /// The one composite writer: write one group — of an eviction, or of
-    /// the commit flush — per dbspace. The commit's tail (its last group)
-    /// is followed by the cascade of every table the transaction wrote on
-    /// that dbspace — children before parents, so each parent encodes its
-    /// children's ranged locators.
+    /// the commit flush `commit` — per dbspace. The commit's tail (its
+    /// last group) is followed by the cascade of every table the
+    /// transaction wrote on that dbspace — children before parents, so
+    /// each parent encodes its children's ranged locators.
     ///
     /// A composite needs two members. A head group counts its pages; in
     /// the tail a page brings at least the leaf above it, so only a tail
@@ -333,10 +316,12 @@ impl Pager {
         &self,
         items: &[(FrameKey, Page)],
         txn: TxnId,
-        group: Group<'_>,
+        group: FlushGroup,
+        commit: Option<&CommitFlush<'_>>,
     ) -> IqResult<()> {
         let shared = &self.shared;
-        let cascade = matches!(group, Group::Tail(_));
+        let tail = commit.filter(|_| group == FlushGroup::CommitTail);
+        let cascade = tail.is_some();
         let mut by_space: BTreeMap<u32, Vec<&(FrameKey, Page)>> = BTreeMap::new();
         for item in items {
             let ts = shared.table_store(item.0.table)?;
@@ -372,7 +357,7 @@ impl Pager {
                     space: &space,
                     keys: self.keys.as_ref(),
                 };
-                if let Group::Tail(commit) = group {
+                if let Some(commit) = tail {
                     for ts in tables() {
                         commit.cascade(&ts, &mut io)?;
                     }
@@ -383,7 +368,7 @@ impl Pager {
                 .iter()
                 .map(|(_, page)| shared.seal_image(&space, page))
                 .collect::<IqResult<Vec<_>>>()?;
-            if let Group::Head(commit, index) = group {
+            if let (FlushGroup::Commit(index), Some(commit)) = (group, commit) {
                 commit.turn.wait(index);
             }
             let mut composite = Composite::new(self.keys.as_ref())?;
@@ -399,8 +384,8 @@ impl Pager {
                 }
                 Ok(())
             };
-            match group {
-                Group::Tail(commit) => {
+            match tail {
+                Some(commit) => {
                     // The leaves encode the pages' locators, so the pages
                     // are published before the cascade appends the nodes.
                     publish()?;
@@ -414,7 +399,7 @@ impl Pager {
                     }
                     composite.upload(shared, &space, txn, None)?;
                 }
-                Group::Plain(_) | Group::Head(..) => {
+                None => {
                     // A head group maps its pages once the upload has
                     // landed (or, write-back, is queued behind its SSD
                     // copies), so a failed group maps nothing.
@@ -485,7 +470,7 @@ impl Turnstile {
 }
 
 /// The commit's flush sink. Every group of the commit flush goes through
-/// [`Pager::write_group`]; the tail also appends the blockmap cascade of
+/// `Pager::write_group`; the tail also appends the blockmap cascade of
 /// every table the transaction wrote, so with packing on the commit's last
 /// group and its whole cascade cost one PUT. Nothing is installed here:
 /// the identities wait in `flushed` until every upload of the commit has
@@ -536,19 +521,17 @@ impl FlushSink for CommitFlush<'_> {
         self.pager.flush(key, page, txn, cause)
     }
 
-    fn flush_commit_group(
+    fn flush_group(
         &self,
-        index: usize,
         items: &[(FrameKey, Page)],
         txn: TxnId,
+        group: FlushGroup,
     ) -> IqResult<()> {
-        let result = self.pager.write_group(items, txn, Group::Head(self, index));
-        self.turn.pass(index, result.is_ok());
+        let result = self.pager.write_group(items, txn, group, Some(self));
+        if let FlushGroup::Commit(index) = group {
+            self.turn.pass(index, result.is_ok());
+        }
         result
-    }
-
-    fn flush_commit_tail(&self, items: &[(FrameKey, Page)], txn: TxnId) -> IqResult<()> {
-        self.pager.write_group(items, txn, Group::Tail(self))
     }
 
     fn pack_pages(&self) -> usize {

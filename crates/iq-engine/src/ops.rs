@@ -33,7 +33,7 @@
 //!
 //! * **Phase 0 (keys)** — the key columns of an operator input are
 //!   turned, once and column-wise, into one fixed-width word per row
-//!   ([`KeySpace`]): two rows carry the same word iff their keys are
+//!   (`KeySpace`): two rows carry the same word iff their keys are
 //!   equal. Everything below hashes and compares that word; no per-row
 //!   heap key exists. A join's probe side is keyed by *lookups* in the
 //!   build side's space: a key the build side never saw is a miss, never

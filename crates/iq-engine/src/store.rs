@@ -48,7 +48,8 @@ pub trait PageStore: Send + Sync {
 
     /// The shared submission/completion counters scans should account
     /// their morsel batches into (the `io.*` metrics source). Stores
-    /// backed by the full cloud stack return the database's [`IoStats`];
+    /// backed by the full cloud stack return the database's
+    /// [`IoStats`](iq_common::IoStats);
     /// the default (test stores) accounts nothing.
     fn io_stats(&self) -> Option<std::sync::Arc<iq_common::IoStats>> {
         None

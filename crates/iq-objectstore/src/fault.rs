@@ -33,7 +33,7 @@ use iq_common::{IqError, IqResult, ObjectKey, SimDuration};
 use parking_lot::Mutex;
 
 use crate::metrics::StatsSnapshot;
-use crate::traits::{ObjectBackend, RangeRead, DELETE_BATCH_MAX};
+use crate::traits::{ObjectBackend, DELETE_BATCH_MAX};
 
 /// A scripted fault schedule. All rates are per-request probabilities in
 /// `[0, 1]`, evaluated deterministically (see module docs).
@@ -304,7 +304,7 @@ impl ObjectBackend for FaultInjector {
         self.inner.get(key)
     }
 
-    fn get_range(&self, key: ObjectKey, offset: u32, len: u32) -> IqResult<RangeRead> {
+    fn get_range(&self, key: ObjectKey, offset: u32, len: u32) -> IqResult<Bytes> {
         self.tick()?;
         self.maybe_throttle(key)?;
         let plan = *self.plan.lock();
@@ -498,7 +498,7 @@ mod tests {
                 .put(&inj, key(off), Bytes::from(vec![off as u8; 16]))
                 .unwrap();
             let r = policy.get_range(&inj, key(off), 4, 8).unwrap();
-            assert_eq!(r.data, Bytes::from(vec![off as u8; 8]));
+            assert_eq!(r, Bytes::from(vec![off as u8; 8]));
         }
         assert!(inj.fault_stats().get_errors > 0, "no ranged faults fired");
     }
@@ -519,7 +519,7 @@ mod tests {
         assert!(matches!(inj.get(key(4)), Err(IqError::ObjectNotFound(_))));
         // Two misses consumed the stretch budget across both read shapes.
         assert_eq!(
-            inj.get_range(key(4), 2, 2).unwrap().data,
+            inj.get_range(key(4), 2, 2).unwrap(),
             Bytes::from_static(b"cd")
         );
     }

@@ -45,4 +45,4 @@ pub use profiles::{ComputeProfile, DeviceProfile, VolumeKind};
 pub use reactor::{IoReactor, ReactorStore};
 pub use retry::{BatchDeleteOutcome, RetryPolicy};
 pub use timemodel::{PhaseLoad, TimeModel};
-pub use traits::{BlockBackend, ObjectBackend, RangeRead, DELETE_BATCH_MAX};
+pub use traits::{BlockBackend, ObjectBackend, DELETE_BATCH_MAX};

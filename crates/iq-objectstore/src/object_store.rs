@@ -37,7 +37,7 @@ use iq_common::{DetRng, IqError, IqResult, ObjectKey};
 use parking_lot::Mutex;
 
 use crate::metrics::{DeviceStats, IoOp};
-use crate::traits::{ObjectBackend, RangeRead, DELETE_BATCH_MAX};
+use crate::traits::{ObjectBackend, DELETE_BATCH_MAX};
 
 /// Consistency behaviour of the simulated store.
 #[derive(Debug, Clone)]
@@ -284,7 +284,7 @@ impl ObjectBackend for ObjectStoreSim {
         }
     }
 
-    fn get_range(&self, key: ObjectKey, offset: u32, len: u32) -> IqResult<RangeRead> {
+    fn get_range(&self, key: ObjectKey, offset: u32, len: u32) -> IqResult<Bytes> {
         let now = self.tick();
         let objects = self.objects.lock();
         // Visibility semantics are identical to a whole-object GET: inside
@@ -322,10 +322,7 @@ impl ObjectBackend for ObjectStoreSim {
             offset: offset as u64,
             len: len as u64,
         });
-        Ok(RangeRead {
-            data: data.slice(start..end),
-            fetched: len as u64,
-        })
+        Ok(data.slice(start..end))
     }
 
     fn delete(&self, key: ObjectKey) -> IqResult<()> {
@@ -418,8 +415,8 @@ mod tests {
         s.put(key(1), Bytes::from_static(b"hello world")).unwrap();
         s.reset_stats();
         let r = s.get_range(key(1), 6, 5).unwrap();
-        assert_eq!(r.data, Bytes::from_static(b"world"));
-        assert_eq!(r.fetched, 5, "range-native backend must not over-read");
+        assert_eq!(r, Bytes::from_static(b"world"));
+        // Range-native: one GET moving exactly the range, no over-read.
         let snap = s.stats.snapshot();
         assert_eq!(snap.op(IoOp::Get).count, 1);
         assert_eq!(snap.op(IoOp::Get).bytes, 5);
@@ -448,7 +445,7 @@ mod tests {
         for _ in 0..64 {
             match s.get_range(key(9), 2, 3) {
                 Ok(r) => {
-                    assert_eq!(r.data, Bytes::from_static(b"cde"));
+                    assert_eq!(r, Bytes::from_static(b"cde"));
                     ok = true;
                     break;
                 }

@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::metrics::StatsSnapshot;
 use crate::object_store::ObjectStoreSim;
-use crate::traits::{ObjectBackend, RangeRead};
+use crate::traits::ObjectBackend;
 
 /// The shared request gate. One instance serves every cloud dbspace of a
 /// database (plus the durable transaction log), so a single arrival order
@@ -132,7 +132,7 @@ impl ObjectBackend for ReactorStore {
         self.reactor.run(|| self.inner.get(key), Result::is_ok)
     }
 
-    fn get_range(&self, key: ObjectKey, offset: u32, len: u32) -> IqResult<RangeRead> {
+    fn get_range(&self, key: ObjectKey, offset: u32, len: u32) -> IqResult<Bytes> {
         self.reactor
             .run(|| self.inner.get_range(key, offset, len), Result::is_ok)
     }
@@ -198,8 +198,12 @@ mod tests {
             Bytes::from_static(b"hello world")
         );
         let r = store.get_range(key(1), 6, 5).unwrap();
-        assert_eq!(r.data, Bytes::from_static(b"world"));
-        assert_eq!(r.fetched, 5, "range-native path must survive the reactor");
+        assert_eq!(r, Bytes::from_static(b"world"));
+        assert_eq!(
+            sim.stats_snapshot().op(crate::IoOp::Get).bytes,
+            11 + 5,
+            "range-native path must survive the reactor"
+        );
         assert!(store.exists(key(1)));
         assert!(!store.exists(key(2)));
         store.put(key(2), Bytes::from_static(b"x")).unwrap();

@@ -30,7 +30,7 @@ use iq_common::{IqError, IqResult, ObjectKey, SimDuration};
 
 use crate::fault::splitmix;
 use crate::object_store::ConsistencyConfig;
-use crate::traits::{ObjectBackend, RangeRead, DELETE_BATCH_MAX};
+use crate::traits::{ObjectBackend, DELETE_BATCH_MAX};
 
 /// Result of a batch delete driven through [`RetryPolicy::delete_batch`].
 #[derive(Debug)]
@@ -211,7 +211,7 @@ impl RetryPolicy {
         key: ObjectKey,
         offset: u32,
         len: u32,
-    ) -> IqResult<RangeRead> {
+    ) -> IqResult<Bytes> {
         let mut attempts = 0;
         loop {
             attempts += 1;
@@ -354,8 +354,7 @@ mod tests {
                 .put(key(off), Bytes::from(vec![off as u8; 8]))
                 .unwrap();
             let got = policy.get_range(&store, key(off), 2, 3).unwrap();
-            assert_eq!(got.data, Bytes::from(vec![off as u8; 3]));
-            assert_eq!(got.fetched, 3);
+            assert_eq!(got, Bytes::from(vec![off as u8; 3]));
         }
     }
 

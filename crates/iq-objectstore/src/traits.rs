@@ -5,19 +5,6 @@ use iq_common::{BlockNum, IqResult, ObjectKey, SimDuration};
 
 use crate::metrics::StatsSnapshot;
 
-/// Result of a ranged GET: the requested slice plus the bytes the backend
-/// actually moved to serve it. Range-native backends fetch exactly the
-/// slice; the default fallback downloads the whole object, and the
-/// difference (`fetched - data.len()`) is the over-read the `pack.*`
-/// metrics surface.
-#[derive(Debug, Clone)]
-pub struct RangeRead {
-    /// The requested byte range.
-    pub data: Bytes,
-    /// Bytes transferred from the store to serve the request.
-    pub fetched: u64,
-}
-
 /// Maximum number of keys a single multi-object delete request may carry.
 /// Mirrors the S3 `DeleteObjects` limit of 1000 keys per request; callers
 /// may pass larger slices to [`ObjectBackend::delete_batch`] and the
@@ -46,13 +33,10 @@ pub trait ObjectBackend: Send + Sync {
     /// The cloud simulation charges this as **one** GET request moving
     /// `len` bytes — the point of composite objects. The default
     /// implementation serves backends with no native range support by
-    /// slicing a whole-object [`Self::get`], which still works but
-    /// over-reads `object_len - len` bytes (visible in
-    /// [`RangeRead::fetched`]). A range that extends past the object's end
-    /// is an error, like S3's `InvalidRange`.
-    fn get_range(&self, key: ObjectKey, offset: u32, len: u32) -> IqResult<RangeRead> {
+    /// slicing a whole-object [`Self::get`]. A range that extends past the
+    /// object's end is an error, like S3's `InvalidRange`.
+    fn get_range(&self, key: ObjectKey, offset: u32, len: u32) -> IqResult<Bytes> {
         let full = self.get(key)?;
-        let fetched = full.len() as u64;
         // Widen before adding: `offset + len` can exceed u32::MAX (and
         // usize on 32-bit targets).
         let start = offset as u64;
@@ -63,10 +47,7 @@ pub trait ObjectBackend: Send + Sync {
                 full.len()
             )));
         }
-        Ok(RangeRead {
-            data: full.slice(start as usize..end as usize),
-            fetched,
-        })
+        Ok(full.slice(start as usize..end as usize))
     }
 
     /// Delete an object. Deleting a key that does not exist is a no-op:

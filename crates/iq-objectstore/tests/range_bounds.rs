@@ -47,11 +47,10 @@ fn offset_plus_len_overflowing_u32_is_invalid_not_a_panic() {
 fn range_ending_exactly_at_eof_succeeds() {
     let (store, key) = store_with_object(1024);
     let read = store.get_range(key, 1000, 24).unwrap();
-    assert_eq!(read.data.len(), 24);
-    assert_eq!(read.fetched, 24);
+    assert_eq!(read.len(), 24);
     // Zero-length read at EOF is the degenerate in-bounds case.
     let read = store.get_range(key, 1024, 0).unwrap();
-    assert!(read.data.is_empty());
+    assert!(read.is_empty());
 }
 
 #[test]
@@ -132,7 +131,7 @@ fn ranged_get_racing_delete_under_faults_terminates() {
         let outcomes = reader.join().unwrap();
         for o in outcomes {
             match o {
-                Ok(read) => assert_eq!(read.data.len(), 512),
+                Ok(read) => assert_eq!(read.len(), 512),
                 Err(IqError::RetriesExhausted { attempts, .. }) => {
                     assert!(attempts <= 6, "budget bounds every failure")
                 }

@@ -271,15 +271,10 @@ impl Ocm {
     }
 
     /// Read an object: SSD cache hit, or read-through with asynchronous
-    /// cache population. Point-read admission (promotes on re-hit).
-    pub fn read(&self, key: ObjectKey) -> IqResult<Bytes> {
-        self.read_hinted(key, false)
-    }
-
-    /// Read an object, hinting whether a table scan issued it. Scan reads
-    /// are admitted to the probationary SLRU segment so a full-table sweep
-    /// recycles its own slots instead of evicting the point-read working
-    /// set.
+    /// cache population. `scan` hints whether a table scan issued it: scan
+    /// reads are admitted to the probationary SLRU segment so a full-table
+    /// sweep recycles its own slots instead of evicting the point-read
+    /// working set; point reads promote on re-hit.
     pub fn read_hinted(&self, key: ObjectKey, scan: bool) -> IqResult<Bytes> {
         self.read_extent(key.into(), scan, || {
             self.config.retry.get(self.store.as_ref(), key)
@@ -362,13 +357,6 @@ impl Ocm {
             }
         }
         Ok(data)
-    }
-
-    /// Write a one-page object on behalf of `txn` (see
-    /// [`Ocm::write_group`]).
-    pub fn write(&self, key: ObjectKey, data: Bytes, txn: TxnId, mode: WriteMode) -> IqResult<()> {
-        let len = validate_slot_len(data.len(), self.config.slot_bytes)?;
-        self.write_group(key, data, &[(0, len)], txn, mode)
     }
 
     /// Write an object on behalf of `txn` whose pages are the
@@ -599,9 +587,9 @@ fn allocate_slot(inner: &mut Inner, stats: &OcmStats) -> Option<u64> {
 ///
 /// Returns the length narrowed to `u32` only when it provably fits in one
 /// slot. Lengths that overflow `u32` (or merely the slot) are rejected with
-/// [`IqError::Invalid`] — the old `as u32` casts silently truncated them at
-/// PUT time, recording a wrong `CacheEntry::len` and letting the
-/// image overrun neighbouring slots.
+/// [`IqError::Invalid`]: an `as u32` cast would truncate them silently,
+/// recording a wrong `CacheEntry::len` and letting the image overrun
+/// neighbouring slots.
 pub fn validate_slot_len(len: usize, slot_bytes: u32) -> IqResult<u32> {
     let narrowed = u32::try_from(len).map_err(|_| {
         IqError::Invalid(format!(
@@ -734,6 +722,18 @@ mod tests {
         ObjectKey::from_offset(off)
     }
 
+    /// Write `data` as a one-page object.
+    fn write_one(
+        ocm: &Ocm,
+        key: ObjectKey,
+        data: Bytes,
+        txn: TxnId,
+        mode: WriteMode,
+    ) -> IqResult<()> {
+        let len = data.len() as u32;
+        ocm.write_group(key, data, &[(0, len)], txn, mode)
+    }
+
     fn setup(slots: u32) -> (Ocm, Arc<ObjectStoreSim>) {
         let slot_bytes = 1024u32;
         let ssd = Arc::new(BlockDeviceSim::new(256, slots as u64 * 4));
@@ -756,11 +756,11 @@ mod tests {
         let (ocm, store) = setup(8);
         store.put(key(1), Bytes::from_static(b"hello")).unwrap();
         store.settle();
-        let first = ocm.read(key(1)).unwrap();
+        let first = ocm.read_hinted(key(1), false).unwrap();
         assert_eq!(&first[..], b"hello");
         ocm.quiesce();
         assert!(ocm.contains(key(1)));
-        let second = ocm.read(key(1)).unwrap();
+        let second = ocm.read_hinted(key(1), false).unwrap();
         assert_eq!(&second[..], b"hello");
         let snap = ocm.stats_snapshot();
         assert_eq!(snap.misses, 1);
@@ -771,7 +771,8 @@ mod tests {
     fn write_back_uploads_async_and_caches_after_success() {
         let (ocm, store) = setup(8);
         let txn = TxnId(1);
-        ocm.write(
+        write_one(
+            &ocm,
             key(2),
             Bytes::from_static(b"wb-data"),
             txn,
@@ -782,7 +783,7 @@ mod tests {
         assert!(store.exists(key(2)));
         ocm.quiesce();
         assert!(ocm.contains(key(2)));
-        assert_eq!(&ocm.read(key(2)).unwrap()[..], b"wb-data");
+        assert_eq!(&ocm.read_hinted(key(2), false).unwrap()[..], b"wb-data");
         ocm.end_txn(txn);
     }
 
@@ -790,7 +791,8 @@ mod tests {
     fn write_through_is_synchronous_on_store() {
         let (ocm, store) = setup(8);
         let txn = TxnId(1);
-        ocm.write(
+        write_one(
+            &ocm,
             key(3),
             Bytes::from_static(b"wt"),
             txn,
@@ -807,13 +809,25 @@ mod tests {
     fn commit_mode_upgrades_subsequent_writes() {
         let (ocm, store) = setup(8);
         let txn = TxnId(4);
-        ocm.write(key(10), Bytes::from_static(b"a"), txn, WriteMode::WriteBack)
-            .unwrap();
+        write_one(
+            &ocm,
+            key(10),
+            Bytes::from_static(b"a"),
+            txn,
+            WriteMode::WriteBack,
+        )
+        .unwrap();
         ocm.flush_for_commit(txn).unwrap();
         // After FlushForCommit, a write requested as write-back still goes
         // through synchronously.
-        ocm.write(key(11), Bytes::from_static(b"b"), txn, WriteMode::WriteBack)
-            .unwrap();
+        write_one(
+            &ocm,
+            key(11),
+            Bytes::from_static(b"b"),
+            txn,
+            WriteMode::WriteBack,
+        )
+        .unwrap();
         assert!(store.exists(key(11)));
         ocm.end_txn(txn);
     }
@@ -825,7 +839,8 @@ mod tests {
         let txn = TxnId(5);
         // Violates never-write-twice: the async upload fails and the error
         // surfaces at FlushForCommit, forcing rollback.
-        ocm.write(
+        write_one(
+            &ocm,
             key(20),
             Bytes::from_static(b"dup"),
             txn,
@@ -849,7 +864,7 @@ mod tests {
         }
         store.settle();
         for off in 0..4u64 {
-            ocm.read(key(off)).unwrap();
+            ocm.read_hinted(key(off), false).unwrap();
             ocm.quiesce();
         }
         let snap = ocm.stats_snapshot();
@@ -871,9 +886,9 @@ mod tests {
         }
         store.settle();
         // Point-read key 0 twice: miss + hit, promoting it to protected.
-        ocm.read(key(0)).unwrap();
+        ocm.read_hinted(key(0), false).unwrap();
         ocm.quiesce();
-        ocm.read(key(0)).unwrap();
+        ocm.read_hinted(key(0), false).unwrap();
         // A scan sweeps keys 1..8 — four times the cache capacity.
         for off in 1..8u64 {
             ocm.read_hinted(key(off), true).unwrap();
@@ -883,7 +898,7 @@ mod tests {
         // its slot and still hits.
         assert!(ocm.contains(key(0)), "scan evicted the protected hot key");
         let hits_before = ocm.stats_snapshot().hits;
-        ocm.read(key(0)).unwrap();
+        ocm.read_hinted(key(0), false).unwrap();
         assert_eq!(ocm.stats_snapshot().hits, hits_before + 1);
     }
 
@@ -892,12 +907,18 @@ mod tests {
         let (ocm, store) = setup(0);
         store.put(key(1), Bytes::from_static(b"x")).unwrap();
         store.settle();
-        assert_eq!(&ocm.read(key(1)).unwrap()[..], b"x");
+        assert_eq!(&ocm.read_hinted(key(1), false).unwrap()[..], b"x");
         ocm.quiesce();
         assert_eq!(ocm.cached_objects(), 0);
         let txn = TxnId(1);
-        ocm.write(key(2), Bytes::from_static(b"y"), txn, WriteMode::WriteBack)
-            .unwrap();
+        write_one(
+            &ocm,
+            key(2),
+            Bytes::from_static(b"y"),
+            txn,
+            WriteMode::WriteBack,
+        )
+        .unwrap();
         ocm.flush_for_commit(txn).unwrap();
         assert!(store.exists(key(2)));
         ocm.end_txn(txn);
@@ -926,7 +947,7 @@ mod tests {
         // And the cache still works at ordinary scale.
         store.put(key(1), Bytes::from_static(b"big")).unwrap();
         store.settle();
-        assert_eq!(&ocm.read(key(1)).unwrap()[..], b"big");
+        assert_eq!(&ocm.read_hinted(key(1), false).unwrap()[..], b"big");
         ocm.quiesce();
         assert!(ocm.contains(key(1)));
     }
@@ -941,7 +962,7 @@ mod tests {
         // are served from the durable slot or from the queued populate
         // image — either way exactly one miss, two hits, one populate.
         for _ in 0..3 {
-            assert_eq!(&ocm.read(key(7)).unwrap()[..], b"seq");
+            assert_eq!(&ocm.read_hinted(key(7), false).unwrap()[..], b"seq");
         }
         let snap = ocm.stats_snapshot();
         assert_eq!((snap.misses, snap.hits), (1, 2));
@@ -977,14 +998,14 @@ mod tests {
     #[test]
     fn oversized_write_is_rejected_at_put_time() {
         let (ocm, _store) = setup(8);
-        let err = ocm
-            .write(
-                key(1),
-                Bytes::from(vec![0u8; 2048]),
-                TxnId(1),
-                WriteMode::WriteBack,
-            )
-            .unwrap_err();
+        let err = write_one(
+            &ocm,
+            key(1),
+            Bytes::from(vec![0u8; 2048]),
+            TxnId(1),
+            WriteMode::WriteBack,
+        )
+        .unwrap_err();
         assert!(matches!(err, IqError::Invalid(_)));
     }
 
@@ -996,15 +1017,15 @@ mod tests {
         store.put(key(30), Bytes::from(vec![7u8; 2000])).unwrap();
         store.put(key(31), Bytes::from_static(b"small")).unwrap();
         store.settle();
-        let data = ocm.read(key(30)).unwrap();
+        let data = ocm.read_hinted(key(30), false).unwrap();
         assert_eq!(data.len(), 2000); // served in full, not truncated
         ocm.quiesce();
         assert!(!ocm.contains(key(30))); // and never cached
                                          // A normal neighbour still caches fine.
-        assert_eq!(&ocm.read(key(31)).unwrap()[..], b"small");
+        assert_eq!(&ocm.read_hinted(key(31), false).unwrap()[..], b"small");
         ocm.quiesce();
         assert!(ocm.contains(key(31)));
-        assert_eq!(&ocm.read(key(31)).unwrap()[..], b"small");
+        assert_eq!(&ocm.read_hinted(key(31), false).unwrap()[..], b"small");
     }
 
     /// A strong store whose PUTs wait until the test opens the gate, then
@@ -1172,9 +1193,12 @@ mod tests {
         let txn = TxnId(3);
         for off in 0..2_000u64 {
             let data = Bytes::from(vec![off as u8; 100 + (off % 700) as usize]);
-            ocm.write(key(off), data.clone(), txn, WriteMode::WriteBack)
-                .unwrap();
-            assert_eq!(ocm.read(key(off)).unwrap(), data, "read {off}");
+            write_one(&ocm, key(off), data.clone(), txn, WriteMode::WriteBack).unwrap();
+            assert_eq!(
+                ocm.read_hinted(key(off), false).unwrap(),
+                data,
+                "read {off}"
+            );
         }
         ocm.flush_for_commit(txn).unwrap();
         assert_eq!(store.max_write_count(), 1);
@@ -1186,9 +1210,9 @@ mod tests {
         let (ocm, store) = setup(8);
         store.put(key(1), Bytes::from_static(b"z")).unwrap();
         store.settle();
-        ocm.read(key(1)).unwrap();
+        ocm.read_hinted(key(1), false).unwrap();
         ocm.quiesce();
-        ocm.read(key(1)).unwrap(); // hit → sample
+        ocm.read_hinted(key(1), false).unwrap(); // hit → sample
         let snap = ocm.ssd_stats();
         assert!(snap.mean_queue_depth >= 0.0);
     }

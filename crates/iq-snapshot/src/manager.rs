@@ -252,25 +252,6 @@ impl RetainingSink {
 }
 
 impl DeletionSink for RetainingSink {
-    fn delete_page(&self, space: DbSpaceId, loc: PhysicalLocator) -> IqResult<()> {
-        match loc {
-            PhysicalLocator::Object(key) => {
-                // "When a version of a page is dropped from the transaction
-                // manager, instead of deleting the page from the underlying
-                // object store, we retain the page" (§5).
-                self.manager.retain(key);
-                Ok(())
-            }
-            // Member frees never reach a sink (they flip refcount bits in
-            // the composite registry); a fully dead composite arrives as
-            // its whole `Object` key and is retained above.
-            PhysicalLocator::ObjectRange { .. } => Err(iq_common::IqError::Invalid(
-                "cannot retain a composite member directly".into(),
-            )),
-            PhysicalLocator::Blocks { .. } => self.inner.delete_page(space, loc),
-        }
-    }
-
     fn delete_pages(&self, space: DbSpaceId, pages: &[PhysicalLocator]) -> BulkDeleteOutcome {
         // Cloud pages divert into retention — no store requests at all —
         // while block runs flow through the inner sink's bulk path.
@@ -289,12 +270,19 @@ impl DeletionSink for RetainingSink {
         for &loc in pages {
             let r = match loc {
                 PhysicalLocator::Object(key) => {
+                    // "When a version of a page is dropped from the
+                    // transaction manager, instead of deleting the page
+                    // from the underlying object store, we retain the
+                    // page" (§5).
                     self.manager.retain(key);
                     Ok(())
                 }
                 PhysicalLocator::Blocks { .. } => {
                     block_results.next().map(|(_, r)| r).unwrap_or(Ok(()))
                 }
+                // Member frees never reach a sink (they flip refcount bits
+                // in the composite registry); a fully dead composite
+                // arrives as its whole `Object` key and is retained above.
                 PhysicalLocator::ObjectRange { .. } => Err(iq_common::IqError::Invalid(
                     "cannot retain a composite member directly".into(),
                 )),
@@ -314,25 +302,25 @@ mod tests {
     use super::*;
     use iq_common::KeySet;
 
-    /// Sink recording final deletions.
+    /// Sink recording the final deletion of expired cloud pages.
     #[derive(Default)]
     struct RecordingSink {
         cloud: Mutex<KeySet>,
-        blocks: Mutex<u64>,
     }
 
     impl DeletionSink for RecordingSink {
-        fn delete_page(&self, _space: DbSpaceId, loc: PhysicalLocator) -> IqResult<()> {
-            match loc {
-                PhysicalLocator::Object(k) => {
-                    self.cloud.lock().insert(k.offset());
-                }
-                PhysicalLocator::Blocks { .. } => *self.blocks.lock() += 1,
-                PhysicalLocator::ObjectRange { .. } => {
-                    panic!("composite members must never reach a deletion sink")
-                }
+        fn delete_pages(&self, _space: DbSpaceId, pages: &[PhysicalLocator]) -> BulkDeleteOutcome {
+            for &loc in pages {
+                let PhysicalLocator::Object(k) = loc else {
+                    panic!("a retention sweep deletes whole objects only, got {loc:?}");
+                };
+                self.cloud.lock().insert(k.offset());
             }
-            Ok(())
+            BulkDeleteOutcome {
+                results: pages.iter().map(|&loc| (loc, Ok(()))).collect(),
+                requests: pages.len() as u64,
+                retried_keys: 0,
+            }
         }
     }
 
@@ -373,24 +361,62 @@ mod tests {
     }
 
     #[test]
-    fn retaining_sink_diverts_cloud_passes_blocks() {
+    fn retaining_sink_mixed_batch_diverts_cloud_passes_blocks() {
+        use iq_objectstore::{BlockDeviceSim, ConsistencyConfig, ObjectStoreSim, RetryPolicy};
+        use iq_storage::{CountingKeySource, StorageConfig};
+        use iq_txn::ImmediateDeletion;
+
+        let cfg = StorageConfig::test_small();
+        let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
+        let cloud = DbSpace::cloud(
+            DbSpaceId(1),
+            "c",
+            cfg,
+            store.clone(),
+            RetryPolicy::default(),
+        );
+        let dev = Arc::new(BlockDeviceSim::new(cfg.block_size(), 256));
+        let conv = DbSpace::conventional(DbSpaceId(2), "m", cfg, dev).unwrap();
+        let page = iq_storage::Page::new(
+            iq_common::PageId(1),
+            iq_common::VersionId(1),
+            iq_storage::PageKind::Data,
+            bytes::Bytes::from(vec![1u8; 64]),
+        );
+        let keys = CountingKeySource::default();
+        let object = cloud.write_page(&page, &keys).unwrap();
+        let blocks = conv.write_page(&page, &keys).unwrap();
+        let immediate = Arc::new(ImmediateDeletion::new());
+        immediate.register(Arc::new(cloud));
+        immediate.register(Arc::new(conv));
+
         let sm = Arc::new(SnapshotManager::new(SimDuration::from_secs(10)));
-        let final_sink = Arc::new(RecordingSink::default());
-        let sink = RetainingSink::new(Arc::clone(&sm), final_sink.clone());
-        sink.delete_page(DbSpaceId(1), PhysicalLocator::Object(key(9)))
-            .unwrap();
-        sink.delete_page(
-            DbSpaceId(2),
-            PhysicalLocator::Blocks {
-                start: iq_common::BlockNum(0),
-                count: 4,
-            },
-        )
-        .unwrap();
-        // Cloud page retained, not deleted; conventional deleted now.
-        assert_eq!(sm.retained_count(), 1);
-        assert!(final_sink.cloud.lock().is_empty());
-        assert_eq!(*final_sink.blocks.lock(), 1);
+        let sink = RetainingSink::new(Arc::clone(&sm), immediate);
+        let member = PhysicalLocator::ObjectRange {
+            key: key(7),
+            offset: 0,
+            len: 8,
+        };
+        let absent = PhysicalLocator::Object(key(999));
+        let batch = [object, blocks, member, absent];
+        let out = sink.delete_pages(DbSpaceId(2), &batch);
+        let locs: Vec<PhysicalLocator> = out.results.iter().map(|(l, _)| *l).collect();
+        assert_eq!(locs, batch, "results come back in input order");
+        let ok: Vec<bool> = out.results.iter().map(|(_, r)| r.is_ok()).collect();
+        assert_eq!(ok, [true, true, false, true], "a member is rejected");
+        // Cloud pages retained, not deleted; the block run released now.
+        assert_eq!(sm.retained_count(), 2);
+        assert_eq!(store.object_count(), 1);
+        assert_eq!(out.requests, 1, "the block run is the only request");
+
+        // A block run on an unknown dbspace errors, and only that run.
+        let out = sink.delete_pages(DbSpaceId(9), &[blocks, PhysicalLocator::Object(key(11))]);
+        assert!(matches!(
+            out.results[0].1,
+            Err(iq_common::IqError::NotFound(_))
+        ));
+        assert!(out.results[1].1.is_ok());
+        assert_eq!(sm.retained_count(), 3);
     }
 
     #[test]

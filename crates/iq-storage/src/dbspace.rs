@@ -219,9 +219,9 @@ impl DbSpace {
                 "get_range requires a cloud dbspace".into(),
             ));
         };
-        let read = retry.get_range(store.as_ref(), key, offset, len)?;
+        let data = retry.get_range(store.as_ref(), key, offset, len)?;
         self.member_reads.fetch_add(1, Ordering::Relaxed);
-        Ok(read.data)
+        Ok(data)
     }
 
     /// Composite members this dbspace has read from the store.
@@ -272,7 +272,8 @@ impl DbSpace {
         }
     }
 
-    /// Release the storage behind `loc` (garbage collection).
+    /// Release the block run at `loc` (garbage collection; conventional
+    /// only — objects leave through [`Self::delete_batch`]).
     pub fn release(&self, loc: PhysicalLocator) -> IqResult<()> {
         match (&self.backing, loc) {
             (
@@ -282,9 +283,8 @@ impl DbSpace {
                 freelist.lock().free(start, count as u32);
                 device.trim_blocks(start, count as u32)
             }
-            (Backing::Cloud { store, .. }, PhysicalLocator::Object(key)) => store.delete(key),
             _ => Err(IqError::Invalid(
-                "locator/backing mismatch on release".into(),
+                "release takes a block run on a conventional dbspace".into(),
             )),
         }
     }
@@ -533,16 +533,6 @@ mod tests {
         let get = store.stats_snapshot().op(iq_objectstore::IoOp::Get);
         assert_eq!((get.count, get.bytes), (2, (ia.len() + ib.len()) as u64));
         assert_eq!(space.member_reads(), 2);
-    }
-
-    #[test]
-    fn release_deletes_cloud_object() {
-        let (space, store) = cloud();
-        let keys = CountingKeySource::default();
-        let loc = space.write_page(&page(1, 1), &keys).unwrap();
-        assert_eq!(store.object_count(), 1);
-        space.release(loc).unwrap();
-        assert_eq!(store.object_count(), 0);
     }
 
     #[test]

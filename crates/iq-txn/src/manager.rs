@@ -52,36 +52,21 @@ impl BulkDeleteOutcome {
 /// Where dead pages go: immediate deletion, or deferral to the snapshot
 /// manager's retention FIFO.
 pub trait DeletionSink: Send + Sync {
-    /// Dispose of the page at `loc` in dbspace `space`.
-    fn delete_page(&self, space: DbSpaceId, loc: PhysicalLocator) -> IqResult<()>;
-
-    /// Dispose of many pages at once, reporting per-page outcomes in
-    /// input order.
+    /// Dispose of `pages` — block runs of dbspace `space`, or objects
+    /// under the cloud sentinel — reporting per-page outcomes in input
+    /// order.
     ///
-    /// Unlike a caller loop over [`Self::delete_page`] that stops at the
-    /// first error, the bulk call keeps going: deletes are idempotent and
+    /// The call keeps going past a failed page: deletes are idempotent and
     /// the GC tracks per-entry completion, so pages that fail here get
     /// exactly one more attempt on a later tick while finished pages are
-    /// never re-driven. Batch-aware sinks override this to issue
-    /// multi-object delete requests; the default is the per-page loop
-    /// (one simulated request per page).
-    fn delete_pages(&self, space: DbSpaceId, pages: &[PhysicalLocator]) -> BulkDeleteOutcome {
-        let mut results = Vec::with_capacity(pages.len());
-        for &loc in pages {
-            results.push((loc, self.delete_page(space, loc)));
-        }
-        BulkDeleteOutcome {
-            results,
-            requests: pages.len() as u64,
-            retried_keys: 0,
-        }
-    }
+    /// never re-driven.
+    fn delete_pages(&self, space: DbSpaceId, pages: &[PhysicalLocator]) -> BulkDeleteOutcome;
 }
 
 /// The immediate sink: deletes pages against the registered dbspaces
 /// right away. Object keys are unique across the whole database (one
-/// generator), so a cloud deletion resolves by polling the cloud
-/// dbspaces; block-run deletions resolve by dbspace id. When retention is
+/// generator), so a cloud deletion goes to every cloud dbspace;
+/// block-run deletions resolve by dbspace id. When retention is
 /// enabled the transaction manager sees a retaining sink wrapping this
 /// one, so cloud pages divert into the snapshot manager instead (§5).
 #[derive(Default)]
@@ -99,45 +84,24 @@ impl ImmediateDeletion {
     pub fn register(&self, space: Arc<DbSpace>) {
         self.spaces.write().insert(space.id.0, space);
     }
+
+    /// Release the block run `loc` against dbspace `space`.
+    fn release_blocks(&self, space: DbSpaceId, loc: PhysicalLocator) -> IqResult<()> {
+        let spaces = self.spaces.read();
+        let s = spaces
+            .get(&space.0)
+            .ok_or_else(|| IqError::NotFound(format!("dbspace {space}")))?;
+        s.release(loc)
+    }
 }
 
 impl DeletionSink for ImmediateDeletion {
-    fn delete_page(&self, space: DbSpaceId, loc: PhysicalLocator) -> IqResult<()> {
-        match loc {
-            // Object keys arrive with a sentinel dbspace id (see
-            // [`cloud_space_of`]): keys are globally unique, so poll every
-            // cloud dbspace; the one holding the object deletes it.
-            // Unflushed keys poll as absent everywhere, which is fine
-            // (§3.3).
-            PhysicalLocator::Object(key) => {
-                for s in self.spaces.read().values() {
-                    if s.is_cloud() && s.poll_delete(key)? {
-                        return Ok(());
-                    }
-                }
-                Ok(())
-            }
-            // Only whole objects are deletable: member frees route
-            // through the composite registry, and the GC fans out the
-            // composite's *whole* key once every member is dead.
-            PhysicalLocator::ObjectRange { .. } => Err(IqError::Invalid(
-                "cannot delete a composite member directly".into(),
-            )),
-            PhysicalLocator::Blocks { .. } => {
-                let spaces = self.spaces.read();
-                let s = spaces
-                    .get(&space.0)
-                    .ok_or_else(|| IqError::NotFound(format!("dbspace {space}")))?;
-                s.release(loc)
-            }
-        }
-    }
-
     fn delete_pages(&self, space: DbSpaceId, pages: &[PhysicalLocator]) -> BulkDeleteOutcome {
-        // Bulk cloud deletions skip the per-key existence poll: the keys
-        // go to every cloud dbspace as blind ≤1000-key multi-object
-        // deletes (keys are globally unique and deleting an absent key is
-        // a no-op). Block runs still release per run against their space.
+        // Object keys arrive with a sentinel dbspace id and go to every
+        // cloud dbspace as blind ≤1000-key multi-object deletes, with no
+        // existence poll: keys are globally unique and deleting an absent
+        // (or never flushed, §3.3) key is a no-op. Block runs release per
+        // run against their space.
         let keys: Vec<ObjectKey> = pages
             .iter()
             .filter_map(|l| match l {
@@ -171,10 +135,14 @@ impl DeletionSink for ImmediateDeletion {
                 },
                 PhysicalLocator::Blocks { .. } => {
                     requests += 1;
-                    self.delete_page(space, loc)
+                    self.release_blocks(space, loc)
                 }
-                // Routes to the per-page arm above, which rejects it.
-                PhysicalLocator::ObjectRange { .. } => self.delete_page(space, loc),
+                // Only whole objects are deletable: member frees route
+                // through the composite registry, and the GC deletes the
+                // composite's *whole* key once every member is dead.
+                PhysicalLocator::ObjectRange { .. } => Err(IqError::Invalid(
+                    "cannot delete a composite member directly".into(),
+                )),
             };
             results.push((loc, r));
         }
@@ -557,8 +525,8 @@ impl TransactionManager {
 
     /// Commit *without* the inline GC pass. The caller (the `Database`'s
     /// budgeted GC driver) schedules reclamation separately, so commit
-    /// latency no longer includes the deletion fan-out. Returns the
-    /// commit sequence.
+    /// latency does not include the deletion fan-out. Returns the commit
+    /// sequence.
     pub fn commit_deferred(&self, txn: TxnId) -> IqResult<u64> {
         let entry = {
             let mut g = self.inner.lock();
@@ -725,8 +693,8 @@ impl TransactionManager {
         // The whole pass is inside the checkpoint fence: popped entries
         // are in no chain a checkpoint could image until they are settled.
         let _inside = self.fence.enter();
-        // One lock pass for eligibility (the old loop re-derived the min
-        // active sequence under the lock for every entry).
+        // One lock pass for eligibility: the oldest active sequence is
+        // derived once for every entry.
         let (mut entries, left_on_chain) = {
             let mut g = self.inner.lock();
             let oldest_active = g.oldest_active_seq();
@@ -830,8 +798,7 @@ impl TransactionManager {
             self.composites.note_reclaimed(&reclaimed);
         }
 
-        // Block runs, one bulk call per dbspace (the space is resolved
-        // once per group — the old loop looked it up per key).
+        // Block runs, one bulk call per dbspace.
         let mut block_requests = 0u64;
         let mut failed_ranges: Vec<(u32, u64, u64)> = Vec::new();
         for (space, runs) in &runs_by_space {
@@ -981,8 +948,7 @@ fn owed<'a>(entries: impl IntoIterator<Item = &'a CommittedTxn>) -> PageSet {
 
 /// RF/RB page sets carry the owning dbspace only for block runs; cloud
 /// keys are globally unique, so sinks resolve object locators by key and
-/// ignore the dbspace id. The constant replaces the per-key
-/// `cloud_space_of` lookup the old GC loop performed for every iteration.
+/// ignore the dbspace id this constant fills in.
 const CLOUD_SPACE_SENTINEL: DbSpaceId = DbSpaceId(u32::MAX);
 
 /// Per-batch key cap for the GC fan-out, mirroring the S3 multi-object
@@ -1004,8 +970,27 @@ mod tests {
         blocks: Mutex<Vec<(u32, u64, u8)>>,
     }
 
+    /// A bulk outcome built page by page: one request per page, and the
+    /// loop keeps going past a failed page.
+    fn per_page(
+        pages: &[PhysicalLocator],
+        mut delete: impl FnMut(PhysicalLocator) -> IqResult<()>,
+    ) -> BulkDeleteOutcome {
+        BulkDeleteOutcome {
+            results: pages.iter().map(|&loc| (loc, delete(loc))).collect(),
+            requests: pages.len() as u64,
+            retried_keys: 0,
+        }
+    }
+
     impl DeletionSink for RecordingSink {
-        fn delete_page(&self, space: DbSpaceId, loc: PhysicalLocator) -> IqResult<()> {
+        fn delete_pages(&self, space: DbSpaceId, pages: &[PhysicalLocator]) -> BulkDeleteOutcome {
+            per_page(pages, |loc| self.record(space, loc))
+        }
+    }
+
+    impl RecordingSink {
+        fn record(&self, space: DbSpaceId, loc: PhysicalLocator) -> IqResult<()> {
             match loc {
                 PhysicalLocator::Object(k) => {
                     self.cloud.lock().insert(k.offset());
@@ -1282,14 +1267,16 @@ mod tests {
     }
 
     impl DeletionSink for FlakySink {
-        fn delete_page(&self, space: DbSpaceId, loc: PhysicalLocator) -> IqResult<()> {
-            let mut g = self.remaining_failures.lock();
-            if *g > 0 {
-                *g -= 1;
-                return Err(IqError::Io("sink crashed".into()));
-            }
-            drop(g);
-            self.inner.delete_page(space, loc)
+        fn delete_pages(&self, space: DbSpaceId, pages: &[PhysicalLocator]) -> BulkDeleteOutcome {
+            per_page(pages, |loc| {
+                let mut g = self.remaining_failures.lock();
+                if *g > 0 {
+                    *g -= 1;
+                    return Err(IqError::Io("sink crashed".into()));
+                }
+                drop(g);
+                self.inner.record(space, loc)
+            })
         }
     }
 
@@ -1348,20 +1335,11 @@ mod tests {
     }
 
     impl DeletionSink for BatchRecordingSink {
-        fn delete_page(&self, space: DbSpaceId, loc: PhysicalLocator) -> IqResult<()> {
-            self.inner.delete_page(space, loc)
-        }
-
         fn delete_pages(&self, space: DbSpaceId, pages: &[PhysicalLocator]) -> BulkDeleteOutcome {
             self.call_sizes.lock().push(pages.len());
-            let mut results = Vec::with_capacity(pages.len());
-            for &loc in pages {
-                results.push((loc, self.inner.delete_page(space, loc)));
-            }
             BulkDeleteOutcome {
-                results,
                 requests: pages.len().div_ceil(1000) as u64,
-                retried_keys: 0,
+                ..per_page(pages, |loc| self.inner.record(space, loc))
             }
         }
     }
@@ -1524,7 +1502,7 @@ mod tests {
     fn batched_gc_reclaims_same_pages_as_per_key_baseline() {
         for seed in [1u64, 7, 42, 1337] {
             let history = random_history(seed, 48);
-            // Baseline: the default per-page sink loop, serial GC.
+            // Baseline: a per-page sink, one request per page, serial GC.
             let per_key = RecordingSink::default();
             let (base_stats, _) = run_history(&history, &per_key, 1);
             // Batched: multi-object sink, parallel fan-out.
@@ -1642,7 +1620,7 @@ mod tests {
     }
 
     #[test]
-    fn routes_cloud_and_block_deletions() {
+    fn mixed_batch_answers_in_input_order() {
         let sink = ImmediateDeletion::new();
         let (store, cloud) = cloud_space(1);
         let dev = Arc::new(BlockDeviceSim::new(
@@ -1654,29 +1632,39 @@ mod tests {
         );
         sink.register(cloud.clone());
         sink.register(conv.clone());
-
         let keys = CountingKeySource::default();
         let cloud_loc = cloud.write_page(&data_page(1), &keys).unwrap();
         let conv_loc = conv.write_page(&data_page(1), &keys).unwrap();
-
-        sink.delete_page(DbSpaceId(u32::MAX), cloud_loc).unwrap();
-        assert_eq!(store.object_count(), 0);
-        sink.delete_page(DbSpaceId(2), conv_loc).unwrap();
-        // Deleting a never-written key is a no-op.
-        sink.delete_page(
-            DbSpaceId(u32::MAX),
-            PhysicalLocator::Object(ObjectKey::from_offset(12345)),
-        )
-        .unwrap();
-        // Unknown dbspace for block runs errors.
-        assert!(sink.delete_page(DbSpaceId(9), conv_loc).is_err());
-        // Composite members are never deletable on their own.
+        let absent = PhysicalLocator::Object(ObjectKey::from_offset(12345));
         let member = PhysicalLocator::ObjectRange {
             key: ObjectKey::from_offset(7),
             offset: 0,
             len: 8,
         };
-        assert!(sink.delete_page(DbSpaceId(u32::MAX), member).is_err());
+        // Objects, a block run and a composite member interleaved: the
+        // objects leave in one multi-object request whatever their place
+        // in the batch, and every page answers at its own index.
+        let batch = [cloud_loc, conv_loc, member, absent];
+        let out = sink.delete_pages(DbSpaceId(2), &batch);
+        let locs: Vec<PhysicalLocator> = out.results.iter().map(|(l, _)| *l).collect();
+        assert_eq!(locs, batch);
+        let ok: Vec<bool> = out.results.iter().map(|(_, r)| r.is_ok()).collect();
+        // A never-written key is a no-op; a member is never deletable on
+        // its own.
+        assert_eq!(ok, [true, true, false, true]);
+        assert!(matches!(out.results[2].1, Err(IqError::Invalid(_))));
+        assert_eq!(out.requests, 2, "one multi-object delete, one block run");
+        assert_eq!(store.object_count(), 0);
+        let PhysicalLocator::Blocks { start, .. } = conv_loc else {
+            panic!("conventional pages get block runs");
+        };
+        assert_eq!(conv.with_freelist(|f| f.is_used(start)), Some(false));
+        assert_eq!(store.stats.snapshot().op(IoOp::Head).count, 0);
+
+        // A block run on an unknown dbspace errors, and only that run.
+        let out = sink.delete_pages(DbSpaceId(9), &[conv_loc, absent]);
+        assert!(matches!(out.results[0].1, Err(IqError::NotFound(_))));
+        assert!(out.results[1].1.is_ok());
     }
 
     #[test]
@@ -1698,47 +1686,6 @@ mod tests {
         assert_eq!(out.requests, 1, "21 keys fit one multi-object request");
         assert_eq!(store.stats.snapshot().op(IoOp::Delete).count, 1);
         assert_eq!(store.stats.snapshot().op(IoOp::Head).count, 0);
-        assert_eq!(store.object_count(), 0);
-    }
-
-    /// The per-key object arm is poll-then-delete (the golden Table-1
-    /// trace pins the pair): one HEAD, then one DELETE and a
-    /// `DeferredDelete` event when the object exists; an absent key
-    /// costs the HEAD only.
-    #[test]
-    fn per_key_object_delete_polls_then_deletes() {
-        let sink = ImmediateDeletion::new();
-        let (store, cloud) = cloud_space(1);
-        sink.register(cloud.clone());
-        let keys = CountingKeySource::default();
-        let loc = cloud.write_page(&data_page(1), &keys).unwrap();
-        let PhysicalLocator::Object(key) = loc else {
-            panic!("cloud pages get object locators");
-        };
-
-        // The journal is process-global: other tests may emit into it
-        // while it is on, so look only for this test's key.
-        trace::enable(1 << 16);
-        sink.delete_page(DbSpaceId(u32::MAX), loc).unwrap();
-        let absent = ObjectKey::from_offset(424_242);
-        sink.delete_page(DbSpaceId(u32::MAX), PhysicalLocator::Object(absent))
-            .unwrap();
-        trace::disable();
-        let events = trace::drain();
-        let deferred = |k: ObjectKey| {
-            events
-                .iter()
-                .filter(
-                    |e| matches!(e.kind, EventKind::DeferredDelete { key } if key == k.offset()),
-                )
-                .count()
-        };
-        assert_eq!(deferred(key), 1);
-        assert_eq!(deferred(absent), 0);
-
-        let snap = store.stats.snapshot();
-        assert_eq!(snap.op(IoOp::Head).count, 2);
-        assert_eq!(snap.op(IoOp::Delete).count, 1);
         assert_eq!(store.object_count(), 0);
     }
 }

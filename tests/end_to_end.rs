@@ -8,7 +8,7 @@ use cloudiq::core::{Database, DatabaseConfig, GroupCommitMode};
 use cloudiq::engine::table::{Schema, TableMeta, TableWriter};
 use cloudiq::engine::value::{DataType, Value};
 use cloudiq::engine::{Expr, PageStore};
-use cloudiq::objectstore::{IoOp, ObjectBackend};
+use cloudiq::objectstore::{FaultPlan, IoOp, ObjectBackend};
 use cloudiq::storage::PageKind;
 
 fn small_db() -> Database {
@@ -350,7 +350,10 @@ fn flaky_store_commits_through_retries() {
     // §4: "a failed write is retried" — a moderately flaky store must not
     // surface to the application at all.
     let mut cfg = DatabaseConfig::test_small();
-    cfg.consistency.transient_put_failure = 0.3;
+    cfg.fault = Some(FaultPlan {
+        put_fail_rate: 0.3,
+        ..FaultPlan::none()
+    });
     let db = Database::create(cfg).unwrap();
     let space = db.create_cloud_dbspace("flaky").unwrap();
     let table = TableId(1);
@@ -375,7 +378,10 @@ fn hopeless_store_rolls_the_transaction_back() {
     // "after a pre-determined number of failures of the same page, the
     // transaction is rolled back" (§4).
     let mut cfg = DatabaseConfig::test_small();
-    cfg.consistency.transient_put_failure = 0.999;
+    cfg.fault = Some(FaultPlan {
+        put_fail_rate: 0.999,
+        ..FaultPlan::none()
+    });
     cfg.retry = cloudiq::objectstore::RetryPolicy::attempts(3);
     let db = Database::create(cfg).unwrap();
     let space = db.create_cloud_dbspace("dead").unwrap();
@@ -542,11 +548,15 @@ fn reader_nodes_query_but_cannot_write() {
 
 #[test]
 fn eventual_consistency_retries_observed_end_to_end() {
-    // Force every PUT into a visibility window: the read path must retry
-    // (recorded as GetMiss) yet never surface an error or stale data.
+    // Force every object into a visibility window — its first reads miss
+    // though the PUT landed: the read path must retry yet never surface an
+    // error or stale data.
     let mut cfg = DatabaseConfig::test_small();
-    cfg.consistency.max_visibility_ops = 24;
-    cfg.consistency.delayed_fraction = 1.0;
+    cfg.fault = Some(FaultPlan {
+        stretch_fraction: 1.0,
+        stretch_get_misses: 3,
+        ..FaultPlan::none()
+    });
     cfg.ocm_bytes = 0; // reads go straight to the store, not the OCM
     let db = Database::create(cfg).unwrap();
     let space = db.create_cloud_dbspace("laggy").unwrap();
@@ -565,10 +575,9 @@ fn eventual_consistency_retries_observed_end_to_end() {
     assert_eq!(out.col(1).strs()[123].as_ref(), "row-123");
     db.rollback(rtxn).unwrap();
 
-    let snap = db.cloud_store(space).unwrap().stats.snapshot();
-    let misses = snap.op(cloudiq::objectstore::IoOp::GetMiss).count;
+    let misses = db.fault_injector(space).unwrap().fault_stats();
     assert!(
-        misses > 0,
+        misses.stretched_misses > 0,
         "visibility-window retries should have been recorded"
     );
 }

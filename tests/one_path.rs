@@ -26,7 +26,7 @@ fn assert_routed_through_injector(db: &Database, space: DbSpaceId, key: ObjectKe
     assert!(after_put > before, "dbspace traffic bypassed the injector");
 
     let misses = ocm.stats_snapshot().misses;
-    assert_eq!(&ocm.read(key).unwrap()[..], b"probe");
+    assert_eq!(&ocm.read_hinted(key, false).unwrap()[..], b"probe");
     assert_eq!(ocm.stats_snapshot().misses, misses + 1);
     assert!(
         injector.op_clock() > after_put,
