@@ -7,9 +7,11 @@
 # declared `pub fn|struct|enum|trait|const|type` in the product part of
 # crates/*/src (above a file's first `#[cfg(test)]`, as in ci/loc.sh) must
 # occur as a word at least twice under crates/ src/ tests/ examples/
-# bench/src bench/tests — once is its own declaration. A name that also
-# appears in a comment or belongs to two items passes; this is a floor,
-# not a proof. There is no allow-list: delete the item or use it.
+# bench/src bench/tests — once is its own declaration. Comments (from `//`
+# to the end of the line) and `pub use` lists do not count: a doc link or
+# a re-export is not a use. A name that belongs to two items passes; this
+# is a floor, not a proof. There is no allow-list: delete the item or use
+# it.
 #
 # A second section reports, without failing, the items that pass only
 # because a *test* names them: no product text (the product part of
@@ -20,9 +22,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Rust text on stdin with its comments and `pub use` lists dropped.
+code() {
+  awk '
+    in_use { in_use = !index($0, ";"); next }
+    /^[ \t]*pub(\([a-z]+\))?[ \t]+use[ \t]/ { in_use = !index($0, ";"); next }
+    { sub(/\/\/.*/, ""); print }'
+}
+
 # Every identifier in the scanned trees, with its number of occurrences.
 COUNTS=$(find crates src tests examples bench/src bench/tests -name '*.rs' -print0 |
-  xargs -0 grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c)
+  xargs -0 cat | code | grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c)
 
 # "name file:line" for every pub declaration in product code.
 DECLS=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
@@ -52,7 +62,7 @@ PRODUCT_COUNTS=$({
     /#\[cfg\(test\)\]/ { in_tests = 1 }
     !in_tests'
   find src bench/src -name '*.rs' -print0 | xargs -0 cat
-} | grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c)
+} | code | grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c)
 
 TEST_ONLY=$(awk '
   NR == FNR { count[$2] = $1; next }

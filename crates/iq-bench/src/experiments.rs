@@ -948,13 +948,13 @@ pub(crate) fn gc_rows(sf: f64) -> IqResult<Vec<GcBatchingMeasure>> {
             for &loc in c {
                 tm.record_free(t, SPACE, loc)?;
             }
-            tm.commit(t, &sink)?;
+            tm.commit(t)?;
         }
         tm.rollback(blocker, &sink)?;
 
         // The measured region: one drain pass over the whole chain.
         let before = sim.stats.snapshot().op(IoOp::Delete).count;
-        tm.gc_tick(&sink)?;
+        tm.gc_tick(&sink, usize::MAX)?;
         let delete_requests = sim.stats.snapshot().op(IoOp::Delete).count - before;
         let gc = tm.gc_stats();
         assert_eq!(gc.keys_deleted, keys_total, "every freed page reclaimed");

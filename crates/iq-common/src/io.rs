@@ -51,10 +51,6 @@ pub struct IoStats {
     /// count: a batch of `n` operations drives this to at least `n`
     /// however few execution lanes carry it.
     pub in_flight_peak: AtomicU64,
-    /// Transaction-log appends absorbed into another append's PUT by the
-    /// group-commit gather (each leader PUT of a batch of `k` adds
-    /// `k - 1`).
-    pub coalesced_appends: AtomicU64,
 }
 
 impl IoStats {
@@ -93,13 +89,6 @@ impl IoStats {
         }
     }
 
-    /// Account a group-commit gather that folded `batch` appends into one
-    /// PUT.
-    pub fn note_coalesced_batch(&self, batch: usize) {
-        self.coalesced_appends
-            .fetch_add(batch.saturating_sub(1) as u64, Ordering::Relaxed);
-    }
-
     /// Point-in-time copy of every counter.
     pub fn snapshot(&self) -> IoStatsSnapshot {
         IoStatsSnapshot {
@@ -108,7 +97,6 @@ impl IoStats {
             failed: self.failed.load(Ordering::Relaxed),
             queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
             in_flight_peak: self.in_flight_peak.load(Ordering::Relaxed),
-            coalesced_appends: self.coalesced_appends.load(Ordering::Relaxed),
         }
     }
 }
@@ -126,8 +114,6 @@ pub struct IoStatsSnapshot {
     pub queue_depth_peak: u64,
     /// Peak logical operations in flight at the submission layer.
     pub in_flight_peak: u64,
-    /// Log appends coalesced into group-commit PUTs.
-    pub coalesced_appends: u64,
 }
 
 /// The caller-side submission/completion fan-out.

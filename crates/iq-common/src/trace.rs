@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use parking_lot::Mutex;
 use serde::Serialize;
 
-/// Default ring-buffer capacity used by [`enable_default`].
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+/// Ring-buffer capacity until the first [`enable`] sets one.
+const DEFAULT_CAPACITY: usize = 1 << 16;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static CLOCK: AtomicU64 = AtomicU64::new(0);
@@ -302,16 +302,6 @@ pub enum EventKind {
         /// Projection-page GETs avoided.
         pages_saved: u64,
     },
-    /// A named span opened (see [`span`]).
-    SpanBegin {
-        /// Span label.
-        name: String,
-    },
-    /// A named span closed.
-    SpanEnd {
-        /// Span label.
-        name: String,
-    },
     /// A free-form named counter observation.
     Counter {
         /// Counter label.
@@ -357,8 +347,6 @@ impl EventKind {
             EventKind::ScanMorsel { .. } => "ScanMorsel",
             EventKind::GroupPruned { .. } => "GroupPruned",
             EventKind::LateMatSkip { .. } => "LateMatSkip",
-            EventKind::SpanBegin { .. } => "SpanBegin",
-            EventKind::SpanEnd { .. } => "SpanEnd",
             EventKind::Counter { .. } => "Counter",
         }
     }
@@ -387,11 +375,6 @@ pub fn enable(capacity: usize) {
     j.dropped = 0;
     CLOCK.store(0, Ordering::Relaxed);
     ENABLED.store(true, Ordering::Release);
-}
-
-/// [`enable`] with [`DEFAULT_CAPACITY`].
-pub fn enable_default() {
-    enable(DEFAULT_CAPACITY);
 }
 
 /// Stop recording (the journal is kept; [`drain`] still returns it).
@@ -490,26 +473,6 @@ pub fn fold_journal(events: &[TraceEvent]) -> BTreeMap<&'static str, FoldedKind>
         f.last_t = f.last_t.max(e.t);
     }
     out
-}
-
-/// RAII span: emits [`EventKind::SpanBegin`] on creation and
-/// [`EventKind::SpanEnd`] on drop.
-pub struct Span {
-    name: &'static str,
-}
-
-/// Open a named span (see [`Span`]).
-pub fn span(name: &'static str) -> Span {
-    emit(EventKind::SpanBegin { name: name.into() });
-    Span { name }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        emit(EventKind::SpanEnd {
-            name: self.name.into(),
-        });
-    }
 }
 
 /// Record a named counter observation.
@@ -647,24 +610,18 @@ mod tests {
         let _g = JOURNAL_TEST.lock();
         enable(8);
         emit(EventKind::ObjectPut { key: 1, bytes: 32 });
-        {
-            let _s = span("load");
-        }
+        counter("load", 7);
         disable();
         let text = render_jsonl(&drain());
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[0],
             r#"{"seq":0,"t":0,"kind":{"ObjectPut":{"key":1,"bytes":32}}}"#
         );
         assert_eq!(
             lines[1],
-            r#"{"seq":1,"t":0,"kind":{"SpanBegin":{"name":"load"}}}"#
-        );
-        assert_eq!(
-            lines[2],
-            r#"{"seq":2,"t":0,"kind":{"SpanEnd":{"name":"load"}}}"#
+            r#"{"seq":1,"t":0,"kind":{"Counter":{"name":"load","value":7}}}"#
         );
     }
 

@@ -331,7 +331,7 @@ fn register_core_metrics(shared: &Arc<Shared>) {
             ("requests".into(), MetricValue::U64(g.requests)),
             ("requests_saved".into(), MetricValue::U64(g.requests_saved)),
             ("retried_keys".into(), MetricValue::U64(g.retried_keys)),
-            ("requeues".into(), MetricValue::U64(g.requeues)),
+            ("owed".into(), MetricValue::U64(g.owed)),
             ("in_flight_peak".into(), MetricValue::U64(g.in_flight_peak)),
             ("batch_le_1".into(), MetricValue::U64(g.batch_hist[0])),
             ("batch_le_10".into(), MetricValue::U64(g.batch_hist[1])),
@@ -433,10 +433,6 @@ fn register_core_metrics(shared: &Arc<Shared>) {
                 MetricValue::U64(io.queue_depth_peak),
             ),
             ("in_flight_peak".into(), MetricValue::U64(io.in_flight_peak)),
-            (
-                "coalesced_appends".into(),
-                MetricValue::U64(io.coalesced_appends),
-            ),
         ]
     });
     let w = Arc::downgrade(shared);
@@ -721,13 +717,13 @@ impl Database {
         let durable_log = match config.group_commit {
             GroupCommitMode::Off => None,
             GroupCommitMode::Coalesced => {
-                let (reactor, stats) = (Arc::clone(&reactor), Some(Arc::clone(&io_stats)));
+                let reactor = Arc::clone(&reactor);
                 let (retry, fault) = (config.retry, config.log_fault);
                 let dl = Arc::new(match log_store {
                     // A surviving log store resumes key allocation above
                     // its live keys.
-                    Some(sim) => DurableLog::over_store(reactor, stats, retry, fault, sim),
-                    None => DurableLog::new(reactor, stats, retry, fault),
+                    Some(sim) => DurableLog::over_store(reactor, retry, fault, sim),
+                    None => DurableLog::new(reactor, retry, fault),
                 });
                 log.set_sink(Arc::clone(&dl) as Arc<dyn iq_txn::LogSink>);
                 Some(dl)
@@ -964,7 +960,8 @@ impl Database {
                 self.shared.txns.record_free(txn, ts.space, loc)?;
             }
         }
-        self.shared.txns.commit(txn, self.shared.gc_sink.as_ref())?;
+        self.shared.txns.commit(txn)?;
+        self.gc_drain()?;
         self.shared.tables.write().remove(&table.0);
         {
             let mut catalog = self.shared.catalog.lock();
@@ -1081,12 +1078,12 @@ impl Database {
         // ([`Self::gc_tick`] / [`Self::gc_drain`]), so commit latency no
         // longer includes the deletion fan-out.
         //
-        // `commit_deferred` appends the commit record durably: if the
-        // durable-log PUT fails past its retry budget, the commit fails
+        // The transaction manager appends the commit record durably: if
+        // the durable-log PUT fails past its retry budget, the commit fails
         // here. Every table it installed goes back to the version it
         // superseded, then it rolls back like a blockmap-cascade failure
         // — which deletes the uploads the installed trees pointed at.
-        let seq = self.shared.txns.commit_deferred(txn).inspect_err(|_| {
+        let seq = self.shared.txns.commit(txn).inspect_err(|_| {
             for (ts, previous) in &installed {
                 ts.uninstall(txn, *previous, commit_point);
                 let mut catalog = self.shared.catalog.lock();
@@ -1158,11 +1155,12 @@ impl Database {
     /// reclamation to this driver, so deletion cost is paid here — as
     /// deduped, coalesced, worker-pool-parallel multi-object deletes —
     /// instead of inline on the commit path. Returns pages reclaimed
-    /// (first-time only; requeued retries never double-count).
+    /// (first-time only: a failed delete stays owed and is counted when a
+    /// later pass deletes it).
     pub fn gc_tick(&self, budget: usize) -> IqResult<usize> {
         self.shared
             .txns
-            .gc_tick_budget(self.shared.gc_sink.as_ref(), budget)
+            .gc_tick(self.shared.gc_sink.as_ref(), budget)
     }
 
     /// Drain every currently-eligible chain entry in one batched pass.

@@ -50,7 +50,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use iq_common::{IoStats, IqError, IqResult, ObjectKey};
+use iq_common::{IqError, IqResult, ObjectKey};
 use iq_objectstore::{
     ConsistencyConfig, FaultInjector, FaultPlan, IoReactor, ObjectBackend, ObjectStoreSim,
     ReactorStore, RetryPolicy, DELETE_BATCH_MAX,
@@ -158,7 +158,6 @@ pub struct DurableLog {
     next_key: AtomicU64,
     /// Key of the last checkpoint record that landed (0: none yet).
     checkpoint_key: AtomicU64,
-    io_stats: Option<Arc<IoStats>>,
     gather: Mutex<GatherState>,
     cv: Condvar,
     appends: AtomicU64,
@@ -171,18 +170,12 @@ pub struct DurableLog {
 }
 
 impl DurableLog {
-    /// A durable log over a fresh store, uploading through `reactor` and
-    /// charging coalesced appends into `io_stats` when present. `retry`
-    /// covers every upload; `fault` optionally wraps the store in a
-    /// scripted [`FaultInjector`].
-    pub fn new(
-        reactor: Arc<IoReactor>,
-        io_stats: Option<Arc<IoStats>>,
-        retry: RetryPolicy,
-        fault: Option<FaultPlan>,
-    ) -> Self {
+    /// A durable log over a fresh store, uploading through `reactor`.
+    /// `retry` covers every upload; `fault` optionally wraps the store in
+    /// a scripted [`FaultInjector`].
+    pub fn new(reactor: Arc<IoReactor>, retry: RetryPolicy, fault: Option<FaultPlan>) -> Self {
         let sim = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
-        Self::over_store(reactor, io_stats, retry, fault, sim)
+        Self::over_store(reactor, retry, fault, sim)
     }
 
     /// A durable log resuming a *surviving* store after a restart: key
@@ -190,7 +183,6 @@ impl DurableLog {
     /// so never-write-twice holds on the log keyspace across reopens.
     pub fn over_store(
         reactor: Arc<IoReactor>,
-        io_stats: Option<Arc<IoStats>>,
         retry: RetryPolicy,
         fault: Option<FaultPlan>,
         sim: Arc<ObjectStoreSim>,
@@ -209,7 +201,6 @@ impl DurableLog {
             retry,
             next_key: AtomicU64::new(next_key),
             checkpoint_key: AtomicU64::new(0),
-            io_stats,
             gather: Mutex::new(GatherState::default()),
             cv: Condvar::new(),
             appends: AtomicU64::new(0),
@@ -319,9 +310,6 @@ impl DurableLog {
             self.gathered_batches.fetch_add(1, Ordering::Relaxed);
             self.coalesced_records
                 .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
-            if let Some(stats) = &self.io_stats {
-                stats.note_coalesced_batch(batch.len());
-            }
         }
         res
     }
@@ -461,7 +449,6 @@ mod tests {
     fn durable() -> Arc<DurableLog> {
         Arc::new(DurableLog::new(
             Arc::new(IoReactor::new()),
-            None,
             RetryPolicy::attempts(3),
             None,
         ))
@@ -476,7 +463,6 @@ mod tests {
         };
         Arc::new(DurableLog::new(
             Arc::new(IoReactor::new()),
-            None,
             RetryPolicy::attempts(2),
             Some(plan),
         ))
@@ -686,7 +672,6 @@ mod tests {
         let top = sim.live_keys().last().unwrap().offset();
         let resumed = DurableLog::over_store(
             Arc::new(IoReactor::new()),
-            None,
             RetryPolicy::attempts(3),
             None,
             sim,

@@ -117,7 +117,6 @@ mod tests {
     fn durable_log(fault: Option<FaultPlan>) -> Arc<DurableLog> {
         Arc::new(DurableLog::new(
             Arc::new(IoReactor::new()),
-            None,
             RetryPolicy::attempts(2),
             fault,
         ))

@@ -185,21 +185,7 @@ impl RetryPolicy {
     /// the store's op clock, so a bounded visibility window always
     /// resolves within the derived budget.
     pub fn get(&self, store: &dyn ObjectBackend, key: ObjectKey) -> IqResult<Bytes> {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            match store.get(key) {
-                Ok(bytes) => return Ok(bytes),
-                Err(e) if e.is_transient() && attempts < self.max_attempts => {
-                    Self::trace_attempt(key, attempts, &e);
-                    self.back_off(store, key, attempts);
-                }
-                Err(e) if e.is_transient() => {
-                    return Err(IqError::RetriesExhausted { key, attempts })
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.retry(store, key, IqError::is_transient, || store.get(key))
     }
 
     /// Ranged GET with the same retry-on-transient-error loop as
@@ -212,21 +198,9 @@ impl RetryPolicy {
         offset: u32,
         len: u32,
     ) -> IqResult<Bytes> {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            match store.get_range(key, offset, len) {
-                Ok(read) => return Ok(read),
-                Err(e) if e.is_transient() && attempts < self.max_attempts => {
-                    Self::trace_attempt(key, attempts, &e);
-                    self.back_off(store, key, attempts);
-                }
-                Err(e) if e.is_transient() => {
-                    return Err(IqError::RetriesExhausted { key, attempts })
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.retry(store, key, IqError::is_transient, || {
+            store.get_range(key, offset, len)
+        })
     }
 
     /// PUT with retry on transient failure (I/O errors, throttling).
@@ -234,20 +208,30 @@ impl RetryPolicy {
     /// not a transient fault. Exhausting the budget is the §4 per-page
     /// failure budget — the caller rolls the transaction back.
     pub fn put(&self, store: &dyn ObjectBackend, key: ObjectKey, data: Bytes) -> IqResult<()> {
+        let retryable = |e: &IqError| matches!(e, IqError::Io(_) | IqError::Throttled(_));
+        self.retry(store, key, retryable, || store.put(key, data.clone()))
+    }
+
+    /// The one retry loop: run `op` until it succeeds, fails with an error
+    /// `retryable` refuses, or exhausts the budget (`RetriesExhausted`),
+    /// journalling each retried attempt and backing off before the next.
+    fn retry<T>(
+        &self,
+        store: &dyn ObjectBackend,
+        key: ObjectKey,
+        retryable: impl Fn(&IqError) -> bool,
+        mut op: impl FnMut() -> IqResult<T>,
+    ) -> IqResult<T> {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            match store.put(key, data.clone()) {
-                Ok(()) => return Ok(()),
-                Err(e @ (IqError::Io(_) | IqError::Throttled(_)))
-                    if attempts < self.max_attempts =>
-                {
+            match op() {
+                Ok(v) => return Ok(v),
+                Err(e) if retryable(&e) && attempts < self.max_attempts => {
                     Self::trace_attempt(key, attempts, &e);
                     self.back_off(store, key, attempts);
                 }
-                Err(IqError::Io(_) | IqError::Throttled(_)) => {
-                    return Err(IqError::RetriesExhausted { key, attempts })
-                }
+                Err(e) if retryable(&e) => return Err(IqError::RetriesExhausted { key, attempts }),
                 Err(e) => return Err(e),
             }
         }

@@ -108,39 +108,41 @@ struct CacheEntry {
     len: u32,
 }
 
-/// One page of a write-back group. `slot` already holds `image` on SSD,
-/// unless the SSD write failed or no slot was free.
-struct Member {
-    extent: Extent,
-    slot: Option<u64>,
+/// An extent the OCM holds but has not put in the LRU yet. A write-back
+/// page waits on its object's upload with `slot` already holding `image`
+/// (no slot if the SSD write failed or none was free); a populate waits on
+/// the worker for its slot.
+struct Landing {
     image: Bytes,
+    slot: Option<u64>,
 }
 
-enum Job {
-    /// Write-back upload of a whole object — one page, or a composite of
-    /// several — whose members already sit in their SSD slots.
-    StorePut {
-        txn: TxnId,
-        key: ObjectKey,
-        data: Bytes,
-        members: Vec<Extent>,
-    },
-    /// Asynchronous SSD population after a read-through or write-through.
-    /// `scan` carries the originating read's admission hint to the slot
-    /// list (scan reads are admitted probationary).
-    CachePopulate {
-        extent: Extent,
-        data: Bytes,
-        scan: bool,
-    },
+/// The worker's one job shape: run the upload, if any, then land the
+/// extents in the LRU.
+struct Job {
+    /// Write-back: the whole object — one page, or a composite of
+    /// several — uploaded on behalf of a transaction. The extents already
+    /// sit in their slots and join the LRU only if it lands.
+    upload: Option<(TxnId, ObjectKey, Bytes)>,
+    /// The extents to land, each in [`Inner::landing`].
+    extents: Vec<Extent>,
+    /// A populate's admission hint: scan reads are admitted
+    /// probationary.
+    scan: bool,
 }
 
 impl Job {
-    fn txn(&self) -> Option<TxnId> {
-        match self {
-            Job::StorePut { txn, .. } => Some(*txn),
-            Job::CachePopulate { .. } => None,
+    /// One populate: the extent gets its slot and SSD write on the worker.
+    fn populate(extent: Extent, scan: bool) -> Self {
+        Self {
+            upload: None,
+            extents: vec![extent],
+            scan,
         }
+    }
+
+    fn txn(&self) -> Option<TxnId> {
+        self.upload.as_ref().map(|&(txn, ..)| txn)
     }
 }
 
@@ -155,15 +157,12 @@ struct Inner {
     /// Transactions that signalled FlushForCommit; their writes are
     /// forced to write-through from then on.
     commit_mode: HashSet<TxnId>,
-    /// Images queued for SSD population but not yet durable in a slot. A
-    /// read that lands here is a cache hit (the store round trip was
-    /// already paid and counted by the populate's originator), and the
-    /// extent must not be enqueued for population a second time.
-    pending_populates: HashMap<Extent, Bytes>,
-    /// Write-back members whose upload has not resolved. They are not in
-    /// the LRU yet (§4), but the store may not have them either, so a read
-    /// is served from here and counts as a hit.
-    queued_writes: HashMap<Extent, Member>,
+    /// Extents queued to join the LRU: write-back pages whose upload has
+    /// not resolved (§4: the store may not have them yet) and populates
+    /// not yet in a slot. A read that finds one is a hit — a populate's
+    /// store round trip was already paid and counted by its originator —
+    /// and a landing extent is never enqueued for population again.
+    landing: HashMap<Extent, Landing>,
     shutdown: bool,
 }
 
@@ -205,8 +204,7 @@ impl Ocm {
             pending_puts: HashMap::new(),
             txn_errors: HashMap::new(),
             commit_mode: HashSet::new(),
-            pending_populates: HashMap::new(),
-            queued_writes: HashMap::new(),
+            landing: HashMap::new(),
             shutdown: false,
         }));
         let work_cv = Arc::new(Condvar::new());
@@ -282,9 +280,9 @@ impl Ocm {
     }
 
     /// Read one extent, hinted as [`Ocm::read_hinted`]: an SSD hit, a hit
-    /// on an image still queued for upload or population, or a miss that
-    /// `fetch` reads through from the store — a GET for a whole object, a
-    /// ranged GET for a composite member — and that is cached
+    /// on an image still landing (queued for upload or population), or a
+    /// miss that `fetch` reads through from the store — a GET for a whole
+    /// object, a ranged GET for a composite member — and that is cached
     /// asynchronously.
     pub fn read_extent(
         &self,
@@ -294,15 +292,27 @@ impl Ocm {
     ) -> IqResult<Bytes> {
         let mut inner = self.inner.lock();
         let key = extent.key;
-        // A write-back member waiting on its upload is read from its slot
-        // like a cached one: the store may not have it yet.
-        let slotted = inner.cache.get(&extent).copied().or_else(|| {
-            let m = inner.queued_writes.get(&extent)?;
-            Some(CacheEntry {
-                slot: m.slot?,
-                len: m.image.len() as u32,
-            })
-        });
+        // A write-back page waiting on its upload is read from its slot
+        // like a cached one (the store may not have it yet); a landing
+        // image with no slot is served as it is.
+        let slotted = match inner.cache.get(&extent) {
+            Some(&entry) => Some(entry),
+            None => match inner.landing.get(&extent) {
+                Some(Landing {
+                    slot: Some(slot),
+                    image,
+                }) => Some(CacheEntry {
+                    slot: *slot,
+                    len: image.len() as u32,
+                }),
+                Some(Landing { slot: None, image }) => {
+                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                    trace::emit(EventKind::OcmHit { key: key.offset() });
+                    return Ok(image.clone());
+                }
+                None => None,
+            },
+        };
         if let Some(entry) = slotted {
             // Sample the async-write queue depth: deep queues inflate SSD
             // read latency in the time model (Figure 6's anomaly).
@@ -319,20 +329,6 @@ impl Ocm {
             trace::emit(EventKind::OcmHit { key: key.offset() });
             return Ok(image);
         }
-        let queued = match inner.queued_writes.get(&extent) {
-            Some(m) => Some(m.image.clone()),
-            None => inner.pending_populates.get(&extent).cloned(),
-        };
-        if let Some(data) = queued {
-            // Queued but not in a durable slot: serve the queued image and
-            // count a hit. For a populate, the read-through that queued it
-            // already counted the miss; bumping misses again here (and
-            // re-enqueueing a populate) double-counted Table 5 until the
-            // slot became durable.
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            trace::emit(EventKind::OcmHit { key: key.offset() });
-            return Ok(data);
-        }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         trace::emit(EventKind::OcmMiss { key: key.offset() });
         drop(inner);
@@ -343,16 +339,10 @@ impl Ocm {
         // every later hit.
         if validate_slot_len(data.len(), self.config.slot_bytes).is_ok() {
             let mut inner = self.inner.lock();
-            if inner.cache.peek(&extent).is_none()
-                && !inner.pending_populates.contains_key(&extent)
-                && !inner.queued_writes.contains_key(&extent)
-            {
-                inner.pending_populates.insert(extent, data.clone());
-                inner.queue.push_back(Job::CachePopulate {
-                    extent,
-                    data: data.clone(),
-                    scan,
-                });
+            if inner.cache.peek(&extent).is_none() && !inner.landing.contains_key(&extent) {
+                let image = data.clone();
+                inner.landing.insert(extent, Landing { image, slot: None });
+                inner.queue.push_back(Job::populate(extent, scan));
                 self.work_cv.notify_one();
             }
         }
@@ -412,7 +402,7 @@ impl Ocm {
                 // page is then served from its queued image until the
                 // upload lands, and never cached.
                 let mut lost = Vec::new();
-                let queued: Vec<Member> = pages
+                let landed: Vec<(Extent, Landing)> = pages
                     .into_iter()
                     .zip(slots)
                     .map(|((extent, image), placed)| {
@@ -424,26 +414,19 @@ impl Ocm {
                                 None
                             }
                         });
-                        Member {
-                            extent,
-                            slot,
-                            image,
-                        }
+                        (extent, Landing { image, slot })
                     })
                     .collect();
                 let mut inner = self.inner.lock();
                 for slot in lost {
                     inner.slots.free(slot);
                 }
-                let members = queued.iter().map(|m| m.extent).collect();
-                for m in queued {
-                    inner.queued_writes.insert(m.extent, m);
-                }
-                inner.queue.push_back(Job::StorePut {
-                    txn,
-                    key,
-                    data,
-                    members,
+                let extents = landed.iter().map(|&(extent, _)| extent).collect();
+                inner.landing.extend(landed);
+                inner.queue.push_back(Job {
+                    upload: Some((txn, key, data)),
+                    extents,
+                    scan: false,
                 });
                 self.work_cv.notify_one();
                 Ok(())
@@ -455,12 +438,8 @@ impl Ocm {
                 self.config.retry.put(self.store.as_ref(), key, data)?;
                 let mut inner = self.inner.lock();
                 for (extent, image) in pages {
-                    inner.pending_populates.insert(extent, image.clone());
-                    inner.queue.push_back(Job::CachePopulate {
-                        extent,
-                        data: image,
-                        scan: false,
-                    });
+                    inner.landing.insert(extent, Landing { image, slot: None });
+                    inner.queue.push_back(Job::populate(extent, false));
                 }
                 self.work_cv.notify_one();
                 Ok(())
@@ -512,7 +491,7 @@ impl Ocm {
     pub fn quiesce(&self) {
         let mut inner = self.inner.lock();
         while !inner.queue.is_empty()
-            || !inner.pending_populates.is_empty()
+            || !inner.landing.is_empty()
             || inner.pending_puts.values().any(|&n| n > 0)
         {
             self.done_cv.wait(&mut inner);
@@ -620,96 +599,100 @@ fn worker_loop(
         if guard.shutdown {
             return;
         }
-        let Some(job) = guard.queue.pop_front() else {
+        let Some(Job {
+            upload,
+            extents,
+            scan,
+        }) = guard.queue.pop_front()
+        else {
             work_cv.wait(&mut guard);
             continue;
         };
-        match job {
-            Job::StorePut {
-                txn,
-                key,
-                data,
-                members,
-            } => {
+        // Whether the upload landed; `None` for a populate.
+        let uploaded = match upload {
+            Some((txn, key, data)) => {
                 drop(guard);
                 let result = retry.put(store, key, data);
                 guard = inner.lock();
                 if let Some(n) = guard.pending_puts.get_mut(&txn) {
                     *n = n.saturating_sub(1);
                 }
-                for extent in members {
-                    let Some(Member { slot, image, .. }) = guard.queued_writes.remove(&extent)
-                    else {
-                        continue;
-                    };
-                    let Some(slot) = slot else { continue };
-                    if result.is_err() {
-                        guard.slots.free(slot);
-                        continue;
-                    }
-                    // Only now does the entry join the LRU: "a page is
-                    // not added to the LRU list until it has been
-                    // successfully written to the underlying object
-                    // store" (§4).
-                    let entry = CacheEntry {
-                        slot,
-                        len: image.len() as u32,
-                    };
-                    if let Some(old) = guard.cache.insert(extent, entry, 1, Admission::Demand) {
-                        guard.slots.free(old.slot);
-                    }
-                }
+                let landed = result.is_ok();
                 if let Err(e) = result {
                     guard.txn_errors.entry(txn).or_insert(e);
                 }
-                done_cv.notify_all();
+                Some(landed)
             }
-            Job::CachePopulate { extent, data, scan } => {
-                if guard.cache.peek(&extent).is_some() {
-                    // Already cached by a racing populate.
-                    guard.pending_populates.remove(&extent);
-                    done_cv.notify_all();
-                    continue;
-                }
-                // Defence in depth: never slot an image larger than a slot.
-                // The old unchecked `data.len() as u32` truncated the stored
-                // length and let the image overrun neighbouring slots.
-                let Ok(len) = validate_slot_len(data.len(), slot_bytes) else {
-                    guard.pending_populates.remove(&extent);
-                    done_cv.notify_all();
-                    continue;
-                };
-                let Some(slot) = allocate_slot(&mut guard, stats) else {
-                    guard.pending_populates.remove(&extent);
-                    done_cv.notify_all();
-                    continue;
-                };
-                let start = guard.slots.slot_start(slot);
-                drop(guard);
-                let ok = ssd.write_blocks(start, &data).is_ok();
-                guard = inner.lock();
-                // The extent leaves the pending set in every outcome, success
-                // or not — a stale entry would count phantom hits forever.
-                guard.pending_populates.remove(&extent);
-                if ok {
-                    let admit = if scan {
-                        Admission::Scan
-                    } else {
-                        Admission::Demand
+            None => None,
+        };
+        for extent in extents {
+            let (slot, len) = match uploaded {
+                // A write-back page: its slot already holds its image. It
+                // joins the LRU only now: "a page is not added to the LRU
+                // list until it has been successfully written to the
+                // underlying object store" (§4). A page whose SSD write
+                // failed is never cached.
+                Some(landed) => {
+                    let Some(Landing {
+                        image,
+                        slot: Some(slot),
+                    }) = guard.landing.remove(&extent)
+                    else {
+                        continue;
                     };
-                    if let Some(old) =
-                        guard
-                            .cache
-                            .insert(extent, CacheEntry { slot, len }, 1, admit)
-                    {
-                        guard.slots.free(old.slot);
+                    if !landed {
+                        guard.slots.free(slot);
+                        continue;
                     }
-                } else {
-                    guard.slots.free(slot);
+                    (slot, image.len() as u32)
                 }
-                done_cv.notify_all();
+                // A populate gets its slot and SSD write here, unless a
+                // racing populate already cached it. Its image stays in
+                // `landing` until the write resolves, so a read meanwhile
+                // is served from it; it leaves in every outcome — a stale
+                // entry would count phantom hits forever.
+                None => {
+                    let Some(image) = guard.landing.get(&extent).map(|l| l.image.clone()) else {
+                        continue;
+                    };
+                    // Defence in depth: never slot an image larger than a
+                    // slot (a truncated length would let it overrun its
+                    // neighbours).
+                    let placed = match validate_slot_len(image.len(), slot_bytes) {
+                        Ok(len) if guard.cache.peek(&extent).is_none() => {
+                            allocate_slot(&mut guard, stats).map(|slot| (slot, len))
+                        }
+                        _ => None,
+                    };
+                    let Some((slot, len)) = placed else {
+                        guard.landing.remove(&extent);
+                        continue;
+                    };
+                    let start = guard.slots.slot_start(slot);
+                    drop(guard);
+                    let ok = ssd.write_blocks(start, &image).is_ok();
+                    guard = inner.lock();
+                    guard.landing.remove(&extent);
+                    if !ok {
+                        guard.slots.free(slot);
+                        continue;
+                    }
+                    (slot, len)
+                }
+            };
+            let admit = if scan {
+                Admission::Scan
+            } else {
+                Admission::Demand
+            };
+            if let Some(old) = guard
+                .cache
+                .insert(extent, CacheEntry { slot, len }, 1, admit)
+            {
+                guard.slots.free(old.slot);
             }
         }
+        done_cv.notify_all();
     }
 }
 
@@ -1168,7 +1151,7 @@ mod tests {
         ocm.end_txn(txn);
         assert_eq!(ocm.inner.lock().slots.allocated(), 0, "every slot freed");
         assert_eq!(ocm.cached_objects(), 0, "no member joined the LRU");
-        assert!(ocm.inner.lock().queued_writes.is_empty());
+        assert!(ocm.inner.lock().landing.is_empty());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! must not delete a composite until *every* member is dead. The registry
 //! is that bookkeeping: each composite's member layout is registered at
 //! commit, member frees arriving through the RF bitmaps flip per-member
-//! death bits, and the GC asks for [`CompositeRegistry::fully_dead_pending`]
-//! each tick. A checkpoint carries the whole registry
+//! death bits, and each GC pass takes the fully dead composites
+//! ([`CompositeRegistry::take_fully_dead`]) into its debt. A checkpoint carries the whole registry
 //! ([`CompositeRegistry::image`]); reopen restores it and registers the
 //! composites committed after the checkpoint.
 //!
@@ -252,39 +252,21 @@ impl CompositeRegistry {
         }
     }
 
-    /// Every composite whose members are all dead and which no compaction
-    /// currently holds. The composite stays registered until the caller
-    /// confirms the delete with [`Self::note_reclaimed`], so a failed
-    /// delete is simply retried on a later tick.
-    pub fn fully_dead_pending(&self) -> Vec<ObjectKey> {
-        self.inner
-            .lock()
-            .composites
-            .iter()
-            .filter(|(_, info)| !info.compacting && info.layout.fully_dead())
-            .map(|(&off, _)| ObjectKey::from_offset(off))
-            .collect()
-    }
-
-    /// Confirm that the objects behind `keys` were deleted; drops them
-    /// from the registry.
-    pub fn note_reclaimed(&self, keys: &[ObjectKey]) {
+    /// Remove and return every composite whose members are all dead and
+    /// which no compaction currently holds, in key order: they are handed
+    /// to the GC, whose debt owes their deletes from then on.
+    pub fn take_fully_dead(&self) -> Vec<ObjectKey> {
         let mut g = self.inner.lock();
-        for key in keys {
-            if g.composites.remove(&key.offset()).is_some() {
-                g.stats.reclaimed += 1;
+        let mut dead = Vec::new();
+        g.composites.retain(|&off, info| {
+            let taken = !info.compacting && info.layout.fully_dead();
+            if taken {
+                dead.push(ObjectKey::from_offset(off));
             }
-        }
-    }
-
-    /// Whether any fully-dead composite is waiting to be taken (lets the
-    /// GC tick proceed even when the transaction chain is drained).
-    pub fn has_fully_dead(&self) -> bool {
-        self.inner
-            .lock()
-            .composites
-            .values()
-            .any(|info| !info.compacting && info.layout.fully_dead())
+            !taken
+        });
+        g.stats.reclaimed += dead.len() as u64;
+        dead
     }
 
     /// Claim up to `limit` compaction candidates: composites with at
@@ -392,16 +374,13 @@ mod tests {
         assert_eq!(reg.len(), 1);
         reg.mark_member_dead(5, 0);
         reg.mark_member_dead(5, 512);
-        assert!(reg.fully_dead_pending().is_empty(), "one member still live");
-        assert!(!reg.has_fully_dead());
+        assert!(reg.take_fully_dead().is_empty(), "one member still live");
+        assert_eq!(reg.len(), 1);
         reg.mark_member_dead(5, 1024);
-        assert!(reg.has_fully_dead());
-        let dead = reg.fully_dead_pending();
-        assert_eq!(dead, vec![key(5)]);
-        // Unconfirmed deletes stay pending (failed delete ⇒ retry later).
-        assert_eq!(reg.fully_dead_pending(), vec![key(5)]);
-        reg.note_reclaimed(&dead);
+        assert_eq!(reg.take_fully_dead(), vec![key(5)]);
+        // Handed over once: the GC owes the delete from here on.
         assert!(reg.is_empty());
+        assert!(reg.take_fully_dead().is_empty());
         assert_eq!(reg.stats().reclaimed, 1);
     }
 
@@ -447,10 +426,9 @@ mod tests {
         // GC leaves it alone until the claim resolves.
         assert!(reg.compaction_candidates(0.5, 8).is_empty());
         reg.mark_member_dead(1, 1536);
-        assert!(reg.fully_dead_pending().is_empty());
+        assert!(reg.take_fully_dead().is_empty());
         reg.release_claims(&[key(1)]);
-        assert_eq!(reg.fully_dead_pending(), vec![key(1)]);
-        reg.note_reclaimed(&[key(1)]);
+        assert_eq!(reg.take_fully_dead(), vec![key(1)]);
         let stats = reg.stats();
         assert_eq!(stats.compaction_claims, 1);
         assert!((stats.live_fraction_sum_at_claim - 0.25).abs() < 1e-9);
@@ -464,8 +442,7 @@ mod tests {
         // tick would then delete the just-written object.
         reg.register(key(7), &[]);
         assert!(reg.is_empty(), "empty layout must not register");
-        assert!(reg.fully_dead_pending().is_empty());
-        assert!(!reg.has_fully_dead());
+        assert!(reg.take_fully_dead().is_empty());
         assert_eq!(reg.stats().rejected_empty, 1);
         assert_eq!(reg.stats().registered, 0);
         // A later, well-formed registration under the same key works.
@@ -487,7 +464,7 @@ mod tests {
         reg.register(key(200), &layout); // "dbspace 2", same byte layout
         reg.mark_member_dead(100, 0);
         reg.mark_member_dead(100, 512);
-        assert_eq!(reg.fully_dead_pending(), vec![key(100)]);
+        assert_eq!(reg.take_fully_dead(), vec![key(100)]);
         assert_eq!(
             reg.live_fraction(key(200)),
             Some(1.0),
@@ -534,6 +511,6 @@ mod tests {
         reg.register(key(3), &[member(1, 0)]);
         reg.mark_member_dead(3, 0);
         assert!(reg.compaction_candidates(1.0, 8).is_empty());
-        assert_eq!(reg.fully_dead_pending(), vec![key(3)]);
+        assert_eq!(reg.take_fully_dead(), vec![key(3)]);
     }
 }

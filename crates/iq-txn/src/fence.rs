@@ -3,9 +3,9 @@
 //!
 //! Three kinds of work change the garbage collector's state in two steps
 //! with a gap between them: a commit appends its log record, then pushes
-//! its chain entry; a GC pass pops chain entries, then settles them (marks
-//! member deaths, deletes, requeues what failed); a retention sweep pops
-//! expired pages, then deletes them. A checkpoint that took its image in
+//! its chain entry; a GC pass takes its debt, then settles it (deletes,
+//! puts back what failed); a retention sweep pops expired pages, then
+//! deletes them. A checkpoint that took its image in
 //! such a gap would lose the work (a commit logged before the record but
 //! missing from the image) or apply it twice (a commit in the image and
 //! replayed after the record). So the work [enters](CheckpointFence::enter)

@@ -42,7 +42,7 @@ pub use keygen::{KeyGenerator, KeyRange, NodeKeyCache, RangeProvider};
 pub use log::{Checkpoint, LogRecord, LogSink, RetentionImage, TxnLog};
 pub use manager::{
     BulkDeleteOutcome, DeletionSink, GcStats, GcStatsSnapshot, ImmediateDeletion,
-    TransactionManager, TxnOutcome,
+    TransactionManager,
 };
 pub use multiplex::{Coordinator, Multiplex, NodeRole, SecondaryNode};
 pub use rfrb::{coalesce_block_runs, PackMember, RfRb};

@@ -57,8 +57,8 @@ pub trait DeletionSink: Send + Sync {
     /// order.
     ///
     /// The call keeps going past a failed page: deletes are idempotent and
-    /// the GC tracks per-entry completion, so pages that fail here get
-    /// exactly one more attempt on a later tick while finished pages are
+    /// the GC keeps exactly the pages that failed here in its debt, so
+    /// they get one more attempt on a later pass while finished pages are
     /// never re-driven.
     fn delete_pages(&self, space: DbSpaceId, pages: &[PhysicalLocator]) -> BulkDeleteOutcome;
 }
@@ -154,17 +154,6 @@ impl DeletionSink for ImmediateDeletion {
     }
 }
 
-/// How a transaction ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnOutcome {
-    /// Committed; RF pages await chain GC.
-    Committed,
-    /// Rolled back; RB pages were deleted immediately.
-    RolledBack,
-    /// Lost to a node crash; cleanup happens via active-set polling.
-    Aborted,
-}
-
 #[derive(Debug)]
 struct ActiveTxn {
     node: NodeId,
@@ -176,23 +165,19 @@ struct ActiveTxn {
 struct CommittedTxn {
     commit_seq: u64,
     rfrb: RfRb,
-    /// RF pages already deleted by an earlier, partially failed GC pass.
-    /// Keeping the resume point per entry gives exactly-once reclamation
-    /// accounting across requeues: a retried entry only re-drives (and
-    /// only re-counts) the pages that actually failed.
-    done: PageSet,
 }
 
 /// Cumulative counters of the batched GC pipeline, exposed as the `gc.*`
 /// metrics source. All plain atomics: read via [`GcStats::snapshot`].
 #[derive(Debug, Default)]
 pub struct GcStats {
-    /// Drain passes that found at least one eligible entry.
+    /// Passes that found work: an eligible entry or a delete owed.
     pub ticks: AtomicU64,
-    /// Chain entries fully reclaimed and dropped.
+    /// Chain entries dropped into the debt.
     pub entries_consumed: AtomicU64,
-    /// Cloud keys deleted (first-time only; requeued retries do not
-    /// re-count pages that already succeeded).
+    /// Cloud keys deleted, each counted on its first successful delete
+    /// (a key whose delete failed stays owed and is counted when a later
+    /// pass deletes it).
     pub keys_deleted: AtomicU64,
     /// Conventional block runs released (pre-coalescing granularity).
     pub block_runs_deleted: AtomicU64,
@@ -205,8 +190,9 @@ pub struct GcStats {
     pub requests_saved: AtomicU64,
     /// Keys re-driven by failed-subset retries.
     pub retried_keys: AtomicU64,
-    /// Entries pushed back onto the chain after a partial failure.
-    pub requeues: AtomicU64,
+    /// Keys plus block runs still owed after the latest pass: what its
+    /// failed deletes left in the debt.
+    pub owed: AtomicU64,
     /// Peak delete batches in flight across all passes (submission
     /// depth: the largest number of batches one pass submitted).
     pub in_flight_peak: AtomicU64,
@@ -233,8 +219,8 @@ pub struct GcStatsSnapshot {
     pub requests_saved: u64,
     /// See [`GcStats::retried_keys`].
     pub retried_keys: u64,
-    /// See [`GcStats::requeues`].
-    pub requeues: u64,
+    /// See [`GcStats::owed`].
+    pub owed: u64,
     /// See [`GcStats::in_flight_peak`].
     pub in_flight_peak: u64,
     /// See [`GcStats::batch_hist`].
@@ -269,7 +255,7 @@ impl GcStats {
             requests: self.requests.load(Ordering::Relaxed),
             requests_saved: self.requests_saved.load(Ordering::Relaxed),
             retried_keys: self.retried_keys.load(Ordering::Relaxed),
-            requeues: self.requeues.load(Ordering::Relaxed),
+            owed: self.owed.load(Ordering::Relaxed),
             in_flight_peak: self.in_flight_peak.load(Ordering::Relaxed),
             batch_hist: hist,
         }
@@ -282,6 +268,10 @@ struct TmInner {
     /// "The transaction manager maintains a chain of committed
     /// transactions with pointers to their RF/RB bitmaps" (§3.3).
     chain: VecDeque<CommittedTxn>,
+    /// Every delete still owed: the whole-object keys and block runs of
+    /// entries a pass dropped from the chain, and fully dead composites.
+    /// A pass takes it whole and puts back what failed.
+    debt: PageSet,
 }
 
 impl TmInner {
@@ -357,14 +347,14 @@ impl TransactionManager {
 
     /// The garbage collector's part of a checkpoint, taken while `_quiet`
     /// holds [`Self::fence`]: every registered composite with its death
-    /// bits, and the committed chain's pending frees. No reader survives
-    /// a reopen, so every chain entry is eligible there: its member frees
-    /// are folded into the death bits, and what is left of it is its
-    /// whole-object keys and block runs, minus what an earlier, partly
-    /// failed GC pass already deleted.
+    /// bits, and every delete still owed. No reader survives a reopen, so
+    /// every chain entry is eligible there: its member frees are folded
+    /// into the death bits, and its whole-object keys and block runs join
+    /// the debt's.
     pub fn gc_image(&self, _quiet: &Quiesced<'_>) -> Checkpoint {
         let mut composites = self.composites.image();
         let g = self.inner.lock();
+        let mut pending = g.debt.clone();
         for e in &g.chain {
             for (off, ranges) in &e.rfrb.rf.members {
                 if let Some(c) = composites.get_mut(off) {
@@ -373,23 +363,27 @@ impl TransactionManager {
                     }
                 }
             }
+            owe(&mut pending, &e.rfrb.rf);
+        }
+        for runs in pending.blocks.values_mut() {
+            coalesce_block_runs(runs);
         }
         Checkpoint {
             composites,
-            pending: owed(&g.chain),
+            pending,
             ..Checkpoint::default()
         }
     }
 
     /// Seed the garbage collector at reopen: the composite registry from
     /// the last checkpoint's image, then the composites of the commits
-    /// logged after it. `pending` — whole-object keys the checkpoint still
-    /// owed — and every cloud key and member those commits freed go back
-    /// on the committed chain as one entry. No reader survives a reopen,
-    /// so the entry is eligible at once and the next GC pass reclaims it;
-    /// what the previous life already deleted costs an idempotent delete.
-    /// Block runs are not queued: the caller frees them in log order,
-    /// because a later commit may have reused them.
+    /// logged after it, whose member frees die at once — no reader
+    /// survives a reopen. `pending` — whole-object keys the checkpoint
+    /// still owed — and every cloud key those commits freed become the
+    /// debt the next GC pass deletes; what the previous life already
+    /// deleted costs an idempotent delete. Block runs are not owed: the
+    /// caller frees them in log order, because a later commit may have
+    /// reused them.
     pub fn recover_gc(
         &self,
         composites: BTreeMap<u64, CompositeImage>,
@@ -397,29 +391,26 @@ impl TransactionManager {
         commits: &[RfRb],
     ) {
         self.composites.restore(composites);
-        let mut rf = PageSet {
-            keys: pending,
-            ..PageSet::default()
-        };
+        let mut g = self.inner.lock();
+        g.debt.keys.union_with(&pending);
+        // In log order: a member's free is logged after its composite.
         for rfrb in commits {
             for (&off, members) in &rfrb.packs {
                 self.composites
                     .register(ObjectKey::from_offset(off), members);
             }
-            rf.keys.union_with(&rfrb.rf.keys);
-            for (&off, ranges) in &rfrb.rf.members {
-                rf.members.entry(off).or_default().extend(ranges);
-            }
+            self.kill_members(&rfrb.rf);
+            g.debt.keys.union_with(&rfrb.rf.keys);
         }
-        if !rf.is_empty() {
-            self.inner.lock().chain.push_back(CommittedTxn {
-                commit_seq: 0,
-                rfrb: RfRb {
-                    rf,
-                    ..RfRb::default()
-                },
-                done: PageSet::default(),
-            });
+    }
+
+    /// Flip the death bits of `rf`'s member frees in the composite
+    /// registry (idempotent per member).
+    fn kill_members(&self, rf: &PageSet) {
+        for (&off, ranges) in &rf.members {
+            for &(member_off, _len) in ranges {
+                self.composites.mark_member_dead(off, member_off);
+            }
         }
     }
 
@@ -514,20 +505,10 @@ impl TransactionManager {
     }
 
     /// Commit: flush the RF/RB bitmaps (log record), notify the key
-    /// generator, move the transaction onto the committed chain, then
-    /// garbage collect whatever the chain allows. Returns the commit
-    /// sequence.
-    pub fn commit(&self, txn: TxnId, sink: &dyn DeletionSink) -> IqResult<u64> {
-        let commit_seq = self.commit_deferred(txn)?;
-        self.gc_tick(sink)?;
-        Ok(commit_seq)
-    }
-
-    /// Commit *without* the inline GC pass. The caller (the `Database`'s
-    /// budgeted GC driver) schedules reclamation separately, so commit
-    /// latency does not include the deletion fan-out. Returns the commit
-    /// sequence.
-    pub fn commit_deferred(&self, txn: TxnId) -> IqResult<u64> {
+    /// generator and move the transaction onto the committed chain.
+    /// Reclamation is [`Self::gc_tick`]'s, so commit latency does not
+    /// include the deletion fan-out. Returns the commit sequence.
+    pub fn commit(&self, txn: TxnId) -> IqResult<u64> {
         let entry = {
             let mut g = self.inner.lock();
             g.active.remove(&txn.0).ok_or_else(|| IqError::Txn {
@@ -573,7 +554,6 @@ impl TransactionManager {
         self.inner.lock().chain.push_back(CommittedTxn {
             commit_seq,
             rfrb: entry.rfrb,
-            done: PageSet::default(),
         });
         trace::emit(EventKind::TxnCommit {
             txn: txn.0,
@@ -660,94 +640,71 @@ impl TransactionManager {
             })
     }
 
-    /// Drop chain entries no longer referenced by any active transaction
-    /// and delete their RF pages. Returns pages deleted (first-time only).
-    pub fn gc_tick(&self, sink: &dyn DeletionSink) -> IqResult<usize> {
-        self.gc_tick_budget(sink, usize::MAX)
-    }
-
-    /// Budgeted GC drain: consume up to `budget` eligible chain entries
-    /// in one batched pass.
+    /// One budgeted GC pass: drop up to `budget` eligible chain entries
+    /// and delete everything owed.
     ///
     /// "When the oldest transaction in the chain is no longer referenced,
     /// its RF/RB bitmaps are used to compute the pages that can be
     /// deleted, and the transaction is dropped from the chain" — but
-    /// instead of one synchronous delete per page, the pass:
+    /// instead of one synchronous delete per page, the pass, under one
+    /// lock acquisition (the oldest-active sequence is computed once):
     ///
-    /// 1. pops every eligible entry under one lock acquisition (the
-    ///    oldest-active sequence is computed once per pass, not per
-    ///    entry);
-    /// 2. dedupes the pending cloud keys across entries into a single
-    ///    [`KeySet`], skipping pages an earlier partially-failed pass
-    ///    already deleted;
-    /// 3. groups block runs per dbspace and coalesces adjacent runs;
-    /// 4. fans ≤1000-key batches out over the worker pool as
-    ///    multi-object deletes.
+    /// 1. pops up to `budget` eligible entries;
+    /// 2. folds their RF keys and block runs into the debt;
+    /// 3. marks their member frees dead in the composite registry;
+    /// 4. takes the composites that are now fully dead into the debt;
     ///
-    /// Crash safety: deletes are idempotent and an entry whose pages did
-    /// not all succeed is re-queued at the chain *front* with its resume
-    /// point (`done`) advanced, so a later tick re-drives only the failed
+    /// and takes the whole debt, so two concurrent passes never delete or
+    /// count the same key twice. It then deletes it: the deduped keys as
+    /// ≤1000-key multi-object deletes fanned out over the worker pool,
+    /// the block runs per dbspace, coalesced.
+    ///
+    /// Crash safety: deletes are idempotent, and whatever failed goes
+    /// back into the debt, so a later pass re-drives only the failed
     /// pages — nothing leaks and nothing is double-counted. On any page
-    /// failure the first error is returned after the re-queue.
-    pub fn gc_tick_budget(&self, sink: &dyn DeletionSink, budget: usize) -> IqResult<usize> {
-        // The whole pass is inside the checkpoint fence: popped entries
-        // are in no chain a checkpoint could image until they are settled.
+    /// failure the first error is returned. Returns the pages deleted
+    /// (first-time only).
+    pub fn gc_tick(&self, sink: &dyn DeletionSink, budget: usize) -> IqResult<usize> {
+        // The whole pass is inside the checkpoint fence: a checkpoint
+        // images the debt either before it is taken or after what failed
+        // is back.
         let _inside = self.fence.enter();
-        // One lock pass for eligibility: the oldest active sequence is
-        // derived once for every entry.
-        let (mut entries, left_on_chain) = {
+        let (debt, consumed, remaining) = {
             let mut g = self.inner.lock();
             let oldest_active = g.oldest_active_seq();
-            let mut v: Vec<CommittedTxn> = Vec::new();
-            while v.len() < budget {
-                match g.chain.front() {
-                    Some(front) if front.commit_seq <= oldest_active => {
-                        v.push(g.chain.pop_front().expect("front exists"));
-                    }
-                    _ => break,
-                }
+            let mut consumed = 0u64;
+            while (consumed as usize) < budget
+                && g.chain
+                    .front()
+                    .is_some_and(|front| front.commit_seq <= oldest_active)
+            {
+                let e = g.chain.pop_front().expect("front exists");
+                owe(&mut g.debt, &e.rfrb.rf);
+                self.kill_members(&e.rfrb.rf);
+                consumed += 1;
             }
-            (v, g.chain.len() as u64)
+            for key in self.composites.take_fully_dead() {
+                g.debt.keys.insert(key.offset());
+            }
+            (std::mem::take(&mut g.debt), consumed, g.chain.len() as u64)
         };
-        // Member frees flip death bits in the composite registry instead
-        // of entering the delete pipeline (idempotent, so a requeued
-        // entry re-applying them is harmless).
-        for e in &entries {
-            for (&off, ranges) in &e.rfrb.rf.members {
-                for &(member_off, _len) in ranges {
-                    self.composites.mark_member_dead(off, member_off);
-                }
-            }
-        }
-        // Whole composites whose last member just died (or whose delete
-        // failed on an earlier tick) join this pass's key fan-out.
-        let composite_dead = self.composites.fully_dead_pending();
-        if entries.is_empty() && composite_dead.is_empty() {
+        if consumed == 0 && debt.is_empty() {
             if trace::is_enabled() {
                 trace::emit(EventKind::GcTick {
                     consumed: 0,
-                    remaining: left_on_chain,
+                    remaining,
                 });
             }
             return Ok(0);
         }
         self.gc_stats.ticks.fetch_add(1, Ordering::Relaxed);
 
-        // Pending work = what the entries still owe, plus the composites.
-        let PageSet {
-            keys: mut all_keys,
-            blocks: runs_by_space,
-            ..
-        } = owed(&entries);
-        for key in &composite_dead {
-            all_keys.insert(key.offset());
-        }
-
         // Fan the key batches out. Tasks never return Err: one failing
         // batch must not cancel the others, so per-key verdicts travel in
         // the outcome and are folded below.
-        let submitted_keys = all_keys.len();
-        let key_batches: Vec<Vec<PhysicalLocator>> = all_keys
+        let submitted_keys = debt.keys.len();
+        let key_batches: Vec<Vec<PhysicalLocator>> = debt
+            .keys
             .iter()
             .map(|off| PhysicalLocator::Object(ObjectKey::from_offset(off)))
             .collect::<Vec<_>>()
@@ -765,112 +722,64 @@ impl TransactionManager {
             })
             .expect("gc batch tasks are infallible");
 
+        // What failed stays owed.
+        let mut left = PageSet::default();
         let mut key_requests = 0u64;
         let mut retried = 0u64;
-        let mut failed_keys = KeySet::new();
         let mut first_err: Option<IqError> = None;
         for o in &outcomes {
             key_requests += o.requests;
             retried += o.retried_keys;
             for (loc, r) in &o.results {
                 if let (PhysicalLocator::Object(k), Err(e)) = (loc, r) {
-                    failed_keys.insert(k.offset());
-                    if first_err.is_none() {
-                        first_err = Some(e.clone());
-                    }
+                    left.keys.insert(k.offset());
+                    first_err.get_or_insert_with(|| e.clone());
                 }
             }
         }
         for b in &key_batches {
             self.gc_stats.note_batch(b.len());
         }
+        let keys_deleted = submitted_keys - left.keys.len();
 
-        // Composites whose delete succeeded leave the registry; failed
-        // ones stay fully-dead-pending and retry on a later tick.
-        let mut composites_reclaimed = 0u64;
-        if !composite_dead.is_empty() {
-            let reclaimed: Vec<ObjectKey> = composite_dead
-                .iter()
-                .copied()
-                .filter(|k| !failed_keys.contains(k.offset()))
-                .collect();
-            composites_reclaimed = reclaimed.len() as u64;
-            self.composites.note_reclaimed(&reclaimed);
-        }
-
-        // Block runs, one bulk call per dbspace.
+        // Block runs, one bulk call per dbspace, coalesced; a run stays
+        // owed when its coalesced trim failed.
         let mut block_requests = 0u64;
-        let mut failed_ranges: Vec<(u32, u64, u64)> = Vec::new();
-        for (space, runs) in &runs_by_space {
-            let locs: Vec<PhysicalLocator> = runs
+        let mut runs_deleted = 0u64;
+        for (&space, runs) in &debt.blocks {
+            let mut trims = runs.clone();
+            coalesce_block_runs(&mut trims);
+            let locs: Vec<PhysicalLocator> = trims
                 .iter()
                 .map(|&(start, count)| PhysicalLocator::Blocks {
                     start: BlockNum(start),
                     count,
                 })
                 .collect();
-            let o = sink.delete_pages(DbSpaceId(*space), &locs);
+            let o = sink.delete_pages(DbSpaceId(space), &locs);
             block_requests += o.requests;
             retried += o.retried_keys;
+            let mut failed: Vec<(u64, u64)> = Vec::new();
             for (loc, r) in &o.results {
                 if let (PhysicalLocator::Blocks { start, count }, Err(e)) = (loc, r) {
-                    failed_ranges.push((*space, start.0, start.0 + u64::from(*count)));
-                    if first_err.is_none() {
-                        first_err = Some(e.clone());
-                    }
+                    failed.push((start.0, start.0 + u64::from(*count)));
+                    first_err.get_or_insert_with(|| e.clone());
+                }
+            }
+            for &(start, count) in runs {
+                let end = start + u64::from(count);
+                if failed.iter().any(|&(fs, fe)| start < fe && fs < end) {
+                    left.blocks.entry(space).or_default().push((start, count));
+                } else {
+                    runs_deleted += 1;
                 }
             }
         }
-
-        // Fold results back per entry: advance each entry's resume point
-        // by its pages that succeeded, count them (first-time only), and
-        // re-queue entries with surviving pages.
-        let mut keys_deleted = composites_reclaimed;
-        let mut runs_deleted = 0u64;
-        let mut consumed = 0u64;
-        let mut requeue: Vec<CommittedTxn> = Vec::new();
-        for mut e in entries.drain(..) {
-            let mut unfinished = false;
-            let mut pending = e.rfrb.rf.keys.clone();
-            pending.subtract(&e.done.keys);
-            let mut ok = pending.clone();
-            ok.subtract(&failed_keys);
-            if ok.len() < pending.len() {
-                unfinished = true;
-            }
-            keys_deleted += ok.len();
-            e.done.keys.union_with(&ok);
-            for (&space, runs) in &e.rfrb.rf.blocks {
-                for &(start, count) in runs {
-                    let done_runs = e.done.blocks.entry(space).or_default();
-                    if done_runs.contains(&(start, count)) {
-                        continue;
-                    }
-                    let end = start + u64::from(count);
-                    let failed = failed_ranges
-                        .iter()
-                        .any(|&(s, fs, fe)| s == space && start < fe && fs < end);
-                    if failed {
-                        unfinished = true;
-                    } else {
-                        done_runs.push((start, count));
-                        runs_deleted += 1;
-                    }
-                }
-            }
-            if unfinished {
-                requeue.push(e);
-            } else {
-                consumed += 1;
-            }
-        }
-        let requeued = requeue.len() as u64;
-        if !requeue.is_empty() {
+        let owed = {
             let mut g = self.inner.lock();
-            for e in requeue.into_iter().rev() {
-                g.chain.push_front(e);
-            }
-        }
+            owe(&mut g.debt, &left);
+            g.debt.len()
+        };
 
         let s = &self.gc_stats;
         s.entries_consumed.fetch_add(consumed, Ordering::Relaxed);
@@ -884,7 +793,7 @@ impl TransactionManager {
             Ordering::Relaxed,
         );
         s.retried_keys.fetch_add(retried, Ordering::Relaxed);
-        s.requeues.fetch_add(requeued, Ordering::Relaxed);
+        s.owed.store(owed, Ordering::Relaxed);
         // Submission depth, as `IoStats` defines it: the pass's batches are
         // all in flight from the moment they are submitted.
         let in_flight_peak = key_batches.len() as u64;
@@ -901,7 +810,7 @@ impl TransactionManager {
             }
             trace::emit(EventKind::GcTick {
                 consumed,
-                remaining: left_on_chain + requeued,
+                remaining,
             });
         }
         match first_err {
@@ -921,29 +830,14 @@ impl TransactionManager {
     }
 }
 
-/// What chain `entries` still owe: their RF whole-object keys and block
-/// runs minus each entry's resume point. Keys dedupe globally (entries may
-/// free overlapping ranges); block runs dedupe and coalesce per dbspace.
-/// Member frees are the composite registry's and are left out.
-fn owed<'a>(entries: impl IntoIterator<Item = &'a CommittedTxn>) -> PageSet {
-    let mut owed = PageSet::default();
-    for e in entries {
-        let mut keys = e.rfrb.rf.keys.clone();
-        keys.subtract(&e.done.keys);
-        owed.keys.union_with(&keys);
-        for (&space, runs) in &e.rfrb.rf.blocks {
-            let done = e.done.blocks.get(&space);
-            for &run in runs {
-                if done.is_none_or(|d| !d.contains(&run)) {
-                    owed.blocks.entry(space).or_default().push(run);
-                }
-            }
-        }
+/// Add `rf`'s whole-object keys and block runs to `owed`: keys dedupe,
+/// block runs keep their pre-coalescing granularity. Member frees are the
+/// composite registry's and are left out.
+fn owe(owed: &mut PageSet, rf: &PageSet) {
+    owed.keys.union_with(&rf.keys);
+    for (&space, runs) in &rf.blocks {
+        owed.blocks.entry(space).or_default().extend(runs);
     }
-    for runs in owed.blocks.values_mut() {
-        coalesce_block_runs(runs);
-    }
-    owed
 }
 
 /// RF/RB page sets carry the owning dbspace only for block runs; cloud
@@ -1039,13 +933,13 @@ mod tests {
         let w = tm.begin(NodeId(1));
         tm.record_alloc(w, DbSpaceId(1), cloud(6)).unwrap();
         tm.record_free(w, DbSpaceId(1), cloud(5)).unwrap();
-        tm.commit(w, &sink).unwrap();
+        tm.commit(w).unwrap();
         // Old page 5 must survive while the reader lives.
         assert!(sink.cloud.lock().is_empty());
         assert_eq!(tm.chain_len(), 1);
         // Reader finishes; GC may now reclaim.
         tm.rollback(reader, &sink).unwrap();
-        tm.gc_tick(&sink).unwrap();
+        tm.gc_tick(&sink, usize::MAX).unwrap();
         assert!(sink.cloud.lock().contains(5));
         assert!(!sink.cloud.lock().contains(6)); // allocations survive
         assert_eq!(tm.chain_len(), 0);
@@ -1062,11 +956,11 @@ mod tests {
         let sink = RecordingSink::default();
         let w = tm.begin(NodeId(1));
         tm.record_free(w, DbSpaceId(1), cloud(1)).unwrap();
-        tm.commit(w, &sink).unwrap();
+        tm.commit(w).unwrap();
         // A reader that began *after* the commit sees the new version, so
         // the old page can die even while this reader is active.
         let _late_reader = tm.begin(NodeId(2));
-        tm.gc_tick(&sink).unwrap();
+        tm.gc_tick(&sink, usize::MAX).unwrap();
         assert!(sink.cloud.lock().contains(1));
     }
 
@@ -1097,7 +991,7 @@ mod tests {
             .unwrap();
         }
         tm.record_pack(w, key, members.clone()).unwrap();
-        tm.commit(w, &sink).unwrap();
+        tm.commit(w).unwrap();
         assert_eq!(tm.composites().len(), 1);
 
         // Two of three members die: the object must survive.
@@ -1114,8 +1008,8 @@ mod tests {
             )
             .unwrap();
         }
-        tm.commit(t, &sink).unwrap();
-        tm.gc_tick(&sink).unwrap();
+        tm.commit(t).unwrap();
+        tm.gc_tick(&sink, usize::MAX).unwrap();
         assert!(
             !sink.cloud.lock().contains(900),
             "composite deleted while a member is still live"
@@ -1133,8 +1027,8 @@ mod tests {
             },
         )
         .unwrap();
-        tm.commit(t, &sink).unwrap();
-        tm.gc_tick(&sink).unwrap();
+        tm.commit(t).unwrap();
+        tm.gc_tick(&sink, usize::MAX).unwrap();
         assert!(sink.cloud.lock().contains(900));
         assert!(tm.composites().is_empty());
         assert_eq!(tm.composites().stats().reclaimed, 1);
@@ -1156,7 +1050,7 @@ mod tests {
         };
         let w = tm.begin(NodeId(1));
         tm.record_pack(w, key, members.clone()).unwrap();
-        tm.commit(w, &sink).unwrap();
+        tm.commit(w).unwrap();
         let t = tm.begin(NodeId(1));
         tm.record_free(
             t,
@@ -1168,19 +1062,24 @@ mod tests {
             },
         )
         .unwrap();
-        // The commit's own gc_tick hits the fault; the composite must
-        // stay pending rather than leak.
-        tm.commit(t, &sink).unwrap_err();
-        assert_eq!(tm.composites().len(), 1);
-        tm.gc_tick(&sink).unwrap();
-        assert!(sink.inner.cloud.lock().contains(70));
+        tm.commit(t).unwrap();
+        // The pass hits the fault: the composite left the registry, and
+        // its delete stays owed rather than leak.
+        tm.gc_tick(&sink, usize::MAX).unwrap_err();
         assert!(tm.composites().is_empty());
+        assert_eq!(tm.gc_stats().owed, 1);
+        assert_eq!(tm.gc_stats().keys_deleted, 0);
+        tm.gc_tick(&sink, usize::MAX).unwrap();
+        assert!(sink.inner.cloud.lock().contains(70));
+        assert_eq!(tm.gc_stats().owed, 0);
+        assert_eq!(tm.gc_stats().keys_deleted, 1);
     }
 
     /// A checkpoint's GC image holds the registry with the chain's member
-    /// frees folded into its death bits, and what the chain still owes in
-    /// whole keys and block runs — minus what a failed pass already
-    /// deleted. A reopened manager seeded from it reclaims exactly that.
+    /// frees folded into its death bits, and what the chain and the debt
+    /// still owe in whole keys and block runs — after a failed pass, only
+    /// what failed. A reopened manager seeded from it reclaims exactly
+    /// that.
     #[test]
     fn gc_image_carries_what_the_chain_owes_and_recover_gc_reclaims_it() {
         let (_, tm) = manager();
@@ -1193,7 +1092,7 @@ mod tests {
         };
         let w = tm.begin(NodeId(1));
         tm.record_pack(w, key, vec![member(0), member(1)]).unwrap();
-        tm.commit_deferred(w).unwrap();
+        tm.commit(w).unwrap();
         let reader = tm.begin(NodeId(2));
         let t = tm.begin(NodeId(1));
         let first = PhysicalLocator::ObjectRange {
@@ -1210,7 +1109,7 @@ mod tests {
             count: 4,
         };
         tm.record_free(t, DbSpaceId(2), run).unwrap();
-        tm.commit_deferred(t).unwrap();
+        tm.commit(t).unwrap();
 
         // The reader pins the entry: the registry has no death yet, the
         // image does.
@@ -1220,25 +1119,26 @@ mod tests {
         assert_eq!(image.pending.keys.runs(), &[(40, 45)]);
         assert_eq!(image.pending.blocks[&2], [(64, 4)]);
 
-        // A pass that fails on one key requeues the entry owing only it.
+        // A pass that fails on one key leaves only it owed.
         tm.rollback(reader, &RecordingSink::default()).unwrap();
         let sink = FlakySink {
             inner: RecordingSink::default(),
             remaining_failures: Mutex::new(1),
         };
-        tm.gc_tick(&sink).unwrap_err();
+        tm.gc_tick(&sink, usize::MAX).unwrap_err();
+        assert_eq!(tm.chain_len(), 0, "the entry left the chain");
         let image = tm.gc_image(&tm.fence().quiesce());
         assert_eq!(image.pending.keys.runs(), &[(40, 41)]);
         assert!(image.pending.blocks.is_empty());
 
         let (_, reopened) = manager();
         reopened.recover_gc(image.composites, image.pending.keys, &[]);
-        assert_eq!(reopened.chain_len(), 1);
+        assert_eq!(reopened.chain_len(), 0, "the debt is no chain entry");
         assert_eq!(reopened.composites().live_fraction(key), Some(0.5));
         let sink = RecordingSink::default();
-        reopened.gc_tick(&sink).unwrap();
+        assert_eq!(reopened.gc_tick(&sink, usize::MAX).unwrap(), 1);
         assert_eq!(sink.cloud.lock().runs(), &[(40, 41)]);
-        assert_eq!(reopened.chain_len(), 0);
+        assert_eq!(reopened.gc_stats().owed, 0);
         assert_eq!(reopened.composites().stats().unknown_member_frees, 0);
     }
 
@@ -1250,38 +1150,42 @@ mod tests {
         for i in 0..3u64 {
             let t = tm.begin(NodeId(1));
             tm.record_free(t, DbSpaceId(1), cloud(100 + i)).unwrap();
-            tm.commit(t, &sink).unwrap();
+            tm.commit(t).unwrap();
         }
         assert_eq!(tm.chain_len(), 3);
         tm.rollback(blocker, &sink).unwrap();
-        let n = tm.gc_tick(&sink).unwrap();
+        let n = tm.gc_tick(&sink, usize::MAX).unwrap();
         assert_eq!(n, 3);
         assert_eq!(tm.chain_len(), 0);
     }
 
-    /// Sink that fails its first `fail_first` deletions (a crash during
-    /// GC), then recovers.
-    struct FlakySink {
-        inner: RecordingSink,
+    /// Sink that fails its first `remaining_failures` pages (a crash
+    /// during GC), then recovers; the rest of each call goes to `inner`.
+    struct FlakySink<S = RecordingSink> {
+        inner: S,
         remaining_failures: Mutex<u32>,
     }
 
-    impl DeletionSink for FlakySink {
+    impl<S: DeletionSink> DeletionSink for FlakySink<S> {
         fn delete_pages(&self, space: DbSpaceId, pages: &[PhysicalLocator]) -> BulkDeleteOutcome {
-            per_page(pages, |loc| {
+            let failing = {
                 let mut g = self.remaining_failures.lock();
-                if *g > 0 {
-                    *g -= 1;
-                    return Err(IqError::Io("sink crashed".into()));
-                }
-                drop(g);
-                self.inner.record(space, loc)
-            })
+                let n = (*g as usize).min(pages.len());
+                *g -= n as u32;
+                n
+            };
+            let mut out = self.inner.delete_pages(space, &pages[failing..]);
+            out.results = pages[..failing]
+                .iter()
+                .map(|&loc| (loc, Err(IqError::Io("sink crashed".into()))))
+                .chain(out.results)
+                .collect();
+            out
         }
     }
 
     #[test]
-    fn gc_tick_requeues_entry_when_sink_fails() {
+    fn gc_tick_keeps_failed_deletes_owed_when_sink_fails() {
         let (_, tm) = manager();
         let sink = FlakySink {
             inner: RecordingSink::default(),
@@ -1291,39 +1195,53 @@ mod tests {
         for off in 40..45 {
             tm.record_free(w, DbSpaceId(1), cloud(off)).unwrap();
         }
-        tm.commit(w, &sink).unwrap_err(); // commit's own gc_tick hits the fault
+        tm.commit(w).unwrap();
+        tm.gc_tick(&sink, usize::MAX).unwrap_err();
+        assert_eq!(tm.chain_len(), 0, "the entry is dropped from the chain");
         assert_eq!(
-            tm.chain_len(),
+            tm.gc_stats().owed,
             1,
-            "a failed GC must requeue the entry, not leak it"
+            "a failed delete must stay owed, not leak"
         );
-        // The sink heals; the next tick reclaims every RF page.
-        tm.gc_tick(&sink).unwrap();
-        assert_eq!(tm.chain_len(), 0);
+        // The sink heals; the next pass reclaims every RF page.
+        tm.gc_tick(&sink, usize::MAX).unwrap();
+        assert_eq!(tm.gc_stats().owed, 0);
         assert_eq!(sink.inner.cloud.lock().runs(), &[(40, 45)]);
     }
 
     #[test]
-    fn requeued_entry_resumes_without_double_counting() {
+    fn owed_keys_resume_without_double_counting() {
         let (_, tm) = manager();
+        // Four keys, then the first coalesced trim, fail.
         let sink = FlakySink {
             inner: RecordingSink::default(),
-            remaining_failures: Mutex::new(1),
+            remaining_failures: Mutex::new(5),
         };
         let w = tm.begin(NodeId(1));
-        for off in 40..45 {
+        for off in 40..44 {
             tm.record_free(w, DbSpaceId(1), cloud(off)).unwrap();
         }
-        tm.commit(w, &sink).unwrap_err();
-        // Four of five landed before the fault; the entry's resume point
-        // records them so they are neither re-driven nor re-counted.
-        assert_eq!(tm.gc_stats().keys_deleted, 4);
-        let healed = tm.gc_tick(&sink).unwrap();
-        assert_eq!(healed, 1, "only the failed page is re-driven");
-        assert_eq!(tm.gc_stats().keys_deleted, 5);
-        assert_eq!(tm.gc_stats().requeues, 1);
-        assert_eq!(sink.inner.cloud.lock().runs(), &[(40, 45)]);
-        assert_eq!(tm.chain_len(), 0);
+        for start in [8u64, 10, 40] {
+            let run = PhysicalLocator::Blocks {
+                start: BlockNum(start),
+                count: 2,
+            };
+            tm.record_free(w, DbSpaceId(2), run).unwrap();
+        }
+        tm.commit(w).unwrap();
+        tm.gc_tick(&sink, usize::MAX).unwrap_err();
+        // Only the trim of run 40 landed: the keys and the two runs the
+        // failed trim covered stay owed.
+        let stats = tm.gc_stats();
+        assert_eq!((stats.keys_deleted, stats.block_runs_deleted), (0, 1));
+        assert_eq!(stats.owed, 6);
+        // The healed pass re-drives only those, and counts each once.
+        assert_eq!(tm.gc_tick(&sink, usize::MAX).unwrap(), 6);
+        let stats = tm.gc_stats();
+        assert_eq!((stats.keys_deleted, stats.block_runs_deleted), (4, 3));
+        assert_eq!(stats.owed, 0);
+        assert_eq!(sink.inner.cloud.lock().runs(), &[(40, 44)]);
+        assert_eq!(*sink.inner.blocks.lock(), vec![(2, 40, 2), (2, 8, 4)]);
     }
 
     /// Sink overriding the bulk path: records pages and charges one
@@ -1355,14 +1273,14 @@ mod tests {
         for off in 100..110 {
             tm.record_free(t1, DbSpaceId(1), cloud(off)).unwrap();
         }
-        tm.commit(t1, &sink).unwrap();
+        tm.commit(t1).unwrap();
         let t2 = tm.begin(NodeId(1));
         for off in 105..115 {
             tm.record_free(t2, DbSpaceId(1), cloud(off)).unwrap();
         }
-        tm.commit(t2, &sink).unwrap();
+        tm.commit(t2).unwrap();
         tm.rollback(blocker, &sink).unwrap();
-        tm.gc_tick(&sink).unwrap();
+        tm.gc_tick(&sink, usize::MAX).unwrap();
         assert_eq!(tm.chain_len(), 0);
         assert_eq!(sink.inner.cloud.lock().runs(), &[(100, 115)]);
         assert_eq!(
@@ -1441,11 +1359,16 @@ mod tests {
         out
     }
 
+    /// Play `history` with a GC pass through `gc` after every commit;
+    /// rollbacks delete through `sink`. A pass `gc` fails leaves its
+    /// failures owed to the next one; the drain at the end retries pass by
+    /// pass until nothing is owed.
     fn run_history(
         history: &[Round],
         sink: &dyn DeletionSink,
+        gc: &dyn DeletionSink,
         workers: usize,
-    ) -> (GcStatsSnapshot, usize) {
+    ) -> GcStatsSnapshot {
         let (_, tm) = manager();
         tm.set_gc_workers(workers);
         let mut reader = None;
@@ -1477,15 +1400,21 @@ mod tests {
             if r.rollback {
                 tm.rollback(t, sink).unwrap();
             } else {
-                tm.commit(t, sink).unwrap();
+                tm.commit(t).unwrap();
+                let _ = tm.gc_tick(gc, usize::MAX);
             }
         }
         if let Some(t) = reader {
             tm.rollback(t, sink).unwrap();
         }
-        tm.gc_tick(sink).unwrap();
+        let mut passes = 0;
+        while tm.gc_tick(gc, usize::MAX).is_err() {
+            passes += 1;
+            assert!(passes < 100, "the debt never drains");
+        }
         assert_eq!(tm.chain_len(), 0);
-        (tm.gc_stats(), tm.active_count())
+        assert_eq!(tm.gc_stats().owed, 0);
+        tm.gc_stats()
     }
 
     /// Blocks covered by a recorded run list, as a canonical set (GC
@@ -1504,25 +1433,38 @@ mod tests {
             let history = random_history(seed, 48);
             // Baseline: a per-page sink, one request per page, serial GC.
             let per_key = RecordingSink::default();
-            let (base_stats, _) = run_history(&history, &per_key, 1);
+            let base_stats = run_history(&history, &per_key, &per_key, 1);
             // Batched: multi-object sink, parallel fan-out.
             let batched = BatchRecordingSink::default();
-            let (batch_stats, _) = run_history(&history, &batched, 4);
+            let batch_stats = run_history(&history, &batched, &batched, 4);
+            // Batched behind a sink whose first pages fail: the debt
+            // carries them from pass to pass.
+            let flaky = FlakySink {
+                inner: BatchRecordingSink::default(),
+                remaining_failures: Mutex::new(7),
+            };
+            let flaky_stats = run_history(&history, &flaky.inner, &flaky, 4);
+            assert_eq!(*flaky.remaining_failures.lock(), 0, "seed {seed}");
 
-            assert_eq!(
-                per_key.cloud.lock().runs(),
-                batched.inner.cloud.lock().runs(),
-                "seed {seed}: reclaimed key sets diverge"
-            );
-            assert_eq!(
-                covered_blocks(&per_key.blocks.lock()),
-                covered_blocks(&batched.inner.blocks.lock()),
-                "seed {seed}: reclaimed block sets diverge"
-            );
-            assert_eq!(
-                base_stats.keys_deleted, batch_stats.keys_deleted,
-                "seed {seed}"
-            );
+            for (name, other, stats) in [
+                ("batched", &batched.inner, batch_stats),
+                ("flaky", &flaky.inner.inner, flaky_stats),
+            ] {
+                assert_eq!(
+                    per_key.cloud.lock().runs(),
+                    other.cloud.lock().runs(),
+                    "seed {seed}: {name} reclaimed key sets diverge"
+                );
+                assert_eq!(
+                    covered_blocks(&per_key.blocks.lock()),
+                    covered_blocks(&other.blocks.lock()),
+                    "seed {seed}: {name} reclaimed block sets diverge"
+                );
+                assert_eq!(
+                    base_stats.keys_deleted, stats.keys_deleted,
+                    "seed {seed}: {name}"
+                );
+            }
             if base_stats.keys_deleted > base_stats.ticks {
                 assert!(
                     batch_stats.requests < base_stats.requests,
@@ -1543,12 +1485,12 @@ mod tests {
         for i in 0..4u64 {
             let t = tm.begin(NodeId(1));
             tm.record_free(t, DbSpaceId(1), cloud(200 + i)).unwrap();
-            tm.commit(t, &sink).unwrap();
+            tm.commit(t).unwrap();
         }
         tm.rollback(blocker, &sink).unwrap();
-        assert_eq!(tm.gc_tick_budget(&sink, 3).unwrap(), 3);
+        assert_eq!(tm.gc_tick(&sink, 3).unwrap(), 3);
         assert_eq!(tm.chain_len(), 1, "budget leaves the tail queued");
-        assert_eq!(tm.gc_tick_budget(&sink, 3).unwrap(), 1);
+        assert_eq!(tm.gc_tick(&sink, 3).unwrap(), 1);
         assert_eq!(tm.chain_len(), 0);
     }
 
@@ -1591,7 +1533,7 @@ mod tests {
         let (_, tm) = manager();
         let sink = RecordingSink::default();
         assert!(tm.record_alloc(TxnId(999), DbSpaceId(1), cloud(1)).is_err());
-        assert!(tm.commit(TxnId(999), &sink).is_err());
+        assert!(tm.commit(TxnId(999)).is_err());
         assert!(tm.rollback(TxnId(999), &sink).is_err());
         assert!(tm.snapshot_seq(TxnId(999)).is_err());
     }

@@ -249,10 +249,10 @@ fn crash_mid_parallel_flush() {
 /// Scenario C — the client dies while garbage collection is draining
 /// the chain: the batched delete request is refused (a batch is one
 /// request on the op clock, all-or-nothing like S3 `DeleteObjects`).
-/// The chain entry must be re-queued (not leaked), a healed tick must
+/// The entry's deletes must stay owed (not leaked), a healed pass must
 /// finish the job idempotently, and the *new* live versions must never
-/// be touched. (`crash_mid_batch_requeues_and_reclaims_once` covers the
-/// multi-chunk cut where a prefix of batches lands before the crash.)
+/// be touched. (`crash_mid_batch_owes_the_rest_and_reclaims_once` covers
+/// the multi-chunk cut where a prefix of batches lands before the crash.)
 #[test]
 fn crash_mid_gc() {
     let log = Arc::new(TxnLog::new());
@@ -272,7 +272,8 @@ fn crash_mid_gc() {
         tm.record_alloc(t1, SPACE, PhysicalLocator::Object(k))
             .unwrap();
     }
-    tm.commit(t1, &sink).unwrap();
+    tm.commit(t1).unwrap();
+    tm.gc_tick(&sink, usize::MAX).unwrap();
 
     // A long reader pins the snapshot, so T2's supersession defers to
     // the chain instead of deleting inline.
@@ -289,25 +290,28 @@ fn crash_mid_gc() {
         tm.record_free(t2, SPACE, PhysicalLocator::Object(k))
             .unwrap();
     }
-    tm.commit(t2, &sink).unwrap();
+    tm.commit(t2).unwrap();
     assert_eq!(tm.chain_len(), 1, "v1 deletions deferred behind the reader");
 
     // Reader ends; GC may now run — and the client dies before the
     // batched delete request lands.
     tm.rollback(reader, &sink).unwrap();
     inj.arm_crash(0);
-    let err = tm.gc_tick(&sink);
+    let err = tm.gc_tick(&sink, usize::MAX);
     assert!(err.is_err(), "mid-GC crash surfaces");
-    assert_eq!(tm.chain_len(), 1, "interrupted entry re-queued, not leaked");
+    assert!(
+        tm.gc_stats().owed > 0,
+        "interrupted deletes owed, not leaked"
+    );
     let mid_stats = inj.fault_stats();
     assert!(mid_stats.refused_while_crashed > 0);
 
     // Heal and finish. Deletes are idempotent, so replaying the prefix
     // that already landed is safe.
     inj.heal();
-    let deleted = tm.gc_tick(&sink).unwrap();
+    let deleted = tm.gc_tick(&sink, usize::MAX).unwrap();
     assert_eq!(deleted, v1.len(), "the whole RF set is reclaimed on retry");
-    assert_eq!(tm.chain_len(), 0);
+    assert_eq!(tm.gc_stats().owed, 0);
 
     for &k in &v1 {
         assert!(!sim.exists(k), "superseded version reclaimed");
@@ -337,11 +341,11 @@ fn crash_mid_gc() {
 
 /// Scenario C′ — the cut lands *between* delete batches: the freed set
 /// spans two ≤1000-key multi-object requests, the first lands, the
-/// second is refused. The chain entry must be re-queued with its resume
-/// point advanced past the batch that succeeded, so the healed tick
-/// re-drives only the failed tail and every page is counted exactly once.
+/// second is refused. Only the refused batch's keys may stay owed, so the
+/// healed pass re-drives only the failed tail and every page is counted
+/// exactly once.
 #[test]
-fn crash_mid_batch_requeues_and_reclaims_once() {
+fn crash_mid_batch_owes_the_rest_and_reclaims_once() {
     let log = Arc::new(TxnLog::new());
     let mx = Multiplex::new(Arc::clone(&log), 1, 0);
     let w1 = mx.secondary(W1).unwrap();
@@ -360,7 +364,8 @@ fn crash_mid_batch_requeues_and_reclaims_once() {
         tm.record_alloc(t1, SPACE, PhysicalLocator::Object(k))
             .unwrap();
     }
-    tm.commit(t1, &sink).unwrap();
+    tm.commit(t1).unwrap();
+    tm.gc_tick(&sink, usize::MAX).unwrap();
 
     // A reader pins the snapshot while T2 frees all 1005 pages.
     let reader = tm.begin(W1);
@@ -369,15 +374,19 @@ fn crash_mid_batch_requeues_and_reclaims_once() {
         tm.record_free(t2, SPACE, PhysicalLocator::Object(k))
             .unwrap();
     }
-    tm.commit(t2, &sink).unwrap();
+    tm.commit(t2).unwrap();
     assert_eq!(tm.chain_len(), 1);
 
     // Reader ends; the client dies after the first batch request.
     tm.rollback(reader, &sink).unwrap();
     inj.arm_crash(1);
-    let err = tm.gc_tick(&sink);
+    let err = tm.gc_tick(&sink, usize::MAX);
     assert!(err.is_err(), "mid-batch crash surfaces");
-    assert_eq!(tm.chain_len(), 1, "interrupted entry re-queued, not leaked");
+    assert_eq!(
+        tm.gc_stats().owed,
+        N - 1000,
+        "the refused batch is owed, not leaked"
+    );
     assert_eq!(
         sim.object_count(),
         (N - 1000) as usize,
@@ -386,20 +395,15 @@ fn crash_mid_batch_requeues_and_reclaims_once() {
     assert!(inj.fault_stats().refused_while_crashed > 0);
 
     // Heal: only the failed tail is re-driven, and the accounting stays
-    // exactly-once across the requeue.
+    // exactly-once across the two passes.
     inj.heal();
-    let deleted = tm.gc_tick(&sink).unwrap();
-    assert_eq!(
-        deleted as u64,
-        N - 1000,
-        "resume point skips the landed batch"
-    );
-    assert_eq!(tm.chain_len(), 0);
+    let deleted = tm.gc_tick(&sink, usize::MAX).unwrap();
+    assert_eq!(deleted as u64, N - 1000, "the landed batch is not owed");
+    assert_eq!(tm.gc_stats().owed, 0);
     assert_eq!(sim.object_count(), 0, "no RF page leaked");
     assert_eq!(sim.max_write_count(), 1, "never-write-twice holds");
     let stats = tm.gc_stats();
     assert_eq!(stats.keys_deleted, N, "each page counted exactly once");
-    assert_eq!(stats.requeues, 1);
 }
 
 /// The three scripted cuts above, replayed under a *flaky* store as well:
@@ -477,7 +481,7 @@ impl iq_txn::LogSink for FailingCommitSink {
 }
 
 /// Scenario E — the durable-log sink rejects the commit record (PUT past
-/// its retry budget). `commit_deferred` must fail, the transaction must
+/// its retry budget). `commit` must fail, the transaction must
 /// stay active so a normal rollback reclaims its RB pages, and the
 /// phantom in-memory commit record (appended before the sink ran —
 /// memory-first ordering) must be dropped by reopen-time reconciliation.
@@ -506,7 +510,7 @@ fn failed_commit_sink_rolls_back_and_reconciles() {
         tm.record_alloc(t1, SPACE, PhysicalLocator::Object(k))
             .unwrap();
     }
-    assert!(tm.commit_deferred(t1).is_err(), "un-durable commit fails");
+    assert!(tm.commit(t1).is_err(), "un-durable commit fails");
     assert_eq!(tm.active_count(), 1, "failed commit stays active");
     assert_eq!(tm.chain_len(), 0, "nothing reached the committed chain");
 
@@ -535,7 +539,7 @@ fn failed_commit_sink_rolls_back_and_reconciles() {
         tm.record_alloc(t2, SPACE, PhysicalLocator::Object(k))
             .unwrap();
     }
-    tm.commit_deferred(t2).unwrap();
+    tm.commit(t2).unwrap();
     assert_eq!(
         log.retain_commits(|txn| txn == t2),
         0,

@@ -262,7 +262,7 @@ fn random_histories_pack_equivalent_with_fewer_puts() {
         // reclaimable is still pending on either side.
         let registry = packed.db.shared().txns.composites();
         assert!(
-            !registry.has_fully_dead(),
+            registry.take_fully_dead().is_empty(),
             "seed {seed}: fully-dead composites left pending after drain"
         );
         assert_eq!(base.db.shared().txns.composites().stats().registered, 0);
@@ -305,7 +305,7 @@ fn random_histories_pack_equivalent_with_fewer_puts() {
             final_composites,
             "seed {seed}: every pre-overwrite composite must be reclaimed, none leaked"
         );
-        assert!(!registry.has_fully_dead());
+        assert!(registry.take_fully_dead().is_empty());
     }
 }
 

@@ -208,7 +208,7 @@ fn crash_cut_mid_packed_commit_recovers() {
     assert_eq!(store.max_write_count(), 1, "no composite written twice");
     // Replay rebuilt the registry; nothing reclaimable may linger.
     db.gc_drain().unwrap();
-    assert!(!db.shared().txns.composites().has_fully_dead());
+    assert!(db.shared().txns.composites().take_fully_dead().is_empty());
 }
 
 /// A hard cut mid-*eviction-group*: a load larger than the buffer leaves
@@ -290,7 +290,7 @@ fn crash_cut_mid_eviction_group_recovers() {
     let store = db.cloud_store(space).unwrap();
     assert_eq!(store.max_write_count(), 1, "no group written twice");
     db.gc_drain().unwrap();
-    assert!(!db.shared().txns.composites().has_fully_dead());
+    assert!(db.shared().txns.composites().take_fully_dead().is_empty());
 
     // Usable after recovery, eviction groups and all.
     let mut meta2 = TableMeta::new(TableId(2), "t2", schema(), 32);
@@ -451,7 +451,7 @@ enum Cut {
     BeforePrefixDelete,
     /// Between the first and the second batch of the prefix delete.
     BetweenDeleteBatches,
-    /// A GC pass before the checkpoint, which requeues its chain entry.
+    /// A GC pass before the checkpoint, which leaves its deletes owed.
     MidGc,
 }
 
@@ -538,10 +538,7 @@ fn checkpoint_scenario(cut: Cut, commits: u64, pack_pages: usize) -> Reopened {
         let data = db.fault_injector(space).unwrap();
         data.arm_crash(0);
         assert!(db.gc_drain().is_err(), "the GC pass meets the cut");
-        assert!(
-            db.shared().txns.gc_stats().requeues > 0,
-            "an entry requeued"
-        );
+        assert!(db.shared().txns.gc_stats().owed > 0, "deletes owed");
         data.heal();
     }
 
@@ -617,10 +614,10 @@ fn a_cut_checkpoint_reopens_to_what_a_clean_one_does() {
     );
 }
 
-/// A chain entry a failed GC pass requeued is in the checkpoint's image
-/// with what it still owes; the reopened instance deletes exactly that.
+/// What a failed GC pass left owed is in the checkpoint's image; the
+/// reopened instance deletes exactly that.
 #[test]
-fn a_checkpoint_after_a_requeued_gc_pass_reclaims_the_rest() {
+fn a_checkpoint_after_a_failed_gc_pass_reclaims_the_rest() {
     let clean = checkpoint_scenario(Cut::None, 200, 1);
     assert_eq!(checkpoint_scenario(Cut::MidGc, 200, 1), clean);
 }
