@@ -5,9 +5,22 @@
 //! per-column [`Dictionary`] to dense codes; integers (and codes, and
 //! dates) are stored frame-of-reference bit-packed: subtract the chunk
 //! minimum, then pack each delta in exactly as many bits as the largest
-//! delta needs. Floats are stored raw (they stand in for IQ's decimals).
-//! The page-level LZ compressor in `iq-storage` runs on top of whatever
-//! this module emits.
+//! delta needs. Floats (they stand in for IQ's decimals) take a page
+//! dictionary of their distinct bit patterns, each row's code n-bit
+//! packed, when a page holds at most 256 patterns; a page with more is
+//! stored raw. The page-level LZ compressor in `iq-storage` runs on top
+//! of whatever this module emits.
+//!
+//! A page is `tag u8 | rows u32 | payload`, where an n-bit payload is
+//! `min i64 | width u8 | packed`:
+//!
+//! | tag | column | payload |
+//! |-----|--------|---------|
+//! | 0 | `I64` | n-bit values |
+//! | 1 | `F64`, raw | `rows × f64 LE` |
+//! | 2 | `Str` | n-bit dictionary codes |
+//! | 3 | `Date` | n-bit values |
+//! | 4 | `F64`, page dictionary | `len − 1 u8 \| len × f64 LE \| n-bit codes` |
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -125,46 +138,19 @@ fn packed_slice(bytes: &[u8], width: u32, count: usize) -> IqResult<&[u8]> {
         .ok_or_else(|| IqError::Corruption("packed column truncated".into()))
 }
 
-/// Unpack `count` values of `width` bits from `packed` (a
-/// [`packed_slice`]) in order: byte-aligned widths are straight copies,
-/// the rest shift out of a 64-bit window that takes the next word when a
-/// value runs past its end.
-fn unpack_bits(packed: &[u8], width: u32, count: usize, mut emit: impl FnMut(u64)) {
-    if width == 0 {
-        (0..count).for_each(|_| emit(0));
-    } else if width.is_multiple_of(8) {
-        packed
-            .chunks_exact(width as usize / 8)
-            .for_each(|c| emit(le_word(c)));
-    } else {
-        let keep = u64::MAX >> (64 - width);
-        let mut words = packed.chunks(8).map(le_word);
-        let mut window = words.next().unwrap_or(0);
-        // Bits of `window` already consumed.
-        let mut used = 0u32;
-        for _ in 0..count {
-            let mut value = window >> used;
-            used += width;
-            if used >= 64 {
-                window = words.next().unwrap_or(0);
-                used -= 64;
-                if used > 0 {
-                    value |= window << (width - used);
-                }
-            }
-            emit(value & keep);
-        }
-    }
-}
-
 /// Frame-of-reference n-bit encode: `min i64 | width u8 | packed`.
 fn encode_for_nbit(values: impl Iterator<Item = i64> + Clone, out: &mut Vec<u8>) {
     let min = values.clone().min().unwrap_or(0);
     let max = values.clone().max().unwrap_or(0);
     let width = 64 - (max.wrapping_sub(min) as u64).leading_zeros();
+    write_nbit(min, width, values.map(|v| v.wrapping_sub(min) as u64), out);
+}
+
+/// An n-bit payload of `deltas` over `min`, `width` bits each.
+fn write_nbit(min: i64, width: u32, deltas: impl Iterator<Item = u64>, out: &mut Vec<u8>) {
     out.extend_from_slice(&min.to_le_bytes());
     out.push(width as u8);
-    pack_bits(values.map(|v| v.wrapping_sub(min) as u64), width, out);
+    pack_bits(deltas, width, out);
 }
 
 /// A validated n-bit payload: `count` values of `width` bits over `min`.
@@ -189,21 +175,70 @@ impl<'a> NBit<'a> {
         })
     }
 
+    /// The little-endian word at byte `at` of the payload; near its end,
+    /// what is left from there, zero-extended.
+    fn word(&self, at: usize) -> u64 {
+        match self.packed.get(at..at + 8) {
+            Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+            None => le_word(self.packed.get(at..).unwrap_or_default()),
+        }
+    }
+
+    /// The unmasked bits of row `i` from where it starts in the payload,
+    /// for any row and width: the word there, and for a value past 56
+    /// bits that runs out of it, the rest from the next.
+    fn spill(&self, i: usize) -> u64 {
+        let bit = i * self.width as usize;
+        let (at, shift) = (bit / 8, bit % 8);
+        let mut bits = self.word(at) >> shift;
+        if shift + self.width as usize > 64 {
+            bits |= self.word(at + 8) << (64 - shift);
+        }
+        bits
+    }
+
     /// Decode in one pass into the final vector: `f` of each value, only
-    /// of the rows `sel` selects when given.
-    fn collect<T>(&self, sel: Option<&Mask>, f: impl Fn(i64) -> IqResult<T>) -> IqResult<Vec<T>> {
+    /// of the rows `sel` selects when given. Row `i` is read where it
+    /// lies: one unaligned word at byte `i·width/8`, shifted by
+    /// `i·width % 8` — a value of at most 56 bits starts at most 7 bits
+    /// into that byte, so the word holds all of it. The rows whose word
+    /// lies inside the payload (the direct rows) are read with one bounds
+    /// check each; the last few, and every row past 56 bits, take
+    /// [`Self::spill`].
+    fn collect<T>(&self, sel: Option<&Mask>, mut f: impl FnMut(i64) -> T) -> Vec<T> {
+        let (width, min) = (self.width as usize, self.min);
+        let keep = u64::MAX.checked_shr(64 - self.width).unwrap_or(0);
+        // A width-0 row reads an all-zero word, so every row is direct.
+        let packed = if width == 0 { &[0; 8] } else { self.packed };
+        let direct = match width {
+            0 => self.count,
+            1..=56 => (packed.len().saturating_sub(7) * 8)
+                .div_ceil(width)
+                .min(self.count),
+            _ => 0,
+        };
+        let word_at = |i: usize| {
+            let bit = i * width;
+            let word =
+                u64::from_le_bytes(packed[bit / 8..bit / 8 + 8].try_into().expect("8 bytes"));
+            word >> (bit % 8)
+        };
+        let mut value = |bits: u64| f(min.wrapping_add((bits & keep) as i64));
         let mut out = Vec::with_capacity(sel.map_or(self.count, Mask::count));
-        let (mut row, mut failed) = (0usize, None);
-        unpack_bits(self.packed, self.width, self.count, |delta| {
-            if failed.is_none() && sel.is_none_or(|m| m.get(row)) {
-                match f(self.min.wrapping_add(delta as i64)) {
-                    Ok(v) => out.push(v),
-                    Err(e) => failed = Some(e),
-                }
+        match sel {
+            Some(m) => out.extend(m.iter_set().map(|i| {
+                value(if i < direct {
+                    word_at(i)
+                } else {
+                    self.spill(i)
+                })
+            })),
+            None => {
+                out.extend((0..direct).map(|i| value(word_at(i))));
+                out.extend((direct..self.count).map(|i| value(self.spill(i))));
             }
-            row += 1;
-        });
-        failed.map_or(Ok(out), Err)
+        }
+        out
     }
 }
 
@@ -211,6 +246,45 @@ const TAG_I64: u8 = 0;
 const TAG_F64: u8 = 1;
 const TAG_STR: u8 = 2;
 const TAG_DATE: u8 = 3;
+const TAG_F64_DICT: u8 = 4;
+
+/// The most distinct values a float page's dictionary holds: the page
+/// stores their number less one in a byte.
+const FLOAT_DICT_MAX: usize = 256;
+
+/// A float page's dictionary — its distinct bit patterns in order of
+/// first occurrence — and each row's code, or `None` when the page holds
+/// no row or more than [`FLOAT_DICT_MAX`] patterns. Keyed by bit pattern,
+/// so NaN payloads, −0.0 and subnormals come back bit for bit. The probe
+/// is an open-addressed table on the stack, twice the dictionary's
+/// size, and stops at the first pattern past the limit.
+fn float_dictionary(values: &[f64]) -> Option<(Vec<u64>, Vec<u8>)> {
+    const SLOTS: usize = 2 * FLOAT_DICT_MAX;
+    // A slot holds a pattern and its code plus one; 0 marks it empty.
+    let mut keys = [0u64; SLOTS];
+    let mut slots = [0u16; SLOTS];
+    let mut dict = Vec::with_capacity(FLOAT_DICT_MAX);
+    let mut codes = Vec::with_capacity(values.len());
+    for x in values {
+        let bits = x.to_bits();
+        let mut slot = (bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 55) as usize;
+        let code = loop {
+            slot %= SLOTS;
+            match slots[slot] {
+                0 if dict.len() == FLOAT_DICT_MAX => return None,
+                0 => {
+                    (keys[slot], slots[slot]) = (bits, dict.len() as u16 + 1);
+                    dict.push(bits);
+                    break (dict.len() - 1) as u8;
+                }
+                found if keys[slot] == bits => break (found - 1) as u8,
+                _ => slot += 1,
+            }
+        };
+        codes.push(code);
+    }
+    (!dict.is_empty()).then_some((dict, codes))
+}
 
 /// Encode a column into a page body. String columns must carry codes via
 /// `str_codes` (the writer interns through the dictionary first).
@@ -232,12 +306,24 @@ pub fn encode_column(col: &Col, str_codes: Option<&[u32]>) -> IqResult<Vec<u8>> 
             encode_for_nbit(v.iter().map(|&x| x as i64), &mut out);
             out
         }
-        Col::F64(v) => {
-            let mut out = header(TAG_F64);
-            v.iter()
-                .for_each(|x| out.extend_from_slice(&x.to_le_bytes()));
-            out
-        }
+        Col::F64(v) => match float_dictionary(v) {
+            Some((dict, codes)) => {
+                let mut out = header(TAG_F64_DICT);
+                out.push((dict.len() - 1) as u8);
+                dict.iter()
+                    .for_each(|bits| out.extend_from_slice(&bits.to_le_bytes()));
+                // First-occurrence codes run from 0 to the last entry.
+                let width = 64 - (dict.len() as u64 - 1).leading_zeros();
+                write_nbit(0, width, codes.iter().map(|&c| u64::from(c)), &mut out);
+                out
+            }
+            None => {
+                let mut out = header(TAG_F64);
+                v.iter()
+                    .for_each(|x| out.extend_from_slice(&x.to_le_bytes()));
+                out
+            }
+        },
         Col::Str(v) => {
             let codes = str_codes
                 .ok_or_else(|| IqError::Invalid("string column needs dictionary codes".into()))?;
@@ -293,9 +379,9 @@ pub fn decode_rows(
         ));
     }
     match tag {
-        TAG_I64 => Ok(Col::I64(NBit::parse(payload, count)?.collect(sel, Ok)?)),
+        TAG_I64 => Ok(Col::I64(NBit::parse(payload, count)?.collect(sel, |v| v))),
         TAG_DATE => Ok(Col::Date(
-            NBit::parse(payload, count)?.collect(sel, |v| Ok(v as i32))?,
+            NBit::parse(payload, count)?.collect(sel, |v| v as i32),
         )),
         TAG_F64 => {
             let raw = count
@@ -311,12 +397,52 @@ pub fn decode_rows(
                 None => raw.chunks_exact(8).map(value).collect(),
             }))
         }
+        TAG_F64_DICT => {
+            let (&last, rest) = payload
+                .split_first()
+                .ok_or_else(|| IqError::Corruption("float dictionary truncated".into()))?;
+            let len = usize::from(last) + 1;
+            let (entries, codes) = rest
+                .split_at_checked(len * 8)
+                .ok_or_else(|| IqError::Corruption("float dictionary truncated".into()))?;
+            let codes = NBit::parse(codes, count)?;
+            // First-occurrence codes of at most 256 entries: they start at
+            // 0 and fit a byte.
+            if codes.min != 0 || codes.width > 8 {
+                return Err(IqError::Corruption(format!(
+                    "float dictionary codes from {} in {} bits",
+                    codes.min, codes.width
+                )));
+            }
+            let mut table = [0f64; FLOAT_DICT_MAX];
+            for (slot, bits) in table.iter_mut().zip(entries.chunks_exact(8)) {
+                *slot = f64::from_le_bytes(bits.try_into().expect("8-byte entry"));
+            }
+            // Every code indexes the full table; the largest is checked
+            // against `len` once, after the pass.
+            let mut high = 0;
+            let values = codes.collect(sel, |code| {
+                high = high.max(code as u8);
+                table[usize::from(code as u8)]
+            });
+            if usize::from(high) >= len {
+                return Err(IqError::Corruption(format!(
+                    "float dictionary code {high} past its {len} entries"
+                )));
+            }
+            Ok(Col::F64(values))
+        }
         TAG_STR => {
             let dict =
                 dict.ok_or_else(|| IqError::Invalid("string column needs a dictionary".into()))?;
-            Ok(Col::Str(
-                NBit::parse(payload, count)?.collect(sel, |c| dict.decode(c as u32))?,
-            ))
+            let mut failed = None;
+            let strs = NBit::parse(payload, count)?.collect(sel, |code| {
+                dict.decode(code as u32).unwrap_or_else(|e| {
+                    failed = Some(e);
+                    Arc::from("")
+                })
+            });
+            failed.map_or(Ok(Col::Str(strs)), Err)
         }
         other => Err(IqError::Corruption(format!("unknown column tag {other}"))),
     }
@@ -343,7 +469,7 @@ pub(crate) fn decode_codes_as<T>(
             "code decode on non-string column (tag {tag})"
         )));
     }
-    NBit::parse(payload, count)?.collect(None, |c| Ok(f(c as u32)))
+    Ok(NBit::parse(payload, count)?.collect(None, |c| f(c as u32)))
 }
 
 #[cfg(test)]
@@ -538,7 +664,28 @@ mod tests {
                 let widened: Vec<i64> = v.iter().map(|&x| x as i64).collect();
                 (TAG_DATE, encode_for_nbit_parent(&widened))
             }
-            Col::F64(v) => (TAG_F64, v.iter().flat_map(|x| x.to_le_bytes()).collect()),
+            Col::F64(v) => {
+                // First-occurrence codes over bit patterns, by linear search.
+                let mut dict: Vec<u64> = Vec::new();
+                let codes: Vec<i64> = v
+                    .iter()
+                    .map(|x| match dict.iter().position(|&d| d == x.to_bits()) {
+                        Some(code) => code as i64,
+                        None => {
+                            dict.push(x.to_bits());
+                            dict.len() as i64 - 1
+                        }
+                    })
+                    .collect();
+                if dict.is_empty() || dict.len() > 256 {
+                    (TAG_F64, v.iter().flat_map(|x| x.to_le_bytes()).collect())
+                } else {
+                    let mut body = vec![(dict.len() - 1) as u8];
+                    body.extend(dict.iter().flat_map(|d| d.to_le_bytes()));
+                    body.extend_from_slice(&encode_for_nbit_parent(&codes));
+                    (TAG_F64_DICT, body)
+                }
+            }
             Col::Str(_) => {
                 let widened: Vec<i64> = str_codes.unwrap().iter().map(|&c| c as i64).collect();
                 (TAG_STR, encode_for_nbit_parent(&widened))
@@ -552,10 +699,22 @@ mod tests {
     }
 
     fn unpack(bytes: &[u8], width: u32, count: usize) -> IqResult<Vec<u64>> {
-        let packed = packed_slice(bytes, width, count)?;
-        let mut out = Vec::with_capacity(count);
-        unpack_bits(packed, width, count, |v| out.push(v));
-        Ok(out)
+        unpack_selected(bytes, width, count, None)
+    }
+
+    fn unpack_selected(
+        bytes: &[u8],
+        width: u32,
+        count: usize,
+        sel: Option<&Mask>,
+    ) -> IqResult<Vec<u64>> {
+        let nbit = NBit {
+            min: 0,
+            width,
+            count,
+            packed: packed_slice(bytes, width, count)?,
+        };
+        Ok(nbit.collect(sel, |d| d as u64))
     }
 
     #[test]
@@ -666,14 +825,283 @@ mod tests {
         assert!(decode_rows(&page, None, Some(130), Some(&short)).is_err());
     }
 
+    /// A float page of `rows` rows over the bit patterns `palette`, row
+    /// `i` taking entry `i % palette.len()`.
+    fn float_page(palette: &[u64], rows: usize) -> Vec<f64> {
+        (0..rows)
+            .map(|i| f64::from_bits(palette[i % palette.len()]))
+            .collect()
+    }
+
+    fn bits(col: &Col) -> Vec<u64> {
+        col.f64s().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn float_pages_take_the_dictionary_up_to_256_patterns() {
+        let odd = [
+            f64::NAN.to_bits() | 0x5_a5a5,
+            (-0.0f64).to_bits(),
+            0.0f64.to_bits(),
+            1, // the smallest subnormal
+            f64::INFINITY.to_bits(),
+            0.05f64.to_bits(),
+        ];
+        // Eleven discount-like values take 4-bit codes; an odd row count
+        // leaves half a byte.
+        let discounts: Vec<u64> = (0..11).map(|d| (d as f64 / 100.0).to_bits()).collect();
+        let sel = Mask::from_fn(1001, |i| i % 7 < 3 || i > 990);
+        for (palette, tag) in [
+            (odd.to_vec(), TAG_F64_DICT),
+            (discounts, TAG_F64_DICT),
+            (
+                (0..256u64).map(|i| (i * 7919) << 40).collect(),
+                TAG_F64_DICT,
+            ),
+            ((0..257u64).map(|i| (i * 7919) << 40).collect(), TAG_F64),
+        ] {
+            let col = Col::F64(float_page(&palette, 1001));
+            let page = encode_column(&col, None).unwrap();
+            assert_eq!(page[0], tag, "{} patterns", palette.len());
+            assert_eq!(bits(&decode_column(&page, None).unwrap()), bits(&col));
+            let got = decode_rows(&page, None, Some(1001), Some(&sel)).unwrap();
+            assert_eq!(bits(&got), bits(&col.filter(&sel)));
+        }
+        // Two values: one byte of dictionary length, two entries, one bit
+        // a row.
+        let page = encode_column(
+            &Col::F64(float_page(&[0.04f64.to_bits(), 0.07f64.to_bits()], 4096)),
+            None,
+        )
+        .unwrap();
+        assert_eq!(page.len(), 5 + 1 + 16 + 9 + 512);
+        // An empty page has no dictionary to hold: it stays raw.
+        assert_eq!(
+            encode_column(&Col::F64(Vec::new()), None).unwrap(),
+            [TAG_F64, 0, 0, 0, 0]
+        );
+    }
+
+    /// A tag-4 page by hand: `len − 1`, the entries, then the n-bit codes
+    /// (`min`, `width`, `packed`).
+    fn float_dict_page(count: u32, len_byte: u8, entries: &[f64], nbit: &[u8]) -> Vec<u8> {
+        let mut page = vec![TAG_F64_DICT];
+        page.extend_from_slice(&count.to_le_bytes());
+        page.push(len_byte);
+        entries
+            .iter()
+            .for_each(|x| page.extend_from_slice(&x.to_le_bytes()));
+        page.extend_from_slice(nbit);
+        page
+    }
+
+    #[test]
+    fn hostile_float_dictionary_pages_are_corruption() {
+        let corrupt = |page: &[u8], sel: Option<&Mask>| {
+            matches!(
+                decode_rows(page, None, None, sel),
+                Err(IqError::Corruption(_))
+            )
+        };
+        let nbit = |min: i64, width: u8, packed: &[u8]| {
+            let mut out = min.to_le_bytes().to_vec();
+            out.push(width);
+            out.extend_from_slice(packed);
+            out
+        };
+        // Three entries, codes 0 1 2 0 at two bits: a valid page.
+        let good = float_dict_page(4, 2, &[1.5, 2.5, 3.5], &nbit(0, 2, &[0b0010_0100]));
+        assert_eq!(
+            decode_column(&good, None).unwrap().f64s(),
+            [1.5, 2.5, 3.5, 1.5]
+        );
+        // A length byte that points past the body.
+        assert!(corrupt(&float_dict_page(4, 255, &[1.5, 2.5], &[]), None));
+        // Dictionary entries cut short, or no length byte at all.
+        for cut in 6..good.len() - 9 - 1 {
+            assert!(corrupt(&good[..cut], None), "cut at {cut}");
+        }
+        assert!(corrupt(&[TAG_F64_DICT, 1, 0, 0, 0], None));
+        // A code at or past the dictionary's length: 3 at two bits, and
+        // a negative base that puts a code below the table.
+        let past = float_dict_page(4, 2, &[1.5, 2.5, 3.5], &nbit(0, 2, &[0b1110_0100]));
+        assert!(corrupt(&past, None));
+        assert!(corrupt(&past, Some(&Mask::from_fn(4, |i| i == 3))));
+        // The same at four bits: eleven entries and a code 15 in either
+        // half of a byte, or in the odd last one.
+        let eleven: Vec<f64> = (0..11).map(f64::from).collect();
+        for (count, packed) in [(4, [0x10, 0xf2]), (4, [0x10, 0x2f]), (3, [0x10, 0x0f])] {
+            let page = float_dict_page(count, 10, &eleven, &nbit(0, 4, &packed));
+            assert!(corrupt(&page, None), "{packed:x?}");
+        }
+        let page = float_dict_page(4, 10, &eleven, &nbit(0, 4, &[0x10, 0xa2]));
+        assert_eq!(
+            decode_column(&page, None).unwrap().f64s(),
+            [0.0, 1.0, 2.0, 10.0]
+        );
+        assert!(corrupt(
+            &float_dict_page(1, 0, &[1.5], &nbit(-1, 1, &[0])),
+            None
+        ));
+        assert!(corrupt(
+            &float_dict_page(1, 0, &[1.5], &nbit(1, 0, &[])),
+            None
+        ));
+        // A width the count does not fit: too wide for the packed bytes,
+        // or past 64 bits.
+        assert!(corrupt(
+            &float_dict_page(4, 2, &[1.5, 2.5, 3.5], &nbit(0, 3, &[0])),
+            None
+        ));
+        assert!(corrupt(
+            &float_dict_page(4, 2, &[1.5, 2.5, 3.5], &nbit(0, 65, &[0; 64])),
+            None
+        ));
+        // The n-bit header itself cut short.
+        assert!(corrupt(
+            &float_dict_page(4, 2, &[1.5, 2.5, 3.5], &[0; 8]),
+            None
+        ));
+        // A float page has no codes to hand out, in either layout.
+        let raw = encode_column(&Col::F64((0..300).map(f64::from).collect()), None).unwrap();
+        for page in [&good, &raw] {
+            assert!(matches!(decode_codes(page), Err(IqError::Invalid(_))));
+        }
+    }
+
+    /// Whether a decode's outcome is one a hostile page may produce.
+    fn total<T>(r: IqResult<T>) -> bool {
+        matches!(r, Ok(_) | Err(IqError::Corruption(_) | IqError::Invalid(_)))
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
         #[test]
-        fn i64_roundtrip_arbitrary(values in proptest::collection::vec(any::<i64>(), 0..300)) {
-            let enc = encode_column(&Col::I64(values.clone()), None).unwrap();
-            let dec = decode_column(&enc, None).unwrap();
-            prop_assert_eq!(dec.i64s(), &values[..]);
+        fn word_read_kernel_matches_the_bit_loop(
+            width in 0u32..=64,
+            count in 0usize..=5000,
+            seed in any::<u64>(),
+            density in 0u64..=64,
+        ) {
+            let keep = if width == 0 { 0 } else { u64::MAX >> (64 - width) };
+            let mut x = seed;
+            let mut next = || {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x ^ (x >> 29)
+            };
+            let values: Vec<u64> = (0..count).map(|_| next() & keep).collect();
+            let packed = pack_bits_bitloop(&values, width);
+            let mut ours = Vec::new();
+            pack_bits(values.iter().copied(), width, &mut ours);
+            prop_assert_eq!(&ours, &packed);
+            let oracle = unpack_bits_bitloop(&packed, width, count).unwrap();
+            prop_assert_eq!(&oracle, &values);
+            prop_assert_eq!(&unpack(&packed, width, count).unwrap(), &oracle);
+            let sel = Mask::from_fn(count, |_| next() % 64 < density);
+            let selected: Vec<u64> = sel.iter_set().map(|i| oracle[i]).collect();
+            prop_assert_eq!(
+                unpack_selected(&packed, width, count, Some(&sel)).unwrap(),
+                selected
+            );
         }
 
+        #[test]
+        fn floats_roundtrip_bitwise_through_both_layouts(
+            palette in proptest::collection::vec(any::<u64>(), 1..300),
+            rows in 0usize..1200,
+            seed in any::<u64>(),
+        ) {
+            let mut x = seed | 1;
+            let col = Col::F64(
+                (0..rows)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        f64::from_bits(palette[(x % palette.len() as u64) as usize])
+                    })
+                    .collect(),
+            );
+            let page = encode_column(&col, None).unwrap();
+            let distinct = bits(&col).into_iter().collect::<std::collections::HashSet<_>>().len();
+            let tag = if (1..=256).contains(&distinct) { TAG_F64_DICT } else { TAG_F64 };
+            prop_assert_eq!(page[0], tag);
+            prop_assert_eq!(bits(&decode_column(&page, None).unwrap()), bits(&col));
+            let sel = Mask::from_fn(rows, |i| (x >> (i % 64)) & 1 == 1);
+            let got = decode_rows(&page, None, Some(rows), Some(&sel)).unwrap();
+            prop_assert_eq!(bits(&got), bits(&col.filter(&sel)));
+        }
+
+        #[test]
+        fn column_decode_is_total_on_arbitrary_bytes(
+            tag in 0u8..6,
+            count in 0u32..80,
+            body in proptest::collection::vec(any::<u8>(), 0..400),
+            raw in any::<bool>(),
+            rows in 0usize..80,
+            mask_len in 0usize..80,
+            check_rows in any::<bool>(),
+        ) {
+            // Not total in one case: `decode_column`, given no row count,
+            // trusts a width-0 page's count and allocates for it. Headed
+            // pages keep counts small; raw bytes that name a width-0
+            // page are left to the fixed seed.
+            let mut dict = Dictionary::new();
+            (0..5).for_each(|i| {
+                dict.encode(&format!("s{i}"));
+            });
+            // Either bytes as they come, or behind a header that names a
+            // known tag and a small count, so the payload parsers run.
+            let page = if raw {
+                body
+            } else {
+                let mut page = vec![tag];
+                page.extend_from_slice(&count.to_le_bytes());
+                page.extend_from_slice(&body);
+                page
+            };
+            let sel = Mask::from_fn(mask_len, |i| i % 3 != 1);
+            let rows = check_rows.then_some(rows);
+            prop_assert!(total(decode_column(&page, Some(&dict))));
+            prop_assert!(total(decode_column(&page, None)));
+            prop_assert!(total(decode_rows(&page, Some(&dict), rows, Some(&sel))));
+            prop_assert!(total(decode_rows(&page, Some(&dict), Some(count as usize), Some(&Mask::from_fn(count as usize, |i| i % 2 == 0)))));
+            prop_assert!(total(decode_codes(&page)));
+            prop_assert!(total(decode_codes_as(&page, rows, |c| c)));
+        }
+
+        #[test]
+        fn column_decode_is_total_on_damaged_pages(
+            values in proptest::collection::vec(0u64..40, 1..200),
+            kind in 0u8..4,
+            flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+            cut in any::<usize>(),
+        ) {
+            let mut dict = Dictionary::new();
+            let codes: Vec<u32> = values.iter().map(|v| dict.encode(&v.to_string())).collect();
+            let col = match kind {
+                0 => Col::I64(values.iter().map(|&v| v as i64 * 1000).collect()),
+                1 => Col::Date(values.iter().map(|&v| v as i32).collect()),
+                2 => Col::F64(values.iter().map(|&v| v as f64 / 100.0).collect()),
+                _ => Col::Str(values.iter().map(|v| Arc::from(v.to_string())).collect()),
+            };
+            let mut page = encode_column(&col, Some(&codes)).unwrap();
+            for (at, byte) in flips {
+                let at = at % page.len();
+                page[at] ^= byte;
+            }
+            page.truncate(cut % (page.len() + 1));
+            let n = values.len();
+            let sel = Mask::from_fn(n, |i| i % 4 == 0);
+            prop_assert!(total(decode_rows(&page, Some(&dict), Some(n), None)));
+            prop_assert!(total(decode_rows(&page, Some(&dict), Some(n), Some(&sel))));
+            prop_assert!(total(decode_column(&page, Some(&dict))));
+            prop_assert!(total(decode_codes(&page)));
+        }
+    }
+
+    proptest! {
         #[test]
         fn pack_unpack_arbitrary(values in proptest::collection::vec(0u64..1000, 0..200)) {
             let width = 10;
@@ -684,10 +1112,19 @@ mod tests {
         }
 
         #[test]
+        fn i64_roundtrip_arbitrary(values in proptest::collection::vec(any::<i64>(), 0..300)) {
+            let enc = encode_column(&Col::I64(values.clone()), None).unwrap();
+            let dec = decode_column(&enc, None).unwrap();
+            prop_assert_eq!(dec.i64s(), &values[..]);
+        }
+
+        #[test]
         fn encode_is_byte_identical_to_the_parent_encoder(
             ints in proptest::collection::vec(any::<i64>(), 0..200),
             narrow in proptest::collection::vec(-40i64..40, 0..200),
             floats in proptest::collection::vec(-1.0e9f64..1.0e9, 0..100),
+            prices in proptest::collection::vec(any::<u64>(), 200..400),
+            discounts in proptest::collection::vec(0u8..11, 0..300),
             dates in proptest::collection::vec(any::<i32>(), 0..200),
             codes in proptest::collection::vec(any::<u32>(), 0..200),
         ) {
@@ -696,6 +1133,8 @@ mod tests {
                 (Col::I64(ints), None),
                 (Col::I64(narrow), None),
                 (Col::F64(floats), None),
+                (Col::F64(prices.iter().map(|&b| f64::from_bits(b)).collect()), None),
+                (Col::F64(discounts.iter().map(|&d| f64::from(d) / 100.0).collect()), None),
                 (Col::Date(dates), None),
                 (strs, Some(&codes[..])),
             ] {
