@@ -18,6 +18,10 @@ pub const TARGET_SF: f64 = 1000.0;
 pub const SEED: u64 = 20210620;
 /// Row-group size for the TPC-H tables.
 const ROW_GROUP_SIZE: u32 = 4096;
+/// Operator fan-out for the partitioned join / aggregate paths. Their
+/// results and metered work are bitwise identical at every worker count,
+/// so the fan-out changes wall-clock only, never a capture.
+pub(crate) const EXEC_WORKERS: usize = 8;
 /// Cache-budget calibration: our data is smaller than the paper's
 /// (≈518 GiB at SF 1000), so RAM/SSD budgets shrink by this additional
 /// factor to preserve the working-set-to-cache ratios that drive the
@@ -129,9 +133,12 @@ pub(crate) struct Capture {
 }
 
 impl Capture {
-    /// Create the database for `config`, scanning with `scan_workers`,
-    /// with the user dbspace and the eight TPC-H tables on it.
-    pub(crate) fn open(config: RunConfig, scan_workers: usize) -> IqResult<Capture> {
+    /// Create the database for `config`, with the user dbspace and the
+    /// eight TPC-H tables on it. It scans, flushes and collects garbage
+    /// with one worker, so every page, OCM and store request is issued in
+    /// one order and a capture repeats byte for byte; virtual time does
+    /// the scale-up to the modelled cores.
+    pub(crate) fn open(config: RunConfig) -> IqResult<Capture> {
         let ratio = config.sf_ratio();
         let mut db_cfg = DatabaseConfig::default();
         db_cfg.storage.page_size = 64 * 1024;
@@ -143,7 +150,7 @@ impl Capture {
             0
         };
         db_cfg.retention = None; // GC immediately; retention measured elsewhere
-        db_cfg.scan_workers = scan_workers;
+        db_cfg.scan_workers = 1;
         let db = Database::create(db_cfg)?;
 
         let space = if config.volume == VolumeKind::S3 {
@@ -271,15 +278,11 @@ impl Capture {
     }
 
     /// Run Q1..Q22 in one reader transaction, each captured as its own
-    /// phase, with operators fanning out over `op_workers` workers and
+    /// phase, with operators fanning out over [`EXEC_WORKERS`] workers and
     /// accounting into the database's submission-depth stats.
-    pub(crate) fn run_queries(
-        &self,
-        tpch: &TpchDb,
-        op_workers: usize,
-    ) -> IqResult<Vec<PhaseCapture>> {
+    pub(crate) fn run_queries(&self, tpch: &TpchDb) -> IqResult<Vec<PhaseCapture>> {
         let exec =
-            iq_engine::OpExec::new(op_workers).with_stats(Arc::clone(&self.db.shared().io_stats));
+            iq_engine::OpExec::new(EXEC_WORKERS).with_stats(Arc::clone(&self.db.shared().io_stats));
         let txn = self.db.begin();
         let pager = self.db.pager(txn)?;
         let mut queries = Vec::with_capacity(22);
@@ -293,9 +296,6 @@ impl Capture {
                 late_mat: true,
             };
             let out = run_query(n, &ctx)?;
-            if let Some(ocm) = self.db.ocm() {
-                ocm.quiesce();
-            }
             queries.push(self.end_phase(&format!("Q{n}"), mark, out.len() as u64)?);
         }
         self.db.rollback(txn)?;
@@ -306,14 +306,7 @@ impl Capture {
 impl PowerRun {
     /// Execute the workload functionally and capture activity.
     pub fn execute(config: RunConfig) -> IqResult<PowerRun> {
-        // Morsel-parallel scans, the commit-flush fan-out and the
-        // operators they feed run one worker per modelled core, clamped to
-        // the host's real parallelism (the functional run executes on the
-        // laptop; virtual time does the scale-up).
-        let workers = (config.compute.cpus as usize)
-            .min(std::thread::available_parallelism().map_or(8, |n| n.get()))
-            .max(1);
-        let mut cap = Capture::open(config, workers)?;
+        let mut cap = Capture::open(config)?;
         let (tpch, load) = cap.load_tpch()?;
         cap.restart()?;
 
@@ -328,7 +321,7 @@ impl PowerRun {
             )
         };
         let before = ocm_stats();
-        let queries = cap.run_queries(&tpch, workers)?;
+        let queries = cap.run_queries(&tpch)?;
         let after = ocm_stats();
 
         Ok(PowerRun {

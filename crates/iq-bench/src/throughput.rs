@@ -21,13 +21,11 @@
 //! seed, so a repeated run at the same scale factor produces a
 //! byte-identical [`ThroughputMeasure`] (and `BENCH_throughput.json`).
 //!
-//! The capture database pins `scan_workers = 1` so store traffic is
-//! issue-order deterministic, and disables the OCM SSD tier (its cache
-//! population runs on a background worker, so whether a re-read hits
-//! SSD or S3 would depend on thread timing); the *operators* still fan
-//! out ([`iq_engine::OpExec`] with 8 workers) because the partitioned join /
-//! aggregate paths are byte-identical and meter-identical at every worker
-//! count — worker fan-out changes wall-clock only, never the capture.
+//! The capture is the power run's: one scan worker, so store traffic is
+//! issued in one order, and operators fanned out over 8 workers, which
+//! changes wall-clock only, never the capture. Unlike the power run, the
+//! drill captures without the OCM SSD tier, because its job specs are
+//! pinned on store-only captures.
 
 use std::collections::BTreeMap;
 
@@ -38,7 +36,7 @@ use iq_tpch::refresh::{rf1, rf2};
 use serde::Serialize;
 
 use crate::report::{Column, Report};
-use crate::runner::{scale_phase, Capture, PhaseCapture, RunConfig, SEED};
+use crate::runner::{scale_phase, Capture, PhaseCapture, RunConfig, EXEC_WORKERS, SEED};
 use crate::scheduler::{
     percentile, summarize, ClassSummary, Completion, JobSpec, QueryClass, QueryScheduler,
     SchedulerConfig,
@@ -57,8 +55,6 @@ const SLOTS: usize = 16;
 const LIGHT_WEIGHT: f64 = 4.0;
 /// Heavy-class weight.
 const HEAVY_WEIGHT: f64 = 1.0;
-/// Operator fan-out used for the parallel join/aggregate paths.
-const EXEC_WORKERS: usize = 8;
 
 /// The full throughput measurement written to `BENCH_throughput.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -97,39 +93,19 @@ fn makespan(completions: &[Completion]) -> f64 {
     completions.iter().map(|c| c.finish).fold(0.0, f64::max)
 }
 
-/// Strip the sampled async-write queue depth out of a captured phase.
-///
-/// `mean_queue_depth` is sampled against the *host's* wall clock while
-/// the functional run executes, so it wobbles with thread scheduling —
-/// a nondeterministic channel into [`TimeModel::device_time`] (which
-/// inflates read latency under write pressure). The capture database
-/// runs without the OCM (see [`rows`]), so no samples are recorded today;
-/// zeroing here keeps the artifact byte-stable even if a future capture
-/// re-enables a sampling tier. The power run keeps the pressure term.
-fn sanitize(phase: &mut PhaseCapture) {
-    for d in &mut phase.load.devices {
-        d.snapshot.mean_queue_depth = 0.0;
-        d.snapshot.max_queue_depth = 0;
-    }
-}
-
 /// The throughput drill (`repro --throughput`): capture Q1–Q22 and
 /// RF1/RF2 once and replay the seeded stream mix through weighted-fair
 /// and FIFO admission. Deterministic per `sf`.
 pub(crate) fn rows(sf: f64) -> IqResult<ThroughputMeasure> {
-    // No OCM: its cache population runs on a background worker, so
-    // whether a re-read within a capture window hits SSD or falls
-    // through to S3 depends on thread timing — hit/miss flips would leak
-    // into the per-job device counters. The capture reads straight from
-    // the store instead; the power run keeps the full SSD tier.
+    // No OCM: the drill's job specs are pinned on store-only captures.
+    // The OCM caches in the caller's order, so a capture with it would
+    // repeat as well; it stays off so `BENCH_throughput.json` keeps its
+    // pinned figures.
     let config = RunConfig {
         ocm_enabled: false,
         ..RunConfig::paper_default(sf)
     };
-    // One scan worker: store traffic becomes issue-order deterministic,
-    // which is what makes the whole measurement replayable bit-for-bit.
-    // Operator fan-out stays wide (see module docs).
-    let mut cap = Capture::open(config, 1)?;
+    let mut cap = Capture::open(config)?;
     let (mut tpch, _load) = cap.load_tpch()?;
     let db = &cap.db;
     db.gc_drain()?;
@@ -137,7 +113,7 @@ pub(crate) fn rows(sf: f64) -> IqResult<ThroughputMeasure> {
     cap.restart()?;
 
     // ---- Capture Q1..Q22, one execution each ----
-    let mut profiles = cap.run_queries(&tpch, EXEC_WORKERS)?;
+    let mut profiles = cap.run_queries(&tpch)?;
 
     // ---- Capture RF1/RF2, each committing a new table version ----
     // A reader opened *before* the refreshes pins its snapshot: the
@@ -180,7 +156,6 @@ pub(crate) fn rows(sf: f64) -> IqResult<ThroughputMeasure> {
         "snapshot isolation: a pre-refresh reader must see its version unchanged"
     );
     db.rollback(rtxn)?;
-    profiles.iter_mut().for_each(sanitize);
 
     // ---- Fold captures into virtual-time job specs ----
     let scale = cap.config.scale();

@@ -50,6 +50,27 @@ fn table2_shape_s3_beats_efs() {
     assert!(f8.rows.len() >= 2);
 }
 
+/// The paper's OCM and scale-up artifacts repeat byte for byte: the power
+/// run captures at one scan worker and the OCM caches a miss before the
+/// read returns, so nothing they print depends on thread timing.
+#[test]
+fn paper_artifacts_render_identically_twice() {
+    let render = || {
+        let suite = experiments::run_volume_suite(SF).unwrap();
+        [
+            experiments::table2(&suite),
+            experiments::table5(SF).unwrap(),
+            experiments::fig6(SF).unwrap(),
+            experiments::fig7(SF).unwrap(),
+        ]
+        .map(|r| r.to_text())
+    };
+    let (first, second) = (render(), render());
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!(a, b);
+    }
+}
+
 #[test]
 fn table1_report_walks_all_clock_ticks() {
     let r = experiments::table1().unwrap();

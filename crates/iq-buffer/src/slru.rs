@@ -110,8 +110,8 @@ impl<K: Eq + Hash + Clone, V> SlruCache<K, V> {
         // A probationary re-insert must not reset promotion progress: an
         // entry that already earned (Demand admission) or burned (spent
         // grace hit) its promote-on-next-hit state keeps it even when the
-        // new admission is scan-tagged — e.g. an OCM CachePopulate racing
-        // a point read. Grace is granted only to brand-new scan entries,
+        // new admission is scan-tagged — e.g. a scan landing a page a
+        // point read already brought in. Grace is granted only to brand-new scan entries,
         // or re-asserted while the old entry was still in grace itself.
         let grace = self
             .probationary

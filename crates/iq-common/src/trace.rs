@@ -120,8 +120,8 @@ pub enum EventKind {
         /// Simulated wait in nanoseconds.
         wait_nanos: u64,
     },
-    /// OCM: a read was served from the SSD cache (or the pending
-    /// write-queue image).
+    /// OCM: a read was served from the SSD cache (or from a write-back
+    /// page still waiting for its upload).
     OcmHit {
         /// Key offset.
         key: u64,
@@ -135,11 +135,6 @@ pub enum EventKind {
     OcmEvict {
         /// Evicted key offset.
         key: u64,
-    },
-    /// OCM: async write-queue depth sample.
-    OcmQueueDepth {
-        /// Jobs queued behind the writer at sample time.
-        depth: u64,
     },
     /// Buffer manager: a page was served from RAM.
     BufferHit {
@@ -326,7 +321,6 @@ impl EventKind {
             EventKind::OcmHit { .. } => "OcmHit",
             EventKind::OcmMiss { .. } => "OcmMiss",
             EventKind::OcmEvict { .. } => "OcmEvict",
-            EventKind::OcmQueueDepth { .. } => "OcmQueueDepth",
             EventKind::BufferHit { .. } => "BufferHit",
             EventKind::BufferLoad { .. } => "BufferLoad",
             EventKind::SingleFlightWait { .. } => "SingleFlightWait",

@@ -544,14 +544,6 @@ fn device_metric_values(
             "effective_prefixes".into(),
             MetricValue::F64(snap.effective_prefixes),
         ),
-        (
-            "mean_queue_depth".into(),
-            MetricValue::F64(snap.mean_queue_depth),
-        ),
-        (
-            "max_queue_depth".into(),
-            MetricValue::U64(snap.max_queue_depth),
-        ),
         ("epoch".into(), MetricValue::U64(epoch)),
     ]
 }

@@ -81,16 +81,13 @@ struct Inner {
     total_requests: u64,
     /// Bytes moved so far: the time-series cursor.
     total_bytes: u64,
-    queue_depth_sum: u64,
-    queue_depth_samples: u64,
-    queue_depth_max: u64,
     retries: u64,
     backoff_nanos: u64,
 }
 
 impl Inner {
     /// Fold `src` into `self`: counters add, the prefix histogram adds
-    /// per-prefix, queue-depth maxima take the max, and `src`'s
+    /// per-prefix, and `src`'s
     /// time-series buckets are appended after `self`'s (the merged series
     /// reads oldest-epoch-first).
     fn merge(&mut self, src: &Inner) {
@@ -105,9 +102,6 @@ impl Inner {
         self.buckets.extend_from_slice(&src.buckets);
         self.total_requests += src.total_requests;
         self.total_bytes += src.total_bytes;
-        self.queue_depth_sum += src.queue_depth_sum;
-        self.queue_depth_samples += src.queue_depth_samples;
-        self.queue_depth_max = self.queue_depth_max.max(src.queue_depth_max);
         self.retries += src.retries;
         self.backoff_nanos += src.backoff_nanos;
     }
@@ -188,14 +182,6 @@ impl DeviceStats {
         g.backoff_nanos += nanos;
     }
 
-    /// Record an observed async-write queue depth (OCM SSD pressure).
-    pub fn record_queue_depth(&self, depth: u64) {
-        let mut g = self.inner.lock();
-        g.queue_depth_sum += depth;
-        g.queue_depth_samples += 1;
-        g.queue_depth_max = g.queue_depth_max.max(depth);
-    }
-
     fn snapshot_of(&self, g: &Inner) -> StatsSnapshot {
         let mut ops: Vec<(IoOp, OpCounter)> = g.ops.iter().map(|(k, v)| (*k, *v)).collect();
         ops.sort_by_key(|(op, _)| format!("{op:?}"));
@@ -206,12 +192,6 @@ impl DeviceStats {
             buckets: g.buckets.clone(),
             bucket_bytes: self.bucket_bytes,
             total_requests: g.total_requests,
-            mean_queue_depth: if g.queue_depth_samples == 0 {
-                0.0
-            } else {
-                g.queue_depth_sum as f64 / g.queue_depth_samples as f64
-            },
-            max_queue_depth: g.queue_depth_max,
             retries: g.retries,
             backoff_nanos: g.backoff_nanos,
         }
@@ -287,10 +267,6 @@ pub struct StatsSnapshot {
     pub bucket_bytes: u64,
     /// Total requests across all ops.
     pub total_requests: u64,
-    /// Mean sampled async-write queue depth.
-    pub mean_queue_depth: f64,
-    /// Max sampled async-write queue depth.
-    pub max_queue_depth: u64,
     /// Retry attempts taken after a transient failure.
     pub retries: u64,
     /// Cumulative simulated backoff wait, in nanoseconds.
@@ -440,16 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_stats() {
-        let s = DeviceStats::new();
-        s.record_queue_depth(2);
-        s.record_queue_depth(10);
-        let snap = s.snapshot();
-        assert_eq!(snap.max_queue_depth, 10);
-        assert!((snap.mean_queue_depth - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn backoff_ledger_accumulates_and_scales() {
         let s = DeviceStats::new();
         s.record_backoff(1_000);
@@ -478,7 +444,6 @@ mod tests {
         s.record_prefixed(IoOp::Put, 100, Some(1));
         s.record_prefixed(IoOp::Put, 100, Some(2));
         s.record_backoff(500);
-        s.record_queue_depth(4);
         assert_eq!(s.epoch(), 0);
 
         // Restart boundary: the new epoch starts clean.
@@ -497,7 +462,7 @@ mod tests {
         assert_eq!(cur.op(IoOp::Put).count, 0);
 
         // The lifetime view merges both epochs: counters add, the prefix
-        // histogram unions, queue maxima survive, buckets concatenate.
+        // histogram unions, buckets concatenate.
         let life = s.lifetime_snapshot();
         assert_eq!(life.total_requests, 3);
         assert_eq!(
@@ -517,7 +482,6 @@ mod tests {
         assert_eq!(life.prefix_count, 3);
         assert_eq!(life.retries, 1);
         assert_eq!(life.backoff_nanos, 500);
-        assert_eq!(life.max_queue_depth, 4);
         assert_eq!(life.buckets.len(), 2);
 
         // A second restart keeps folding.

@@ -27,9 +27,12 @@
 //!   intrinsic limit (the 512 KB page-size restriction, Figure 8) caps
 //!   usable network at ~9 Gbps regardless of the line rate, producing the
 //!   scale-up tail-off of Figure 7.
-//! * **SSD write pressure** — OCM async writes inflate SSD read latency by
-//!   `1 + pressure_coeff × mean_queue_depth`, reproducing the Figure 6
-//!   Q3/Q4 anomaly where OCM cache hits read slower than S3.
+//! * **SSD write pressure** — a phase's OCM cache writes slow its reads
+//!   on the same local device in proportion to the phase's write-to-read
+//!   byte ratio (see [`Tuning::ssd_write_pressure`]), reproducing the
+//!   Figure 6 Q3/Q4 anomaly where OCM cache hits read slower than S3. The
+//!   writes themselves are overlapped work, never on a read's serial path,
+//!   which is what makes the paper's population asynchronous.
 //! * **CPU work** — operators report abstract work units; CPU time follows
 //!   Amdahl's law over the profile's cores.
 
@@ -56,9 +59,6 @@ pub struct Tuning {
     pub cpu_work_per_core_per_sec: f64,
     /// Amdahl parallel fraction for CPU work.
     pub cpu_parallel_fraction: f64,
-    /// SSD read-latency inflation per unit of mean async-write queue depth
-    /// (the write-pressure model).
-    pub ssd_pressure_coeff: f64,
     /// SSD read-*bandwidth* degradation under concurrent async-write
     /// volume: reads on a local device slow by
     /// `1 + coeff × min(write_bytes/read_bytes, 4) × (cpus/96)`.
@@ -79,7 +79,6 @@ impl Default for Tuning {
             intrinsic_network_bps: 9_000_000_000,
             cpu_work_per_core_per_sec: 50_000_000.0,
             cpu_parallel_fraction: 0.995,
-            ssd_pressure_coeff: 0.35,
             ssd_write_pressure: 2.0,
         }
     }
@@ -156,10 +155,7 @@ impl TimeModel {
             return SimDuration::ZERO;
         }
 
-        // Effective read latency, inflated by SSD write pressure when the
-        // async write queue ran deep (Figure 6's Q3/Q4 anomaly).
-        let read_latency = p.read_latency.as_secs_f64()
-            * (1.0 + self.tuning.ssd_pressure_coeff * s.mean_queue_depth);
+        let read_latency = p.read_latency.as_secs_f64();
 
         // Latency-dominated component: overlapped requests amortize
         // latency across streams; serial demand misses pay it in full.
@@ -349,17 +345,27 @@ mod tests {
 
     #[test]
     fn ssd_pressure_inflates_reads() {
+        // OCM cache writes as large as the reads, on the local SSD: the
+        // reads slow by `1 + ssd_write_pressure × 1 × cpus/96`.
         let m = TimeModel::new(ComputeProfile::m5ad_24xlarge());
-        let stats = DeviceStats::new();
+        let mut unpressured = m.clone();
+        unpressured.tuning.ssd_write_pressure = 0.0;
+        let reads = DeviceStats::new();
+        let mixed = DeviceStats::new();
         for _ in 0..1000 {
-            stats.record(IoOp::BlockRead, 512 * 1024);
+            reads.record(IoOp::BlockRead, 512 * 1024);
+            mixed.record(IoOp::BlockRead, 512 * 1024);
+            mixed.record(IoOp::BlockWrite, 512 * 1024);
         }
-        let calm = m.device_time(&load(DeviceProfile::local_nvme(4), stats.snapshot()));
-        for _ in 0..100 {
-            stats.record_queue_depth(64);
-        }
-        let pressured = m.device_time(&load(DeviceProfile::local_nvme(4), stats.snapshot()));
-        assert!(pressured > calm, "pressured={pressured} calm={calm}");
+        let ssd = load(DeviceProfile::local_nvme(4), mixed.snapshot());
+        let (pressured, calm) = (m.device_time(&ssd), unpressured.device_time(&ssd));
+        assert!(
+            pressured.as_secs_f64() > calm.as_secs_f64() * 1.5,
+            "pressured={pressured} calm={calm}"
+        );
+        // Reads alone carry no pressure term.
+        let quiet = load(DeviceProfile::local_nvme(4), reads.snapshot());
+        assert_eq!(m.device_time(&quiet), unpressured.device_time(&quiet));
     }
 
     #[test]

@@ -14,8 +14,11 @@
 //!   of a composite object are cached alike, and every page read goes
 //!   through the OCM.
 //! * **Read-through**: a miss fetches from the object store (a ranged GET
-//!   for a member), returns to the caller, and caches the extent on SSD
-//!   *asynchronously*.
+//!   for a member) and caches the extent on SSD before it returns, so the
+//!   cache holds what a run's reads put there in the order they made them.
+//!   The paper populates *asynchronously*; that is a timing claim, and the
+//!   virtual-time model keeps it by charging the SSD write as overlapped
+//!   work, never on the read's serial path.
 //! * **Write-back** (churn phase): synchronous SSD write of every page of
 //!   the object, one asynchronous object-store upload; the entries join
 //!   the LRU only after the upload succeeds, "to prevent unnecessary
@@ -23,18 +26,19 @@
 //!   failed/rolled-back transactions)". Until then a read is served from
 //!   the page's slot.
 //! * **Write-through** (commit phase): synchronous object-store upload,
-//!   asynchronous SSD caching.
+//!   then the pages are cached as a read-through miss is.
 //! * **FlushForCommit**: moves the committing transaction's queued jobs to
 //!   the head of the write queue and switches its subsequent writes to
 //!   write-through; returns only when every upload of that transaction has
 //!   drained (or surfaces the failure so the transaction rolls back).
 //! * A **single LRU** across reads and writes, and hit/miss/eviction
 //!   counters (Table 5).
-//! * Queue-depth samples taken on SSD reads feed the virtual-time model's
-//!   write-pressure term — the mechanism behind Figure 6's Q3/Q4 anomaly,
-//!   where "under heavy load, where the OCM saturates the underlying SSD
-//!   devices with a significant volume of (asynchronous) writes, reads for
-//!   cache hits might suffer".
+//! * Every SSD write lands on the SSD's request ledger. The virtual-time
+//!   model slows a phase's SSD reads by its write-to-read byte ratio —
+//!   the mechanism behind Figure 6's Q3/Q4 anomaly, where "under heavy
+//!   load, where the OCM saturates the underlying SSD devices with a
+//!   significant volume of (asynchronous) writes, reads for cache hits
+//!   might suffer".
 
 pub mod manager;
 pub mod slots;
