@@ -3,7 +3,8 @@
 #
 # The sharded buffer manager and the OCM both promise that slow paths —
 # FlushSink::flush, object-store GETs/PUTs (directly or via the retry
-# layer), and simulated-SSD block I/O — never run under a shard/LRU mutex.
+# layer), and simulated-SSD block I/O (reads, writes and trims) — never
+# run under a shard/LRU mutex.
 # Holding a cache lock across a store round-trip reintroduces exactly the
 # convoy the sharding refactor removed, and no unit test reliably catches
 # it (the code still *works*, it just serializes).
@@ -16,9 +17,9 @@
 #     binding depth;
 #   * any I/O call on a line while a guard is live is an error, unless
 #     the line carries an explicit `// LOCK-OK: <why>` annotation
-#     (the OCM holds its lock across an SSD read as the simulation's
-#     slot pin; the reactor's gate is held across one backend call, see
-#     below).
+#     (the OCM holds its lock across its SSD reads, writes and trims as
+#     the simulation's run pin; the reactor's gate is held across one
+#     backend call, see below).
 #
 # False positives are possible (it is a lexical heuristic, not borrowck);
 # annotate genuinely-safe sites with `LOCK-OK` and a reason.
@@ -53,7 +54,7 @@ for f in crates/iq-buffer/src/*.rs crates/iq-ocm/src/*.rs \
 
       # I/O while any guard is live (check before this line may acquire).
       if (nguards > 0 && !ok &&
-          line ~ /(sink\.flush\(|retry\.get\(|retry\.put\(|\.read_blocks\(|\.write_blocks\(|store\.get\(|store\.put\(|backend\.get\(|backend\.put\(|loader\(\)|[^A-Za-z_.]op\(\))/) {
+          line ~ /(sink\.flush\(|retry\.get\(|retry\.put\(|\.read_blocks\(|\.read_bytes\(|\.write_blocks\(|\.trim_blocks\(|store\.get\(|store\.put\(|backend\.get\(|backend\.put\(|loader\(\)|[^A-Za-z_.]op\(\))/) {
         printf "%s:%d: I/O under a live cache lock: %s\n", FILE, FNR, line
         bad = 1
       }

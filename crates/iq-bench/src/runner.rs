@@ -26,10 +26,14 @@ pub(crate) const EXEC_WORKERS: usize = 8;
 /// (≈518 GiB at SF 1000), so RAM/SSD budgets shrink by this additional
 /// factor to preserve the working-set-to-cache ratios that drive the
 /// paper's cache dynamics. Our 238 GiB is the data in whole 4 KiB blocks,
-/// as an EBS volume holds it; S3's byte-exact objects hold ≈165 GiB. The
-/// ratio is about cache footprints, which padding never entered: a buffer
-/// frame is charged for its page's body and an OCM slot holds one page
-/// whatever its length, so exact objects leave the calibration as it was.
+/// as an EBS volume holds it; S3's byte-exact objects hold ≈165 GiB. Both
+/// caches are byte budgets: a buffer frame is charged for its page's body,
+/// and an OCM entry for the 4 KiB blocks its sealed image covers, so the
+/// OCM holds as many pages as their bytes allow. The constant is held, not
+/// derived, and it is stale (since byte-exact pages Table 4 reads 214 GiB
+/// on EBS and 141 GiB on S3); ROADMAP item P.3 replaces it with budgets
+/// sized from the load's measured resident bytes against the paper's
+/// 518 GiB.
 const CAPACITY_CALIBRATION: f64 = 238.0 / 518.0;
 /// CPU-work multiplier for the load phase: SAP IQ's load engine does
 /// far more per-row work (full dbgen parsing, richer compression,

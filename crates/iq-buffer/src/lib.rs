@@ -13,7 +13,7 @@
 //!   replacement policies.
 //! * [`slru`] — a scan-resistant segmented LRU (probationary/protected)
 //!   with admission control, used for frame replacement here and for the
-//!   OCM's slot list (the paper's §5 cache hierarchy must survive large
+//!   OCM's entry list (the paper's §5 cache hierarchy must survive large
 //!   scans without evicting the point-read working set).
 //! * [`shard`] — the frame table's sharding: per-shard `Mutex` + `Condvar`
 //!   so parallel scan workers take disjoint locks.

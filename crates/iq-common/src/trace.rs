@@ -131,7 +131,7 @@ pub enum EventKind {
         /// Key offset.
         key: u64,
     },
-    /// OCM: an LRU entry was evicted to free SSD slots.
+    /// OCM: an LRU entry was evicted to free its SSD blocks.
     OcmEvict {
         /// Evicted key offset.
         key: u64,

@@ -795,7 +795,7 @@ impl Database {
                 Arc::clone(&shared.ssd),
                 backend,
                 OcmConfig {
-                    // Slots fit this dbspace's sealed page images.
+                    // An entry holds up to one of this dbspace's pages.
                     slot_bytes: storage.page_size,
                     capacity_bytes: shared.config.ocm_bytes,
                     retry: shared.config.retry,

@@ -261,8 +261,8 @@ impl Composite {
         }
     }
 
-    /// Upload the object in one PUT: write-back through `ocm`, whose slots
-    /// take every member at once, or straight to the store. The member
+    /// Upload the object in one PUT: write-back through `ocm`, which puts
+    /// every member on its SSD at once, or straight to the store. The member
     /// layout goes to the composite registry at commit through the
     /// transaction's pack record.
     fn upload(

@@ -10,9 +10,13 @@
 //! Semantics reproduced here:
 //!
 //! * **Extents**: the cache is keyed by [`Extent`] — an object key and a
-//!   byte offset, one page per slot — so a whole object and each member
-//!   of a composite object are cached alike, and every page read goes
-//!   through the OCM.
+//!   byte offset, one page image per entry — so a whole object and each
+//!   member of a composite object are cached alike, and every page read
+//!   goes through the OCM.
+//! * **A byte budget**: an entry takes the run of SSD blocks its image
+//!   covers from an [`iq_storage::Freelist`], and the LRU evicts until the
+//!   run fits, so a budget holds as many pages as their bytes allow. An
+//!   image larger than a page is served but never cached.
 //! * **Read-through**: a miss fetches from the object store (a ranged GET
 //!   for a member) and caches the extent on SSD before it returns, so the
 //!   cache holds what a run's reads put there in the order they made them.
@@ -24,7 +28,7 @@
 //!   the LRU only after the upload succeeds, "to prevent unnecessary
 //!   build-up of pages in the OCM cache (e.g., pages of
 //!   failed/rolled-back transactions)". Until then a read is served from
-//!   the page's slot.
+//!   the page's SSD run.
 //! * **Write-through** (commit phase): synchronous object-store upload,
 //!   then the pages are cached as a read-through miss is.
 //! * **FlushForCommit**: moves the committing transaction's queued jobs to
@@ -41,9 +45,5 @@
 //!   might suffer".
 
 pub mod manager;
-pub mod slots;
 
-pub use manager::{
-    validate_slot_len, Extent, Ocm, OcmConfig, OcmStats, OcmStatsSnapshot, WriteMode,
-};
-pub use slots::SlotAllocator;
+pub use manager::{Extent, Ocm, OcmConfig, OcmStats, OcmStatsSnapshot, WriteMode};

@@ -1,7 +1,13 @@
 //! The OCM proper: a scan-resistant SSD cache keyed by [`Extent`], with
 //! an asynchronous queue of write-back uploads.
 //!
-//! The slot list is a segmented LRU ([`iq_buffer::SlruCache`]): reads
+//! Each entry holds the run of SSD blocks its image covers, taken from an
+//! [`iq_storage::Freelist`] over the byte budget and weighted in the LRU by
+//! its block count, so small images share the budget instead of each
+//! taking a page's worth. Every run given back is trimmed off the SSD, so
+//! the device holds exactly the blocks the cache charges.
+//!
+//! The entry list is a segmented LRU ([`iq_buffer::SlruCache`]): reads
 //! issued on behalf of a table scan are admitted probationary (see
 //! [`Ocm::read_hinted`]), so one analytic sweep over a large table cannot
 //! evict the point-read working set from the SSD tier — which would
@@ -9,8 +15,8 @@
 //! GET (§4/§5's motivation for the OCM).
 //!
 //! Everything but a write-back upload happens in the caller's order: a
-//! read-through miss and a write-through page are in their slot and in
-//! the LRU when the call returns, so which reads hit never depends on
+//! read-through miss and a write-through page are on the SSD and in the
+//! LRU when the call returns, so which reads hit never depends on
 //! thread timing. The paper's asynchronous population is a timing claim,
 //! and the virtual-time model keeps it: it charges the SSD writes as
 //! overlapped work, never on a read's serial path.
@@ -25,11 +31,10 @@ use iq_buffer::{Admission, SlruCache};
 use iq_common::trace::{self, EventKind};
 use iq_common::{BlockNum, IqError, IqResult, ObjectKey, TxnId};
 use iq_objectstore::{BlockBackend, BlockDeviceSim, ObjectBackend, RetryPolicy};
-use iq_storage::ExtentCache;
+use iq_storage::page::MAX_BLOCKS_PER_PAGE;
+use iq_storage::{ExtentCache, Freelist};
 use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
-
-use crate::slots::SlotAllocator;
 
 /// How a write interacts with the SSD cache and the object store (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,11 +48,14 @@ pub enum WriteMode {
 /// OCM configuration.
 #[derive(Debug, Clone)]
 pub struct OcmConfig {
-    /// Slot size: the maximum sealed page image (one page per slot).
+    /// The largest image an entry may hold (the page size); a larger
+    /// image is served but never cached, on the read path and the write
+    /// path alike.
     pub slot_bytes: u32,
-    /// SSD cache area in bytes.
+    /// SSD cache area in bytes: the budget an entry is charged its
+    /// image's blocks against.
     pub capacity_bytes: u64,
-    /// Fraction of the slot budget reserved for the protected SLRU
+    /// Fraction of the block budget reserved for the protected SLRU
     /// segment (clamped to `[0, 1]`; 0 yields plain LRU with no scan
     /// resistance).
     pub protected_fraction: f64,
@@ -90,7 +98,7 @@ impl OcmStatsSnapshot {
 }
 
 /// What the OCM caches: the byte run of an object that starts at `offset`,
-/// one page image per slot. A whole object is the extent at offset 0; a
+/// one page image per entry. A whole object is the extent at offset 0; a
 /// composite member is the extent at its byte offset, so a member is
 /// fetched (by ranged GET) and cached on its own, as the chunked-object
 /// layout addresses each chunk by its offset in the object's manifest.
@@ -109,22 +117,24 @@ impl From<ObjectKey> for Extent {
     }
 }
 
+/// A cached image: `len` bytes in the block run from `start`.
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
-    slot: u64,
+    start: BlockNum,
     len: u32,
 }
 
-/// A write-back page waiting on its object's upload, with `slot` already
-/// holding `image` (no slot if the SSD write failed or none was free).
+/// A write-back page waiting on its object's upload, with the run from
+/// `start` already holding `image` (none if the image is too large to
+/// cache, no run was free, or the SSD write failed).
 struct Landing {
     image: Bytes,
-    slot: Option<u64>,
+    start: Option<BlockNum>,
 }
 
 /// The worker's one job: upload a write-back object — one page, or a
 /// composite of several — on behalf of `txn`, then land its pages. They
-/// already sit in their slots and join the LRU only if the upload lands.
+/// already sit on the SSD and join the LRU only if the upload lands.
 struct Job {
     txn: TxnId,
     key: ObjectKey,
@@ -134,8 +144,16 @@ struct Job {
 }
 
 struct Inner {
+    /// Cached entries, each weighted by its block count.
     cache: SlruCache<Extent, CacheEntry>,
-    slots: SlotAllocator,
+    /// The SSD blocks of the budget: every entry's run, and every landing
+    /// page's, is allocated here.
+    freelist: Freelist,
+    /// SSD block size in bytes.
+    block: u32,
+    /// The longest run an entry may take: the blocks of `slot_bytes`, no
+    /// more than the freelist's longest run or the whole budget.
+    max_run: u32,
     queue: VecDeque<Job>,
     /// Outstanding asynchronous store uploads per transaction.
     pending_puts: HashMap<TxnId, usize>,
@@ -169,22 +187,16 @@ impl Ocm {
     /// from `store`.
     pub fn new(ssd: Arc<BlockDeviceSim>, store: Arc<dyn ObjectBackend>, config: OcmConfig) -> Self {
         let block = ssd.block_size();
-        assert!(
-            config.slot_bytes.is_multiple_of(block),
-            "slot must be whole blocks"
-        );
-        let blocks_per_slot = config.slot_bytes / block;
-        // Slot counts stay 64-bit end to end: a large simulated SSD holds
-        // more than 2³² slots, and a u32 cast here silently shrank the
-        // cache to the truncated remainder.
-        let device_slots = ssd.capacity_blocks() / blocks_per_slot as u64;
-        let budget_slots = config.capacity_bytes / config.slot_bytes as u64;
-        let total_slots = device_slots.min(budget_slots);
-        let protected_slots =
-            (total_slots as f64 * config.protected_fraction.clamp(0.0, 1.0)) as usize;
+        let budget = ssd
+            .capacity_blocks()
+            .min(config.capacity_bytes / u64::from(block));
+        let protected = (budget as f64 * config.protected_fraction.clamp(0.0, 1.0)) as usize;
         let inner = Arc::new(Mutex::new(Inner {
-            cache: SlruCache::new(protected_slots),
-            slots: SlotAllocator::new(total_slots, blocks_per_slot),
+            cache: SlruCache::new(protected),
+            freelist: Freelist::new(budget),
+            block,
+            max_run: u64::from((config.slot_bytes / block).min(MAX_BLOCKS_PER_PAGE)).min(budget)
+                as u32,
             queue: VecDeque::new(),
             pending_puts: HashMap::new(),
             txn_errors: HashMap::new(),
@@ -199,11 +211,12 @@ impl Ocm {
             let inner = Arc::clone(&inner);
             let work_cv = Arc::clone(&work_cv);
             let done_cv = Arc::clone(&done_cv);
+            let ssd = Arc::clone(&ssd);
             let store = Arc::clone(&store);
             let retry = config.retry;
             std::thread::Builder::new()
                 .name("ocm-writer".into())
-                .spawn(move || worker_loop(&inner, &work_cv, &done_cv, store.as_ref(), retry))
+                .spawn(move || worker_loop(&inner, &work_cv, &done_cv, &ssd, store.as_ref(), retry))
                 .expect("spawn OCM worker")
         };
 
@@ -217,11 +230,6 @@ impl Ocm {
             stats: OcmStats::default(),
             worker: Some(worker),
         }
-    }
-
-    /// Cache capacity in slots.
-    pub fn capacity_slots(&self) -> u64 {
-        self.inner.lock().slots.total()
     }
 
     /// Entries currently cached.
@@ -241,7 +249,7 @@ impl Ocm {
     /// Read an object: SSD cache hit, or read-through that caches it
     /// before returning. `scan` hints whether a table scan issued it: scan
     /// reads are admitted to the probationary SLRU segment so a full-table
-    /// sweep recycles its own slots instead of evicting the point-read
+    /// sweep recycles its own blocks instead of evicting the point-read
     /// working set; point reads promote on re-hit.
     pub fn read_hinted(&self, key: ObjectKey, scan: bool) -> IqResult<Bytes> {
         self.read_extent(key.into(), scan, || {
@@ -252,8 +260,9 @@ impl Ocm {
     /// Read one extent, hinted as [`Ocm::read_hinted`]: an SSD hit, a hit
     /// on a write-back page still waiting for its upload, or a miss that
     /// `fetch` reads through from the store — a GET for a whole object, a
-    /// ranged GET for a composite member — and that is in its slot and
-    /// the LRU when the call returns.
+    /// ranged GET for a composite member — and that is on the SSD and in
+    /// the LRU when the call returns. An image larger than `slot_bytes` is
+    /// served but never cached.
     pub fn read_extent(
         &self,
         extent: Extent,
@@ -262,20 +271,20 @@ impl Ocm {
     ) -> IqResult<Bytes> {
         let mut inner = self.inner.lock();
         let key = extent.key;
-        // A write-back page waiting on its upload is read from its slot
+        // A write-back page waiting on its upload is read from its run
         // like a cached one (the store may not have it yet); a landing
-        // image with no slot is served as it is.
-        let slotted = match inner.cache.get(&extent) {
+        // image with no run is served as it is.
+        let held = match inner.cache.get(&extent) {
             Some(&entry) => Some(entry),
             None => match inner.landing.get(&extent) {
                 Some(Landing {
-                    slot: Some(slot),
+                    start: Some(start),
                     image,
                 }) => Some(CacheEntry {
-                    slot: *slot,
+                    start: *start,
                     len: image.len() as u32,
                 }),
-                Some(Landing { slot: None, image }) => {
+                Some(Landing { start: None, image }) => {
                     self.stats.hits.fetch_add(1, Ordering::Relaxed);
                     trace::emit(EventKind::OcmHit { key: key.offset() });
                     return Ok(image.clone());
@@ -283,12 +292,10 @@ impl Ocm {
                 None => None,
             },
         };
-        if let Some(entry) = slotted {
-            let start = inner.slots.slot_start(entry.slot);
-            // Read only the blocks the object actually covers. Hold the
-            // lock across the SSD read so eviction cannot recycle the slot
-            // underneath us (the simulation's equivalent of a pin).
-            let image = self.ssd.read_bytes(start, entry.len)?; // LOCK-OK: slot pin
+        if let Some(entry) = held {
+            // Hold the lock across the SSD read so eviction cannot recycle
+            // the run underneath us (the simulation's equivalent of a pin).
+            let image = self.ssd.read_bytes(entry.start, entry.len)?; // LOCK-OK: run pin
 
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             trace::emit(EventKind::OcmHit { key: key.offset() });
@@ -312,12 +319,13 @@ impl Ocm {
     /// 0. The mode is upgraded to write-through once the transaction has
     /// signalled FlushForCommit.
     ///
-    /// Write-back puts each page in its own SSD slot synchronously and
+    /// Write-back puts each page in its own SSD run synchronously and
     /// queues one upload for the whole object; the pages join the LRU only
-    /// when it lands, and until then a read is served from the slot. A
-    /// failed upload frees every slot and fails `txn`'s commit.
+    /// when it lands, and until then a read is served from the run. A
+    /// failed upload frees every run and fails `txn`'s commit.
     /// Write-through uploads synchronously, then caches every page before
-    /// returning.
+    /// returning. On both paths a page larger than `slot_bytes` is
+    /// uploaded and served but never cached.
     pub fn write_group(
         &self,
         key: ObjectKey,
@@ -328,7 +336,6 @@ impl Ocm {
     ) -> IqResult<()> {
         let mut pages = Vec::with_capacity(members.len());
         for &(offset, len) in members {
-            validate_slot_len(len as usize, self.config.slot_bytes)?;
             let (at, end) = (offset as usize, offset as usize + len as usize);
             if end > data.len() {
                 return Err(IqError::Invalid(format!(
@@ -346,11 +353,11 @@ impl Ocm {
         };
         match effective {
             WriteMode::WriteBack => {
-                let slots: Vec<Option<(u64, BlockNum)>> = pages
+                let runs: Vec<Option<BlockNum>> = pages
                     .iter()
-                    .map(|_| {
-                        let slot = allocate_slot(&mut inner, &self.stats)?;
-                        Some((slot, inner.slots.slot_start(slot)))
+                    .map(|(_, image)| {
+                        let count = inner.blocks(image.len())?;
+                        self.allocate_run(&mut inner, count)
                     })
                     .collect();
                 *inner.pending_puts.entry(txn).or_insert(0) += 1;
@@ -362,22 +369,21 @@ impl Ocm {
                 let mut lost = Vec::new();
                 let landed: Vec<(Extent, Landing)> = pages
                     .into_iter()
-                    .zip(slots)
-                    .map(|((extent, image), placed)| {
-                        let slot = placed.and_then(|(slot, start)| {
-                            if self.ssd.write_blocks(start, &image).is_ok() {
-                                Some(slot)
-                            } else {
-                                lost.push(slot);
-                                None
+                    .zip(runs)
+                    .map(|((extent, image), run)| {
+                        let start = run.filter(|&start| {
+                            let written = self.ssd.write_blocks(start, &image).is_ok();
+                            if !written {
+                                lost.push((start, image.len()));
                             }
+                            written
                         });
-                        (extent, Landing { image, slot })
+                        (extent, Landing { image, start })
                     })
                     .collect();
                 let mut inner = self.inner.lock();
-                for slot in lost {
-                    inner.slots.free(slot);
+                for (start, len) in lost {
+                    inner.release(&self.ssd, start, len);
                 }
                 let extents = landed.iter().map(|&(extent, _)| extent).collect();
                 inner.landing.extend(landed);
@@ -466,39 +472,93 @@ impl Ocm {
     /// ephemeral, so the OCM always restarts cold).
     pub fn clear_cache(&self) {
         let mut inner = self.inner.lock();
-        while let Some((_, e)) = inner.cache.pop_victim() {
-            inner.slots.free(e.slot);
+        while let Some((_, old)) = inner.cache.pop_victim() {
+            inner.release(&self.ssd, old.start, old.len as usize);
         }
     }
 
-    /// Cache `image` as `extent`: take a slot (evicting the SLRU's victim
-    /// if none is free), write the SSD and insert the entry under `admit`.
-    /// An extent already cached or landing is left as it is. An image
-    /// larger than a slot is never cached (a truncated length would let
-    /// it overrun its neighbours), nor is one that finds no slot or whose
+    /// Cache `image` as `extent`: take a run of the blocks it covers
+    /// (evicting SLRU victims until one fits), write the SSD and insert
+    /// the entry under `admit`, weighted by its block count. An extent
+    /// already cached or landing is left as it is. An image larger than
+    /// `slot_bytes` is never cached, nor is one that finds no run or whose
     /// SSD write fails: "the error is ignored" (§4).
     fn place(&self, inner: &mut Inner, extent: Extent, image: &[u8], admit: Admission) {
-        let Ok(len) = validate_slot_len(image.len(), self.config.slot_bytes) else {
+        let Some(count) = inner.blocks(image.len()) else {
             return;
         };
         if inner.cache.peek(&extent).is_some() || inner.landing.contains_key(&extent) {
             return;
         }
-        let Some(slot) = allocate_slot(inner, &self.stats) else {
+        let Some(start) = self.allocate_run(inner, count) else {
             return;
         };
-        let start = inner.slots.slot_start(slot);
-        let written = self.ssd.write_blocks(start, image); // LOCK-OK: slot pin
+        let written = self.ssd.write_blocks(start, image); // LOCK-OK: run pin
         if written.is_err() {
-            inner.slots.free(slot);
+            inner.release(&self.ssd, start, image.len());
             return;
         }
-        if let Some(old) = inner
-            .cache
-            .insert(extent, CacheEntry { slot, len }, 1, admit)
-        {
-            inner.slots.free(old.slot);
+        let entry = CacheEntry {
+            start,
+            len: image.len() as u32,
+        };
+        inner.insert(&self.ssd, extent, entry, admit);
+    }
+
+    /// A free run of `count` blocks, popping SLRU victims (probationary
+    /// first) until one fits; `None` once nothing is left to evict.
+    fn allocate_run(&self, inner: &mut Inner, count: u32) -> Option<BlockNum> {
+        loop {
+            if let Ok(start) = inner.freelist.allocate(count) {
+                return Some(start);
+            }
+            let (old, entry) = inner.cache.pop_victim()?;
+            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            trace::emit(EventKind::OcmEvict {
+                key: old.key.offset(),
+            });
+            inner.release(&self.ssd, entry.start, entry.len as usize);
         }
+    }
+}
+
+impl Inner {
+    /// The SSD blocks an image of `len` bytes covers, `ceil(len / block)`,
+    /// or `None` when it is empty or longer than an entry's run may be
+    /// (such an image is served but never cached). The bound is checked
+    /// on the full `usize`, so no length is truncated.
+    fn blocks(&self, len: usize) -> Option<u32> {
+        let count = len.div_ceil(self.block as usize);
+        (1..=self.max_run as usize)
+            .contains(&count)
+            .then_some(count as u32)
+    }
+
+    /// Cache `entry` as `extent`, weighted by its block count; a replaced
+    /// entry's run is given back.
+    fn insert(
+        &mut self,
+        ssd: &BlockDeviceSim,
+        extent: Extent,
+        entry: CacheEntry,
+        admit: Admission,
+    ) {
+        let count = self
+            .blocks(entry.len as usize)
+            .expect("a held run passed blocks()");
+        if let Some(old) = self.cache.insert(extent, entry, count as usize, admit) {
+            self.release(ssd, old.start, old.len as usize);
+        }
+    }
+
+    /// Give back the run an image of `len` bytes holds from `start`: to
+    /// the freelist, and trimmed off the SSD, so the device holds only the
+    /// blocks the budget charges. A trim records nothing on the ledger.
+    fn release(&mut self, ssd: &BlockDeviceSim, start: BlockNum, len: usize) {
+        let count = self.blocks(len).expect("a held run passed blocks()");
+        self.freelist.free(start, count);
+        ssd.trim_blocks(start, count) // LOCK-OK: run pin
+            .expect("a freelist run lies on the device");
     }
 }
 
@@ -527,48 +587,11 @@ impl Drop for Ocm {
     }
 }
 
-/// Allocate a slot, evicting the best SLRU victim (probationary first) if
-/// the pool is exhausted.
-fn allocate_slot(inner: &mut Inner, stats: &OcmStats) -> Option<u64> {
-    if let Some(s) = inner.slots.allocate() {
-        return Some(s);
-    }
-    if let Some((old, entry)) = inner.cache.pop_victim() {
-        stats.evictions.fetch_add(1, Ordering::Relaxed);
-        trace::emit(EventKind::OcmEvict {
-            key: old.key.offset(),
-        });
-        inner.slots.free(entry.slot);
-        return inner.slots.allocate();
-    }
-    None
-}
-
-/// Validate an object image length against the OCM slot size.
-///
-/// Returns the length narrowed to `u32` only when it provably fits in one
-/// slot. Lengths that overflow `u32` (or merely the slot) are rejected with
-/// [`IqError::Invalid`]: an `as u32` cast would truncate them silently,
-/// recording a wrong `CacheEntry::len` and letting the image overrun
-/// neighbouring slots.
-pub fn validate_slot_len(len: usize, slot_bytes: u32) -> IqResult<u32> {
-    let narrowed = u32::try_from(len).map_err(|_| {
-        IqError::Invalid(format!(
-            "object of {len} bytes overflows the u32 slot-length field"
-        ))
-    })?;
-    if narrowed > slot_bytes {
-        return Err(IqError::Invalid(format!(
-            "object of {len} bytes exceeds OCM slot size {slot_bytes}"
-        )));
-    }
-    Ok(narrowed)
-}
-
 fn worker_loop(
     inner: &Mutex<Inner>,
     work_cv: &Condvar,
     done_cv: &Condvar,
+    ssd: &BlockDeviceSim,
     store: &dyn ObjectBackend,
     retry: RetryPolicy,
 ) {
@@ -597,29 +620,27 @@ fn worker_loop(
         if let Err(e) = result {
             guard.txn_errors.entry(txn).or_insert(e);
         }
-        // Each page's slot already holds its image. It joins the LRU only
+        // Each page's run already holds its image. It joins the LRU only
         // now: "a page is not added to the LRU list until it has been
         // successfully written to the underlying object store" (§4). A
-        // page whose SSD write failed is never cached.
+        // page with no run is never cached.
         for extent in extents {
             let Some(Landing {
                 image,
-                slot: Some(slot),
+                start: Some(start),
             }) = guard.landing.remove(&extent)
             else {
                 continue;
             };
             if !landed {
-                guard.slots.free(slot);
+                guard.release(ssd, start, image.len());
                 continue;
             }
             let entry = CacheEntry {
-                slot,
+                start,
                 len: image.len() as u32,
             };
-            if let Some(old) = guard.cache.insert(extent, entry, 1, Admission::Demand) {
-                guard.slots.free(old.slot);
-            }
+            guard.insert(ssd, extent, entry, Admission::Demand);
         }
         done_cv.notify_all();
     }
@@ -629,6 +650,8 @@ fn worker_loop(
 mod tests {
     use super::*;
     use iq_objectstore::{ConsistencyConfig, ObjectStoreSim};
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn key(off: u64) -> ObjectKey {
         ObjectKey::from_offset(off)
@@ -646,21 +669,36 @@ mod tests {
         ocm.write_group(key, data, &[(0, len)], txn, mode)
     }
 
-    fn setup(slots: u32) -> (Ocm, Arc<ObjectStoreSim>) {
-        let slot_bytes = 1024u32;
-        let ssd = Arc::new(BlockDeviceSim::new(256, slots as u64 * 4));
+    /// An OCM over 256-byte blocks whose budget is `pages` 1 KiB pages,
+    /// four blocks each.
+    fn setup(pages: u32) -> (Ocm, Arc<ObjectStoreSim>) {
         let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::default()));
-        let ocm = Ocm::new(
+        (over(pages, store.clone()), store)
+    }
+
+    fn over(pages: u32, store: Arc<dyn ObjectBackend>) -> Ocm {
+        let slot_bytes = 1024u32;
+        let ssd = Arc::new(BlockDeviceSim::new(256, pages as u64 * 4));
+        Ocm::new(
             ssd,
-            store.clone(),
+            store,
             OcmConfig {
                 slot_bytes,
-                capacity_bytes: slots as u64 * slot_bytes as u64,
+                capacity_bytes: pages as u64 * slot_bytes as u64,
                 protected_fraction: 0.8,
                 retry: RetryPolicy::default(),
             },
-        );
-        (ocm, store)
+        )
+    }
+
+    /// Blocks the cached entries are charged, summed.
+    fn cached_blocks(ocm: &Ocm) -> u64 {
+        let inner = ocm.inner.lock();
+        inner
+            .cache
+            .iter()
+            .map(|(_, e)| u64::from(e.len.div_ceil(256)))
+            .sum()
     }
 
     #[test]
@@ -765,11 +803,12 @@ mod tests {
     }
 
     #[test]
-    fn eviction_frees_slots_probationary_lru() {
+    fn eviction_frees_blocks_probationary_lru() {
+        // Four-block images in an eight-block budget: two fit.
         let (ocm, store) = setup(2);
         for off in 0..4u64 {
             store
-                .put(key(off), Bytes::from(vec![off as u8; 100]))
+                .put(key(off), Bytes::from(vec![off as u8; 1000]))
                 .unwrap();
         }
         store.settle();
@@ -783,14 +822,42 @@ mod tests {
         // Oldest two are gone; newest two are hits.
         assert!(!ocm.contains(key(0)));
         assert!(ocm.contains(key(3)));
+        assert_eq!(ocm.ssd.used_blocks(), 8, "evicted runs are trimmed");
     }
 
     #[test]
-    fn scan_reads_cannot_evict_promoted_point_read_set() {
+    fn small_images_share_the_budget() {
+        // A two-page budget is eight blocks: eight one-block images fit,
+        // where a page-sized charge would hold two.
         let (ocm, store) = setup(2);
         for off in 0..8u64 {
             store
                 .put(key(off), Bytes::from(vec![off as u8; 100]))
+                .unwrap();
+        }
+        store.settle();
+        for off in 0..8u64 {
+            ocm.read_hinted(key(off), false).unwrap();
+        }
+        for off in 0..8u64 {
+            assert_eq!(
+                ocm.read_hinted(key(off), false).unwrap(),
+                vec![off as u8; 100]
+            );
+        }
+        let snap = ocm.stats_snapshot();
+        assert_eq!((snap.misses, snap.hits, snap.evictions), (8, 8, 0));
+        assert_eq!(ocm.cached_objects(), 8);
+        assert_eq!(ocm.ssd.used_blocks(), 8);
+    }
+
+    #[test]
+    fn scan_reads_cannot_evict_promoted_point_read_set() {
+        // Four-block images in an eight-block budget.
+        let (ocm, store) = setup(2);
+        for off in 0..8u64 {
+            store
+                .put(key(off), Bytes::from(vec![off as u8; 1000]))
                 .unwrap();
         }
         store.settle();
@@ -801,8 +868,9 @@ mod tests {
         for off in 1..8u64 {
             ocm.read_hinted(key(off), true).unwrap();
         }
-        // The scan recycled its own probationary slots; the hot key kept
-        // its slot and still hits.
+        // The scan recycled its own probationary blocks (six evictions);
+        // the hot key kept its run and still hits.
+        assert_eq!(ocm.stats_snapshot().evictions, 6);
         assert!(ocm.contains(key(0)), "scan evicted the protected hot key");
         let hits_before = ocm.stats_snapshot().hits;
         ocm.read_hinted(key(0), false).unwrap();
@@ -831,39 +899,12 @@ mod tests {
     }
 
     #[test]
-    fn huge_ssd_capacity_does_not_truncate_slot_count() {
-        // More than 2³² slots. The simulated SSD is sparse, so sizing a
-        // huge device is cheap; before the u64 widening this config
-        // truncated to `slots % 2³² = 8` slots.
-        let slot_bytes = 1024u32;
-        let slots = u32::MAX as u64 + 8;
-        let ssd = Arc::new(BlockDeviceSim::new(256, slots * 4));
-        let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::default()));
-        let ocm = Ocm::new(
-            ssd,
-            store.clone(),
-            OcmConfig {
-                slot_bytes,
-                capacity_bytes: slots * slot_bytes as u64,
-                protected_fraction: 0.8,
-                retry: RetryPolicy::default(),
-            },
-        );
-        assert_eq!(ocm.capacity_slots(), slots);
-        // And the cache still works at ordinary scale.
-        store.put(key(1), Bytes::from_static(b"big")).unwrap();
-        store.settle();
-        assert_eq!(&ocm.read_hinted(key(1), false).unwrap()[..], b"big");
-        assert!(ocm.contains(key(1)));
-    }
-
-    #[test]
     fn a_read_through_miss_is_in_the_lru_when_the_call_returns() {
         let (ocm, store) = setup(8);
         store.put(key(7), Bytes::from_static(b"seq")).unwrap();
         store.settle();
         // No quiesce anywhere: the miss is cached before its read returns,
-        // so the next two reads hit its slot.
+        // so the next two reads hit its run.
         assert_eq!(&ocm.read_hinted(key(7), false).unwrap()[..], b"seq");
         assert!(ocm.contains(key(7)));
         for _ in 0..2 {
@@ -876,39 +917,18 @@ mod tests {
 
     #[test]
     fn oversized_lengths_are_rejected_not_truncated() {
-        // A length that overflows u32 entirely: the old cast truncated
-        // `u32::MAX + 1` to zero bytes — accepted, then served empty.
-        let overflow = u32::MAX as usize + 1;
-        assert!(matches!(
-            validate_slot_len(overflow, u32::MAX),
-            Err(IqError::Invalid(_))
-        ));
-        // Fits in u32 but not in the slot.
-        assert!(matches!(
-            validate_slot_len(1025, 1024),
-            Err(IqError::Invalid(_))
-        ));
-        assert_eq!(validate_slot_len(1024, 1024).unwrap(), 1024);
-        assert_eq!(validate_slot_len(0, 1024).unwrap(), 0);
-        // At the u32 ceiling exactly, the narrowing is still lossless.
-        assert_eq!(
-            validate_slot_len(u32::MAX as usize, u32::MAX).unwrap(),
-            u32::MAX
-        );
-    }
-
-    #[test]
-    fn oversized_write_is_rejected_at_put_time() {
         let (ocm, _store) = setup(8);
-        let err = write_one(
-            &ocm,
-            key(1),
-            Bytes::from(vec![0u8; 2048]),
-            TxnId(1),
-            WriteMode::WriteBack,
-        )
-        .unwrap_err();
-        assert!(matches!(err, IqError::Invalid(_)));
+        let inner = ocm.inner.lock();
+        // `u32::MAX + 1` narrowed first would be zero bytes; the bound is
+        // checked on the full length.
+        assert_eq!(inner.blocks(u32::MAX as usize + 1), None);
+        assert_eq!(inner.blocks(u32::MAX as usize), None);
+        // Larger than an entry may hold, by one byte.
+        assert_eq!(inner.blocks(1025), None);
+        assert_eq!(inner.blocks(1024), Some(4));
+        assert_eq!(inner.blocks(257), Some(2));
+        assert_eq!(inner.blocks(1), Some(1));
+        assert_eq!(inner.blocks(0), None);
     }
 
     #[test]
@@ -984,21 +1004,9 @@ mod tests {
         }
     }
 
-    fn gated(slots: u32, fail: bool) -> (Ocm, Arc<GatedStore>) {
-        let slot_bytes = 1024u32;
-        let ssd = Arc::new(BlockDeviceSim::new(256, slots as u64 * 4));
+    fn gated(pages: u32, fail: bool) -> (Ocm, Arc<GatedStore>) {
         let store = GatedStore::new(fail);
-        let ocm = Ocm::new(
-            ssd,
-            store.clone(),
-            OcmConfig {
-                slot_bytes,
-                capacity_bytes: slots as u64 * slot_bytes as u64,
-                protected_fraction: 0.8,
-                retry: RetryPolicy::default(),
-            },
-        );
-        (ocm, store)
+        (over(pages, store.clone()), store)
     }
 
     /// Three pages of 300, 500 and 200 bytes laid end to end.
@@ -1020,9 +1028,10 @@ mod tests {
         let txn = TxnId(1);
         ocm.write_group(key(9), blob.clone(), &members, txn, WriteMode::WriteBack)
             .unwrap();
-        // Queued: each member holds a slot but none is in the LRU, and a
-        // read is served from the slot as a hit — the store has nothing.
-        assert_eq!(ocm.inner.lock().slots.allocated(), 3);
+        // Queued: each member holds the blocks it covers (2 + 2 + 1) but
+        // none is in the LRU, and a read is served from its run as a hit —
+        // the store has nothing.
+        assert_eq!(ocm.inner.lock().freelist.used_blocks(), 5);
         for &(offset, len) in &members {
             assert!(!ocm.contains(extent(key(9), offset)));
             let at = offset as usize..(offset + len) as usize;
@@ -1055,20 +1064,56 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_group_put_frees_every_member_slot() {
+    fn a_failed_group_put_frees_every_member_run() {
         let (ocm, store) = gated(8, true);
         let (blob, members) = composite();
         let txn = TxnId(2);
         ocm.write_group(key(5), blob, &members, txn, WriteMode::WriteBack)
             .unwrap();
-        assert_eq!(ocm.inner.lock().slots.allocated(), 3);
+        assert_eq!(ocm.inner.lock().freelist.used_blocks(), 5);
+        assert_eq!(ocm.ssd.used_blocks(), 5);
         store.release();
         let err = ocm.flush_for_commit(txn).unwrap_err();
         assert_eq!(err, IqError::DuplicateObjectKey(key(5)));
         ocm.end_txn(txn);
-        assert_eq!(ocm.inner.lock().slots.allocated(), 0, "every slot freed");
+        assert_eq!(
+            ocm.inner.lock().freelist.used_blocks(),
+            0,
+            "every run freed"
+        );
+        assert_eq!(ocm.ssd.used_blocks(), 0, "every run trimmed");
         assert_eq!(ocm.cached_objects(), 0, "no member joined the LRU");
         assert!(ocm.inner.lock().landing.is_empty());
+    }
+
+    #[test]
+    fn an_oversized_write_back_member_is_uploaded_but_never_cached() {
+        let (ocm, store) = gated(8, false);
+        // A 300-byte member and one of 2 000 bytes, past the 1 KiB bound.
+        let mut blob = vec![1u8; 300];
+        blob.extend(vec![2u8; 2000]);
+        let blob = Bytes::from(blob);
+        let members = [(0, 300), (300, 2000)];
+        let txn = TxnId(1);
+        ocm.write_group(key(4), blob.clone(), &members, txn, WriteMode::WriteBack)
+            .unwrap();
+        // Before the upload the large member is served from its queued
+        // image, and only the small one holds blocks.
+        let large = ocm
+            .read_extent(extent(key(4), 300), false, || {
+                panic!("a queued member must not be read from the store")
+            })
+            .unwrap();
+        assert_eq!(large, blob.slice(300..));
+        assert_eq!(ocm.inner.lock().freelist.used_blocks(), 2);
+        store.release();
+        ocm.flush_for_commit(txn).unwrap();
+        ocm.end_txn(txn);
+        // The object went up intact; the large member was never cached.
+        assert_eq!(store.sim.get(key(4)).unwrap(), blob);
+        assert!(ocm.contains(extent(key(4), 0)));
+        assert!(!ocm.contains(extent(key(4), 300)));
+        assert_eq!(ocm.ssd.used_blocks(), 2);
     }
 
     #[test]
@@ -1077,19 +1122,8 @@ mod tests {
         // the worker's upload and must be served by the OCM whether or
         // not it has landed (before, most of these reads went to the
         // store ahead of the PUT and failed).
-        let slot_bytes = 1024u32;
-        let ssd = Arc::new(BlockDeviceSim::new(256, 64 * 4));
         let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
-        let ocm = Ocm::new(
-            ssd,
-            store.clone(),
-            OcmConfig {
-                slot_bytes,
-                capacity_bytes: 64 * slot_bytes as u64,
-                protected_fraction: 0.8,
-                retry: RetryPolicy::default(),
-            },
-        );
+        let ocm = over(64, store.clone());
         let txn = TxnId(3);
         for off in 0..2_000u64 {
             let data = Bytes::from(vec![off as u8; 100 + (off % 700) as usize]);
@@ -1103,5 +1137,93 @@ mod tests {
         ocm.flush_for_commit(txn).unwrap();
         assert_eq!(store.max_write_count(), 1);
         ocm.end_txn(txn);
+    }
+
+    /// One step of the budget property.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Read through a new object of this many bytes, as a scan or not.
+        Read(usize, bool),
+        /// Write back a new composite with these member lengths; its upload
+        /// fails when `true`.
+        WriteBack(Vec<usize>, bool),
+        /// Drop every cached entry.
+        Clear,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        // Lengths run past the 1 KiB bound, so some images are never cached.
+        let read = || (1usize..1400, any::<bool>()).prop_map(|(len, scan)| Step::Read(len, scan));
+        prop_oneof![
+            read(),
+            read(),
+            read(),
+            (collection::vec(1usize..1400, 1..4), any::<bool>())
+                .prop_map(|(lens, fail)| Step::WriteBack(lens, fail)),
+            (collection::vec(1usize..1400, 1..4), any::<bool>())
+                .prop_map(|(lens, fail)| Step::WriteBack(lens, fail)),
+            Just(Step::Clear),
+        ]
+    }
+
+    proptest! {
+        /// After every quiesce the SSD holds exactly the blocks the cached
+        /// entries are charged, within the budget, and each cached extent
+        /// reads back its bytes.
+        #[test]
+        fn the_ssd_holds_exactly_the_blocks_the_cache_charges(
+            steps in collection::vec(step(), 1..40)
+        ) {
+            let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
+            // A four-page budget: sixteen blocks.
+            let ocm = over(4, store.clone());
+            let mut bytes: HashMap<Extent, Bytes> = HashMap::new();
+            for (n, step) in steps.into_iter().enumerate() {
+                let k = key(n as u64);
+                match step {
+                    Step::Read(len, scan) => {
+                        let data = Bytes::from(vec![n as u8; len]);
+                        store.put(k, data.clone()).unwrap();
+                        prop_assert_eq!(ocm.read_hinted(k, scan).unwrap(), data.clone());
+                        bytes.insert(k.into(), data);
+                    }
+                    Step::WriteBack(lens, fail) => {
+                        let mut blob = Vec::new();
+                        let mut members = Vec::new();
+                        for (i, &len) in lens.iter().enumerate() {
+                            members.push((blob.len() as u32, len as u32));
+                            blob.extend(vec![(n + i) as u8; len]);
+                        }
+                        let blob = Bytes::from(blob);
+                        if fail {
+                            // The key is taken, so the upload fails.
+                            store.put(k, Bytes::from_static(b"taken")).unwrap();
+                        }
+                        let txn = TxnId(n as u64);
+                        ocm.write_group(k, blob.clone(), &members, txn, WriteMode::WriteBack)
+                            .unwrap();
+                        prop_assert_eq!(ocm.flush_for_commit(txn).is_err(), fail);
+                        ocm.end_txn(txn);
+                        if !fail {
+                            for &(offset, len) in &members {
+                                let at = offset as usize..(offset + len) as usize;
+                                bytes.insert(extent(k, offset), blob.slice(at));
+                            }
+                        }
+                    }
+                    Step::Clear => ocm.clear_cache(),
+                }
+                ocm.quiesce();
+                let charged = cached_blocks(&ocm);
+                prop_assert_eq!(ocm.ssd.used_blocks(), charged, "step {}", n);
+                prop_assert!(charged <= 16, "{} blocks over a 16-block budget", charged);
+                let inner = ocm.inner.lock();
+                prop_assert_eq!(inner.freelist.used_blocks(), charged);
+                for (extent, entry) in inner.cache.iter() {
+                    let read = ocm.ssd.read_bytes(entry.start, entry.len).unwrap();
+                    prop_assert_eq!(Some(&read), bytes.get(extent), "{:?}", extent);
+                }
+            }
+        }
     }
 }

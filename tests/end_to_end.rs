@@ -173,7 +173,7 @@ fn ocm_caches_and_serves_reads() {
 }
 
 /// A transaction reads back the pages it evicted before their write-back
-/// uploads land: the OCM serves each one from its slot. (The read used to
+/// uploads land: the OCM serves each one from its SSD run. (The read used to
 /// go to the store ahead of the PUT and fail with retries exhausted — 5
 /// runs in 200 under this 8 KiB buffer.)
 #[test]
