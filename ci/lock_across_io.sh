@@ -3,8 +3,11 @@
 #
 # The sharded buffer manager and the OCM both promise that slow paths —
 # FlushSink::flush, object-store GETs/PUTs (directly or via the retry
-# layer), and simulated-SSD block I/O (reads, writes and trims) — never
-# run under a shard/LRU mutex.
+# layer), simulated-SSD block I/O (reads, writes and trims) and page
+# reads and prefetches through a `PageStore` — never run under a
+# shard/LRU mutex. The same holds for the lock that orders an
+# `IoCore::run_fold` batch: a scan's lanes read pages, and its ordered
+# consumer runs with that lock dropped.
 # Holding a cache lock across a store round-trip reintroduces exactly the
 # convoy the sharding refactor removed, and no unit test reliably catches
 # it (the code still *works*, it just serializes).
@@ -34,15 +37,9 @@ cd "$(dirname "$0")/.."
 # call by design (the caller's closure, `op()`, which the pattern below
 # counts as I/O; LOCK-OK at that one site) — nothing else in reactor.rs
 # may do I/O under it.
-STATUS=0
-for f in crates/iq-buffer/src/*.rs crates/iq-ocm/src/*.rs \
-         crates/iq-objectstore/src/reactor.rs crates/iq-common/src/io.rs \
-         crates/iq-core/src/group_commit.rs \
-         crates/iq-core/src/log_recovery.rs \
-         crates/iq-bench/src/scheduler.rs \
-         crates/iq-engine/src/table.rs \
-         crates/iq-engine/src/scanstats.rs; do
-  awk -v FILE="$f" '
+# The lint over one file: prints each violation, exits 1 if there was one.
+lint() {
+  awk -v FILE="$1" '
     BEGIN { depth = 0; nguards = 0; bad = 0 }
     # Non-doc comment-only lines cannot hold locks or do I/O.
     /^[ \t]*\/\// { next }
@@ -54,7 +51,7 @@ for f in crates/iq-buffer/src/*.rs crates/iq-ocm/src/*.rs \
 
       # I/O while any guard is live (check before this line may acquire).
       if (nguards > 0 && !ok &&
-          line ~ /(sink\.flush\(|retry\.get\(|retry\.put\(|\.read_blocks\(|\.read_bytes\(|\.write_blocks\(|\.trim_blocks\(|store\.get\(|store\.put\(|backend\.get\(|backend\.put\(|loader\(\)|[^A-Za-z_.]op\(\))/) {
+          line ~ /(sink\.flush\(|retry\.get\(|retry\.put\(|\.read_blocks\(|\.read_bytes\(|\.write_blocks\(|\.trim_blocks\(|store\.get\(|store\.put\(|backend\.get\(|backend\.put\(|\.read_page\(|\.prefetch\(|loader\(\)|[^A-Za-z_.]op\(\))/) {
         printf "%s:%d: I/O under a live cache lock: %s\n", FILE, FNR, line
         bad = 1
       }
@@ -94,7 +91,34 @@ for f in crates/iq-buffer/src/*.rs crates/iq-ocm/src/*.rs \
       while (nguards > 0 && depth < gdepth[nguards - 1]) nguards--
     }
     END { exit bad }
-  ' "$f" || STATUS=1
+  ' "$1"
+}
+
+# Self-check: a page read or a prefetch under a live guard — say, a
+# scan's ordered consumer run under the reorder lock — is flagged.
+FIXTURE=$(mktemp)
+trap 'rm -f "$FIXTURE"' EXIT
+cat > "$FIXTURE" <<'EOF'
+fn drain(order: &Mutex<Order>, store: &dyn PageStore) {
+    let st = order.lock();
+    let page = store.read_page(table, id, true);
+    let _ = store.prefetch(table, &ids);
+}
+EOF
+if [ "$(lint "$FIXTURE" | wc -l)" -ne 2 ]; then
+  echo "lock-across-io: self-check failed: a page read under a guard went unflagged" >&2
+  exit 1
+fi
+
+STATUS=0
+for f in crates/iq-buffer/src/*.rs crates/iq-ocm/src/*.rs \
+         crates/iq-objectstore/src/reactor.rs crates/iq-common/src/io.rs \
+         crates/iq-core/src/group_commit.rs \
+         crates/iq-core/src/log_recovery.rs \
+         crates/iq-bench/src/scheduler.rs \
+         crates/iq-engine/src/table.rs crates/iq-engine/src/ops.rs \
+         crates/iq-engine/src/scanstats.rs; do
+  lint "$f" || STATUS=1
 done
 
 if [ "$STATUS" -ne 0 ]; then

@@ -22,6 +22,7 @@
 //! Both sides feed one shared [`IoStats`], exported as the `io.*`
 //! metrics source.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -129,7 +130,7 @@ pub struct IoStatsSnapshot {
 ///
 /// Error semantics match a serial left-to-right run: the error from the
 /// lowest-indexed failing task wins and unclaimed later tasks are
-/// skipped. Completions are stitched back in task order, so parallel
+/// skipped. Completions are handed back in task order, so parallel
 /// output is byte-identical to serial output.
 #[derive(Clone)]
 pub struct IoCore {
@@ -169,29 +170,54 @@ impl IoCore {
     }
 
     /// Submit `tasks` ordered tasks and await their completions in task
-    /// order.
-    ///
-    /// `f(i)` computes task `i`; tasks are claimed in increasing order but
-    /// may complete out of order. On failure the error from the
-    /// lowest-indexed failing task is returned — the same error a serial
-    /// left-to-right run would surface — and remaining unclaimed tasks are
-    /// skipped. Tasks already in flight when a failure lands run to
-    /// completion (scoped lanes always join), but their results are
-    /// discarded.
+    /// order: [`run_fold`](IoCore::run_fold) with a consumer that collects
+    /// the results into a `Vec`.
     pub fn run_ordered<T, E, F>(&self, tasks: usize, f: F) -> Result<Vec<T>, E>
     where
         T: Send,
         E: Send,
         F: Fn(usize) -> Result<T, E> + Sync,
     {
+        let mut out = Vec::with_capacity(tasks);
+        self.run_fold(tasks, f, |v| {
+            out.push(v);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Submit `tasks` ordered tasks and hand each result to `consume` in
+    /// task order, as soon as that result and every earlier one exist.
+    ///
+    /// `f(i)` computes task `i`; tasks are claimed in increasing order but
+    /// may complete out of order. A completion that is next in order is
+    /// consumed by the lane that finished it, which goes on to drain the
+    /// results that were waiting on it (a small reorder buffer); a
+    /// completion that is early waits there. `consume` runs on one lane
+    /// at a time and outside the lock that orders the results, so lanes
+    /// keep completing tasks while it works.
+    ///
+    /// Errors behave like a serial `f(0), consume(0), f(1), consume(1), …`
+    /// run: the error of the lowest-indexed failing task wins — a failing
+    /// `consume` fails its task — nothing at or after it is consumed, and
+    /// remaining unclaimed tasks are skipped. Tasks already in flight when
+    /// a failure lands run to completion (scoped lanes always join), but
+    /// their results are dropped.
+    pub fn run_fold<T, E, F, C>(&self, tasks: usize, f: F, consume: C) -> Result<(), E>
+    where
+        T: Send,
+        E: Send,
+        F: Fn(usize) -> Result<T, E> + Sync,
+        C: FnMut(T) -> Result<(), E> + Send,
+    {
         if tasks == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         // Submission-first accounting: the whole batch is in flight now.
         if let Some(stats) = &self.stats {
             stats.note_submit_batch(tasks);
         }
-        let out = self.execute(tasks, f);
+        let out = self.execute(tasks, f, consume);
         if let Some(stats) = &self.stats {
             // Retire whatever submit charged, including skipped tasks —
             // a failed batch completes (with an error), it does not leak
@@ -201,24 +227,28 @@ impl IoCore {
         out
     }
 
-    fn execute<T, E, F>(&self, tasks: usize, f: F) -> Result<Vec<T>, E>
+    fn execute<T, E, F, C>(&self, tasks: usize, f: F, mut consume: C) -> Result<(), E>
     where
         T: Send,
         E: Send,
         F: Fn(usize) -> Result<T, E> + Sync,
+        C: FnMut(T) -> Result<(), E> + Send,
     {
         if self.lanes == 1 || tasks == 1 {
-            // Serial fast path: no spawn, no locks, early return on error.
-            let mut out = Vec::with_capacity(tasks);
+            // Serial fast path: no spawn, no locks, consumed inline, early
+            // return on error.
             for i in 0..tasks {
-                out.push(f(i)?);
+                consume(f(i)?)?;
             }
-            return Ok(out);
+            return Ok(());
         }
 
-        let results: Mutex<Vec<Option<T>>> = Mutex::new((0..tasks).map(|_| None).collect());
-        // Lowest failing task index wins, matching the serial error.
-        let failure: Mutex<Option<(usize, E)>> = Mutex::new(None);
+        let order = Mutex::new(Order {
+            next: 0,
+            ready: BTreeMap::new(),
+            consume: Some(consume),
+            failure: None,
+        });
         let cursor = AtomicUsize::new(0);
 
         let lane = || loop {
@@ -228,18 +258,34 @@ impl IoCore {
             }
             // Tasks below any recorded failure index must still run:
             // the serial-equivalent error is the lowest one.
-            if failure.lock().as_ref().is_some_and(|(fi, _)| i > *fi) {
+            if order.lock().failed_before(i) {
                 continue;
             }
-            match f(i) {
-                Ok(v) => results.lock()[i] = Some(v),
+            let done = f(i);
+            let mut st = order.lock();
+            match done {
+                Ok(v) => st.ready.insert(i, v),
                 Err(e) => {
-                    let mut slot = failure.lock();
-                    if slot.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                        *slot = Some((i, e));
-                    }
+                    st.fail(i, e);
+                    continue;
+                }
+            };
+            // The consumer is home only while no lane drains: take it, or
+            // leave this result to the lane that has it.
+            let Some(mut consume) = st.consume.take() else {
+                continue;
+            };
+            while let Some(v) = st.take_next() {
+                let at = st.next;
+                drop(st);
+                let consumed = consume(v);
+                st = order.lock();
+                st.next = at + 1;
+                if let Err(e) = consumed {
+                    st.fail(at, e);
                 }
             }
+            st.consume = Some(consume);
         };
         // The caller is one of the lanes: a batch costs `lanes - 1` thread
         // spawns, and the caller works through the tasks meanwhile rather
@@ -251,14 +297,50 @@ impl IoCore {
             lane();
         });
 
-        if let Some((_, e)) = failure.into_inner() {
-            return Err(e);
+        let order = order.into_inner();
+        match order.failure {
+            Some((_, e)) => Err(e),
+            None => {
+                debug_assert_eq!(order.next, tasks, "every task was consumed");
+                Ok(())
+            }
         }
-        Ok(results
-            .into_inner()
-            .into_iter()
-            .map(|slot| slot.expect("every task completed without failure"))
-            .collect())
+    }
+}
+
+/// The ordering state of a [`IoCore::run_fold`] batch.
+struct Order<T, E, C> {
+    /// Index of the next result to consume.
+    next: usize,
+    /// Completed results waiting for an earlier one.
+    ready: BTreeMap<usize, T>,
+    /// The consumer; `None` while a lane drains.
+    consume: Option<C>,
+    /// The lowest failing index and its error.
+    failure: Option<(usize, E)>,
+}
+
+impl<T, E, C> Order<T, E, C> {
+    fn failed_before(&self, i: usize) -> bool {
+        self.failure.as_ref().is_some_and(|(at, _)| *at < i)
+    }
+
+    fn fail(&mut self, i: usize, e: E) {
+        if self.failure.as_ref().is_none_or(|(at, _)| i < *at) {
+            self.failure = Some((i, e));
+        }
+    }
+
+    /// The next result in order, if it exists and no failure precedes it.
+    fn take_next(&mut self) -> Option<T> {
+        if self
+            .failure
+            .as_ref()
+            .is_some_and(|(at, _)| *at <= self.next)
+        {
+            return None;
+        }
+        self.ready.remove(&self.next)
     }
 }
 
@@ -367,6 +449,111 @@ mod tests {
         assert!(snap.in_flight_peak > io.lanes() as u64);
         // Every submitted op retired.
         assert_eq!(stats.ops_in_flight.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn fold_consumes_in_task_order_when_tasks_finish_in_reverse() {
+        // Four tasks on four lanes, task i held until every later one has
+        // finished: completions arrive 3, 2, 1, 0.
+        let finished = std::sync::Mutex::new(Vec::new());
+        let done = std::sync::Condvar::new();
+        let mut consumed = Vec::new();
+        let out: Result<(), ()> = IoCore::new(4).run_fold(
+            4,
+            |i| {
+                let mut fin = finished.lock().unwrap();
+                while !(i + 1..4).all(|j| fin.contains(&j)) {
+                    fin = done.wait(fin).unwrap();
+                }
+                fin.push(i);
+                done.notify_all();
+                Ok(i * 10)
+            },
+            |v| {
+                consumed.push(v);
+                Ok(())
+            },
+        );
+        out.unwrap();
+        assert_eq!(finished.into_inner().unwrap(), vec![3, 2, 1, 0]);
+        assert_eq!(consumed, vec![0, 10, 20, 30]);
+    }
+
+    #[test]
+    fn fold_stops_before_the_lowest_failing_task() {
+        for _ in 0..8 {
+            let mut consumed = Vec::new();
+            let err = IoCore::new(4).run_fold(
+                64,
+                |i| {
+                    if i == 5 || i == 9 || i == 40 {
+                        Err(format!("boom-{i}"))
+                    } else {
+                        Ok(i)
+                    }
+                },
+                |v| {
+                    consumed.push(v);
+                    Ok(())
+                },
+            );
+            assert_eq!(err.unwrap_err(), "boom-5");
+            // Everything before the failure, nothing at or after it.
+            assert_eq!(consumed, (0..5).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_consumer_error_is_returned_and_stops_consumption() {
+        for lanes in [1, 4] {
+            let mut seen = Vec::new();
+            let err = IoCore::new(lanes).run_fold(100, Ok::<usize, String>, |v| {
+                seen.push(v);
+                if v == 10 {
+                    Err(format!("stop-{v}"))
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!(err.unwrap_err(), "stop-10");
+            assert_eq!(seen, (0..=10).collect::<Vec<_>>(), "{lanes} lanes");
+        }
+        // A task failing after the consumer failed does not displace it.
+        let err = IoCore::new(4).run_fold(
+            100,
+            |i| if i == 50 { Err("task-50") } else { Ok(i) },
+            |v| if v == 3 { Err("consume-3") } else { Ok(()) },
+        );
+        assert_eq!(err.unwrap_err(), "consume-3");
+    }
+
+    #[test]
+    fn a_one_lane_core_consumes_inline() {
+        let caller = std::thread::current().id();
+        let log = std::sync::Mutex::new(Vec::new());
+        let out: Result<(), ()> = IoCore::new(1).run_fold(
+            3,
+            |i| {
+                log.lock().unwrap().push(format!("run {i}"));
+                Ok(i)
+            },
+            |v| {
+                assert_eq!(std::thread::current().id(), caller);
+                log.lock().unwrap().push(format!("consume {v}"));
+                Ok(())
+            },
+        );
+        out.unwrap();
+        let log = log.into_inner().unwrap();
+        let want = [
+            "run 0",
+            "consume 0",
+            "run 1",
+            "consume 1",
+            "run 2",
+            "consume 2",
+        ];
+        assert_eq!(log, want);
     }
 
     #[test]

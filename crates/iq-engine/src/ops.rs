@@ -16,13 +16,23 @@
 //! working set of the probe side is a morsel, not the table, and probe,
 //! gather and expression work runs on the scan's lanes.
 //!
-//! Everything else is a *sink* and takes a stitched chunk: aggregation
-//! (a group's rows span morsels), sort, limit, a result with a second
-//! consumer, and a join's build side ([`HashJoin::build`]).
-//! [`hash_join_exec`] is build + probe over an already materialised left
-//! side. Correlated subqueries are expressed the classical way:
-//! aggregate-then-join (Q2, Q17, Q20), semi/anti joins for EXISTS/NOT
-//! EXISTS (Q4, Q21, Q22) and IN/NOT IN (Q16, Q18).
+//! Everything else is a *sink*: aggregation (a group's rows span
+//! morsels), sort, limit, a result with a second consumer, and a join's
+//! build side ([`HashJoin::build`]). A sink takes a stitched chunk — all
+//! but an aggregate a scan feeds. [`AggregateSink`] takes the scan's
+//! morsels in group order instead, with no stitch: each scan lane runs
+//! the stage and keys its morsel (a group per row, among the morsel's
+//! own), and the morsels are then handed over one at a time, in scan
+//! order, to map their groups to the sink's and fold each aggregate over
+//! their rows in row order. So every group folds its rows in ascending
+//! global row order, exactly as [`hash_aggregate_exec`] over the stitched
+//! scan does, and the result is bitwise the same; the working set is a
+//! morsel and the groups, not the scan. [`hash_aggregate_exec`] stays the
+//! aggregate of a materialised input. [`hash_join_exec`] is build + probe
+//! over an already materialised left side. Correlated subqueries are
+//! expressed the classical way: aggregate-then-join (Q2, Q17, Q20),
+//! semi/anti joins for EXISTS/NOT EXISTS (Q4, Q21, Q22) and IN/NOT IN
+//! (Q16, Q18).
 //!
 //! # Morsel-parallel execution (`*_exec` entry points)
 //!
@@ -63,16 +73,23 @@
 //! so partition assignment (and with it scheduling shape) is stable
 //! run-over-run. Each aggregate is folded column-at-a-time, but still one
 //! row after another in the partition's row order, so a group's float
-//! sum associates exactly as it did row-at-a-time.
+//! sum associates exactly as it did row-at-a-time. Both aggregate paths
+//! fold through one set of accumulator kernels (`Acc`), so output types
+//! and fold order are defined once; the scan-fed one visits rows in
+//! ascending global row order because the scan hands its morsels over in
+//! order ([`IoCore::run_fold`]).
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use iq_common::{IoCore, IoStats, IqError, IqResult};
 
 use crate::chunk::{Chunk, Col};
 use crate::encode::le_word;
+use crate::expr::Expr;
 use crate::meter::{cost, WorkMeter};
 use crate::store::PageStore;
+use crate::table::{ScanOptions, Stage, TableMeta};
 use crate::value::DataType;
 
 /// Join flavours.
@@ -176,7 +193,8 @@ fn partition_of(hash: u64, parts: usize) -> usize {
 
 /// Distinct keys → dense ids `0..len()` in first-seen order: open
 /// addressing over a power-of-two slot array, no allocation per key. The
-/// caller supplies each key's hash.
+/// caller supplies each key's hash; a key is probed in its borrowed form
+/// (`&str` for an owned `Arc<str>`), so a lookup never clones it.
 struct Interner<K> {
     /// `id + 1` of the key held by each slot; 0 marks an empty slot.
     slots: Vec<u32>,
@@ -184,7 +202,7 @@ struct Interner<K> {
     hashes: Vec<u64>,
 }
 
-impl<K: Copy + PartialEq> Interner<K> {
+impl<K> Interner<K> {
     /// Sized to take `keys` distinct keys without rehashing.
     fn with_capacity(keys: usize) -> Self {
         Self {
@@ -199,24 +217,37 @@ impl<K: Copy + PartialEq> Interner<K> {
     }
 
     /// The id of `key`, or the empty slot its probe sequence ends in.
-    fn probe(&self, hash: u64, key: K) -> Result<usize, usize> {
+    fn probe<Q>(&self, hash: u64, key: &Q) -> Result<usize, usize>
+    where
+        K: Borrow<Q>,
+        Q: PartialEq + ?Sized,
+    {
         let mask = self.slots.len() - 1;
         let mut at = hash as usize & mask;
         loop {
             match self.slots[at] {
                 0 => return Err(at),
-                id if self.keys[id as usize - 1] == key => return Ok(id as usize - 1),
+                id if self.keys[id as usize - 1].borrow() == key => return Ok(id as usize - 1),
                 _ => at = (at + 1) & mask,
             }
         }
     }
 
-    fn get(&self, hash: u64, key: K) -> Option<usize> {
+    fn get<Q>(&self, hash: u64, key: &Q) -> Option<usize>
+    where
+        K: Borrow<Q>,
+        Q: PartialEq + ?Sized,
+    {
         self.probe(hash, key).ok()
     }
 
-    /// The id of `key`, assigning the next one on first sight.
-    fn intern(&mut self, hash: u64, key: K) -> usize {
+    /// The id of `key`, assigning the next one — and storing `own()` — on
+    /// first sight.
+    fn intern_with<Q>(&mut self, hash: u64, key: &Q, own: impl FnOnce() -> K) -> usize
+    where
+        K: Borrow<Q>,
+        Q: PartialEq + ?Sized,
+    {
         let mut at = match self.probe(hash, key) {
             Ok(id) => return id,
             Err(at) => at,
@@ -233,24 +264,33 @@ impl<K: Copy + PartialEq> Interner<K> {
             }
             at = self.probe(hash, key).expect_err("key is not interned yet");
         }
-        self.keys.push(key);
+        self.keys.push(own());
         self.hashes.push(hash);
         self.slots[at] = u32::try_from(self.keys.len()).expect("fewer than 2^32 distinct keys");
         self.keys.len() - 1
     }
 }
 
+impl<K: Copy + PartialEq> Interner<K> {
+    /// The id of `key`, assigning the next one on first sight.
+    fn intern(&mut self, hash: u64, key: K) -> usize {
+        self.intern_with(hash, &key, || key)
+    }
+}
+
 /// Fixed-width row keys. [`words`](KeySpace::words) maps the key columns
 /// of a chunk to one `u64` per row such that two rows — of that chunk or
 /// of any other keyed through the same space, as the two sides of a join
-/// are — carry equal words iff their keys are equal value for value:
-/// `I64` / `Date` / `Bool` key by value and `F64` by bit pattern (exact
-/// equality: NaN payloads and ±0.0 stay distinct), `Str` by a dense id
-/// from one intern lookup on the borrowed `&str` (equal strings in
-/// different `Arc`s meet there; no `Arc` is cloned), and each further key
-/// column folds `(word so far, its own word)` into a dense id.
-struct KeySpace<'a> {
-    strs: Interner<&'a str>,
+/// and the morsels of a scan-fed aggregate are — carry equal words iff
+/// their keys are equal value for value: `I64` / `Date` / `Bool` key by
+/// value and `F64` by bit pattern (exact equality: NaN payloads and ±0.0
+/// stay distinct), `Str` by a dense id from one intern lookup on the
+/// borrowed `&str` (equal strings in different `Arc`s meet there; the
+/// space keeps one `Arc` clone per distinct string, so it outlives the
+/// chunks it keyed), and each further key column folds `(word so far, its
+/// own word)` into a dense id.
+struct KeySpace {
+    strs: Interner<Arc<str>>,
     tuples: Interner<(u64, u64)>,
 }
 
@@ -259,7 +299,7 @@ struct KeySpace<'a> {
 /// dense ids below 2^32, so no row of the space carries it.
 const MISS: u64 = u64::MAX;
 
-impl<'a> KeySpace<'a> {
+impl KeySpace {
     fn new() -> Self {
         Self {
             strs: Interner::with_capacity(0),
@@ -270,12 +310,12 @@ impl<'a> KeySpace<'a> {
     /// One key word per row of `chunk` over `cols` (no columns: every row
     /// keys to 0, the single group of a scalar aggregate). Strings and key
     /// tuples the space has not seen are added to it.
-    fn words(&mut self, chunk: &'a Chunk, cols: &[usize]) -> Vec<u64> {
+    fn words(&mut self, chunk: &Chunk, cols: &[usize]) -> Vec<u64> {
         let Self { strs, tuples } = self;
         key_words(
             chunk,
             cols,
-            |hash, s| strs.intern(hash, s) as u64,
+            |hash, s| strs.intern_with(hash, &**s, || Arc::clone(s)) as u64,
             |hash, pair| tuples.intern(hash, pair) as u64,
         )
     }
@@ -288,8 +328,8 @@ impl<'a> KeySpace<'a> {
         key_words(
             chunk,
             cols,
-            |hash, s| id(self.strs.get(hash, s)),
-            |hash, pair| id(self.tuples.get(hash, pair)),
+            |hash, s| id(self.strs.get(hash, &**s)),
+            |hash, pair| id(self.tuples.get(hash, &pair)),
         )
     }
 }
@@ -297,10 +337,10 @@ impl<'a> KeySpace<'a> {
 /// The key words of `chunk` over `cols`, given the id of a string
 /// (`str_id`) and of a `(word so far, next word)` pair (`tuple_id`), each
 /// called with its hash.
-fn key_words<'c>(
-    chunk: &'c Chunk,
+fn key_words(
+    chunk: &Chunk,
     cols: &[usize],
-    mut str_id: impl FnMut(u64, &'c str) -> u64,
+    mut str_id: impl FnMut(u64, &Arc<str>) -> u64,
     mut tuple_id: impl FnMut(u64, (u64, u64)) -> u64,
 ) -> Vec<u64> {
     let Some((&first, rest)) = cols.split_first() else {
@@ -315,7 +355,7 @@ fn key_words<'c>(
     words
 }
 
-fn col_words<'c>(col: &'c Col, str_id: &mut impl FnMut(u64, &'c str) -> u64) -> Vec<u64> {
+fn col_words(col: &Col, str_id: &mut impl FnMut(u64, &Arc<str>) -> u64) -> Vec<u64> {
     match col {
         Col::I64(v) => v.iter().map(|&x| x as u64).collect(),
         Col::Date(v) => v.iter().map(|&x| x as i64 as u64).collect(),
@@ -414,7 +454,7 @@ impl JoinTable {
 
     /// Build rows matching `word`, ascending; empty when there are none.
     fn matches(&self, hash: u64, word: u64) -> &[usize] {
-        match self.keys.get(hash, word) {
+        match self.keys.get(hash, &word) {
             Some(k) => &self.rows[self.starts[k]..self.starts[k + 1]],
             None => &[],
         }
@@ -427,7 +467,7 @@ impl JoinTable {
 pub struct HashJoin<'a> {
     right: &'a Chunk,
     right_keys: Vec<usize>,
-    space: KeySpace<'a>,
+    space: KeySpace,
     /// One table per key-hash partition (a single one when serial).
     tables: Vec<JoinTable>,
 }
@@ -708,108 +748,194 @@ impl AggSpec {
     }
 }
 
-/// Per-group extreme of `value(row)` in row order (`empty` for a group
-/// that saw no row — the scalar aggregate over an empty input).
-fn extreme<T: Copy>(
-    each: impl Iterator<Item = (usize, usize)>,
-    groups: usize,
-    value: impl Fn(usize) -> T,
-    better: impl Fn(T, T) -> T,
-    empty: T,
-) -> Vec<T> {
-    let mut best: Vec<Option<T>> = vec![None; groups];
-    for (row, g) in each {
-        let x = value(row);
-        best[g] = Some(best[g].map_or(x, |cur| better(cur, x)));
-    }
-    best.into_iter().map(|b| b.unwrap_or(empty)).collect()
+/// One aggregate's running state over dense group ids: the one set of
+/// accumulator kernels, used by every aggregate path. [`new`](Acc::new)
+/// fixes the output type *statically* from the spec and the input column
+/// type — never from which groups happened to be populated, so a
+/// partition or a scan that folds no row cannot disagree with one that
+/// does, and a spec the column cannot feed is refused before any row is
+/// read. [`fold`](Acc::fold) visits `(row, group)` pairs in the order
+/// given, so every group accumulates in exactly that order;
+/// [`finish`](Acc::finish) emits one value per group.
+enum Acc {
+    Count(Vec<i64>),
+    Sum(Vec<f64>),
+    Avg(Vec<f64>, Vec<i64>),
+    /// `MIN` (`min`) or `MAX` of floats.
+    Float {
+        min: bool,
+        best: Vec<Option<f64>>,
+    },
+    /// `MIN` or `MAX` of integers or dates (output as integers).
+    Int {
+        min: bool,
+        best: Vec<Option<i64>>,
+    },
+    /// `MIN` or `MAX` of strings: ties keep the earlier row.
+    Str {
+        min: bool,
+        best: Vec<Option<Arc<str>>>,
+    },
+    /// `COUNT(DISTINCT)`: one flat set of `(group, value)` pairs instead
+    /// of a set per group; a pair counts when it is new.
+    Distinct(Interner<(u64, u64)>, Vec<i64>),
 }
 
-/// One aggregate over one partition, column-at-a-time: row `rows[i]`
-/// belongs to group `gids[i]` of `groups`. Rows are visited in the order
-/// given, so every group accumulates in exactly that order. The output
-/// column's type follows *statically* from the spec and the input column
-/// type — never from which groups happened to be populated, so a
-/// partition that folds no row cannot disagree with the serial path.
-fn fold_aggregate(
-    kind: AggKind,
-    col: &Col,
-    rows: &[usize],
-    gids: &[usize],
-    groups: usize,
-) -> IqResult<Col> {
-    let each = || rows.iter().copied().zip(gids.iter().copied());
-    let min = kind == AggKind::Min;
-    let int_better = |cur: i64, x: i64| if min { cur.min(x) } else { cur.max(x) };
-    let counts = || {
-        let mut n = vec![0i64; groups];
-        gids.iter().for_each(|&g| n[g] += 1);
-        n
-    };
-    Ok(match (kind, col) {
-        (AggKind::Count, _) => Col::I64(counts()),
-        (AggKind::Sum | AggKind::Avg, _) => {
-            let mut acc = vec![0.0f64; groups];
-            match col {
-                Col::F64(v) => each().for_each(|(r, g)| acc[g] += v[r]),
-                Col::I64(v) => each().for_each(|(r, g)| acc[g] += v[r] as f64),
-                _ => {}
+impl Acc {
+    fn new(kind: AggKind, col: &Col) -> IqResult<Self> {
+        let min = kind == AggKind::Min;
+        Ok(match (kind, col) {
+            (AggKind::Count, _) => Acc::Count(Vec::new()),
+            (AggKind::Sum, Col::F64(_) | Col::I64(_)) => Acc::Sum(Vec::new()),
+            (AggKind::Avg, Col::F64(_) | Col::I64(_)) => Acc::Avg(Vec::new(), Vec::new()),
+            (AggKind::Min | AggKind::Max, Col::F64(_)) => Acc::Float {
+                min,
+                best: Vec::new(),
+            },
+            (AggKind::Min | AggKind::Max, Col::I64(_) | Col::Date(_)) => Acc::Int {
+                min,
+                best: Vec::new(),
+            },
+            (AggKind::Min | AggKind::Max, Col::Str(_)) => Acc::Str {
+                min,
+                best: Vec::new(),
+            },
+            (AggKind::CountDistinct, Col::I64(_)) => {
+                Acc::Distinct(Interner::with_capacity(0), Vec::new())
             }
-            if kind == AggKind::Avg {
-                for (a, n) in acc.iter_mut().zip(counts()) {
-                    *a = if n == 0 { 0.0 } else { *a / n as f64 };
+            (k, c) => {
+                return Err(IqError::Invalid(format!(
+                    "aggregate {k:?} unsupported over {:?}",
+                    c.data_type()
+                )))
+            }
+        })
+    }
+
+    /// Room for `groups` groups; a new group starts empty.
+    fn grow(&mut self, groups: usize) {
+        match self {
+            Acc::Count(n) | Acc::Distinct(_, n) => n.resize(groups, 0),
+            Acc::Sum(acc) => acc.resize(groups, 0.0),
+            Acc::Avg(acc, n) => {
+                acc.resize(groups, 0.0);
+                n.resize(groups, 0);
+            }
+            Acc::Float { best, .. } => best.resize(groups, None),
+            Acc::Int { best, .. } => best.resize(groups, None),
+            Acc::Str { best, .. } => best.resize(groups, None),
+        }
+    }
+
+    /// Fold `col[row]` into `group` for each `(row, group)` of `each`, in
+    /// that order; `groups` bounds the group ids.
+    fn fold(
+        &mut self,
+        col: &Col,
+        groups: usize,
+        each: impl ExactSizeIterator<Item = (usize, usize)>,
+    ) -> IqResult<()> {
+        self.grow(groups);
+        fn keep(min: bool, cur: Option<i64>, x: i64) -> Option<i64> {
+            Some(cur.map_or(x, |cur| if min { cur.min(x) } else { cur.max(x) }))
+        }
+        match (self, col) {
+            (Acc::Count(n), _) => each.for_each(|(_, g)| n[g] += 1),
+            (Acc::Sum(acc), Col::F64(v)) => each.for_each(|(r, g)| acc[g] += v[r]),
+            (Acc::Sum(acc), Col::I64(v)) => each.for_each(|(r, g)| acc[g] += v[r] as f64),
+            (Acc::Avg(acc, n), Col::F64(v)) => each.for_each(|(r, g)| {
+                acc[g] += v[r];
+                n[g] += 1;
+            }),
+            (Acc::Avg(acc, n), Col::I64(v)) => each.for_each(|(r, g)| {
+                acc[g] += v[r] as f64;
+                n[g] += 1;
+            }),
+            (Acc::Float { min, best }, Col::F64(v)) => {
+                let pick = |cur: f64, x: f64| if *min { cur.min(x) } else { cur.max(x) };
+                each.for_each(|(r, g)| best[g] = Some(best[g].map_or(v[r], |cur| pick(cur, v[r]))))
+            }
+            (Acc::Int { min, best }, Col::I64(v)) => {
+                each.for_each(|(r, g)| best[g] = keep(*min, best[g], v[r]))
+            }
+            (Acc::Int { min, best }, Col::Date(v)) => {
+                each.for_each(|(r, g)| best[g] = keep(*min, best[g], v[r] as i64))
+            }
+            (Acc::Str { min, best }, Col::Str(v)) => each.for_each(|(r, g)| {
+                let x = &v[r];
+                let wins = |cur: &Arc<str>| if *min { x < cur } else { x > cur };
+                if best[g].as_ref().is_none_or(wins) {
+                    best[g] = Some(Arc::clone(x));
+                }
+            }),
+            (Acc::Distinct(pairs, n), Col::I64(v)) => {
+                if pairs.len() == 0 {
+                    *pairs = Interner::with_capacity(each.len());
+                }
+                for (r, g) in each {
+                    let (seen, pair) = (pairs.len(), (g as u64, v[r] as u64));
+                    if pairs.intern(mix(pair.0 ^ mix(pair.1)), pair) == seen {
+                        n[g] += 1;
+                    }
                 }
             }
-            Col::F64(acc)
-        }
-        (AggKind::Min | AggKind::Max, Col::F64(v)) => Col::F64(extreme(
-            each(),
-            groups,
-            |r| v[r],
-            |cur, x| if min { cur.min(x) } else { cur.max(x) },
-            0.0,
-        )),
-        (AggKind::Min | AggKind::Max, Col::I64(v)) => {
-            Col::I64(extreme(each(), groups, |r| v[r], int_better, 0))
-        }
-        (AggKind::Min | AggKind::Max, Col::Date(v)) => {
-            Col::I64(extreme(each(), groups, |r| v[r] as i64, int_better, 0))
-        }
-        (AggKind::Min | AggKind::Max, Col::Str(v)) => {
-            // The winning *row* per group: ties keep the earlier row.
-            let mut best: Vec<Option<usize>> = vec![None; groups];
-            for (r, g) in each() {
-                if best[g].is_none_or(|cur| if min { v[r] < v[cur] } else { v[r] > v[cur] }) {
-                    best[g] = Some(r);
-                }
+            (_, c) => {
+                return Err(IqError::Invalid(format!(
+                    "aggregate input changed type to {:?}",
+                    c.data_type()
+                )))
             }
-            let empty: Arc<str> = Arc::from("");
-            Col::Str(
-                best.iter()
-                    .map(|b| Arc::clone(b.map_or(&empty, |r| &v[r])))
+        }
+        Ok(())
+    }
+
+    /// One value per group of `groups`; a group that saw no row (the
+    /// scalar aggregate over an empty input) takes the zero state.
+    fn finish(mut self, groups: usize) -> Col {
+        self.grow(groups);
+        match self {
+            Acc::Count(n) | Acc::Distinct(_, n) => Col::I64(n),
+            Acc::Sum(acc) => Col::F64(acc),
+            Acc::Avg(acc, n) => Col::F64(
+                acc.iter()
+                    .zip(n)
+                    .map(|(a, n)| if n == 0 { 0.0 } else { a / n as f64 })
                     .collect(),
-            )
-        }
-        (AggKind::CountDistinct, Col::I64(v)) => {
-            // One flat set of (group, value) pairs instead of a set per
-            // group: a pair counts when it is new.
-            let mut pairs: Interner<(u64, u64)> = Interner::with_capacity(rows.len());
-            let mut n = vec![0i64; groups];
-            for (r, g) in each() {
-                let (seen, pair) = (pairs.len(), (g as u64, v[r] as u64));
-                if pairs.intern(mix(pair.0 ^ mix(pair.1)), pair) == seen {
-                    n[g] += 1;
-                }
+            ),
+            Acc::Float { best, .. } => {
+                Col::F64(best.into_iter().map(|b| b.unwrap_or(0.0)).collect())
             }
-            Col::I64(n)
+            Acc::Int { best, .. } => Col::I64(best.into_iter().map(|b| b.unwrap_or(0)).collect()),
+            Acc::Str { best, .. } => {
+                let empty: Arc<str> = Arc::from("");
+                Col::Str(
+                    best.into_iter()
+                        .map(|b| b.unwrap_or_else(|| Arc::clone(&empty)))
+                        .collect(),
+                )
+            }
         }
-        (k, c) => {
-            return Err(IqError::Invalid(format!(
-                "aggregate {k:?} unsupported over {:?}",
-                c.data_type()
-            )))
-        }
-    })
+    }
+}
+
+/// The group of each of `rows` by its key word, groups numbered densely in
+/// first-seen order, and each group's first row: `(gids, reps)`.
+fn first_seen(
+    words: &[u64],
+    rows: impl ExactSizeIterator<Item = usize>,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut groups = Interner::with_capacity(rows.len());
+    let mut reps: Vec<usize> = Vec::new();
+    let gids = rows
+        .map(|row| {
+            let g = groups.intern(mix(words[row]), words[row]);
+            if g == reps.len() {
+                reps.push(row);
+            }
+            g
+        })
+        .collect();
+    (gids, reps)
 }
 
 /// Fold `rows` (ascending global row indices) into per-group aggregates.
@@ -828,21 +954,16 @@ fn aggregate_rows(
     aggs: &[AggSpec],
     rows: &[usize],
 ) -> IqResult<(Vec<usize>, Chunk)> {
-    let mut groups = Interner::with_capacity(rows.len());
-    let mut reps: Vec<usize> = Vec::new();
-    let gids: Vec<usize> = rows
-        .iter()
-        .map(|&row| {
-            let g = groups.intern(mix(words[row]), words[row]);
-            if g == reps.len() {
-                reps.push(row);
-            }
-            g
-        })
-        .collect();
+    let (gids, reps) = first_seen(words, rows.iter().copied());
     let cols = aggs
         .iter()
-        .map(|a| fold_aggregate(a.kind, input.col(a.col), rows, &gids, reps.len()))
+        .map(|a| {
+            let col = input.col(a.col);
+            let mut acc = Acc::new(a.kind, col)?;
+            let each = rows.iter().copied().zip(gids.iter().copied());
+            acc.fold(col, reps.len(), each)?;
+            Ok(acc.finish(reps.len()))
+        })
         .collect::<IqResult<_>>()?;
     Ok((reps, Chunk::new(cols)))
 }
@@ -895,12 +1016,159 @@ pub fn hash_aggregate_exec(
         // Scalar aggregate over empty input: one row of zero states
         // (grouped aggregates over empty input emit zero rows).
         for a in aggs {
-            out.push(fold_aggregate(a.kind, input.col(a.col), &[], &[], 1)?);
+            out.push(Acc::new(a.kind, input.col(a.col))?.finish(1));
         }
     } else {
         out.extend(folded.cols);
     }
     Ok(Chunk::new(out))
+}
+
+/// A hash aggregate fed by a scan: the scan's morsels are folded into it
+/// one at a time, in group order, and no stitched chunk exists. Output,
+/// charges and errors are bitwise those of [`hash_aggregate_exec`] over
+/// the stitched, staged scan (see the module doc).
+pub struct AggregateSink<'s> {
+    stage: Option<Stage<'s>>,
+    group_cols: &'s [usize],
+    aggs: &'s [AggSpec],
+}
+
+impl<'s> AggregateSink<'s> {
+    /// `aggs` grouped by `group_cols`, both over the columns of `stage`'s
+    /// output (the projection's, without a stage).
+    pub fn new(stage: Option<Stage<'s>>, group_cols: &'s [usize], aggs: &'s [AggSpec]) -> Self {
+        Self {
+            stage,
+            group_cols,
+            aggs,
+        }
+    }
+
+    /// Scan `table` as [`TableMeta::scan_with_options`] does and fold what
+    /// it stitches — in each scan lane, the stage and the morsel's keys;
+    /// in group order, its rows into the groups.
+    pub fn scan(
+        &self,
+        table: &TableMeta,
+        store: &dyn PageStore,
+        projection: &[usize],
+        pred: Option<&Expr>,
+        meter: &WorkMeter,
+        opts: ScanOptions,
+    ) -> IqResult<Chunk> {
+        let lane = |chunk: Chunk| -> IqResult<Keyed> {
+            let chunk = match self.stage {
+                Some(f) => f(chunk)?,
+                None => chunk,
+            };
+            Ok(Keyed::new(chunk, self.group_cols))
+        };
+        let mut folded: Option<Folded> = None;
+        let consume = |morsel: Keyed| -> IqResult<()> {
+            let f = match &mut folded {
+                Some(f) => f,
+                None => folded.insert(Folded::new(&morsel.chunk, self.group_cols, self.aggs)?),
+            };
+            f.consume(morsel, self.group_cols, self.aggs)
+        };
+        table.scan_fold(store, projection, pred, meter, opts, (lane, consume))?;
+        let folded = folded.expect("a scan hands on at least one chunk");
+        meter.add(cost::AGG * folded.rows * self.aggs.len().max(1) as u64);
+        Ok(folded.finish(self.group_cols.is_empty()))
+    }
+}
+
+/// A morsel keyed in its lane: each row's group among the morsel's own
+/// (dense, in first-occurrence order) and each such group's first row.
+struct Keyed {
+    chunk: Chunk,
+    local: Vec<usize>,
+    reps: Vec<usize>,
+}
+
+impl Keyed {
+    fn new(chunk: Chunk, group_cols: &[usize]) -> Self {
+        let words = KeySpace::new().words(&chunk, group_cols);
+        let (local, reps) = first_seen(&words, 0..words.len());
+        Self { chunk, local, reps }
+    }
+}
+
+/// The ordered half of an [`AggregateSink`]: every group seen so far, in
+/// first-occurrence order, with its key values and accumulators.
+struct Folded {
+    /// Keys the morsels' groups; owns each distinct string it has seen.
+    space: KeySpace,
+    /// Key word → group id.
+    groups: Interner<u64>,
+    /// The group columns, one row per group.
+    keys: Vec<Col>,
+    accs: Vec<Acc>,
+    rows: u64,
+}
+
+impl Folded {
+    /// Empty, with the column types of the first morsel: the output types
+    /// follow from the first chunk even when it has no rows.
+    fn new(first: &Chunk, group_cols: &[usize], aggs: &[AggSpec]) -> IqResult<Self> {
+        Ok(Self {
+            space: KeySpace::new(),
+            groups: Interner::with_capacity(0),
+            keys: group_cols.iter().map(|&g| first.col(g).take(&[])).collect(),
+            accs: aggs
+                .iter()
+                .map(|a| Acc::new(a.kind, first.col(a.col)))
+                .collect::<IqResult<_>>()?,
+            rows: 0,
+        })
+    }
+
+    /// Map the morsel's groups to global ids — a group new to the sink is
+    /// numbered next and its key values appended — then fold each
+    /// aggregate over the morsel's rows in row order. Morsels arrive in
+    /// scan order, so every group folds its rows in ascending global row
+    /// order and is numbered at its first occurrence.
+    fn consume(&mut self, morsel: Keyed, group_cols: &[usize], aggs: &[AggSpec]) -> IqResult<()> {
+        let Keyed { chunk, local, reps } = morsel;
+        let rep_keys = Chunk::new(
+            group_cols
+                .iter()
+                .map(|&g| chunk.col(g).take(&reps))
+                .collect(),
+        );
+        let words = match group_cols.len() {
+            0 => vec![0; reps.len()],
+            n => self.space.words(&rep_keys, &(0..n).collect::<Vec<_>>()),
+        };
+        let known = self.groups.len();
+        let global: Vec<usize> = words
+            .iter()
+            .map(|&w| self.groups.intern(mix(w), w))
+            .collect();
+        let fresh: Vec<usize> = (0..global.len()).filter(|&l| global[l] >= known).collect();
+        for (keys, col) in self.keys.iter_mut().zip(&rep_keys.cols) {
+            keys.append(col.take(&fresh))?;
+        }
+        let mut gids = local;
+        gids.iter_mut().for_each(|g| *g = global[*g]);
+        let groups = self.groups.len();
+        for (acc, a) in self.accs.iter_mut().zip(aggs) {
+            acc.fold(chunk.col(a.col), groups, gids.iter().copied().enumerate())?;
+        }
+        self.rows += chunk.len() as u64;
+        Ok(())
+    }
+
+    /// Group columns, then one column per aggregate. A scalar aggregate
+    /// over no rows is one row of zero states.
+    fn finish(self, scalar: bool) -> Chunk {
+        let groups = self.groups.len();
+        let rows = if scalar && groups == 0 { 1 } else { groups };
+        let mut out = self.keys;
+        out.extend(self.accs.into_iter().map(|acc| acc.finish(rows)));
+        Chunk::new(out)
+    }
 }
 
 /// Sort direction.
@@ -1133,10 +1401,86 @@ mod tests {
 
     #[test]
     fn aggregate_rejects_bad_types() {
+        use crate::store::MemPageStore;
+        use crate::table::{Schema, TableWriter};
+        use crate::value::Value;
+        use iq_common::{TableId, TxnId};
+
         let m = WorkMeter::new();
         let x = OpExec::serial();
         let input = Chunk::new(vec![Col::Str(vec!["x".into()])]);
         assert!(hash_aggregate_exec(&input, &[], &[AggSpec::count_distinct(0)], &m, &x).is_err());
+
+        // SUM and AVG fold numbers: over a string, date or boolean column
+        // they are a plan error, never a column of zeros — decided from
+        // the column's type, so also over no rows, and on every path.
+        let invalid = |out: IqResult<Chunk>| matches!(out, Err(IqError::Invalid(_)));
+        let rows = Chunk::new(vec![
+            Col::I64((0..16).map(|i| i % 3).collect()),
+            Col::Str((0..16).map(|i| format!("s{i}").into()).collect()),
+            Col::Date((0..16).collect()),
+            Col::Bool((0..16).map(|i| i % 2 == 0).collect()),
+        ]);
+        for input in [rows.clone(), rows.take(&[])] {
+            for col in 1..4 {
+                for agg in [AggSpec::sum(col), AggSpec::avg(col)] {
+                    for exec in [OpExec::serial(), OpExec::new(4)] {
+                        for group in [&[][..], &[0]] {
+                            let out = hash_aggregate_exec(&input, group, &[agg], &m, &exec);
+                            assert!(
+                                invalid(out),
+                                "{agg:?} by {group:?} over {} rows",
+                                input.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        // Scan-fed: the stage appends the boolean column.
+        let store = MemPageStore::new();
+        let schema = Schema::new(&[
+            ("k", DataType::I64),
+            ("s", DataType::Str),
+            ("d", DataType::Date),
+        ]);
+        let mut table = TableMeta::new(TableId(1), "t", schema, 4);
+        let mut w = TableWriter::new(&mut table, &store, TxnId(1), &m);
+        for i in 0..16 {
+            w.append_row(&[
+                Value::I64(i % 3),
+                Value::Str("x".into()),
+                Value::Date(i as i32),
+            ])
+            .unwrap();
+        }
+        w.finish().unwrap();
+        let flag = Expr::gt(Expr::col(0), Expr::lit_i64(0));
+        let stage = |mut c: Chunk| -> IqResult<Chunk> {
+            let col = flag.eval_on(&c)?;
+            c.cols.push(col);
+            Ok(c)
+        };
+        let none = Expr::gt(Expr::col(0), Expr::lit_i64(99));
+        for pred in [None, Some(&none)] {
+            for col in 1..4 {
+                for agg in [AggSpec::sum(col), AggSpec::avg(col)] {
+                    for workers in [1, 4] {
+                        for group in [&[][..], &[0]] {
+                            let opts = ScanOptions {
+                                workers,
+                                late_mat: true,
+                            };
+                            let aggs = [agg];
+                            let sink = AggregateSink::new(Some(&stage), group, &aggs);
+                            let out = sink.scan(&table, &store, &[0, 1, 2], pred, &m, opts);
+                            assert!(invalid(out), "{agg:?} by {group:?}, pred {pred:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// A float workload whose sums are sensitive to accumulation order:
@@ -1337,10 +1681,10 @@ mod tests {
             assert_eq!(t.intern(7, k), k as usize);
         }
         for k in 0..100u64 {
-            assert_eq!(t.get(7, k), Some(k as usize));
+            assert_eq!(t.get(7, &k), Some(k as usize));
             assert_eq!(t.intern(7, k), k as usize);
         }
-        assert_eq!(t.get(7, 100), None);
+        assert_eq!(t.get(7, &100), None);
         assert_eq!(t.len(), 100);
     }
 

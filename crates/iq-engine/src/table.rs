@@ -9,7 +9,10 @@
 //! and no plan probes an index (EXPERIMENTS.md, "Honest limitations").
 //!
 //! A scan loads a page only in the task that is about to decode it: one
-//! task per surviving row group, its own pages, no read-ahead.
+//! task per surviving row group, its own pages, no read-ahead. The
+//! groups' chunks go, in group order, to one consumer: the stitch of
+//! [`TableMeta::scan_with_options`], or an aggregate that folds them
+//! ([`crate::ops::AggregateSink`]).
 //!
 //! Updates are page-granular: [`TableWriter::reopen`] appends by refilling
 //! the partial last group, [`TableMeta::delete_keys`] rewrites in place
@@ -50,8 +53,8 @@ pub struct ScanOptions {
 }
 
 /// What a scan applies to each row group's chunk in the lane that decoded
-/// it, before the ordered stitch. It must be a concatenation homomorphism
-/// — `f(a ++ b) == f(a) ++ f(b)`, rows in input order (filters,
+/// it, before the ordered stitch or fold. It must be a concatenation
+/// homomorphism — `f(a ++ b) == f(a) ++ f(b)`, rows in input order (filters,
 /// projections, computed columns, join probes; see [`crate::ops`]) — so
 /// that a staged scan is bitwise the stage applied to the whole scan, at
 /// every worker count. It also runs once on an empty chunk when no group
@@ -195,20 +198,13 @@ impl TableMeta {
         )
     }
 
-    /// The scan hot path: a two-phase late-materialization morsel scan.
-    ///
-    /// Each surviving row group is one morsel, and the task that owns it
-    /// is the only one that asks for its pages: it loads and decodes the
-    /// predicate inputs and evaluates the mask. A group whose mask comes
-    /// up all-false is finished — its projection pages are never
-    /// requested. Otherwise the projection pages are loaded and read, and
-    /// only projected columns are filtered. Nothing is fetched ahead of
-    /// the group being read, so the scan's I/O plan is a function of the
-    /// survivor list: each page requested once, by the task that decodes
-    /// it. Per-group result chunks are stitched back in group
-    /// order, so the output is byte-identical to a `workers == 1` run —
-    /// and to an eager (`late_mat: false`) run. A [`Stage`], if given,
-    /// runs on every group's chunk just before that stitch.
+    /// The scan hot path: a two-phase late-materialization morsel scan,
+    /// stitched. It is `scan_fold` with the stage (if any) as the lane
+    /// half and the stitch as the ordered half: the per-group chunks are
+    /// concatenated in group order, so the output is byte-identical to a
+    /// `workers == 1` run — and to an eager (`late_mat: false`) run. A
+    /// [`Stage`], if given, runs on every group's chunk just before that
+    /// stitch.
     pub fn scan_with_options(
         &self,
         store: &dyn PageStore,
@@ -218,14 +214,58 @@ impl TableMeta {
         opts: ScanOptions,
         stage: Option<Stage<'_>>,
     ) -> IqResult<Chunk> {
-        let workers = opts.workers;
-        let stats = store.scan_stats();
-        // Every exit of a group — and the scan without one — goes through
-        // the stage, so arity and column types are always the stage's.
-        let staged = |chunk: Chunk| match stage {
+        let mut chunks = Vec::new();
+        let lane = |chunk: Chunk| match stage {
             Some(f) => f(chunk),
             None => Ok(chunk),
         };
+        let stitch = |chunk: Chunk| {
+            chunks.push(chunk);
+            Ok(())
+        };
+        self.scan_fold(store, projection, pred, meter, opts, (lane, stitch))?;
+        // The lanes hand their chunks over by value: stitch by moving.
+        Chunk::concat(chunks)
+    }
+
+    /// The one scan body: a two-phase late-materialization morsel scan
+    /// whose row groups go to an ordered consumer instead of a stitch.
+    ///
+    /// Each surviving row group is one morsel, and the task that owns it
+    /// is the only one that asks for its pages: it loads and decodes the
+    /// predicate inputs and evaluates the mask. A group whose mask comes
+    /// up all-false is finished — its projection pages are never
+    /// requested. Otherwise the projection pages are loaded and read, and
+    /// only projected columns are filtered. Nothing is fetched ahead of
+    /// the group being read, so the scan's I/O plan is a function of the
+    /// survivor list: each page requested once, by the task that decodes
+    /// it.
+    ///
+    /// `fold` is `(lane, consume)`. `lane` runs on each group's chunk in
+    /// the lane that decoded it; `consume` takes the lane's results in
+    /// group order, one at a time ([`IoCore::run_fold`]), so what it
+    /// builds is a function of the rows in scan order, not of the worker
+    /// count. `lane` also runs once on an empty chunk of the projection's
+    /// types when no group survives pruning, so `consume` always sees at
+    /// least one result.
+    pub(crate) fn scan_fold<T, L, C>(
+        &self,
+        store: &dyn PageStore,
+        projection: &[usize],
+        pred: Option<&Expr>,
+        meter: &WorkMeter,
+        opts: ScanOptions,
+        (lane, mut consume): (L, C),
+    ) -> IqResult<()>
+    where
+        T: Send,
+        L: Fn(Chunk) -> IqResult<T> + Sync,
+        C: FnMut(T) -> IqResult<()> + Send,
+    {
+        let workers = opts.workers;
+        let stats = store.scan_stats();
+        // Every exit of a group — and the scan without one — goes through
+        // `lane`, so arity and column types are always the lane's.
         let no_rows = || {
             let empty = |&c: &usize| Col::empty(self.schema.columns[c].dtype);
             Chunk::new(projection.iter().map(empty).collect())
@@ -350,7 +390,7 @@ impl TableMeta {
         if let Some(s) = store.io_stats() {
             io = io.with_stats(s);
         }
-        let chunks = io.run_ordered(survivors.len(), |i| -> IqResult<Chunk> {
+        let morsel = |i: usize| -> IqResult<T> {
             let g = survivors[i];
             // The task that owns a group loads that group's pages, each
             // phase's just before it reads them: non-demand for every
@@ -419,7 +459,7 @@ impl TableMeta {
                         group: g as u64,
                         rows: 0,
                     });
-                    return staged(no_rows());
+                    return lane(no_rows());
                 }
                 if let Some(s) = &stats {
                     ScanStats::add(&s.groups_materialized, 1);
@@ -481,14 +521,12 @@ impl TableMeta {
                 group: g as u64,
                 rows: mask.as_ref().map_or(rows, Mask::count) as u64,
             });
-            staged(Chunk::new(out))
-        })?;
-
-        if chunks.is_empty() {
-            return staged(no_rows());
+            lane(Chunk::new(out))
+        };
+        if survivors.is_empty() {
+            return consume(lane(no_rows())?);
         }
-        // The lanes hand their chunks over by value: stitch by moving.
-        Chunk::concat(chunks)
+        io.run_fold(survivors.len(), morsel, consume)
     }
 
     /// Delete every row whose `key_col` value (an integer column) is in

@@ -16,7 +16,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use iq_common::{IqResult, TableId, TxnId};
 use iq_engine::chunk::Chunk;
 use iq_engine::expr::Expr;
-use iq_engine::ops::{hash_aggregate_exec, hash_join_exec, AggSpec, HashJoin, JoinType};
+use iq_engine::ops::{
+    hash_aggregate_exec, hash_join_exec, AggSpec, AggregateSink, HashJoin, JoinType,
+};
 use iq_engine::table::{ScanOptions, Schema, TableMeta, TableWriter};
 use iq_engine::value::{DataType, Value};
 use iq_engine::{MemPageStore, OpExec, WorkMeter};
@@ -184,6 +186,7 @@ fn kernels_allocate_per_column_and_group_not_per_row() {
     );
 
     probe_side_holds_no_table_sized_block(&store);
+    aggregate_sink_holds_no_table_sized_block(&store);
 }
 
 /// A `lineitem ⋈ orders ⋈ customer` plan with a selective final filter,
@@ -271,5 +274,101 @@ fn probe_side_holds_no_table_sized_block(store: &MemPageStore) {
     assert!(
         piped_peak * 16 <= whole_peak,
         "high-water mark: {piped_peak} bytes pipelined, {whole_peak} whole-chunk"
+    );
+}
+
+/// The Q1-shaped plan — a date predicate that keeps almost every row, two
+/// computed columns, a two-string-key aggregate — with the aggregate fed
+/// by the scan and after a stitched scan. One worker, so every number is
+/// exact.
+fn aggregate_sink_holds_no_table_sized_block(store: &MemPageStore) {
+    const LINE_GROUPS: u64 = 64;
+    let meter = WorkMeter::new();
+    let lineitem = load_groups(
+        store,
+        6,
+        Schema::new(&[
+            ("flag", DataType::Str),
+            ("status", DataType::Str),
+            ("qty", DataType::I64),
+            ("price", DataType::F64),
+            ("disc", DataType::F64),
+            ("tax", DataType::F64),
+            ("ship", DataType::Date),
+        ]),
+        LINE_GROUPS,
+        |i| {
+            vec![
+                Value::Str(["A", "N", "R"][i as usize % 3].into()),
+                Value::Str(["F", "O"][i as usize % 2].into()),
+                Value::I64(1 + i % 50),
+                Value::F64(900.0 + i as f64 * 0.25),
+                Value::F64((i % 11) as f64 * 0.01),
+                Value::F64((i % 9) as f64 * 0.01),
+                Value::Date(9_000 + (i % 2_000) as i32),
+            ]
+        },
+    );
+    // 98 % of the rows pass.
+    let pred = Expr::le(Expr::col(6), Expr::lit_date(10_960));
+    let disc_price = Expr::mul(Expr::col(3), Expr::sub(Expr::lit_f64(1.0), Expr::col(4)));
+    let charge = Expr::mul(Expr::col(6), Expr::add(Expr::lit_f64(1.0), Expr::col(5)));
+    let stage = |mut c: Chunk| -> IqResult<Chunk> {
+        for e in [&disc_price, &charge] {
+            let col = e.eval_on(&c)?;
+            c.cols.push(col);
+        }
+        Ok(c)
+    };
+    let aggs = [
+        AggSpec::sum(2),
+        AggSpec::sum(3),
+        AggSpec::sum(6),
+        AggSpec::sum(7),
+        AggSpec::avg(2),
+        AggSpec::avg(3),
+        AggSpec::avg(4),
+        AggSpec::count(0),
+    ];
+    let projection = [0, 1, 2, 3, 4, 5];
+    let serial = ScanOptions {
+        workers: 1,
+        late_mat: true,
+    };
+
+    let (folded, largest, sink_peak) = footprint(|| {
+        AggregateSink::new(Some(&stage), &[0, 1], &aggs)
+            .scan(&lineitem, store, &projection, Some(&pred), &meter, serial)
+            .unwrap()
+    });
+    let (stitched, _, stitched_peak) = footprint(|| {
+        let c = lineitem
+            .scan_with_options(
+                store,
+                &projection,
+                Some(&pred),
+                &meter,
+                serial,
+                Some(&stage),
+            )
+            .unwrap();
+        hash_aggregate_exec(&c, &[0, 1], &aggs, &meter, &OpExec::serial()).unwrap()
+    });
+    assert_eq!(folded, stitched);
+    assert_eq!(folded.len(), 6);
+
+    // A morsel-wide column of the widest type (`Arc<str>` is 16 bytes).
+    // (When written: 16 384 bytes, a decoded string column.)
+    let morsel_column = GROUP as usize * 16;
+    assert!(
+        largest <= morsel_column,
+        "largest allocation through the sink: {largest} bytes"
+    );
+    // Stitched, the scan holds eight columns of 98 % of the table; the
+    // sink holds a morsel and six groups (when written: 110 608 bytes
+    // against 10 240 256, a factor of 93).
+    assert!(
+        sink_peak * 10 <= stitched_peak,
+        "high-water mark: {sink_peak} bytes through the sink, {stitched_peak} stitched"
     );
 }

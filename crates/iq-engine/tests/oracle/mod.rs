@@ -112,9 +112,9 @@ enum AggState {
 
 fn new_state(kind: AggKind, col: &Col) -> AggState {
     match (kind, col) {
-        (AggKind::Sum, _) => AggState::Sum(0.0),
+        (AggKind::Sum, Col::F64(_) | Col::I64(_)) => AggState::Sum(0.0),
         (AggKind::Count, _) => AggState::Count(0),
-        (AggKind::Avg, _) => AggState::Avg(0.0, 0),
+        (AggKind::Avg, Col::F64(_) | Col::I64(_)) => AggState::Avg(0.0, 0),
         (AggKind::Min, Col::F64(_)) => AggState::MinF(None),
         (AggKind::Max, Col::F64(_)) => AggState::MaxF(None),
         (AggKind::Min, Col::I64(_) | Col::Date(_)) => AggState::MinI(None),

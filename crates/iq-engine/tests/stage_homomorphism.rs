@@ -7,7 +7,14 @@
 //!                                  through the retired `Vec<KeyVal>` join
 //! ```
 //!
-//! bitwise (floats by bit pattern), with equal `WorkMeter` totals.
+//! bitwise (floats by bit pattern), with equal `WorkMeter` totals. A
+//! scan-fed aggregate, which folds the staged morsels in scan order
+//! instead of stitching them, is likewise bitwise the materialised
+//! aggregate over the stitched staged scan:
+//!
+//! ```text
+//! AggregateSink(stage, group, aggs).scan() == hash_aggregate_exec(scan(stage), group, aggs)
+//! ```
 //!
 //! Tables hold every column type; the key columns draw from pools with
 //! `i64::MIN` / `MAX`, NaNs of different payloads, `0.0` / `-0.0` and
@@ -23,7 +30,7 @@ use std::sync::Arc;
 use iq_common::{IqResult, TableId, TxnId};
 use iq_engine::chunk::{Chunk, Col};
 use iq_engine::expr::Expr;
-use iq_engine::ops::{HashJoin, JoinType, OpExec};
+use iq_engine::ops::{hash_aggregate_exec, AggSpec, AggregateSink, HashJoin, JoinType, OpExec};
 use iq_engine::table::{ScanOptions, Schema, TableMeta, TableWriter};
 use iq_engine::value::{DataType, Value};
 use iq_engine::{MemPageStore, WorkMeter};
@@ -304,6 +311,156 @@ proptest! {
                     staged_meter.total(), plain_meter.total(),
                     "work units @ {} workers, late_mat {}", workers, late_mat
                 );
+            }
+        }
+    }
+}
+
+// The aggregate stage appends a string column that is not
+// dictionary-decoded (a fresh `Arc` per row) and a float column:
+const SHORT_STR: usize = 6;
+const COMPUTED: usize = 7;
+
+/// The stage a scan-fed aggregate runs in its lanes: a filter and two
+/// computed columns. Charges nothing of its own.
+fn aggregate_stage(c: Chunk, filter: &Option<Expr>) -> IqResult<Chunk> {
+    let mut c = match filter {
+        Some(f) => c.filter(&f.mask_on(&c)?),
+        None => c,
+    };
+    let short = Expr::substr(Expr::col(K_STR), 1, 1).eval_on(&c)?;
+    c.cols.push(short);
+    let computed = computed_expr().eval_on(&c)?;
+    c.cols.push(computed);
+    Ok(c)
+}
+
+/// Group columns: integers, floats with NaNs and `±0.0`, dictionary and
+/// non-dictionary strings, dates.
+const GROUP_COLS: [usize; 5] = [0, 1, K_STR, 3, SHORT_STR];
+
+/// Every `AggKind`, over every input type that feeds it.
+fn agg_specs() -> Vec<AggSpec> {
+    vec![
+        AggSpec::sum(MEASURE),
+        AggSpec::sum(SEQ),
+        AggSpec::avg(COMPUTED),
+        AggSpec::avg(SEQ),
+        AggSpec::count(K_STR),
+        AggSpec::min(1),
+        AggSpec::max(MEASURE),
+        AggSpec::min(SEQ),
+        AggSpec::max(3),
+        AggSpec::min(K_STR),
+        AggSpec::max(SHORT_STR),
+        AggSpec::count_distinct(0),
+        AggSpec::count_distinct(SEQ),
+    ]
+}
+
+/// [`predicate`], and a sixth kind the zone maps cannot see through that
+/// no row passes: every group survives pruning and its mask comes up
+/// empty.
+fn aggregate_predicate(kind: u8, rows: usize) -> Option<Expr> {
+    match kind {
+        6 => Some(Expr::eq(
+            Expr::modulo(Expr::col(SEQ), Expr::lit_i64(11)),
+            Expr::lit_i64(11),
+        )),
+        k => predicate(k, rows),
+    }
+}
+
+/// `(sink, materialised)` results and meter totals of one scan-fed
+/// aggregate against the stitched staged scan + the serial operator.
+fn both_aggregates(
+    meta: &TableMeta,
+    store: &MemPageStore,
+    pred: Option<&Expr>,
+    stage: &(dyn Fn(Chunk) -> IqResult<Chunk> + Sync),
+    group: &[usize],
+    aggs: &[AggSpec],
+    opts: ScanOptions,
+) -> ((Chunk, u64), (Chunk, u64)) {
+    let projection: Vec<usize> = (0..schema().len()).collect();
+    let sink_meter = WorkMeter::new();
+    let sink = AggregateSink::new(Some(stage), group, aggs)
+        .scan(meta, store, &projection, pred, &sink_meter, opts)
+        .unwrap();
+    let whole_meter = WorkMeter::new();
+    let stitched = meta
+        .scan_with_options(store, &projection, pred, &whole_meter, opts, Some(stage))
+        .unwrap();
+    let whole =
+        hash_aggregate_exec(&stitched, group, aggs, &whole_meter, &OpExec::serial()).unwrap();
+    ((sink, sink_meter.total()), (whole, whole_meter.total()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn a_scan_fed_aggregate_is_bitwise_the_materialised_one(
+        rows in proptest::collection::vec(row(), 0..160),
+        group in prop_oneof![Just(8u32), Just(16u32), Just(64u32)],
+        pred_kind in 0u8..7,
+        (filtered, pick) in (any::<bool>(), any::<u8>()),
+        group_picks in proptest::collection::vec(0usize..GROUP_COLS.len(), 0..4),
+        agg_picks in proptest::collection::vec(0usize..13, 1..5),
+    ) {
+        let store = MemPageStore::new();
+        let meta = load(&rows, group, &store);
+        let pred = aggregate_predicate(pred_kind, rows.len());
+        let filter = filtered.then(|| filter_expr(pick, rows.len()));
+        let stage = |c: Chunk| aggregate_stage(c, &filter);
+        let group_cols: Vec<usize> = group_picks.iter().map(|&p| GROUP_COLS[p]).collect();
+        let specs = agg_specs();
+        let aggs: Vec<AggSpec> = agg_picks.iter().map(|&p| specs[p]).collect();
+        for workers in [1usize, 2, 8] {
+            for late_mat in [true, false] {
+                let opts = ScanOptions { workers, late_mat };
+                let ((sink, sink_units), (whole, whole_units)) =
+                    both_aggregates(&meta, &store, pred.as_ref(), &stage, &group_cols, &aggs, opts);
+                assert_bitwise_eq(&sink, &whole)?;
+                prop_assert_eq!(
+                    sink_units, whole_units,
+                    "work units @ {} workers, late_mat {}", workers, late_mat
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_scalar_aggregate_over_no_rows_is_one_row_of_zero_states() {
+    let rows: Vec<([u8; 3], u8)> = (0..100u8).map(|i| ([i, i / 3, i / 7], i)).collect();
+    let store = MemPageStore::new();
+    let meta = load(&rows, 16, &store);
+    let stage = |c: Chunk| aggregate_stage(c, &None);
+    let aggs = agg_specs();
+    // Every group zone-pruned; every group read and its mask empty.
+    for pred_kind in [5, 6] {
+        let pred = aggregate_predicate(pred_kind, rows.len());
+        for workers in [1usize, 2, 8] {
+            for late_mat in [true, false] {
+                let opts = ScanOptions { workers, late_mat };
+                let ((sink, sink_units), (whole, whole_units)) =
+                    both_aggregates(&meta, &store, pred.as_ref(), &stage, &[], &aggs, opts);
+                assert_eq!(sink.len(), 1);
+                assert_bitwise_eq(&sink, &whole).unwrap();
+                assert_eq!(sink_units, whole_units);
+                // Grouped, no rows means no groups.
+                let ((sink, _), (whole, _)) = both_aggregates(
+                    &meta,
+                    &store,
+                    pred.as_ref(),
+                    &stage,
+                    &[0, K_STR],
+                    &aggs,
+                    opts,
+                );
+                assert_eq!(sink.len(), 0);
+                assert_bitwise_eq(&sink, &whole).unwrap();
             }
         }
     }

@@ -5,9 +5,11 @@
 //! one rule: build sides are scanned and built first; the probe-side
 //! table is then scanned *with* the plan's chain of probes, filters and
 //! computed columns as the scan's stage ([`Ctx::scan_then`]), so that
-//! chain runs one morsel at a time in the scan's lanes; and a scan is
-//! materialised only where a blocking consumer — an aggregate, a sort, a
-//! second consumer, being a build side — needs the whole of it.
+//! chain runs one morsel at a time in the scan's lanes; a scan whose one
+//! consumer is an aggregate feeds it morsel by morsel
+//! ([`Ctx::scan_aggregate`]); and a scan is materialised only where a
+//! blocking consumer — a sort, a second consumer, being a build side —
+//! needs the whole of it.
 //! Correlated subqueries use the classical rewrites: aggregate-then-join
 //! (Q2, Q15, Q17, Q20), semi joins for `EXISTS`/`IN` (Q4, Q18, Q20),
 //! anti joins for `NOT EXISTS`/`NOT IN` (Q16, Q22), and per-group
@@ -19,7 +21,7 @@ mod q12_22;
 use iq_common::{IqError, IqResult};
 use iq_engine::chunk::Chunk;
 use iq_engine::expr::Expr;
-use iq_engine::ops::HashJoin;
+use iq_engine::ops::{AggSpec, AggregateSink, HashJoin};
 use iq_engine::table::{ScanOptions, Stage, TableMeta};
 use iq_engine::value::parse_date;
 use iq_engine::{OpExec, PageStore, WorkMeter};
@@ -71,32 +73,63 @@ impl Ctx<'_> {
         pred: Option<Expr>,
         stage: Option<Stage<'_>>,
     ) -> IqResult<Chunk> {
-        let proj: Vec<usize> = cols
-            .iter()
-            .map(|c| {
-                table
-                    .schema
-                    .col(c)
-                    .ok_or_else(|| IqError::NotFound(format!("{}.{c}", table.name)))
-            })
-            .collect::<IqResult<_>>()?;
+        let proj = projection(table, cols)?;
         table.scan_with_options(
             self.store,
             &proj,
             pred.as_ref(),
             self.meter,
-            ScanOptions {
-                workers: self.store.scan_parallelism(),
-                late_mat: self.late_mat,
-            },
+            self.scan_options(),
             stage,
         )
+    }
+
+    /// `hash_aggregate_exec` over [`scan_then`](Ctx::scan_then) (or
+    /// [`scan`](Ctx::scan) without a stage), bitwise, with no stitched
+    /// chunk: the scan folds each morsel into the aggregate in row order.
+    pub fn scan_aggregate(
+        &self,
+        table: &TableMeta,
+        cols: &[&str],
+        pred: Option<Expr>,
+        stage: Option<Stage<'_>>,
+        group_cols: &[usize],
+        aggs: &[AggSpec],
+    ) -> IqResult<Chunk> {
+        let proj = projection(table, cols)?;
+        AggregateSink::new(stage, group_cols, aggs).scan(
+            table,
+            self.store,
+            &proj,
+            pred.as_ref(),
+            self.meter,
+            self.scan_options(),
+        )
+    }
+
+    fn scan_options(&self) -> ScanOptions {
+        ScanOptions {
+            workers: self.store.scan_parallelism(),
+            late_mat: self.late_mat,
+        }
     }
 
     /// The build side of a join over `right` keyed on `keys`.
     pub fn build<'c>(&self, right: &'c Chunk, keys: &[usize]) -> IqResult<HashJoin<'c>> {
         HashJoin::build(right, keys, self.meter, &self.exec)
     }
+}
+
+/// The schema indexes of `table`'s columns named `cols`.
+fn projection(table: &TableMeta, cols: &[&str]) -> IqResult<Vec<usize>> {
+    cols.iter()
+        .map(|c| {
+            table
+                .schema
+                .col(c)
+                .ok_or_else(|| IqError::NotFound(format!("{}.{c}", table.name)))
+        })
+        .collect()
 }
 
 /// Schema-index column reference for scan predicates.

@@ -17,7 +17,7 @@ pub fn q1(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     // disc_price = ext * (1 - disc); charge = disc_price * (1 + tax).
     let disc_price = discounted(3, 4);
     let charge = Expr::mul(Expr::col(6), Expr::add(Expr::lit_f64(1.0), Expr::col(5)));
-    let c = ctx.scan_then(
+    let agg = ctx.scan_aggregate(
         li,
         &[
             "l_returnflag",
@@ -28,10 +28,7 @@ pub fn q1(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             "l_tax",
         ],
         Some(pred),
-        &|c| with_cols(c, &[&disc_price, &charge]),
-    )?;
-    let agg = hash_aggregate_exec(
-        &c,
+        Some(&|c| with_cols(c, &[&disc_price, &charge])),
         &[0, 1],
         &[
             AggSpec::sum(2),
@@ -43,8 +40,6 @@ pub fn q1(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             AggSpec::avg(4),
             AggSpec::count(0),
         ],
-        ctx.meter,
-        &ctx.exec,
     )?;
     Ok(sort(
         &agg,
@@ -151,17 +146,18 @@ pub fn q3(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     )?;
     let orders = ctx.build(&orders, &[0])?;
     let rev = discounted(1, 2);
-    let j = ctx.scan_then(
+    let agg = ctx.scan_aggregate(
         &db.lineitem,
         &["l_orderkey", "l_extendedprice", "l_discount"],
         Some(Expr::gt(cx(&db.lineitem, "l_shipdate"), d("1995-03-15"))),
-        &|line| {
+        Some(&|line| {
             // line ⋈ orders: [l_orderkey, ext, disc, o_orderkey, o_custkey, o_orderdate, o_shippriority]
             let j = orders.probe(&line, &[0], JoinType::Inner, ctx.meter)?;
             with_cols(j, &[&rev]) // revenue at 7
-        },
+        }),
+        &[0, 5, 6],
+        &[AggSpec::sum(7)],
     )?;
-    let agg = hash_aggregate_exec(&j, &[0, 5, 6], &[AggSpec::sum(7)], ctx.meter, &ctx.exec)?;
     let out = sort(&agg, &[(3, SortDir::Desc), (1, SortDir::Asc)], ctx.meter);
     Ok(limit(&out, 10))
 }
@@ -178,16 +174,17 @@ pub fn q4(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         )),
     )?;
     let late = ctx.build(&late, &[0])?;
-    let j = ctx.scan_then(
+    let agg = ctx.scan_aggregate(
         &db.orders,
         &["o_orderkey", "o_orderpriority"],
         Some(Expr::and(
             Expr::ge(cx(&db.orders, "o_orderdate"), d("1993-07-01")),
             Expr::lt(cx(&db.orders, "o_orderdate"), d("1993-10-01")),
         )),
-        &|o| late.probe(&o, &[0], JoinType::Semi, ctx.meter),
+        Some(&|o| late.probe(&o, &[0], JoinType::Semi, ctx.meter)),
+        &[1],
+        &[AggSpec::count(0)],
     )?;
-    let agg = hash_aggregate_exec(&j, &[1], &[AggSpec::count(0)], ctx.meter, &ctx.exec)?;
     Ok(sort(&agg, &[(0, SortDir::Asc)], ctx.meter))
 }
 
@@ -213,11 +210,11 @@ pub fn q5(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let supp = ctx.build(&supp, &[0])?;
     let local = Expr::eq(Expr::col(7), Expr::col(9));
     let rev = discounted(2, 3);
-    let j = ctx.scan_then(
+    let agg = ctx.scan_aggregate(
         &db.lineitem,
         &["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
         None,
-        &|line| {
+        Some(&|line| {
             // line ⋈ oc: +4 → 8 cols, c_nationkey at 7.
             let j = oc.probe(&line, &[0], JoinType::Inner, ctx.meter)?;
             // +2 → s_suppkey 8, s_nationkey 9.
@@ -227,9 +224,10 @@ pub fn q5(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             // ⋈ asian nations: +3 → n_name at 11.
             let j = nations.probe(&j, &[9], JoinType::Inner, ctx.meter)?;
             with_cols(j, &[&rev]) // 13
-        },
+        }),
+        &[11],
+        &[AggSpec::sum(13)],
     )?;
-    let agg = hash_aggregate_exec(&j, &[11], &[AggSpec::sum(13)], ctx.meter, &ctx.exec)?;
     Ok(sort(&agg, &[(1, SortDir::Desc)], ctx.meter))
 }
 
@@ -247,10 +245,14 @@ pub fn q6(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         Expr::lt(cx(li, "l_quantity"), Expr::lit_i64(24)),
     ]);
     let rev = Expr::mul(Expr::col(0), Expr::col(1));
-    let c = ctx.scan_then(li, &["l_extendedprice", "l_discount"], Some(pred), &|c| {
-        with_cols(c, &[&rev])
-    })?;
-    hash_aggregate_exec(&c, &[], &[AggSpec::sum(2)], ctx.meter, &ctx.exec)
+    ctx.scan_aggregate(
+        li,
+        &["l_extendedprice", "l_discount"],
+        Some(pred),
+        Some(&|c| with_cols(c, &[&rev])),
+        &[],
+        &[AggSpec::sum(2)],
+    )
 }
 
 /// Q7 — volume shipping between FRANCE and GERMANY.
@@ -278,7 +280,7 @@ pub fn q7(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     );
     let year = Expr::year(Expr::col(4));
     let vol = discounted(2, 3);
-    let j = ctx.scan_then(
+    let agg = ctx.scan_aggregate(
         &db.lineitem,
         &[
             "l_orderkey",
@@ -292,7 +294,7 @@ pub fn q7(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             d("1995-01-01"),
             d("1996-12-31"),
         )),
-        &|line| {
+        Some(&|line| {
             let j = supp.probe(&line, &[1], JoinType::Inner, ctx.meter)?; // s_nationkey 6
             let j = orders.probe(&j, &[0], JoinType::Inner, ctx.meter)?; // o_custkey 8
             let j = cust.probe(&j, &[8], JoinType::Inner, ctx.meter)?; // c_nationkey 10
@@ -300,9 +302,10 @@ pub fn q7(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             let j = n2.probe(&j, &[10], JoinType::Inner, ctx.meter)?; // cust n_name 14
             let j = filter_on(&j, &fr_de)?;
             with_cols(j, &[&year, &vol]) // 15, 16
-        },
+        }),
+        &[12, 14, 15],
+        &[AggSpec::sum(16)],
     )?;
-    let agg = hash_aggregate_exec(&j, &[12, 14, 15], &[AggSpec::sum(16)], ctx.meter, &ctx.exec)?;
     Ok(sort(
         &agg,
         &[(0, SortDir::Asc), (1, SortDir::Asc), (2, SortDir::Asc)],
@@ -355,7 +358,7 @@ pub fn q8(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         Expr::col(16),
         Expr::lit_f64(0.0),
     );
-    let j = ctx.scan_then(
+    let agg = ctx.scan_aggregate(
         &db.lineitem,
         &[
             "l_orderkey",
@@ -365,7 +368,7 @@ pub fn q8(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             "l_discount",
         ],
         None,
-        &|line| {
+        Some(&|line| {
             let j = part.probe(&line, &[1], JoinType::Inner, ctx.meter)?; // 6 cols
             let j = orders.probe(&j, &[0], JoinType::Inner, ctx.meter)?; // o_custkey 7, o_orderdate 8
             let j = cust.probe(&j, &[7], JoinType::Inner, ctx.meter)?; // c_nationkey 10
@@ -373,14 +376,9 @@ pub fn q8(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             let j = supp.probe(&j, &[2], JoinType::Inner, ctx.meter)?; // s_nationkey 12
             let j = n2.probe(&j, &[12], JoinType::Inner, ctx.meter)?; // n2 name 14
             with_cols(j, &[&year, &vol, &brazil]) // 15, 16, 17
-        },
-    )?;
-    let agg = hash_aggregate_exec(
-        &j,
+        }),
         &[15],
         &[AggSpec::sum(17), AggSpec::sum(16)],
-        ctx.meter,
-        &ctx.exec,
     )?;
     let share = Expr::div(Expr::col(1), Expr::col(2));
     let out = with_cols(agg, &[&share])?.project(&[0, 3]);
@@ -411,7 +409,7 @@ pub fn q9(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let year = Expr::year(Expr::col(13));
     // amount = ext*(1-disc) - cost*qty
     let amount = Expr::sub(discounted(4, 5), Expr::mul(Expr::col(11), Expr::col(3)));
-    let j = ctx.scan_then(
+    let agg = ctx.scan_aggregate(
         &db.lineitem,
         &[
             "l_orderkey",
@@ -422,16 +420,17 @@ pub fn q9(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             "l_discount",
         ],
         None,
-        &|line| {
+        Some(&|line| {
             let j = part.probe(&line, &[1], JoinType::Inner, ctx.meter)?; // 7 cols
             let j = supp.probe(&j, &[2], JoinType::Inner, ctx.meter)?; // s_nationkey 8
             let j = ps.probe(&j, &[1, 2], JoinType::Inner, ctx.meter)?; // cost 11
             let j = orders.probe(&j, &[0], JoinType::Inner, ctx.meter)?; // o_orderdate 13
             let j = nation.probe(&j, &[8], JoinType::Inner, ctx.meter)?; // n_name 15
             with_cols(j, &[&year, &amount]) // 16, 17
-        },
+        }),
+        &[15, 16],
+        &[AggSpec::sum(17)],
     )?;
-    let agg = hash_aggregate_exec(&j, &[15, 16], &[AggSpec::sum(17)], ctx.meter, &ctx.exec)?;
     Ok(sort(
         &agg,
         &[(0, SortDir::Asc), (1, SortDir::Desc)],
@@ -468,26 +467,21 @@ pub fn q10(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let cust = ctx.build(&cust, &[0])?;
     let nation = ctx.build(&nation, &[0])?;
     let rev = discounted(1, 2);
-    let j = ctx.scan_then(
+    let agg = ctx.scan_aggregate(
         &db.lineitem,
         &["l_orderkey", "l_extendedprice", "l_discount"],
         Some(Expr::eq(
             cx(&db.lineitem, "l_returnflag"),
             Expr::lit_str("R"),
         )),
-        &|line| {
+        Some(&|line| {
             let j = orders.probe(&line, &[0], JoinType::Inner, ctx.meter)?; // o_custkey 4
             let j = cust.probe(&j, &[4], JoinType::Inner, ctx.meter)?; // cust 5..=11
             let j = nation.probe(&j, &[9], JoinType::Inner, ctx.meter)?; // n_name 13
             with_cols(j, &[&rev]) // 14
-        },
-    )?;
-    let agg = hash_aggregate_exec(
-        &j,
+        }),
         &[5, 6, 7, 8, 13, 10, 11],
         &[AggSpec::sum(14)],
-        ctx.meter,
-        &ctx.exec,
     )?;
     let out = sort(&agg, &[(7, SortDir::Desc)], ctx.meter);
     Ok(limit(&out, 20))

@@ -35,16 +35,16 @@ pub fn q12(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         Expr::lit_i64(0),
     );
     let low = Expr::sub(Expr::lit_i64(1), Expr::col(4));
-    let j = ctx.scan_then(li, &["l_orderkey", "l_shipmode"], Some(pred), &|line| {
-        let j = orders.probe(&line, &[0], JoinType::Inner, ctx.meter)?; // priority 3
-        with_cols(j, &[&high, &low]) // 4, 5
-    })?;
-    let agg = hash_aggregate_exec(
-        &j,
+    let agg = ctx.scan_aggregate(
+        li,
+        &["l_orderkey", "l_shipmode"],
+        Some(pred),
+        Some(&|line| {
+            let j = orders.probe(&line, &[0], JoinType::Inner, ctx.meter)?; // priority 3
+            with_cols(j, &[&high, &low]) // 4, 5
+        }),
         &[1],
         &[AggSpec::sum(4), AggSpec::sum(5)],
-        ctx.meter,
-        &ctx.exec,
     )?;
     Ok(sort(&agg, &[(0, SortDir::Asc)], ctx.meter))
 }
@@ -63,11 +63,15 @@ pub fn q13(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let orders = ctx.build(&orders, &[1])?;
     // Left join keeps customers with no orders; the trailing marker column
     // is 1 for matches, 0 otherwise.
-    let j = ctx.scan_then(&db.customer, &["c_custkey"], None, &|cust| {
-        orders.probe(&cust, &[0], JoinType::Left, ctx.meter)
-    })?;
-    let marker = j.cols.len() - 1;
-    let per_cust = hash_aggregate_exec(&j, &[0], &[AggSpec::sum(marker)], ctx.meter, &ctx.exec)?;
+    // [c_custkey, o_orderkey, o_custkey, marker]
+    let per_cust = ctx.scan_aggregate(
+        &db.customer,
+        &["c_custkey"],
+        None,
+        Some(&|cust| orders.probe(&cust, &[0], JoinType::Left, ctx.meter)),
+        &[0],
+        &[AggSpec::sum(3)],
+    )?;
     // c_count arrives as a float sum of markers; materialize as integers
     // for grouping.
     let counts = Col::I64(per_cust.col(1).f64s().iter().map(|&x| x as i64).collect());
@@ -91,24 +95,19 @@ pub fn q14(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         Expr::col(5),
         Expr::lit_f64(0.0),
     );
-    let j = ctx.scan_then(
+    let agg = ctx.scan_aggregate(
         &db.lineitem,
         &["l_partkey", "l_extendedprice", "l_discount"],
         Some(Expr::and(
             Expr::ge(cx(&db.lineitem, "l_shipdate"), d("1995-09-01")),
             Expr::lt(cx(&db.lineitem, "l_shipdate"), d("1995-10-01")),
         )),
-        &|line| {
+        Some(&|line| {
             let j = part.probe(&line, &[0], JoinType::Inner, ctx.meter)?; // p_type 4
             with_cols(j, &[&rev, &promo]) // 5, 6
-        },
-    )?;
-    let agg = hash_aggregate_exec(
-        &j,
+        }),
         &[],
         &[AggSpec::sum(6), AggSpec::sum(5)],
-        ctx.meter,
-        &ctx.exec,
     )?;
     let pct = Expr::div(Expr::mul(Expr::lit_f64(100.0), Expr::col(0)), Expr::col(1));
     Ok(Chunk::new(vec![pct.eval_on(&agg)?]))
@@ -118,16 +117,17 @@ pub fn q14(ctx: &Ctx<'_>) -> IqResult<Chunk> {
 pub fn q15(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let db = ctx.db;
     let rev = discounted(1, 2);
-    let line = ctx.scan_then(
+    let revenue = ctx.scan_aggregate(
         &db.lineitem,
         &["l_suppkey", "l_extendedprice", "l_discount"],
         Some(Expr::and(
             Expr::ge(cx(&db.lineitem, "l_shipdate"), d("1996-01-01")),
             Expr::lt(cx(&db.lineitem, "l_shipdate"), d("1996-04-01")),
         )),
-        &|line| with_cols(line, &[&rev]), // 3
+        Some(&|line| with_cols(line, &[&rev])), // 3
+        &[0],
+        &[AggSpec::sum(3)],
     )?;
-    let revenue = hash_aggregate_exec(&line, &[0], &[AggSpec::sum(3)], ctx.meter, &ctx.exec)?;
     let max = hash_aggregate_exec(&revenue, &[], &[AggSpec::max(1)], ctx.meter, &ctx.exec)?;
     let max_rev = max.col(0).f64s()[0];
     let top = filter_on(&revenue, &Expr::eq(Expr::col(1), Expr::lit_f64(max_rev)))?;
@@ -167,16 +167,16 @@ pub fn q16(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     )?;
     let bad = ctx.build(&bad, &[0])?;
     let part = ctx.build(&part, &[0])?;
-    let j = ctx.scan_then(&db.partsupp, &["ps_partkey", "ps_suppkey"], None, &|ps| {
-        let ps = bad.probe(&ps, &[1], JoinType::Anti, ctx.meter)?;
-        part.probe(&ps, &[0], JoinType::Inner, ctx.meter) // brand 3, type 4, size 5
-    })?;
-    let agg = hash_aggregate_exec(
-        &j,
+    let agg = ctx.scan_aggregate(
+        &db.partsupp,
+        &["ps_partkey", "ps_suppkey"],
+        None,
+        Some(&|ps| {
+            let ps = bad.probe(&ps, &[1], JoinType::Anti, ctx.meter)?;
+            part.probe(&ps, &[0], JoinType::Inner, ctx.meter) // brand 3, type 4, size 5
+        }),
         &[3, 4, 5],
         &[AggSpec::count_distinct(1)],
-        ctx.meter,
-        &ctx.exec,
     )?;
     Ok(sort(
         &agg,
@@ -223,8 +223,14 @@ pub fn q17(ctx: &Ctx<'_>) -> IqResult<Chunk> {
 /// Q18 — large-volume customers (qty > 300 orders).
 pub fn q18(ctx: &Ctx<'_>) -> IqResult<Chunk> {
     let db = ctx.db;
-    let line = ctx.scan(&db.lineitem, &["l_orderkey", "l_quantity"], None)?;
-    let per_order = hash_aggregate_exec(&line, &[0], &[AggSpec::sum(1)], ctx.meter, &ctx.exec)?;
+    let per_order = ctx.scan_aggregate(
+        &db.lineitem,
+        &["l_orderkey", "l_quantity"],
+        None,
+        None,
+        &[0],
+        &[AggSpec::sum(1)],
+    )?;
     let big = filter_on(&per_order, &Expr::gt(Expr::col(1), Expr::lit_f64(300.0)))?;
     let cust = ctx.scan(&db.customer, &["c_custkey", "c_name"], None)?;
     let big = ctx.build(&big, &[0])?;
@@ -291,7 +297,7 @@ pub fn q19(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         ),
     );
     let rev = discounted(2, 3);
-    let j = ctx.scan_then(
+    ctx.scan_aggregate(
         li,
         &["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
         Some(Expr::and(
@@ -301,12 +307,13 @@ pub fn q19(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             ),
             Expr::eq(cx(li, "l_shipinstruct"), Expr::lit_str("DELIVER IN PERSON")),
         )),
-        &|line| {
+        Some(&|line| {
             let j = part.probe(&line, &[0], JoinType::Inner, ctx.meter)?;
             with_cols(filter_on(&j, &pred)?, &[&rev]) // 8
-        },
-    )?;
-    hash_aggregate_exec(&j, &[], &[AggSpec::sum(8)], ctx.meter, &ctx.exec)
+        }),
+        &[],
+        &[AggSpec::sum(8)],
+    )
 }
 
 /// Q20 — potential part promotion: CANADA suppliers of `forest%` parts
@@ -318,15 +325,17 @@ pub fn q20(ctx: &Ctx<'_>) -> IqResult<Chunk> {
         &["p_partkey"],
         Some(Expr::like(cx(&db.part, "p_name"), "forest%")),
     )?;
-    let line = ctx.scan(
+    let shipped = ctx.scan_aggregate(
         &db.lineitem,
         &["l_partkey", "l_suppkey", "l_quantity"],
         Some(Expr::and(
             Expr::ge(cx(&db.lineitem, "l_shipdate"), d("1994-01-01")),
             Expr::lt(cx(&db.lineitem, "l_shipdate"), d("1995-01-01")),
         )),
+        None,
+        &[0, 1],
+        &[AggSpec::sum(2)],
     )?;
-    let shipped = hash_aggregate_exec(&line, &[0, 1], &[AggSpec::sum(2)], ctx.meter, &ctx.exec)?;
     let forest = ctx.build(&forest, &[0])?;
     let shipped = ctx.build(&shipped, &[0, 1])?;
     let in_surplus = Expr::gt(Expr::col(2), Expr::mul(Expr::lit_f64(0.5), Expr::col(5)));
@@ -387,8 +396,12 @@ pub fn q21(ctx: &Ctx<'_>) -> IqResult<Chunk> {
             Expr::lit_str("F"),
         )),
     )?;
+    // Distinct suppliers per order, overall (EXISTS l2) ... Materialised,
+    // not scan-fed: through the sink, each morsel's (order, supplier) pairs
+    // would intern on the one ordered lane, where the partitioned plan
+    // interns them in parallel — this aggregate is `COUNT(DISTINCT)` over
+    // all of `lineitem`, and the query got slower.
     let all_lines = ctx.scan(&db.lineitem, &["l_orderkey", "l_suppkey"], None)?;
-    // Distinct suppliers per order, overall (EXISTS l2) ...
     let n_all = hash_aggregate_exec(
         &all_lines,
         &[0],
