@@ -126,6 +126,17 @@ impl Col {
         }
     }
 
+    /// Drop every row, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        match self {
+            Col::I64(v) => v.clear(),
+            Col::F64(v) => v.clear(),
+            Col::Str(v) => v.clear(),
+            Col::Date(v) => v.clear(),
+            Col::Bool(v) => v.clear(),
+        }
+    }
+
     /// Typed accessors (panic on wrong variant — internal plan errors).
     pub fn i64s(&self) -> &[i64] {
         match self {

@@ -44,15 +44,15 @@ impl Dictionary {
         Self::default()
     }
 
-    /// Intern a string, returning its code.
-    pub fn encode(&mut self, s: &str) -> u32 {
-        if let Some(&c) = self.index.get(s) {
+    /// Intern a string, returning its code. A string seen for the first
+    /// time is kept as the caller's `Arc`, not copied.
+    pub fn encode(&mut self, s: &Arc<str>) -> u32 {
+        if let Some(&c) = self.index.get(&**s) {
             return c;
         }
-        let arc: Arc<str> = Arc::from(s);
         let code = self.strings.len() as u32;
-        self.strings.push(Arc::clone(&arc));
-        self.index.insert(arc, code);
+        self.strings.push(Arc::clone(s));
+        self.index.insert(Arc::clone(s), code);
         code
     }
 
@@ -88,11 +88,19 @@ impl Serialize for Dictionary {
 }
 
 impl<'de> Deserialize<'de> for Dictionary {
+    /// Refuses a list that repeats a string: interning it would collapse
+    /// the repeat and shift every later code onto the wrong string.
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let strs = Vec::<String>::deserialize(deserializer)?;
         let mut d = Dictionary::new();
         for s in strs {
-            d.encode(&s);
+            if d.lookup(&s).is_some() {
+                return Err(serde::de::Error::custom(format!(
+                    "dictionary repeats {s:?} at code {}",
+                    d.len()
+                )));
+            }
+            d.encode(&Arc::from(s));
         }
         Ok(d)
     }
@@ -480,9 +488,9 @@ mod tests {
     #[test]
     fn dictionary_interns_stably() {
         let mut d = Dictionary::new();
-        let a = d.encode("FRANCE");
-        let b = d.encode("GERMANY");
-        let a2 = d.encode("FRANCE");
+        let a = d.encode(&"FRANCE".into());
+        let b = d.encode(&"GERMANY".into());
+        let a2 = d.encode(&"FRANCE".into());
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(d.decode(b).unwrap().as_ref(), "GERMANY");
@@ -494,12 +502,24 @@ mod tests {
     #[test]
     fn dictionary_serde_roundtrip() {
         let mut d = Dictionary::new();
-        d.encode("x");
-        d.encode("y");
+        for i in 0..300 {
+            d.encode(&format!("s{}", i * 7 % 300).into());
+        }
         let json = serde_json::to_string(&d).unwrap();
         let back: Dictionary = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.lookup("y"), Some(1));
-        assert_eq!(back.len(), 2);
+        assert_eq!(back.len(), d.len());
+        for code in 0..d.len() as u32 {
+            let s = d.decode(code).unwrap();
+            assert_eq!(back.decode(code).unwrap(), s);
+            assert_eq!(back.lookup(&s), Some(code));
+        }
+    }
+
+    #[test]
+    fn dictionary_with_a_repeat_fails_to_deserialize() {
+        let err = serde_json::from_str::<Dictionary>(r#"["a","b","a","c"]"#).unwrap_err();
+        assert!(err.to_string().contains("repeats"), "{err}");
+        assert!(serde_json::from_str::<Dictionary>(r#"["a","b","c"]"#).is_ok());
     }
 
     #[test]
@@ -575,7 +595,7 @@ mod tests {
         assert!(decode_column(&[9, 0, 0, 0, 0], None).is_err()); // bad tag
         assert!(decode_column(&[0, 1], None).is_err()); // truncated
         let mut dict = Dictionary::new();
-        let codes = [dict.encode("z")];
+        let codes = [dict.encode(&"z".into())];
         let enc = encode_column(&Col::Str(vec!["z".into()]), Some(&codes)).unwrap();
         assert!(decode_column(&enc, None).is_err()); // dict required
     }
@@ -1049,7 +1069,7 @@ mod tests {
             // page are left to the fixed seed.
             let mut dict = Dictionary::new();
             (0..5).for_each(|i| {
-                dict.encode(&format!("s{i}"));
+                dict.encode(&format!("s{i}").into());
             });
             // Either bytes as they come, or behind a header that names a
             // known tag and a small count, so the payload parsers run.
@@ -1079,7 +1099,7 @@ mod tests {
             cut in any::<usize>(),
         ) {
             let mut dict = Dictionary::new();
-            let codes: Vec<u32> = values.iter().map(|v| dict.encode(&v.to_string())).collect();
+            let codes: Vec<u32> = values.iter().map(|v| dict.encode(&v.to_string().into())).collect();
             let col = match kind {
                 0 => Col::I64(values.iter().map(|&v| v as i64 * 1000).collect()),
                 1 => Col::Date(values.iter().map(|&v| v as i32).collect()),

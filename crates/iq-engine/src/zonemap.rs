@@ -68,12 +68,22 @@ impl ZoneEntry {
                     ZoneEntry::Flt { min, max }
                 }
             }
-            Col::Str(v) => match (v.iter().min(), v.iter().max()) {
-                (Some(min), Some(max)) => ZoneEntry::Txt {
-                    min: min.to_string(),
-                    max: max.to_string(),
-                },
-                _ => ZoneEntry::None,
+            Col::Str(v) => match v.split_first() {
+                Some((first, rest)) => {
+                    let (mut min, mut max) = (&**first, &**first);
+                    for s in rest {
+                        if **s < *min {
+                            min = s;
+                        } else if **s > *max {
+                            max = s;
+                        }
+                    }
+                    ZoneEntry::Txt {
+                        min: min.to_owned(),
+                        max: max.to_owned(),
+                    }
+                }
+                None => ZoneEntry::None,
             },
             // Booleans summarize as a 0/1 numeric range so equality
             // predicates (`flag = TRUE` evaluates as `flag = 1`) prune

@@ -5,10 +5,10 @@
 
 use iq_common::{IqResult, TableId, TxnId};
 use iq_engine::table::{Schema, TableMeta, TableWriter};
-use iq_engine::value::{DataType, Value};
+use iq_engine::value::DataType;
 use iq_engine::{PageStore, WorkMeter};
 
-use crate::gen::Generator;
+use crate::gen::{Generator, Sink};
 
 /// The eight TPC-H tables, loaded.
 pub struct TpchDb {
@@ -175,50 +175,28 @@ impl TpchDb {
         let g = Generator::new(sf, seed);
         let mut db = Self::schemas(sf, row_group_size);
 
-        let load_rows = |meta: &mut TableMeta, rows: Vec<Vec<Value>>| -> IqResult<()> {
+        // One table at a time, each finished before the next begins, so
+        // pages are written in load order.
+        let load = |meta: &mut TableMeta, rows: fn(&Generator, Sink) -> IqResult<()>| {
             let mut w = TableWriter::new(meta, store, txn, meter);
-            for row in rows {
-                w.append_row(&row)?;
-            }
+            rows(&g, &mut |row| w.append_row(row))?;
             w.finish()
         };
-        load_rows(&mut db.region, g.region_rows())?;
-        load_rows(&mut db.nation, g.nation_rows())?;
-        load_rows(&mut db.supplier, g.supplier_rows())?;
-        load_rows(&mut db.customer, g.customer_rows())?;
-        load_rows(&mut db.part, g.part_rows())?;
-        load_rows(&mut db.partsupp, g.partsupp_rows())?;
+        load(&mut db.region, Generator::region)?;
+        load(&mut db.nation, Generator::nation)?;
+        load(&mut db.supplier, Generator::supplier)?;
+        load(&mut db.customer, Generator::customer)?;
+        load(&mut db.part, Generator::part)?;
+        load(&mut db.partsupp, Generator::partsupp)?;
 
         // Orders and lineitems stream together.
-        {
-            let mut ow = TableWriter::new(&mut db.orders, store, txn, meter);
-            let mut lw = TableWriter::new(&mut db.lineitem, store, txn, meter);
-            let first_err: std::cell::RefCell<Option<iq_common::IqError>> =
-                std::cell::RefCell::new(None);
-            g.order_and_lineitem_rows(
-                |o| {
-                    let mut slot = first_err.borrow_mut();
-                    if slot.is_none() {
-                        if let Err(e) = ow.append_row(&o) {
-                            *slot = Some(e);
-                        }
-                    }
-                },
-                |l| {
-                    let mut slot = first_err.borrow_mut();
-                    if slot.is_none() {
-                        if let Err(e) = lw.append_row(&l) {
-                            *slot = Some(e);
-                        }
-                    }
-                },
-            );
-            if let Some(e) = first_err.into_inner() {
-                return Err(e);
-            }
-            ow.finish()?;
-            lw.finish()?;
-        }
+        let mut ow = TableWriter::new(&mut db.orders, store, txn, meter);
+        let mut lw = TableWriter::new(&mut db.lineitem, store, txn, meter);
+        g.orders_and_lines(g.orders(), &mut |o| ow.append_row(o), &mut |l| {
+            lw.append_row(l)
+        })?;
+        ow.finish()?;
+        lw.finish()?;
         Ok(db)
     }
 

@@ -15,7 +15,9 @@
 //!   (`custkey % 3 != 0`) that gives Q22 its anti-join selectivity;
 //! * supplier assignment `ps_suppkey = (p + i·(S/4 + (p-1)/S)) % S + 1`.
 
-use iq_common::DetRng;
+use std::sync::Arc;
+
+use iq_common::{DetRng, IqResult};
 use iq_engine::value::{date_to_days, Value};
 
 use crate::text;
@@ -35,10 +37,102 @@ pub fn end_order_date() -> i32 {
     date_to_days(1998, 8, 2)
 }
 
+/// Where the generator hands each row: borrowed, from the generator's
+/// stack, for the length of the call, so nothing is allocated for the row
+/// itself; a consumer that keeps it copies it (cloning a `Value::Str`
+/// clones an `Arc`). An error stops the generator and is returned from it.
+pub(crate) type Sink<'a> = &'a mut dyn FnMut(&[Value]) -> IqResult<()>;
+
 /// Deterministic TPC-H generator at a given scale factor.
 pub struct Generator {
     sf: f64,
     seed: u64,
+    vocab: Vocab,
+}
+
+/// Every string of a small-domain column, built once per generator: a row
+/// holding one clones its `Arc` and allocates nothing.
+struct Vocab {
+    regions: Vec<Arc<str>>,
+    nations: Vec<Arc<str>>,
+    segments: Vec<Arc<str>>,
+    /// `Manufacturer#m`, at `m - 1`.
+    mfgrs: Vec<Arc<str>>,
+    /// `Brand#mn`, at `5(m - 1) + n - 1`.
+    brands: Vec<Arc<str>>,
+    /// `p_type`, the syllables' product in order: at `25a + 5b + c`.
+    types: Vec<Arc<str>>,
+    /// `p_container`, the syllables' product in order: at `8a + b`.
+    containers: Vec<Arc<str>>,
+    /// `Clerk#n`, at `n - 1`.
+    clerks: Vec<Arc<str>>,
+    priorities: Vec<Arc<str>>,
+    instructions: Vec<Arc<str>>,
+    modes: Vec<Arc<str>>,
+    /// `R`, `A`, `N`: line-item return flags.
+    returnflag: [Arc<str>; 3],
+    /// `F`, `O`, `P`: line statuses (the first two) and order statuses.
+    status: [Arc<str>; 3],
+}
+
+fn arcs<S: AsRef<str>>(strings: impl IntoIterator<Item = S>) -> Vec<Arc<str>> {
+    strings.into_iter().map(|s| Arc::from(s.as_ref())).collect()
+}
+
+/// Every `"a b"` of `a` in `firsts` and `b` in `seconds`, in that nesting.
+fn product(firsts: &[&str], seconds: &[impl AsRef<str>]) -> Vec<String> {
+    firsts
+        .iter()
+        .flat_map(|a| seconds.iter().map(move |b| format!("{a} {}", b.as_ref())))
+        .collect()
+}
+
+impl Vocab {
+    fn new(clerks: u64) -> Self {
+        let letters = |l: [&str; 3]| l.map(Arc::from);
+        Self {
+            regions: arcs(text::REGIONS),
+            nations: arcs(text::NATIONS.map(|(name, _)| name)),
+            segments: arcs(text::SEGMENTS),
+            mfgrs: arcs((1..=5).map(|m| format!("Manufacturer#{m}"))),
+            brands: arcs((1..=5).flat_map(|m| (1..=5).map(move |n| format!("Brand#{m}{n}")))),
+            types: arcs(product(
+                &text::TYPE_SYL1,
+                &product(&text::TYPE_SYL2, &text::TYPE_SYL3),
+            )),
+            containers: arcs(product(&text::CONTAINER_SYL1, &text::CONTAINER_SYL2)),
+            clerks: arcs((1..=clerks).map(|n| format!("Clerk#{n:09}"))),
+            priorities: arcs(text::PRIORITIES),
+            instructions: arcs(text::INSTRUCTIONS),
+            modes: arcs(text::MODES),
+            returnflag: letters(["R", "A", "N"]),
+            status: letters(["F", "O", "P"]),
+        }
+    }
+}
+
+/// A large-domain string: `write` it into the reused `scratch`, then
+/// allocate exactly its length once.
+fn fresh(scratch: &mut String, write: impl FnOnce(&mut String)) -> Value {
+    scratch.clear();
+    write(scratch);
+    Value::Str(Arc::from(scratch.as_str()))
+}
+
+/// A shared small-domain string.
+fn shared(s: &Arc<str>) -> Value {
+    Value::Str(Arc::clone(s))
+}
+
+/// Every row `rows` hands its sink, each copied out.
+fn collect(rows: impl FnOnce(Sink) -> IqResult<()>) -> Vec<Vec<Value>> {
+    let mut out = Vec::new();
+    rows(&mut |row| {
+        out.push(row.to_vec());
+        Ok(())
+    })
+    .expect("a sink that only collects cannot fail");
+    out
 }
 
 /// dbgen's retail-price formula.
@@ -49,7 +143,12 @@ pub fn retail_price(partkey: i64) -> f64 {
 impl Generator {
     /// Generator for scale factor `sf`, seeded.
     pub fn new(sf: f64, seed: u64) -> Self {
-        Self { sf, seed }
+        let clerks = (sf * 1000.0).round().max(1.0) as u64;
+        Self {
+            sf,
+            seed,
+            vocab: Vocab::new(clerks),
+        }
     }
 
     fn scaled(&self, base: u64) -> i64 {
@@ -82,132 +181,36 @@ impl Generator {
 
     /// REGION rows: `r_regionkey, r_name, r_comment`.
     pub fn region_rows(&self) -> Vec<Vec<Value>> {
-        let mut rng = self.rng(1);
-        text::REGIONS
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                vec![
-                    Value::I64(i as i64),
-                    Value::Str((*name).into()),
-                    Value::Str(text::comment(&mut rng, 5).into()),
-                ]
-            })
-            .collect()
+        collect(|row| self.region(row))
     }
 
     /// NATION rows: `n_nationkey, n_name, n_regionkey, n_comment`.
     pub fn nation_rows(&self) -> Vec<Vec<Value>> {
-        let mut rng = self.rng(2);
-        text::NATIONS
-            .iter()
-            .enumerate()
-            .map(|(i, (name, region))| {
-                vec![
-                    Value::I64(i as i64),
-                    Value::Str((*name).into()),
-                    Value::I64(*region),
-                    Value::Str(text::comment(&mut rng, 5).into()),
-                ]
-            })
-            .collect()
+        collect(|row| self.nation(row))
     }
 
     /// SUPPLIER rows: `s_suppkey, s_name, s_address, s_nationkey, s_phone,
     /// s_acctbal, s_comment`.
     pub fn supplier_rows(&self) -> Vec<Vec<Value>> {
-        let mut rng = self.rng(3);
-        (1..=self.suppliers())
-            .map(|k| {
-                let nation = rng.below(25) as i64;
-                vec![
-                    Value::I64(k),
-                    Value::Str(format!("Supplier#{k:09}").into()),
-                    Value::Str(text::comment(&mut rng, 2).into()),
-                    Value::I64(nation),
-                    Value::Str(text::phone(&mut rng, nation).into()),
-                    Value::F64((rng.below(1_099_999) as f64 - 99_999.0) / 100.0),
-                    Value::Str(text::supplier_comment(&mut rng, 0.005).into()),
-                ]
-            })
-            .collect()
+        collect(|row| self.supplier(row))
     }
 
     /// CUSTOMER rows: `c_custkey, c_name, c_address, c_nationkey, c_phone,
     /// c_acctbal, c_mktsegment, c_comment`.
     pub fn customer_rows(&self) -> Vec<Vec<Value>> {
-        let mut rng = self.rng(4);
-        (1..=self.customers())
-            .map(|k| {
-                let nation = rng.below(25) as i64;
-                vec![
-                    Value::I64(k),
-                    Value::Str(format!("Customer#{k:09}").into()),
-                    Value::Str(text::comment(&mut rng, 2).into()),
-                    Value::I64(nation),
-                    Value::Str(text::phone(&mut rng, nation).into()),
-                    Value::F64((rng.below(1_099_999) as f64 - 99_999.0) / 100.0),
-                    Value::Str(text::pick(&mut rng, &text::SEGMENTS).into()),
-                    Value::Str(text::comment(&mut rng, 6).into()),
-                ]
-            })
-            .collect()
+        collect(|row| self.customer(row))
     }
 
     /// PART rows: `p_partkey, p_name, p_mfgr, p_brand, p_type, p_size,
     /// p_container, p_retailprice, p_comment`.
     pub fn part_rows(&self) -> Vec<Vec<Value>> {
-        let mut rng = self.rng(5);
-        (1..=self.parts())
-            .map(|k| {
-                let m = 1 + rng.below(5);
-                let n = 1 + rng.below(5);
-                let ptype = format!(
-                    "{} {} {}",
-                    text::pick(&mut rng, &text::TYPE_SYL1),
-                    text::pick(&mut rng, &text::TYPE_SYL2),
-                    text::pick(&mut rng, &text::TYPE_SYL3)
-                );
-                let container = format!(
-                    "{} {}",
-                    text::pick(&mut rng, &text::CONTAINER_SYL1),
-                    text::pick(&mut rng, &text::CONTAINER_SYL2)
-                );
-                vec![
-                    Value::I64(k),
-                    Value::Str(text::part_name(&mut rng).into()),
-                    Value::Str(format!("Manufacturer#{m}").into()),
-                    Value::Str(format!("Brand#{m}{n}").into()),
-                    Value::Str(ptype.into()),
-                    Value::I64(1 + rng.below(50) as i64),
-                    Value::Str(container.into()),
-                    Value::F64(retail_price(k)),
-                    Value::Str(text::comment(&mut rng, 3).into()),
-                ]
-            })
-            .collect()
+        collect(|row| self.part(row))
     }
 
     /// PARTSUPP rows: `ps_partkey, ps_suppkey, ps_availqty, ps_supplycost,
     /// ps_comment`.
     pub fn partsupp_rows(&self) -> Vec<Vec<Value>> {
-        let mut rng = self.rng(6);
-        let s = self.suppliers();
-        let mut out = Vec::with_capacity(self.parts() as usize * 4);
-        for p in 1..=self.parts() {
-            for i in 0..4i64 {
-                // Spec supplier-spread formula.
-                let supp = (p + i * (s / 4 + (p - 1) / s)) % s + 1;
-                out.push(vec![
-                    Value::I64(p),
-                    Value::I64(supp),
-                    Value::I64(1 + rng.below(9_999) as i64),
-                    Value::F64(1.0 + rng.below(99_900) as f64 / 100.0),
-                    Value::Str(text::comment(&mut rng, 5).into()),
-                ]);
-            }
-        }
-        out
+        collect(|row| self.partsupp(row))
     }
 
     /// Generate ORDERS and LINEITEM together. Calls `order(row)` once per
@@ -236,11 +239,151 @@ impl Generator {
         mut order: impl FnMut(Vec<Value>),
         mut line: impl FnMut(Vec<Value>),
     ) {
+        self.orders_and_lines(
+            n,
+            &mut |o| {
+                order(o.to_vec());
+                Ok(())
+            },
+            &mut |l| {
+                line(l.to_vec());
+                Ok(())
+            },
+        )
+        .expect("these sinks never return an error");
+    }
+
+    /// REGION, one row at a time.
+    pub(crate) fn region(&self, row: Sink) -> IqResult<()> {
+        let mut rng = self.rng(1);
+        let mut s = String::new();
+        for (i, name) in self.vocab.regions.iter().enumerate() {
+            row(&[
+                Value::I64(i as i64),
+                shared(name),
+                fresh(&mut s, |s| text::comment(&mut rng, 5, s)),
+            ])?;
+        }
+        Ok(())
+    }
+
+    /// NATION, one row at a time.
+    pub(crate) fn nation(&self, row: Sink) -> IqResult<()> {
+        let mut rng = self.rng(2);
+        let mut s = String::new();
+        for (i, (name, (_, region))) in self.vocab.nations.iter().zip(text::NATIONS).enumerate() {
+            row(&[
+                Value::I64(i as i64),
+                shared(name),
+                Value::I64(region),
+                fresh(&mut s, |s| text::comment(&mut rng, 5, s)),
+            ])?;
+        }
+        Ok(())
+    }
+
+    /// SUPPLIER, one row at a time.
+    pub(crate) fn supplier(&self, row: Sink) -> IqResult<()> {
+        let mut rng = self.rng(3);
+        let mut s = String::new();
+        for k in 1..=self.suppliers() {
+            let nation = rng.below(25) as i64;
+            row(&[
+                Value::I64(k),
+                fresh(&mut s, |s| write_key(s, "Supplier#", k)),
+                fresh(&mut s, |s| text::comment(&mut rng, 2, s)),
+                Value::I64(nation),
+                fresh(&mut s, |s| text::phone(&mut rng, nation, s)),
+                Value::F64((rng.below(1_099_999) as f64 - 99_999.0) / 100.0),
+                fresh(&mut s, |s| text::supplier_comment(&mut rng, 0.005, s)),
+            ])?;
+        }
+        Ok(())
+    }
+
+    /// CUSTOMER, one row at a time.
+    pub(crate) fn customer(&self, row: Sink) -> IqResult<()> {
+        let mut rng = self.rng(4);
+        let mut s = String::new();
+        for k in 1..=self.customers() {
+            let nation = rng.below(25) as i64;
+            row(&[
+                Value::I64(k),
+                fresh(&mut s, |s| write_key(s, "Customer#", k)),
+                fresh(&mut s, |s| text::comment(&mut rng, 2, s)),
+                Value::I64(nation),
+                fresh(&mut s, |s| text::phone(&mut rng, nation, s)),
+                Value::F64((rng.below(1_099_999) as f64 - 99_999.0) / 100.0),
+                Value::Str(text::pick(&mut rng, &self.vocab.segments)),
+                fresh(&mut s, |s| text::comment(&mut rng, 6, s)),
+            ])?;
+        }
+        Ok(())
+    }
+
+    /// PART, one row at a time.
+    pub(crate) fn part(&self, row: Sink) -> IqResult<()> {
+        let mut rng = self.rng(5);
+        let mut s = String::new();
+        let v = &self.vocab;
+        for k in 1..=self.parts() {
+            let m = rng.below(5) as usize;
+            let n = rng.below(5) as usize;
+            let ptype = {
+                let a = rng.below(text::TYPE_SYL1.len() as u64) as usize;
+                let b = rng.below(text::TYPE_SYL2.len() as u64) as usize;
+                let c = rng.below(text::TYPE_SYL3.len() as u64) as usize;
+                &v.types[(a * text::TYPE_SYL2.len() + b) * text::TYPE_SYL3.len() + c]
+            };
+            let container = {
+                let a = rng.below(text::CONTAINER_SYL1.len() as u64) as usize;
+                let b = rng.below(text::CONTAINER_SYL2.len() as u64) as usize;
+                &v.containers[a * text::CONTAINER_SYL2.len() + b]
+            };
+            row(&[
+                Value::I64(k),
+                fresh(&mut s, |s| text::part_name(&mut rng, s)),
+                shared(&v.mfgrs[m]),
+                shared(&v.brands[5 * m + n]),
+                shared(ptype),
+                Value::I64(1 + rng.below(50) as i64),
+                shared(container),
+                Value::F64(retail_price(k)),
+                fresh(&mut s, |s| text::comment(&mut rng, 3, s)),
+            ])?;
+        }
+        Ok(())
+    }
+
+    /// PARTSUPP, one row at a time.
+    pub(crate) fn partsupp(&self, row: Sink) -> IqResult<()> {
+        let mut rng = self.rng(6);
+        let mut s = String::new();
+        let suppliers = self.suppliers();
+        for p in 1..=self.parts() {
+            for i in 0..4i64 {
+                // Spec supplier-spread formula.
+                let supp = (p + i * (suppliers / 4 + (p - 1) / suppliers)) % suppliers + 1;
+                row(&[
+                    Value::I64(p),
+                    Value::I64(supp),
+                    Value::I64(1 + rng.below(9_999) as i64),
+                    Value::F64(1.0 + rng.below(99_900) as f64 / 100.0),
+                    fresh(&mut s, |s| text::comment(&mut rng, 5, s)),
+                ])?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The first `n` orders, one row at a time, each after its line items.
+    pub(crate) fn orders_and_lines(&self, n: i64, order: Sink, line: Sink) -> IqResult<()> {
         let mut rng = self.rng(7);
+        let mut s = String::new();
+        let v = &self.vocab;
         let customers = self.customers();
         let parts = self.parts();
         let suppliers = self.suppliers();
-        let clerks = (self.sf * 1000.0).round().max(1.0) as u64;
         let date_span = (end_order_date() - start_date()) as u64;
         let cut = current_date();
 
@@ -269,21 +412,21 @@ impl Generator {
                 let receiptdate = shipdate + 1 + rng.below(30) as i32;
                 let returnflag = if receiptdate <= cut {
                     if rng.chance(0.5) {
-                        "R"
+                        &v.returnflag[0]
                     } else {
-                        "A"
+                        &v.returnflag[1]
                     }
                 } else {
-                    "N"
+                    &v.returnflag[2]
                 };
-                let linestatus = if shipdate > cut { "O" } else { "F" };
-                if linestatus == "F" {
+                let shipped = shipdate <= cut;
+                if shipped {
                     statuses.0 += 1;
                 } else {
                     statuses.1 += 1;
                 }
                 total += extprice * (1.0 - discount) * (1.0 + tax);
-                line(vec![
+                line(&[
                     Value::I64(okey),
                     Value::I64(partkey),
                     Value::I64(suppkey),
@@ -292,36 +435,41 @@ impl Generator {
                     Value::F64(extprice),
                     Value::F64(discount),
                     Value::F64(tax),
-                    Value::Str(returnflag.into()),
-                    Value::Str(linestatus.into()),
+                    shared(returnflag),
+                    shared(&v.status[usize::from(!shipped)]),
                     Value::Date(shipdate),
                     Value::Date(commitdate),
                     Value::Date(receiptdate),
-                    Value::Str(text::pick(&mut rng, &text::INSTRUCTIONS).into()),
-                    Value::Str(text::pick(&mut rng, &text::MODES).into()),
-                    Value::Str(text::comment(&mut rng, 3).into()),
-                ]);
+                    Value::Str(text::pick(&mut rng, &v.instructions)),
+                    Value::Str(text::pick(&mut rng, &v.modes)),
+                    fresh(&mut s, |s| text::comment(&mut rng, 3, s)),
+                ])?;
             }
-            let status = if statuses.1 == 0 {
-                "F"
-            } else if statuses.0 == 0 {
-                "O"
-            } else {
-                "P"
+            let status = match statuses {
+                (_, 0) => &v.status[0],
+                (0, _) => &v.status[1],
+                _ => &v.status[2],
             };
-            order(vec![
+            order(&[
                 Value::I64(okey),
                 Value::I64(custkey),
-                Value::Str(status.into()),
+                shared(status),
                 Value::F64(total),
                 Value::Date(orderdate),
-                Value::Str(text::pick(&mut rng, &text::PRIORITIES).into()),
-                Value::Str(format!("Clerk#{:09}", 1 + rng.below(clerks)).into()),
+                Value::Str(text::pick(&mut rng, &v.priorities)),
+                Value::Str(text::pick(&mut rng, &v.clerks)),
                 Value::I64(0),
-                Value::Str(text::order_comment(&mut rng, 0.02).into()),
-            ]);
+                fresh(&mut s, |s| text::order_comment(&mut rng, 0.02, s)),
+            ])?;
         }
+        Ok(())
     }
+}
+
+/// `prefix` and `key` zero-padded to nine digits, as dbgen names rows.
+fn write_key(out: &mut String, prefix: &str, key: i64) {
+    use std::fmt::Write;
+    write!(out, "{prefix}{key:09}").expect("writing to a String cannot fail");
 }
 
 #[cfg(test)]

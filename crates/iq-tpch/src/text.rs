@@ -1,5 +1,7 @@
 //! Fixed vocabularies from the TPC-H specification and text synthesis.
 
+use std::fmt::Write;
+
 use iq_common::DetRng;
 
 /// The 25 nations with their region keys (spec table: N_NATIONKEY,
@@ -135,74 +137,71 @@ pub const COMMENT_WORDS: [&str; 24] = [
     "waters",
 ];
 
-/// Pick one of a fixed slice.
-pub fn pick<'a>(rng: &mut DetRng, xs: &[&'a str]) -> &'a str {
-    xs[rng.below(xs.len() as u64) as usize]
+/// Pick one of a fixed slice (a shared string's `Arc` is cloned).
+pub fn pick<T: Clone>(rng: &mut DetRng, xs: &[T]) -> T {
+    xs[rng.below(xs.len() as u64) as usize].clone()
 }
 
-/// Random comment of `words` words.
-pub fn comment(rng: &mut DetRng, words: usize) -> String {
-    let mut out = String::new();
+/// Append a random comment of `words` words to `out`.
+pub fn comment(rng: &mut DetRng, words: usize, out: &mut String) {
     for i in 0..words {
         if i > 0 {
             out.push(' ');
         }
         out.push_str(pick(rng, &COMMENT_WORDS));
     }
-    out
 }
 
-/// Order comment; with probability `p_special` it embeds the
-/// `special ... requests` pattern Q13 filters on.
-pub fn order_comment(rng: &mut DetRng, p_special: f64) -> String {
+/// Append an order comment to `out`; with probability `p_special` it
+/// embeds the `special ... requests` pattern Q13 filters on.
+pub fn order_comment(rng: &mut DetRng, p_special: f64, out: &mut String) {
     if rng.chance(p_special) {
-        format!(
-            "{} special {} requests {}",
-            pick(rng, &COMMENT_WORDS),
-            pick(rng, &COMMENT_WORDS),
-            pick(rng, &COMMENT_WORDS)
-        )
+        out.push_str(pick(rng, &COMMENT_WORDS));
+        out.push_str(" special ");
+        out.push_str(pick(rng, &COMMENT_WORDS));
+        out.push_str(" requests ");
+        out.push_str(pick(rng, &COMMENT_WORDS));
     } else {
-        comment(rng, 4)
+        comment(rng, 4, out);
     }
 }
 
-/// Supplier comment; small fractions carry the `Customer ... Complaints`
-/// or `Customer ... Recommends` markers Q16 excludes on.
-pub fn supplier_comment(rng: &mut DetRng, p_complaint: f64) -> String {
+/// Append a supplier comment to `out`; small fractions carry the
+/// `Customer ... Complaints` marker Q16 excludes on.
+pub fn supplier_comment(rng: &mut DetRng, p_complaint: f64, out: &mut String) {
     if rng.chance(p_complaint) {
-        format!(
-            "{} Customer {} Complaints",
-            pick(rng, &COMMENT_WORDS),
-            pick(rng, &COMMENT_WORDS)
-        )
+        out.push_str(pick(rng, &COMMENT_WORDS));
+        out.push_str(" Customer ");
+        out.push_str(pick(rng, &COMMENT_WORDS));
+        out.push_str(" Complaints");
     } else {
-        comment(rng, 4)
+        comment(rng, 4, out);
     }
 }
 
-/// P_NAME: five distinct-ish words.
-pub fn part_name(rng: &mut DetRng) -> String {
-    let mut out = String::new();
+/// Append a P_NAME to `out`: five distinct-ish words.
+pub fn part_name(rng: &mut DetRng, out: &mut String) {
     for i in 0..5 {
         if i > 0 {
             out.push(' ');
         }
         out.push_str(pick(rng, &P_NAME_WORDS));
     }
-    out
 }
 
-/// Phone number with the spec's country-code structure:
-/// `CC-LLL-LLL-LLLL` where `CC = nationkey + 10` (Q22 parses this prefix).
-pub fn phone(rng: &mut DetRng, nationkey: i64) -> String {
-    format!(
+/// Append a phone number to `out`, with the spec's country-code
+/// structure: `CC-LLL-LLL-LLLL` where `CC = nationkey + 10` (Q22 parses
+/// this prefix).
+pub fn phone(rng: &mut DetRng, nationkey: i64, out: &mut String) {
+    write!(
+        out,
         "{}-{:03}-{:03}-{:04}",
         nationkey + 10,
         100 + rng.below(900),
         100 + rng.below(900),
         1000 + rng.below(9000)
     )
+    .expect("writing to a String cannot fail");
 }
 
 #[cfg(test)]
@@ -218,8 +217,8 @@ mod tests {
 
     #[test]
     fn phone_encodes_nation() {
-        let mut rng = DetRng::new(1);
-        let p = phone(&mut rng, 3);
+        let mut p = String::new();
+        phone(&mut DetRng::new(1), 3, &mut p);
         assert!(p.starts_with("13-"));
         assert_eq!(p.len(), "13-123-456-7890".len());
         // Q22 parses the first two characters.
@@ -231,7 +230,8 @@ mod tests {
         let mut rng = DetRng::new(2);
         let hits = (0..1000)
             .filter(|_| {
-                let c = order_comment(&mut rng, 0.1);
+                let mut c = String::new();
+                order_comment(&mut rng, 0.1, &mut c);
                 c.contains("special") && c.contains("requests")
             })
             .count();
@@ -242,15 +242,20 @@ mod tests {
     fn part_names_contain_colors_sometimes() {
         let mut rng = DetRng::new(3);
         let green = (0..500)
-            .filter(|_| part_name(&mut rng).contains("green"))
+            .filter(|_| {
+                let mut name = String::new();
+                part_name(&mut rng, &mut name);
+                name.contains("green")
+            })
             .count();
         assert!(green > 10, "green={green}");
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let a = comment(&mut DetRng::new(9), 5);
-        let b = comment(&mut DetRng::new(9), 5);
+        let (mut a, mut b) = (String::new(), String::new());
+        comment(&mut DetRng::new(9), 5, &mut a);
+        comment(&mut DetRng::new(9), 5, &mut b);
         assert_eq!(a, b);
     }
 }
