@@ -1,10 +1,9 @@
 //! Columnar batches flowing between operators.
 
-use std::sync::Arc;
-
 use iq_common::{IqError, IqResult};
 
 use crate::mask::Mask;
+use crate::strcol::StrCol;
 use crate::value::{DataType, Value};
 
 /// One materialized column.
@@ -14,8 +13,8 @@ pub enum Col {
     I64(Vec<i64>),
     /// Floats.
     F64(Vec<f64>),
-    /// Strings (cheaply clonable).
-    Str(Vec<Arc<str>>),
+    /// Strings: codes over a shared list of distinct strings.
+    Str(StrCol),
     /// Dates (days since epoch).
     Date(Vec<i32>),
     /// Booleans (predicate results).
@@ -55,7 +54,7 @@ impl Col {
         match self {
             Col::I64(v) => Value::I64(v[row]),
             Col::F64(v) => Value::F64(v[row]),
-            Col::Str(v) => Value::Str(Arc::clone(&v[row])),
+            Col::Str(v) => Value::Str(v.value(row)),
             Col::Date(v) => Value::Date(v[row]),
             Col::Bool(v) => Value::I64(v[row] as i64),
         }
@@ -82,7 +81,7 @@ impl Col {
         match self {
             Col::I64(v) => Col::I64(pick(v, mask)),
             Col::F64(v) => Col::F64(pick(v, mask)),
-            Col::Str(v) => Col::Str(pick(v, mask)),
+            Col::Str(v) => Col::Str(v.with_codes(pick(v.codes(), mask))),
             Col::Date(v) => Col::Date(pick(v, mask)),
             Col::Bool(v) => Col::Bool(pick(v, mask)),
         }
@@ -96,7 +95,7 @@ impl Col {
         match self {
             Col::I64(v) => Col::I64(pick(v, idx)),
             Col::F64(v) => Col::F64(pick(v, idx)),
-            Col::Str(v) => Col::Str(pick(v, idx)),
+            Col::Str(v) => Col::Str(v.with_codes(pick(v.codes(), idx))),
             Col::Date(v) => Col::Date(pick(v, idx)),
             Col::Bool(v) => Col::Bool(pick(v, idx)),
         }
@@ -107,7 +106,7 @@ impl Col {
         match (self, other) {
             (Col::I64(a), Col::I64(b)) => a.extend(b),
             (Col::F64(a), Col::F64(b)) => a.extend(b),
-            (Col::Str(a), Col::Str(b)) => a.extend(b),
+            (Col::Str(a), Col::Str(b)) => a.append(b),
             (Col::Date(a), Col::Date(b)) => a.extend(b),
             (Col::Bool(a), Col::Bool(b)) => a.extend(b),
             _ => return Err(IqError::Invalid("column type mismatch on append".into())),
@@ -153,8 +152,8 @@ impl Col {
         }
     }
 
-    /// String slice.
-    pub fn strs(&self) -> &[Arc<str>] {
+    /// String column.
+    pub fn strs(&self) -> &StrCol {
         match self {
             Col::Str(v) => v,
             _ => panic!("expected Str column"),
@@ -183,7 +182,7 @@ impl Col {
             (Col::I64(c), Value::I64(x)) => c.push(*x),
             (Col::F64(c), Value::F64(x)) => c.push(*x),
             (Col::F64(c), Value::I64(x)) => c.push(*x as f64),
-            (Col::Str(c), Value::Str(x)) => c.push(Arc::clone(x)),
+            (Col::Str(c), Value::Str(x)) => c.push(x),
             (Col::Date(c), Value::Date(x)) => c.push(*x),
             (col, v) => {
                 return Err(IqError::Invalid(format!(
@@ -201,7 +200,7 @@ impl Col {
         match dtype {
             DataType::I64 => Col::I64(Vec::new()),
             DataType::F64 => Col::F64(Vec::new()),
-            DataType::Str => Col::Str(Vec::new()),
+            DataType::Str => Col::Str(StrCol::default()),
             DataType::Date => Col::Date(Vec::new()),
         }
     }
@@ -296,7 +295,7 @@ mod tests {
         Chunk::new(vec![
             Col::I64(vec![1, 2, 3]),
             Col::F64(vec![1.5, 2.5, 3.5]),
-            Col::Str(vec!["a".into(), "b".into(), "c".into()]),
+            Col::Str(["a", "b", "c"].into_iter().collect()),
         ])
     }
 
@@ -307,7 +306,7 @@ mod tests {
         assert_eq!(f.len(), 2);
         assert_eq!(f.col(0).i64s(), &[1, 3]);
         let t = c.take(&[2, 0, 0]);
-        assert_eq!(t.col(2).strs()[0].as_ref(), "c");
+        assert_eq!(&t.col(2).strs()[0], "c");
         assert_eq!(t.col(0).i64s(), &[3, 1, 1]);
         let p = c.project(&[2, 0]);
         assert_eq!(p.cols.len(), 2);
@@ -338,7 +337,7 @@ mod tests {
     fn concat_moves_chunks_in_order() {
         let out = Chunk::concat(vec![sample(), sample().take(&[]), sample().take(&[2])]).unwrap();
         assert_eq!(out.col(0).i64s(), &[1, 2, 3, 3]);
-        assert_eq!(out.col(2).strs()[3].as_ref(), "c");
+        assert_eq!(&out.col(2).strs()[3], "c");
         assert!(Chunk::concat(Vec::new()).unwrap().cols.is_empty());
         let bad = Chunk::new(vec![Col::I64(vec![1])]);
         assert!(Chunk::concat(vec![sample(), bad]).is_err());

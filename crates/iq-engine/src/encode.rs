@@ -22,7 +22,7 @@
 //! | 3 | `Date` | n-bit values |
 //! | 4 | `F64`, page dictionary | `len − 1 u8 \| len × f64 LE \| n-bit codes` |
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use iq_common::{IqError, IqResult};
@@ -30,12 +30,16 @@ use serde::{Deserialize, Serialize};
 
 use crate::chunk::Col;
 use crate::mask::Mask;
+use crate::strcol::{remap, StrCol, StrList};
 
-/// Per-column string dictionary (built during load, stable thereafter).
+/// Per-column string dictionary (built during load, stable thereafter):
+/// an append-only [`StrList`] behind an `Arc`, which every column decoded
+/// against the dictionary shares. A string new to the dictionary goes into
+/// a copy of the list when a decoded column still holds it, so no
+/// column's strings change under it.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    strings: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+    list: Arc<StrList>,
 }
 
 impl Dictionary {
@@ -47,42 +51,54 @@ impl Dictionary {
     /// Intern a string, returning its code. A string seen for the first
     /// time is kept as the caller's `Arc`, not copied.
     pub fn encode(&mut self, s: &Arc<str>) -> u32 {
-        if let Some(&c) = self.index.get(&**s) {
-            return c;
+        match self.list.lookup(s) {
+            Some(code) => code,
+            None => Arc::make_mut(&mut self.list).intern(s),
         }
-        let code = self.strings.len() as u32;
-        self.strings.push(Arc::clone(s));
-        self.index.insert(Arc::clone(s), code);
-        code
     }
 
     /// Look up a code.
     pub fn decode(&self, code: u32) -> IqResult<Arc<str>> {
-        self.strings
-            .get(code as usize)
+        self.list
+            .get(code)
             .cloned()
             .ok_or_else(|| IqError::Corruption(format!("dictionary code {code} out of range")))
     }
 
     /// Code for a string, if interned (query-time constant lookup).
     pub fn lookup(&self, s: &str) -> Option<u32> {
-        self.index.get(s).copied()
+        self.list.lookup(s)
     }
 
     /// Number of distinct strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.list.len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.list.is_empty()
+    }
+
+    /// The strings in code order: the list a decoded column indexes.
+    pub fn list(&self) -> &Arc<StrList> {
+        &self.list
+    }
+
+    /// The codes of `col`'s strings in this dictionary: the column's own
+    /// when it indexes this dictionary's list, else interned — new
+    /// strings appended — once per distinct code of the column.
+    pub(crate) fn codes_of<'c>(&mut self, col: &'c StrCol) -> Cow<'c, [u32]> {
+        if Arc::ptr_eq(col.list(), &self.list) {
+            return Cow::Borrowed(col.codes());
+        }
+        Cow::Owned(remap(col.codes(), col.list(), |s| self.encode(s)))
     }
 }
 
 impl Serialize for Dictionary {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let strs: Vec<&str> = self.strings.iter().map(AsRef::as_ref).collect();
+        let strs: Vec<&str> = self.list.iter().collect();
         strs.serialize(serializer)
     }
 }
@@ -372,8 +388,8 @@ pub fn decode_column(bytes: &[u8], dict: Option<&Dictionary>) -> IqResult<Col> {
 
 /// Decode a page body that must hold exactly `rows` rows when given
 /// (`Corruption` otherwise), keeping only the rows `sel` selects when
-/// given: an unselected row's value — a string above all — is never
-/// materialized.
+/// given: an unselected row's value is never read. A string page needs
+/// `dict` and decodes to codes over its list.
 pub fn decode_rows(
     bytes: &[u8],
     dict: Option<&Dictionary>,
@@ -441,43 +457,38 @@ pub fn decode_rows(
             Ok(Col::F64(values))
         }
         TAG_STR => {
-            let dict =
+            let list =
                 dict.ok_or_else(|| IqError::Invalid("string column needs a dictionary".into()))?;
-            let mut failed = None;
-            let strs = NBit::parse(payload, count)?.collect(sel, |code| {
-                dict.decode(code as u32).unwrap_or_else(|e| {
-                    failed = Some(e);
-                    Arc::from("")
-                })
+            let list = list.list();
+            // The codes are copied as they are; the largest is checked
+            // against the list once, after the pass.
+            let mut high = 0u64;
+            let codes = NBit::parse(payload, count)?.collect(sel, |code| {
+                high = high.max(code as u64);
+                code as u32
             });
-            failed.map_or(Ok(Col::Str(strs)), Err)
+            if !codes.is_empty() && high >= list.len() as u64 {
+                return Err(IqError::Corruption(format!(
+                    "dictionary code {high} past its {} entries",
+                    list.len()
+                )));
+            }
+            Ok(Col::Str(StrCol::from_codes(codes, Arc::clone(list))))
         }
         other => Err(IqError::Corruption(format!("unknown column tag {other}"))),
     }
 }
 
-/// Decode a string column image to its raw dictionary codes, skipping
-/// string materialization entirely — the scan's dictionary-domain filter
-/// path compares these `u32`s against code literals instead of cloning an
-/// `Arc<str>` per row.
+/// Decode a string column image to its raw dictionary codes, with no
+/// dictionary at hand.
 pub fn decode_codes(bytes: &[u8]) -> IqResult<Vec<u32>> {
-    decode_codes_as(bytes, None, |c| c)
-}
-
-/// [`decode_codes`] straight into the caller's code type, for a page that
-/// must hold `rows` rows when given.
-pub(crate) fn decode_codes_as<T>(
-    bytes: &[u8],
-    rows: Option<usize>,
-    f: impl Fn(u32) -> T,
-) -> IqResult<Vec<T>> {
-    let (tag, count, payload) = image(bytes, rows)?;
+    let (tag, count, payload) = image(bytes, None)?;
     if tag != TAG_STR {
         return Err(IqError::Invalid(format!(
             "code decode on non-string column (tag {tag})"
         )));
     }
-    Ok(NBit::parse(payload, count)?.collect(None, |c| f(c as u32)))
+    Ok(NBit::parse(payload, count)?.collect(None, |c| c as u32))
 }
 
 #[cfg(test)]
@@ -553,9 +564,12 @@ mod tests {
             .map(|s| Arc::from(*s))
             .collect();
         let codes: Vec<u32> = values.iter().map(|s| dict.encode(s)).collect();
-        let enc = encode_column(&Col::Str(values.clone()), Some(&codes)).unwrap();
+        let col = Col::Str(values.iter().collect());
+        let enc = encode_column(&col, Some(&codes)).unwrap();
         let dec = decode_column(&enc, Some(&dict)).unwrap();
-        assert_eq!(dec.strs(), &values[..]);
+        assert_eq!(dec, col);
+        assert!(Arc::ptr_eq(dec.strs().list(), dict.list()));
+        assert_eq!(dec.strs().codes(), codes);
         assert_eq!(dict.len(), 3);
     }
 
@@ -567,7 +581,7 @@ mod tests {
             .map(|s| Arc::from(*s))
             .collect();
         let codes: Vec<u32> = values.iter().map(|s| dict.encode(s)).collect();
-        let enc = encode_column(&Col::Str(values), Some(&codes)).unwrap();
+        let enc = encode_column(&Col::Str(values.iter().collect()), Some(&codes)).unwrap();
         // No dictionary needed: raw codes come straight off the page.
         assert_eq!(decode_codes(&enc).unwrap(), codes);
         // Non-string images are rejected.
@@ -590,14 +604,24 @@ mod tests {
     #[test]
     fn errors_on_bad_input() {
         assert!(encode_column(&Col::Bool(vec![true]), None).is_err());
-        assert!(encode_column(&Col::Str(vec!["a".into()]), None).is_err());
-        assert!(encode_column(&Col::Str(vec!["a".into()]), Some(&[1, 2])).is_err());
+        let a = Col::Str(["a"].into_iter().collect());
+        assert!(encode_column(&a, None).is_err());
+        assert!(encode_column(&a, Some(&[1, 2])).is_err());
         assert!(decode_column(&[9, 0, 0, 0, 0], None).is_err()); // bad tag
         assert!(decode_column(&[0, 1], None).is_err()); // truncated
         let mut dict = Dictionary::new();
         let codes = [dict.encode(&"z".into())];
-        let enc = encode_column(&Col::Str(vec!["z".into()]), Some(&codes)).unwrap();
+        let enc = encode_column(&Col::Str(["z"].into_iter().collect()), Some(&codes)).unwrap();
         assert!(decode_column(&enc, None).is_err()); // dict required
+                                                     // A code past the dictionary fails the page, selected or not.
+        let enc =
+            encode_column(&Col::Str(["z", "y"].into_iter().collect()), Some(&[0, 1])).unwrap();
+        for sel in [None, Some(&Mask::from_fn(2, |i| i == 1))] {
+            let got = decode_rows(&enc, Some(&dict), Some(2), sel);
+            assert!(matches!(got, Err(IqError::Corruption(_))));
+        }
+        let first = Mask::from_fn(2, |i| i == 0);
+        assert!(decode_rows(&enc, Some(&dict), Some(2), Some(&first)).is_ok());
     }
 
     // ------------------------------------------------------------------
@@ -806,10 +830,7 @@ mod tests {
             decode_rows(&page, None, Some(100), None).unwrap().len(),
             100
         );
-        assert!(matches!(
-            decode_codes_as(&page, Some(100), |c| c),
-            Err(IqError::Invalid(_))
-        ));
+        assert!(matches!(decode_codes(&page), Err(IqError::Invalid(_))));
         // A count larger than the payload can hold never allocates for it.
         let mut short = page.clone();
         short[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -828,7 +849,7 @@ mod tests {
             (Col::I64((0..130).map(|i| i * 37 - 1000).collect()), None),
             (Col::F64((0..130).map(|i| i as f64 * 0.5).collect()), None),
             (Col::Date((0..130).map(|i| 9000 + i % 50).collect()), None),
-            (Col::Str(strs), Some(&codes[..])),
+            (Col::Str(strs.iter().collect()), Some(&codes[..])),
         ];
         let sel = Mask::from_fn(130, |i| i % 3 == 0 || i > 120);
         for (col, codes) in &cols {
@@ -1088,7 +1109,6 @@ mod tests {
             prop_assert!(total(decode_rows(&page, Some(&dict), rows, Some(&sel))));
             prop_assert!(total(decode_rows(&page, Some(&dict), Some(count as usize), Some(&Mask::from_fn(count as usize, |i| i % 2 == 0)))));
             prop_assert!(total(decode_codes(&page)));
-            prop_assert!(total(decode_codes_as(&page, rows, |c| c)));
         }
 
         #[test]
@@ -1104,7 +1124,7 @@ mod tests {
                 0 => Col::I64(values.iter().map(|&v| v as i64 * 1000).collect()),
                 1 => Col::Date(values.iter().map(|&v| v as i32).collect()),
                 2 => Col::F64(values.iter().map(|&v| v as f64 / 100.0).collect()),
-                _ => Col::Str(values.iter().map(|v| Arc::from(v.to_string())).collect()),
+                _ => Col::Str(values.iter().map(|v| v.to_string()).collect()),
             };
             let mut page = encode_column(&col, Some(&codes)).unwrap();
             for (at, byte) in flips {
@@ -1148,7 +1168,7 @@ mod tests {
             dates in proptest::collection::vec(any::<i32>(), 0..200),
             codes in proptest::collection::vec(any::<u32>(), 0..200),
         ) {
-            let strs = Col::Str(codes.iter().map(|_| Arc::from("x")).collect());
+            let strs = Col::Str(codes.iter().map(|_| "x").collect());
             for (col, codes) in [
                 (Col::I64(ints), None),
                 (Col::I64(narrow), None),

@@ -14,6 +14,7 @@ use iq_common::{IqError, IqResult};
 
 use crate::chunk::{Chunk, Col};
 use crate::mask::Mask;
+use crate::strcol::StrCol;
 use crate::value::{date_to_days, year_of, DataType, Value};
 use crate::zonemap::{PruneCheck, PruneOp};
 
@@ -298,113 +299,49 @@ impl Expr {
         }
     }
 
-    /// String columns safe to evaluate in the dictionary code domain:
-    /// every occurrence is `col =/<> string-literal` (either side) or
-    /// `col IN (string-literals)`. Equality is preserved by the
-    /// dictionary's injective string↔code mapping; order is not, so any
-    /// other use (range, `LIKE`, `SUBSTRING`, …) disqualifies the column.
-    /// `is_dict_str` restricts candidates to dictionary-backed string
-    /// columns of the scanned schema.
-    pub fn dict_eval_columns(&self, is_dict_str: &dyn Fn(usize) -> bool) -> Vec<usize> {
-        let mut safe: BTreeMap<usize, bool> = BTreeMap::new();
-        self.dict_walk(&mut safe);
-        safe.into_iter()
-            .filter(|&(c, ok)| ok && is_dict_str(c))
+    /// The columns every occurrence of which is `col =/<> string-literal`
+    /// (either side) or `col IN (string-literals)`: over a string column,
+    /// comparisons evaluated on codes alone, the literal's code looked up
+    /// once in the column's list. Any other use (range, `LIKE`,
+    /// `SUBSTRING`, …) reads strings and disqualifies the column.
+    pub fn code_only_columns(&self) -> Vec<usize> {
+        let mut only: BTreeMap<usize, bool> = BTreeMap::new();
+        self.code_walk(&mut only);
+        only.into_iter()
+            .filter(|&(_, ok)| ok)
             .map(|(c, _)| c)
             .collect()
     }
 
-    fn dict_walk(&self, safe: &mut BTreeMap<usize, bool>) {
+    fn code_walk(&self, only: &mut BTreeMap<usize, bool>) {
+        let other = |e: &Expr, only: &mut BTreeMap<usize, bool>| {
+            for c in e.columns() {
+                only.insert(c, false);
+            }
+        };
         match self {
             Expr::And(a, b) | Expr::Or(a, b) => {
-                a.dict_walk(safe);
-                b.dict_walk(safe);
+                a.code_walk(only);
+                b.code_walk(only);
             }
-            Expr::Not(a) => a.dict_walk(safe),
+            Expr::Not(a) => a.code_walk(only),
             Expr::Cmp(CmpOp::Eq | CmpOp::Ne, a, b) => match (a.as_ref(), b.as_ref()) {
                 (Expr::Col(i), Expr::Lit(Value::Str(_)))
                 | (Expr::Lit(Value::Str(_)), Expr::Col(i)) => {
-                    safe.entry(*i).or_insert(true);
+                    only.entry(*i).or_insert(true);
                 }
                 _ => {
-                    a.mark_dict_unsafe(safe);
-                    b.mark_dict_unsafe(safe);
+                    other(a, only);
+                    other(b, only);
                 }
             },
             Expr::InList(a, values) => match a.as_ref() {
                 Expr::Col(i) if values.iter().all(|v| matches!(v, Value::Str(_))) => {
-                    safe.entry(*i).or_insert(true);
+                    only.entry(*i).or_insert(true);
                 }
-                _ => a.mark_dict_unsafe(safe),
+                _ => other(a, only),
             },
-            other => other.mark_dict_unsafe(safe),
-        }
-    }
-
-    fn mark_dict_unsafe(&self, safe: &mut BTreeMap<usize, bool>) {
-        for c in self.columns() {
-            safe.insert(c, false);
-        }
-    }
-
-    /// Rewrite occurrences of `cols` (which must satisfy
-    /// [`dict_eval_columns`](Expr::dict_eval_columns)) into i64 code
-    /// comparisons. `lookup` resolves a literal to its dictionary code;
-    /// literals absent from a dictionary become the sentinel `-1`, which
-    /// no stored code equals — equality stays false, inequality true,
-    /// exactly matching string-domain semantics.
-    pub fn rewrite_for_dict(
-        &self,
-        cols: &[usize],
-        lookup: &dyn Fn(usize, &str) -> Option<u32>,
-    ) -> Expr {
-        let code = |i: usize, s: &str| -> i64 { lookup(i, s).map(|c| c as i64).unwrap_or(-1) };
-        match self {
-            Expr::And(a, b) => Expr::And(
-                a.rewrite_for_dict(cols, lookup).into(),
-                b.rewrite_for_dict(cols, lookup).into(),
-            ),
-            Expr::Or(a, b) => Expr::Or(
-                a.rewrite_for_dict(cols, lookup).into(),
-                b.rewrite_for_dict(cols, lookup).into(),
-            ),
-            Expr::Not(a) => Expr::Not(a.rewrite_for_dict(cols, lookup).into()),
-            Expr::Cmp(op @ (CmpOp::Eq | CmpOp::Ne), a, b) => match (a.as_ref(), b.as_ref()) {
-                (Expr::Col(i), Expr::Lit(Value::Str(s))) if cols.contains(i) => Expr::Cmp(
-                    *op,
-                    Expr::Col(*i).into(),
-                    Expr::Lit(Value::I64(code(*i, s))).into(),
-                ),
-                (Expr::Lit(Value::Str(s)), Expr::Col(i)) if cols.contains(i) => Expr::Cmp(
-                    *op,
-                    Expr::Lit(Value::I64(code(*i, s))).into(),
-                    Expr::Col(*i).into(),
-                ),
-                _ => self.clone(),
-            },
-            Expr::InList(a, values) => match a.as_ref() {
-                Expr::Col(i) if cols.contains(i) => {
-                    // Misses drop out of the list; an all-miss list keeps
-                    // its always-false shape via the sentinel.
-                    let codes: Vec<Value> = values
-                        .iter()
-                        .filter_map(Value::as_str)
-                        .filter_map(|s| lookup(*i, s))
-                        .map(|c| Value::I64(c as i64))
-                        .collect();
-                    if codes.is_empty() {
-                        Expr::Cmp(
-                            CmpOp::Eq,
-                            Expr::Col(*i).into(),
-                            Expr::Lit(Value::I64(-1)).into(),
-                        )
-                    } else {
-                        Expr::InList(Expr::Col(*i).into(), codes)
-                    }
-                }
-                _ => self.clone(),
-            },
-            other => other.clone(),
+            e => other(e, only),
         }
     }
 
@@ -458,13 +395,24 @@ impl Expr {
             )?)),
             Expr::Like(a, pattern) => {
                 let a = sub(a)?;
-                let (s, m) = a.view()?.strs("LIKE")?;
-                Val::Mask(Mask::from_fn(n, |i| like_match(&s[i & m], pattern)))
+                let strs = a.view()?.strs("LIKE")?;
+                Val::Mask(strs.mask(n, |s| like_match(s, pattern)))
             }
             Expr::InList(a, values) => Val::Mask(match sub(a)?.view()? {
-                View::Str(s, m) => {
+                View::Str(Strs::Col(c)) => {
+                    // The literals' codes in the column's list; a literal
+                    // the list lacks matches no row.
+                    let list = c.list();
+                    let codes: Vec<u32> = values
+                        .iter()
+                        .filter_map(|v| list.lookup(v.as_str()?))
+                        .collect();
+                    let x = c.codes();
+                    Mask::from_fn(n, |i| codes.contains(&x[i]))
+                }
+                View::Str(lit @ Strs::Lit(_)) => {
                     let set: Vec<&str> = values.iter().filter_map(Value::as_str).collect();
-                    Mask::from_fn(n, |i| set.contains(&&*s[i & m]))
+                    lit.mask(n, |s| set.contains(&s))
                 }
                 View::I64(x, m) => {
                     let set: Vec<i64> = values.iter().filter_map(Value::as_i64).collect();
@@ -485,23 +433,17 @@ impl Expr {
                             .map(|i| if mask.get(i) { t[i & tm] } else { e[i & em] })
                             .collect(),
                     ),
-                    (View::Str(t, tm), View::Str(e, em)) => Col::Str(
-                        (0..n)
-                            .map(|i| Arc::clone(if mask.get(i) { &t[i & tm] } else { &e[i & em] }))
-                            .collect(),
-                    ),
+                    (View::Str(t), View::Str(e)) => Col::Str(str_case(&mask, n, t, e)),
                     _ => return Err(IqError::Invalid("CASE branches must match types".into())),
                 }))
             }
             Expr::Substr(a, start, len) => {
                 let a = sub(a)?;
-                let (s, m) = a.view()?.strs("SUBSTRING")?;
                 let s0 = start.saturating_sub(1);
-                Val::Col(Cow::Owned(Col::Str(
-                    (0..n)
-                        .map(|i| Arc::from(substr_chars(&s[i & m], s0, *len)))
-                        .collect(),
-                )))
+                Val::Col(Cow::Owned(Col::Str(match a.view()?.strs("SUBSTRING")? {
+                    Strs::Col(c) => c.map(|s| substr_chars(s, s0, *len)),
+                    Strs::Lit(s) => std::iter::repeat_n(substr_chars(s, s0, *len), n).collect(),
+                })))
             }
             Expr::Year(a) => match sub(a)?.view()? {
                 View::Date(d, m) => Val::Col(Cow::Owned(Col::I64(
@@ -530,7 +472,7 @@ impl Val<'_> {
             Val::Mask(m) => Col::Bool(m.to_bools()),
             Val::Scalar(Value::I64(x)) => Col::I64(vec![*x; n]),
             Val::Scalar(Value::F64(x)) => Col::F64(vec![*x; n]),
-            Val::Scalar(Value::Str(s)) => Col::Str(vec![Arc::clone(s); n]),
+            Val::Scalar(Value::Str(s)) => Col::Str(std::iter::repeat_n(&**s, n).collect()),
             Val::Scalar(Value::Date(d)) => Col::Date(vec![*d; n]),
         }
     }
@@ -557,13 +499,13 @@ impl Val<'_> {
             Val::Col(c) => match &**c {
                 Col::I64(v) => View::I64(v, usize::MAX),
                 Col::F64(v) => View::F64(v, usize::MAX),
-                Col::Str(v) => View::Str(v, usize::MAX),
+                Col::Str(v) => View::Str(Strs::Col(v)),
                 Col::Date(v) => View::Date(v, usize::MAX),
                 Col::Bool(_) => return Err(IqError::Invalid("booleans used as a value".into())),
             },
             Val::Scalar(Value::I64(x)) => View::I64(from_ref(x), 0),
             Val::Scalar(Value::F64(x)) => View::F64(from_ref(x), 0),
-            Val::Scalar(Value::Str(s)) => View::Str(from_ref(s), 0),
+            Val::Scalar(Value::Str(s)) => View::Str(Strs::Lit(s)),
             Val::Scalar(Value::Date(d)) => View::Date(from_ref(d), 0),
             Val::Mask(_) => return Err(IqError::Invalid("booleans used as a value".into())),
         })
@@ -573,12 +515,42 @@ impl Val<'_> {
 /// A typed operand: a slice and an index mask — all ones for a column,
 /// zero for a scalar — so `v[i & m]` reads row `i` of either and one
 /// loop serves column ∘ column, column ∘ scalar and scalar ∘ column.
+/// Strings are a column of codes or one literal ([`Strs`]).
 #[derive(Clone, Copy)]
 enum View<'a> {
     I64(&'a [i64], usize),
     F64(&'a [f64], usize),
-    Str(&'a [Arc<str>], usize),
+    Str(Strs<'a>),
     Date(&'a [i32], usize),
+}
+
+/// A string operand: a column, or one literal standing for every row.
+#[derive(Clone, Copy)]
+enum Strs<'a> {
+    Col(&'a StrCol),
+    Lit(&'a str),
+}
+
+impl<'a> Strs<'a> {
+    /// The string of row `i`.
+    fn get(self, i: usize) -> &'a str {
+        match self {
+            Strs::Col(c) => c.get(i),
+            Strs::Lit(s) => s,
+        }
+    }
+
+    /// The rows of `n` whose string satisfies `f`: a column runs `f` once
+    /// per distinct code ([`StrCol::mask`]), a literal once.
+    fn mask(self, n: usize, mut f: impl FnMut(&str) -> bool) -> Mask {
+        match self {
+            Strs::Col(c) => c.mask(f),
+            Strs::Lit(s) => {
+                let hit = f(s);
+                Mask::from_fn(n, |_| hit)
+            }
+        }
+    }
 }
 
 impl<'a> View<'a> {
@@ -595,9 +567,9 @@ impl<'a> View<'a> {
         IqError::Invalid(format!("{what} over {:?}", self.dtype()))
     }
 
-    fn strs(self, what: &str) -> IqResult<(&'a [Arc<str>], usize)> {
+    fn strs(self, what: &str) -> IqResult<Strs<'a>> {
         match self {
-            View::Str(s, m) => Ok((s, m)),
+            View::Str(s) => Ok(s),
             other => Err(other.unsupported(what)),
         }
     }
@@ -731,7 +703,7 @@ fn eval_cmp(op: CmpOp, n: usize, a: View<'_>, b: View<'_>) -> IqResult<Mask> {
         (I64(x, xm), I64(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym]),
         (Date(x, xm), Date(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym]),
         (F64(x, xm), F64(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym]),
-        (Str(x, xm), Str(y, ym)) => cmp_mask(op, n, |i| &*x[i & xm], |i| &*y[i & ym]),
+        (Str(x), Str(y)) => str_cmp(op, n, x, y),
         // Numeric promotion.
         (I64(x, xm), F64(y, ym)) => cmp_mask(op, n, |i| x[i & xm] as f64, |i| y[i & ym]),
         (F64(x, xm), I64(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym] as f64),
@@ -739,6 +711,67 @@ fn eval_cmp(op: CmpOp, n: usize, a: View<'_>, b: View<'_>) -> IqResult<Mask> {
         (Date(x, xm), I64(y, ym)) => cmp_mask(op, n, |i| x[i & xm] as i64, |i| y[i & ym]),
         (I64(x, xm), Date(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym] as i64),
         (a, b) => return Err(a.unsupported(&format!("comparison with {:?}", b.dtype()))),
+    })
+}
+
+/// A string comparison. Against a literal, `=` and `<>` compare each
+/// row's code with the literal's code in the column's list, and an order
+/// runs once per distinct code; two columns over one list compare codes
+/// for `=` and `<>`, strings row by row otherwise.
+fn str_cmp(op: CmpOp, n: usize, a: Strs<'_>, b: Strs<'_>) -> Mask {
+    match (a, b) {
+        (Strs::Col(c), Strs::Lit(s)) => lit_cmp(op, c, s),
+        (Strs::Lit(s), Strs::Col(c)) => lit_cmp(flip(op), c, s),
+        (Strs::Col(x), Strs::Col(y))
+            if matches!(op, CmpOp::Eq | CmpOp::Ne) && Arc::ptr_eq(x.list(), y.list()) =>
+        {
+            let (x, y) = (x.codes(), y.codes());
+            cmp_mask(op, n, |i| x[i], |i| y[i])
+        }
+        (a, b) => cmp_mask(op, n, |i| a.get(i), |i| b.get(i)),
+    }
+}
+
+/// `col op lit`.
+fn lit_cmp(op: CmpOp, col: &StrCol, lit: &str) -> Mask {
+    let codes = col.codes();
+    match (op, col.list().lookup(lit)) {
+        (CmpOp::Eq | CmpOp::Ne, Some(code)) => cmp_mask(op, codes.len(), |i| codes[i], |_| code),
+        // A literal the list lacks equals no row.
+        (CmpOp::Eq | CmpOp::Ne, None) => Mask::from_fn(codes.len(), |_| op == CmpOp::Ne),
+        _ => col.mask(|s| {
+            let ord = s.cmp(lit);
+            match op {
+                CmpOp::Lt => ord.is_lt(),
+                CmpOp::Le => ord.is_le(),
+                CmpOp::Gt => ord.is_gt(),
+                _ => ord.is_ge(),
+            }
+        }),
+    }
+}
+
+/// `CASE` over string operands: row `i` takes `t`'s string where `mask`
+/// holds, else `e`'s — codes passed through when both are columns over one
+/// list, else interned into a list of the result's own once per distinct
+/// code ([`StrCol::gather`]).
+fn str_case(mask: &Mask, n: usize, t: Strs<'_>, e: Strs<'_>) -> StrCol {
+    /// A branch as a column and the index mask of its rows.
+    fn branch<'a>(s: Strs<'a>, lit: &'a mut Option<StrCol>) -> (&'a StrCol, usize) {
+        match s {
+            Strs::Col(c) => (c, usize::MAX),
+            Strs::Lit(s) => (lit.insert([s].into_iter().collect()), 0),
+        }
+    }
+    let (mut t_lit, mut e_lit) = (None, None);
+    let (t, tm) = branch(t, &mut t_lit);
+    let (e, em) = branch(e, &mut e_lit);
+    StrCol::gather(&[t, e], n, |i| {
+        if mask.get(i) {
+            (0, i & tm)
+        } else {
+            (1, i & em)
+        }
     })
 }
 
@@ -784,24 +817,36 @@ fn eval_arith(op: ArithOp, n: usize, a: View<'_>, b: View<'_>) -> IqResult<Col> 
     })
 }
 
-/// SQL LIKE matcher: `%` matches any run, `_` one character. Iterative
-/// two-pointer algorithm with backtracking to the last `%`.
+/// SQL LIKE matcher: `%` matches any run, `_` one character (however
+/// many bytes it takes). Iterative two-pointer algorithm with backtracking
+/// to the last `%`; a literal character matches byte for byte, so `_` and
+/// `%` are only ever met on a character boundary of `s`.
 pub fn like_match(s: &str, pattern: &str) -> bool {
     let s = s.as_bytes();
     let p = pattern.as_bytes();
+    // The length of the UTF-8 character `s[i]` starts.
+    let width = |i: usize| match s[i] {
+        0..=0x7f => 1,
+        0xc0..=0xdf => 2,
+        0xe0..=0xef => 3,
+        _ => 4,
+    };
     let (mut si, mut pi) = (0usize, 0usize);
     let (mut star, mut star_s) = (None::<usize>, 0usize);
     while si < s.len() {
-        if pi < p.len() && (p[pi] == b'_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == b'%' {
+        if pi < p.len() && p[pi] == b'%' {
             star = Some(pi);
             star_s = si;
             pi += 1;
+        } else if pi < p.len() && p[pi] == b'_' {
+            si += width(si);
+            pi += 1;
+        } else if pi < p.len() && p[pi] == s[si] {
+            si += 1;
+            pi += 1;
         } else if let Some(sp) = star {
             pi = sp + 1;
-            star_s += 1;
+            star_s += width(star_s);
             si = star_s;
         } else {
             return false;
@@ -822,12 +867,7 @@ mod tests {
         let c = Chunk::new(vec![
             Col::I64(vec![1, 2, 3, 4]),
             Col::F64(vec![10.0, 20.0, 30.0, 40.0]),
-            Col::Str(vec![
-                "AIR".into(),
-                "RAIL".into(),
-                "AIR REG".into(),
-                "SHIP".into(),
-            ]),
+            Col::Str(["AIR", "RAIL", "AIR REG", "SHIP"].into_iter().collect()),
             Col::Date(vec![
                 parse_date("1994-01-01").unwrap(),
                 parse_date("1994-06-01").unwrap(),
@@ -929,6 +969,26 @@ mod tests {
         assert!(like_match("", "%"));
         assert!(!like_match("", "_"));
         assert!(like_match("MEDIUM POLISHED", "MEDIUM POLISHED%"));
+        // A `%` of the string is a character like any other.
+        assert!(like_match("%ab", "%b"));
+        assert!(like_match("100%", "100%"));
+    }
+
+    #[test]
+    fn like_underscore_takes_one_character_not_one_byte() {
+        // 'é' is two bytes, '€' three, '𝄞' four.
+        assert!(like_match("\u{e9}", "_"));
+        assert!(!like_match("\u{e9}", "__"));
+        assert!(like_match("caf\u{e9}", "caf_"));
+        assert!(like_match("\u{20ac}5", "_5"));
+        assert!(like_match("a\u{1d11e}b", "a_b"));
+        assert!(!like_match("a\u{1d11e}b", "a__b"));
+        assert!(like_match("na\u{ef}ve \u{e9}t\u{e9}", "%_t_"));
+        assert!(like_match("\u{e9}\u{e9}x", "%\u{e9}_"));
+        assert!(!like_match("\u{e9}x", "%\u{e9}_y"));
+        // Backtracking past a multi-byte character lands on the next one.
+        assert!(like_match("\u{e9}\u{e9}\u{e9}", "%_\u{e9}"));
+        assert!(like_match("\u{e9}", "%"));
     }
 
     #[test]
@@ -943,7 +1003,7 @@ mod tests {
             vec![true, false, false, true]
         );
         let e = Expr::substr(Expr::col(2), 1, 3);
-        assert_eq!(e.eval(&c, &m).unwrap().strs()[2].as_ref(), "AIR");
+        assert_eq!(&e.eval(&c, &m).unwrap().strs()[2], "AIR");
         let e = Expr::eq(Expr::year(Expr::col(3)), Expr::lit_i64(1995));
         assert_eq!(
             e.eval_mask(&c, &m).unwrap().to_bools(),
@@ -1059,9 +1119,8 @@ mod tests {
     }
 
     #[test]
-    fn dict_eval_columns_require_equality_only_use() {
-        let is_str = |c: usize| c == 2 || c == 5;
-        // Pure equality/IN use: safe.
+    fn code_only_columns_require_equality_only_use() {
+        // Pure equality/IN use against string literals.
         let e = Expr::and(
             Expr::eq(Expr::col(2), Expr::lit_str("AIR")),
             Expr::in_list(
@@ -1069,58 +1128,19 @@ mod tests {
                 vec![Value::Str("A".into()), Value::Str("B".into())],
             ),
         );
-        assert_eq!(e.dict_eval_columns(&is_str), vec![2, 5]);
+        assert_eq!(e.code_only_columns(), vec![2, 5]);
         // A second, order-dependent use disqualifies the column.
         let e = Expr::and(
             Expr::eq(Expr::col(2), Expr::lit_str("AIR")),
             Expr::like(Expr::col(2), "A%"),
         );
-        assert!(e.dict_eval_columns(&is_str).is_empty());
-        // Non-string columns never qualify.
-        let e = Expr::eq(Expr::col(0), Expr::lit_str("AIR"));
-        assert!(e.dict_eval_columns(&|_| false).is_empty());
+        assert!(e.code_only_columns().is_empty());
+        // Non-string literals never qualify.
+        let e = Expr::eq(Expr::col(0), Expr::lit_i64(3));
+        assert!(e.code_only_columns().is_empty());
         // Comparison against another column disqualifies both sides.
         let e = Expr::eq(Expr::col(2), Expr::col(5));
-        assert!(e.dict_eval_columns(&is_str).is_empty());
-    }
-
-    #[test]
-    fn dict_rewrite_matches_string_semantics() {
-        // Codes: AIR=0, RAIL=1; "SHIP" missing.
-        let lookup = |_c: usize, s: &str| match s {
-            "AIR" => Some(0u32),
-            "RAIL" => Some(1),
-            _ => None,
-        };
-        let cols = [2usize];
-        let e = Expr::eq(Expr::col(2), Expr::lit_str("AIR")).rewrite_for_dict(&cols, &lookup);
-        assert_eq!(e, Expr::eq(Expr::col(2), Expr::lit_i64(0)));
-        // Missing literal becomes the never-matching sentinel.
-        let e = Expr::ne(Expr::col(2), Expr::lit_str("SHIP")).rewrite_for_dict(&cols, &lookup);
-        assert_eq!(e, Expr::ne(Expr::col(2), Expr::lit_i64(-1)));
-        // IN drops misses; all-miss keeps an always-false shape.
-        let e = Expr::in_list(
-            Expr::col(2),
-            vec![Value::Str("RAIL".into()), Value::Str("SHIP".into())],
-        )
-        .rewrite_for_dict(&cols, &lookup);
-        assert_eq!(e, Expr::in_list(Expr::col(2), vec![Value::I64(1)]));
-        let e = Expr::in_list(Expr::col(2), vec![Value::Str("SHIP".into())])
-            .rewrite_for_dict(&cols, &lookup);
-        assert_eq!(e, Expr::eq(Expr::col(2), Expr::lit_i64(-1)));
-
-        // Evaluate both domains over the same logical data.
-        let codes = Chunk::new(vec![Col::I64(vec![0, 1, 0])]);
-        let remap = [usize::MAX, usize::MAX, 0];
-        let e = Expr::or(
-            Expr::eq(Expr::col(2), Expr::lit_str("AIR")),
-            Expr::eq(Expr::col(2), Expr::lit_str("SHIP")),
-        )
-        .rewrite_for_dict(&cols, &lookup);
-        assert_eq!(
-            e.eval_mask(&codes, &remap).unwrap().to_bools(),
-            vec![true, false, true]
-        );
+        assert!(e.code_only_columns().is_empty());
     }
 
     #[test]
@@ -1146,14 +1166,11 @@ mod tests {
     fn substr_counts_characters_not_bytes() {
         // "né" is 3 bytes: byte offsets 1..3 split the 'é'; a user table's
         // dictionary need not be ASCII.
-        let c = Chunk::new(vec![Col::Str(vec![
-            "n\u{e9}e".into(),
-            "\u{e9}".into(),
-            "".into(),
-            "abc".into(),
-        ])]);
+        let c = Chunk::new(vec![Col::Str(
+            ["n\u{e9}e", "\u{e9}", "", "abc"].into_iter().collect(),
+        )]);
         let sub = |start, len| Expr::substr(Expr::col(0), start, len).eval(&c, &[0]);
-        let strs = |col: Col| -> Vec<String> { col.strs().iter().map(|s| s.to_string()).collect() };
+        let strs = |col: Col| -> Vec<String> { col.strs().iter().map(String::from).collect() };
         assert_eq!(strs(sub(1, 2).unwrap()), ["n\u{e9}", "\u{e9}", "", "ab"]);
         assert_eq!(strs(sub(2, 1).unwrap()), ["\u{e9}", "", "", "b"]);
         assert_eq!(strs(sub(3, usize::MAX).unwrap()), ["e", "", "", "c"]);
@@ -1166,7 +1183,7 @@ mod tests {
         match v {
             Value::I64(x) => Col::I64(vec![*x; n]),
             Value::F64(x) => Col::F64(vec![*x; n]),
-            Value::Str(s) => Col::Str(vec![Arc::clone(s); n]),
+            Value::Str(s) => Col::Str(vec![&**s; n].into_iter().collect()),
             Value::Date(d) => Col::Date(vec![*d; n]),
         }
     }
@@ -1188,13 +1205,7 @@ mod tests {
             Col::I64(vec![-3, 0, 2, 7, 1 << 40]),
             Col::F64(vec![-0.5, 0.0, 2.0, f64::NAN, 7.5]),
             Col::Date(vec![-1, 0, 2, 7, 9000]),
-            Col::Str(vec![
-                "".into(),
-                "a".into(),
-                "b".into(),
-                "ab".into(),
-                "b".into(),
-            ]),
+            Col::Str(["", "a", "b", "ab", "b"].into_iter().collect()),
         ];
         let lits = [
             Value::I64(2),

@@ -10,6 +10,9 @@
 //!
 //! * [`value`] / [`chunk`] / [`mask`] — typed values, columnar batches
 //!   and the word-bitset row selections predicates produce.
+//! * [`strcol`] — string columns: `u32` codes over the shared string list
+//!   of their column's dictionary, read as strings only where an operator
+//!   needs the content, once per distinct code.
 //! * [`encode`] — column encodings: dictionary encoding for strings and
 //!   n-bit (frame-of-reference bit-packed) integers, the two encodings the
 //!   paper names (§1, citing the n-bit dictionary patent).
@@ -36,6 +39,7 @@ pub mod meter;
 pub mod ops;
 pub mod scanstats;
 pub mod store;
+pub mod strcol;
 pub mod table;
 pub mod value;
 pub mod zonemap;
@@ -47,5 +51,6 @@ pub use meter::WorkMeter;
 pub use ops::OpExec;
 pub use scanstats::ScanStats;
 pub use store::{MemPageStore, PageStore};
+pub use strcol::{StrCol, StrList};
 pub use table::{ColumnDef, ScanOptions, Schema, Stage, TableMeta, TableWriter};
 pub use value::{DataType, Value};

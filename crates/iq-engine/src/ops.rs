@@ -89,6 +89,7 @@ use crate::encode::le_word;
 use crate::expr::Expr;
 use crate::meter::{cost, WorkMeter};
 use crate::store::PageStore;
+use crate::strcol::{remap, StrCol, StrList};
 use crate::table::{ScanOptions, Stage, TableMeta};
 use crate::value::DataType;
 
@@ -181,7 +182,7 @@ const LANE_ROWS: usize = 8192;
 /// run-over-run (std's `RandomState` is seeded per process) or scheduling
 /// shape and traces would wander. Partitions take its high half, table
 /// slots its low bits, so a partition's keys still spread over its table.
-fn mix(word: u64) -> u64 {
+pub(crate) fn mix(word: u64) -> u64 {
     let x = (word ^ (word >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
@@ -195,7 +196,7 @@ fn partition_of(hash: u64, parts: usize) -> usize {
 /// addressing over a power-of-two slot array, no allocation per key. The
 /// caller supplies each key's hash; a key is probed in its borrowed form
 /// (`&str` for an owned `Arc<str>`), so a lookup never clones it.
-struct Interner<K> {
+pub(crate) struct Interner<K> {
     /// `id + 1` of the key held by each slot; 0 marks an empty slot.
     slots: Vec<u32>,
     keys: Vec<K>,
@@ -204,7 +205,7 @@ struct Interner<K> {
 
 impl<K> Interner<K> {
     /// Sized to take `keys` distinct keys without rehashing.
-    fn with_capacity(keys: usize) -> Self {
+    pub(crate) fn with_capacity(keys: usize) -> Self {
         Self {
             slots: vec![0; (keys * 2).next_power_of_two().max(16)],
             keys: Vec::new(),
@@ -273,7 +274,7 @@ impl<K> Interner<K> {
 
 impl<K: Copy + PartialEq> Interner<K> {
     /// The id of `key`, assigning the next one on first sight.
-    fn intern(&mut self, hash: u64, key: K) -> usize {
+    pub(crate) fn intern(&mut self, hash: u64, key: K) -> usize {
         self.intern_with(hash, &key, || key)
     }
 }
@@ -284,24 +285,42 @@ impl<K: Copy + PartialEq> Interner<K> {
 /// and the morsels of a scan-fed aggregate are — carry equal words iff
 /// their keys are equal value for value: `I64` / `Date` / `Bool` key by
 /// value and `F64` by bit pattern (exact equality: NaN payloads and ±0.0
-/// stay distinct), `Str` by a dense id from one intern lookup on the
-/// borrowed `&str` (equal strings in different `Arc`s meet there; the
-/// space keeps one `Arc` clone per distinct string, so it outlives the
-/// chunks it keyed), and each further key column folds `(word so far, its
+/// stay distinct), and each further key column folds `(word so far, its
 /// own word)` into a dense id.
+///
+/// `Str` keys by content through the first list the space keys at that
+/// key column (the column's `home`, which the space holds): a row over
+/// that list words to its code, with no work per row but the copy. A
+/// string of any other list words to its code in `home` when `home` holds
+/// it, else to `2^32 +` a dense id of its own, so equal strings of
+/// different dictionaries meet; such a column's strings are looked up
+/// once per distinct code.
 struct KeySpace {
+    /// Each key column's `home`.
+    homes: Vec<Option<Arc<StrList>>>,
+    /// Strings a `home` lacks, by content.
     strs: Interner<Arc<str>>,
     tuples: Interner<(u64, u64)>,
 }
 
 /// The word of a key [`KeySpace::lookup`] does not find. Only a string or
 /// a key tuple can be missing, and the words those are compared with are
-/// dense ids below 2^32, so no row of the space carries it.
+/// below 2^33, so no row of the space carries it.
 const MISS: u64 = u64::MAX;
+
+/// The first word of the strings a `home` list lacks.
+const FOREIGN: u64 = 1 << 32;
+
+/// The one hash of a string's content.
+fn str_hash(s: &str) -> u64 {
+    let words = s.as_bytes().chunks(8).map(le_word);
+    words.fold(s.len() as u64, |h, w| mix(h ^ w))
+}
 
 impl KeySpace {
     fn new() -> Self {
         Self {
+            homes: Vec::new(),
             strs: Interner::with_capacity(0),
             tuples: Interner::with_capacity(0),
         }
@@ -311,11 +330,25 @@ impl KeySpace {
     /// keys to 0, the single group of a scalar aggregate). Strings and key
     /// tuples the space has not seen are added to it.
     fn words(&mut self, chunk: &Chunk, cols: &[usize]) -> Vec<u64> {
-        let Self { strs, tuples } = self;
+        let Self {
+            homes,
+            strs,
+            tuples,
+        } = self;
+        homes.resize(homes.len().max(cols.len()), None);
         key_words(
             chunk,
             cols,
-            |hash, s| strs.intern_with(hash, &**s, || Arc::clone(s)) as u64,
+            |k, col| {
+                if col.is_empty() {
+                    // No rows: no codes to word, and no list to make home.
+                    return Vec::new();
+                }
+                let home = homes[k].get_or_insert_with(|| Arc::clone(col.list()));
+                str_words(home, col, |s| {
+                    FOREIGN + strs.intern_with(str_hash(s), &**s, || Arc::clone(s)) as u64
+                })
+            },
             |hash, pair| tuples.intern(hash, pair) as u64,
         )
     }
@@ -328,58 +361,56 @@ impl KeySpace {
         key_words(
             chunk,
             cols,
-            |hash, s| id(self.strs.get(hash, &**s)),
+            |k, col| match self.homes.get(k).and_then(Option::as_ref) {
+                Some(home) => str_words(home, col, |s| {
+                    id(self.strs.get(str_hash(s), &**s)).saturating_add(FOREIGN)
+                }),
+                None => vec![MISS; col.len()],
+            },
             |hash, pair| id(self.tuples.get(hash, &pair)),
         )
     }
 }
 
-/// The key words of `chunk` over `cols`, given the id of a string
-/// (`str_id`) and of a `(word so far, next word)` pair (`tuple_id`), each
-/// called with its hash.
+/// The words of a string column in a space whose `home` list is given:
+/// its codes over `home`, else per distinct code the string's code in
+/// `home` or, for a string `home` lacks, `foreign` of it.
+fn str_words(home: &StrList, col: &StrCol, mut foreign: impl FnMut(&Arc<str>) -> u64) -> Vec<u64> {
+    if std::ptr::eq(home, &**col.list()) {
+        return col.codes().iter().map(|&c| u64::from(c)).collect();
+    }
+    remap(col.codes(), col.list(), |s| match home.lookup(s) {
+        Some(code) => u64::from(code),
+        None => foreign(s),
+    })
+}
+
+/// The key words of `chunk` over `cols`, given the words of a string
+/// column at key position `k` (`str_words(k, col)`) and the id of a
+/// `(word so far, next word)` pair (`tuple_id`, called with its hash).
 fn key_words(
     chunk: &Chunk,
     cols: &[usize],
-    mut str_id: impl FnMut(u64, &Arc<str>) -> u64,
+    mut str_words: impl FnMut(usize, &StrCol) -> Vec<u64>,
     mut tuple_id: impl FnMut(u64, (u64, u64)) -> u64,
 ) -> Vec<u64> {
-    let Some((&first, rest)) = cols.split_first() else {
-        return vec![0; chunk.len()];
-    };
-    let mut words = col_words(chunk.col(first), &mut str_id);
-    for &c in rest {
-        for (w, v) in words.iter_mut().zip(col_words(chunk.col(c), &mut str_id)) {
-            *w = tuple_id(mix(*w ^ mix(v)), (*w, v));
-        }
-    }
-    words
-}
-
-fn col_words(col: &Col, str_id: &mut impl FnMut(u64, &Arc<str>) -> u64) -> Vec<u64> {
-    match col {
+    let mut col_words = |k: usize| match chunk.col(cols[k]) {
         Col::I64(v) => v.iter().map(|&x| x as u64).collect(),
         Col::Date(v) => v.iter().map(|&x| x as i64 as u64).collect(),
         Col::Bool(v) => v.iter().map(|&x| x as u64).collect(),
         Col::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
-        Col::Str(v) => {
-            // Equal strings mostly share one `Arc` (a dictionary hands
-            // out clones): hash the bytes once per distinct `Arc`, and
-            // per row only look its pointer up.
-            let mut seen: Interner<usize> = Interner::with_capacity(0);
-            let mut ids: Vec<u64> = Vec::new();
-            let words = v.iter().map(|s| {
-                let ptr = Arc::as_ptr(s).cast::<u8>() as usize;
-                let k = seen.intern(mix(ptr as u64), ptr);
-                if k == ids.len() {
-                    let words = s.as_bytes().chunks(8).map(le_word);
-                    let hash = words.fold(s.len() as u64, |h, w| mix(h ^ w));
-                    ids.push(str_id(hash, s));
-                }
-                ids[k]
-            });
-            words.collect()
+        Col::Str(v) => str_words(k, v),
+    };
+    if cols.is_empty() {
+        return vec![0; chunk.len()];
+    }
+    let mut words: Vec<u64> = col_words(0);
+    for k in 1..cols.len() {
+        for (w, v) in words.iter_mut().zip(col_words(k)) {
+            *w = tuple_id(mix(*w ^ mix(v)), (*w, v));
         }
     }
+    words
 }
 
 /// `[lo, hi)` row range of morsel `i` of `m` over `n` rows (first `n % m`
@@ -655,7 +686,8 @@ pub fn hash_join_exec(
 }
 
 /// Gather rows by index; `usize::MAX` (an unmatched left-join row) takes
-/// the type's default, strings one shared empty `Arc`.
+/// the type's default, strings the empty string: its code in the column's
+/// list, or — when the list lacks it — a list of the result's own.
 fn take_with_default(col: &Col, idx: &[usize]) -> Col {
     fn pick<T: Clone>(v: &[T], idx: &[usize], default: T) -> Vec<T> {
         idx.iter()
@@ -672,7 +704,17 @@ fn take_with_default(col: &Col, idx: &[usize]) -> Col {
         Col::I64(v) => Col::I64(pick(v, idx, 0)),
         Col::F64(v) => Col::F64(pick(v, idx, 0.0)),
         Col::Date(v) => Col::Date(pick(v, idx, 0)),
-        Col::Str(v) => Col::Str(pick(v, idx, Arc::from(""))),
+        Col::Str(v) => Col::Str(match v.list().lookup("") {
+            Some(empty) => v.with_codes(pick(v.codes(), idx, empty)),
+            None if !idx.contains(&usize::MAX) => v.with_codes(pick(v.codes(), idx, 0)),
+            None => {
+                let empty: StrCol = [""].into_iter().collect();
+                StrCol::gather(&[v, &empty], idx.len(), |k| match idx[k] {
+                    usize::MAX => (1, 0),
+                    i => (0, i),
+                })
+            }
+        }),
         Col::Bool(v) => Col::Bool(pick(v, idx, false)),
     }
 }
@@ -861,13 +903,32 @@ impl Acc {
             (Acc::Int { min, best }, Col::Date(v)) => {
                 each.for_each(|(r, g)| best[g] = keep(*min, best[g], v[r] as i64))
             }
-            (Acc::Str { min, best }, Col::Str(v)) => each.for_each(|(r, g)| {
-                let x = &v[r];
-                let wins = |cur: &Arc<str>| if *min { x < cur } else { x > cur };
-                if best[g].as_ref().is_none_or(wins) {
-                    best[g] = Some(Arc::clone(x));
+            (Acc::Str { min, best }, Col::Str(v)) => {
+                // Rows compare by rank among the chunk's distinct strings;
+                // each group's best row here meets its running best once.
+                let ranks = v.ranks();
+                let mut here: Vec<Option<usize>> = vec![None; groups];
+                for (r, g) in each {
+                    let wins = |cur: usize| {
+                        if *min {
+                            ranks[r] < ranks[cur]
+                        } else {
+                            ranks[r] > ranks[cur]
+                        }
+                    };
+                    if here[g].is_none_or(wins) {
+                        here[g] = Some(r);
+                    }
                 }
-            }),
+                for (g, r) in here.into_iter().enumerate() {
+                    let Some(r) = r else { continue };
+                    let x = v.get(r);
+                    let wins = |cur: &Arc<str>| if *min { x < &**cur } else { x > &**cur };
+                    if best[g].as_ref().is_none_or(wins) {
+                        best[g] = Some(v.value(r));
+                    }
+                }
+            }
             (Acc::Distinct(pairs, n), Col::I64(v)) => {
                 if pairs.len() == 0 {
                     *pairs = Interner::with_capacity(each.len());
@@ -907,12 +968,7 @@ impl Acc {
             }
             Acc::Int { best, .. } => Col::I64(best.into_iter().map(|b| b.unwrap_or(0)).collect()),
             Acc::Str { best, .. } => {
-                let empty: Arc<str> = Arc::from("");
-                Col::Str(
-                    best.into_iter()
-                        .map(|b| b.unwrap_or_else(|| Arc::clone(&empty)))
-                        .collect(),
-                )
+                Col::Str(best.iter().map(|b| b.as_deref().unwrap_or("")).collect())
             }
         }
     }
@@ -1180,17 +1236,24 @@ pub enum SortDir {
     Desc,
 }
 
-fn cmp_rows(chunk: &Chunk, keys: &[(usize, SortDir)], a: usize, b: usize) -> std::cmp::Ordering {
+/// One sort key column, strings as their ranks.
+enum SortKey<'a> {
+    Col(&'a Col),
+    Ranks(Vec<u32>),
+}
+
+fn cmp_rows(keys: &[(SortKey<'_>, SortDir)], a: usize, b: usize) -> std::cmp::Ordering {
     use std::cmp::Ordering;
-    for &(c, dir) in keys {
-        let ord = match chunk.col(c) {
-            Col::I64(v) => v[a].cmp(&v[b]),
-            Col::Date(v) => v[a].cmp(&v[b]),
-            Col::F64(v) => v[a].total_cmp(&v[b]),
-            Col::Str(v) => v[a].cmp(&v[b]),
-            Col::Bool(v) => v[a].cmp(&v[b]),
+    for (key, dir) in keys {
+        let ord = match key {
+            SortKey::Ranks(v) => v[a].cmp(&v[b]),
+            SortKey::Col(Col::I64(v)) => v[a].cmp(&v[b]),
+            SortKey::Col(Col::Date(v)) => v[a].cmp(&v[b]),
+            SortKey::Col(Col::F64(v)) => v[a].total_cmp(&v[b]),
+            SortKey::Col(Col::Str(v)) => v.get(a).cmp(v.get(b)),
+            SortKey::Col(Col::Bool(v)) => v[a].cmp(&v[b]),
         };
-        let ord = if dir == SortDir::Desc {
+        let ord = if *dir == SortDir::Desc {
             ord.reverse()
         } else {
             ord
@@ -1202,10 +1265,18 @@ fn cmp_rows(chunk: &Chunk, keys: &[(usize, SortDir)], a: usize, b: usize) -> std
     Ordering::Equal
 }
 
-/// Stable multi-key sort.
+/// Stable multi-key sort. A string key is ranked first — its distinct
+/// strings sorted once — so rows compare as `u32`s.
 pub fn sort(input: &Chunk, keys: &[(usize, SortDir)], meter: &WorkMeter) -> Chunk {
+    let keys: Vec<(SortKey<'_>, SortDir)> = keys
+        .iter()
+        .map(|&(c, dir)| match input.col(c) {
+            Col::Str(v) => (SortKey::Ranks(v.ranks()), dir),
+            col => (SortKey::Col(col), dir),
+        })
+        .collect();
     let mut idx: Vec<usize> = (0..input.len()).collect();
-    idx.sort_by(|&a, &b| cmp_rows(input, keys, a, b));
+    idx.sort_by(|&a, &b| cmp_rows(&keys, a, b));
     let n = input.len() as u64;
     meter.add(cost::SORT * n * (64 - n.leading_zeros() as u64).max(1));
     input.take(&idx)
@@ -1221,10 +1292,14 @@ pub fn limit(input: &Chunk, n: usize) -> Chunk {
 mod tests {
     use super::*;
 
+    fn str_col(strs: &[&str]) -> Col {
+        Col::Str(strs.iter().collect())
+    }
+
     fn left() -> Chunk {
         Chunk::new(vec![
             Col::I64(vec![1, 2, 3, 4]),
-            Col::Str(vec!["a".into(), "b".into(), "c".into(), "d".into()]),
+            str_col(&["a", "b", "c", "d"]),
         ])
     }
 
@@ -1293,13 +1368,10 @@ mod tests {
     fn multi_key_join() {
         let m = WorkMeter::new();
         let x = OpExec::serial();
-        let l = Chunk::new(vec![
-            Col::I64(vec![1, 1, 2]),
-            Col::Str(vec!["x".into(), "y".into(), "x".into()]),
-        ]);
+        let l = Chunk::new(vec![Col::I64(vec![1, 1, 2]), str_col(&["x", "y", "x"])]);
         let r = Chunk::new(vec![
             Col::I64(vec![1, 2]),
-            Col::Str(vec!["y".into(), "x".into()]),
+            str_col(&["y", "x"]),
             Col::F64(vec![7.0, 8.0]),
         ]);
         let out = hash_join_exec(&l, &r, &[0, 1], &[0, 1], JoinType::Inner, &m, &x).unwrap();
@@ -1320,7 +1392,7 @@ mod tests {
         let m = WorkMeter::new();
         let x = OpExec::serial();
         let input = Chunk::new(vec![
-            Col::Str(vec!["A".into(), "B".into(), "A".into(), "A".into()]),
+            str_col(&["A", "B", "A", "A"]),
             Col::F64(vec![1.0, 2.0, 3.0, 4.0]),
             Col::I64(vec![10, 20, 10, 30]),
         ]);
@@ -1341,12 +1413,7 @@ mod tests {
         .unwrap();
         assert_eq!(out.len(), 2);
         // Locate group A.
-        let a = out
-            .col(0)
-            .strs()
-            .iter()
-            .position(|s| s.as_ref() == "A")
-            .unwrap();
+        let a = out.col(0).strs().iter().position(|s| s == "A").unwrap();
         assert_eq!(out.col(1).f64s()[a], 8.0);
         assert_eq!(out.col(2).i64s()[a], 3);
         assert!((out.col(3).f64s()[a] - 8.0 / 3.0).abs() < 1e-9);
@@ -1374,13 +1441,10 @@ mod tests {
     fn min_max_over_strings_and_dates() {
         let m = WorkMeter::new();
         let x = OpExec::serial();
-        let input = Chunk::new(vec![
-            Col::Str(vec!["PERU".into(), "BRAZIL".into()]),
-            Col::Date(vec![100, 50]),
-        ]);
+        let input = Chunk::new(vec![str_col(&["PERU", "BRAZIL"]), Col::Date(vec![100, 50])]);
         let out =
             hash_aggregate_exec(&input, &[], &[AggSpec::min(0), AggSpec::max(1)], &m, &x).unwrap();
-        assert_eq!(out.col(0).strs()[0].as_ref(), "BRAZIL");
+        assert_eq!(&out.col(0).strs()[0], "BRAZIL");
         assert_eq!(out.col(1).i64s()[0], 100);
     }
 
@@ -1408,7 +1472,7 @@ mod tests {
 
         let m = WorkMeter::new();
         let x = OpExec::serial();
-        let input = Chunk::new(vec![Col::Str(vec!["x".into()])]);
+        let input = Chunk::new(vec![str_col(&["x"])]);
         assert!(hash_aggregate_exec(&input, &[], &[AggSpec::count_distinct(0)], &m, &x).is_err());
 
         // SUM and AVG fold numbers: over a string, date or boolean column
@@ -1417,7 +1481,7 @@ mod tests {
         let invalid = |out: IqResult<Chunk>| matches!(out, Err(IqError::Invalid(_)));
         let rows = Chunk::new(vec![
             Col::I64((0..16).map(|i| i % 3).collect()),
-            Col::Str((0..16).map(|i| format!("s{i}").into()).collect()),
+            Col::Str((0..16).map(|i| format!("s{i}")).collect()),
             Col::Date((0..16).collect()),
             Col::Bool((0..16).map(|i| i % 2 == 0).collect()),
         ]);
@@ -1589,11 +1653,7 @@ mod tests {
         // partition happened to be populated.
         let input = Chunk::new(vec![
             Col::I64(vec![42; 16]),
-            Col::Str(
-                (0..16)
-                    .map(|i| Arc::from(format!("s{i}")) as Arc<str>)
-                    .collect(),
-            ),
+            Col::Str((0..16).map(|i| format!("s{i}")).collect()),
         ]);
         let m = WorkMeter::new();
         let x = OpExec::serial();
@@ -1652,13 +1712,13 @@ mod tests {
     #[test]
     fn key_words_are_equal_iff_keys_are_equal() {
         let chunk = Chunk::new(vec![
-            Col::Str(vec!["a".into(), "".into(), Arc::from("a"), "b".into()]),
+            str_col(&["a", "", "a", "b"]),
             Col::F64(vec![0.0, -0.0, 0.0, f64::NAN]),
             Col::I64(vec![i64::MIN, i64::MAX, i64::MIN, 0]),
         ]);
         let mut space = KeySpace::new();
-        // Strings by content (rows 0 and 2 hold different `Arc`s), dense
-        // ids in first-occurrence order.
+        // Strings by content: over the first list keyed, a row words to
+        // its code.
         assert_eq!(space.words(&chunk, &[0]), vec![0, 1, 0, 2]);
         // Floats by bit pattern, integers by value.
         let f = space.words(&chunk, &[1]);
@@ -1668,9 +1728,18 @@ mod tests {
         let all = space.words(&chunk, &[0, 1, 2]);
         assert!(all[0] == all[2] && all[0] != all[1] && all[1] != all[3]);
         assert_eq!(space.words(&chunk, &[]), vec![0; 4]);
-        // A second chunk keyed through the same space meets the first.
-        let other = Chunk::new(vec![Col::Str(vec!["b".into(), "zz".into()])]);
-        assert_eq!(space.words(&other, &[0]), vec![2, 3]);
+        // A chunk over another list meets the first by content; a string
+        // new to the space takes a word of its own, the same in every
+        // chunk, and a lookup finds what the space holds and nothing else.
+        let other = Chunk::new(vec![str_col(&["b", "zz"])]);
+        let w = space.words(&other, &[0]);
+        assert_eq!(w[0], 2);
+        assert!(w[1] > 2 && w[1] != MISS);
+        let third = Chunk::new(vec![str_col(&["zz", "a", "zz"])]);
+        assert_eq!(space.words(&third, &[0]), [w[1], 0, w[1]]);
+        assert_eq!(space.lookup(&third, &[0]), [w[1], 0, w[1]]);
+        let unseen = Chunk::new(vec![str_col(&["new", "b"])]);
+        assert_eq!(space.lookup(&unseen, &[0]), [MISS, 2]);
     }
 
     #[test]
@@ -1714,20 +1783,14 @@ mod tests {
     fn probe_keys_the_build_side_never_saw_miss_and_change_nothing() {
         let build = Chunk::new(vec![
             Col::I64(vec![-1, 2, -1]),
-            Col::Str(vec!["x".into(), "y".into(), "x".into()]),
+            str_col(&["x", "y", "x"]),
             Col::F64(vec![0.5, 1.5, 2.5]),
         ]);
         let probe = Chunk::new(vec![
             Col::I64(vec![-1, -1, 2, 2, 7]),
             // Row 1: a string the build side lacks; row 3: both parts are
             // known but never as a pair; row 4: an unknown integer.
-            Col::Str(vec![
-                "x".into(),
-                "nope".into(),
-                "y".into(),
-                "x".into(),
-                "y".into(),
-            ]),
+            str_col(&["x", "nope", "y", "x", "y"]),
         ]);
         let m = WorkMeter::new();
         for exec in [OpExec::serial(), OpExec::new(2)] {
@@ -1758,7 +1821,7 @@ mod tests {
         let l = Chunk::new(vec![canary.col(0).clone(), canary.col(1).clone()]);
         let r = Chunk::new(vec![
             Col::I64((0..30).map(|i| i % 5).collect()),
-            Col::Str((0..30).map(|i| format!("r{i}").into()).collect()),
+            Col::Str((0..30).map(|i| format!("r{i}")).collect()),
         ]);
         let m = WorkMeter::new();
         let join = HashJoin::build(&r, &[0], &m, &OpExec::new(2)).unwrap();

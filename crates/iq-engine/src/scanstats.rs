@@ -37,8 +37,8 @@ pub struct ScanStats {
     /// Pages (predicate and projection) never touched because their whole
     /// group was pruned.
     pub pruned_pages_skipped: AtomicU64,
-    /// String columns evaluated in the dictionary code domain, summed
-    /// over scans.
+    /// String columns a late-materialized scan's predicate reads only as
+    /// codes (`=`, `<>`, `IN` against literals), summed over scans.
     pub dict_filter_columns: AtomicU64,
 }
 

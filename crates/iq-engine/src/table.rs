@@ -23,6 +23,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use iq_common::trace::{self, EventKind};
@@ -31,7 +32,7 @@ use iq_storage::PageKind;
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::{Chunk, Col};
-use crate::encode::{decode_codes_as, decode_rows, encode_column, Dictionary};
+use crate::encode::{decode_rows, encode_column, Dictionary};
 use crate::expr::Expr;
 use crate::mask::Mask;
 use crate::meter::{cost, WorkMeter};
@@ -326,31 +327,17 @@ impl TableMeta {
             Vec::new()
         };
 
-        // Dictionary-domain filters: string columns used only under
-        // equality/IN rewrite to u32-code comparisons and decode straight
-        // to codes — no per-row `Arc<str>` materialization on the filter
-        // path. Projected occurrences re-decode as strings from the saved
-        // page image (no extra read) during assembly.
-        let dict_cols: Vec<usize> = match pred {
-            Some(p) if late => p.dict_eval_columns(&|c| {
+        // String columns the predicate reads only by `=`, `<>` and `IN`
+        // against literals: compared as codes, their strings never read.
+        if let (Some(s), Some(p), true) = (&stats, pred, late) {
+            let coded = p.code_only_columns().into_iter().filter(|&c| {
                 self.schema.columns[c].dtype == DataType::Str && self.dicts[c].is_some()
-            }),
-            _ => Vec::new(),
-        };
-        if !dict_cols.is_empty() {
-            if let Some(s) = &stats {
-                ScanStats::add(&s.dict_filter_columns, dict_cols.len() as u64);
+            });
+            let n = coded.count() as u64;
+            if n > 0 {
+                ScanStats::add(&s.dict_filter_columns, n);
             }
         }
-        let eval_pred: Option<Cow<'_, Expr>> = pred.map(|p| {
-            if dict_cols.is_empty() {
-                Cow::Borrowed(p)
-            } else {
-                Cow::Owned(p.rewrite_for_dict(&dict_cols, &|c, lit| {
-                    self.dicts[c].as_ref().and_then(|d| d.lookup(lit))
-                }))
-            }
-        });
 
         // Predicate evaluation sees the phase-1 chunk indexed by original
         // column ids via a dense remap; each projected column knows which
@@ -363,16 +350,12 @@ impl TableMeta {
         enum Src {
             /// Decoded in phase 1 at this position.
             Phase1(usize),
-            /// Read in the code domain in phase 1: the selected rows'
-            /// strings decode from those codes.
-            Phase1Dict(usize),
             /// Demand-read in phase 2 at this position.
             Phase2(usize),
         }
         let sources: Vec<Src> = projection
             .iter()
             .map(|c| match phase1.binary_search(c) {
-                Ok(p) if dict_cols.binary_search(c).is_ok() => Src::Phase1Dict(p),
                 Ok(p) => Src::Phase1(p),
                 Err(_) => Src::Phase2(
                     phase2
@@ -414,11 +397,7 @@ impl TableMeta {
             let mut cols1: Vec<Col> = Vec::with_capacity(phase1.len());
             for &c in &phase1 {
                 let page = store.read_page(self.id, self.page_id(g, c), true)?;
-                let col = if dict_cols.binary_search(&c).is_ok() {
-                    Col::I64(decode_codes_as(&page.body, Some(rows), |code| code as i64)?)
-                } else {
-                    decode_rows(&page.body, self.dicts[c].as_ref(), Some(rows), None)?
-                };
+                let col = decode_rows(&page.body, self.dicts[c].as_ref(), Some(rows), None)?;
                 meter.add(cost::SCAN * col.len() as u64);
                 if let Some(s) = &stats {
                     ScanStats::add(
@@ -434,7 +413,7 @@ impl TableMeta {
             }
             let mut chunk1 = Chunk::new(cols1);
             meter.add(cost::FILTER * chunk1.len() as u64);
-            let mask: Option<Mask> = match &eval_pred {
+            let mask: Option<Mask> = match pred {
                 Some(p) => Some(p.eval_mask(&chunk1, &remap)?),
                 None => None,
             };
@@ -470,8 +449,7 @@ impl TableMeta {
             }
 
             // Phase 2: demand-read the projection-only columns, decoding
-            // only the rows the mask selected (an unselected row's string
-            // is never materialized).
+            // only the rows the mask selected.
             let mut cols2: Vec<Col> = Vec::with_capacity(phase2.len());
             for &c in &phase2 {
                 let page = store.read_page(self.id, self.page_id(g, c), true)?;
@@ -491,7 +469,7 @@ impl TableMeta {
             let out: Vec<Col> = sources
                 .iter()
                 .enumerate()
-                .map(|(k, src)| -> IqResult<Col> {
+                .map(|(k, src)| {
                     let last_use = !sources[k + 1..].contains(src);
                     let owned = |col: &mut Col| {
                         if last_use {
@@ -500,22 +478,13 @@ impl TableMeta {
                             col.clone()
                         }
                     };
-                    Ok(match (src, &mask) {
+                    match (src, &mask) {
                         (Src::Phase2(p), _) => owned(&mut cols2[*p]),
                         (Src::Phase1(p), None) => owned(&mut chunk1.cols[*p]),
                         (Src::Phase1(p), Some(m)) => chunk1.col(*p).filter(m),
-                        (Src::Phase1Dict(p), _) => {
-                            let dict = self.dicts[phase1[*p]].as_ref();
-                            let (Some(dict), Some(m)) = (dict, &mask) else {
-                                unreachable!("a dictionary-domain column comes from a predicate")
-                            };
-                            let codes = chunk1.col(*p).i64s();
-                            let strs = m.iter_set().map(|row| dict.decode(codes[row] as u32));
-                            Col::Str(strs.collect::<IqResult<_>>()?)
-                        }
-                    })
+                    }
                 })
-                .collect::<IqResult<_>>()?;
+                .collect();
             trace::emit(EventKind::ScanMorsel {
                 table: self.id.0 as u64,
                 group: g as u64,
@@ -596,9 +565,11 @@ impl TableMeta {
             .collect()
     }
 
-    /// Encode `cols` as the pages of row group `group` and write them —
-    /// new strings intern into the (append-only) dictionaries, so a
-    /// rewritten group keeps the codes it had. Returns the group's
+    /// Encode `cols` as the pages of row group `group` and write them. A
+    /// string column over its dictionary's list is stored as the codes it
+    /// holds; one over another list interns its strings into the
+    /// (append-only) dictionary first, once per distinct code. Either way
+    /// a rewritten group keeps the codes it had. Returns the group's
     /// metadata for the caller to install.
     fn write_group(
         &mut self,
@@ -611,12 +582,12 @@ impl TableMeta {
         let mut zones = Vec::with_capacity(cols.len());
         for (c, col) in cols.iter().enumerate() {
             zones.push(ZoneEntry::of(col));
-            let codes: Option<Vec<u32>> = match col {
-                Col::Str(vals) => {
+            let codes: Option<Cow<'_, [u32]>> = match col {
+                Col::Str(strs) => {
                     let dict = self.dicts[c]
                         .as_mut()
                         .expect("string column has a dictionary");
-                    Some(vals.iter().map(|s| dict.encode(s)).collect())
+                    Some(dict.codes_of(strs))
                 }
                 _ => None,
             };
@@ -682,6 +653,7 @@ impl<'a> TableWriter<'a> {
             let tail = w.meta.groups.len() - 1;
             w.pending = w.meta.read_group(store, meter, tail)?;
             w.meta.groups.pop();
+            w.lend_lists(false);
         }
         Ok(w)
     }
@@ -695,8 +667,19 @@ impl<'a> TableWriter<'a> {
                 self.pending.len()
             )));
         }
-        for (col, v) in self.pending.iter_mut().zip(values) {
-            col.push(v)?;
+        for ((col, v), dict) in self
+            .pending
+            .iter_mut()
+            .zip(values)
+            .zip(&mut self.meta.dicts)
+        {
+            match (col, v, dict) {
+                // A string is interned as it arrives: the pending column
+                // holds its dictionary code, and the group is written from
+                // those codes.
+                (Col::Str(col), Value::Str(s), Some(dict)) => col.push_code(dict.encode(s)),
+                (col, v, _) => col.push(v)?,
+            }
         }
         if self.pending[0].len() as u32 >= self.meta.row_group_size {
             self.flush_group()?;
@@ -709,15 +692,31 @@ impl<'a> TableWriter<'a> {
             return Ok(());
         }
         let group = self.meta.groups.len();
+        self.lend_lists(true);
         let written =
             self.meta
                 .write_group(self.store, self.txn, self.meter, group, &self.pending)?;
+        self.lend_lists(false);
         self.meta.groups.push(written);
         // The next group refills the same columns, so only the first
         // group's appends grow them. Reserving a full group up front
         // instead raised the peak RSS of a TPC-H load (EXPERIMENTS.md).
         self.pending.iter_mut().for_each(Col::clear);
         Ok(())
+    }
+
+    /// Hand the pending string columns their dictionaries' lists (`true`)
+    /// or take them back. The columns hold dictionary codes and see the
+    /// lists only while a group is written: a list a column holds is
+    /// shared, and a dictionary interns into a copy of a shared list.
+    fn lend_lists(&mut self, lend: bool) {
+        for (col, dict) in self.pending.iter_mut().zip(&self.meta.dicts) {
+            match (col, dict) {
+                (Col::Str(col), Some(dict)) if lend => col.attach(Arc::clone(dict.list())),
+                (Col::Str(col), _) => col.detach(),
+                _ => {}
+            }
+        }
     }
 
     /// Flush any partial group and finish.
@@ -772,7 +771,7 @@ mod tests {
         let out = meta.scan(&store, &[0, 2], None, &meter).unwrap();
         assert_eq!(out.len(), 200);
         assert_eq!(out.col(0).i64s()[199], 199);
-        assert_eq!(out.col(1).strs()[0].as_ref(), "EAST");
+        assert_eq!(&out.col(1).strs()[0], "EAST");
         assert!(meter.total() > 0);
     }
 
@@ -836,7 +835,7 @@ mod tests {
         // wider than, and typed differently from, the projection.
         let build = Chunk::new(vec![
             Col::I64(vec![5, 70, 70]),
-            Col::Str(vec!["five".into(), "seventy".into(), "again".into()]),
+            Col::Str(["five", "seventy", "again"].into_iter().collect()),
         ]);
         let meter = WorkMeter::new();
         let join = HashJoin::build(&build, &[0], &meter, &OpExec::serial()).unwrap();
@@ -940,7 +939,7 @@ mod tests {
         let pred = Expr::eq(Expr::col(2), Expr::lit_str("EAST"));
         let out = meta.scan(&store, &[0, 2], Some(&pred), &meter).unwrap();
         assert_eq!(out.len(), 100);
-        assert!(out.col(1).strs().iter().all(|s| s.as_ref() == "EAST"));
+        assert!(out.col(1).strs().iter().all(|s| s == "EAST"));
         assert_eq!(ScanStats::get(&stats.dict_filter_columns), 1);
         // A literal absent from the dictionary matches nothing but keeps
         // the projected arity.
@@ -1045,7 +1044,7 @@ mod tests {
         assert_eq!(store.page_count(), 4 * 4);
         let out = meta.scan(&store, &[0, 2], None, &meter).unwrap();
         assert_eq!(out.col(0).i64s(), (0..200).collect::<Vec<_>>());
-        assert_eq!(out.col(1).strs()[199].as_ref(), "NORTH");
+        assert_eq!(&out.col(1).strs()[199], "NORTH");
     }
 
     #[test]

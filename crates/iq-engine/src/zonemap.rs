@@ -68,21 +68,11 @@ impl ZoneEntry {
                     ZoneEntry::Flt { min, max }
                 }
             }
-            Col::Str(v) => match v.split_first() {
-                Some((first, rest)) => {
-                    let (mut min, mut max) = (&**first, &**first);
-                    for s in rest {
-                        if **s < *min {
-                            min = s;
-                        } else if **s > *max {
-                            max = s;
-                        }
-                    }
-                    ZoneEntry::Txt {
-                        min: min.to_owned(),
-                        max: max.to_owned(),
-                    }
-                }
+            Col::Str(v) => match v.min_max() {
+                Some((min, max)) => ZoneEntry::Txt {
+                    min: min.to_owned(),
+                    max: max.to_owned(),
+                },
                 None => ZoneEntry::None,
             },
             // Booleans summarize as a 0/1 numeric range so equality
@@ -226,6 +216,7 @@ impl PruneCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::DataType;
 
     #[test]
     fn num_zone_prunes_correctly() {
@@ -249,7 +240,7 @@ mod tests {
         let z = ZoneEntry::of(&Col::F64(vec![1.5, -2.5]));
         assert!(z.may_match_flt(PruneOp::Le, -2.5));
         assert!(!z.may_match_flt(PruneOp::Gt, 1.5));
-        let z = ZoneEntry::of(&Col::Str(vec!["BRAZIL".into(), "PERU".into()]));
+        let z = ZoneEntry::of(&Col::Str(["BRAZIL", "PERU"].into_iter().collect()));
         assert!(z.may_match_txt(PruneOp::Eq, "CANADA"));
         assert!(!z.may_match_txt(PruneOp::Eq, "ZAMBIA"));
     }
@@ -265,7 +256,7 @@ mod tests {
     #[test]
     fn empty_columns_yield_none() {
         assert_eq!(ZoneEntry::of(&Col::I64(vec![])), ZoneEntry::None);
-        assert_eq!(ZoneEntry::of(&Col::Str(vec![])), ZoneEntry::None);
+        assert_eq!(ZoneEntry::of(&Col::empty(DataType::Str)), ZoneEntry::None);
         assert_eq!(ZoneEntry::of(&Col::Bool(vec![])), ZoneEntry::None);
     }
 

@@ -4,13 +4,11 @@
 //!
 //! Inputs cover what the key representation could get wrong: keys of
 //! every column type and 1–7 columns, NaNs with different payloads,
-//! `0.0` / `-0.0`, `i64::MIN` / `MAX`, empty strings, equal strings held
-//! in different `Arc`s, empty inputs, and (one group, many workers) empty
+//! `0.0` / `-0.0`, `i64::MIN` / `MAX`, empty strings, equal strings under
+//! different codes of different lists, empty inputs, and (one group, many workers) empty
 //! partitions. Results are compared bitwise at 1 / 2 / 8 workers.
 
 mod oracle;
-
-use std::sync::Arc;
 
 use iq_engine::chunk::{Chunk, Col};
 use iq_engine::ops::{hash_aggregate_exec, hash_join_exec, AggSpec, JoinType, OpExec};
@@ -36,14 +34,10 @@ fn key_column(kind: u8, picks: &[u8]) -> Col {
             Col::F64(picks.iter().map(|&p| pool[p as usize % 6]).collect())
         }
         2 => {
-            // A fresh `Arc` per row: equal strings never share a pointer.
+            // A list of the column's own: the two sides of a join key
+            // equal strings under different codes.
             let pool = ["", "a", "ab", "b", "a\u{e9}", "AIR REG"];
-            Col::Str(
-                picks
-                    .iter()
-                    .map(|&p| Arc::from(pool[p as usize % 6]))
-                    .collect(),
-            )
+            Col::Str(picks.iter().map(|&p| pool[p as usize % 6]).collect())
         }
         3 => {
             let pool = [i32::MIN, i32::MAX, 0, 1, -1, 9_000];
@@ -72,9 +66,7 @@ fn table(kinds: &[u8], rows: &[(Vec<u8>, u8)]) -> Chunk {
             .collect(),
     ));
     cols.push(Col::I64(m.iter().map(|&x| (x % 5) as i64).collect()));
-    cols.push(Col::Str(
-        m.iter().map(|&x| format!("s{}", x % 7).into()).collect(),
-    ));
+    cols.push(Col::Str(m.iter().map(|&x| format!("s{}", x % 7)).collect()));
     cols.push(Col::Date(m.iter().map(|&x| 9_000 + x as i32).collect()));
     Chunk::new(cols)
 }
@@ -171,7 +163,7 @@ fn keyval_keys_for_all_types() {
     let c = Chunk::new(vec![
         Col::I64(vec![1, 2]),
         Col::F64(vec![1.5, -0.0]),
-        Col::Str(vec!["a".into(), "b".into()]),
+        Col::Str(["a", "b"].into_iter().collect()),
         Col::Bool(vec![true, false]),
     ]);
     assert_eq!(key(c.col(0), 0), KeyVal::I(1));

@@ -156,10 +156,7 @@ proptest! {
     ) {
         let meter = WorkMeter::new();
         let _ = &meter;
-        let strs: Vec<std::sync::Arc<str>> = vals
-            .iter()
-            .map(|&v| std::sync::Arc::from(format!("item-{v:02}-end")))
-            .collect();
+        let strs = vals.iter().map(|&v| format!("item-{v:02}-end")).collect();
         let chunk = Chunk::new(vec![Col::I64(vals.clone()), Col::Str(strs)]);
         let remap: Vec<usize> = (0..2).collect();
         let between = Expr::between(Expr::col(0), Expr::lit_i64(10), Expr::lit_i64(30));

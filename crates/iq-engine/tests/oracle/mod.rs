@@ -23,7 +23,7 @@ pub enum KeyVal {
 pub fn key(col: &Col, row: usize) -> KeyVal {
     match col {
         Col::I64(v) => KeyVal::I(v[row]),
-        Col::Str(v) => KeyVal::S(Arc::clone(&v[row])),
+        Col::Str(v) => KeyVal::S(v.value(row)),
         Col::Date(v) => KeyVal::D(v[row]),
         Col::Bool(v) => KeyVal::I(v[row] as i64),
         Col::F64(v) => KeyVal::F(v[row].to_bits()),
@@ -46,13 +46,7 @@ fn take_with_default(col: &Col, idx: &[usize]) -> Col {
         Col::Date(v) => Col::Date(idx.iter().map(|&i| if hit(i) { v[i] } else { 0 }).collect()),
         Col::Str(v) => Col::Str(
             idx.iter()
-                .map(|&i| {
-                    if hit(i) {
-                        Arc::clone(&v[i])
-                    } else {
-                        Arc::from("")
-                    }
-                })
+                .map(|&i| if hit(i) { &v[i] } else { "" })
                 .collect(),
         ),
         Col::Bool(v) => Col::Bool(idx.iter().map(|&i| hit(i) && v[i]).collect()),
@@ -155,15 +149,15 @@ fn update(state: &mut AggState, col: &Col, row: usize) {
         AggState::MinI(m) => *m = Some(m.map_or(int(col), |cur| cur.min(int(col)))),
         AggState::MaxI(m) => *m = Some(m.map_or(int(col), |cur| cur.max(int(col)))),
         AggState::MinS(m) => {
-            let x = &col.strs()[row];
-            if m.as_ref().is_none_or(|cur| x < cur) {
-                *m = Some(Arc::clone(x));
+            let x = col.strs().value(row);
+            if m.as_ref().is_none_or(|cur| x < *cur) {
+                *m = Some(x);
             }
         }
         AggState::MaxS(m) => {
-            let x = &col.strs()[row];
-            if m.as_ref().is_none_or(|cur| x > cur) {
-                *m = Some(Arc::clone(x));
+            let x = col.strs().value(row);
+            if m.as_ref().is_none_or(|cur| x > *cur) {
+                *m = Some(x);
             }
         }
         AggState::Distinct(set) => {

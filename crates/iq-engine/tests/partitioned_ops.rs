@@ -59,7 +59,7 @@ fn table(max_rows: usize) -> impl Strategy<Value = Chunk> {
                 Col::I64(k1[..n].iter().map(|v| v % card).collect()),
                 Col::I64(k2[..n].to_vec()),
                 Col::F64(vals[..n].to_vec()),
-                Col::Str(tags[..n].iter().map(|t| format!("t{t}").into()).collect()),
+                Col::Str(tags[..n].iter().map(|t| format!("t{t}")).collect()),
             ])
         })
 }

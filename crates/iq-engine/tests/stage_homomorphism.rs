@@ -100,7 +100,7 @@ fn build_side(rows: &[([u8; 3], u8)]) -> Chunk {
     let mut cols = vec![
         Col::I64(Vec::new()),
         Col::F64(Vec::new()),
-        Col::Str(Vec::new()),
+        Col::Str(Default::default()),
         Col::Date(Vec::new()),
         Col::Bool(Vec::new()),
     ];

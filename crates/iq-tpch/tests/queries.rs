@@ -84,7 +84,7 @@ fn q1_matches_bruteforce() {
         assert_eq!(out.col(9).i64s()[row] as u64, count);
     }
     // Sorted by flag then status.
-    let flags: Vec<_> = out.col(0).strs().to_vec();
+    let flags: Vec<_> = out.col(0).strs().iter().collect();
     let mut sorted = flags.clone();
     sorted.sort();
     assert_eq!(flags, sorted);
@@ -280,7 +280,7 @@ fn q19_revenue_nonnegative() {
 fn q20_q21_q22_shapes() {
     let q20 = run(20);
     assert_eq!(q20.cols.len(), 2);
-    let names: Vec<_> = q20.col(0).strs().to_vec();
+    let names: Vec<_> = q20.col(0).strs().iter().collect();
     let mut sorted = names.clone();
     sorted.sort();
     assert_eq!(names, sorted);

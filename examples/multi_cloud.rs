@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pager = db.pager(rtxn)?;
     let out = dst_meta.scan(&pager, &[1], None, db.meter())?;
     assert_eq!(out.len(), 5_000);
-    assert_eq!(out.col(0).strs()[4999].as_ref(), "event-4999");
+    assert_eq!(&out.col(0).strs()[4999], "event-4999");
     db.rollback(rtxn)?;
 
     // Price the same data under both providers (per GB-month rates the

@@ -57,7 +57,7 @@ fn write_commit_read_through_full_stack() {
         )
         .unwrap();
     assert_eq!(out.len(), 5);
-    assert_eq!(out.col(1).strs()[3].as_ref(), "row-3");
+    assert_eq!(&out.col(1).strs()[3], "row-3");
     db.rollback(rtxn).unwrap();
 
     // Never-write-twice held across every page the load produced.
@@ -342,7 +342,7 @@ fn encryption_keeps_plaintext_off_the_store() {
     let rtxn = db.begin();
     let pager = db.pager(rtxn).unwrap();
     let out = meta.scan(&pager, &[1], None, db.meter()).unwrap();
-    assert_eq!(out.col(0).strs()[0].as_ref(), secret);
+    assert_eq!(&out.col(0).strs()[0], secret);
 }
 
 #[test]
@@ -572,7 +572,7 @@ fn eventual_consistency_retries_observed_end_to_end() {
     let pager = db.pager(rtxn).unwrap();
     let out = meta.scan(&pager, &[0, 1], None, db.meter()).unwrap();
     assert_eq!(out.len(), 400);
-    assert_eq!(out.col(1).strs()[123].as_ref(), "row-123");
+    assert_eq!(&out.col(1).strs()[123], "row-123");
     db.rollback(rtxn).unwrap();
 
     let misses = db.fault_injector(space).unwrap().fault_stats();

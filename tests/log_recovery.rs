@@ -115,7 +115,7 @@ fn undurable_commit_does_not_resurrect_after_reopen() {
     let pager = db.pager(rtxn).unwrap();
     let out = meta.scan(&pager, &[0, 1], None, db.meter()).unwrap();
     assert_eq!(out.len(), 100, "failed txn's writes must not resurrect");
-    assert_eq!(out.col(1).strs()[99].as_ref(), "r99");
+    assert_eq!(&out.col(1).strs()[99], "r99");
     db.rollback(rtxn).unwrap();
 
     // Invariants: never-write-twice on the data store and the log store.
@@ -325,7 +325,7 @@ fn a_landed_composite_without_its_log_record_resurrects_nothing() {
     let pager = db.pager(rtxn).unwrap();
     let out = meta.scan(&pager, &[0, 1], None, db.meter()).unwrap();
     assert_eq!(out.len(), 100);
-    assert_eq!(out.col(1).strs()[99].as_ref(), "r99");
+    assert_eq!(&out.col(1).strs()[99], "r99");
     db.rollback(rtxn).unwrap();
     assert_eq!(store.max_write_count(), 1);
 }

@@ -74,7 +74,7 @@ fn reopen_recovers_committed_state_and_reclaims_inflight_garbage() {
     let pager = db.pager(rtxn).unwrap();
     let out = meta1.scan(&pager, &[0, 1], None, db.meter()).unwrap();
     assert_eq!(out.len(), 400);
-    assert_eq!(out.col(1).strs()[399].as_ref(), "r399");
+    assert_eq!(&out.col(1).strs()[399], "r399");
     db.rollback(rtxn).unwrap();
 
     // The doomed transaction's objects were reclaimed by active-set
