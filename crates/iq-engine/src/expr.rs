@@ -442,7 +442,7 @@ impl Expr {
                 let s0 = start.saturating_sub(1);
                 Val::Col(Cow::Owned(Col::Str(match a.view()?.strs("SUBSTRING")? {
                     Strs::Col(c) => c.map(|s| substr_chars(s, s0, *len)),
-                    Strs::Lit(s) => std::iter::repeat_n(substr_chars(s, s0, *len), n).collect(),
+                    Strs::Lit(s) => StrCol::repeat(substr_chars(s, s0, *len), n),
                 })))
             }
             Expr::Year(a) => match sub(a)?.view()? {
@@ -472,7 +472,7 @@ impl Val<'_> {
             Val::Mask(m) => Col::Bool(m.to_bools()),
             Val::Scalar(Value::I64(x)) => Col::I64(vec![*x; n]),
             Val::Scalar(Value::F64(x)) => Col::F64(vec![*x; n]),
-            Val::Scalar(Value::Str(s)) => Col::Str(std::iter::repeat_n(&**s, n).collect()),
+            Val::Scalar(Value::Str(s)) => Col::Str(StrCol::repeat(s, n)),
             Val::Scalar(Value::Date(d)) => Col::Date(vec![*d; n]),
         }
     }
@@ -760,7 +760,7 @@ fn str_case(mask: &Mask, n: usize, t: Strs<'_>, e: Strs<'_>) -> StrCol {
     fn branch<'a>(s: Strs<'a>, lit: &'a mut Option<StrCol>) -> (&'a StrCol, usize) {
         match s {
             Strs::Col(c) => (c, usize::MAX),
-            Strs::Lit(s) => (lit.insert([s].into_iter().collect()), 0),
+            Strs::Lit(s) => (lit.insert(StrCol::repeat(s, 1)), 0),
         }
     }
     let (mut t_lit, mut e_lit) = (None, None);

@@ -903,32 +903,13 @@ impl Acc {
             (Acc::Int { min, best }, Col::Date(v)) => {
                 each.for_each(|(r, g)| best[g] = keep(*min, best[g], v[r] as i64))
             }
-            (Acc::Str { min, best }, Col::Str(v)) => {
-                // Rows compare by rank among the chunk's distinct strings;
-                // each group's best row here meets its running best once.
-                let ranks = v.ranks();
-                let mut here: Vec<Option<usize>> = vec![None; groups];
-                for (r, g) in each {
-                    let wins = |cur: usize| {
-                        if *min {
-                            ranks[r] < ranks[cur]
-                        } else {
-                            ranks[r] > ranks[cur]
-                        }
-                    };
-                    if here[g].is_none_or(wins) {
-                        here[g] = Some(r);
-                    }
+            (Acc::Str { min, best }, Col::Str(v)) => each.for_each(|(r, g)| {
+                let x = v.get(r);
+                let wins = |cur: &Arc<str>| if *min { x < &**cur } else { x > &**cur };
+                if best[g].as_ref().is_none_or(wins) {
+                    best[g] = Some(v.value(r));
                 }
-                for (g, r) in here.into_iter().enumerate() {
-                    let Some(r) = r else { continue };
-                    let x = v.get(r);
-                    let wins = |cur: &Arc<str>| if *min { x < &**cur } else { x > &**cur };
-                    if best[g].as_ref().is_none_or(wins) {
-                        best[g] = Some(v.value(r));
-                    }
-                }
-            }
+            }),
             (Acc::Distinct(pairs, n), Col::I64(v)) => {
                 if pairs.len() == 0 {
                     *pairs = Interner::with_capacity(each.len());

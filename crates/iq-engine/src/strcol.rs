@@ -8,8 +8,9 @@
 //! never touch a string or a reference count per row. An operator that
 //! needs the strings themselves reads them through the list once per
 //! distinct code of its input (a predicate's mask, a `SUBSTRING`, the
-//! ranks a sort or a `MIN` compares); a string becomes a value of its own
-//! only at the result ([`StrCol::value`]).
+//! ranks a sort compares, a zone's bounds); a string `MIN` / `MAX`
+//! compares each row's string with its group's best. A string becomes a
+//! value of its own only at the result ([`StrCol::value`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -105,6 +106,13 @@ impl StrCol {
         Self { codes, list }
     }
 
+    /// `n` rows of `s`, over a list that holds `s` alone.
+    pub(crate) fn repeat(s: &str, n: usize) -> Self {
+        let mut list = StrList::default();
+        list.intern_str(s);
+        Self::from_codes(vec![0; n], Arc::new(list))
+    }
+
     /// `codes` over this column's list.
     pub(crate) fn with_codes(&self, codes: Vec<u32>) -> Self {
         Self::from_codes(codes, Arc::clone(&self.list))
@@ -161,24 +169,9 @@ impl StrCol {
         self.codes.push(code);
     }
 
-    /// Append a code of the list [`attach`](Self::attach) will hand the
-    /// column: the loader's pending column, whose codes are its
-    /// dictionary's, holds no list while the dictionary takes strings.
-    pub(crate) fn push_code(&mut self, code: u32) {
-        self.codes.push(code);
-    }
-
-    /// Index the codes into `list` from now on, a list that holds every
-    /// code the column has.
-    pub(crate) fn attach(&mut self, list: Arc<StrList>) {
-        debug_assert!(self.codes.iter().all(|&c| (c as usize) < list.len()));
-        self.list = list;
-    }
-
-    /// Let go of the list, keeping the codes for a later
-    /// [`attach`](Self::attach).
-    pub(crate) fn detach(&mut self) {
-        self.list = Arc::clone(&EMPTY);
+    /// The codes, giving up the list.
+    pub(crate) fn into_codes(self) -> Vec<u32> {
+        self.codes
     }
 
     /// Append `other`'s rows. Over the same list its codes are copied; over
@@ -209,39 +202,35 @@ impl StrCol {
         Arc::get_mut(&mut self.list).expect("a list of the column's own")
     }
 
-    /// The column's distinct codes in first-seen order and each row's
-    /// position among them, `(codes, slots)`. With `give_up`, `None` when
-    /// the codes are mostly distinct — more than three in four of the first
-    /// [`PROBE_ROWS`] rows bring a new one — where a pass per distinct code
-    /// only adds to the pass per row.
-    fn distinct(&self, give_up: bool) -> Option<(Vec<u32>, Vec<u32>)> {
+    /// The column's distinct codes in first-seen order; `slot` takes each
+    /// row's position among them, in row order.
+    fn distinct(&self, mut slot: impl FnMut(u32)) -> Vec<u32> {
         let mut slots = CodeSlots::new(self.list.len(), self.len());
         let mut codes = Vec::new();
-        let mut rows = Vec::with_capacity(self.len());
-        for (row, &c) in self.codes.iter().enumerate() {
+        for &c in &self.codes {
             let s = slots.slot(c);
             if s == codes.len() {
                 codes.push(c);
             }
-            if give_up && row + 1 == PROBE_ROWS && codes.len() * 4 > PROBE_ROWS * 3 {
-                return None;
-            }
-            rows.push(s as u32);
+            slot(s as u32);
         }
-        Some((codes, rows))
+        codes
+    }
+
+    /// [`distinct`](Self::distinct) with the rows' positions, `(codes, slots)`.
+    fn distinct_slots(&self) -> (Vec<u32>, Vec<u32>) {
+        let mut slots = Vec::with_capacity(self.len());
+        let codes = self.distinct(|s| slots.push(s));
+        (codes, slots)
     }
 
     /// The rows whose string satisfies `f`. `f` runs once per distinct code
     /// of the column — never per entry of its list — and each row reads
-    /// its code's answer; on mostly distinct codes, once per row.
+    /// its code's answer.
     pub(crate) fn mask(&self, mut f: impl FnMut(&str) -> bool) -> Mask {
-        match self.distinct(true) {
-            Some((codes, slots)) => {
-                let hit: Vec<bool> = codes.iter().map(|&c| f(self.list.str(c))).collect();
-                Mask::from_fn(self.len(), |i| hit[slots[i] as usize])
-            }
-            None => Mask::from_fn(self.len(), |i| f(self.get(i))),
-        }
+        let (codes, slots) = self.distinct_slots();
+        let hit: Vec<bool> = codes.iter().map(|&c| f(self.list.str(c))).collect();
+        Mask::from_fn(self.len(), |i| hit[slots[i] as usize])
     }
 
     /// `f` of every row's string, as a column over a list of its own: `f`
@@ -253,10 +242,10 @@ impl StrCol {
     }
 
     /// Each row's rank among the column's distinct strings: rows order as
-    /// their ranks do, so a sort or a `MIN` compares `u32`s, and each
+    /// their ranks do, so a sort compares `u32`s, and each
     /// distinct string is compared in one sort of the distinct codes.
     pub(crate) fn ranks(&self) -> Vec<u32> {
-        let (codes, slots) = self.distinct(false).expect("never gives up");
+        let (codes, slots) = self.distinct_slots();
         let mut order: Vec<usize> = (0..codes.len()).collect();
         order.sort_unstable_by(|&a, &b| self.list.str(codes[a]).cmp(self.list.str(codes[b])));
         let mut rank = vec![0u32; codes.len()];
@@ -267,17 +256,12 @@ impl StrCol {
     }
 
     /// The least and the greatest string, each distinct code's string
-    /// compared once (each row's, on mostly distinct codes); `None` with
-    /// no rows.
+    /// compared once; `None` with no rows.
     pub(crate) fn min_max(&self) -> Option<(&str, &str)> {
-        fn fold<'a>(mut strs: impl Iterator<Item = &'a str>) -> Option<(&'a str, &'a str)> {
-            let first = strs.next()?;
-            Some(strs.fold((first, first), |(lo, hi), s| (lo.min(s), hi.max(s))))
-        }
-        match self.distinct(true) {
-            Some((codes, _)) => fold(codes.iter().map(|&c| self.list.str(c))),
-            None => fold(self.iter()),
-        }
+        let codes = self.distinct(|_| {});
+        let mut strs = codes.iter().map(|&c| self.list.str(c));
+        let first = strs.next()?;
+        Some(strs.fold((first, first), |(lo, hi), s| (lo.min(s), hi.max(s))))
     }
 
     /// `n` rows gathered from `srcs`: row `i` is row `pick(i).1` of
@@ -337,10 +321,6 @@ pub(crate) fn remap<T: Copy>(
         .collect()
 }
 
-/// The rows whose distinct codes decide whether a column is mostly
-/// distinct (see [`StrCol::distinct`]).
-const PROBE_ROWS: usize = 256;
-
 /// The distinct codes of one list met so far, numbered in first-seen
 /// order: a table over the list when the list is short beside the rows
 /// that will be looked up, else a hash of the codes met — so a few rows
@@ -358,7 +338,7 @@ impl CodeSlots {
         if list_len <= rows.saturating_mul(4).saturating_add(64) {
             CodeSlots::Table(vec![u32::MAX; list_len], 0)
         } else {
-            CodeSlots::Hash(Interner::with_capacity(rows.min(PROBE_ROWS)))
+            CodeSlots::Hash(Interner::with_capacity(rows))
         }
     }
 
@@ -492,23 +472,6 @@ mod tests {
             CodeSlots::new(list.len(), c.len()),
             CodeSlots::Hash(_)
         ));
-    }
-
-    #[test]
-    fn mostly_distinct_codes_fall_back_to_rows() {
-        let c: StrCol = (0..2000).map(|i| format!("c{i}")).collect();
-        assert!(c.distinct(true).is_none());
-        assert_eq!(c.distinct(false).unwrap().0.len(), 2000);
-        let calls = Cell::new(0);
-        let m = c.mask(|s| {
-            calls.set(calls.get() + 1);
-            s.ends_with('7')
-        });
-        assert_eq!(calls.get(), 2000);
-        assert_eq!(m.count(), 200);
-        // A small domain keeps the per-code path however long the column.
-        let d: StrCol = (0..5000).map(|i| format!("d{}", i % 150)).collect();
-        assert_eq!(d.distinct(true).unwrap().0.len(), 150);
     }
 
     #[test]

@@ -38,6 +38,7 @@ use crate::mask::Mask;
 use crate::meter::{cost, WorkMeter};
 use crate::scanstats::ScanStats;
 use crate::store::PageStore;
+use crate::strcol::StrCol;
 use crate::value::{DataType, Value};
 use crate::zonemap::ZoneEntry;
 
@@ -613,8 +614,69 @@ pub struct TableWriter<'a> {
     meta: &'a mut TableMeta,
     store: &'a dyn PageStore,
     txn: TxnId,
-    pending: Vec<Col>,
+    pending: Vec<Pending>,
     meter: &'a WorkMeter,
+}
+
+/// One column of a writer's rows not yet written. A string column holds
+/// its dictionary's codes, interned as each row arrives, so the group is
+/// written from them without encoding it again; it becomes a [`StrCol`]
+/// over the dictionary's list only while the group is written, so the
+/// list is not shared while the dictionary interns into it.
+enum Pending {
+    Codes(Vec<u32>),
+    Values(Col),
+}
+
+impl Pending {
+    fn len(&self) -> usize {
+        match self {
+            Pending::Codes(codes) => codes.len(),
+            Pending::Values(col) => col.len(),
+        }
+    }
+
+    /// The rows as a column to write, `dict` the column's dictionary;
+    /// [`put_back`](Self::put_back) returns its buffer.
+    fn take(&mut self, dict: Option<&Dictionary>) -> Col {
+        match self {
+            Pending::Codes(codes) => {
+                let list = dict.expect("string column has a dictionary").list();
+                Col::Str(StrCol::from_codes(std::mem::take(codes), Arc::clone(list)))
+            }
+            Pending::Values(col) => {
+                let empty = Col::empty(col.data_type().expect("a stored column"));
+                std::mem::replace(col, empty)
+            }
+        }
+    }
+
+    /// Return the buffer [`take`](Self::take) lent out, rows and all.
+    fn put_back(&mut self, col: Col) {
+        match (self, col) {
+            (Pending::Codes(codes), Col::Str(strs)) => *codes = strs.into_codes(),
+            (Pending::Values(mine), col) => *mine = col,
+            _ => unreachable!("a pending column takes back its own kind"),
+        }
+    }
+
+    /// Drop every row, keeping the capacity.
+    fn clear(&mut self) {
+        match self {
+            Pending::Codes(codes) => codes.clear(),
+            Pending::Values(col) => col.clear(),
+        }
+    }
+}
+
+impl From<Col> for Pending {
+    /// A string column's codes must be its dictionary's.
+    fn from(col: Col) -> Self {
+        match col {
+            Col::Str(strs) => Pending::Codes(strs.into_codes()),
+            col => Pending::Values(col),
+        }
+    }
 }
 
 impl<'a> TableWriter<'a> {
@@ -625,7 +687,12 @@ impl<'a> TableWriter<'a> {
         txn: TxnId,
         meter: &'a WorkMeter,
     ) -> Self {
-        let pending = meta.schema.empty_cols();
+        let pending = meta
+            .schema
+            .empty_cols()
+            .into_iter()
+            .map(Pending::from)
+            .collect();
         Self {
             meta,
             store,
@@ -651,9 +718,11 @@ impl<'a> TableWriter<'a> {
         let last = w.meta.groups.last();
         if last.is_some_and(|g| g.rows < w.meta.row_group_size) {
             let tail = w.meta.groups.len() - 1;
-            w.pending = w.meta.read_group(store, meter, tail)?;
+            // The group's string columns decode over their dictionaries'
+            // lists, so their codes are the dictionaries' codes.
+            let cols = w.meta.read_group(store, meter, tail)?;
+            w.pending = cols.into_iter().map(Pending::from).collect();
             w.meta.groups.pop();
-            w.lend_lists(false);
         }
         Ok(w)
     }
@@ -673,12 +742,18 @@ impl<'a> TableWriter<'a> {
             .zip(values)
             .zip(&mut self.meta.dicts)
         {
-            match (col, v, dict) {
-                // A string is interned as it arrives: the pending column
-                // holds its dictionary code, and the group is written from
-                // those codes.
-                (Col::Str(col), Value::Str(s), Some(dict)) => col.push_code(dict.encode(s)),
-                (col, v, _) => col.push(v)?,
+            match (col, v) {
+                (Pending::Codes(codes), Value::Str(s)) => {
+                    let dict = dict.as_mut().expect("string column has a dictionary");
+                    codes.push(dict.encode(s));
+                }
+                (Pending::Codes(_), v) => {
+                    return Err(IqError::Invalid(format!(
+                        "cannot push {:?} into a Str column",
+                        v.data_type()
+                    )))
+                }
+                (Pending::Values(col), v) => col.push(v)?,
             }
         }
         if self.pending[0].len() as u32 >= self.meta.row_group_size {
@@ -688,35 +763,27 @@ impl<'a> TableWriter<'a> {
     }
 
     fn flush_group(&mut self) -> IqResult<()> {
-        if self.pending[0].is_empty() {
+        if self.pending[0].len() == 0 {
             return Ok(());
         }
         let group = self.meta.groups.len();
-        self.lend_lists(true);
-        let written =
-            self.meta
-                .write_group(self.store, self.txn, self.meter, group, &self.pending)?;
-        self.lend_lists(false);
-        self.meta.groups.push(written);
+        let cols: Vec<Col> = (self.pending.iter_mut())
+            .zip(&self.meta.dicts)
+            .map(|(p, dict)| p.take(dict.as_ref()))
+            .collect();
+        let written = self
+            .meta
+            .write_group(self.store, self.txn, self.meter, group, &cols);
+        // The string columns drop their hold on the lists here.
+        for (p, col) in self.pending.iter_mut().zip(cols) {
+            p.put_back(col);
+        }
+        self.meta.groups.push(written?);
         // The next group refills the same columns, so only the first
         // group's appends grow them. Reserving a full group up front
         // instead raised the peak RSS of a TPC-H load (EXPERIMENTS.md).
-        self.pending.iter_mut().for_each(Col::clear);
+        self.pending.iter_mut().for_each(Pending::clear);
         Ok(())
-    }
-
-    /// Hand the pending string columns their dictionaries' lists (`true`)
-    /// or take them back. The columns hold dictionary codes and see the
-    /// lists only while a group is written: a list a column holds is
-    /// shared, and a dictionary interns into a copy of a shared list.
-    fn lend_lists(&mut self, lend: bool) {
-        for (col, dict) in self.pending.iter_mut().zip(&self.meta.dicts) {
-            match (col, dict) {
-                (Col::Str(col), Some(dict)) if lend => col.attach(Arc::clone(dict.list())),
-                (Col::Str(col), _) => col.detach(),
-                _ => {}
-            }
-        }
     }
 
     /// Flush any partial group and finish.
@@ -1045,6 +1112,78 @@ mod tests {
         let out = meta.scan(&store, &[0, 2], None, &meter).unwrap();
         assert_eq!(out.col(0).i64s(), (0..200).collect::<Vec<_>>());
         assert_eq!(&out.col(1).strs()[199], "NORTH");
+    }
+
+    /// A store whose writes fail while `refuse` is set.
+    struct Refusing {
+        inner: MemPageStore,
+        refuse: std::sync::atomic::AtomicBool,
+    }
+
+    impl PageStore for Refusing {
+        fn read_page(
+            &self,
+            table: TableId,
+            page: PageId,
+            demand: bool,
+        ) -> IqResult<iq_storage::Page> {
+            self.inner.read_page(table, page, demand)
+        }
+
+        fn write_page(
+            &self,
+            table: TableId,
+            page: PageId,
+            kind: PageKind,
+            body: Bytes,
+            txn: TxnId,
+        ) -> IqResult<()> {
+            if self.refuse.load(std::sync::atomic::Ordering::Relaxed) {
+                return Err(IqError::Invalid("write refused".into()));
+            }
+            self.inner.write_page(table, page, kind, body, txn)
+        }
+
+        fn prefetch(&self, table: TableId, pages: &[PageId]) -> IqResult<()> {
+            self.inner.prefetch(table, pages)
+        }
+    }
+
+    #[test]
+    fn a_failed_group_write_keeps_the_pending_rows() {
+        let store = Refusing {
+            inner: MemPageStore::new(),
+            refuse: true.into(),
+        };
+        let mut meta = TableMeta::new(TableId(1), "t", schema(), 4);
+        let meter = WorkMeter::new();
+        let mut w = TableWriter::new(&mut meta, &store, TxnId(1), &meter);
+        let row = |k: i64, region: &str| {
+            [
+                Value::I64(k),
+                Value::F64(0.0),
+                Value::Str(region.into()),
+                Value::Date(0),
+            ]
+        };
+        for (k, region) in ["EAST", "WEST", "EAST"].into_iter().enumerate() {
+            w.append_row(&row(k as i64, region)).unwrap();
+        }
+        // The fourth row fills the group, and its write fails.
+        assert!(w.append_row(&row(3, "NORTH")).is_err());
+        store
+            .refuse
+            .store(false, std::sync::atomic::Ordering::Relaxed);
+        w.append_row(&row(4, "SOUTH")).unwrap();
+        w.finish().unwrap();
+        // No column holds the dictionary's list once the writer is done.
+        let dict = meta.dicts[2].as_ref().unwrap();
+        assert_eq!(Arc::strong_count(dict.list()), 1);
+        assert_eq!(dict.len(), 4);
+        let out = meta.scan(&store, &[0, 2], None, &meter).unwrap();
+        assert_eq!(out.col(0).i64s(), [0, 1, 2, 3, 4]);
+        let regions: Vec<&str> = out.col(1).strs().iter().collect();
+        assert_eq!(regions, ["EAST", "WEST", "EAST", "NORTH", "SOUTH"]);
     }
 
     #[test]
