@@ -92,15 +92,24 @@
 #   * store PUTs per MiB written, log batches included (64.16, untraced;
 #     64.224 with the FIFO copies and the key ranges they allocated,
 #     127.91 with a PUT per node);
-#   * stored bytes per user byte, untraced (1.96795; 5.4398 while a
-#     checkpoint carried neither the composite registry nor the GC chain —
-#     every composite resident at a checkpoint leaked across the reopen —
-#     and the log store kept every batch the instance ever wrote);
+#   * stored bytes per user byte, untraced (1.96256 since log batches are
+#     binary — length-prefixed records of varints instead of JSON: a
+#     4-page commit's log object averages 131 bytes, 298 as JSON; 1.96795
+#     with JSON batches; 5.4398 while a checkpoint carried neither the
+#     composite registry nor the GC chain — every composite resident at a
+#     checkpoint leaked across the reopen — and the log store kept every
+#     batch the instance ever wrote);
 #   * at most 2 log GETs at reopen, traced: the checkpoint is a complete
 #     recovery base and the log is cut behind it, so reopen reads one log
 #     object whatever the history length (1 006 / 2 012 / 3 018 by epoch
 #     when the log was never cut);
-#   * bytes written per user byte and the stored / raw ratio.
+#   * bytes written per user byte and the stored / raw ratio;
+#   * allocations, under two ceilings about 10 % above what three traced
+#     `--quick` runs read once a commit stopped re-serialising the catalog
+#     and its log record as JSON and a composite's members were sealed
+#     straight into one reused assembly buffer: <= 445 MiB allocated a
+#     round (403.2 in each of three runs; 1 127 before) and <= 295
+#     allocations per page read (268.37 / 268.36 / 268.37; 1 060 before).
 # These byte gates pin the length of each page's compressed stream; the
 # stream itself is pinned by crates/iq-storage/tests/codec_oracle.rs.
 #
@@ -168,12 +177,14 @@ for out in "$@"; do
         and $m."objectstore.bytes_written_per_user_byte" == 0.18732274708598365
         and $m."storage.compression_ratio" == 0.9670515510768833'
     check "$out" txn_churn '
-        $m."store_bytes_per_user_byte" == 1.9679532051086426
+        $m."store_bytes_per_user_byte" == 1.9625606536865234
         and $m."store_puts_per_user_mib" == 64.16' '
         $m."objectstore.puts" == 3000
         and $m."core.reopen_log_gets" <= 2
         and $m."objectstore.bytes_written_per_user_byte" == 1.0442511596679687
-        and $m."storage.compression_ratio" == 1.0442511596679687'
+        and $m."storage.compression_ratio" == 1.0442511596679687
+        and $m."proc.alloc_mib_per_round" <= 445
+        and $m."proc.allocs_per_page_read" <= 295'
     [[ $checked == 1 ]] || {
         echo "bench_counts: $out holds none of power_warm, scan_cold, ingest, txn_churn" >&2
         exit 1

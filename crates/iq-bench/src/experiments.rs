@@ -451,6 +451,7 @@ fn table1_walkthrough(faults: bool) -> IqResult<Report> {
     log.append(LogRecord::Commit {
         txn: TxnId(1),
         node: NodeId(1),
+        identities: Vec::new(),
         rfrb: rfrb.clone(),
     });
     mx.coordinator.keygen()?.note_commit(NodeId(1), &rfrb);
@@ -948,7 +949,7 @@ pub(crate) fn gc_rows(sf: f64) -> IqResult<Vec<GcBatchingMeasure>> {
             for &loc in c {
                 tm.record_free(t, SPACE, loc)?;
             }
-            tm.commit(t)?;
+            tm.commit(t, Vec::new())?;
         }
         tm.rollback(blocker, &sink)?;
 

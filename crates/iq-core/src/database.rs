@@ -16,7 +16,8 @@ use iq_objectstore::{
 };
 use iq_ocm::{Ocm, OcmConfig};
 use iq_snapshot::{RetainingSink, SnapshotManager};
-use iq_storage::{Catalog, DbSpace};
+use iq_storage::{Catalog, DbSpace, IdentityObject};
+use iq_txn::fence::Quiesced;
 use iq_txn::rfrb::PageSet;
 use iq_txn::{
     Checkpoint, DeletionSink, ImmediateDeletion, LogRecord, Multiplex, NodeKeyCache, NodeRole,
@@ -952,7 +953,7 @@ impl Database {
                 self.shared.txns.record_free(txn, ts.space, loc)?;
             }
         }
-        self.shared.txns.commit(txn)?;
+        self.shared.txns.commit(txn, Vec::new())?;
         self.gc_drain()?;
         self.shared.tables.write().remove(&table.0);
         {
@@ -960,15 +961,30 @@ impl Database {
             catalog.remove_identity(table);
             catalog.sections.remove(&format!("table-meta/{}", table.0));
         }
-        self.persist_ddl()?;
-        Ok(())
+        // The save stamps the catalog past every commit of the dropped
+        // table: a reopen cannot replay its identities back — nor into a
+        // table created later under the same id.
+        self.persist_ddl()
     }
 
     /// Persist an engine-side `TableMeta` in the catalog (schema, row
     /// groups, dictionaries, zone maps) so a restore can reconstruct it.
     pub fn save_table_meta(&self, meta: &TableMeta) -> IqResult<()> {
+        let quiet = self.shared.txns.fence().quiesce();
         let mut catalog = self.shared.catalog.lock();
         catalog.put_section(&format!("table-meta/{}", meta.id.0), meta)?;
+        self.save_catalog(&mut catalog, &quiet)
+    }
+
+    /// Save the catalog to the system device, stamped with the log
+    /// sequence number it is current to. Under `_quiet` no commit is
+    /// between its log append and its catalog update, so the image holds
+    /// every commit logged before the stamp and none from it on: reopen
+    /// replays the identities from the stamp on, whatever became of the
+    /// log after the save. A dropped table's or a restored-over version's
+    /// commits all lie before its stamp.
+    fn save_catalog(&self, catalog: &mut Catalog, _quiet: &Quiesced<'_>) -> IqResult<()> {
+        catalog.replay_from = self.shared.log.next_lsn();
         catalog.save(self.shared.system.as_ref(), BlockNum(0))?;
         Ok(())
     }
@@ -1020,7 +1036,10 @@ impl Database {
 
     /// Commit: drain the OCM write queue, flush dirty pages, run the
     /// Figure 2 blockmap cascade into the commit's last composite, install
-    /// identities, and log the RF/RB bitmaps. Returns the commit sequence.
+    /// identities, and log them with the RF/RB bitmaps. The log record is
+    /// where the identities become durable; the catalog on the system
+    /// device is rewritten only by checkpoints and DDL. Returns the commit
+    /// sequence.
     pub fn commit(&self, txn: TxnId) -> IqResult<u64> {
         // Group commit: register as an expected committer *before* any
         // flushing, so a gather leader holds its batch open for us. The
@@ -1051,18 +1070,18 @@ impl Database {
                 let _ = self.rollback_inner(txn, true);
             })?;
         // Every upload of the commit has landed: install the identities
-        // (updated in place in the catalog, §3.1) and promote the trees,
-        // before the commit sequence moves — a transaction that begins in
-        // between is pinned to the versions they supersede. The tables stay
-        // this transaction's to write until its record's fate is known.
-        let installed: Vec<(Arc<TableStore>, Option<iq_storage::IdentityObject>)> = sink
+        // and promote the trees, before the commit sequence moves — a
+        // transaction that begins in between is pinned to the versions they
+        // supersede. The tables stay this transaction's to write until its
+        // record's fate is known.
+        type Installed = (Arc<TableStore>, IdentityObject, Option<IdentityObject>);
+        let installed: Vec<Installed> = sink
             .into_flushed()
             .into_iter()
             .map(|(ts, identity)| {
                 let previous = ts.identity();
                 ts.install(txn, identity, commit_point);
-                self.shared.catalog.lock().set_identity(identity);
-                (ts, previous)
+                (ts, identity, previous)
             })
             .collect();
         // Deferred GC: the commit only moves the transaction onto the
@@ -1070,31 +1089,38 @@ impl Database {
         // ([`Self::gc_tick`] / [`Self::gc_drain`]), so commit latency no
         // longer includes the deletion fan-out.
         //
-        // The transaction manager appends the commit record durably: if
-        // the durable-log PUT fails past its retry budget, the commit fails
-        // here. Every table it installed goes back to the version it
-        // superseded, then it rolls back like a blockmap-cascade failure
-        // — which deletes the uploads the installed trees pointed at.
-        let seq = self.shared.txns.commit(txn).inspect_err(|_| {
-            for (ts, previous) in &installed {
-                ts.uninstall(txn, *previous, commit_point);
-                let mut catalog = self.shared.catalog.lock();
-                match previous {
-                    Some(identity) => catalog.set_identity(*identity),
-                    None => {
-                        catalog.remove_identity(ts.table);
+        // The transaction manager appends the commit record, identities
+        // included, durably: if the durable-log PUT fails past its retry
+        // budget, the commit fails here. Every table it installed goes back
+        // to the version it superseded, then it rolls back like a
+        // blockmap-cascade failure — which deletes the uploads the
+        // installed trees pointed at.
+        //
+        // The in-memory catalog takes the identities only once the record
+        // is durable, and inside the checkpoint fence: a saved catalog
+        // holds exactly the commits logged before its stamp.
+        let committed = {
+            let _inside = self.shared.txns.fence().enter();
+            let identities = installed.iter().map(|(_, identity, _)| *identity);
+            self.shared
+                .txns
+                .commit(txn, identities.collect())
+                .inspect(|_| {
+                    let mut catalog = self.shared.catalog.lock();
+                    for (_, identity, _) in &installed {
+                        catalog.set_identity(*identity);
                     }
-                }
+                })
+        };
+        let seq = committed.inspect_err(|_| {
+            for (ts, _, previous) in &installed {
+                ts.uninstall(txn, *previous, commit_point);
             }
             let _ = self.rollback_inner(txn, true);
         })?;
-        for (ts, _) in &installed {
+        for (ts, _, _) in &installed {
             ts.release_writer(txn);
         }
-        self.shared
-            .catalog
-            .lock()
-            .save(self.shared.system.as_ref(), BlockNum(0))?;
         if let Some(ocm) = &ocm {
             ocm.end_txn(txn);
         }
@@ -1279,7 +1305,8 @@ impl Database {
         finished
     }
 
-    /// Write a checkpoint, the base reopen starts from: the key
+    /// Write a checkpoint, the base reopen starts from: the catalog, saved
+    /// to the system device with every identity logged so far; the key
     /// generator's state, the conventional freelists, and the garbage
     /// collector's — the composite registry with its death bits, the
     /// committed chain's pending frees, the retention FIFO and its clock.
@@ -1297,6 +1324,9 @@ impl Database {
         // so every object below its key is fixed, and whatever lands
         // meanwhile lands above it.
         let quiet = self.shared.txns.fence().quiesce();
+        // The catalog goes first: once the record lands, the identities
+        // logged before it are nowhere else.
+        self.save_catalog(&mut self.shared.catalog.lock(), &quiet)?;
         let freelists = self
             .shared
             .spaces
@@ -1414,7 +1444,10 @@ impl Database {
 
     /// Point-in-time restore: reinstate the snapshot's catalog, drop RAM
     /// state, and garbage collect the keys created since the snapshot
-    /// (computable thanks to monotone keys, §5). Returns keys deleted.
+    /// (computable thanks to monotone keys, §5). The restored catalog is
+    /// saved stamped past every commit logged so far: a reopen lands on
+    /// the snapshot and replays only the commits made after the restore.
+    /// Returns keys deleted.
     pub fn restore_snapshot(&self, id: u64) -> IqResult<u64> {
         let sm = self
             .shared
@@ -1427,11 +1460,12 @@ impl Database {
         for ts in self.shared.tables.read().values() {
             ts.restore_identity(catalog.identity(ts.table).copied());
         }
-        *self.shared.catalog.lock() = catalog;
-        self.shared
-            .catalog
-            .lock()
-            .save(self.shared.system.as_ref(), BlockNum(0))?;
+        {
+            let quiet = self.shared.txns.fence().quiesce();
+            let mut current = self.shared.catalog.lock();
+            *current = catalog;
+            self.save_catalog(&mut current, &quiet)?;
+        }
         self.shared.buffer.clear();
         let mut deleted = 0;
         for space in self.shared.spaces.read().values() {
@@ -1554,11 +1588,11 @@ impl Database {
             v.sort_by_key(|t| t.id);
             v
         };
+        let quiet = self.shared.txns.fence().quiesce();
         let mut catalog = self.shared.catalog.lock();
         catalog.put_section("dbspaces", &defs)?;
         catalog.put_section("tables", &tables)?;
-        catalog.save(self.shared.system.as_ref(), BlockNum(0))?;
-        Ok(())
+        self.save_catalog(&mut catalog, &quiet)
     }
 
     /// "Power off" the instance: volatile state (buffer cache, OCM SSD
@@ -1582,7 +1616,8 @@ impl Database {
         }
     }
 
-    /// Reopen a database from its durable state: reload the catalog,
+    /// Reopen a database from its durable state: reload the catalog and
+    /// replay over it the identities committed since it was saved,
     /// rebuild dbspaces and tables from their definitions and identity
     /// objects, recover the Object Key Generator by log replay (§3.2),
     /// restore conventional freelists and the garbage collector's state
@@ -1684,6 +1719,17 @@ impl Database {
                 }
                 LogRecord::Commit { rfrb, .. } => commits.push(rfrb),
                 LogRecord::AllocateRange { .. } => {}
+            }
+        }
+        // The commits logged since the catalog's last save installed their
+        // identities in the log alone. In log order, the last commit of a
+        // table wins, and the version watermark comes back above every
+        // version a commit installed.
+        {
+            let mut catalog = db.shared.catalog.lock();
+            for identity in db.shared.log.identities_since(catalog.replay_from) {
+                catalog.version_watermark = catalog.version_watermark.max(identity.version.0);
+                catalog.set_identity(identity);
             }
         }
         for (space_id, image) in &checkpoint.freelists {

@@ -16,8 +16,6 @@
 //! locator tables and are stored unencrypted, as are catalog blobs on the
 //! strongly consistent system dbspace.
 
-use bytes::Bytes;
-
 fn keystream(key: u64, counter: u64) -> u64 {
     let mut z = key ^ counter.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -25,38 +23,45 @@ fn keystream(key: u64, counter: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// XOR-encrypt/decrypt (involution): one keystream word per eight bytes,
-/// applied a word at a time.
-pub fn apply(key: u64, data: &[u8]) -> Bytes {
-    let mut out = Vec::with_capacity(data.len());
-    let mut words = data.chunks_exact(8);
+/// XOR-encrypt/decrypt `data` in place (an involution): one keystream
+/// word per eight bytes, applied a word at a time.
+pub fn apply(key: u64, data: &mut [u8]) {
+    let tail_word = (data.len() / 8) as u64;
+    let mut words = data.chunks_exact_mut(8);
     for (i, chunk) in (&mut words).enumerate() {
-        let word = u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"));
-        out.extend_from_slice(&(word ^ keystream(key, i as u64)).to_le_bytes());
+        let word = u64::from_le_bytes((&*chunk).try_into().expect("an 8-byte chunk"));
+        chunk.copy_from_slice(&(word ^ keystream(key, i as u64)).to_le_bytes());
     }
-    let ks = keystream(key, (data.len() / 8) as u64).to_le_bytes();
-    out.extend(words.remainder().iter().zip(ks).map(|(b, k)| b ^ k));
-    Bytes::from(out)
+    let ks = keystream(key, tail_word).to_le_bytes();
+    for (b, k) in words.into_remainder().iter_mut().zip(ks) {
+        *b ^= k;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn applied(key: u64, data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        apply(key, &mut out);
+        out
+    }
+
     #[test]
     fn involution() {
         let data = b"page image bytes with some structure 0000000";
-        let enc = apply(42, data);
+        let enc = applied(42, data);
         assert_ne!(&enc[..], &data[..]);
-        let dec = apply(42, &enc);
+        let dec = applied(42, &enc);
         assert_eq!(&dec[..], &data[..]);
     }
 
     #[test]
     fn wrong_key_does_not_decrypt() {
         let data = vec![7u8; 64];
-        let enc = apply(1, &data);
-        let bad = apply(2, &enc);
+        let enc = applied(1, &data);
+        let bad = applied(2, &enc);
         assert_ne!(&bad[..], &data[..]);
     }
 
@@ -76,15 +81,12 @@ mod tests {
         let data: Vec<u8> = (0..4096 + 7).map(|_| rng.next_u64() as u8).collect();
         // Every tail length, and a whole page image.
         for len in (0..=24).chain([4096, data.len()]) {
-            assert_eq!(
-                &apply(77, &data[..len])[..],
-                &bytewise(77, &data[..len])[..]
-            );
+            assert_eq!(applied(77, &data[..len]), bytewise(77, &data[..len]));
         }
     }
 
     #[test]
     fn empty_ok() {
-        assert_eq!(apply(9, &[]).len(), 0);
+        assert!(applied(9, &[]).is_empty());
     }
 }

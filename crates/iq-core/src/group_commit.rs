@@ -55,7 +55,7 @@ use iq_objectstore::{
     ConsistencyConfig, FaultInjector, FaultPlan, IoReactor, ObjectBackend, ObjectStoreSim,
     ReactorStore, RetryPolicy, DELETE_BATCH_MAX,
 };
-use iq_txn::{LogRecord, LogSink};
+use iq_txn::{LogBatch, LogRecord, LogSink, RecordKind};
 use parking_lot::{Condvar, Mutex};
 
 /// Log-object keys start here — far above any data key the generator
@@ -114,8 +114,8 @@ struct GatherState {
     /// appended (or aborted). The leader holds the batch open while
     /// this is nonzero.
     expected: usize,
-    /// Commit records gathered for the next upload.
-    pending: Vec<LogRecord>,
+    /// Commit records gathered for the next upload, encoded.
+    pending: LogBatch,
     /// Commit records ever accepted into `pending` (assigns each
     /// record its durability index).
     accepted: u64,
@@ -233,7 +233,11 @@ impl DurableLog {
         if records.is_empty() {
             return Ok(());
         }
-        self.put(records).map(drop)
+        let mut batch = LogBatch::default();
+        for record in records {
+            batch.push(record);
+        }
+        self.put(batch).map(drop)
     }
 
     /// Delete every log object below the last checkpoint that landed:
@@ -296,20 +300,15 @@ impl DurableLog {
         }
     }
 
-    /// One PUT for one record.
-    fn upload_one(&self, record: &LogRecord) -> IqResult<ObjectKey> {
-        self.put(std::slice::from_ref(record))
-    }
-
     /// One PUT for a gathered batch.
-    fn upload_batch(&self, batch: &[LogRecord]) -> IqResult<()> {
+    fn upload_batch(&self, batch: LogBatch) -> IqResult<()> {
+        let records = u64::from(batch.records());
         let res = self.put(batch).map(drop);
-        self.max_batch
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        if batch.len() > 1 {
+        self.max_batch.fetch_max(records, Ordering::Relaxed);
+        if records > 1 {
             self.gathered_batches.fetch_add(1, Ordering::Relaxed);
             self.coalesced_records
-                .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
+                .fetch_add(records - 1, Ordering::Relaxed);
         }
         res
     }
@@ -318,12 +317,11 @@ impl DurableLog {
     /// retried or failed key is never reused), retries transient errors
     /// through the policy, and on exhaustion counts the failure exactly
     /// once and returns it. Returns the key the records landed under.
-    fn put(&self, records: &[LogRecord]) -> IqResult<ObjectKey> {
+    fn put(&self, batch: LogBatch) -> IqResult<ObjectKey> {
         let key = ObjectKey::from_offset(self.next_key.fetch_add(1, Ordering::Relaxed));
         self.puts.fetch_add(1, Ordering::Relaxed);
-        let body = encode(records);
         self.retry
-            .put(self.store.as_ref(), key, body.into())
+            .put(self.store.as_ref(), key, batch.into_bytes().into())
             .inspect_err(|_| {
                 self.put_failures.fetch_add(1, Ordering::Relaxed);
             })?;
@@ -333,12 +331,12 @@ impl DurableLog {
     /// The gather path for an armed committer's commit record. Returns
     /// once this record's batch PUT has landed (`Ok`) or failed past the
     /// retry budget (`Err`) — never before durability is known.
-    fn append_gathered(&self, record: &LogRecord) -> IqResult<()> {
+    fn append_gathered(&self, record: LogBatch) -> IqResult<()> {
         let mut g = self.gather.lock();
         g.expected -= 1;
         let my_index = g.accepted;
         g.accepted += 1;
-        g.pending.push(record.clone());
+        g.pending.append(record);
         // Wake a leader parked on `expected > 0`.
         self.cv.notify_all();
         loop {
@@ -363,11 +361,11 @@ impl DurableLog {
                 }
                 let batch = std::mem::take(&mut g.pending);
                 let covered = g.accepted;
-                let first = covered - batch.len() as u64;
+                let first = covered - u64::from(batch.records());
                 drop(g);
                 // LOCK-OK: the upload runs with the gather lock
                 // released so late committers can keep registering.
-                let res = self.upload_batch(&batch);
+                let res = self.upload_batch(batch);
                 g = self.gather.lock();
                 if res.is_err() {
                     // The whole batch failed with one PUT: every rider
@@ -385,16 +383,16 @@ impl DurableLog {
 }
 
 impl LogSink for DurableLog {
-    fn append(&self, record: &LogRecord, _lsn: u64) -> IqResult<()> {
+    fn append(&self, kind: RecordKind, record: LogBatch, _lsn: u64) -> IqResult<()> {
         self.appends.fetch_add(1, Ordering::Relaxed);
-        let gather = matches!(record, LogRecord::Commit { .. }) && ARMED.with(|a| a.replace(false));
+        let gather = kind == RecordKind::Commit && ARMED.with(|a| a.replace(false));
         if gather {
             self.append_gathered(record)
         } else {
             // Non-commit records (allocations, checkpoints) and commit
-            // records from threads outside a commit window.
-            let key = self.upload_one(record)?;
-            if matches!(record, LogRecord::Checkpoint(_)) {
+            // records from threads outside a commit window: one PUT each.
+            let key = self.put(record)?;
+            if kind == RecordKind::Checkpoint {
                 self.checkpoint_key.store(key.offset(), Ordering::Relaxed);
             }
             Ok(())
@@ -423,12 +421,6 @@ impl Drop for CommitGuard {
     }
 }
 
-/// Stable wire form for uploaded records (JSON keeps the store dump
-/// human-inspectable; the sim charges request counts, not bytes).
-fn encode(records: &[LogRecord]) -> Vec<u8> {
-    serde_json::to_vec(records).expect("log records serialize")
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Barrier;
@@ -442,8 +434,14 @@ mod tests {
         LogRecord::Commit {
             txn: TxnId(txn),
             node: NodeId(0),
+            identities: Vec::new(),
             rfrb: RfRb::default(),
         }
+    }
+
+    /// Hand `record` to `log` the way [`iq_txn::TxnLog`] does: encoded.
+    fn sink(log: &DurableLog, record: &LogRecord, lsn: u64) -> IqResult<()> {
+        log.append(record.kind(), LogBatch::of(record), lsn)
     }
 
     fn durable() -> Arc<DurableLog> {
@@ -472,7 +470,7 @@ mod tests {
     fn records_outside_a_commit_window_cost_one_put_each() {
         let log = durable();
         for i in 0..5 {
-            log.append(&commit_record(i), i).unwrap();
+            sink(&log, &commit_record(i), i).unwrap();
         }
         let s = log.stats();
         assert_eq!(s.appends, 5);
@@ -501,7 +499,7 @@ mod tests {
         // guards are then inert.
         let outer = log.enter_commit();
         let _inner = log.enter_commit();
-        log.append(&commit_record(7), 0).unwrap();
+        sink(&log, &commit_record(7), 0).unwrap();
         drop(outer);
         assert_eq!(log.gather.lock().expected, 0);
         assert_eq!(log.stats().puts, 1);
@@ -517,7 +515,7 @@ mod tests {
         let log = durable();
         for i in 0..3 {
             let _guard = log.enter_commit();
-            log.append(&commit_record(i), i).unwrap();
+            sink(&log, &commit_record(i), i).unwrap();
         }
         let s = log.stats();
         assert_eq!(s.puts, 3);
@@ -541,7 +539,7 @@ mod tests {
                     // the leader must gather all N records.
                     ready.wait();
                     start.wait();
-                    log.append(&commit_record(i as u64), i as u64).unwrap();
+                    sink(log, &commit_record(i as u64), i as u64).unwrap();
                 });
             }
         });
@@ -569,7 +567,7 @@ mod tests {
             let _guard = committer.enter_commit();
             gate2.wait();
             // The leader must not wait forever on the aborter.
-            committer.append(&commit_record(1), 0).unwrap();
+            sink(&committer, &commit_record(1), 0).unwrap();
         });
         t1.join().unwrap();
         t2.join().unwrap();
@@ -583,7 +581,8 @@ mod tests {
     fn non_commit_records_bypass_the_gather() {
         let log = durable();
         let _guard = log.enter_commit();
-        log.append(
+        sink(
+            &log,
             &LogRecord::AllocateRange {
                 node: NodeId(0),
                 start: 0,
@@ -593,7 +592,7 @@ mod tests {
         )
         .unwrap();
         // The window is still armed: only a Commit record consumes it.
-        log.append(&commit_record(1), 1).unwrap();
+        sink(&log, &commit_record(1), 1).unwrap();
         let s = log.stats();
         assert_eq!(s.puts, 2);
     }
@@ -601,14 +600,14 @@ mod tests {
     #[test]
     fn log_store_receives_the_puts() {
         let log = durable();
-        log.append(&commit_record(1), 0).unwrap();
+        sink(&log, &commit_record(1), 0).unwrap();
         assert_eq!(log.sim().object_count(), 1);
     }
 
     #[test]
     fn exhausted_put_propagates_and_counts_once() {
         let log = failing();
-        assert!(log.append(&commit_record(1), 0).is_err());
+        assert!(sink(&log, &commit_record(1), 0).is_err());
         let s = log.stats();
         // One logical upload failed once, however many attempts the
         // retry layer burned.
@@ -633,7 +632,7 @@ mod tests {
                         let _guard = log.enter_commit();
                         ready.wait();
                         start.wait();
-                        log.append(&commit_record(i as u64), i as u64).is_err()
+                        sink(log, &commit_record(i as u64), i as u64).is_err()
                     })
                 })
                 .collect();
@@ -650,13 +649,13 @@ mod tests {
         let log = failing();
         {
             let _guard = log.enter_commit();
-            assert!(log.append(&commit_record(1), 0).is_err());
+            assert!(sink(&log, &commit_record(1), 0).is_err());
         }
         // Heal the store and commit again: the gather must hand out
         // fresh indices with a clean outcome.
         log.fault_injector().unwrap().set_plan(FaultPlan::none());
         let _guard = log.enter_commit();
-        log.append(&commit_record(2), 1).unwrap();
+        sink(&log, &commit_record(2), 1).unwrap();
         let s = log.stats();
         assert_eq!(s.puts, 2);
         assert_eq!(s.put_failures, 1);
@@ -666,8 +665,8 @@ mod tests {
     #[test]
     fn resumed_store_continues_key_allocation_above_live_keys() {
         let log = durable();
-        log.append(&commit_record(1), 0).unwrap();
-        log.append(&commit_record(2), 1).unwrap();
+        sink(&log, &commit_record(1), 0).unwrap();
+        sink(&log, &commit_record(2), 1).unwrap();
         let sim = Arc::clone(log.sim());
         let top = sim.live_keys().last().unwrap().offset();
         let resumed = DurableLog::over_store(
@@ -676,7 +675,7 @@ mod tests {
             None,
             sim,
         );
-        resumed.append(&commit_record(3), 2).unwrap();
+        sink(&resumed, &commit_record(3), 2).unwrap();
         let keys = resumed.sim().live_keys();
         assert_eq!(keys.len(), 3);
         assert!(keys.last().unwrap().offset() > top, "never-write-twice");

@@ -29,6 +29,7 @@ use std::sync::Arc;
 
 use iq_common::{IqError, IqResult};
 use iq_objectstore::{ObjectBackend, ObjectStoreSim};
+use iq_txn::codec::decode_batch;
 use iq_txn::{LogRecord, TxnLog};
 
 use crate::group_commit::LOG_KEY_BASE;
@@ -49,8 +50,8 @@ pub struct RecoveryReport {
 /// Read every log object in key order and reconstruct the durable
 /// record stream. The log store is strongly consistent and log keys are
 /// allocated monotonically from `LOG_KEY_BASE`, so key order *is*
-/// upload order; each object holds one JSON-encoded batch of records.
-/// Returns the stream and the number of GETs issued.
+/// upload order; each object holds one batch in the wire format of
+/// [`iq_txn::codec`]. Returns the stream and the number of GETs issued.
 pub fn read_durable_records(store: &Arc<ObjectStoreSim>) -> IqResult<(Vec<LogRecord>, u64)> {
     let mut records = Vec::new();
     let mut gets = 0u64;
@@ -60,7 +61,7 @@ pub fn read_durable_records(store: &Arc<ObjectStoreSim>) -> IqResult<(Vec<LogRec
         }
         let body = store.get(key)?;
         gets += 1;
-        let batch: Vec<LogRecord> = serde_json::from_slice(&body)
+        let batch = decode_batch(&body)
             .map_err(|e| IqError::Corruption(format!("log object {key}: {e}")))?;
         records.extend(batch);
     }
@@ -93,7 +94,7 @@ mod tests {
     use iq_common::{NodeId, TxnId};
     use iq_objectstore::{ConsistencyConfig, FaultPlan, IoReactor, RetryPolicy};
     use iq_txn::rfrb::RfRb;
-    use iq_txn::LogSink;
+    use iq_txn::{LogBatch, LogSink};
 
     use super::*;
     use crate::group_commit::DurableLog;
@@ -102,6 +103,7 @@ mod tests {
         LogRecord::Commit {
             txn: TxnId(txn),
             node: NodeId(0),
+            identities: Vec::new(),
             rfrb: RfRb::default(),
         }
     }
@@ -127,7 +129,7 @@ mod tests {
         let dl = durable_log(None);
         let records = vec![alloc_record(0), commit_record(1), commit_record(2)];
         for (i, r) in records.iter().enumerate() {
-            dl.append(r, i as u64).unwrap();
+            dl.append(r.kind(), LogBatch::of(r), i as u64).unwrap();
         }
         let (stream, gets) = read_durable_records(dl.sim()).unwrap();
         assert_eq!(stream, records);
@@ -157,6 +159,31 @@ mod tests {
         let report = reconcile(&log, dl.sim()).unwrap();
         assert_eq!(report.reconciled_drops, 0);
         assert_eq!(log.replay_suffix(), before);
+    }
+
+    /// Every single flipped byte of a log object — header, record
+    /// framing or body — makes reconciliation fail as corruption rather
+    /// than drop or keep commits on the strength of damaged bytes.
+    #[test]
+    fn a_flipped_byte_in_a_log_object_is_corruption() {
+        let log = TxnLog::new();
+        let dl = durable_log(None);
+        log.set_sink(dl.clone());
+        log.append(alloc_record(0));
+        log.append_durable(commit_record(1)).unwrap();
+        let keys = dl.sim().live_keys();
+        for key in keys {
+            let body = dl.sim().get(key).unwrap();
+            for at in 0..body.len() {
+                let mut flipped = body.to_vec();
+                flipped[at] ^= 0x10;
+                let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
+                store.put(key, flipped.into()).unwrap();
+                let err = reconcile(&log, &store).unwrap_err();
+                assert!(matches!(err, IqError::Corruption(_)), "byte {at}: {err}");
+            }
+        }
+        assert_eq!(log.len(), 2, "nothing was dropped");
     }
 
     #[test]

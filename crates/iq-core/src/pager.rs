@@ -11,6 +11,7 @@
 //! (superseding the previous version into the RF bitmap) and in the RB
 //! bitmap.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -30,20 +31,15 @@ use crate::encrypt;
 use crate::tablestore::TableStore;
 
 impl Shared {
-    /// XOR-encrypt or -decrypt (the cipher is an involution) a cloud page
-    /// image when `encryption_key` is set.
-    fn crypt(&self, image: Bytes) -> Bytes {
-        match self.config.encryption_key {
-            Some(k) => encrypt::apply(k, &image),
-            None => image,
+    /// Seal `page` for `space` into the end of `out` and encrypt the image
+    /// there — what goes to the store, whole or as a composite member.
+    fn seal_into(&self, space: &DbSpace, page: &Page, out: &mut Vec<u8>) -> IqResult<()> {
+        let start = out.len();
+        page.seal_into(&space.config, out)?;
+        if let Some(k) = self.config.encryption_key {
+            encrypt::apply(k, &mut out[start..]);
         }
-    }
-
-    /// Seal `page` for `space` and encrypt the image — what goes to the
-    /// store, whole or as a composite member.
-    fn seal_image(&self, space: &DbSpace, page: &Page) -> IqResult<Bytes> {
-        let (image, _) = page.seal(&space.config)?;
-        Ok(self.crypt(image))
+        Ok(())
     }
 
     /// The one page-image read path: fetch what `loc` names on `space` —
@@ -61,7 +57,15 @@ impl Shared {
         // Scan-driven loads are hinted so the OCM admits them
         // probationary: a cold table scan must not wash the promoted
         // point-read set out of the SSD cache.
-        Page::unseal(&self.crypt(space.read_image(loc, scan)?))
+        let image = space.read_image(loc, scan)?;
+        match self.config.encryption_key {
+            Some(k) => {
+                let mut plain = image.to_vec();
+                encrypt::apply(k, &mut plain);
+                Page::unseal(&plain)
+            }
+            None => Page::unseal(&image),
+        }
     }
 }
 
@@ -188,7 +192,9 @@ impl FlushSink for Pager {
         let loc = if space.is_cloud() {
             // Never write an object twice: a fresh key for every flush.
             let obj_key = iq_storage::KeySource::next_key(self.keys.as_ref())?;
-            let image = self.shared.seal_image(&space, page)?;
+            let mut image = Vec::with_capacity(Page::max_image_len(page.body.len()));
+            self.shared.seal_into(&space, page, &mut image)?;
+            let image = Bytes::from(image);
             match self.shared.ocm_for(ts.space) {
                 Some(ocm) => {
                     // Churn-phase evictions use write-back; commit-phase
@@ -225,39 +231,64 @@ impl FlushSink for Pager {
     }
 }
 
-/// A composite object being assembled. Its key is drawn before any member
-/// is placed, so every member's ranged locator is known before the one
-/// PUT that uploads them all.
+thread_local! {
+    /// The buffer this thread assembles composites in. The upload copies
+    /// the object out of it (the one copy `Bytes::from` would make anyway),
+    /// so it is kept for the next composite: its capacity stays reserved,
+    /// and the memory the next images are sealed into is already cached.
+    static ASSEMBLY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A composite object being assembled: its members' images end to end in
+/// one buffer, each sealed (and encrypted) in place. Its key is drawn
+/// after the head pages are placed and before the blockmap nodes are, so
+/// every member's ranged locator is known before the one PUT that uploads
+/// them all.
 struct Composite {
-    key: ObjectKey,
     blob: Vec<u8>,
     members: Vec<PackMember>,
 }
 
 impl Composite {
-    fn new(keys: &dyn KeySource) -> IqResult<Self> {
-        Ok(Self {
-            key: keys.next_key()?,
-            blob: Vec::new(),
+    /// An empty object in this thread's assembly buffer, with room for at
+    /// least `bytes` of images (the head pages'; the buffer keeps the
+    /// capacity of earlier composites, so a commit's nodes rarely grow it).
+    fn with_capacity(bytes: usize) -> Self {
+        let mut blob = ASSEMBLY.take();
+        blob.clear();
+        blob.reserve(bytes);
+        Self {
+            blob,
             members: Vec::new(),
-        })
+        }
     }
 
-    /// Lay `image` end to end after the members already placed and return
-    /// its locator.
-    fn push(&mut self, table: TableId, page: PageId, image: &[u8]) -> PhysicalLocator {
-        let (offset, len) = (self.blob.len() as u32, image.len() as u32);
+    /// Seal `page` of `table` behind the members already placed, with
+    /// `seal` (which writes its image into the end of the buffer).
+    fn place(
+        &mut self,
+        table: TableId,
+        page: PageId,
+        seal: impl FnOnce(&mut Vec<u8>) -> IqResult<()>,
+    ) -> IqResult<()> {
+        let offset = self.blob.len();
+        seal(&mut self.blob)?;
         self.members.push(PackMember {
             table: table.0,
             page: page.0,
-            offset,
-            len,
+            offset: offset as u32,
+            len: (self.blob.len() - offset) as u32,
         });
-        self.blob.extend_from_slice(image);
+        Ok(())
+    }
+
+    /// The ranged locator of the member at `index` in the object at `key`.
+    fn locator(&self, key: ObjectKey, index: usize) -> PhysicalLocator {
+        let m = &self.members[index];
         PhysicalLocator::ObjectRange {
-            key: self.key,
-            offset,
-            len,
+            key,
+            offset: m.offset,
+            len: m.len,
         }
     }
 
@@ -267,28 +298,30 @@ impl Composite {
     /// transaction's pack record.
     fn upload(
         self,
+        key: ObjectKey,
         shared: &Shared,
         space: &DbSpace,
         txn: TxnId,
         ocm: Option<&Ocm>,
     ) -> IqResult<()> {
         let bytes = self.blob.len() as u64;
-        let blob = Bytes::from(self.blob);
+        let blob = Bytes::copy_from_slice(&self.blob);
+        ASSEMBLY.set(self.blob);
         match ocm {
             Some(ocm) => {
                 let members: Vec<(u32, u32)> =
                     self.members.iter().map(|m| (m.offset, m.len)).collect();
-                ocm.write_group(self.key, blob, &members, txn, WriteMode::WriteBack)?;
+                ocm.write_group(key, blob, &members, txn, WriteMode::WriteBack)?;
             }
-            None => space.put_raw(self.key, blob)?,
+            None => space.put_raw(key, blob)?,
         }
         iq_common::trace::emit(iq_common::trace::EventKind::PackFlush {
-            key: self.key.offset(),
+            key: key.offset(),
             pages: self.members.len() as u64,
             bytes,
         });
         shared.pack_stats.note_pack(self.members.len(), bytes);
-        shared.txns.record_pack(txn, self.key, self.members)
+        shared.txns.record_pack(txn, key, self.members)
     }
 }
 
@@ -301,8 +334,8 @@ impl Pager {
     ///
     /// A composite needs two members. A head group counts its pages; in
     /// the tail a page brings at least the leaf above it, so only a tail
-    /// of nodes alone can be too small. The pages are sealed, then the
-    /// composite's key is drawn and they are laid out at their offsets;
+    /// of nodes alone can be too small. The pages are sealed into the
+    /// composite's buffer, then its key is drawn and their locators named;
     /// without packing, on a conventional dbspace, or below two members,
     /// each page and node is written one object (or block run) on its own.
     ///
@@ -364,18 +397,23 @@ impl Pager {
                 }
                 continue;
             }
-            let images = pages
-                .iter()
-                .map(|(_, page)| shared.seal_image(&space, page))
-                .collect::<IqResult<Vec<_>>>()?;
+            let mut composite = Composite::with_capacity(
+                pages
+                    .iter()
+                    .map(|(_, page)| Page::max_image_len(page.body.len()))
+                    .sum(),
+            );
+            for (fkey, page) in &pages {
+                composite.place(fkey.table, fkey.page, |out| {
+                    shared.seal_into(&space, page, out)
+                })?;
+            }
             if let (FlushGroup::Commit(index), Some(commit)) = (group, commit) {
                 commit.turn.wait(index);
             }
-            let mut composite = Composite::new(self.keys.as_ref())?;
-            let locs: Vec<PhysicalLocator> = pages
-                .iter()
-                .zip(&images)
-                .map(|((fkey, _), image)| composite.push(fkey.table, fkey.page, image))
+            let key = self.keys.next_key()?;
+            let locs: Vec<PhysicalLocator> = (0..pages.len())
+                .map(|i| composite.locator(key, i))
                 .collect();
             let publish = || -> IqResult<()> {
                 for ((fkey, _), &loc) in pages.iter().zip(&locs) {
@@ -392,12 +430,13 @@ impl Pager {
                     for ts in tables() {
                         let mut nodes = StagedNodes {
                             composite: &mut composite,
+                            key,
                             space: &space,
                             table: ts.table,
                         };
                         commit.cascade(&ts, &mut nodes)?;
                     }
-                    composite.upload(shared, &space, txn, None)?;
+                    composite.upload(key, shared, &space, txn, None)?;
                 }
                 None => {
                     // A head group maps its pages once the upload has
@@ -407,7 +446,7 @@ impl Pager {
                         FlushCause::Eviction => shared.ocm_for(space.id),
                         FlushCause::Commit => None,
                     };
-                    composite.upload(shared, &space, txn, ocm.as_deref())?;
+                    composite.upload(key, shared, &space, txn, ocm.as_deref())?;
                     publish()?;
                 }
             }
@@ -421,14 +460,20 @@ impl Pager {
 /// [`DbSpace::write_page`] uploads for a node on its own.
 struct StagedNodes<'a> {
     composite: &'a mut Composite,
+    key: ObjectKey,
     space: &'a DbSpace,
     table: TableId,
 }
 
 impl NodeSink for StagedNodes<'_> {
     fn write_node(&mut self, page: &Page) -> IqResult<PhysicalLocator> {
-        let (image, _) = page.seal(&self.space.config)?;
-        Ok(self.composite.push(self.table, page.id, &image))
+        let config = &self.space.config;
+        self.composite.place(self.table, page.id, |out| {
+            page.seal_into(config, out).map(drop)
+        })?;
+        Ok(self
+            .composite
+            .locator(self.key, self.composite.members.len() - 1))
     }
 }
 

@@ -125,14 +125,14 @@ impl Col {
         }
     }
 
-    /// Drop every row, keeping the capacity.
-    pub(crate) fn clear(&mut self) {
+    /// Keep the first `rows` rows, and the capacity.
+    pub(crate) fn truncate(&mut self, rows: usize) {
         match self {
-            Col::I64(v) => v.clear(),
-            Col::F64(v) => v.clear(),
-            Col::Str(v) => v.clear(),
-            Col::Date(v) => v.clear(),
-            Col::Bool(v) => v.clear(),
+            Col::I64(v) => v.truncate(rows),
+            Col::F64(v) => v.truncate(rows),
+            Col::Str(v) => v.truncate(rows),
+            Col::Date(v) => v.truncate(rows),
+            Col::Bool(v) => v.truncate(rows),
         }
     }
 

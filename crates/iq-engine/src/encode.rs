@@ -57,14 +57,6 @@ impl Dictionary {
         }
     }
 
-    /// Look up a code.
-    pub fn decode(&self, code: u32) -> IqResult<Arc<str>> {
-        self.list
-            .get(code)
-            .cloned()
-            .ok_or_else(|| IqError::Corruption(format!("dictionary code {code} out of range")))
-    }
-
     /// Code for a string, if interned (query-time constant lookup).
     pub fn lookup(&self, s: &str) -> Option<u32> {
         self.list.lookup(s)
@@ -504,10 +496,10 @@ mod tests {
         let a2 = d.encode(&"FRANCE".into());
         assert_eq!(a, a2);
         assert_ne!(a, b);
-        assert_eq!(d.decode(b).unwrap().as_ref(), "GERMANY");
+        assert_eq!(d.list().get(b).unwrap().as_ref(), "GERMANY");
         assert_eq!(d.lookup("FRANCE"), Some(a));
         assert_eq!(d.lookup("missing"), None);
-        assert!(d.decode(99).is_err());
+        assert!(d.list().get(99).is_none());
     }
 
     #[test]
@@ -520,9 +512,9 @@ mod tests {
         let back: Dictionary = serde_json::from_str(&json).unwrap();
         assert_eq!(back.len(), d.len());
         for code in 0..d.len() as u32 {
-            let s = d.decode(code).unwrap();
-            assert_eq!(back.decode(code).unwrap(), s);
-            assert_eq!(back.lookup(&s), Some(code));
+            let s = d.list().get(code).unwrap();
+            assert_eq!(back.list().get(code), Some(s));
+            assert_eq!(back.lookup(s), Some(code));
         }
     }
 

@@ -158,9 +158,9 @@ impl StrCol {
         self.codes.reserve(additional);
     }
 
-    /// Drop every row, keeping the capacity.
-    pub(crate) fn clear(&mut self) {
-        self.codes.clear();
+    /// Keep the first `rows` rows, and the capacity.
+    pub(crate) fn truncate(&mut self, rows: usize) {
+        self.codes.truncate(rows);
     }
 
     /// Append `s`, interning it into this column's own list.

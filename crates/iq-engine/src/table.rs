@@ -660,11 +660,11 @@ impl Pending {
         }
     }
 
-    /// Drop every row, keeping the capacity.
-    fn clear(&mut self) {
+    /// Keep the first `rows` rows, and the capacity.
+    fn truncate(&mut self, rows: usize) {
         match self {
-            Pending::Codes(codes) => codes.clear(),
-            Pending::Values(col) => col.clear(),
+            Pending::Codes(codes) => codes.truncate(rows),
+            Pending::Values(col) => col.truncate(rows),
         }
     }
 }
@@ -736,6 +736,22 @@ impl<'a> TableWriter<'a> {
                 self.pending.len()
             )));
         }
+        if let Err(e) = self.push_row(values) {
+            // A mistyped column k left columns 0..k a row longer than the
+            // rest, and the failed column holds the group's rows.
+            let rows = self.pending.iter().map(Pending::len).min().unwrap_or(0);
+            self.pending.iter_mut().for_each(|p| p.truncate(rows));
+            return Err(e);
+        }
+        if self.pending[0].len() as u32 >= self.meta.row_group_size {
+            self.flush_group()?;
+        }
+        Ok(())
+    }
+
+    /// Push one value onto each pending column, stopping at the first
+    /// that does not fit its column.
+    fn push_row(&mut self, values: &[Value]) -> IqResult<()> {
         for ((col, v), dict) in self
             .pending
             .iter_mut()
@@ -755,9 +771,6 @@ impl<'a> TableWriter<'a> {
                 }
                 (Pending::Values(col), v) => col.push(v)?,
             }
-        }
-        if self.pending[0].len() as u32 >= self.meta.row_group_size {
-            self.flush_group()?;
         }
         Ok(())
     }
@@ -782,7 +795,7 @@ impl<'a> TableWriter<'a> {
         // The next group refills the same columns, so only the first
         // group's appends grow them. Reserving a full group up front
         // instead raised the peak RSS of a TPC-H load (EXPERIMENTS.md).
-        self.pending.iter_mut().for_each(Pending::clear);
+        self.pending.iter_mut().for_each(|p| p.truncate(0));
         Ok(())
     }
 
@@ -1254,5 +1267,43 @@ mod tests {
                 Value::Date(0)
             ])
             .is_err());
+    }
+
+    /// A row refused at column k > 0 leaves no trace in the columns before
+    /// it — codes of a string column included — so the group `finish`
+    /// writes holds only the rows that were accepted.
+    #[test]
+    fn a_row_mistyped_past_column_zero_is_dropped_whole() {
+        let cases = [
+            (
+                Schema::new(&[("k", DataType::I64), ("d", DataType::Date)]),
+                vec![Value::I64(1), Value::Date(1)],
+                vec![Value::I64(2), Value::I64(9)],
+            ),
+            (
+                Schema::new(&[
+                    ("k", DataType::I64),
+                    ("s", DataType::Str),
+                    ("d", DataType::Date),
+                ]),
+                vec![Value::I64(1), Value::Str("a".into()), Value::Date(1)],
+                vec![Value::I64(2), Value::Str("b".into()), Value::I64(9)],
+            ),
+        ];
+        for (schema, good, bad) in cases {
+            let store = MemPageStore::new();
+            let arity = schema.columns.len();
+            let mut meta = TableMeta::new(TableId(1), "t", schema, 64);
+            let meter = WorkMeter::new();
+            let mut w = TableWriter::new(&mut meta, &store, TxnId(1), &meter);
+            w.append_row(&good).unwrap();
+            assert!(w.append_row(&bad).is_err());
+            w.finish().unwrap();
+            let cols: Vec<usize> = (0..arity).collect();
+            let out = meta.scan(&store, &cols, None, &meter).unwrap();
+            assert_eq!(out.len(), 1);
+            assert_eq!(out.col(0).i64s(), &[1]);
+            assert_eq!(out.col(arity - 1).value(0), Value::Date(1));
+        }
     }
 }

@@ -27,6 +27,10 @@ pub struct Catalog {
     pub identities: BTreeMap<u64, IdentityObject>,
     /// Monotone database-wide version counter.
     pub version_watermark: u64,
+    /// The log sequence number this image is current to: it holds the
+    /// identities of every commit logged before it and of none logged
+    /// from it on, which reopen replays over it.
+    pub replay_from: u64,
     /// Opaque metadata sections keyed by owner (e.g. `"keygen"`,
     /// `"snapshots"`, `"tables"`). Each layer serializes its own state.
     pub sections: BTreeMap<String, serde_json::Value>,

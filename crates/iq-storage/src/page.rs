@@ -118,6 +118,22 @@ impl Page {
     /// number of blocks it spans on a block device (1–16); only the device
     /// pads the last one.
     pub fn seal(&self, config: &StorageConfig) -> IqResult<(Bytes, u8)> {
+        let mut image = Vec::with_capacity(Self::max_image_len(self.body.len()));
+        let blocks = self.seal_into(config, &mut image)?;
+        Ok((Bytes::from(image), blocks))
+    }
+
+    /// The longest image a body of `body_len` bytes seals to: the header
+    /// and the raw body, which is what is stored when compressing saves
+    /// nothing.
+    pub fn max_image_len(body_len: usize) -> usize {
+        HEADER_LEN + body_len
+    }
+
+    /// [`Self::seal`] into the end of `out`, which grows by the image and
+    /// nothing else: a composite object seals its members straight into
+    /// its own buffer. Returns the blocks the image spans.
+    pub fn seal_into(&self, config: &StorageConfig, out: &mut Vec<u8>) -> IqResult<u8> {
         let body = &self.body[..];
         if body.len() > Self::max_body_len(config) {
             return Err(IqError::Invalid(format!(
@@ -129,14 +145,15 @@ impl Page {
         // Room for the raw body, the larger of the two payloads; the
         // compressor writes behind the reserved header and gives up once
         // it is no smaller than that.
-        let mut image = Vec::with_capacity(HEADER_LEN + body.len());
-        image.resize(HEADER_LEN, 0);
+        let start = out.len();
+        out.reserve(Self::max_image_len(body.len()));
+        out.resize(start + HEADER_LEN, 0);
         // Store compressed only when it actually saves space.
-        let compressed =
-            !body.is_empty() && compress::compress_into(body, &mut image, body.len() - 1);
+        let compressed = !body.is_empty() && compress::compress_into(body, out, body.len() - 1);
         if !compressed {
-            image.extend_from_slice(body);
+            out.extend_from_slice(body);
         }
+        let image = &mut out[start..];
         let payload_len = image.len() - HEADER_LEN;
 
         let header = &mut image[..HEADER_LEN];
@@ -148,12 +165,12 @@ impl Page {
         header[16..24].copy_from_slice(&self.version.0.to_le_bytes());
         header[24..28].copy_from_slice(&(body.len() as u32).to_le_bytes());
         header[28..32].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        let checksum = image_checksum(&image);
+        let checksum = image_checksum(image);
         image[CHECKSUM_AT..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
 
         let blocks = image.len().div_ceil(config.block_size() as usize) as u8;
         debug_assert!(blocks as u32 <= MAX_BLOCKS_PER_PAGE);
-        Ok((Bytes::from(image), blocks))
+        Ok(blocks)
     }
 
     /// Parse and verify a physical image.

@@ -78,7 +78,7 @@ fn load_writes_the_pinned_bytes() {
         for dict in t.dicts.iter().flatten() {
             meta = eat(meta, &(dict.len() as u64).to_le_bytes());
             for code in 0..dict.len() as u32 {
-                meta = eat(meta, dict.decode(code).unwrap().as_bytes());
+                meta = eat(meta, dict.list().get(code).unwrap().as_bytes());
                 meta = eat(meta, &[0xff]);
             }
         }

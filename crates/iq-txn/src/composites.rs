@@ -24,7 +24,6 @@ use std::collections::BTreeMap;
 
 use iq_common::ObjectKey;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::rfrb::PackMember;
 
@@ -59,40 +58,6 @@ impl CompositeImage {
     pub(crate) fn kill(&mut self, offset: u32) -> Option<bool> {
         let i = self.members.iter().position(|m| m.offset == offset)?;
         Some(!std::mem::replace(&mut self.dead[i], true))
-    }
-}
-
-// A checkpoint lists every composite, so it is `[members, dead]`: the
-// members as `PackMember` tuples, the death bits as a mask of 64-bit words
-// (member `i` is bit `i % 64` of word `i / 64`) without its trailing zero
-// words — a composite with no dead member writes `[]`.
-impl Serialize for CompositeImage {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut mask = vec![0u64; self.dead.len().div_ceil(64)];
-        for (i, _) in self.dead.iter().enumerate().filter(|(_, d)| **d) {
-            mask[i / 64] |= 1 << (i % 64);
-        }
-        while mask.last() == Some(&0) {
-            mask.pop();
-        }
-        (&self.members, mask).serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for CompositeImage {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error;
-        let (members, mask) = <(Vec<PackMember>, Vec<u64>)>::deserialize(deserializer)?;
-        let dead: Vec<bool> = (0..members.len())
-            .map(|i| mask.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
-            .collect();
-        let bits: usize = mask.iter().map(|w| w.count_ones() as usize).sum();
-        if bits != dead.iter().filter(|d| **d).count() {
-            return Err(D::Error::custom(
-                "death mask names a member past the layout",
-            ));
-        }
-        Ok(Self { members, dead })
     }
 }
 
@@ -353,6 +318,8 @@ impl CompositeRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_batch, LogBatch};
+    use crate::log::{Checkpoint, LogRecord};
 
     fn member(page: u64, offset: u32) -> PackMember {
         PackMember {
@@ -485,12 +452,15 @@ mod tests {
         reg.register(key(2), &[member(1, 0)]);
         assert_eq!(reg.compaction_candidates(0.99, 8).len(), 1, "claims key 1");
         let image = reg.image();
-        let json = serde_json::to_string(&image).unwrap();
-        assert!(
-            json.ends_with(r#"],[1,2]],"2":[[[1,1,0,512]],[]]}"#),
-            "{json}"
-        );
-        let back: BTreeMap<u64, CompositeImage> = serde_json::from_str(&json).unwrap();
+        let record = LogRecord::Checkpoint(Checkpoint {
+            composites: image.clone(),
+            ..Checkpoint::default()
+        });
+        let bytes = LogBatch::of(&record).into_bytes();
+        let Some(LogRecord::Checkpoint(cp)) = decode_batch(&bytes).unwrap().pop() else {
+            panic!("a checkpoint")
+        };
+        let back = cp.composites;
         assert_eq!(back, image);
         let restored = CompositeRegistry::new();
         restored.restore(back);
@@ -501,8 +471,6 @@ mod tests {
             1,
             "unclaimed"
         );
-        // A mask naming a member past the layout is refused.
-        assert!(serde_json::from_str::<CompositeImage>(r#"[[[1,1,0,512]],[2]]"#).is_err());
     }
 
     #[test]

@@ -363,6 +363,7 @@ mod tests {
         log.append(LogRecord::Commit {
             txn: iq_common::TxnId(1),
             node: NodeId(1),
+            identities: Vec::new(),
             rfrb,
         }); // clock 90
             // Clock 110: coordinator crashes — volatile state is dropped.

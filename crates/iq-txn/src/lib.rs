@@ -11,8 +11,9 @@
 //!   are updated ...; instead, it stores the metadata" (§3.1): checkpoint
 //!   records (the base recovery starts from, garbage-collector state
 //!   included), key-range allocations, and commit records carrying RF/RB
-//!   bitmap identities. [`fence`] keeps a checkpoint's image and its place
-//!   in the log in agreement.
+//!   bitmap identities and the identity objects the commit installs.
+//!   [`codec`] is the binary form a durable sink uploads; [`fence`] keeps a
+//!   checkpoint's image and its place in the log in agreement.
 //! * [`keygen`] — the Object Key Generator: coordinator-resident,
 //!   transactional, strictly monotone range allocation with per-node
 //!   *active sets*; plus the per-node key cache with adaptive range sizing
@@ -28,6 +29,7 @@
 //! * [`multiplex`] — coordinator and secondary nodes with simulated RPC,
 //!   crash, and restart; reproduces Table 1's recovery walkthrough.
 
+pub mod codec;
 pub mod composites;
 pub mod fence;
 pub mod keygen;
@@ -36,10 +38,11 @@ pub mod manager;
 pub mod multiplex;
 pub mod rfrb;
 
+pub use codec::LogBatch;
 pub use composites::{CompositeImage, CompositeRegistry, CompositeStats};
 pub use fence::CheckpointFence;
 pub use keygen::{KeyGenerator, KeyRange, NodeKeyCache, RangeProvider};
-pub use log::{Checkpoint, LogRecord, LogSink, RetentionImage, TxnLog};
+pub use log::{Checkpoint, LogRecord, LogSink, RecordKind, RetentionImage, TxnLog};
 pub use manager::{
     BulkDeleteOutcome, DeletionSink, GcStats, GcStatsSnapshot, ImmediateDeletion,
     TransactionManager,

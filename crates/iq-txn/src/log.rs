@@ -17,24 +17,28 @@
 //!   the transaction log" on every range allocation;
 //! * `Commit` — the committing transaction's RF/RB bitmap identity and the
 //!   key ranges it consumed, so replay can both redo freelist effects and
-//!   trim active sets.
+//!   trim active sets, and the identity objects it installs: the log, not
+//!   the catalog, is where a commit's new blockmap roots become durable.
 //!
 //! The log object itself lives on the (strongly consistent, durable)
 //! system dbspace; in the simulation it is an `Arc`-shared structure that
 //! survives node "crashes" because crashes only discard volatile state.
+//! A durable sink receives each record encoded once, in the binary wire
+//! format of [`crate::codec`].
 
 use std::collections::BTreeMap;
 
 use iq_common::trace::{self, EventKind};
 use iq_common::{IqError, IqResult, KeySet, NodeId, TxnId};
+use iq_storage::IdentityObject;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
+use crate::codec::LogBatch;
 use crate::composites::CompositeImage;
 use crate::rfrb::{PageSet, RfRb};
 
 /// One durable log record.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
     /// Periodic checkpoint: replay starts at the most recent one.
     Checkpoint(Checkpoint),
@@ -53,19 +57,51 @@ pub enum LogRecord {
         txn: TxnId,
         /// Node the transaction ran on.
         node: NodeId,
+        /// The identity objects the commit installs, one per table it
+        /// wrote (§3.1): reopen replays them over the catalog.
+        identities: Vec<IdentityObject>,
         /// The transaction's RF/RB bitmaps ("the identities of the bitmaps
         /// are recorded in the transaction log", §3.3).
         rfrb: RfRb,
     },
 }
 
+/// Which of the three records a [`LogRecord`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordKind {
+    /// [`LogRecord::Checkpoint`].
+    Checkpoint,
+    /// [`LogRecord::AllocateRange`].
+    AllocateRange,
+    /// [`LogRecord::Commit`].
+    Commit,
+}
+
+impl RecordKind {
+    /// The kind's name, as the trace records it.
+    pub fn name(self) -> &'static str {
+        match self {
+            RecordKind::Checkpoint => "Checkpoint",
+            RecordKind::AllocateRange => "AllocateRange",
+            RecordKind::Commit => "Commit",
+        }
+    }
+}
+
+impl LogRecord {
+    /// The record's kind.
+    pub fn kind(&self) -> RecordKind {
+        match self {
+            LogRecord::Checkpoint(_) => RecordKind::Checkpoint,
+            LogRecord::AllocateRange { .. } => RecordKind::AllocateRange,
+            LogRecord::Commit { .. } => RecordKind::Commit,
+        }
+    }
+}
+
 /// A checkpoint record: the state recovery "starts from" (§3.3) before it
 /// replays the records logged after it.
-///
-/// The garbage collector's three fields are written only when they hold
-/// something, so a checkpoint of the key generator alone serialises as it
-/// always has.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     /// Largest object-key offset ever allocated.
     pub max_allocated: u64,
@@ -77,20 +113,17 @@ pub struct Checkpoint {
     /// bits, keyed by composite-key offset. The committed chain's pending
     /// member frees are already folded into the death bits: no reader
     /// survives a reopen, so every chain entry is eligible there.
-    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
     pub composites: BTreeMap<u64, CompositeImage>,
     /// The committed chain's pending frees (RF minus what GC already
     /// deleted): whole-object keys and block runs.
-    #[serde(default, skip_serializing_if = "PageSet::is_empty")]
     pub pending: PageSet,
     /// The retention FIFO and its clock, when retention is on (§5).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub retention: Option<RetentionImage>,
 }
 
 /// The snapshot manager's retention FIFO and clock (§5), as a checkpoint
 /// carries them. Times are virtual nanoseconds.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RetentionImage {
     /// The retention clock.
     pub clock: u64,
@@ -115,8 +148,9 @@ pub struct RetentionImage {
 /// [`TxnLog::append`] keep the in-memory record regardless and rely on
 /// reopen-time reconciliation against the durable stream.
 pub trait LogSink: Send + Sync {
-    /// `record` was appended as `lsn`; returns whether it became durable.
-    fn append(&self, record: &LogRecord, lsn: u64) -> IqResult<()>;
+    /// A record of `kind`, encoded as a batch of one, was appended as
+    /// `lsn`; returns whether it became durable.
+    fn append(&self, kind: RecordKind, record: LogBatch, lsn: u64) -> IqResult<()>;
 }
 
 /// Append-only shared transaction log.
@@ -137,7 +171,11 @@ impl std::fmt::Debug for TxnLog {
 
 #[derive(Debug, Default)]
 struct LogInner {
-    records: Vec<LogRecord>,
+    /// Every record with its log sequence number, oldest first.
+    records: Vec<(u64, LogRecord)>,
+    /// The sequence number of the next record. Numbers are never reused:
+    /// neither truncation nor reconciliation moves it back.
+    next_lsn: u64,
     /// Index of the most recent checkpoint record.
     last_checkpoint: Option<usize>,
 }
@@ -184,30 +222,28 @@ impl TxnLog {
 
     fn append_inner(&self, record: LogRecord) -> (u64, IqResult<()>) {
         let sink = self.sink.lock().clone();
-        // Clone for the sink only when one is installed — the default
-        // (no durable log) pays nothing.
-        let mirrored = sink.as_ref().map(|_| record.clone());
+        let kind = record.kind();
+        // Encode for the sink only when one is installed — the default
+        // (no durable log) pays nothing — and only here: the sink uploads
+        // these bytes as they are.
+        let encoded = sink.as_ref().map(|_| LogBatch::of(&record));
         let lsn = {
             let mut g = self.inner.lock();
-            if matches!(record, LogRecord::Checkpoint(_)) {
+            if kind == RecordKind::Checkpoint {
                 g.last_checkpoint = Some(g.records.len());
             }
-            let kind = match record {
-                LogRecord::Checkpoint(_) => "Checkpoint",
-                LogRecord::AllocateRange { .. } => "AllocateRange",
-                LogRecord::Commit { .. } => "Commit",
-            };
-            g.records.push(record);
-            let lsn = (g.records.len() - 1) as u64;
+            let lsn = g.next_lsn;
+            g.next_lsn += 1;
+            g.records.push((lsn, record));
             trace::emit(EventKind::LogAppend {
-                record: kind.into(),
+                record: kind.name().into(),
                 lsn,
             });
             lsn
         };
         // The sink runs outside the log lock; see [`LogSink`].
-        let sunk = match sink {
-            Some(sink) => sink.append(&mirrored.expect("mirrored with sink"), lsn),
+        let sunk = match sink.zip(encoded) {
+            Some((sink, record)) => sink.append(kind, record, lsn),
             None => Ok(()),
         };
         (lsn, sunk)
@@ -217,7 +253,29 @@ impl TxnLog {
     /// freshly installed uploader mirrors the pre-existing history so
     /// the durable stream stays a superset of memory).
     pub fn all_records(&self) -> Vec<LogRecord> {
-        self.inner.lock().records.clone()
+        let g = self.inner.lock();
+        g.records.iter().map(|(_, r)| r.clone()).collect()
+    }
+
+    /// The sequence number the next appended record gets.
+    pub fn next_lsn(&self) -> u64 {
+        self.inner.lock().next_lsn
+    }
+
+    /// The identity objects installed by the commit records numbered
+    /// `lsn` or later, in log order: what a catalog saved at `lsn` does
+    /// not hold yet.
+    pub fn identities_since(&self, lsn: u64) -> Vec<IdentityObject> {
+        let g = self.inner.lock();
+        g.records
+            .iter()
+            .filter(|(at, _)| *at >= lsn)
+            .flat_map(|(_, record)| match record {
+                LogRecord::Commit { identities, .. } => identities.as_slice(),
+                _ => &[],
+            })
+            .copied()
+            .collect()
     }
 
     /// Reconcile the in-memory log against the durable stream: keep
@@ -231,7 +289,7 @@ impl TxnLog {
     pub fn retain_commits(&self, is_durable: impl Fn(TxnId) -> bool) -> usize {
         let mut g = self.inner.lock();
         let before = g.records.len();
-        g.records.retain(|r| match r {
+        g.records.retain(|(_, r)| match r {
             LogRecord::Commit { txn, .. } => is_durable(*txn),
             _ => true,
         });
@@ -240,7 +298,7 @@ impl TxnLog {
         g.last_checkpoint = g
             .records
             .iter()
-            .rposition(|r| matches!(r, LogRecord::Checkpoint(_)));
+            .rposition(|(_, r)| matches!(r, LogRecord::Checkpoint(_)));
         before - g.records.len()
     }
 
@@ -250,7 +308,7 @@ impl TxnLog {
     pub fn replay_suffix(&self) -> Vec<LogRecord> {
         let g = self.inner.lock();
         let start = g.last_checkpoint.unwrap_or(0);
-        g.records[start..].to_vec()
+        g.records[start..].iter().map(|(_, r)| r.clone()).collect()
     }
 
     /// Total records (tests).
@@ -266,7 +324,7 @@ impl TxnLog {
     /// The most recent checkpoint record, if any.
     pub fn last_checkpoint(&self) -> Option<LogRecord> {
         let g = self.inner.lock();
-        g.last_checkpoint.map(|i| g.records[i].clone())
+        g.last_checkpoint.map(|i| g.records[i].1.clone())
     }
 
     /// Truncate everything before the last checkpoint (log reclamation).
@@ -347,6 +405,35 @@ mod tests {
         assert!(matches!(log.replay_suffix()[0], LogRecord::Checkpoint(_)));
     }
 
+    /// Truncation and reconciliation remove records, never numbers: a
+    /// catalog stamped with a sequence number still finds the commits
+    /// logged from it on.
+    #[test]
+    fn sequence_numbers_outlive_truncation_and_reconciliation() {
+        use iq_common::{ObjectKey, PhysicalLocator, TableId, VersionId};
+        let identity = |table| {
+            let root = PhysicalLocator::Object(ObjectKey::from_offset(9));
+            IdentityObject::new(TableId(table), VersionId(1), root, 4, 0)
+        };
+        let commit = |txn, table| LogRecord::Commit {
+            txn: TxnId(txn),
+            node: NodeId(0),
+            identities: vec![identity(table)],
+            rfrb: RfRb::default(),
+        };
+        let log = TxnLog::new();
+        assert_eq!(log.append(commit(1, 1)), 0);
+        assert_eq!(log.append(checkpoint(0)), 1);
+        assert_eq!(log.append(commit(2, 2)), 2);
+        assert_eq!(log.append(commit(3, 3)), 3);
+        assert_eq!(log.truncate_before_checkpoint().unwrap(), 1);
+        assert_eq!(log.retain_commits(|txn| txn != TxnId(2)), 1);
+        assert_eq!(log.next_lsn(), 4);
+        assert_eq!(log.append(checkpoint(0)), 4);
+        assert_eq!(log.identities_since(2), [identity(3)]);
+        assert_eq!(log.identities_since(4), []);
+    }
+
     #[test]
     fn last_checkpoint_tracks_newest() {
         let log = TxnLog::new();
@@ -356,82 +443,5 @@ mod tests {
             LogRecord::Checkpoint(cp) => assert_eq!(cp.max_allocated, 2),
             _ => panic!(),
         }
-    }
-
-    /// A checkpoint of the key generator and freelists alone writes the
-    /// bytes it always has: the garbage collector's fields are left out
-    /// when empty, and read back empty when missing.
-    #[test]
-    fn a_key_generator_checkpoint_serialises_as_before() {
-        let set = |start, end| {
-            let mut set = KeySet::new();
-            set.insert_range(start, end);
-            set
-        };
-        let active_sets = [(1, set(0, 100)), (2, set(100, 150))].into();
-        let record = LogRecord::Checkpoint(Checkpoint {
-            max_allocated: 150,
-            active_sets,
-            freelists: [(3, vec![1, 2])].into(),
-            ..Checkpoint::default()
-        });
-        let json = concat!(
-            r#"{"Checkpoint":{"max_allocated":150,"active_sets":{"1":{"runs":[[0,100]]},"#,
-            r#""2":{"runs":[[100,150]]}},"freelists":{"3":[1,2]}}}"#
-        );
-        assert_eq!(serde_json::to_string(&record).unwrap(), json);
-        assert_eq!(serde_json::from_str::<LogRecord>(json).unwrap(), record);
-    }
-
-    /// The garbage collector's image survives the log's wire form.
-    #[test]
-    fn a_checkpoint_image_round_trips() {
-        use crate::rfrb::PackMember;
-        let member = |page: u64, offset: u32| PackMember {
-            table: 1,
-            page,
-            offset,
-            len: 600,
-        };
-        let mut pending = PageSet::default();
-        pending.keys.insert_range(40, 43);
-        pending.blocks.insert(2, vec![(64, 4)]);
-        let record = LogRecord::Checkpoint(Checkpoint {
-            max_allocated: 99,
-            composites: [
-                (
-                    7,
-                    CompositeImage {
-                        members: vec![member(1, 0), member(2, 600)],
-                        dead: vec![false, true],
-                    },
-                ),
-                (
-                    9,
-                    CompositeImage {
-                        members: vec![member(3, 0)],
-                        dead: vec![false],
-                    },
-                ),
-            ]
-            .into(),
-            pending,
-            retention: Some(RetentionImage {
-                clock: 5_000,
-                fifo: vec![(30, 9_000), (31, 9_500)],
-            }),
-            ..Checkpoint::default()
-        });
-        let json = serde_json::to_string(&record).unwrap();
-        assert_eq!(
-            json,
-            concat!(
-                r#"{"Checkpoint":{"max_allocated":99,"active_sets":{},"freelists":{},"#,
-                r#""composites":{"7":[[[1,1,0,600],[1,2,600,600]],[2]],"9":[[[1,3,0,600]],[]]},"#,
-                r#""pending":{"keys":[[40,43]],"blocks":{"2":[[64,4]]}},"#,
-                r#""retention":{"clock":5000,"fifo":[[30,9000],[31,9500]]}}}"#
-            )
-        );
-        assert_eq!(serde_json::from_str::<LogRecord>(&json).unwrap(), record);
     }
 }

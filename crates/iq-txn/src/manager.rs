@@ -22,7 +22,7 @@ use iq_common::{
     BlockNum, DbSpaceId, IoCore, IoStats, IqError, IqResult, KeySet, NodeId, ObjectKey,
     PhysicalLocator, TxnId,
 };
-use iq_storage::DbSpace;
+use iq_storage::{DbSpace, IdentityObject};
 use parking_lot::{Mutex, RwLock};
 
 use crate::composites::{CompositeImage, CompositeRegistry};
@@ -504,11 +504,12 @@ impl TransactionManager {
         Ok(())
     }
 
-    /// Commit: flush the RF/RB bitmaps (log record), notify the key
-    /// generator and move the transaction onto the committed chain.
-    /// Reclamation is [`Self::gc_tick`]'s, so commit latency does not
-    /// include the deletion fan-out. Returns the commit sequence.
-    pub fn commit(&self, txn: TxnId) -> IqResult<u64> {
+    /// Commit: flush the RF/RB bitmaps and the `identities` the commit
+    /// installs (log record), notify the key generator and move the
+    /// transaction onto the committed chain. Reclamation is
+    /// [`Self::gc_tick`]'s, so commit latency does not include the
+    /// deletion fan-out. Returns the commit sequence.
+    pub fn commit(&self, txn: TxnId, identities: Vec<IdentityObject>) -> IqResult<u64> {
         let entry = {
             let mut g = self.inner.lock();
             g.active.remove(&txn.0).ok_or_else(|| IqError::Txn {
@@ -536,6 +537,7 @@ impl TransactionManager {
         if let Err(e) = self.log.append_durable(LogRecord::Commit {
             txn,
             node: entry.node,
+            identities,
             rfrb: entry.rfrb.clone(),
         }) {
             self.inner.lock().active.insert(txn.0, entry);
@@ -933,7 +935,7 @@ mod tests {
         let w = tm.begin(NodeId(1));
         tm.record_alloc(w, DbSpaceId(1), cloud(6)).unwrap();
         tm.record_free(w, DbSpaceId(1), cloud(5)).unwrap();
-        tm.commit(w).unwrap();
+        tm.commit(w, Vec::new()).unwrap();
         // Old page 5 must survive while the reader lives.
         assert!(sink.cloud.lock().is_empty());
         assert_eq!(tm.chain_len(), 1);
@@ -956,7 +958,7 @@ mod tests {
         let sink = RecordingSink::default();
         let w = tm.begin(NodeId(1));
         tm.record_free(w, DbSpaceId(1), cloud(1)).unwrap();
-        tm.commit(w).unwrap();
+        tm.commit(w, Vec::new()).unwrap();
         // A reader that began *after* the commit sees the new version, so
         // the old page can die even while this reader is active.
         let _late_reader = tm.begin(NodeId(2));
@@ -991,7 +993,7 @@ mod tests {
             .unwrap();
         }
         tm.record_pack(w, key, members.clone()).unwrap();
-        tm.commit(w).unwrap();
+        tm.commit(w, Vec::new()).unwrap();
         assert_eq!(tm.composites().len(), 1);
 
         // Two of three members die: the object must survive.
@@ -1008,7 +1010,7 @@ mod tests {
             )
             .unwrap();
         }
-        tm.commit(t).unwrap();
+        tm.commit(t, Vec::new()).unwrap();
         tm.gc_tick(&sink, usize::MAX).unwrap();
         assert!(
             !sink.cloud.lock().contains(900),
@@ -1027,7 +1029,7 @@ mod tests {
             },
         )
         .unwrap();
-        tm.commit(t).unwrap();
+        tm.commit(t, Vec::new()).unwrap();
         tm.gc_tick(&sink, usize::MAX).unwrap();
         assert!(sink.cloud.lock().contains(900));
         assert!(tm.composites().is_empty());
@@ -1050,7 +1052,7 @@ mod tests {
         };
         let w = tm.begin(NodeId(1));
         tm.record_pack(w, key, members.clone()).unwrap();
-        tm.commit(w).unwrap();
+        tm.commit(w, Vec::new()).unwrap();
         let t = tm.begin(NodeId(1));
         tm.record_free(
             t,
@@ -1062,7 +1064,7 @@ mod tests {
             },
         )
         .unwrap();
-        tm.commit(t).unwrap();
+        tm.commit(t, Vec::new()).unwrap();
         // The pass hits the fault: the composite left the registry, and
         // its delete stays owed rather than leak.
         tm.gc_tick(&sink, usize::MAX).unwrap_err();
@@ -1092,7 +1094,7 @@ mod tests {
         };
         let w = tm.begin(NodeId(1));
         tm.record_pack(w, key, vec![member(0), member(1)]).unwrap();
-        tm.commit(w).unwrap();
+        tm.commit(w, Vec::new()).unwrap();
         let reader = tm.begin(NodeId(2));
         let t = tm.begin(NodeId(1));
         let first = PhysicalLocator::ObjectRange {
@@ -1109,7 +1111,7 @@ mod tests {
             count: 4,
         };
         tm.record_free(t, DbSpaceId(2), run).unwrap();
-        tm.commit(t).unwrap();
+        tm.commit(t, Vec::new()).unwrap();
 
         // The reader pins the entry: the registry has no death yet, the
         // image does.
@@ -1150,7 +1152,7 @@ mod tests {
         for i in 0..3u64 {
             let t = tm.begin(NodeId(1));
             tm.record_free(t, DbSpaceId(1), cloud(100 + i)).unwrap();
-            tm.commit(t).unwrap();
+            tm.commit(t, Vec::new()).unwrap();
         }
         assert_eq!(tm.chain_len(), 3);
         tm.rollback(blocker, &sink).unwrap();
@@ -1195,7 +1197,7 @@ mod tests {
         for off in 40..45 {
             tm.record_free(w, DbSpaceId(1), cloud(off)).unwrap();
         }
-        tm.commit(w).unwrap();
+        tm.commit(w, Vec::new()).unwrap();
         tm.gc_tick(&sink, usize::MAX).unwrap_err();
         assert_eq!(tm.chain_len(), 0, "the entry is dropped from the chain");
         assert_eq!(
@@ -1228,7 +1230,7 @@ mod tests {
             };
             tm.record_free(w, DbSpaceId(2), run).unwrap();
         }
-        tm.commit(w).unwrap();
+        tm.commit(w, Vec::new()).unwrap();
         tm.gc_tick(&sink, usize::MAX).unwrap_err();
         // Only the trim of run 40 landed: the keys and the two runs the
         // failed trim covered stay owed.
@@ -1273,12 +1275,12 @@ mod tests {
         for off in 100..110 {
             tm.record_free(t1, DbSpaceId(1), cloud(off)).unwrap();
         }
-        tm.commit(t1).unwrap();
+        tm.commit(t1, Vec::new()).unwrap();
         let t2 = tm.begin(NodeId(1));
         for off in 105..115 {
             tm.record_free(t2, DbSpaceId(1), cloud(off)).unwrap();
         }
-        tm.commit(t2).unwrap();
+        tm.commit(t2, Vec::new()).unwrap();
         tm.rollback(blocker, &sink).unwrap();
         tm.gc_tick(&sink, usize::MAX).unwrap();
         assert_eq!(tm.chain_len(), 0);
@@ -1400,7 +1402,7 @@ mod tests {
             if r.rollback {
                 tm.rollback(t, sink).unwrap();
             } else {
-                tm.commit(t).unwrap();
+                tm.commit(t, Vec::new()).unwrap();
                 let _ = tm.gc_tick(gc, usize::MAX);
             }
         }
@@ -1485,7 +1487,7 @@ mod tests {
         for i in 0..4u64 {
             let t = tm.begin(NodeId(1));
             tm.record_free(t, DbSpaceId(1), cloud(200 + i)).unwrap();
-            tm.commit(t).unwrap();
+            tm.commit(t, Vec::new()).unwrap();
         }
         tm.rollback(blocker, &sink).unwrap();
         assert_eq!(tm.gc_tick(&sink, 3).unwrap(), 3);
@@ -1533,7 +1535,7 @@ mod tests {
         let (_, tm) = manager();
         let sink = RecordingSink::default();
         assert!(tm.record_alloc(TxnId(999), DbSpaceId(1), cloud(1)).is_err());
-        assert!(tm.commit(TxnId(999)).is_err());
+        assert!(tm.commit(TxnId(999), Vec::new()).is_err());
         assert!(tm.rollback(TxnId(999), &sink).is_err());
         assert!(tm.snapshot_seq(TxnId(999)).is_err());
     }

@@ -18,7 +18,6 @@ use std::collections::BTreeMap;
 
 use iq_common::trace::{self, EventKind};
 use iq_common::{BlockNum, DbSpaceId, KeySet, ObjectKey, PhysicalLocator};
-use serde::{Content, Deserialize, Serialize};
 
 /// The bitmap bit a locator flips: the key offset for cloud pages, the
 /// first block number for conventional runs.
@@ -44,27 +43,6 @@ pub struct PackMember {
     pub offset: u32,
     /// Byte length of the sealed image.
     pub len: u32,
-}
-
-// Every commit record lists its composites' members and the log is JSON,
-// so a member is the tuple `[table, page, offset, len]` rather than an
-// object that repeats its four field names.
-impl Serialize for PackMember {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (self.table, self.page, self.offset, self.len).serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for PackMember {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let (table, page, offset, len) = <(u32, u64, u32, u32)>::deserialize(deserializer)?;
-        Ok(Self {
-            table,
-            page,
-            offset,
-            len,
-        })
-    }
 }
 
 /// One side (RF or RB) of the bitmap pair.
@@ -136,64 +114,6 @@ impl PageSet {
     }
 }
 
-// Every commit record carries two page sets, and most of their fields are
-// empty: a cloud commit frees composite members and allocates one key run
-// and no block run. So only the fields that hold something are written,
-// the key set as its bare runs; a missing field reads back empty.
-impl Serialize for PageSet {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut fields = Vec::new();
-        let mut field = |name: &str, value: Result<Content, serde::Fail>| {
-            let value = value.map_err(serde::ser::Error::custom)?;
-            fields.push((Content::Str(name.into()), value));
-            Ok::<(), S::Error>(())
-        };
-        if !self.keys.is_empty() {
-            field("keys", serde::to_content(self.keys.runs()))?;
-        }
-        if !self.blocks.is_empty() {
-            field("blocks", serde::to_content(&self.blocks))?;
-        }
-        if !self.members.is_empty() {
-            field("members", serde::to_content(&self.members))?;
-        }
-        serializer.serialize_content(Content::Map(fields))
-    }
-}
-
-impl<'de> Deserialize<'de> for PageSet {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error;
-        let Content::Map(fields) = deserializer.deserialize_content()? else {
-            return Err(D::Error::custom("a page set is a map"));
-        };
-        let mut set = PageSet::default();
-        for (name, value) in fields {
-            match name {
-                Content::Str(n) if n == "keys" => {
-                    let runs: Vec<(u64, u64)> =
-                        serde::from_content(value).map_err(D::Error::custom)?;
-                    for (start, end) in runs {
-                        set.keys.insert_range(start, end);
-                    }
-                }
-                Content::Str(n) if n == "blocks" => {
-                    set.blocks = serde::from_content(value).map_err(D::Error::custom)?;
-                }
-                Content::Str(n) if n == "members" => {
-                    set.members = serde::from_content(value).map_err(D::Error::custom)?;
-                }
-                other => {
-                    return Err(D::Error::custom(format!(
-                        "unknown page-set field {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(set)
-    }
-}
-
 /// Sort, dedupe and merge adjacent `(start, count)` block runs: runs whose
 /// ranges touch or overlap collapse into one as long as the combined
 /// length still fits the `u8` run-length field (pages occupy 1–16 blocks,
@@ -223,7 +143,7 @@ pub fn coalesce_block_runs(runs: &mut Vec<(u64, u8)>) {
 }
 
 /// A transaction's pair of RF/RB bitmaps.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RfRb {
     /// Roll-forward: pages this transaction superseded/deleted — to be
     /// garbage collected *after* commit, once no snapshot references them.
@@ -277,17 +197,6 @@ impl RfRb {
     /// what the coordinator trims from the node's active set at commit.
     pub fn consumed_ranges(&self) -> Vec<(u64, u64)> {
         self.rb.keys.runs().to_vec()
-    }
-
-    /// Serialized image ("its RF/RB bitmaps are flushed to storage" at
-    /// commit, §3.3).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("RfRb serialization cannot fail")
-    }
-
-    /// Restore from a flushed image.
-    pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        serde_json::from_slice(data).ok()
     }
 }
 
@@ -351,116 +260,6 @@ mod tests {
         assert!(rfrb.rf.keys.is_empty());
         assert_eq!(rfrb.rf.members.get(&77), Some(&vec![(1024u32, 512u32)]));
         assert_eq!(rfrb.rf.len(), 1);
-    }
-
-    #[test]
-    fn packs_survive_the_flush_image() {
-        let mut rfrb = RfRb::new();
-        rfrb.record_pack(
-            ObjectKey::from_offset(9),
-            vec![
-                PackMember {
-                    table: 1,
-                    page: 10,
-                    offset: 0,
-                    len: 600,
-                },
-                PackMember {
-                    table: 1,
-                    page: 11,
-                    offset: 600,
-                    len: 600,
-                },
-            ],
-        );
-        let image = rfrb.to_bytes();
-        let back = RfRb::from_bytes(&image).unwrap();
-        assert_eq!(back.packs[&9].len(), 2);
-        assert_eq!(back, rfrb);
-    }
-
-    #[test]
-    fn pack_members_serialize_as_four_tuples() {
-        let node = PackMember {
-            table: 3,
-            page: iq_storage::NODE_PAGE_TAG | 7,
-            offset: 32_886,
-            len: 646,
-        };
-        let json = serde_json::to_string(&node).unwrap();
-        assert_eq!(json, "[3,4611686018427387911,32886,646]");
-        assert_eq!(serde_json::from_str::<PackMember>(&json).unwrap(), node);
-        assert!(serde_json::from_str::<PackMember>("[3,7,0]").is_err());
-    }
-
-    /// The commit record of one small packed transaction: it frees four
-    /// data members and the two nodes the previous commit wrote, allocates
-    /// one composite, and lists that composite's six members.
-    #[test]
-    fn commit_records_list_tuples_and_only_fields_that_hold_something() {
-        let member = |key: u64, offset: u32, len: u32| PhysicalLocator::ObjectRange {
-            key: ObjectKey::from_offset(key),
-            offset,
-            len,
-        };
-        let node = iq_storage::NODE_PAGE_TAG | 1_998;
-        let mut rfrb = RfRb::new();
-        for i in 0..4 {
-            rfrb.record_free(DbSpaceId(1), member(8_871, i * 8_232, 8_232));
-        }
-        rfrb.record_free(DbSpaceId(1), member(8_934, 32_928, 1_176));
-        rfrb.record_free(DbSpaceId(1), member(8_934, 34_104, 133));
-        let layout = [
-            (220, 0, 8_232),
-            (221, 8_232, 8_232),
-            (222, 16_464, 8_232),
-            (223, 24_696, 8_232),
-            (node, 32_928, 1_176),
-            (node + 1, 34_104, 133),
-        ];
-        let mut members = Vec::new();
-        for (page, offset, len) in layout {
-            rfrb.record_alloc(DbSpaceId(1), member(8_935, offset, len));
-            members.push(PackMember {
-                table: 1,
-                page,
-                offset,
-                len,
-            });
-        }
-        rfrb.record_pack(ObjectKey::from_offset(8_935), members);
-        let image = rfrb.to_bytes();
-        assert_eq!(
-            String::from_utf8_lossy(&image),
-            concat!(
-                r#"{"rf":{"members":{"8871":[[0,8232],[8232,8232],[16464,8232],[24696,8232]],"#,
-                r#""8934":[[32928,1176],[34104,133]]}},"rb":{"keys":[[8935,8936]]},"#,
-                r#""packs":{"8935":[[1,220,0,8232],[1,221,8232,8232],[1,222,16464,8232],"#,
-                r#"[1,223,24696,8232],[1,4611686018427389902,32928,1176],"#,
-                r#"[1,4611686018427389903,34104,133]]}}"#
-            )
-        );
-        assert_eq!(image.len(), 297);
-        assert_eq!(RfRb::from_bytes(&image), Some(rfrb));
-        assert_eq!(RfRb::new().to_bytes(), br#"{"rf":{},"rb":{},"packs":{}}"#);
-        assert_eq!(
-            RfRb::from_bytes(br#"{"rf":{},"rb":{},"packs":{}}"#),
-            Some(RfRb::new())
-        );
-        assert_eq!(
-            RfRb::from_bytes(br#"{"rf":{"kees":[]},"rb":{},"packs":{}}"#),
-            None
-        );
-    }
-
-    #[test]
-    fn flush_image_roundtrip() {
-        let mut rfrb = RfRb::new();
-        rfrb.record_alloc(DbSpaceId(1), cloud(7));
-        rfrb.record_free(DbSpaceId(3), blocks(0, 16));
-        let image = rfrb.to_bytes();
-        assert_eq!(RfRb::from_bytes(&image), Some(rfrb));
-        assert_eq!(RfRb::from_bytes(b"garbage"), None);
     }
 
     #[test]

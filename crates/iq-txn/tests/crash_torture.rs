@@ -85,6 +85,7 @@ fn commit_keys(log: &TxnLog, mx: &Multiplex, txn: TxnId, keys: &[ObjectKey]) {
     log.append(LogRecord::Commit {
         txn,
         node: W1,
+        identities: Vec::new(),
         rfrb: rfrb.clone(),
     });
     mx.coordinator.keygen().unwrap().note_commit(W1, &rfrb);
@@ -272,7 +273,7 @@ fn crash_mid_gc() {
         tm.record_alloc(t1, SPACE, PhysicalLocator::Object(k))
             .unwrap();
     }
-    tm.commit(t1).unwrap();
+    tm.commit(t1, Vec::new()).unwrap();
     tm.gc_tick(&sink, usize::MAX).unwrap();
 
     // A long reader pins the snapshot, so T2's supersession defers to
@@ -290,7 +291,7 @@ fn crash_mid_gc() {
         tm.record_free(t2, SPACE, PhysicalLocator::Object(k))
             .unwrap();
     }
-    tm.commit(t2).unwrap();
+    tm.commit(t2, Vec::new()).unwrap();
     assert_eq!(tm.chain_len(), 1, "v1 deletions deferred behind the reader");
 
     // Reader ends; GC may now run — and the client dies before the
@@ -364,7 +365,7 @@ fn crash_mid_batch_owes_the_rest_and_reclaims_once() {
         tm.record_alloc(t1, SPACE, PhysicalLocator::Object(k))
             .unwrap();
     }
-    tm.commit(t1).unwrap();
+    tm.commit(t1, Vec::new()).unwrap();
     tm.gc_tick(&sink, usize::MAX).unwrap();
 
     // A reader pins the snapshot while T2 frees all 1005 pages.
@@ -374,7 +375,7 @@ fn crash_mid_batch_owes_the_rest_and_reclaims_once() {
         tm.record_free(t2, SPACE, PhysicalLocator::Object(k))
             .unwrap();
     }
-    tm.commit(t2).unwrap();
+    tm.commit(t2, Vec::new()).unwrap();
     assert_eq!(tm.chain_len(), 1);
 
     // Reader ends; the client dies after the first batch request.
@@ -467,10 +468,15 @@ struct FailingCommitSink {
 }
 
 impl iq_txn::LogSink for FailingCommitSink {
-    fn append(&self, record: &LogRecord, _lsn: u64) -> IqResult<()> {
+    fn append(
+        &self,
+        kind: iq_txn::RecordKind,
+        _record: iq_txn::LogBatch,
+        _lsn: u64,
+    ) -> IqResult<()> {
         self.appends
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if matches!(record, LogRecord::Commit { .. })
+        if kind == iq_txn::RecordKind::Commit
             && self.fail_commits.load(std::sync::atomic::Ordering::Relaxed)
         {
             Err(iq_common::IqError::Io("durable log PUT failed".into()))
@@ -510,7 +516,10 @@ fn failed_commit_sink_rolls_back_and_reconciles() {
         tm.record_alloc(t1, SPACE, PhysicalLocator::Object(k))
             .unwrap();
     }
-    assert!(tm.commit(t1).is_err(), "un-durable commit fails");
+    assert!(
+        tm.commit(t1, Vec::new()).is_err(),
+        "un-durable commit fails"
+    );
     assert_eq!(tm.active_count(), 1, "failed commit stays active");
     assert_eq!(tm.chain_len(), 0, "nothing reached the committed chain");
 
@@ -539,7 +548,7 @@ fn failed_commit_sink_rolls_back_and_reconciles() {
         tm.record_alloc(t2, SPACE, PhysicalLocator::Object(k))
             .unwrap();
     }
-    tm.commit(t2).unwrap();
+    tm.commit(t2, Vec::new()).unwrap();
     assert_eq!(
         log.retain_commits(|txn| txn == t2),
         0,

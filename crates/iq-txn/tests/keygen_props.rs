@@ -67,6 +67,7 @@ proptest! {
                         log.append(LogRecord::Commit {
                             txn: TxnId(txn_counter),
                             node: NodeId(*node as u32),
+                            identities: Vec::new(),
                             rfrb: rfrb.clone(),
                         });
                         coordinator

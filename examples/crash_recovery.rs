@@ -77,6 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     log.append(cloudiq::txn::LogRecord::Commit {
         txn: cloudiq::common::TxnId(1),
         node: NodeId(1),
+        identities: Vec::new(),
         rfrb: rfrb.clone(),
     });
     mx.coordinator.keygen()?.note_commit(NodeId(1), &rfrb);

@@ -373,3 +373,234 @@ fn retained_pages_expire_after_a_reopen() {
     assert_eq!(db.sweep_retention().unwrap(), retained);
     assert_eq!(store.live_keys(), second, "only the second version is left");
 }
+
+/// Both ways a previous life can have kept its log: in memory alone, or
+/// mirrored to the durable log store.
+const LOG_MODES: [GroupCommitMode; 2] = [GroupCommitMode::Off, GroupCommitMode::Coalesced];
+
+/// Commit `value` as page 0 of `table`.
+fn commit_value(db: &Database, table: TableId, value: u8) -> cloudiq::common::IqResult<u64> {
+    let txn = db.begin();
+    let body = Bytes::from(vec![value; 256]);
+    db.pager(txn)
+        .unwrap()
+        .write_page(table, PageId(0), PageKind::Data, body, txn)
+        .unwrap();
+    db.commit(txn)
+}
+
+/// Page 0 of `table` as a fresh reader sees it: its value, or `None`
+/// when the table or the page is not there.
+fn read_value(db: &Database, table: TableId) -> Option<u8> {
+    let txn = db.begin();
+    let value = db
+        .pager(txn)
+        .unwrap()
+        .read_page(table, PageId(0), true)
+        .ok()
+        .map(|page| page.body[0]);
+    db.rollback(txn).unwrap();
+    value
+}
+
+/// A commit's identity objects become durable in its log record, not in
+/// the catalog: the catalog is saved at the checkpoint, and the commits
+/// after it reach the reopened instance only through the log's replay —
+/// every table at its last commit, and later versions above every version
+/// installed before the power-off.
+#[test]
+fn reopen_replays_the_identities_committed_after_the_checkpoint() {
+    for mode in LOG_MODES {
+        let mut cfg = DatabaseConfig::test_small();
+        cfg.group_commit = mode;
+        let db = Database::create(cfg.clone()).unwrap();
+        let space = db.create_cloud_dbspace("data").unwrap();
+        let tables = [TableId(1), TableId(2)];
+        for t in tables {
+            db.create_table(t, space).unwrap();
+            commit_value(&db, t, 1).unwrap();
+        }
+        db.checkpoint().unwrap();
+        for value in 2..8u8 {
+            commit_value(&db, tables[usize::from(value % 2)], value).unwrap();
+        }
+        let version = |db: &Database, t| {
+            db.shared()
+                .table_store(t)
+                .unwrap()
+                .identity()
+                .unwrap()
+                .version
+        };
+        let before = version(&db, tables[1]);
+        let db = Database::reopen(db.into_durable(), cfg.clone()).unwrap();
+        assert_eq!(read_value(&db, tables[0]), Some(6), "{mode:?}");
+        assert_eq!(read_value(&db, tables[1]), Some(7), "{mode:?}");
+        assert_eq!(version(&db, tables[1]), before, "{mode:?}");
+        commit_value(&db, tables[0], 8).unwrap();
+        assert!(
+            version(&db, tables[0]) > before,
+            "{mode:?}: versions stay monotone"
+        );
+        let db = Database::reopen(db.into_durable(), cfg).unwrap();
+        assert_eq!(read_value(&db, tables[0]), Some(8), "{mode:?}");
+        assert_eq!(read_value(&db, tables[1]), Some(7), "{mode:?}");
+    }
+}
+
+/// A commit whose log PUT failed rolled back, and nothing brings its
+/// identity back: the catalog never took it, and reconciliation drops its
+/// record before the replay reads the log.
+#[test]
+fn a_commit_whose_log_put_failed_stays_uninstalled_after_reopen() {
+    use cloudiq::objectstore::{FaultPlan, RetryPolicy};
+    let cut = FaultPlan {
+        put_fail_rate: 1.0,
+        ..FaultPlan::none()
+    };
+    let mut cfg = DatabaseConfig::test_small();
+    cfg.group_commit = GroupCommitMode::Coalesced;
+    cfg.log_fault = Some(FaultPlan::none());
+    cfg.retry = RetryPolicy::attempts(2);
+    let fail_a_commit = |db: &Database, value: u8| {
+        let injector = db.durable_log().unwrap().fault_injector().unwrap();
+        injector.set_plan(cut);
+        assert!(commit_value(db, TableId(1), value).is_err());
+        injector.set_plan(FaultPlan::none());
+    };
+    let db = Database::create(cfg.clone()).unwrap();
+    let space = db.create_cloud_dbspace("data").unwrap();
+    let (a, b) = (TableId(1), TableId(2));
+    db.create_table(a, space).unwrap();
+    db.create_table(b, space).unwrap();
+    commit_value(&db, a, 1).unwrap();
+    fail_a_commit(&db, 2);
+    assert_eq!(read_value(&db, a), Some(1));
+    commit_value(&db, b, 3).unwrap();
+    let db = Database::reopen(db.into_durable(), cfg.clone()).unwrap();
+    assert_eq!(read_value(&db, a), Some(1));
+    assert_eq!(read_value(&db, b), Some(3));
+    // And with a checkpoint, which saves the catalog, after the failure.
+    fail_a_commit(&db, 4);
+    db.checkpoint().unwrap();
+    let db = Database::reopen(db.into_durable(), cfg).unwrap();
+    assert_eq!(read_value(&db, a), Some(1));
+    assert_eq!(read_value(&db, b), Some(3));
+}
+
+/// A dropped table does not come back through the replay of the commits
+/// logged before the drop — nor into a table created later under its id.
+#[test]
+fn a_dropped_table_stays_dropped_across_reopen() {
+    for mode in LOG_MODES {
+        let mut cfg = DatabaseConfig::test_small();
+        cfg.group_commit = mode;
+        let db = Database::create(cfg.clone()).unwrap();
+        let space = db.create_cloud_dbspace("data").unwrap();
+        let (gone, kept) = (TableId(1), TableId(2));
+        db.create_table(gone, space).unwrap();
+        db.create_table(kept, space).unwrap();
+        db.checkpoint().unwrap();
+        commit_value(&db, gone, 1).unwrap();
+        commit_value(&db, kept, 2).unwrap();
+        db.drop_table(gone).unwrap();
+        let db = Database::reopen(db.into_durable(), cfg.clone()).unwrap();
+        assert!(db.shared().table_store(gone).is_err(), "{mode:?}");
+        assert_eq!(read_value(&db, kept), Some(2), "{mode:?}");
+        db.create_table(gone, space).unwrap();
+        assert_eq!(read_value(&db, gone), None, "{mode:?}");
+        let db = Database::reopen(db.into_durable(), cfg).unwrap();
+        assert_eq!(read_value(&db, gone), None, "{mode:?}");
+        assert_eq!(read_value(&db, kept), Some(2), "{mode:?}");
+    }
+}
+
+/// A reopen after a point-in-time restore lands on the snapshot: the
+/// commits logged before the restore are not replayed over it, and the
+/// ones after it are.
+#[test]
+fn restore_then_reopen_reads_the_snapshot() {
+    for mode in LOG_MODES {
+        let mut cfg = DatabaseConfig::test_small();
+        cfg.group_commit = mode;
+        let db = Database::create(cfg.clone()).unwrap();
+        let space = db.create_cloud_dbspace("data").unwrap();
+        let (a, b) = (TableId(1), TableId(2));
+        db.create_table(a, space).unwrap();
+        db.create_table(b, space).unwrap();
+        commit_value(&db, a, 1).unwrap();
+        commit_value(&db, b, 1).unwrap();
+        db.checkpoint().unwrap();
+        commit_value(&db, a, 2).unwrap();
+        let snapshot = db.take_snapshot().unwrap();
+        commit_value(&db, a, 3).unwrap();
+        commit_value(&db, b, 3).unwrap();
+        db.restore_snapshot(snapshot).unwrap();
+        assert_eq!((read_value(&db, a), read_value(&db, b)), (Some(2), Some(1)));
+        let db = Database::reopen(db.into_durable(), cfg.clone()).unwrap();
+        assert_eq!(
+            (read_value(&db, a), read_value(&db, b)),
+            (Some(2), Some(1)),
+            "{mode:?}"
+        );
+        commit_value(&db, b, 4).unwrap();
+        let db = Database::reopen(db.into_durable(), cfg).unwrap();
+        assert_eq!(
+            (read_value(&db, a), read_value(&db, b)),
+            (Some(2), Some(4)),
+            "{mode:?}"
+        );
+    }
+}
+
+/// A checkpoint whose log PUT fails cuts nothing, so the log still holds
+/// the commits made before a drop or a restore when the instance powers
+/// off. The catalog the drop or the restore saved is stamped past them,
+/// and the reopen does not replay them over it.
+#[test]
+fn a_failed_checkpoint_after_a_drop_or_a_restore_replays_nothing_before_it() {
+    use cloudiq::objectstore::{FaultPlan, RetryPolicy};
+    let mut cfg = DatabaseConfig::test_small();
+    cfg.group_commit = GroupCommitMode::Coalesced;
+    cfg.log_fault = Some(FaultPlan::none());
+    cfg.retry = RetryPolicy::attempts(2);
+    let fail_a_checkpoint = |db: &Database| {
+        let injector = db.durable_log().unwrap().fault_injector().unwrap();
+        injector.set_plan(FaultPlan {
+            put_fail_rate: 1.0,
+            ..FaultPlan::none()
+        });
+        assert!(db.checkpoint().is_err());
+        injector.set_plan(FaultPlan::none());
+    };
+    let db = Database::create(cfg.clone()).unwrap();
+    let space = db.create_cloud_dbspace("data").unwrap();
+    let (a, b, gone) = (TableId(1), TableId(2), TableId(3));
+    for t in [a, b, gone] {
+        db.create_table(t, space).unwrap();
+    }
+    db.checkpoint().unwrap();
+    for t in [a, b, gone] {
+        commit_value(&db, t, 1).unwrap();
+    }
+    db.drop_table(gone).unwrap();
+    fail_a_checkpoint(&db);
+    let db = Database::reopen(db.into_durable(), cfg.clone()).unwrap();
+    assert!(db.shared().table_store(gone).is_err());
+    db.create_table(gone, space).unwrap();
+    let root = |db: &Database| db.shared().table_store(gone).unwrap().identity();
+    assert_eq!(root(&db), None, "no root of the dropped table");
+    assert_eq!((read_value(&db, a), read_value(&db, b)), (Some(1), Some(1)));
+
+    let snapshot = db.take_snapshot().unwrap();
+    commit_value(&db, a, 2).unwrap();
+    commit_value(&db, b, 2).unwrap();
+    db.restore_snapshot(snapshot).unwrap();
+    fail_a_checkpoint(&db);
+    let db = Database::reopen(db.into_durable(), cfg.clone()).unwrap();
+    assert_eq!((read_value(&db, a), read_value(&db, b)), (Some(1), Some(1)));
+    assert_eq!(root(&db), None);
+    commit_value(&db, b, 3).unwrap();
+    let db = Database::reopen(db.into_durable(), cfg).unwrap();
+    assert_eq!((read_value(&db, a), read_value(&db, b)), (Some(1), Some(3)));
+}

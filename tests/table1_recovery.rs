@@ -72,6 +72,7 @@ fn table1_clock_by_clock() {
     log.append(LogRecord::Commit {
         txn: TxnId(1),
         node: NodeId(1),
+        identities: Vec::new(),
         rfrb: rfrb.clone(),
     });
     mx.coordinator
