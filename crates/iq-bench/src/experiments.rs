@@ -763,7 +763,10 @@ pub fn trace_table1(faults: bool) -> IqResult<String> {
 /// a transaction, and it must be optimized. For this reason, pages that
 /// are evicted due to cache pressure during the churn phase, are written
 /// out using the write-back mode." This ablation prices the churn phase
-/// of a transaction that evicts N pages either way.
+/// of a transaction that evicts N pages either way, in the paper's modes:
+/// it is a model only. The OCM here uploads an evicted page on the thread
+/// that evicts it; the virtual-time model charges that upload as
+/// overlapped work, as the paper's write-back would.
 pub fn ocm_mode() -> Report {
     let model = TimeModel::new(ComputeProfile::m5ad_24xlarge());
     let pages = 100_000u64;
@@ -834,9 +837,6 @@ fn load_rows(
         w.finish()?;
     }
     db.commit(txn)?;
-    if let Some(ocm) = db.ocm() {
-        ocm.quiesce();
-    }
     Ok(())
 }
 
@@ -1383,13 +1383,10 @@ fn pack_lifecycle(
     read_back(&compacted, "compaction", true)?;
 
     let snap = store.stats.snapshot();
-    // Once the read-back's populates have landed, a re-read with only
-    // the buffer dropped: an OCM that caches members serves all of it.
+    // A re-read with only the buffer dropped: an OCM that caches members
+    // serves all of it.
     let ocm = db.ocm();
     let hits = || ocm.as_ref().map_or(0, |o| o.stats_snapshot().hits);
-    if let Some(ocm) = &ocm {
-        ocm.quiesce();
-    }
     let hits_before = hits();
     read_back(&compacted, "a warm re-read", false)?;
     let warm = store.stats.snapshot();

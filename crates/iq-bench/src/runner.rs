@@ -253,9 +253,6 @@ impl Capture {
             ROW_GROUP_SIZE,
         )?;
         self.db.commit(txn)?;
-        if let Some(ocm) = self.db.ocm() {
-            ocm.quiesce();
-        }
         self.resident_bytes = self.user_space.resident_bytes();
         let load = self.snapshot_phase(
             "load",

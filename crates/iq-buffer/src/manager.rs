@@ -67,9 +67,11 @@ pub struct FrameKey {
 /// Why a dirty page is being written out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FlushCause {
-    /// Cache pressure during the churn phase — the OCM uses write-back.
+    /// Cache pressure during the churn phase: the page is uploaded on the
+    /// thread that evicts it, and a failure reaches that call and the
+    /// owner's commit.
     Eviction,
-    /// Transaction commit — the OCM must write through to the store.
+    /// Transaction commit.
     Commit,
 }
 

@@ -120,8 +120,7 @@ pub enum EventKind {
         /// Simulated wait in nanoseconds.
         wait_nanos: u64,
     },
-    /// OCM: a read was served from the SSD cache (or from a write-back
-    /// page still waiting for its upload).
+    /// OCM: a read was served from the SSD cache.
     OcmHit {
         /// Key offset.
         key: u64,

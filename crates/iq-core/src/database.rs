@@ -641,7 +641,7 @@ impl RangeProvider for DenyAllocation {
 ///     }
 ///     w.finish()?;
 /// }
-/// db.commit(txn)?; // FlushForCommit -> blockmap cascade -> identity object
+/// db.commit(txn)?; // flush -> blockmap cascade -> identity object
 ///
 /// let rtxn = db.begin();
 /// let pager = db.pager(rtxn)?;
@@ -1052,20 +1052,18 @@ impl Database {
         // every table it wrote, and never above the sequence it is about
         // to take, so GC holds the pages as long as a reader holds a tree.
         let commit_point = self.shared.txns.current_seq() + 1;
-        // FlushForCommit (§4), the one OCM barrier of the commit: the
-        // transaction's queued write-back uploads of evicted pages land,
-        // and whatever it writes from here on goes through to the store.
-        // Then fan the uploads across the I/O core, packed into composites
-        // of up to `pack_pages` pages, the last of which carries the
-        // cascade (`CommitFlush`). A failure anywhere rolls the
-        // transaction back, and no table has been installed yet to undo.
-        let ocm = self.ocm();
+        // Fan the uploads across the I/O core, packed into composites of
+        // up to `pack_pages` pages, the last of which carries the cascade
+        // (`CommitFlush`). The transaction's evicted pages were uploaded
+        // when they left the buffer; a failed one fails the flush here. A
+        // failure anywhere rolls the transaction back, and no table has
+        // been installed yet to undo.
         let sink = CommitFlush::new(&pager, version);
         let flush_io = IoCore::new(self.shared.config.scan_workers.max(1))
             .with_stats(Arc::clone(&self.shared.io_stats));
-        ocm.as_ref()
-            .map_or(Ok(()), |o| o.flush_for_commit(txn))
-            .and_then(|()| self.shared.buffer.flush_txn_packed(txn, &sink, &flush_io))
+        self.shared
+            .buffer
+            .flush_txn_packed(txn, &sink, &flush_io)
             .inspect_err(|_| {
                 let _ = self.rollback_inner(txn, true);
             })?;
@@ -1121,9 +1119,6 @@ impl Database {
         for (ts, _, _) in &installed {
             ts.release_writer(txn);
         }
-        if let Some(ocm) = &ocm {
-            ocm.end_txn(txn);
-        }
         self.release_versions();
         Ok(seq)
     }
@@ -1149,11 +1144,6 @@ impl Database {
         self.shared.buffer.discard_txn(txn);
         for ts in self.shared.tables.read().values() {
             ts.rollback(txn);
-        }
-        let ocm = self.shared.ocm.lock().as_ref().map(|(_, o)| Arc::clone(o));
-        if let Some(ocm) = ocm {
-            ocm.quiesce();
-            ocm.end_txn(txn);
         }
         let res = self
             .shared
@@ -1370,14 +1360,10 @@ impl Database {
         secondary.crash();
         self.shared.key_caches.lock().remove(&node.0);
         let aborted = self.shared.txns.abort_node(node);
-        let ocm = self.shared.ocm.lock().as_ref().map(|(_, o)| Arc::clone(o));
         for &t in &aborted {
             self.shared.buffer.discard_txn(t);
             for ts in self.shared.tables.read().values() {
                 ts.rollback(t);
-            }
-            if let Some(ocm) = &ocm {
-                ocm.end_txn(t);
             }
         }
         Ok(aborted)

@@ -10,7 +10,7 @@
 //!   Pager: buffer manager (RAM, iq-buffer)
 //!        │  miss / flush
 //!   Object Cache Manager (local SSD, iq-ocm)        [optional]
-//!        │  read-through / write-back / write-through
+//!        │  read-through / upload, then cache
 //!   dbspaces (iq-storage) ── blockmap ── identity objects ── catalog
 //!        │                      keys from the Object Key Generator (iq-txn)
 //!   simulated S3 / EBS / EFS (iq-objectstore)

@@ -5,11 +5,10 @@
 //!
 //! This is where the paper's write discipline lives: a dirty cloud page
 //! leaving the buffer cache is sealed, (optionally) encrypted, uploaded
-//! under a **fresh object key** — write-back through the OCM during churn,
-//! on its own or as a member of an eviction group's composite;
-//! write-through at commit — then recorded in the working blockmap
-//! (superseding the previous version into the RF bitmap) and in the RB
-//! bitmap.
+//! under a **fresh object key** — through the OCM, on its own or as a
+//! member of an eviction group's composite, on the thread that flushes it
+//! — then recorded in the working blockmap (superseding the previous
+//! version into the RF bitmap) and in the RB bitmap.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -21,7 +20,7 @@ use iq_common::{
     DbSpaceId, IqError, IqResult, ObjectKey, PageId, PhysicalLocator, TableId, TxnId, VersionId,
 };
 use iq_engine::PageStore;
-use iq_ocm::{Ocm, WriteMode};
+use iq_ocm::Ocm;
 use iq_storage::{DbSpace, IdentityObject, KeySource, NodeSink, Page, PageIo, PageKind};
 use iq_txn::PackMember;
 use parking_lot::{Condvar, Mutex};
@@ -186,7 +185,7 @@ impl PageStore for Pager {
 /// page, one object (or block run); an eviction group of two or more is
 /// one composite.
 impl FlushSink for Pager {
-    fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, cause: FlushCause) -> IqResult<()> {
+    fn flush(&self, key: FrameKey, page: &Page, txn: TxnId, _: FlushCause) -> IqResult<()> {
         let ts = self.shared.table_store(key.table)?;
         let space = self.shared.space(ts.space)?;
         let loc = if space.is_cloud() {
@@ -197,16 +196,10 @@ impl FlushSink for Pager {
             let image = Bytes::from(image);
             match self.shared.ocm_for(ts.space) {
                 Some(ocm) => {
-                    // Churn-phase evictions use write-back; commit-phase
-                    // flushes write through (§4).
-                    let mode = match cause {
-                        FlushCause::Eviction => WriteMode::WriteBack,
-                        FlushCause::Commit => WriteMode::WriteThrough,
-                    };
                     // One member at offset 0; a sealed image is at most
                     // the page size, a u32.
                     let page = (0, image.len() as u32);
-                    ocm.write_group(obj_key, image, &[page], txn, mode)?;
+                    ocm.write_group(obj_key, image, &[page])?;
                 }
                 None => space.put_raw(obj_key, image)?,
             }
@@ -292,8 +285,8 @@ impl Composite {
         }
     }
 
-    /// Upload the object in one PUT: write-back through `ocm`, which puts
-    /// every member on its SSD at once, or straight to the store. The member
+    /// Upload the object in one PUT: through `ocm`, which caches every
+    /// member once it lands, or straight to the store. The member
     /// layout goes to the composite registry at commit through the
     /// transaction's pack record.
     fn upload(
@@ -311,7 +304,7 @@ impl Composite {
             Some(ocm) => {
                 let members: Vec<(u32, u32)> =
                     self.members.iter().map(|m| (m.offset, m.len)).collect();
-                ocm.write_group(key, blob, &members, txn, WriteMode::WriteBack)?;
+                ocm.write_group(key, blob, &members)?;
             }
             None => space.put_raw(key, blob)?,
         }
@@ -339,9 +332,9 @@ impl Pager {
     /// without packing, on a conventional dbspace, or below two members,
     /// each page and node is written one object (or block run) on its own.
     ///
-    /// A head group is uploaded, then published: an eviction group write-
-    /// back through the OCM, a commit group straight to the store (commit
-    /// composites are not cached). The commit's head groups are written
+    /// A head group is uploaded, then published: an eviction group through
+    /// the OCM, a commit group straight to the store (commit composites
+    /// are not cached). The commit's head groups are written
     /// concurrently, but each draws its composites' keys only in its turn
     /// ([`Turnstile`]), so their keys, and the blockmap leaves that encode
     /// them, are those of a serial flush.
@@ -440,8 +433,7 @@ impl Pager {
                 }
                 None => {
                     // A head group maps its pages once the upload has
-                    // landed (or, write-back, is queued behind its SSD
-                    // copies), so a failed group maps nothing.
+                    // landed, so a failed group maps nothing.
                     let ocm = match group.cause() {
                         FlushCause::Eviction => shared.ocm_for(space.id),
                         FlushCause::Commit => None,

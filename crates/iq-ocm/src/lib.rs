@@ -23,18 +23,16 @@
 //!   The paper populates *asynchronously*; that is a timing claim, and the
 //!   virtual-time model keeps it by charging the SSD write as overlapped
 //!   work, never on the read's serial path.
-//! * **Write-back** (churn phase): synchronous SSD write of every page of
-//!   the object, one asynchronous object-store upload; the entries join
-//!   the LRU only after the upload succeeds, "to prevent unnecessary
-//!   build-up of pages in the OCM cache (e.g., pages of
-//!   failed/rolled-back transactions)". Until then a read is served from
-//!   the page's SSD run.
-//! * **Write-through** (commit phase): synchronous object-store upload,
-//!   then the pages are cached as a read-through miss is.
-//! * **FlushForCommit**: moves the committing transaction's queued jobs to
-//!   the head of the write queue and switches its subsequent writes to
-//!   write-through; returns only when every upload of that transaction has
-//!   drained (or surfaces the failure so the transaction rolls back).
+//! * **One write path**: [`Ocm::write_group`] uploads an object — one
+//!   page, or a composite of several — in one PUT, then caches each page
+//!   as a read-through miss is. A page joins the LRU only after the upload
+//!   succeeds, "to prevent unnecessary build-up of pages in the OCM cache
+//!   (e.g., pages of failed/rolled-back transactions)". The paper uploads
+//!   churn-phase evictions *asynchronously* (write-back) and drains them
+//!   at commit with FlushForCommit; that too is a timing claim, priced by
+//!   the virtual-time model, so here the upload runs on the thread that
+//!   evicts, a failed one fails that call and its transaction's commit,
+//!   and there is nothing left to drain.
 //! * A **single LRU** across reads and writes, and hit/miss/eviction
 //!   counters (Table 5).
 //! * Every SSD write lands on the SSD's request ledger. The virtual-time
@@ -46,4 +44,4 @@
 
 pub mod manager;
 
-pub use manager::{Extent, Ocm, OcmConfig, OcmStats, OcmStatsSnapshot, WriteMode};
+pub use manager::{Extent, Ocm, OcmConfig, OcmStats, OcmStatsSnapshot};

@@ -1,5 +1,4 @@
-//! The OCM proper: a scan-resistant SSD cache keyed by [`Extent`], with
-//! an asynchronous queue of write-back uploads.
+//! The OCM proper: a scan-resistant SSD cache keyed by [`Extent`].
 //!
 //! Each entry holds the run of SSD blocks its image covers, taken from an
 //! [`iq_storage::Freelist`] over the byte budget and weighted in the LRU by
@@ -14,36 +13,25 @@
 //! otherwise turn every subsequent point read into a priced object-store
 //! GET (§4/§5's motivation for the OCM).
 //!
-//! Everything but a write-back upload happens in the caller's order: a
-//! read-through miss and a write-through page are on the SSD and in the
-//! LRU when the call returns, so which reads hit never depends on
-//! thread timing. The paper's asynchronous population is a timing claim,
-//! and the virtual-time model keeps it: it charges the SSD writes as
-//! overlapped work, never on a read's serial path.
+//! Everything happens in the caller's order: a read-through miss and
+//! every page of a written object are on the SSD and in the LRU when the
+//! call returns, so which reads hit never depends on thread timing. The
+//! paper's asynchronous population and write-back upload are timing
+//! claims, and the virtual-time model keeps them: it charges the SSD
+//! writes as overlapped work, never on a read's serial path.
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use iq_buffer::{Admission, SlruCache};
 use iq_common::trace::{self, EventKind};
-use iq_common::{BlockNum, IqError, IqResult, ObjectKey, TxnId};
+use iq_common::{BlockNum, IqError, IqResult, ObjectKey};
 use iq_objectstore::{BlockBackend, BlockDeviceSim, ObjectBackend, RetryPolicy};
 use iq_storage::page::MAX_BLOCKS_PER_PAGE;
 use iq_storage::{ExtentCache, Freelist};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use serde::Serialize;
-
-/// How a write interacts with the SSD cache and the object store (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteMode {
-    /// Churn phase: synchronous SSD write, asynchronous store upload.
-    WriteBack,
-    /// Commit phase: synchronous store upload, then the pages are cached.
-    WriteThrough,
-}
 
 /// OCM configuration.
 #[derive(Debug, Clone)]
@@ -124,62 +112,26 @@ struct CacheEntry {
     len: u32,
 }
 
-/// A write-back page waiting on its object's upload, with the run from
-/// `start` already holding `image` (none if the image is too large to
-/// cache, no run was free, or the SSD write failed).
-struct Landing {
-    image: Bytes,
-    start: Option<BlockNum>,
-}
-
-/// The worker's one job: upload a write-back object — one page, or a
-/// composite of several — on behalf of `txn`, then land its pages. They
-/// already sit on the SSD and join the LRU only if the upload lands.
-struct Job {
-    txn: TxnId,
-    key: ObjectKey,
-    data: Bytes,
-    /// The object's pages, each in [`Inner::landing`].
-    extents: Vec<Extent>,
-}
-
 struct Inner {
     /// Cached entries, each weighted by its block count.
     cache: SlruCache<Extent, CacheEntry>,
-    /// The SSD blocks of the budget: every entry's run, and every landing
-    /// page's, is allocated here.
+    /// The SSD blocks of the budget: every entry's run is allocated here.
     freelist: Freelist,
     /// SSD block size in bytes.
     block: u32,
     /// The longest run an entry may take: the blocks of `slot_bytes`, no
     /// more than the freelist's longest run or the whole budget.
     max_run: u32,
-    queue: VecDeque<Job>,
-    /// Outstanding asynchronous store uploads per transaction.
-    pending_puts: HashMap<TxnId, usize>,
-    /// First upload failure per transaction (forces rollback).
-    txn_errors: HashMap<TxnId, IqError>,
-    /// Transactions that signalled FlushForCommit; their writes are
-    /// forced to write-through from then on.
-    commit_mode: HashSet<TxnId>,
-    /// Write-back pages whose upload has not resolved (§4: the store may
-    /// not have them yet). A read that finds one is a hit, and a landing
-    /// extent is never cached a second time.
-    landing: HashMap<Extent, Landing>,
-    shutdown: bool,
 }
 
 /// The Object Cache Manager.
 pub struct Ocm {
-    inner: Arc<Mutex<Inner>>,
-    work_cv: Arc<Condvar>,
-    done_cv: Arc<Condvar>,
+    inner: Mutex<Inner>,
     ssd: Arc<BlockDeviceSim>,
     store: Arc<dyn ObjectBackend>,
     config: OcmConfig,
     /// Live counters (Table 5).
     stats: OcmStats,
-    worker: Option<JoinHandle<()>>,
 }
 
 impl Ocm {
@@ -191,44 +143,19 @@ impl Ocm {
             .capacity_blocks()
             .min(config.capacity_bytes / u64::from(block));
         let protected = (budget as f64 * config.protected_fraction.clamp(0.0, 1.0)) as usize;
-        let inner = Arc::new(Mutex::new(Inner {
-            cache: SlruCache::new(protected),
-            freelist: Freelist::new(budget),
-            block,
-            max_run: u64::from((config.slot_bytes / block).min(MAX_BLOCKS_PER_PAGE)).min(budget)
-                as u32,
-            queue: VecDeque::new(),
-            pending_puts: HashMap::new(),
-            txn_errors: HashMap::new(),
-            commit_mode: HashSet::new(),
-            landing: HashMap::new(),
-            shutdown: false,
-        }));
-        let work_cv = Arc::new(Condvar::new());
-        let done_cv = Arc::new(Condvar::new());
-
-        let worker = {
-            let inner = Arc::clone(&inner);
-            let work_cv = Arc::clone(&work_cv);
-            let done_cv = Arc::clone(&done_cv);
-            let ssd = Arc::clone(&ssd);
-            let store = Arc::clone(&store);
-            let retry = config.retry;
-            std::thread::Builder::new()
-                .name("ocm-writer".into())
-                .spawn(move || worker_loop(&inner, &work_cv, &done_cv, &ssd, store.as_ref(), retry))
-                .expect("spawn OCM worker")
-        };
-
+        let max_run =
+            u64::from((config.slot_bytes / block).min(MAX_BLOCKS_PER_PAGE)).min(budget) as u32;
         Self {
-            inner,
-            work_cv,
-            done_cv,
+            inner: Mutex::new(Inner {
+                cache: SlruCache::new(protected),
+                freelist: Freelist::new(budget),
+                block,
+                max_run,
+            }),
             ssd,
             store,
             config,
             stats: OcmStats::default(),
-            worker: Some(worker),
         }
     }
 
@@ -257,12 +184,11 @@ impl Ocm {
         })
     }
 
-    /// Read one extent, hinted as [`Ocm::read_hinted`]: an SSD hit, a hit
-    /// on a write-back page still waiting for its upload, or a miss that
-    /// `fetch` reads through from the store — a GET for a whole object, a
-    /// ranged GET for a composite member — and that is on the SSD and in
-    /// the LRU when the call returns. An image larger than `slot_bytes` is
-    /// served but never cached.
+    /// Read one extent, hinted as [`Ocm::read_hinted`]: an SSD hit, or a
+    /// miss that `fetch` reads through from the store — a GET for a whole
+    /// object, a ranged GET for a composite member — and that is on the
+    /// SSD and in the LRU when the call returns. An image larger than
+    /// `slot_bytes` is served but never cached.
     pub fn read_extent(
         &self,
         extent: Extent,
@@ -271,28 +197,7 @@ impl Ocm {
     ) -> IqResult<Bytes> {
         let mut inner = self.inner.lock();
         let key = extent.key;
-        // A write-back page waiting on its upload is read from its run
-        // like a cached one (the store may not have it yet); a landing
-        // image with no run is served as it is.
-        let held = match inner.cache.get(&extent) {
-            Some(&entry) => Some(entry),
-            None => match inner.landing.get(&extent) {
-                Some(Landing {
-                    start: Some(start),
-                    image,
-                }) => Some(CacheEntry {
-                    start: *start,
-                    len: image.len() as u32,
-                }),
-                Some(Landing { start: None, image }) => {
-                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    trace::emit(EventKind::OcmHit { key: key.offset() });
-                    return Ok(image.clone());
-                }
-                None => None,
-            },
-        };
-        if let Some(entry) = held {
+        if let Some(&entry) = inner.cache.get(&extent) {
             // Hold the lock across the SSD read so eviction cannot recycle
             // the run underneath us (the simulation's equivalent of a pin).
             let image = self.ssd.read_bytes(entry.start, entry.len)?; // LOCK-OK: run pin
@@ -314,153 +219,37 @@ impl Ocm {
         Ok(data)
     }
 
-    /// Write an object on behalf of `txn` whose pages are the
-    /// `(offset, len)` runs of `data`: a composite, or one page at offset
-    /// 0. The mode is upgraded to write-through once the transaction has
-    /// signalled FlushForCommit.
-    ///
-    /// Write-back puts each page in its own SSD run synchronously and
-    /// queues one upload for the whole object; the pages join the LRU only
-    /// when it lands, and until then a read is served from the run. A
-    /// failed upload frees every run and fails `txn`'s commit.
-    /// Write-through uploads synchronously, then caches every page before
-    /// returning. On both paths a page larger than `slot_bytes` is
-    /// uploaded and served but never cached.
-    pub fn write_group(
-        &self,
-        key: ObjectKey,
-        data: Bytes,
-        members: &[(u32, u32)],
-        txn: TxnId,
-        mode: WriteMode,
-    ) -> IqResult<()> {
-        let mut pages = Vec::with_capacity(members.len());
+    /// Write an object whose pages are the `(offset, len)` runs of
+    /// `data`: a composite, or one page at offset 0. One PUT uploads it,
+    /// with the lock dropped; once it lands, each page is cached as a
+    /// read-through miss is, and is in the LRU when the call returns — "a
+    /// page is not added to the LRU list until it has been successfully
+    /// written to the underlying object store" (§4). A failed PUT returns
+    /// its error and charges no blocks. A page larger than `slot_bytes` is
+    /// uploaded but never cached.
+    pub fn write_group(&self, key: ObjectKey, data: Bytes, members: &[(u32, u32)]) -> IqResult<()> {
         for &(offset, len) in members {
-            let (at, end) = (offset as usize, offset as usize + len as usize);
+            let end = offset as usize + len as usize;
             if end > data.len() {
                 return Err(IqError::Invalid(format!(
-                    "member {at}..{end} overruns a {}-byte object",
+                    "member {offset}..{end} overruns a {}-byte object",
                     data.len()
                 )));
             }
-            pages.push((Extent { key, offset }, data.slice(at..end)));
         }
+        self.config
+            .retry
+            .put(self.store.as_ref(), key, data.clone())?;
         let mut inner = self.inner.lock();
-        let effective = if inner.commit_mode.contains(&txn) {
-            WriteMode::WriteThrough
-        } else {
-            mode
-        };
-        match effective {
-            WriteMode::WriteBack => {
-                let runs: Vec<Option<BlockNum>> = pages
-                    .iter()
-                    .map(|(_, image)| {
-                        let count = inner.blocks(image.len())?;
-                        self.allocate_run(&mut inner, count)
-                    })
-                    .collect();
-                *inner.pending_puts.entry(txn).or_insert(0) += 1;
-                drop(inner);
-                // Synchronous SSD writes; "if a write to the locally
-                // attached storage fails, the error is ignored" (§4): that
-                // page is then served from its queued image until the
-                // upload lands, and never cached.
-                let mut lost = Vec::new();
-                let landed: Vec<(Extent, Landing)> = pages
-                    .into_iter()
-                    .zip(runs)
-                    .map(|((extent, image), run)| {
-                        let start = run.filter(|&start| {
-                            let written = self.ssd.write_blocks(start, &image).is_ok();
-                            if !written {
-                                lost.push((start, image.len()));
-                            }
-                            written
-                        });
-                        (extent, Landing { image, start })
-                    })
-                    .collect();
-                let mut inner = self.inner.lock();
-                for (start, len) in lost {
-                    inner.release(&self.ssd, start, len);
-                }
-                let extents = landed.iter().map(|&(extent, _)| extent).collect();
-                inner.landing.extend(landed);
-                inner.queue.push_back(Job {
-                    txn,
-                    key,
-                    data,
-                    extents,
-                });
-                self.work_cv.notify_one();
-                Ok(())
-            }
-            WriteMode::WriteThrough => {
-                drop(inner);
-                // Synchronous upload; failure rolls the transaction back
-                // at the caller.
-                self.config.retry.put(self.store.as_ref(), key, data)?;
-                let mut inner = self.inner.lock();
-                for (extent, image) in pages {
-                    self.place(&mut inner, extent, &image, Admission::Demand);
-                }
-                Ok(())
-            }
+        for &(offset, len) in members {
+            let image = &data[offset as usize..][..len as usize];
+            self.place(&mut inner, Extent { key, offset }, image, Admission::Demand);
         }
+        Ok(())
     }
 
-    /// FlushForCommit: switch `txn` to write-through, prioritize its
-    /// queued uploads, and wait for them to drain. An upload failure
-    /// surfaces here so the caller rolls the transaction back.
-    ///
-    /// A transaction with no upload outstanding — every commit whose pages
-    /// went out in composites or write-through — costs one lock and a few
-    /// map lookups: the queue is neither re-partitioned nor the worker
-    /// woken for it.
-    pub fn flush_for_commit(&self, txn: TxnId) -> IqResult<()> {
-        let mut inner = self.inner.lock();
-        inner.commit_mode.insert(txn);
-        if inner.pending_puts.get(&txn).copied().unwrap_or(0) > 0 {
-            // Stable-partition: this transaction's jobs move to the head,
-            // preserving their relative order.
-            let (mine, rest): (VecDeque<Job>, VecDeque<Job>) =
-                inner.queue.drain(..).partition(|j| j.txn == txn);
-            inner.queue = mine;
-            inner.queue.extend(rest);
-            self.work_cv.notify_all();
-        }
-        loop {
-            if let Some(err) = inner.txn_errors.remove(&txn) {
-                return Err(err);
-            }
-            if inner.pending_puts.get(&txn).copied().unwrap_or(0) == 0 {
-                return Ok(());
-            }
-            self.done_cv.wait(&mut inner);
-        }
-    }
-
-    /// Forget a finished transaction's OCM state (commit-mode flag and any
-    /// unobserved error).
-    pub fn end_txn(&self, txn: TxnId) {
-        let mut inner = self.inner.lock();
-        inner.commit_mode.remove(&txn);
-        inner.txn_errors.remove(&txn);
-        inner.pending_puts.remove(&txn);
-    }
-
-    /// Wait for every write-back upload to resolve (tests and shutdown
-    /// barriers).
-    pub fn quiesce(&self) {
-        let mut inner = self.inner.lock();
-        while !inner.queue.is_empty()
-            || !inner.landing.is_empty()
-            || inner.pending_puts.values().any(|&n| n > 0)
-        {
-            self.done_cv.wait(&mut inner);
-        }
-    }
+    /// Does nothing: every write has landed when its call returns.
+    pub fn quiesce(&self) {}
 
     /// Whether an extent — or, given a key, a whole object — is currently
     /// cached (does not touch recency).
@@ -480,14 +269,14 @@ impl Ocm {
     /// Cache `image` as `extent`: take a run of the blocks it covers
     /// (evicting SLRU victims until one fits), write the SSD and insert
     /// the entry under `admit`, weighted by its block count. An extent
-    /// already cached or landing is left as it is. An image larger than
+    /// already cached is left as it is. An image larger than
     /// `slot_bytes` is never cached, nor is one that finds no run or whose
     /// SSD write fails: "the error is ignored" (§4).
     fn place(&self, inner: &mut Inner, extent: Extent, image: &[u8], admit: Admission) {
         let Some(count) = inner.blocks(image.len()) else {
             return;
         };
-        if inner.cache.peek(&extent).is_some() || inner.landing.contains_key(&extent) {
+        if inner.cache.peek(&extent).is_some() {
             return;
         }
         let Some(start) = self.allocate_run(inner, count) else {
@@ -502,7 +291,9 @@ impl Ocm {
             start,
             len: image.len() as u32,
         };
-        inner.insert(&self.ssd, extent, entry, admit);
+        if let Some(old) = inner.cache.insert(extent, entry, count as usize, admit) {
+            inner.release(&self.ssd, old.start, old.len as usize);
+        }
     }
 
     /// A free run of `count` blocks, popping SLRU victims (probationary
@@ -534,23 +325,6 @@ impl Inner {
             .then_some(count as u32)
     }
 
-    /// Cache `entry` as `extent`, weighted by its block count; a replaced
-    /// entry's run is given back.
-    fn insert(
-        &mut self,
-        ssd: &BlockDeviceSim,
-        extent: Extent,
-        entry: CacheEntry,
-        admit: Admission,
-    ) {
-        let count = self
-            .blocks(entry.len as usize)
-            .expect("a held run passed blocks()");
-        if let Some(old) = self.cache.insert(extent, entry, count as usize, admit) {
-            self.release(ssd, old.start, old.len as usize);
-        }
-    }
-
     /// Give back the run an image of `len` bytes holds from `start`: to
     /// the freelist, and trimmed off the SSD, so the device holds only the
     /// blocks the budget charges. A trim records nothing on the ledger.
@@ -574,99 +348,22 @@ impl ExtentCache for Ocm {
     }
 }
 
-impl Drop for Ocm {
-    fn drop(&mut self) {
-        {
-            let mut inner = self.inner.lock();
-            inner.shutdown = true;
-            self.work_cv.notify_all();
-        }
-        if let Some(h) = self.worker.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(
-    inner: &Mutex<Inner>,
-    work_cv: &Condvar,
-    done_cv: &Condvar,
-    ssd: &BlockDeviceSim,
-    store: &dyn ObjectBackend,
-    retry: RetryPolicy,
-) {
-    let mut guard = inner.lock();
-    loop {
-        if guard.shutdown {
-            return;
-        }
-        let Some(Job {
-            txn,
-            key,
-            data,
-            extents,
-        }) = guard.queue.pop_front()
-        else {
-            work_cv.wait(&mut guard);
-            continue;
-        };
-        drop(guard);
-        let result = retry.put(store, key, data);
-        guard = inner.lock();
-        if let Some(n) = guard.pending_puts.get_mut(&txn) {
-            *n = n.saturating_sub(1);
-        }
-        let landed = result.is_ok();
-        if let Err(e) = result {
-            guard.txn_errors.entry(txn).or_insert(e);
-        }
-        // Each page's run already holds its image. It joins the LRU only
-        // now: "a page is not added to the LRU list until it has been
-        // successfully written to the underlying object store" (§4). A
-        // page with no run is never cached.
-        for extent in extents {
-            let Some(Landing {
-                image,
-                start: Some(start),
-            }) = guard.landing.remove(&extent)
-            else {
-                continue;
-            };
-            if !landed {
-                guard.release(ssd, start, image.len());
-                continue;
-            }
-            let entry = CacheEntry {
-                start,
-                len: image.len() as u32,
-            };
-            guard.insert(ssd, extent, entry, Admission::Demand);
-        }
-        done_cv.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use iq_objectstore::{ConsistencyConfig, ObjectStoreSim};
     use proptest::collection;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn key(off: u64) -> ObjectKey {
         ObjectKey::from_offset(off)
     }
 
     /// Write `data` as a one-page object.
-    fn write_one(
-        ocm: &Ocm,
-        key: ObjectKey,
-        data: Bytes,
-        txn: TxnId,
-        mode: WriteMode,
-    ) -> IqResult<()> {
+    fn write_one(ocm: &Ocm, key: ObjectKey, data: Bytes) -> IqResult<()> {
         let len = data.len() as u32;
-        ocm.write_group(key, data, &[(0, len)], txn, mode)
+        ocm.write_group(key, data, &[(0, len)])
     }
 
     /// An OCM over 256-byte blocks whose budget is `pages` 1 KiB pages,
@@ -717,89 +414,28 @@ mod tests {
     }
 
     #[test]
-    fn write_back_uploads_async_and_caches_after_success() {
+    fn a_write_is_on_the_store_and_cached_when_it_returns() {
         let (ocm, store) = setup(8);
-        let txn = TxnId(1);
-        write_one(
-            &ocm,
-            key(2),
-            Bytes::from_static(b"wb-data"),
-            txn,
-            WriteMode::WriteBack,
-        )
-        .unwrap();
-        ocm.flush_for_commit(txn).unwrap();
+        write_one(&ocm, key(2), Bytes::from_static(b"written")).unwrap();
+        // Visible on the store, and cached, when the call returns: the
+        // read back is a hit.
         assert!(store.exists(key(2)));
-        ocm.quiesce();
         assert!(ocm.contains(key(2)));
-        assert_eq!(&ocm.read_hinted(key(2), false).unwrap()[..], b"wb-data");
-        ocm.end_txn(txn);
+        assert_eq!(&ocm.read_hinted(key(2), false).unwrap()[..], b"written");
+        let snap = ocm.stats_snapshot();
+        assert_eq!((snap.misses, snap.hits), (0, 1));
     }
 
     #[test]
-    fn write_through_is_synchronous_on_store() {
-        let (ocm, store) = setup(8);
-        let txn = TxnId(1);
-        write_one(
-            &ocm,
-            key(3),
-            Bytes::from_static(b"wt"),
-            txn,
-            WriteMode::WriteThrough,
-        )
-        .unwrap();
-        // Visible on the store, and cached, when the call returns.
-        assert!(store.exists(key(3)));
-        assert!(ocm.contains(key(3)));
-    }
-
-    #[test]
-    fn commit_mode_upgrades_subsequent_writes() {
-        let (ocm, store) = setup(8);
-        let txn = TxnId(4);
-        write_one(
-            &ocm,
-            key(10),
-            Bytes::from_static(b"a"),
-            txn,
-            WriteMode::WriteBack,
-        )
-        .unwrap();
-        ocm.flush_for_commit(txn).unwrap();
-        // After FlushForCommit, a write requested as write-back still goes
-        // through synchronously.
-        write_one(
-            &ocm,
-            key(11),
-            Bytes::from_static(b"b"),
-            txn,
-            WriteMode::WriteBack,
-        )
-        .unwrap();
-        assert!(store.exists(key(11)));
-        ocm.end_txn(txn);
-    }
-
-    #[test]
-    fn duplicate_write_fails_commit() {
+    fn duplicate_write_fails() {
         let (ocm, store) = setup(8);
         store.put(key(20), Bytes::from_static(b"original")).unwrap();
-        let txn = TxnId(5);
-        // Violates never-write-twice: the async upload fails and the error
-        // surfaces at FlushForCommit, forcing rollback.
-        write_one(
-            &ocm,
-            key(20),
-            Bytes::from_static(b"dup"),
-            txn,
-            WriteMode::WriteBack,
-        )
-        .unwrap();
-        let err = ocm.flush_for_commit(txn).unwrap_err();
+        // Violates never-write-twice: the PUT fails, and so does the call.
+        let err = write_one(&ocm, key(20), Bytes::from_static(b"dup")).unwrap_err();
         assert_eq!(err, IqError::DuplicateObjectKey(key(20)));
-        ocm.end_txn(txn);
-        // The failed page never joined the LRU.
+        // The failed page never joined the LRU, nor took a block.
         assert!(!ocm.contains(key(20)));
+        assert_eq!(ocm.ssd.used_blocks(), 0);
     }
 
     #[test]
@@ -884,18 +520,9 @@ mod tests {
         store.settle();
         assert_eq!(&ocm.read_hinted(key(1), false).unwrap()[..], b"x");
         assert_eq!(ocm.cached_objects(), 0);
-        let txn = TxnId(1);
-        write_one(
-            &ocm,
-            key(2),
-            Bytes::from_static(b"y"),
-            txn,
-            WriteMode::WriteBack,
-        )
-        .unwrap();
-        ocm.flush_for_commit(txn).unwrap();
+        write_one(&ocm, key(2), Bytes::from_static(b"y")).unwrap();
         assert!(store.exists(key(2)));
-        ocm.end_txn(txn);
+        assert_eq!(ocm.cached_objects(), 0);
     }
 
     #[test]
@@ -903,8 +530,8 @@ mod tests {
         let (ocm, store) = setup(8);
         store.put(key(7), Bytes::from_static(b"seq")).unwrap();
         store.settle();
-        // No quiesce anywhere: the miss is cached before its read returns,
-        // so the next two reads hit its run.
+        // The miss is cached before its read returns, so the next two
+        // reads hit its run.
         assert_eq!(&ocm.read_hinted(key(7), false).unwrap()[..], b"seq");
         assert!(ocm.contains(key(7)));
         for _ in 0..2 {
@@ -948,64 +575,10 @@ mod tests {
         assert_eq!(&ocm.read_hinted(key(31), false).unwrap()[..], b"small");
     }
 
-    /// A strong store whose PUTs wait until the test opens the gate, then
-    /// land — or fail, with `fail`.
-    struct GatedStore {
-        sim: ObjectStoreSim,
-        open: Mutex<bool>,
-        opened: Condvar,
-        fail: bool,
-    }
-
-    impl GatedStore {
-        fn new(fail: bool) -> Arc<Self> {
-            Arc::new(Self {
-                sim: ObjectStoreSim::new(ConsistencyConfig::strong()),
-                open: Mutex::new(false),
-                opened: Condvar::new(),
-                fail,
-            })
-        }
-
-        fn release(&self) {
-            *self.open.lock() = true;
-            self.opened.notify_all();
-        }
-    }
-
-    impl ObjectBackend for GatedStore {
-        fn put(&self, key: ObjectKey, data: Bytes) -> IqResult<()> {
-            let mut open = self.open.lock();
-            while !*open {
-                self.opened.wait(&mut open);
-            }
-            if self.fail {
-                return Err(IqError::DuplicateObjectKey(key));
-            }
-            self.sim.put(key, data)
-        }
-        fn get(&self, key: ObjectKey) -> IqResult<Bytes> {
-            self.sim.get(key)
-        }
-        fn delete(&self, key: ObjectKey) -> IqResult<()> {
-            self.sim.delete(key)
-        }
-        fn exists(&self, key: ObjectKey) -> bool {
-            self.sim.exists(key)
-        }
-        fn resident_bytes(&self) -> u64 {
-            self.sim.resident_bytes()
-        }
-        fn stats_snapshot(&self) -> iq_objectstore::StatsSnapshot {
-            self.sim.stats_snapshot()
-        }
-        fn reset_stats(&self) {
-            self.sim.reset_stats()
-        }
-    }
-
-    fn gated(pages: u32, fail: bool) -> (Ocm, Arc<GatedStore>) {
-        let store = GatedStore::new(fail);
+    /// An OCM over a strongly consistent store, so a key written to it
+    /// directly is taken when the next PUT of that key arrives.
+    fn strong(pages: u32) -> (Ocm, Arc<ObjectStoreSim>) {
+        let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
         (over(pages, store.clone()), store)
     }
 
@@ -1023,120 +596,92 @@ mod tests {
 
     #[test]
     fn group_members_join_the_lru_only_after_the_put_lands() {
-        let (ocm, store) = gated(8, false);
+        let (ocm, store) = strong(8);
         let (blob, members) = composite();
-        let txn = TxnId(1);
-        ocm.write_group(key(9), blob.clone(), &members, txn, WriteMode::WriteBack)
-            .unwrap();
-        // Queued: each member holds the blocks it covers (2 + 2 + 1) but
-        // none is in the LRU, and a read is served from its run as a hit —
-        // the store has nothing.
+        // A PUT that fails: no member joins the LRU or holds a block, and
+        // a read goes to the store.
+        store.put(key(8), Bytes::from_static(b"taken")).unwrap();
+        let err = ocm.write_group(key(8), blob.clone(), &members).unwrap_err();
+        assert_eq!(err, IqError::DuplicateObjectKey(key(8)));
+        for &(offset, _) in &members {
+            assert!(!ocm.contains(extent(key(8), offset)));
+        }
+        assert_eq!(ocm.inner.lock().freelist.used_blocks(), 0);
+        // The one PUT lands: every member joins, the whole object once,
+        // each holding the blocks it covers (2 + 2 + 1), and a read is a
+        // hit served from its run.
+        ocm.write_group(key(9), blob.clone(), &members).unwrap();
         assert_eq!(ocm.inner.lock().freelist.used_blocks(), 5);
         for &(offset, len) in &members {
-            assert!(!ocm.contains(extent(key(9), offset)));
+            assert!(ocm.contains(extent(key(9), offset)));
             let at = offset as usize..(offset + len) as usize;
             let read = ocm
                 .read_extent(extent(key(9), offset), false, || {
-                    panic!("a queued member must not be read from the store")
+                    panic!("a cached member must not be read from the store")
                 })
                 .unwrap();
             assert_eq!(read, blob.slice(at));
         }
-        assert_eq!(ocm.stats_snapshot().hits, 3);
-        assert_eq!(ocm.stats_snapshot().misses, 0);
-        assert!(!store.exists(key(9)));
-        // The one PUT lands: every member joins, the whole object once.
-        store.release();
-        ocm.flush_for_commit(txn).unwrap();
-        for &(offset, _) in &members {
-            assert!(ocm.contains(extent(key(9), offset)));
-        }
-        assert_eq!(
-            store
-                .sim
-                .stats_snapshot()
-                .op(iq_objectstore::IoOp::Put)
-                .count,
-            1
-        );
-        assert_eq!(store.sim.max_write_count(), 1);
-        ocm.end_txn(txn);
+        let snap = ocm.stats_snapshot();
+        assert_eq!((snap.misses, snap.hits), (0, 3));
+        assert_eq!(store.get(key(9)).unwrap(), blob);
+        assert_eq!(store.max_write_count(), 1);
     }
 
     #[test]
     fn a_failed_group_put_frees_every_member_run() {
-        let (ocm, store) = gated(8, true);
+        let (ocm, store) = strong(8);
+        // Two cached entries of four blocks each.
+        for off in 0..2u64 {
+            store
+                .put(key(off), Bytes::from(vec![off as u8; 1000]))
+                .unwrap();
+            ocm.read_hinted(key(off), false).unwrap();
+        }
         let (blob, members) = composite();
-        let txn = TxnId(2);
-        ocm.write_group(key(5), blob, &members, txn, WriteMode::WriteBack)
-            .unwrap();
-        assert_eq!(ocm.inner.lock().freelist.used_blocks(), 5);
-        assert_eq!(ocm.ssd.used_blocks(), 5);
-        store.release();
-        let err = ocm.flush_for_commit(txn).unwrap_err();
+        store.put(key(5), Bytes::from_static(b"taken")).unwrap();
+        let err = ocm.write_group(key(5), blob, &members).unwrap_err();
         assert_eq!(err, IqError::DuplicateObjectKey(key(5)));
-        ocm.end_txn(txn);
-        assert_eq!(
-            ocm.inner.lock().freelist.used_blocks(),
-            0,
-            "every run freed"
-        );
-        assert_eq!(ocm.ssd.used_blocks(), 0, "every run trimmed");
-        assert_eq!(ocm.cached_objects(), 0, "no member joined the LRU");
-        assert!(ocm.inner.lock().landing.is_empty());
+        // No member took a run, and none was made room for.
+        assert_eq!(ocm.inner.lock().freelist.used_blocks(), 8, "no run held");
+        assert_eq!(ocm.ssd.used_blocks(), 8, "no run written");
+        assert_eq!(ocm.cached_objects(), 2, "no member joined the LRU");
+        assert_eq!(ocm.stats_snapshot().evictions, 0);
     }
 
     #[test]
-    fn an_oversized_write_back_member_is_uploaded_but_never_cached() {
-        let (ocm, store) = gated(8, false);
+    fn an_oversized_member_is_uploaded_but_never_cached() {
+        let (ocm, store) = strong(8);
         // A 300-byte member and one of 2 000 bytes, past the 1 KiB bound.
         let mut blob = vec![1u8; 300];
         blob.extend(vec![2u8; 2000]);
         let blob = Bytes::from(blob);
         let members = [(0, 300), (300, 2000)];
-        let txn = TxnId(1);
-        ocm.write_group(key(4), blob.clone(), &members, txn, WriteMode::WriteBack)
-            .unwrap();
-        // Before the upload the large member is served from its queued
-        // image, and only the small one holds blocks.
+        ocm.write_group(key(4), blob.clone(), &members).unwrap();
+        // The object went up intact; only the small member holds blocks.
+        assert_eq!(store.get(key(4)).unwrap(), blob);
+        assert!(ocm.contains(extent(key(4), 0)));
+        assert!(!ocm.contains(extent(key(4), 300)));
+        assert_eq!(ocm.inner.lock().freelist.used_blocks(), 2);
+        assert_eq!(ocm.ssd.used_blocks(), 2);
+        // The large member is served from the store, and still not cached.
         let large = ocm
             .read_extent(extent(key(4), 300), false, || {
-                panic!("a queued member must not be read from the store")
+                Ok(store.get(key(4))?.slice(300..))
             })
             .unwrap();
         assert_eq!(large, blob.slice(300..));
-        assert_eq!(ocm.inner.lock().freelist.used_blocks(), 2);
-        store.release();
-        ocm.flush_for_commit(txn).unwrap();
-        ocm.end_txn(txn);
-        // The object went up intact; the large member was never cached.
-        assert_eq!(store.sim.get(key(4)).unwrap(), blob);
-        assert!(ocm.contains(extent(key(4), 0)));
         assert!(!ocm.contains(extent(key(4), 300)));
-        assert_eq!(ocm.ssd.used_blocks(), 2);
     }
 
     #[test]
-    fn a_write_back_page_reads_back_before_its_upload_lands() {
-        // Write-back then an immediate read, 2 000 times: the read races
-        // the worker's upload and must be served by the OCM whether or
-        // not it has landed (before, most of these reads went to the
-        // store ahead of the PUT and failed).
-        let store = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
-        let ocm = over(64, store.clone());
-        let txn = TxnId(3);
-        for off in 0..2_000u64 {
-            let data = Bytes::from(vec![off as u8; 100 + (off % 700) as usize]);
-            write_one(&ocm, key(off), data.clone(), txn, WriteMode::WriteBack).unwrap();
-            assert_eq!(
-                ocm.read_hinted(key(off), false).unwrap(),
-                data,
-                "read {off}"
-            );
-        }
-        ocm.flush_for_commit(txn).unwrap();
-        assert_eq!(store.max_write_count(), 1);
-        ocm.end_txn(txn);
+    fn a_member_that_overruns_its_object_is_refused_before_the_put() {
+        let (ocm, store) = strong(8);
+        let err = ocm
+            .write_group(key(6), Bytes::from(vec![0u8; 100]), &[(0, 60), (60, 41)])
+            .unwrap_err();
+        assert!(matches!(err, IqError::Invalid(_)), "{err:?}");
+        assert!(!store.exists(key(6)));
     }
 
     /// One step of the budget property.
@@ -1144,9 +689,9 @@ mod tests {
     enum Step {
         /// Read through a new object of this many bytes, as a scan or not.
         Read(usize, bool),
-        /// Write back a new composite with these member lengths; its upload
-        /// fails when `true`.
-        WriteBack(Vec<usize>, bool),
+        /// Write a new composite with these member lengths; its PUT fails
+        /// when `true`.
+        Write(Vec<usize>, bool),
         /// Drop every cached entry.
         Clear,
     }
@@ -1159,15 +704,15 @@ mod tests {
             read(),
             read(),
             (collection::vec(1usize..1400, 1..4), any::<bool>())
-                .prop_map(|(lens, fail)| Step::WriteBack(lens, fail)),
+                .prop_map(|(lens, fail)| Step::Write(lens, fail)),
             (collection::vec(1usize..1400, 1..4), any::<bool>())
-                .prop_map(|(lens, fail)| Step::WriteBack(lens, fail)),
+                .prop_map(|(lens, fail)| Step::Write(lens, fail)),
             Just(Step::Clear),
         ]
     }
 
     proptest! {
-        /// After every quiesce the SSD holds exactly the blocks the cached
+        /// After every step the SSD holds exactly the blocks the cached
         /// entries are charged, within the budget, and each cached extent
         /// reads back its bytes.
         #[test]
@@ -1187,7 +732,7 @@ mod tests {
                         prop_assert_eq!(ocm.read_hinted(k, scan).unwrap(), data.clone());
                         bytes.insert(k.into(), data);
                     }
-                    Step::WriteBack(lens, fail) => {
+                    Step::Write(lens, fail) => {
                         let mut blob = Vec::new();
                         let mut members = Vec::new();
                         for (i, &len) in lens.iter().enumerate() {
@@ -1199,11 +744,8 @@ mod tests {
                             // The key is taken, so the upload fails.
                             store.put(k, Bytes::from_static(b"taken")).unwrap();
                         }
-                        let txn = TxnId(n as u64);
-                        ocm.write_group(k, blob.clone(), &members, txn, WriteMode::WriteBack)
-                            .unwrap();
-                        prop_assert_eq!(ocm.flush_for_commit(txn).is_err(), fail);
-                        ocm.end_txn(txn);
+                        let written = ocm.write_group(k, blob.clone(), &members);
+                        prop_assert_eq!(written.is_err(), fail);
                         if !fail {
                             for &(offset, len) in &members {
                                 let at = offset as usize..(offset + len) as usize;
@@ -1213,7 +755,6 @@ mod tests {
                     }
                     Step::Clear => ocm.clear_cache(),
                 }
-                ocm.quiesce();
                 let charged = cached_blocks(&ocm);
                 prop_assert_eq!(ocm.ssd.used_blocks(), charged, "step {}", n);
                 prop_assert!(charged <= 16, "{} blocks over a 16-block budget", charged);

@@ -83,7 +83,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // OCM utilization (the Table 5 counters).
     if let Some(ocm) = db.ocm() {
-        ocm.quiesce();
         let s = ocm.stats_snapshot();
         println!(
             "OCM: {} hits, {} misses, {} evictions (hit rate {:.1}%)",

@@ -104,9 +104,6 @@ fn rollback_deletes_flushed_pages_immediately() {
     // Load enough to force evictions (flushes) before commit: the tiny
     // test buffer holds only a few frames.
     load_table(&db, &mut meta, txn, 2_000);
-    if let Some(ocm) = db.ocm() {
-        ocm.quiesce();
-    }
     let store = db.cloud_store(space).unwrap();
     let flushed_before = store.object_count();
     assert!(flushed_before > 0, "load must have spilled through the OCM");
@@ -161,7 +158,6 @@ fn ocm_caches_and_serves_reads() {
     load_table(&db, &mut meta, txn, 400);
     db.commit(txn).unwrap();
     let ocm = db.ocm().expect("test config enables the OCM");
-    ocm.quiesce();
 
     // Clear RAM so reads go to the OCM tier.
     db.shared().buffer.clear();
@@ -248,9 +244,6 @@ fn writer_crash_restart_reclaims_outstanding_keys() {
                 .unwrap();
         }
         w.finish().unwrap();
-        if let Some(ocm) = db.ocm() {
-            ocm.quiesce();
-        }
     }
     let store = db.cloud_store(space).unwrap();
     assert!(store.object_count() > 0, "uncommitted pages were flushed");
@@ -318,9 +311,6 @@ fn encryption_keeps_plaintext_off_the_store() {
         w.finish().unwrap();
     }
     db.commit(txn).unwrap();
-    if let Some(ocm) = db.ocm() {
-        ocm.quiesce();
-    }
     // Inspect every stored object: the plaintext marker must not appear.
     let store = db.cloud_store(space).unwrap();
     let needle = secret.as_bytes();
@@ -485,9 +475,6 @@ fn database_stats_aggregate_the_stack() {
     let txn = db.begin();
     load_table(&db, &mut meta, txn, 300);
     db.commit(txn).unwrap();
-    if let Some(ocm) = db.ocm() {
-        ocm.quiesce();
-    }
     let metrics = db.metrics();
     let u64_of = |key: &str| match metrics[key] {
         MetricValue::U64(v) => v,

@@ -107,9 +107,6 @@ fn run_sequence(ops: &[Op]) {
             Op::CrashLoad(rows) => {
                 let txn = db.begin_on(writer).unwrap();
                 load(txn, *rows);
-                if let Some(ocm) = db.ocm() {
-                    ocm.quiesce();
-                }
                 let aborted = db.crash_writer(writer).unwrap();
                 assert_eq!(aborted, vec![txn]);
                 db.restart_writer(writer, space).unwrap();
@@ -124,10 +121,7 @@ fn run_sequence(ops: &[Op]) {
         }
     }
 
-    // Settle: drain async writes, drop old versions.
-    if let Some(ocm) = db.ocm() {
-        ocm.quiesce();
-    }
+    // Settle: drop old versions.
     db.gc_drain().unwrap();
 
     let store = db.cloud_store(space).unwrap();

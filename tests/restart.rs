@@ -52,9 +52,6 @@ fn reopen_recovers_committed_state_and_reclaims_inflight_garbage() {
     let mut meta2 = TableMeta::new(t2, "t2", schema(), 32);
     let doomed = db.begin();
     load(&db, &mut meta2, doomed, 1_500);
-    if let Some(ocm) = db.ocm() {
-        ocm.quiesce();
-    }
     let store = db.cloud_store(space).unwrap();
     let objects_with_garbage = store.object_count();
 

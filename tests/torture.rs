@@ -14,7 +14,7 @@
 use std::sync::atomic::Ordering;
 
 use cloudiq::common::trace::MetricValue;
-use cloudiq::common::{ObjectKey, TableId};
+use cloudiq::common::{IqResult, ObjectKey, TableId};
 use cloudiq::core::{Database, DatabaseConfig, GroupCommitMode};
 use cloudiq::engine::table::{Schema, TableMeta, TableWriter};
 use cloudiq::engine::value::{DataType, Value};
@@ -25,14 +25,24 @@ fn schema() -> Schema {
 }
 
 fn load(db: &Database, meta: &mut TableMeta, txn: cloudiq::common::TxnId, n: i64) {
-    let pager = db.pager(txn).unwrap();
+    try_load(db, meta, txn, n).unwrap();
+}
+
+/// Load `n` rows, stopping at the first error — an evicted page whose
+/// upload fails fails the call that evicted it.
+fn try_load(
+    db: &Database,
+    meta: &mut TableMeta,
+    txn: cloudiq::common::TxnId,
+    n: i64,
+) -> IqResult<()> {
+    let pager = db.pager(txn)?;
     let meter = db.meter().clone();
     let mut w = TableWriter::new(meta, &pager, txn, &meter);
     for i in 0..n {
-        w.append_row(&[Value::I64(i), Value::Str(format!("r{i}").into())])
-            .unwrap();
+        w.append_row(&[Value::I64(i), Value::Str(format!("r{i}").into())])?;
     }
-    w.finish().unwrap();
+    w.finish()
 }
 
 fn faulted_cfg(plan: FaultPlan) -> DatabaseConfig {
@@ -212,10 +222,10 @@ fn crash_cut_mid_packed_commit_recovers() {
 }
 
 /// A hard cut mid-*eviction-group*: a load larger than the buffer leaves
-/// in composites uploaded write-back through the OCM, and the store dies
-/// a few of those uploads in. The loading transaction's commit fails on
-/// the group that did not land, reopen recovers the baseline, and the
-/// groups that did land are reclaimed as garbage.
+/// in composites uploaded through the OCM, and the store dies a few of
+/// those uploads in. The load stops at the group that did not land, the
+/// loading transaction's commit fails on it, reopen recovers the
+/// baseline, and the groups that did land are reclaimed as garbage.
 #[test]
 fn crash_cut_mid_eviction_group_recovers() {
     let mut cfg = faulted_cfg(FaultPlan::none());
@@ -234,7 +244,8 @@ fn crash_cut_mid_eviction_group_recovers() {
     db.checkpoint().unwrap();
 
     // The doomed load spills in eviction groups; the third upload after
-    // the cut is armed is the last one the store takes.
+    // the cut is armed is the last one the store takes, and the next
+    // fails the load.
     let inj = db.fault_injector(space).unwrap();
     let groups_before = db
         .shared()
@@ -250,7 +261,10 @@ fn crash_cut_mid_eviction_group_recovers() {
     let mut meta2 = TableMeta::new(TableId(2), "t2", schema(), 32);
     let doomed = db.begin();
     inj.arm_crash(3);
-    load(&db, &mut meta2, doomed, 2_000);
+    assert!(
+        try_load(&db, &mut meta2, doomed, 2_000).is_err(),
+        "the eviction whose group never landed fails the load"
+    );
     let groups = db
         .shared()
         .pack_stats
@@ -265,8 +279,8 @@ fn crash_cut_mid_eviction_group_recovers() {
         .load(Ordering::Relaxed)
         - evicted_before;
     assert!(
-        groups > 3,
-        "the load must spill in more groups than land: {groups}"
+        (1..=3).contains(&groups),
+        "groups land until the cut, none after: {groups}"
     );
     assert!(evicted > groups, "eviction groups carry several pages");
     assert!(
@@ -305,6 +319,44 @@ fn crash_cut_mid_eviction_group_recovers() {
     );
     db.rollback(rtxn).unwrap();
     assert_eq!(store.max_write_count(), 1);
+}
+
+/// An evicted page is uploaded on the thread that evicts it: when the
+/// store refuses the upload, the evicting call fails, and so does the
+/// owner's commit. The refused page never took SSD blocks, so the OCM's
+/// SSD holds exactly the blocks its cached entries are charged: clearing
+/// the cache leaves none.
+#[test]
+fn a_failed_eviction_upload_fails_the_evicting_call_and_the_commit() {
+    let mut cfg = faulted_cfg(FaultPlan::none());
+    cfg.buffer_bytes = 8 * 1024;
+    let db = Database::create(cfg).unwrap();
+    let space = db.create_cloud_dbspace("clouddata").unwrap();
+    db.create_table(TableId(1), space).unwrap();
+    let ocm = db.ocm().expect("the test config binds an OCM");
+    let inj = db.fault_injector(space).unwrap();
+
+    let mut meta = TableMeta::new(TableId(1), "t", schema(), 32);
+    let txn = db.begin();
+    inj.arm_crash(3);
+    assert!(
+        try_load(&db, &mut meta, txn, 2_000).is_err(),
+        "the eviction whose upload failed returns the error"
+    );
+    assert!(inj.fault_stats().refused_while_crashed > 0);
+    assert!(
+        ocm.cached_objects() > 0,
+        "the uploads before the cut are cached"
+    );
+    assert!(
+        db.commit(txn).is_err(),
+        "a commit whose evicted page never landed must fail"
+    );
+    assert_eq!(db.shared().txns.active_count(), 0);
+
+    assert!(db.ssd().used_blocks() > 0);
+    ocm.clear_cache();
+    assert_eq!(db.ssd().used_blocks(), 0, "no block outside the cache");
 }
 
 /// A commit that writes two tables and fails at any of its uploads —
