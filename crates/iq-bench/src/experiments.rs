@@ -1121,9 +1121,9 @@ pub(crate) fn cache_rows(sf: f64) -> IqResult<Vec<CacheMeasure>> {
                 protected_fraction,
             },
         );
-        // One read of `page`, demand-loading it on a miss; scan reads are
-        // admitted with the scan hint (probationary) exactly as
-        // `Pager::prefetch` loads are.
+        // One read of `page`, loading it on a miss; a scan read is a
+        // non-demand load, as a scan's later groups are. Every load
+        // enters probation, and scan pages are never read again.
         let read = |page: u64, scan: bool| {
             let load = || Ok(data_page(page, vec![0x6b; PAGE_BODY]));
             mgr.get_or_load(key(page), !scan, &NoFlush, load)

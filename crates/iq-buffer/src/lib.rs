@@ -21,8 +21,8 @@
 //!   of decompressed pages, per-transaction dirty lists, eviction through
 //!   a [`manager::FlushSink`] (which the storage layer implements with the
 //!   never-write-twice cloud flush path; no shard lock is held across a
-//!   flush), and a prefetch entry point that distinguishes demand misses
-//!   from prefetched loads so the virtual-time model can price unmasked
+//!   flush), and one load path whose demand flag splits demand misses
+//!   from non-demand loads so the virtual-time model can price unmasked
 //!   latency.
 
 pub mod lru;

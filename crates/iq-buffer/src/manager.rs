@@ -11,9 +11,10 @@
 //! bookkeeping).
 //!
 //! The manager distinguishes **demand misses** (a query blocked on the
-//! read) from **prefetched loads** (latency was overlapped); the
-//! virtual-time model prices the former serially, which is what makes
-//! short queries on S3 slower than on EBS (the paper's Q2/Q19 exception).
+//! read) from **non-demand loads** (latency counted as overlapped: a
+//! scan's groups after its first); the virtual-time model prices the
+//! former serially, which is what makes short queries on S3 slower than
+//! on EBS (the paper's Q2/Q19 exception).
 //!
 //! # Concurrency structure
 //!
@@ -22,10 +23,11 @@
 //! take disjoint locks; byte accounting is a process-wide atomic and the
 //! dirty-page index is a separate small mutex (lock order: shard →
 //! dirty-index, never the reverse). Replacement within each shard is a
-//! scan-resistant [segmented LRU](crate::slru): prefetched (scan) loads are
-//! admitted probationary so one large scan cannot displace the point-read
-//! working set — the property the paper's §5 RAM-over-OCM-over-store cache
-//! hierarchy depends on to keep the per-request-billed object store cold.
+//! scan-resistant [segmented LRU](crate::slru): every load is admitted
+//! probationary and only a re-read promotes it, so pages one large scan
+//! reads once cannot displace the point-read working set — the property
+//! the paper's §5 RAM-over-OCM-over-store cache hierarchy depends on to
+//! keep the per-request-billed object store cold.
 //!
 //! No shard lock is ever held across a [`FlushSink::flush_group`] or a
 //! backend GET. An evicted dirty frame is flushed *after* its shard lock is
@@ -184,7 +186,7 @@ pub struct BufferStatsSnapshot {
     pub hits: u64,
     /// Misses where a query waited on the load.
     pub demand_misses: u64,
-    /// Pages loaded by the prefetcher.
+    /// Non-demand loads: misses whose latency is counted as overlapped.
     pub prefetched: u64,
     /// Frames evicted (clean or dirty).
     pub evictions: u64,
@@ -251,7 +253,7 @@ pub struct BufferStats {
     pub hits: AtomicU64,
     /// Misses where a query waited on the load.
     pub demand_misses: AtomicU64,
-    /// Pages loaded by the prefetcher.
+    /// Non-demand loads: misses whose latency is counted as overlapped.
     pub prefetched: AtomicU64,
     /// Frames evicted (clean or dirty).
     pub evictions: AtomicU64,
@@ -477,9 +479,10 @@ impl BufferManager {
     }
 
     /// Look up or load via `loader`. `demand=true` means a query is
-    /// blocked on this read; `false` means the prefetcher issued it —
-    /// prefetched frames are admitted to the probationary SLRU segment so
-    /// a scan's pages cannot displace the protected working set.
+    /// blocked on this read; `false` means its latency is counted as
+    /// overlapped (a scan's later groups). The flag only picks the
+    /// counter a load lands in: every loaded frame enters the
+    /// probationary SLRU segment and is promoted on its next hit.
     pub fn get_or_load(
         &self,
         key: FrameKey,
@@ -491,7 +494,7 @@ impl BufferManager {
         // Single-flight: concurrent readers of the same frame (two
         // sessions scanning one table) must not run `loader` twice. A
         // duplicate load would double-charge the I/O meters and make
-        // the demand/prefetch split depend on thread timing.
+        // the demand / non-demand split depend on thread timing.
         {
             let mut inner = self.lock_shard(idx);
             let mut waited = false;
@@ -538,25 +541,14 @@ impl BufferManager {
             page: key.page.0,
             demand,
         });
-        let admit = if demand {
-            Admission::Demand
-        } else {
-            Admission::Scan
-        };
-        let inserted = self.insert_clean(key, page.clone(), admit, sink);
+        let inserted = self.insert_clean(key, page.clone(), sink);
         self.lock_shard(idx).loading.remove(&key);
         self.shards[idx].load_done.notify_all();
         inserted?;
         Ok(page)
     }
 
-    fn insert_clean(
-        &self,
-        key: FrameKey,
-        page: Page,
-        admit: Admission,
-        sink: &dyn FlushSink,
-    ) -> IqResult<()> {
+    fn insert_clean(&self, key: FrameKey, page: Page, sink: &dyn FlushSink) -> IqResult<()> {
         let idx = self.shard_of(&key);
         let cost = Self::frame_cost(&page);
         {
@@ -569,7 +561,7 @@ impl BufferManager {
                     bytes: cost,
                 },
                 cost,
-                admit,
+                Admission::Demand,
             ) {
                 self.used_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
                 debug_assert!(old.dirty.is_none(), "clean insert over a dirty frame");
@@ -1132,6 +1124,27 @@ mod tests {
     }
 
     #[test]
+    fn a_non_demand_load_promotes_on_its_first_re_read() {
+        // The demand flag picks a counter, not an admission: a scan's
+        // non-demand load earns protection on its next hit, exactly as
+        // a demand-loaded frame does.
+        let bm = BufferManager::new(1 << 20);
+        let sink = RecordingSink::default();
+        for (p, demand) in [(1, true), (2, false)] {
+            bm.get_or_load(key(1, p), demand, &sink, || Ok(page(p, 64)))
+                .unwrap();
+            let before = bm.stats.snapshot().promotions;
+            bm.get_or_load(key(1, p), true, &sink, || panic!("resident"))
+                .unwrap();
+            assert_eq!(
+                bm.stats.snapshot().promotions - before,
+                1,
+                "demand={demand}"
+            );
+        }
+    }
+
+    #[test]
     fn eviction_flushes_dirty_lru_first() {
         // Capacity fits ~3 frames of 1000+128 bytes.
         let bm = BufferManager::new(3500);
@@ -1600,7 +1613,7 @@ mod tests {
                 .unwrap();
             assert!(bm.get(key(1, p)).is_some());
         }
-        // Cold scan: 32 prefetched pages, never re-referenced.
+        // Cold scan: 32 non-demand loads, never re-referenced.
         for p in 100..132 {
             bm.get_or_load(key(1, p), false, &sink, || Ok(page(p, 64)))
                 .unwrap();

@@ -12,12 +12,13 @@
 //! a per-request-billed object store, and a single analytic scan must not
 //! flush the point-read working set back onto that slow, priced tier.
 //!
-//! Admission refines the 2Q idea: loads issued by a scan are tagged
-//! [`Admission::Scan`] and get one *grace* hit — the first re-reference
-//! (typically the scan's own demand read following its prefetch) refreshes
-//! probationary recency instead of promoting. Only a second, independent
-//! re-reference earns protection. Demand (point-read) loads promote on
-//! their first re-hit.
+//! Admission refines the 2Q idea: an entry tagged [`Admission::Scan`]
+//! gets one *grace* hit — its first re-reference refreshes probationary
+//! recency instead of promoting, and only a second, independent
+//! re-reference earns protection. [`Admission::Demand`] entries promote on
+//! their first re-hit. The OCM tags the extents a scan reads through it
+//! `Scan`; the buffer manager admits every frame `Demand`, since a scan
+//! reads each buffer page once and any re-read is a real re-reference.
 //!
 //! A `protected_capacity` of 0 disables promotion entirely, collapsing the
 //! structure to a plain LRU — the ablation baseline used by
@@ -342,7 +343,7 @@ mod tests {
     #[test]
     fn probationary_reinsert_keeps_promotion_progress() {
         let mut c = SlruCache::new(10);
-        // Demand-admitted entry: a scan-tagged re-insert (a prefetch
+        // Demand-admitted entry: a scan-tagged re-insert (a scan's read
         // racing the point read) must not grant it a grace hit.
         c.insert(1, "a", 1, Admission::Demand);
         assert_eq!(c.insert(1, "b", 1, Admission::Scan), Some("a"));

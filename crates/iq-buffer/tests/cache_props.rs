@@ -186,8 +186,8 @@ proptest! {
         let pre = mgr.stats.snapshot();
         let pre_rate = pre.hits as f64 / (pre.hits + pre.demand_misses).max(1) as f64;
 
-        // Cold scan: distinct never-again pages, scan admission — exactly
-        // how `Pager::prefetch` loads morsel pages.
+        // Cold scan: distinct never-again pages, loaded non-demand —
+        // exactly how a scan reads the morsel pages after its first group.
         for p in 0..scan_len {
             let k = key((1 << 32) | p);
             mgr.get_or_load(k, false, &sink, || Ok(page((1 << 32) | p))).unwrap();

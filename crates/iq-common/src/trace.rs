@@ -148,7 +148,8 @@ pub enum EventKind {
         table: u64,
         /// Logical page id.
         page: u64,
-        /// True for a demand (query-blocking) load, false for prefetch.
+        /// True for a demand (query-blocking) load, false for a non-demand
+        /// one (a scan group after the first).
         demand: bool,
     },
     /// Buffer manager: a second requester waited on an in-flight load

@@ -128,7 +128,7 @@ pub struct PackStats {
 }
 
 impl PackStats {
-    pub(crate) fn note_pack(&self, pages: usize, _bytes: u64) {
+    pub(crate) fn note_pack(&self, pages: usize) {
         self.objects_written.fetch_add(1, Ordering::Relaxed);
         self.pages_packed.fetch_add(pages as u64, Ordering::Relaxed);
         let bucket = match pages {

@@ -148,26 +148,6 @@ impl PageStore for Pager {
             .put_dirty(FrameKey { table, page, epoch }, p, txn, self)
     }
 
-    fn prefetch(&self, table: TableId, pages: &[PageId]) -> IqResult<()> {
-        let epoch = self
-            .shared
-            .table_store(table)?
-            .frame_epoch(self.txn, self.begin);
-        for &page in pages {
-            let key = FrameKey { table, page, epoch };
-            if self.shared.buffer.contains(key) {
-                continue;
-            }
-            // Non-demand loads are charged as overlapped I/O, not demand
-            // misses. Nothing runs in the background: the scan calls this
-            // for the group it reads next, on the lane that reads it.
-            self.shared
-                .buffer
-                .get_or_load(key, false, self, || self.load_page(table, page, false))?;
-        }
-        Ok(())
-    }
-
     fn scan_parallelism(&self) -> usize {
         self.shared.config.scan_workers.max(1)
     }
@@ -313,7 +293,7 @@ impl Composite {
             pages: self.members.len() as u64,
             bytes,
         });
-        shared.pack_stats.note_pack(self.members.len(), bytes);
+        shared.pack_stats.note_pack(self.members.len());
         shared.txns.record_pack(txn, key, self.members)
     }
 }

@@ -133,12 +133,6 @@ impl PageStore for SnapshotView {
         Err(IqError::Invalid("snapshot views are read-only".into()))
     }
 
-    fn prefetch(&self, _table: TableId, _pages: &[PageId]) -> IqResult<()> {
-        // Views serve occasional time-travel queries; reads go straight
-        // to the OCM/object store without a pipeline.
-        Ok(())
-    }
-
     fn scan_parallelism(&self) -> usize {
         // Time-travel scans share the session's worker budget.
         self.shared.config.scan_workers.max(1)

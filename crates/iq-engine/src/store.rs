@@ -16,8 +16,10 @@ use parking_lot::Mutex;
 /// Logical page I/O used by tables.
 pub trait PageStore: Send + Sync {
     /// Read a page. `demand=true` marks a read a query is blocked on;
-    /// `false` marks a prefetched read (the distinction feeds the
-    /// latency model).
+    /// `false` a read whose latency the model counts as overlapped (a
+    /// scan reads every group after its first this way). The store
+    /// serves both alike; the flag feeds the latency model and the
+    /// OCM's scan hint.
     fn read_page(&self, table: TableId, page: PageId, demand: bool) -> IqResult<Page>;
 
     /// Write (or supersede) a page on behalf of `txn`.
@@ -30,13 +32,14 @@ pub trait PageStore: Send + Sync {
         txn: TxnId,
     ) -> IqResult<()>;
 
-    /// Load `pages` as non-demand reads: the caller is about to read
-    /// them, but no query is charged for waiting on them. A scan hands
-    /// this only the pages of the group the calling task reads next;
-    /// an error here never fails it (the demand read that follows
-    /// resurfaces a real fault). The paper's tuned, latency-hiding
-    /// prefetcher (§1) is not reproduced — nothing is fetched ahead.
-    fn prefetch(&self, table: TableId, pages: &[PageId]) -> IqResult<()>;
+    /// Load `pages` ahead of their reads. The engine never calls this —
+    /// a scan reads each page once, through [`PageStore::read_page`]'s
+    /// demand flag — and the default does nothing; it stays only for
+    /// wrappers outside the workspace that forward it. The paper's
+    /// latency-hiding prefetcher (§1) is not reproduced.
+    fn prefetch(&self, _table: TableId, _pages: &[PageId]) -> IqResult<()> {
+        Ok(())
+    }
 
     /// Degree of morsel parallelism scans through this store should use.
     /// Stores that know the session's compute profile override this (the
@@ -68,7 +71,7 @@ pub trait PageStore: Send + Sync {
 pub struct MemPageStore {
     pages: Mutex<HashMap<(u32, u64), Page>>,
     scan_stats: Option<std::sync::Arc<crate::scanstats::ScanStats>>,
-    demand_reads: std::sync::atomic::AtomicU64,
+    reads: std::sync::atomic::AtomicU64,
 }
 
 impl MemPageStore {
@@ -91,18 +94,16 @@ impl MemPageStore {
         self.pages.lock().len()
     }
 
-    /// Demand (`demand=true`) reads served.
-    pub fn demand_reads(&self) -> u64 {
-        self.demand_reads.load(std::sync::atomic::Ordering::Relaxed)
+    /// Reads served, demand or not.
+    pub fn reads(&self) -> u64 {
+        self.reads.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
 impl PageStore for MemPageStore {
-    fn read_page(&self, table: TableId, page: PageId, demand: bool) -> IqResult<Page> {
-        if demand {
-            self.demand_reads
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
+    fn read_page(&self, table: TableId, page: PageId, _demand: bool) -> IqResult<Page> {
+        self.reads
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.pages
             .lock()
             .get(&(table.0, page.0))
@@ -122,10 +123,6 @@ impl PageStore for MemPageStore {
             (table.0, page.0),
             Page::new(page, iq_common::VersionId(0), kind, body),
         );
-        Ok(())
-    }
-
-    fn prefetch(&self, _table: TableId, _pages: &[PageId]) -> IqResult<()> {
         Ok(())
     }
 
@@ -151,9 +148,9 @@ mod tests {
             TxnId(1),
         )
         .unwrap();
-        let p = s.read_page(t, PageId(0), true).unwrap();
+        let p = s.read_page(t, PageId(0), false).unwrap();
         assert_eq!(&p.body[..], b"abc");
-        s.prefetch(t, &[PageId(0)]).unwrap();
         assert_eq!(s.page_count(), 1);
+        assert_eq!(s.reads(), 2, "a read is counted, demand or not");
     }
 }

@@ -234,12 +234,12 @@ impl TableMeta {
     /// whose row groups go to an ordered consumer instead of a stitch.
     ///
     /// Each surviving row group is one morsel, and the task that owns it
-    /// is the only one that asks for its pages: it loads and decodes the
+    /// is the only one that asks for its pages: it reads and decodes the
     /// predicate inputs and evaluates the mask. A group whose mask comes
     /// up all-false is finished — its projection pages are never
-    /// requested. Otherwise the projection pages are loaded and read, and
-    /// only projected columns are filtered. Nothing is fetched ahead of
-    /// the group being read, so the scan's I/O plan is a function of the
+    /// requested. Otherwise the projection pages are read, and only
+    /// projected columns are filtered. Nothing is fetched ahead of the
+    /// group being read, so the scan's I/O plan is a function of the
     /// survivor list: each page requested once, by the task that decodes
     /// it.
     ///
@@ -376,28 +376,21 @@ impl TableMeta {
         }
         let morsel = |i: usize| -> IqResult<T> {
             let g = survivors[i];
-            // The task that owns a group loads that group's pages, each
-            // phase's just before it reads them: non-demand for every
-            // group but the first, which is demand-read. Which task owns
-            // a group never depends on timing, so neither does the
-            // metered demand / prefetch split. Errors are ignored: a real
-            // fault resurfaces at the demand read.
-            let load = |cols: &[usize]| {
-                if i > 0 && !cols.is_empty() {
-                    let own: Vec<PageId> = cols.iter().map(|&c| self.page_id(g, c)).collect();
-                    let _ = store.prefetch(self.id, &own);
-                }
-            };
-            load(&phase1);
+            // The task that owns a group reads each of its pages once:
+            // the first surviving group's as demand reads, every later
+            // group's as non-demand ones. Which task owns a group never
+            // depends on timing, so neither does the metered demand /
+            // non-demand split.
+            let demand = i == 0;
 
-            // Phase 1: demand-read and decode the predicate inputs (all
-            // needed columns when eager). A page must hold exactly the
-            // rows its group's metadata says: the count stored in the
-            // page is device bytes and is not trusted.
+            // Phase 1: read and decode the predicate inputs (all needed
+            // columns when eager). A page must hold exactly the rows its
+            // group's metadata says: the count stored in the page is
+            // device bytes and is not trusted.
             let rows = self.groups[g].rows as usize;
             let mut cols1: Vec<Col> = Vec::with_capacity(phase1.len());
             for &c in &phase1 {
-                let page = store.read_page(self.id, self.page_id(g, c), true)?;
+                let page = store.read_page(self.id, self.page_id(g, c), demand)?;
                 let col = decode_rows(&page.body, self.dicts[c].as_ref(), Some(rows), None)?;
                 meter.add(cost::SCAN * col.len() as u64);
                 if let Some(s) = &stats {
@@ -422,8 +415,8 @@ impl TableMeta {
             if late {
                 // The materialization decision: depends only on the
                 // group's own mask — deterministic and worker-independent,
-                // so the metered demand/prefetch split is identical at any
-                // worker count.
+                // so the metered demand / non-demand split is identical at
+                // any worker count.
                 if mask.as_ref().is_some_and(|m| !m.any()) {
                     if let Some(s) = &stats {
                         ScanStats::add(&s.groups_empty_mask, 1);
@@ -444,16 +437,13 @@ impl TableMeta {
                 if let Some(s) = &stats {
                     ScanStats::add(&s.groups_materialized, 1);
                 }
-                // Mask known and non-empty: this group's projection
-                // pages are needed.
-                load(&phase2);
             }
 
-            // Phase 2: demand-read the projection-only columns, decoding
-            // only the rows the mask selected.
+            // Phase 2 (mask known and non-empty): read the projection-only
+            // columns, decoding only the rows the mask selected.
             let mut cols2: Vec<Col> = Vec::with_capacity(phase2.len());
             for &c in &phase2 {
-                let page = store.read_page(self.id, self.page_id(g, c), true)?;
+                let page = store.read_page(self.id, self.page_id(g, c), demand)?;
                 let dict = self.dicts[c].as_ref();
                 cols2.push(decode_rows(&page.body, dict, Some(rows), mask.as_ref())?);
                 meter.add(cost::SCAN * rows as u64);
@@ -886,14 +876,14 @@ mod tests {
         let stats = store.scan_stats().unwrap();
         let considered = ScanStats::get(&stats.groups_considered);
         let pruned = ScanStats::get(&stats.groups_zone_pruned);
-        let reads = store.demand_reads();
+        let reads = store.reads();
         let pred3 = Expr::lt(Expr::col(0), Expr::lit_i64(190));
         let out = meta.scan(&store, &[0], Some(&pred3), &meter).unwrap();
         let want: Vec<i64> = (0..64).chain(128..190).collect();
         assert_eq!(out.col(0).i64s(), want);
         assert_eq!(ScanStats::get(&stats.groups_considered) - considered, 3);
         assert_eq!(ScanStats::get(&stats.groups_zone_pruned) - pruned, 1);
-        assert_eq!(store.demand_reads() - reads, 2);
+        assert_eq!(store.reads() - reads, 2);
     }
 
     #[test]
@@ -1105,10 +1095,10 @@ mod tests {
         let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
         load_rows(&mut meta, &store, 150); // 64 + 64 + 22
         let meter = WorkMeter::new();
-        let reads = store.demand_reads();
+        let reads = store.reads();
         let mut w = TableWriter::reopen(&mut meta, &store, TxnId(2), &meter).unwrap();
         // Only the tail group's four pages came back.
-        assert_eq!(store.demand_reads() - reads, 4);
+        assert_eq!(store.reads() - reads, 4);
         for k in 150..200 {
             w.append_row(&[
                 Value::I64(k),
@@ -1155,10 +1145,6 @@ mod tests {
                 return Err(IqError::Invalid("write refused".into()));
             }
             self.inner.write_page(table, page, kind, body, txn)
-        }
-
-        fn prefetch(&self, table: TableId, pages: &[PageId]) -> IqResult<()> {
-            self.inner.prefetch(table, pages)
         }
     }
 
@@ -1208,12 +1194,12 @@ mod tests {
         // Victims in groups 0 and 2; group 1's zone lies between them, so
         // its key page is read and nothing else; group 3's is out of reach.
         let victims: HashSet<i64> = [3, 4, 130].into();
-        let reads = store.demand_reads();
+        let reads = store.reads();
         let removed = meta
             .delete_keys(&store, TxnId(2), &meter, 0, &victims)
             .unwrap();
         assert_eq!(removed, 3);
-        assert_eq!(store.demand_reads() - reads, 3 + 2 * 4);
+        assert_eq!(store.reads() - reads, 3 + 2 * 4);
         let rows: Vec<u32> = meta.groups.iter().map(|g| g.rows).collect();
         assert_eq!(rows, [62, 64, 63, 64]);
         assert_eq!(
@@ -1232,9 +1218,9 @@ mod tests {
             .unwrap();
         assert_eq!(meta.groups.len(), 4);
         assert_eq!(meta.groups[3].rows, 0);
-        let reads = store.demand_reads();
+        let reads = store.reads();
         assert_eq!(meta.scan(&store, &[0], None, &meter).unwrap().len(), 189);
-        assert_eq!(store.demand_reads() - reads, 3);
+        assert_eq!(store.reads() - reads, 3);
         let mut w = TableWriter::reopen(&mut meta, &store, TxnId(4), &meter).unwrap();
         w.append_row(&[
             Value::I64(900),

@@ -1,13 +1,14 @@
 //! Property tests for the morsel-parallel scan: whatever the worker
 //! count, `Table::scan` must return exactly the chunks a serial scan
 //! returns — same rows, same order, same arity — and must ask the store
-//! for exactly the pages it reads: nothing ahead of the group being read,
-//! nothing twice, and nothing that depends on a `prefetch` succeeding.
+//! for exactly the pages it reads: each once, nothing ahead of the group
+//! being read, and as demand reads only the first surviving group's.
 
 use std::collections::{HashMap, HashSet};
+use std::thread::ThreadId;
 
 use bytes::Bytes;
-use iq_common::{IqError, IqResult, PageId, TableId, TxnId};
+use iq_common::{IqResult, PageId, TableId, TxnId};
 use iq_engine::expr::Expr;
 use iq_engine::table::{ScanOptions, Schema, TableMeta, TableWriter};
 use iq_engine::value::{DataType, Value};
@@ -54,50 +55,37 @@ fn at(workers: usize) -> ScanOptions {
     }
 }
 
-/// One call a scan made on its store.
+/// One page read a scan made: the page, its demand flag, and the lane
+/// (thread) that read it.
 #[derive(Debug)]
-enum Call {
-    Prefetch(Vec<PageId>),
-    Read(PageId),
+struct Read {
+    page: PageId,
+    demand: bool,
+    lane: ThreadId,
 }
 
-/// A `PageStore` that logs every `prefetch` and `read_page` in arrival
-/// order and, if `throttled`, fails every `prefetch` the way a store
-/// answering SlowDown does.
+/// A `PageStore` that logs every `read_page` in arrival order.
 struct Recording<'a> {
     inner: &'a MemPageStore,
-    throttled: bool,
-    calls: Mutex<Vec<Call>>,
+    reads: Mutex<Vec<Read>>,
 }
 
 impl<'a> Recording<'a> {
-    fn new(inner: &'a MemPageStore, throttled: bool) -> Self {
+    fn new(inner: &'a MemPageStore) -> Self {
         Self {
             inner,
-            throttled,
-            calls: Mutex::new(Vec::new()),
+            reads: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Every page `read_page` was asked for, sorted: the multiset.
-    fn reads(&self) -> Vec<PageId> {
-        let mut reads: Vec<PageId> = self
-            .calls
-            .lock()
-            .iter()
-            .filter_map(|c| match c {
-                Call::Read(p) => Some(*p),
-                Call::Prefetch(_) => None,
-            })
-            .collect();
-        reads.sort_unstable();
-        reads
     }
 }
 
 impl PageStore for Recording<'_> {
     fn read_page(&self, table: TableId, page: PageId, demand: bool) -> IqResult<Page> {
-        self.calls.lock().push(Call::Read(page));
+        self.reads.lock().push(Read {
+            page,
+            demand,
+            lane: std::thread::current().id(),
+        });
         self.inner.read_page(table, page, demand)
     }
 
@@ -110,14 +98,6 @@ impl PageStore for Recording<'_> {
         txn: TxnId,
     ) -> IqResult<()> {
         self.inner.write_page(table, page, kind, body, txn)
-    }
-
-    fn prefetch(&self, table: TableId, pages: &[PageId]) -> IqResult<()> {
-        self.calls.lock().push(Call::Prefetch(pages.to_vec()));
-        if self.throttled {
-            return Err(IqError::Throttled("SlowDown".into()));
-        }
-        self.inner.prefetch(table, pages)
     }
 }
 
@@ -163,7 +143,7 @@ proptest! {
     }
 
     #[test]
-    fn a_scan_hands_prefetch_only_the_pages_it_is_about_to_read(
+    fn a_scan_reads_each_page_once_and_demand_reads_only_its_first_group(
         seeds in proptest::collection::vec(0i64..1000, 0..300),
         group_size in prop_oneof![Just(8u32), Just(32u32), Just(64u32)],
         pred_kind in 0u8..5,
@@ -172,69 +152,46 @@ proptest! {
         let store = MemPageStore::new();
         let meta = build_table(&seeds, group_size, &store, &meter);
         let pred = predicate(pred_kind);
+        let pred_cols = pred.as_ref().map(Expr::columns).unwrap_or_default();
         let ncols = meta.schema.len() as u64;
+        let group = |p: PageId| p.0 / ncols;
+        // A late-materializing scan reads a group's projection-only
+        // columns after its predicate inputs.
+        let projection_only =
+            |p: PageId| !pred_cols.is_empty() && !pred_cols.contains(&((p.0 % ncols) as usize));
         for proj in [vec![0usize, 1, 2], vec![1], vec![2, 0]] {
             for workers in [1usize, 2, 8] {
-                let rec = Recording::new(&store, false);
+                let rec = Recording::new(&store);
                 meta.scan_with_options(&rec, &proj, pred.as_ref(), &meter, at(workers), None)
                     .unwrap();
-                let calls = rec.calls.into_inner();
-                // Where each page was first read. Every surviving group
-                // reads its predicate pages, so the smallest page read
-                // belongs to the first surviving group.
-                let mut read_at: HashMap<PageId, usize> = HashMap::new();
-                for (at, call) in calls.iter().enumerate() {
-                    if let Call::Read(p) = call {
-                        read_at.entry(*p).or_insert(at);
-                    }
+                let reads = rec.reads.into_inner();
+                let mut seen: HashSet<PageId> = HashSet::new();
+                for r in &reads {
+                    prop_assert!(seen.insert(r.page), "{:?} read twice", r.page);
                 }
-                let first_group = read_at.keys().map(|p| p.0 / ncols).min();
-                let mut prefetched: HashSet<PageId> = HashSet::new();
-                for (at, call) in calls.iter().enumerate() {
-                    let Call::Prefetch(pages) = call else { continue };
-                    for p in pages {
-                        prop_assert!(
-                            prefetched.insert(*p),
-                            "{:?} handed to prefetch twice", p
-                        );
-                        prop_assert!(
-                            Some(p.0 / ncols) != first_group,
-                            "{:?} is in the first group, which is demand-read", p
-                        );
-                        prop_assert!(
-                            read_at.get(p).is_some_and(|&read| at < read),
-                            "{:?} prefetched but not then read", p
-                        );
-                    }
+                // Every surviving group reads its predicate pages, so the
+                // smallest group read is the first surviving one.
+                let first_group = reads.iter().map(|r| group(r.page)).min();
+                for r in &reads {
+                    prop_assert_eq!(
+                        r.demand,
+                        Some(group(r.page)) == first_group,
+                        "{:?}: only the first surviving group is demand-read", r.page
+                    );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn failing_prefetch_never_fails_or_changes_a_scan(
-        seeds in proptest::collection::vec(0i64..1000, 0..300),
-        group_size in prop_oneof![Just(8u32), Just(32u32), Just(64u32)],
-        pred_kind in 0u8..5,
-    ) {
-        let meter = WorkMeter::new();
-        let store = MemPageStore::new();
-        let meta = build_table(&seeds, group_size, &store, &meter);
-        let pred = predicate(pred_kind);
-        for late_mat in [true, false] {
-            let clean = Recording::new(&store, false);
-            let opts = ScanOptions { workers: 1, late_mat };
-            let expected = meta
-                .scan_with_options(&clean, &[2, 0], pred.as_ref(), &meter, opts, None)
-                .unwrap();
-            for workers in [1usize, 2, 8] {
-                let slow = Recording::new(&store, true);
-                let opts = ScanOptions { workers, late_mat };
-                let got = meta
-                    .scan_with_options(&slow, &[2, 0], pred.as_ref(), &meter, opts, None)
-                    .unwrap();
-                prop_assert_eq!(&got, &expected);
-                prop_assert_eq!(slow.reads(), clean.reads());
+                // Nothing is read ahead of its group: one lane reads all of
+                // a group's pages, its predicate inputs first, and a lane
+                // never returns to a group once it has read a later one.
+                let mut lane_of: HashMap<u64, ThreadId> = HashMap::new();
+                let mut lane_at: HashMap<ThreadId, (u64, bool)> = HashMap::new();
+                for r in &reads {
+                    let at = (group(r.page), projection_only(r.page));
+                    prop_assert_eq!(*lane_of.entry(at.0).or_insert(r.lane), r.lane);
+                    if let Some(&prev) = lane_at.get(&r.lane) {
+                        prop_assert!(prev <= at, "{:?} read after {:?}", r.page, prev);
+                    }
+                    lane_at.insert(r.lane, at);
+                }
             }
         }
     }

@@ -15,8 +15,8 @@ pub const DELETE_BATCH_MAX: usize = 1000;
 /// update (unless an ablation explicitly enables overwrites).
 ///
 /// Implementations are internally synchronized; `&self` methods may be
-/// called from many threads (the OCM's background writer, the prefetcher
-/// and query workers all hit the store concurrently).
+/// called from many threads (scan lanes, commit-flush lanes and evicting
+/// callers all hit the store concurrently).
 pub trait ObjectBackend: Send + Sync {
     /// Upload a new object. Fails with `DuplicateObjectKey` if the key was
     /// already written and overwrites are disallowed (the default; the

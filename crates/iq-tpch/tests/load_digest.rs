@@ -44,10 +44,6 @@ impl PageStore for Recording {
             .push((table.0, page.0, body.clone()));
         self.inner.write_page(table, page, kind, body, txn)
     }
-
-    fn prefetch(&self, table: TableId, pages: &[PageId]) -> IqResult<()> {
-        self.inner.prefetch(table, pages)
-    }
 }
 
 /// FNV-1a, 64-bit.

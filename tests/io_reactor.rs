@@ -1,12 +1,14 @@
 //! End-to-end behaviour of the submission/completion I/O core: depth
-//! accounting on morsel scans, group commit through the durable log,
-//! compaction-claim hygiene under faults, and composite keying across
-//! dbspaces.
+//! accounting on morsel scans, the buffer traffic of one cold scan,
+//! group commit through the durable log, compaction-claim hygiene under
+//! faults, and composite keying across dbspaces.
 
+use std::sync::atomic::Ordering;
 use std::sync::Barrier;
 
 use cloudiq::common::{PageId, TableId};
 use cloudiq::core::{Database, DatabaseConfig, GroupCommitMode};
+use cloudiq::engine::expr::Expr;
 use cloudiq::engine::table::{Schema, TableMeta, TableWriter};
 use cloudiq::engine::value::{DataType, Value};
 use cloudiq::engine::PageStore;
@@ -75,6 +77,53 @@ fn scan_submission_depth_exceeds_worker_count() {
     // `failed` is a subset of `completed` (every descriptor completes,
     // some completions carry errors), so quiescence means equality here.
     assert_eq!(after.completed, after.submitted);
+}
+
+/// A cold scan asks the buffer for each page once: its first surviving
+/// group's pages are demand misses, every later group's are non-demand
+/// loads, and no page is loaded and then re-read as a hit.
+#[test]
+fn a_cold_scan_loads_each_page_once_and_hits_none() {
+    let mut cfg = DatabaseConfig::test_small();
+    cfg.scan_workers = 2;
+    let db = Database::create(cfg).unwrap();
+    let space = db.create_cloud_dbspace("clouddata").unwrap();
+    assert!(
+        db.shared().ocm_for(space).is_some(),
+        "the scan reads through an OCM"
+    );
+    db.create_table(TableId(1), space).unwrap();
+
+    // 600 rows at 64 rows per group: 10 groups. `k >= 200` zone-prunes
+    // groups 0–2, so group 3 is the first survivor, and each of the 7
+    // survivors reads its key page, then (its mask non-empty) its value
+    // page.
+    let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
+    let txn = db.begin();
+    load(&db, &mut meta, txn, 600);
+    db.commit(txn).unwrap();
+
+    db.shared().buffer.clear();
+    let before = db.buffer_stats().lifetime_snapshot();
+    let scan = db.scan_stats();
+    let pages_before = scan.predicate_pages_read.load(Ordering::Relaxed)
+        + scan.projection_pages_read.load(Ordering::Relaxed);
+    let rtxn = db.begin();
+    let pager = db.pager(rtxn).unwrap();
+    let pred = Expr::ge(Expr::col(0), Expr::lit_i64(200));
+    let out = meta.scan(&pager, &[0, 1], Some(&pred), db.meter()).unwrap();
+    assert_eq!(out.len(), 400);
+    db.rollback(rtxn).unwrap();
+
+    let after = db.buffer_stats().lifetime_snapshot();
+    let pages_read = scan.predicate_pages_read.load(Ordering::Relaxed)
+        + scan.projection_pages_read.load(Ordering::Relaxed)
+        - pages_before;
+    assert_eq!(pages_read, 7 * 2);
+    assert_eq!(after.hits - before.hits, 0, "a page was read twice");
+    assert_eq!(after.demand_misses - before.demand_misses, 2);
+    let loads = after.demand_misses - before.demand_misses + after.prefetched - before.prefetched;
+    assert_eq!(loads, pages_read);
 }
 
 /// Concurrent commits gather into one log PUT. The baseline is the log's

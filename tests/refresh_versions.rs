@@ -41,10 +41,6 @@ impl PageStore for CountingStore {
         self.writes.lock().push((table, page));
         self.pages.write_page(table, page, kind, body, txn)
     }
-
-    fn prefetch(&self, table: TableId, pages: &[PageId]) -> IqResult<()> {
-        self.pages.prefetch(table, pages)
-    }
 }
 
 /// Page accesses as `(group, column)` lists per table id.
