@@ -58,6 +58,10 @@
 # each page once, so the count does not depend on which lane reads first.
 # It read 624 in 16 of 16 traced runs, 10 of them two at a time on two
 # cores; it was ungated while OCM population ran on a background worker.
+# The OCM evicts nothing (`ocm.evictions` == 0, here and on `ingest`):
+# eviction order is the only thing its admission policy decides, so a
+# workload that starts evicting from the OCM is one whose results that
+# policy can move, and it fails here until it is looked at.
 # `ingest` (load, two RF1 + RF2 pairs, GC, compaction, restart):
 #   * exactly 52 data-store PUTs a round. The load is larger than the
 #     buffer and its evicted pages leave in composites of up to 16 (372
@@ -141,7 +145,8 @@ gate() { # file workload jq-condition over $m, the metric values
                   "objectstore.puts",
                   "objectstore.bytes_written_per_user_byte",
                   "storage.compression_ratio", "store_bytes_per_user_byte",
-                  "store_puts_per_user_mib", "core.reopen_log_gets")))
+                  "store_puts_per_user_mib", "core.reopen_log_gets",
+                  "ocm.evictions")))
                 | map_values(.value))' "$1" >&2
         exit 1
     }
@@ -172,14 +177,16 @@ for out in "$@"; do
         ($m."store_bytes_per_user_byte" - 0.1631076075333115 | fabs) < 1e-7' '
         $m."engine.work_units_per_round" == 13760728
         and $m."engine.scan_pages_read_per_round" == 2708
-        and $m."store_gets_per_round" == 624'
+        and $m."store_gets_per_round" == 624
+        and $m."ocm.evictions" == 0'
     check "$out" ingest '
         $m."store_bytes_per_user_byte" == 0.16010223757708825' '
         $m."objectstore.puts" == 52
         and $m."engine.scan_pages_read_per_round" <= 600
         and $m."proc.allocs_per_page_read" <= 515
         and $m."objectstore.bytes_written_per_user_byte" == 0.18732274708598365
-        and $m."storage.compression_ratio" == 0.9670515510768833'
+        and $m."storage.compression_ratio" == 0.9670515510768833
+        and $m."ocm.evictions" == 0'
     check "$out" txn_churn '
         $m."store_bytes_per_user_byte" == 1.9625606536865234
         and $m."store_puts_per_user_mib" == 64.16' '

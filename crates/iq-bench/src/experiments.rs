@@ -1124,22 +1124,22 @@ pub(crate) fn cache_rows(sf: f64) -> IqResult<Vec<CacheMeasure>> {
         // One read of `page`, loading it on a miss; a scan read is a
         // non-demand load, as a scan's later groups are. Every load
         // enters probation, and scan pages are never read again.
-        let read = |page: u64, scan: bool| {
+        let read = |page: u64, demand: bool| {
             let load = || Ok(data_page(page, vec![0x6b; PAGE_BODY]));
-            mgr.get_or_load(key(page), !scan, &NoFlush, load)
+            mgr.get_or_load(key(page), demand, &NoFlush, load)
         };
 
         // Warm: demand-load the hot set, then re-read it once so SLRU
         // promotes it into the protected segment.
         for p in (0..hot_pages).chain(0..hot_pages) {
-            read(p, false)?;
+            read(p, true)?;
         }
 
         // Steady phase: repeated point reads of the hot set.
         mgr.stats.begin_epoch();
         for _ in 0..steady_rounds {
             for p in 0..hot_pages {
-                read(p, false)?;
+                read(p, true)?;
             }
         }
         let steady = mgr.stats.snapshot();
@@ -1152,14 +1152,14 @@ pub(crate) fn cache_rows(sf: f64) -> IqResult<Vec<CacheMeasure>> {
         for p in 0..scan_pages {
             scan_ops += 1;
             shard_ops[mgr.shard_of(&key(1 << 32 | p))] += 1;
-            read(1 << 32 | p, true)?;
+            read(1 << 32 | p, false)?;
         }
         let max_shard_ops = shard_ops.iter().copied().max().unwrap_or(0);
 
         // Post-scan: is the hot set still resident?
         mgr.stats.begin_epoch();
         for p in 0..hot_pages {
-            read(p, false)?;
+            read(p, true)?;
         }
         let post = mgr.stats.snapshot();
         let post_scan_hit_rate = post.hits as f64 / (post.hits + post.demand_misses).max(1) as f64;

@@ -11,10 +11,10 @@
 //!
 //! * [`lru`] — an O(1) intrusive LRU, the building block of both
 //!   replacement policies.
-//! * [`slru`] — a scan-resistant segmented LRU (probationary/protected)
-//!   with admission control, used for frame replacement here and for the
-//!   OCM's entry list (the paper's §5 cache hierarchy must survive large
-//!   scans without evicting the point-read working set).
+//! * [`slru`] — a scan-resistant segmented LRU (probationary/protected),
+//!   used for frame replacement here and for the OCM's entry list (the
+//!   paper's §5 cache hierarchy must survive large scans without evicting
+//!   the point-read working set).
 //! * [`shard`] — the frame table's sharding: per-shard `Mutex` + `Condvar`
 //!   so parallel scan workers take disjoint locks.
 //! * [`manager`] — the buffer manager proper: a RAM-budgeted sharded cache
@@ -35,4 +35,4 @@ pub use manager::{
     BufferManager, BufferOptions, BufferStats, BufferStatsSnapshot, FlushCause, FlushGroup,
     FlushSink, FrameKey,
 };
-pub use slru::{Admission, SlruCache};
+pub use slru::SlruCache;

@@ -48,7 +48,6 @@ use iq_storage::Page;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::shard::{shard_count, shard_index, Shard, ShardInner};
-use crate::slru::Admission;
 
 /// Cache key: table, logical page number, and table-version epoch.
 ///
@@ -561,7 +560,6 @@ impl BufferManager {
                     bytes: cost,
                 },
                 cost,
-                Admission::Demand,
             ) {
                 self.used_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
                 debug_assert!(old.dirty.is_none(), "clean insert over a dirty frame");
@@ -592,7 +590,6 @@ impl BufferManager {
                     bytes: cost,
                 },
                 cost,
-                Admission::Demand,
             );
             // Shard lock is still held: dirty-index updates follow the
             // shard → dirty lock order.

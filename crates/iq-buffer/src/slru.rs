@@ -1,4 +1,4 @@
-//! Segmented LRU (SLRU) with admission control.
+//! Segmented LRU (SLRU).
 //!
 //! Two [`LruCache`] lists: a **probationary** segment that every insert
 //! enters, and a **protected** segment that entries are promoted into on
@@ -12,13 +12,9 @@
 //! a per-request-billed object store, and a single analytic scan must not
 //! flush the point-read working set back onto that slow, priced tier.
 //!
-//! Admission refines the 2Q idea: an entry tagged [`Admission::Scan`]
-//! gets one *grace* hit — its first re-reference refreshes probationary
-//! recency instead of promoting, and only a second, independent
-//! re-reference earns protection. [`Admission::Demand`] entries promote on
-//! their first re-hit. The OCM tags the extents a scan reads through it
-//! `Scan`; the buffer manager admits every frame `Demand`, since a scan
-//! reads each buffer page once and any re-read is a real re-reference.
+//! Every insert is admitted the same way: probationary, promoted to
+//! protected on its next hit. The buffer manager and the OCM share this
+//! one admission, so "is this read a scan" never reaches the cache.
 //!
 //! A `protected_capacity` of 0 disables promotion entirely, collapsing the
 //! structure to a plain LRU — the ablation baseline used by
@@ -27,21 +23,9 @@
 use crate::lru::LruCache;
 use std::hash::Hash;
 
-/// How an entry entered the cache; controls promotion eagerness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Point-read / demand load: promote to protected on first re-hit.
-    Demand,
-    /// Scan-issued load: first re-hit only refreshes probationary recency
-    /// (grace hit); promotion requires a second re-reference.
-    Scan,
-}
-
 struct Slot<V> {
     value: V,
     weight: usize,
-    /// One free probationary hit left before promotion is allowed.
-    grace: bool,
 }
 
 /// Segmented LRU over two [`LruCache`] lists with weighted entries.
@@ -96,9 +80,9 @@ impl<K: Eq + Hash + Clone, V> SlruCache<K, V> {
 
     /// Insert or replace. New keys enter the probationary segment at MRU;
     /// a key already resident is updated in place — a protected entry stays
-    /// protected, a probationary entry keeps its promotion progress — with
-    /// recency refreshed. Returns the previous value if present.
-    pub fn insert(&mut self, key: K, value: V, weight: usize, admit: Admission) -> Option<V> {
+    /// protected, a probationary entry stays probationary — with recency
+    /// refreshed. Returns the previous value if present.
+    pub fn insert(&mut self, key: K, value: V, weight: usize) -> Option<V> {
         if self.protected.peek(&key).is_some() {
             let slot = self.protected.get_mut(&key).expect("peeked");
             let old_weight = slot.weight;
@@ -108,27 +92,8 @@ impl<K: Eq + Hash + Clone, V> SlruCache<K, V> {
             self.rebalance();
             return Some(old);
         }
-        // A probationary re-insert must not reset promotion progress: an
-        // entry that already earned (Demand admission) or burned (spent
-        // grace hit) its promote-on-next-hit state keeps it even when the
-        // new admission is scan-tagged — e.g. a scan landing a page a
-        // point read already brought in. Grace is granted only to brand-new scan entries,
-        // or re-asserted while the old entry was still in grace itself.
-        let grace = self
-            .probationary
-            .peek(&key)
-            .map_or(admit == Admission::Scan, |s| {
-                s.grace && admit == Admission::Scan
-            });
         self.probationary
-            .insert(
-                key,
-                Slot {
-                    value,
-                    weight,
-                    grace,
-                },
-            )
+            .insert(key, Slot { value, weight })
             .map(|s| s.value)
     }
 
@@ -155,21 +120,14 @@ impl<K: Eq + Hash + Clone, V> SlruCache<K, V> {
         if self.protected.get(key).is_some() {
             return; // refreshed protected recency
         }
-        let Some(slot) = self.probationary.peek_mut(key) else {
-            return;
-        };
-        if slot.grace {
-            // Scan grace hit: burn the flag, refresh probationary recency.
-            slot.grace = false;
-            self.probationary.get(key);
-            return;
-        }
         if self.protected_capacity == 0 {
             // Plain-LRU mode: hits only refresh recency.
             self.probationary.get(key);
             return;
         }
-        let slot = self.probationary.remove(key).expect("peeked");
+        let Some(slot) = self.probationary.remove(key) else {
+            return;
+        };
         self.protected_weight += slot.weight;
         self.protected.insert(key.clone(), slot);
         self.promotions += 1;
@@ -257,7 +215,7 @@ mod tests {
     #[test]
     fn inserts_land_probationary_and_promote_on_rehit() {
         let mut c = SlruCache::new(10);
-        c.insert(1, "a", 1, Admission::Demand);
+        c.insert(1, "a", 1);
         assert!(!c.is_protected(&1));
         assert_eq!(c.get(&1), Some(&"a"));
         assert!(c.is_protected(&1));
@@ -265,22 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_admission_needs_two_hits_to_promote() {
-        let mut c = SlruCache::new(10);
-        c.insert(1, "a", 1, Admission::Scan);
-        assert_eq!(c.get(&1), Some(&"a")); // grace hit
-        assert!(!c.is_protected(&1));
-        assert_eq!(c.get(&1), Some(&"a")); // real re-reference
-        assert!(c.is_protected(&1));
-    }
-
-    #[test]
     fn victims_come_from_probation_first() {
         let mut c = SlruCache::new(10);
-        c.insert(1, "hot", 1, Admission::Demand);
+        c.insert(1, "hot", 1);
         c.get(&1); // promote
-        c.insert(2, "cold-old", 1, Admission::Scan);
-        c.insert(3, "cold-new", 1, Admission::Scan);
+        c.insert(2, "cold-old", 1);
+        c.insert(3, "cold-new", 1);
         assert_eq!(c.pop_victim(), Some((2, "cold-old")));
         assert_eq!(c.pop_victim(), Some((3, "cold-new")));
         // Only once probation is drained does the hot entry go.
@@ -292,7 +240,7 @@ mod tests {
     fn protected_overflow_demotes_lru_back_to_probation() {
         let mut c = SlruCache::new(2);
         for k in 0..3 {
-            c.insert(k, k * 10, 1, Admission::Demand);
+            c.insert(k, k * 10, 1);
             c.get(&k); // promote each
         }
         // Protected holds weight 2; key 0 was demoted.
@@ -308,8 +256,8 @@ mod tests {
     #[test]
     fn zero_protected_capacity_behaves_like_plain_lru() {
         let mut c = SlruCache::new(0);
-        c.insert(1, "a", 1, Admission::Demand);
-        c.insert(2, "b", 1, Admission::Demand);
+        c.insert(1, "a", 1);
+        c.insert(2, "b", 1);
         c.get(&1); // would promote under SLRU; here only refreshes recency
         assert!(!c.is_protected(&1));
         assert_eq!(c.pop_victim(), Some((2, "b")));
@@ -320,9 +268,9 @@ mod tests {
     #[test]
     fn exclusion_skips_sole_probationary_entry() {
         let mut c = SlruCache::new(10);
-        c.insert(1, "hot", 1, Admission::Demand);
+        c.insert(1, "hot", 1);
         c.get(&1); // promote → probation now empty
-        c.insert(2, "just-inserted", 1, Admission::Demand);
+        c.insert(2, "just-inserted", 1);
         // Victim search must skip key 2 and fall through to protected.
         assert_eq!(c.pop_victim_excluding(Some(&2)), Some((1, "hot")));
         // With nothing else left, exclusion yields no victim at all.
@@ -333,51 +281,19 @@ mod tests {
     #[test]
     fn insert_replaces_in_place_preserving_segment() {
         let mut c = SlruCache::new(10);
-        c.insert(1, "a", 1, Admission::Demand);
+        c.insert(1, "a", 1);
         c.get(&1); // protected
-        assert_eq!(c.insert(1, "b", 2, Admission::Scan), Some("a"));
+        assert_eq!(c.insert(1, "b", 2), Some("a"));
         assert!(c.is_protected(&1));
         assert_eq!(c.peek(&1), Some(&"b"));
     }
 
     #[test]
-    fn probationary_reinsert_keeps_promotion_progress() {
-        let mut c = SlruCache::new(10);
-        // Demand-admitted entry: a scan-tagged re-insert (a scan's read
-        // racing the point read) must not grant it a grace hit.
-        c.insert(1, "a", 1, Admission::Demand);
-        assert_eq!(c.insert(1, "b", 1, Admission::Scan), Some("a"));
-        c.get(&1);
-        assert!(c.is_protected(&1), "scan re-insert reset demand entry");
-        // Scan entry whose grace hit was already spent: re-insert must not
-        // restore the grace and delay promotion again.
-        c.insert(2, "a", 1, Admission::Scan);
-        c.get(&2); // grace hit spent
-        c.insert(2, "b", 1, Admission::Scan);
-        c.get(&2);
-        assert!(c.is_protected(&2), "scan re-insert restored spent grace");
-        // Scan entry still in grace: a scan re-insert keeps the grace, so
-        // promotion still takes two hits.
-        c.insert(3, "a", 1, Admission::Scan);
-        c.insert(3, "b", 1, Admission::Scan);
-        c.get(&3);
-        assert!(!c.is_protected(&3));
-        c.get(&3);
-        assert!(c.is_protected(&3));
-        // A demand re-insert over a grace entry upgrades it: first hit
-        // promotes.
-        c.insert(4, "a", 1, Admission::Scan);
-        c.insert(4, "b", 1, Admission::Demand);
-        c.get(&4);
-        assert!(c.is_protected(&4));
-    }
-
-    #[test]
     fn remove_tracks_protected_weight() {
         let mut c = SlruCache::new(4);
-        c.insert(1, "a", 3, Admission::Demand);
+        c.insert(1, "a", 3);
         c.get(&1); // protected_weight = 3
-        c.insert(2, "b", 3, Admission::Demand);
+        c.insert(2, "b", 3);
         c.get(&2); // would overflow: 1 demoted
         assert!(!c.is_protected(&1));
         c.remove(&2);

@@ -1034,12 +1034,11 @@ impl Database {
         })
     }
 
-    /// Commit: drain the OCM write queue, flush dirty pages, run the
-    /// Figure 2 blockmap cascade into the commit's last composite, install
-    /// identities, and log them with the RF/RB bitmaps. The log record is
-    /// where the identities become durable; the catalog on the system
-    /// device is rewritten only by checkpoints and DDL. Returns the commit
-    /// sequence.
+    /// Commit: flush dirty pages, run the Figure 2 blockmap cascade into
+    /// the commit's last composite, install identities, and log them with
+    /// the RF/RB bitmaps. The log record is where the identities become
+    /// durable; the catalog on the system device is rewritten only by
+    /// checkpoints and DDL. Returns the commit sequence.
     pub fn commit(&self, txn: TxnId) -> IqResult<u64> {
         // Group commit: register as an expected committer *before* any
         // flushing, so a gather leader holds its batch open for us. The

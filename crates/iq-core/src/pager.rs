@@ -43,20 +43,13 @@ impl Shared {
 
     /// The one page-image read path: fetch what `loc` names on `space` —
     /// through the OCM for an object or a composite member — decrypt,
-    /// unseal. Shared by the live [`Pager`] and snapshot views.
-    pub(crate) fn fetch_page(
-        &self,
-        space: &DbSpace,
-        loc: PhysicalLocator,
-        scan: bool,
-    ) -> IqResult<Page> {
+    /// unseal. Shared by the live [`Pager`] and snapshot views, and blind
+    /// to who asked: a scan's read and a point read reach the OCM alike.
+    pub(crate) fn fetch_page(&self, space: &DbSpace, loc: PhysicalLocator) -> IqResult<Page> {
         if let PhysicalLocator::Blocks { .. } = loc {
             return space.read_page(loc);
         }
-        // Scan-driven loads are hinted so the OCM admits them
-        // probationary: a cold table scan must not wash the promoted
-        // point-read set out of the SSD cache.
-        let image = space.read_image(loc, scan)?;
+        let image = space.read_image(loc)?;
         match self.config.encryption_key {
             Some(k) => {
                 let mut plain = image.to_vec();
@@ -84,7 +77,7 @@ impl Pager {
         self.txn
     }
 
-    fn load_page(&self, table: TableId, page: PageId, demand: bool) -> IqResult<Page> {
+    fn load_page(&self, table: TableId, page: PageId) -> IqResult<Page> {
         let ts = self.shared.table_store(table)?;
         let space = self.shared.space(ts.space)?;
         let io = PageIo {
@@ -94,7 +87,7 @@ impl Pager {
         let loc = ts
             .resolve(self.txn, self.begin, page, &io)?
             .ok_or(IqError::PageNotFound(page))?;
-        self.shared.fetch_page(&space, loc, !demand)
+        self.shared.fetch_page(&space, loc)
     }
 
     /// Publish a flushed page at its new home `loc`: blockmap update
@@ -129,7 +122,7 @@ impl PageStore for Pager {
         let key = FrameKey { table, page, epoch };
         self.shared
             .buffer
-            .get_or_load(key, demand, self, || self.load_page(table, page, demand))
+            .get_or_load(key, demand, self, || self.load_page(table, page))
     }
 
     fn write_page(

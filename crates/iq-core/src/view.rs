@@ -117,9 +117,8 @@ impl PageStore for SnapshotView {
             .resolve(TxnId(0), LATEST, page, &io)?
             .ok_or(IqError::PageNotFound(page))?;
         // Same fetch path as the live pager — through the OCM, whose
-        // never-write-twice keys are timeline-agnostic — admitted as a
-        // point read.
-        self.shared.fetch_page(&space, loc, false)
+        // never-write-twice keys are timeline-agnostic.
+        self.shared.fetch_page(&space, loc)
     }
 
     fn write_page(

@@ -18,8 +18,8 @@ pub trait PageStore: Send + Sync {
     /// Read a page. `demand=true` marks a read a query is blocked on;
     /// `false` a read whose latency the model counts as overlapped (a
     /// scan reads every group after its first this way). The store
-    /// serves both alike; the flag feeds the latency model and the
-    /// OCM's scan hint.
+    /// serves both alike; the flag feeds only the buffer's demand /
+    /// non-demand counters, which the latency model prices.
     fn read_page(&self, table: TableId, page: PageId, demand: bool) -> IqResult<Page>;
 
     /// Write (or supersede) a page on behalf of `txn`.

@@ -16,7 +16,6 @@ use iq_common::{BlockNum, IqError, IqResult};
 use parking_lot::Mutex;
 
 use crate::metrics::{DeviceStats, IoOp};
-use crate::traits::BlockBackend;
 
 /// One written block: block `at` of the bytes one write stored. The write
 /// is kept as it came, so its last block may be short; the rest of that
@@ -48,6 +47,69 @@ impl BlockDeviceSim {
         }
     }
 
+    /// Size of one block in bytes.
+    pub fn block_size(&self) -> u32 {
+        self.block_size
+    }
+
+    /// Device capacity in blocks.
+    pub fn capacity_blocks(&self) -> u64 {
+        self.capacity_blocks
+    }
+
+    /// Write `data` starting at block `start`, over `data.len()` rounded
+    /// up to whole blocks. A short final block is zero-filled: this is the
+    /// one place a page image is padded, because only a block device
+    /// stores whole blocks. `data` must not be empty.
+    pub fn write_blocks(&self, start: BlockNum, data: &[u8]) -> IqResult<()> {
+        let block = self.block_size as usize;
+        if data.is_empty() {
+            return Err(IqError::Invalid("zero-length block write".into()));
+        }
+        let count = data.len().div_ceil(block) as u32;
+        self.check_range(start, count)?;
+        // The device stores, and is charged for, whole blocks: the short
+        // tail of the last one reads back as zeroes.
+        self.stats
+            .record(IoOp::BlockWrite, count as u64 * self.block_size as u64);
+        let run = Bytes::copy_from_slice(data);
+        let mut blocks = self.blocks.lock();
+        let mut covered = Vec::new();
+        for at in 0..count as usize {
+            let run = run.clone();
+            let b = start.0 + at as u64;
+            if let Some(old) = blocks.insert(b, Block { run, at }) {
+                covered.push((b, old));
+            }
+        }
+        unpin(&mut blocks, block, covered);
+        Ok(())
+    }
+
+    /// Read `count` blocks starting at `start`.
+    pub fn read_blocks(&self, start: BlockNum, count: u32) -> IqResult<Bytes> {
+        self.check_range(start, count)?;
+        self.stats
+            .record(IoOp::BlockRead, count as u64 * self.block_size as u64);
+        Ok(self.gather(start, count as usize * self.block_size as usize))
+    }
+
+    /// Discard `count` blocks starting at `start` (frees simulated space).
+    pub fn trim_blocks(&self, start: BlockNum, count: u32) -> IqResult<()> {
+        self.check_range(start, count)?;
+        let mut blocks = self.blocks.lock();
+        let trimmed = (start.0..start.0 + count as u64)
+            .filter_map(|b| Some((b, blocks.remove(&b)?)))
+            .collect();
+        unpin(&mut blocks, self.block_size as usize, trimmed);
+        Ok(())
+    }
+
+    /// Total bytes currently resident (for data-at-rest costing).
+    pub fn resident_bytes(&self) -> u64 {
+        self.used_blocks() * self.block_size as u64
+    }
+
     /// Number of blocks currently holding data.
     pub fn used_blocks(&self) -> u64 {
         self.blocks.lock().len() as u64
@@ -69,7 +131,7 @@ impl BlockDeviceSim {
     }
 
     /// The first `len` bytes of the blocks from `start`, charged as the
-    /// whole blocks they touch, exactly as [`BlockBackend::read_blocks`]
+    /// whole blocks they touch, exactly as [`BlockDeviceSim::read_blocks`]
     /// charges them. Bytes one write stored are served as a slice of it.
     pub fn read_bytes(&self, start: BlockNum, len: u32) -> IqResult<Bytes> {
         let count = len.div_ceil(self.block_size).max(1);
@@ -136,70 +198,6 @@ fn unpin(blocks: &mut HashMap<u64, Block>, block: usize, gone: Vec<(u64, Block)>
     }
 }
 
-impl BlockBackend for BlockDeviceSim {
-    fn block_size(&self) -> u32 {
-        self.block_size
-    }
-
-    fn capacity_blocks(&self) -> u64 {
-        self.capacity_blocks
-    }
-
-    fn write_blocks(&self, start: BlockNum, data: &[u8]) -> IqResult<()> {
-        let block = self.block_size as usize;
-        if data.is_empty() {
-            return Err(IqError::Invalid("zero-length block write".into()));
-        }
-        let count = data.len().div_ceil(block) as u32;
-        self.check_range(start, count)?;
-        // The device stores, and is charged for, whole blocks: the short
-        // tail of the last one reads back as zeroes.
-        self.stats
-            .record(IoOp::BlockWrite, count as u64 * self.block_size as u64);
-        let run = Bytes::copy_from_slice(data);
-        let mut blocks = self.blocks.lock();
-        let mut covered = Vec::new();
-        for at in 0..count as usize {
-            let run = run.clone();
-            let b = start.0 + at as u64;
-            if let Some(old) = blocks.insert(b, Block { run, at }) {
-                covered.push((b, old));
-            }
-        }
-        unpin(&mut blocks, block, covered);
-        Ok(())
-    }
-
-    fn read_blocks(&self, start: BlockNum, count: u32) -> IqResult<Bytes> {
-        self.check_range(start, count)?;
-        self.stats
-            .record(IoOp::BlockRead, count as u64 * self.block_size as u64);
-        Ok(self.gather(start, count as usize * self.block_size as usize))
-    }
-
-    fn trim_blocks(&self, start: BlockNum, count: u32) -> IqResult<()> {
-        self.check_range(start, count)?;
-        let mut blocks = self.blocks.lock();
-        let trimmed = (start.0..start.0 + count as u64)
-            .filter_map(|b| Some((b, blocks.remove(&b)?)))
-            .collect();
-        unpin(&mut blocks, self.block_size as usize, trimmed);
-        Ok(())
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        self.used_blocks() * self.block_size as u64
-    }
-
-    fn stats_snapshot(&self) -> crate::metrics::StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,7 +235,7 @@ mod tests {
         // Dirty the block first: the fill must overwrite, not leave stale
         // bytes behind the short write.
         d.write_blocks(BlockNum(0), &[9u8; 512]).unwrap();
-        d.reset_stats();
+        d.stats.reset();
         d.write_blocks(BlockNum(0), &[5u8; 100]).unwrap();
         assert_eq!(d.used_blocks(), 1);
         assert_eq!(d.stats.snapshot().op(IoOp::BlockWrite).bytes, 512);

@@ -9,9 +9,7 @@
 //!   request rates *per key prefix* — the reason the paper hashes key
 //!   prefixes, §3.1);
 //! * **time-series buckets** (requests/bytes per fixed window of bytes
-//!   moved) so Figure 8's bandwidth-over-time plot can be regenerated;
-//! * **queue-depth samples** from the OCM's asynchronous write queue, which
-//!   drive the SSD write-pressure model behind the paper's Q3/Q4 anomaly.
+//!   moved) so Figure 8's bandwidth-over-time plot can be regenerated.
 
 use std::collections::HashMap;
 

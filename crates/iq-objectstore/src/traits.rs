@@ -1,7 +1,7 @@
-//! Backend traits implemented by the simulated devices.
+//! The object-store trait the simulated stores implement.
 
 use bytes::Bytes;
-use iq_common::{BlockNum, IqResult, ObjectKey, SimDuration};
+use iq_common::{IqResult, ObjectKey, SimDuration};
 
 use crate::metrics::StatsSnapshot;
 
@@ -91,35 +91,4 @@ pub trait ObjectBackend: Send + Sync {
     fn note_backoff(&self, ops: u64, wait: SimDuration) {
         let _ = (ops, wait);
     }
-}
-
-/// A block device: fixed-size blocks, strong consistency, in-place writes.
-/// Models EBS/EFS dbspaces and the OCM's local SSD area.
-pub trait BlockBackend: Send + Sync {
-    /// Size of one block in bytes.
-    fn block_size(&self) -> u32;
-
-    /// Device capacity in blocks.
-    fn capacity_blocks(&self) -> u64;
-
-    /// Write `data` starting at block `start`, over `data.len()` rounded
-    /// up to whole blocks. A short final block is zero-filled: this is the
-    /// one place a page image is padded, because only a block device
-    /// stores whole blocks. `data` must not be empty.
-    fn write_blocks(&self, start: BlockNum, data: &[u8]) -> IqResult<()>;
-
-    /// Read `count` blocks starting at `start`.
-    fn read_blocks(&self, start: BlockNum, count: u32) -> IqResult<Bytes>;
-
-    /// Discard `count` blocks starting at `start` (frees simulated space).
-    fn trim_blocks(&self, start: BlockNum, count: u32) -> IqResult<()>;
-
-    /// Total bytes currently resident (for data-at-rest costing).
-    fn resident_bytes(&self) -> u64;
-
-    /// Snapshot of the request ledger.
-    fn stats_snapshot(&self) -> StatsSnapshot;
-
-    /// Reset the request ledger (benchmark phase boundaries).
-    fn reset_stats(&self);
 }

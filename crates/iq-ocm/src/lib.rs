@@ -33,7 +33,9 @@
 //!   the virtual-time model, so here the upload runs on the thread that
 //!   evicts, a failed one fails that call and its transaction's commit,
 //!   and there is nothing left to drain.
-//! * A **single LRU** across reads and writes, and hit/miss/eviction
+//! * A **single LRU** across reads and writes, with one admission: every
+//!   read-through miss and written page enters probation and is promoted
+//!   on its next hit, whoever asked for it; and hit/miss/eviction
 //!   counters (Table 5).
 //! * Every SSD write lands on the SSD's request ledger. The virtual-time
 //!   model slows a phase's SSD reads by its write-to-read byte ratio —

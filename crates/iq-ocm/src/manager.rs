@@ -6,10 +6,11 @@
 //! taking a page's worth. Every run given back is trimmed off the SSD, so
 //! the device holds exactly the blocks the cache charges.
 //!
-//! The entry list is a segmented LRU ([`iq_buffer::SlruCache`]): reads
-//! issued on behalf of a table scan are admitted probationary (see
-//! [`Ocm::read_hinted`]), so one analytic sweep over a large table cannot
-//! evict the point-read working set from the SSD tier — which would
+//! The entry list is a segmented LRU ([`iq_buffer::SlruCache`]): every
+//! read-through miss and written page is admitted probationary and
+//! promoted on its next hit, and victims come from probation first, so one
+//! analytic sweep over a large table recycles its own blocks instead of
+//! evicting the re-read working set from the SSD tier — which would
 //! otherwise turn every subsequent point read into a priced object-store
 //! GET (§4/§5's motivation for the OCM).
 //!
@@ -24,10 +25,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use iq_buffer::{Admission, SlruCache};
+use iq_buffer::SlruCache;
 use iq_common::trace::{self, EventKind};
 use iq_common::{BlockNum, IqError, IqResult, ObjectKey};
-use iq_objectstore::{BlockBackend, BlockDeviceSim, ObjectBackend, RetryPolicy};
+use iq_objectstore::{BlockDeviceSim, ObjectBackend, RetryPolicy};
 use iq_storage::page::MAX_BLOCKS_PER_PAGE;
 use iq_storage::{ExtentCache, Freelist};
 use parking_lot::Mutex;
@@ -173,26 +174,22 @@ impl Ocm {
         }
     }
 
-    /// Read an object: SSD cache hit, or read-through that caches it
-    /// before returning. `scan` hints whether a table scan issued it: scan
-    /// reads are admitted to the probationary SLRU segment so a full-table
-    /// sweep recycles its own blocks instead of evicting the point-read
-    /// working set; point reads promote on re-hit.
-    pub fn read_hinted(&self, key: ObjectKey, scan: bool) -> IqResult<Bytes> {
-        self.read_extent(key.into(), scan, || {
+    /// Read a whole object through [`Ocm::read_extent`]. `_scan` is
+    /// ignored: a scan's read is admitted as any other read is.
+    pub fn read_hinted(&self, key: ObjectKey, _scan: bool) -> IqResult<Bytes> {
+        self.read_extent(key.into(), || {
             self.config.retry.get(self.store.as_ref(), key)
         })
     }
 
-    /// Read one extent, hinted as [`Ocm::read_hinted`]: an SSD hit, or a
-    /// miss that `fetch` reads through from the store — a GET for a whole
-    /// object, a ranged GET for a composite member — and that is on the
-    /// SSD and in the LRU when the call returns. An image larger than
-    /// `slot_bytes` is served but never cached.
+    /// Read one extent: an SSD hit, or a miss that `fetch` reads through
+    /// from the store — a GET for a whole object, a ranged GET for a
+    /// composite member — and that is on the SSD and in the LRU when the
+    /// call returns. An image larger than `slot_bytes` is served but never
+    /// cached.
     pub fn read_extent(
         &self,
         extent: Extent,
-        scan: bool,
         fetch: impl FnOnce() -> IqResult<Bytes>,
     ) -> IqResult<Bytes> {
         let mut inner = self.inner.lock();
@@ -210,12 +207,7 @@ impl Ocm {
         trace::emit(EventKind::OcmMiss { key: key.offset() });
         drop(inner);
         let data = fetch()?;
-        let admit = if scan {
-            Admission::Scan
-        } else {
-            Admission::Demand
-        };
-        self.place(&mut self.inner.lock(), extent, &data, admit);
+        self.place(&mut self.inner.lock(), extent, &data);
         Ok(data)
     }
 
@@ -243,7 +235,7 @@ impl Ocm {
         let mut inner = self.inner.lock();
         for &(offset, len) in members {
             let image = &data[offset as usize..][..len as usize];
-            self.place(&mut inner, Extent { key, offset }, image, Admission::Demand);
+            self.place(&mut inner, Extent { key, offset }, image);
         }
         Ok(())
     }
@@ -268,11 +260,11 @@ impl Ocm {
 
     /// Cache `image` as `extent`: take a run of the blocks it covers
     /// (evicting SLRU victims until one fits), write the SSD and insert
-    /// the entry under `admit`, weighted by its block count. An extent
+    /// the entry probationary, weighted by its block count. An extent
     /// already cached is left as it is. An image larger than
     /// `slot_bytes` is never cached, nor is one that finds no run or whose
     /// SSD write fails: "the error is ignored" (§4).
-    fn place(&self, inner: &mut Inner, extent: Extent, image: &[u8], admit: Admission) {
+    fn place(&self, inner: &mut Inner, extent: Extent, image: &[u8]) {
         let Some(count) = inner.blocks(image.len()) else {
             return;
         };
@@ -291,7 +283,7 @@ impl Ocm {
             start,
             len: image.len() as u32,
         };
-        if let Some(old) = inner.cache.insert(extent, entry, count as usize, admit) {
+        if let Some(old) = inner.cache.insert(extent, entry, count as usize) {
             inner.release(&self.ssd, old.start, old.len as usize);
         }
     }
@@ -341,10 +333,9 @@ impl ExtentCache for Ocm {
         &self,
         key: ObjectKey,
         offset: u32,
-        scan: bool,
         fetch: &mut dyn FnMut() -> IqResult<Bytes>,
     ) -> IqResult<Bytes> {
-        Ocm::read_extent(self, Extent { key, offset }, scan, fetch)
+        Ocm::read_extent(self, Extent { key, offset }, fetch)
     }
 }
 
@@ -514,6 +505,33 @@ mod tests {
     }
 
     #[test]
+    fn a_scan_read_extent_promotes_on_its_first_re_read() {
+        // Four-block images in a twelve-block budget: three fit.
+        let (ocm, store) = setup(3);
+        for off in 0..5u64 {
+            store
+                .put(key(off), Bytes::from(vec![off as u8; 1000]))
+                .unwrap();
+        }
+        store.settle();
+        // A scan reads key 0, and reads it once more: the re-read promotes
+        // it, as any read's would.
+        ocm.read_hinted(key(0), true).unwrap();
+        ocm.read_hinted(key(0), true).unwrap();
+        // A scan sweeps four other extents, each once.
+        for off in 1..5u64 {
+            ocm.read_hinted(key(off), true).unwrap();
+        }
+        // The sweep recycled its own probationary blocks; key 0 kept its
+        // run and still hits.
+        assert_eq!(ocm.stats_snapshot().evictions, 2);
+        assert!(ocm.contains(key(0)), "the sweep evicted a re-read extent");
+        let hits_before = ocm.stats_snapshot().hits;
+        ocm.read_hinted(key(0), true).unwrap();
+        assert_eq!(ocm.stats_snapshot().hits, hits_before + 1);
+    }
+
+    #[test]
     fn zero_capacity_ocm_still_correct() {
         let (ocm, store) = setup(0);
         store.put(key(1), Bytes::from_static(b"x")).unwrap();
@@ -616,7 +634,7 @@ mod tests {
             assert!(ocm.contains(extent(key(9), offset)));
             let at = offset as usize..(offset + len) as usize;
             let read = ocm
-                .read_extent(extent(key(9), offset), false, || {
+                .read_extent(extent(key(9), offset), || {
                     panic!("a cached member must not be read from the store")
                 })
                 .unwrap();
@@ -666,9 +684,7 @@ mod tests {
         assert_eq!(ocm.ssd.used_blocks(), 2);
         // The large member is served from the store, and still not cached.
         let large = ocm
-            .read_extent(extent(key(4), 300), false, || {
-                Ok(store.get(key(4))?.slice(300..))
-            })
+            .read_extent(extent(key(4), 300), || Ok(store.get(key(4))?.slice(300..)))
             .unwrap();
         assert_eq!(large, blob.slice(300..));
         assert!(!ocm.contains(extent(key(4), 300)));
@@ -687,8 +703,8 @@ mod tests {
     /// One step of the budget property.
     #[derive(Debug, Clone)]
     enum Step {
-        /// Read through a new object of this many bytes, as a scan or not.
-        Read(usize, bool),
+        /// Read through a new object of this many bytes.
+        Read(usize),
         /// Write a new composite with these member lengths; its PUT fails
         /// when `true`.
         Write(Vec<usize>, bool),
@@ -698,7 +714,7 @@ mod tests {
 
     fn step() -> impl Strategy<Value = Step> {
         // Lengths run past the 1 KiB bound, so some images are never cached.
-        let read = || (1usize..1400, any::<bool>()).prop_map(|(len, scan)| Step::Read(len, scan));
+        let read = || (1usize..1400).prop_map(Step::Read);
         prop_oneof![
             read(),
             read(),
@@ -726,10 +742,10 @@ mod tests {
             for (n, step) in steps.into_iter().enumerate() {
                 let k = key(n as u64);
                 match step {
-                    Step::Read(len, scan) => {
+                    Step::Read(len) => {
                         let data = Bytes::from(vec![n as u8; len]);
                         store.put(k, data.clone()).unwrap();
-                        prop_assert_eq!(ocm.read_hinted(k, scan).unwrap(), data.clone());
+                        prop_assert_eq!(ocm.read_hinted(k, false).unwrap(), data.clone());
                         bytes.insert(k.into(), data);
                     }
                     Step::Write(lens, fail) => {

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use iq_common::{BlockNum, IqError, IqResult, TableId, VersionId};
-use iq_objectstore::BlockBackend;
+use iq_objectstore::BlockDeviceSim;
 use serde::{Deserialize, Serialize};
 
 use crate::checksum::checksum64;
@@ -81,7 +81,7 @@ impl Catalog {
     /// block (`magic | len | checksum`) followed by the JSON payload from
     /// the next block on (the device zero-fills its last block). Returns
     /// blocks written.
-    pub fn save(&self, device: &dyn BlockBackend, start: BlockNum) -> IqResult<u32> {
+    pub fn save(&self, device: &BlockDeviceSim, start: BlockNum) -> IqResult<u32> {
         let payload = serde_json::to_vec(self)
             .map_err(|e| IqError::Catalog(format!("serialize catalog: {e}")))?;
         let bs = device.block_size() as usize;
@@ -96,7 +96,7 @@ impl Catalog {
     }
 
     /// Load from `device` at block `start`.
-    pub fn load(device: &dyn BlockBackend, start: BlockNum) -> IqResult<Catalog> {
+    pub fn load(device: &BlockDeviceSim, start: BlockNum) -> IqResult<Catalog> {
         let bs = device.block_size() as usize;
         let header = device.read_blocks(start, 1)?;
         let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());

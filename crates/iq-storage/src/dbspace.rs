@@ -16,7 +16,7 @@ use std::sync::{Arc, OnceLock};
 
 use iq_common::trace::{self, EventKind};
 use iq_common::{DbSpaceId, IqError, IqResult, ObjectKey, PhysicalLocator};
-use iq_objectstore::{BatchDeleteOutcome, BlockBackend, ObjectBackend, RetryPolicy};
+use iq_objectstore::{BatchDeleteOutcome, BlockDeviceSim, ObjectBackend, RetryPolicy};
 use parking_lot::Mutex;
 
 use crate::freelist::Freelist;
@@ -54,7 +54,7 @@ impl KeySource for CountingKeySource {
 
 enum Backing {
     Conventional {
-        device: Arc<dyn BlockBackend>,
+        device: Arc<BlockDeviceSim>,
         freelist: Mutex<Freelist>,
     },
     Cloud {
@@ -65,15 +65,15 @@ enum Backing {
 
 /// A read-through cache of object extents in front of a cloud dbspace:
 /// the OCM. An extent is the byte run of an object at `offset` — a whole
-/// object at 0, a composite member at its offset.
+/// object at 0, a composite member at its offset. Every read is admitted
+/// alike, whoever asked for it.
 pub trait ExtentCache: Send + Sync {
     /// Serve the extent at `offset` of `key`, calling `fetch` to read it
-    /// from the store on a miss. `scan` hints that a table scan asked.
+    /// from the store on a miss.
     fn read_extent(
         &self,
         key: ObjectKey,
         offset: u32,
-        scan: bool,
         fetch: &mut dyn FnMut() -> IqResult<bytes::Bytes>,
     ) -> IqResult<bytes::Bytes>;
 }
@@ -101,7 +101,7 @@ impl DbSpace {
         id: DbSpaceId,
         name: impl Into<String>,
         config: StorageConfig,
-        device: Arc<dyn BlockBackend>,
+        device: Arc<BlockDeviceSim>,
     ) -> IqResult<Self> {
         if device.block_size() != config.block_size() {
             return Err(IqError::Invalid(format!(
@@ -239,14 +239,13 @@ impl DbSpace {
 
     /// Read and verify the page at `loc`.
     pub fn read_page(&self, loc: PhysicalLocator) -> IqResult<Page> {
-        Page::unseal(&self.read_image(loc, false)?)
+        Page::unseal(&self.read_image(loc)?)
     }
 
     /// The sealed image at `loc`: a block run, or an object or composite
     /// member read through the attached cache (a miss is one GET, or one
-    /// ranged GET of exactly the member's bytes). `scan` is the cache's
-    /// admission hint.
-    pub fn read_image(&self, loc: PhysicalLocator, scan: bool) -> IqResult<bytes::Bytes> {
+    /// ranged GET of exactly the member's bytes).
+    pub fn read_image(&self, loc: PhysicalLocator) -> IqResult<bytes::Bytes> {
         let (key, offset) = match (&self.backing, loc) {
             (Backing::Conventional { device, .. }, PhysicalLocator::Blocks { start, count }) => {
                 return device.read_blocks(start, count as u32);
@@ -267,7 +266,7 @@ impl DbSpace {
             _ => self.get_raw(key),
         };
         match self.cache.get() {
-            Some(cache) => cache.read_extent(key, offset, scan, &mut fetch),
+            Some(cache) => cache.read_extent(key, offset, &mut fetch),
             None => fetch(),
         }
     }
@@ -332,7 +331,7 @@ impl DbSpace {
     /// Snapshot of the backing device's request ledger.
     pub fn backend_stats(&self) -> iq_objectstore::StatsSnapshot {
         match &self.backing {
-            Backing::Conventional { device, .. } => device.stats_snapshot(),
+            Backing::Conventional { device, .. } => device.stats.snapshot(),
             Backing::Cloud { store, .. } => store.stats_snapshot(),
         }
     }
@@ -340,7 +339,7 @@ impl DbSpace {
     /// Reset the backing device's request ledger (benchmark phases).
     pub fn reset_backend_stats(&self) {
         match &self.backing {
-            Backing::Conventional { device, .. } => device.reset_stats(),
+            Backing::Conventional { device, .. } => device.stats.reset(),
             Backing::Cloud { store, .. } => store.reset_stats(),
         }
     }
