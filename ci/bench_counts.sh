@@ -58,6 +58,11 @@
 # each page once, so the count does not depend on which lane reads first.
 # It read 624 in 16 of 16 traced runs, 10 of them two at a time on two
 # cores; it was ungated while OCM population ran on a background worker.
+# Its allocations stay under a ceiling about 10 % above what three traced
+# `--quick` runs read once a scan's `col op literal` conjuncts ran on the
+# encoded pages and a column only the predicate reads stopped being
+# decoded: <= 40.7 MiB allocated a round (36.97 in each of three runs;
+# 58.03 while every predicate input was decoded into a column first).
 # The OCM evicts nothing (`ocm.evictions` == 0, here and on `ingest`):
 # eviction order is the only thing its admission policy decides, so a
 # workload that starts evicting from the OCM is one whose results that
@@ -178,7 +183,8 @@ for out in "$@"; do
         $m."engine.work_units_per_round" == 13760728
         and $m."engine.scan_pages_read_per_round" == 2708
         and $m."store_gets_per_round" == 624
-        and $m."ocm.evictions" == 0'
+        and $m."ocm.evictions" == 0
+        and $m."proc.alloc_mib_per_round" <= 40.7'
     check "$out" ingest '
         $m."store_bytes_per_user_byte" == 0.16010223757708825' '
         $m."objectstore.puts" == 52

@@ -464,6 +464,14 @@ fn register_core_metrics(shared: &Arc<Shared>) {
                 MetricValue::U64(ScanStats::get(&sc.predicate_pages_read)),
             ),
             (
+                "predicate_pages_encoded".into(),
+                MetricValue::U64(ScanStats::get(&sc.predicate_pages_encoded)),
+            ),
+            (
+                "predicate_pages_decoded".into(),
+                MetricValue::U64(ScanStats::get(&sc.predicate_pages_decoded)),
+            ),
+            (
                 "projection_pages_read".into(),
                 MetricValue::U64(ScanStats::get(&sc.projection_pages_read)),
             ),

@@ -11,6 +11,15 @@
 //! stored raw. The page-level LZ compressor in `iq-storage` runs on top
 //! of whatever this module emits.
 //!
+//! A scan's `column op literal` conjuncts run on the page as it is
+//! stored (`eval_page`, beside [`decode_rows`] and sharing its parsing
+//! and checks): an integer or date page folds its terms into one interval
+//! and tests each row's n-bit delta against it, a float dictionary
+//! evaluates its at most 256 entries once, a raw float page compares
+//! straight from the bytes, and a string page tests codes against a set
+//! over its list. Each returns the rows' `Mask`; the column itself is
+//! never materialised.
+//!
 //! A page is `tag u8 | rows u32 | payload`, where an n-bit payload is
 //! `min i64 | width u8 | packed`:
 //!
@@ -29,8 +38,10 @@ use iq_common::{IqError, IqResult};
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::Col;
+use crate::expr::{CmpOp, PageTerm};
 use crate::mask::Mask;
 use crate::strcol::{remap, StrCol, StrList};
+use crate::value::Value;
 
 /// Per-column string dictionary (built during load, stable thereafter):
 /// an append-only [`StrList`] behind an `Arc`, which every column decoded
@@ -222,23 +233,8 @@ impl<'a> NBit<'a> {
     /// check each; the last few, and every row past 56 bits, take
     /// [`Self::spill`].
     fn collect<T>(&self, sel: Option<&Mask>, mut f: impl FnMut(i64) -> T) -> Vec<T> {
-        let (width, min) = (self.width as usize, self.min);
-        let keep = u64::MAX.checked_shr(64 - self.width).unwrap_or(0);
-        // A width-0 row reads an all-zero word, so every row is direct.
-        let packed = if width == 0 { &[0; 8] } else { self.packed };
-        let direct = match width {
-            0 => self.count,
-            1..=56 => (packed.len().saturating_sub(7) * 8)
-                .div_ceil(width)
-                .min(self.count),
-            _ => 0,
-        };
-        let word_at = |i: usize| {
-            let bit = i * width;
-            let word =
-                u64::from_le_bytes(packed[bit / 8..bit / 8 + 8].try_into().expect("8 bytes"));
-            word >> (bit % 8)
-        };
+        let (direct, word_at) = self.direct();
+        let (keep, min) = (self.keep(), self.min);
         let mut value = |bits: u64| f(min.wrapping_add((bits & keep) as i64));
         let mut out = Vec::with_capacity(sel.map_or(self.count, Mask::count));
         match sel {
@@ -255,6 +251,51 @@ impl<'a> NBit<'a> {
             }
         }
         out
+    }
+
+    /// The mask of the rows whose delta — the value less `min`, `width`
+    /// bits — passes `test`, asked in row order; no value is stored.
+    /// Rows are read as [`Self::collect`] reads them, into
+    /// [`Mask::from_fn`]'s byte-at-a-time words: one loop for every width.
+    fn mask(&self, mut test: impl FnMut(u64) -> bool) -> Mask {
+        let (direct, word_at) = self.direct();
+        let keep = self.keep();
+        Mask::from_fn(self.count, |i| {
+            test(
+                if i < direct {
+                    word_at(i)
+                } else {
+                    self.spill(i)
+                } & keep,
+            )
+        })
+    }
+
+    /// The bits of a delta.
+    fn keep(&self) -> u64 {
+        u64::MAX.checked_shr(64 - self.width).unwrap_or(0)
+    }
+
+    /// How many leading rows are direct — their word lies inside the
+    /// payload — and the reader of such a row's unmasked bits. A width-0
+    /// row reads an all-zero word, so every row is direct.
+    fn direct(&self) -> (usize, impl Fn(usize) -> u64 + '_) {
+        let width = self.width as usize;
+        let packed = if width == 0 { &[0; 8] } else { self.packed };
+        let direct = match width {
+            0 => self.count,
+            1..=56 => (packed.len().saturating_sub(7) * 8)
+                .div_ceil(width)
+                .min(self.count),
+            _ => 0,
+        };
+        let word_at = move |i: usize| {
+            let bit = i * width;
+            let word =
+                u64::from_le_bytes(packed[bit / 8..bit / 8 + 8].try_into().expect("8 bytes"));
+            word >> (bit % 8)
+        };
+        (direct, word_at)
     }
 }
 
@@ -400,40 +441,14 @@ pub fn decode_rows(
             NBit::parse(payload, count)?.collect(sel, |v| v as i32),
         )),
         TAG_F64 => {
-            let raw = count
-                .checked_mul(8)
-                .and_then(|n| payload.get(..n))
-                .ok_or_else(|| IqError::Corruption("float column truncated".into()))?;
-            let value = |c: &[u8]| f64::from_le_bytes(c.try_into().expect("8-byte value"));
+            let raw = raw_floats(payload, count)?;
             Ok(Col::F64(match sel {
-                Some(m) => m
-                    .iter_set()
-                    .map(|i| value(&raw[i * 8..i * 8 + 8]))
-                    .collect(),
-                None => raw.chunks_exact(8).map(value).collect(),
+                Some(m) => m.iter_set().map(|i| f64::from_le_bytes(raw[i])).collect(),
+                None => raw.iter().map(|&x| f64::from_le_bytes(x)).collect(),
             }))
         }
         TAG_F64_DICT => {
-            let (&last, rest) = payload
-                .split_first()
-                .ok_or_else(|| IqError::Corruption("float dictionary truncated".into()))?;
-            let len = usize::from(last) + 1;
-            let (entries, codes) = rest
-                .split_at_checked(len * 8)
-                .ok_or_else(|| IqError::Corruption("float dictionary truncated".into()))?;
-            let codes = NBit::parse(codes, count)?;
-            // First-occurrence codes of at most 256 entries: they start at
-            // 0 and fit a byte.
-            if codes.min != 0 || codes.width > 8 {
-                return Err(IqError::Corruption(format!(
-                    "float dictionary codes from {} in {} bits",
-                    codes.min, codes.width
-                )));
-            }
-            let mut table = [0f64; FLOAT_DICT_MAX];
-            for (slot, bits) in table.iter_mut().zip(entries.chunks_exact(8)) {
-                *slot = f64::from_le_bytes(bits.try_into().expect("8-byte entry"));
-            }
+            let (table, len, codes) = float_dict(payload, count)?;
             // Every code indexes the full table; the largest is checked
             // against `len` once, after the pass.
             let mut high = 0;
@@ -441,17 +456,11 @@ pub fn decode_rows(
                 high = high.max(code as u8);
                 table[usize::from(code as u8)]
             });
-            if usize::from(high) >= len {
-                return Err(IqError::Corruption(format!(
-                    "float dictionary code {high} past its {len} entries"
-                )));
-            }
+            float_codes_within(high, len)?;
             Ok(Col::F64(values))
         }
         TAG_STR => {
-            let list =
-                dict.ok_or_else(|| IqError::Invalid("string column needs a dictionary".into()))?;
-            let list = list.list();
+            let list = str_list(dict)?;
             // The codes are copied as they are; the largest is checked
             // against the list once, after the pass.
             let mut high = 0u64;
@@ -459,16 +468,243 @@ pub fn decode_rows(
                 high = high.max(code as u64);
                 code as u32
             });
-            if !codes.is_empty() && high >= list.len() as u64 {
-                return Err(IqError::Corruption(format!(
-                    "dictionary code {high} past its {} entries",
-                    list.len()
-                )));
-            }
+            str_codes_within(count, high, list)?;
             Ok(Col::Str(StrCol::from_codes(codes, Arc::clone(list))))
         }
         other => Err(IqError::Corruption(format!("unknown column tag {other}"))),
     }
+}
+
+/// The rows of a column page that satisfy every one of `terms` — the
+/// conjuncts [`Expr::page_split`](crate::expr::Expr::page_split) hands
+/// this column — read off the encoding: the column is never
+/// materialised. The mask is bitwise `eval_mask` of the terms'
+/// conjunction over [`decode_rows`] of the page, and the page is checked
+/// as `decode_rows` checks it: it must hold exactly `rows` rows, a string
+/// page needs `dict`, and a float-dictionary or string code past its
+/// dictionary is `Corruption` whichever row holds it. A term the page's
+/// type cannot answer is `Corruption` too (the page disagrees with its
+/// column's type). By page type:
+///
+/// * `I64` / `Date`: the terms fold to one interval of values, less any
+///   `<>` points, translated once a page into the delta domain, so a row
+///   costs one wrapping subtract and compare on its n-bit delta;
+/// * float dictionary: the terms run once per entry, and a row tests its
+///   code against that set;
+/// * raw float: each value is compared straight from the bytes;
+/// * string: a row tests its code against a set over the column's list.
+pub(crate) fn eval_page(
+    bytes: &[u8],
+    dict: Option<&Dictionary>,
+    rows: usize,
+    terms: &[PageTerm],
+) -> IqResult<Mask> {
+    let (tag, count, payload) = image(bytes, Some(rows))?;
+    match tag {
+        TAG_I64 | TAG_DATE => {
+            let nbit = NBit::parse(payload, count)?;
+            // A date is the low 32 bits of `min + delta`, as the decoder
+            // truncates it, so its arithmetic is modulo 2^32.
+            let (lo, hi, wrap) = match tag {
+                TAG_I64 => (i64::MIN, i64::MAX, u64::MAX),
+                _ => (i32::MIN.into(), i32::MAX.into(), u32::MAX.into()),
+            };
+            let ints = cmp_lits(tag, terms, |v| match (tag, v) {
+                (TAG_I64, Value::I64(v)) => Some(*v),
+                (TAG_DATE, Value::Date(v)) => Some(i64::from(*v)),
+                _ => None,
+            })?;
+            // Values `a ..= b` are the deltas `d` with
+            // `d − (a − min) ≤ b − a`, modulo the value's width.
+            let spans: Vec<(u64, u64)> = (value_spans(&ints, lo, hi).into_iter())
+                .map(|(a, b)| (a.wrapping_sub(nbit.min) as u64, b.wrapping_sub(a) as u64))
+                .collect();
+            Ok(match spans[..] {
+                [] => Mask::from_fn(count, |_| false),
+                [(off, len)] => nbit.mask(|d| d.wrapping_sub(off) & wrap <= len),
+                _ => nbit
+                    .mask(|d| (spans.iter()).any(|&(off, len)| d.wrapping_sub(off) & wrap <= len)),
+            })
+        }
+        TAG_F64 => {
+            let raw = raw_floats(payload, count)?;
+            let lits = cmp_lits(tag, terms, float_lit)?;
+            Ok(Mask::from_slice(raw, |x| {
+                let x = f64::from_le_bytes(x);
+                lits.iter().all(|&(op, v)| op.holds(x, v))
+            }))
+        }
+        TAG_F64_DICT => {
+            let (table, len, codes) = float_dict(payload, count)?;
+            let lits = cmp_lits(tag, terms, float_lit)?;
+            let mut hit = [false; FLOAT_DICT_MAX];
+            for (hit, &x) in hit.iter_mut().zip(&table[..len]) {
+                *hit = lits.iter().all(|&(op, v)| op.holds(x, v));
+            }
+            let mut high = 0;
+            let mask = codes.mask(|code| {
+                high = high.max(code as u8);
+                hit[usize::from(code as u8)]
+            });
+            float_codes_within(high, len)?;
+            Ok(mask)
+        }
+        TAG_STR => {
+            let list = str_list(dict)?;
+            let mut set = Mask::from_fn(list.len(), |_| true);
+            for t in terms {
+                set = set.and(&match t {
+                    PageTerm::Cmp(CmpOp::Eq, Value::Str(s)) => list.code_set([&**s]),
+                    PageTerm::Cmp(CmpOp::Ne, Value::Str(s)) => list.code_set([&**s]).not(),
+                    PageTerm::In(values) => list.code_set(values.iter().filter_map(Value::as_str)),
+                    PageTerm::Cmp(..) => return Err(misfit(tag)),
+                });
+            }
+            let codes = NBit::parse(payload, count)?;
+            let (min, mut high) = (codes.min, 0u64);
+            let mask = codes.mask(|d| {
+                let code = min.wrapping_add(d as i64) as u64;
+                high = high.max(code);
+                set.has(code)
+            });
+            str_codes_within(count, high, list)?;
+            Ok(mask)
+        }
+        other => Err(IqError::Corruption(format!("unknown column tag {other}"))),
+    }
+}
+
+/// A page whose type cannot answer its column's terms.
+fn misfit(tag: u8) -> IqError {
+    IqError::Corruption(format!(
+        "a column page of tag {tag} under a term of another type"
+    ))
+}
+
+/// Each term as `(op, literal)`, `lit` taking a literal of the page's
+/// type; any other term is a [`misfit`].
+fn cmp_lits<T>(
+    tag: u8,
+    terms: &[PageTerm],
+    lit: impl Fn(&Value) -> Option<T>,
+) -> IqResult<Vec<(CmpOp, T)>> {
+    (terms.iter())
+        .map(|t| match t {
+            PageTerm::Cmp(op, v) => lit(v).map(|v| (*op, v)).ok_or_else(|| misfit(tag)),
+            PageTerm::In(_) => Err(misfit(tag)),
+        })
+        .collect()
+}
+
+/// A float literal (an integer one does not answer a float page).
+fn float_lit(v: &Value) -> Option<f64> {
+    match v {
+        Value::F64(x) => Some(*x),
+        _ => None,
+    }
+}
+
+/// The values of `lo ..= hi` that pass every `value op literal`, as
+/// disjoint ascending spans: the comparisons narrow one interval, and
+/// each `<>` cuts one point out of it.
+fn value_spans(terms: &[(CmpOp, i64)], mut lo: i64, mut hi: i64) -> Vec<(i64, i64)> {
+    let mut holes = Vec::new();
+    for &(op, v) in terms {
+        match op {
+            CmpOp::Eq => (lo, hi) = (lo.max(v), hi.min(v)),
+            CmpOp::Le => hi = hi.min(v),
+            CmpOp::Ge => lo = lo.max(v),
+            CmpOp::Lt => match v.checked_sub(1) {
+                Some(v) => hi = hi.min(v),
+                None => return Vec::new(),
+            },
+            CmpOp::Gt => match v.checked_add(1) {
+                Some(v) => lo = lo.max(v),
+                None => return Vec::new(),
+            },
+            CmpOp::Ne => holes.push(v),
+        }
+    }
+    holes.sort_unstable();
+    holes.dedup();
+    holes.retain(|h| (lo..=hi).contains(h));
+    let mut spans = Vec::new();
+    for h in holes {
+        if h > lo {
+            spans.push((lo, h - 1));
+        }
+        if h == hi {
+            return spans;
+        }
+        lo = h + 1;
+    }
+    if lo <= hi {
+        spans.push((lo, hi));
+    }
+    spans
+}
+
+/// The `count` little-endian values of a raw float page.
+fn raw_floats(payload: &[u8], count: usize) -> IqResult<&[[u8; 8]]> {
+    count
+        .checked_mul(8)
+        .and_then(|n| payload.get(..n))
+        .map(|raw| raw.as_chunks().0)
+        .ok_or_else(|| IqError::Corruption("float column truncated".into()))
+}
+
+/// A float-dictionary payload: its entries in a full-size table, their
+/// number, and the rows' codes — first-occurrence codes of at most 256
+/// entries, so they start at 0 and fit a byte.
+fn float_dict(payload: &[u8], count: usize) -> IqResult<([f64; FLOAT_DICT_MAX], usize, NBit<'_>)> {
+    let (&last, rest) = payload
+        .split_first()
+        .ok_or_else(|| IqError::Corruption("float dictionary truncated".into()))?;
+    let len = usize::from(last) + 1;
+    let (entries, codes) = rest
+        .split_at_checked(len * 8)
+        .ok_or_else(|| IqError::Corruption("float dictionary truncated".into()))?;
+    let codes = NBit::parse(codes, count)?;
+    if codes.min != 0 || codes.width > 8 {
+        return Err(IqError::Corruption(format!(
+            "float dictionary codes from {} in {} bits",
+            codes.min, codes.width
+        )));
+    }
+    let mut table = [0f64; FLOAT_DICT_MAX];
+    for (slot, bits) in table.iter_mut().zip(entries.chunks_exact(8)) {
+        *slot = f64::from_le_bytes(bits.try_into().expect("8-byte entry"));
+    }
+    Ok((table, len, codes))
+}
+
+/// `Corruption` unless `high`, the largest code a pass read, is one of
+/// the dictionary's `len` entries.
+fn float_codes_within(high: u8, len: usize) -> IqResult<()> {
+    if usize::from(high) >= len {
+        return Err(IqError::Corruption(format!(
+            "float dictionary code {high} past its {len} entries"
+        )));
+    }
+    Ok(())
+}
+
+/// The list a string page's codes index.
+fn str_list(dict: Option<&Dictionary>) -> IqResult<&Arc<StrList>> {
+    dict.map(Dictionary::list)
+        .ok_or_else(|| IqError::Invalid("string column needs a dictionary".into()))
+}
+
+/// `Corruption` unless `high`, the largest of a pass's codes, indexes
+/// `list` (a pass over no row reads none).
+fn str_codes_within(count: usize, high: u64, list: &StrList) -> IqResult<()> {
+    if count > 0 && high >= list.len() as u64 {
+        return Err(IqError::Corruption(format!(
+            "dictionary code {high} past its {} entries",
+            list.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Decode a string column image to its raw dictionary codes, with no
@@ -486,6 +722,9 @@ pub fn decode_codes(bytes: &[u8]) -> IqResult<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::Chunk;
+    use crate::expr::Expr;
+    use crate::value::DataType;
     use proptest::prelude::*;
 
     #[test]
@@ -614,6 +853,32 @@ mod tests {
         }
         let first = Mask::from_fn(2, |i| i == 0);
         assert!(decode_rows(&enc, Some(&dict), Some(2), Some(&first)).is_ok());
+        // The page evaluator reads every code, so the one past the list
+        // fails it whatever the terms select.
+        for terms in [
+            vec![PageTerm::Cmp(CmpOp::Eq, Value::Str("z".into()))],
+            vec![PageTerm::In(Vec::new())],
+        ] {
+            let got = eval_page(&enc, Some(&dict), 2, &terms);
+            assert!(matches!(got, Err(IqError::Corruption(_))), "{got:?}");
+        }
+        let z = [PageTerm::Cmp(CmpOp::Eq, Value::Str("z".into()))];
+        assert!(matches!(
+            eval_page(&enc, None, 2, &z),
+            Err(IqError::Invalid(_))
+        ));
+        // A term of another type, or a string order, is not the page's.
+        let page = encode_column(&Col::I64(vec![1, 2]), None).unwrap();
+        for term in [
+            PageTerm::Cmp(CmpOp::Eq, Value::Date(1)),
+            PageTerm::Cmp(CmpOp::Eq, Value::F64(1.0)),
+            PageTerm::In(vec![Value::I64(1)]),
+        ] {
+            let got = eval_page(&page, None, 2, &[term]);
+            assert!(matches!(got, Err(IqError::Corruption(_))), "{got:?}");
+        }
+        let lt = [PageTerm::Cmp(CmpOp::Lt, Value::Str("z".into()))];
+        assert!(eval_page(&enc, Some(&dict), 2, &lt).is_err());
     }
 
     // ------------------------------------------------------------------
@@ -930,9 +1195,16 @@ mod tests {
 
     #[test]
     fn hostile_float_dictionary_pages_are_corruption() {
+        // The page evaluator reads every row, so it refuses what the
+        // decoder refuses, selected or not.
         let corrupt = |page: &[u8], sel: Option<&Mask>| {
+            let rows = page.get(1..5).map_or(0, |c| le_word(c) as usize);
+            let terms = [PageTerm::Cmp(CmpOp::Ge, Value::F64(0.0))];
             matches!(
                 decode_rows(page, None, None, sel),
+                Err(IqError::Corruption(_))
+            ) && matches!(
+                eval_page(page, None, rows, &terms),
                 Err(IqError::Corruption(_))
             )
         };
@@ -1101,6 +1373,12 @@ mod tests {
             prop_assert!(total(decode_rows(&page, Some(&dict), rows, Some(&sel))));
             prop_assert!(total(decode_rows(&page, Some(&dict), Some(count as usize), Some(&Mask::from_fn(count as usize, |i| i % 2 == 0)))));
             prop_assert!(total(decode_codes(&page)));
+            for terms in hostile_term_sets() {
+                for rows in [rows.unwrap_or(mask_len), count as usize] {
+                    prop_assert!(total(eval_page(&page, Some(&dict), rows, &terms)));
+                    prop_assert!(total(eval_page(&page, None, rows, &terms)));
+                }
+            }
         }
 
         #[test]
@@ -1130,6 +1408,263 @@ mod tests {
             prop_assert!(total(decode_rows(&page, Some(&dict), Some(n), Some(&sel))));
             prop_assert!(total(decode_column(&page, Some(&dict))));
             prop_assert!(total(decode_codes(&page)));
+            for terms in hostile_term_sets() {
+                prop_assert!(total(eval_page(&page, Some(&dict), n, &terms)));
+            }
+        }
+
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+        #[test]
+        fn encoded_predicates_match_eval_mask_over_the_decode(
+            kind in 0u8..5,
+            width in 0u32..=64,
+            rows in 0usize..400,
+            seed in any::<u64>(),
+            conjuncts in 1usize..4,
+        ) {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            // A raw float page holds more than 256 distinct values.
+            let rows = if kind == 3 { rows + 300 } else { rows };
+            let (col, dtype, dict) = drawn_page(kind, width, rows, &mut next);
+            let codes = match &col {
+                Col::Str(strs) => Some(strs.codes().to_vec()),
+                _ => None,
+            };
+            let page = encode_column(&col, codes.as_deref()).unwrap();
+            let pred = Expr::and_all(
+                (0..conjuncts).map(|_| drawn_conjunct(&col, &dict, &mut next)).collect(),
+            );
+            let split = pred.page_split(|c| (c == 0).then_some(dtype));
+            prop_assert!(split.residual.is_none(), "{pred:?}");
+            prop_assert_eq!(split.terms.len(), 1);
+            let got = eval_page(&page, Some(&dict), rows, &split.terms[0].1).unwrap();
+            let decoded = decode_rows(&page, Some(&dict), Some(rows), None).unwrap();
+            let want = pred.eval_mask(&Chunk::new(vec![decoded]), &[0]).unwrap();
+            prop_assert_eq!(got, want, "tag {} {:?}", page[0], pred);
+        }
+    }
+
+    /// Term sets of every shape, and of every type against every page.
+    fn hostile_term_sets() -> Vec<Vec<PageTerm>> {
+        let cmp = |op, v: Value| PageTerm::Cmp(op, v);
+        vec![
+            vec![
+                cmp(CmpOp::Ge, Value::I64(3)),
+                cmp(CmpOp::Le, Value::I64(i64::MAX)),
+            ],
+            vec![
+                cmp(CmpOp::Ne, Value::I64(0)),
+                cmp(CmpOp::Gt, Value::I64(-5)),
+            ],
+            vec![
+                cmp(CmpOp::Eq, Value::Date(7)),
+                cmp(CmpOp::Lt, Value::Date(i32::MIN)),
+            ],
+            vec![
+                cmp(CmpOp::Lt, Value::F64(0.5)),
+                cmp(CmpOp::Ne, Value::F64(f64::NAN)),
+            ],
+            vec![cmp(CmpOp::Eq, Value::Str("s1".into()))],
+            vec![PageTerm::In(vec![
+                Value::Str("s2".into()),
+                Value::Str("zz".into()),
+            ])],
+            vec![cmp(CmpOp::Lt, Value::Str("s3".into()))],
+            Vec::new(),
+        ]
+    }
+
+    /// A column of `rows` rows of page kind `kind` (0 `I64`, 1 `Date`, 2
+    /// float dictionary, 3 raw floats, 4 strings over a 20-string
+    /// dictionary), its type and that dictionary. Integers and dates
+    /// spread over `width` bits (dates over at most 32) above a base that
+    /// may sit at either end of the type; floats draw NaN payloads, −0.0,
+    /// infinities and subnormals too.
+    fn drawn_page(
+        kind: u8,
+        width: u32,
+        rows: usize,
+        next: &mut impl FnMut() -> u64,
+    ) -> (Col, DataType, Dictionary) {
+        let mut dict = Dictionary::new();
+        for i in 0..20 {
+            dict.encode(&format!("s{i}").into());
+        }
+        let keep = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+        let col = match kind {
+            0 => {
+                let base = [
+                    next() as i64,
+                    i64::MIN,
+                    i64::MAX.wrapping_sub(keep as i64),
+                    0,
+                ][next() as usize % 4];
+                Col::I64(
+                    (0..rows)
+                        .map(|_| base.wrapping_add((next() & keep) as i64))
+                        .collect(),
+                )
+            }
+            1 => {
+                let keep = keep as u32;
+                let base = [
+                    next() as i32,
+                    i32::MIN,
+                    i32::MAX.wrapping_sub(keep as i32),
+                    0,
+                ][next() as usize % 4];
+                Col::Date(
+                    (0..rows)
+                        .map(|_| base.wrapping_add((next() as u32 & keep) as i32))
+                        .collect(),
+                )
+            }
+            2 | 3 => {
+                let odd = [
+                    f64::NAN.to_bits() | 0x5_a5a5,
+                    f64::NAN.to_bits(),
+                    (-0.0f64).to_bits(),
+                    0,
+                    1,
+                    f64::INFINITY.to_bits(),
+                    f64::NEG_INFINITY.to_bits(),
+                ];
+                let distinct = if kind == 2 {
+                    1 + next() as usize % 256
+                } else {
+                    4096
+                };
+                let palette: Vec<u64> = (0..distinct)
+                    .map(|i| match next() % 4 {
+                        0 => odd[next() as usize % odd.len()],
+                        1 => (i as f64 / 100.0).to_bits(),
+                        _ => next(),
+                    })
+                    .collect();
+                Col::F64(
+                    (0..rows)
+                        .map(|_| f64::from_bits(palette[next() as usize % distinct]))
+                        .collect(),
+                )
+            }
+            _ => {
+                let span = 1 + next() % 20;
+                Col::Str(StrCol::from_codes(
+                    (0..rows).map(|_| (next() % span) as u32).collect(),
+                    Arc::clone(dict.list()),
+                ))
+            }
+        };
+        let dtype = col.data_type().expect("a stored type");
+        (col, dtype, dict)
+    }
+
+    /// One conjunct over column 0 of `col`'s own type, literal on either
+    /// side: any comparison (strings: `=` / `<>`), `BETWEEN`, or a string
+    /// `IN`. Literals sit below, inside and above the values, at the
+    /// type's extremes, or are NaN, −0.0, or strings the list lacks.
+    fn drawn_conjunct(col: &Col, dict: &Dictionary, next: &mut impl FnMut() -> u64) -> Expr {
+        let lit = |next: &mut dyn FnMut() -> u64| -> Value {
+            let row = |next: &mut dyn FnMut() -> u64| {
+                (!col.is_empty()).then(|| col.value(next() as usize % col.len()))
+            };
+            match col {
+                Col::I64(_) => {
+                    let v = row(next).and_then(|v| v.as_i64()).unwrap_or(0);
+                    Value::I64(
+                        [
+                            v,
+                            v.wrapping_sub(1),
+                            v.wrapping_add(1),
+                            i64::MIN,
+                            i64::MAX,
+                            next() as i64,
+                            v,
+                            v,
+                        ][next() as usize % 8],
+                    )
+                }
+                Col::Date(_) => {
+                    let v = match row(next) {
+                        Some(Value::Date(d)) => d,
+                        _ => 0,
+                    };
+                    Value::Date(
+                        [
+                            v,
+                            v.wrapping_sub(1),
+                            v.wrapping_add(1),
+                            i32::MIN,
+                            i32::MAX,
+                            next() as i32,
+                            v,
+                            v,
+                        ][next() as usize % 8],
+                    )
+                }
+                Col::F64(_) => {
+                    let v = row(next).and_then(|v| v.as_f64()).unwrap_or(0.0);
+                    Value::F64(
+                        [
+                            v,
+                            v - 0.01,
+                            v + 0.01,
+                            f64::NAN,
+                            -0.0,
+                            0.0,
+                            f64::INFINITY,
+                            f64::from_bits(next()),
+                            v,
+                            v,
+                        ][next() as usize % 10],
+                    )
+                }
+                _ => {
+                    let code = next() % 22;
+                    Value::Str(
+                        dict.list()
+                            .get(code as u32)
+                            .map_or_else(|| Arc::from("zz"), Arc::clone),
+                    )
+                }
+            }
+        };
+        let c = Expr::col(0);
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let strings = matches!(col, Col::Str(_));
+        match next() % 4 {
+            0 if strings => Expr::in_list(c, (0..next() % 4).map(|_| lit(next)).collect()),
+            1 if !strings => Expr::between(c, Expr::Lit(lit(next)), Expr::Lit(lit(next))),
+            draw => {
+                let op = if strings {
+                    ops[draw as usize % 2]
+                } else {
+                    ops[next() as usize % 6]
+                };
+                let l = Expr::Lit(lit(next));
+                if next().is_multiple_of(2) {
+                    Expr::Cmp(op, c.into(), l.into())
+                } else {
+                    Expr::Cmp(op, l.into(), c.into())
+                }
+            }
         }
     }
 

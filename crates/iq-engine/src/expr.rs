@@ -35,6 +35,20 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// `a op b`.
+    pub(crate) fn holds<T: PartialOrd>(self, a: T, b: T) -> bool {
+        match self {
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+            CmpOp::Lt => a < b,
+            CmpOp::Le => a <= b,
+            CmpOp::Gt => a > b,
+            CmpOp::Ge => a >= b,
+        }
+    }
+}
+
 /// Arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
@@ -77,6 +91,27 @@ pub enum Expr {
     Substr(Box<Expr>, usize, usize),
     /// `EXTRACT(YEAR FROM expr)` on dates.
     Year(Box<Expr>),
+}
+
+/// One conjunct a column's page answers on its encoding, without
+/// decoding the column ([`crate::encode::eval_page`]).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum PageTerm {
+    /// `column op literal`, the literal of the column's own type (on a
+    /// string column, `=` and `<>` only). `BETWEEN` is two of these.
+    Cmp(CmpOp, Value),
+    /// `column IN (string literals)`, on a string column.
+    In(Vec<Value>),
+}
+
+/// A scan predicate split at its top-level `AND` ([`Expr::page_split`]).
+#[derive(Debug)]
+pub(crate) struct PageSplit {
+    /// The columns whose pages answer their conjuncts, ascending, each
+    /// with its terms.
+    pub(crate) terms: Vec<(usize, Vec<PageTerm>)>,
+    /// Every other conjunct, joined by `AND`; `None` when none is left.
+    pub(crate) residual: Option<Expr>,
 }
 
 // The builder names (`add`, `not`, …) intentionally mirror SQL operators;
@@ -253,6 +288,24 @@ impl Expr {
         }
     }
 
+    /// The top-level `AND` conjuncts, left to right: the one walk that
+    /// both zone pruning ([`Expr::prune_checks`]) and page evaluation
+    /// ([`Expr::page_split`]) take a predicate apart with.
+    fn conjuncts(&self) -> Vec<&Expr> {
+        fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+            match e {
+                Expr::And(a, b) => {
+                    walk(a, out);
+                    walk(b, out);
+                }
+                e => out.push(e),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
     /// Zone-prunable checks extracted from top-level AND conjuncts:
     /// `col op literal` (either side, `<>` included), `col IN (list)`,
     /// prefix `LIKE` folded to a lexical range, and
@@ -260,16 +313,15 @@ impl Expr {
     /// `BETWEEN` desugars to two comparisons and needs no special case.
     pub fn prune_checks(&self) -> Vec<PruneCheck> {
         let mut out = Vec::new();
-        self.collect_prunes(&mut out);
+        for conjunct in self.conjuncts() {
+            conjunct.push_prunes(&mut out);
+        }
         out
     }
 
-    fn collect_prunes(&self, out: &mut Vec<PruneCheck>) {
+    /// The checks one conjunct contributes.
+    fn push_prunes(&self, out: &mut Vec<PruneCheck>) {
         match self {
-            Expr::And(a, b) => {
-                a.collect_prunes(out);
-                b.collect_prunes(out);
-            }
             Expr::Cmp(op, a, b) => match (a.as_ref(), b.as_ref()) {
                 (Expr::Col(i), Expr::Lit(v)) => push_cmp_check(out, *i, *op, v),
                 (Expr::Lit(v), Expr::Col(i)) => push_cmp_check(out, *i, flip(*op), v),
@@ -297,6 +349,64 @@ impl Expr {
             }
             _ => {}
         }
+    }
+
+    /// Split a scan predicate at its top-level `AND` into the conjuncts
+    /// each column's page answers on its encoding ([`PageTerm`]) and the
+    /// residual. `dtype` gives a column's type (`None` for no such
+    /// column). A column the residual reads is decoded anyway, so its
+    /// terms stay in the residual too: every predicate column is either
+    /// evaluated on its page or decoded, never both. The terms' masks
+    /// ANDed with the residual's are bitwise this predicate's.
+    pub(crate) fn page_split(&self, dtype: impl Fn(usize) -> Option<DataType>) -> PageSplit {
+        let conjuncts: Vec<(&Expr, Option<(usize, PageTerm)>)> = (self.conjuncts().into_iter())
+            .map(|c| (c, c.page_term(&dtype)))
+            .collect();
+        let decoded: Vec<usize> = (conjuncts.iter())
+            .filter(|(_, term)| term.is_none())
+            .flat_map(|(c, _)| c.columns())
+            .collect();
+        let mut terms: BTreeMap<usize, Vec<PageTerm>> = BTreeMap::new();
+        let mut residual = Vec::new();
+        for (c, term) in conjuncts {
+            match term {
+                Some((col, term)) if !decoded.contains(&col) => {
+                    terms.entry(col).or_default().push(term)
+                }
+                _ => residual.push(c.clone()),
+            }
+        }
+        PageSplit {
+            terms: terms.into_iter().collect(),
+            residual: (!residual.is_empty()).then(|| Expr::and_all(residual)),
+        }
+    }
+
+    /// This conjunct as a page term on its column, if it is one.
+    fn page_term(&self, dtype: impl Fn(usize) -> Option<DataType>) -> Option<(usize, PageTerm)> {
+        let (col, term) = match self {
+            Expr::Cmp(op, a, b) => match (a.as_ref(), b.as_ref()) {
+                (Expr::Col(i), Expr::Lit(v)) => (*i, PageTerm::Cmp(*op, v.clone())),
+                (Expr::Lit(v), Expr::Col(i)) => (*i, PageTerm::Cmp(flip(*op), v.clone())),
+                _ => return None,
+            },
+            Expr::InList(a, values) => match a.as_ref() {
+                Expr::Col(i) => (*i, PageTerm::In(values.clone())),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        let fits = match (&term, dtype(col)?) {
+            (PageTerm::Cmp(op, v), DataType::Str) => {
+                matches!(v, Value::Str(_)) && matches!(op, CmpOp::Eq | CmpOp::Ne)
+            }
+            (PageTerm::Cmp(_, v), dtype) => v.data_type() == dtype,
+            (PageTerm::In(values), DataType::Str) => {
+                values.iter().all(|v| matches!(v, Value::Str(_)))
+            }
+            (PageTerm::In(_), _) => false,
+        };
+        fits.then_some((col, term))
     }
 
     /// The columns every occurrence of which is `col =/<> string-literal`
@@ -400,15 +510,10 @@ impl Expr {
             }
             Expr::InList(a, values) => Val::Mask(match sub(a)?.view()? {
                 View::Str(Strs::Col(c)) => {
-                    // The literals' codes in the column's list; a literal
-                    // the list lacks matches no row.
-                    let list = c.list();
-                    let codes: Vec<u32> = values
-                        .iter()
-                        .filter_map(|v| list.lookup(v.as_str()?))
-                        .collect();
-                    let x = c.codes();
-                    Mask::from_fn(n, |i| codes.contains(&x[i]))
+                    // The literals' codes as a set over the column's
+                    // list; a literal the list lacks matches no row.
+                    let set = c.list().code_set(values.iter().filter_map(Value::as_str));
+                    Mask::from_slice(c.codes(), |code| set.has(u64::from(code)))
                 }
                 View::Str(lit @ Strs::Lit(_)) => {
                     let set: Vec<&str> = values.iter().filter_map(Value::as_str).collect();
@@ -697,12 +802,39 @@ fn cmp_mask<T: PartialOrd>(
     }
 }
 
+/// `x[i] op lit` for every row of the column `x`, read off the slice.
+fn lit_mask<T: PartialOrd + Copy>(op: CmpOp, x: &[T], lit: T) -> Mask {
+    match op {
+        CmpOp::Eq => Mask::from_slice(x, |v| v == lit),
+        CmpOp::Ne => Mask::from_slice(x, |v| v != lit),
+        CmpOp::Lt => Mask::from_slice(x, |v| v < lit),
+        CmpOp::Le => Mask::from_slice(x, |v| v <= lit),
+        CmpOp::Gt => Mask::from_slice(x, |v| v > lit),
+        CmpOp::Ge => Mask::from_slice(x, |v| v >= lit),
+    }
+}
+
+/// Two operands of one type: a column against a literal, on either
+/// side, runs [`lit_mask`] over the column; anything else row by row.
+fn same_type_cmp<T: PartialOrd + Copy>(
+    op: CmpOp,
+    n: usize,
+    (x, xm): (&[T], usize),
+    (y, ym): (&[T], usize),
+) -> Mask {
+    match (xm, ym) {
+        (usize::MAX, 0) if x.len() == n => lit_mask(op, x, y[0]),
+        (0, usize::MAX) if y.len() == n => lit_mask(flip(op), y, x[0]),
+        _ => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym]),
+    }
+}
+
 fn eval_cmp(op: CmpOp, n: usize, a: View<'_>, b: View<'_>) -> IqResult<Mask> {
     use View::{Date, Str, F64, I64};
     Ok(match (a, b) {
-        (I64(x, xm), I64(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym]),
-        (Date(x, xm), Date(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym]),
-        (F64(x, xm), F64(y, ym)) => cmp_mask(op, n, |i| x[i & xm], |i| y[i & ym]),
+        (I64(x, xm), I64(y, ym)) => same_type_cmp(op, n, (x, xm), (y, ym)),
+        (Date(x, xm), Date(y, ym)) => same_type_cmp(op, n, (x, xm), (y, ym)),
+        (F64(x, xm), F64(y, ym)) => same_type_cmp(op, n, (x, xm), (y, ym)),
         (Str(x), Str(y)) => str_cmp(op, n, x, y),
         // Numeric promotion.
         (I64(x, xm), F64(y, ym)) => cmp_mask(op, n, |i| x[i & xm] as f64, |i| y[i & ym]),
@@ -736,7 +868,7 @@ fn str_cmp(op: CmpOp, n: usize, a: Strs<'_>, b: Strs<'_>) -> Mask {
 fn lit_cmp(op: CmpOp, col: &StrCol, lit: &str) -> Mask {
     let codes = col.codes();
     match (op, col.list().lookup(lit)) {
-        (CmpOp::Eq | CmpOp::Ne, Some(code)) => cmp_mask(op, codes.len(), |i| codes[i], |_| code),
+        (CmpOp::Eq | CmpOp::Ne, Some(code)) => lit_mask(op, codes, code),
         // A literal the list lacks equals no row.
         (CmpOp::Eq | CmpOp::Ne, None) => Mask::from_fn(codes.len(), |_| op == CmpOp::Ne),
         _ => col.mask(|s| {
@@ -1107,6 +1239,60 @@ mod tests {
         assert!(Expr::eq(Expr::year(Expr::col(3)), Expr::lit_i64(99_999))
             .prune_checks()
             .is_empty());
+    }
+
+    #[test]
+    fn page_split_keeps_typed_literal_conjuncts_on_columns_the_residual_skips() {
+        // Columns: 0 I64, 1 F64, 2 Str, 3 Date, 4 Str.
+        let types = [
+            DataType::I64,
+            DataType::F64,
+            DataType::Str,
+            DataType::Date,
+            DataType::Str,
+        ];
+        let dtype = |c: usize| types.get(c).copied();
+        let strs = |s: &[&str]| s.iter().map(|s| Value::Str((*s).into())).collect();
+        let e = Expr::and_all(vec![
+            Expr::between(Expr::col(0), Expr::lit_i64(1), Expr::lit_i64(9)),
+            Expr::gt(Expr::lit_f64(0.5), Expr::col(1)), // flipped: col1 < 0.5
+            Expr::in_list(Expr::col(2), strs(&["AIR", "RAIL"])),
+            Expr::ne(Expr::col(2), Expr::lit_str("SHIP")),
+            // Not terms: a promotion, a string order, an OR.
+            Expr::lt(Expr::col(3), Expr::lit_i64(5)),
+            Expr::lt(Expr::col(4), Expr::lit_str("M")),
+            Expr::or(Expr::eq(Expr::col(0), Expr::lit_i64(1)), Expr::lit_i64(0)),
+        ]);
+        let split = e.page_split(dtype);
+        // Column 0 is read by the `OR`, so its BETWEEN stays with it.
+        assert_eq!(
+            split.terms,
+            vec![
+                (1, vec![PageTerm::Cmp(CmpOp::Lt, Value::F64(0.5))]),
+                (
+                    2,
+                    vec![
+                        PageTerm::In(strs(&["AIR", "RAIL"])),
+                        PageTerm::Cmp(CmpOp::Ne, Value::Str("SHIP".into())),
+                    ]
+                ),
+            ]
+        );
+        let residual = split.residual.expect("residual conjuncts");
+        assert_eq!(residual.columns(), vec![0, 3, 4]);
+        assert_eq!(residual.conjuncts().len(), 5);
+        // All terms: no residual. No column in the schema: no term.
+        let split = Expr::eq(Expr::col(3), Expr::lit_date(7)).page_split(dtype);
+        assert!(split.residual.is_none());
+        assert_eq!(
+            split.terms,
+            vec![(3, vec![PageTerm::Cmp(CmpOp::Eq, Value::Date(7))])]
+        );
+        let split = Expr::eq(Expr::col(9), Expr::lit_i64(7)).page_split(dtype);
+        assert!(split.terms.is_empty() && split.residual.is_some());
+        // An IN list with a literal of another type is not a page term.
+        let mixed = Expr::in_list(Expr::col(2), vec![Value::Str("A".into()), Value::I64(1)]);
+        assert!(mixed.page_split(dtype).terms.is_empty());
     }
 
     #[test]

@@ -14,15 +14,58 @@ pub struct Mask {
 }
 
 impl Mask {
-    /// `len` bits, bit `i` set iff `f(i)`.
+    /// `len` bits, bit `i` set iff `f(i)`, rows asked in order. A full
+    /// word is built from eight bytes of eight rows each: eight short
+    /// dependency chains, not one of 64, so one loop serves every caller
+    /// — a decoded column, an n-bit page at any width — at about the
+    /// cost of reading the values.
     pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> bool) -> Self {
-        let words = (0..len.div_ceil(64))
-            .map(|w| {
-                let base = w * 64;
-                (0..64.min(len - base)).fold(0u64, |acc, b| acc | (u64::from(f(base + b)) << b))
-            })
-            .collect();
+        let mut words = Vec::with_capacity(len.div_ceil(64));
+        for base in (0..len / 64).map(|w| w * 64) {
+            let mut word = 0u64;
+            for k in 0..8 {
+                let at = base + 8 * k;
+                let mut byte = 0u8;
+                for j in 0..8 {
+                    byte |= u8::from(f(at + j)) << j;
+                }
+                word |= u64::from(byte) << (8 * k);
+            }
+            words.push(word);
+        }
+        let base = len / 64 * 64;
+        if base < len {
+            words.push((base..len).fold(0, |acc, i| acc | u64::from(f(i)) << (i - base)));
+        }
         Self { words, len }
+    }
+
+    /// The rows of `x` whose value satisfies `f`: [`Mask::from_fn`]'s
+    /// byte-at-a-time words over the slice itself, each value read
+    /// without an index check.
+    pub(crate) fn from_slice<T: Copy>(x: &[T], f: impl Fn(T) -> bool) -> Self {
+        let mut words = Vec::with_capacity(x.len().div_ceil(64));
+        let mut runs = x.chunks_exact(64);
+        for run in &mut runs {
+            let mut word = 0u64;
+            for (k, eight) in run.chunks_exact(8).enumerate() {
+                let mut byte = 0u8;
+                for (j, &v) in eight.iter().enumerate() {
+                    byte |= u8::from(f(v)) << j;
+                }
+                word |= u64::from(byte) << (8 * k);
+            }
+            words.push(word);
+        }
+        let rest = runs.remainder();
+        if !rest.is_empty() {
+            words
+                .push((rest.iter().enumerate()).fold(0, |acc, (j, &v)| acc | u64::from(f(v)) << j));
+        }
+        Self {
+            words,
+            len: x.len(),
+        }
     }
 
     /// The mask of a boolean value column.
@@ -48,6 +91,12 @@ impl Mask {
     /// Bit `i` (must be `< len`).
     pub fn get(&self, i: usize) -> bool {
         self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Bit `i`, and false past `len`: a set over a list's codes
+    /// answering a code read off a page or a column.
+    pub(crate) fn has(&self, i: u64) -> bool {
+        i < self.len as u64 && self.get(i as usize)
     }
 
     /// True if any row is selected.
@@ -134,6 +183,12 @@ mod tests {
             // Negation keeps the tail bits clear, so counting stays exact.
             assert_eq!(m.not().count(), len - m.count());
             assert_eq!(m.not().not(), m);
+            assert_eq!(Mask::from_slice(&bools, |b| b), m);
+            let rows: Vec<usize> = (0..len).collect();
+            assert_eq!(Mask::from_slice(&rows, |i| bools[i]), m);
+            assert!(
+                (0..len as u64 + 70).all(|i| m.has(i) == bools.get(i as usize).is_some_and(|&b| b))
+            );
         }
         assert!(!Mask::from_fn(64, |_| false).any());
         assert_eq!(Mask::from_fn(65, |_| true).count(), 65);

@@ -29,6 +29,14 @@ pub struct ScanStats {
     pub groups_materialized: AtomicU64,
     /// Data pages demand-read because a predicate needed them.
     pub predicate_pages_read: AtomicU64,
+    /// Of the predicate pages read, those whose conjuncts ran on the
+    /// page's encoding (`encode::eval_page`): the column was never
+    /// decoded for the predicate.
+    pub predicate_pages_encoded: AtomicU64,
+    /// Of the predicate pages read, those decoded whole for the
+    /// predicate: an eager scan's, and a late scan's columns that the
+    /// residual conjuncts read.
+    pub predicate_pages_decoded: AtomicU64,
     /// Data pages demand-read for projection only.
     pub projection_pages_read: AtomicU64,
     /// Projection pages skipped by all-false masks (late-materialization

@@ -57,6 +57,21 @@ impl StrList {
         self.strings.iter().map(|s| &**s)
     }
 
+    /// The codes of `lits` as a set over the list: bit `c` set iff
+    /// string `c` is one of them (a string the list lacks sets none).
+    /// What `=`, `<>` and `IN` against string literals select, so a row
+    /// costs one bit test ([`Mask::has`]) however long the literal list.
+    pub(crate) fn code_set<'a>(&self, lits: impl IntoIterator<Item = &'a str>) -> Mask {
+        let mut codes: Vec<usize> = (lits.into_iter())
+            .filter_map(|s| Some(self.lookup(s)? as usize))
+            .collect();
+        codes.sort_unstable();
+        codes.dedup();
+        // `from_fn` asks the codes in order: one cursor walks the sorted set.
+        let mut next = codes.into_iter().peekable();
+        Mask::from_fn(self.len(), |c| next.next_if_eq(&c).is_some())
+    }
+
     /// The string of a code the list is known to hold.
     fn str(&self, code: u32) -> &str {
         &self.strings[code as usize]

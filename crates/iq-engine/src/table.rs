@@ -32,7 +32,7 @@ use iq_storage::PageKind;
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::{Chunk, Col};
-use crate::encode::{decode_rows, encode_column, Dictionary};
+use crate::encode::{decode_rows, encode_column, eval_page, Dictionary};
 use crate::expr::Expr;
 use crate::mask::Mask;
 use crate::meter::{cost, WorkMeter};
@@ -328,6 +328,30 @@ impl TableMeta {
             Vec::new()
         };
 
+        // A late scan splits the predicate at its top-level AND: each
+        // column's page terms run on its encoding, and only the columns
+        // the residual reads are decoded in phase 1. Eager decodes every
+        // phase-1 column and evaluates the whole predicate over them.
+        let (terms, residual) = match pred {
+            Some(p) if late => {
+                let split = p.page_split(|c| self.schema.columns.get(c).map(|d| d.dtype));
+                (split.terms, split.residual.map(Cow::Owned))
+            }
+            _ => (Vec::new(), pred.map(Cow::Borrowed)),
+        };
+        let terms_of = |c: usize| {
+            let at = terms.binary_search_by_key(&c, |(col, _)| *col).ok()?;
+            Some(&terms[at].1[..])
+        };
+        let decoded: Vec<usize> = (phase1.iter().copied())
+            .filter(|&c| terms_of(c).is_none())
+            .collect();
+        // Projected columns whose page answered its terms: decoded in
+        // phase 2, at the mask's rows, from the page phase 1 read.
+        let held: Vec<usize> = (phase1.iter().copied())
+            .filter(|&c| terms_of(c).is_some() && projection.contains(&c))
+            .collect();
+
         // String columns the predicate reads only by `=`, `<>` and `IN`
         // against literals: compared as codes, their strings never read.
         if let (Some(s), Some(p), true) = (&stats, pred, late) {
@@ -340,29 +364,34 @@ impl TableMeta {
             }
         }
 
-        // Predicate evaluation sees the phase-1 chunk indexed by original
-        // column ids via a dense remap; each projected column knows which
-        // phase supplies it. All loop-invariant.
+        // The residual sees the decoded phase-1 columns indexed by
+        // original column ids via a dense remap; each projected column
+        // knows where it comes from. All loop-invariant.
         let mut remap = vec![usize::MAX; self.schema.len()];
-        for (i, &c) in phase1.iter().enumerate() {
+        for (i, &c) in decoded.iter().enumerate() {
             remap[c] = i;
         }
         #[derive(PartialEq)]
         enum Src {
-            /// Decoded in phase 1 at this position.
+            /// Decoded whole in phase 1, at this position.
             Phase1(usize),
-            /// Demand-read in phase 2 at this position.
+            /// Decoded at the mask in phase 2, at this position: the
+            /// phase-2 pages, then the held ones.
             Phase2(usize),
         }
         let sources: Vec<Src> = projection
             .iter()
-            .map(|c| match phase1.binary_search(c) {
+            .map(|c| match decoded.binary_search(c) {
                 Ok(p) => Src::Phase1(p),
-                Err(_) => Src::Phase2(
-                    phase2
-                        .binary_search(c)
-                        .expect("projected column was scheduled"),
-                ),
+                Err(_) => Src::Phase2(match phase2.binary_search(c) {
+                    Ok(p) => p,
+                    Err(_) => {
+                        phase2.len()
+                            + held
+                                .binary_search(c)
+                                .expect("projected column was scheduled")
+                    }
+                }),
             })
             .collect();
 
@@ -374,6 +403,10 @@ impl TableMeta {
         if let Some(s) = store.io_stats() {
             io = io.with_stats(s);
         }
+        let and_in = |mask: Option<Mask>, m: Mask| match mask {
+            Some(prev) => prev.and(&m),
+            None => m,
+        };
         let morsel = |i: usize| -> IqResult<T> {
             let g = survivors[i];
             // The task that owns a group reads each of its pages once:
@@ -383,34 +416,55 @@ impl TableMeta {
             // non-demand split.
             let demand = i == 0;
 
-            // Phase 1: read and decode the predicate inputs (all needed
-            // columns when eager). A page must hold exactly the rows its
+            // Phase 1: read the predicate inputs (all needed columns when
+            // eager). A page with terms yields its mask off the encoding;
+            // any other is decoded. A page must hold exactly the rows its
             // group's metadata says: the count stored in the page is
             // device bytes and is not trusted.
             let rows = self.groups[g].rows as usize;
-            let mut cols1: Vec<Col> = Vec::with_capacity(phase1.len());
+            let mut cols1: Vec<Col> = Vec::with_capacity(decoded.len());
+            let mut pages = Vec::with_capacity(held.len());
+            let mut mask: Option<Mask> = None;
             for &c in &phase1 {
                 let page = store.read_page(self.id, self.page_id(g, c), demand)?;
-                let col = decode_rows(&page.body, self.dicts[c].as_ref(), Some(rows), None)?;
-                meter.add(cost::SCAN * col.len() as u64);
+                let dict = self.dicts[c].as_ref();
+                let encoded = match terms_of(c) {
+                    Some(terms) => {
+                        mask = Some(and_in(mask, eval_page(&page.body, dict, rows, terms)?));
+                        if held.binary_search(&c).is_ok() {
+                            pages.push(page);
+                        }
+                        true
+                    }
+                    None => {
+                        cols1.push(decode_rows(&page.body, dict, Some(rows), None)?);
+                        false
+                    }
+                };
+                meter.add(cost::SCAN * rows as u64);
                 if let Some(s) = &stats {
-                    ScanStats::add(
-                        if pred_cols.binary_search(&c).is_ok() {
-                            &s.predicate_pages_read
-                        } else {
-                            &s.projection_pages_read
-                        },
-                        1,
-                    );
+                    if pred_cols.binary_search(&c).is_ok() {
+                        ScanStats::add(&s.predicate_pages_read, 1);
+                        ScanStats::add(
+                            if encoded {
+                                &s.predicate_pages_encoded
+                            } else {
+                                &s.predicate_pages_decoded
+                            },
+                            1,
+                        );
+                    } else {
+                        ScanStats::add(&s.projection_pages_read, 1);
+                    }
                 }
-                cols1.push(col);
             }
             let mut chunk1 = Chunk::new(cols1);
-            meter.add(cost::FILTER * chunk1.len() as u64);
-            let mask: Option<Mask> = match pred {
-                Some(p) => Some(p.eval_mask(&chunk1, &remap)?),
-                None => None,
-            };
+            if !phase1.is_empty() {
+                meter.add(cost::FILTER * rows as u64);
+            }
+            if let Some(r) = &residual {
+                mask = Some(and_in(mask, r.eval_mask(&chunk1, &remap)?));
+            }
 
             if late {
                 // The materialization decision: depends only on the
@@ -440,8 +494,9 @@ impl TableMeta {
             }
 
             // Phase 2 (mask known and non-empty): read the projection-only
-            // columns, decoding only the rows the mask selected.
-            let mut cols2: Vec<Col> = Vec::with_capacity(phase2.len());
+            // columns, then take the held pages, decoding only the rows the
+            // mask selected.
+            let mut cols2: Vec<Col> = Vec::with_capacity(phase2.len() + held.len());
             for &c in &phase2 {
                 let page = store.read_page(self.id, self.page_id(g, c), demand)?;
                 let dict = self.dicts[c].as_ref();
@@ -450,6 +505,10 @@ impl TableMeta {
                 if let Some(s) = &stats {
                     ScanStats::add(&s.projection_pages_read, 1);
                 }
+            }
+            for (page, &c) in pages.iter().zip(&held) {
+                let dict = self.dicts[c].as_ref();
+                cols2.push(decode_rows(&page.body, dict, Some(rows), mask.as_ref())?);
             }
 
             // Assemble the projection. Filtering each projected column is
@@ -997,6 +1056,49 @@ mod tests {
         assert_eq!(ScanStats::get(&stats.predicate_pages_read), 4);
         assert_eq!(ScanStats::get(&stats.projection_pages_read), 2);
         assert_eq!(stats.gets_saved(), 6);
+    }
+
+    #[test]
+    fn page_terms_run_on_the_encoding_and_a_filtered_projection_reads_its_page_once() {
+        let store = MemPageStore::with_scan_stats();
+        let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
+        load_rows(&mut meta, &store, 256); // 4 groups, every d in 1995
+        let stats = store.scan_stats().unwrap();
+        // k and region answer on their pages; the residual reads d, so
+        // d is decoded. k is projected too: decoded at the mask's rows.
+        let pred = Expr::and_all(vec![
+            Expr::between(Expr::col(0), Expr::lit_i64(10), Expr::lit_i64(200)),
+            Expr::eq(Expr::col(2), Expr::lit_str("EAST")),
+            Expr::eq(Expr::year(Expr::col(3)), Expr::lit_i64(1995)),
+        ]);
+        let scan = |late_mat: bool| {
+            let meter = WorkMeter::new();
+            let reads = store.reads();
+            let opts = ScanOptions {
+                workers: 1,
+                late_mat,
+            };
+            let out = meta
+                .scan_with_options(&store, &[1, 0], Some(&pred), &meter, opts, None)
+                .unwrap();
+            (out, meter.total(), store.reads() - reads)
+        };
+        let (late, late_units, late_reads) = scan(true);
+        assert_eq!(ScanStats::get(&stats.predicate_pages_encoded), 8);
+        assert_eq!(ScanStats::get(&stats.predicate_pages_decoded), 4);
+        assert_eq!(ScanStats::get(&stats.predicate_pages_read), 12);
+        // Every group matches: three predicate pages and price each.
+        assert_eq!(late_reads, 16);
+        let want: Vec<i64> = (10..=200).filter(|k| k % 2 == 0).collect();
+        assert_eq!(late.col(1).i64s(), want);
+        let (eager, eager_units, eager_reads) = scan(false);
+        assert_eq!(
+            (late, late_units, late_reads),
+            (eager, eager_units, eager_reads)
+        );
+        // An eager scan decodes every predicate page.
+        assert_eq!(ScanStats::get(&stats.predicate_pages_decoded), 4 + 12);
+        assert_eq!(ScanStats::get(&stats.predicate_pages_encoded), 8);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 
 use iq_common::TxnId;
 use iq_engine::value::{parse_date, Value};
-use iq_engine::{MemPageStore, WorkMeter};
+use iq_engine::{MemPageStore, PageStore, WorkMeter};
 use iq_tpch::queries::{run_query, Ctx};
 use iq_tpch::{Generator, TpchDb};
 
@@ -487,6 +487,68 @@ fn all_queries_match_pinned_digests_and_meter_deltas() {
                 "Q{n} result digest @ {workers} workers"
             );
             assert_eq!(meter.total(), want_units, "Q{n} metered work units");
+        }
+    }
+}
+
+/// `(query, digest, WorkMeter delta)` of the four `scan_cold` queries at
+/// SF 0.01, seed 20210620, 1 024-row groups, recorded while every
+/// predicate input was still decoded into a column before it was
+/// evaluated (and equal, then and now, with `late_mat` off).
+const SCAN_COLD_SF001: [(u32, u64, u64); 4] = [
+    (6, 0x757f538722be65ec, 302509),
+    (14, 0xe59c44876fb540ec, 320510),
+    (15, 0x2f02a463dc5910e6, 307039),
+    (19, 0x31427c8621446145, 445348),
+];
+
+/// Q6, Q14, Q15 and Q19 filter `lineitem` on `col op literal`,
+/// `BETWEEN`, string `=` and `IN` conjuncts alone, so a late scan runs
+/// every predicate page on its encoding and decodes none: a column only
+/// the predicate reads is never decoded, and `l_discount`, filtered and
+/// projected in Q6, is decoded at the mask's rows from the page already
+/// read. Answers and metered work stay what they were.
+#[test]
+fn scan_cold_queries_run_their_predicates_on_the_encoded_pages() {
+    let store = MemPageStore::with_scan_stats();
+    let db = TpchDb::load(0.01, SEED, &store, TxnId(1), &WorkMeter::new(), 1024).unwrap();
+    let stats = store.scan_stats().expect("the store keeps scan stats");
+    let get = iq_engine::ScanStats::get;
+    for (n, want_digest, want_units) in SCAN_COLD_SF001 {
+        for late_mat in [true, false] {
+            let (encoded, decoded, read) = (
+                get(&stats.predicate_pages_encoded),
+                get(&stats.predicate_pages_decoded),
+                get(&stats.predicate_pages_read),
+            );
+            let meter = WorkMeter::new();
+            let ctx = Ctx {
+                db: &db,
+                store: &store,
+                meter: &meter,
+                exec: iq_engine::OpExec::new(1),
+                late_mat,
+            };
+            let out = run_query(n, &ctx).unwrap_or_else(|e| panic!("Q{n} failed: {e}"));
+            assert_eq!(
+                digest(&out),
+                want_digest,
+                "Q{n} digest, late_mat {late_mat}"
+            );
+            assert_eq!(
+                meter.total(),
+                want_units,
+                "Q{n} work units, late_mat {late_mat}"
+            );
+            let read = get(&stats.predicate_pages_read) - read;
+            let (encoded, decoded) = (
+                get(&stats.predicate_pages_encoded) - encoded,
+                get(&stats.predicate_pages_decoded) - decoded,
+            );
+            assert!(read > 0, "Q{n} reads predicate pages");
+            // Eager decodes every predicate page: the oracle path.
+            let want = if late_mat { (read, 0) } else { (0, read) };
+            assert_eq!((encoded, decoded), want, "Q{n}, late_mat {late_mat}");
         }
     }
 }
