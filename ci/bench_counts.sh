@@ -40,14 +40,14 @@
 #   * the store stayed idle and the buffer held everything (0 GETs a
 #     round, hit ratio >= 0.999), so the round is the engine's;
 #   * allocations stay under two ceilings, each about 10 % above what
-#     three traced `--quick` runs read once string columns became `u32`
-#     codes over their dictionary's shared list: <= 18.7 allocations per
-#     page read (17.05 in each of three runs once a scan read each page
-#     once, with the old headroom of 1.6 kept; 17.41 / 17.40 / 17.40 with
-#     a separate prefetch pass, 21.63 while every decoded string was an
-#     `Arc<str>` clone, 1 279 for the row-at-a-time engine) and
-#     <= 643 MiB allocated a round (584.6 / 584.6 / 585.2; 612.0 with the
-#     `Arc<str>` columns, whose 16-byte values are now 4-byte codes). The
+#     three traced `--quick` runs read once joins and groupings over dense
+#     keys indexed an array instead of a hash table: <= 15.2 allocations
+#     per page read (13.86 in each of three runs; 17.13 with the hashed
+#     tables, 17.41 / 17.40 / 17.40 with a separate prefetch pass, 21.63
+#     while every decoded string was an `Arc<str>` clone, 1 279 for the
+#     row-at-a-time engine) and <= 487 MiB allocated a round
+#     (442.6 / 442.6 / 442.7; 568.2 with the hashed tables, 612.0 with
+#     `Arc<str>` string columns, whose 16-byte values are now 4-byte codes). The
 #     count is what the round does — the fewer heap blocks a phase asks
 #     for, the less it costs — so a kernel that starts allocating per
 #     value or per morsel again fails here, not in a timing.
@@ -176,8 +176,8 @@ for out in "$@"; do
         and $m."engine.scan_pages_read_per_round" == 6551
         and $m."store_gets_per_round" == 0
         and $m."buffer.hit_ratio" >= 0.999
-        and $m."proc.allocs_per_page_read" <= 18.7
-        and $m."proc.alloc_mib_per_round" <= 643'
+        and $m."proc.allocs_per_page_read" <= 15.2
+        and $m."proc.alloc_mib_per_round" <= 487'
     check "$out" scan_cold '
         ($m."store_bytes_per_user_byte" - 0.1631076075333115 | fabs) < 1e-7' '
         $m."engine.work_units_per_round" == 13760728

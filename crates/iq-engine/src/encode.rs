@@ -18,7 +18,11 @@
 //! evaluates its at most 256 entries once, a raw float page compares
 //! straight from the bytes, and a string page tests codes against a set
 //! over its list. Each returns the rows' `Mask`; the column itself is
-//! never materialised.
+//! never materialised. What the terms need that does not depend on the
+//! page — the integer interval, the float literals, the string code set —
+//! is prepared once a scan for each column (`PageTest`); a page only
+//! shifts the interval by its own minimum, and every page is still
+//! checked in full.
 //!
 //! A page is `tag u8 | rows u32 | payload`, where an n-bit payload is
 //! `min i64 | width u8 | packed`:
@@ -475,60 +479,100 @@ pub fn decode_rows(
     }
 }
 
-/// The rows of a column page that satisfy every one of `terms` — the
-/// conjuncts [`Expr::page_split`](crate::expr::Expr::page_split) hands
-/// this column — read off the encoding: the column is never
-/// materialised. The mask is bitwise `eval_mask` of the terms'
-/// conjunction over [`decode_rows`] of the page, and the page is checked
-/// as `decode_rows` checks it: it must hold exactly `rows` rows, a string
-/// page needs `dict`, and a float-dictionary or string code past its
-/// dictionary is `Corruption` whichever row holds it. A term the page's
-/// type cannot answer is `Corruption` too (the page disagrees with its
-/// column's type). By page type:
+/// A column's page terms — the conjuncts
+/// [`Expr::page_split`](crate::expr::Expr::page_split) hands it — prepared
+/// once a scan for [`eval_page`]: what each page type needs of them that
+/// depends only on the terms and the column's dictionary. A type the terms
+/// do not fit holds `None`.
+pub(crate) struct PageTest<'d> {
+    /// String pages resolve their codes here.
+    dict: Option<&'d Dictionary>,
+    /// `I64` pages: the values that pass, as disjoint ascending spans.
+    ints: Option<Vec<(i64, i64)>>,
+    /// `Date` pages: likewise, over the 32-bit range.
+    dates: Option<Vec<(i64, i64)>>,
+    /// Float pages, raw or dictionary: each term as `(op, literal)`.
+    floats: Option<Vec<(CmpOp, f64)>>,
+    /// String pages: the codes of the dictionary's list that pass.
+    codes: Option<Mask>,
+}
+
+impl<'d> PageTest<'d> {
+    /// `terms` over a column whose strings `dict` holds.
+    pub(crate) fn new(terms: &[PageTerm], dict: Option<&'d Dictionary>) -> Self {
+        let ints = cmp_lits(terms, |v| match v {
+            Value::I64(v) => Some(*v),
+            _ => None,
+        });
+        let dates = cmp_lits(terms, |v| match v {
+            Value::Date(v) => Some(i64::from(*v)),
+            _ => None,
+        });
+        Self {
+            dict,
+            ints: ints.map(|t| value_spans(&t, i64::MIN, i64::MAX)),
+            dates: dates.map(|t| value_spans(&t, i32::MIN.into(), i32::MAX.into())),
+            floats: cmp_lits(terms, |v| match v {
+                Value::F64(x) => Some(*x),
+                _ => None,
+            }),
+            codes: dict.and_then(|d| code_set(&d.list, terms)),
+        }
+    }
+}
+
+/// The rows of a column page that satisfy every one of `test`'s terms,
+/// read off the encoding: the column is never materialised. The mask is
+/// bitwise `eval_mask` of the terms' conjunction over [`decode_rows`] of
+/// the page, and the page is checked as `decode_rows` checks it: it must
+/// hold exactly `rows` rows, a string page needs a dictionary, and a
+/// float-dictionary or string code past its dictionary is `Corruption`
+/// whichever row holds it. A page whose type the terms do not fit is
+/// `Corruption` too (the page disagrees with its column's type). By page
+/// type:
 ///
-/// * `I64` / `Date`: the terms fold to one interval of values, less any
-///   `<>` points, translated once a page into the delta domain, so a row
-///   costs one wrapping subtract and compare on its n-bit delta;
+/// * `I64` / `Date`: the terms' interval of values, less any `<>` points,
+///   is translated into the page's delta domain, so a row costs one
+///   wrapping subtract and compare on its n-bit delta;
 /// * float dictionary: the terms run once per entry, and a row tests its
 ///   code against that set;
 /// * raw float: each value is compared straight from the bytes;
-/// * string: a row tests its code against a set over the column's list.
-pub(crate) fn eval_page(
-    bytes: &[u8],
-    dict: Option<&Dictionary>,
-    rows: usize,
-    terms: &[PageTerm],
-) -> IqResult<Mask> {
+/// * string: a row tests its code against the set over the column's list.
+pub(crate) fn eval_page(bytes: &[u8], rows: usize, test: &PageTest<'_>) -> IqResult<Mask> {
     let (tag, count, payload) = image(bytes, Some(rows))?;
     match tag {
         TAG_I64 | TAG_DATE => {
             let nbit = NBit::parse(payload, count)?;
             // A date is the low 32 bits of `min + delta`, as the decoder
             // truncates it, so its arithmetic is modulo 2^32.
-            let (lo, hi, wrap) = match tag {
-                TAG_I64 => (i64::MIN, i64::MAX, u64::MAX),
-                _ => (i32::MIN.into(), i32::MAX.into(), u32::MAX.into()),
+            let (spans, wrap) = match tag {
+                TAG_I64 => (test.ints.as_deref().ok_or_else(|| misfit(tag))?, u64::MAX),
+                _ => (
+                    test.dates.as_deref().ok_or_else(|| misfit(tag))?,
+                    u32::MAX.into(),
+                ),
             };
-            let ints = cmp_lits(tag, terms, |v| match (tag, v) {
-                (TAG_I64, Value::I64(v)) => Some(*v),
-                (TAG_DATE, Value::Date(v)) => Some(i64::from(*v)),
-                _ => None,
-            })?;
             // Values `a ..= b` are the deltas `d` with
             // `d − (a − min) ≤ b − a`, modulo the value's width.
-            let spans: Vec<(u64, u64)> = (value_spans(&ints, lo, hi).into_iter())
-                .map(|(a, b)| (a.wrapping_sub(nbit.min) as u64, b.wrapping_sub(a) as u64))
-                .collect();
-            Ok(match spans[..] {
+            let delta =
+                |&(a, b): &(i64, i64)| (a.wrapping_sub(nbit.min) as u64, b.wrapping_sub(a) as u64);
+            Ok(match spans {
                 [] => Mask::from_fn(count, |_| false),
-                [(off, len)] => nbit.mask(|d| d.wrapping_sub(off) & wrap <= len),
-                _ => nbit
-                    .mask(|d| (spans.iter()).any(|&(off, len)| d.wrapping_sub(off) & wrap <= len)),
+                [span] => {
+                    let (off, len) = delta(span);
+                    nbit.mask(|d| d.wrapping_sub(off) & wrap <= len)
+                }
+                _ => {
+                    let deltas: Vec<(u64, u64)> = spans.iter().map(delta).collect();
+                    nbit.mask(|d| {
+                        (deltas.iter()).any(|&(off, len)| d.wrapping_sub(off) & wrap <= len)
+                    })
+                }
             })
         }
         TAG_F64 => {
             let raw = raw_floats(payload, count)?;
-            let lits = cmp_lits(tag, terms, float_lit)?;
+            let lits = test.floats.as_deref().ok_or_else(|| misfit(tag))?;
             Ok(Mask::from_slice(raw, |x| {
                 let x = f64::from_le_bytes(x);
                 lits.iter().all(|&(op, v)| op.holds(x, v))
@@ -536,7 +580,7 @@ pub(crate) fn eval_page(
         }
         TAG_F64_DICT => {
             let (table, len, codes) = float_dict(payload, count)?;
-            let lits = cmp_lits(tag, terms, float_lit)?;
+            let lits = test.floats.as_deref().ok_or_else(|| misfit(tag))?;
             let mut hit = [false; FLOAT_DICT_MAX];
             for (hit, &x) in hit.iter_mut().zip(&table[..len]) {
                 *hit = lits.iter().all(|&(op, v)| op.holds(x, v));
@@ -550,16 +594,8 @@ pub(crate) fn eval_page(
             Ok(mask)
         }
         TAG_STR => {
-            let list = str_list(dict)?;
-            let mut set = Mask::from_fn(list.len(), |_| true);
-            for t in terms {
-                set = set.and(&match t {
-                    PageTerm::Cmp(CmpOp::Eq, Value::Str(s)) => list.code_set([&**s]),
-                    PageTerm::Cmp(CmpOp::Ne, Value::Str(s)) => list.code_set([&**s]).not(),
-                    PageTerm::In(values) => list.code_set(values.iter().filter_map(Value::as_str)),
-                    PageTerm::Cmp(..) => return Err(misfit(tag)),
-                });
-            }
+            let list = str_list(test.dict)?;
+            let set = test.codes.as_ref().ok_or_else(|| misfit(tag))?;
             let codes = NBit::parse(payload, count)?;
             let (min, mut high) = (codes.min, 0u64);
             let mask = codes.mask(|d| {
@@ -581,27 +617,30 @@ fn misfit(tag: u8) -> IqError {
     ))
 }
 
-/// Each term as `(op, literal)`, `lit` taking a literal of the page's
-/// type; any other term is a [`misfit`].
-fn cmp_lits<T>(
-    tag: u8,
-    terms: &[PageTerm],
-    lit: impl Fn(&Value) -> Option<T>,
-) -> IqResult<Vec<(CmpOp, T)>> {
+/// Each term as `(op, literal)` when every one compares with a literal
+/// `lit` takes; `None` when one does not.
+fn cmp_lits<T>(terms: &[PageTerm], lit: impl Fn(&Value) -> Option<T>) -> Option<Vec<(CmpOp, T)>> {
     (terms.iter())
         .map(|t| match t {
-            PageTerm::Cmp(op, v) => lit(v).map(|v| (*op, v)).ok_or_else(|| misfit(tag)),
-            PageTerm::In(_) => Err(misfit(tag)),
+            PageTerm::Cmp(op, v) => lit(v).map(|v| (*op, v)),
+            PageTerm::In(_) => None,
         })
         .collect()
 }
 
-/// A float literal (an integer one does not answer a float page).
-fn float_lit(v: &Value) -> Option<f64> {
-    match v {
-        Value::F64(x) => Some(*x),
-        _ => None,
+/// The codes of `list` that pass every one of `terms` — string `=`, `<>`
+/// and `IN` — as a set over the list; `None` when a term is not one.
+fn code_set(list: &StrList, terms: &[PageTerm]) -> Option<Mask> {
+    let mut set = Mask::from_fn(list.len(), |_| true);
+    for t in terms {
+        set = set.and(&match t {
+            PageTerm::Cmp(CmpOp::Eq, Value::Str(s)) => list.code_set([&**s]),
+            PageTerm::Cmp(CmpOp::Ne, Value::Str(s)) => list.code_set([&**s]).not(),
+            PageTerm::In(values) => list.code_set(values.iter().filter_map(Value::as_str)),
+            PageTerm::Cmp(..) => return None,
+        });
     }
+    Some(set)
 }
 
 /// The values of `lo ..= hi` that pass every `value op literal`, as
@@ -859,12 +898,12 @@ mod tests {
             vec![PageTerm::Cmp(CmpOp::Eq, Value::Str("z".into()))],
             vec![PageTerm::In(Vec::new())],
         ] {
-            let got = eval_page(&enc, Some(&dict), 2, &terms);
+            let got = eval_page(&enc, 2, &PageTest::new(&terms, Some(&dict)));
             assert!(matches!(got, Err(IqError::Corruption(_))), "{got:?}");
         }
         let z = [PageTerm::Cmp(CmpOp::Eq, Value::Str("z".into()))];
         assert!(matches!(
-            eval_page(&enc, None, 2, &z),
+            eval_page(&enc, 2, &PageTest::new(&z, None)),
             Err(IqError::Invalid(_))
         ));
         // A term of another type, or a string order, is not the page's.
@@ -874,11 +913,11 @@ mod tests {
             PageTerm::Cmp(CmpOp::Eq, Value::F64(1.0)),
             PageTerm::In(vec![Value::I64(1)]),
         ] {
-            let got = eval_page(&page, None, 2, &[term]);
+            let got = eval_page(&page, 2, &PageTest::new(&[term], None));
             assert!(matches!(got, Err(IqError::Corruption(_))), "{got:?}");
         }
         let lt = [PageTerm::Cmp(CmpOp::Lt, Value::Str("z".into()))];
-        assert!(eval_page(&enc, Some(&dict), 2, &lt).is_err());
+        assert!(eval_page(&enc, 2, &PageTest::new(&lt, Some(&dict))).is_err());
     }
 
     // ------------------------------------------------------------------
@@ -1204,7 +1243,7 @@ mod tests {
                 decode_rows(page, None, None, sel),
                 Err(IqError::Corruption(_))
             ) && matches!(
-                eval_page(page, None, rows, &terms),
+                eval_page(page, rows, &PageTest::new(&terms, None)),
                 Err(IqError::Corruption(_))
             )
         };
@@ -1375,8 +1414,8 @@ mod tests {
             prop_assert!(total(decode_codes(&page)));
             for terms in hostile_term_sets() {
                 for rows in [rows.unwrap_or(mask_len), count as usize] {
-                    prop_assert!(total(eval_page(&page, Some(&dict), rows, &terms)));
-                    prop_assert!(total(eval_page(&page, None, rows, &terms)));
+                    prop_assert!(total(eval_page(&page, rows, &PageTest::new(&terms, Some(&dict)))));
+                    prop_assert!(total(eval_page(&page, rows, &PageTest::new(&terms, None))));
                 }
             }
         }
@@ -1409,7 +1448,7 @@ mod tests {
             prop_assert!(total(decode_column(&page, Some(&dict))));
             prop_assert!(total(decode_codes(&page)));
             for terms in hostile_term_sets() {
-                prop_assert!(total(eval_page(&page, Some(&dict), n, &terms)));
+                prop_assert!(total(eval_page(&page, n, &PageTest::new(&terms, Some(&dict)))));
             }
         }
 
@@ -1447,7 +1486,7 @@ mod tests {
             let split = pred.page_split(|c| (c == 0).then_some(dtype));
             prop_assert!(split.residual.is_none(), "{pred:?}");
             prop_assert_eq!(split.terms.len(), 1);
-            let got = eval_page(&page, Some(&dict), rows, &split.terms[0].1).unwrap();
+            let got = eval_page(&page, rows, &PageTest::new(&split.terms[0].1, Some(&dict))).unwrap();
             let decoded = decode_rows(&page, Some(&dict), Some(rows), None).unwrap();
             let want = pred.eval_mask(&Chunk::new(vec![decoded]), &[0]).unwrap();
             prop_assert_eq!(got, want, "tag {} {:?}", page[0], pred);

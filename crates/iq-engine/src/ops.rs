@@ -48,14 +48,26 @@
 //!   heap key exists. A join's probe side is keyed by *lookups* in the
 //!   build side's space: a key the build side never saw is a miss, never
 //!   an insertion, so a built join is shared read-only between lanes.
+//!   A set of key words is *dense* when, read as signed integers, they
+//!   span `max − min + 1 ≤ 8 · rows + 64` values (`dense_span`): TPC-H's
+//!   `1..N` keys are, and so is every string or multi-column key, whose
+//!   words are codes and dense ids. Dense words index an array by
+//!   `word − min`; sparse ones (floats by bit pattern, wide integers, a
+//!   small filtered build side over a large domain) hash.
 //! * **Phase 1 (partition)** — the input is split into contiguous
 //!   morsels; each worker walks its morsel and buckets *row indices* by
 //!   `mix(key word) % P`. Within a morsel rows stay ascending, and
 //!   morsel outputs are concatenated in morsel order, so every
-//!   partition's row list is ascending in global row order.
+//!   partition's row list is ascending in global row order. A join whose
+//!   build keys are dense skips phases 1 and 2: one serial counting sort
+//!   lays its rows out by `word − min` in the row array the hashed tables
+//!   use, and a probe finds a key's matches with one bounds-checked index.
 //! * **Phase 2 (fold/build)** — P partition tasks run independently,
 //!   each folding its partition's rows *in that global row order* with
-//!   the exact kernels the serial operator uses.
+//!   the exact kernels the serial operator uses. A fold whose group
+//!   words are dense — a partition's, the serial input's or a scan
+//!   morsel's — numbers its groups through a span-sized array, any other
+//!   through an interner.
 //! * **Stitch** — aggregation orders merged groups by first-occurrence
 //!   row (the serial path discovers groups in exactly that order); join
 //!   probes run over contiguous left morsels stitched in morsel order
@@ -67,7 +79,12 @@
 //! *exactly* the serial order — no partial-state merge ever re-associates
 //! a float sum. Output is byte-identical to the serial path for every
 //! worker count, which is what lets `workers == 1` remain the
-//! property-test oracle. The key word is a pure function of the key
+//! property-test oracle. Which side of the dense rule an input takes is
+//! read from its own key words, never from the worker count or a setting.
+//! Either side gives the same order: the dense table scatters its rows in
+//! ascending row order, so each key's matches ascend as in a hashed
+//! table, and the array numbers each group at its first row, as the
+//! interner does. The key word is a pure function of the key
 //! (dense ids are handed out in first-occurrence row order) and the hash
 //! over it is one fixed-seed mix, not `std`'s per-process-seeded hasher,
 //! so partition assignment (and with it scheduling shape) is stable
@@ -450,43 +467,110 @@ fn partition_rows(
     Ok(by_part)
 }
 
-/// The build side of a join over one partition's rows: key word → the
-/// rows carrying it, as one shared row array cut by per-key offsets.
+/// Key slots a row may take in a dense key set ([`dense_span`]).
+const DENSE_SLOTS: u64 = 8;
+
+/// `(min, span)` of a dense key set: its words read as signed integers
+/// (as an `I64` or `Date` key words its value) span `max − min + 1 ≤ 8 ·
+/// rows + 64` slots, so `word − min` can index an array of `span` entries
+/// in place of a hash table. `None` for a sparse set — floats by bit
+/// pattern, wide integers, a few rows over a large domain — which hashes.
+/// Read from the words alone, so every worker count takes the same side;
+/// an empty set is dense over no slots.
+fn dense_span(words: impl Iterator<Item = u64>) -> Option<(u64, usize)> {
+    let (lo, hi, rows) = words.fold((i64::MAX, i64::MIN, 0u64), |(lo, hi, n), w| {
+        (lo.min(w as i64), hi.max(w as i64), n + 1)
+    });
+    if rows == 0 {
+        return Some((0, 0));
+    }
+    // `i64::MIN` and `i64::MAX` together span 2^64 words: the add
+    // overflows, and the set is sparse.
+    let span = (hi as u64).wrapping_sub(lo as u64).checked_add(1)?;
+    let dense = span <= rows.saturating_mul(DENSE_SLOTS).saturating_add(64);
+    dense.then_some((lo as u64, span as usize))
+}
+
+/// `(row, key)` pairs in ascending row order, each key below `keys`, laid
+/// out as one row array cut by per-key offsets: key `k`'s rows are
+/// `rows[starts[k]..starts[k + 1]]`, ascending. One counting sort.
+fn csr<I>(keys: usize, pairs: I) -> (Vec<u32>, Vec<usize>)
+where
+    I: DoubleEndedIterator<Item = (usize, usize)> + ExactSizeIterator + Clone,
+{
+    let n = pairs.len();
+    u32::try_from(n).expect("fewer than 2^32 build rows");
+    let mut starts = vec![0u32; keys + 1];
+    pairs.clone().for_each(|(_, k)| starts[k] += 1);
+    // Running sums put each key's end in `starts[k]`; scattering the rows
+    // back to front moves it down to the key's first row.
+    let mut end = 0;
+    for s in &mut starts {
+        end += *s;
+        *s = end;
+    }
+    let mut rows = vec![0usize; n];
+    for (r, k) in pairs.rev() {
+        starts[k] -= 1;
+        rows[starts[k] as usize] = r;
+    }
+    (starts, rows)
+}
+
+/// The build side of a join over some of its rows: key word → the rows
+/// carrying it, ascending, as a [`csr`] over the keys' ids.
 struct JoinTable {
-    keys: Interner<u64>,
-    starts: Vec<usize>,
+    ids: KeyIds,
+    starts: Vec<u32>,
     rows: Vec<usize>,
 }
 
+/// How a [`JoinTable`] finds a key word's id.
+enum KeyIds {
+    /// `word − min`: the keys are dense ([`dense_span`]).
+    Dense(u64),
+    /// The word's id in the table's interner.
+    Hashed(Interner<u64>),
+}
+
 impl JoinTable {
-    /// `rows` are ascending, so every key's match list comes out
-    /// ascending — exactly the serial table.
-    fn build(words: &[u64], rows: &[usize]) -> Self {
+    /// Every row of `words`, keyed `word − min` over `span` ids.
+    fn dense(words: &[u64], (min, span): (u64, usize)) -> Self {
+        let pairs = words.iter().enumerate();
+        let (starts, rows) = csr(span, pairs.map(|(r, &w)| (r, w.wrapping_sub(min) as usize)));
+        Self {
+            ids: KeyIds::Dense(min),
+            starts,
+            rows,
+        }
+    }
+
+    /// `rows` (ascending) of `words`, keyed by interning.
+    fn hashed(words: &[u64], rows: &[usize]) -> Self {
         let mut keys = Interner::with_capacity(rows.len());
         let ids: Vec<usize> = rows
             .iter()
             .map(|&r| keys.intern(mix(words[r]), words[r]))
             .collect();
-        let mut starts = vec![0usize; keys.len() + 1];
-        ids.iter().for_each(|&k| starts[k + 1] += 1);
-        (0..keys.len()).for_each(|k| starts[k + 1] += starts[k]);
-        let mut next = starts.clone();
-        let mut by_key = vec![0usize; rows.len()];
-        for (&r, &k) in rows.iter().zip(&ids) {
-            by_key[next[k]] = r;
-            next[k] += 1;
-        }
+        let (starts, rows) = csr(keys.len(), rows.iter().copied().zip(ids.iter().copied()));
         Self {
-            keys,
+            ids: KeyIds::Hashed(keys),
             starts,
-            rows: by_key,
+            rows,
         }
     }
 
-    /// Build rows matching `word`, ascending; empty when there are none.
-    fn matches(&self, hash: u64, word: u64) -> &[usize] {
-        match self.keys.get(hash, &word) {
-            Some(k) => &self.rows[self.starts[k]..self.starts[k + 1]],
+    /// Build rows matching `word`, ascending; empty when there are none. A
+    /// word outside a dense table's span (and so [`MISS`]) matches nothing.
+    fn matches(&self, word: u64, hash: impl FnOnce() -> u64) -> &[usize] {
+        let id = match &self.ids {
+            KeyIds::Dense(min) => {
+                Some(word.wrapping_sub(*min) as usize).filter(|&k| k < self.starts.len() - 1)
+            }
+            KeyIds::Hashed(keys) => keys.get(hash(), &word),
+        };
+        match id {
+            Some(k) => &self.rows[self.starts[k] as usize..self.starts[k + 1] as usize],
             None => &[],
         }
     }
@@ -499,13 +583,15 @@ pub struct HashJoin<'a> {
     right: &'a Chunk,
     right_keys: Vec<usize>,
     space: KeySpace,
-    /// One table per key-hash partition (a single one when serial).
+    /// One table per key-hash partition; a single one when serial or
+    /// when the keys are dense.
     tables: Vec<JoinTable>,
 }
 
 impl<'a> HashJoin<'a> {
-    /// Key `right` on `right_keys`, partition its rows by key hash and
-    /// build each partition's table in parallel under `exec`.
+    /// Key `right` on `right_keys` and build its table: over dense keys
+    /// one, serially; else partition the rows by key hash and build each
+    /// partition's table in parallel under `exec`.
     pub fn build(
         right: &'a Chunk,
         right_keys: &[usize],
@@ -517,19 +603,23 @@ impl<'a> HashJoin<'a> {
         }
         let mut space = KeySpace::new();
         let words = space.words(right, right_keys);
-        let tables = if exec.workers() <= 1 {
+        let tables = match dense_span(words.iter().copied()) {
+            Some(span) => vec![JoinTable::dense(&words, span)],
             // Serial oracle: one build table.
-            let all: Vec<usize> = (0..right.len()).collect();
-            vec![JoinTable::build(&words, &all)]
-        } else {
+            None if exec.workers() <= 1 => {
+                let all: Vec<usize> = (0..right.len()).collect();
+                vec![JoinTable::hashed(&words, &all)]
+            }
             // Row lists are ascending per partition, so every key's match
             // list is ascending — exactly the serial table.
-            let io = exec.io_core(right.len());
-            let parts = exec.partitions();
-            let by_part = partition_rows(&words, parts, &io, exec.workers())?;
-            io.run_ordered(parts, |p| {
-                Ok::<_, IqError>(JoinTable::build(&words, &by_part[p]))
-            })?
+            None => {
+                let io = exec.io_core(right.len());
+                let parts = exec.partitions();
+                let by_part = partition_rows(&words, parts, &io, exec.workers())?;
+                io.run_ordered(parts, |p| {
+                    Ok::<_, IqError>(JoinTable::hashed(&words, &by_part[p]))
+                })?
+            }
         };
         meter.add(cost::JOIN * right.len() as u64);
         Ok(Self {
@@ -586,6 +676,17 @@ impl<'a> HashJoin<'a> {
         Ok(self.space.lookup(left, left_keys))
     }
 
+    /// Build rows matching `word`, ascending.
+    fn matches(&self, word: u64) -> &[usize] {
+        match &self.tables[..] {
+            [table] => table.matches(word, || mix(word)),
+            tables => {
+                let hash = mix(word);
+                tables[partition_of(hash, tables.len())].matches(word, || hash)
+            }
+        }
+    }
+
     /// Probe left rows `[lo, hi)` — left to right, each key's matches in
     /// build-row order — and gather the output columns.
     fn probe_range(
@@ -596,7 +697,6 @@ impl<'a> HashJoin<'a> {
         lo: usize,
         hi: usize,
     ) -> Chunk {
-        let parts = self.tables.len();
         // Sized for a match a row (a foreign-key join), not grown to it.
         let rows = hi - lo;
         let right_rows = if jt == JoinType::Semi || jt == JoinType::Anti {
@@ -609,8 +709,7 @@ impl<'a> HashJoin<'a> {
         let mut matched_marker: Vec<i64> =
             Vec::with_capacity(if jt == JoinType::Left { rows } else { 0 });
         for (l, &word) in (lo..hi).zip(&words[lo..hi]) {
-            let hash = mix(word);
-            let matches = self.tables[partition_of(hash, parts)].matches(hash, word);
+            let matches = self.matches(word);
             match jt {
                 JoinType::Inner => {
                     left_idx.extend(std::iter::repeat_n(l, matches.len()));
@@ -956,22 +1055,40 @@ impl Acc {
 }
 
 /// The group of each of `rows` by its key word, groups numbered densely in
-/// first-seen order, and each group's first row: `(gids, reps)`.
+/// first-seen order, and each group's first row: `(gids, reps)`. Dense
+/// words ([`dense_span`]) find their group at `word − min` in an array,
+/// others through an interner.
 fn first_seen(
     words: &[u64],
-    rows: impl ExactSizeIterator<Item = usize>,
+    rows: impl ExactSizeIterator<Item = usize> + Clone,
 ) -> (Vec<usize>, Vec<usize>) {
-    let mut groups = Interner::with_capacity(rows.len());
     let mut reps: Vec<usize> = Vec::new();
-    let gids = rows
-        .map(|row| {
-            let g = groups.intern(mix(words[row]), words[row]);
-            if g == reps.len() {
-                reps.push(row);
-            }
-            g
-        })
-        .collect();
+    let gids = match dense_span(rows.clone().map(|row| words[row])) {
+        Some((min, span)) => {
+            // Each word's group + 1; 0 until met.
+            let mut ids = vec![0u32; span];
+            rows.map(|row| {
+                let id = &mut ids[words[row].wrapping_sub(min) as usize];
+                if *id == 0 {
+                    reps.push(row);
+                    *id = u32::try_from(reps.len()).expect("fewer than 2^32 groups");
+                }
+                *id as usize - 1
+            })
+            .collect()
+        }
+        None => {
+            let mut groups = Interner::with_capacity(rows.len());
+            rows.map(|row| {
+                let g = groups.intern(mix(words[row]), words[row]);
+                if g == reps.len() {
+                    reps.push(row);
+                }
+                g
+            })
+            .collect()
+        }
+    };
     (gids, reps)
 }
 
@@ -1721,6 +1838,53 @@ mod tests {
         assert_eq!(space.lookup(&third, &[0]), [w[1], 0, w[1]]);
         let unseen = Chunk::new(vec![str_col(&["new", "b"])]);
         assert_eq!(space.lookup(&unseen, &[0]), [MISS, 2]);
+    }
+
+    #[test]
+    fn the_dense_rule_reads_the_span_of_the_words() {
+        let dense = |keys: &[i64]| dense_span(keys.iter().map(|&k| k as u64));
+        // Two rows may span 8 · 2 + 64 = 80 values, read as signed.
+        assert_eq!(dense(&[-40, 39, 0]), Some((-40i64 as u64, 80)));
+        assert_eq!(dense(&[-40, 40]), None);
+        assert_eq!(
+            dense(&[i64::MAX, i64::MAX - 79]),
+            Some(((i64::MAX - 79) as u64, 80))
+        );
+        assert_eq!(dense(&[i64::MIN, i64::MIN + 80]), None);
+        // `i64::MIN ..= i64::MAX` overflows the span: sparse.
+        assert_eq!(dense(&[i64::MIN, i64::MAX]), None);
+        assert_eq!(dense(&[]), Some((0, 0)));
+        // Floats key by bit pattern: sparse.
+        let floats = [1.5f64, 2.5].map(f64::to_bits);
+        assert_eq!(dense_span(floats.into_iter()), None);
+    }
+
+    #[test]
+    fn dense_keys_build_one_table_at_every_worker_count() {
+        let m = WorkMeter::new();
+        // 1 000 rows: dense up to 8 064 values.
+        let keys =
+            |step: i64| Chunk::new(vec![Col::I64((0..1000).map(|i| 5 + i * step).collect())]);
+        let (dense, sparse) = (keys(8), keys(9));
+        for workers in [1, 8] {
+            let exec = OpExec::new(workers);
+            let join = HashJoin::build(&dense, &[0], &m, &exec).unwrap();
+            assert!(matches!(
+                join.tables[..],
+                [JoinTable {
+                    ids: KeyIds::Dense(5),
+                    ..
+                }]
+            ));
+            assert_eq!(join.matches(5 + 8 * 999), &[999]);
+            assert_eq!(join.matches(5 + 8 * 999 + 1), &[] as &[usize]);
+            assert_eq!(join.matches(4), &[] as &[usize]);
+            let join = HashJoin::build(&sparse, &[0], &m, &exec).unwrap();
+            let hashed = |t: &JoinTable| matches!(t.ids, KeyIds::Hashed(_));
+            assert!(join.tables.iter().all(hashed));
+            let parts = if workers == 1 { 1 } else { exec.partitions() };
+            assert_eq!(join.tables.len(), parts);
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use iq_storage::PageKind;
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::{Chunk, Col};
-use crate::encode::{decode_rows, encode_column, eval_page, Dictionary};
+use crate::encode::{decode_rows, encode_column, eval_page, Dictionary, PageTest};
 use crate::expr::Expr;
 use crate::mask::Mask;
 use crate::meter::{cost, WorkMeter};
@@ -332,16 +332,19 @@ impl TableMeta {
         // column's page terms run on its encoding, and only the columns
         // the residual reads are decoded in phase 1. Eager decodes every
         // phase-1 column and evaluates the whole predicate over them.
+        // Each column's terms are prepared once, for all its pages.
         let (terms, residual) = match pred {
             Some(p) if late => {
                 let split = p.page_split(|c| self.schema.columns.get(c).map(|d| d.dtype));
-                (split.terms, split.residual.map(Cow::Owned))
+                let tests = (split.terms.iter())
+                    .map(|(c, terms)| (*c, PageTest::new(terms, self.dicts[*c].as_ref())));
+                (tests.collect(), split.residual.map(Cow::Owned))
             }
             _ => (Vec::new(), pred.map(Cow::Borrowed)),
         };
         let terms_of = |c: usize| {
             let at = terms.binary_search_by_key(&c, |(col, _)| *col).ok()?;
-            Some(&terms[at].1[..])
+            Some(&terms[at].1)
         };
         let decoded: Vec<usize> = (phase1.iter().copied())
             .filter(|&c| terms_of(c).is_none())
@@ -427,17 +430,21 @@ impl TableMeta {
             let mut mask: Option<Mask> = None;
             for &c in &phase1 {
                 let page = store.read_page(self.id, self.page_id(g, c), demand)?;
-                let dict = self.dicts[c].as_ref();
                 let encoded = match terms_of(c) {
-                    Some(terms) => {
-                        mask = Some(and_in(mask, eval_page(&page.body, dict, rows, terms)?));
+                    Some(test) => {
+                        mask = Some(and_in(mask, eval_page(&page.body, rows, test)?));
                         if held.binary_search(&c).is_ok() {
                             pages.push(page);
                         }
                         true
                     }
                     None => {
-                        cols1.push(decode_rows(&page.body, dict, Some(rows), None)?);
+                        cols1.push(decode_rows(
+                            &page.body,
+                            self.dicts[c].as_ref(),
+                            Some(rows),
+                            None,
+                        )?);
                         false
                     }
                 };

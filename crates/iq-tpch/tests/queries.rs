@@ -491,6 +491,43 @@ fn all_queries_match_pinned_digests_and_meter_deltas() {
     }
 }
 
+/// `(query, digest, WorkMeter delta)` of Q17 and Q19 at SF 0.005, seed 1,
+/// recorded before joins and groupings over dense keys indexed an array.
+/// At the seed above (and at SF 0.01) no row passes Q17's average filter
+/// or Q19's brand / container / quantity bands, so both answer a single
+/// `0.0` and their pins share one digest; here Q17 reads 1 629.17 and Q19
+/// 39 212.60.
+const JOIN_FILTERS_SEED_1: [(u32, u64, u64); 2] = [
+    (17, 0x66d8_e6f3_9b99_0b6b, 245079),
+    (19, 0xa58b_dfb2_cee3_69b1, 224200),
+];
+
+#[test]
+fn q17_and_q19_pins_see_rows_pass_their_join_filters() {
+    let store = MemPageStore::new();
+    let db = TpchDb::load(SF, 1, &store, TxnId(1), &WorkMeter::new(), 1024).unwrap();
+    for (n, want_digest, want_units) in JOIN_FILTERS_SEED_1 {
+        for workers in [1usize, 2] {
+            let meter = WorkMeter::new();
+            let ctx = Ctx {
+                db: &db,
+                store: &store,
+                meter: &meter,
+                exec: iq_engine::OpExec::new(workers),
+                late_mat: true,
+            };
+            let out = run_query(n, &ctx).unwrap_or_else(|e| panic!("Q{n} failed: {e}"));
+            assert!(out.col(0).f64s()[0] > 0.0, "Q{n} passes no row");
+            assert_eq!(
+                digest(&out),
+                want_digest,
+                "Q{n} result digest @ {workers} workers"
+            );
+            assert_eq!(meter.total(), want_units, "Q{n} metered work units");
+        }
+    }
+}
+
 /// `(query, digest, WorkMeter delta)` of the four `scan_cold` queries at
 /// SF 0.01, seed 20210620, 1 024-row groups, recorded while every
 /// predicate input was still decoded into a column before it was
